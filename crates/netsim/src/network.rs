@@ -327,8 +327,6 @@ pub struct SolverStats {
     pub max_comp_flows: u64,
     /// Largest single component solved, in links.
     pub max_comp_links: u64,
-    /// High-water mark of the ordered-filling heaps (entries, both heaps).
-    pub max_heap: u64,
 }
 
 /// The emulated network: topology + live connection state + traffic counters
@@ -1223,7 +1221,7 @@ impl Network {
             s.flow_links.push(ls);
             s.caps.push(self.flow_ceiling[f]);
         }
-        let heap_peak = max_min_rates(
+        max_min_rates(
             &s.caps,
             &s.flow_links,
             &mut s.links,
@@ -1238,7 +1236,6 @@ impl Network {
         st.solved_links += s.comp_links.len() as u64;
         st.max_comp_flows = st.max_comp_flows.max(s.flows.len() as u64);
         st.max_comp_links = st.max_comp_links.max(s.comp_links.len() as u64);
-        st.max_heap = st.max_heap.max(heap_peak);
 
         // ---- Apply: account progress and emit updates for changed flows.
         let mut out = Vec::new();
@@ -1370,9 +1367,6 @@ struct SolverHeaps {
 /// (`level * (1 + SAT_EPS_REL) + SAT_EPS_ABS`): the absolute term keeps the
 /// test meaningful at `level == 0`, where a purely relative tolerance
 /// degenerates to exact equality (see [`SAT_EPS_ABS`]).
-///
-/// Returns the peak combined entry count of the two heaps (an observability
-/// statistic; see [`SolverStats::max_heap`]).
 fn max_min_rates(
     caps: &[f64],
     flow_links: &[[u32; 3]],
@@ -1381,7 +1375,7 @@ fn max_min_rates(
     heaps: &mut SolverHeaps,
     rates: &mut Vec<f64>,
     frozen: &mut Vec<bool>,
-) -> u64 {
+) {
     let n = caps.len();
     rates.clear();
     rates.resize(n, 0.0);
@@ -1414,7 +1408,6 @@ fn max_min_rates(
     }
     let mut remaining = n;
     let mut level = 0.0f64;
-    let mut heap_peak = (cap_heap.len() + sat_heap.len()) as u64;
 
     // Freezing helper as a closure is blocked by borrow rules; a macro keeps
     // the link bookkeeping (including heap maintenance) in one place.
@@ -1445,7 +1438,6 @@ fn max_min_rates(
     }
 
     while remaining > 0 {
-        heap_peak = heap_peak.max((cap_heap.len() + sat_heap.len()) as u64);
         // The next stopping point: the lowest unfrozen flow ceiling or live
         // link saturation level at or above the current water level.
         let cap_top = loop {
@@ -1535,7 +1527,6 @@ fn max_min_rates(
             }
         }
     }
-    heap_peak
 }
 
 #[cfg(test)]

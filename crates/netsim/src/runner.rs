@@ -390,7 +390,6 @@ impl<P: Protocol> Runner<P> {
             .push(("solver_max_comp_flows", solver.max_comp_flows));
         snap.gauges
             .push(("solver_max_comp_links", solver.max_comp_links));
-        snap.gauges.push(("solver_max_heap", solver.max_heap));
         snap
     }
 
@@ -738,7 +737,6 @@ impl<P: Protocol> Runner<P> {
                         fast_growth: after.fast_growth - before.fast_growth,
                         comp_flows: after.solved_flows - before.solved_flows,
                         comp_links: after.solved_links - before.solved_links,
-                        max_heap: after.max_heap,
                     });
                 }
             }

@@ -116,8 +116,6 @@ pub enum TraceEvent {
         comp_flows: u64,
         /// Links solved across this event's full solves.
         comp_links: u64,
-        /// High-water of the solver's ordered-filling heaps so far.
-        max_heap: u64,
     },
     /// A node joined the experiment.
     NodeJoin {
@@ -254,7 +252,6 @@ impl TraceEvent {
                 fast_growth,
                 comp_flows,
                 comp_links,
-                max_heap,
             } => vec![
                 f("full_solves", Value::UInt(full_solves)),
                 f("fast_admit", Value::UInt(fast_admit)),
@@ -262,7 +259,6 @@ impl TraceEvent {
                 f("fast_growth", Value::UInt(fast_growth)),
                 f("comp_flows", Value::UInt(comp_flows)),
                 f("comp_links", Value::UInt(comp_links)),
-                f("max_heap", Value::UInt(max_heap)),
             ],
             TraceEvent::NodeJoin { node } => vec![f("node", Value::UInt(node.into()))],
             TraceEvent::NodeLeave { node } => vec![f("node", Value::UInt(node.into()))],
