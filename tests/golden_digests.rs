@@ -1,0 +1,138 @@
+//! Golden digests: the FNV-1a hash of the canonical report of one small,
+//! fixed-seed run per system, committed as constants.
+//!
+//! `tests/determinism.rs` shows that a run equals *itself*; this file pins
+//! runs to what they were when the digests were recorded, so a refactor or an
+//! optimisation of the emulator (event queue, fluid solver, request
+//! selection, ...) is correct iff this file passes unedited. A change that is
+//! *meant* to alter behaviour re-records the constants in the same commit and
+//! says so.
+//!
+//! The closed runs put all four systems on a 12-node lossy ModelNet-style
+//! mesh under the §4.1 bandwidth-change schedule (so full re-solves, the
+//! reprice path and the request strategy all run); the open run is a
+//! two-swarm service cell over a shared core (admission, retire, flow-row
+//! recycling). ci.sh runs the file again with `--release`: the optimised
+//! build the benchmark measures must produce the same bytes.
+
+use bullet_repro::baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
+use bullet_repro::bullet_bench::systems::paper_dynamic_schedule;
+use bullet_repro::bullet_prime::{build_runner, build_service_runner, Config, ServiceSwarms};
+use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
+use bullet_repro::dissem_codec::FileSpec;
+use bullet_repro::netsim::{
+    mbps, run_service, topology, ArrivalGen, ChangeSchedule, Network, NodeId, Protocol, RunReport,
+    Runner, ServiceConfig, Topology,
+};
+
+const SEED: u64 = 20050410;
+const NODES: usize = 12;
+const HORIZON_SECS: f64 = 3_600.0;
+
+/// 64-bit FNV-1a, the digest `benchmark/golden.json` uses too.
+fn fnv1a64(bytes: &[u8]) -> u64 {
+    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
+        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
+    })
+}
+
+fn file() -> FileSpec {
+    FileSpec::new(8 * 1024 * 1024, 16 * 1024)
+}
+
+/// Applies the §4.1 schedule and runs to completion.
+fn run_dynamic<P: Protocol>(mut runner: Runner<P>, schedule: &ChangeSchedule) -> RunReport {
+    for (at, batch) in schedule {
+        runner.schedule_link_change(*at, batch.clone());
+    }
+    let report = runner.run(SimDuration::from_secs_f64(HORIZON_SECS));
+    assert!(
+        report.completion_fraction(1) == 1.0,
+        "every receiver finishes: {:?}",
+        report.reason
+    );
+    assert!(
+        report.metrics.counter("link_changes") >= Some(1)
+            && report.metrics.counter("solver_full_solves") >= Some(100),
+        "the run must see a bandwidth change and full re-solves: {:?}",
+        report.metrics.counters
+    );
+    report
+}
+
+/// Runs `build` on the fixed mesh + schedule and checks the report's digest.
+fn check_closed<P: Protocol>(
+    label: &str,
+    expected: u64,
+    build: impl FnOnce(Topology, &RngFactory) -> Runner<P>,
+) {
+    let rng = RngFactory::new(SEED);
+    let topo = topology::modelnet_mesh(NODES, 0.02, &rng);
+    let schedule = paper_dynamic_schedule(NODES, HORIZON_SECS, &rng);
+    let report = run_dynamic(build(topo, &rng), &schedule);
+    let got = fnv1a64(report.canonical().as_bytes());
+    assert_eq!(
+        got, expected,
+        "{label}: canonical RunReport digest moved: got {got:#018x}, recorded {expected:#018x}"
+    );
+}
+
+#[test]
+fn bullet_prime_matches_its_golden_digest() {
+    check_closed("Bullet'", 0xc250_e57e_8ddb_63ed, |topo, rng| {
+        build_runner(topo, &Config::new(file()), rng)
+    });
+}
+
+#[test]
+fn bullet_matches_its_golden_digest() {
+    check_closed("Bullet", 0xc195_da78_9bd9_5194, |topo, rng| {
+        bullet_orig::build_runner(topo, file(), rng)
+    });
+}
+
+#[test]
+fn bittorrent_matches_its_golden_digest() {
+    check_closed("BitTorrent", 0x7d8b_66cb_84e0_eb22, |topo, rng| {
+        let cfg = BitTorrentConfig::new(file());
+        let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
+            .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
+            .collect();
+        let mut runner = Runner::new(Network::new(topo), nodes, rng);
+        runner.exempt_from_completion(NodeId(0));
+        runner
+    });
+}
+
+#[test]
+fn splitstream_matches_its_golden_digest() {
+    check_closed("SplitStream", 0x17d7_2c20_ce1a_e24b, |topo, rng| {
+        splitstream::build_runner(topo, file(), rng)
+    });
+}
+
+#[test]
+fn two_swarm_service_run_matches_its_golden_digest() {
+    let rng = RngFactory::new(SEED);
+    let topo = topology::shared_core_mesh(16, mbps(20.0), 0.0, &rng);
+    let template = Config::new(FileSpec::new(256 * 1024, 16 * 1024));
+    let mut runner = build_service_runner(topo, &template, &rng);
+    let mut source = ServiceSwarms::new(template, &rng, (4, 6), (128 * 1024, 256 * 1024));
+    let cfg = ServiceConfig {
+        horizon: SimTime::from_secs_f64(600.0),
+        warmup: SimTime::from_secs_f64(60.0),
+        tick: SimDuration::from_secs(10),
+        segment_slots: 8,
+        max_arrivals: 4,
+        core: None,
+    };
+    let gen = ArrivalGen::Trace(vec![SimTime::ZERO, SimTime::from_secs_f64(10.0)]);
+    let report = run_service(&mut runner, &cfg, &gen, &mut source, &rng);
+    assert_eq!(report.admitted, 2, "both trace arrivals admitted");
+    let got = fnv1a64(report.canonical().as_bytes());
+    let expected = 0x7431_9bea_4f46_b2e6;
+    assert_eq!(
+        got, expected,
+        "service: canonical ServiceReport digest moved: got {got:#018x}, recorded {expected:#018x}"
+    );
+}
