@@ -30,11 +30,12 @@
 //! search does not cross it (margin-guarded by `PRUNE_MARGIN`). Only flows
 //! whose rate actually changed get a new completion estimate.
 //!
-//! The solver itself is ordered progressive filling: a min-heap over flow
-//! ceilings and a lazily-invalidated min-heap over link saturation levels
-//! drive the water level from one freezing point to the next, so a solve
-//! costs O((F + L) log(F + L)) instead of a full rescan of every flow and
-//! link per round.
+//! The solver itself is ordered progressive filling: the flow ceilings sorted
+//! once and walked by a cursor, and an indexed min-heap over link saturation
+//! levels whose keys are fixed in place as flows freeze, drive the water
+//! level from one freezing point to the next, so a solve costs
+//! O((F + L) log(F + L)) instead of a full rescan of every flow and link per
+//! round.
 //!
 //! Each active connection has exactly **one** live completion event in the
 //! driver's queue; the [`Network`] returns [`ConnUpdate`] records telling the
@@ -67,8 +68,7 @@
 //! assert!(shared < alone);
 //! ```
 
-use std::cmp::{Ordering, Reverse};
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::{HashMap, VecDeque};
 
 use desim::{SimDuration, SimTime};
 use dissem_codec::BlockId;
@@ -76,6 +76,9 @@ use rand::Rng;
 
 use crate::topology::{LinkId, NodeId, Topology};
 use crate::units::BytesPerSec;
+
+mod link_heap;
+use link_heap::LinkHeap;
 
 /// A connection never stalls completely: TCP retransmits eventually, so the
 /// fluid model floors every rate at one byte per second.
@@ -413,8 +416,8 @@ struct SolverScratch {
     links: Vec<LinkState>,
     /// Per-local-link flow adjacency (indices into `flows`).
     link_members: Vec<Vec<u32>>,
-    /// The ordered-filling heaps.
-    heaps: SolverHeaps,
+    /// The ordered-filling working set.
+    fill: FillOrder,
     /// Solver outputs.
     rates: Vec<f64>,
     frozen: Vec<bool>,
@@ -1226,7 +1229,7 @@ impl Network {
             &s.flow_links,
             &mut s.links,
             &s.link_members,
-            &mut s.heaps,
+            &mut s.fill,
             &mut s.rates,
             &mut s.frozen,
         );
@@ -1294,51 +1297,13 @@ impl LinkState {
     }
 }
 
-/// Total-order wrapper so `f64` keys can live in a [`BinaryHeap`].
-#[derive(Debug, Clone, Copy)]
-struct OrdF64(f64);
-
-impl PartialEq for OrdF64 {
-    fn eq(&self, other: &Self) -> bool {
-        self.0.total_cmp(&other.0) == Ordering::Equal
-    }
-}
-impl Eq for OrdF64 {}
-impl PartialOrd for OrdF64 {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for OrdF64 {
-    fn cmp(&self, other: &Self) -> Ordering {
-        self.0.total_cmp(&other.0)
-    }
-}
-
-/// Min-heap entry: a flow's own ceiling. Entries for already-frozen flows are
-/// skipped lazily at pop time.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct CapEntry {
-    cap: OrdF64,
-    flow: u32,
-}
-
-/// Min-heap entry: a link's saturation level at push time. Every state change
-/// of a link bumps its version, so stale entries are skipped lazily.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct SatEntry {
-    sat: OrdF64,
-    link: u32,
-    version: u32,
-}
-
 /// The ordered-filling working set, reused across solves.
 #[derive(Debug, Clone, Default)]
-struct SolverHeaps {
-    cap_heap: BinaryHeap<Reverse<CapEntry>>,
-    sat_heap: BinaryHeap<Reverse<SatEntry>>,
-    /// Per-link entry version; a heap entry is live iff its version matches.
-    link_version: Vec<u32>,
+struct FillOrder {
+    /// `(ceiling, flow)` sorted ascending; the solver walks it with a cursor.
+    ceilings: Vec<(f64, u32)>,
+    /// Links that still have unfrozen flows, by saturation level.
+    sat: LinkHeap,
     /// Ceiling freezes of the current round, sorted ascending by flow index
     /// before freezing so the per-link `frozen_usage` sums accumulate in the
     /// same order as the historical full-rescan solver (bit-identical rates).
@@ -1352,12 +1317,15 @@ struct SolverHeaps {
 /// [`NO_LINK`] slot in `flow_links` is ignored — it names a pruned link that
 /// can never saturate).
 ///
-/// Instead of rescanning every flow and link per round, two min-heaps track
-/// the next stopping point: one over unfrozen flow ceilings, one over link
-/// saturation levels (lazily invalidated via per-link versions — each freeze
-/// pushes a fresh entry and bumps the version, so stale entries are skipped
-/// at pop time). Within a round, ceiling freezes happen in ascending flow
-/// order and saturation freezes all hand out the identical `level`, so the
+/// Instead of rescanning every flow and link per round, two ordered
+/// structures give the next stopping point. Ceilings never change during a
+/// solve, so they are sorted once and walked by a cursor that steps over
+/// flows a link froze first. Saturation levels do change — but only for the
+/// links of the flow being frozen — so they live in an indexed min-heap
+/// ([`LinkHeap`]) whose key is fixed in place on every freeze and removed
+/// when the link's last flow freezes. Within a round, ceiling freezes happen
+/// in ascending flow order, links saturate in ascending `(level, link)` order
+/// and saturation freezes all hand out the identical `level`, so the
 /// floating-point accumulation into `frozen_usage` replays the historical
 /// full-rescan order exactly: rates are bit-identical, in
 /// O((flows + links) log(flows + links)) per solve.
@@ -1372,7 +1340,7 @@ fn max_min_rates(
     flow_links: &[[u32; 3]],
     links: &mut [LinkState],
     link_members: &[Vec<u32>],
-    heaps: &mut SolverHeaps,
+    fill: &mut FillOrder,
     rates: &mut Vec<f64>,
     frozen: &mut Vec<bool>,
 ) {
@@ -1381,36 +1349,29 @@ fn max_min_rates(
     rates.resize(n, 0.0);
     frozen.clear();
     frozen.resize(n, false);
-    let SolverHeaps {
-        cap_heap,
-        sat_heap,
-        link_version,
+    let FillOrder {
+        ceilings,
+        sat,
         cand,
-    } = heaps;
-    cap_heap.clear();
-    sat_heap.clear();
-    link_version.clear();
-    link_version.resize(links.len(), 0);
-    for (i, &c) in caps.iter().enumerate() {
-        cap_heap.push(Reverse(CapEntry {
-            cap: OrdF64(c),
-            flow: i as u32,
-        }));
-    }
-    for (li, l) in links.iter().enumerate() {
-        if l.unfrozen > 0 {
-            sat_heap.push(Reverse(SatEntry {
-                sat: OrdF64(l.saturation_level()),
-                link: li as u32,
-                version: 0,
-            }));
-        }
-    }
+    } = fill;
+    ceilings.clear();
+    ceilings.extend(caps.iter().enumerate().map(|(i, &c)| (c, i as u32)));
+    ceilings.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+    sat.rebuild(
+        links.len(),
+        links
+            .iter()
+            .enumerate()
+            .filter(|(_, l)| l.unfrozen > 0)
+            .map(|(li, l)| (li as u32, l.saturation_level())),
+    );
+    let mut cursor = 0;
     let mut remaining = n;
     let mut level = 0.0f64;
 
     // Freezing helper as a closure is blocked by borrow rules; a macro keeps
-    // the link bookkeeping (including heap maintenance) in one place.
+    // the link bookkeeping (including heap maintenance) in one place. A link
+    // absent from the heap is the one whose saturation is being swept.
     macro_rules! freeze {
         ($i:expr, $rate:expr) => {{
             let i: usize = $i;
@@ -1422,94 +1383,68 @@ fn max_min_rates(
                 if li == NO_LINK {
                     continue;
                 }
-                let li = li as usize;
-                links[li].unfrozen -= 1;
-                links[li].frozen_usage += r;
-                link_version[li] = link_version[li].wrapping_add(1);
-                if links[li].unfrozen > 0 {
-                    sat_heap.push(Reverse(SatEntry {
-                        sat: OrdF64(links[li].saturation_level()),
-                        link: li as u32,
-                        version: link_version[li],
-                    }));
+                let l = &mut links[li as usize];
+                l.unfrozen -= 1;
+                l.frozen_usage += r;
+                if !sat.contains(li) {
+                    continue;
+                }
+                if l.unfrozen > 0 {
+                    sat.set_key(li, l.saturation_level());
+                } else {
+                    sat.remove(li);
                 }
             }
         }};
     }
 
     while remaining > 0 {
-        // The next stopping point: the lowest unfrozen flow ceiling or live
-        // link saturation level at or above the current water level.
-        let cap_top = loop {
-            match cap_heap.peek() {
-                Some(&Reverse(e)) if frozen[e.flow as usize] => {
-                    cap_heap.pop();
-                }
-                Some(&Reverse(e)) => break Some(e.cap.0),
-                None => break None,
-            }
-        };
-        let sat_top = loop {
-            match sat_heap.peek() {
-                Some(&Reverse(e)) => {
-                    let li = e.link as usize;
-                    if e.version != link_version[li] || links[li].unfrozen == 0 {
-                        sat_heap.pop();
-                    } else {
-                        break Some(e.sat.0);
-                    }
-                }
-                None => break None,
-            }
-        };
-        let mut next = f64::INFINITY;
-        if let Some(c) = cap_top {
-            next = next.min(c);
+        // The next stopping point: the lowest unfrozen flow ceiling or link
+        // saturation level at or above the current water level.
+        while cursor < n && frozen[ceilings[cursor].1 as usize] {
+            cursor += 1;
         }
-        if let Some(sl) = sat_top {
+        let mut next = f64::INFINITY;
+        if cursor < n {
+            next = next.min(ceilings[cursor].0);
+        }
+        if let Some((sl, _)) = sat.peek() {
             next = next.min(sl);
         }
         level = next.max(level);
         let mut any = false;
 
         // Flows that hit their own ceiling freeze at the ceiling, in
-        // ascending flow order (see `SolverHeaps::cand`).
+        // ascending flow order (see `FillOrder::cand`).
         cand.clear();
-        while let Some(&Reverse(e)) = cap_heap.peek() {
-            if e.cap.0 > level {
+        while cursor < n {
+            let (cap, flow) = ceilings[cursor];
+            if cap > level {
                 break;
             }
-            cap_heap.pop();
-            if !frozen[e.flow as usize] {
-                cand.push(e.flow);
+            cursor += 1;
+            if !frozen[flow as usize] {
+                cand.push(flow);
             }
         }
         cand.sort_unstable();
         for &fi in cand.iter() {
-            let i = fi as usize;
-            if !frozen[i] {
-                freeze!(i, caps[i]);
-                any = true;
-            }
+            freeze!(fi as usize, caps[fi as usize]);
+            any = true;
         }
 
         // Links that saturate at (or, through floating-point drift, just
         // below) the level freeze their remaining flows at the level. One
         // saturation can lower another link's level; the freeze above already
-        // pushed the updated entries, so popping until the heap's minimum
-        // clears the tolerance sweeps the cascade to fixpoint.
+        // fixed those keys, so sweeping until the heap's minimum clears the
+        // tolerance takes the cascade to fixpoint.
         let thr = level * (1.0 + SAT_EPS_REL) + SAT_EPS_ABS;
-        while let Some(&Reverse(e)) = sat_heap.peek() {
-            let li = e.link as usize;
-            if e.version != link_version[li] || links[li].unfrozen == 0 {
-                sat_heap.pop();
-                continue;
-            }
-            if e.sat.0 > thr {
+        while let Some((sl, li)) = sat.peek() {
+            if sl > thr {
                 break;
             }
-            sat_heap.pop();
-            for &fi in &link_members[li] {
+            sat.remove(li);
+            for &fi in &link_members[li as usize] {
                 let i = fi as usize;
                 if !frozen[i] {
                     freeze!(i, level);

@@ -492,7 +492,7 @@ fn progressive_filling_matches_hand_solved_example() {
         },
     ];
     let link_members = members_of(&flow_links, links.len());
-    let mut heaps = SolverHeaps::default();
+    let mut fill = FillOrder::default();
     let mut rates = Vec::new();
     let mut frozen = Vec::new();
     max_min_rates(
@@ -500,7 +500,7 @@ fn progressive_filling_matches_hand_solved_example() {
         &flow_links,
         &mut links,
         &link_members,
-        &mut heaps,
+        &mut fill,
         &mut rates,
         &mut frozen,
     );
@@ -537,7 +537,7 @@ fn fully_occupied_link_freezes_its_flows_at_level_zero() {
         },
     ];
     let link_members = vec![vec![0u32], vec![1, 2]];
-    let mut heaps = SolverHeaps::default();
+    let mut fill = FillOrder::default();
     let mut rates = Vec::new();
     let mut frozen = Vec::new();
     max_min_rates(
@@ -545,11 +545,382 @@ fn fully_occupied_link_freezes_its_flows_at_level_zero() {
         &flow_links,
         &mut links,
         &link_members,
-        &mut heaps,
+        &mut fill,
         &mut rates,
         &mut frozen,
     );
     assert_eq!(rates[0], 0.0, "cap-frozen at its zero ceiling: {rates:?}");
     assert_eq!(rates[1], 0.0, "fully occupied link: {rates:?}");
     assert_eq!(rates[2], 0.0, "fully occupied link: {rates:?}");
+}
+
+/// Solver inputs shaped like the components `resolve` builds from the
+/// `fairness_oracle` topologies: `n` hosts with heterogeneous access links,
+/// a core link per ordered pair or one shared core for the "even" pairs, and
+/// each flow crossing uplink, core, downlink. `flows` are `(from, to, ceiling
+/// pick, pruned-slot mask)`; ceilings come from a coarse grid so ties are the
+/// rule, and `dead_link` gets capacity zero (cross traffic ate it all).
+fn random_component(
+    n: usize,
+    access_step: u64,
+    core_kb: u64,
+    shared: bool,
+    dead_link: usize,
+    flows: &[(u8, u8, u8, u8)],
+) -> (Vec<f64>, Vec<[u32; 3]>, Vec<LinkState>) {
+    let shared_core = 2 * n + n * n;
+    let num_links = shared_core + 1;
+    let mut capacity = vec![0.0f64; num_links];
+    for i in 0..n {
+        capacity[i] = crate::units::kbps(400.0 + (i as u64 * access_step % 1600) as f64);
+        capacity[n + i] = crate::units::kbps(600.0 + ((i as u64 + 1) * access_step % 1600) as f64);
+    }
+    for c in &mut capacity[2 * n..] {
+        *c = crate::units::kbps(core_kb as f64);
+    }
+    capacity[dead_link % num_links] = 0.0;
+
+    let mut caps = Vec::new();
+    let mut flow_links = Vec::new();
+    for &(a, b, pick, prune) in flows {
+        let (a, b) = (usize::from(a) % n, usize::from(b) % n);
+        if a == b {
+            continue;
+        }
+        let core = if shared && (a + b) % 2 == 0 {
+            shared_core
+        } else {
+            2 * n + a * n + b
+        };
+        let mut path = [a as u32, core as u32, (n + b) as u32];
+        let cap = match pick % 8 {
+            0 => 0.0,
+            1 => f64::INFINITY,
+            p => 15_000.0 * f64::from(p),
+        };
+        if cap.is_finite() {
+            for (slot, l) in path.iter_mut().enumerate() {
+                if prune & (1 << slot) != 0 {
+                    *l = NO_LINK;
+                }
+            }
+        }
+        caps.push(cap);
+        flow_links.push(path);
+    }
+    let links = capacity
+        .iter()
+        .enumerate()
+        .map(|(li, &capacity)| LinkState {
+            capacity,
+            unfrozen: flow_links
+                .iter()
+                .filter(|p| p.contains(&(li as u32)))
+                .count() as u32,
+            frozen_usage: 0.0,
+        })
+        .collect();
+    (caps, flow_links, links)
+}
+
+proptest::proptest! {
+    /// The cursor + indexed-heap solver hands out bit-identical rates to the
+    /// parent's lazy-heap solver, and leaves the links in the same state.
+    #[test]
+    fn solver_matches_the_lazy_heap_reference_bit_for_bit(
+        n in 3usize..8,
+        access_step in 1u64..997,
+        core_kb in 100u64..3_000,
+        shared in proptest::prelude::any::<bool>(),
+        dead_link in 0usize..200,
+        flows in proptest::collection::vec(
+            (
+                proptest::prelude::any::<u8>(),
+                proptest::prelude::any::<u8>(),
+                proptest::prelude::any::<u8>(),
+                0u8..8,
+            ),
+            1..80,
+        ),
+    ) {
+        let (caps, flow_links, links) =
+            random_component(n, access_step, core_kb, shared, dead_link, &flows);
+        let link_members = members_of(&flow_links, links.len());
+
+        let mut want_links = links.clone();
+        let (mut want, mut frozen) = (Vec::new(), Vec::new());
+        lazy_heap_reference::max_min_rates(
+            &caps,
+            &flow_links,
+            &mut want_links,
+            &link_members,
+            &mut lazy_heap_reference::SolverHeaps::default(),
+            &mut want,
+            &mut frozen,
+        );
+
+        let mut got_links = links;
+        let mut got = Vec::new();
+        max_min_rates(
+            &caps,
+            &flow_links,
+            &mut got_links,
+            &link_members,
+            &mut FillOrder::default(),
+            &mut got,
+            &mut frozen,
+        );
+
+        let bits = |v: &[f64]| v.iter().map(|r| r.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(&got), bits(&want), "rates differ: {got:?} vs {want:?}");
+        for (g, w) in got_links.iter().zip(&want_links) {
+            assert_eq!(g.unfrozen, w.unfrozen);
+            assert_eq!(g.frozen_usage.to_bits(), w.frozen_usage.to_bits());
+        }
+    }
+}
+
+/// The parent commit's solver, verbatim: the same progressive filling driven
+/// by two lazily-invalidated `BinaryHeap`s (stale saturation entries skipped
+/// by per-link versions). Kept as the reference the cursor + indexed-heap
+/// solver must reproduce bit for bit.
+mod lazy_heap_reference {
+    use super::super::{LinkState, NO_LINK, SAT_EPS_ABS, SAT_EPS_REL};
+    use std::cmp::{Ordering, Reverse};
+    use std::collections::BinaryHeap;
+
+    /// Total-order wrapper so `f64` keys can live in a [`BinaryHeap`].
+    #[derive(Debug, Clone, Copy)]
+    struct OrdF64(f64);
+
+    impl PartialEq for OrdF64 {
+        fn eq(&self, other: &Self) -> bool {
+            self.0.total_cmp(&other.0) == Ordering::Equal
+        }
+    }
+    impl Eq for OrdF64 {}
+    impl PartialOrd for OrdF64 {
+        fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
+            Some(self.cmp(other))
+        }
+    }
+    impl Ord for OrdF64 {
+        fn cmp(&self, other: &Self) -> Ordering {
+            self.0.total_cmp(&other.0)
+        }
+    }
+
+    /// Min-heap entry: a flow's own ceiling. Entries for already-frozen flows are
+    /// skipped lazily at pop time.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct CapEntry {
+        cap: OrdF64,
+        flow: u32,
+    }
+
+    /// Min-heap entry: a link's saturation level at push time. Every state change
+    /// of a link bumps its version, so stale entries are skipped lazily.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+    struct SatEntry {
+        sat: OrdF64,
+        link: u32,
+        version: u32,
+    }
+
+    /// The ordered-filling working set, reused across solves.
+    #[derive(Debug, Clone, Default)]
+    pub(super) struct SolverHeaps {
+        cap_heap: BinaryHeap<Reverse<CapEntry>>,
+        sat_heap: BinaryHeap<Reverse<SatEntry>>,
+        /// Per-link entry version; a heap entry is live iff its version matches.
+        link_version: Vec<u32>,
+        /// Ceiling freezes of the current round, sorted ascending by flow index
+        /// before freezing so the per-link `frozen_usage` sums accumulate in the
+        /// same order as the historical full-rescan solver (bit-identical rates).
+        cand: Vec<u32>,
+    }
+
+    /// Progressive filling: raises one common water level over all flows; a flow
+    /// freezes at its own ceiling (`caps`) or at the level where a link on its
+    /// path saturates. Writes the max-min fair rate of each flow into `rates`
+    /// (reused caller buffers; `link_members` lists each link's flows, and a
+    /// [`NO_LINK`] slot in `flow_links` is ignored — it names a pruned link that
+    /// can never saturate).
+    ///
+    /// Instead of rescanning every flow and link per round, two min-heaps track
+    /// the next stopping point: one over unfrozen flow ceilings, one over link
+    /// saturation levels (lazily invalidated via per-link versions — each freeze
+    /// pushes a fresh entry and bumps the version, so stale entries are skipped
+    /// at pop time). Within a round, ceiling freezes happen in ascending flow
+    /// order and saturation freezes all hand out the identical `level`, so the
+    /// floating-point accumulation into `frozen_usage` replays the historical
+    /// full-rescan order exactly: rates are bit-identical, in
+    /// O((flows + links) log(flows + links)) per solve.
+    ///
+    /// A link counts as saturated when its level is within a combined
+    /// absolute+relative tolerance of the water level
+    /// (`level * (1 + SAT_EPS_REL) + SAT_EPS_ABS`): the absolute term keeps the
+    /// test meaningful at `level == 0`, where a purely relative tolerance
+    /// degenerates to exact equality (see [`SAT_EPS_ABS`]).
+    pub(super) fn max_min_rates(
+        caps: &[f64],
+        flow_links: &[[u32; 3]],
+        links: &mut [LinkState],
+        link_members: &[Vec<u32>],
+        heaps: &mut SolverHeaps,
+        rates: &mut Vec<f64>,
+        frozen: &mut Vec<bool>,
+    ) {
+        let n = caps.len();
+        rates.clear();
+        rates.resize(n, 0.0);
+        frozen.clear();
+        frozen.resize(n, false);
+        let SolverHeaps {
+            cap_heap,
+            sat_heap,
+            link_version,
+            cand,
+        } = heaps;
+        cap_heap.clear();
+        sat_heap.clear();
+        link_version.clear();
+        link_version.resize(links.len(), 0);
+        for (i, &c) in caps.iter().enumerate() {
+            cap_heap.push(Reverse(CapEntry {
+                cap: OrdF64(c),
+                flow: i as u32,
+            }));
+        }
+        for (li, l) in links.iter().enumerate() {
+            if l.unfrozen > 0 {
+                sat_heap.push(Reverse(SatEntry {
+                    sat: OrdF64(l.saturation_level()),
+                    link: li as u32,
+                    version: 0,
+                }));
+            }
+        }
+        let mut remaining = n;
+        let mut level = 0.0f64;
+
+        // Freezing helper as a closure is blocked by borrow rules; a macro keeps
+        // the link bookkeeping (including heap maintenance) in one place.
+        macro_rules! freeze {
+            ($i:expr, $rate:expr) => {{
+                let i: usize = $i;
+                let r: f64 = $rate;
+                rates[i] = r;
+                frozen[i] = true;
+                remaining -= 1;
+                for &li in &flow_links[i] {
+                    if li == NO_LINK {
+                        continue;
+                    }
+                    let li = li as usize;
+                    links[li].unfrozen -= 1;
+                    links[li].frozen_usage += r;
+                    link_version[li] = link_version[li].wrapping_add(1);
+                    if links[li].unfrozen > 0 {
+                        sat_heap.push(Reverse(SatEntry {
+                            sat: OrdF64(links[li].saturation_level()),
+                            link: li as u32,
+                            version: link_version[li],
+                        }));
+                    }
+                }
+            }};
+        }
+
+        while remaining > 0 {
+            // The next stopping point: the lowest unfrozen flow ceiling or live
+            // link saturation level at or above the current water level.
+            let cap_top = loop {
+                match cap_heap.peek() {
+                    Some(&Reverse(e)) if frozen[e.flow as usize] => {
+                        cap_heap.pop();
+                    }
+                    Some(&Reverse(e)) => break Some(e.cap.0),
+                    None => break None,
+                }
+            };
+            let sat_top = loop {
+                match sat_heap.peek() {
+                    Some(&Reverse(e)) => {
+                        let li = e.link as usize;
+                        if e.version != link_version[li] || links[li].unfrozen == 0 {
+                            sat_heap.pop();
+                        } else {
+                            break Some(e.sat.0);
+                        }
+                    }
+                    None => break None,
+                }
+            };
+            let mut next = f64::INFINITY;
+            if let Some(c) = cap_top {
+                next = next.min(c);
+            }
+            if let Some(sl) = sat_top {
+                next = next.min(sl);
+            }
+            level = next.max(level);
+            let mut any = false;
+
+            // Flows that hit their own ceiling freeze at the ceiling, in
+            // ascending flow order (see `SolverHeaps::cand`).
+            cand.clear();
+            while let Some(&Reverse(e)) = cap_heap.peek() {
+                if e.cap.0 > level {
+                    break;
+                }
+                cap_heap.pop();
+                if !frozen[e.flow as usize] {
+                    cand.push(e.flow);
+                }
+            }
+            cand.sort_unstable();
+            for &fi in cand.iter() {
+                let i = fi as usize;
+                if !frozen[i] {
+                    freeze!(i, caps[i]);
+                    any = true;
+                }
+            }
+
+            // Links that saturate at (or, through floating-point drift, just
+            // below) the level freeze their remaining flows at the level. One
+            // saturation can lower another link's level; the freeze above already
+            // pushed the updated entries, so popping until the heap's minimum
+            // clears the tolerance sweeps the cascade to fixpoint.
+            let thr = level * (1.0 + SAT_EPS_REL) + SAT_EPS_ABS;
+            while let Some(&Reverse(e)) = sat_heap.peek() {
+                let li = e.link as usize;
+                if e.version != link_version[li] || links[li].unfrozen == 0 {
+                    sat_heap.pop();
+                    continue;
+                }
+                if e.sat.0 > thr {
+                    break;
+                }
+                sat_heap.pop();
+                for &fi in &link_members[li] {
+                    let i = fi as usize;
+                    if !frozen[i] {
+                        freeze!(i, level);
+                    }
+                }
+                any = true;
+            }
+            if !any {
+                // Unreachable by construction (the level was chosen as an
+                // achieved minimum), but guarantees termination outright.
+                for i in 0..n {
+                    if !frozen[i] {
+                        freeze!(i, level);
+                    }
+                }
+            }
+        }
+    }
 }
