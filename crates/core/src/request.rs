@@ -37,6 +37,11 @@ struct SenderAvailability {
     order: Vec<BlockId>,
     /// Membership bitmap for O(1) lookups and word-level counting.
     bits: BlockBitmap,
+    /// Number of `in_flight` entries addressed to this sender. Every such
+    /// entry names a registered sender — requests are only issued to one, and
+    /// removing a sender releases its requests — so the count lives and dies
+    /// with this record.
+    outstanding: usize,
 }
 
 impl SenderAvailability {
@@ -44,6 +49,7 @@ impl SenderAvailability {
         SenderAvailability {
             order: Vec::new(),
             bits: BlockBitmap::new(block_space),
+            outstanding: 0,
         }
     }
 }
@@ -147,8 +153,9 @@ impl RequestManager {
     /// Records a block arrival (from anywhere): clears its outstanding entry
     /// and drops it from every sender's candidate list.
     pub fn on_block_received(&mut self, block: BlockId) {
-        if self.in_flight.remove(&block).is_some() {
+        if let Some(f) = self.in_flight.remove(&block) {
             self.in_flight_bits.remove(block);
+            self.request_closed(f.to);
         }
         for av in self.available.values_mut() {
             if av.bits.remove(block) {
@@ -184,7 +191,16 @@ impl RequestManager {
 
     /// Number of requests currently outstanding to `peer`.
     pub fn outstanding_to(&self, peer: NodeId) -> usize {
-        self.in_flight.values().filter(|f| f.to == peer).count()
+        self.available.get(&peer).map_or(0, |av| av.outstanding)
+    }
+
+    /// Accounts for an `in_flight` entry addressed to `peer` going away.
+    fn request_closed(&mut self, peer: NodeId) {
+        let av = self
+            .available
+            .get_mut(&peer)
+            .expect("an outstanding request names a registered sender");
+        av.outstanding -= 1;
     }
 
     /// Total number of requests outstanding anywhere.
@@ -212,54 +228,26 @@ impl RequestManager {
         let bits = &av.bits;
         av.order.retain(|b| bits.contains(*b) && !have.contains(*b));
 
-        let candidates: Vec<BlockId> = av
-            .order
-            .iter()
-            .copied()
-            .filter(|b| !self.in_flight_bits.contains(*b))
-            .collect();
-        if candidates.is_empty() {
-            return Vec::new();
-        }
-
+        let in_flight = &self.in_flight_bits;
+        let candidates = av.order.iter().copied().filter(|b| !in_flight.contains(*b));
+        let rarity = &self.rarity;
         let chosen = match self.strategy {
-            RequestStrategy::FirstEncountered => {
-                candidates.into_iter().take(count).collect::<Vec<_>>()
-            }
-            RequestStrategy::Random => {
-                let mut keyed: Vec<(u64, BlockId)> = candidates
-                    .into_iter()
-                    .map(|b| (rng.gen::<u64>(), b))
-                    .collect();
-                keyed.sort_unstable_by_key(|(k, _)| *k);
-                keyed.into_iter().take(count).map(|(_, b)| b).collect()
-            }
-            RequestStrategy::Rarest => {
-                let mut keyed: Vec<(u32, u32, BlockId)> = candidates
-                    .into_iter()
-                    .map(|b| (self.rarity[b.index()], b.0, b))
-                    .collect();
-                keyed.sort_unstable_by_key(|(r, idx, _)| (*r, *idx));
-                keyed.into_iter().take(count).map(|(_, _, b)| b).collect()
-            }
+            RequestStrategy::FirstEncountered => candidates.take(count).collect(),
+            RequestStrategy::Random => smallest(candidates, count, |_| (0, rng.gen())),
+            RequestStrategy::Rarest => smallest(candidates, count, |b| (rarity[b.index()], 0)),
             RequestStrategy::RarestRandom => {
-                let mut keyed: Vec<(u32, u64, BlockId)> = candidates
-                    .into_iter()
-                    .map(|b| (self.rarity[b.index()], rng.gen::<u64>(), b))
-                    .collect();
-                keyed.sort_unstable_by_key(|(r, k, _)| (*r, *k));
-                keyed.into_iter().take(count).map(|(_, _, b)| b).collect()
+                smallest(candidates, count, |b| (rarity[b.index()], rng.gen()))
             }
         };
 
         for &b in &chosen {
-            self.in_flight.insert(
-                b,
-                InFlight {
-                    to: peer,
-                    since: now,
-                },
-            );
+            let request = InFlight {
+                to: peer,
+                since: now,
+            };
+            if self.in_flight.insert(b, request).is_none() {
+                av.outstanding += 1;
+            }
             self.in_flight_bits.insert(b);
         }
         chosen
@@ -278,11 +266,31 @@ impl RequestManager {
                 true
             }
         });
-        for &(_, b) in &released {
+        for &(to, b) in &released {
             self.in_flight_bits.remove(b);
+            self.request_closed(to);
         }
         released
     }
+}
+
+/// The `count` candidates with the smallest `(key, block)`, ascending. Keys
+/// are drawn for every candidate in candidate order (so the RNG advances as
+/// a full sort would), but only the winners are ordered: one O(n) partition
+/// plus a sort of `count` elements. Appending the block id makes the order
+/// total, so the result does not depend on how the partition breaks ties.
+fn smallest(
+    candidates: impl Iterator<Item = BlockId>,
+    count: usize,
+    mut key: impl FnMut(BlockId) -> (u32, u64),
+) -> Vec<BlockId> {
+    let mut keyed: Vec<((u32, u64), BlockId)> = candidates.map(|b| (key(b), b)).collect();
+    if count < keyed.len() {
+        keyed.select_nth_unstable(count);
+        keyed.truncate(count);
+    }
+    keyed.sort_unstable();
+    keyed.into_iter().map(|(_, b)| b).collect()
 }
 
 #[cfg(test)]
@@ -441,5 +449,163 @@ mod tests {
         rm.on_advertised(NodeId(1), &ids(&[2, 9]), &have);
         let got = rm.select_requests(NodeId(1), 5, &have, SimTime::ZERO, &mut rng());
         assert_eq!(got, ids(&[2]));
+    }
+
+    const STRATEGIES: [RequestStrategy; 4] = [
+        RequestStrategy::FirstEncountered,
+        RequestStrategy::Random,
+        RequestStrategy::Rarest,
+        RequestStrategy::RarestRandom,
+    ];
+
+    /// `select_requests` as a full sort: the same candidates, the same key
+    /// draws in the same order, every candidate ordered by `(key, block)`.
+    fn full_sort_reference(
+        rm: &RequestManager,
+        peer: NodeId,
+        count: usize,
+        have: &BlockBitmap,
+        rng: &mut StdRng,
+    ) -> Vec<BlockId> {
+        let av = &rm.available[&peer];
+        let candidates = av.order.iter().copied().filter(|b| {
+            av.bits.contains(*b) && !have.contains(*b) && !rm.in_flight_bits.contains(*b)
+        });
+        let mut keyed: Vec<((u32, u64), BlockId)> = candidates
+            .map(|b| {
+                let key = match rm.strategy {
+                    RequestStrategy::FirstEncountered => (0, 0),
+                    RequestStrategy::Random => (0, rng.gen()),
+                    RequestStrategy::Rarest => (rm.rarity[b.index()], 0),
+                    RequestStrategy::RarestRandom => (rm.rarity[b.index()], rng.gen()),
+                };
+                (key, b)
+            })
+            .collect();
+        if rm.strategy != RequestStrategy::FirstEncountered {
+            keyed.sort();
+        }
+        keyed.into_iter().take(count).map(|(_, b)| b).collect()
+    }
+
+    /// A manager in a random state: `senders` peers with random overlapping
+    /// advertisements, some blocks held, some received since, some already
+    /// requested from a random sender.
+    fn random_state(
+        strategy: RequestStrategy,
+        space: u32,
+        senders: u32,
+        r: &mut StdRng,
+    ) -> (RequestManager, BlockBitmap) {
+        let mut rm = RequestManager::new(strategy, space);
+        let mut have = BlockBitmap::new(space);
+        for b in 0..space {
+            if r.gen_bool(0.2) {
+                have.insert(BlockId(b));
+            }
+        }
+        for p in 1..=senders {
+            let advertised: Vec<BlockId> = (0..space)
+                .filter(|_| r.gen_bool(0.5))
+                .map(BlockId)
+                .collect();
+            // Two batches, the second shuffled in, so discovery order is not
+            // block order.
+            let (first, second) = advertised.split_at(advertised.len() / 2);
+            rm.on_advertised(NodeId(p), second, &have);
+            rm.on_advertised(NodeId(p), first, &have);
+        }
+        for b in 0..space {
+            if !have.contains(BlockId(b)) && r.gen_bool(0.1) {
+                have.insert(BlockId(b));
+                rm.on_block_received(BlockId(b));
+            }
+        }
+        for _ in 0..r.gen_range(0..4u32) {
+            let peer = NodeId(r.gen_range(1..=senders));
+            let n = r.gen_range(1..6usize);
+            rm.select_requests(peer, n, &have, SimTime::ZERO, r);
+        }
+        (rm, have)
+    }
+
+    #[test]
+    fn partial_selection_equals_a_full_sort_on_the_same_key() {
+        let mut r = StdRng::seed_from_u64(0x5e1ec7);
+        for case in 0..400 {
+            let strategy = STRATEGIES[case % 4];
+            let space = r.gen_range(1..200u32);
+            let senders = r.gen_range(1..5u32);
+            let (mut rm, have) = random_state(strategy, space, senders, &mut r);
+            let peer = NodeId(r.gen_range(1..=senders));
+            let count = r.gen_range(1..12usize);
+
+            let seed = r.gen::<u64>();
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let want = full_sort_reference(&rm, peer, count, &have, &mut ref_rng);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let got = rm.select_requests(peer, count, &have, SimTime::ZERO, &mut rng);
+
+            assert_eq!(got, want, "{strategy:?}, case {case}");
+            assert_eq!(
+                rng.gen::<u64>(),
+                ref_rng.gen::<u64>(),
+                "{strategy:?}, case {case}: a different number of RNG draws"
+            );
+        }
+    }
+
+    #[test]
+    fn per_sender_outstanding_count_matches_a_scan_of_in_flight() {
+        let mut r = StdRng::seed_from_u64(0x0075_7a4d);
+        for case in 0..60 {
+            let space = 64;
+            let senders = 4u32;
+            let mut rm = RequestManager::new(STRATEGIES[case % 4], space);
+            let mut have = BlockBitmap::new(space);
+            let mut now = SimTime::ZERO;
+            for _ in 0..200 {
+                now += SimDuration::from_secs(1);
+                let peer = NodeId(r.gen_range(1..=senders));
+                let block = BlockId(r.gen_range(0..space));
+                match r.gen_range(0..6u32) {
+                    0 => {
+                        let blocks: Vec<BlockId> = (0..space)
+                            .filter(|_| r.gen_bool(0.3))
+                            .map(BlockId)
+                            .collect();
+                        rm.on_advertised(peer, &blocks, &have);
+                    }
+                    1 | 2 => {
+                        let n = r.gen_range(0..5usize);
+                        rm.select_requests(peer, n, &have, now, &mut r);
+                    }
+                    3 => {
+                        have.insert(block);
+                        rm.on_block_received(block);
+                    }
+                    4 => {
+                        rm.release_stale(now, SimDuration::from_secs(r.gen_range(5..40u64)));
+                    }
+                    _ => {
+                        rm.remove_sender(peer);
+                        if r.gen_bool(0.5) {
+                            rm.add_sender(peer);
+                        }
+                    }
+                }
+                let mut total = 0;
+                for p in 0..=senders + 1 {
+                    let scanned = rm.in_flight.values().filter(|f| f.to == NodeId(p)).count();
+                    assert_eq!(
+                        rm.outstanding_to(NodeId(p)),
+                        scanned,
+                        "case {case}, peer {p}"
+                    );
+                    total += scanned;
+                }
+                assert_eq!(rm.outstanding_total(), total);
+            }
+        }
     }
 }
