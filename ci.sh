@@ -37,6 +37,13 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 echo "==> figure smoke gate (tests/figures_smoke.rs)"
 cargo test -q --test figures_smoke
 
+# Golden digests (tests/golden_digests.rs) pin the canonical report of one
+# fixed-seed run per system. `cargo test -q` above checked them on the debug
+# build; the optimised build is the one the benchmark and the BENCH_* records
+# measure, so it must produce the same bytes.
+echo "==> golden digests on the release build (tests/golden_digests.rs)"
+cargo test -q --release --test golden_digests
+
 # Perf trajectory: a fixed-seed, dynamics-heavy Figure-5-style run. The JSON
 # records events-processed (a deterministic scheduler-efficiency proxy), the
 # heap-allocation count of the run, and the wall-clock seconds of the machine

@@ -1,6 +1,7 @@
 //! Criterion micro-benchmarks for the core data structures and algorithms:
 //! the LT rateless codes, block bitmaps, RanSub sample merging, the rsync
-//! delta codec, the flow-control step and the discrete-event engine.
+//! delta codec, the flow-control step, the discrete-event engine and its
+//! queue, the fluid solver and the request strategy.
 //!
 //! These are wall-clock benchmarks of the *implementation* (the figures
 //! measure emulated protocol behaviour, not host CPU time).
@@ -8,9 +9,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use rand::{Rng, SeedableRng};
 
-use bullet_prime::{OutstandingController, OutstandingPolicy};
-use desim::{RngFactory, SimTime, Simulator};
+use bullet_prime::{OutstandingController, OutstandingPolicy, RequestManager, RequestStrategy};
+use desim::{EventKey, EventQueue, RngFactory, SimDuration, SimTime, Simulator};
 use dissem_codec::{BlockBitmap, BlockId, LtDecoder, LtEncoder};
+use netsim::{topology, ConnUpdate, Network, NodeId};
 use overlay::{merge_samples, NodeSummary, Sample};
 use shotgun::{apply_delta, generate_delta};
 
@@ -140,10 +142,159 @@ fn bench_event_engine(c: &mut Criterion) {
     });
 }
 
+/// The queue alone in the hold model: 2,000 events pending, each pop
+/// followed by a push further out, and every fourth hold moves a random
+/// pending event — the pop / push / reschedule mix a runner puts on it.
+fn bench_event_queue(c: &mut Criterion) {
+    const DEPTH: usize = 2_000;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(13);
+    let mut queue: EventQueue<u32> = EventQueue::new();
+    // The payload is the event's slot in `keys`, so a pop says whose key died.
+    let mut keys: Vec<EventKey> = (0..DEPTH)
+        .map(|slot| queue.push(SimTime::from_secs_f64(rng.gen::<f64>()), slot as u32))
+        .collect();
+    c.bench_function("desim_queue_hold_2k", |b| {
+        b.iter(|| {
+            for hold in 0..10_000u32 {
+                let (now, slot) = queue.pop().expect("the hold model never drains");
+                let later = now + SimDuration::from_secs_f64(rng.gen::<f64>());
+                keys[slot as usize] = queue.push(later, slot);
+                if hold % 4 == 0 {
+                    let victim = rng.gen_range(0..DEPTH);
+                    let at = now + SimDuration::from_secs_f64(rng.gen::<f64>());
+                    queue.reschedule(keys[victim], at);
+                }
+            }
+            queue.len()
+        })
+    });
+}
+
+/// Saturated flows on a fluid-only network, with the completion events the
+/// runner would hold for them: blocks complete in finish order and the
+/// sender queues the next one (the pattern of `netsim/tests/fairness_oracle.rs`,
+/// without a protocol above it).
+struct FluidLoad {
+    net: Network,
+    pending: EventQueue<u32>,
+    keys: Vec<Option<EventKey>>,
+    now: SimTime,
+    next_block: u32,
+}
+
+impl FluidLoad {
+    fn queue(&mut self, from: NodeId, to: NodeId) {
+        let block = BlockId(self.next_block);
+        self.next_block += 1;
+        let updates = self.net.queue_block(self.now, from, to, block, 16 * 1024);
+        self.apply(updates);
+    }
+
+    fn apply(&mut self, updates: Vec<ConnUpdate>) {
+        for update in updates {
+            match update {
+                ConnUpdate::Schedule { fid, at, .. } => {
+                    let f = fid as usize;
+                    if self.keys.len() <= f {
+                        self.keys.resize(f + 1, None);
+                    }
+                    let moved = self.keys[f].is_some_and(|key| self.pending.reschedule(key, at));
+                    if !moved {
+                        self.keys[f] = Some(self.pending.push(at, fid));
+                    }
+                }
+                ConnUpdate::Cancel { fid, .. } => {
+                    if let Some(key) = self.keys.get_mut(fid as usize).and_then(Option::take) {
+                        self.pending.cancel(key);
+                    }
+                }
+            }
+        }
+    }
+
+    fn complete_next(&mut self) {
+        let (at, fid) = self
+            .pending
+            .pop()
+            .expect("every flow has a block in flight");
+        self.now = at;
+        self.keys[fid as usize] = None;
+        let (done, updates) = self
+            .net
+            .on_block_done_by_id(at, fid)
+            .expect("the completion event belongs to a live flow");
+        self.apply(updates);
+        self.queue(done.from, done.to);
+    }
+}
+
+/// The fluid solver under the `dyn_mesh` shape: every node of a 60-node lossy
+/// mesh streams to six peers, one block at a time, so each completion takes a
+/// flow idle and its successor block brings it back — about nine in ten of
+/// those transitions re-solve a component of ~200 flows and ~75 links.
+fn bench_fluid_solver(c: &mut Criterion) {
+    const NODES: u32 = 60;
+    let rng = RngFactory::new(17);
+    let mut load = FluidLoad {
+        net: Network::new(topology::modelnet_mesh(NODES as usize, 0.03, &rng)),
+        pending: EventQueue::new(),
+        keys: Vec::new(),
+        now: SimTime::ZERO,
+        next_block: 0,
+    };
+    for from in 0..NODES {
+        for step in [1, 7, 13, 22, 31, 44] {
+            load.queue(NodeId(from), NodeId((from + step) % NODES));
+        }
+    }
+    c.bench_function("fluid_solve_mesh60", |b| {
+        b.iter(|| {
+            for _ in 0..500 {
+                load.complete_next();
+            }
+            load.net.solver_stats().full_solves
+        })
+    });
+}
+
+/// Rarest-random selection (§3.3.2) at the `dyn_mesh` block count: ten
+/// senders each advertise a random half of k = 1280 blocks, so one sender
+/// offers ~600 candidates, and the receiver asks for the 1 or 8 rarest. The
+/// picks are released again so every iteration meets the same state.
+fn bench_request_select(c: &mut Criterion) {
+    const K: u32 = 1280;
+    let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+    let have = BlockBitmap::new(K);
+    let mut manager = RequestManager::new(RequestStrategy::RarestRandom, K);
+    for peer in 1..=10u32 {
+        let blocks: Vec<BlockId> = (0..K).filter(|_| rng.gen_bool(0.5)).map(BlockId).collect();
+        manager.on_advertised(NodeId(peer), &blocks, &have);
+    }
+    let mut group = c.benchmark_group("request_select_k1280");
+    for count in [1usize, 8] {
+        group.bench_with_input(
+            BenchmarkId::new("rarest_random", count),
+            &count,
+            |b, &count| {
+                b.iter(|| {
+                    let mut picked = 0;
+                    for _ in 0..100 {
+                        picked += manager
+                            .select_requests(NodeId(1), count, &have, SimTime::ZERO, &mut rng)
+                            .len();
+                        manager.release_stale(SimTime::ZERO, SimDuration::ZERO);
+                    }
+                    picked
+                })
+            },
+        );
+    }
+    group.finish();
+}
+
 fn bench_end_to_end_dissemination(c: &mut Criterion) {
     use bullet_bench::{run_system, SystemKind};
     use dissem_codec::FileSpec;
-    use netsim::topology;
 
     let mut group = c.benchmark_group("end_to_end");
     group.sample_size(10);
@@ -179,6 +330,9 @@ criterion_group!(
     bench_rsync_delta,
     bench_flow_controller,
     bench_event_engine,
+    bench_event_queue,
+    bench_fluid_solver,
+    bench_request_select,
     bench_end_to_end_dissemination
 );
 criterion_main!(benches);

@@ -23,7 +23,7 @@
 //! [`EventKey`]; it is only ever accessed by key (never iterated), so it
 //! introduces no iteration-order nondeterminism. The keys are the queue's own
 //! sequential counter — nothing outside the program chooses them — so the
-//! table hashes them with one multiplication ([`KeyHasher`]) instead of the
+//! table hashes them with one multiplication (`KeyHasher`) instead of the
 //! default SipHash, which every dispatched event would otherwise pay four
 //! times (peek, pop twice, push).
 
