@@ -203,11 +203,7 @@ impl FluidLoad {
                         self.keys[f] = Some(self.pending.push(at, fid));
                     }
                 }
-                ConnUpdate::Cancel { fid, .. } => {
-                    if let Some(key) = self.keys.get_mut(fid as usize).and_then(Option::take) {
-                        self.pending.cancel(key);
-                    }
-                }
+                ConnUpdate::Cancel { .. } => unreachable!("the load closes no connection"),
             }
         }
     }

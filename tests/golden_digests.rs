@@ -19,48 +19,23 @@ use bullet_repro::baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTor
 use bullet_repro::bullet_bench::systems::paper_dynamic_schedule;
 use bullet_repro::bullet_prime::{build_runner, build_service_runner, Config, ServiceSwarms};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
+use bullet_repro::dissem_codec::file::fnv1a;
 use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::netsim::{
-    mbps, run_service, topology, ArrivalGen, ChangeSchedule, Network, NodeId, Protocol, RunReport,
-    Runner, ServiceConfig, Topology,
+    mbps, run_service, topology, ArrivalGen, Network, NodeId, Protocol, Runner, ServiceConfig,
+    Topology,
 };
 
 const SEED: u64 = 20050410;
 const NODES: usize = 12;
 const HORIZON_SECS: f64 = 3_600.0;
 
-/// 64-bit FNV-1a, the digest `benchmark/golden.json` uses too.
-fn fnv1a64(bytes: &[u8]) -> u64 {
-    bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
-        (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3)
-    })
-}
-
 fn file() -> FileSpec {
     FileSpec::new(8 * 1024 * 1024, 16 * 1024)
 }
 
-/// Applies the §4.1 schedule and runs to completion.
-fn run_dynamic<P: Protocol>(mut runner: Runner<P>, schedule: &ChangeSchedule) -> RunReport {
-    for (at, batch) in schedule {
-        runner.schedule_link_change(*at, batch.clone());
-    }
-    let report = runner.run(SimDuration::from_secs_f64(HORIZON_SECS));
-    assert!(
-        report.completion_fraction(1) == 1.0,
-        "every receiver finishes: {:?}",
-        report.reason
-    );
-    assert!(
-        report.metrics.counter("link_changes") >= Some(1)
-            && report.metrics.counter("solver_full_solves") >= Some(100),
-        "the run must see a bandwidth change and full re-solves: {:?}",
-        report.metrics.counters
-    );
-    report
-}
-
-/// Runs `build` on the fixed mesh + schedule and checks the report's digest.
+/// Runs `build` on the fixed mesh under the §4.1 schedule and checks the
+/// report's digest.
 fn check_closed<P: Protocol>(
     label: &str,
     expected: u64,
@@ -68,9 +43,23 @@ fn check_closed<P: Protocol>(
 ) {
     let rng = RngFactory::new(SEED);
     let topo = topology::modelnet_mesh(NODES, 0.02, &rng);
-    let schedule = paper_dynamic_schedule(NODES, HORIZON_SECS, &rng);
-    let report = run_dynamic(build(topo, &rng), &schedule);
-    let got = fnv1a64(report.canonical().as_bytes());
+    let mut runner = build(topo, &rng);
+    for (at, batch) in paper_dynamic_schedule(NODES, HORIZON_SECS, &rng) {
+        runner.schedule_link_change(at, batch);
+    }
+    let report = runner.run(SimDuration::from_secs_f64(HORIZON_SECS));
+    assert!(
+        report.completion_fraction(1) == 1.0,
+        "{label}: every receiver finishes: {:?}",
+        report.reason
+    );
+    assert!(
+        report.metrics.counter("link_changes") >= Some(1)
+            && report.metrics.counter("solver_full_solves") >= Some(100),
+        "{label}: the run must see a bandwidth change and full re-solves: {:?}",
+        report.metrics.counters
+    );
+    let got = fnv1a(report.canonical().as_bytes());
     assert_eq!(
         got, expected,
         "{label}: canonical RunReport digest moved: got {got:#018x}, recorded {expected:#018x}"
@@ -129,7 +118,7 @@ fn two_swarm_service_run_matches_its_golden_digest() {
     let gen = ArrivalGen::Trace(vec![SimTime::ZERO, SimTime::from_secs_f64(10.0)]);
     let report = run_service(&mut runner, &cfg, &gen, &mut source, &rng);
     assert_eq!(report.admitted, 2, "both trace arrivals admitted");
-    let got = fnv1a64(report.canonical().as_bytes());
+    let got = fnv1a(report.canonical().as_bytes());
     let expected = 0x7431_9bea_4f46_b2e6;
     assert_eq!(
         got, expected,
