@@ -169,6 +169,25 @@ pub enum TraceEvent {
 }
 
 impl TraceEvent {
+    /// Every [`TraceEvent::kind`], in declaration order.
+    pub const KINDS: [&'static str; 15] = [
+        "msg",
+        "timer",
+        "block_sent",
+        "block_received",
+        "conn_schedule",
+        "conn_cancel",
+        "solver",
+        "node_join",
+        "node_leave",
+        "node_crash",
+        "node_retire",
+        "link_change",
+        "cross_change",
+        "probe_tick",
+        "snapshot_resume",
+    ];
+
     /// The record's `kind` tag — stable names, used by the JSONL schema and
     /// the summarize/filter analyzer.
     pub fn kind(&self) -> &'static str {
@@ -562,6 +581,54 @@ mod tests {
 
     fn rec(t: f64, seq: u64, ev: TraceEvent) -> TraceRecord {
         TraceRecord { t, seq, ev }
+    }
+
+    #[test]
+    fn kinds_lists_every_variant_once_in_declaration_order() {
+        #[rustfmt::skip]
+        let one_of_each = [
+            TraceEvent::Msg { from: 0, to: 1, msg: "m", bytes: 0 },
+            TraceEvent::Timer { node: 0, token: 0 },
+            TraceEvent::BlockSent { from: 0, to: 1, block: 0, bytes: 0 },
+            TraceEvent::BlockReceived { node: 1, from: 0, block: 0, bytes: 0, useful_bytes: 0 },
+            TraceEvent::ConnSchedule { fid: 0, key: 0, at: 0.0 },
+            TraceEvent::ConnCancel { fid: 0, key: 0 },
+            TraceEvent::Solver {
+                full_solves: 0, fast_admit: 0, fast_remove: 0, fast_growth: 0,
+                comp_flows: 0, comp_links: 0,
+            },
+            TraceEvent::NodeJoin { node: 0 },
+            TraceEvent::NodeLeave { node: 0 },
+            TraceEvent::NodeCrash { node: 0 },
+            TraceEvent::NodeRetire { node: 0 },
+            TraceEvent::LinkChange { index: 0 },
+            TraceEvent::CrossChange { from: 0, to: 1, rate: 0.0 },
+            TraceEvent::ProbeTick,
+            TraceEvent::SnapshotResume { at: 0.0 },
+        ];
+        // A new variant breaks this match, which points at the array above
+        // and at `KINDS`.
+        for ev in &one_of_each {
+            match ev {
+                TraceEvent::Msg { .. }
+                | TraceEvent::Timer { .. }
+                | TraceEvent::BlockSent { .. }
+                | TraceEvent::BlockReceived { .. }
+                | TraceEvent::ConnSchedule { .. }
+                | TraceEvent::ConnCancel { .. }
+                | TraceEvent::Solver { .. }
+                | TraceEvent::NodeJoin { .. }
+                | TraceEvent::NodeLeave { .. }
+                | TraceEvent::NodeCrash { .. }
+                | TraceEvent::NodeRetire { .. }
+                | TraceEvent::LinkChange { .. }
+                | TraceEvent::CrossChange { .. }
+                | TraceEvent::ProbeTick
+                | TraceEvent::SnapshotResume { .. } => {}
+            }
+        }
+        let kinds: Vec<&str> = one_of_each.iter().map(TraceEvent::kind).collect();
+        assert_eq!(kinds, TraceEvent::KINDS);
     }
 
     #[test]
