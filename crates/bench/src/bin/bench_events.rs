@@ -19,12 +19,10 @@
 use std::time::Instant;
 
 use bullet_bench::alloc_track::{self, CountingAlloc};
-use bullet_bench::systems::paper_dynamic_schedule;
-use bullet_bench::views::{rounded, EventsRecord, TraceCheck};
-use bullet_prime::Config;
-use desim::{RngFactory, SimDuration};
-use dissem_codec::FileSpec;
-use netsim::{topology, CountingSink, RunReport};
+use bullet_bench::experiments::fig05_workload;
+use bullet_bench::views::{out_path_arg, rounded, write_record, EventsRecord, TraceCheck};
+use bullet_bench::{CommonOpts, Workload};
+use netsim::{CountingSink, RunReport};
 
 // Counts heap allocations (a deterministic proxy for the cost of the
 // runner's dispatch path — stable to within a few allocations across runs)
@@ -33,36 +31,35 @@ use netsim::{topology, CountingSink, RunReport};
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// Fixed workload: the reduced Figure 5 shape (synthetic correlated
-/// bandwidth decreases every 20 s on a lossy mesh), which is the most
-/// reprice-heavy run in the suite.
-const SEED: u64 = 20050410;
+/// Fixed workload: Figure 5's (synthetic correlated bandwidth decreases
+/// every 20 s on a lossy mesh), the most reprice-heavy run in the suite, at
+/// 30 nodes and 16 MiB.
 const NODES: usize = 30;
-const FILE_BYTES: u64 = 16 * 1024 * 1024;
-const BLOCK_BYTES: u32 = 16 * 1024;
-const TIME_LIMIT_SECS: u64 = 7_200;
+const FILE_MB: f64 = 16.0;
+
+fn workload() -> Workload {
+    let opts = CommonOpts {
+        nodes: Some(NODES),
+        file_mb: Some(FILE_MB),
+        ..CommonOpts::default()
+    };
+    fig05_workload(&opts, "default").expect("fig05 has one point")
+}
 
 /// Runs the fixed workload once, optionally traced + profiled, returning the
-/// report, its wall-clock seconds, and the allocation count of the runner
-/// build + run (topology and schedule construction excluded, matching the
-/// historical `run_allocs` measurement window).
+/// report, its wall-clock seconds, and the allocation count of building and
+/// running it.
 fn run_workload(traced: bool) -> (RunReport, f64, u64) {
-    let rng = RngFactory::new(SEED);
-    let topo = topology::modelnet_mesh(NODES, 0.03, &rng);
-    let cfg = Config::new(FileSpec::new(FILE_BYTES, BLOCK_BYTES));
-    let schedule = paper_dynamic_schedule(NODES, TIME_LIMIT_SECS as f64, &rng);
-
+    let w = workload();
     let started = Instant::now();
     let allocs_before = alloc_track::allocs();
-    let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-    if traced {
-        runner.set_trace_sink(Box::new(CountingSink::new()));
-        runner.enable_profiling(10.0);
-    }
-    for (at, batch) in &schedule {
-        runner.schedule_link_change(*at, batch.clone());
-    }
-    let report = runner.run(SimDuration::from_secs(TIME_LIMIT_SECS));
+    let mut runner = w.bullet_prime_with(&w.config(), |runner| {
+        if traced {
+            runner.set_trace_sink(Box::new(CountingSink::new()));
+            runner.enable_profiling(10.0);
+        }
+    });
+    let report = w.run(&mut runner);
     let wall = started.elapsed().as_secs_f64();
     let allocs = alloc_track::allocs() - allocs_before;
     if traced {
@@ -77,22 +74,7 @@ fn run_workload(traced: bool) -> (RunReport, f64, u64) {
 }
 
 fn main() {
-    let mut out_path = String::from("BENCH_events.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a value");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown option {other}\nusage: bench_events [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let out_path = out_path_arg("bench_events", "BENCH_events.json");
 
     alloc_track::reset_peak();
     let (report, wall, allocs) = run_workload(false);
@@ -114,12 +96,13 @@ fn main() {
     // committed anyway so perf PRs leave a real time trajectory next to the
     // event counts (compare deltas on one machine, not absolute values
     // across machines).
+    let w = workload();
     let record = EventsRecord {
         benchmark: "fig05-style dynamics-heavy run",
-        seed: SEED,
-        nodes: NODES,
-        file_bytes: FILE_BYTES,
-        block_bytes: BLOCK_BYTES,
+        seed: w.seed,
+        nodes: w.nodes,
+        file_bytes: w.file.file_bytes,
+        block_bytes: w.file.block_bytes,
         events_processed: report.events,
         run_allocs: allocs,
         peak_alloc_bytes: peak_bytes,
@@ -134,12 +117,5 @@ fn main() {
             canonical_identical,
         },
     };
-    let mut json = serde_json::to_string_pretty(&record).expect("record serializes");
-    json.push('\n');
-    print!("{json}");
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    write_record(&record, &out_path);
 }

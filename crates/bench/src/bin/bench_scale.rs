@@ -17,22 +17,12 @@
 use std::time::Instant;
 
 use bullet_bench::alloc_track::{self, CountingAlloc};
-use bullet_bench::views::{ScalePoint, ScaleRecord};
-use bullet_prime::Config;
-use desim::{RngFactory, SimDuration};
-use dissem_codec::FileSpec;
-use netsim::topology;
+use bullet_bench::experiments::fig20_workload;
+use bullet_bench::views::{write_record, ScalePoint, ScaleRecord};
+use bullet_bench::CommonOpts;
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
-
-/// Fixed workload: the fig20 shape — 2 MiB file in 16 KiB blocks (128
-/// blocks), everyone present from t = 0, no losses beyond the uniform
-/// core's, run to completion.
-const SEED: u64 = 20050410;
-const FILE_BYTES: u64 = 2 * 1024 * 1024;
-const BLOCK_BYTES: u32 = 16 * 1024;
-const TIME_LIMIT_SECS: u64 = 7_200;
 
 fn main() {
     let mut out_path = String::from("BENCH_scale.json");
@@ -67,17 +57,21 @@ fn main() {
         }
     }
 
+    // Fixed workload: fig20's at its default options — 2 MiB file in 16 KiB
+    // blocks (128 blocks), everyone present from t = 0, no losses beyond the
+    // uniform core's, run to completion.
+    let workload = |n| {
+        let opts = CommonOpts {
+            nodes: Some(n),
+            ..CommonOpts::default()
+        };
+        fig20_workload(&opts, "default").expect("fig20 has one point")
+    };
     let mut points = Vec::new();
     for &n in &sizes {
-        // Each point gets its own factory so the record for a given N never
-        // depends on which other Ns ran in the same invocation.
-        let rng = RngFactory::new(SEED);
-        let topo = topology::uniform_swarm(n, &rng);
-        let cfg = Config::new(FileSpec::new(FILE_BYTES, BLOCK_BYTES));
         let started = Instant::now();
         alloc_track::reset_peak();
-        let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-        let report = runner.run(SimDuration::from_secs(TIME_LIMIT_SECS));
+        let report = workload(n).report();
         let wall = started.elapsed().as_secs_f64();
         let peak = alloc_track::peak_bytes();
         eprintln!(
@@ -94,19 +88,13 @@ fn main() {
     // `wall_clock_secs` are whatever the machine that last ran CI measured —
     // committed anyway so scale PRs leave a real throughput trajectory
     // (compare deltas on one machine, not absolute values across machines).
+    let w = workload(0); // seed and file are the same at every N
     let record = ScaleRecord {
         benchmark: "fig20-style join-only swarm on the uniform core",
-        seed: SEED,
-        file_bytes: FILE_BYTES,
-        block_bytes: BLOCK_BYTES,
+        seed: w.seed,
+        file_bytes: w.file.file_bytes,
+        block_bytes: w.file.block_bytes,
         points,
     };
-    let mut json = serde_json::to_string_pretty(&record).expect("record serializes");
-    json.push('\n');
-    print!("{json}");
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    write_record(&record, &out_path);
 }

@@ -14,8 +14,8 @@
 
 use std::time::Instant;
 
-use bullet_bench::experiments::{run_service_point, FIG21_LOADS};
-use bullet_bench::views::{ServicePoint, ServiceRecord};
+use bullet_bench::experiments::{fig21_cells, FIG21_LOADS};
+use bullet_bench::views::{out_path_arg, write_record, ServicePoint, ServiceRecord};
 use bullet_bench::CommonOpts;
 
 /// Fixed workload: the fig21 sweep at a reduced pool and horizon (the
@@ -27,22 +27,7 @@ const FILE_MB: f64 = 2.0;
 const HORIZON_SECS: f64 = 1_200.0;
 
 fn main() {
-    let mut out_path = String::from("BENCH_service.json");
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--out" => {
-                out_path = args.next().unwrap_or_else(|| {
-                    eprintln!("--out requires a value");
-                    std::process::exit(2);
-                });
-            }
-            other => {
-                eprintln!("unknown option {other}\nusage: bench_service [--out PATH]");
-                std::process::exit(2);
-            }
-        }
-    }
+    let out_path = out_path_arg("bench_service", "BENCH_service.json");
 
     let opts = CommonOpts {
         seed: SEED,
@@ -52,9 +37,9 @@ fn main() {
         ..CommonOpts::default()
     };
     let mut points = Vec::new();
-    for (i, &load) in FIG21_LOADS.iter().enumerate() {
+    for ((_, cell), load) in fig21_cells(&opts).iter().zip(FIG21_LOADS) {
         let started = Instant::now();
-        let report = run_service_point("fig21", i, &opts).expect("fig21 load index");
+        let report = cell.run();
         let wall = started.elapsed().as_secs_f64();
         eprintln!(
             "load {load}/1000s: {} admitted, {} completed, {:.3} Mbps sustained, {wall:.3}s wall",
@@ -72,12 +57,5 @@ fn main() {
         horizon_secs: HORIZON_SECS,
         points,
     };
-    let mut json = serde_json::to_string_pretty(&record).expect("record serializes");
-    json.push('\n');
-    print!("{json}");
-    if let Err(e) = std::fs::write(&out_path, &json) {
-        eprintln!("failed to write {out_path}: {e}");
-        std::process::exit(1);
-    }
-    eprintln!("wrote {out_path}");
+    write_record(&record, &out_path);
 }

@@ -7,20 +7,17 @@
 //! [`ServiceReport`](netsim::ServiceReport) the service manager produced
 //! (sustained goodput, admission/queue counters, per-cohort percentiles).
 
-use bullet_bench::experiments::{run_service_point, service_summary, FIG21_LOADS};
+use bullet_bench::experiments::{fig06_workload, fig21_cells, service_summary};
 use bullet_bench::CommonOpts;
-use bullet_prime::Config;
-use desim::{RngFactory, SimDuration};
-use dissem_codec::FileSpec;
-use netsim::{topology, NodeId};
+use netsim::NodeId;
 
 /// The `--service` mode: runs fig21's top-load cell and prints its service
 /// summary (the same rendering `lab serve` uses).
 fn diagnose_service(opts: &CommonOpts) {
-    let index = FIG21_LOADS.len() - 1;
-    let load = FIG21_LOADS[index];
-    println!("open-system service diagnosis: fig21 at {load} arrivals per 1000 s");
-    let report = run_service_point("fig21", index, opts).expect("top load index");
+    let cells = fig21_cells(opts);
+    let (label, cell) = cells.last().expect("fig21 has load points");
+    println!("open-system service diagnosis: fig21 at {label}");
+    let report = cell.run();
     print!("{}", service_summary(&report));
     if let Some(sample) = report
         .samples
@@ -50,14 +47,11 @@ fn main() {
         diagnose_service(&opts);
         return;
     }
-    let nodes = opts.nodes_or(40, 100);
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
-    let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-    let cfg = Config::new(file);
-
-    let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-    let report = runner.run(SimDuration::from_secs_f64(opts.time_limit));
+    // The static lossy mesh of Figs 6 and 7.
+    let workload = fig06_workload(&opts, "default").expect("fig06 has one point");
+    let nodes = workload.nodes;
+    let mut runner = workload.bullet_prime(&workload.config());
+    let report = workload.run(&mut runner);
 
     println!(
         "{:>5} {:>10} {:>8} {:>8} {:>8} {:>9} {:>10} {:>10}",

@@ -1,29 +1,28 @@
-//! One function per figure of the paper's evaluation (§4).
+//! The figures of the paper's evaluation (§4) and the scenarios beyond it.
 //!
-//! Each function assembles the topology, workload and protocol variants of
-//! the corresponding figure, runs them on the emulator and returns a
-//! [`Figure`] whose series carry the same legends the paper uses. The
-//! `figNN` binaries are thin wrappers around these functions, so integration
-//! tests and examples can call them directly.
+//! A closed-system scenario is two functions: `figNN_workload` says what runs
+//! — a [`Workload`] value, built from the options and nothing else — and a
+//! presentation function turns runs of *that* workload into a [`Figure`]
+//! whose series carry the legends the paper uses. A presentation receives the
+//! workload, so it cannot build another one: it may vary the protocol
+//! configuration, or derive variants by struct update (another crash
+//! fraction, another swarm size), but topology, file, seed and limit are the
+//! scenario's. The open-system scenarios (fig21 / fig22) are the same over a
+//! list of labelled [`ServiceWorkload`] cells, and fig15 is an analytic model
+//! with nothing to emulate. `bullet_lab`'s registry pairs the functions up;
+//! `figNN(&opts)` here is the pair applied to the default sweep point.
 //!
 //! Default workloads are reduced (≈1/10 of the paper's byte volume, 40
 //! instead of 100 nodes) so the whole suite runs in minutes; `--full`
 //! restores the paper's sizes. `docs/EXPERIMENTS.md` is the scenario book:
 //! one entry per figure with its paper mapping, sweep and expected result.
 
-use desim::{RngFactory, SimDuration, SimTime};
+use desim::SimTime;
 use dissem_codec::FileSpec;
-use netsim::dynamics::{crash_wave_schedule, cross_traffic_square_wave, flash_crowd_schedule};
 use netsim::units::{mbps, to_mbps};
-use netsim::{
-    run_service, topology, ArrivalGen, ChangeSchedule, NodeEvent, NodeId, ServiceConfig,
-    ServiceReport, SwarmShape, SwarmSource,
-};
+use netsim::{ArrivalGen, RunReport, ServiceReport, ServiceSample, TimeSeries};
 
-use bullet_prime::{
-    build_service_runner, Config, FlashShape, OutstandingPolicy, PeerSetPolicy, RequestStrategy,
-    ServiceSwarms,
-};
+use bullet_prime::{Config, FlashShape, OutstandingPolicy, PeerSetPolicy, RequestStrategy};
 use shotgun::{
     parallel_rsync_times, planetlab_client_bandwidths, simulate_shotgun, RsyncModelParams,
 };
@@ -31,22 +30,97 @@ use shotgun::{
 use crate::bounds;
 use crate::cdf::{improvement_at, Figure, Series};
 use crate::opts::CommonOpts;
-use crate::systems::{
-    cascade_schedule, paper_dynamic_schedule, run_bullet_prime_churn, run_bullet_prime_cross,
-    run_bullet_prime_with, run_concurrent_meshes, run_system, SystemKind,
+use crate::systems::SystemKind;
+use crate::workload::{Dynamics, ServiceWorkload, SystemRun, TopologyKind, Workload};
+
+/// What a closed scenario runs at one sweep point: a function of the options
+/// and the point's label.
+pub type WorkloadFn = fn(&CommonOpts, &str) -> Result<Workload, String>;
+
+/// The §4.1 scenario as the paper runs it: a correlated decrease every 20 s,
+/// from the start.
+const PAPER_CHANGES: Dynamics = Dynamics::BandwidthChanges {
+    period: Some(20.0),
+    quiet: 0.0,
 };
 
-fn limit(opts: &CommonOpts) -> SimDuration {
-    SimDuration::from_secs_f64(opts.time_limit)
+fn file(opts: &CommonOpts, reduced_mb: f64, paper_mb: f64, block_kb: u32) -> FileSpec {
+    FileSpec::new(
+        opts.file_bytes_or(reduced_mb, paper_mb),
+        opts.block_bytes_or(block_kb),
+    )
 }
 
-/// Shared core of Figs 4 and 5: the four systems plus (for Fig 4) the two
-/// analytic bounds, on the standard lossy ModelNet mesh.
-fn overall_comparison(opts: &CommonOpts, dynamic: bool) -> Figure {
-    let nodes = opts.nodes_or(60, 100);
-    let file = FileSpec::new(opts.file_bytes_or(20.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
+/// The paper's standard workload — the lossy ModelNet mesh, 100 nodes and a
+/// 100 MB file in 16 KB blocks at `--full` — at the given reduced defaults.
+pub fn mesh_workload(
+    opts: &CommonOpts,
+    reduced_nodes: usize,
+    reduced_mb: f64,
+    dynamics: Dynamics,
+) -> Workload {
+    Workload::new(
+        opts,
+        TopologyKind::ModelNetMesh { max_loss: 0.03 },
+        opts.nodes_or(reduced_nodes, 100),
+        file(opts, reduced_mb, 100.0, 16),
+        dynamics,
+    )
+}
 
+/// Completion times of Bullet′ under `cfg`.
+fn bullet_prime_run(w: &Workload, cfg: &Config) -> SystemRun {
+    SystemRun::from_report(&w.run_bullet_prime(cfg).0)
+}
+
+/// Starts a goodput-over-time figure: the receivers' mean, 10th- and
+/// 90th-percentile goodput per probe sample. Returns the peak of the mean.
+fn push_goodput_over_time(fig: &mut Figure, series: &TimeSeries) -> f64 {
+    fig.x_label = "time (s)".into();
+    let mbps = |n: &netsim::NodeSample| n.goodput_bps / 1e6;
+    let mean = series.mean_over_active(1, mbps);
+    let peak = mean.iter().map(|&(_, y)| y).fold(0.0, f64::max);
+    fig.push(Series::xy("mean receiver goodput (Mbps)", mean));
+    for (label, q) in [("p10", 0.10), ("p90", 0.90)] {
+        fig.push(Series::xy(
+            format!("{label} receiver goodput (Mbps)"),
+            series.quantile_over_active(1, q, mbps),
+        ));
+    }
+    peak
+}
+
+/// The dynamic policy's series (pushed last) against the best of the fixed
+/// settings before it, by `stat`.
+fn dynamic_vs_best_fixed(fig: &Figure, stat: fn(&Series) -> f64) -> (f64, f64) {
+    let (dynamic, fixed) = fig.series.split_last().expect("the study ran");
+    let best = fixed.iter().map(stat).fold(f64::INFINITY, f64::min);
+    (stat(dynamic), best)
+}
+
+/// A download-time CDF that says so when receivers did not finish.
+pub(crate) fn cdf(label: impl Into<String>, run: &SystemRun) -> Series {
+    let mut series = Series::cdf(label, &run.times);
+    if run.unfinished > 0 {
+        series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
+    }
+    series
+}
+
+/// Figure 4's workload: static random losses.
+pub fn fig04_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(mesh_workload(opts, 60, 20.0, Dynamics::Static))
+}
+
+/// Figure 5's workload: the synthetic bandwidth-change scenario.
+pub fn fig05_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(mesh_workload(opts, 60, 20.0, PAPER_CHANGES))
+}
+
+/// Figs 4 and 5: the four systems plus (on a static network) the two
+/// analytic bounds.
+pub fn overall_comparison(w: &Workload, _: &CommonOpts) -> Figure {
+    let dynamic = w.dynamics != Dynamics::Static;
     let (id, title) = if dynamic {
         (
             "Figure 5",
@@ -58,60 +132,34 @@ fn overall_comparison(opts: &CommonOpts, dynamic: bool) -> Figure {
             "download time CDF under random network packet losses",
         )
     };
-    let mut fig = Figure::new(
-        id,
-        format!("{title} ({nodes} nodes, {} blocks)", file.num_blocks()),
-    );
+    let (nodes, blocks) = (w.nodes, w.file.num_blocks());
+    let mut fig = Figure::new(id, format!("{title} ({nodes} nodes, {blocks} blocks)"));
 
     if !dynamic {
-        let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
+        let topo = w.topology();
         fig.push(Series::cdf(
             "Physical Link Speed Possible",
-            &bounds::physical_limit(&topo, file),
+            &bounds::physical_limit(&topo, w.file),
         ));
         fig.push(Series::cdf(
             "MACEDON TCP feasible + startup",
-            &bounds::tcp_feasible(&topo, file, 10.0),
+            &bounds::tcp_feasible(&topo, w.file, 10.0),
         ));
     }
 
-    let schedule: ChangeSchedule = if dynamic {
-        paper_dynamic_schedule(nodes, opts.time_limit, &rng)
-    } else {
-        Vec::new()
-    };
-
     for kind in SystemKind::all() {
-        let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-        let run = run_system(kind, topo, file, &rng, &schedule, limit(opts));
-        let mut series = Series::cdf(kind.label(), &run.times);
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+        fig.push(cdf(kind.label(), &w.run_system(kind)));
     }
 
-    // Headline numbers the paper quotes in §4.2.
-    let find = |fig: &Figure, name: &str| {
-        fig.series
-            .iter()
-            .find(|s| s.label.starts_with(name))
-            .cloned()
-            .expect("series present")
-    };
-    let ours = find(&fig, "BulletPrime");
-    let mut best_other_median = f64::INFINITY;
-    let mut best_other_slowest = f64::INFINITY;
-    for name in ["Bullet", "BitTorrent", "SplitStream"] {
-        let s = fig
-            .series
-            .iter()
-            .find(|s| s.label.starts_with(name) && !s.label.starts_with("BulletPrime"))
-            .expect("series present");
-        best_other_median = best_other_median.min(s.quantile(0.5));
-        best_other_slowest = best_other_slowest.min(s.max_x());
-    }
-    fig.note(format!(
+    // Headline numbers the paper quotes in §4.2: Bullet′ against the best of
+    // the other three, which follow it in the legend.
+    let systems = &fig.series[fig.series.len() - SystemKind::all().len()..];
+    let (ours, others) = systems.split_first().expect("four systems ran");
+    let best_other =
+        |stat: fn(&Series) -> f64| others.iter().map(stat).fold(f64::INFINITY, f64::min);
+    let best_other_median = best_other(|s| s.quantile(0.5));
+    let best_other_slowest = best_other(Series::max_x);
+    let note = format!(
         "BulletPrime median {:.1}s vs best other {:.1}s ({:.0}% faster); slowest {:.1}s vs {:.1}s ({:.0}% faster)",
         ours.quantile(0.5),
         best_other_median,
@@ -119,7 +167,8 @@ fn overall_comparison(opts: &CommonOpts, dynamic: bool) -> Figure {
         ours.max_x(),
         best_other_slowest,
         100.0 * (best_other_slowest - ours.max_x()) / best_other_slowest,
-    ));
+    );
+    fig.note(note);
     fig.note(if dynamic {
         "paper: BulletPrime faster by 32%-70% under dynamic conditions".to_string()
     } else {
@@ -128,81 +177,35 @@ fn overall_comparison(opts: &CommonOpts, dynamic: bool) -> Figure {
     fig
 }
 
-/// Figure 4: overall comparison under static random losses.
-pub fn fig04(opts: &CommonOpts) -> Figure {
-    overall_comparison(opts, false)
-}
-
-/// Figure 5: overall comparison under the synthetic bandwidth-change scenario.
-pub fn fig05(opts: &CommonOpts) -> Figure {
-    overall_comparison(opts, true)
-}
-
-/// Figure 5w (beyond the paper): one cell of the snapshot/fork warm-up
-/// study. Bullet′ joins and transfers for
-/// [`FIG05W_WARMUP_SECS`](crate::warmup::FIG05W_WARMUP_SECS) virtual
-/// seconds, then the "paper" dynamics variant (the §4.1 correlated
-/// bandwidth decreases) applies for the rest of the run. Run standalone
-/// this is an ordinary uninterrupted simulation; under `lab sweep`/`lab
-/// bench` the scenario's warm-up hooks (see [`crate::warmup`]) let the
-/// executor simulate the shared warm-up once per seed and fork the "calm" /
-/// "paper" / "storm" variants from the checkpoint.
-pub fn fig05w(opts: &CommonOpts) -> Figure {
-    crate::warmup::fig05w_fresh(opts, "paper")
+/// Figure 5ts's workload: Figure 5's, observed on a probe tick (`--tick`,
+/// default 2 s).
+pub fn fig05ts_workload(opts: &CommonOpts, label: &str) -> Result<Workload, String> {
+    Ok(Workload {
+        tick: Some(opts.tick.unwrap_or(2.0)),
+        ..fig05_workload(opts, label)?
+    })
 }
 
 /// Figure 5ts (beyond the paper): the Figure-5 dynamic scenario observed
 /// *while it runs*. A run-time probe samples every receiver on a virtual-time
-/// tick (`--tick`, default 2 s) and the figure plots goodput over time —
-/// mean, 10th and 90th percentile across the active receivers — plus the mean
-/// duplicate-block percentage and mean sender-set size. This is the
-/// bandwidth-over-time view end-of-run CDFs cannot show: the correlated
-/// bandwidth cuts land every 20 s and the curves show Bullet′ re-converging
-/// after each one.
-pub fn fig05ts(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(60, 100);
-    let file = FileSpec::new(opts.file_bytes_or(20.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
-    let tick = opts.tick.unwrap_or(2.0);
-
-    let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-    let schedule = paper_dynamic_schedule(nodes, opts.time_limit, &rng);
-    let cfg = Config::new(file);
-    let (run, report, _) = crate::systems::run_bullet_prime_timeseries(
-        topo,
-        &cfg,
-        &rng,
-        &schedule,
-        limit(opts),
-        SimDuration::from_secs_f64(tick),
-    );
-    let series = report
-        .timeseries
-        .expect("run_bullet_prime_timeseries installs a probe");
+/// tick and the figure plots goodput over time — mean, 10th and 90th
+/// percentile across the active receivers — plus the mean duplicate-block
+/// percentage and mean sender-set size. This is the bandwidth-over-time view
+/// end-of-run CDFs cannot show: the correlated bandwidth cuts land every 20 s
+/// and the curves show Bullet′ re-converging after each one.
+pub fn fig05ts_figure(w: &Workload, report: &RunReport) -> Figure {
+    let (nodes, tick) = (w.nodes, w.tick.expect("fig05ts is observed"));
+    let series = report.timeseries.as_ref().expect("the probe is installed");
 
     let mut fig = Figure::new(
         "Figure 5ts",
         format!(
             "per-receiver goodput over time under synthetic bandwidth changes \
-             ({nodes} nodes, {:.0} s tick)",
-            tick
+             ({nodes} nodes, {tick:.0} s tick)"
         ),
     );
-    fig.x_label = "time (s)".into();
     fig.y_label = "goodput (Mbps)".into();
-    let to_mbps = |bps: f64| bps / 1e6;
-    fig.push(Series::xy(
-        "mean receiver goodput (Mbps)",
-        series.mean_over_active(1, |n| to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p10 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.10, |n| to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p90 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.90, |n| to_mbps(n.goodput_bps)),
-    ));
+    let peak = push_goodput_over_time(&mut fig, series);
     fig.push(Series::xy(
         "mean duplicate blocks (%)",
         series.mean_over_active(1, |n| n.duplicate_ratio * 100.0),
@@ -212,12 +215,10 @@ pub fn fig05ts(opts: &CommonOpts) -> Figure {
         series.mean_over_active(1, |n| n.senders as f64),
     ));
 
-    let mean = &fig.series[0];
-    let peak = mean.points.iter().map(|&(_, y)| y).fold(0.0, f64::max);
     fig.note(format!(
         "{} samples at a {tick:.0} s tick; peak mean goodput {peak:.2} Mbps; median download {:.1} s",
         series.samples.len(),
-        Series::cdf("tmp", &run.times).quantile(0.5),
+        SystemRun::from_report(report).median(),
     ));
     fig.note(
         "probe series: goodput differenced per tick from cumulative useful bytes; \
@@ -227,280 +228,218 @@ pub fn fig05ts(opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Figure 6: impact of the request strategy.
-pub fn fig06(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(40, 100);
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
+/// The workload of Figs 6 and 7: random losses on a smaller mesh.
+pub fn fig06_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(mesh_workload(opts, 40, 10.0, Dynamics::Static))
+}
+
+/// Figure 6's presentation: one run per request strategy.
+pub fn fig06_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let nodes = w.nodes;
     let mut fig = Figure::new(
         "Figure 6",
         format!("request strategies under random losses ({nodes} nodes)"),
     );
     let strategies = [
-        (
-            "BulletPrime rarest random request strategy",
-            RequestStrategy::RarestRandom,
-        ),
-        (
-            "BulletPrime random request strategy",
-            RequestStrategy::Random,
-        ),
-        (
-            "BulletPrime rarest request strategy",
-            RequestStrategy::Rarest,
-        ),
-        (
-            "BulletPrime first request strategy",
-            RequestStrategy::FirstEncountered,
-        ),
+        ("rarest random", RequestStrategy::RarestRandom),
+        ("random", RequestStrategy::Random),
+        ("rarest", RequestStrategy::Rarest),
+        ("first", RequestStrategy::FirstEncountered),
     ];
-    for (label, strategy) in strategies {
-        let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-        let mut cfg = Config::new(file);
+    for (name, strategy) in strategies {
+        let mut cfg = w.config();
         cfg.request_strategy = strategy;
-        let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), limit(opts));
-        fig.push(Series::cdf(label, &run.times));
+        fig.push(Series::cdf(
+            format!("BulletPrime {name} request strategy"),
+            &bullet_prime_run(w, &cfg).times,
+        ));
     }
-    let rr = fig.series[0].clone();
-    let first = fig.series[3].clone();
+    let (rr, first) = (&fig.series[0], &fig.series[3]);
     fig.note(format!(
         "rarest-random median {:.1}s vs first-encountered {:.1}s ({:.0}% faster); paper: first-encountered performs worst",
         rr.quantile(0.5),
         first.quantile(0.5),
-        100.0 * improvement_at(&rr, &first, 0.5)
+        100.0 * improvement_at(rr, first, 0.5)
     ));
     fig
 }
 
-/// Shared core of Figs 7–9: fixed peer-set sizes vs the dynamic policy.
-fn peer_sizing(
-    opts: &CommonOpts,
-    id: &str,
-    title: &str,
-    mk_topology: impl Fn(&RngFactory, usize) -> netsim::Topology,
-    file: FileSpec,
-    sizes: &[usize],
-    schedule: &ChangeSchedule,
-) -> Figure {
-    let nodes = opts.nodes_or(40, 100);
-    let rng = RngFactory::new(opts.seed);
-    let mut fig = Figure::new(id, format!("{title} ({nodes} nodes)"));
+/// Figs 7–9, one study over three cells of the grid: fixed peer-set sizes vs
+/// the dynamic policy under random losses ([`fig06_workload`]), under
+/// bandwidth changes ([`fig08_workload`]) and on constrained access links
+/// ([`fig09_workload`]).
+pub fn peer_sizing(w: &Workload, _: &CommonOpts) -> Figure {
+    let nodes = w.nodes;
+    let (id, sizes, cell): (_, &[usize], _) = match (w.topology, w.dynamics) {
+        (TopologyKind::ConstrainedAccess, _) => {
+            let cell = "10/14 vs dynamic with 800 Kbps access links, no losses";
+            ("Figure 9", &[10, 14], cell)
+        }
+        (_, Dynamics::Static) => (
+            "Figure 7",
+            &[6, 10, 14],
+            "6/10/14 vs dynamic under random losses",
+        ),
+        _ => {
+            let cell = "6/10/14 vs dynamic under bandwidth changes and losses";
+            ("Figure 8", &[6, 10, 14], cell)
+        }
+    };
+    let mut fig = Figure::new(id, format!("static peer-set sizes {cell} ({nodes} nodes)"));
     for &k in sizes {
-        let topo = mk_topology(&rng, nodes);
-        let mut cfg = Config::new(file);
+        let mut cfg = w.config();
         cfg.peer_policy = PeerSetPolicy::Fixed(k);
-        let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, schedule, limit(opts));
         fig.push(Series::cdf(
             format!("BulletPrime, {k} senders, {k} receivers"),
-            &run.times,
+            &bullet_prime_run(w, &cfg).times,
         ));
     }
-    let topo = mk_topology(&rng, nodes);
-    let cfg = Config::new(file);
-    let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, schedule, limit(opts));
     fig.push(Series::cdf(
         "BulletPrime, dyn. #senders,#receivers",
-        &run.times,
+        &bullet_prime_run(w, &w.config()).times,
     ));
 
-    let dynamic = fig.series.last().cloned().expect("just pushed");
-    let best_static = fig.series[..fig.series.len() - 1]
-        .iter()
-        .map(|s| s.quantile(0.5))
-        .fold(f64::INFINITY, f64::min);
+    let (dynamic, best_static) = dynamic_vs_best_fixed(&fig, |s| s.quantile(0.5));
     fig.note(format!(
-        "dynamic median {:.1}s vs best static {:.1}s; paper: no static size wins everywhere, dynamic tracks the best",
-        dynamic.quantile(0.5),
-        best_static
+        "dynamic median {dynamic:.1}s vs best static {best_static:.1}s; paper: no static size wins everywhere, dynamic tracks the best"
     ));
     fig
 }
 
-/// Figure 7: peer-set sizes under random losses.
-pub fn fig07(opts: &CommonOpts) -> Figure {
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-    peer_sizing(
-        opts,
-        "Figure 7",
-        "static peer-set sizes 6/10/14 vs dynamic under random losses",
-        |rng, n| topology::modelnet_mesh(n, 0.03, rng),
-        file,
-        &[6, 10, 14],
-        &Vec::new(),
-    )
+/// Figure 8's workload: bandwidth changes on the smaller mesh.
+pub fn fig08_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(mesh_workload(opts, 40, 10.0, PAPER_CHANGES))
 }
 
-/// Figure 8: peer-set sizes under the synthetic bandwidth-change scenario.
-pub fn fig08(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(40, 100);
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
-    let schedule = paper_dynamic_schedule(nodes, opts.time_limit, &rng);
-    peer_sizing(
+/// Figure 9's workload: the constrained-access topology (no losses).
+pub fn fig09_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(Workload::new(
         opts,
-        "Figure 8",
-        "static peer-set sizes 6/10/14 vs dynamic under bandwidth changes and losses",
-        |rng, n| topology::modelnet_mesh(n, 0.03, rng),
-        file,
-        &[6, 10, 14],
-        &schedule,
-    )
+        TopologyKind::ConstrainedAccess,
+        opts.nodes_or(40, 100),
+        file(opts, 4.0, 10.0, 16),
+        Dynamics::Static,
+    ))
 }
 
-/// Figure 9: peer-set sizes on the constrained-access topology (no losses).
-pub fn fig09(opts: &CommonOpts) -> Figure {
-    let file = FileSpec::new(opts.file_bytes_or(4.0, 10.0), opts.block_bytes_or(16));
-    peer_sizing(
-        opts,
-        "Figure 9",
-        "static peer-set sizes 10/14 vs dynamic with 800 Kbps access links, no losses",
-        |_rng, n| topology::constrained_access(n),
-        file,
-        &[10, 14],
-        &Vec::new(),
-    )
-}
-
-/// Shared core of Figs 10–12: fixed outstanding-request windows vs dynamic.
-#[allow(clippy::too_many_arguments)] // one slot per experiment knob; a builder would obscure the 1:1 mapping to the figures
-fn outstanding_sizing(
-    opts: &CommonOpts,
-    id: &str,
-    title: &str,
-    topo_builder: impl Fn(&RngFactory, usize) -> netsim::Topology,
-    nodes: usize,
-    file: FileSpec,
-    windows: &[u32],
-    schedule: &ChangeSchedule,
-) -> Figure {
-    let rng = RngFactory::new(opts.seed);
-    let mut fig = Figure::new(id, format!("{title} ({nodes} nodes)"));
+/// Figs 10 and 11, one study over two cells: fixed outstanding-request
+/// windows vs the dynamic window on high-BDP links, clean
+/// ([`fig10_workload`]) and lossy ([`fig11_workload`]).
+pub fn outstanding_sizing(w: &Workload, _: &CommonOpts) -> Figure {
+    let nodes = w.nodes;
+    let clean = w.topology == TopologyKind::HighBdpClique { max_loss: 0.0 };
+    let (id, windows, losses): (_, &[u32], _) = if clean {
+        ("Figure 10", &[3, 6, 9, 15, 50], "no losses")
+    } else {
+        ("Figure 11", &[3, 6, 15, 50], "0-1.5% loss")
+    };
+    let title =
+        format!("per-peer outstanding blocks, 10 Mbps / 100 ms links, {losses} ({nodes} nodes)");
+    let mut fig = Figure::new(id, title);
     // The paper runs this study with up to 5 senders per node so the
     // per-connection window, not the peer count, is the variable under test.
-    let peers = PeerSetPolicy::Fixed(5);
-    for &w in windows {
-        let topo = topo_builder(&rng, nodes);
-        let mut cfg = Config::new(file);
-        cfg.min_peers = 5;
-        cfg.peer_policy = peers;
-        cfg.outstanding_policy = OutstandingPolicy::Fixed(w);
-        let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, schedule, limit(opts));
+    let mut cfg = w.config();
+    cfg.min_peers = 5;
+    cfg.peer_policy = PeerSetPolicy::Fixed(5);
+    for &window in windows {
+        let mut fixed = cfg.clone();
+        fixed.outstanding_policy = OutstandingPolicy::Fixed(window);
         fig.push(Series::cdf(
-            format!("BulletPrime , {w:<4} outst"),
-            &run.times,
+            format!("BulletPrime , {window:<4} outst"),
+            &bullet_prime_run(w, &fixed).times,
         ));
     }
-    let topo = topo_builder(&rng, nodes);
-    let mut cfg = Config::new(file);
-    cfg.min_peers = 5;
-    cfg.peer_policy = peers;
-    let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, schedule, limit(opts));
-    fig.push(Series::cdf("BulletPrime , dyn  outst", &run.times));
+    fig.push(Series::cdf(
+        "BulletPrime , dyn  outst",
+        &bullet_prime_run(w, &cfg).times,
+    ));
 
-    let dynamic = fig.series.last().cloned().expect("just pushed");
-    let best_static = fig.series[..fig.series.len() - 1]
-        .iter()
-        .map(|s| s.quantile(0.5))
-        .fold(f64::INFINITY, f64::min);
+    let (dynamic, best_static) = dynamic_vs_best_fixed(&fig, |s| s.quantile(0.5));
     fig.note(format!(
-        "dynamic median {:.1}s vs best static median {:.1}s",
-        dynamic.quantile(0.5),
-        best_static
+        "dynamic median {dynamic:.1}s vs best static median {best_static:.1}s"
     ));
     fig
 }
 
-/// Figure 10: outstanding-request windows on clean high-BDP links.
-pub fn fig10(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes.unwrap_or(25);
-    let file = FileSpec::new(opts.file_bytes_or(8.0, 100.0), opts.block_bytes_or(8));
-    outstanding_sizing(
+fn high_bdp_workload(opts: &CommonOpts, max_loss: f64) -> Workload {
+    Workload::new(
         opts,
-        "Figure 10",
-        "per-peer outstanding blocks, 10 Mbps / 100 ms links, no losses",
-        |rng, n| topology::high_bdp_clique(n, 0.0, rng),
-        nodes,
-        file,
-        &[3, 6, 9, 15, 50],
-        &Vec::new(),
+        TopologyKind::HighBdpClique { max_loss },
+        opts.nodes.unwrap_or(25),
+        file(opts, 8.0, 100.0, 8),
+        Dynamics::Static,
     )
 }
 
-/// Figure 11: outstanding-request windows under random losses.
-pub fn fig11(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes.unwrap_or(25);
-    let file = FileSpec::new(opts.file_bytes_or(8.0, 100.0), opts.block_bytes_or(8));
-    outstanding_sizing(
-        opts,
-        "Figure 11",
-        "per-peer outstanding blocks, 10 Mbps / 100 ms links, 0-1.5% loss",
-        |rng, n| topology::high_bdp_clique(n, 0.015, rng),
-        nodes,
-        file,
-        &[3, 6, 15, 50],
-        &Vec::new(),
-    )
+/// Figure 10's workload: clean high-BDP links.
+pub fn fig10_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(high_bdp_workload(opts, 0.0))
 }
 
-/// Figure 12: outstanding-request windows under cascading slowdowns towards a
-/// single victim node.
-pub fn fig12(opts: &CommonOpts) -> Figure {
-    let fast_nodes = 7; // Source + 6 well-connected peers; node 7 is the victim.
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(8));
+/// Figure 11's workload: high-BDP links with 0–1.5% loss.
+pub fn fig11_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(high_bdp_workload(opts, 0.015))
+}
+
+/// Figure 12's workload: the source, 6 well-connected peers and the victim,
+/// one of whose links degrades per period.
+pub fn fig12_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    let file = file(opts, 10.0, 100.0, 8);
     // The paper degrades one link every 25 s over a ~100 MB download; keep the
     // number of degradations seen during a reduced download the same by
     // scaling the period with the file size.
     let period = 25.0 * (file.file_bytes as f64 / (100.0 * 1024.0 * 1024.0));
-    let schedule = cascade_schedule(fast_nodes, period.max(1.0));
-    let rng = RngFactory::new(opts.seed);
+    Ok(Workload::new(
+        opts,
+        TopologyKind::Cascade,
+        8,
+        file,
+        Dynamics::CascadingDegrade {
+            period: period.max(1.0),
+        },
+    ))
+}
+
+/// Figure 12's presentation.
+pub fn fig12_figure(w: &Workload, _: &CommonOpts) -> Figure {
     let mut fig = Figure::new(
         "Figure 12",
         "outstanding blocks under cascading 100 Kbps degradations of the victim's links",
     );
-    for w in [9u32, 15, 50] {
-        let topo = topology::cascade_topology(fast_nodes);
-        let mut cfg = Config::new(file);
-        cfg.outstanding_policy = OutstandingPolicy::Fixed(w);
-        cfg.peer_policy = PeerSetPolicy::Fixed(6);
-        let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, &schedule, limit(opts));
-        fig.push(Series::cdf(format!("BulletPrime , {w} outst"), &run.times));
-    }
-    let topo = topology::cascade_topology(fast_nodes);
-    let mut cfg = Config::new(file);
+    let mut cfg = w.config();
     cfg.peer_policy = PeerSetPolicy::Fixed(6);
-    let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, &schedule, limit(opts));
-    fig.push(Series::cdf("BulletPrime , dyn  outst", &run.times));
+    for window in [9u32, 15, 50] {
+        let mut fixed = cfg.clone();
+        fixed.outstanding_policy = OutstandingPolicy::Fixed(window);
+        fig.push(Series::cdf(
+            format!("BulletPrime , {window} outst"),
+            &bullet_prime_run(w, &fixed).times,
+        ));
+    }
+    fig.push(Series::cdf(
+        "BulletPrime , dyn  outst",
+        &bullet_prime_run(w, &cfg).times,
+    ));
 
-    let dynamic = fig.series.last().cloned().expect("just pushed");
-    let best_static_slowest = fig.series[..fig.series.len() - 1]
-        .iter()
-        .map(Series::max_x)
-        .fold(f64::INFINITY, f64::min);
+    let (dynamic, best_static) = dynamic_vs_best_fixed(&fig, Series::max_x);
     fig.note(format!(
-        "slowest (victim) node: dynamic {:.1}s vs best static {:.1}s ({:.0}% faster); paper: dynamic beats static by 7-22% for the victim",
-        dynamic.max_x(),
-        best_static_slowest,
-        100.0 * (best_static_slowest - dynamic.max_x()) / best_static_slowest,
+        "slowest (victim) node: dynamic {dynamic:.1}s vs best static {best_static:.1}s ({:.0}% faster); paper: dynamic beats static by 7-22% for the victim",
+        100.0 * (best_static - dynamic) / best_static,
     ));
     fig
 }
 
-/// Figure 13: average block inter-arrival times (the "last-block problem"
-/// analysis) plus the §4.6 overage-vs-encoding-overhead comparison.
-pub fn fig13(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(60, 100);
-    let file = FileSpec::new(opts.file_bytes_or(20.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
-    let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-    let cfg = Config::new(file);
-    let (_, nodes_out) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), limit(opts));
+/// Figure 13's presentation (its workload is [`fig04_workload`]).
+pub fn fig13_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let nodes = w.nodes;
+    let (_, receivers) = w.run_bullet_prime(&w.config());
 
     // Average the i-th inter-arrival gap across receivers.
     let mut sums: Vec<f64> = Vec::new();
     let mut counts: Vec<u32> = Vec::new();
     let mut overages = Vec::new();
     let mut completions = Vec::new();
-    for node in nodes_out.iter().skip(1) {
+    for node in receivers.iter().skip(1) {
         let gaps = node.metrics().inter_arrival_times();
         for (i, g) in gaps.iter().enumerate() {
             if i >= sums.len() {
@@ -543,79 +482,76 @@ pub fn fig13(opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Figure 14: the wide-area (PlanetLab-like) comparison of all four systems.
-pub fn fig14(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(41, 41);
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 50.0), opts.block_bytes_or(100));
-    let rng = RngFactory::new(opts.seed);
+/// Figure 14's workload: PlanetLab-like sites, 100 KB blocks.
+pub fn fig14_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(Workload::new(
+        opts,
+        TopologyKind::PlanetLabLike,
+        opts.nodes_or(41, 41),
+        file(opts, 10.0, 50.0, 100),
+        Dynamics::Static,
+    ))
+}
+
+/// Figure 14's presentation.
+pub fn fig14_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let nodes = w.nodes;
     let mut fig = Figure::new(
         "Figure 14",
         format!("wide-area (PlanetLab-like) comparison, {nodes} sites, 100 KB blocks"),
     );
     for kind in SystemKind::all() {
-        let topo = topology::planetlab_like(nodes, &rng);
-        let run = run_system(kind, topo, file, &rng, &Vec::new(), limit(opts));
-        let mut series = Series::cdf(kind.label(), &run.times);
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+        fig.push(cdf(kind.label(), &w.run_system(kind)));
     }
-    let ours = fig.series[0].clone();
-    let bt = fig
-        .series
-        .iter()
-        .find(|s| s.label.starts_with("BitTorrent"))
-        .cloned()
-        .expect("BitTorrent series present");
+    // In legend order BitTorrent is the third system.
     fig.note(format!(
         "slowest BulletPrime node {:.0}s vs slowest BitTorrent node {:.0}s (paper: ~400s sooner on a 50MB download)",
-        ours.max_x(),
-        bt.max_x()
+        fig.series[0].max_x(),
+        fig.series[2].max_x()
     ));
     fig
 }
 
-/// Figure 16 (beyond the paper): Bullet′ under crash churn. A fraction of
-/// the receivers crashes — connections reset, no goodbye — at instants spread
-/// over the middle of the transfer; the figure shows the completion-time CDF
-/// of the *surviving* receivers for 0%/10%/25%/50% crash fractions.
-pub fn fig16(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(40, 100);
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
+/// Figure 16's workload: a quarter of the receivers crash — connections
+/// reset, no goodbye — at instants spread over the middle of the transfer.
+pub fn fig16_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    let dynamics = Dynamics::CrashWave {
+        fraction: 0.25,
+        calm_median: None,
+    };
+    Ok(mesh_workload(opts, 40, 10.0, dynamics))
+}
+
+/// Figure 16's presentation: the completion-time CDF of the *surviving*
+/// receivers for 0%/10%/25%/50% crash fractions.
+pub fn fig16_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let nodes = w.nodes;
     let mut fig = Figure::new(
         "Figure 16",
         format!("survivor download-time CDF under receiver crash waves ({nodes} nodes)"),
     );
 
-    // Calibrate the crash window off the churn-free run so "mid-transfer"
-    // stays mid-transfer at every workload scale.
-    let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-    let cfg = Config::new(file);
-    let (clean, _) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), limit(opts));
-    let median = Series::cdf("tmp", &clean.times).quantile(0.5);
+    // The churn-free run also calibrates the crash window.
+    let clean = w.calm().run_system(SystemKind::BulletPrime);
     fig.push(Series::cdf("BulletPrime, no churn", &clean.times));
 
     for fraction in [0.10, 0.25, 0.50] {
-        let window_start = SimTime::from_secs_f64(0.2 * median);
-        let window_end = SimTime::from_secs_f64(0.6 * median);
-        let churn = crash_wave_schedule(nodes, fraction, window_start, window_end, &rng);
-        let crashed = churn.len();
-        let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-        let cfg = Config::new(file);
-        let (run, report, _) = run_bullet_prime_churn(topo, &cfg, &rng, &churn, limit(opts));
-        let mut series = Series::cdf(
+        let wave = Workload {
+            dynamics: Dynamics::CrashWave {
+                fraction,
+                calm_median: Some(clean.median()),
+            },
+            ..*w
+        };
+        let crashed = wave.plan().nodes.len();
+        let report = wave.report();
+        fig.push(cdf(
             format!(
                 "BulletPrime, {:.0}% crash ({crashed} nodes)",
                 fraction * 100.0
             ),
-            &run.times,
-        );
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+            &SystemRun::from_report(&report),
+        ));
         debug_assert_eq!(
             report.departed.iter().filter(|&&d| d).count(),
             crashed,
@@ -632,62 +568,53 @@ pub fn fig16(opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Figure 17 (beyond the paper): a flash crowd. Only the source and a quarter
-/// of the receivers are present at t = 0; the rest join in a wave across the
-/// middle of the transfer. The CDF shows per-receiver *download duration*
-/// (completion time minus join time), so late joiners are comparable to the
-/// initial group.
-pub fn fig17(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(40, 100);
-    let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
+/// Figure 17's workload: only the source and a quarter of the receivers are
+/// present at t = 0; the rest join in a wave across the middle of the
+/// transfer.
+pub fn fig17_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    let dynamics = Dynamics::FlashCrowd { calm_median: None };
+    Ok(mesh_workload(opts, 40, 10.0, dynamics))
+}
+
+/// Figure 17's presentation: per-receiver *download duration* (completion
+/// time minus join time), so late joiners are comparable to the initial
+/// group.
+pub fn fig17_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let nodes = w.nodes;
     let mut fig = Figure::new(
         "Figure 17",
         format!("download-duration CDF with a flash-crowd join wave ({nodes} nodes)"),
     );
 
     // Everyone-from-the-start baseline, which also calibrates the join window.
-    let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-    let cfg = Config::new(file);
-    let (clean, _) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), limit(opts));
-    let median = Series::cdf("tmp", &clean.times).quantile(0.5);
+    let clean = w.calm().run_system(SystemKind::BulletPrime);
     fig.push(Series::cdf("BulletPrime, all present at t=0", &clean.times));
 
-    let initial = 1 + (nodes - 1) / 4; // source + 25% of the receivers
-    let churn = flash_crowd_schedule(
-        nodes,
-        initial,
-        SimTime::from_secs_f64(0.25 * median),
-        SimTime::from_secs_f64(0.75 * median),
-    );
-    let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-    let cfg = Config::new(file);
-    let (_, report, _) = run_bullet_prime_churn(topo, &cfg, &rng, &churn, limit(opts));
-    let join_time = |node: usize| -> f64 {
-        churn
-            .iter()
-            .find_map(|(at, ev)| match ev {
-                NodeEvent::Join(n) if n.index() == node => Some(at.as_secs_f64()),
-                _ => None,
-            })
-            .unwrap_or(0.0)
+    let crowd = Workload {
+        dynamics: Dynamics::FlashCrowd {
+            calm_median: Some(clean.median()),
+        },
+        ..*w
     };
+    let joins = crowd.plan().nodes;
+    let report = crowd.report();
+    let mut joined = vec![0.0; nodes];
+    for (at, event) in &joins {
+        joined[event.node().index()] = at.as_secs_f64();
+    }
     let end = report.end_time.as_secs_f64();
     let mut unfinished = 0usize;
     let durations: Vec<f64> = (1..nodes)
-        .map(|i| {
-            let joined = join_time(i);
-            match report.completion_secs[i] {
-                Some(c) => c - joined,
-                None => {
-                    unfinished += 1;
-                    end - joined
-                }
+        .map(|i| match report.completion_secs[i] {
+            Some(c) => c - joined[i],
+            None => {
+                unfinished += 1;
+                end - joined[i]
             }
         })
         .collect();
     let mut series = Series::cdf(
-        format!("BulletPrime, flash crowd ({} join late)", nodes - initial),
+        format!("BulletPrime, flash crowd ({} join late)", joins.len()),
         &durations,
     );
     if unfinished > 0 {
@@ -703,51 +630,57 @@ pub fn fig17(opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Figure 18 (beyond the paper): two concurrent Bullet′ meshes sharing one
-/// core bottleneck. All core paths of a [`topology::shared_core_mesh`] ride a
-/// single lossy 2 Mbps link, so *every* byte of overlay traffic — from both
-/// meshes — contends there. The figure compares the download-time CDF of a
-/// lone mesh on that substrate against two independent meshes (separate
-/// sources, trees, RanSub overlays) running concurrently: under max-min fair
-/// sharing each mesh converges to roughly half the lone mesh's rate, which
-/// the per-path TCP-equation model of earlier revisions could not express at
-/// all (disjoint pairs never contended).
-pub fn fig18(opts: &CommonOpts) -> Figure {
-    let total = opts.nodes_or(32, 64);
-    let mesh = (total / 2).max(2);
-    let file = FileSpec::new(opts.file_bytes_or(2.0, 10.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
-    let core = mbps(2.0);
-    let loss = 0.01;
-    let cfg = Config::new(file);
+/// Figure 18's workload: two concurrent Bullet′ meshes (separate sources,
+/// trees, RanSub overlays) on a [`TopologyKind::SharedCore`] whose every core
+/// path rides a single lossy 2 Mbps link, so *every* byte of overlay traffic
+/// — from both meshes — contends there.
+pub fn fig18_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    let mesh = (opts.nodes_or(32, 64) / 2).max(2);
+    let topology = TopologyKind::SharedCore {
+        core: mbps(2.0),
+        loss: 0.01,
+    };
+    Ok(Workload {
+        groups: 2,
+        ..Workload::new(
+            opts,
+            topology,
+            2 * mesh,
+            file(opts, 2.0, 10.0, 16),
+            Dynamics::Static,
+        )
+    })
+}
 
+/// Figure 18's presentation: the download-time CDF of a lone mesh on that
+/// substrate against the two concurrent ones. Under max-min fair sharing
+/// each mesh converges to roughly half the lone mesh's rate, which the
+/// per-path TCP-equation model of earlier revisions could not express at all
+/// (disjoint pairs never contended).
+pub fn fig18_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let (mesh, blocks) = (w.nodes / w.groups, w.file.num_blocks());
     let mut fig = Figure::new(
         "Figure 18",
         format!(
             "two concurrent {mesh}-node meshes sharing one lossy 2 Mbps core bottleneck \
-             ({} blocks each)",
-            file.num_blocks()
+             ({blocks} blocks each)"
         ),
     );
 
-    // Baseline: one mesh alone on the shared-core substrate.
-    let topo = topology::shared_core_mesh(mesh, core, loss, &rng);
-    let (single, _) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), limit(opts));
-    let mut series = Series::cdf("single mesh over the shared core", &single.times);
-    if single.unfinished > 0 {
-        series.label = format!("{} ({} unfinished)", series.label, single.unfinished);
-    }
-    fig.push(series);
+    let alone = Workload {
+        nodes: mesh,
+        groups: 1,
+        ..*w
+    };
+    fig.push(cdf(
+        "single mesh over the shared core",
+        &SystemRun::from_report(&alone.report()),
+    ));
 
-    // Two meshes, same substrate, twice the nodes: groups [mesh, mesh].
-    let topo = topology::shared_core_mesh(2 * mesh, core, loss, &rng);
-    let runs = run_concurrent_meshes(topo, &cfg, &rng, &[mesh, mesh], limit(opts));
-    for (run, name) in runs.iter().zip(["mesh A", "mesh B"]) {
-        let mut series = Series::cdf(format!("{name} of two sharing the core"), &run.times);
-        if run.unfinished > 0 {
-            series.label = format!("{} ({} unfinished)", series.label, run.unfinished);
-        }
-        fig.push(series);
+    let report = w.report();
+    for (g, name) in ["mesh A", "mesh B"].into_iter().enumerate() {
+        let run = SystemRun::from_range(&report, g * mesh..(g + 1) * mesh);
+        fig.push(cdf(format!("{name} of two sharing the core"), &run));
     }
 
     let single_median = fig.series[0].quantile(0.5);
@@ -766,43 +699,40 @@ pub fn fig18(opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Figure 19 (beyond the paper): a cross-traffic square wave vs Bullet′
-/// adaptivity. A single mesh runs over a shared 4 Mbps core while an
-/// unresponsive CBR stream occupies half of the core on a square wave
-/// (period scaled with the workload). The probe time-series shows the mesh's
+/// Figure 19's workload: a single mesh over a shared 4 Mbps core while an
+/// unresponsive CBR stream occupies half of the core on a square wave.
+pub fn fig19_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    let file = file(opts, 4.0, 20.0, 16);
+    let topology = TopologyKind::SharedCore {
+        core: mbps(4.0),
+        loss: 0.0,
+    };
+    let dynamics = Dynamics::CrossTraffic {
+        rate: mbps(2.0),
+        // One wave boundary every ~20 s on the default workload; scale the
+        // period with the file so reduced runs still see several waves.
+        period: (20.0 * file.file_bytes as f64 / (4.0 * 1024.0 * 1024.0)).max(4.0),
+    };
+    Ok(Workload {
+        tick: Some(opts.tick.unwrap_or(2.0)),
+        ..Workload::new(opts, topology, opts.nodes_or(16, 32), file, dynamics)
+    })
+}
+
+/// Figure 19's presentation: the probe time-series shows the mesh's
 /// per-receiver goodput collapsing when the wave switches on and recovering
 /// when it ends — the bandwidth-over-time view of dynamic adaptivity that
 /// end-of-run CDFs cannot show.
-pub fn fig19(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(16, 32);
-    let file = FileSpec::new(opts.file_bytes_or(4.0, 20.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
-    let tick = opts.tick.unwrap_or(2.0);
-    let core = mbps(4.0);
-    let wave_rate = mbps(2.0);
-    // One wave boundary every ~20 s on the default workload; scale the
-    // period with the file so reduced runs still see several waves.
-    let period = (20.0 * file.file_bytes as f64 / (4.0 * 1024.0 * 1024.0)).max(4.0);
-
-    let topo = topology::shared_core_mesh(nodes, core, 0.0, &rng);
-    let cross = cross_traffic_square_wave(
-        (NodeId(0), NodeId(1)),
-        wave_rate,
-        SimDuration::from_secs_f64(period),
-        SimDuration::from_secs_f64(opts.time_limit),
-    );
-    let cfg = Config::new(file);
-    let (run, report, _) = run_bullet_prime_cross(
-        topo,
-        &cfg,
-        &rng,
-        &cross,
-        limit(opts),
-        SimDuration::from_secs_f64(tick),
-    );
-    let series = report
-        .timeseries
-        .expect("run_bullet_prime_cross installs a probe");
+pub fn fig19_figure(w: &Workload, report: &RunReport) -> Figure {
+    let (nodes, tick) = (w.nodes, w.tick.expect("fig19 is observed"));
+    let Dynamics::CrossTraffic { period, .. } = w.dynamics else {
+        panic!(
+            "fig19 presents a cross-traffic workload, not {:?}",
+            w.dynamics
+        );
+    };
+    let series = report.timeseries.as_ref().expect("the probe is installed");
+    let run = SystemRun::from_report(report);
 
     let mut fig = Figure::new(
         "Figure 19",
@@ -811,26 +741,13 @@ pub fn fig19(opts: &CommonOpts) -> Figure {
              ({nodes} nodes, {period:.0} s period, {tick:.0} s tick)"
         ),
     );
-    fig.x_label = "time (s)".into();
     fig.y_label = "goodput / occupancy (Mbps)".into();
-    let bps_to_mbps = |bps: f64| bps / 1e6;
-    fig.push(Series::xy(
-        "mean receiver goodput (Mbps)",
-        series.mean_over_active(1, |n| bps_to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p10 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.10, |n| bps_to_mbps(n.goodput_bps)),
-    ));
-    fig.push(Series::xy(
-        "p90 receiver goodput (Mbps)",
-        series.quantile_over_active(1, 0.90, |n| bps_to_mbps(n.goodput_bps)),
-    ));
+    let peak = push_goodput_over_time(&mut fig, series);
     // The wave itself, as a step series clipped to the run.
     let end = report.end_time.as_secs_f64();
     let mut wave = vec![(0.0, 0.0)];
     let mut current = 0.0;
-    for &(at, ct) in &cross {
+    for &(at, ct) in &w.plan().cross {
         let t = at.as_secs_f64();
         if t > end {
             break;
@@ -842,13 +759,11 @@ pub fn fig19(opts: &CommonOpts) -> Figure {
     wave.push((end, to_mbps(current)));
     fig.push(Series::xy("cross-traffic occupancy (Mbps)", wave));
 
-    let mean = &fig.series[0];
-    let peak = mean.points.iter().map(|&(_, y)| y).fold(0.0, f64::max);
     fig.note(format!(
         "{} samples at a {tick:.0} s tick; peak mean goodput {peak:.2} Mbps; \
          median download {:.1} s ({} unfinished)",
         series.samples.len(),
-        Series::cdf("tmp", &run.times).quantile(0.5),
+        run.median(),
         run.unfinished,
     ));
     fig.note(
@@ -859,58 +774,50 @@ pub fn fig19(opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Figure 20 (beyond the paper): the emulator's scaling trajectory. A
-/// join-only Bullet′ swarm (everyone present at t = 0, no churn, no link
-/// dynamics) downloads a small file over the O(n) uniform-core topology
-/// ([`topology::uniform_swarm`]) at N ∈ {1,000, 5,000, 10,000}; `--nodes`
-/// collapses the trajectory to that one point. Each point contributes its
-/// download-time CDF plus the deterministic events-processed count; the
-/// wall-clock throughput goes to stderr (and to `BENCH_scale.json` via the
-/// `bench_scale` binary), **not** into the figure, so sweep output stays
-/// byte-identical across machines and thread counts.
-pub fn fig20(opts: &CommonOpts) -> Figure {
-    let file = FileSpec::new(opts.file_bytes_or(2.0, 2.0), opts.block_bytes_or(16));
+/// Figure 20's workload: a join-only Bullet′ swarm (everyone present at
+/// t = 0, no churn, no link dynamics) downloading a small file over the O(n)
+/// uniform-core topology — at `--nodes`, or at the first point of the
+/// trajectory.
+pub fn fig20_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(Workload::new(
+        opts,
+        TopologyKind::UniformSwarm,
+        opts.nodes.unwrap_or(1_000),
+        file(opts, 2.0, 2.0, 16),
+        Dynamics::Static,
+    ))
+}
+
+/// Figure 20's presentation: the workload at N ∈ {1,000, 5,000, 10,000};
+/// `--nodes` collapses the trajectory to that one point. Each point
+/// contributes its download-time CDF plus the deterministic events-processed
+/// count; the wall-clock throughput goes to stderr (and to
+/// `BENCH_scale.json` via the `bench_scale` binary), **not** into the figure,
+/// so sweep output stays byte-identical across machines and thread counts.
+pub fn fig20_figure(w: &Workload, opts: &CommonOpts) -> Figure {
     let sizes: Vec<usize> = match opts.nodes {
         Some(n) => vec![n],
         None => vec![1_000, 5_000, 10_000],
     };
-    let rng = RngFactory::new(opts.seed);
+    let blocks = w.file.num_blocks();
     let mut fig = Figure::new(
         "Figure 20",
         format!(
             "emulator scaling trajectory: join-only swarm on the uniform core \
-             ({} blocks, N = {sizes:?})",
-            file.num_blocks()
+             ({blocks} blocks, N = {sizes:?})"
         ),
     );
 
     let mut events = Vec::with_capacity(sizes.len());
     for &n in &sizes {
-        let topo = topology::uniform_swarm(n, &rng);
-        let cfg = Config::new(file);
+        let swarm = Workload { nodes: n, ..*w };
         let started = std::time::Instant::now();
-        let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-        let report = runner.run(limit(opts));
+        let report = swarm.report();
         let wall = started.elapsed().as_secs_f64();
 
-        let end = report.end_time.as_secs_f64();
-        let mut unfinished = 0usize;
-        let times: Vec<f64> = report
-            .completion_secs
-            .iter()
-            .skip(1) // Node 0 is the source.
-            .map(|c| {
-                c.unwrap_or_else(|| {
-                    unfinished += 1;
-                    end
-                })
-            })
-            .collect();
-        let mut series = Series::cdf(format!("BulletPrime, N={n}"), &times);
-        if unfinished > 0 {
-            series.label = format!("{} ({unfinished} unfinished)", series.label);
-        }
-        fig.push(series);
+        let run = SystemRun::from_report(&report);
+        let (end, unfinished) = (run.end_time, run.unfinished);
+        fig.push(cdf(format!("BulletPrime, N={n}"), &run));
         events.push((n as f64, report.events as f64));
         fig.note(format!(
             "N={n}: {} events, virtual end {end:.1}s, {unfinished} unfinished",
@@ -992,37 +899,13 @@ pub fn fig15(opts: &CommonOpts) -> Figure {
 // `bullet_prime::service`. `docs/SERVICE_MODE.md` documents the model.
 // ---------------------------------------------------------------------------
 
+/// The independent service runs of an open scenario, by label.
+pub type ServiceCells = Vec<(String, ServiceWorkload)>;
+
 /// The offered-load points of fig21, in swarm arrivals per 1000 virtual
 /// seconds. Ascending, so the knee (segment queueing, core saturation) sits
 /// at the tail of every series.
 pub const FIG21_LOADS: [f64; 4] = [16.0, 32.0, 64.0, 128.0];
-
-/// Labels of the independent service cells a scenario runs, or `None` if
-/// `name` is not an open-system service scenario. `lab serve` parallelises
-/// over these cells; each is one [`run_service_point`] call.
-pub fn service_points(name: &str) -> Option<Vec<String>> {
-    match name {
-        "fig21" => Some(
-            FIG21_LOADS
-                .iter()
-                .map(|l| format!("load-{l:.0}-per-1000s"))
-                .collect(),
-        ),
-        "fig22" => Some(vec!["flash-crowd".to_string()]),
-        _ => None,
-    }
-}
-
-/// Runs one service cell of a scenario (`index` into [`service_points`]) and
-/// returns its deterministic [`ServiceReport`]. `None` for unknown scenarios
-/// or out-of-range indices.
-pub fn run_service_point(name: &str, index: usize, opts: &CommonOpts) -> Option<ServiceReport> {
-    match name {
-        "fig21" => FIG21_LOADS.get(index).map(|&load| fig21_report(load, opts)),
-        "fig22" if index == 0 => Some(fig22_report(opts)),
-        _ => None,
-    }
-}
 
 /// The horizon of a service run: `--time-limit` verbatim under `--full`,
 /// otherwise capped so the reduced suite stays fast (the closed-system
@@ -1035,75 +918,57 @@ fn service_horizon(opts: &CommonOpts) -> f64 {
     }
 }
 
-/// One fig21 offered-load cell: a slot pool over a shared 16 Mbps core
-/// serving Poisson swarm arrivals at `load_per_1000s`, cohort and file sizes
-/// drawn per swarm from seeded ranges.
-fn fig21_report(load_per_1000s: f64, opts: &CommonOpts) -> ServiceReport {
+/// Figure 21's cells, one per offered load: Poisson swarm arrivals to a slot
+/// pool, cohort and file sizes drawn per swarm from seeded ranges.
+pub fn fig21_cells(opts: &CommonOpts) -> ServiceCells {
     let pool = opts.nodes_or(48, 96);
     // Four segments; each arriving swarm claims one for its lifetime, so
     // past four concurrent swarms arrivals queue — the knee's mechanism.
     let slots = (pool / 4).max(2);
-    let size_lo = slots.saturating_sub(2).max(2);
     let block = opts.block_bytes_or(16);
     let file_hi = opts.file_bytes_or(2.0, 8.0).max(block as u64);
-    let file_lo = (file_hi / 2).max(block as u64);
     let horizon = service_horizon(opts);
-
-    let rng = RngFactory::new(opts.seed);
-    let topo = topology::shared_core_mesh(pool, mbps(16.0), 0.0, &rng);
-    let core = topo.core_link(NodeId(0), NodeId(1));
-    let template = Config::new(FileSpec::new(file_hi, block));
-    let mut runner = build_service_runner(topo, &template, &rng);
-    let mut source = ServiceSwarms::new(template, &rng, (size_lo, slots), (file_lo, file_hi));
-    let cfg = ServiceConfig {
-        horizon: SimTime::from_secs_f64(horizon),
-        warmup: SimTime::from_secs_f64(0.15 * horizon),
-        tick: SimDuration::from_secs_f64(opts.tick.unwrap_or(horizon / 60.0)),
-        segment_slots: slots,
-        max_arrivals: 256,
-        core: Some(core),
-    };
-    let gen = ArrivalGen::Poisson {
-        rate_per_sec: load_per_1000s / 1000.0,
-    };
-    run_service(&mut runner, &cfg, &gen, &mut source, &rng)
+    FIG21_LOADS
+        .iter()
+        .map(|&load| {
+            let cell = ServiceWorkload {
+                pool,
+                segment_slots: slots,
+                sizes: (slots.saturating_sub(2).max(2), slots),
+                files: ((file_hi / 2).max(block as u64), file_hi),
+                block,
+                arrivals: ArrivalGen::Poisson {
+                    rate_per_sec: load / 1000.0,
+                },
+                flash: None,
+                horizon,
+                warmup: 0.15 * horizon,
+                tick: opts.tick.unwrap_or(horizon / 60.0),
+                seed: opts.seed,
+            };
+            (format!("load-{load:.0}-per-1000s"), cell)
+        })
+        .collect()
 }
 
-/// Figure 21 (beyond the paper): the open-system offered-load sweep. Swarms
-/// arrive by a Poisson process over one shared 16 Mbps core, each claiming a
-/// segment of the slot pool for its lifetime; the sweep raises the arrival
-/// rate until segments and core saturate. Sustained goodput (measured past
-/// the warmup boundary) climbs with offered load and then flattens at the
-/// service capacity, while completion latency — measured from *arrival*, so
+/// Figure 21's presentation. Sustained goodput (measured past the warmup
+/// boundary) climbs with offered load and then flattens at the service
+/// capacity, while completion latency — measured from *arrival*, so
 /// segment-queueing delay counts — turns the knee upward.
-pub fn fig21(opts: &CommonOpts) -> Figure {
-    let pool = opts.nodes_or(48, 96);
+pub fn fig21_figure(cells: &[(String, ServiceWorkload)], _: &CommonOpts) -> Figure {
     let mut fig = Figure::new(
         "Figure 21",
         format!(
             "open-system offered-load sweep over a shared 16 Mbps core \
-             ({pool}-slot pool, {:.0} s horizon)",
-            service_horizon(opts)
+             ({}-slot pool, {:.0} s horizon)",
+            cells[0].1.pool, cells[0].1.horizon
         ),
     );
     fig.x_label = "offered load (swarm arrivals per 1000 s)".into();
     fig.y_label = "goodput (Mbps) / latency (s)".into();
 
-    let labels = service_points("fig21").expect("fig21 is a service scenario");
-    let mut goodput = Vec::new();
-    let mut p50 = Vec::new();
-    let mut p90 = Vec::new();
-    let mut completed = Vec::new();
-    let mut backlog = Vec::new();
-    for (i, label) in labels.iter().enumerate() {
-        let report = run_service_point("fig21", i, opts).expect("index in range");
-        let x = FIG21_LOADS[i];
-        let horizon = report.horizon_secs;
-        goodput.push((x, report.sustained_goodput_bps / 1e6));
-        p50.push((x, report.latency_quantile(0.5).unwrap_or(horizon)));
-        p90.push((x, report.latency_quantile(0.9).unwrap_or(horizon)));
-        completed.push((x, report.completed as f64));
-        backlog.push((x, (report.in_flight_at_end + report.queued_at_end) as f64));
+    let reports: Vec<ServiceReport> = cells.iter().map(|(_, cell)| cell.run()).collect();
+    for ((label, _), report) in cells.iter().zip(&reports) {
         fig.note(format!(
             "{label}: {} arrivals, {} admitted, {} completed, {} in flight + {} queued \
              at the horizon, peak concurrency {}, sustained {:.2} Mbps",
@@ -1116,11 +981,23 @@ pub fn fig21(opts: &CommonOpts) -> Figure {
             report.sustained_goodput_bps / 1e6,
         ));
     }
-    fig.push(Series::xy("sustained goodput (Mbps)", goodput));
-    fig.push(Series::xy("p50 completion latency since arrival (s)", p50));
-    fig.push(Series::xy("p90 completion latency since arrival (s)", p90));
-    fig.push(Series::xy("swarms completed in the window", completed));
-    fig.push(Series::xy("backlog at the horizon (swarms)", backlog));
+    let mut curve = |label: &str, y: fn(&ServiceReport) -> f64| {
+        let points = FIG21_LOADS.iter().zip(&reports).map(|(&x, r)| (x, y(r)));
+        fig.push(Series::xy(label, points.collect()));
+    };
+    curve("sustained goodput (Mbps)", |r| {
+        r.sustained_goodput_bps / 1e6
+    });
+    curve("p50 completion latency since arrival (s)", |r| {
+        r.latency_quantile(0.5).unwrap_or(r.horizon_secs)
+    });
+    curve("p90 completion latency since arrival (s)", |r| {
+        r.latency_quantile(0.9).unwrap_or(r.horizon_secs)
+    });
+    curve("swarms completed in the window", |r| r.completed as f64);
+    curve("backlog at the horizon (swarms)", |r| {
+        (r.in_flight_at_end + r.queued_at_end) as f64
+    });
     fig.note(
         "the knee: past the pool's service capacity goodput flattens while \
          arrival-to-completion latency inflates with segment queueing"
@@ -1129,97 +1006,64 @@ pub fn fig21(opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Fig22's swarm source: cohort 0 is the warm swarm (everyone present at
-/// admission), every later cohort is a flash crowd (a handful of slots
-/// active at admission, the rest joining over a window). `build` is shared —
-/// the flash shape only changes *when* slots activate, not what they run.
-struct WarmThenFlash {
-    warm: ServiceSwarms,
-    flash: ServiceSwarms,
-}
-
-impl SwarmSource<bullet_prime::BulletPrimeNode> for WarmThenFlash {
-    fn shape(&mut self, index: usize) -> SwarmShape {
-        if index == 0 {
-            self.warm.shape(index)
-        } else {
-            self.flash.shape(index)
-        }
-    }
-
-    fn build(&mut self, base: NodeId, shape: &SwarmShape) -> Vec<bullet_prime::BulletPrimeNode> {
-        self.warm.build(base, shape)
-    }
-}
-
-/// The fig22 service run: two half-pool swarms over a shared 16 Mbps core —
-/// one warm (arrives at t = 0, fully present), one flash crowd (arrives 30 s
-/// in, while the warm swarm is mid-transfer, with 4 slots active and the
-/// rest joining uniformly over a 120 s window; ~10³ joiners at `--full`
-/// scale).
-fn fig22_report(opts: &CommonOpts) -> ServiceReport {
+/// Figure 22's one cell: two half-pool swarms — one warm (arrives at t = 0,
+/// fully present), one flash crowd (arrives 30 s in, while the warm swarm is
+/// mid-transfer, with 4 slots active and the rest joining uniformly over a
+/// 120 s window; ~10³ joiners at `--full` scale).
+pub fn fig22_cells(opts: &CommonOpts) -> ServiceCells {
     let pool = opts.nodes_or(32, 2016);
     let slots = (pool / 2).max(2);
     let block = opts.block_bytes_or(16);
     let file = opts.file_bytes_or(4.0, 8.0).max(block as u64);
     let horizon = service_horizon(opts);
-
-    let rng = RngFactory::new(opts.seed);
-    let topo = topology::shared_core_mesh(pool, mbps(16.0), 0.0, &rng);
-    let core = topo.core_link(NodeId(0), NodeId(1));
-    let template = Config::new(FileSpec::new(file, block));
-    let mut runner = build_service_runner(topo, &template, &rng);
-    let warm = ServiceSwarms::new(template.clone(), &rng, (slots, slots), (file, file));
-    let mut flash = ServiceSwarms::new(template, &rng, (slots, slots), (file, file));
-    flash.flash = Some(FlashShape {
-        initial: 4.min(slots),
-        window_secs: 120.0,
-    });
-    let mut source = WarmThenFlash { warm, flash };
-    let cfg = ServiceConfig {
-        horizon: SimTime::from_secs_f64(horizon),
+    let cell = ServiceWorkload {
+        pool,
+        segment_slots: slots,
+        sizes: (slots, slots),
+        files: (file, file),
+        block,
+        arrivals: ArrivalGen::Trace(vec![SimTime::ZERO, SimTime::from_secs_f64(30.0)]),
+        flash: Some(FlashShape {
+            initial: 4.min(slots),
+            window_secs: 120.0,
+        }),
+        horizon,
         // No warmup: fig22 is about the transient itself, so the goodput
         // window covers the whole horizon including the flash landing.
-        warmup: SimTime::ZERO,
-        tick: SimDuration::from_secs_f64(opts.tick.unwrap_or(horizon / 90.0)),
-        segment_slots: slots,
-        max_arrivals: 2,
-        core: Some(core),
+        warmup: 0.0,
+        tick: opts.tick.unwrap_or(horizon / 90.0),
+        seed: opts.seed,
     };
-    let gen = ArrivalGen::Trace(vec![SimTime::ZERO, SimTime::from_secs_f64(30.0)]);
-    run_service(&mut runner, &cfg, &gen, &mut source, &rng)
+    vec![("flash-crowd".to_string(), cell)]
 }
 
-/// Figure 22 (beyond the paper): a flash crowd arriving beside a warm swarm.
-/// The service samples show the pool-wide goodput and core occupancy as the
-/// joiner wave lands mid-transfer of the warm swarm, and the per-cohort
-/// percentiles compare the warm swarm's completion latency against the flash
-/// crowd's (which includes the join stagger).
-pub fn fig22(opts: &CommonOpts) -> Figure {
-    let report = fig22_report(opts);
-    let pool = opts.nodes_or(32, 2016);
+/// Figure 22's presentation. The service samples show the pool-wide goodput
+/// and core occupancy as the joiner wave lands mid-transfer of the warm
+/// swarm, and the per-cohort percentiles compare the warm swarm's completion
+/// latency against the flash crowd's (which includes the join stagger).
+pub fn fig22_figure(cells: &[(String, ServiceWorkload)], _: &CommonOpts) -> Figure {
+    let cell = &cells[0].1;
+    let report = cell.run();
+    let initial = cell.flash.as_ref().map_or(0, |f| f.initial);
     let mut fig = Figure::new(
         "Figure 22",
         format!(
             "flash crowd vs a warm swarm on a shared 16 Mbps core \
-             ({pool}-slot pool, {} joiners in the wave)",
-            (pool / 2).max(2).saturating_sub(4.min((pool / 2).max(2))),
+             ({}-slot pool, {} joiners in the wave)",
+            cell.pool,
+            cell.segment_slots - initial,
         ),
     );
     fig.x_label = "time (s)".into();
     fig.y_label = "goodput (Mbps) / swarms / utilisation (%)".into();
 
-    let mut goodput = Vec::new();
-    let mut in_flight = Vec::new();
-    let mut utilisation = Vec::new();
-    for s in &report.samples {
-        goodput.push((s.time_secs, s.goodput_bps / 1e6));
-        in_flight.push((s.time_secs, s.in_flight as f64));
-        utilisation.push((s.time_secs, s.core_utilisation * 100.0));
-    }
-    fig.push(Series::xy("service goodput (Mbps)", goodput));
-    fig.push(Series::xy("swarms in flight", in_flight));
-    fig.push(Series::xy("core-link utilisation (%)", utilisation));
+    let mut curve = |label: &str, y: fn(&ServiceSample) -> f64| {
+        let points = report.samples.iter().map(|s| (s.time_secs, y(s)));
+        fig.push(Series::xy(label, points.collect()));
+    };
+    curve("service goodput (Mbps)", |s| s.goodput_bps / 1e6);
+    curve("swarms in flight", |s| s.in_flight as f64);
+    curve("core-link utilisation (%)", |s| s.core_utilisation * 100.0);
 
     // Cohort tags start at 1 (0 marks a slot outside any service cohort) and
     // follow admission order, so the warm swarm — admitted at t = 0, before
@@ -1316,13 +1160,23 @@ mod tests {
         }
     }
 
+    fn study(
+        workload: WorkloadFn,
+        figure: fn(&Workload, &CommonOpts) -> Figure,
+        opts: &CommonOpts,
+    ) -> Figure {
+        figure(&workload(opts, "default").unwrap(), opts)
+    }
+
     #[test]
     fn service_points_cover_exactly_the_open_system_scenarios() {
-        assert_eq!(service_points("fig21").unwrap().len(), FIG21_LOADS.len());
-        assert_eq!(service_points("fig22").unwrap().len(), 1);
-        assert!(service_points("fig13").is_none());
-        assert!(run_service_point("fig21", FIG21_LOADS.len(), &tiny()).is_none());
-        assert!(run_service_point("fig13", 0, &tiny()).is_none());
+        let loads = fig21_cells(&tiny());
+        assert_eq!(loads.len(), FIG21_LOADS.len());
+        assert_eq!(loads[0].0, "load-16-per-1000s");
+        assert!(loads.windows(2).all(|w| w[0].1 != w[1].1));
+        let flash = fig22_cells(&tiny());
+        assert_eq!(flash.len(), 1);
+        assert_eq!(flash[0].0, "flash-crowd");
     }
 
     #[test]
@@ -1336,7 +1190,7 @@ mod tests {
             time_limit: 1500.0,
             ..CommonOpts::default()
         };
-        let report = run_service_point("fig21", FIG21_LOADS.len() - 1, &opts).unwrap();
+        let report = fig21_cells(&opts).last().unwrap().1.run();
         assert!(
             report.admitted >= 8,
             "top load must admit at least 8 swarms: {report:?}"
@@ -1360,7 +1214,7 @@ mod tests {
             time_limit: 1800.0,
             ..CommonOpts::default()
         };
-        let report = run_service_point("fig22", 0, &opts).unwrap();
+        let report = fig22_cells(&opts)[0].1.run();
         assert_eq!(report.arrivals, 2, "{report:?}");
         assert_eq!(report.admitted, 2, "warm + flash both admitted: {report:?}");
         assert!(!report.samples.is_empty());
@@ -1375,7 +1229,7 @@ mod tests {
 
     #[test]
     fn fig04_has_bounds_and_all_systems() {
-        let fig = fig04(&tiny());
+        let fig = study(fig04_workload, overall_comparison, &tiny());
         assert_eq!(fig.series.len(), 6);
         assert!(fig.series[0].label.contains("Physical"));
         assert!(fig
@@ -1394,7 +1248,8 @@ mod tests {
     fn fig05ts_produces_time_series_with_probe_samples() {
         let mut opts = tiny();
         opts.tick = Some(1.0);
-        let fig = fig05ts(&opts);
+        let w = fig05ts_workload(&opts, "default").unwrap();
+        let fig = fig05ts_figure(&w, &w.report());
         assert_eq!(fig.series.len(), 5);
         let mean = &fig.series[0];
         assert!(mean.points.len() >= 3, "expected several probe samples");
@@ -1413,7 +1268,7 @@ mod tests {
 
     #[test]
     fn fig06_covers_all_strategies() {
-        let fig = fig06(&tiny());
+        let fig = study(fig06_workload, fig06_figure, &tiny());
         assert_eq!(fig.series.len(), 4);
     }
 
@@ -1421,9 +1276,9 @@ mod tests {
     fn fig10_and_12_have_dynamic_last() {
         let mut opts = tiny();
         opts.file_mb = Some(0.25);
-        let f10 = fig10(&opts);
+        let f10 = study(fig10_workload, outstanding_sizing, &opts);
         assert!(f10.series.last().unwrap().label.contains("dyn"));
-        let f12 = fig12(&opts);
+        let f12 = study(fig12_workload, fig12_figure, &opts);
         assert!(f12.series.last().unwrap().label.contains("dyn"));
         assert_eq!(
             f12.series[0].points.len(),
@@ -1434,7 +1289,7 @@ mod tests {
 
     #[test]
     fn fig13_produces_interarrival_series_and_overage_note() {
-        let fig = fig13(&tiny());
+        let fig = study(fig04_workload, fig13_figure, &tiny());
         assert_eq!(fig.series.len(), 1);
         assert!(!fig.series[0].points.is_empty());
         assert!(fig.notes[0].contains("overage"));

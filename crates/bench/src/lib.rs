@@ -1,33 +1,43 @@
 //! `bullet-bench` — the experiment harness that regenerates every figure of
 //! the paper's evaluation.
 //!
+//! * [`workload`] — the value a scenario *is* ([`Workload`] /
+//!   [`ServiceWorkload`]: topology, nodes, file, dynamics, probe tick, limit,
+//!   seed) and the one place that turns it into a run: topology
+//!   construction, the four systems' builders, dynamics scheduling, probes,
+//!   warm-prefix checkpoints and completion times all live there;
+//! * [`experiments`] — per scenario, a function from the options to its
+//!   workload and a presentation function from runs of that workload to a
+//!   [`Figure`] (4–15 from the paper, plus the beyond-the-paper scenarios:
+//!   16/17 crash-churn and flash-crowd, 5ts the probe-driven
+//!   bandwidth-over-time view of the dynamic scenario, 18 two meshes sharing
+//!   one core bottleneck, 19 cross traffic vs Bullet′ adaptivity, 20 the
+//!   scaling trajectory, 21/22 the open-system service mode — see
+//!   `docs/SERVICE_MODE.md`). `docs/EXPERIMENTS.md` is the book mapping
+//!   every scenario to its paper section, sweep and expected result;
+//! * [`warmup`] — the `fig05w` family, whose variants share a quiet prefix
+//!   the sweep executor simulates once and forks;
+//! * [`systems`] — the four compared systems by name and the paper's two
+//!   bandwidth-change schedules;
 //! * [`cdf`] — series/figure data structures, CDFs, summary statistics;
-//! * [`opts`] — the tiny shared command-line surface of the `figNN` binaries;
-//! * [`systems`] — uniform runners for Bullet′, Bullet, BitTorrent and
-//!   SplitStream over a topology and change schedule;
+//! * [`opts`] — the shared figure options (`--nodes`, `--mb`, `--seed`, …);
 //! * [`bounds`] — the analytic reference curves of Fig 4;
 //! * [`alloc_track`] — the counting global allocator behind the perf
 //!   records' allocation counts and peak-heap-bytes figures;
 //! * [`views`] — the serde views of the committed `BENCH_events.json` /
 //!   `BENCH_scale.json` / `BENCH_service.json` records (field order is what
-//!   ci.sh greps);
-//! * [`experiments`] — one function per figure (4–15 from the paper, plus
-//!   the beyond-the-paper scenarios: 16/17 crash-churn and flash-crowd, 5ts
-//!   the probe-driven bandwidth-over-time view of the dynamic scenario, 18
-//!   two meshes sharing one core bottleneck, 19 cross traffic vs Bullet′
-//!   adaptivity, 21/22 the open-system service mode — see
-//!   `docs/SERVICE_MODE.md`). `docs/EXPERIMENTS.md` is the book mapping
-//!   every scenario to its paper section, sweep and expected result.
+//!   ci.sh greps).
 //!
-//! The `figNN` binaries live in the `bullet_lab` crate as one-line wrappers
-//! over its scenario registry (equivalent to `lab run <name>`); this crate
-//! keeps `lt_overhead` (the rateless-code reception overhead quoted in
-//! §2.2), `diagnose`, `bench_events` (the fixed-seed scheduler-efficiency
-//! record `BENCH_events.json` that ci.sh gates on), `bench_scale` (the
-//! `BENCH_scale.json` swarm-scaling trajectory, gated at N = 1 000) and
-//! `bench_service` (the `BENCH_service.json` open-system sweep, gated on
-//! sustained goodput at the top load). Criterion micro-benchmarks for the
-//! core data structures live in `benches/`.
+//! Figures are run through the `bullet_lab` crate's scenario registry (`lab
+//! run <name>`); this crate's binaries are `lt_overhead` (the rateless-code
+//! reception overhead quoted in §2.2), `diagnose`, `bench_events` (the
+//! fixed-seed scheduler-efficiency record `BENCH_events.json` that ci.sh
+//! gates on), `bench_scale` (the `BENCH_scale.json` swarm-scaling
+//! trajectory, gated at N = 1 000) and `bench_service` (the
+//! `BENCH_service.json` open-system sweep, gated on sustained goodput at the
+//! top load) — each of which runs a registry scenario's workload at fixed
+//! options. Criterion micro-benchmarks for the core data structures live in
+//! `benches/`.
 
 pub mod alloc_track;
 pub mod bounds;
@@ -37,11 +47,12 @@ pub mod opts;
 pub mod systems;
 pub mod views;
 pub mod warmup;
+pub mod workload;
 
 pub use cdf::{improvement_at, Figure, Series};
-pub use opts::{emit, figure_main, CommonOpts};
-pub use systems::{
-    run_bullet_prime_churn, run_bullet_prime_cross, run_bullet_prime_timeseries,
-    run_bullet_prime_with, run_concurrent_meshes, run_system, SystemKind, SystemRun,
+pub use opts::{emit, CommonOpts};
+pub use systems::SystemKind;
+pub use warmup::{FIG05W_VARIANTS, FIG05W_WARMUP_SECS};
+pub use workload::{
+    run_system, Dynamics, ServiceWorkload, SystemRun, TopologyKind, WarmPrefix, Workload,
 };
-pub use warmup::{WarmPrefix, FIG05W_VARIANTS, FIG05W_WARMUP_SECS};

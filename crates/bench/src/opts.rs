@@ -1,11 +1,12 @@
-//! Minimal command-line options shared by every figure binary.
+//! Minimal command-line options shared by every figure (`lab run <name>
+//! [options]`).
 //!
-//! The binaries default to a reduced scale (fewer nodes, a smaller file) so
+//! Figures default to a reduced scale (fewer nodes, a smaller file) so
 //! the entire figure suite runs in minutes; `--full` switches to the paper's
 //! workload sizes. No external argument-parsing crate is used — the option
 //! surface is tiny and fixed.
 
-/// Options accepted by every `figNN` binary.
+/// Options accepted by every figure.
 #[derive(Debug, Clone)]
 pub struct CommonOpts {
     /// Number of overlay participants (including the source).
@@ -81,17 +82,6 @@ impl CommonOpts {
         Ok(opts)
     }
 
-    /// Parses from the process arguments, exiting with a usage message on error.
-    pub fn from_env() -> Self {
-        match Self::parse(std::env::args().skip(1)) {
-            Ok(o) => o,
-            Err(msg) => {
-                eprintln!("{msg}");
-                std::process::exit(2);
-            }
-        }
-    }
-
     /// Node count to use given a reduced default and the paper's value.
     pub fn nodes_or(&self, reduced: usize, paper: usize) -> usize {
         self.nodes
@@ -113,21 +103,12 @@ impl CommonOpts {
     }
 }
 
-const USAGE: &str = "usage: figNN [--nodes N] [--mb M] [--block-kb K] [--seed S] \
+const USAGE: &str = "figure options: [--nodes N] [--mb M] [--block-kb K] [--seed S] \
 [--time-limit SECS] [--tick SECS] [--full] [--raw] [--json PATH]";
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse()
         .map_err(|_| format!("could not parse '{s}'\n{USAGE}"))
-}
-
-/// The whole of a figure binary: parse the shared options from the process
-/// arguments, build the figure, emit it. Every `figNN` binary is a one-line
-/// wrapper around this (via the `bullet_lab` scenario registry), so the
-/// argument surface and output handling cannot drift between figures.
-pub fn figure_main(figure: impl FnOnce(&CommonOpts) -> crate::cdf::Figure) {
-    let opts = CommonOpts::from_env();
-    emit(&figure(&opts), &opts);
 }
 
 /// Writes a figure to stdout and optionally to a JSON file, honouring the

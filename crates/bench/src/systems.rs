@@ -1,16 +1,9 @@
-//! Uniform wrappers for running each dissemination system on a topology.
-//!
-//! Every figure needs the same thing: run protocol X on topology T (with an
-//! optional bandwidth-change schedule) and collect per-receiver completion
-//! times. These helpers keep the per-figure code declarative.
+//! The four compared systems by name, and the two bandwidth-change
+//! schedules of the paper with their standard parameters. Running a system
+//! is [`crate::workload`]'s job.
 
-use baselines::{bittorrent, bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
-use bullet_prime::{BulletPrimeNode, Config};
-use desim::{RngFactory, SimDuration, SimTime};
-use dissem_codec::FileSpec;
-use netsim::{
-    ChangeSchedule, CrossSchedule, Network, NodeEvent, NodeId, NodeSchedule, Runner, Topology,
-};
+use desim::{RngFactory, SimDuration};
+use netsim::{ChangeSchedule, NodeId};
 
 /// The systems compared in Figs 4, 5 and 14.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -47,243 +40,6 @@ impl SystemKind {
     }
 }
 
-/// Result of one protocol run.
-#[derive(Debug, Clone)]
-pub struct SystemRun {
-    /// Per-receiver completion times (seconds). Nodes that did not finish
-    /// within the time limit are reported at the end-of-run time.
-    pub times: Vec<f64>,
-    /// Number of receivers that did not finish within the limit.
-    pub unfinished: usize,
-    /// Virtual end time of the run.
-    pub end_time: f64,
-}
-
-fn collect_times(report: &netsim::RunReport) -> SystemRun {
-    let end = report.end_time.as_secs_f64();
-    let mut unfinished = 0;
-    let times = report
-        .completion_secs
-        .iter()
-        .enumerate()
-        .skip(1) // Node 0 is the source in every system.
-        .map(|(_, c)| {
-            c.unwrap_or_else(|| {
-                unfinished += 1;
-                end
-            })
-        })
-        .collect();
-    SystemRun {
-        times,
-        unfinished,
-        end_time: end,
-    }
-}
-
-fn apply_schedule<P: netsim::Protocol>(runner: &mut Runner<P>, schedule: &ChangeSchedule) {
-    for (at, batch) in schedule {
-        runner.schedule_link_change(*at, batch.clone());
-    }
-}
-
-/// Like [`collect_times`], but for churn runs: receivers that left or
-/// crashed are excluded from the timing series (they can never finish), so
-/// the CDF describes the *survivors*.
-fn collect_survivor_times(report: &netsim::RunReport) -> SystemRun {
-    let end = report.end_time.as_secs_f64();
-    let mut unfinished = 0;
-    let times = report
-        .completion_secs
-        .iter()
-        .zip(report.departed.iter())
-        .skip(1) // Node 0 is the source.
-        .filter(|(_, &departed)| !departed)
-        .map(|(c, _)| {
-            c.unwrap_or_else(|| {
-                unfinished += 1;
-                end
-            })
-        })
-        .collect();
-    SystemRun {
-        times,
-        unfinished,
-        end_time: end,
-    }
-}
-
-/// Runs Bullet′ under a node-lifecycle (churn) schedule: nodes named in
-/// `Join` events start outside the experiment and join when the event fires;
-/// `Leave`/`Crash` events remove nodes mid-run. Returns the survivor timing
-/// summary, the full runner report (per-node completions + departures), and
-/// the protocol nodes.
-pub fn run_bullet_prime_churn(
-    topo: Topology,
-    cfg: &Config,
-    rng: &RngFactory,
-    churn: &NodeSchedule,
-    limit: SimDuration,
-) -> (SystemRun, netsim::RunReport, Vec<BulletPrimeNode>) {
-    let mut runner = bullet_prime::build_runner(topo, cfg, rng);
-    for (at, event) in churn {
-        if let NodeEvent::Join(node) = event {
-            runner.set_inactive_at_start(*node);
-        }
-        runner.schedule_node_event(*at, *event);
-    }
-    let report = runner.run(limit);
-    (collect_survivor_times(&report), report, runner.into_nodes())
-}
-
-/// Runs Bullet′ with a run-time stats probe sampling every `tick`, returning
-/// the timing summary and the full report — whose
-/// [`timeseries`](netsim::RunReport::timeseries) carries per-node goodput /
-/// duplicate-ratio / peer-set-size samples over virtual time (the `fig05ts`
-/// bandwidth-over-time scenario).
-pub fn run_bullet_prime_timeseries(
-    topo: Topology,
-    cfg: &Config,
-    rng: &RngFactory,
-    schedule: &ChangeSchedule,
-    limit: SimDuration,
-    tick: SimDuration,
-) -> (SystemRun, netsim::RunReport, Vec<BulletPrimeNode>) {
-    let mut runner = bullet_prime::build_runner(topo, cfg, rng);
-    apply_schedule(&mut runner, schedule);
-    runner.record_timeseries(tick);
-    let report = runner.run(limit);
-    (collect_times(&report), report, runner.into_nodes())
-}
-
-/// Runs several **concurrent, independent Bullet′ meshes** on one topology
-/// (see [`bullet_prime::build_group_runner`]): `group_sizes` partitions the
-/// node ids into contiguous meshes, each with its own source (the group's
-/// first id). Returns one [`SystemRun`] per mesh — its receivers' completion
-/// times — so shared-bottleneck scenarios can compare the meshes directly.
-pub fn run_concurrent_meshes(
-    topo: Topology,
-    cfg: &Config,
-    rng: &RngFactory,
-    group_sizes: &[usize],
-    limit: SimDuration,
-) -> Vec<SystemRun> {
-    let mut runner = bullet_prime::build_group_runner(topo, cfg, rng, group_sizes);
-    let report = runner.run(limit);
-    let end = report.end_time.as_secs_f64();
-    let mut out = Vec::with_capacity(group_sizes.len());
-    let mut base = 0usize;
-    for &size in group_sizes {
-        let mut unfinished = 0;
-        let times: Vec<f64> = report.completion_secs[base..base + size]
-            .iter()
-            .skip(1) // Each group's first node is its source.
-            .map(|c| {
-                c.unwrap_or_else(|| {
-                    unfinished += 1;
-                    end
-                })
-            })
-            .collect();
-        out.push(SystemRun {
-            times,
-            unfinished,
-            end_time: end,
-        });
-        base += size;
-    }
-    out
-}
-
-/// Runs Bullet′ under a cross-traffic schedule with a run-time stats probe
-/// sampling every `tick` (the fig19 bandwidth-over-time scenario). Returns
-/// the timing summary and the full report carrying the
-/// [`timeseries`](netsim::RunReport::timeseries).
-pub fn run_bullet_prime_cross(
-    topo: Topology,
-    cfg: &Config,
-    rng: &RngFactory,
-    cross: &CrossSchedule,
-    limit: SimDuration,
-    tick: SimDuration,
-) -> (SystemRun, netsim::RunReport, Vec<BulletPrimeNode>) {
-    let mut runner = bullet_prime::build_runner(topo, cfg, rng);
-    for &(at, change) in cross {
-        runner.schedule_cross_traffic(at, change);
-    }
-    runner.record_timeseries(tick);
-    let report = runner.run(limit);
-    (collect_times(&report), report, runner.into_nodes())
-}
-
-/// Runs Bullet′ with an explicit configuration and returns both the timing
-/// summary and the protocol nodes (for metric extraction, e.g. Fig 13).
-pub fn run_bullet_prime_with(
-    topo: Topology,
-    cfg: &Config,
-    rng: &RngFactory,
-    schedule: &ChangeSchedule,
-    limit: SimDuration,
-) -> (SystemRun, Vec<BulletPrimeNode>) {
-    let mut runner = bullet_prime::build_runner(topo, cfg, rng);
-    apply_schedule(&mut runner, schedule);
-    let report = runner.run(limit);
-    (collect_times(&report), runner.into_nodes())
-}
-
-/// Runs one of the four compared systems with its default configuration.
-pub fn run_system(
-    kind: SystemKind,
-    topo: Topology,
-    file: FileSpec,
-    rng: &RngFactory,
-    schedule: &ChangeSchedule,
-    limit: SimDuration,
-) -> SystemRun {
-    match kind {
-        SystemKind::BulletPrime => {
-            let cfg = Config::new(file);
-            run_bullet_prime_with(topo, &cfg, rng, schedule, limit).0
-        }
-        SystemKind::BulletOriginal => {
-            let mut runner = bullet_orig::build_runner(topo, file, rng);
-            apply_schedule(&mut runner, schedule);
-            collect_times(&runner.run(limit))
-        }
-        SystemKind::BitTorrent => {
-            let cfg = BitTorrentConfig::new(file);
-            let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
-                .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-                .collect();
-            let mut runner = Runner::new(Network::new(topo), nodes, rng);
-            runner.exempt_from_completion(NodeId(0));
-            apply_schedule(&mut runner, schedule);
-            collect_times(&runner.run(limit))
-        }
-        SystemKind::SplitStream => {
-            let mut runner = splitstream::build_runner(topo, file, rng);
-            apply_schedule(&mut runner, schedule);
-            collect_times(&runner.run(limit))
-        }
-    }
-}
-
-/// Convenience for BitTorrent-only callers needing node access.
-pub fn run_bittorrent(
-    topo: Topology,
-    cfg: &bittorrent::BitTorrentConfig,
-    rng: &RngFactory,
-    limit: SimDuration,
-) -> (SystemRun, Vec<BitTorrentNode>) {
-    let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
-        .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-        .collect();
-    let mut runner = Runner::new(Network::new(topo), nodes, rng);
-    runner.exempt_from_completion(NodeId(0));
-    let report = runner.run(limit);
-    (collect_times(&report), runner.into_nodes())
-}
-
 /// Builds the bandwidth-change schedule of §4.1 for a run of `nodes`
 /// participants over `horizon` seconds (used by Figs 5 and 8).
 pub fn paper_dynamic_schedule(nodes: usize, horizon: f64, rng: &RngFactory) -> ChangeSchedule {
@@ -308,14 +64,11 @@ pub fn cascade_schedule(fast_nodes: usize, period_secs: f64) -> ChangeSchedule {
     )
 }
 
-/// A helper for bounding runs to an absolute virtual time.
-pub fn limit_secs(secs: f64) -> SimDuration {
-    SimTime::from_secs_f64(secs) - SimTime::ZERO
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::workload::run_system;
+    use dissem_codec::FileSpec;
     use netsim::topology;
 
     #[test]

@@ -22,6 +22,33 @@ pub fn rounded(x: f64, digits: u32) -> f64 {
     (x * scale).round() / scale
 }
 
+/// The command line of a record binary whose only option is `--out PATH`:
+/// the path, or `default`. Exits with the usage on anything else.
+pub fn out_path_arg(bin: &str, default: &str) -> String {
+    let mut args = std::env::args().skip(1);
+    match (args.next().as_deref(), args.next(), args.next()) {
+        (None, ..) => default.to_string(),
+        (Some("--out"), Some(path), None) => path,
+        _ => {
+            eprintln!("usage: {bin} [--out PATH]");
+            std::process::exit(2);
+        }
+    }
+}
+
+/// Prints `record` as pretty JSON and writes it to `path`; exits with status
+/// 1 if the file cannot be written.
+pub fn write_record(record: &impl Serialize, path: &str) {
+    let mut json = serde_json::to_string_pretty(record).expect("record serializes");
+    json.push('\n');
+    print!("{json}");
+    if let Err(e) = std::fs::write(path, &json) {
+        eprintln!("failed to write {path}: {e}");
+        std::process::exit(1);
+    }
+    eprintln!("wrote {path}");
+}
+
 /// The traced-run identity check of `bench_events` (see ci.sh): the same
 /// fixed-seed workload is run a second time with a counting trace sink and
 /// the profiler enabled, and must produce a byte-identical canonical

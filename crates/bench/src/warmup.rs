@@ -1,168 +1,80 @@
-//! Warm-prefix support: the snapshot/fork side of the sweep executor.
+//! The `fig05w` scenario family: one join phase, several dynamics variants.
 //!
-//! The `fig05w` scenario family shares one expensive warm-up — topology
-//! construction plus the join phase of a Bullet′ swarm — across several
-//! cells that differ only in the dynamics applied *after* the split point.
-//! Instead of re-simulating the identical prefix per cell, the lab executor
-//! simulates it once per (parameters, seed) group via [`fig05w_prefix`],
-//! checkpoints the runner ([`netsim::Runner::checkpoint`]) into a
-//! [`WarmPrefix`], and forks every cell of the group from a clone of the
-//! snapshot ([`fig05w_fork`]). [`fig05w_fresh`] is the oracle: the same cell
-//! simulated uninterrupted from t = 0. The snapshot contract guarantees the
-//! two produce byte-identical canonical figures — `lab bench --snapshot`
-//! re-checks that equivalence on every CI run.
-//!
-//! The split point is [`FIG05W_WARMUP_SECS`] virtual seconds: late enough
-//! that the mesh has formed and transfers are in flight (the snapshot is
-//! taken mid-download, not at a trivial instant), early enough that the
-//! shared prefix stays a prefix — every dynamics variant's first scheduled
-//! change lands strictly after it.
+//! Every variant is the same Bullet′ swarm on the standard lossy ModelNet
+//! mesh and differs only in the bandwidth changes applied *after*
+//! [`FIG05W_WARMUP_SECS`] — late enough that the mesh has formed and
+//! transfers are in flight, early enough that the prefix stays common. The
+//! variants' [`Workload`]s are therefore equal up to `dynamics` with a common
+//! quiet prefix ([`Workload::shares_prefix_with`]), and the sweep executor
+//! simulates that prefix once per seed ([`Workload::prefix`]) and forks
+//! every variant from the checkpoint ([`Workload::fork`]) instead of
+//! re-simulating it per cell. The snapshot contract makes the forked and the
+//! uninterrupted run canonically byte-identical; `lab bench --snapshot`
+//! re-checks it on every CI run.
 
-use bullet_prime::{BulletPrimeNode, Config};
-use desim::{RngFactory, SimDuration, SimTime};
-use dissem_codec::FileSpec;
-use netsim::{topology, ChangeSchedule, Runner, Snapshot};
+use netsim::RunReport;
 
 use crate::cdf::{Figure, Series};
+use crate::experiments::{cdf, mesh_workload};
 use crate::opts::CommonOpts;
+use crate::workload::{Dynamics, SystemRun, WarmPrefix, Workload};
 
 /// Virtual seconds of shared warm-up before the `fig05w` variants diverge.
-/// Every variant's first bandwidth change is scheduled strictly after this
-/// instant, so the prefix is genuinely common to all cells of a group.
 pub const FIG05W_WARMUP_SECS: f64 = 10.0;
 
-/// The `fig05w` dynamics variants, keyed by sweep-point label: no changes
-/// after the warm-up, the paper's 20 s correlated-decrease period, and an
-/// aggressive 8 s period.
-pub const FIG05W_VARIANTS: [&str; 3] = ["calm", "paper", "storm"];
+/// The `fig05w` variants: sweep-point label and seconds between bandwidth
+/// decreases after the warm-up — none, the paper's 20 s, an aggressive 8 s.
+pub const FIG05W_VARIANTS: [(&str, Option<f64>); 3] =
+    [("calm", None), ("paper", Some(20.0)), ("storm", Some(8.0))];
 
-/// One simulated-and-checkpointed warm-up, shared by every cell of a sweep
-/// group. Produced by a scenario's `prefix` hook, consumed (via
-/// [`Snapshot::clone`]) by its `fork` hook once per cell.
-pub struct WarmPrefix {
-    /// The checkpoint every cell of the group resumes from.
-    pub snap: Snapshot<BulletPrimeNode>,
-    /// Virtual seconds of warm-up the snapshot contains.
-    pub warmup_secs: f64,
-}
-
-/// Builds the `fig05w` runner at t = 0: Bullet′ on the standard lossy
-/// ModelNet mesh, with the stats probe installed (so forking exercises probe
-/// state too). Returns the runner and the resolved node count.
-fn build(opts: &CommonOpts) -> (Runner<BulletPrimeNode>, usize) {
-    let nodes = opts.nodes_or(20, 100);
-    let file = FileSpec::new(opts.file_bytes_or(4.0, 100.0), opts.block_bytes_or(16));
-    let rng = RngFactory::new(opts.seed);
-    let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-    let cfg = Config::new(file);
-    let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-    runner.record_timeseries(SimDuration::from_secs_f64(opts.tick.unwrap_or(2.0)));
-    (runner, nodes)
-}
-
-/// The bandwidth-change schedule of one `fig05w` variant, shifted so every
-/// entry lands strictly after the warm-up split point.
+/// The workload of variant `label` (`"default"` is the paper's). The stats
+/// probe is installed so that forking exercises probe state too.
 ///
-/// # Panics
+/// # Errors
 ///
-/// Panics on a label outside [`FIG05W_VARIANTS`] — sweep points and variants
-/// are defined together in the scenario registry, so a mismatch is a bug.
-fn variant_schedule(
-    label: &str,
-    nodes: usize,
-    opts: &CommonOpts,
-    rng: &RngFactory,
-) -> ChangeSchedule {
-    let period = match label {
-        "calm" => return Vec::new(),
-        "paper" => 20.0,
-        "storm" => 8.0,
-        other => panic!("unknown fig05w variant '{other}' (expected one of {FIG05W_VARIANTS:?})"),
-    };
-    let shift = SimDuration::from_secs_f64(FIG05W_WARMUP_SECS);
-    let horizon = (opts.time_limit - FIG05W_WARMUP_SECS).max(0.0);
-    netsim::dynamics::correlated_decrease_schedule(
-        nodes,
-        SimDuration::from_secs_f64(period),
-        SimDuration::from_secs_f64(horizon),
-        rng,
-    )
-    .into_iter()
-    .map(|(at, batch)| (at + shift, batch))
-    .collect()
-}
-
-/// Simulates the shared warm-up of one `fig05w` cell group and checkpoints
-/// it. The returned prefix is forked (never mutated) by every cell of the
-/// group.
-pub fn fig05w_prefix(opts: &CommonOpts) -> WarmPrefix {
-    let (mut runner, _) = build(opts);
-    runner.advance_until(SimTime::from_secs_f64(FIG05W_WARMUP_SECS));
-    WarmPrefix {
-        snap: runner.checkpoint(),
-        warmup_secs: FIG05W_WARMUP_SECS,
-    }
-}
-
-/// Runs one `fig05w` cell by forking the group's warm prefix: resume a clone
-/// of the snapshot, schedule the variant's post-split dynamics, run to the
-/// time limit. Canonically byte-identical to [`fig05w_fresh`] with the same
-/// options and label.
-pub fn fig05w_fork(prefix: &WarmPrefix, opts: &CommonOpts, label: &str) -> Figure {
-    let nodes = opts.nodes_or(20, 100);
-    let rng = RngFactory::new(opts.seed);
-    let mut runner = Runner::resume(prefix.snap.clone());
-    for (at, batch) in variant_schedule(label, nodes, opts, &rng) {
-        runner.schedule_link_change(at, batch);
-    }
-    let report = runner.run_until(SimTime::from_secs_f64(opts.time_limit));
-    figure(label, nodes, &report)
-}
-
-/// Runs one `fig05w` cell uninterrupted from t = 0 — the sharing-off oracle.
-/// The warm-up is advanced as a stage (no checkpoint), the variant's
-/// dynamics are scheduled at the same quiescent instant the forked path
-/// schedules them, and the run continues to the time limit in one runner.
-pub fn fig05w_fresh(opts: &CommonOpts, label: &str) -> Figure {
-    let (mut runner, nodes) = build(opts);
-    let rng = RngFactory::new(opts.seed);
-    runner.advance_until(SimTime::from_secs_f64(FIG05W_WARMUP_SECS));
-    for (at, batch) in variant_schedule(label, nodes, opts, &rng) {
-        runner.schedule_link_change(at, batch);
-    }
-    let report = runner.run_until(SimTime::from_secs_f64(opts.time_limit));
-    figure(label, nodes, &report)
-}
-
-/// Renders one variant's report: the receivers' download-time CDF plus the
-/// mean-goodput-over-time curve from the probe series (which spans the whole
-/// run, warm-up included, on both the forked and the fresh path).
-fn figure(label: &str, nodes: usize, report: &netsim::RunReport) -> Figure {
-    let end = report.end_time.as_secs_f64();
-    let mut unfinished = 0usize;
-    let times: Vec<f64> = report
-        .completion_secs
+/// Returns an error for a label outside [`FIG05W_VARIANTS`].
+pub fn fig05w_workload(opts: &CommonOpts, label: &str) -> Result<Workload, String> {
+    let wanted = if label == "default" { "paper" } else { label };
+    let &(_, period) = FIG05W_VARIANTS
         .iter()
-        .skip(1) // Node 0 is the source.
-        .map(|c| {
-            c.unwrap_or_else(|| {
-                unfinished += 1;
-                end
-            })
-        })
-        .collect();
+        .find(|(name, _)| *name == wanted)
+        .ok_or_else(|| {
+            format!("unknown fig05w variant '{label}' (expected one of calm, paper, storm)")
+        })?;
+    let dynamics = Dynamics::BandwidthChanges {
+        period,
+        quiet: FIG05W_WARMUP_SECS,
+    };
+    Ok(Workload {
+        tick: Some(opts.tick.unwrap_or(2.0)),
+        ..mesh_workload(opts, 20, 4.0, dynamics)
+    })
+}
+
+/// Figure 5w (beyond the paper): one variant's run — the receivers'
+/// download-time CDF plus the mean-goodput-over-time curve from the probe
+/// series, which spans the whole run, warm-up included, whether the run was
+/// forked or not.
+pub fn fig05w_figure(w: &Workload, report: &RunReport) -> Figure {
+    let period = match w.dynamics {
+        Dynamics::BandwidthChanges { period, .. } => period,
+        _ => None,
+    };
+    let label = FIG05W_VARIANTS
+        .iter()
+        .find(|(_, p)| *p == period)
+        .map_or("custom", |(name, _)| name);
+    let run = SystemRun::from_report(report);
     let mut fig = Figure::new(
         "Figure 5w",
         format!(
             "download times under '{label}' dynamics after a shared \
-             {FIG05W_WARMUP_SECS:.0} s warm-up ({nodes} nodes)"
+             {:.0} s warm-up ({} nodes)",
+            w.dynamics.quiet(),
+            w.nodes
         ),
     );
-    let mut cdf = Series::cdf(format!("BulletPrime [{label}]"), &times);
-    if unfinished > 0 {
-        cdf.label = format!("{} ({unfinished} unfinished)", cdf.label);
-    }
-    fig.push(cdf);
+    fig.push(cdf(format!("BulletPrime [{label}]"), &run));
     if let Some(series) = &report.timeseries {
         fig.push(Series::xy(
             "mean receiver goodput (Mbps)",
@@ -172,6 +84,13 @@ fn figure(label: &str, nodes: usize, report: &netsim::RunReport) -> Figure {
     fig
 }
 
+/// The checkpointed warm-up every `fig05w` variant at `opts` forks from.
+pub fn fig05w_prefix(opts: &CommonOpts) -> WarmPrefix {
+    fig05w_workload(opts, "calm")
+        .expect("a listed variant")
+        .prefix()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -179,22 +98,25 @@ mod tests {
     fn tiny() -> CommonOpts {
         CommonOpts {
             nodes: Some(6),
-            file_mb: Some(0.25),
+            file_mb: Some(8.0),
             time_limit: 1800.0,
             ..CommonOpts::default()
         }
     }
 
+    fn figure(label: &str, prefix: Option<&WarmPrefix>) -> String {
+        let w = fig05w_workload(&tiny(), label).unwrap();
+        let report = prefix.map_or_else(|| w.report(), |p| w.fork(p));
+        format!("{:?}", fig05w_figure(&w, &report))
+    }
+
     #[test]
     fn forked_cell_matches_the_uninterrupted_run() {
-        let opts = tiny();
-        let prefix = fig05w_prefix(&opts);
-        for label in FIG05W_VARIANTS {
-            let forked = fig05w_fork(&prefix, &opts, label);
-            let fresh = fig05w_fresh(&opts, label);
+        let prefix = fig05w_prefix(&tiny());
+        for (label, _) in FIG05W_VARIANTS {
             assert_eq!(
-                format!("{forked:?}"),
-                format!("{fresh:?}"),
+                figure(label, Some(&prefix)),
+                figure(label, None),
                 "variant '{label}' diverged between fork and fresh"
             );
         }
@@ -202,41 +124,28 @@ mod tests {
 
     #[test]
     fn variants_actually_diverge_after_the_split() {
-        let opts = tiny();
-        let prefix = fig05w_prefix(&opts);
-        let calm = fig05w_fork(&prefix, &opts, "calm");
-        let storm = fig05w_fork(&prefix, &opts, "storm");
+        // Labels aside: the downloads outlast the first post-warm-up change,
+        // so the storm variant's completion times must move.
+        let prefix = fig05w_prefix(&tiny());
+        let times = |label: &str| {
+            let w = fig05w_workload(&tiny(), label).unwrap();
+            SystemRun::from_report(&w.fork(&prefix)).times
+        };
         assert_ne!(
-            format!("{calm:?}"),
-            format!("{storm:?}"),
-            "calm and storm dynamics produced identical figures — the \
-             schedules are not taking effect"
+            times("calm"),
+            times("storm"),
+            "the schedules are not taking effect"
         );
     }
 
     #[test]
-    fn every_variant_schedule_starts_after_the_warmup() {
+    fn unknown_variant_labels_are_errors() {
         let opts = tiny();
-        let rng = RngFactory::new(opts.seed);
-        for label in FIG05W_VARIANTS {
-            let sched = variant_schedule(label, 6, &opts, &rng);
-            assert!(
-                sched
-                    .iter()
-                    .all(|(at, _)| at.as_secs_f64() > FIG05W_WARMUP_SECS),
-                "variant '{label}' schedules a change inside the shared prefix"
-            );
-        }
-        // The non-calm variants must have something to apply, or the
-        // divergence test above tests nothing.
-        assert!(!variant_schedule("paper", 6, &opts, &rng).is_empty());
-        assert!(!variant_schedule("storm", 6, &opts, &rng).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "unknown fig05w variant")]
-    fn unknown_variant_labels_are_rejected() {
-        let rng = RngFactory::new(1);
-        variant_schedule("typo", 6, &tiny(), &rng);
+        assert_eq!(
+            fig05w_workload(&opts, "default"),
+            fig05w_workload(&opts, "paper")
+        );
+        let err = fig05w_workload(&opts, "typo").unwrap_err();
+        assert!(err.contains("unknown fig05w variant 'typo'"), "{err}");
     }
 }

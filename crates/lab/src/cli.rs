@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! lab list                         # every registered scenario, one per line
-//! lab run <scenario> [fig opts]    # one run, same options as the figNN binaries
+//! lab run <scenario> [fig opts]    # one run of the scenario's figure
 //! lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K]
 //!                      [--json PATH] [fig opts]
 //! lab bench <scenario> [--threads N,M,..] [--seed-count K]
@@ -36,7 +36,7 @@ use crate::registry::Registry;
 
 pub(crate) const USAGE: &str = "usage: lab <list|run|sweep|bench|serve|trace> [scenario] [options]
   lab list
-  lab run <scenario> [figure options; see any figNN --help]
+  lab run <scenario> [figure options; see lab run <scenario> --help]
   lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K] [--json PATH] [figure options]
   lab bench <scenario> [--threads N,M,..] [--seed-count K] [--snapshot SCENARIO] [--out PATH] [figure options]
   lab serve <scenario> [--threads N,M,..] [--json PATH] [figure options]
@@ -109,18 +109,18 @@ fn list(registry: &Registry) {
     let stdout = std::io::stdout();
     let mut out = stdout.lock();
     let header = format!(
-        "{:<8} {:<22} {:<18} {:<18} {:<14} title",
-        "name", "systems", "topology", "dynamics", "sweep"
+        "{:<8} {:<18} {:<18} {:<14} title",
+        "name", "topology", "dynamics", "sweep"
     );
     let _ = writeln!(out, "{header}");
     for sc in registry.iter() {
+        let (topology, dynamics) = sc.tags();
         let _ = writeln!(
             out,
-            "{:<8} {:<22} {:<18} {:<18} {:<14} {}",
+            "{:<8} {:<18} {:<18} {:<14} {}",
             sc.name,
-            sc.system.tag(),
-            sc.topology.tag(),
-            sc.dynamics.tag(),
+            topology,
+            dynamics,
             format!("{}pt x {}seed", sc.sweep.points.len(), sc.sweep.seeds.count),
             sc.title,
         );
@@ -451,7 +451,11 @@ fn bench_snapshot(
     explicit_seed: bool,
 ) -> Result<SnapshotRecord, String> {
     let scenario = resolve(registry, name)?;
-    if scenario.warmup.is_none() {
+    let points = &scenario.sweep.points;
+    if !points
+        .iter()
+        .any(|p| scenario.forkable(opts, p.label).is_some())
+    {
         return Err(format!(
             "scenario '{name}' has no warm-up split point; --snapshot needs one (try fig05w)\n{USAGE}"
         ));
@@ -486,17 +490,6 @@ fn bench_snapshot(
         shared_wall_clock_secs: round(shared_wall),
         fresh_wall_clock_secs: round(fresh_wall),
     })
-}
-
-/// The whole of a `figNN` binary: resolve `name` in the standard registry
-/// and behave exactly like `lab run <name>` (options from the process
-/// arguments). Exits the process on unknown options.
-pub fn figure_binary_main(name: &str) {
-    let registry = Registry::standard();
-    let scenario = registry
-        .get(name)
-        .unwrap_or_else(|| unreachable!("figure binaries are generated from registry names"));
-    bullet_bench::figure_main(|opts| scenario.run(opts));
 }
 
 #[cfg(test)]

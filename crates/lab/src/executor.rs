@@ -32,10 +32,10 @@ use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
-use bullet_bench::{CommonOpts, Figure, WarmPrefix};
+use bullet_bench::{CommonOpts, Figure, WarmPrefix, Workload};
 use serde::Serialize;
 
-use crate::scenario::{ParamPoint, Scenario, Warmup};
+use crate::scenario::{ParamPoint, Scenario};
 
 /// One executed sweep cell.
 #[derive(Debug, Clone, Serialize)]
@@ -274,20 +274,50 @@ pub fn run_sweep(
     run_sweep_with(scenario, base, seeds, threads, true)
 }
 
+/// Assigns every forkable cell (`Some`) to a group of cells that
+/// [share a warm prefix](Workload::shares_prefix_with), groups numbered in
+/// first-occurrence order. Returns each group's first cell and each cell's
+/// group.
+fn prefix_groups(forkable: &[Option<Workload>]) -> (Vec<usize>, Vec<Option<usize>>) {
+    let mut leaders: Vec<usize> = Vec::new();
+    let group_of = forkable
+        .iter()
+        .enumerate()
+        .map(|(i, cell)| {
+            let w = cell.as_ref()?;
+            let known = leaders.iter().position(|&leader| {
+                forkable[leader]
+                    .as_ref()
+                    .is_some_and(|l| l.shares_prefix_with(w))
+            });
+            Some(known.unwrap_or_else(|| {
+                leaders.push(i);
+                leaders.len() - 1
+            }))
+        })
+        .collect();
+    (leaders, group_of)
+}
+
 /// [`run_sweep`] with explicit control over warm-prefix sharing.
 ///
-/// When `share` is true and the scenario carries [`Warmup`] hooks, cells are
-/// grouped by their resolved numeric parameters + seed (everything that
-/// determines the warm-up; the point *label* only selects post-split
-/// dynamics). Each group's warm-up is simulated once and checkpointed, then
-/// every cell forks from the snapshot. When `share` is false the same cells
-/// run uninterrupted through the scenario's `fresh` hook — the oracle the
-/// forked path is asserted byte-identical against. Scenarios without hooks
-/// ignore `share` entirely.
+/// A cell whose figure renders one Bullet′ run of a workload with a quiet
+/// prefix ([`Scenario::forkable`]; `fig05w`) need not simulate that prefix
+/// itself. When `share` is true such cells are grouped by
+/// [`Workload::shares_prefix_with`] — equal up to dynamics, seed included;
+/// the point label only selects the dynamics — each group's prefix is
+/// simulated once and checkpointed, and every member forks from the
+/// snapshot. When `share` is false the same cells run uninterrupted — the
+/// oracle the forked path is asserted byte-identical against. All other
+/// cells run their figure either way. Both phases are parallel and
+/// index-merged, so the canonical output stays byte-identical for any thread
+/// count.
 ///
 /// # Panics
 ///
-/// Panics if `threads` is zero or a worker thread panics.
+/// Panics if `threads` is zero, a worker thread panics, or a sweep point's
+/// label is unknown to the scenario's workload (points and workload are
+/// defined together in the registry, so a mismatch is a bug).
 pub fn run_sweep_with(
     scenario: &Scenario,
     base: &CommonOpts,
@@ -295,132 +325,63 @@ pub fn run_sweep_with(
     threads: usize,
     share: bool,
 ) -> SweepReport {
+    let points = &scenario.sweep.points;
     let cells = enumerate_cells(scenario, seeds);
-    if let Some(warmup) = scenario.warmup.as_ref().filter(|_| share) {
-        return run_sweep_shared(scenario, warmup, base, &cells, threads);
-    }
-    let costs: Vec<f64> = cells
-        .iter()
-        .map(|&(pi, _)| estimate_cost(base, &scenario.sweep.points[pi]))
-        .collect();
-    // Cells are claimed heaviest first (LPT scheduling; see the module doc).
-    let order = schedule_order(&costs);
-
-    let reports = run_ordered(&order, threads, |i| {
-        let (pi, seed) = cells[i];
-        let point = &scenario.sweep.points[pi];
-        let opts = scenario.cell_opts(base, point, seed);
-        let started = Instant::now();
-        let figure = match &scenario.warmup {
-            // Sharing off on a warm-up scenario: the uninterrupted oracle,
-            // which honours the point label's dynamics variant (the plain
-            // scenario body has no label and runs one fixed variant).
-            Some(w) => (w.fresh)(&opts, point.label),
-            None => scenario.run(&opts),
-        };
-        CellReport {
-            point: point.label.to_string(),
-            seed,
-            wall_clock_secs: started.elapsed().as_secs_f64(),
-            figure,
-        }
-    });
-
-    SweepReport {
-        scenario: scenario.name.to_string(),
-        prefix_cells: 0,
-        forked_cells: 0,
-        warmup_secs_saved: 0.0,
-        cells: reports,
-    }
-}
-
-/// The key that decides whether two cells share a warm-up: every numeric
-/// parameter that feeds the prefix (floats by bit pattern — the values come
-/// from identical parsing paths, so equal means bit-equal) plus the seed.
-/// The point label is deliberately absent: it only selects post-split
-/// dynamics.
-type PrefixKey = (Option<usize>, Option<u64>, Option<u32>, u64, u64);
-
-fn prefix_key(opts: &CommonOpts) -> PrefixKey {
-    (
-        opts.nodes,
-        opts.file_mb.map(f64::to_bits),
-        opts.block_kb,
-        opts.time_limit.to_bits(),
-        opts.seed,
-    )
-}
-
-/// The sharing path of [`run_sweep_with`]: one simulated warm-up per cell
-/// group, every cell forked from its group's snapshot. Two phases, each
-/// parallel and index-merged, so the canonical output stays byte-identical
-/// for any thread count.
-fn run_sweep_shared(
-    scenario: &Scenario,
-    warmup: &Warmup,
-    base: &CommonOpts,
-    cells: &[(usize, u64)],
-    threads: usize,
-) -> SweepReport {
     let cell_opts: Vec<CommonOpts> = cells
         .iter()
-        .map(|&(pi, seed)| scenario.cell_opts(base, &scenario.sweep.points[pi], seed))
+        .map(|&(pi, seed)| scenario.cell_opts(base, &points[pi], seed))
         .collect();
+    let forkable: Vec<Option<Workload>> = cells
+        .iter()
+        .zip(&cell_opts)
+        .map(|(&(pi, _), opts)| scenario.forkable(opts, points[pi].label).filter(|_| share))
+        .collect();
+    let (leaders, group_of) = prefix_groups(&forkable);
 
-    // Group cells by prefix key, in first-occurrence order (deterministic:
-    // the enumeration order is point-major, seed-minor).
-    let mut groups: Vec<(PrefixKey, Vec<usize>)> = Vec::new();
-    for (i, opts) in cell_opts.iter().enumerate() {
-        let key = prefix_key(opts);
-        match groups.iter_mut().find(|(k, _)| *k == key) {
-            Some((_, members)) => members.push(i),
-            None => groups.push((key, vec![i])),
-        }
-    }
-    let mut group_of = vec![0usize; cells.len()];
-    for (g, (_, members)) in groups.iter().enumerate() {
-        for &i in members {
-            group_of[i] = g;
-        }
-    }
-
-    // Phase 1: simulate each group's warm-up once (in parallel) and keep its
+    // Phase 1: simulate each group's prefix once (in parallel) and keep its
     // wall clock — the cost every other member of the group did not pay.
-    let prefixes: Vec<(WarmPrefix, f64)> = run_indexed(groups.len(), threads, |g| {
+    let prefixes: Vec<(WarmPrefix, f64)> = run_indexed(leaders.len(), threads, |g| {
         let started = Instant::now();
-        let prefix = (warmup.prefix)(&cell_opts[groups[g].1[0]]);
-        (prefix, started.elapsed().as_secs_f64())
+        let leader = forkable[leaders[g]].as_ref().expect("leaders are forkable");
+        (leader.prefix(), started.elapsed().as_secs_f64())
     });
 
-    // Phase 2: fork every cell from its group's snapshot, heaviest first.
+    // Phase 2: every cell, heaviest first (LPT scheduling; see the module
+    // doc), forked from its group's snapshot if it has one.
     let costs: Vec<f64> = cells
         .iter()
-        .map(|&(pi, _)| estimate_cost(base, &scenario.sweep.points[pi]))
+        .map(|&(pi, _)| estimate_cost(base, &points[pi]))
         .collect();
     let order = schedule_order(&costs);
     let reports = run_ordered(&order, threads, |i| {
         let (pi, seed) = cells[i];
-        let point = &scenario.sweep.points[pi];
+        let label = points[pi].label;
         let started = Instant::now();
-        let figure = (warmup.fork)(&prefixes[group_of[i]].0, &cell_opts[i], point.label);
+        let fork = group_of[i].map(|g| &prefixes[g].0);
+        let figure = scenario
+            .figure(&cell_opts[i], label, fork)
+            .unwrap_or_else(|e| panic!("sweep point '{label}' of {}: {e}", scenario.name));
         CellReport {
-            point: point.label.to_string(),
+            point: label.to_string(),
             seed,
             wall_clock_secs: started.elapsed().as_secs_f64(),
             figure,
         }
     });
 
-    let warmup_secs_saved = groups
+    let forked_cells = group_of.iter().flatten().count();
+    let warmup_secs_saved = prefixes
         .iter()
         .enumerate()
-        .map(|(g, (_, members))| prefixes[g].1 * (members.len() - 1) as f64)
+        .map(|(g, (_, secs))| {
+            let members = group_of.iter().filter(|&&of| of == Some(g)).count();
+            secs * (members - 1) as f64
+        })
         .sum();
     SweepReport {
         scenario: scenario.name.to_string(),
-        prefix_cells: groups.len(),
-        forked_cells: cells.len(),
+        prefix_cells: leaders.len(),
+        forked_cells,
         warmup_secs_saved,
         cells: reports,
     }
@@ -587,11 +548,34 @@ mod tests {
 
     #[test]
     fn cells_with_different_seeds_do_not_share_a_prefix() {
-        let a = prefix_key(&CommonOpts { seed: 1, ..tiny() });
-        let b = prefix_key(&CommonOpts { seed: 2, ..tiny() });
-        assert_ne!(a, b);
-        // Same numerics + seed do share, whatever the point label will be.
-        assert_eq!(a, prefix_key(&CommonOpts { seed: 1, ..tiny() }));
+        // Point-major, seed-minor, with a cell that cannot fork in between:
+        // calm / paper / storm of one seed land in one group whatever their
+        // label, another seed or node count opens another.
+        let reg = Registry::standard();
+        let sc = reg.get("fig05w").unwrap();
+        let cell = |label, seed, nodes| {
+            let opts = CommonOpts {
+                seed,
+                nodes: Some(nodes),
+                ..tiny()
+            };
+            sc.forkable(&opts, label)
+        };
+        let forkable = [
+            cell("calm", 1, 6),
+            cell("calm", 2, 6),
+            None,
+            cell("paper", 1, 6),
+            cell("storm", 2, 6),
+            cell("storm", 1, 7),
+        ];
+        assert!(forkable.iter().flatten().count() == 5);
+        let (leaders, group_of) = prefix_groups(&forkable);
+        assert_eq!(leaders, vec![0, 1, 5]);
+        assert_eq!(
+            group_of,
+            vec![Some(0), Some(1), None, Some(0), Some(1), Some(2)]
+        );
     }
 
     #[test]

@@ -4,33 +4,36 @@
 //! The paper's evaluation (§4) is a grid of *scenario × parameter × seed*
 //! cells. This crate turns that grid into data and machinery:
 //!
-//! * [`scenario`] — the declarative [`Scenario`] model: name, system set,
-//!   topology, dynamics, default parameter sweep and seed plan;
+//! * [`scenario`] — the [`Scenario`] model: name, title, default parameter sweep and seed plan, and a [`Body`] that *is* what
+//!   runs — a workload function plus a presentation (closed system), a list
+//!   of service cells plus a presentation (open system), or an analytic
+//!   model;
 //! * [`registry`] — the standard [`Registry`] of scenarios (Figures 4–15 of
-//!   the paper plus the beyond-the-paper crash-wave, flash-crowd and
-//!   probe-driven time-series scenarios);
+//!   the paper plus the beyond-the-paper crash-wave, flash-crowd,
+//!   shared-core, scaling, service and probe-driven time-series scenarios);
 //! * [`executor`] — the parallel sweep executor: a work-stealing
 //!   `std::thread` pool over (point, seed) cells whose merged output is
 //!   **byte-identical for any thread count**, because every cell is an
 //!   independent deterministic simulation and results merge by cell index.
-//!   Scenarios with a warm-up split (`fig05w`) additionally share each cell
-//!   group's warm-up prefix: the executor simulates it once, checkpoints the
-//!   runner (`netsim::snapshot`), and forks every cell from the snapshot —
-//!   same canonical bytes, less wall clock;
+//!   Cells whose workloads are equal up to dynamics and begin with a quiet
+//!   prefix (`fig05w`'s variants) additionally share that prefix: the
+//!   executor simulates it once, checkpoints the runner
+//!   (`netsim::snapshot`), and forks every cell from the snapshot — same
+//!   canonical bytes, less wall clock;
 //! * [`cli`] — the `lab` binary (`list` / `run` / `sweep` / `bench` /
-//!   `serve` / `trace`) and the one-line `figNN` wrapper entry point;
-//! * [`serve`] — the `lab serve` subcommand: open-system service runs
+//!   `serve` / `trace`);
+//! * [`serve`] — the `lab serve` subcommand: an open-system scenario's cells
 //!   (fig21/fig22) driven by `netsim::service`'s generator-admitted swarms,
 //!   reported as sustained goodput and per-cohort completion percentiles
 //!   (see `docs/SERVICE_MODE.md`);
-//! * [`trace_cmd`] — the `lab trace` subcommand: one scenario run with the
-//!   structured trace sink, stats probe and virtual-time profiler enabled,
-//!   per-kind summary, JSONL export and the probe replay cross-check (see
-//!   `docs/OBSERVABILITY.md`).
+//! * [`trace_cmd`] — the `lab trace` subcommand: the Bullet′ run of a closed
+//!   scenario's own workload with the structured trace sink, stats probe and
+//!   virtual-time profiler enabled, per-kind summary, JSONL export and the
+//!   probe replay cross-check (see `docs/OBSERVABILITY.md`).
 //!
-//! The experiment bodies themselves stay in `bullet_bench::experiments`;
-//! run-time observation (goodput-over-time and friends) comes from
-//! `netsim::probe` via the `fig05ts` scenario.
+//! The workload and presentation functions themselves live in
+//! `bullet_bench::experiments`; turning a workload into a run is
+//! `bullet_bench::workload`'s job and nobody else's.
 
 pub mod cli;
 pub mod executor;
@@ -39,11 +42,9 @@ pub mod scenario;
 pub mod serve;
 pub mod trace_cmd;
 
-pub use cli::{figure_binary_main, lab_main};
+pub use cli::lab_main;
 pub use executor::{run_indexed, run_sweep, run_sweep_with, CellReport, SweepReport};
 pub use registry::Registry;
-pub use scenario::{
-    DynamicsKind, ParamPoint, Scenario, SeedPlan, SweepSpec, SystemSet, TopologyKind, Warmup,
-};
+pub use scenario::{Body, ParamPoint, Presentation, Scenario, SeedPlan, SweepSpec};
 pub use serve::{run_serve, ServeCell, ServeRun};
 pub use trace_cmd::{check_replay, traced_run, TracedRun};

@@ -1,14 +1,29 @@
 //! The scenario registry: every experiment of the evaluation grid by name.
 //!
 //! The registry is the single source of truth for what can be run: the `lab`
-//! CLI lists and resolves scenarios here, and each `figNN` binary is a
-//! one-line wrapper over its registry entry (equivalent to `lab run <name>`).
+//! CLI lists and resolves scenarios here. An entry pairs a workload function
+//! with a presentation function from `bullet_bench::experiments` (see
+//! [`Body`]); building the registry evaluates neither.
 
-use bullet_bench::{experiments, warmup};
+use bullet_bench::experiments::{self as ex, WorkloadFn};
+use bullet_bench::warmup;
 
-use crate::scenario::{
-    DynamicsKind, ParamPoint, Scenario, SweepSpec, SystemSet, TopologyKind, Warmup,
-};
+use crate::scenario::{Body, ParamPoint, Presentation, Scenario};
+
+fn closed(workload: WorkloadFn, figure: Presentation) -> Body {
+    Body::Closed { workload, figure }
+}
+
+/// The default sweep of the overall comparisons: swarm size.
+fn swarm_sizes() -> impl Iterator<Item = ParamPoint> {
+    [("20-nodes", 20), ("40-nodes", 40), ("60-nodes", 60)]
+        .into_iter()
+        .map(|(label, nodes)| ParamPoint {
+            label,
+            nodes: Some(nodes),
+            ..Default::default()
+        })
+}
 
 /// An ordered collection of uniquely named scenarios.
 pub struct Registry {
@@ -20,227 +35,132 @@ impl Registry {
     /// beyond-the-paper scenarios (16: crash wave, 17: flash crowd, 18:
     /// shared core bottleneck, 19: cross-traffic square wave, 20: emulator
     /// scaling trajectory, 21: open-system offered-load sweep, 22: flash
-    /// crowd beside a warm swarm, 5ts: probe-driven bandwidth-over-time).
+    /// crowd beside a warm swarm, 5ts: probe-driven bandwidth-over-time,
+    /// 5w: dynamics variants sharing one warm-up).
     pub fn standard() -> Self {
-        use DynamicsKind as D;
-        use SystemSet as S;
-        use TopologyKind as T;
-        let mut scenarios = vec![
+        use Presentation::{Run, Study};
+        let scenarios = vec![
             Scenario::new(
                 "fig04",
                 "download-time CDF of all four systems under random losses",
-                S::AllFour,
-                T::ModelNetMesh,
-                D::Static,
-                experiments::fig04,
-            ),
+                closed(ex::fig04_workload, Study(ex::overall_comparison)),
+            )
+            .with_points(swarm_sizes()),
             Scenario::new(
                 "fig05",
                 "download-time CDF of all four systems under synthetic bandwidth changes",
-                S::AllFour,
-                T::ModelNetMesh,
-                D::BandwidthChanges,
-                experiments::fig05,
-            ),
+                closed(ex::fig05_workload, Study(ex::overall_comparison)),
+            )
+            .with_points(swarm_sizes()),
             Scenario::new(
                 "fig05ts",
                 "probe-driven per-receiver goodput over time in the dynamic scenario",
-                S::BulletPrime,
-                T::ModelNetMesh,
-                D::BandwidthChanges,
-                experiments::fig05ts,
+                closed(ex::fig05ts_workload, Run(ex::fig05ts_figure)),
             ),
             Scenario::new(
                 "fig05w",
                 "snapshot/fork warm-up sharing: one join phase, three dynamics variants",
-                S::BulletPrime,
-                T::ModelNetMesh,
-                D::BandwidthChanges,
-                experiments::fig05w,
+                closed(warmup::fig05w_workload, Run(warmup::fig05w_figure)),
             )
-            .with_warmup(Warmup {
-                prefix: warmup::fig05w_prefix,
-                fork: warmup::fig05w_fork,
-                fresh: warmup::fig05w_fresh,
-            }),
+            // Identical numerics per point, so all variants of one seed
+            // share a warm-up prefix.
+            .with_points(
+                warmup::FIG05W_VARIANTS
+                    .iter()
+                    .map(|&(label, _)| ParamPoint::named(label)),
+            ),
             Scenario::new(
                 "fig06",
                 "request strategies (rarest-random / random / rarest / first)",
-                S::BulletPrimeVariants,
-                T::ModelNetMesh,
-                D::Static,
-                experiments::fig06,
+                closed(ex::fig06_workload, Study(ex::fig06_figure)),
             ),
             Scenario::new(
                 "fig07",
                 "static peer-set sizes vs dynamic under random losses",
-                S::BulletPrimeVariants,
-                T::ModelNetMesh,
-                D::Static,
-                experiments::fig07,
+                closed(ex::fig06_workload, Study(ex::peer_sizing)),
             ),
             Scenario::new(
                 "fig08",
                 "static peer-set sizes vs dynamic under bandwidth changes",
-                S::BulletPrimeVariants,
-                T::ModelNetMesh,
-                D::BandwidthChanges,
-                experiments::fig08,
+                closed(ex::fig08_workload, Study(ex::peer_sizing)),
             ),
             Scenario::new(
                 "fig09",
                 "static peer-set sizes vs dynamic on constrained access links",
-                S::BulletPrimeVariants,
-                T::ConstrainedAccess,
-                D::Static,
-                experiments::fig09,
+                closed(ex::fig09_workload, Study(ex::peer_sizing)),
             ),
             Scenario::new(
                 "fig10",
                 "outstanding-request windows on clean high-BDP links",
-                S::BulletPrimeVariants,
-                T::HighBdpClique,
-                D::Static,
-                experiments::fig10,
+                closed(ex::fig10_workload, Study(ex::outstanding_sizing)),
             ),
             Scenario::new(
                 "fig11",
                 "outstanding-request windows under random losses",
-                S::BulletPrimeVariants,
-                T::HighBdpClique,
-                D::Static,
-                experiments::fig11,
+                closed(ex::fig11_workload, Study(ex::outstanding_sizing)),
             ),
             Scenario::new(
                 "fig12",
                 "outstanding-request windows under cascading degradations",
-                S::BulletPrimeVariants,
-                T::Cascade,
-                D::CascadingDegrade,
-                experiments::fig12,
+                closed(ex::fig12_workload, Study(ex::fig12_figure)),
             ),
             Scenario::new(
                 "fig13",
                 "block inter-arrival times (last-block problem) and encoding overage",
-                S::BulletPrime,
-                T::ModelNetMesh,
-                D::Static,
-                experiments::fig13,
+                closed(ex::fig04_workload, Study(ex::fig13_figure)),
             ),
             Scenario::new(
                 "fig14",
                 "wide-area (PlanetLab-like) comparison of all four systems",
-                S::AllFour,
-                T::PlanetLabLike,
-                D::Static,
-                experiments::fig14,
+                closed(ex::fig14_workload, Study(ex::fig14_figure)),
             ),
             Scenario::new(
                 "fig15",
                 "Shotgun software update vs N parallel rsync processes",
-                S::Shotgun,
-                T::PlanetLabLike,
-                D::Static,
-                experiments::fig15,
+                Body::Model(ex::fig15),
             ),
             Scenario::new(
                 "fig16",
                 "survivor download-time CDF under receiver crash waves",
-                S::BulletPrime,
-                T::ModelNetMesh,
-                D::CrashWave,
-                experiments::fig16,
+                closed(ex::fig16_workload, Study(ex::fig16_figure)),
             ),
             Scenario::new(
                 "fig17",
                 "download-duration CDF with a flash-crowd join wave",
-                S::BulletPrime,
-                T::ModelNetMesh,
-                D::FlashCrowd,
-                experiments::fig17,
+                closed(ex::fig17_workload, Study(ex::fig17_figure)),
             ),
             Scenario::new(
                 "fig18",
                 "two concurrent meshes sharing one 2 Mbps core bottleneck",
-                S::BulletPrime,
-                T::SharedCore,
-                D::Static,
-                experiments::fig18,
+                closed(ex::fig18_workload, Study(ex::fig18_figure)),
             ),
             Scenario::new(
                 "fig19",
                 "cross-traffic square wave vs Bullet' adaptivity (goodput over time)",
-                S::BulletPrime,
-                T::SharedCore,
-                D::CrossTraffic,
-                experiments::fig19,
+                closed(ex::fig19_workload, Run(ex::fig19_figure)),
             ),
             Scenario::new(
                 "fig20",
                 "emulator scaling trajectory: join-only swarms up to 10,000 nodes",
-                S::BulletPrime,
-                T::UniformSwarm,
-                D::Static,
-                experiments::fig20,
+                closed(ex::fig20_workload, Study(ex::fig20_figure)),
             ),
             Scenario::new(
                 "fig21",
                 "open-system offered-load sweep: Poisson swarm arrivals to the knee",
-                S::BulletPrime,
-                T::SharedCore,
-                D::OpenArrivals,
-                experiments::fig21,
+                Body::Open {
+                    cells: ex::fig21_cells,
+                    figure: ex::fig21_figure,
+                },
             ),
             Scenario::new(
                 "fig22",
                 "flash crowd of joiners arriving beside an already-warm swarm",
-                S::BulletPrime,
-                T::SharedCore,
-                D::OpenArrivals,
-                experiments::fig22,
+                Body::Open {
+                    cells: ex::fig22_cells,
+                    figure: ex::fig22_figure,
+                },
             ),
         ];
-
-        // Default parameter sweeps where one knob is the interesting axis:
-        // the overall comparisons sweep swarm size; fig05w sweeps the
-        // post-warm-up dynamics variant (identical numerics per point, so
-        // all variants of one seed share a warm-up prefix).
-        for sc in &mut scenarios {
-            if sc.name == "fig05w" {
-                sc.sweep = SweepSpec {
-                    points: warmup::FIG05W_VARIANTS
-                        .iter()
-                        .map(|&label| ParamPoint {
-                            label,
-                            ..Default::default()
-                        })
-                        .collect(),
-                    ..SweepSpec::default()
-                };
-            }
-            if sc.name == "fig04" || sc.name == "fig05" {
-                sc.sweep = SweepSpec {
-                    points: vec![
-                        ParamPoint {
-                            label: "20-nodes",
-                            nodes: Some(20),
-                            ..Default::default()
-                        },
-                        ParamPoint {
-                            label: "40-nodes",
-                            nodes: Some(40),
-                            ..Default::default()
-                        },
-                        ParamPoint {
-                            label: "60-nodes",
-                            nodes: Some(60),
-                            ..Default::default()
-                        },
-                    ],
-                    ..SweepSpec::default()
-                };
-            }
-        }
 
         let reg = Registry { scenarios };
         debug_assert!(
@@ -318,18 +238,45 @@ mod tests {
     fn fig05w_carries_warm_prefix_hooks_and_variant_points() {
         let reg = Registry::standard();
         let sc = reg.get("fig05w").unwrap();
-        assert!(sc.warmup.is_some());
         let labels: Vec<_> = sc.sweep.points.iter().map(|p| p.label).collect();
         assert_eq!(labels, vec!["calm", "paper", "storm"]);
         // Identical numerics per point: all variants of one seed must land
         // in the same prefix group.
-        assert!(sc.sweep.points.iter().all(|p| *p
-            == ParamPoint {
-                label: p.label,
-                ..Default::default()
-            }));
+        assert!(sc
+            .sweep
+            .points
+            .iter()
+            .all(|p| *p == ParamPoint::named(p.label)));
+        let opts = CommonOpts::default();
+        let calm = sc
+            .forkable(&opts, "calm")
+            .expect("begins with a quiet prefix");
+        for label in labels {
+            let variant = sc.forkable(&opts, label).expect("every variant forks");
+            assert!(calm.shares_prefix_with(&variant), "{label}");
+        }
+        assert!(sc.forkable(&opts, "typo").is_none());
+        assert!(
+            sc.figure(&opts, "typo", None).is_err(),
+            "an Err, not a panic"
+        );
         // fig05w is the only scenario with a warm-up split.
-        assert_eq!(reg.iter().filter(|s| s.warmup.is_some()).count(), 1);
+        let forkable = |s: &&Scenario| s.forkable(&opts, "default").is_some();
+        assert_eq!(reg.iter().filter(forkable).count(), 1);
+    }
+
+    #[test]
+    fn list_tags_are_read_from_the_body() {
+        let reg = Registry::standard();
+        let tags = |name: &str| reg.get(name).unwrap().tags();
+        assert_eq!(tags("fig04"), ("modelnet-mesh", "static"));
+        assert_eq!(tags("fig08"), ("modelnet-mesh", "bandwidth-changes"));
+        assert_eq!(tags("fig12"), ("cascade", "cascading-degrade"));
+        assert_eq!(tags("fig17"), ("modelnet-mesh", "flash-crowd"));
+        assert_eq!(tags("fig19"), ("shared-core", "cross-traffic"));
+        assert_eq!(tags("fig20"), ("uniform-swarm", "static"));
+        assert_eq!(tags("fig21"), ("shared-core", "open-arrivals"));
+        assert_eq!(tags("fig15"), ("-", "-"));
     }
 
     #[test]

@@ -1,108 +1,55 @@
-//! The declarative scenario model.
+//! The scenario model.
 //!
-//! A [`Scenario`] names one cell family of the paper's evaluation grid: which
-//! systems run, on which topology, under which dynamics, plus the default
-//! parameter sweep and seed plan. The executable part stays a plain function
-//! over [`CommonOpts`] (the experiment bodies live in
-//! `bullet_bench::experiments`, where the figure tests exercise them
-//! directly); everything the lab needs to enumerate, filter and sweep
-//! scenarios is data.
+//! A [`Scenario`] names one cell family of the paper's evaluation grid and
+//! carries what it runs as its [`Body`]: a closed-system scenario is a
+//! function from the options (and the sweep point's label) to a
+//! [`Workload`] value plus a presentation of runs of that workload; an
+//! open-system scenario is a list of labelled [`ServiceWorkload`] cells plus
+//! their presentation; fig15 is an analytic model. Everything the lab does
+//! with a scenario — `lab list`'s tags, what `lab trace` traces, `lab
+//! serve`'s cells, which sweep cells can fork one warm-up — is read from the
+//! body, so no command can run a different workload than `lab run` does. The
+//! functions themselves live in `bullet_bench::experiments`; the default
+//! parameter sweep and seed plan are data here.
 
-use bullet_bench::{CommonOpts, Figure, WarmPrefix};
+use bullet_bench::experiments::WorkloadFn;
+use bullet_bench::{CommonOpts, Figure, ServiceWorkload, WarmPrefix, Workload};
+use netsim::RunReport;
 
-/// Which dissemination systems a scenario runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SystemSet {
-    /// Bullet′, original Bullet, BitTorrent and SplitStream side by side.
-    AllFour,
-    /// Bullet′ with its default configuration only.
-    BulletPrime,
-    /// Several Bullet′ configurations against each other (strategy /
-    /// peer-set / outstanding studies).
-    BulletPrimeVariants,
-    /// The Shotgun software-update tool vs parallel rsync.
-    Shotgun,
+/// How a closed scenario turns its workload into a figure.
+#[derive(Clone, Copy)]
+pub enum Presentation {
+    /// The figure runs the workload itself, as often and in as many
+    /// configurations or derived variants as it compares.
+    Study(fn(&Workload, &CommonOpts) -> Figure),
+    /// The figure renders one default-configuration Bullet′ run. Whoever
+    /// holds the scenario supplies that run — which lets the sweep executor
+    /// fork it from a warm prefix shared with other cells instead of
+    /// simulating it from t = 0.
+    Run(fn(&Workload, &RunReport) -> Figure),
 }
 
-impl SystemSet {
-    /// Short human-readable tag used by `lab list`.
-    pub fn tag(self) -> &'static str {
-        match self {
-            SystemSet::AllFour => "all-four",
-            SystemSet::BulletPrime => "bullet-prime",
-            SystemSet::BulletPrimeVariants => "bullet-prime-variants",
-            SystemSet::Shotgun => "shotgun",
-        }
-    }
-}
-
-/// Which emulated topology a scenario uses.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TopologyKind {
-    /// The standard lossy ModelNet full mesh.
-    ModelNetMesh,
-    /// 800 Kbps access links, no losses.
-    ConstrainedAccess,
-    /// 10 Mbps / 100 ms high bandwidth-delay-product clique.
-    HighBdpClique,
-    /// The Fig 12 cascade topology (victim behind dedicated links).
-    Cascade,
-    /// PlanetLab-like wide-area site bandwidths.
-    PlanetLabLike,
-    /// Every core path rides one shared bottleneck link (fig18/fig19).
-    SharedCore,
-    /// O(n) uniform unconstrained core for large-swarm scaling runs (fig20).
-    UniformSwarm,
-}
-
-impl TopologyKind {
-    /// Short human-readable tag used by `lab list`.
-    pub fn tag(self) -> &'static str {
-        match self {
-            TopologyKind::ModelNetMesh => "modelnet-mesh",
-            TopologyKind::ConstrainedAccess => "constrained-access",
-            TopologyKind::HighBdpClique => "high-bdp-clique",
-            TopologyKind::Cascade => "cascade",
-            TopologyKind::PlanetLabLike => "planetlab-like",
-            TopologyKind::SharedCore => "shared-core",
-            TopologyKind::UniformSwarm => "uniform-swarm",
-        }
-    }
-}
-
-/// Which dynamics/churn schedule a scenario applies.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum DynamicsKind {
-    /// No scripted changes (losses may still apply).
-    Static,
-    /// The §4.1 correlated bandwidth-decrease schedule.
-    BandwidthChanges,
-    /// The Fig 12 cascading link degradations towards a victim.
-    CascadingDegrade,
-    /// A crash wave over a fraction of the receivers.
-    CrashWave,
-    /// A flash-crowd join wave.
-    FlashCrowd,
-    /// A background cross-traffic square wave on the shared core link.
-    CrossTraffic,
-    /// Open-system service mode: generator-driven swarm arrivals over a
-    /// shared slot pool (fig21/fig22, `lab serve`).
-    OpenArrivals,
-}
-
-impl DynamicsKind {
-    /// Short human-readable tag used by `lab list`.
-    pub fn tag(self) -> &'static str {
-        match self {
-            DynamicsKind::Static => "static",
-            DynamicsKind::BandwidthChanges => "bandwidth-changes",
-            DynamicsKind::CascadingDegrade => "cascading-degrade",
-            DynamicsKind::CrashWave => "crash-wave",
-            DynamicsKind::FlashCrowd => "flash-crowd",
-            DynamicsKind::CrossTraffic => "cross-traffic",
-            DynamicsKind::OpenArrivals => "open-arrivals",
-        }
-    }
+/// What a scenario runs. Function pointers and nothing else: building a
+/// registry evaluates no workload.
+#[derive(Clone, Copy)]
+pub enum Body {
+    /// A closed system: one swarm (or several concurrent ones) started at
+    /// t = 0 and run to completion.
+    Closed {
+        /// The workload at a sweep point.
+        workload: WorkloadFn,
+        /// Its presentation.
+        figure: Presentation,
+    },
+    /// An open system: independent service runs (`lab serve`'s cells).
+    Open {
+        /// The labelled cells.
+        cells: fn(&CommonOpts) -> Vec<(String, ServiceWorkload)>,
+        /// Runs and presents them.
+        figure: fn(&[(String, ServiceWorkload)], &CommonOpts) -> Figure,
+    },
+    /// An analytic model; nothing is emulated.
+    Model(fn(&CommonOpts) -> Figure),
 }
 
 /// One point of a parameter sweep: named overrides applied on top of the
@@ -124,8 +71,13 @@ pub struct ParamPoint {
 impl ParamPoint {
     /// The identity point: base options as-is.
     pub fn default_point() -> Self {
+        Self::named("default")
+    }
+
+    /// A point that only names a variant: base options as-is.
+    pub fn named(label: &'static str) -> Self {
         ParamPoint {
-            label: "default",
+            label,
             ..Default::default()
         }
     }
@@ -199,79 +151,100 @@ impl Default for SweepSpec {
     }
 }
 
-/// The warm-prefix hooks of a scenario whose sweep cells share an expensive
-/// warm-up (same topology, join phase and seed; different post-split
-/// dynamics). The executor groups cells by their resolved parameters + seed,
-/// simulates `prefix` once per group, and runs every cell through `fork`;
-/// with sharing off (or standalone `lab run`) cells go through `fresh`
-/// instead. The snapshot contract (`netsim::snapshot`) makes the two paths
-/// canonically byte-identical — `lab bench --snapshot` asserts it.
-///
-/// All three hooks are plain function pointers (like [`Scenario`]'s body):
-/// scenarios stay `'static` data. The `&str` argument is the sweep point's
-/// label, which selects the post-split dynamics variant.
-pub struct Warmup {
-    /// Simulates the shared warm-up of one cell group and checkpoints it.
-    pub prefix: fn(&CommonOpts) -> WarmPrefix,
-    /// Runs one cell by forking the group's checkpoint.
-    pub fork: fn(&WarmPrefix, &CommonOpts, &str) -> Figure,
-    /// Runs one cell uninterrupted from t = 0 (the sharing-off oracle).
-    pub fresh: fn(&CommonOpts, &str) -> Figure,
-}
-
 /// A named, runnable experiment scenario.
 pub struct Scenario {
-    /// Unique registry name (`fig04` … `fig17`, `fig05ts`, …).
+    /// Unique registry name (`fig04` … `fig22`, `fig05ts`, …).
     pub name: &'static str,
     /// One-line description shown by `lab list`.
     pub title: &'static str,
-    /// Which systems run.
-    pub system: SystemSet,
-    /// Which topology they run on.
-    pub topology: TopologyKind,
-    /// Which dynamics apply.
-    pub dynamics: DynamicsKind,
     /// Default parameter sweep and seed plan for `lab sweep`.
     pub sweep: SweepSpec,
-    /// Warm-prefix hooks, for scenarios whose sweep cells share a warm-up
-    /// (see [`Warmup`]). `None` for ordinary scenarios.
-    pub warmup: Option<Warmup>,
-    /// The experiment body.
-    run: fn(&CommonOpts) -> Figure,
+    /// What runs.
+    pub body: Body,
 }
 
 impl Scenario {
     /// Creates a scenario with the default sweep.
-    pub fn new(
-        name: &'static str,
-        title: &'static str,
-        system: SystemSet,
-        topology: TopologyKind,
-        dynamics: DynamicsKind,
-        run: fn(&CommonOpts) -> Figure,
-    ) -> Self {
+    pub fn new(name: &'static str, title: &'static str, body: Body) -> Self {
         Scenario {
             name,
             title,
-            system,
-            topology,
-            dynamics,
             sweep: SweepSpec::default(),
-            warmup: None,
-            run,
+            body,
         }
     }
 
-    /// Attaches warm-prefix hooks (builder style; see [`Warmup`]).
+    /// Replaces the default sweep's single identity point (builder style).
     #[must_use]
-    pub fn with_warmup(mut self, warmup: Warmup) -> Self {
-        self.warmup = Some(warmup);
+    pub fn with_points(mut self, points: impl Iterator<Item = ParamPoint>) -> Self {
+        self.sweep.points = points.collect();
         self
     }
 
-    /// Runs the scenario once with the given options.
+    /// Runs the scenario once with the given options, at its default point.
     pub fn run(&self, opts: &CommonOpts) -> Figure {
-        (self.run)(opts)
+        self.figure(opts, "default", None)
+            .expect("every scenario defines its default point")
+    }
+
+    /// The figure of the sweep point `label`. With `fork`, the Bullet′ run of
+    /// a [forkable](Scenario::forkable) point is continued from that warm
+    /// prefix — one the point's workload
+    /// [shares](Workload::shares_prefix_with) — instead of simulated from
+    /// t = 0; the figure is the same bytes either way.
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the scenario's workload does not know `label`.
+    pub fn figure(
+        &self,
+        opts: &CommonOpts,
+        label: &str,
+        fork: Option<&WarmPrefix>,
+    ) -> Result<Figure, String> {
+        Ok(match self.body {
+            Body::Closed { workload, figure } => {
+                let w = workload(opts, label)?;
+                match figure {
+                    Presentation::Study(figure) => figure(&w, opts),
+                    Presentation::Run(figure) => figure(
+                        &w,
+                        &fork.map_or_else(|| w.report(), |prefix| w.fork(prefix)),
+                    ),
+                }
+            }
+            Body::Open { cells, figure } => figure(&cells(opts), opts),
+            Body::Model(figure) => figure(opts),
+        })
+    }
+
+    /// The workload of the sweep point `label`, if the point's figure is one
+    /// Bullet′ run that begins with a quiet prefix — a run that can be forked
+    /// from a checkpoint of that prefix ([`Workload::prefix`]).
+    pub fn forkable(&self, opts: &CommonOpts, label: &str) -> Option<Workload> {
+        match self.body {
+            Body::Closed {
+                workload,
+                figure: Presentation::Run(_),
+            } => workload(opts, label)
+                .ok()
+                .filter(|w| w.dynamics.quiet() > 0.0),
+            _ => None,
+        }
+    }
+
+    /// The topology and dynamics tags `lab list` prints, read off the body
+    /// at default options (which simulates nothing).
+    pub fn tags(&self) -> (&'static str, &'static str) {
+        match self.body {
+            Body::Closed { workload, .. } => {
+                let w = workload(&CommonOpts::default(), "default")
+                    .expect("every scenario defines its default point");
+                (w.topology.tag(), w.dynamics.tag())
+            }
+            Body::Open { .. } => ("shared-core", "open-arrivals"),
+            Body::Model(_) => ("-", "-"),
+        }
     }
 
     /// The options of one sweep cell: `point` overrides applied to `base`,
@@ -287,9 +260,6 @@ impl std::fmt::Debug for Scenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scenario")
             .field("name", &self.name)
-            .field("system", &self.system)
-            .field("topology", &self.topology)
-            .field("dynamics", &self.dynamics)
             .finish_non_exhaustive()
     }
 }
@@ -328,14 +298,7 @@ mod tests {
 
     #[test]
     fn cell_opts_applies_point_then_seed() {
-        let sc = Scenario::new(
-            "t",
-            "test",
-            SystemSet::BulletPrime,
-            TopologyKind::ModelNetMesh,
-            DynamicsKind::Static,
-            |_| Figure::new("t", "test"),
-        );
+        let sc = Scenario::new("t", "test", Body::Model(|_| Figure::new("t", "test")));
         let base = CommonOpts::default();
         let point = ParamPoint {
             label: "p",

@@ -17,13 +17,14 @@
 
 use std::time::Instant;
 
-use bullet_bench::experiments::{run_service_point, service_points, service_summary};
+use bullet_bench::experiments::service_summary;
 use bullet_bench::CommonOpts;
 use netsim::ServiceReport;
 use serde::Serialize;
 
 use crate::executor::run_indexed;
 use crate::registry::Registry;
+use crate::scenario::Body;
 
 /// One executed service cell.
 #[derive(Debug)]
@@ -117,17 +118,20 @@ impl ServeRun {
 /// merges the reports by cell index (deterministic for any thread count).
 /// Errors if `name` is not an open-system service scenario.
 pub fn run_serve(name: &str, opts: &CommonOpts, threads: usize) -> Result<ServeRun, String> {
-    let labels = service_points(name).ok_or_else(|| {
-        format!(
+    let registry = Registry::standard();
+    let Body::Open { cells, .. } = crate::cli::resolve(&registry, name)?.body else {
+        return Err(format!(
             "'{name}' is not an open-system service scenario; \
              `lab serve` handles fig21 and fig22 (see `lab list` dynamics 'open-arrivals')"
-        )
-    })?;
-    let cells = run_indexed(labels.len(), threads, |i| {
+        ));
+    };
+    let cells = cells(opts);
+    let cells = run_indexed(cells.len(), threads, |i| {
+        let (label, cell) = &cells[i];
         let started = Instant::now();
-        let report = run_service_point(name, i, opts).expect("index within service_points");
+        let report = cell.run();
         ServeCell {
-            label: labels[i].clone(),
+            label: label.clone(),
             wall_clock_secs: started.elapsed().as_secs_f64(),
             report,
         }
@@ -186,7 +190,7 @@ pub fn serve(registry: &Registry, args: Vec<String>) -> Result<(), String> {
         "serve {}: {} cell(s), dynamics {}",
         run.scenario,
         run.cells.len(),
-        scenario.dynamics.tag()
+        scenario.tags().1
     );
     for cell in &run.cells {
         println!("[{}] ({:.3}s wall clock)", cell.label, cell.wall_clock_secs);

@@ -19,51 +19,27 @@
 //! overflowed, or churn dynamics that reset cumulative counters, it degrades
 //! to a warning).
 //!
-//! Only scenarios with a Bullet′ runner are traceable; the Shotgun tool
-//! (`fig15`) is rejected. The traced workload mirrors the scenario's reduced
-//! figure workload (same topology family, dynamics, file and block sizes),
-//! not the full multi-system comparison — tracing all four systems at once
-//! would interleave four unrelated streams.
+//! What is traced is the default-configuration Bullet′ run of the scenario's
+//! own [`Workload`] — the value `lab run` presents — not the full
+//! multi-system or multi-configuration comparison, which would interleave
+//! unrelated streams. Scenarios without such a run are refused: the Shotgun
+//! model (`fig15`) has nothing to emulate, and the open-system scenarios
+//! belong to `lab serve`.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use bullet_bench::systems::{cascade_schedule, paper_dynamic_schedule};
-use bullet_bench::CommonOpts;
-use bullet_prime::Config;
-use desim::{RngFactory, SimDuration, SimTime};
-use dissem_codec::FileSpec;
-use netsim::dynamics::{crash_wave_schedule, cross_traffic_square_wave, flash_crowd_schedule};
+use bullet_bench::{CommonOpts, Dynamics, Workload};
 use netsim::{
-    mbps, replay_goodput, summarize, topology, NodeEvent, NodeId, ProfileReport, RingSink,
-    RunReport, TimeSeries, Topology, TraceRecord, TraceSink,
+    replay_goodput, summarize, ProfileReport, RingSink, RunReport, TimeSeries, TraceEvent,
+    TraceRecord, TraceSink,
 };
 
 use crate::registry::Registry;
-use crate::scenario::{DynamicsKind, Scenario, SystemSet, TopologyKind};
+use crate::scenario::{Body, Scenario};
 
 const USAGE: &str = "usage: lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] \
 [figure options]";
-
-/// Every record kind the trace vocabulary emits (`--kind` is validated
-/// against this list so a typo is a usage error, not an empty filter).
-const KINDS: &[&str] = &[
-    "msg",
-    "timer",
-    "block_sent",
-    "block_received",
-    "conn_schedule",
-    "conn_cancel",
-    "solver",
-    "node_join",
-    "node_leave",
-    "node_crash",
-    "node_retire",
-    "link_change",
-    "cross_change",
-    "probe_tick",
-    "snapshot_resume",
-];
 
 /// Default ring capacity: comfortably above any reduced-scale run's record
 /// count, bounded so a `--full` trace cannot exhaust memory.
@@ -111,10 +87,10 @@ fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
             }
             "--kind" => {
                 let kind = value_for("--kind")?;
-                if !KINDS.contains(&kind.as_str()) {
+                if !TraceEvent::KINDS.contains(&kind.as_str()) {
                     return Err(format!(
                         "unknown record kind '{kind}'; one of: {}\n{USAGE}",
-                        KINDS.join(", ")
+                        TraceEvent::KINDS.join(", ")
                     ));
                 }
                 out.kind = Some(kind);
@@ -150,72 +126,6 @@ impl TraceSink for SharedSink {
     }
 }
 
-/// The traced Bullet′ workload of a scenario: the topology family and file
-/// shape of its reduced figure workload (see `bullet_bench::experiments`),
-/// overridable through the usual figure options.
-fn build_workload(kind: TopologyKind, opts: &CommonOpts, rng: &RngFactory) -> (Topology, FileSpec) {
-    match kind {
-        TopologyKind::ModelNetMesh => {
-            let n = opts.nodes_or(40, 100);
-            let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(16));
-            (topology::modelnet_mesh(n, 0.03, rng), file)
-        }
-        TopologyKind::ConstrainedAccess => {
-            let n = opts.nodes_or(40, 100);
-            let file = FileSpec::new(opts.file_bytes_or(4.0, 10.0), opts.block_bytes_or(16));
-            (topology::constrained_access(n), file)
-        }
-        TopologyKind::HighBdpClique => {
-            let n = opts.nodes.unwrap_or(25);
-            let file = FileSpec::new(opts.file_bytes_or(8.0, 100.0), opts.block_bytes_or(8));
-            (topology::high_bdp_clique(n, 0.0, rng), file)
-        }
-        TopologyKind::Cascade => {
-            // Source + 6 fast peers + the victim, as in fig12.
-            let file = FileSpec::new(opts.file_bytes_or(10.0, 100.0), opts.block_bytes_or(8));
-            (topology::cascade_topology(7), file)
-        }
-        TopologyKind::PlanetLabLike => {
-            let n = opts.nodes_or(41, 41);
-            let file = FileSpec::new(opts.file_bytes_or(10.0, 50.0), opts.block_bytes_or(100));
-            (topology::planetlab_like(n, rng), file)
-        }
-        TopologyKind::SharedCore => {
-            let n = opts.nodes_or(16, 32);
-            let file = FileSpec::new(opts.file_bytes_or(4.0, 20.0), opts.block_bytes_or(16));
-            (topology::shared_core_mesh(n, mbps(4.0), 0.0, rng), file)
-        }
-        TopologyKind::UniformSwarm => {
-            let n = opts.nodes_or(1_000, 10_000);
-            let file = FileSpec::new(opts.file_bytes_or(2.0, 2.0), opts.block_bytes_or(16));
-            (topology::uniform_swarm(n, rng), file)
-        }
-    }
-}
-
-/// Median completion time of the dynamics-free run — the churn scenarios
-/// calibrate their crash/join windows off it exactly like fig16/fig17, so
-/// "mid-transfer" stays mid-transfer at every workload scale.
-fn clean_median(kind: TopologyKind, opts: &CommonOpts, rng: &RngFactory) -> f64 {
-    let (topo, file) = build_workload(kind, opts, rng);
-    let cfg = Config::new(file);
-    let mut runner = bullet_prime::build_runner(topo, &cfg, rng);
-    let report = runner.run(SimDuration::from_secs_f64(opts.time_limit));
-    let end = report.end_time.as_secs_f64();
-    let mut times: Vec<f64> = report
-        .completion_secs
-        .iter()
-        .skip(1) // Node 0 is the source.
-        .map(|c| c.unwrap_or(end))
-        .collect();
-    times.sort_by(f64::total_cmp);
-    if times.is_empty() {
-        end
-    } else {
-        times[times.len() / 2]
-    }
-}
-
 /// The result of one traced scenario run, records included.
 #[derive(Debug)]
 pub struct TracedRun {
@@ -223,8 +133,8 @@ pub struct TracedRun {
     pub report: RunReport,
     /// The profiler's wall-clock attribution.
     pub profile: Option<ProfileReport>,
-    /// Number of overlay nodes.
-    pub nodes: usize,
+    /// What ran.
+    pub workload: Workload,
     /// The retained trace records, oldest first.
     pub records: Vec<TraceRecord>,
     /// Records the sink accepted in total.
@@ -233,105 +143,55 @@ pub struct TracedRun {
     pub dropped: u64,
 }
 
-/// Runs `scenario`'s Bullet′ workload with trace sink, probe and profiler
-/// enabled, retaining up to `ring` records.
+/// The workload `lab trace` runs for `scenario`: its own, at its default
+/// point, observed on a probe tick (`--tick`, default 2 s) if the scenario
+/// does not observe it already — the replay check needs the probe series.
 ///
 /// # Errors
 ///
-/// Returns an error for scenarios without a Bullet′ runner (`Shotgun`).
+/// Returns an error for scenarios without a Bullet′ run: the analytic model
+/// and the open-system scenarios.
+pub fn traced_workload(scenario: &Scenario, opts: &CommonOpts) -> Result<Workload, String> {
+    match scenario.body {
+        Body::Closed { workload, .. } => {
+            let w = workload(opts, "default")?;
+            Ok(Workload {
+                tick: w.tick.or(Some(opts.tick.unwrap_or(2.0))),
+                ..w
+            })
+        }
+        Body::Open { .. } => Err(format!(
+            "scenario '{}' is an open-system service run; use `lab serve {}` \
+             (its ServiceReport carries the steady-state series a trace would)",
+            scenario.name, scenario.name
+        )),
+        Body::Model(_) => Err(format!(
+            "scenario '{}' runs the Shotgun tool, which has no Bullet' runner to trace",
+            scenario.name
+        )),
+    }
+}
+
+/// Runs the default Bullet′ run of [`traced_workload`] with trace sink, probe
+/// and profiler enabled, retaining up to `ring` records.
+///
+/// # Errors
+///
+/// Returns [`traced_workload`]'s errors.
 pub fn traced_run(
     scenario: &Scenario,
     opts: &CommonOpts,
     ring: usize,
 ) -> Result<TracedRun, String> {
-    if scenario.system == SystemSet::Shotgun {
-        return Err(format!(
-            "scenario '{}' runs the Shotgun tool, which has no Bullet' runner to trace",
-            scenario.name
-        ));
-    }
-    if scenario.dynamics == DynamicsKind::OpenArrivals {
-        return Err(format!(
-            "scenario '{}' is an open-system service run; use `lab serve {}` \
-             (its ServiceReport carries the steady-state series a trace would)",
-            scenario.name, scenario.name
-        ));
-    }
-    let tick = opts.tick.unwrap_or(2.0);
-    let rng = RngFactory::new(opts.seed);
-    let (topo, file) = build_workload(scenario.topology, opts, &rng);
-    let nodes = topo.len();
-    let cfg = Config::new(file);
-
+    let workload = traced_workload(scenario, opts)?;
     let shared = Rc::new(RefCell::new(RingSink::new(ring)));
-    let mut runner = bullet_prime::build_runner(topo, &cfg, &rng);
-    runner.set_trace_sink(Box::new(SharedSink {
-        ring: Rc::clone(&shared),
-    }));
-    runner.enable_profiling(10.0);
-    runner.record_timeseries(SimDuration::from_secs_f64(tick));
-
-    match scenario.dynamics {
-        DynamicsKind::Static => {}
-        DynamicsKind::BandwidthChanges => {
-            for (at, batch) in paper_dynamic_schedule(nodes, opts.time_limit, &rng) {
-                runner.schedule_link_change(at, batch);
-            }
-        }
-        DynamicsKind::CascadingDegrade => {
-            // One degradation every 25 s over a ~100 MB download, scaled with
-            // the file like fig12.
-            let period = 25.0 * (file.file_bytes as f64 / (100.0 * 1024.0 * 1024.0));
-            for (at, batch) in cascade_schedule(nodes - 1, period.max(1.0)) {
-                runner.schedule_link_change(at, batch);
-            }
-        }
-        DynamicsKind::CrashWave | DynamicsKind::FlashCrowd => {
-            let median = clean_median(scenario.topology, opts, &rng);
-            let churn = if scenario.dynamics == DynamicsKind::CrashWave {
-                crash_wave_schedule(
-                    nodes,
-                    0.25,
-                    SimTime::from_secs_f64(0.2 * median),
-                    SimTime::from_secs_f64(0.6 * median),
-                    &rng,
-                )
-            } else {
-                let initial = 1 + (nodes - 1) / 4; // source + 25% of receivers
-                flash_crowd_schedule(
-                    nodes,
-                    initial,
-                    SimTime::from_secs_f64(0.25 * median),
-                    SimTime::from_secs_f64(0.75 * median),
-                )
-            };
-            for (at, event) in &churn {
-                if let NodeEvent::Join(node) = event {
-                    runner.set_inactive_at_start(*node);
-                }
-                runner.schedule_node_event(*at, *event);
-            }
-        }
-        DynamicsKind::OpenArrivals => {
-            unreachable!("open-arrivals scenarios were rejected before the workload was built")
-        }
-        DynamicsKind::CrossTraffic => {
-            // The fig19 square wave: a CBR stream occupying half the shared
-            // core, one boundary every ~20 s scaled with the file.
-            let period = (20.0 * file.file_bytes as f64 / (4.0 * 1024.0 * 1024.0)).max(4.0);
-            let cross = cross_traffic_square_wave(
-                (NodeId(0), NodeId(1)),
-                mbps(2.0),
-                SimDuration::from_secs_f64(period),
-                SimDuration::from_secs_f64(opts.time_limit),
-            );
-            for &(at, change) in &cross {
-                runner.schedule_cross_traffic(at, change);
-            }
-        }
-    }
-
-    let report = runner.run(SimDuration::from_secs_f64(opts.time_limit));
+    let mut runner = workload.bullet_prime_with(&workload.config(), |runner| {
+        runner.set_trace_sink(Box::new(SharedSink {
+            ring: Rc::clone(&shared),
+        }));
+        runner.enable_profiling(10.0);
+    });
+    let report = workload.run(&mut runner);
     let profile = runner.take_profile();
     drop(runner); // Releases the boxed sink, leaving `shared` sole owner.
     let ring = Rc::try_unwrap(shared)
@@ -341,7 +201,7 @@ pub fn traced_run(
     Ok(TracedRun {
         report,
         profile,
-        nodes,
+        workload,
         records: ring.into_records(),
         recorded,
         dropped,
@@ -415,7 +275,7 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
 
     println!(
         "trace {name}: {} nodes, {} events, virtual end {:.1}s ({:?})",
-        run.nodes,
+        run.workload.nodes,
         run.report.events,
         run.report.end_time.as_secs_f64(),
         run.report.reason,
@@ -453,18 +313,19 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
         .expect("traced runs install the stats probe");
     // A churn run legitimately diverges: crashes reset cumulative counters
     // the replay cannot see. An overflowed ring lost the stream's head.
+    let dynamics = run.workload.dynamics;
     let strict = run.dropped == 0
         && !matches!(
-            scenario.dynamics,
-            DynamicsKind::CrashWave | DynamicsKind::FlashCrowd
+            dynamics,
+            Dynamics::CrashWave { .. } | Dynamics::FlashCrowd { .. }
         );
-    match check_replay(&run.records, series, run.nodes) {
+    match check_replay(&run.records, series, run.workload.nodes) {
         Ok(msg) => println!("replay check: OK — {msg}"),
         Err(msg) if strict => return Err(format!("replay check FAILED: {msg}")),
         Err(msg) => println!(
             "replay check: skipped ({msg}; {} records dropped, {} dynamics)",
             run.dropped,
-            scenario.dynamics.tag()
+            dynamics.tag()
         ),
     }
 
@@ -536,6 +397,72 @@ mod tests {
     }
 
     #[test]
+    fn tracing_runs_the_scenarios_own_workload_and_perturbs_nothing() {
+        // For every scenario with a Bullet' run: what is traced is the
+        // workload the figure presents, and the traced report is the bytes of
+        // that workload run with no sink and no profiler.
+        let registry = Registry::standard();
+        let opts = CommonOpts {
+            nodes: Some(8),
+            file_mb: Some(0.25),
+            time_limit: 1800.0,
+            ..CommonOpts::default()
+        };
+        let mut traced = 0;
+        for sc in registry.iter() {
+            let Ok(workload) = traced_workload(sc, &opts) else {
+                continue;
+            };
+            let run = traced_run(sc, &opts, DEFAULT_RING).unwrap();
+            assert_eq!(run.workload, workload, "{}", sc.name);
+            assert!(run.recorded > 0, "{}", sc.name);
+            assert_eq!(
+                run.report.canonical(),
+                workload.report().canonical(),
+                "{}: tracing perturbed the run",
+                sc.name
+            );
+            traced += 1;
+        }
+        assert_eq!(traced, 18, "21 scenarios, one model, two open systems");
+    }
+
+    #[test]
+    fn traced_workloads_are_the_figures_not_a_look_alike() {
+        use bullet_bench::TopologyKind;
+        let registry = Registry::standard();
+        let traced = |name: &str, opts: &CommonOpts| {
+            traced_workload(registry.get(name).expect("registered"), opts).unwrap()
+        };
+        let half_mb = CommonOpts {
+            file_mb: Some(0.5),
+            ..CommonOpts::default()
+        };
+        assert_eq!(traced("fig05", &half_mb).nodes, 60);
+        let fig18 = traced("fig18", &CommonOpts::default());
+        assert_eq!((fig18.nodes, fig18.groups), (32, 2), "two meshes");
+        assert_eq!(
+            fig18.topology,
+            TopologyKind::SharedCore {
+                core: netsim::mbps(2.0),
+                loss: 0.01
+            }
+        );
+        assert_eq!(
+            traced("fig11", &CommonOpts::default()).topology,
+            TopologyKind::HighBdpClique { max_loss: 0.015 }
+        );
+        // An unobserved scenario gains the probe the replay check needs; an
+        // observed one keeps its own tick.
+        assert_eq!(fig18.tick, Some(2.0));
+        let ticked = CommonOpts {
+            tick: Some(5.0),
+            ..CommonOpts::default()
+        };
+        assert_eq!(traced("fig19", &ticked).tick, Some(5.0));
+    }
+
+    #[test]
     fn traced_fig05_replays_the_probe_series_from_the_ring() {
         // The acceptance check at smoke scale: the trace stream alone must
         // reproduce the StatsProbe goodput series.
@@ -553,7 +480,8 @@ mod tests {
         assert_eq!(run.recorded as usize, run.records.len());
         assert!(run.records.len() > 100, "a real run emits many records");
         let series = run.report.timeseries.as_ref().expect("probe installed");
-        let msg = check_replay(&run.records, series, run.nodes).expect("replay must match");
+        let msg =
+            check_replay(&run.records, series, run.workload.nodes).expect("replay must match");
         assert!(msg.contains("6 nodes"), "{msg}");
         // The profiler saw the run too.
         let profile = run.profile.expect("profiling was enabled");

@@ -5,20 +5,25 @@
 //!
 //! Run with `cargo run --release --example dynamic_network`.
 
-use bullet_repro::bullet_bench::{run_bullet_prime_with, Series};
+use bullet_repro::bullet_bench::{CommonOpts, Dynamics, SystemRun, TopologyKind, Workload};
 use bullet_repro::bullet_prime::{Config, OutstandingPolicy, PeerSetPolicy};
-use bullet_repro::desim::{RngFactory, SimDuration};
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::dynamics::correlated_decrease_schedule;
-use bullet_repro::netsim::topology;
 
 type ConfigTweak = fn(&mut Config);
 
 fn main() {
     let nodes = 30;
     let file = FileSpec::from_mb_kb(10, 16);
-    let seed = 11;
-    let limit = SimDuration::from_secs(3600);
+    let opts = CommonOpts {
+        seed: 11,
+        time_limit: 3600.0,
+        ..CommonOpts::default()
+    };
+    let topology = TopologyKind::ModelNetMesh { max_loss: 0.03 };
+    let changes = Dynamics::BandwidthChanges {
+        period: Some(20.0),
+        quiet: 0.0,
+    };
 
     let variants: [(&str, ConfigTweak); 2] = [
         ("adaptive (dynamic peers + dynamic outstanding)", |_cfg| {}),
@@ -38,24 +43,12 @@ fn main() {
     );
     for (label, tweak) in variants {
         let mut medians = Vec::new();
-        for dynamic in [false, true] {
-            let rng = RngFactory::new(seed);
-            let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-            let schedule = if dynamic {
-                correlated_decrease_schedule(
-                    nodes,
-                    SimDuration::from_secs(20),
-                    SimDuration::from_secs(600),
-                    &rng,
-                )
-            } else {
-                Vec::new()
-            };
-            let mut cfg = Config::new(file);
+        for dynamics in [Dynamics::Static, changes] {
+            let workload = Workload::new(&opts, topology, nodes, file, dynamics);
+            let mut cfg = workload.config();
             tweak(&mut cfg);
-            let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, &schedule, limit);
-            let cdf = Series::cdf(label, &run.times);
-            medians.push(cdf.quantile(0.5));
+            let (report, _) = workload.run_bullet_prime(&cfg);
+            medians.push(SystemRun::from_report(&report).median());
         }
         println!("{:<50} {:>11.1}s {:>11.1}s", label, medians[0], medians[1]);
     }

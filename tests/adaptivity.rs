@@ -3,27 +3,31 @@
 //! hold up across network conditions where any single static choice breaks
 //! down.
 
-use bullet_repro::bullet_bench::{run_bullet_prime_with, Series};
+use bullet_repro::bullet_bench::{CommonOpts, Dynamics, SystemRun, TopologyKind, Workload};
 use bullet_repro::bullet_prime::{Config, OutstandingPolicy, PeerSetPolicy, RequestStrategy};
-use bullet_repro::desim::{RngFactory, SimDuration};
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::{dynamics, topology, NodeId, Topology};
 
-const LIMIT: SimDuration = SimDuration::from_secs(7_200);
-
-fn median_with(
-    topo: Topology,
+fn workload(
+    topology: TopologyKind,
+    nodes: usize,
     seed: u64,
-    schedule: &bullet_repro::netsim::ChangeSchedule,
     file: FileSpec,
-    tweak: impl FnOnce(&mut Config),
-) -> f64 {
-    let rng = RngFactory::new(seed);
-    let mut cfg = Config::new(file);
+    dynamics: Dynamics,
+) -> Workload {
+    let opts = CommonOpts {
+        seed,
+        ..CommonOpts::default()
+    };
+    Workload::new(&opts, topology, nodes, file, dynamics)
+}
+
+/// Completion times of Bullet' under the default configuration after `tweak`.
+fn run_with(w: &Workload, tweak: impl FnOnce(&mut Config)) -> SystemRun {
+    let mut cfg = w.config();
     tweak(&mut cfg);
-    let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, schedule, LIMIT);
+    let run = SystemRun::from_report(&w.run_bullet_prime(&cfg).0);
     assert_eq!(run.unfinished, 0);
-    Series::cdf("cfg", &run.times).quantile(0.5)
+    run
 }
 
 /// Fig 9's point: on a constrained-access topology more peers are *not*
@@ -31,29 +35,16 @@ fn median_with(
 /// best static choice.
 #[test]
 fn dynamic_peering_tracks_the_best_static_choice_on_constrained_access() {
-    let seed = 31;
-    let file = FileSpec::from_mb_kb(2, 16);
-    let small = median_with(
-        topology::constrained_access(24),
-        seed,
-        &Vec::new(),
-        file,
-        |c| c.peer_policy = PeerSetPolicy::Fixed(6),
+    let w = workload(
+        TopologyKind::ConstrainedAccess,
+        24,
+        31,
+        FileSpec::from_mb_kb(2, 16),
+        Dynamics::Static,
     );
-    let large = median_with(
-        topology::constrained_access(24),
-        seed,
-        &Vec::new(),
-        file,
-        |c| c.peer_policy = PeerSetPolicy::Fixed(14),
-    );
-    let dynamic = median_with(
-        topology::constrained_access(24),
-        seed,
-        &Vec::new(),
-        file,
-        |_| {},
-    );
+    let small = run_with(&w, |c| c.peer_policy = PeerSetPolicy::Fixed(6)).median();
+    let large = run_with(&w, |c| c.peer_policy = PeerSetPolicy::Fixed(14)).median();
+    let dynamic = run_with(&w, |_| {}).median();
     let best = small.min(large);
     assert!(
         dynamic <= best * 1.35,
@@ -66,19 +57,16 @@ fn dynamic_peering_tracks_the_best_static_choice_on_constrained_access() {
 /// it and approach a generously sized fixed window.
 #[test]
 fn dynamic_outstanding_fills_high_bdp_pipes() {
-    let seed = 37;
-    let file = FileSpec::new(4 * 1024 * 1024, 8 * 1024);
-    let mk = || {
-        let rng = RngFactory::new(seed);
-        topology::high_bdp_clique(12, 0.0, &rng)
-    };
-    let tiny = median_with(mk(), seed, &Vec::new(), file, |c| {
-        c.outstanding_policy = OutstandingPolicy::Fixed(1)
-    });
-    let large = median_with(mk(), seed, &Vec::new(), file, |c| {
-        c.outstanding_policy = OutstandingPolicy::Fixed(50)
-    });
-    let dynamic = median_with(mk(), seed, &Vec::new(), file, |_| {});
+    let w = workload(
+        TopologyKind::HighBdpClique { max_loss: 0.0 },
+        12,
+        37,
+        FileSpec::new(4 * 1024 * 1024, 8 * 1024),
+        Dynamics::Static,
+    );
+    let tiny = run_with(&w, |c| c.outstanding_policy = OutstandingPolicy::Fixed(1)).median();
+    let large = run_with(&w, |c| c.outstanding_policy = OutstandingPolicy::Fixed(50)).median();
+    let dynamic = run_with(&w, |_| {}).median();
     assert!(
         dynamic < tiny,
         "dynamic ({dynamic:.1}s) must beat a one-block window ({tiny:.1}s) on high-BDP paths"
@@ -94,33 +82,21 @@ fn dynamic_outstanding_fills_high_bdp_pipes() {
 /// compared with the adaptive controller.
 #[test]
 fn dynamic_outstanding_limits_damage_from_cascading_slowdowns() {
-    let seed = 41;
-    let fast = 7usize;
-    let file = FileSpec::new(12 * 1024 * 1024, 8 * 1024);
     // The reduced 12 MB download lasts ~10 s at 10 Mbps, so degrade one link
     // every 2 s to reproduce the paper's "most links degraded before the
     // victim finishes" situation.
-    let schedule = {
-        let senders: Vec<NodeId> = (1..fast as u32).map(NodeId).collect();
-        dynamics::cascading_degrade_schedule(
-            &senders,
-            NodeId(fast as u32),
-            SimDuration::from_secs(2),
-        )
-    };
+    let w = workload(
+        TopologyKind::Cascade,
+        8,
+        41,
+        FileSpec::new(12 * 1024 * 1024, 8 * 1024),
+        Dynamics::CascadingDegrade { period: 2.0 },
+    );
     let victim_time = |tweak: fn(&mut Config)| {
-        let rng = RngFactory::new(seed);
-        let mut cfg = Config::new(file);
-        cfg.peer_policy = PeerSetPolicy::Fixed(6);
-        tweak(&mut cfg);
-        let (run, _) = run_bullet_prime_with(
-            topology::cascade_topology(fast),
-            &cfg,
-            &rng,
-            &schedule,
-            LIMIT,
-        );
-        assert_eq!(run.unfinished, 0);
+        let run = run_with(&w, |c| {
+            c.peer_policy = PeerSetPolicy::Fixed(6);
+            tweak(c);
+        });
         // The victim is the last node and by construction the slowest.
         run.times.iter().cloned().fold(0.0f64, f64::max)
     };
@@ -136,16 +112,18 @@ fn dynamic_outstanding_limits_damage_from_cascading_slowdowns() {
 /// first-encountered, which destroys block diversity.
 #[test]
 fn rarest_random_requests_do_not_lose_to_first_encountered() {
-    let seed = 43;
-    let file = FileSpec::from_mb_kb(4, 16);
-    let mk = || {
-        let rng = RngFactory::new(seed);
-        topology::modelnet_mesh(24, 0.03, &rng)
-    };
-    let first = median_with(mk(), seed, &Vec::new(), file, |c| {
+    let w = workload(
+        TopologyKind::ModelNetMesh { max_loss: 0.03 },
+        24,
+        43,
+        FileSpec::from_mb_kb(4, 16),
+        Dynamics::Static,
+    );
+    let first = run_with(&w, |c| {
         c.request_strategy = RequestStrategy::FirstEncountered
-    });
-    let rarest_random = median_with(mk(), seed, &Vec::new(), file, |_| {});
+    })
+    .median();
+    let rarest_random = run_with(&w, |_| {}).median();
     assert!(
         rarest_random <= first * 1.10,
         "rarest-random ({rarest_random:.1}s) should not lose to first-encountered ({first:.1}s)"

@@ -1,23 +1,33 @@
 //! Cross-crate integration tests: full dissemination runs spanning the
 //! emulator, the overlay substrate, Bullet′ and the baselines.
 
-use bullet_repro::bullet_bench::{run_bullet_prime_with, run_system, Series, SystemKind};
-use bullet_repro::bullet_prime::{Config, OutstandingPolicy, PeerSetPolicy};
+use bullet_repro::bullet_bench::{
+    run_system, CommonOpts, Dynamics, SystemKind, SystemRun, TopologyKind, Workload,
+};
+use bullet_repro::bullet_prime::{OutstandingPolicy, PeerSetPolicy};
 use bullet_repro::desim::{RngFactory, SimDuration};
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::dynamics::correlated_decrease_schedule;
 use bullet_repro::netsim::{topology, NodeId};
 
 const LIMIT: SimDuration = SimDuration::from_secs(3_600);
 
+/// Bullet' on the lossy ModelNet mesh, limited like the `run_system` runs.
+fn mesh(nodes: usize, max_loss: f64, seed: u64, file: FileSpec, dynamics: Dynamics) -> Workload {
+    let opts = CommonOpts {
+        seed,
+        time_limit: LIMIT.as_secs_f64(),
+        ..CommonOpts::default()
+    };
+    let topology = TopologyKind::ModelNetMesh { max_loss };
+    Workload::new(&opts, topology, nodes, file, dynamics)
+}
+
 #[test]
 fn bullet_prime_beats_the_physical_floor_but_not_by_magic() {
-    let rng = RngFactory::new(1);
-    let topo = topology::modelnet_mesh(20, 0.02, &rng);
     let file = FileSpec::from_mb_kb(4, 16);
-    let floor = file.file_bytes as f64 / topo.node(NodeId(1)).down;
-    let cfg = Config::new(file);
-    let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), LIMIT);
+    let w = mesh(20, 0.02, 1, file, Dynamics::Static);
+    let floor = file.file_bytes as f64 / w.topology().node(NodeId(1)).down;
+    let run = SystemRun::from_report(&w.report());
     assert_eq!(run.unfinished, 0);
     for &t in &run.times {
         assert!(
@@ -87,27 +97,18 @@ fn bandwidth_changes_slow_fixed_configurations_down() {
     // Under the paper's correlated-decrease scenario, a statically configured
     // Bullet' should not be faster than it was on the static network.
     let file = FileSpec::from_mb_kb(4, 16);
-    let median = |dynamic: bool| {
-        let rng = RngFactory::new(17);
-        let topo = topology::modelnet_mesh(16, 0.02, &rng);
-        let schedule = if dynamic {
-            correlated_decrease_schedule(
-                16,
-                SimDuration::from_secs(10),
-                SimDuration::from_secs(600),
-                &rng,
-            )
-        } else {
-            Vec::new()
-        };
-        let mut cfg = Config::new(file);
+    let median = |dynamics: Dynamics| {
+        let w = mesh(16, 0.02, 17, file, dynamics);
+        let mut cfg = w.config();
         cfg.peer_policy = PeerSetPolicy::Fixed(6);
         cfg.outstanding_policy = OutstandingPolicy::Fixed(3);
-        let (run, _) = run_bullet_prime_with(topo, &cfg, &rng, &schedule, LIMIT);
-        Series::cdf("x", &run.times).quantile(0.5)
+        SystemRun::from_report(&w.run_bullet_prime(&cfg).0).median()
     };
-    let static_net = median(false);
-    let dynamic_net = median(true);
+    let static_net = median(Dynamics::Static);
+    let dynamic_net = median(Dynamics::BandwidthChanges {
+        period: Some(10.0),
+        quiet: 0.0,
+    });
     assert!(
         dynamic_net >= static_net * 0.95,
         "cumulative bandwidth cuts should not speed the download up (static {static_net:.1}s, dynamic {dynamic_net:.1}s)"
@@ -117,13 +118,13 @@ fn bandwidth_changes_slow_fixed_configurations_down() {
 #[test]
 fn encoded_and_unencoded_bullet_prime_both_complete() {
     for encoded in [false, true] {
-        let rng = RngFactory::new(23);
-        let topo = topology::modelnet_mesh(10, 0.01, &rng);
-        let mut cfg = Config::new(FileSpec::from_mb_kb(2, 16));
+        let w = mesh(10, 0.01, 23, FileSpec::from_mb_kb(2, 16), Dynamics::Static);
+        let mut cfg = w.config();
         if encoded {
             cfg.transfer_mode = bullet_repro::bullet_prime::TransferMode::Encoded { epsilon: 0.04 };
         }
-        let (run, nodes) = run_bullet_prime_with(topo, &cfg, &rng, &Vec::new(), LIMIT);
+        let (report, nodes) = w.run_bullet_prime(&cfg);
+        let run = SystemRun::from_report(&report);
         assert_eq!(run.unfinished, 0, "encoded={encoded}");
         let needed = cfg.completion_target();
         for node in nodes.iter().skip(1) {

@@ -1,9 +1,14 @@
-//! Smoke tests for the figure harness: every figure function runs at a tiny
-//! scale, produces non-empty series with the expected legends, and renders to
-//! both text and JSON.
+//! Smoke tests for the figure harness: every scenario's figure (what `lab run
+//! <name>` prints) runs at a tiny scale, produces non-empty series with the
+//! expected legends, and renders to both text and JSON.
 
-use bullet_repro::bullet_bench::experiments;
 use bullet_repro::bullet_bench::{CommonOpts, Figure};
+use bullet_repro::bullet_lab::Registry;
+
+fn figure(name: &str, opts: &CommonOpts) -> Figure {
+    let registry = Registry::standard();
+    registry.get(name).expect("registered").run(opts)
+}
 
 fn tiny() -> CommonOpts {
     CommonOpts {
@@ -33,38 +38,38 @@ fn check(fig: &Figure, expected_series: usize) {
 
 #[test]
 fn figure_4_and_5_smoke() {
-    check(&experiments::fig04(&tiny()), 6);
-    check(&experiments::fig05(&tiny()), 4);
+    check(&figure("fig04", &tiny()), 6);
+    check(&figure("fig05", &tiny()), 4);
 }
 
 #[test]
 fn figure_6_to_9_smoke() {
-    check(&experiments::fig06(&tiny()), 4);
-    check(&experiments::fig07(&tiny()), 4);
+    check(&figure("fig06", &tiny()), 4);
+    check(&figure("fig07", &tiny()), 4);
     let mut opts = tiny();
     opts.time_limit = 900.0;
-    check(&experiments::fig08(&opts), 4);
-    check(&experiments::fig09(&tiny()), 3);
+    check(&figure("fig08", &opts), 4);
+    check(&figure("fig09", &tiny()), 3);
 }
 
 #[test]
 fn figure_10_to_12_smoke() {
-    check(&experiments::fig10(&tiny()), 6);
-    check(&experiments::fig11(&tiny()), 5);
-    check(&experiments::fig12(&tiny()), 4);
+    check(&figure("fig10", &tiny()), 6);
+    check(&figure("fig11", &tiny()), 5);
+    check(&figure("fig12", &tiny()), 4);
 }
 
 #[test]
 fn figure_13_to_15_smoke() {
-    let f13 = experiments::fig13(&tiny());
+    let f13 = figure("fig13", &tiny());
     check(&f13, 1);
     assert!(f13.notes[0].contains("overage"));
 
     let mut opts = tiny();
     opts.nodes = Some(10);
     opts.file_mb = Some(1.0);
-    check(&experiments::fig14(&opts), 4);
-    check(&experiments::fig15(&opts), 6);
+    check(&figure("fig14", &opts), 4);
+    check(&figure("fig15", &opts), 6);
 }
 
 #[test]
@@ -72,24 +77,24 @@ fn figure_16_and_17_smoke() {
     // Slightly larger swarm so a 25%/50% crash wave leaves a healthy mesh.
     let mut opts = tiny();
     opts.nodes = Some(12);
-    let f16 = experiments::fig16(&opts);
+    let f16 = figure("fig16", &opts);
     check(&f16, 4);
     assert!(f16.series[0].label.contains("no churn"));
     assert!(f16.series[2].label.contains("25% crash"));
-    let f17 = experiments::fig17(&opts);
+    let f17 = figure("fig17", &opts);
     check(&f17, 2);
     assert!(f17.series[1].label.contains("flash crowd"));
 }
 
 #[test]
 fn figure_18_and_19_smoke() {
-    let f18 = experiments::fig18(&tiny());
+    let f18 = figure("fig18", &tiny());
     check(&f18, 3);
     assert!(f18.series[0].label.contains("single mesh"));
     assert!(f18.notes[0].contains("fluid max-min"));
     let mut opts = tiny();
     opts.tick = Some(1.0);
-    let f19 = experiments::fig19(&opts);
+    let f19 = figure("fig19", &opts);
     check(&f19, 4);
     assert!(f19.series[3].label.contains("cross-traffic"));
 }
@@ -102,7 +107,7 @@ fn figure_21_and_22_smoke() {
     let mut opts = tiny();
     opts.nodes = Some(16);
     opts.time_limit = 900.0;
-    let f21 = experiments::fig21(&opts);
+    let f21 = figure("fig21", &opts);
     check(&f21, 5);
     assert!(f21.series[0].label.contains("sustained goodput"));
     assert!(f21.series[1].label.contains("p50"));
@@ -111,7 +116,7 @@ fn figure_21_and_22_smoke() {
 
     let mut opts = tiny();
     opts.nodes = Some(16);
-    let f22 = experiments::fig22(&opts);
+    let f22 = figure("fig22", &opts);
     check(&f22, 3);
     assert!(f22.series[0].label.contains("goodput"));
     assert!(f22.series[1].label.contains("in flight"));
@@ -125,27 +130,32 @@ fn churn_run_completes_for_survivors_and_excludes_crashed_nodes() {
     // The acceptance scenario: 25% of the receivers crash mid-transfer.
     // Surviving Bullet' receivers must still complete, and the crashed nodes
     // must not block the all-complete stop condition.
-    use bullet_repro::bullet_bench::run_bullet_prime_churn;
-    use bullet_repro::bullet_prime::Config;
-    use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
+    use bullet_repro::bullet_bench::{Dynamics, SystemRun, TopologyKind, Workload};
     use bullet_repro::dissem_codec::FileSpec;
-    use bullet_repro::netsim::dynamics::crash_wave_schedule;
-    use bullet_repro::netsim::{topology, StopReason};
+    use bullet_repro::netsim::StopReason;
 
     let nodes = 12;
-    let rng = RngFactory::new(20050410);
-    let topo = topology::modelnet_mesh(nodes, 0.01, &rng);
-    let cfg = Config::new(FileSpec::new(512 * 1024, 16 * 1024));
-    let churn = crash_wave_schedule(
+    let opts = CommonOpts {
+        time_limit: 3_600.0,
+        ..CommonOpts::default()
+    };
+    // The wave lands over 20%-60% of the calm median: 2 s to 6 s.
+    let wave = Workload::new(
+        &opts,
+        TopologyKind::ModelNetMesh { max_loss: 0.01 },
         nodes,
-        0.25,
-        SimTime::from_secs_f64(2.0),
-        SimTime::from_secs_f64(6.0),
-        &rng,
+        FileSpec::new(512 * 1024, 16 * 1024),
+        Dynamics::CrashWave {
+            fraction: 0.25,
+            calm_median: Some(10.0),
+        },
     );
+    let churn = wave.plan().nodes;
     assert_eq!(churn.len(), 3, "25% of 11 receivers rounds to 3 victims");
-    let (run, report, _) =
-        run_bullet_prime_churn(topo, &cfg, &rng, &churn, SimDuration::from_secs(3_600));
+    assert_eq!(churn[0].0.as_secs_f64(), 2.0);
+    assert_eq!(churn[2].0.as_secs_f64(), 6.0);
+    let report = wave.report();
+    let run = SystemRun::from_report(&report);
     assert_eq!(
         report.reason,
         StopReason::AllComplete,
@@ -171,7 +181,7 @@ fn reduced_and_full_scale_share_code_paths() {
     full.full = true;
     full.nodes = Some(8);
     full.file_mb = Some(0.25);
-    let a = experiments::fig04(&tiny());
-    let b = experiments::fig04(&full);
+    let a = figure("fig04", &tiny());
+    let b = figure("fig04", &full);
     assert_eq!(a.series.len(), b.series.len());
 }

@@ -6,8 +6,8 @@
 
 use bullet_repro::bullet_bench::{experiments, CommonOpts};
 use bullet_repro::bullet_lab::{
-    check_replay, run_serve, run_sweep, run_sweep_with, traced_run, DynamicsKind, Registry,
-    Scenario, SystemSet, TopologyKind,
+    check_replay, run_serve, run_sweep, run_sweep_with, traced_run, Body, Presentation, Registry,
+    Scenario,
 };
 use bullet_repro::bullet_prime::{build_runner, Config};
 use bullet_repro::desim::{RngFactory, SimDuration};
@@ -53,10 +53,10 @@ fn four_thread_fig05_sweep_is_byte_identical_to_one_thread() {
     let fig05 = Scenario::new(
         "fig05",
         "overall comparison under bandwidth changes (smoke scale)",
-        SystemSet::AllFour,
-        TopologyKind::ModelNetMesh,
-        DynamicsKind::BandwidthChanges,
-        experiments::fig05,
+        Body::Closed {
+            workload: experiments::fig05_workload,
+            figure: Presentation::Study(experiments::overall_comparison),
+        },
     );
     let seeds = [20050410, 20050411, 20050412, 20050413];
     let serial = run_sweep(&fig05, &tiny(), &seeds, 1);
@@ -219,7 +219,7 @@ fn thousand_node_swarm_interleaves_probe_and_trace() {
         ..CommonOpts::default()
     };
     let run = traced_run(fig20, &opts, 1 << 22).expect("fig20 is traceable");
-    assert_eq!(run.nodes, 1_000);
+    assert_eq!(run.workload.nodes, 1_000);
     assert_eq!(run.dropped, 0, "the default-sized ring must not overflow");
     assert_eq!(run.recorded, run.report.trace_records);
     assert!(
@@ -230,7 +230,7 @@ fn thousand_node_swarm_interleaves_probe_and_trace() {
     );
     let series = run.report.timeseries.as_ref().expect("probe installed");
     assert_eq!(series.samples[0].nodes.len(), 1_000);
-    let msg = check_replay(&run.records, series, run.nodes).expect("replay must match");
+    let msg = check_replay(&run.records, series, run.workload.nodes).expect("replay must match");
     assert!(msg.contains("1000 nodes"), "{msg}");
     // The trace is ordered: seq is non-decreasing across the whole stream.
     assert!(

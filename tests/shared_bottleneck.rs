@@ -8,8 +8,7 @@
 //! fluid model at both altitudes: a deterministic flood workload (exact
 //! halving) and full Bullet′ meshes (approximate halving end to end).
 
-use bullet_repro::bullet_bench::run_concurrent_meshes;
-use bullet_repro::bullet_prime::Config;
+use bullet_repro::bullet_bench::{CommonOpts, Dynamics, SystemRun, TopologyKind, Workload};
 use bullet_repro::desim::{RngFactory, SimDuration};
 use bullet_repro::dissem_codec::{BlockBitmap, BlockId, FileSpec};
 use bullet_repro::netsim::units::mbps;
@@ -164,24 +163,31 @@ fn concurrent_meshes_share_core_bottleneck() {
 
 #[test]
 fn concurrent_bullet_meshes_contend_end_to_end() {
-    // The same comparison through the full stack: real Bullet′ meshes built
-    // by `build_group_runner`. The protocol layer adds control traffic and
+    // The same comparison through the full stack: real Bullet′ meshes, two
+    // of them in one runner. The protocol layer adds control traffic and
     // adaptivity noise, so the tolerance is wider than the flood check's,
     // but concurrency must still cost roughly a factor of two.
-    let rng = RngFactory::new(20050410);
+    let opts = CommonOpts {
+        time_limit: 50_000.0,
+        ..CommonOpts::default()
+    };
+    let topology = TopologyKind::SharedCore {
+        core: mbps(2.0),
+        loss: 0.0,
+    };
     let file = FileSpec::new(512 * 1024, 16 * 1024);
-    let cfg = Config::new(file);
-    let limit = SimDuration::from_secs(50_000);
+    let alone = Workload::new(&opts, topology, 6, file, Dynamics::Static);
+    let single = SystemRun::from_report(&alone.report());
+    assert_eq!(single.unfinished, 0, "single mesh completes");
+    let single_slowest = single.times.iter().copied().fold(0.0, f64::max);
 
-    let topo = topology::shared_core_mesh(6, mbps(2.0), 0.0, &rng);
-    let single = run_concurrent_meshes(topo, &cfg, &rng, &[6], limit);
-    assert_eq!(single.len(), 1);
-    assert_eq!(single[0].unfinished, 0, "single mesh completes");
-    let single_slowest = single[0].times.iter().copied().fold(0.0, f64::max);
-
-    let topo = topology::shared_core_mesh(12, mbps(2.0), 0.0, &rng);
-    let dual = run_concurrent_meshes(topo, &cfg, &rng, &[6, 6], limit);
-    assert_eq!(dual.len(), 2);
+    let two = Workload {
+        nodes: 12,
+        groups: 2,
+        ..alone
+    };
+    let report = two.report();
+    let dual = [0..6, 6..12].map(|mesh| SystemRun::from_range(&report, mesh));
     for (i, run) in dual.iter().enumerate() {
         assert_eq!(run.unfinished, 0, "mesh {i} completes");
         assert_eq!(run.times.len(), 5, "mesh {i} has five receivers");
