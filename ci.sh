@@ -44,6 +44,41 @@ cargo test -q --test figures_smoke
 echo "==> golden digests on the release build (tests/golden_digests.rs)"
 cargo test -q --release --test golden_digests
 
+# Golden figures (tests/golden_figures.rs) pin the harness above the
+# emulator: every registry scenario's figure, the fig05w sweep with warm-up
+# sharing on and off, and both `lab serve` runs, at tiny scale. A refactor of
+# bullet_bench / bullet_lab is correct iff the file passes unedited.
+echo "==> golden figures on the release build (tests/golden_figures.rs)"
+cargo test -q --release --test golden_figures
+
+# One scenario per body kind through the CLI: every command reads what a
+# scenario runs off the same registry entry. A closed scenario traces the
+# Bullet' run of its own workload (and the trace must replay the probe
+# series); an open-system scenario and the analytic model are refused with
+# exit status 2 and a message saying where to go instead.
+echo "==> lab smoke (list, trace per body kind)"
+rows=$(./target/release/lab list | tail -n +2 | wc -l)
+if [ "$rows" -ne 21 ]; then
+    echo "FAIL: lab list printed $rows scenario rows, expected 21"
+    exit 1
+fi
+./target/release/lab trace fig11 --nodes 6 --mb 0.125 | grep -q "replay check: OK" || {
+    echo "FAIL: lab trace fig11 did not pass its replay check"
+    exit 1
+}
+expect_refusal() {
+    # $1 = scenario, $2 = text the message must contain
+    status=0
+    message=$(./target/release/lab trace "$1" 2>&1 >/dev/null) || status=$?
+    if [ "$status" -ne 2 ] || ! printf '%s' "$message" | grep -q "$2"; then
+        echo "FAIL: lab trace $1 exited $status saying: $message"
+        exit 1
+    fi
+}
+expect_refusal fig21 "lab serve fig21"
+expect_refusal fig15 "Shotgun"
+echo "lab list: 21 rows; trace fig11 replays; fig21 and fig15 refused with status 2"
+
 # Perf trajectory: a fixed-seed, dynamics-heavy Figure-5-style run. The JSON
 # records events-processed (a deterministic scheduler-efficiency proxy), the
 # heap-allocation count of the run, and the wall-clock seconds of the machine
