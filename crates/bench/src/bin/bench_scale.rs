@@ -19,7 +19,7 @@ use std::time::Instant;
 use bullet_bench::alloc_track::{self, CountingAlloc};
 use bullet_bench::experiments::fig20_workload;
 use bullet_bench::views::{write_record, ScalePoint, ScaleRecord};
-use bullet_bench::CommonOpts;
+use bullet_bench::{CommonOpts, Workload};
 
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
@@ -60,18 +60,12 @@ fn main() {
     // Fixed workload: fig20's at its default options — 2 MiB file in 16 KiB
     // blocks (128 blocks), everyone present from t = 0, no losses beyond the
     // uniform core's, run to completion.
-    let workload = |n| {
-        let opts = CommonOpts {
-            nodes: Some(n),
-            ..CommonOpts::default()
-        };
-        fig20_workload(&opts, "default").expect("fig20 has one point")
-    };
+    let shape = fig20_workload(&CommonOpts::default(), "default").expect("fig20 has one point");
     let mut points = Vec::new();
     for &n in &sizes {
         let started = Instant::now();
         alloc_track::reset_peak();
-        let report = workload(n).report();
+        let report = Workload { nodes: n, ..shape }.report();
         let wall = started.elapsed().as_secs_f64();
         let peak = alloc_track::peak_bytes();
         eprintln!(
@@ -88,12 +82,11 @@ fn main() {
     // `wall_clock_secs` are whatever the machine that last ran CI measured —
     // committed anyway so scale PRs leave a real throughput trajectory
     // (compare deltas on one machine, not absolute values across machines).
-    let w = workload(0); // seed and file are the same at every N
     let record = ScaleRecord {
         benchmark: "fig20-style join-only swarm on the uniform core",
-        seed: w.seed,
-        file_bytes: w.file.file_bytes,
-        block_bytes: w.file.block_bytes,
+        seed: shape.seed,
+        file_bytes: shape.file.file_bytes,
+        block_bytes: shape.file.block_bytes,
         points,
     };
     write_record(&record, &out_path);

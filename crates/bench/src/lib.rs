@@ -52,7 +52,6 @@ pub mod workload;
 pub use cdf::{improvement_at, Figure, Series};
 pub use opts::{emit, CommonOpts};
 pub use systems::SystemKind;
-pub use warmup::{FIG05W_VARIANTS, FIG05W_WARMUP_SECS};
 pub use workload::{
     run_system, Dynamics, ServiceWorkload, SystemRun, TopologyKind, WarmPrefix, Workload,
 };
