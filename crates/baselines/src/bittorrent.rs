@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
+use bullet_prime::DownloadMetrics;
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
 use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, TimerToken, WireSize};
@@ -206,11 +207,7 @@ pub struct BitTorrentNode {
     /// Tracker state (only used on node 0): every node that has announced.
     swarm: Vec<NodeId>,
     optimistic: Option<NodeId>,
-    /// Download metrics.
-    completed_at: Option<f64>,
-    arrival_times: Vec<f64>,
-    duplicates: u64,
-    useful_bytes: u64,
+    metrics: DownloadMetrics,
 }
 
 impl BitTorrentNode {
@@ -242,10 +239,7 @@ impl BitTorrentNode {
             in_flight: BTreeSet::new(),
             swarm: Vec::new(),
             optimistic: None,
-            completed_at: None,
-            arrival_times: Vec::new(),
-            duplicates: 0,
-            useful_bytes: 0,
+            metrics: DownloadMetrics::default(),
         }
     }
 
@@ -256,17 +250,17 @@ impl BitTorrentNode {
 
     /// Completion time in seconds, if the download finished.
     pub fn completed_at(&self) -> Option<f64> {
-        self.completed_at
+        self.metrics.completed_at
     }
 
     /// Arrival times of useful blocks (seconds), in arrival order.
     pub fn arrival_times(&self) -> &[f64] {
-        &self.arrival_times
+        &self.metrics.arrival_times
     }
 
     /// Number of duplicate block receipts.
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.metrics.duplicate_blocks
     }
 
     /// Number of blocks currently held.
@@ -618,19 +612,16 @@ impl Protocol for BitTorrentNode {
     }
 
     fn on_block_received(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, receipt: BlockReceipt) {
-        let block = receipt.block;
+        let (block, now) = (receipt.block, ctx.now());
         let duplicate = self.have.contains(block);
         self.in_flight.remove(&block);
         if let Some(n) = self.neighbours.get_mut(&from) {
             n.outstanding.remove(&block);
             n.bytes_from += receipt.bytes;
         }
-        if duplicate {
-            self.duplicates += 1;
-        } else {
+        self.metrics.record_arrival(now, receipt.bytes, duplicate);
+        if !duplicate {
             self.have.insert(block);
-            self.arrival_times.push(ctx.now().as_secs_f64());
-            self.useful_bytes += receipt.bytes;
             let piece = self.piece_of(block);
             let missing = &mut self.piece_missing[piece as usize];
             *missing = missing.saturating_sub(1);
@@ -639,8 +630,8 @@ impl Protocol for BitTorrentNode {
                 // classic `Have` flood, one identical message per neighbour.
                 ctx.send_to_many(self.neighbours.keys().copied(), &BtMsg::Have { piece });
             }
-            if self.download_done() && self.completed_at.is_none() {
-                self.completed_at = Some(ctx.now().as_secs_f64());
+            if self.download_done() {
+                self.metrics.record_completion(now, self.neighbours.len());
             }
         }
         self.issue_requests_to(ctx, from);
@@ -698,13 +689,8 @@ impl Protocol for BitTorrentNode {
     fn probe_stats(&self) -> ProbeStats {
         // The BitTorrent mesh is symmetric: every neighbour is both a
         // potential sender and a potential receiver.
-        ProbeStats {
-            useful_bytes: self.useful_bytes,
-            useful_blocks: self.arrival_times.len() as u64,
-            duplicate_blocks: self.duplicates,
-            senders: self.neighbours.len(),
-            receivers: self.neighbours.len(),
-        }
+        self.metrics
+            .probe_stats(self.neighbours.len(), self.neighbours.len())
     }
 }
 

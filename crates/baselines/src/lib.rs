@@ -11,6 +11,8 @@
 //! * [`splitstream`] — an interior-node-disjoint forest of stripe trees fed
 //!   by pure push.
 
+#![forbid(unsafe_code)]
+
 pub mod bittorrent;
 pub mod bullet_orig;
 pub mod splitstream;

@@ -11,6 +11,7 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
+use bullet_prime::DownloadMetrics;
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
 use netsim::{
@@ -178,10 +179,7 @@ pub struct SplitStreamNode {
     block_space: u32,
     /// Source bookkeeping: next block to inject.
     next_inject: u32,
-    completed_at: Option<f64>,
-    arrival_times: Vec<f64>,
-    duplicates: u64,
-    useful_bytes: u64,
+    metrics: DownloadMetrics,
 }
 
 impl SplitStreamNode {
@@ -206,26 +204,23 @@ impl SplitStreamNode {
             completion_target,
             block_space,
             next_inject: 0,
-            completed_at: None,
-            arrival_times: Vec::new(),
-            duplicates: 0,
-            useful_bytes: 0,
+            metrics: DownloadMetrics::default(),
         }
     }
 
     /// Completion time (seconds), if reached.
     pub fn completed_at(&self) -> Option<f64> {
-        self.completed_at
+        self.metrics.completed_at
     }
 
     /// Arrival times of useful blocks (seconds).
     pub fn arrival_times(&self) -> &[f64] {
-        &self.arrival_times
+        &self.metrics.arrival_times
     }
 
     /// Number of duplicate receipts (should be zero: trees never duplicate).
     pub fn duplicates(&self) -> u64 {
-        self.duplicates
+        self.metrics.duplicate_blocks
     }
 
     /// Number of distinct blocks held.
@@ -310,16 +305,15 @@ impl Protocol for SplitStreamNode {
     }
 
     fn on_block_received(&mut self, ctx: &mut Ctx<'_, Self>, _from: NodeId, receipt: BlockReceipt) {
-        let block = receipt.block;
-        if self.have.contains(block) {
-            self.duplicates += 1;
+        let (block, now) = (receipt.block, ctx.now());
+        let duplicate = self.have.contains(block);
+        self.metrics.record_arrival(now, receipt.bytes, duplicate);
+        if duplicate {
             return;
         }
         self.have.insert(block);
-        self.arrival_times.push(ctx.now().as_secs_f64());
-        self.useful_bytes += receipt.bytes;
-        if self.download_done() && self.completed_at.is_none() {
-            self.completed_at = Some(ctx.now().as_secs_f64());
+        if self.download_done() {
+            self.metrics.record_completion(now, self.forest.stripes());
         }
         // Forward down our stripe subtree regardless of our own completion.
         self.forward(ctx, block);
@@ -356,19 +350,15 @@ impl Protocol for SplitStreamNode {
     }
 
     fn probe_stats(&self) -> ProbeStats {
-        ProbeStats {
-            useful_bytes: self.useful_bytes,
-            useful_blocks: self.arrival_times.len() as u64,
-            duplicate_blocks: self.duplicates,
-            // One parent per stripe tree (none for the source); children
-            // across every stripe this node forwards on.
-            senders: if self.is_source() {
-                0
-            } else {
-                self.forest.stripes()
-            },
-            receivers: self.forest.fanout(self.id),
-        }
+        // One parent per stripe tree (none for the source); children across
+        // every stripe this node forwards on.
+        let senders = if self.is_source() {
+            0
+        } else {
+            self.forest.stripes()
+        };
+        self.metrics
+            .probe_stats(senders, self.forest.fanout(self.id))
     }
 }
 

@@ -633,6 +633,14 @@ mod tests {
     use super::*;
     use crate::systems::paper_dynamic_schedule;
 
+    #[test]
+    fn a_warm_prefix_is_a_plain_shareable_value() {
+        // Holds because a snapshot is data all the way down: nothing in
+        // netsim writes `Send` or `Sync` to make it so.
+        fn shareable<T: Clone + Send + Sync>() {}
+        shareable::<Snapshot<BulletPrimeNode>>();
+    }
+
     fn tiny(dynamics: Dynamics) -> Workload {
         let opts = CommonOpts {
             time_limit: 1800.0,

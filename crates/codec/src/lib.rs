@@ -11,6 +11,8 @@
 //! * [`mod@file`] — real in-memory content, slicing and reassembly, used by the
 //!   examples, Shotgun and the integrity tests.
 
+#![forbid(unsafe_code)]
+
 pub mod bitmap;
 pub mod block;
 pub mod diff;

@@ -23,6 +23,8 @@
 //! plus the composed [`BulletPrimeNode`] protocol and deployment helpers in
 //! [`builder`].
 
+#![forbid(unsafe_code)]
+
 pub mod builder;
 pub mod config;
 pub mod flow;

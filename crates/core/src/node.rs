@@ -811,13 +811,8 @@ impl Protocol for BulletPrimeNode {
     }
 
     fn probe_stats(&self) -> ProbeStats {
-        ProbeStats {
-            useful_bytes: self.metrics.useful_bytes,
-            useful_blocks: self.metrics.useful_blocks() as u64,
-            duplicate_blocks: self.metrics.duplicate_blocks,
-            senders: self.senders.len(),
-            receivers: self.receivers.len(),
-        }
+        self.metrics
+            .probe_stats(self.senders.len(), self.receivers.len())
     }
 }
 

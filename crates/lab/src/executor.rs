@@ -24,11 +24,11 @@
 //!
 //! No thread pool crate, channels or scoped-thread helpers from outside the
 //! standard library are used (the build environment is offline):
-//! `std::thread::scope`, one `AtomicUsize` cursor and a pre-split result
-//! table whose disjoint slots are written lock-free (each index is claimed
-//! by exactly one worker) is the entire machinery.
+//! `std::thread::scope` and one `AtomicUsize` cursor is the entire
+//! machinery. Each worker keeps the `(index, result)` pairs of the cells it
+//! claimed and returns them when it is joined; the caller sorts the joined
+//! pairs by index: no lock and no shared table.
 
-use std::cell::UnsafeCell;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
@@ -162,80 +162,42 @@ fn schedule_order(costs: &[f64]) -> Vec<usize> {
     order
 }
 
-/// A pre-split result table: the atomic cursor hands every cell index to
-/// exactly one worker, so each slot has a unique writer and no lock is
-/// needed on the hot path; results are only read back after the worker
-/// scope has joined.
-struct SlotTable<T>(Vec<UnsafeCell<Option<T>>>);
-
-// SAFETY: slots are disjoint per writer (the cursor's fetch_add yields each
-// index once) and reads happen only after all writers joined, so no slot is
-// ever aliased mutably.
-unsafe impl<T: Send> Sync for SlotTable<T> {}
-
-impl<T> SlotTable<T> {
-    fn new(n: usize) -> Self {
-        SlotTable((0..n).map(|_| UnsafeCell::new(None)).collect())
-    }
-
-    /// Stores `value` in slot `i`.
-    ///
-    /// # Safety
-    ///
-    /// The caller must be the unique writer of slot `i` (here: the worker
-    /// that claimed index `i` from the cursor), with no concurrent reads.
-    unsafe fn put(&self, i: usize, value: T) {
-        *self.0[i].get() = Some(value);
-    }
-
-    fn into_results(self) -> Vec<Option<T>> {
-        self.0.into_iter().map(UnsafeCell::into_inner).collect()
-    }
-}
-
 /// Runs `order.len()` independent jobs on `threads` workers and merges the
 /// results **by job index**, not completion order. `order` is the claim
 /// permutation (idle workers steal the next unclaimed entry); the result at
-/// position `i` is `job(i)` regardless of which worker ran it or when.
+/// position `i` is `job(i)` regardless of which worker ran it or when. A
+/// panicking job panics the call, with the job's own message.
 fn run_ordered<T: Send>(
     order: &[usize],
     threads: usize,
     job: impl Fn(usize) -> T + Sync,
 ) -> Vec<T> {
     assert!(threads > 0, "need at least one worker");
-    let n = order.len();
-    let results: Vec<Option<T>> = if threads == 1 || n <= 1 {
-        let mut table: Vec<Option<T>> = Vec::new();
-        table.resize_with(n, || None);
-        for &i in order {
-            table[i] = Some(job(i));
+    let cursor = AtomicUsize::new(0);
+    // Work stealing: claim the next unexecuted job until none is left
+    // (`order` is a permutation of the job indices and `fetch_add` yields
+    // each position once), keeping the results on the worker.
+    let work = || {
+        let mut done = Vec::new();
+        while let Some(&i) = order.get(cursor.fetch_add(1, Ordering::Relaxed)) {
+            done.push((i, job(i)));
         }
-        table
-    } else {
-        let cursor = AtomicUsize::new(0);
-        let table = SlotTable::new(n);
-        let workers = threads.min(n);
-        std::thread::scope(|scope| {
-            for _ in 0..workers {
-                scope.spawn(|| loop {
-                    // Work stealing: claim the next unexecuted job (`order`
-                    // is a permutation of the job indices).
-                    let k = cursor.fetch_add(1, Ordering::Relaxed);
-                    let Some(&i) = order.get(k) else { break };
-                    let result = job(i);
-                    // SAFETY: `order` is a permutation and `fetch_add` yields
-                    // each `k` once, so this worker is the unique writer of
-                    // slot `i`; reads happen after the scope joins.
-                    unsafe { table.put(i, result) };
-                });
-            }
-        });
-        table.into_results()
+        done
     };
-    results
-        .into_iter()
-        .map(|r| r.expect("every claimed job stores a result"))
-        .collect()
+    let workers = threads.min(order.len());
+    let mut done: Vec<(usize, T)> = if workers <= 1 {
+        work()
+    } else {
+        std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..workers).map(|_| scope.spawn(work)).collect();
+            handles
+                .into_iter()
+                .flat_map(|h| h.join().unwrap_or_else(|p| std::panic::resume_unwind(p)))
+                .collect()
+        })
+    };
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, result)| result).collect()
 }
 
 /// Runs `n` independent jobs (indices `0..n`, claimed in index order) on
@@ -509,6 +471,24 @@ mod tests {
             assert_eq!(run_indexed(9, threads, |i| i * i), serial);
         }
         assert_eq!(run_indexed(0, 4, |i| i), Vec::<usize>::new());
+    }
+
+    #[test]
+    fn a_panicking_job_panics_the_call_at_any_thread_count() {
+        for threads in [1, 3] {
+            let outcome = std::panic::catch_unwind(|| {
+                run_indexed(9, threads, |i| {
+                    assert_ne!(i, 4, "job 4 fails");
+                    i
+                })
+            });
+            let panic = outcome.expect_err("the failed job must not be dropped");
+            let message = panic.downcast_ref::<String>().expect("assert message");
+            assert!(
+                message.contains("job 4 fails"),
+                "{threads} threads: {message}"
+            );
+        }
     }
 
     #[test]

@@ -35,6 +35,8 @@
 //! `bullet_bench::experiments`; turning a workload into a run is
 //! `bullet_bench::workload`'s job and nobody else's.
 
+#![forbid(unsafe_code)]
+
 pub mod cli;
 pub mod executor;
 pub mod registry;

@@ -18,19 +18,21 @@
 //! * [`protocol`] — the [`Protocol`] trait implemented by every dissemination
 //!   system in this workspace (message and timer types are *associated
 //!   types*, so downstream signatures are `Runner<P>`, `Ctx<'_, P>`,
-//!   `Probe<P>`), and the command-buffer [`Ctx`];
+//!   `Snapshot<P>`), and the command-buffer [`Ctx`];
 //! * [`runner`] — the experiment driver (allocation-free dispatch over a
 //!   reusable command buffer);
 //! * [`conformance`] — a reusable trait-level conformance harness any
 //!   protocol implementation can be run through;
 //! * [`dynamics`] — scripted bandwidth-change, cross-traffic and churn
 //!   scenarios;
-//! * [`probe`] — run-time observers sampled on a virtual-time tick, feeding
-//!   the bandwidth-over-time analyses;
+//! * [`probe`] — the per-node time series sampled on a virtual-time tick,
+//!   feeding the bandwidth-over-time analyses;
 //! * [`trace`] / [`metrics`] / [`profile`] — the observability layer
 //!   (structured trace records, the always-on counters/gauges registry, and
 //!   the wall-clock profiler; see `docs/OBSERVABILITY.md` for the schema and
 //!   the zero-overhead-when-off contract).
+
+#![forbid(unsafe_code)]
 
 pub mod conformance;
 pub mod dynamics;
@@ -53,7 +55,7 @@ pub use dynamics::{
 };
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, VtHistogram};
 pub use network::{BlockReceipt, ConnUpdate, Network, NodeTraffic, SolverStats};
-pub use probe::{NodeSample, Probe, ProbeStats, StatsProbe, TimeSample, TimeSeries};
+pub use probe::{NodeSample, ProbeStats, StatsProbe, TimeSample, TimeSeries};
 pub use profile::{EventKind, HookKind, ProfileReport, ProfileRow, VtProfiler};
 pub use protocol::{Command, Ctx, Protocol, TimerToken, WireSize};
 pub use runner::{RunReport, Runner, StopReason};
@@ -61,7 +63,7 @@ pub use service::{
     arrival_schedule, run_service, ArrivalGen, CohortReport, ServiceConfig, ServiceReport,
     ServiceSample, SwarmShape, SwarmSource,
 };
-pub use snapshot::{ForkState, Snapshot};
+pub use snapshot::Snapshot;
 pub use topology::{LinkId, NodeId, NodeSpec, PathSpec, Topology};
 pub use trace::{
     replay_goodput, summarize, CountingSink, JsonlSink, ReplaySample, RingSink, TraceEvent,
@@ -916,6 +918,27 @@ mod probe_tests {
             tail,
             vec![6.0, 8.0, 10.0],
             "no re-sampled or duplicate instants"
+        );
+    }
+
+    #[test]
+    fn asking_for_a_series_twice_yields_one_series_at_the_second_interval() {
+        let mut runner = ticker_runner(2, 1000, 10);
+        runner.record_timeseries(SimDuration::from_secs(2));
+        runner.record_timeseries(SimDuration::from_secs(5));
+        let report = runner.run_until(SimTime::from_secs_f64(100.0));
+        let series = report.timeseries.expect("probe installed");
+        assert_eq!(series.interval_secs, 5.0);
+        let times: Vec<f64> = series.samples.iter().map(|s| s.time_secs).collect();
+        assert_eq!(times, vec![0.0, 5.0, 10.0], "one tick chain, not two");
+        assert_eq!(report.metrics.counter("probe_ticks"), Some(3));
+        assert!(
+            runner
+                .take_timeseries()
+                .expect("probe installed")
+                .samples
+                .is_empty(),
+            "the report drained the only series there is"
         );
     }
 

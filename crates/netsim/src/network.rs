@@ -793,18 +793,7 @@ impl Network {
             // the global allocation is untouched — schedule the fresh
             // in-flight block at the current rate without a solve.
             self.start_next(now, fid);
-            let new_cap = self.flow_cap(from, to, self.conns[f].bytes_acked);
-            let old_cap = self.flow_ceiling[f];
-            if new_cap != old_cap {
-                self.flow_ceiling[f] = new_cap;
-                for l in self.flow_path[f] {
-                    if self.unconstrained(l) {
-                        continue;
-                    }
-                    let c = &mut self.link_cap_sum[l.index()];
-                    *c = (*c + new_cap - old_cap).max(0.0);
-                }
-            }
+            let (old_cap, new_cap) = self.refresh_ceiling(f, from, to);
             let rate = self.flow_rate[f];
             let cap_unchanged = new_cap == old_cap;
             let cap_not_binding = new_cap >= old_cap && rate < old_cap * (1.0 - RATE_EPSILON);
@@ -945,8 +934,9 @@ impl Network {
     }
 
     /// Recomputes the cached ceiling of registered flow `f` (= pair `a → b`)
-    /// and folds the change into the per-link ceiling sums.
-    fn refresh_ceiling(&mut self, f: usize, a: NodeId, b: NodeId) {
+    /// and folds the change into the per-link ceiling sums. Returns the old
+    /// and the new ceiling.
+    fn refresh_ceiling(&mut self, f: usize, a: NodeId, b: NodeId) -> (BytesPerSec, BytesPerSec) {
         let new_cap = self.flow_cap(a, b, self.conns[f].bytes_acked);
         let old_cap = self.flow_ceiling[f];
         if new_cap != old_cap {
@@ -959,6 +949,7 @@ impl Network {
                 *c = (*c + new_cap - old_cap).max(0.0);
             }
         }
+        (old_cap, new_cap)
     }
 
     /// Re-solves the whole allocation from scratch, returning updates for

@@ -9,14 +9,15 @@
 //!   [`Protocol::probe_stats`] (useful bytes, duplicate blocks,
 //!   sender/receiver-set sizes). The default implementation returns zeros,
 //!   so probes work (vacuously) on any protocol.
-//! * [`Probe`] — the observer hook. The runner calls
-//!   [`Probe::sample`] on every node once per configured tick of virtual
-//!   time; a probe that accumulates a [`TimeSeries`] hands it back through
-//!   [`Probe::take_series`] when the run ends, and the runner carries it on
-//!   [`RunReport::timeseries`](crate::RunReport::timeseries).
-//! * [`StatsProbe`] — the built-in probe: instantaneous per-node goodput
-//!   (derived by differencing cumulative useful bytes between ticks),
-//!   cumulative duplicate-block ratio, and sender/receiver-set sizes.
+//! * [`StatsProbe`] — the probe
+//!   [`Runner::record_timeseries`](crate::Runner::record_timeseries) asks
+//!   for. The runner hands it every node once per configured tick of
+//!   virtual time; it keeps instantaneous per-node goodput (derived by
+//!   differencing cumulative useful bytes between ticks), cumulative
+//!   duplicate-block ratio and sender/receiver-set sizes as a
+//!   [`TimeSeries`], which the runner carries on
+//!   [`RunReport::timeseries`](crate::RunReport::timeseries). It is plain
+//!   data, so a checkpoint clones it with the rest of the run state.
 //!
 //! Probe ticks are ordinary simulator events, so sampling instants interleave
 //! deterministically with protocol events; two runs of the same configuration
@@ -24,9 +25,8 @@
 //! probe tick is considered drained — observation never keeps an experiment
 //! alive.
 
-use desim::SimTime;
+use desim::{SimDuration, SimTime};
 
-use crate::network::Network;
 use crate::protocol::Protocol;
 
 /// Cumulative per-node counters exposed to run-time probes.
@@ -88,9 +88,7 @@ pub struct TimeSample {
 /// A probe-built series of per-node measurements over virtual time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct TimeSeries {
-    /// Sampling interval (seconds). Stamped by the runner from the tick it
-    /// actually sampled on, so it cannot drift from a probe's own idea of
-    /// the cadence.
+    /// Sampling interval (seconds): the tick the runner sampled on.
     pub interval_secs: f64,
     /// Samples in time order. The first is taken at t = 0.
     pub samples: Vec<TimeSample>,
@@ -145,43 +143,10 @@ impl TimeSeries {
     }
 }
 
-/// An observer the runner invokes once per virtual-time tick.
-///
-/// `nodes` is every protocol instance (indexed by node id), `active` the
-/// participation flags, `cohorts` the per-slot cohort tags (all zero outside
-/// service runs); probes must not assume every node is participating, nor
-/// that a slot hosts the same node for the whole run.
-pub trait Probe<P: Protocol> {
-    /// Takes one sample at virtual time `now`.
-    fn sample(
-        &mut self,
-        now: SimTime,
-        nodes: &[P],
-        net: &Network,
-        active: &[bool],
-        cohorts: &[u32],
-    );
-
-    /// Called once when the run ends; a probe that built a [`TimeSeries`]
-    /// surrenders it here so the runner can attach it to the report.
-    fn take_series(&mut self) -> Option<TimeSeries> {
-        None
-    }
-
-    /// Returns an independent deep copy of the probe — accumulated series
-    /// included — for [`Runner::checkpoint`](crate::Runner::checkpoint).
-    /// The default `None` marks the probe non-forkable: checkpointing a
-    /// runner carrying one panics (silently dropping a probe would diverge
-    /// the forked run's report from the uninterrupted one).
-    fn fork(&self) -> Option<Box<dyn Probe<P> + Send + Sync>> {
-        None
-    }
-}
-
-/// The built-in probe: goodput / duplicate ratio / peer-set sizes per node.
-/// It does not know its own cadence — it measures elapsed virtual time
-/// between the samples it is handed, and the runner stamps the configured
-/// interval onto the series it surrenders.
+/// The time-series probe: goodput / duplicate ratio / peer-set sizes per
+/// node. It does not know its own cadence — it measures elapsed virtual time
+/// between the samples it is handed, and the runner names the interval it
+/// sampled on when it takes the series.
 #[derive(Debug, Clone, Default)]
 pub struct StatsProbe {
     prev_bytes: Vec<u64>,
@@ -191,18 +156,15 @@ pub struct StatsProbe {
 }
 
 impl StatsProbe {
-    /// Creates the probe.
-    pub fn new() -> Self {
-        StatsProbe::default()
-    }
-}
-
-impl<P: Protocol> Probe<P> for StatsProbe {
-    fn sample(
+    /// Takes one sample at virtual time `now`. `nodes` is every protocol
+    /// instance (indexed by node id), `active` the participation flags,
+    /// `cohorts` the per-slot cohort tags (all zero outside service runs):
+    /// not every node need be participating, and a slot need not host the
+    /// same node for the whole run.
+    pub fn sample<P: Protocol>(
         &mut self,
         now: SimTime,
         nodes: &[P],
-        _net: &Network,
         active: &[bool],
         cohorts: &[u32],
     ) {
@@ -249,16 +211,13 @@ impl<P: Protocol> Probe<P> for StatsProbe {
         });
     }
 
-    fn take_series(&mut self) -> Option<TimeSeries> {
-        Some(TimeSeries {
-            // Placeholder; the runner stamps the actual tick interval.
-            interval_secs: 0.0,
+    /// Surrenders the samples taken so far as a series sampled every
+    /// `interval`.
+    pub fn take_series(&mut self, interval: SimDuration) -> TimeSeries {
+        TimeSeries {
+            interval_secs: interval.as_secs_f64(),
             samples: std::mem::take(&mut self.samples),
-        })
-    }
-
-    fn fork(&self) -> Option<Box<dyn Probe<P> + Send + Sync>> {
-        Some(Box::new(self.clone()))
+        }
     }
 }
 

@@ -13,7 +13,7 @@
 //!
 //! A protocol declares its control-message type and its timer vocabulary as
 //! associated types, so downstream signatures mention only the protocol:
-//! `Runner<P>`, `Ctx<'_, P>`, `Probe<P>`. Timers are real enums — the runner
+//! `Runner<P>`, `Ctx<'_, P>`, `Snapshot<P>`. Timers are real enums — the runner
 //! stores them as compact `u64` tokens via [`TimerToken`] and hands the
 //! decoded value back to [`Protocol::on_timer`], so a handler `match`es on
 //! `Self::Timer` instead of decoding `(kind, data)` pairs against a constant

@@ -41,11 +41,11 @@
 //!
 //! ## Run-time probes
 //!
-//! [`Runner::install_probe`] / [`Runner::record_timeseries`] attach
-//! observers that sample every node on a configurable virtual-time tick (see
-//! [`crate::probe`]). Tick events interleave deterministically with protocol
-//! events, a queue holding nothing but the next tick counts as drained, and
-//! the resulting [`TimeSeries`] is carried on [`RunReport::timeseries`].
+//! [`Runner::record_timeseries`] samples every node on a configurable
+//! virtual-time tick (see [`crate::probe`]). Tick events interleave
+//! deterministically with protocol events, a queue holding nothing but the
+//! next tick counts as drained, and the resulting [`TimeSeries`] is carried
+//! on [`RunReport::timeseries`].
 
 use std::time::Instant;
 
@@ -55,10 +55,9 @@ use rand::rngs::StdRng;
 use crate::dynamics::{CrossTraffic, LinkChangeBatch, NodeEvent};
 use crate::metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 use crate::network::{CompletedBlock, ConnUpdate, Network};
-use crate::probe::{Probe, StatsProbe, TimeSeries};
+use crate::probe::{StatsProbe, TimeSeries};
 use crate::profile::{EventKind, HookKind, ProfileReport, VtProfiler};
 use crate::protocol::{Command, Ctx, Protocol, TimerToken, WireSize};
-use crate::snapshot::ForkState;
 use crate::topology::NodeId;
 use crate::trace::{TraceEvent, TraceRecord, TraceSink};
 
@@ -139,8 +138,8 @@ pub struct RunReport {
     pub reason: StopReason,
     /// Per-node flag: true if the node left or crashed during the run.
     pub departed: Vec<bool>,
-    /// Per-node measurements over virtual time, if a series-building probe
-    /// was installed (see [`Runner::record_timeseries`]).
+    /// Per-node measurements over virtual time, if
+    /// [`Runner::record_timeseries`] asked for them.
     pub timeseries: Option<TimeSeries>,
     /// The run's metrics snapshot: runner counters and gauges plus the
     /// engine's scheduling stats and the fluid solver's activity counters
@@ -189,7 +188,33 @@ impl RunReport {
 
 /// Drives one experiment: a network, a protocol instance per node, and a
 /// schedule of link changes and node-lifecycle events.
+///
+/// A runner is the `RunState` its future depends on plus the things that
+/// only watch it; a checkpoint copies the former and nothing else.
 pub struct Runner<P: Protocol> {
+    run: RunState<P>,
+    /// Reusable command buffer lent to each dispatch's [`Ctx`] (empty
+    /// between dispatches).
+    scratch: Vec<Command<P::Msg>>,
+    /// Installed structured-trace sink, if any (see [`crate::trace`]).
+    trace: Option<Box<dyn TraceSink>>,
+    /// Wall-clock profiler, if enabled (see [`crate::profile`]).
+    profiler: Option<VtProfiler>,
+    /// Set by [`Runner::resume`] to the snapshot's instant; the next
+    /// `advance_until` emits a [`TraceEvent::SnapshotResume`] marker (and
+    /// clears the flag) so any trace stream recorded from here on declares
+    /// that it starts mid-run, without a `node_join` prelude.
+    resumed_at: Option<SimTime>,
+}
+
+/// Everything a run's future depends on, and so exactly what a [`Snapshot`]
+/// holds: [`Runner::checkpoint`] is this value's `clone()`. The event queue
+/// is copied with its live keyed table and tombstones, so future
+/// [`EventKey`]s sequence identically; the network with its flow table and
+/// per-link usage/ceiling sums; the probe with the samples it has
+/// accumulated. A field added here is checkpointed by construction.
+#[derive(Clone)]
+struct RunState<P: Protocol> {
     sim: Simulator<NetEvent<P::Msg>>,
     net: Network,
     nodes: Vec<P>,
@@ -213,17 +238,13 @@ pub struct Runner<P: Protocol> {
     completion_events: Vec<Option<EventKey>>,
     /// Stop once this many events have been processed.
     max_events: u64,
-    /// Reusable command buffer lent to each dispatch's [`Ctx`].
-    scratch: Vec<Command<P::Msg>>,
-    /// Installed run-time probes, all sampled on the same tick.
-    probes: Vec<Box<dyn Probe<P>>>,
-    /// Virtual-time sampling interval for the probes.
-    probe_interval: Option<SimDuration>,
-    /// Whether a `ProbeTick` event is currently pending in the queue.
+    /// The time-series probe and the virtual-time interval it is sampled
+    /// on, once [`Runner::record_timeseries`] asked for one.
+    probe: Option<(SimDuration, StatsProbe)>,
+    /// Whether a `ProbeTick` event is pending in the queue, i.e. the tick
+    /// chain has been started (a staged re-`run_until` must continue the
+    /// existing chain, not start a second one).
     probe_tick_pending: bool,
-    /// Whether the tick chain has been started (a staged re-`run_until`
-    /// must continue the existing chain, not start a second one).
-    probes_started: bool,
     /// Whether start-of-run initialisation ran (a staged re-`run_until` must
     /// not deliver a second `on_init` — the trait promises exactly one).
     inits_done: bool,
@@ -237,10 +258,6 @@ pub struct Runner<P: Protocol> {
     /// Number of live completion events (== in-flight connections), feeding
     /// the `max_active_conns` gauge.
     live_conn_events: u64,
-    /// Installed structured-trace sink, if any (see [`crate::trace`]).
-    trace: Option<Box<dyn TraceSink>>,
-    /// Wall-clock profiler, if enabled (see [`crate::profile`]).
-    profiler: Option<VtProfiler>,
     /// Per-node slot incarnation, bumped by [`Runner::retire`]: events in
     /// flight towards an older incarnation are dropped at delivery, so a
     /// recycled slot never observes a previous cohort's traffic.
@@ -258,14 +275,9 @@ pub struct Runner<P: Protocol> {
     /// and keep the clock moving to the requested limit even when the queue
     /// drains — an open system idles between arrivals instead of stopping.
     run_to_limit: bool,
-    /// Set by [`Runner::resume`] to the snapshot's instant; the next
-    /// `advance_until` emits a [`TraceEvent::SnapshotResume`] marker (and
-    /// clears the flag) so any trace stream recorded from here on declares
-    /// that it starts mid-run, without a `node_join` prelude.
-    resumed_at: Option<SimTime>,
 }
 
-/// Bookkeeping for one node's live timer keys (see [`Runner::timer_keys`]).
+/// Bookkeeping for one node's live timer keys (see `RunState::timer_keys`).
 #[derive(Debug, Clone, Default)]
 struct TimerTrack {
     keys: Vec<EventKey>,
@@ -290,7 +302,7 @@ impl<P: Protocol> Runner<P> {
             .map(|i| rng.stream_indexed("runner.node", i as u64))
             .collect();
         let n = nodes.len();
-        Runner {
+        Self::watching(RunState {
             sim: Simulator::new(),
             net,
             nodes,
@@ -303,21 +315,26 @@ impl<P: Protocol> Runner<P> {
             incomplete: n,
             completion_events: Vec::new(),
             max_events: u64::MAX,
-            scratch: Vec::new(),
-            probes: Vec::new(),
-            probe_interval: None,
+            probe: None,
             probe_tick_pending: false,
-            probes_started: false,
             inits_done: false,
             table_rebuild_interval: 1 << 20,
             metrics: MetricsRegistry::default(),
             live_conn_events: 0,
-            trace: None,
-            profiler: None,
             epoch: vec![0; n],
-            timer_keys: (0..n).map(|_| TimerTrack::default()).collect(),
+            timer_keys: vec![TimerTrack::default(); n],
             cohort: vec![0; n],
             run_to_limit: false,
+        })
+    }
+
+    /// A runner over `run` with no observer attached.
+    fn watching(run: RunState<P>) -> Self {
+        Runner {
+            run,
+            scratch: Vec::new(),
+            trace: None,
+            profiler: None,
             resumed_at: None,
         }
     }
@@ -352,7 +369,7 @@ impl<P: Protocol> Runner<P> {
 
     /// Read access to the live metrics registry.
     pub fn metrics(&self) -> &MetricsRegistry {
-        &self.metrics
+        &self.run.metrics
     }
 
     /// The full deterministic metrics snapshot: the registry's counters and
@@ -360,8 +377,8 @@ impl<P: Protocol> Runner<P> {
     /// solver's activity counters (prefixed `events_` / `solver_`). This is
     /// what lands on [`RunReport::metrics`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.metrics.snapshot();
-        let sim = self.sim.stats();
+        let mut snap = self.run.metrics.snapshot();
+        let sim = self.run.sim.stats();
         // The engine tracks the pending high-water itself; surface it through
         // the registry's gauge slot.
         if let Some(slot) = snap
@@ -374,7 +391,7 @@ impl<P: Protocol> Runner<P> {
         snap.counters.push(("events_scheduled", sim.scheduled));
         snap.counters.push(("events_cancelled", sim.cancelled));
         snap.counters.push(("events_rescheduled", sim.rescheduled));
-        let solver = self.net.solver_stats();
+        let solver = self.run.net.solver_stats();
         snap.counters
             .push(("solver_full_solves", solver.full_solves));
         snap.counters.push(("solver_fast_admit", solver.fast_admit));
@@ -400,8 +417,8 @@ impl<P: Protocol> Runner<P> {
     fn trace_emit(&mut self, ev: impl FnOnce() -> TraceEvent) {
         if let Some(sink) = self.trace.as_mut() {
             let rec = TraceRecord {
-                t: self.sim.now().as_secs_f64(),
-                seq: self.sim.events_processed(),
+                t: self.run.sim.now().as_secs_f64(),
+                seq: self.run.sim.events_processed(),
                 ev: ev(),
             };
             sink.record(&rec);
@@ -414,33 +431,33 @@ impl<P: Protocol> Runner<P> {
     /// The default (`1 << 20`) is far beyond typical experiment lengths, so
     /// short runs never pay for it and never change behaviour.
     pub fn set_table_rebuild_interval(&mut self, interval: u64) {
-        self.table_rebuild_interval = interval;
+        self.run.table_rebuild_interval = interval;
     }
 
-    /// Installs a run-time probe, sampled every `interval` of virtual time
-    /// (together with any previously installed probes; the most recent
-    /// interval wins). The first sample is taken at t = 0 when the run
-    /// starts.
-    pub fn install_probe(&mut self, interval: SimDuration, probe: Box<dyn Probe<P>>) {
-        assert!(!interval.is_zero(), "probe interval must be positive");
-        self.probe_interval = Some(interval);
-        self.probes.push(probe);
-    }
-
-    /// Convenience: installs the built-in [`StatsProbe`], whose series
-    /// (instantaneous goodput, duplicate ratio, peer-set sizes per node)
-    /// lands on [`RunReport::timeseries`].
+    /// Samples every node each `interval` of virtual time into a
+    /// [`StatsProbe`], whose series (instantaneous goodput, duplicate ratio,
+    /// peer-set sizes per node) lands on [`RunReport::timeseries`]. The
+    /// first sample is taken when the run starts (t = 0 on a fresh runner).
+    /// Calling it again replaces the probe: one series, at the new interval.
     pub fn record_timeseries(&mut self, interval: SimDuration) {
-        self.install_probe(interval, Box::new(StatsProbe::new()));
+        assert!(!interval.is_zero(), "probe interval must be positive");
+        self.run.probe = Some((interval, StatsProbe::default()));
+    }
+
+    /// Removes and returns the series sampled so far, if
+    /// [`Runner::record_timeseries`] asked for one.
+    pub fn take_timeseries(&mut self) -> Option<TimeSeries> {
+        let (interval, probe) = self.run.probe.as_mut()?;
+        Some(probe.take_series(*interval))
     }
 
     /// Marks `node` as exempt from the all-complete stop condition.
     pub fn exempt_from_completion(&mut self, node: NodeId) {
         let idx = node.index();
-        if !self.exempt[idx] {
-            self.exempt[idx] = true;
-            if self.completion[idx].is_none() {
-                self.incomplete -= 1;
+        if !self.run.exempt[idx] {
+            self.run.exempt[idx] = true;
+            if self.run.completion[idx].is_none() {
+                self.run.incomplete -= 1;
             }
         }
     }
@@ -448,7 +465,7 @@ impl<P: Protocol> Runner<P> {
     /// Caps the total number of events the run may process; the run stops
     /// with [`StopReason::EventLimit`] when the cap is reached.
     pub fn set_event_limit(&mut self, limit: u64) {
-        self.max_events = limit;
+        self.run.max_events = limit;
     }
 
     /// Marks `node` as not yet part of the experiment: it is not initialised
@@ -456,12 +473,12 @@ impl<P: Protocol> Runner<P> {
     /// fires. The all-complete stop condition still counts it, so a run does
     /// not end before scheduled joiners have joined *and* completed.
     pub fn set_inactive_at_start(&mut self, node: NodeId) {
-        self.active[node.index()] = false;
+        self.run.active[node.index()] = false;
     }
 
     /// Whether `node` is currently participating.
     pub fn is_active(&self, node: NodeId) -> bool {
-        self.active[node.index()]
+        self.run.active[node.index()]
     }
 
     /// Switches the runner into (or out of) open-system mode: with the flag
@@ -470,36 +487,36 @@ impl<P: Protocol> Runner<P> {
     /// because an open system idles between arrivals instead of stopping.
     /// The event limit still applies.
     pub fn set_run_to_limit(&mut self, on: bool) {
-        self.run_to_limit = on;
+        self.run.run_to_limit = on;
     }
 
     /// When `node` completed its download, the instant it did.
     pub fn completion_time(&self, node: NodeId) -> Option<SimTime> {
-        self.completion[node.index()]
+        self.run.completion[node.index()]
     }
 
     /// Number of events currently pending in the queue (cancelled tombstones
     /// excluded). Service-mode leak tests assert this returns to baseline
     /// after each swarm completes.
     pub fn pending_events(&self) -> usize {
-        self.sim.pending()
+        self.run.sim.pending()
     }
 
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
-        self.sim.events_processed()
+        self.run.sim.events_processed()
     }
 
     /// Tags `node` with a cohort id (0 = unassigned). The tag is handed to
     /// every probe sample, so per-cohort series can be separated after a
     /// service run in which slots host several cohorts over time.
     pub fn set_cohort(&mut self, node: NodeId, cohort: u32) {
-        self.cohort[node.index()] = cohort;
+        self.run.cohort[node.index()] = cohort;
     }
 
     /// The cohort tag of `node` (0 = unassigned).
     pub fn cohort_of(&self, node: NodeId) -> u32 {
-        self.cohort[node.index()]
+        self.run.cohort[node.index()]
     }
 
     /// Retires `node` from the experiment after its swarm completed: the
@@ -510,23 +527,23 @@ impl<P: Protocol> Runner<P> {
     /// leave or crash, retirement is silent — no [`Protocol::on_peer_failed`]
     /// fan-out — because the whole cohort retires together.
     pub fn retire(&mut self, node: NodeId) {
-        let now = self.sim.now();
+        let now = self.run.sim.now();
         let idx = node.index();
-        self.active[idx] = false;
-        if !self.exempt[idx] {
-            self.exempt[idx] = true;
-            if self.completion[idx].is_none() {
-                self.incomplete -= 1;
+        self.run.active[idx] = false;
+        if !self.run.exempt[idx] {
+            self.run.exempt[idx] = true;
+            if self.run.completion[idx].is_none() {
+                self.run.incomplete -= 1;
             }
         }
-        self.epoch[idx] = self.epoch[idx].wrapping_add(1);
-        for key in self.timer_keys[idx].keys.drain(..) {
-            self.sim.cancel(key);
+        self.run.epoch[idx] = self.run.epoch[idx].wrapping_add(1);
+        for key in self.run.timer_keys[idx].keys.drain(..) {
+            self.run.sim.cancel(key);
         }
-        self.timer_keys[idx].prune_at = 0;
-        let updates = self.net.release_flows_for(now, node);
+        self.run.timer_keys[idx].prune_at = 0;
+        let updates = self.run.net.release_flows_for(now, node);
         self.apply_conn_updates(updates);
-        self.metrics.inc(Counter::NodeRetires);
+        self.run.metrics.inc(Counter::NodeRetires);
         self.trace_emit(|| TraceEvent::NodeRetire { node: node.0 });
     }
 
@@ -540,14 +557,17 @@ impl<P: Protocol> Runner<P> {
     /// Panics if the slot is still active.
     pub fn replace_node(&mut self, node: NodeId, fresh: P) {
         let idx = node.index();
-        assert!(!self.active[idx], "replace_node requires an inactive slot");
-        self.nodes[idx] = fresh;
-        let was_counted = !self.exempt[idx] && self.completion[idx].is_none();
-        self.completion[idx] = None;
-        self.exempt[idx] = false;
-        self.departed[idx] = false;
+        assert!(
+            !self.run.active[idx],
+            "replace_node requires an inactive slot"
+        );
+        self.run.nodes[idx] = fresh;
+        let was_counted = !self.run.exempt[idx] && self.run.completion[idx].is_none();
+        self.run.completion[idx] = None;
+        self.run.exempt[idx] = false;
+        self.run.departed[idx] = false;
         if !was_counted {
-            self.incomplete += 1;
+            self.run.incomplete += 1;
         }
     }
 
@@ -568,10 +588,10 @@ impl<P: Protocol> Runner<P> {
         let mut fresh = Vec::with_capacity(nodes.len());
         for &node in nodes {
             let idx = node.index();
-            if !self.active[idx] && !self.departed[idx] {
-                self.metrics.inc(Counter::NodeJoins);
+            if !self.run.active[idx] && !self.run.departed[idx] {
+                self.run.metrics.inc(Counter::NodeJoins);
                 self.trace_emit(|| TraceEvent::NodeJoin { node: node.0 });
-                self.active[idx] = true;
+                self.run.active[idx] = true;
                 fresh.push(node);
             }
         }
@@ -582,15 +602,17 @@ impl<P: Protocol> Runner<P> {
 
     /// Schedules a batch of link changes to take effect at `at`.
     pub fn schedule_link_change(&mut self, at: SimTime, batch: LinkChangeBatch) {
-        let index = self.link_changes.len();
-        self.link_changes.push(batch);
-        self.sim.schedule_at(at, NetEvent::LinkChange { index });
+        let index = self.run.link_changes.len();
+        self.run.link_changes.push(batch);
+        self.run.sim.schedule_at(at, NetEvent::LinkChange { index });
     }
 
     /// Schedules a cross-traffic occupancy change (see
     /// [`crate::dynamics::CrossTraffic`]) to take effect at `at`.
     pub fn schedule_cross_traffic(&mut self, at: SimTime, change: CrossTraffic) {
-        self.sim.schedule_at(at, NetEvent::CrossChange { change });
+        self.run
+            .sim
+            .schedule_at(at, NetEvent::CrossChange { change });
     }
 
     /// Schedules a node-lifecycle event (join, graceful leave, crash) to take
@@ -598,33 +620,33 @@ impl<P: Protocol> Runner<P> {
     /// [`Runner::set_inactive_at_start`] for the node as well, so it does not
     /// start as a participant.
     pub fn schedule_node_event(&mut self, at: SimTime, event: NodeEvent) {
-        self.sim.schedule_at(at, NetEvent::Lifecycle { event });
+        self.run.sim.schedule_at(at, NetEvent::Lifecycle { event });
     }
 
     /// Read access to the emulated network (topology + traffic counters).
     pub fn network(&self) -> &Network {
-        &self.net
+        &self.run.net
     }
 
     /// Read access to the protocol instances.
     pub fn nodes(&self) -> &[P] {
-        &self.nodes
+        &self.run.nodes
     }
 
     /// The protocol instance running on `node`.
     pub fn node(&self, node: NodeId) -> &P {
-        &self.nodes[node.index()]
+        &self.run.nodes[node.index()]
     }
 
     /// Consumes the runner, returning the protocol instances (for post-run
     /// inspection of per-node state and metrics).
     pub fn into_nodes(self) -> Vec<P> {
-        self.nodes
+        self.run.nodes
     }
 
     /// Current virtual time.
     pub fn now(&self) -> SimTime {
-        self.sim.now()
+        self.run.sim.now()
     }
 
     /// Runs the experiment until `limit` of virtual time.
@@ -656,10 +678,10 @@ impl<P: Protocol> Runner<P> {
         // Initialise every node that starts as a participant — exactly once:
         // the Protocol contract promises a single on_init per participant, so
         // a staged continuation must not re-deliver it.
-        if !self.inits_done {
-            self.inits_done = true;
-            for i in 0..self.nodes.len() {
-                if self.active[i] {
+        if !self.run.inits_done {
+            self.run.inits_done = true;
+            for i in 0..self.run.nodes.len() {
+                if self.run.active[i] {
                     self.dispatch(NodeId(i as u32), HookKind::OnInit, |node, ctx| {
                         node.on_init(ctx)
                     });
@@ -668,54 +690,50 @@ impl<P: Protocol> Runner<P> {
         }
         self.refresh_completion();
 
-        // Probes take their first sample at t = 0 and tick from there. On a
-        // staged continuation (`run_until` called again) the chain already
-        // exists — starting another would double-sample every instant and
-        // defeat the only-probe-ticks-left drain check below.
-        if let Some(interval) = self.probe_interval {
-            if !self.probes_started {
-                self.probes_started = true;
-                self.sample_probes();
-                self.sim.schedule_in(interval, NetEvent::ProbeTick);
-                self.probe_tick_pending = true;
-            }
+        // The probe takes its first sample at t = 0 and ticks from there.
+        // On a staged continuation (`run_until` called again) the chain
+        // already exists — starting another would double-sample every instant
+        // and defeat the only-probe-ticks-left drain check below.
+        if !self.run.probe_tick_pending {
+            self.probe_tick();
         }
 
         loop {
-            if !self.run_to_limit && self.all_complete() {
+            if !self.run.run_to_limit && self.all_complete() {
                 break StopReason::AllComplete;
             }
-            if self.sim.events_processed() >= self.max_events {
+            if self.run.sim.events_processed() >= self.run.max_events {
                 break StopReason::EventLimit;
             }
             // A queue holding nothing but the next probe tick is drained:
             // observation alone must not keep the experiment alive. In
             // open-system mode the probes keep sampling through idle
             // periods instead — the system is waiting, not finished.
-            if !self.run_to_limit && self.probe_tick_pending && self.sim.pending() == 1 {
+            if !self.run.run_to_limit && self.run.probe_tick_pending && self.run.sim.pending() == 1
+            {
                 break StopReason::Drained;
             }
-            match self.sim.peek_time() {
-                None if self.run_to_limit => {
+            match self.run.sim.peek_time() {
+                None if self.run.run_to_limit => {
                     // An idle open system: let virtual time pass to the
                     // requested boundary so the caller's arrival/tick
                     // bookkeeping stays on schedule.
-                    self.sim.advance_to(limit);
+                    self.run.sim.advance_to(limit);
                     break StopReason::TimeLimit;
                 }
                 None => break StopReason::Drained,
                 Some(t) if t > limit => {
                     // Clamp the clock to the limit (events beyond it stay
                     // pending), mirroring `Simulator::run_until`.
-                    self.sim.advance_to(limit);
+                    self.run.sim.advance_to(limit);
                     break StopReason::TimeLimit;
                 }
                 Some(_) => {}
             }
-            let (t, ev) = self.sim.step().expect("peeked event must exist");
-            self.metrics.events_by_vt.observe(t.as_secs_f64());
+            let (t, ev) = self.run.sim.step().expect("peeked event must exist");
+            self.run.metrics.events_by_vt.observe(t.as_secs_f64());
             let prof_start = self.profiler.is_some().then(|| (ev.kind(), Instant::now()));
-            let solver_before = self.trace.is_some().then(|| self.net.solver_stats());
+            let solver_before = self.trace.is_some().then(|| self.run.net.solver_stats());
             self.handle(ev);
             if let Some((kind, start)) = prof_start {
                 let elapsed = start.elapsed();
@@ -728,7 +746,7 @@ impl<P: Protocol> Runner<P> {
             // event that touched the solver, no sink plumbed through the
             // fluid model.
             if let Some(before) = solver_before {
-                let after = self.net.solver_stats();
+                let after = self.run.net.solver_stats();
                 if after != before {
                     self.trace_emit(|| TraceEvent::Solver {
                         full_solves: after.full_solves - before.full_solves,
@@ -740,67 +758,63 @@ impl<P: Protocol> Runner<P> {
                     });
                 }
             }
-            if self.table_rebuild_interval != 0
+            if self.run.table_rebuild_interval != 0
                 && self
+                    .run
                     .sim
                     .events_processed()
-                    .is_multiple_of(self.table_rebuild_interval)
+                    .is_multiple_of(self.run.table_rebuild_interval)
             {
-                self.net.rebuild_link_tables();
+                self.run.net.rebuild_link_tables();
             }
         }
     }
 
-    /// Builds the end-of-run report: drains the probes' accumulated series
+    /// Builds the end-of-run report: drains the probe's accumulated series
     /// and freezes completion, metrics and stop-reason state.
     fn finish_report(&mut self, reason: StopReason) -> RunReport {
-        // The runner, not the probe, knows the tick it sampled on.
-        let timeseries = self
-            .probes
-            .iter_mut()
-            .find_map(|p| p.take_series())
-            .map(|mut ts| {
-                if let Some(interval) = self.probe_interval {
-                    ts.interval_secs = interval.as_secs_f64();
-                }
-                ts
-            });
         RunReport {
             completion_secs: self
+                .run
                 .completion
                 .iter()
                 .map(|c| c.map(SimTime::as_secs_f64))
                 .collect(),
-            end_time: self.sim.now(),
-            events: self.sim.events_processed(),
+            end_time: self.run.sim.now(),
+            events: self.run.sim.events_processed(),
             reason,
-            departed: self.departed.clone(),
-            timeseries,
+            departed: self.run.departed.clone(),
+            timeseries: self.take_timeseries(),
             metrics: self.metrics_snapshot(),
             trace_records: self.trace.as_ref().map_or(0, |s| s.recorded()),
         }
     }
 
-    /// Feeds the current state to every installed probe.
-    fn sample_probes(&mut self) {
-        let now = self.sim.now();
-        for probe in &mut self.probes {
-            probe.sample(now, &self.nodes, &self.net, &self.active, &self.cohort);
-        }
-        self.metrics.inc(Counter::ProbeTicks);
+    /// Feeds the current state to the probe, if there is one, and schedules
+    /// its next tick.
+    fn probe_tick(&mut self) {
+        let run = &mut self.run;
+        let Some((interval, probe)) = run.probe.as_mut() else {
+            return;
+        };
+        probe.sample(run.sim.now(), &run.nodes, &run.active, &run.cohort);
+        run.sim.schedule_in(*interval, NetEvent::ProbeTick);
+        run.probe_tick_pending = true;
+        run.metrics.inc(Counter::ProbeTicks);
         self.trace_emit(|| TraceEvent::ProbeTick);
     }
 
     fn all_complete(&self) -> bool {
-        if self.incomplete > 0 {
+        if self.run.incomplete > 0 {
             return false;
         }
         // Reaching zero happens once per run, so the O(N) cross-check of the
         // incremental counter is free on the per-event path.
         debug_assert!(
-            self.completion
+            self.run
+                .completion
                 .iter()
-                .zip(self.exempt.iter())
+                .zip(self.run.exempt.iter())
                 .all(|(c, e)| *e || c.is_some()),
             "incremental incomplete counter drifted from the per-node state"
         );
@@ -810,18 +824,21 @@ impl<P: Protocol> Runner<P> {
     /// Records `node`'s completion instant (idempotent) and keeps the
     /// incremental all-complete counter in sync.
     fn mark_complete(&mut self, idx: usize, now: SimTime) {
-        if self.completion[idx].is_none() {
-            self.completion[idx] = Some(now);
-            if !self.exempt[idx] {
-                self.incomplete -= 1;
+        if self.run.completion[idx].is_none() {
+            self.run.completion[idx] = Some(now);
+            if !self.run.exempt[idx] {
+                self.run.incomplete -= 1;
             }
         }
     }
 
     fn refresh_completion(&mut self) {
-        let now = self.sim.now();
-        for i in 0..self.nodes.len() {
-            if self.completion[i].is_none() && self.active[i] && self.nodes[i].is_complete() {
+        let now = self.run.sim.now();
+        for i in 0..self.run.nodes.len() {
+            if self.run.completion[i].is_none()
+                && self.run.active[i]
+                && self.run.nodes[i].is_complete()
+            {
                 self.mark_complete(i, now);
             }
         }
@@ -836,7 +853,7 @@ impl<P: Protocol> Runner<P> {
         F: FnOnce(&mut P, &mut Ctx<'_, P>),
     {
         let idx = node.index();
-        if !self.active[idx] {
+        if !self.run.active[idx] {
             return;
         }
         // Lend the runner's scratch buffer to the context. `take` leaves an
@@ -846,14 +863,14 @@ impl<P: Protocol> Runner<P> {
         debug_assert!(commands.is_empty(), "scratch buffer leaked commands");
         let mut ctx = Ctx::new(
             node,
-            self.sim.now(),
-            &self.net,
-            &self.active,
-            &mut self.rngs[idx],
+            self.run.sim.now(),
+            &self.run.net,
+            &self.run.active,
+            &mut self.run.rngs[idx],
             &mut commands,
         );
         let hook_start = self.profiler.is_some().then(Instant::now);
-        f(&mut self.nodes[idx], &mut ctx);
+        f(&mut self.run.nodes[idx], &mut ctx);
         if let Some(start) = hook_start {
             let elapsed = start.elapsed();
             if let Some(p) = self.profiler.as_mut() {
@@ -864,26 +881,29 @@ impl<P: Protocol> Runner<P> {
         // Hand the (now drained) buffer back, keeping its capacity.
         self.scratch = commands;
         // Completion may have changed for this node.
-        if self.completion[idx].is_none() && self.nodes[idx].is_complete() {
-            self.mark_complete(idx, self.sim.now());
+        if self.run.completion[idx].is_none() && self.run.nodes[idx].is_complete() {
+            self.mark_complete(idx, self.run.sim.now());
         }
     }
 
     /// Drains `commands`, translating each into network activity. The buffer
     /// is left empty but keeps its capacity for the next dispatch.
     fn apply_commands(&mut self, from: NodeId, commands: &mut Vec<Command<P::Msg>>) {
-        let now = self.sim.now();
+        let now = self.run.sim.now();
         for cmd in commands.drain(..) {
             match cmd {
                 Command::SendControl { to, msg } => {
                     let size = msg.wire_size();
-                    self.metrics.inc(Counter::ControlMessages);
-                    self.metrics.add(Counter::ControlBytes, size as u64);
-                    let delay =
-                        self.net
-                            .control_delay(&mut self.rngs[from.index()], from, to, size);
-                    let epoch = self.epoch[to.index()];
-                    self.sim.schedule_in(
+                    self.run.metrics.inc(Counter::ControlMessages);
+                    self.run.metrics.add(Counter::ControlBytes, size as u64);
+                    let delay = self.run.net.control_delay(
+                        &mut self.run.rngs[from.index()],
+                        from,
+                        to,
+                        size,
+                    );
+                    let epoch = self.run.epoch[to.index()];
+                    self.run.sim.schedule_in(
                         delay,
                         NetEvent::Control {
                             from,
@@ -896,25 +916,26 @@ impl<P: Protocol> Runner<P> {
                 Command::QueueBlock { to, block, bytes } => {
                     // A departed (or not-yet-joined) node accepts no data:
                     // the connection would never drain.
-                    if !self.active[to.index()] {
+                    if !self.run.active[to.index()] {
                         continue;
                     }
-                    let updates = self.net.queue_block(now, from, to, block, bytes);
+                    let updates = self.run.net.queue_block(now, from, to, block, bytes);
                     self.apply_conn_updates(updates);
                 }
                 Command::CloseConnection { to } => {
-                    let updates = self.net.close_connection(now, from, to);
+                    let updates = self.run.net.close_connection(now, from, to);
                     self.apply_conn_updates(updates);
                 }
                 Command::SetTimer { delay, token } => {
-                    self.metrics.inc(Counter::TimersSet);
+                    self.run.metrics.inc(Counter::TimersSet);
                     let key = self
+                        .run
                         .sim
                         .schedule_in(delay, NetEvent::Timer { node: from, token });
-                    let track = &mut self.timer_keys[from.index()];
+                    let track = &mut self.run.timer_keys[from.index()];
                     track.keys.push(key);
                     if track.keys.len() >= track.prune_at.max(64) {
-                        let sim = &self.sim;
+                        let sim = &self.run.sim;
                         track.keys.retain(|&k| sim.is_pending(k));
                         track.prune_at = (track.keys.len() * 2).max(64);
                     }
@@ -931,25 +952,26 @@ impl<P: Protocol> Runner<P> {
             match update {
                 ConnUpdate::Schedule { fid, at, .. } => {
                     let f = fid as usize;
-                    if self.completion_events.len() <= f {
-                        self.completion_events.resize(f + 1, None);
+                    if self.run.completion_events.len() <= f {
+                        self.run.completion_events.resize(f + 1, None);
                     }
-                    let key = match self.completion_events[f] {
+                    let key = match self.run.completion_events[f] {
                         Some(key) => {
-                            let moved = self.sim.reschedule(key, at);
+                            let moved = self.run.sim.reschedule(key, at);
                             debug_assert!(moved, "completion event vanished while tracked");
                             key
                         }
                         None => {
-                            let key = self.sim.schedule_at(at, NetEvent::BlockDone { fid });
-                            self.completion_events[f] = Some(key);
-                            self.live_conn_events += 1;
-                            self.metrics
-                                .raise(Gauge::MaxActiveConns, self.live_conn_events);
+                            let key = self.run.sim.schedule_at(at, NetEvent::BlockDone { fid });
+                            self.run.completion_events[f] = Some(key);
+                            self.run.live_conn_events += 1;
+                            self.run
+                                .metrics
+                                .raise(Gauge::MaxActiveConns, self.run.live_conn_events);
                             key
                         }
                     };
-                    self.metrics.inc(Counter::ConnSchedules);
+                    self.run.metrics.inc(Counter::ConnSchedules);
                     let raw = key.raw();
                     self.trace_emit(|| TraceEvent::ConnSchedule {
                         fid,
@@ -959,13 +981,14 @@ impl<P: Protocol> Runner<P> {
                 }
                 ConnUpdate::Cancel { fid, .. } => {
                     if let Some(key) = self
+                        .run
                         .completion_events
                         .get_mut(fid as usize)
                         .and_then(Option::take)
                     {
-                        self.sim.cancel(key);
-                        self.live_conn_events -= 1;
-                        self.metrics.inc(Counter::ConnCancels);
+                        self.run.sim.cancel(key);
+                        self.run.live_conn_events -= 1;
+                        self.run.metrics.inc(Counter::ConnCancels);
                         let raw = key.raw();
                         self.trace_emit(|| TraceEvent::ConnCancel { fid, key: raw });
                     }
@@ -977,21 +1000,21 @@ impl<P: Protocol> Runner<P> {
     /// Removes `node` from the experiment: tears down its connections,
     /// exempts it from the stop condition and notifies the survivors.
     fn depart(&mut self, node: NodeId) {
-        let now = self.sim.now();
+        let now = self.run.sim.now();
         let idx = node.index();
-        self.active[idx] = false;
-        self.departed[idx] = true;
-        if !self.exempt[idx] {
-            self.exempt[idx] = true;
-            if self.completion[idx].is_none() {
-                self.incomplete -= 1;
+        self.run.active[idx] = false;
+        self.run.departed[idx] = true;
+        if !self.run.exempt[idx] {
+            self.run.exempt[idx] = true;
+            if self.run.completion[idx].is_none() {
+                self.run.incomplete -= 1;
             }
         }
-        let updates = self.net.close_all_for(now, node);
+        let updates = self.run.net.close_all_for(now, node);
         self.apply_conn_updates(updates);
         // Deterministic notification order: ascending node index.
-        for i in 0..self.nodes.len() {
-            if i != node.index() && self.active[i] {
+        for i in 0..self.run.nodes.len() {
+            if i != node.index() && self.run.active[i] {
                 self.dispatch(NodeId(i as u32), HookKind::OnPeerFailed, |n, ctx| {
                     n.on_peer_failed(ctx, node)
                 });
@@ -1000,7 +1023,7 @@ impl<P: Protocol> Runner<P> {
     }
 
     fn handle(&mut self, ev: NetEvent<P::Msg>) {
-        let now = self.sim.now();
+        let now = self.run.sim.now();
         match ev {
             NetEvent::Control {
                 from,
@@ -1010,7 +1033,7 @@ impl<P: Protocol> Runner<P> {
             } => {
                 // A message towards a slot retired since the send is void,
                 // even if the slot meanwhile hosts a new cohort's node.
-                if epoch != self.epoch[to.index()] {
+                if epoch != self.run.epoch[to.index()] {
                     return;
                 }
                 if self.trace.is_some() {
@@ -1029,11 +1052,11 @@ impl<P: Protocol> Runner<P> {
             }
             NetEvent::BlockDone { fid } => {
                 // The connection's live event just fired; drop the handle.
-                if self.completion_events[fid as usize].take().is_some() {
-                    self.live_conn_events -= 1;
+                if self.run.completion_events[fid as usize].take().is_some() {
+                    self.run.live_conn_events -= 1;
                 }
-                if let Some((done, updates)) = self.net.on_block_done_by_id(now, fid) {
-                    self.metrics.inc(Counter::BlocksSent);
+                if let Some((done, updates)) = self.run.net.on_block_done_by_id(now, fid) {
+                    self.run.metrics.inc(Counter::BlocksSent);
                     let (from, to) = (done.from, done.to);
                     let (block, bytes) = (done.block, done.bytes);
                     self.trace_emit(|| TraceEvent::BlockSent {
@@ -1046,21 +1069,22 @@ impl<P: Protocol> Runner<P> {
                     self.dispatch(from, HookKind::OnBlockSent, |node, ctx| {
                         node.on_block_sent(ctx, to, block)
                     });
-                    let delay = self.net.data_delivery_delay(from, to);
-                    let epoch = self.epoch[to.index()];
-                    self.sim
+                    let delay = self.run.net.data_delivery_delay(from, to);
+                    let epoch = self.run.epoch[to.index()];
+                    self.run
+                        .sim
                         .schedule_in(delay, NetEvent::BlockArrive { done, epoch });
                 }
             }
             NetEvent::BlockArrive { done, epoch } => {
-                if epoch != self.epoch[done.to.index()] {
+                if epoch != self.run.epoch[done.to.index()] {
                     return; // The receiving slot was retired in flight.
                 }
-                if !self.active[done.to.index()] {
+                if !self.run.active[done.to.index()] {
                     return; // Delivered into the void.
                 }
-                self.metrics.inc(Counter::BlocksDelivered);
-                self.net.on_block_delivered(done.to, done.bytes);
+                self.run.metrics.inc(Counter::BlocksDelivered);
+                self.run.net.on_block_delivered(done.to, done.bytes);
                 let (to, from) = (done.to, done.from);
                 let (block, bytes) = (done.block, done.bytes);
                 let receipt = crate::network::BlockReceipt {
@@ -1078,7 +1102,7 @@ impl<P: Protocol> Runner<P> {
                 // useful-byte count includes this delivery — the invariant
                 // `replay_goodput` differences against.
                 if self.trace.is_some() {
-                    let useful = self.nodes[to.index()].probe_stats().useful_bytes;
+                    let useful = self.run.nodes[to.index()].probe_stats().useful_bytes;
                     self.trace_emit(|| TraceEvent::BlockReceived {
                         node: to.0,
                         from: from.0,
@@ -1089,7 +1113,7 @@ impl<P: Protocol> Runner<P> {
                 }
             }
             NetEvent::Timer { node, token } => {
-                self.metrics.inc(Counter::TimersFired);
+                self.run.metrics.inc(Counter::TimersFired);
                 self.trace_emit(|| TraceEvent::Timer {
                     node: node.0,
                     token,
@@ -1099,58 +1123,51 @@ impl<P: Protocol> Runner<P> {
                 });
             }
             NetEvent::LinkChange { index } => {
-                self.metrics.inc(Counter::LinkChanges);
+                self.run.metrics.inc(Counter::LinkChanges);
                 self.trace_emit(|| TraceEvent::LinkChange {
                     index: index as u64,
                 });
-                let batch = std::mem::take(&mut self.link_changes[index]);
-                let pairs = batch.apply(self.net.topology_mut());
-                let updates = self.net.reprice_paths(now, &pairs);
+                let batch = std::mem::take(&mut self.run.link_changes[index]);
+                let pairs = batch.apply(self.run.net.topology_mut());
+                let updates = self.run.net.reprice_paths(now, &pairs);
                 self.apply_conn_updates(updates);
             }
             NetEvent::CrossChange { change } => {
-                self.metrics.inc(Counter::CrossChanges);
+                self.run.metrics.inc(Counter::CrossChanges);
                 self.trace_emit(|| TraceEvent::CrossChange {
                     from: change.via.0 .0,
                     to: change.via.1 .0,
                     rate: change.rate,
                 });
-                let updates = self.net.set_cross_traffic(now, change.via, change.rate);
+                let updates = self.run.net.set_cross_traffic(now, change.via, change.rate);
                 self.apply_conn_updates(updates);
             }
             NetEvent::Lifecycle { event } => match event {
                 NodeEvent::Join(node) => {
-                    if !self.active[node.index()] && !self.departed[node.index()] {
-                        self.metrics.inc(Counter::NodeJoins);
+                    if !self.run.active[node.index()] && !self.run.departed[node.index()] {
+                        self.run.metrics.inc(Counter::NodeJoins);
                         self.trace_emit(|| TraceEvent::NodeJoin { node: node.0 });
-                        self.active[node.index()] = true;
+                        self.run.active[node.index()] = true;
                         self.dispatch(node, HookKind::OnInit, |n, ctx| n.on_init(ctx));
                     }
                 }
                 NodeEvent::Leave(node) => {
-                    if self.active[node.index()] {
-                        self.metrics.inc(Counter::NodeLeaves);
+                    if self.run.active[node.index()] {
+                        self.run.metrics.inc(Counter::NodeLeaves);
                         self.trace_emit(|| TraceEvent::NodeLeave { node: node.0 });
                         self.dispatch(node, HookKind::OnShutdown, |n, ctx| n.on_shutdown(ctx));
                         self.depart(node);
                     }
                 }
                 NodeEvent::Crash(node) => {
-                    if self.active[node.index()] {
-                        self.metrics.inc(Counter::NodeCrashes);
+                    if self.run.active[node.index()] {
+                        self.run.metrics.inc(Counter::NodeCrashes);
                         self.trace_emit(|| TraceEvent::NodeCrash { node: node.0 });
                         self.depart(node);
                     }
                 }
             },
-            NetEvent::ProbeTick => {
-                self.probe_tick_pending = false;
-                self.sample_probes();
-                if let Some(interval) = self.probe_interval {
-                    self.sim.schedule_in(interval, NetEvent::ProbeTick);
-                    self.probe_tick_pending = true;
-                }
-            }
+            NetEvent::ProbeTick => self.probe_tick(),
         }
     }
 }
@@ -1159,85 +1176,27 @@ impl<P: Protocol> Runner<P> {
 /// [`Runner::checkpoint`] and turned back into a live runner with
 /// [`Runner::resume`].
 ///
-/// The snapshot owns deep copies of everything that feeds the simulation:
-/// the event queue (live keyed table and pending triples, tombstones
-/// included), every per-node RNG stream, the fluid model's flow table with
-/// its per-link usage/ceiling sums, activation/cohort/completion state, the
-/// protocol instances (via [`ForkState`]), the probes (via [`Probe::fork`])
-/// and the metrics registry. It deliberately does **not** capture the
-/// observability attachments — trace sink and profiler — which observe a run
-/// without influencing it; a resumed runner starts untraced and unprofiled.
+/// The snapshot owns a deep copy of the runner's `RunState` — everything
+/// that feeds the simulation — and nothing else: the observability
+/// attachments (trace sink, profiler) watch a run without influencing it, so
+/// a resumed runner starts untraced and unprofiled.
 ///
 /// `Snapshot` is itself cloneable, so one warm-up prefix can be forked into
-/// any number of divergent continuations; clones share no mutable state.
-///
-/// [`ForkState`]: crate::snapshot::ForkState
-pub struct Snapshot<P: Protocol> {
-    sim: Simulator<NetEvent<P::Msg>>,
-    net: Network,
-    nodes: Vec<P>,
-    rngs: Vec<StdRng>,
-    link_changes: Vec<LinkChangeBatch>,
-    completion: Vec<Option<SimTime>>,
-    exempt: Vec<bool>,
-    active: Vec<bool>,
-    departed: Vec<bool>,
-    incomplete: usize,
-    completion_events: Vec<Option<EventKey>>,
-    max_events: u64,
-    probes: Vec<Box<dyn Probe<P> + Send + Sync>>,
-    probe_interval: Option<SimDuration>,
-    probe_tick_pending: bool,
-    probes_started: bool,
-    inits_done: bool,
-    table_rebuild_interval: u64,
-    metrics: MetricsRegistry,
-    live_conn_events: u64,
-    epoch: Vec<u32>,
-    timer_keys: Vec<TimerTrack>,
-    cohort: Vec<u32>,
-    run_to_limit: bool,
-}
+/// any number of divergent continuations; clones share no mutable state. It
+/// holds plain values and no trait object, so it is `Send + Sync` whenever
+/// the protocol and its messages are.
+pub struct Snapshot<P: Protocol>(RunState<P>);
 
-impl<P: Protocol + ForkState> Clone for Snapshot<P>
+impl<P: Protocol + Clone> Clone for Snapshot<P>
 where
     P::Msg: Clone,
 {
     fn clone(&self) -> Self {
-        Snapshot {
-            sim: self.sim.clone(),
-            net: self.net.clone(),
-            nodes: self.nodes.iter().map(ForkState::fork_state).collect(),
-            rngs: self.rngs.clone(),
-            link_changes: self.link_changes.clone(),
-            completion: self.completion.clone(),
-            exempt: self.exempt.clone(),
-            active: self.active.clone(),
-            departed: self.departed.clone(),
-            incomplete: self.incomplete,
-            completion_events: self.completion_events.clone(),
-            max_events: self.max_events,
-            probes: self
-                .probes
-                .iter()
-                .map(|p| p.fork().expect("a forked probe must itself be forkable"))
-                .collect(),
-            probe_interval: self.probe_interval,
-            probe_tick_pending: self.probe_tick_pending,
-            probes_started: self.probes_started,
-            inits_done: self.inits_done,
-            table_rebuild_interval: self.table_rebuild_interval,
-            metrics: self.metrics.clone(),
-            live_conn_events: self.live_conn_events,
-            epoch: self.epoch.clone(),
-            timer_keys: self.timer_keys.clone(),
-            cohort: self.cohort.clone(),
-            run_to_limit: self.run_to_limit,
-        }
+        Snapshot(self.0.clone())
     }
 }
 
-impl<P: Protocol + ForkState> Runner<P>
+impl<P: Protocol + Clone> Runner<P>
 where
     P::Msg: Clone,
 {
@@ -1249,45 +1208,8 @@ where
     ///
     /// Call it at a quiescent point: between [`Runner::advance_until`]
     /// stages, never from inside a protocol hook.
-    ///
-    /// # Panics
-    ///
-    /// Panics if an installed probe does not implement [`Probe::fork`] —
-    /// silently dropping a probe would diverge the forked run's report.
     pub fn checkpoint(&self) -> Snapshot<P> {
-        Snapshot {
-            sim: self.sim.clone(),
-            net: self.net.clone(),
-            nodes: self.nodes.iter().map(ForkState::fork_state).collect(),
-            rngs: self.rngs.clone(),
-            link_changes: self.link_changes.clone(),
-            completion: self.completion.clone(),
-            exempt: self.exempt.clone(),
-            active: self.active.clone(),
-            departed: self.departed.clone(),
-            incomplete: self.incomplete,
-            completion_events: self.completion_events.clone(),
-            max_events: self.max_events,
-            probes: self
-                .probes
-                .iter()
-                .map(|p| {
-                    p.fork()
-                        .expect("every installed probe must implement Probe::fork to checkpoint")
-                })
-                .collect(),
-            probe_interval: self.probe_interval,
-            probe_tick_pending: self.probe_tick_pending,
-            probes_started: self.probes_started,
-            inits_done: self.inits_done,
-            table_rebuild_interval: self.table_rebuild_interval,
-            metrics: self.metrics.clone(),
-            live_conn_events: self.live_conn_events,
-            epoch: self.epoch.clone(),
-            timer_keys: self.timer_keys.clone(),
-            cohort: self.cohort.clone(),
-            run_to_limit: self.run_to_limit,
-        }
+        Snapshot(self.run.clone())
     }
 
     /// Reconstructs a live runner from a snapshot. The runner continues
@@ -1300,40 +1222,10 @@ where
     /// [`Runner::set_trace_sink`]; the first record will be a
     /// `snapshot_resume` marker declaring the mid-run start).
     pub fn resume(snap: Snapshot<P>) -> Self {
-        let resumed_at = snap.sim.now();
+        let resumed_at = Some(snap.0.sim.now());
         Runner {
-            sim: snap.sim,
-            net: snap.net,
-            nodes: snap.nodes,
-            rngs: snap.rngs,
-            link_changes: snap.link_changes,
-            completion: snap.completion,
-            exempt: snap.exempt,
-            active: snap.active,
-            departed: snap.departed,
-            incomplete: snap.incomplete,
-            completion_events: snap.completion_events,
-            max_events: snap.max_events,
-            scratch: Vec::new(),
-            probes: snap
-                .probes
-                .into_iter()
-                .map(|p| p as Box<dyn Probe<P>>)
-                .collect(),
-            probe_interval: snap.probe_interval,
-            probe_tick_pending: snap.probe_tick_pending,
-            probes_started: snap.probes_started,
-            inits_done: snap.inits_done,
-            table_rebuild_interval: snap.table_rebuild_interval,
-            metrics: snap.metrics,
-            live_conn_events: snap.live_conn_events,
-            trace: None,
-            profiler: None,
-            epoch: snap.epoch,
-            timer_keys: snap.timer_keys,
-            cohort: snap.cohort,
-            run_to_limit: snap.run_to_limit,
-            resumed_at: Some(resumed_at),
+            resumed_at,
+            ..Self::watching(snap.0)
         }
     }
 }

@@ -244,7 +244,7 @@ pub struct ServiceReport {
     pub samples: Vec<ServiceSample>,
     /// Total simulator events processed.
     pub events: u64,
-    /// Concatenated per-slot probe series, if the caller installed one via
+    /// The per-slot probe series, if the caller asked for one via
     /// [`Runner::record_timeseries`] before the run.
     pub timeseries: Option<TimeSeries>,
 }
@@ -345,8 +345,6 @@ where
     let mut active: Vec<ActiveSwarm> = Vec::new();
     let mut cohorts: Vec<CohortReport> = Vec::new();
     let mut samples: Vec<ServiceSample> = Vec::new();
-    let mut series: Vec<crate::probe::TimeSample> = Vec::new();
-    let mut series_interval = 0.0f64;
 
     let mut next_cohort: u32 = 1;
     let mut next_arrival = 0usize;
@@ -373,11 +371,7 @@ where
                 boundary = t;
             }
         }
-        let stage = runner.run_until(boundary);
-        if let Some(mut ts) = stage.timeseries {
-            series.append(&mut ts.samples);
-            series_interval = ts.interval_secs;
-        }
+        let reason = runner.advance_until(boundary);
         let now = runner.now();
 
         // Reap swarms whose receivers have all finished: bank their useful
@@ -541,16 +535,13 @@ where
                 cohorts,
                 samples,
                 events: runner.events_processed(),
-                timeseries: (!series.is_empty()).then_some(TimeSeries {
-                    interval_secs: series_interval,
-                    samples: series,
-                }),
+                timeseries: runner.take_timeseries(),
             };
         }
 
         // A runner that hit its event cap cannot advance further: take one
         // more lap to emit the final sample and report, then stop.
-        if stage.reason == StopReason::EventLimit {
+        if reason == StopReason::EventLimit {
             event_limited = true;
         }
     }
@@ -647,6 +638,7 @@ mod tests {
     /// Minimal swarm protocol for service tests: the segment's source floods
     /// every receiver in its range directly, with a keep-alive timer so
     /// timer-leak regressions are visible.
+    #[derive(Clone)]
     struct MiniSwarm {
         id: NodeId,
         base: u32,
@@ -657,7 +649,7 @@ mod tests {
         bytes: u64,
     }
 
-    #[derive(Debug)]
+    #[derive(Debug, Clone)]
     enum NoMsg {}
 
     impl WireSize for NoMsg {
@@ -822,6 +814,90 @@ mod tests {
             runner.pending_events(),
             0,
             "retired cohorts must leave no timers or deliveries pending"
+        );
+    }
+
+    #[test]
+    fn checkpoints_carry_the_open_system_state() {
+        // The closed-run round trips of `tests/snapshot_fork.rs` never touch
+        // slot incarnations, cohort tags, per-node timer keys, released flow
+        // ids or run-to-limit. Here one cohort is retired with blocks on the
+        // wire and a second takes over its slots; the run is checkpointed
+        // once while those stale blocks are still in flight and once in the
+        // middle of the second cohort's download.
+        use crate::metrics::Counter;
+        let spec = FileSpec::new(256 * 1024, 16 * 1024);
+        let limit = SimTime::from_secs_f64(60.0);
+        let on_the_wire = |r: &Runner<MiniSwarm>| {
+            r.metrics().get(Counter::BlocksSent) - r.metrics().get(Counter::BlocksDelivered)
+        };
+        let drive = |checkpointed: bool| {
+            let fork = |runner: Runner<MiniSwarm>| {
+                if checkpointed {
+                    Runner::resume(runner.checkpoint())
+                } else {
+                    runner
+                }
+            };
+            // First cohort: the pool's own nodes, active from t = 0.
+            let mut runner = mini_runner(4);
+            runner.set_run_to_limit(true);
+            runner.record_timeseries(SimDuration::from_secs(1));
+            runner.exempt_from_completion(NodeId(0));
+            let slots: Vec<NodeId> = (0..4).map(NodeId).collect();
+            for &slot in &slots {
+                runner.set_cohort(slot, 1);
+            }
+            // Stop at the first millisecond boundary with a block between
+            // its sender and its receiver (delivery takes 3 ms here).
+            while on_the_wire(&runner) == 0 {
+                let next = runner.now() + SimDuration::from_millis(1);
+                assert!(next < limit, "premise: the first cohort sends blocks");
+                runner.advance_until(next);
+            }
+            let stale = on_the_wire(&runner);
+            for &slot in &slots {
+                runner.retire(slot);
+            }
+            for &slot in &slots {
+                runner.replace_node(slot, MiniSwarm::new(slot, 0, 4, spec));
+                runner.set_cohort(slot, 2);
+            }
+            runner.exempt_from_completion(NodeId(0));
+            runner.activate_cohort(&slots);
+            let mut runner = fork(runner);
+            assert_eq!(on_the_wire(&runner), stale, "still in flight at the fork");
+
+            let reason = runner.advance_until(runner.now() + SimDuration::from_secs(3));
+            assert_eq!(reason, StopReason::TimeLimit);
+            assert!(runner.node(NodeId(1)).bytes > 0, "premise: mid-download");
+            assert!(runner.completion_time(NodeId(1)).is_none());
+            let mut runner = fork(runner);
+
+            let report = runner.run_until(limit);
+            assert_eq!(
+                report.reason,
+                StopReason::TimeLimit,
+                "run-to-limit survives"
+            );
+            assert!(report.completion_secs[1..].iter().all(Option::is_some));
+            // Every block of the second cohort arrived, so what is still
+            // missing is what the first cohort had on the wire: dropped at
+            // delivery because the slot incarnation moved on.
+            assert_eq!(on_the_wire(&runner), stale);
+            for &slot in &slots {
+                runner.retire(slot);
+            }
+            assert_eq!(runner.pending_events(), 1, "only the probe tick is left");
+            report
+        };
+        let straight = drive(false);
+        assert_eq!(drive(true).canonical(), straight.canonical());
+        let series = straight.timeseries.expect("probe installed");
+        let cohorts: Vec<u32> = series.samples.iter().map(|s| s.nodes[1].cohort).collect();
+        assert!(
+            cohorts.contains(&1) && cohorts.ends_with(&[2]),
+            "{cohorts:?}"
         );
     }
 

@@ -14,22 +14,19 @@
 //! > [`canonical()`](crate::RunReport::canonical) form is **byte-identical**
 //! > to the uninterrupted run's.
 //!
-//! What a snapshot captures: the event queue (live keyed table and pending
-//! triples, tombstones included, so future [`desim::EventKey`]s sequence
-//! identically), per-node RNG stream positions, the fluid model's flow table
-//! with per-link usage/ceiling sums, node activation/cohort/completion
-//! state, per-protocol state via [`ForkState`], forked probes with their
-//! accumulated series, and the metrics registry. What it deliberately does
-//! not: trace sinks and profilers (pure observers — a resumed runner starts
-//! untraced) and the dispatch scratch buffer (empty at any quiescent point).
+//! What a snapshot captures is the runner's `RunState` (`runner.rs`): one
+//! struct listing everything a run's future depends on, cloned whole. What it
+//! deliberately does not: trace sinks and profilers (pure observers — a
+//! resumed runner starts untraced) and the dispatch scratch buffer (empty at
+//! any quiescent point).
 //!
 //! Checkpoint at a quiescent instant — between [`Runner::advance_until`]
 //! stages — never from inside a protocol hook.
 //!
-//! New protocols opt in by being [`Clone`]: the blanket impl makes every
-//! cloneable protocol [`ForkState`]. Implement `ForkState` by hand only for
-//! a protocol whose state holds something `Clone` cannot copy correctly
-//! (interior shared handles, caches keyed by identity, …).
+//! A protocol opts in by being [`Clone`] (as are its messages). `Clone` must
+//! be a deep copy: a fork shares **no mutable state** with the run it was
+//! taken from and behaves identically given identical inputs — the
+//! fork-divergence test mutates one fork and asserts the other is unaffected.
 //!
 //! [`Runner`]: crate::Runner
 //! [`Runner::checkpoint`]: crate::Runner::checkpoint
@@ -37,22 +34,3 @@
 //! [`Runner::advance_until`]: crate::Runner::advance_until
 
 pub use crate::runner::Snapshot;
-
-/// Deep-copy hook for per-protocol state inside a [`Snapshot`].
-///
-/// `fork_state` must return an instance that shares **no mutable state**
-/// with `self` and behaves identically given identical inputs — the
-/// fork-divergence test mutates one fork and asserts the other is
-/// unaffected. Every `Clone` type gets this for free via the blanket impl,
-/// which is the right implementation for value-semantics protocol state
-/// (all four shipped systems qualify).
-pub trait ForkState {
-    /// Returns a deep, independent copy of the state.
-    fn fork_state(&self) -> Self;
-}
-
-impl<T: Clone> ForkState for T {
-    fn fork_state(&self) -> Self {
-        self.clone()
-    }
-}

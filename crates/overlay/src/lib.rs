@@ -12,6 +12,8 @@
 //! Both are transport-agnostic libraries: the dissemination protocols embed
 //! them and map the emitted actions onto their own control messages.
 
+#![forbid(unsafe_code)]
+
 pub mod ransub;
 pub mod tree;
 

@@ -16,6 +16,8 @@
 //! * [`model`] — the Fig 15 experiment: Shotgun (real Bullet′ run + replay
 //!   cost) vs N parallel rsync sessions (source-contention model).
 
+#![forbid(unsafe_code)]
+
 pub mod archive;
 pub mod delta;
 pub mod model;

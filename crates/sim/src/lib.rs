@@ -18,6 +18,8 @@
 //!   schedule follow-ups, but all domain state lives outside the engine,
 //!   which keeps borrow-checking simple in large protocol stacks.
 
+#![forbid(unsafe_code)]
+
 pub mod engine;
 pub mod queue;
 pub mod rng;

@@ -20,6 +20,8 @@
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! `EXPERIMENTS.md` for the measured reproduction of every figure.
 
+#![forbid(unsafe_code)]
+
 pub use baselines;
 pub use bullet_bench;
 pub use bullet_lab;

@@ -12,7 +12,6 @@ use bullet_repro::baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTor
 use bullet_repro::bullet_prime::{self, Config};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::snapshot::ForkState;
 use bullet_repro::netsim::{
     dynamics, topology, ChangeSchedule, Network, NodeId, Protocol, RunReport, Runner, StopReason,
 };
@@ -65,7 +64,7 @@ where
 /// canonical reports must be byte-identical.
 fn assert_roundtrip_identical<P>(name: &str, split: f64, build: impl Fn(&RngFactory) -> Runner<P>)
 where
-    P: Protocol + ForkState,
+    P: Protocol + Clone,
     P::Msg: Clone,
 {
     let straight: RunReport = with_system(&build, |mut runner| {
