@@ -1,6 +1,10 @@
 #!/usr/bin/env sh
-# CI gate for bullet-repro. Mirrors the tier-1 verify from ROADMAP.md plus
-# lint, smoke and perf-trajectory gates. Run from the repository root: ./ci.sh
+# CI gate for bullet-repro: the tier-1 verify from ROADMAP.md (build + test),
+# lint and docs, the golden digests on the release build, a CLI smoke, and one
+# perf step — `lab bench`, which writes the BENCH_*.json records and checks
+# what it measured itself. Nothing here parses a record or compares against a
+# committed one: cross-commit comparison is the paired benchmark run
+# (BENCHMARK.json, benchmark/). Run from the repository root: ./ci.sh
 set -eu
 
 # Formatting gate (cheap, so it runs first). The one-time whole-tree
@@ -44,16 +48,10 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
     -p desim -p netsim -p overlay -p dissem-codec -p shotgun \
     -p bullet-prime -p baselines -p bullet-bench -p bullet-lab -p bullet-repro
 
-# The figure harness must stay runnable end to end at tiny scale. These tests
-# are part of the plain suite already (none are #[ignore]d — keep it that
-# way); running the file alone gives CI a named, attributable gate.
-echo "==> figure smoke gate (tests/figures_smoke.rs)"
-cargo test -q --test figures_smoke
-
 # Golden digests (tests/golden_digests.rs) pin the canonical report of one
 # fixed-seed run per system. `cargo test -q` above checked them on the debug
-# build; the optimised build is the one the benchmark and the BENCH_* records
-# measure, so it must produce the same bytes.
+# build; the optimised build is the one the benchmark and `lab bench` measure,
+# so it must produce the same bytes.
 echo "==> golden digests on the release build (tests/golden_digests.rs)"
 cargo test -q --release --test golden_digests
 
@@ -92,230 +90,15 @@ expect_refusal fig21 "lab serve fig21"
 expect_refusal fig15 "Shotgun"
 echo "lab list: 21 rows; trace fig11 replays; fig21 and fig15 refused with status 2"
 
-# Perf trajectory: a fixed-seed, dynamics-heavy Figure-5-style run. The JSON
-# records events-processed (a deterministic scheduler-efficiency proxy), the
-# heap-allocation count of the run, and the wall-clock seconds of the machine
-# that last ran CI. Events are GATED (a >10% increase fails CI, so scheduler
-# or network-model regressions cannot land silently). Wall-clock is also
-# GATED, absolutely: the heap-ordered solver brought the run to ~0.55s, so
-# anything above 0.72s (the old regressed 1.05s minus a generous margin for
-# machine noise) fails CI and 0.60–0.72s warns. The relative delta against
-# the committed baseline stays informational — it compares different
-# machines.
-echo "==> perf record + regression gate (BENCH_events.json)"
-# Baseline = the *committed* record, so re-running ci.sh after a failure does
-# not silently compare the regressed value against itself. Fall back to the
-# working-tree file outside a git checkout.
-committed=$(git show HEAD:BENCH_events.json 2>/dev/null || cat BENCH_events.json 2>/dev/null || true)
-# Every field is read optional-with-warning: a baseline written before a
-# field existed (e.g. run_allocs/wall_clock_secs predate the Protocol API v2
-# record) must never wedge CI — re-baselining in the same commit is routine.
-prev_events=$(printf '%s' "$committed" \
-    | grep -o '"events_processed": *[0-9]*' | grep -o '[0-9]*$' || true)
-prev_wall=$(printf '%s' "$committed" \
-    | grep -o '"wall_clock_secs": *[0-9.]*' | grep -o '[0-9.]*$' || true)
-prev_allocs=$(printf '%s' "$committed" \
-    | grep -o '"run_allocs": *[0-9]*' | grep -o '[0-9]*$' || true)
-./target/release/bench_events --out BENCH_events.json
-new_events=$(grep -o '"events_processed": *[0-9]*' BENCH_events.json | grep -o '[0-9]*$')
-new_wall=$(grep -o '"wall_clock_secs": *[0-9.]*' BENCH_events.json | grep -o '[0-9.]*$')
-new_allocs=$(grep -o '"run_allocs": *[0-9]*' BENCH_events.json | grep -o '[0-9]*$' || true)
-if [ -n "$prev_wall" ] && [ -n "$new_wall" ]; then
-    awk -v prev="$prev_wall" -v cur="$new_wall" 'BEGIN {
-        printf "wall-clock %.3fs -> %.3fs (%+.1f%%, cross-machine delta is informational)\n", prev, cur, (cur - prev) / prev * 100
-    }'
-else
-    echo "WARN: wall_clock_secs missing from the committed baseline (predates the field?); skipping comparison (now ${new_wall:-unrecorded}s)"
-fi
-awk -v cur="$new_wall" 'BEGIN {
-    if (cur > 0.72) {
-        printf "FAIL: bench_events wall clock %.3fs exceeds the 0.72s ceiling\n", cur
-        exit 1
-    }
-    if (cur > 0.60) {
-        printf "WARN: bench_events wall clock %.3fs above the 0.6s target (ceiling 0.72s)\n", cur
-    } else {
-        printf "bench_events wall clock %.3fs within the 0.6s target\n", cur
-    }
-}'
-if [ -n "$prev_allocs" ] && [ -n "$new_allocs" ]; then
-    awk -v prev="$prev_allocs" -v cur="$new_allocs" 'BEGIN {
-        printf "run-allocs %d -> %d (%+.1f%%, informational only)\n", prev, cur, (cur - prev) / prev * 100
-    }'
-else
-    echo "WARN: run_allocs missing from the committed baseline (predates the field?); skipping comparison (now ${new_allocs:-unrecorded})"
-fi
-if [ -n "$prev_events" ]; then
-    awk -v prev="$prev_events" -v cur="$new_events" 'BEGIN {
-        if (cur > prev * 1.10) {
-            printf "FAIL: events-processed regressed %d -> %d (more than 10%%)\n", prev, cur
-            exit 1
-        }
-        printf "events-processed %d -> %d (within the 10%% gate)\n", prev, cur
-    }'
-else
-    echo "WARN: no committed BENCH_events.json baseline; recorded $new_events without gating"
-fi
-
-# Observability contract (docs/OBSERVABILITY.md): bench_events reruns the
-# same fixed-seed workload fully instrumented (counting trace sink +
-# profiler) and records the comparison under "trace". Two hard gates:
-# (a) the canonical report of the traced run is byte-identical to the
-# untraced one — observation must not perturb the simulation — and (b) the
-# traced wall-clock stays within 1.5x of untraced. Both values come from the
-# record just written, so these gates are machine-local and need no baseline.
-echo "==> observability gate (trace identity + overhead, BENCH_events.json)"
-canon_ok=$(grep -o '"canonical_identical": *[a-z]*' BENCH_events.json \
-    | grep -o '[a-z]*$' || true)
-overhead=$(grep -o '"trace_overhead_ratio": *[0-9.]*' BENCH_events.json \
-    | grep -o '[0-9.]*$' || true)
-if [ "$canon_ok" != "true" ]; then
-    echo "FAIL: traced run's canonical report differs from the untraced run (canonical_identical=${canon_ok:-missing})"
-    exit 1
-fi
-if [ -z "$overhead" ]; then
-    echo "FAIL: trace_overhead_ratio missing from BENCH_events.json"
-    exit 1
-fi
-awk -v r="$overhead" 'BEGIN {
-    if (r > 1.5) {
-        printf "FAIL: traced run %.2fx slower than untraced (ceiling 1.5x)\n", r
-        exit 1
-    }
-    printf "trace identity holds; overhead %.2fx (ceiling 1.5x)\n", r
-}'
-
-# Scale trajectory: the fig20 workload (join-only Bullet' swarm on the O(n)
-# uniform core) at N = 1000 / 5000 / 10000. Every point records events
-# processed, events/sec, wall-clock and the counting-allocator live-heap
-# high-water mark (the portable peak-RSS stand-in — no /proc dependency).
-# The N=1000 events/sec is GATED: a >10% drop against the committed baseline
-# fails CI. The larger Ns stay informational so a single noisy 30 s run
-# cannot wedge CI, but they are committed so the trajectory to 10^4 nodes is
-# visible. Every point must still run to AllComplete.
-echo "==> scale record + regression gate (BENCH_scale.json)"
-committed_scale=$(git show HEAD:BENCH_scale.json 2>/dev/null || cat BENCH_scale.json 2>/dev/null || true)
-scale_eps() {
-    # events_per_sec of the point whose swarm size is $1.
-    printf '%s' "$2" | awk -v n="$1" '
-        $0 ~ "\"nodes\": " n ",$" { f = 1 }
-        f && /"events_per_sec":/ { gsub(/[^0-9.]/, "", $2); print $2; exit }
-    '
-}
-prev_eps=$(scale_eps 1000 "$committed_scale")
-./target/release/bench_scale --out BENCH_scale.json
-new_eps=$(scale_eps 1000 "$(cat BENCH_scale.json)")
-if grep '"stop_reason"' BENCH_scale.json | grep -qv AllComplete; then
-    echo "FAIL: a BENCH_scale point did not run to AllComplete"
-    grep '"stop_reason"' BENCH_scale.json
-    exit 1
-fi
-if [ -n "$prev_eps" ] && [ -n "$new_eps" ]; then
-    awk -v prev="$prev_eps" -v cur="$new_eps" 'BEGIN {
-        if (cur < prev * 0.90) {
-            printf "FAIL: N=1000 events/sec regressed %.0f -> %.0f (more than 10%%; if this is a machine change, re-baseline deliberately)\n", prev, cur
-            exit 1
-        }
-        printf "N=1000 events/sec %.0f -> %.0f (within the 10%% gate)\n", prev, cur
-    }'
-else
-    echo "WARN: no committed BENCH_scale.json baseline; recorded ${new_eps:-nothing} events/sec at N=1000 without gating"
-fi
-
-# Open-system service trajectory: the reduced fixed-seed fig21 offered-load
-# sweep (Poisson swarm arrivals over a shared core, netsim::run_service).
-# Every point's counters and percentiles are deterministic; the sustained
-# goodput at the TOP offered load is GATED — a >10% drop against the
-# committed baseline fails CI, so admission-path or steady-state regressions
-# cannot land silently. The top-load point is the last one in the record, so
-# the extraction takes the last sustained_goodput_bps line.
-echo "==> service record + regression gate (BENCH_service.json)"
-committed_service=$(git show HEAD:BENCH_service.json 2>/dev/null || cat BENCH_service.json 2>/dev/null || true)
-prev_goodput=$(printf '%s' "$committed_service" \
-    | grep -o '"sustained_goodput_bps": *[0-9.]*' | grep -o '[0-9.]*$' | tail -n1 || true)
-./target/release/bench_service --out BENCH_service.json
-new_goodput=$(grep -o '"sustained_goodput_bps": *[0-9.]*' BENCH_service.json \
-    | grep -o '[0-9.]*$' | tail -n1)
-if [ -n "$prev_goodput" ] && [ -n "$new_goodput" ]; then
-    awk -v prev="$prev_goodput" -v cur="$new_goodput" 'BEGIN {
-        if (cur < prev * 0.90) {
-            printf "FAIL: top-load sustained goodput regressed %.0f -> %.0f bps (more than 10%%)\n", prev, cur
-            exit 1
-        }
-        printf "top-load sustained goodput %.0f -> %.0f bps (within the 10%% gate)\n", prev, cur
-    }'
-else
-    echo "WARN: no committed BENCH_service.json baseline; recorded ${new_goodput:-nothing} bps without gating"
-fi
-
-# Parallel-sweep trajectory: `lab bench` runs the same fig05 sweep at 1 and 4
-# worker threads, *asserts* the two canonical renderings are byte-identical
-# (the determinism-under-parallelism guarantee; per-cell wall-clock telemetry
-# is schedule-dependent and excluded), and records wall-clock per thread
-# count AND per cell in BENCH_sweep.json. `--snapshot fig05w` additionally
-# runs the warm-up-split scenario with prefix sharing on and off; the bench
-# itself fails hard on any canonical divergence between forked and fresh
-# cells.
-echo "==> sweep record (BENCH_sweep.json)"
-./target/release/lab bench fig05 --threads 1,4 --seed-count 2 --mb 2 \
-    --time-limit 3600 --snapshot fig05w --out BENCH_sweep.json
-
-# Snapshot gate: the record must attest that forked-vs-fresh matched and
-# that prefix sharing actually avoided some warm-up simulation time.
-grep -q '"canonical_matches_fresh": *true' BENCH_sweep.json || {
-    echo "FAIL: BENCH_sweep.json does not attest canonical_matches_fresh=true for the snapshot run"
-    exit 1
-}
-saved=$(grep -o '"warmup_secs_saved": *[0-9.]*' BENCH_sweep.json \
-    | grep -o '[0-9.]*$' | tail -n1)
-awk -v s="${saved:-0}" 'BEGIN {
-    if (s <= 0) {
-        printf "FAIL: warm-up sharing saved no time (warmup_secs_saved=%s)\n", s
-        exit 1
-    }
-    printf "warm-up sharing saved %.3fs of warm-up simulation with canonical output unchanged\n", s
-}'
-
-# Scaling gate: with the longest-first lock-free executor, 4 workers must
-# beat 1 worker by >= 1.5x (target 2x) — but only where the host can
-# physically run 4 workers. On narrower hosts the ratio is recorded as
-# informational; committing BENCH_sweep.json keeps the trajectory visible
-# either way.
-sweep_wall() {
-    # First run-level wall_clock_secs after the matching "threads" line (the
-    # per-cell timings come later inside the cells array).
-    awk -v t="$1" '
-        /"threads":/ { cur = $2 + 0 }
-        /"wall_clock_secs":/ && cur == t && !seen[cur]++ {
-            gsub(/[",]/, "", $2); print $2; exit
-        }
-    ' BENCH_sweep.json
-}
-wall_t1=$(sweep_wall 1 || true)
-wall_t4=$(sweep_wall 4 || true)
-cores=$( (nproc 2>/dev/null || getconf _NPROCESSORS_ONLN 2>/dev/null || echo 1) | head -n1)
-if [ -n "$wall_t1" ] && [ -n "$wall_t4" ]; then
-    if [ "$cores" -ge 4 ]; then
-        awk -v w1="$wall_t1" -v w4="$wall_t4" 'BEGIN {
-            s = w1 / w4
-            if (s < 1.5) {
-                printf "FAIL: 4-thread sweep only %.2fx faster than 1 thread (need >= 1.5x on a %d-core-capable host)\n", s, 4
-                exit 1
-            }
-            if (s < 2.0) {
-                printf "WARN: 4-thread sweep %.2fx faster than 1 thread (target >= 2x)\n", s
-            } else {
-                printf "sweep scaling %.2fx (1 thread %.3fs -> 4 threads %.3fs)\n", s, w1, w4
-            }
-        }'
-    else
-        awk -v w1="$wall_t1" -v w4="$wall_t4" -v c="$cores" 'BEGIN {
-            printf "sweep scaling %.2fx on a %d-core host (1 thread %.3fs -> 4 threads %.3fs; gate needs >= 4 cores)\n", w1 / w4, c, w1, w4
-        }'
-    fi
-else
-    echo "WARN: could not read per-thread wall clocks from BENCH_sweep.json; scaling not checked"
-fi
+# Perf records: `lab bench` takes no options, runs the four fixed workloads
+# (fig05 dark then traced; fig20 at N = 1k / 5k / 10k; the fig21 loads; the
+# fig05 sweep per thread count plus fig05w forked vs fresh), rewrites
+# BENCH_{events,scale,service,sweep}.json and exits non-zero if a check on
+# its own measurements fails: traced canonical = dark canonical, tracing
+# <= 1.5x, every scale point AllComplete, canonical identity across thread
+# counts and across fork/fresh, 4 threads >= 1.5x on a host that has them.
+echo "==> perf records + self-checks (lab bench)"
+./target/release/lab bench
 
 # LoC per crate, the series CHANGES.md continues from PR to PR: non-blank,
 # non-`//` lines before a file's first `#[cfg(test)]`. "all" counts every

@@ -1,5 +1,6 @@
-//! A counting global allocator shared by the perf-record binaries
-//! (`bench_events`, `bench_scale`).
+//! A counting global allocator shared by the binaries that record
+//! allocation figures: `lab` (for `lab bench`'s `run_allocs` and
+//! `peak_alloc_bytes`) and the `benchmark/` harness.
 //!
 //! Tracks three numbers on top of the system allocator: the cumulative
 //! allocation count (a deterministic proxy for per-event overhead), the
@@ -18,8 +19,8 @@
 //! and read the counters through the free functions below. The counters are
 //! process-global; [`reset_peak`] rebases the high-water mark onto the
 //! current live size so successive runs in one process report independent
-//! peaks (the benchmark binaries are single-threaded, so there is no race
-//! between the reset and the next run).
+//! peaks (both callers reset and read on one thread with no run in flight,
+//! so there is no race between the reset and the next run).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -22,22 +22,16 @@
 //! * [`cdf`] — series/figure data structures, CDFs, summary statistics;
 //! * [`opts`] — the shared figure options (`--nodes`, `--mb`, `--seed`, …);
 //! * [`bounds`] — the analytic reference curves of Fig 4;
-//! * [`alloc_track`] — the counting global allocator behind the perf
-//!   records' allocation counts and peak-heap-bytes figures;
-//! * [`views`] — the serde views of the committed `BENCH_events.json` /
-//!   `BENCH_scale.json` / `BENCH_service.json` records (field order is what
-//!   ci.sh greps).
+//! * [`alloc_track`] — the counting global allocator behind the allocation
+//!   counts and peak-heap-bytes figures of `lab bench`'s records and of the
+//!   `benchmark/` harness.
 //!
 //! Figures are run through the `bullet_lab` crate's scenario registry (`lab
-//! run <name>`); this crate's binaries are `lt_overhead` (the rateless-code
-//! reception overhead quoted in §2.2), `diagnose`, `bench_events` (the
-//! fixed-seed scheduler-efficiency record `BENCH_events.json` that ci.sh
-//! gates on), `bench_scale` (the `BENCH_scale.json` swarm-scaling
-//! trajectory, gated at N = 1 000) and `bench_service` (the
-//! `BENCH_service.json` open-system sweep, gated on sustained goodput at the
-//! top load) — each of which runs a registry scenario's workload at fixed
-//! options. Criterion micro-benchmarks for the core data structures live in
-//! `benches/`.
+//! run <name>`), and the committed perf records are written by `lab bench`,
+//! which runs registry workloads from [`experiments`] at fixed options. This
+//! crate's binaries are `lt_overhead` (the rateless-code reception overhead
+//! quoted in §2.2) and `diagnose`. Criterion micro-benchmarks for the core
+//! data structures live in `benches/`.
 
 pub mod alloc_track;
 pub mod bounds;
@@ -45,7 +39,6 @@ pub mod cdf;
 pub mod experiments;
 pub mod opts;
 pub mod systems;
-pub mod views;
 pub mod warmup;
 pub mod workload;
 

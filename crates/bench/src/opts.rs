@@ -65,13 +65,7 @@ impl CommonOpts {
                 "--block-kb" => opts.block_kb = Some(parse_num(&value_for("--block-kb")?)?),
                 "--seed" => opts.seed = parse_num(&value_for("--seed")?)?,
                 "--time-limit" => opts.time_limit = parse_num(&value_for("--time-limit")?)?,
-                "--tick" => {
-                    let tick: f64 = parse_num(&value_for("--tick")?)?;
-                    if tick.is_nan() || tick <= 0.0 {
-                        return Err(format!("--tick must be positive, got {tick}\n{USAGE}"));
-                    }
-                    opts.tick = Some(tick);
-                }
+                "--tick" => opts.tick = Some(parse_num(&value_for("--tick")?)?),
                 "--json" => opts.json = Some(value_for("--json")?),
                 "--full" => opts.full = true,
                 "--raw" => opts.raw = true,
@@ -79,7 +73,29 @@ impl CommonOpts {
                 other => return Err(format!("unknown option {other}\n{USAGE}")),
             }
         }
-        Ok(opts)
+        // Values a runner would panic on, or turn into an all-NaN figure.
+        let positive = |x: f64| x.is_finite() && x > 0.0;
+        let one_byte = 1.0 / (1024.0 * 1024.0);
+        let rule = if opts.nodes.is_some_and(|n| n < 2) {
+            "--nodes must be at least 2"
+        } else if opts
+            .file_mb
+            .is_some_and(|mb| !mb.is_finite() || mb < one_byte)
+        {
+            "--mb must be finite and at least one byte"
+        } else if opts
+            .block_kb
+            .is_some_and(|kb| kb == 0 || kb > u32::MAX / 1024)
+        {
+            "--block-kb must be in 1..=4194303"
+        } else if !positive(opts.time_limit) {
+            "--time-limit must be finite and positive"
+        } else if opts.tick.is_some_and(|t| !positive(t)) {
+            "--tick must be finite and positive"
+        } else {
+            return Ok(opts);
+        };
+        Err(format!("{rule}\n{USAGE}"))
     }
 
     /// Node count to use given a reduced default and the paper's value.
@@ -178,9 +194,21 @@ mod tests {
     #[test]
     fn tick_must_be_positive() {
         assert_eq!(parse(&["--tick", "2.5"]).unwrap().tick, Some(2.5));
-        // Zero, negative and NaN ticks are usage errors, not runner panics.
-        assert!(parse(&["--tick", "0"]).is_err());
-        assert!(parse(&["--tick", "-1"]).is_err());
-        assert!(parse(&["--tick", "NaN"]).is_err());
+        // Values a runner would panic on (or turn into an all-NaN figure)
+        // are usage errors.
+        for (flag, bad) in [
+            ("--tick", &["0", "-1", "NaN", "inf"][..]),
+            ("--nodes", &["0", "1"]),
+            ("--mb", &["0", "-1", "NaN", "inf", "1e-9"]),
+            ("--block-kb", &["0", "4194304"]),
+            ("--time-limit", &["0", "-5", "NaN", "inf"]),
+        ] {
+            for value in bad {
+                let err = parse(&[flag, value]).unwrap_err();
+                assert!(err.starts_with(flag), "{flag} {value}: {err}");
+            }
+        }
+        assert_eq!(parse(&["--nodes", "2"]).unwrap().nodes, Some(2));
+        assert_eq!(parse(&["--mb", "0.001"]).unwrap().file_mb, Some(0.001));
     }
 }

@@ -9,8 +9,8 @@
 //! simulates that prefix once per seed ([`Workload::prefix`]) and forks
 //! every variant from the checkpoint ([`Workload::fork`]) instead of
 //! re-simulating it per cell. The snapshot contract makes the forked and the
-//! uninterrupted run canonically byte-identical; `lab bench --snapshot`
-//! re-checks it on every CI run.
+//! uninterrupted run canonically byte-identical; `lab bench` re-checks it
+//! on every CI run.
 
 use netsim::RunReport;
 

@@ -5,8 +5,8 @@
 //! file, the dynamics, the probe tick, the time limit and the seed — and this
 //! module is the only place that turns one into a run: it builds the
 //! topology, calls the system's builder, schedules the dynamics and installs
-//! the probe. Figures, `lab trace`, `lab sweep`'s warm-prefix forking and the
-//! `bench_*` binaries all call it, so they cannot disagree about what a
+//! the probe. Figures, `lab trace`, `lab sweep`'s warm-prefix forking and
+//! `lab bench`'s records all call it, so they cannot disagree about what a
 //! scenario runs. [`ServiceWorkload`] is the same for the open-system
 //! scenarios (fig21 / fig22): a slot pool over a shared core served by
 //! generator-driven swarm arrivals.

@@ -217,7 +217,7 @@ pub fn run_indexed<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T +
 /// workers and merges the per-cell figures by cell index. Equivalent to
 /// [`run_sweep_with`] with prefix sharing on — the default: sharing is an
 /// executor optimisation whose canonical output is byte-identical to the
-/// uninterrupted runs (`lab bench --snapshot` asserts it in CI).
+/// uninterrupted runs (`lab bench` checks it in CI).
 ///
 /// `base` supplies the options every cell starts from; each cell applies its
 /// parameter point's overrides and its seed. With `threads == 1` the cells

@@ -155,9 +155,6 @@ pub fn serve(registry: &Registry, args: Vec<String>) -> Result<(), String> {
                 .to_string(),
         );
     }
-    if sweep_args.out.is_some() {
-        return Err("serve writes its report with --json, not --out".to_string());
-    }
     let opts = CommonOpts::parse(sweep_args.rest.clone())?;
     let thread_counts = if sweep_args.threads.is_empty() {
         vec![1]
