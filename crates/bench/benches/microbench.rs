@@ -10,6 +10,7 @@
 //! does not belong here.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
 use bullet_prime::{OutstandingController, OutstandingPolicy, RequestManager, RequestStrategy};
@@ -239,26 +240,48 @@ fn bench_fluid_solver(c: &mut Criterion) {
     });
 }
 
-/// Rarest-random selection (§3.3.2) at the `dyn_mesh` block count: ten
-/// senders each advertise a random half of k = 1280 blocks, so one sender
-/// offers ~600 candidates, and the receiver asks for the 1 or 8 rarest. The
-/// picks are released again so every iteration meets the same state.
-/// Predicts the `bullet_prime.node.on_control_share`, `on_block_received_share`,
-/// `on_block_sent_share` and `on_timer_share` of `dyn_mesh`: all four hooks
-/// end in `issue_requests`, which calls `select_requests`.
+/// Rarest-random selection (§3.3.2), one sender's candidates in, the 1 or 8
+/// rarest out. Ten senders each advertise a random half of the k blocks; the
+/// receiver still misses `missing` of them, so the sender under selection
+/// offers about `missing / 2` candidates. Two points are sized to the traffic
+/// the harness workloads generate — 15 candidates per call at k = 128 on
+/// `swarm_scale`, 52 at k = 1280 on `dyn_mesh`, 1.0–1.1 blocks asked for —
+/// and two keep the worst case, a receiver that holds nothing yet (~640
+/// candidates). The picks are released again so every iteration meets the
+/// same state.
+///
+/// Predicts `bullet_prime.node.on_block_received_share`: every arrival ends
+/// in `issue_requests`, whose cost is this call. Per select, ISSUE 12's
+/// partial selection over a keyed `Vec` → ISSUE 17's one fused pass (medians
+/// of four alternating runs on the reference host): 13 candidates 0.33 →
+/// 0.17 µs, 65 candidates 1.04 → 0.72 µs, 661 candidates 6.3 → 5.1 µs at
+/// count 1 and 8.5 → 6.5 µs at count 8. With it the ledger share went 0.32 →
+/// 0.26 on `swarm_scale` and 0.27 → 0.21 on `dyn_mesh`
+/// (`docs/PERFORMANCE.md`); in a run the same call costs about three times
+/// the bench's figure, because there the node's state is cold in cache.
 fn bench_request_select(c: &mut Criterion) {
-    const K: u32 = 1280;
-    let mut rng = rand::rngs::StdRng::seed_from_u64(19);
-    let have = BlockBitmap::new(K);
-    let mut manager = RequestManager::new(RequestStrategy::RarestRandom, K);
-    for peer in 1..=10u32 {
-        let blocks: Vec<BlockId> = (0..K).filter(|_| rng.gen_bool(0.5)).map(BlockId).collect();
-        manager.on_advertised(NodeId(peer), &blocks, &have);
-    }
-    let mut group = c.benchmark_group("request_select_k1280");
-    for count in [1usize, 8] {
+    let mut group = c.benchmark_group("request_select");
+    for (k, missing, count) in [
+        (128u32, 32usize, 1usize),
+        (1280, 128, 1),
+        (1280, 1280, 1),
+        (1280, 1280, 8),
+    ] {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(19);
+        let mut needed: Vec<u32> = (0..k).collect();
+        needed.shuffle(&mut rand::rngs::StdRng::seed_from_u64(23));
+        let mut have = BlockBitmap::full(k);
+        for &block in &needed[..missing] {
+            have.remove(BlockId(block));
+        }
+        let mut manager = RequestManager::new(RequestStrategy::RarestRandom, k);
+        for peer in 1..=10u32 {
+            let blocks: Vec<BlockId> = (0..k).filter(|_| rng.gen_bool(0.5)).map(BlockId).collect();
+            manager.on_advertised(NodeId(peer), &blocks, &have);
+        }
+        let candidates = manager.useful_candidates(NodeId(1), &have);
         group.bench_with_input(
-            BenchmarkId::new("rarest_random", count),
+            BenchmarkId::new(format!("k{k}_candidates{candidates}"), count),
             &count,
             |b, &count| {
                 b.iter(|| {

@@ -9,7 +9,7 @@
 //! controller (§3.3.3), order their requests with the configured strategy
 //! (§3.3.2) and stay up to date through incremental diffs (§3.3.4).
 
-use std::collections::{BTreeMap, BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use desim::SimTime;
 use dissem_codec::{BlockBitmap, BlockId, DiffTracker};
@@ -263,21 +263,24 @@ impl BulletPrimeNode {
         let Some(src) = self.source.as_mut() else {
             return;
         };
-        if self.children.is_empty() {
+        if self.children.is_empty() || src.next_block >= self.block_space {
             return;
         }
-        let mut queued_now: HashMap<NodeId, usize> = HashMap::new();
+        // Blocks queued by this call, per position in `children`:
+        // `Ctx::pending_to` does not see them until the handler returns.
+        let mut queued_now = vec![0usize; self.children.len()];
         'outer: while src.next_block < self.block_space {
             // Find a child whose pipe has room, starting from the round-robin
             // cursor so every child gets an equal share of distinct blocks.
             for probe in 0..self.children.len() {
-                let child = self.children[(src.rr_cursor + probe) % self.children.len()];
+                let position = (src.rr_cursor + probe) % self.children.len();
+                let child = self.children[position];
                 // A child that has not joined (or is gone) would swallow the
                 // whole stream through its forever-empty pipe.
                 if !ctx.peer_active(child) {
                     continue;
                 }
-                let pending = ctx.pending_to(child) + queued_now.get(&child).copied().unwrap_or(0);
+                let pending = ctx.pending_to(child) + queued_now[position];
                 if pending < self.cfg.source_pipe_blocks {
                     let block = BlockId(src.next_block);
                     let bytes = if block.0 < self.cfg.file.num_blocks() {
@@ -286,9 +289,9 @@ impl BulletPrimeNode {
                         u64::from(self.cfg.file.block_bytes)
                     };
                     ctx.queue_block(child, block, bytes);
-                    *queued_now.entry(child).or_insert(0) += 1;
+                    queued_now[position] += 1;
                     src.next_block += 1;
-                    src.rr_cursor = (src.rr_cursor + probe + 1) % self.children.len();
+                    src.rr_cursor = (position + 1) % self.children.len();
                     continue 'outer;
                 }
             }
@@ -389,8 +392,11 @@ impl BulletPrimeNode {
                         && (e.has_everything || e.have_count > 0)
                 })
                 .collect();
-            // Prefer peers with the most data to offer; random tie-break so a
-            // whole epoch's worth of nodes does not stampede the same target.
+            // Prefer peers with the most data to offer. The sort is stable and
+            // there is no random tie-break: equal counts keep the subset's
+            // order, so nodes that drew overlapping subsets ask the same
+            // best-stocked peers and most of them are turned away
+            // (docs/PERFORMANCE.md, "The PeerRequest stampede").
             candidates.sort_by_key(|e| std::cmp::Reverse(e.have_count));
             for e in candidates.into_iter().take(decision.sender_slots) {
                 let peer = e.node_id();
@@ -504,10 +510,10 @@ impl BulletPrimeNode {
     // Diffs (§3.3.4).
     // ------------------------------------------------------------------
 
-    fn send_diff(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        let Some(r) = self.receivers.get_mut(&peer) else {
-            return;
-        };
+    /// Sends `peer` the blocks queued for it since its last diff, minus any
+    /// it has heard of since, and records them as advertised. The one diff
+    /// emitter: block arrival, `DiffRequest` and housekeeping all end here.
+    fn flush_diff(ctx: &mut Ctx<'_, Self>, peer: NodeId, r: &mut ReceiverState) {
         let mut blocks: Vec<BlockId> = Vec::new();
         for b in r.pending_adverts.drain(..) {
             if !r.diff.already_advertised(b) {
@@ -524,15 +530,13 @@ impl BulletPrimeNode {
     /// Queue pending availability announcements and flush them to receivers
     /// whose request pipeline from us is empty (self-clocking diffs).
     fn propagate_availability(&mut self, ctx: &mut Ctx<'_, Self>, block: BlockId) {
-        let peers: Vec<NodeId> = self.receivers.keys().copied().collect();
-        for peer in peers {
-            if let Some(r) = self.receivers.get_mut(&peer) {
-                if !r.diff.already_advertised(block) {
-                    r.pending_adverts.push(block);
-                }
+        let self_clocked = !self.cfg.lazy_diffs;
+        for (&peer, r) in &mut self.receivers {
+            if !r.diff.already_advertised(block) {
+                r.pending_adverts.push(block);
             }
-            if !self.cfg.lazy_diffs && ctx.pending_to(peer) == 0 {
-                self.send_diff(ctx, peer);
+            if self_clocked && ctx.pending_to(peer) == 0 {
+                Self::flush_diff(ctx, peer, r);
             }
         }
     }
@@ -629,7 +633,9 @@ impl Protocol for BulletPrimeNode {
                 }
             }
             Msg::DiffRequest => {
-                self.send_diff(ctx, from);
+                if let Some(r) = self.receivers.get_mut(&from) {
+                    Self::flush_diff(ctx, from, r);
+                }
             }
             Msg::BlockRequest {
                 blocks,
@@ -784,15 +790,9 @@ impl Protocol for BulletPrimeNode {
                 for peer in senders {
                     self.issue_requests(ctx, peer);
                 }
-                let receivers: Vec<NodeId> = self.receivers.keys().copied().collect();
-                for peer in receivers {
-                    let has_pending = self
-                        .receivers
-                        .get(&peer)
-                        .map(|r| !r.pending_adverts.is_empty())
-                        .unwrap_or(false);
-                    if has_pending && ctx.pending_to(peer) == 0 {
-                        self.send_diff(ctx, peer);
+                for (&peer, r) in &mut self.receivers {
+                    if !r.pending_adverts.is_empty() && ctx.pending_to(peer) == 0 {
+                        Self::flush_diff(ctx, peer, r);
                     }
                 }
                 if self.role == Role::Source {
@@ -851,6 +851,81 @@ mod tests {
         // Blocks beyond the real file (encoded head-room) are full-sized.
         let beyond = BlockId(cfg.file.num_blocks());
         assert_eq!(node.block_bytes(beyond), 16 * 1024);
+    }
+
+    /// Block arrival, `DiffRequest` and the housekeeping tick all flush
+    /// through `flush_diff`: from the same `ReceiverState` each sends the
+    /// same one `Msg::Diff` and leaves the same state behind.
+    #[test]
+    fn arrival_diff_request_and_housekeeping_flush_the_same_diff() {
+        use netsim::{topology, Command, Network, WireSize};
+        use rand::SeedableRng;
+
+        let tree = ControlTree::random(4, 2, &RngFactory::new(4));
+        let cfg = Config::new(FileSpec::new(128 * 1024, 16 * 1024));
+        let net = Network::new(topology::constrained_access(4));
+        let (me, receiver, sender) = (NodeId(1), NodeId(2), NodeId(3));
+        // Blocks 0 and 1 were advertised when the peering was set up; 3, 1
+        // and 5 became available since.
+        let mut state = ReceiverState::new();
+        state.diff.mark_advertised([BlockId(0), BlockId(1)]);
+        state.pending_adverts = vec![BlockId(3), BlockId(1), BlockId(5)];
+
+        type Hook<'a> = &'a dyn Fn(&mut BulletPrimeNode, &mut Ctx<'_, BulletPrimeNode>);
+        let now = SimTime::from_secs_f64(1.0);
+        let flush = |hook: Hook<'_>| {
+            let mut node = BulletPrimeNode::new(me, &tree, cfg.clone());
+            node.receivers.insert(receiver, state.clone());
+            let mut rng = StdRng::seed_from_u64(9);
+            let mut commands = Vec::new();
+            let mut ctx = Ctx::new(me, now, &net, &[true; 4], &mut rng, &mut commands);
+            hook(&mut node, &mut ctx);
+            let diffs: Vec<(NodeId, Vec<BlockId>, usize)> = commands
+                .iter()
+                .filter_map(|command| match command {
+                    Command::SendControl { to, msg } => match msg {
+                        Msg::Diff { blocks } => Some((*to, blocks.clone(), msg.wire_size())),
+                        _ => None,
+                    },
+                    _ => None,
+                })
+                .collect();
+            let after = &node.receivers[&receiver];
+            let advertised: Vec<bool> = (0..8)
+                .map(|b| after.diff.already_advertised(BlockId(b)))
+                .collect();
+            (diffs, after.pending_adverts.clone(), advertised)
+        };
+
+        let arrival = flush(&|node, ctx| {
+            // Block 5 is the one arriving: the hook queues it itself.
+            let queued = node.receivers.get_mut(&receiver).expect("inserted");
+            assert_eq!(queued.pending_adverts.pop(), Some(BlockId(5)));
+            let receipt = BlockReceipt {
+                block: BlockId(5),
+                bytes: 16 * 1024,
+                in_front: 0,
+                wasted: 0.0,
+                queued_at: SimTime::ZERO,
+                delivered_at: now,
+            };
+            node.on_block_received(ctx, sender, receipt);
+        });
+        let blocks = vec![BlockId(3), BlockId(5)];
+        let bytes = Msg::Diff {
+            blocks: blocks.clone(),
+        }
+        .wire_size();
+        assert_eq!(arrival.0, vec![(receiver, blocks, bytes)]);
+        assert!(arrival.1.is_empty());
+        assert_eq!(
+            arrival.2,
+            [true, true, false, true, false, true, false, false]
+        );
+        let on_request = flush(&|node, ctx| node.on_control(ctx, receiver, Msg::DiffRequest));
+        assert_eq!(on_request, arrival);
+        let on_tick = flush(&|node, ctx| node.on_timer(ctx, Timer::Housekeeping));
+        assert_eq!(on_tick, arrival);
     }
 
     #[test]

@@ -61,6 +61,30 @@ struct InFlight {
     since: SimTime,
 }
 
+/// A candidate under selection, packed so that integer order is the order
+/// of `((rarity, draw), block)`: the strategy's key in the top 96 bits, then
+/// the block id, which makes the order total. One 16-byte compare per
+/// candidate instead of a three-field tuple's.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Pick(u128);
+
+impl Pick {
+    const NONE: Pick = Pick(0);
+
+    fn new((rarity, draw): (u32, u64), block: BlockId) -> Self {
+        Pick(u128::from(rarity) << 96 | u128::from(draw) << 32 | u128::from(block.0))
+    }
+
+    fn block(self) -> BlockId {
+        BlockId(self.0 as u32)
+    }
+}
+
+/// Selections of up to this many blocks keep their picks on the stack. The
+/// measured traffic asks for 1.0–1.1 blocks per call; a larger `count` (a
+/// window reopening all at once) pays one allocation.
+const STACK_PICKS: usize = 8;
+
 /// Receiver-side request state across all senders.
 #[derive(Debug, Clone)]
 pub struct RequestManager {
@@ -209,7 +233,16 @@ impl RequestManager {
     }
 
     /// Chooses up to `count` blocks to request from `peer`, marks them
-    /// outstanding and returns them in request order.
+    /// outstanding and returns them in request order: the `count` smallest
+    /// `(key, block)` among the sender's candidates, ascending.
+    ///
+    /// One pass over the sender's discovery list does all of it: blocks that
+    /// arrived or left the set are compacted away, and every remaining block
+    /// not in flight is keyed — one RNG draw per candidate, in discovery
+    /// order, for the two random strategies, exactly as a full sort of the
+    /// candidates would draw them — and offered to a `count`-long ascending
+    /// buffer. First-encountered keys a candidate by its position, so the
+    /// same buffer keeps the first `count`.
     pub fn select_requests(
         &mut self,
         peer: NodeId,
@@ -218,28 +251,47 @@ impl RequestManager {
         now: SimTime,
         rng: &mut StdRng,
     ) -> Vec<BlockId> {
-        if count == 0 {
-            return Vec::new();
-        }
         let Some(av) = self.available.get_mut(&peer) else {
             return Vec::new();
         };
-        // Compact: drop blocks we already have or that left the set.
-        let bits = &av.bits;
-        av.order.retain(|b| bits.contains(*b) && !have.contains(*b));
-
-        let in_flight = &self.in_flight_bits;
-        let candidates = av.order.iter().copied().filter(|b| !in_flight.contains(*b));
-        let rarity = &self.rarity;
-        let chosen = match self.strategy {
-            RequestStrategy::FirstEncountered => candidates.take(count).collect(),
-            RequestStrategy::Random => smallest(candidates, count, |_| (0, rng.gen())),
-            RequestStrategy::Rarest => smallest(candidates, count, |b| (rarity[b.index()], 0)),
-            RequestStrategy::RarestRandom => {
-                smallest(candidates, count, |b| (rarity[b.index()], rng.gen()))
-            }
+        // No more picks than there are blocks to pick from.
+        let count = count.min(av.order.len());
+        if count == 0 {
+            return Vec::new();
+        }
+        let mut on_stack = [Pick::NONE; STACK_PICKS];
+        let mut on_heap = Vec::new();
+        let picks: &mut [Pick] = if count <= STACK_PICKS {
+            &mut on_stack[..count]
+        } else {
+            on_heap.resize(count, Pick::NONE);
+            &mut on_heap
         };
+        let mut picked = 0;
 
+        let strategy = self.strategy;
+        let (bits, in_flight, rarity) = (&av.bits, &self.in_flight_bits, &self.rarity);
+        let mut position = 0u64;
+        av.order.retain(|&b| {
+            if !bits.contains(b) || have.contains(b) {
+                return false;
+            }
+            if !in_flight.contains(b) {
+                let key = match strategy {
+                    RequestStrategy::FirstEncountered => {
+                        position += 1;
+                        (0, position)
+                    }
+                    RequestStrategy::Random => (0, rng.gen()),
+                    RequestStrategy::Rarest => (rarity[b.index()], 0),
+                    RequestStrategy::RarestRandom => (rarity[b.index()], rng.gen()),
+                };
+                picked = offer(picks, picked, Pick::new(key, b));
+            }
+            true
+        });
+
+        let chosen: Vec<BlockId> = picks[..picked].iter().map(|p| p.block()).collect();
         for &b in &chosen {
             let request = InFlight {
                 to: peer,
@@ -274,23 +326,20 @@ impl RequestManager {
     }
 }
 
-/// The `count` candidates with the smallest `(key, block)`, ascending. Keys
-/// are drawn for every candidate in candidate order (so the RNG advances as
-/// a full sort would), but only the winners are ordered: one O(n) partition
-/// plus a sort of `count` elements. Appending the block id makes the order
-/// total, so the result does not depend on how the partition breaks ties.
-fn smallest(
-    candidates: impl Iterator<Item = BlockId>,
-    count: usize,
-    mut key: impl FnMut(BlockId) -> (u32, u64),
-) -> Vec<BlockId> {
-    let mut keyed: Vec<((u32, u64), BlockId)> = candidates.map(|b| (key(b), b)).collect();
-    if count < keyed.len() {
-        keyed.select_nth_unstable(count);
-        keyed.truncate(count);
+/// Offers `item` to a bounded ascending buffer: `picks[..len]` holds the
+/// smallest items offered so far, at most `picks.len()` (≥ 1) of them.
+/// Returns the new `len`.
+fn offer(picks: &mut [Pick], mut len: usize, item: Pick) -> usize {
+    if len == picks.len() {
+        if item >= picks[len - 1] {
+            return len;
+        }
+        len -= 1;
     }
-    keyed.sort_unstable();
-    keyed.into_iter().map(|(_, b)| b).collect()
+    let at = picks[..len].partition_point(|p| *p < item);
+    picks.copy_within(at..len, at + 1);
+    picks[at] = item;
+    len + 1
 }
 
 #[cfg(test)]
@@ -551,6 +600,59 @@ mod tests {
                 rng.gen::<u64>(),
                 ref_rng.gen::<u64>(),
                 "{strategy:?}, case {case}: a different number of RNG draws"
+            );
+        }
+    }
+
+    /// The same oracle where the bounded buffer is not the common case: a
+    /// `count` that meets or exceeds the candidates, and one up to the default
+    /// `max_outstanding` (past `STACK_PICKS`). Also the compaction
+    /// post-condition: the discovery list afterwards is the old one filtered
+    /// by `advertised ∧ ¬have`, order kept, in-flight blocks included.
+    #[test]
+    fn selection_equals_a_full_sort_when_count_covers_the_candidates_or_the_window() {
+        let mut r = StdRng::seed_from_u64(0xc0_ffee);
+        for case in 0..400 {
+            let strategy = STRATEGIES[case % 4];
+            let space = r.gen_range(1..200u32);
+            let senders = r.gen_range(1..5u32);
+            let (mut rm, have) = random_state(strategy, space, senders, &mut r);
+            let peer = NodeId(r.gen_range(1..=senders));
+            let candidates = rm.useful_candidates(peer, &have);
+            let count = match (case / 4) % 4 {
+                0 => candidates.max(1),
+                1 => candidates + 1,
+                2 => 50,
+                _ => r.gen_range(STACK_PICKS..=50),
+            };
+
+            let av = &rm.available[&peer];
+            let compacted: Vec<BlockId> = av
+                .order
+                .iter()
+                .copied()
+                .filter(|b| av.bits.contains(*b) && !have.contains(*b))
+                .collect();
+            let seed = r.gen::<u64>();
+            let mut ref_rng = StdRng::seed_from_u64(seed);
+            let want = full_sort_reference(&rm, peer, count, &have, &mut ref_rng);
+            let mut rng = StdRng::seed_from_u64(seed);
+            let got = rm.select_requests(peer, count, &have, SimTime::ZERO, &mut rng);
+
+            assert_eq!(got, want, "{strategy:?}, case {case}, count {count}");
+            assert_eq!(
+                got.len(),
+                count.min(candidates),
+                "{strategy:?}, case {case}"
+            );
+            assert_eq!(
+                rng.gen::<u64>(),
+                ref_rng.gen::<u64>(),
+                "{strategy:?}, case {case}: a different number of RNG draws"
+            );
+            assert_eq!(
+                rm.available[&peer].order, compacted,
+                "{strategy:?}, case {case}: compaction"
             );
         }
     }

@@ -69,6 +69,7 @@
 //! ```
 
 use std::collections::{HashMap, VecDeque};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use desim::{SimDuration, SimTime};
 use dissem_codec::BlockId;
@@ -282,6 +283,32 @@ fn pair_key(from: NodeId, to: NodeId) -> u64 {
     (u64::from(from.0) << 32) | u64::from(to.0)
 }
 
+/// Hashes an ordered node pair as its [`pair_key`] times one constant instead
+/// of SipHash (the `desim::EventQueue` live table's precedent):
+/// `Ctx::pending_to` brings a protocol to the flow table once per *receiver*
+/// per block arrival, and the keys are node ids the emulator hands out itself,
+/// so nobody outside the program can aim collisions at the table. A product's
+/// low half depends on the key's low half alone — the receiver — so the high
+/// half is folded back in: both ids then reach the bucket index (low bits) as
+/// well as the control tag (top bits).
+#[derive(Debug, Clone, Copy, Default)]
+struct PairHasher(u64);
+
+impl Hasher for PairHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the flow table hashes pairs of u32 node ids only");
+    }
+
+    fn write_u32(&mut self, id: u32) {
+        self.0 = (self.0 << 32) | u64::from(id);
+    }
+
+    fn finish(&self) -> u64 {
+        let product = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        product ^ (product >> 32)
+    }
+}
+
 /// Inserts `(key, fid)` into a sorted membership list; returns false (and
 /// leaves the list unchanged) if the key is already present.
 fn link_insert(list: &mut Vec<(u64, u32)>, key: u64, fid: u32) -> bool {
@@ -338,12 +365,14 @@ pub struct SolverStats {
 /// Flow state is a dense structure-of-arrays table indexed by flow id (a
 /// `u32` handed out the first time an ordered pair exchanges data and stable
 /// thereafter); the `(NodeId, NodeId)`-keyed map is consulted once at each
-/// public entry point and never inside the solver.
+/// public entry point and never inside the solver. It is only ever accessed
+/// by key — except by [`Network::release_flows_for`], which sorts what it
+/// collects — so its layout cannot influence behaviour.
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
     /// Ordered pair → dense flow id (API boundary only).
-    flow_ids: HashMap<(NodeId, NodeId), u32>,
+    flow_ids: HashMap<(NodeId, NodeId), u32, BuildHasherDefault<PairHasher>>,
     /// Flow id → ordered pair.
     flow_pair: Vec<(NodeId, NodeId)>,
     /// Flow id → queue/progress state.
@@ -430,7 +459,7 @@ impl Network {
         let links = topo.num_links();
         Network {
             topo,
-            flow_ids: HashMap::new(),
+            flow_ids: HashMap::default(),
             flow_pair: Vec::new(),
             conns: Vec::new(),
             flow_rate: Vec::new(),

@@ -394,6 +394,43 @@ fn close_all_for_tears_down_both_directions() {
     assert_eq!(net.pending_blocks(NodeId(0), NodeId(2)), 1);
 }
 
+/// The flow table hashes an ordered pair as one packed key: `a → b` and
+/// `b → a` stay distinct rows, and a release hands back exactly the rows that
+/// touch the node, in ascending `(from, to)` order whatever the map's layout.
+#[test]
+fn each_direction_of_a_pair_is_its_own_flow_row() {
+    let mut net = Network::new(constrained_access(5));
+    let t0 = SimTime::ZERO;
+    let (a, b) = (NodeId(1), NodeId(3));
+    net.queue_block(t0, a, b, BlockId(0), 100_000);
+    net.queue_block(t0, a, b, BlockId(1), 100_000);
+    assert_eq!((net.pending_blocks(a, b), net.pending_blocks(b, a)), (2, 0));
+    assert!(net.connection(b, a).is_none());
+    net.queue_block(t0, b, a, BlockId(2), 100_000);
+    assert_eq!((net.pending_blocks(a, b), net.pending_blocks(b, a)), (2, 1));
+    assert_eq!(net.live_flows(), 2);
+
+    for (i, (from, to)) in [(4, 1), (1, 0), (0, 3), (2, 4), (1, 4)]
+        .into_iter()
+        .enumerate()
+    {
+        net.queue_block(t0, NodeId(from), NodeId(to), BlockId(3 + i as u32), 100_000);
+    }
+    assert_eq!(net.live_flows(), 7);
+    let updates = net.release_flows_for(SimTime::from_secs_f64(0.1), a);
+    let cancelled: Vec<(u32, u32)> = updates
+        .iter()
+        .filter_map(|u| match u {
+            ConnUpdate::Cancel { from, to, .. } => Some((from.0, to.0)),
+            ConnUpdate::Schedule { .. } => None,
+        })
+        .collect();
+    assert_eq!(cancelled, [(1, 0), (1, 3), (1, 4), (3, 1), (4, 1)]);
+    assert_eq!(net.live_flows(), 2);
+    assert_eq!(net.pending_blocks(NodeId(0), NodeId(3)), 1);
+    assert_eq!(net.pending_blocks(NodeId(2), NodeId(4)), 1);
+}
+
 #[test]
 fn reprice_paths_after_bandwidth_change() {
     let mut net = Network::new(two_node_topo(2.0, 6.0));

@@ -266,8 +266,10 @@ pub struct Ctx<'a, P: Protocol> {
 }
 
 impl<'a, P: Protocol> Ctx<'a, P> {
-    /// Creates a context (used by the runner).
-    pub(crate) fn new(
+    /// Creates a context. The runner makes one per dispatched event; a unit
+    /// test makes one to drive a single handler and read what it recorded
+    /// from `commands`.
+    pub fn new(
         node: NodeId,
         now: SimTime,
         net: &'a Network,

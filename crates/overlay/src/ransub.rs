@@ -110,13 +110,14 @@ pub fn merge_samples<R: Rng + ?Sized, S: Borrow<Sample>>(
     }
     keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
 
-    let mut seen = std::collections::HashSet::new();
-    let mut entries = Vec::with_capacity(target);
+    // At most `target` (the subset size, 10) entries are kept, so a scan of
+    // them finds a repeated node faster than a hash set is built.
+    let mut entries: Vec<NodeSummary> = Vec::with_capacity(target);
     for (_, e) in keyed {
         if entries.len() >= target {
             break;
         }
-        if seen.insert(e.node) {
+        if !entries.iter().any(|kept| kept.node == e.node) {
             entries.push(e);
         }
     }
