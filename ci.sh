@@ -68,19 +68,27 @@ cargo test -q --release --test golden_figures
 
 # One scenario per body kind through the CLI: every command reads what a
 # scenario runs off the same registry entry. A closed scenario traces the
-# Bullet' run of its own workload (and the trace must replay the probe
-# series); an open-system scenario and the analytic model are refused with
-# exit status 2 and a message saying where to go instead.
+# Bullet' run of its own workload (the trace must replay the probe series,
+# and the output ends with one row per receiver and no wall-clock section);
+# an open-system scenario and the analytic model are refused with exit status
+# 2 and a message saying where to go instead.
 echo "==> lab smoke (list, trace per body kind)"
 rows=$(./target/release/lab list | tail -n +2 | wc -l)
 if [ "$rows" -ne 21 ]; then
     echo "FAIL: lab list printed $rows scenario rows, expected 21"
     exit 1
 fi
-./target/release/lab trace fig11 --nodes 6 --mb 0.125 | grep -q "replay check: OK" || {
+traced=$(./target/release/lab trace fig11 --nodes 6 --mb 0.125)
+printf '%s\n' "$traced" | grep -q "replay check: OK" || {
     echo "FAIL: lab trace fig11 did not pass its replay check"
     exit 1
 }
+# Receiver rows are the only lines that begin with a number (the node id).
+receiver_rows=$(printf '%s\n' "$traced" | grep -c '^ *[0-9][0-9]* ' || true)
+if [ "$receiver_rows" -ne 5 ] || printf '%s\n' "$traced" | grep -q profiler; then
+    echo "FAIL: lab trace fig11 printed $receiver_rows receiver rows (expected 5) or a profiler section"
+    exit 1
+fi
 expect_refusal() {
     # $1 = scenario, $2 = text the message must contain
     status=0
@@ -92,11 +100,12 @@ expect_refusal() {
 }
 expect_refusal fig21 "lab serve fig21"
 expect_refusal fig15 "Shotgun"
-echo "lab list: 21 rows; trace fig11 replays; fig21 and fig15 refused with status 2"
+echo "lab list: 21 rows; trace fig11 replays and lists 5 receivers; fig21 and fig15 refused with status 2"
 
 # Perf records: `lab bench` takes no options, runs the four fixed workloads
-# (fig05 dark then traced; fig20 at N = 1k / 5k / 10k; the fig21 loads; the
-# fig05 sweep per thread count plus fig05w forked vs fresh), rewrites
+# (fig05 dark, then instrumented with a counting trace sink and nothing else;
+# fig20 at N = 1k / 5k / 10k; the fig21 loads; the fig05 sweep per thread
+# count plus fig05w forked vs fresh), rewrites
 # BENCH_{events,scale,service,sweep}.json and exits non-zero if a check on
 # its own measurements fails: traced canonical = dark canonical, tracing
 # <= 1.5x, every scale point AllComplete, canonical identity across thread

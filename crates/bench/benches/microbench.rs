@@ -20,7 +20,8 @@ use netsim::{topology, ConnUpdate, Network, NodeId};
 use overlay::{merge_samples, NodeSummary, Sample};
 use shotgun::{apply_delta, generate_delta};
 
-// No harness driver covers the LT codes (only `lt_overhead` reaches them).
+// No harness driver covers the LT codes (nothing but this bench and their
+// own tests reaches them; ROADMAP item 1's fig13 claim decides their fate).
 fn bench_lt_codes(c: &mut Criterion) {
     let mut group = c.benchmark_group("lt_codes");
     for &k in &[256u32, 1024] {
@@ -137,7 +138,7 @@ fn bench_flow_controller(c: &mut Criterion) {
     });
 }
 
-// No harness driver covers `Simulator` schedule + run (`desim.queue.ns_per_op`
+// No harness driver covers `Simulator` schedule + step (`desim.queue.ns_per_op`
 // is the bare queue in the hold model, `benchmark/src/drivers.rs`).
 fn bench_event_engine(c: &mut Criterion) {
     c.bench_function("desim_schedule_run_100k", |b| {
@@ -147,10 +148,9 @@ fn bench_event_engine(c: &mut Criterion) {
                 sim.schedule_at(SimTime::from_nanos(u64::from(i % 9973) * 1000), i);
             }
             let mut count = 0u32;
-            sim.run(|_, _, _| {
+            while sim.step().is_some() {
                 count += 1;
-                desim::Control::Continue
-            });
+            }
             count
         })
     });

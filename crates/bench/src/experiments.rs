@@ -92,8 +92,8 @@ fn push_goodput_over_time(fig: &mut Figure, series: &TimeSeries) -> f64 {
 
 /// The dynamic policy's series (pushed last) against the best of the fixed
 /// settings before it, by `stat`.
-fn dynamic_vs_best_fixed(fig: &Figure, stat: fn(&Series) -> f64) -> (f64, f64) {
-    let (dynamic, fixed) = fig.series.split_last().expect("the study ran");
+fn dynamic_vs_best_fixed(series: &[Series], stat: fn(&Series) -> f64) -> (f64, f64) {
+    let (dynamic, fixed) = series.split_last().expect("the study ran");
     let best = fixed.iter().map(stat).fold(f64::INFINITY, f64::min);
     (stat(dynamic), best)
 }
@@ -233,77 +233,90 @@ pub fn fig06_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
     Ok(mesh_workload(opts, 40, 10.0, Dynamics::Static))
 }
 
+/// A configuration study (Figs 6–12): the download-time CDF of Bullet′ on
+/// `w` under each labelled configuration, in the order given, and `note` over
+/// the finished series. The caller says which figure this is; nothing here
+/// asks the workload.
+fn config_study(
+    w: &Workload,
+    id: &str,
+    title: String,
+    variants: impl IntoIterator<Item = (String, Config)>,
+    note: impl FnOnce(&[Series]) -> String,
+) -> Figure {
+    let mut fig = Figure::new(id, title);
+    for (label, cfg) in variants {
+        fig.push(Series::cdf(label, &bullet_prime_run(w, &cfg).times));
+    }
+    fig.note(note(&fig.series));
+    fig
+}
+
 /// Figure 6's presentation: one run per request strategy.
 pub fn fig06_figure(w: &Workload, _: &CommonOpts) -> Figure {
-    let nodes = w.nodes;
-    let mut fig = Figure::new(
-        "Figure 6",
-        format!("request strategies under random losses ({nodes} nodes)"),
-    );
     let strategies = [
         ("rarest random", RequestStrategy::RarestRandom),
         ("random", RequestStrategy::Random),
         ("rarest", RequestStrategy::Rarest),
         ("first", RequestStrategy::FirstEncountered),
     ];
-    for (name, strategy) in strategies {
-        let mut cfg = w.config();
-        cfg.request_strategy = strategy;
-        fig.push(Series::cdf(
-            format!("BulletPrime {name} request strategy"),
-            &bullet_prime_run(w, &cfg).times,
-        ));
-    }
-    let (rr, first) = (&fig.series[0], &fig.series[3]);
-    fig.note(format!(
-        "rarest-random median {:.1}s vs first-encountered {:.1}s ({:.0}% faster); paper: first-encountered performs worst",
-        rr.quantile(0.5),
-        first.quantile(0.5),
-        100.0 * improvement_at(rr, first, 0.5)
-    ));
-    fig
+    let variants = strategies.map(|(name, request_strategy)| {
+        let label = format!("BulletPrime {name} request strategy");
+        let cfg = Config {
+            request_strategy,
+            ..w.config()
+        };
+        (label, cfg)
+    });
+    let title = format!("request strategies under random losses ({} nodes)", w.nodes);
+    config_study(w, "Figure 6", title, variants, |series| {
+        let (rr, first) = (&series[0], &series[3]);
+        format!(
+            "rarest-random median {:.1}s vs first-encountered {:.1}s ({:.0}% faster); paper: first-encountered performs worst",
+            rr.quantile(0.5),
+            first.quantile(0.5),
+            100.0 * improvement_at(rr, first, 0.5)
+        )
+    })
 }
 
-/// Figs 7–9, one study over three cells of the grid: fixed peer-set sizes vs
-/// the dynamic policy under random losses ([`fig06_workload`]), under
-/// bandwidth changes ([`fig08_workload`]) and on constrained access links
-/// ([`fig09_workload`]).
-pub fn peer_sizing(w: &Workload, _: &CommonOpts) -> Figure {
-    let nodes = w.nodes;
-    let (id, sizes, cell): (_, &[usize], _) = match (w.topology, w.dynamics) {
-        (TopologyKind::ConstrainedAccess, _) => {
-            let cell = "10/14 vs dynamic with 800 Kbps access links, no losses";
-            ("Figure 9", &[10, 14], cell)
-        }
-        (_, Dynamics::Static) => (
-            "Figure 7",
-            &[6, 10, 14],
-            "6/10/14 vs dynamic under random losses",
-        ),
-        _ => {
-            let cell = "6/10/14 vs dynamic under bandwidth changes and losses";
-            ("Figure 8", &[6, 10, 14], cell)
-        }
-    };
-    let mut fig = Figure::new(id, format!("static peer-set sizes {cell} ({nodes} nodes)"));
-    for &k in sizes {
-        let mut cfg = w.config();
-        cfg.peer_policy = PeerSetPolicy::Fixed(k);
-        fig.push(Series::cdf(
-            format!("BulletPrime, {k} senders, {k} receivers"),
-            &bullet_prime_run(w, &cfg).times,
-        ));
-    }
-    fig.push(Series::cdf(
-        "BulletPrime, dyn. #senders,#receivers",
-        &bullet_prime_run(w, &w.config()).times,
-    ));
+/// Figs 7–9: fixed peer-set `sizes`, then the dynamic policy.
+fn peer_set_study(w: &Workload, id: &str, cell: &str, sizes: &[usize]) -> Figure {
+    let fixed = sizes.iter().map(|&k| {
+        let cfg = Config {
+            peer_policy: PeerSetPolicy::Fixed(k),
+            ..w.config()
+        };
+        (format!("BulletPrime, {k} senders, {k} receivers"), cfg)
+    });
+    let dynamic = "BulletPrime, dyn. #senders,#receivers".to_string();
+    let variants = fixed.chain([(dynamic, w.config())]);
+    let title = format!("static peer-set sizes {cell} ({} nodes)", w.nodes);
+    config_study(w, id, title, variants, |series| {
+        let (dynamic, best_static) = dynamic_vs_best_fixed(series, |s| s.quantile(0.5));
+        format!(
+            "dynamic median {dynamic:.1}s vs best static {best_static:.1}s; paper: no static size wins everywhere, dynamic tracks the best"
+        )
+    })
+}
 
-    let (dynamic, best_static) = dynamic_vs_best_fixed(&fig, |s| s.quantile(0.5));
-    fig.note(format!(
-        "dynamic median {dynamic:.1}s vs best static {best_static:.1}s; paper: no static size wins everywhere, dynamic tracks the best"
-    ));
-    fig
+/// Figure 7's presentation: peer-set sizes under random losses
+/// ([`fig06_workload`]).
+pub fn fig07_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let cell = "6/10/14 vs dynamic under random losses";
+    peer_set_study(w, "Figure 7", cell, &[6, 10, 14])
+}
+
+/// Figure 8's presentation: peer-set sizes under bandwidth changes.
+pub fn fig08_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let cell = "6/10/14 vs dynamic under bandwidth changes and losses";
+    peer_set_study(w, "Figure 8", cell, &[6, 10, 14])
+}
+
+/// Figure 9's presentation: peer-set sizes on constrained access links.
+pub fn fig09_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    let cell = "10/14 vs dynamic with 800 Kbps access links, no losses";
+    peer_set_study(w, "Figure 9", cell, &[10, 14])
 }
 
 /// Figure 8's workload: bandwidth changes on the smaller mesh.
@@ -322,43 +335,48 @@ pub fn fig09_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
     ))
 }
 
-/// Figs 10 and 11, one study over two cells: fixed outstanding-request
-/// windows vs the dynamic window on high-BDP links, clean
-/// ([`fig10_workload`]) and lossy ([`fig11_workload`]).
-pub fn outstanding_sizing(w: &Workload, _: &CommonOpts) -> Figure {
-    let nodes = w.nodes;
-    let clean = w.topology == TopologyKind::HighBdpClique { max_loss: 0.0 };
-    let (id, windows, losses): (_, &[u32], _) = if clean {
-        ("Figure 10", &[3, 6, 9, 15, 50], "no losses")
-    } else {
-        ("Figure 11", &[3, 6, 15, 50], "0-1.5% loss")
-    };
-    let title =
-        format!("per-peer outstanding blocks, 10 Mbps / 100 ms links, {losses} ({nodes} nodes)");
-    let mut fig = Figure::new(id, title);
+/// The variants of Figs 10–12: fixed outstanding `windows` on `base` (their
+/// numbers left-aligned to `pad` columns in the legend), then the dynamic
+/// window — `base` itself.
+fn window_variants(base: Config, windows: &[u32], pad: usize) -> Vec<(String, Config)> {
+    let fixed = windows.iter().map(|&n| {
+        let cfg = Config {
+            outstanding_policy: OutstandingPolicy::Fixed(n),
+            ..base.clone()
+        };
+        (format!("BulletPrime , {n:<pad$} outst"), cfg)
+    });
+    let mut variants: Vec<_> = fixed.collect();
+    variants.push(("BulletPrime , dyn  outst".to_string(), base));
+    variants
+}
+
+/// Figs 10 and 11: fixed `windows`, then the dynamic one, on high-BDP links.
+fn window_study(w: &Workload, id: &str, losses: &str, windows: &[u32]) -> Figure {
     // The paper runs this study with up to 5 senders per node so the
     // per-connection window, not the peer count, is the variable under test.
-    let mut cfg = w.config();
-    cfg.min_peers = 5;
-    cfg.peer_policy = PeerSetPolicy::Fixed(5);
-    for &window in windows {
-        let mut fixed = cfg.clone();
-        fixed.outstanding_policy = OutstandingPolicy::Fixed(window);
-        fig.push(Series::cdf(
-            format!("BulletPrime , {window:<4} outst"),
-            &bullet_prime_run(w, &fixed).times,
-        ));
-    }
-    fig.push(Series::cdf(
-        "BulletPrime , dyn  outst",
-        &bullet_prime_run(w, &cfg).times,
-    ));
+    let base = Config {
+        min_peers: 5,
+        peer_policy: PeerSetPolicy::Fixed(5),
+        ..w.config()
+    };
+    let nodes = w.nodes;
+    let title =
+        format!("per-peer outstanding blocks, 10 Mbps / 100 ms links, {losses} ({nodes} nodes)");
+    config_study(w, id, title, window_variants(base, windows, 4), |series| {
+        let (dynamic, best_static) = dynamic_vs_best_fixed(series, |s| s.quantile(0.5));
+        format!("dynamic median {dynamic:.1}s vs best static median {best_static:.1}s")
+    })
+}
 
-    let (dynamic, best_static) = dynamic_vs_best_fixed(&fig, |s| s.quantile(0.5));
-    fig.note(format!(
-        "dynamic median {dynamic:.1}s vs best static median {best_static:.1}s"
-    ));
-    fig
+/// Figure 10's presentation: outstanding windows on clean links.
+pub fn fig10_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    window_study(w, "Figure 10", "no losses", &[3, 6, 9, 15, 50])
+}
+
+/// Figure 11's presentation: outstanding windows on lossy links.
+pub fn fig11_figure(w: &Workload, _: &CommonOpts) -> Figure {
+    window_study(w, "Figure 11", "0-1.5% loss", &[3, 6, 15, 50])
 }
 
 fn high_bdp_workload(opts: &CommonOpts, max_loss: f64) -> Workload {
@@ -400,33 +418,21 @@ pub fn fig12_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
     ))
 }
 
-/// Figure 12's presentation.
+/// Figure 12's presentation: outstanding windows for the cascade victim.
 pub fn fig12_figure(w: &Workload, _: &CommonOpts) -> Figure {
-    let mut fig = Figure::new(
-        "Figure 12",
-        "outstanding blocks under cascading 100 Kbps degradations of the victim's links",
-    );
-    let mut cfg = w.config();
-    cfg.peer_policy = PeerSetPolicy::Fixed(6);
-    for window in [9u32, 15, 50] {
-        let mut fixed = cfg.clone();
-        fixed.outstanding_policy = OutstandingPolicy::Fixed(window);
-        fig.push(Series::cdf(
-            format!("BulletPrime , {window} outst"),
-            &bullet_prime_run(w, &fixed).times,
-        ));
-    }
-    fig.push(Series::cdf(
-        "BulletPrime , dyn  outst",
-        &bullet_prime_run(w, &cfg).times,
-    ));
-
-    let (dynamic, best_static) = dynamic_vs_best_fixed(&fig, Series::max_x);
-    fig.note(format!(
-        "slowest (victim) node: dynamic {dynamic:.1}s vs best static {best_static:.1}s ({:.0}% faster); paper: dynamic beats static by 7-22% for the victim",
-        100.0 * (best_static - dynamic) / best_static,
-    ));
-    fig
+    let title = "outstanding blocks under cascading 100 Kbps degradations of the victim's links";
+    let base = Config {
+        peer_policy: PeerSetPolicy::Fixed(6),
+        ..w.config()
+    };
+    let variants = window_variants(base, &[9, 15, 50], 0);
+    config_study(w, "Figure 12", title.into(), variants, |series| {
+        let (dynamic, best_static) = dynamic_vs_best_fixed(series, Series::max_x);
+        format!(
+            "slowest (victim) node: dynamic {dynamic:.1}s vs best static {best_static:.1}s ({:.0}% faster); paper: dynamic beats static by 7-22% for the victim",
+            100.0 * (best_static - dynamic) / best_static,
+        )
+    })
 }
 
 /// Figure 13's presentation (its workload is [`fig04_workload`]).
@@ -1097,8 +1103,7 @@ pub fn fig22_figure(cells: &[(String, ServiceWorkload)], _: &CommonOpts) -> Figu
     fig
 }
 
-/// Multi-line human summary of a [`ServiceReport`] — shared by `lab serve`
-/// and `diagnose --service`.
+/// Multi-line human summary of a [`ServiceReport`], as `lab serve` prints it.
 pub fn service_summary(report: &ServiceReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -1277,9 +1282,22 @@ mod tests {
     fn fig10_and_12_have_dynamic_last() {
         let mut opts = tiny();
         opts.file_mb = Some(0.25);
-        let f10 = study(fig10_workload, outstanding_sizing, &opts);
+        // One peer-set row and two outstanding-window rows of the one study:
+        // a series per fixed setting, then the dynamic policy.
+        let f07 = study(fig06_workload, fig07_figure, &opts);
+        assert_eq!((f07.id.as_str(), f07.series.len()), ("Figure 7", 3 + 1));
+        assert!(f07.series[0].label.contains("6 senders, 6 receivers"));
+        assert!(f07.series.last().unwrap().label.contains("dyn"));
+        assert!(
+            f07.notes[0].starts_with("dynamic median"),
+            "{:?}",
+            f07.notes
+        );
+        let f10 = study(fig10_workload, fig10_figure, &opts);
+        assert_eq!((f10.id.as_str(), f10.series.len()), ("Figure 10", 5 + 1));
         assert!(f10.series.last().unwrap().label.contains("dyn"));
         let f12 = study(fig12_workload, fig12_figure, &opts);
+        assert_eq!(f12.series.len(), 3 + 1);
         assert!(f12.series.last().unwrap().label.contains("dyn"));
         assert_eq!(
             f12.series[0].points.len(),

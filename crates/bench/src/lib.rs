@@ -29,9 +29,8 @@
 //! Figures are run through the `bullet_lab` crate's scenario registry (`lab
 //! run <name>`), and the committed perf records are written by `lab bench`,
 //! which runs registry workloads from [`experiments`] at fixed options. This
-//! crate's binaries are `lt_overhead` (the rateless-code reception overhead
-//! quoted in §2.2) and `diagnose`. Criterion micro-benchmarks for the core
-//! data structures live in `benches/`.
+//! crate ships no binaries. Criterion micro-benchmarks for the core data
+//! structures live in `benches/`.
 
 pub mod alloc_track;
 pub mod bounds;

@@ -372,7 +372,7 @@ impl Workload {
 
     /// [`Workload::runner`] for Bullet′ under `cfg`, one runner hosting all
     /// `groups` meshes. `instrument` sees the runner before anything runs
-    /// (trace sinks and profilers go in here).
+    /// (a trace sink goes in here).
     pub fn bullet_prime_with(
         &self,
         cfg: &Config,

@@ -57,7 +57,30 @@ pub enum TransferMode {
     },
 }
 
-/// Complete configuration of a Bullet′ deployment.
+/// Initial number of senders and receivers (the released Bullet default).
+pub const INITIAL_PEERS: usize = 10;
+/// Hard upper bound on the number of senders/receivers.
+pub const MAX_PEERS: usize = 25;
+/// RanSub collect/distribute period.
+pub const RANSUB_PERIOD: SimDuration = SimDuration::from_secs(5);
+/// Peers whose bandwidth sits this many standard deviations below the mean
+/// are disconnected at epoch boundaries.
+pub const TRIM_SIGMA: f64 = 1.5;
+/// Initial per-sender outstanding window (blocks).
+pub const INITIAL_OUTSTANDING: u32 = 3;
+/// Upper bound on the per-sender outstanding window.
+pub const MAX_OUTSTANDING: u32 = 50;
+/// How many blocks the source keeps queued per control-tree child before
+/// considering that child's pipe full.
+pub const SOURCE_PIPE_BLOCKS: usize = 3;
+/// Re-request a block from another sender if it has been outstanding this
+/// long (stall insurance; the paper notes cancelling in-flight blocks is
+/// impractical, so this is deliberately generous).
+pub const REQUEST_TIMEOUT: SimDuration = SimDuration::from_secs(15);
+
+/// What varies between Bullet′ deployments: the fields a figure's ablation,
+/// the original-Bullet baseline or the benchmark harness sets or reads. The
+/// protocol constants nobody varies are the `const`s above.
 #[derive(Debug, Clone)]
 pub struct Config {
     /// The file being disseminated.
@@ -70,26 +93,11 @@ pub struct Config {
     pub outstanding_policy: OutstandingPolicy,
     /// Unencoded vs source-encoded transfer.
     pub transfer_mode: TransferMode,
-    /// Initial number of senders and receivers (the released Bullet default).
-    pub initial_peers: usize,
-    /// Hard lower bound on the number of senders/receivers.
+    /// Hard lower bound on the number of senders/receivers (at most
+    /// [`INITIAL_PEERS`]).
     pub min_peers: usize,
-    /// Hard upper bound on the number of senders/receivers.
-    pub max_peers: usize,
-    /// RanSub collect/distribute period.
-    pub ransub_period: SimDuration,
     /// Number of summaries delivered per RanSub epoch.
     pub ransub_subset_size: usize,
-    /// Peers whose bandwidth sits this many standard deviations below the
-    /// mean are disconnected at epoch boundaries.
-    pub trim_sigma: f64,
-    /// Initial per-sender outstanding window (blocks).
-    pub initial_outstanding: u32,
-    /// Upper bound on the per-sender outstanding window.
-    pub max_outstanding: u32,
-    /// How many blocks the source keeps queued per control-tree child before
-    /// considering that child's pipe full.
-    pub source_pipe_blocks: usize,
     /// If true, availability diffs are only flushed by the periodic
     /// housekeeping timer instead of self-clocking on idle request pipelines.
     /// Bullet′ keeps this off; the original-Bullet baseline turns it on to
@@ -97,10 +105,6 @@ pub struct Config {
     pub lazy_diffs: bool,
     /// Housekeeping timer period (request refresh / stall recovery).
     pub housekeeping_period: SimDuration,
-    /// Re-request a block from another sender if it has been outstanding this
-    /// long (stall insurance; the paper notes cancelling in-flight blocks is
-    /// impractical, so this is deliberately generous).
-    pub request_timeout: SimDuration,
 }
 
 impl Config {
@@ -112,18 +116,10 @@ impl Config {
             peer_policy: PeerSetPolicy::Dynamic,
             outstanding_policy: OutstandingPolicy::Dynamic,
             transfer_mode: TransferMode::Unencoded,
-            initial_peers: 10,
             min_peers: 6,
-            max_peers: 25,
-            ransub_period: SimDuration::from_secs(5),
             ransub_subset_size: 10,
-            trim_sigma: 1.5,
-            initial_outstanding: 3,
-            max_outstanding: 50,
-            source_pipe_blocks: 3,
             lazy_diffs: false,
             housekeeping_period: SimDuration::from_secs(2),
-            request_timeout: SimDuration::from_secs(15),
         }
     }
 
@@ -154,18 +150,10 @@ impl Config {
 
     /// Validates invariants; called by the node constructor.
     pub fn validate(&self) {
-        assert!(self.min_peers >= 1, "min_peers must be at least 1");
         assert!(
-            self.min_peers <= self.initial_peers && self.initial_peers <= self.max_peers,
-            "initial_peers must lie between min_peers and max_peers"
+            (1..=INITIAL_PEERS).contains(&self.min_peers),
+            "min_peers must lie between 1 and INITIAL_PEERS"
         );
-        assert!(
-            self.initial_outstanding >= 1,
-            "need at least one outstanding block"
-        );
-        assert!(self.max_outstanding >= self.initial_outstanding);
-        assert!(self.trim_sigma > 0.0);
-        assert!(self.source_pipe_blocks >= 1);
         if let TransferMode::Encoded { epsilon } = self.transfer_mode {
             assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
         }
@@ -179,13 +167,11 @@ mod tests {
     #[test]
     fn defaults_match_paper_constants() {
         let cfg = Config::modelnet_default();
-        assert_eq!(cfg.initial_peers, 10);
-        assert_eq!(cfg.min_peers, 6);
-        assert_eq!(cfg.max_peers, 25);
-        assert_eq!(cfg.ransub_period, SimDuration::from_secs(5));
-        assert_eq!(cfg.initial_outstanding, 3);
+        assert_eq!((cfg.min_peers, INITIAL_PEERS, MAX_PEERS), (6, 10, 25));
+        assert_eq!(RANSUB_PERIOD, SimDuration::from_secs(5));
+        assert_eq!((INITIAL_OUTSTANDING, MAX_OUTSTANDING), (3, 50));
         assert_eq!(cfg.request_strategy, RequestStrategy::RarestRandom);
-        assert_eq!(cfg.trim_sigma, 1.5);
+        assert_eq!(TRIM_SIGMA, 1.5);
         assert_eq!(cfg.file.num_blocks(), 6400);
         cfg.validate();
     }
@@ -202,10 +188,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "initial_peers must lie")]
+    #[should_panic(expected = "min_peers must lie")]
     fn invalid_peer_bounds_rejected() {
         let mut cfg = Config::new(FileSpec::from_mb_kb(1, 16));
-        cfg.initial_peers = 30;
+        cfg.min_peers = INITIAL_PEERS + 1;
         cfg.validate();
     }
 }

@@ -17,7 +17,7 @@ use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, TimerToken};
 use overlay::{ControlTree, NodeSummary, RanSubAgent, RanSubEmit, Sample};
 use rand::rngs::StdRng;
 
-use crate::config::Config;
+use crate::config::{self, Config};
 use crate::flow::OutstandingController;
 use crate::messages::Msg;
 use crate::metrics::DownloadMetrics;
@@ -77,8 +77,8 @@ impl SenderState {
         SenderState {
             ctl: OutstandingController::new(
                 cfg.outstanding_policy,
-                cfg.initial_outstanding,
-                cfg.max_outstanding,
+                config::INITIAL_OUTSTANDING,
+                config::MAX_OUTSTANDING,
             ),
             bytes_since_epoch: 0,
             ewma_rate: 1_000.0,
@@ -195,10 +195,10 @@ impl BulletPrimeNode {
             requester: RequestManager::new(cfg.request_strategy, block_space),
             peer_mgr: PeerManager::new(
                 cfg.peer_policy,
-                cfg.initial_peers,
+                config::INITIAL_PEERS,
                 cfg.min_peers,
-                cfg.max_peers,
-                cfg.trim_sigma,
+                config::MAX_PEERS,
+                config::TRIM_SIGMA,
             ),
             source,
             epoch_started_at: SimTime::ZERO,
@@ -281,7 +281,7 @@ impl BulletPrimeNode {
                     continue;
                 }
                 let pending = ctx.pending_to(child) + queued_now[position];
-                if pending < self.cfg.source_pipe_blocks {
+                if pending < config::SOURCE_PIPE_BLOCKS {
                     let block = BlockId(src.next_block);
                     let bytes = if block.0 < self.cfg.file.num_blocks() {
                         u64::from(self.cfg.file.block_size(block))
@@ -548,7 +548,7 @@ impl Protocol for BulletPrimeNode {
 
     fn on_init(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.epoch_started_at = ctx.now();
-        ctx.set_timer(self.cfg.ransub_period, Timer::RanSub);
+        ctx.set_timer(config::RANSUB_PERIOD, Timer::RanSub);
         ctx.set_timer(self.cfg.housekeeping_period, Timer::Housekeeping);
         // A node initialised after t = 0 is a late joiner: its
         // construction-time tree children have long since registered with
@@ -770,14 +770,14 @@ impl Protocol for BulletPrimeNode {
                     self.ransub.begin_epoch(summary, rng)
                 };
                 self.emit_ransub(ctx, emits);
-                ctx.set_timer(self.cfg.ransub_period, Timer::RanSub);
+                ctx.set_timer(config::RANSUB_PERIOD, Timer::RanSub);
             }
             Timer::Housekeeping => {
                 // Release requests stuck behind a stalled sender so the blocks
                 // become requestable elsewhere.
                 let released = self
                     .requester
-                    .release_stale(ctx.now(), self.cfg.request_timeout);
+                    .release_stale(ctx.now(), config::REQUEST_TIMEOUT);
                 let stalled: BTreeSet<NodeId> = released.iter().map(|(p, _)| *p).collect();
                 for peer in stalled {
                     if let Some(s) = self.senders.get_mut(&peer) {

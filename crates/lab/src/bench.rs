@@ -7,7 +7,7 @@
 //!
 //! | record | workload | checks |
 //! |---|---|---|
-//! | `BENCH_events.json` | fig05 at 30 nodes / 16 MiB, dark then traced + profiled | traced canonical = dark canonical; traced / dark ≤ 1.5× (`docs/OBSERVABILITY.md`) |
+//! | `BENCH_events.json` | fig05 at 30 nodes / 16 MiB, dark then traced into a counting sink | traced canonical = dark canonical; traced / dark ≤ 1.5× (`docs/OBSERVABILITY.md`) |
 //! | `BENCH_scale.json` | fig20 at N = 1,000 / 5,000 / 10,000 | every point ends `AllComplete` |
 //! | `BENCH_service.json` | the fig21 loads, 48 slots, 2 MiB, 1200 s | — |
 //! | `BENCH_sweep.json` | the fig05 sweep at 1 and 4 threads, 2 seeds, 2 MiB; the fig05w sweep forked and fresh | canonical identical across thread counts; forked = fresh; 4 threads ≥ 1.5× on a host with ≥ 4 |
@@ -92,15 +92,14 @@ fn timed<T>(run: impl FnOnce() -> T) -> (T, f64) {
 }
 
 /// Builds and runs `w`'s default Bullet′ run, optionally with a counting
-/// trace sink and the profiler: the report, its wall-clock seconds and the
-/// allocations of building and running it.
+/// trace sink: the report, its wall-clock seconds and the allocations of
+/// building and running it.
 fn observed_run(w: &Workload, traced: bool) -> (RunReport, f64, u64) {
     let allocs_before = alloc_track::allocs();
     let (report, wall) = timed(|| {
         let mut runner = w.bullet_prime_with(&w.config(), |runner| {
             if traced {
                 runner.set_trace_sink(Box::new(CountingSink::new()));
-                runner.enable_profiling(10.0);
             }
         });
         w.run(&mut runner)

@@ -13,9 +13,9 @@
 //!                                   # generator-driven swarm arrivals, one
 //!                                   # ServiceReport per cell (see `serve`)
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N]
-//!                      [fig opts]   # one traced + profiled run, per-kind
-//!                                   # summary, JSONL export, probe replay
-//!                                   # cross-check (see `trace_cmd`)
+//!                      [fig opts]   # one traced run: per-kind summary,
+//!                                   # JSONL export, probe replay cross-check,
+//!                                   # per-receiver table (see `trace_cmd`)
 //! ```
 //!
 //! `[fig opts]` are the shared figure options (`--nodes`, `--mb`, `--seed`,

@@ -32,9 +32,9 @@
 //!   reported as sustained goodput and per-cohort completion percentiles
 //!   (see `docs/SERVICE_MODE.md`);
 //! * [`trace_cmd`] — the `lab trace` subcommand: the Bullet′ run of a closed
-//!   scenario's own workload with the structured trace sink, stats probe and
-//!   virtual-time profiler enabled, per-kind summary, JSONL export and the
-//!   probe replay cross-check (see `docs/OBSERVABILITY.md`).
+//!   scenario's own workload with the structured trace sink and stats probe
+//!   enabled: per-kind summary, JSONL export, the probe replay cross-check
+//!   and the per-receiver table (see `docs/OBSERVABILITY.md`).
 //!
 //! The workload and presentation functions themselves live in
 //! `bullet_bench::experiments`; turning a workload into a run is

@@ -77,27 +77,27 @@ impl Registry {
             Scenario::new(
                 "fig07",
                 "static peer-set sizes vs dynamic under random losses",
-                closed(ex::fig06_workload, Study(ex::peer_sizing)),
+                closed(ex::fig06_workload, Study(ex::fig07_figure)),
             ),
             Scenario::new(
                 "fig08",
                 "static peer-set sizes vs dynamic under bandwidth changes",
-                closed(ex::fig08_workload, Study(ex::peer_sizing)),
+                closed(ex::fig08_workload, Study(ex::fig08_figure)),
             ),
             Scenario::new(
                 "fig09",
                 "static peer-set sizes vs dynamic on constrained access links",
-                closed(ex::fig09_workload, Study(ex::peer_sizing)),
+                closed(ex::fig09_workload, Study(ex::fig09_figure)),
             ),
             Scenario::new(
                 "fig10",
                 "outstanding-request windows on clean high-BDP links",
-                closed(ex::fig10_workload, Study(ex::outstanding_sizing)),
+                closed(ex::fig10_workload, Study(ex::fig10_figure)),
             ),
             Scenario::new(
                 "fig11",
                 "outstanding-request windows under random losses",
-                closed(ex::fig11_workload, Study(ex::outstanding_sizing)),
+                closed(ex::fig11_workload, Study(ex::fig11_figure)),
             ),
             Scenario::new(
                 "fig12",

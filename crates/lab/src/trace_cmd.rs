@@ -1,23 +1,25 @@
 //! The `lab trace` subcommand: one scenario's Bullet′ workload run with the
-//! full observability stack on — structured trace sink, stats probe and the
-//! virtual-time profiler — followed by the analyzer pass.
+//! observability stack on — structured trace sink and stats probe — followed
+//! by the analyzer pass. Every answer is in virtual time; where the *host's*
+//! time went is `benchmark/run.sh --workload W --trace 1`.
 //!
 //! ```text
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] [figure options]
 //! ```
 //!
-//! The run collects every [`TraceRecord`] in a bounded ring (`--ring`, a
-//! memory cap: on overflow the *oldest* records drop, exactly like the
-//! runner-side [`RingSink`]), prints the per-kind summary and the profiler's
-//! wall-clock attribution, optionally writes the stream as JSONL (`--json`,
-//! filtered to one record kind with `--kind`), and then **cross-checks the
-//! trace against the probe**: [`replay_goodput`] rebuilds the per-node
-//! goodput series from nothing but `block_received` and `probe_tick` records
-//! and must reproduce the live [`StatsProbe`](netsim::StatsProbe) series
-//! bit-for-bit. A complete trace that cannot replay the probe means the
-//! instrumentation lies, so the mismatch is a hard error (for rings that
-//! overflowed, or churn dynamics that reset cumulative counters, it degrades
-//! to a warning).
+//! The run collects every [`TraceRecord`] in a [`RingSink`] (`--ring`, a
+//! memory cap: on overflow the *oldest* records drop), prints the per-kind
+//! summary, optionally writes the stream as JSONL (`--json`, filtered to one
+//! record kind with `--kind`), and then **cross-checks the trace against the
+//! probe**: [`replay_goodput`] rebuilds the per-node goodput series from
+//! nothing but `block_received` and `probe_tick` records and must reproduce
+//! the live [`StatsProbe`](netsim::StatsProbe) series bit-for-bit. A complete
+//! trace that cannot replay the probe means the instrumentation lies, so the
+//! mismatch is a hard error (for rings that overflowed, or churn dynamics
+//! that reset cumulative counters, it degrades to a warning). It ends with
+//! the per-receiver table — completion time, peer counts, duplicate share,
+//! useful blocks, control bytes, slowest last — and the run's non-zero
+//! counters: which receiver was slow, and which mechanism was busy.
 //!
 //! What is traced is the default-configuration Bullet′ run of the scenario's
 //! own [`Workload`] — the value `lab run` presents — not the full
@@ -26,13 +28,11 @@
 //! model (`fig15`) has nothing to emulate, and the open-system scenarios
 //! belong to `lab serve`.
 
-use std::cell::RefCell;
-use std::rc::Rc;
-
 use bullet_bench::{CommonOpts, Dynamics, Workload};
+use bullet_prime::{BulletPrimeNode, Role};
 use netsim::{
-    replay_goodput, summarize, ProfileReport, RingSink, RunReport, TimeSeries, TraceEvent,
-    TraceRecord, TraceSink,
+    replay_goodput, summarize, RingSink, RunReport, Runner, TimeSeries, TraceEvent, TraceRecord,
+    TraceSink,
 };
 
 use crate::registry::Registry;
@@ -106,24 +106,76 @@ fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
     Ok(out)
 }
 
-/// A [`TraceSink`] forwarding into a shared ring, so the CLI gets the records
-/// back after the runner (which owns the boxed sink) is dropped.
-struct SharedSink {
-    ring: Rc<RefCell<RingSink>>,
+/// Rows of the receiver table `lab trace` prints before the rest are
+/// elided (the cap `service_summary` puts on cohorts).
+const SHOWN_RECEIVERS: usize = 12;
+
+/// One receiver of a traced run: a row of the table `lab trace` ends with.
+#[derive(Debug)]
+pub struct ReceiverRow {
+    /// The receiver's node id.
+    pub node: u32,
+    /// When it completed, in virtual seconds ([`RunReport::completion_secs`]).
+    pub done_secs: Option<f64>,
+    /// Senders / receivers it held when the run ended.
+    pub peers: (usize, usize),
+    /// Share of the blocks it received that were duplicates.
+    pub duplicate_fraction: f64,
+    /// Distinct blocks it received.
+    pub useful_blocks: usize,
+    /// Control bytes it sent / received.
+    pub control_bytes: (u64, u64),
 }
 
-impl TraceSink for SharedSink {
-    fn record(&mut self, rec: &TraceRecord) {
-        self.ring.borrow_mut().record(rec);
-    }
+/// Every receiver of a finished run, fastest first and unfinished last.
+fn receiver_rows(runner: &Runner<BulletPrimeNode>, report: &RunReport) -> Vec<ReceiverRow> {
+    let receivers = runner.nodes().iter().filter(|n| n.role() == Role::Receiver);
+    let mut rows: Vec<ReceiverRow> = receivers
+        .map(|node| {
+            let traffic = runner.network().traffic(node.id());
+            ReceiverRow {
+                node: node.id().0,
+                done_secs: report.completion_secs[node.id().index()],
+                peers: node.peer_counts(),
+                duplicate_fraction: node.metrics().duplicate_fraction(),
+                useful_blocks: node.metrics().useful_blocks(),
+                control_bytes: (traffic.control_bytes_out, traffic.control_bytes_in),
+            }
+        })
+        .collect();
+    rows.sort_by(|a, b| {
+        let done = |r: &ReceiverRow| r.done_secs.unwrap_or(f64::INFINITY);
+        done(a).total_cmp(&done(b))
+    });
+    rows
+}
 
-    fn recorded(&self) -> u64 {
-        self.ring.borrow().recorded()
+/// The receiver table: the [`SHOWN_RECEIVERS`] slowest rows, slowest last.
+fn receiver_table(rows: &[ReceiverRow]) -> String {
+    use std::fmt::Write;
+    let mut out = format!(
+        "{:>5} {:>10} {:>8} {:>8} {:>8} {:>9} {:>10} {:>10}\n",
+        "node", "done(s)", "senders", "recvrs", "dup%", "blocks", "ctl_out", "ctl_in"
+    );
+    let elided = rows.len().saturating_sub(SHOWN_RECEIVERS);
+    if elided > 0 {
+        let _ = writeln!(out, "  ... {elided} faster receivers");
     }
-
-    fn dropped(&self) -> u64 {
-        self.ring.borrow().dropped()
+    for r in &rows[elided..] {
+        let _ = writeln!(
+            out,
+            "{:>5} {:>10.1} {:>8} {:>8} {:>8.1} {:>9} {:>10} {:>10}",
+            r.node,
+            r.done_secs.unwrap_or(f64::NAN),
+            r.peers.0,
+            r.peers.1,
+            r.duplicate_fraction * 100.0,
+            r.useful_blocks,
+            r.control_bytes.0,
+            r.control_bytes.1,
+        );
     }
+    out
 }
 
 /// The result of one traced scenario run, records included.
@@ -131,8 +183,6 @@ impl TraceSink for SharedSink {
 pub struct TracedRun {
     /// The run's report (probe time-series attached).
     pub report: RunReport,
-    /// The profiler's wall-clock attribution.
-    pub profile: Option<ProfileReport>,
     /// What ran.
     pub workload: Workload,
     /// The retained trace records, oldest first.
@@ -141,6 +191,8 @@ pub struct TracedRun {
     pub recorded: u64,
     /// Records the ring dropped on overflow (oldest first).
     pub dropped: u64,
+    /// One row per receiver, fastest first.
+    pub receivers: Vec<ReceiverRow>,
 }
 
 /// The workload `lab trace` runs for `scenario`: its own, at its default
@@ -172,8 +224,8 @@ pub fn traced_workload(scenario: &Scenario, opts: &CommonOpts) -> Result<Workloa
     }
 }
 
-/// Runs the default Bullet′ run of [`traced_workload`] with trace sink, probe
-/// and profiler enabled, retaining up to `ring` records.
+/// Runs the default Bullet′ run of [`traced_workload`] with trace sink and
+/// probe enabled, retaining up to `ring` records.
 ///
 /// # Errors
 ///
@@ -184,27 +236,21 @@ pub fn traced_run(
     ring: usize,
 ) -> Result<TracedRun, String> {
     let workload = traced_workload(scenario, opts)?;
-    let shared = Rc::new(RefCell::new(RingSink::new(ring)));
     let mut runner = workload.bullet_prime_with(&workload.config(), |runner| {
-        runner.set_trace_sink(Box::new(SharedSink {
-            ring: Rc::clone(&shared),
-        }));
-        runner.enable_profiling(10.0);
+        runner.set_trace_sink(Box::new(RingSink::new(ring)));
     });
     let report = workload.run(&mut runner);
-    let profile = runner.take_profile();
-    drop(runner); // Releases the boxed sink, leaving `shared` sole owner.
-    let ring = Rc::try_unwrap(shared)
-        .map_err(|_| "trace ring still shared after the run".to_string())?
-        .into_inner();
-    let (recorded, dropped) = (ring.recorded(), ring.dropped());
+    let sink = runner.take_trace_sink().expect("installed above");
+    let Ok(ring) = sink.downcast::<RingSink>() else {
+        unreachable!("the sink installed above is a ring");
+    };
     Ok(TracedRun {
+        receivers: receiver_rows(&runner, &report),
         report,
-        profile,
         workload,
+        recorded: ring.recorded(),
+        dropped: ring.dropped(),
         records: ring.into_records(),
-        recorded,
-        dropped,
     })
 }
 
@@ -329,13 +375,12 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
         ),
     }
 
-    if let Some(profile) = &run.profile {
-        println!(
-            "profiler (wall-clock attribution, {} events):",
-            run.report.events
-        );
-        for line in profile.lines() {
-            println!("  {line}");
+    println!("receivers ({}):", run.receivers.len());
+    print!("{}", receiver_table(&run.receivers));
+    println!("counters:");
+    for &(name, value) in &run.report.metrics.counters {
+        if value > 0 {
+            println!("  {name:<24} {value}");
         }
     }
     Ok(())
@@ -400,7 +445,7 @@ mod tests {
     fn tracing_runs_the_scenarios_own_workload_and_perturbs_nothing() {
         // For every scenario with a Bullet' run: what is traced is the
         // workload the figure presents, and the traced report is the bytes of
-        // that workload run with no sink and no profiler.
+        // that workload run with no sink.
         let registry = Registry::standard();
         let opts = CommonOpts {
             nodes: Some(8),
@@ -483,8 +528,21 @@ mod tests {
         let msg =
             check_replay(&run.records, series, run.workload.nodes).expect("replay must match");
         assert!(msg.contains("6 nodes"), "{msg}");
-        // The profiler saw the run too.
-        let profile = run.profile.expect("profiling was enabled");
-        assert!(profile.total_nanos() > 0);
+        // The receiver table: one row per receiver, the report's completion
+        // times, fastest first.
+        let mut ids: Vec<u32> = run.receivers.iter().map(|r| r.node).collect();
+        ids.sort_unstable();
+        assert_eq!(ids, vec![1, 2, 3, 4, 5], "every receiver, once");
+        for row in &run.receivers {
+            assert_eq!(row.done_secs, run.report.completion_secs[row.node as usize]);
+            assert_eq!(row.useful_blocks as u32, run.workload.file.num_blocks());
+        }
+        let done: Vec<f64> = run.receivers.iter().filter_map(|r| r.done_secs).collect();
+        assert_eq!(done.len(), 5, "the smoke run completes");
+        assert!(
+            done.windows(2).all(|w| w[0] <= w[1]),
+            "slowest last: {done:?}"
+        );
+        assert_eq!(receiver_table(&run.receivers).lines().count(), 6);
     }
 }

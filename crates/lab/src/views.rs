@@ -25,9 +25,9 @@ pub fn write_record(record: &impl Serialize, path: &str) -> Result<(), String> {
 }
 
 /// The traced leg of the events record: the same fixed-seed workload run a
-/// second time with a counting trace sink and the profiler enabled. It must
-/// produce a byte-identical canonical `RunReport` at bounded wall-clock
-/// overhead (`docs/OBSERVABILITY.md`).
+/// second time with a counting trace sink installed. It must produce a
+/// byte-identical canonical `RunReport` at bounded wall-clock overhead
+/// (`docs/OBSERVABILITY.md`).
 #[derive(Debug, Clone, Serialize)]
 pub struct TraceCheck {
     /// Records the counting sink accepted during the traced run.

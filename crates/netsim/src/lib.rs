@@ -27,10 +27,10 @@
 //!   scenarios;
 //! * [`probe`] — the per-node time series sampled on a virtual-time tick,
 //!   feeding the bandwidth-over-time analyses;
-//! * [`trace`] / [`metrics`] / [`profile`] — the observability layer
-//!   (structured trace records, the always-on counters/gauges registry, and
-//!   the wall-clock profiler; see `docs/OBSERVABILITY.md` for the schema and
-//!   the zero-overhead-when-off contract).
+//! * [`trace`] / [`metrics`] — the observability layer (structured trace
+//!   records and the always-on counters/gauges registry; see
+//!   `docs/OBSERVABILITY.md` for the schema and the zero-overhead-when-off
+//!   contract).
 
 #![forbid(unsafe_code)]
 
@@ -39,7 +39,6 @@ pub mod dynamics;
 pub mod metrics;
 pub mod network;
 pub mod probe;
-pub mod profile;
 pub mod protocol;
 pub mod runner;
 pub mod service;
@@ -56,7 +55,6 @@ pub use dynamics::{
 pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, VtHistogram};
 pub use network::{BlockReceipt, ConnUpdate, Network, NodeTraffic, SolverStats};
 pub use probe::{NodeSample, ProbeStats, StatsProbe, TimeSample, TimeSeries};
-pub use profile::{EventKind, HookKind, ProfileReport, ProfileRow, VtProfiler};
 pub use protocol::{Command, Ctx, Protocol, TimerToken, WireSize};
 pub use runner::{RunReport, Runner, StopReason};
 pub use service::{
@@ -66,8 +64,8 @@ pub use service::{
 pub use snapshot::Snapshot;
 pub use topology::{LinkId, NodeId, NodeSpec, PathSpec, Topology};
 pub use trace::{
-    replay_goodput, summarize, CountingSink, JsonlSink, ReplaySample, RingSink, TraceEvent,
-    TraceRecord, TraceSink, TraceSummary,
+    replay_goodput, summarize, CountingSink, ReplaySample, RingSink, TraceEvent, TraceRecord,
+    TraceSink, TraceSummary,
 };
 pub use units::{gbps, kbps, mbps, to_mbps, BytesPerSec};
 
@@ -940,6 +938,37 @@ mod probe_tests {
                 .is_empty(),
             "the report drained the only series there is"
         );
+    }
+
+    #[test]
+    fn a_taken_sink_downcasts_to_the_type_that_was_installed() {
+        let limit = SimTime::from_secs_f64(100.0);
+        let mut ringed = ticker_runner(2, 1000, 4);
+        ringed.set_trace_sink(Box::new(RingSink::new(1 << 10)));
+        let report = ringed.run_until(limit);
+        let sink = ringed.take_trace_sink().expect("installed above");
+        let Ok(ring) = sink.downcast::<RingSink>() else {
+            panic!("a ring went in, a ring comes out");
+        };
+        assert!(ringed.take_trace_sink().is_none(), "taking uninstalls");
+        // Exactly what the run emitted: nothing dropped, one `timer` record
+        // per timer the report counted.
+        assert_eq!((ring.recorded(), ring.dropped()), (report.trace_records, 0));
+        assert_eq!(ring.len() as u64, report.trace_records);
+        let timers = ring.records().filter(|r| r.ev.kind() == "timer").count();
+        assert_eq!(report.metrics.counter("timers_fired"), Some(timers as u64));
+        assert_eq!(timers, 8);
+
+        // A sink of another type is handed back as it was.
+        let mut counted = ticker_runner(2, 1000, 4);
+        counted.set_trace_sink(Box::new(CountingSink::new()));
+        let report = counted.run_until(limit);
+        let sink = counted.take_trace_sink().expect("installed above");
+        let Err(sink) = sink.downcast::<RingSink>() else {
+            panic!("a counting sink is not a ring");
+        };
+        assert_eq!(sink.recorded(), report.trace_records);
+        assert!(sink.downcast::<CountingSink>().is_ok());
     }
 
     #[test]

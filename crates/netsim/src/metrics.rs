@@ -9,8 +9,8 @@
 //! deterministic [`crate::RunReport`].
 //!
 //! The registry also buckets processed events by virtual time
-//! ([`VtHistogram`]): the "when was the run busy" view that pairs with the
-//! wall-clock "where did the time go" view of [`crate::profile`].
+//! ([`VtHistogram`]): the "when was the run busy" view. (Where the *host's*
+//! time went is measured from outside, by `benchmark/run.sh --trace 1`.)
 
 use serde::{Serialize, Value};
 

@@ -47,8 +47,6 @@
 //! next tick counts as drained, and the resulting [`TimeSeries`] is carried
 //! on [`RunReport::timeseries`].
 
-use std::time::Instant;
-
 use desim::{EventKey, RngFactory, SimDuration, SimTime, Simulator};
 use rand::rngs::StdRng;
 
@@ -56,7 +54,6 @@ use crate::dynamics::{CrossTraffic, LinkChangeBatch, NodeEvent};
 use crate::metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 use crate::network::{CompletedBlock, ConnUpdate, Network};
 use crate::probe::{StatsProbe, TimeSeries};
-use crate::profile::{EventKind, HookKind, ProfileReport, VtProfiler};
 use crate::protocol::{Command, Ctx, Protocol, TimerToken, WireSize};
 use crate::topology::NodeId;
 use crate::trace::{TraceEvent, TraceRecord, TraceSink};
@@ -95,22 +92,6 @@ enum NetEvent<M> {
     ProbeTick,
 }
 
-impl<M> NetEvent<M> {
-    /// The profiler's attribution label for this event.
-    fn kind(&self) -> EventKind {
-        match self {
-            NetEvent::Control { .. } => EventKind::Control,
-            NetEvent::BlockDone { .. } => EventKind::BlockDone,
-            NetEvent::BlockArrive { .. } => EventKind::BlockArrive,
-            NetEvent::Timer { .. } => EventKind::Timer,
-            NetEvent::LinkChange { .. } => EventKind::LinkChange,
-            NetEvent::CrossChange { .. } => EventKind::CrossChange,
-            NetEvent::Lifecycle { .. } => EventKind::Lifecycle,
-            NetEvent::ProbeTick => EventKind::ProbeTick,
-        }
-    }
-}
-
 /// Why the run ended.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StopReason {
@@ -130,7 +111,7 @@ pub struct RunReport {
     /// Per-node completion time (seconds), `None` if the node never finished.
     pub completion_secs: Vec<Option<f64>>,
     /// Virtual time at which the run stopped. On [`StopReason::TimeLimit`]
-    /// this is exactly the limit, matching [`desim::Simulator::run_until`].
+    /// this is exactly the limit, not the time of the last processed event.
     pub end_time: SimTime,
     /// Total number of events processed.
     pub events: u64,
@@ -198,8 +179,6 @@ pub struct Runner<P: Protocol> {
     scratch: Vec<Command<P::Msg>>,
     /// Installed structured-trace sink, if any (see [`crate::trace`]).
     trace: Option<Box<dyn TraceSink>>,
-    /// Wall-clock profiler, if enabled (see [`crate::profile`]).
-    profiler: Option<VtProfiler>,
     /// Set by [`Runner::resume`] to the snapshot's instant; the next
     /// `advance_until` emits a [`TraceEvent::SnapshotResume`] marker (and
     /// clears the flag) so any trace stream recorded from here on declares
@@ -334,7 +313,6 @@ impl<P: Protocol> Runner<P> {
             run,
             scratch: Vec::new(),
             trace: None,
-            profiler: None,
             resumed_at: None,
         }
     }
@@ -348,23 +326,10 @@ impl<P: Protocol> Runner<P> {
     }
 
     /// Removes and returns the installed trace sink, disabling tracing.
+    /// `downcast` on the box recovers the concrete sink, e.g. a
+    /// [`RingSink`](crate::RingSink) and the records it retained.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.trace.take()
-    }
-
-    /// Enables wall-clock profiling: subsequent event handling is attributed
-    /// per event kind, per protocol hook, and per `bucket_secs` of virtual
-    /// time (see [`crate::profile`]). Like tracing, profiling observes
-    /// without touching simulation state.
-    pub fn enable_profiling(&mut self, bucket_secs: f64) {
-        self.profiler = Some(VtProfiler::new(bucket_secs));
-    }
-
-    /// Freezes, removes and returns the profiler's report. Wall-clock
-    /// attribution is inherently non-deterministic, which is why it travels
-    /// here and never on [`RunReport`].
-    pub fn take_profile(&mut self) -> Option<ProfileReport> {
-        self.profiler.take().map(|p| p.report())
     }
 
     /// Read access to the live metrics registry.
@@ -514,11 +479,6 @@ impl<P: Protocol> Runner<P> {
         self.run.cohort[node.index()] = cohort;
     }
 
-    /// The cohort tag of `node` (0 = unassigned).
-    pub fn cohort_of(&self, node: NodeId) -> u32 {
-        self.run.cohort[node.index()]
-    }
-
     /// Retires `node` from the experiment after its swarm completed: the
     /// slot is deactivated and exempted, its remaining timers are cancelled,
     /// its flow-table rows are released for reuse (see
@@ -550,7 +510,7 @@ impl<P: Protocol> Runner<P> {
     /// Installs a fresh protocol instance in an inactive slot, resetting its
     /// completion, exemption and departure state so the slot can host a new
     /// cohort's node. The slot stays inactive; activate it with
-    /// [`Runner::activate_now`] (or a scheduled [`NodeEvent::Join`]).
+    /// [`Runner::activate_cohort`] (or a scheduled [`NodeEvent::Join`]).
     ///
     /// # Panics
     ///
@@ -571,13 +531,6 @@ impl<P: Protocol> Runner<P> {
         }
     }
 
-    /// Activates an inactive, non-departed node immediately (the service
-    /// manager's admission path — the in-queue [`NodeEvent::Join`] detour
-    /// would cost a spurious event at an already-known instant).
-    pub fn activate_now(&mut self, node: NodeId) {
-        self.activate_cohort(&[node]);
-    }
-
     /// Activates a whole cohort at the current instant: every member's
     /// participation flag flips *before* any `on_init` hook runs, so each
     /// init already sees its cohort-mates as active (tree registration and
@@ -596,7 +549,7 @@ impl<P: Protocol> Runner<P> {
             }
         }
         for node in fresh {
-            self.dispatch(node, HookKind::OnInit, |n, ctx| n.on_init(ctx));
+            self.dispatch(node, |n, ctx| n.on_init(ctx));
         }
     }
 
@@ -682,9 +635,7 @@ impl<P: Protocol> Runner<P> {
             self.run.inits_done = true;
             for i in 0..self.run.nodes.len() {
                 if self.run.active[i] {
-                    self.dispatch(NodeId(i as u32), HookKind::OnInit, |node, ctx| {
-                        node.on_init(ctx)
-                    });
+                    self.dispatch(NodeId(i as u32), |node, ctx| node.on_init(ctx));
                 }
             }
         }
@@ -724,7 +675,7 @@ impl<P: Protocol> Runner<P> {
                 None => break StopReason::Drained,
                 Some(t) if t > limit => {
                     // Clamp the clock to the limit (events beyond it stay
-                    // pending), mirroring `Simulator::run_until`.
+                    // pending).
                     self.run.sim.advance_to(limit);
                     break StopReason::TimeLimit;
                 }
@@ -732,15 +683,8 @@ impl<P: Protocol> Runner<P> {
             }
             let (t, ev) = self.run.sim.step().expect("peeked event must exist");
             self.run.metrics.events_by_vt.observe(t.as_secs_f64());
-            let prof_start = self.profiler.is_some().then(|| (ev.kind(), Instant::now()));
             let solver_before = self.trace.is_some().then(|| self.run.net.solver_stats());
             self.handle(ev);
-            if let Some((kind, start)) = prof_start {
-                let elapsed = start.elapsed();
-                if let Some(p) = self.profiler.as_mut() {
-                    p.record_event(kind, t.as_secs_f64(), elapsed);
-                }
-            }
             // Solver activity is attributed per event by diffing the
             // network's counters around the dispatch — one trace record per
             // event that touched the solver, no sink plumbed through the
@@ -846,9 +790,8 @@ impl<P: Protocol> Runner<P> {
 
     /// Runs `f` against one node with a fresh [`Ctx`] borrowing the shared
     /// scratch buffer, then applies the commands the handler recorded.
-    /// No-op for inactive nodes. `hook` labels the call for the profiler's
-    /// per-hook wall-clock attribution.
-    fn dispatch<F>(&mut self, node: NodeId, hook: HookKind, f: F)
+    /// No-op for inactive nodes.
+    fn dispatch<F>(&mut self, node: NodeId, f: F)
     where
         F: FnOnce(&mut P, &mut Ctx<'_, P>),
     {
@@ -869,14 +812,7 @@ impl<P: Protocol> Runner<P> {
             &mut self.run.rngs[idx],
             &mut commands,
         );
-        let hook_start = self.profiler.is_some().then(Instant::now);
         f(&mut self.run.nodes[idx], &mut ctx);
-        if let Some(start) = hook_start {
-            let elapsed = start.elapsed();
-            if let Some(p) = self.profiler.as_mut() {
-                p.record_hook(hook, elapsed);
-            }
-        }
         self.apply_commands(node, &mut commands);
         // Hand the (now drained) buffer back, keeping its capacity.
         self.scratch = commands;
@@ -1015,9 +951,7 @@ impl<P: Protocol> Runner<P> {
         // Deterministic notification order: ascending node index.
         for i in 0..self.run.nodes.len() {
             if i != node.index() && self.run.active[i] {
-                self.dispatch(NodeId(i as u32), HookKind::OnPeerFailed, |n, ctx| {
-                    n.on_peer_failed(ctx, node)
-                });
+                self.dispatch(NodeId(i as u32), |n, ctx| n.on_peer_failed(ctx, node));
             }
         }
     }
@@ -1046,9 +980,7 @@ impl<P: Protocol> Runner<P> {
                     });
                 }
                 // Messages to a node that is gone (or not yet here) are lost.
-                self.dispatch(to, HookKind::OnControl, |node, ctx| {
-                    node.on_control(ctx, from, msg)
-                });
+                self.dispatch(to, |node, ctx| node.on_control(ctx, from, msg));
             }
             NetEvent::BlockDone { fid } => {
                 // The connection's live event just fired; drop the handle.
@@ -1066,9 +998,7 @@ impl<P: Protocol> Runner<P> {
                         bytes,
                     });
                     self.apply_conn_updates(updates);
-                    self.dispatch(from, HookKind::OnBlockSent, |node, ctx| {
-                        node.on_block_sent(ctx, to, block)
-                    });
+                    self.dispatch(from, |node, ctx| node.on_block_sent(ctx, to, block));
                     let delay = self.run.net.data_delivery_delay(from, to);
                     let epoch = self.run.epoch[to.index()];
                     self.run
@@ -1095,9 +1025,7 @@ impl<P: Protocol> Runner<P> {
                     queued_at: done.queued_at,
                     delivered_at: now,
                 };
-                self.dispatch(to, HookKind::OnBlockReceived, |node, ctx| {
-                    node.on_block_received(ctx, from, receipt)
-                });
+                self.dispatch(to, |node, ctx| node.on_block_received(ctx, from, receipt));
                 // Recorded *after* the hook so the receiver's cumulative
                 // useful-byte count includes this delivery — the invariant
                 // `replay_goodput` differences against.
@@ -1118,9 +1046,7 @@ impl<P: Protocol> Runner<P> {
                     node: node.0,
                     token,
                 });
-                self.dispatch(node, HookKind::OnTimer, |n, ctx| {
-                    n.on_timer(ctx, P::Timer::decode(token))
-                });
+                self.dispatch(node, |n, ctx| n.on_timer(ctx, P::Timer::decode(token)));
             }
             NetEvent::LinkChange { index } => {
                 self.run.metrics.inc(Counter::LinkChanges);
@@ -1148,14 +1074,14 @@ impl<P: Protocol> Runner<P> {
                         self.run.metrics.inc(Counter::NodeJoins);
                         self.trace_emit(|| TraceEvent::NodeJoin { node: node.0 });
                         self.run.active[node.index()] = true;
-                        self.dispatch(node, HookKind::OnInit, |n, ctx| n.on_init(ctx));
+                        self.dispatch(node, |n, ctx| n.on_init(ctx));
                     }
                 }
                 NodeEvent::Leave(node) => {
                     if self.run.active[node.index()] {
                         self.run.metrics.inc(Counter::NodeLeaves);
                         self.trace_emit(|| TraceEvent::NodeLeave { node: node.0 });
-                        self.dispatch(node, HookKind::OnShutdown, |n, ctx| n.on_shutdown(ctx));
+                        self.dispatch(node, |n, ctx| n.on_shutdown(ctx));
                         self.depart(node);
                     }
                 }
@@ -1177,9 +1103,8 @@ impl<P: Protocol> Runner<P> {
 /// [`Runner::resume`].
 ///
 /// The snapshot owns a deep copy of the runner's `RunState` — everything
-/// that feeds the simulation — and nothing else: the observability
-/// attachments (trace sink, profiler) watch a run without influencing it, so
-/// a resumed runner starts untraced and unprofiled.
+/// that feeds the simulation — and nothing else: the trace sink watches a
+/// run without influencing it, so a resumed runner starts untraced.
 ///
 /// `Snapshot` is itself cloneable, so one warm-up prefix can be forked into
 /// any number of divergent continuations; clones share no mutable state. It
@@ -1217,8 +1142,8 @@ where
     /// same RNG positions, same flow table — so scheduling further dynamics
     /// and running to the end replays the uninterrupted run byte for byte.
     ///
-    /// Trace sinks and profilers are not part of a snapshot: the resumed
-    /// runner starts untraced (install a new sink with
+    /// The trace sink is not part of a snapshot: the resumed runner starts
+    /// untraced (install a new sink with
     /// [`Runner::set_trace_sink`]; the first record will be a
     /// `snapshot_resume` marker declaring the mid-run start).
     pub fn resume(snap: Snapshot<P>) -> Self {

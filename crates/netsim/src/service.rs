@@ -974,30 +974,10 @@ mod tests {
         // slot's cumulative count). Three sequential swarms over one segment
         // exercise exactly that re-population.
         use crate::trace::{replay_goodput, RingSink, TraceRecord, TraceSink};
-        use std::cell::RefCell;
-        use std::rc::Rc;
-
-        struct SharedSink {
-            ring: Rc<RefCell<RingSink>>,
-        }
-        impl TraceSink for SharedSink {
-            fn record(&mut self, rec: &TraceRecord) {
-                self.ring.borrow_mut().record(rec);
-            }
-            fn recorded(&self) -> u64 {
-                self.ring.borrow().recorded()
-            }
-            fn dropped(&self) -> u64 {
-                self.ring.borrow().dropped()
-            }
-        }
 
         let pool = 4;
         let mut runner = mini_runner(pool);
-        let ring = Rc::new(RefCell::new(RingSink::new(1 << 16)));
-        runner.set_trace_sink(Box::new(SharedSink {
-            ring: Rc::clone(&ring),
-        }));
+        runner.set_trace_sink(Box::new(RingSink::new(1 << 16)));
         runner.record_timeseries(SimDuration::from_secs(5));
         let spec = FileSpec::new(64 * 1024, 16 * 1024);
         let mut source = MiniSource { spec, size: 4 };
@@ -1010,9 +990,12 @@ mod tests {
         let report = run_service(&mut runner, &mini_cfg(120.0, 4), &gen, &mut source, &rng);
         assert_eq!(report.completed, 3, "premise: all three swarms finish");
 
-        let ring = ring.borrow();
+        let sink = runner.take_trace_sink().expect("installed above");
+        let Ok(ring) = sink.downcast::<RingSink>() else {
+            panic!("the sink installed above is a ring");
+        };
         assert_eq!(ring.dropped(), 0, "ring must hold the whole trace");
-        let records: Vec<TraceRecord> = ring.records().cloned().collect();
+        let records: Vec<TraceRecord> = ring.into_records();
         let replay =
             replay_goodput(&records, pool).expect("an untraced-prefix-free stream replays");
 

@@ -16,9 +16,9 @@
 //!
 //! What a snapshot captures is the runner's `RunState` (`runner.rs`): one
 //! struct listing everything a run's future depends on, cloned whole. What it
-//! deliberately does not: trace sinks and profilers (pure observers — a
-//! resumed runner starts untraced) and the dispatch scratch buffer (empty at
-//! any quiescent point).
+//! deliberately does not: the trace sink (a pure observer — a resumed runner
+//! starts untraced) and the dispatch scratch buffer (empty at any quiescent
+//! point).
 //!
 //! Checkpoint at a quiescent instant — between [`Runner::advance_until`]
 //! stages — never from inside a protocol hook.

@@ -20,8 +20,8 @@
 //! `probe_tick` records — the cross-check `lab trace` runs after every traced
 //! experiment.
 
+use std::any::Any;
 use std::collections::VecDeque;
-use std::io::Write;
 
 use serde::{Serialize, Value};
 
@@ -310,7 +310,9 @@ impl Serialize for TraceRecord {
 /// Where trace records go. Object-safe so the runner can hold any sink
 /// behind one pointer; implementations must treat `record` as append-only
 /// observation (dropping a record is fine, feeding anything back is not).
-pub trait TraceSink {
+/// `Any`, so whoever installed a sink can have it back as what it is (see
+/// `downcast` on the box).
+pub trait TraceSink: Any {
     /// Offers one record to the sink. The sink may keep it or drop it.
     fn record(&mut self, rec: &TraceRecord);
 
@@ -320,6 +322,19 @@ pub trait TraceSink {
     /// Number of records the sink dropped (offered but not kept).
     fn dropped(&self) -> u64 {
         0
+    }
+}
+
+impl dyn TraceSink {
+    /// The concrete sink behind the box [`crate::Runner::take_trace_sink`]
+    /// returns, or the box back untouched if it holds another type.
+    pub fn downcast<S: TraceSink>(self: Box<Self>) -> Result<Box<S>, Box<Self>> {
+        if (&*self as &dyn Any).is::<S>() {
+            let any: Box<dyn Any> = self;
+            Ok(any.downcast().expect("the type was checked above"))
+        } else {
+            Err(self)
+        }
     }
 }
 
@@ -388,44 +403,6 @@ impl TraceSink for RingSink {
 
     fn dropped(&self) -> u64 {
         self.dropped
-    }
-}
-
-/// A sink that writes each record as one JSON line (see the module docs for
-/// the schema). Buffer the writer — the runner emits records on the hot
-/// path.
-pub struct JsonlSink<W: Write> {
-    writer: W,
-    recorded: u64,
-}
-
-impl<W: Write> JsonlSink<W> {
-    /// Wraps `writer`.
-    pub fn new(writer: W) -> Self {
-        JsonlSink {
-            writer,
-            recorded: 0,
-        }
-    }
-
-    /// Flushes and returns the underlying writer.
-    pub fn into_inner(mut self) -> std::io::Result<W> {
-        self.writer.flush()?;
-        Ok(self.writer)
-    }
-}
-
-impl<W: Write> TraceSink for JsonlSink<W> {
-    fn record(&mut self, rec: &TraceRecord) {
-        let line = serde_json::to_string(rec).expect("trace records always serialize");
-        // Trace output is best-effort observation: an I/O error must not
-        // abort the experiment, so it is swallowed here by design.
-        let _ = writeln!(self.writer, "{line}");
-        self.recorded += 1;
-    }
-
-    fn recorded(&self) -> u64 {
-        self.recorded
     }
 }
 
@@ -645,27 +622,20 @@ mod tests {
 
     #[test]
     fn jsonl_lines_follow_the_flat_schema() {
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&rec(
-            1.5,
-            42,
-            TraceEvent::Msg {
-                from: 0,
-                to: 3,
-                msg: "diff",
-                bytes: 64,
-            },
-        ));
-        sink.record(&rec(2.0, 43, TraceEvent::ProbeTick));
-        assert_eq!(sink.recorded(), 2);
-        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 2);
+        let msg = TraceEvent::Msg {
+            from: 0,
+            to: 3,
+            msg: "diff",
+            bytes: 64,
+        };
         assert_eq!(
-            lines[0],
+            serde_json::to_string(&rec(1.5, 42, msg)).unwrap(),
             r#"{"t":1.5,"seq":42,"kind":"msg","from":0,"to":3,"msg":"diff","bytes":64}"#
         );
-        assert_eq!(lines[1], r#"{"t":2.0,"seq":43,"kind":"probe_tick"}"#);
+        assert_eq!(
+            serde_json::to_string(&rec(2.0, 43, TraceEvent::ProbeTick)).unwrap(),
+            r#"{"t":2.0,"seq":43,"kind":"probe_tick"}"#
+        );
     }
 
     #[test]
@@ -726,11 +696,8 @@ mod tests {
         );
         // The marker serializes like any other record.
         assert_eq!(records[0].ev.kind(), "snapshot_resume");
-        let mut sink = JsonlSink::new(Vec::new());
-        sink.record(&records[0]);
-        let text = String::from_utf8(sink.into_inner().unwrap()).unwrap();
         assert_eq!(
-            text.trim_end(),
+            serde_json::to_string(&records[0]).unwrap(),
             r#"{"t":12.5,"seq":100,"kind":"snapshot_resume","at":12.5}"#
         );
     }

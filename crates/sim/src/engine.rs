@@ -3,29 +3,6 @@
 use crate::queue::{EventKey, EventQueue};
 use crate::time::{SimDuration, SimTime};
 
-/// Outcome of a bounded run.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RunOutcome {
-    /// The event queue drained before the time limit.
-    Drained,
-    /// The time limit was reached with events still pending.
-    TimeLimit,
-    /// The event-count limit was reached with events still pending.
-    EventLimit,
-    /// The handler requested a stop.
-    Stopped,
-}
-
-/// Control value returned by event handlers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum Control {
-    /// Keep processing events.
-    #[default]
-    Continue,
-    /// Stop the run after this event.
-    Stop,
-}
-
 /// Scheduling-activity counters maintained by the simulator. The counts are
 /// pure functions of the event schedule (no wall-clock input), so two
 /// identical runs report identical stats — they are safe to surface in
@@ -44,25 +21,25 @@ pub struct SimStats {
 
 /// A deterministic discrete-event simulator parameterised by its event payload.
 ///
-/// The simulator only owns time and the event set; all domain state lives in
-/// the caller. Handlers receive `&mut Simulator` so they can schedule
-/// follow-up events while handling one.
+/// The simulator only owns time and the event set; all domain state and the
+/// event loop live in the caller, which pops one event at a time with
+/// [`step`](Simulator::step) and may schedule follow-ups while handling it
+/// (`netsim`'s runner is the one loop this workspace runs).
 ///
 /// # Examples
 ///
 /// ```
-/// use desim::{Simulator, SimDuration, Control};
+/// use desim::{Simulator, SimDuration};
 ///
 /// let mut sim: Simulator<&'static str> = Simulator::new();
 /// sim.schedule_in(SimDuration::from_secs(1), "tick");
 /// let mut seen = Vec::new();
-/// sim.run(|sim, _t, ev| {
+/// while let Some((_t, ev)) = sim.step() {
 ///     seen.push(ev);
 ///     if seen.len() < 3 {
 ///         sim.schedule_in(SimDuration::from_secs(1), "tick");
 ///     }
-///     Control::Continue
-/// });
+/// }
 /// assert_eq!(seen.len(), 3);
 /// assert_eq!(sim.now().as_secs_f64(), 3.0);
 /// ```
@@ -75,7 +52,6 @@ pub struct Simulator<E> {
     now: SimTime,
     queue: EventQueue<E>,
     processed: u64,
-    max_events: u64,
     stats: SimStats,
 }
 
@@ -92,15 +68,8 @@ impl<E> Simulator<E> {
             now: SimTime::ZERO,
             queue: EventQueue::new(),
             processed: 0,
-            max_events: u64::MAX,
             stats: SimStats::default(),
         }
-    }
-
-    /// Caps the total number of events a run may process (a runaway guard for
-    /// protocols that accidentally self-schedule without making progress).
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.max_events = limit;
     }
 
     /// Current virtual time.
@@ -178,10 +147,8 @@ impl<E> Simulator<E> {
     }
 
     /// Advances the clock to `t` without processing events (no-op if `t` is
-    /// in the past). Drivers that process events manually via
-    /// [`step`](Simulator::step) use this to clamp the end-of-run clock to
-    /// their time limit, mirroring what [`run_until`](Simulator::run_until)
-    /// does internally on [`RunOutcome::TimeLimit`].
+    /// in the past). A driver that stops at a time limit with events still
+    /// pending uses this to clamp the end-of-run clock to the limit.
     pub fn advance_to(&mut self, t: SimTime) {
         self.now = self.now.max(t);
     }
@@ -193,41 +160,6 @@ impl<E> Simulator<E> {
         self.now = t;
         self.processed += 1;
         Some((t, ev))
-    }
-
-    /// Runs until the queue drains, a limit is hit, or the handler stops the run.
-    pub fn run<F>(&mut self, handler: F) -> RunOutcome
-    where
-        F: FnMut(&mut Self, SimTime, E) -> Control,
-    {
-        self.run_until(SimTime::MAX, handler)
-    }
-
-    /// Runs until `limit` (inclusive), the queue drains, an event-count limit
-    /// is hit, or the handler stops the run.
-    pub fn run_until<F>(&mut self, limit: SimTime, mut handler: F) -> RunOutcome
-    where
-        F: FnMut(&mut Self, SimTime, E) -> Control,
-    {
-        loop {
-            if self.processed >= self.max_events {
-                return RunOutcome::EventLimit;
-            }
-            match self.queue.peek_time() {
-                None => return RunOutcome::Drained,
-                Some(t) if t > limit => {
-                    // Advance the clock to the limit so callers observe a
-                    // consistent "end of run" time.
-                    self.now = limit;
-                    return RunOutcome::TimeLimit;
-                }
-                Some(_) => {}
-            }
-            let (t, ev) = self.step().expect("peek said an event was pending");
-            if handler(self, t, ev) == Control::Stop {
-                return RunOutcome::Stopped;
-            }
-        }
     }
 }
 
@@ -241,56 +173,14 @@ mod tests {
         sim.schedule_at(SimTime::from_secs_f64(2.0), 2);
         sim.schedule_at(SimTime::from_secs_f64(1.0), 1);
         let mut order = Vec::new();
-        let outcome = sim.run(|sim, t, ev| {
+        while let Some((t, ev)) = sim.step() {
             order.push((t.as_secs_f64(), ev));
             if ev == 1 {
                 sim.schedule_in(SimDuration::from_millis(500), 3);
             }
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::Drained);
+        }
         assert_eq!(order, vec![(1.0, 1), (1.5, 3), (2.0, 2)]);
         assert_eq!(sim.events_processed(), 3);
-    }
-
-    #[test]
-    fn time_limit_stops_and_clamps_clock() {
-        let mut sim: Simulator<()> = Simulator::new();
-        sim.schedule_at(SimTime::from_secs_f64(10.0), ());
-        let outcome = sim.run_until(SimTime::from_secs_f64(5.0), |_, _, _| Control::Continue);
-        assert_eq!(outcome, RunOutcome::TimeLimit);
-        assert_eq!(sim.now(), SimTime::from_secs_f64(5.0));
-        assert_eq!(sim.pending(), 1);
-    }
-
-    #[test]
-    fn handler_can_stop() {
-        let mut sim: Simulator<u32> = Simulator::new();
-        for i in 0..10 {
-            sim.schedule_at(SimTime::from_nanos(i), i as u32);
-        }
-        let outcome = sim.run(|_, _, ev| {
-            if ev == 3 {
-                Control::Stop
-            } else {
-                Control::Continue
-            }
-        });
-        assert_eq!(outcome, RunOutcome::Stopped);
-        assert_eq!(sim.events_processed(), 4);
-    }
-
-    #[test]
-    fn event_limit_guards_runaway() {
-        let mut sim: Simulator<()> = Simulator::new();
-        sim.set_event_limit(100);
-        sim.schedule_at(SimTime::ZERO, ());
-        let outcome = sim.run(|sim, _, _| {
-            sim.schedule_in(SimDuration::from_nanos(1), ());
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::EventLimit);
-        assert_eq!(sim.events_processed(), 100);
     }
 
     #[test]
@@ -301,12 +191,9 @@ mod tests {
         sim.schedule_at(SimTime::from_secs_f64(3.0), 3);
         assert_eq!(sim.cancel(key), Some(2));
         assert_eq!(sim.pending(), 2);
-        let mut seen = Vec::new();
-        let outcome = sim.run(|_, _, ev| {
-            seen.push(ev);
-            Control::Continue
-        });
-        assert_eq!(outcome, RunOutcome::Drained);
+        let seen: Vec<u32> = std::iter::from_fn(|| sim.step())
+            .map(|(_, ev)| ev)
+            .collect();
         assert_eq!(seen, vec![1, 3]);
         assert_eq!(
             sim.events_processed(),
@@ -321,7 +208,7 @@ mod tests {
         let key = sim.schedule_at(SimTime::from_secs_f64(1.0), ());
         sim.cancel(key);
         assert_eq!(sim.pending(), 0);
-        assert_eq!(sim.run(|_, _, _| Control::Continue), RunOutcome::Drained);
+        assert_eq!((sim.peek_time(), sim.step()), (None, None));
         assert_eq!(sim.now(), SimTime::ZERO, "no event was processed");
     }
 
@@ -332,15 +219,14 @@ mod tests {
         sim.schedule_at(SimTime::from_secs_f64(2.0), 2);
         assert!(sim.reschedule(key, SimTime::from_secs_f64(1.0)));
         let mut order = Vec::new();
-        sim.run(|sim, t, ev| {
+        while let Some((t, ev)) = sim.step() {
             order.push((t.as_secs_f64(), ev));
             if ev == 2 {
                 // Rescheduling into the past clamps to now.
                 let k = sim.schedule_at(SimTime::from_secs_f64(5.0), 3);
                 assert!(sim.reschedule(k, SimTime::from_secs_f64(0.5)));
             }
-            Control::Continue
-        });
+        }
         assert_eq!(order, vec![(1.0, 1), (2.0, 2), (2.0, 3)]);
     }
 
@@ -370,7 +256,7 @@ mod tests {
         assert_eq!(stats.rescheduled, 1);
         assert_eq!(stats.max_pending, 3);
         // Stats survive a run and never reset.
-        sim.run(|_, _, _| Control::Continue);
+        while sim.step().is_some() {}
         assert_eq!(sim.stats().scheduled, 3);
     }
 
@@ -386,13 +272,12 @@ mod tests {
     fn scheduling_in_the_past_is_clamped() {
         let mut sim: Simulator<u32> = Simulator::new();
         sim.schedule_at(SimTime::from_secs_f64(5.0), 1);
-        sim.run(|sim, _, ev| {
+        while let Some((_, ev)) = sim.step() {
             if ev == 1 {
                 // "One second ago" gets delivered immediately, not dropped.
                 sim.schedule_at(SimTime::from_secs_f64(4.0), 2);
             }
-            Control::Continue
-        });
+        }
         assert_eq!(sim.events_processed(), 2);
         assert_eq!(sim.now(), SimTime::from_secs_f64(5.0));
     }

@@ -14,9 +14,10 @@
 //! * **Payload-generic.** [`Simulator<E>`] is parameterised over the event
 //!   payload, so each layer defines its own event vocabulary without dynamic
 //!   dispatch.
-//! * **Caller-owned state.** Handlers receive `&mut Simulator<E>` and may
-//!   schedule follow-ups, but all domain state lives outside the engine,
-//!   which keeps borrow-checking simple in large protocol stacks.
+//! * **Caller-owned state and loop.** The caller pops events with
+//!   [`Simulator::step`] and may schedule follow-ups while handling one; all
+//!   domain state lives outside the engine, which keeps borrow-checking
+//!   simple in large protocol stacks.
 
 #![forbid(unsafe_code)]
 
@@ -25,7 +26,7 @@ pub mod queue;
 pub mod rng;
 pub mod time;
 
-pub use engine::{Control, RunOutcome, SimStats, Simulator};
+pub use engine::{SimStats, Simulator};
 pub use queue::{EventKey, EventQueue};
 pub use rng::RngFactory;
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};
@@ -121,13 +122,12 @@ mod proptests {
             }
             let mut last = SimTime::ZERO;
             let mut count = 0usize;
-            sim.run(|sim, t, _| {
-                assert!(t >= last);
-                assert_eq!(sim.now(), t);
+            while let Some((t, _)) = sim.step() {
+                prop_assert!(t >= last);
+                prop_assert_eq!(sim.now(), t);
                 last = t;
                 count += 1;
-                Control::Continue
-            });
+            }
             prop_assert_eq!(count, delays.len());
         }
 

@@ -1,7 +1,7 @@
 //! Smoke tests for the scenario lab: the registry covers every figure, the
 //! parallel sweep executor is byte-deterministic across thread counts, the
 //! probe-driven time-series scenario produces a usable series, and the
-//! observability layer (trace + probe + profiler, `lab trace`) interleaves
+//! observability layer (trace + probe, `lab trace`) interleaves
 //! with all of it without perturbing the simulation.
 
 use bullet_repro::bullet_bench::{experiments, CommonOpts};
@@ -12,7 +12,7 @@ use bullet_repro::bullet_lab::{
 use bullet_repro::bullet_prime::{build_runner, Config};
 use bullet_repro::desim::{RngFactory, SimDuration};
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::{topology, RingSink, TraceEvent};
+use bullet_repro::netsim::{topology, RingSink, TraceEvent, TraceSink};
 
 fn tiny() -> CommonOpts {
     CommonOpts {
@@ -260,12 +260,16 @@ fn overflowing_ring_sink_does_not_affect_the_simulation() {
     };
     let (untraced, _) = workload(None);
     let (traced, sink) = workload(Some(32));
-    let sink = sink.expect("sink was installed");
+    let Ok(ring) = sink.expect("sink was installed").downcast::<RingSink>() else {
+        panic!("the sink installed above is a ring");
+    };
     assert!(
-        sink.dropped() > 0,
+        traced.trace_records > 32,
         "the tiny ring must actually have overflowed for this test to bite"
     );
-    assert_eq!(sink.recorded(), traced.trace_records);
+    assert_eq!(ring.recorded(), traced.trace_records);
+    assert_eq!(ring.len(), 32, "the ring kept what fits");
+    assert_eq!(ring.dropped(), traced.trace_records - 32);
     assert_eq!(
         traced.canonical(),
         untraced.canonical(),
