@@ -134,15 +134,33 @@ pub struct RunReport {
 }
 
 impl RunReport {
-    /// The report's observability-independent identity: its `Debug` form
-    /// with the trace-record count zeroed. Two runs of the same
+    /// The report's identity — what the run *answered*: its `Debug` form with
+    /// the trace-record count zeroed and without the metrics that only say
+    /// how large the fluid solver's working set was
+    /// ([`RunReport::SOLVER_SIZE_METRICS`]). Two runs of the same
     /// configuration produce equal canonical strings regardless of whether
-    /// (or how) they were traced — the byte-identity contract ci.sh gates.
+    /// (or how) they were traced, and regardless of how tightly the solver
+    /// scoped each re-solve — the byte-identity contract ci.sh gates.
     pub fn canonical(&self) -> String {
         let mut c = self.clone();
         c.trace_records = 0;
+        let size = |(name, _): &(&'static str, u64)| !Self::SOLVER_SIZE_METRICS.contains(name);
+        c.metrics.counters.retain(size);
+        c.metrics.gauges.retain(size);
         format!("{c:?}")
     }
+
+    /// Snapshot entries [`RunReport::canonical`] leaves out: they count the
+    /// flows and links the solver swept, not the rates it assigned, so an
+    /// optimisation that solves a smaller component for the same answer moves
+    /// them and nothing else. [`Runner::metrics_snapshot`] still publishes
+    /// every one.
+    pub const SOLVER_SIZE_METRICS: [&'static str; 4] = [
+        "solver_flows_solved",
+        "solver_links_solved",
+        "solver_max_comp_flows",
+        "solver_max_comp_links",
+    ];
 
     /// Completion times of the nodes that finished, sorted ascending.
     pub fn finished_times(&self) -> Vec<f64> {
