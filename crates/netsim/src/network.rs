@@ -19,16 +19,20 @@
 //! Rates must be re-assigned whenever the flow set or the constraints change:
 //! a flow starts or stops, a block completes (the slow-start ceiling moved),
 //! a scenario rewrites link capacities, or cross traffic changes a link's
-//! occupancy. A change can only affect flows connected to it through shared
-//! links, so the model re-solves exactly the **connected component** of the
-//! flow–link graph containing the changed links and leaves every other
-//! component untouched; a from-scratch solve decomposes per component, so the
-//! incremental result is identical (the `fairness_oracle` property test
-//! enforces this). Component discovery additionally **prunes unsaturable
-//! links**: a link whose registered flows could not fill it even if every one
-//! ran flat-out at its own TCP ceiling can never constrain anyone, so the
-//! search does not cross it (margin-guarded by `PRUNE_MARGIN`). Only flows
-//! whose rate actually changed get a new completion estimate.
+//! occupancy. A change can only reach other flows through links that are
+//! **full**: a link that is not full before the change and not full after it
+//! constrains nobody. So the model re-solves the component of the flow–link
+//! graph found from the changed (*seed*) links by crossing only links that
+//! are saturated *now* (`FRONTIER_MARGIN`); every other link a solved flow
+//! touches is a *boundary* link, which the fill ignores. After the fill the
+//! solved rates are added up on each boundary link, and one that has filled
+//! is pulled into the component: the same search continues from it and the
+//! fill is redone, until every boundary link verifies. Flows outside keep
+//! their rates — none shares a saturated link with a solved flow — and the
+//! solved ones get the bits a from-scratch solve gives them (debug builds
+//! re-solve the whole network after every solve and assert exactly that;
+//! `docs/NETWORK_MODEL.md` §5 has the argument). Only flows whose rate
+//! actually changed get a new completion estimate.
 //!
 //! The solver itself is ordered progressive filling: the flow ceilings sorted
 //! once and walked by a cursor, and an indexed min-heap over link saturation
@@ -93,14 +97,20 @@ const RATE_EPSILON: f64 = 1e-9;
 /// Sentinel for "no link in this path slot / link not part of the component".
 const NO_LINK: u32 = u32::MAX;
 
-/// Relative slack below which component discovery refuses to cross a link: if
-/// the cached TCP ceilings of every flow registered on the link sum to less
-/// than `usable * (1 - PRUNE_MARGIN)`, the link cannot saturate no matter how
-/// the solve goes, so it exerts no constraint and cannot couple components.
-/// The margin is deliberately generous (the ceiling sum is maintained
-/// incrementally and carries float drift; see
-/// [`Network::rebuild_link_tables`]).
-const PRUNE_MARGIN: f64 = 1e-3;
+/// First `link_local` value that does not name a component-local link: values
+/// in `BOUNDARY_BASE..NO_LINK` encode a slot of [`SolverScratch::boundary`]
+/// (`BOUNDARY_BASE + slot`), so a marked link is crossed, boundary or
+/// unconstrained with no per-link table besides `link_local` itself.
+const BOUNDARY_BASE: u32 = 1 << 31;
+
+/// Relative slack below capacity at which component discovery still counts a
+/// link as saturated: a non-seed link is crossed only if its registered flows
+/// use more than `usable * (1 - FRONTIER_MARGIN)` — before the solve, and
+/// again with the solved rates. Six orders above the [`RATE_EPSILON`]
+/// hysteresis and the drift `link_usage` may carry (see
+/// [`Network::rebuild_link_tables`]); erring towards "saturated" only
+/// enlarges the component.
+const FRONTIER_MARGIN: f64 = 1e-3;
 
 /// Relative component of the link-saturation tolerance in the solver.
 const SAT_EPS_REL: f64 = 1e-12;
@@ -357,6 +367,10 @@ pub struct SolverStats {
     pub max_comp_flows: u64,
     /// Largest single component solved, in links.
     pub max_comp_links: u64,
+    /// Verification rounds that found a boundary link filled by the solved
+    /// rates and pulled it into the component (size counters above count the
+    /// final component, `full_solves` the solve, not its rounds).
+    pub frontier_grows: u64,
 }
 
 /// The emulated network: topology + live connection state + traffic counters
@@ -366,8 +380,8 @@ pub struct SolverStats {
 /// `u32` handed out the first time an ordered pair exchanges data and stable
 /// thereafter); the `(NodeId, NodeId)`-keyed map is consulted once at each
 /// public entry point and never inside the solver. It is only ever accessed
-/// by key — except by [`Network::release_flows_for`], which sorts what it
-/// collects — so its layout cannot influence behaviour.
+/// by key — except by the two teardown calls, which sort what they collect
+/// from it — so its layout cannot influence behaviour.
 #[derive(Debug, Clone)]
 pub struct Network {
     topo: Topology,
@@ -406,21 +420,18 @@ pub struct Network {
     /// discovers flows in the same deterministic order.
     link_flows: Vec<Vec<(u64, u32)>>,
     /// Sum of the current rates of the flows registered on each link —
-    /// maintained incrementally so the admission/removal fast paths can test
-    /// saturation without a solve.
+    /// maintained incrementally so the admission/removal fast paths and
+    /// component discovery can test saturation without a solve.
     link_usage: Vec<f64>,
-    /// Sum of the cached TCP ceilings of the flows registered on each link —
-    /// the dirty-link test: a link whose ceiling sum cannot reach its usable
-    /// capacity can never saturate and is pruned from component discovery.
-    link_cap_sum: Vec<f64>,
     /// Background (cross-traffic) occupancy per link, in bytes/second.
     cross: Vec<BytesPerSec>,
     traffic: Vec<NodeTraffic>,
     /// Scratch per-link visit marks for component discovery, versioned by
     /// `mark_stamp` so the vector never needs clearing.
     link_mark: Vec<u64>,
-    /// Component-local index of each marked link (valid while its mark
-    /// carries the current stamp); [`NO_LINK`] marks a pruned link.
+    /// What each marked link is to the solve under way (valid while its mark
+    /// carries the current stamp): a component-local index, a boundary slot
+    /// (from [`BOUNDARY_BASE`]) or [`NO_LINK`] for an unconstrained link.
     link_local: Vec<u32>,
     mark_stamp: u64,
     /// Reusable solver buffers (cleared per solve, capacity kept), so
@@ -437,7 +448,13 @@ struct SolverScratch {
     comp_links: Vec<LinkId>,
     /// Flow ids of the component, in discovery order.
     flows: Vec<u32>,
-    /// Component-local link ids of each flow's path ([`NO_LINK`] = pruned).
+    /// Boundary links of the component, by slot: links a solved flow crosses
+    /// that were not saturated when discovery met them, each with the sum of
+    /// the rate changes the apply loop would make on it. A slot stays behind
+    /// (unused) when verification pulls its link in.
+    boundary: Vec<(LinkId, f64)>,
+    /// Component-local link ids of each flow's path ([`NO_LINK`] = not in
+    /// the fill: boundary or unconstrained).
     flow_links: Vec<[u32; 3]>,
     /// Each flow's own TCP ceiling.
     caps: Vec<f64>,
@@ -470,7 +487,6 @@ impl Network {
             free_fids: Vec::new(),
             link_flows: vec![Vec::new(); links],
             link_usage: vec![0.0; links],
-            link_cap_sum: vec![0.0; links],
             cross: vec![0.0; links],
             traffic: vec![NodeTraffic::default(); n],
             link_mark: vec![0; links],
@@ -599,75 +615,42 @@ impl Network {
         if self.link_flows.len() < links {
             self.link_flows.resize_with(links, Vec::new);
             self.link_usage.resize(links, 0.0);
-            self.link_cap_sum.resize(links, 0.0);
             self.cross.resize(links, 0.0);
             self.link_mark.resize(links, 0);
             self.link_local.resize(links, 0);
         }
     }
 
-    /// Rebuilds `link_usage` and `link_cap_sum` exactly from the registered
-    /// flows, resetting the float drift the incremental `+= delta` updates
-    /// accumulate over long runs. Cheap (one pass over the flow table); the
+    /// Rebuilds `link_usage` exactly from the registered flows, resetting the
+    /// float drift the incremental `+= delta` updates accumulate over long
+    /// runs. Cheap (one pass over the flow table); the
     /// runner invokes it periodically (see
     /// [`crate::runner::Runner::set_table_rebuild_interval`]).
     pub fn rebuild_link_tables(&mut self) {
-        for u in &mut self.link_usage {
-            *u = 0.0;
-        }
-        for c in &mut self.link_cap_sum {
-            *c = 0.0;
-        }
+        self.link_usage.fill(0.0);
         for f in 0..self.conns.len() {
-            if !self.flow_registered[f] {
-                continue;
-            }
             for l in self.flow_path[f] {
-                if self.unconstrained(l) {
-                    continue;
+                if self.flow_registered[f] && !self.unconstrained(l) {
+                    self.link_usage[l.index()] += self.flow_rate[f];
                 }
-                self.link_usage[l.index()] += self.flow_rate[f];
-                self.link_cap_sum[l.index()] += self.flow_ceiling[f];
             }
         }
     }
 
     /// Debug-build consistency check: the incrementally maintained per-link
-    /// usage and ceiling sums must agree with a from-scratch recomputation to
-    /// within float-drift tolerance. Exercised on every
+    /// usage sums must agree with a from-scratch recomputation to within
+    /// float-drift tolerance. Exercised on every
     /// [`Network::reprice_all`] (which the `fairness_oracle` property test
     /// calls after every random operation).
     #[cfg(debug_assertions)]
-    fn debug_check_link_tables(&self) {
-        let links = self.link_flows.len();
-        let mut usage = vec![0.0f64; links];
-        let mut cap_sum = vec![0.0f64; links];
-        for f in 0..self.conns.len() {
-            if !self.flow_registered[f] {
-                continue;
-            }
-            for l in self.flow_path[f] {
-                if self.unconstrained(l) {
-                    continue;
-                }
-                usage[l.index()] += self.flow_rate[f];
-                cap_sum[l.index()] += self.flow_ceiling[f];
-            }
-        }
-        for l in 0..links {
-            let tol = 1e-6 * usage[l].abs().max(1.0);
+    fn debug_check_link_tables(&mut self) {
+        let incremental = self.link_usage.clone();
+        self.rebuild_link_tables();
+        let exact = std::mem::replace(&mut self.link_usage, incremental);
+        for (l, (&kept, &exact)) in self.link_usage.iter().zip(&exact).enumerate() {
             assert!(
-                (usage[l] - self.link_usage[l]).abs() <= tol,
-                "link {l} usage drift: incremental {} vs exact {}",
-                self.link_usage[l],
-                usage[l],
-            );
-            let tol = 1e-6 * cap_sum[l].abs().max(1.0);
-            assert!(
-                (cap_sum[l] - self.link_cap_sum[l]).abs() <= tol,
-                "link {l} cap-sum drift: incremental {} vs exact {}",
-                self.link_cap_sum[l],
-                cap_sum[l],
+                (exact - kept).abs() <= 1e-6 * exact.abs().max(1.0),
+                "link {l} usage drift: incremental {kept} vs exact {exact}"
             );
         }
     }
@@ -822,21 +805,13 @@ impl Network {
             // the global allocation is untouched — schedule the fresh
             // in-flight block at the current rate without a solve.
             self.start_next(now, fid);
-            let (old_cap, new_cap) = self.refresh_ceiling(f, from, to);
+            let (old_cap, new_cap) = self.refresh_ceiling(f);
             let rate = self.flow_rate[f];
             let cap_unchanged = new_cap == old_cap;
             let cap_not_binding = new_cap >= old_cap && rate < old_cap * (1.0 - RATE_EPSILON);
             if cap_unchanged || cap_not_binding {
                 self.solver_stats.fast_growth += 1;
-                let conn = &self.conns[f];
-                let fl = conn.inflight.as_ref().expect("just started");
-                let finish = now + SimDuration::from_secs_f64(fl.bytes_left / rate);
-                vec![ConnUpdate::Schedule {
-                    fid,
-                    from,
-                    to,
-                    at: finish,
-                }]
+                vec![self.schedule(now, fid)]
             } else {
                 // The ceiling moved while binding — re-solve the component,
                 // which can ripple to every flow sharing a link with this one.
@@ -883,18 +858,24 @@ impl Network {
     /// (used when a node leaves or crashes). Returns the aggregated
     /// completion-event updates.
     pub fn close_all_for(&mut self, now: SimTime, node: NodeId) -> Vec<ConnUpdate> {
+        let mut updates = Vec::new();
+        for (a, b) in self.pairs_touching(node) {
+            updates.extend(self.close_connection(now, a, b));
+        }
+        updates
+    }
+
+    /// The live ordered pairs with `node` at either end, in `(from, to)`
+    /// order: the flow map's own order must not reach the caller.
+    fn pairs_touching(&self, node: NodeId) -> Vec<(NodeId, NodeId)> {
         let mut keys: Vec<(NodeId, NodeId)> = self
-            .flow_pair
-            .iter()
+            .flow_ids
+            .keys()
             .filter(|&&(a, b)| a == node || b == node)
             .copied()
             .collect();
         keys.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
-        let mut updates = Vec::new();
-        for (a, b) in keys {
-            updates.extend(self.close_connection(now, a, b));
-        }
-        updates
+        keys
     }
 
     /// Tears down every connection touching `node` **and releases the flow
@@ -905,15 +886,8 @@ impl Network {
     /// with fresh slow-start state. Returns the aggregated completion-event
     /// updates.
     pub fn release_flows_for(&mut self, now: SimTime, node: NodeId) -> Vec<ConnUpdate> {
-        let mut keys: Vec<(NodeId, NodeId)> = self
-            .flow_ids
-            .keys()
-            .filter(|&&(a, b)| a == node || b == node)
-            .copied()
-            .collect();
-        keys.sort_unstable_by_key(|&(a, b)| (a.0, b.0));
         let mut updates = Vec::new();
-        for (a, b) in keys {
+        for (a, b) in self.pairs_touching(node) {
             updates.extend(self.close_connection(now, a, b));
             let fid = self
                 .flow_ids
@@ -947,10 +921,7 @@ impl Network {
         self.sync_link_tables();
         for &(a, b) in pairs {
             if let Some(fid) = self.flow_id(a, b) {
-                let f = fid as usize;
-                if self.flow_registered[f] {
-                    self.refresh_ceiling(f, a, b);
-                }
+                self.refresh_ceiling(fid as usize);
             }
         }
         let mut links: Vec<LinkId> = pairs
@@ -962,22 +933,13 @@ impl Network {
         self.resolve(now, &links, None)
     }
 
-    /// Recomputes the cached ceiling of registered flow `f` (= pair `a → b`)
-    /// and folds the change into the per-link ceiling sums. Returns the old
-    /// and the new ceiling.
-    fn refresh_ceiling(&mut self, f: usize, a: NodeId, b: NodeId) -> (BytesPerSec, BytesPerSec) {
+    /// Recomputes the cached ceiling of flow `f` (read only while the flow is
+    /// registered; activation recomputes it). Returns the old and the new
+    /// ceiling.
+    fn refresh_ceiling(&mut self, f: usize) -> (BytesPerSec, BytesPerSec) {
+        let (a, b) = self.flow_pair[f];
         let new_cap = self.flow_cap(a, b, self.conns[f].bytes_acked);
-        let old_cap = self.flow_ceiling[f];
-        if new_cap != old_cap {
-            self.flow_ceiling[f] = new_cap;
-            for l in self.flow_path[f] {
-                if self.unconstrained(l) {
-                    continue;
-                }
-                let c = &mut self.link_cap_sum[l.index()];
-                *c = (*c + new_cap - old_cap).max(0.0);
-            }
-        }
+        let old_cap = std::mem::replace(&mut self.flow_ceiling[f], new_cap);
         (old_cap, new_cap)
     }
 
@@ -985,22 +947,18 @@ impl Network {
     /// every flow whose rate changed. With correct incremental repricing this
     /// is a no-op (the `fairness_oracle` property test asserts exactly that);
     /// it exists for callers that rewrite the topology wholesale. Every
-    /// flow-bearing link is a seed, so nothing is pruned: this is also the
-    /// unpruned cross-check of the dirty-link optimisation.
+    /// flow-bearing link is a seed, so there is no boundary: this is also
+    /// the unpruned cross-check of frontier discovery.
     pub fn reprice_all(&mut self, now: SimTime) -> Vec<ConnUpdate> {
         self.sync_link_tables();
         #[cfg(debug_assertions)]
         self.debug_check_link_tables();
         for f in 0..self.conns.len() {
             if self.flow_registered[f] {
-                let (a, b) = self.flow_pair[f];
-                self.refresh_ceiling(f, a, b);
+                self.refresh_ceiling(f);
             }
         }
-        let links: Vec<LinkId> = (0..self.link_flows.len() as u32)
-            .map(LinkId)
-            .filter(|l| !self.link_flows[l.index()].is_empty())
-            .collect();
+        let links = self.flow_bearing_links();
         self.resolve(now, &links, None)
     }
 
@@ -1014,7 +972,7 @@ impl Network {
     /// which models an uncongested backbone). Such links skip the per-link
     /// bookkeeping entirely — registering 10⁴ concurrent flows in one sorted
     /// membership list would turn activation into O(flows) — and component
-    /// discovery never crosses them, exactly like a pruned unsaturable link.
+    /// discovery never crosses them.
     /// Finite links never become infinite (and vice versa), so the guard is
     /// consistent between a flow's registration and its deregistration.
     fn unconstrained(&self, link: LinkId) -> bool {
@@ -1038,15 +996,7 @@ impl Network {
         let f = fid as usize;
         let (from, to) = self.flow_pair[f];
         let links = self.topo.links_on_path(from, to);
-        let key = pair_key(from, to);
-        for l in links {
-            if self.unconstrained(l) {
-                continue;
-            }
-            link_insert(&mut self.link_flows[l.index()], key, fid);
-        }
-        let acked = self.conns[f].bytes_acked;
-        let cap = self.flow_cap(from, to, acked);
+        let cap = self.flow_cap(from, to, self.conns[f].bytes_acked);
         let fits = links
             .iter()
             .all(|&l| self.link_usage[l.index()] + cap <= self.usable(l) * (1.0 - RATE_EPSILON));
@@ -1054,12 +1004,6 @@ impl Network {
         self.flow_registered[f] = true;
         self.flow_path[f] = links;
         self.flow_ceiling[f] = cap;
-        for l in links {
-            if self.unconstrained(l) {
-                continue;
-            }
-            self.link_cap_sum[l.index()] += cap;
-        }
         if fits {
             self.flow_rate[f] = cap.max(MIN_RATE);
         }
@@ -1070,18 +1014,12 @@ impl Network {
             if self.unconstrained(l) {
                 continue;
             }
+            link_insert(&mut self.link_flows[l.index()], pair_key(from, to), fid);
             self.link_usage[l.index()] += self.flow_rate[f];
         }
         if fits {
             self.solver_stats.fast_admit += 1;
-            let fl = self.conns[f].inflight.as_ref().expect("just started");
-            let finish = now + SimDuration::from_secs_f64(fl.bytes_left / self.flow_rate[f]);
-            return vec![ConnUpdate::Schedule {
-                fid,
-                from,
-                to,
-                at: finish,
-            }];
+            return vec![self.schedule(now, fid)];
         }
         self.resolve(now, &links, Some(fid))
     }
@@ -1103,8 +1041,7 @@ impl Network {
         let (from, to) = self.flow_pair[f];
         let key = pair_key(from, to);
         let rate = self.flow_rate[f];
-        let ceiling = self.flow_ceiling[f];
-        let ceiling_capped = rate >= ceiling * (1.0 - RATE_EPSILON);
+        let ceiling_capped = rate >= self.flow_ceiling[f] * (1.0 - RATE_EPSILON);
         for l in links {
             if self.unconstrained(l) {
                 continue;
@@ -1112,7 +1049,6 @@ impl Network {
             let removed = link_remove(&mut self.link_flows[l.index()], key);
             debug_assert!(removed, "idle flow was not registered on its links");
             self.link_usage[l.index()] = (self.link_usage[l.index()] - rate).max(0.0);
-            self.link_cap_sum[l.index()] = (self.link_cap_sum[l.index()] - ceiling).max(0.0);
         }
         let all_unsaturated = links.iter().all(|&l| {
             // Usage *before* this removal, against the current capacity.
@@ -1128,7 +1064,7 @@ impl Network {
     /// The per-flow TCP ceiling of `from → to`: the Mathis loss limit and the
     /// slow-start window limit (the shared links themselves are constraints
     /// of the solver, not of the individual flow). Always finite — the
-    /// slow-start cap is — so the per-link ceiling sums are too.
+    /// slow-start cap is.
     fn flow_cap(&self, from: NodeId, to: NodeId, bytes_acked: u64) -> f64 {
         let path = crate::tcp::TcpPath {
             bottleneck: f64::INFINITY,
@@ -1138,33 +1074,91 @@ impl Network {
         path.mathis_cap().min(path.slow_start_cap(bytes_acked))
     }
 
-    /// Re-solves the max-min allocation of every connected component of the
-    /// flow–link graph reachable from `seed_links`, and converts the rate
-    /// changes into completion-event updates. `force` names a flow that must
-    /// receive a `Schedule` even if its rate is unchanged (a freshly started
-    /// in-flight block has no live event yet).
-    fn resolve(
-        &mut self,
-        now: SimTime,
-        seed_links: &[LinkId],
-        force: Option<u32>,
-    ) -> Vec<ConnUpdate> {
-        // ---- Component discovery: BFS over the flow–link bipartite graph.
-        // Seeds are always taken (their constraint just changed); any other
-        // link is crossed only if its registered ceilings could saturate it —
-        // an unsaturable link exerts no constraint, so the flows behind it
-        // cannot be affected and their rates are left untouched.
+    /// Re-solves the max-min allocation of the component of the flow–link
+    /// graph that a change on the `seeds` links can reach (see
+    /// [`Network::solve_component`]), and converts the rate changes into
+    /// completion-event updates. `force` names a flow that must receive a
+    /// `Schedule` even if its rate is unchanged (a freshly started in-flight
+    /// block has no live event yet).
+    fn resolve(&mut self, now: SimTime, seeds: &[LinkId], force: Option<u32>) -> Vec<ConnUpdate> {
+        let grows = self.solve_component(seeds, force);
+        if self.scratch.flows.is_empty() {
+            return Vec::new();
+        }
+        #[cfg(debug_assertions)]
+        self.check_solve_against_unpruned();
+        let s = std::mem::take(&mut self.scratch);
+        let st = &mut self.solver_stats;
+        st.full_solves += 1;
+        st.frontier_grows += grows;
+        st.solved_flows += s.flows.len() as u64;
+        st.solved_links += s.comp_links.len() as u64;
+        st.max_comp_flows = st.max_comp_flows.max(s.flows.len() as u64);
+        st.max_comp_links = st.max_comp_links.max(s.comp_links.len() as u64);
+
+        // ---- Apply: account progress and emit updates for changed flows.
+        let mut out = Vec::new();
+        for (&fid, &solved) in s.flows.iter().zip(&s.rates) {
+            let f = fid as usize;
+            let old_rate = self.flow_rate[f];
+            let Some(new_rate) = applied_rate(old_rate, solved, force == Some(fid)) else {
+                continue;
+            };
+            let conn = &mut self.conns[f];
+            let fl = conn.inflight.as_mut().expect("active flow has inflight");
+            let elapsed = (now - conn.last_progress).as_secs_f64();
+            fl.bytes_left = (fl.bytes_left - elapsed * old_rate).max(0.0);
+            conn.last_progress = now;
+            self.flow_rate[f] = new_rate;
+            for l in self.flow_path[f] {
+                if self.unconstrained(l) {
+                    continue;
+                }
+                self.link_usage[l.index()] =
+                    (self.link_usage[l.index()] + new_rate - old_rate).max(0.0);
+            }
+            out.push(self.schedule(now, fid));
+        }
+        self.scratch = s;
+        out
+    }
+
+    /// The `Schedule` that ends flow `fid`'s in-flight block (progress
+    /// accounted up to `now`) at the flow's current rate.
+    fn schedule(&self, now: SimTime, fid: u32) -> ConnUpdate {
+        let f = fid as usize;
+        let fl = self.conns[f].inflight.as_ref().expect("active flow");
+        let (from, to) = self.flow_pair[f];
+        let at = now + SimDuration::from_secs_f64(fl.bytes_left / self.flow_rate[f]);
+        ConnUpdate::Schedule { fid, from, to, at }
+    }
+
+    /// Finds and solves the component a change on the `seeds` links can reach,
+    /// leaving its flows and their max-min rates in `self.scratch` (`flows`,
+    /// `rates`; nothing is applied). Returns the number of verification
+    /// rounds that grew the component.
+    ///
+    /// Discovery is a BFS over the flow–link bipartite graph. Seeds are
+    /// always taken (their constraint just changed); any other link is
+    /// crossed only if it is saturated now ([`FRONTIER_MARGIN`]). A link that
+    /// is not becomes a *boundary* link: the fill ignores it, and the flows
+    /// behind it are not solved. After the fill, the rate changes the apply
+    /// loop would make are summed per boundary link; a link they fill joins
+    /// the component, the same BFS continues from it (marks, links and flows
+    /// found so far persist) and the fill is redone. Each round adds a link,
+    /// so the loop ends, with every boundary link below the threshold.
+    fn solve_component(&mut self, seeds: &[LinkId], force: Option<u32>) -> u64 {
         self.mark_stamp += 1;
         let stamp = self.mark_stamp;
         let mut s = std::mem::take(&mut self.scratch);
         s.comp_links.clear();
         s.flows.clear();
-        for &l in seed_links {
+        s.boundary.clear();
+        for &l in seeds {
             if self.link_mark[l.index()] != stamp {
                 self.link_mark[l.index()] = stamp;
                 // An unconstrained link has no membership list and exerts no
-                // constraint: mark it pruned so flow paths skip it, and do
-                // not seed the BFS from it.
+                // constraint: flow paths skip it, and it seeds nothing.
                 if self.unconstrained(l) {
                     self.link_local[l.index()] = NO_LINK;
                     continue;
@@ -1173,128 +1167,182 @@ impl Network {
                 s.comp_links.push(l);
             }
         }
-        let mut qi = 0;
-        while qi < s.comp_links.len() {
-            let l = s.comp_links[qi];
-            qi += 1;
-            for &(_, fid) in &self.link_flows[l.index()] {
-                let f = fid as usize;
-                if self.flow_mark[f] != stamp {
+        let (mut qi, mut grows) = (0, 0);
+        loop {
+            while qi < s.comp_links.len() {
+                let l = s.comp_links[qi];
+                qi += 1;
+                for &(_, fid) in &self.link_flows[l.index()] {
+                    let f = fid as usize;
+                    if self.flow_mark[f] == stamp {
+                        continue;
+                    }
                     self.flow_mark[f] = stamp;
                     s.flows.push(fid);
                     for nl in self.flow_path[f] {
                         let ni = nl.index();
-                        if self.link_mark[ni] != stamp {
-                            self.link_mark[ni] = stamp;
-                            let saturable =
-                                self.link_cap_sum[ni] > self.usable(nl) * (1.0 - PRUNE_MARGIN);
-                            if saturable {
-                                self.link_local[ni] = s.comp_links.len() as u32;
-                                s.comp_links.push(nl);
-                            } else {
-                                self.link_local[ni] = NO_LINK;
-                            }
+                        if self.link_mark[ni] == stamp {
+                            continue;
+                        }
+                        self.link_mark[ni] = stamp;
+                        if self.link_usage[ni] > self.usable(nl) * (1.0 - FRONTIER_MARGIN) {
+                            self.link_local[ni] = s.comp_links.len() as u32;
+                            s.comp_links.push(nl);
+                        } else {
+                            self.link_local[ni] = BOUNDARY_BASE + s.boundary.len() as u32;
+                            s.boundary.push((nl, 0.0));
                         }
                     }
                 }
             }
-        }
-        // A forced flow must always be solved (it needs a fresh Schedule even
-        // at an unchanged rate). It is normally discovered through its access
-        // links; this guard only matters if every link on its path is
-        // unconstrained, where it trivially runs at its own ceiling.
-        if let Some(fid) = force {
-            let f = fid as usize;
-            if self.flow_mark[f] != stamp {
-                self.flow_mark[f] = stamp;
-                s.flows.push(fid);
-            }
-        }
-        if s.flows.is_empty() {
-            self.scratch = s;
-            return Vec::new();
-        }
-
-        // ---- Solver inputs: local link states, adjacency, cached ceilings.
-        s.links.clear();
-        if s.link_members.len() < s.comp_links.len() {
-            s.link_members.resize_with(s.comp_links.len(), Vec::new);
-        }
-        for (li, &l) in s.comp_links.iter().enumerate() {
-            s.links.push(LinkState {
-                capacity: self.usable(l),
-                unfrozen: 0,
-                frozen_usage: 0.0,
-            });
-            s.link_members[li].clear();
-        }
-        s.flow_links.clear();
-        s.caps.clear();
-        for (i, &fid) in s.flows.iter().enumerate() {
-            let f = fid as usize;
-            let mut ls = [NO_LINK; 3];
-            for (slot, l) in self.flow_path[f].into_iter().enumerate() {
-                let local = self.link_local[l.index()];
-                if local != NO_LINK {
-                    s.links[local as usize].unfrozen += 1;
-                    s.link_members[local as usize].push(i as u32);
+            // A forced flow must always be solved (it needs a fresh Schedule
+            // even at an unchanged rate). It is normally discovered through
+            // its access links; this guard only matters if every link on its
+            // path is unconstrained, where it trivially runs at its own
+            // ceiling.
+            if let Some(fid) = force {
+                let f = fid as usize;
+                if self.flow_mark[f] != stamp {
+                    self.flow_mark[f] = stamp;
+                    s.flows.push(fid);
                 }
-                ls[slot] = local;
             }
-            s.flow_links.push(ls);
-            s.caps.push(self.flow_ceiling[f]);
-        }
-        max_min_rates(
-            &s.caps,
-            &s.flow_links,
-            &mut s.links,
-            &s.link_members,
-            &mut s.fill,
-            &mut s.rates,
-            &mut s.frozen,
-        );
-        let st = &mut self.solver_stats;
-        st.full_solves += 1;
-        st.solved_flows += s.flows.len() as u64;
-        st.solved_links += s.comp_links.len() as u64;
-        st.max_comp_flows = st.max_comp_flows.max(s.flows.len() as u64);
-        st.max_comp_links = st.max_comp_links.max(s.comp_links.len() as u64);
+            if s.flows.is_empty() {
+                break;
+            }
 
-        // ---- Apply: account progress and emit updates for changed flows.
-        let mut out = Vec::new();
-        for (i, &fid) in s.flows.iter().enumerate() {
-            let f = fid as usize;
-            let new_rate = s.rates[i].max(MIN_RATE);
-            let old_rate = self.flow_rate[f];
-            let changed = (new_rate - old_rate).abs() > old_rate * RATE_EPSILON;
-            if changed || force == Some(fid) {
-                let conn = &mut self.conns[f];
-                let fl = conn.inflight.as_mut().expect("active flow has inflight");
-                let elapsed = (now - conn.last_progress).as_secs_f64();
-                fl.bytes_left = (fl.bytes_left - elapsed * old_rate).max(0.0);
-                conn.last_progress = now;
-                let bytes_left = fl.bytes_left;
-                self.flow_rate[f] = new_rate;
-                for l in self.flow_path[f] {
-                    if self.unconstrained(l) {
-                        continue;
-                    }
-                    self.link_usage[l.index()] =
-                        (self.link_usage[l.index()] + new_rate - old_rate).max(0.0);
-                }
-                let (from, to) = self.flow_pair[f];
-                let finish = now + SimDuration::from_secs_f64(bytes_left / new_rate);
-                out.push(ConnUpdate::Schedule {
-                    fid,
-                    from,
-                    to,
-                    at: finish,
+            // ---- Solver inputs: local link states, adjacency, cached ceilings.
+            s.links.clear();
+            let lists = s.link_members.len().max(s.comp_links.len());
+            s.link_members.resize_with(lists, Vec::new);
+            for (li, &l) in s.comp_links.iter().enumerate() {
+                s.links.push(LinkState {
+                    capacity: self.usable(l),
+                    unfrozen: 0,
+                    frozen_usage: 0.0,
                 });
+                s.link_members[li].clear();
             }
+            s.flow_links.clear();
+            s.caps.clear();
+            for (i, &fid) in s.flows.iter().enumerate() {
+                let f = fid as usize;
+                let mut ls = [NO_LINK; 3];
+                for (slot, l) in self.flow_path[f].into_iter().enumerate() {
+                    let local = self.link_local[l.index()];
+                    if local < BOUNDARY_BASE {
+                        s.links[local as usize].unfrozen += 1;
+                        s.link_members[local as usize].push(i as u32);
+                        ls[slot] = local;
+                    }
+                }
+                s.flow_links.push(ls);
+                s.caps.push(self.flow_ceiling[f]);
+            }
+            max_min_rates(
+                &s.caps,
+                &s.flow_links,
+                &mut s.links,
+                &s.link_members,
+                &mut s.fill,
+                &mut s.rates,
+                &mut s.frozen,
+            );
+
+            // ---- Verify: no boundary link may end up saturated. Only a link
+            // whose usage rises can cross the threshold it was under.
+            s.boundary.iter_mut().for_each(|b| b.1 = 0.0);
+            for (&fid, &solved) in s.flows.iter().zip(&s.rates) {
+                let f = fid as usize;
+                let old_rate = self.flow_rate[f];
+                let Some(new_rate) = applied_rate(old_rate, solved, force == Some(fid)) else {
+                    continue;
+                };
+                for l in self.flow_path[f] {
+                    let local = self.link_local[l.index()];
+                    if (BOUNDARY_BASE..NO_LINK).contains(&local) {
+                        s.boundary[(local - BOUNDARY_BASE) as usize].1 += new_rate - old_rate;
+                    }
+                }
+            }
+            let verified = s.comp_links.len();
+            for &(l, delta) in &s.boundary {
+                let filled = self.link_usage[l.index()] + delta;
+                if delta > 0.0 && filled > self.usable(l) * (1.0 - FRONTIER_MARGIN) {
+                    // Its slot stays behind unused: no path names it any more.
+                    self.link_local[l.index()] = s.comp_links.len() as u32;
+                    s.comp_links.push(l);
+                }
+            }
+            if s.comp_links.len() == verified {
+                break;
+            }
+            grows += 1;
         }
         self.scratch = s;
-        out
+        grows
     }
+
+    /// Every link with a registered flow: the seeds of a from-scratch solve,
+    /// which therefore has no boundary.
+    fn flow_bearing_links(&self) -> Vec<LinkId> {
+        (0..self.link_flows.len() as u32)
+            .map(LinkId)
+            .filter(|l| !self.link_flows[l.index()].is_empty())
+            .collect()
+    }
+
+    /// Proves the solve `self.scratch` holds against the unpruned one: solves
+    /// the whole network (every flow-bearing link a seed) and asserts that
+    /// every flow of the frontier solve got the same rate and that no other
+    /// registered flow would change rate. Debug builds run it on every solve
+    /// — so the debug test suite cross-checks every solve of every run —
+    /// release builds never; tests call it directly.
+    ///
+    /// "The same rate" is the same bits, with one exception the fill itself
+    /// makes: it sweeps links whose saturation levels lie within its tie
+    /// tolerance ([`SAT_EPS_REL`], [`SAT_EPS_ABS`]) in one round, at the lower
+    /// level, so a link inside the frontier that ties with one outside it
+    /// can be priced an ulp apart by the two solves (`C/3` against
+    /// `(C − C/3)/2` on equal-capacity access links). Returns how many
+    /// solved flows differ that way.
+    #[cfg(any(test, debug_assertions))]
+    fn check_solve_against_unpruned(&mut self) -> usize {
+        let frontier = std::mem::take(&mut self.scratch);
+        self.solve_component(&self.flow_bearing_links(), None);
+        let whole = std::mem::replace(&mut self.scratch, frontier);
+        let mut solved = vec![f64::NAN; self.conns.len()];
+        for (&fid, &rate) in self.scratch.flows.iter().zip(&self.scratch.rates) {
+            solved[fid as usize] = rate;
+        }
+        let mut ties = 0;
+        for (&fid, &whole) in whole.flows.iter().zip(&whole.rates) {
+            let (rate, held) = (solved[fid as usize], self.flow_rate[fid as usize]);
+            if rate.is_nan() {
+                let moves = applied_rate(held, whole, false).is_some();
+                assert!(
+                    !moves,
+                    "outside flow {fid} holds {held}, unpruned solve {whole}"
+                );
+            } else if rate.to_bits() != whole.to_bits() {
+                ties += 1;
+                let tie = rate.min(whole) * SAT_EPS_REL + SAT_EPS_ABS;
+                assert!(
+                    (rate - whole).abs() <= tie,
+                    "flow {fid}: solved {rate}, unpruned {whole}"
+                );
+            }
+        }
+        ties
+    }
+}
+
+/// The rate the apply loop gives a flow that holds `old` and was solved at
+/// `solved` — `None` if it keeps `old`: the change is within the
+/// [`RATE_EPSILON`] hysteresis and the flow is not `forced`.
+fn applied_rate(old: f64, solved: f64, forced: bool) -> Option<f64> {
+    let new = solved.max(MIN_RATE);
+    ((new - old).abs() > old * RATE_EPSILON || forced).then_some(new)
 }
 
 /// Working state of one link during progressive filling.
@@ -1334,8 +1382,8 @@ struct FillOrder {
 /// freezes at its own ceiling (`caps`) or at the level where a link on its
 /// path saturates. Writes the max-min fair rate of each flow into `rates`
 /// (reused caller buffers; `link_members` lists each link's flows, and a
-/// [`NO_LINK`] slot in `flow_links` is ignored — it names a pruned link that
-/// can never saturate).
+/// [`NO_LINK`] slot in `flow_links` is ignored — it names a boundary or
+/// unconstrained link, which the caller knows not to saturate).
 ///
 /// Instead of rescanning every flow and link per round, two ordered
 /// structures give the next stopping point. Ceilings never change during a

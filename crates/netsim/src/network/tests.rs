@@ -288,10 +288,10 @@ fn repricing_is_scoped_to_the_connected_component() {
 
 #[test]
 fn unsaturable_links_do_not_couple_components() {
-    // Dirty-link pruning: two fresh (slow-start-capped) flows share the
-    // sender's 10 Mbps uplink, but their combined ceilings cannot come
-    // close to filling it — the uplink can never saturate, so a change on
-    // one flow's core must not drag the other flow into the solve.
+    // Two fresh (slow-start-capped) flows share the sender's 10 Mbps uplink,
+    // but their combined ceilings cannot come close to filling it — the
+    // uplink is a boundary link before and after, so a change on one flow's
+    // core must not drag the other flow into the solve.
     let node = NodeSpec {
         up: mbps(10.0),
         down: mbps(10.0),
@@ -312,8 +312,8 @@ fn unsaturable_links_do_not_couple_components() {
     let witness = net.current_rate(NodeId(0), NodeId(2)).unwrap();
 
     // Cross traffic eats most of the narrow core: flow 0→1 must be
-    // re-priced, and *only* it — the shared uplink is unsaturable (the
-    // ceiling sum of both fresh flows is far below 10 Mbps), so the
+    // re-priced, and *only* it — the shared uplink is far from full (both
+    // fresh flows at their ceilings use a fraction of 10 Mbps), so the
     // component stops there instead of crossing to flow 0→2.
     let updates = net.set_cross_traffic(t0, (NodeId(0), NodeId(1)), 50_000.0);
     assert_eq!(
@@ -329,14 +329,14 @@ fn unsaturable_links_do_not_couple_components() {
     assert_eq!(
         net.current_rate(NodeId(0), NodeId(2)).unwrap().to_bits(),
         witness.to_bits(),
-        "the flow behind the pruned uplink keeps its exact rate"
+        "the flow behind the quiet uplink keeps its exact rate"
     );
 
-    // The pruned incremental state still matches a from-scratch solve
-    // (reprice_all seeds every flow-bearing link, so nothing is pruned).
+    // The incremental state still matches a from-scratch solve
+    // (reprice_all seeds every flow-bearing link, so nothing is boundary).
     assert!(
         net.reprice_all(t0).is_empty(),
-        "pruning must not leave a stale allocation behind"
+        "the frontier must not leave a stale allocation behind"
     );
 }
 
@@ -589,6 +589,192 @@ fn fully_occupied_link_freezes_its_flows_at_level_zero() {
     assert_eq!(rates[0], 0.0, "cap-frozen at its zero ceiling: {rates:?}");
     assert_eq!(rates[1], 0.0, "fully occupied link: {rates:?}");
     assert_eq!(rates[2], 0.0, "fully occupied link: {rates:?}");
+}
+
+/// The chain of the frontier tests: A = 0 has a 10 KB/s uplink carrying
+/// A→C and A→D; B = 1 has a 6.5 KB/s uplink carrying B→C; C = 2's downlink
+/// takes `c_down`. Everything else is wide, and the fresh-connection
+/// slow-start ceiling (~180 KB/s at this RTT) binds nobody. Returns the
+/// network with all three flows running: A→C 5000, A→D 5000, B→C 6500.
+fn chain_behind_a_quiet_downlink(c_down: f64) -> Network {
+    let mk = |up: f64, down: f64| NodeSpec {
+        up,
+        down,
+        access_delay: SimDuration::from_millis(1),
+    };
+    let nodes = vec![
+        mk(10_000.0, 1e9),
+        mk(6_500.0, 1e9),
+        mk(1e9, c_down),
+        mk(1e9, 1e9),
+    ];
+    let wide = PathSpec {
+        bw: 1e9,
+        delay: SimDuration::from_millis(10),
+        loss: 0.0,
+    };
+    let mut net = Network::new(Topology::new(nodes, vec![vec![wide; 4]; 4]));
+    let t0 = SimTime::ZERO;
+    net.queue_block(t0, NodeId(0), NodeId(2), BlockId(0), 1_000_000);
+    net.queue_block(t0, NodeId(0), NodeId(3), BlockId(1), 1_000_000);
+    net.queue_block(t0, NodeId(1), NodeId(2), BlockId(2), 1_000_000);
+    let rate = |f: u32, t: u32| net.current_rate(NodeId(f), NodeId(t)).unwrap();
+    assert_eq!(
+        (rate(0, 2), rate(0, 3), rate(1, 2)),
+        (5_000.0, 5_000.0, 6_500.0)
+    );
+    net
+}
+
+#[test]
+fn a_departure_that_fills_a_quiet_downlink_reprices_the_flows_behind_it() {
+    // C's 12 KB/s downlink carries 11.5: not full, so when A→D goes idle the
+    // solve seeded at A's uplink stops there and prices A→C at the whole
+    // uplink — which overfills the downlink. Verification must pull it in,
+    // find B→C behind it and settle both at the downlink's fair share.
+    let mut net = chain_behind_a_quiet_downlink(12_000.0);
+    let before = net.solver_stats();
+    let (_, updates) = net
+        .on_block_done(SimTime::from_secs_f64(1.0), NodeId(0), NodeId(3))
+        .unwrap();
+    let _ = sched_at(&updates, NodeId(0), NodeId(2));
+    let _ = sched_at(&updates, NodeId(1), NodeId(2));
+    assert_eq!(net.current_rate(NodeId(0), NodeId(2)), Some(6_000.0));
+    assert_eq!(net.current_rate(NodeId(1), NodeId(2)), Some(6_000.0));
+    let after = net.solver_stats();
+    assert_eq!(after.full_solves, before.full_solves + 1, "one solve");
+    assert!(after.frontier_grows > before.frontier_grows);
+    assert_eq!(after.solved_flows, before.solved_flows + 2, "final size");
+    assert_eq!(net.check_solve_against_unpruned(), 0);
+    assert!(
+        net.reprice_all(SimTime::from_secs_f64(1.0)).is_empty(),
+        "the grown solve is the from-scratch allocation"
+    );
+}
+
+#[test]
+fn a_boundary_link_that_stays_quiet_keeps_the_flows_behind_it_out() {
+    // The mirror: a 20 KB/s downlink holds A→C at the full uplink plus B→C
+    // with room to spare, so B→C is neither solved nor re-priced.
+    let mut net = chain_behind_a_quiet_downlink(20_000.0);
+    let before = net.solver_stats();
+    let witness = net.current_rate(NodeId(1), NodeId(2)).unwrap();
+    let (_, updates) = net
+        .on_block_done(SimTime::from_secs_f64(1.0), NodeId(0), NodeId(3))
+        .unwrap();
+    assert_eq!(updates.len(), 1, "only A→C is re-priced: {updates:?}");
+    let _ = sched_at(&updates, NodeId(0), NodeId(2));
+    assert_eq!(net.current_rate(NodeId(0), NodeId(2)), Some(10_000.0));
+    assert_eq!(
+        net.current_rate(NodeId(1), NodeId(2)).map(f64::to_bits),
+        Some(witness.to_bits())
+    );
+    let after = net.solver_stats();
+    assert_eq!(after.frontier_grows, before.frontier_grows);
+    assert_eq!(after.solved_flows, before.solved_flows + 1, "A→C alone");
+    assert_eq!(net.check_solve_against_unpruned(), 0);
+    assert!(net.reprice_all(SimTime::from_secs_f64(1.0)).is_empty());
+}
+
+/// `fairness_oracle`'s topology: heterogeneous access links, one core
+/// capacity, loss on a third of the pairs, and with `shared` one bottleneck
+/// link under every "even" ordered pair.
+fn oracle_topology(n: usize, access_step: u64, core_kb: u64, loss: f64, shared: bool) -> Topology {
+    use crate::units::kbps;
+    let nodes: Vec<NodeSpec> = (0..n as u64)
+        .map(|i| NodeSpec {
+            up: kbps(400.0 + (i * access_step % 1600) as f64),
+            down: kbps(600.0 + ((i + 1) * access_step % 1600) as f64),
+            access_delay: SimDuration::from_millis(1),
+        })
+        .collect();
+    let core = (0..n)
+        .map(|a| {
+            (0..n)
+                .map(|b| PathSpec {
+                    bw: kbps(core_kb as f64),
+                    delay: SimDuration::from_millis(5 + ((a * 7 + b * 3) % 40) as u64),
+                    loss: if (a + b) % 3 == 0 { loss } else { 0.0 },
+                })
+                .collect()
+        })
+        .collect();
+    let mut topo = Topology::new(nodes, core);
+    if shared {
+        let pairs: Vec<(NodeId, NodeId)> = (0..n as u32)
+            .flat_map(|a| (0..n as u32).map(move |b| (NodeId(a), NodeId(b))))
+            .filter(|(a, b)| a != b && (a.0 + b.0) % 2 == 0)
+            .collect();
+        topo.share_core(&pairs, kbps(core_kb as f64), loss);
+    }
+    topo
+}
+
+proptest::proptest! {
+    /// Every solve of a random history hands its flows the bits the unpruned
+    /// solve hands them and leaves every flow outside the frontier where the
+    /// unpruned solve would: `fairness_oracle`'s networks and operations,
+    /// plus a link whose cross traffic takes all of it (capacity zero).
+    /// Release builds run the check here; debug builds run it inside every
+    /// `resolve` as well.
+    #[test]
+    fn frontier_solve_equals_the_unpruned_solve_bit_for_bit(
+        n in 3usize..7,
+        access_step in 1u64..997,
+        core_kb in 200u64..3_000,
+        shared in proptest::prelude::any::<bool>(),
+        ops in proptest::collection::vec(
+            (
+                0u8..6,
+                proptest::prelude::any::<u8>(),
+                proptest::prelude::any::<u8>(),
+                proptest::prelude::any::<u16>(),
+            ),
+            1..80,
+        ),
+    ) {
+        let loss = if shared { 0.02 } else { 0.0 };
+        let mut net = Network::new(oracle_topology(n, access_step, core_kb, loss, shared));
+        let mut now = SimTime::ZERO;
+        for (i, &(kind, x, y, mag)) in ops.iter().enumerate() {
+            now += SimDuration::from_millis(100);
+            let a = NodeId(u32::from(x) % n as u32);
+            let b = NodeId(u32::from(y) % n as u32);
+            if a == b {
+                continue;
+            }
+            let solves = net.solver_stats().full_solves;
+            match kind {
+                // Start (or extend) a flow — twice as likely as the rest.
+                0 | 1 => {
+                    net.queue_block(now, a, b, BlockId(i as u32), 20_000 + u64::from(mag) * 400);
+                }
+                // Complete the in-flight block of a → b, if it has one.
+                2 => {
+                    net.on_block_done(now, a, b);
+                }
+                3 => {
+                    net.close_connection(now, a, b);
+                }
+                // Re-size (often: cut) the core link carrying a → b.
+                4 => {
+                    let bw = crate::units::kbps(100.0 + f64::from(mag % 2000));
+                    net.topology_mut().set_core_bw(a, b, bw);
+                    net.reprice_paths(now, &[(a, b)]);
+                }
+                // Cross traffic on the core link: up to all of its capacity.
+                5 => {
+                    let link = net.topology().core_link(a, b);
+                    let cap = net.topology().link_capacity(link);
+                    net.set_cross_traffic(now, (a, b), cap * f64::from(mag % 5) / 4.0);
+                }
+                _ => unreachable!("kind is generated in 0..6"),
+            }
+            if net.solver_stats().full_solves > solves {
+                assert_eq!(net.check_solve_against_unpruned(), 0, "op {i}: {:?}", ops[i]);
+            }
+        }
+    }
 }
 
 /// Solver inputs shaped like the components `resolve` builds from the

@@ -151,13 +151,14 @@ impl RunReport {
     }
 
     /// Snapshot entries [`RunReport::canonical`] leaves out: they count the
-    /// flows and links the solver swept, not the rates it assigned, so an
-    /// optimisation that solves a smaller component for the same answer moves
-    /// them and nothing else. [`Runner::metrics_snapshot`] still publishes
-    /// every one.
-    pub const SOLVER_SIZE_METRICS: [&'static str; 4] = [
+    /// flows and links the solver swept and the rounds it took to find them,
+    /// not the rates it assigned, so an optimisation that solves a smaller
+    /// component for the same answer moves them and nothing else.
+    /// [`Runner::metrics_snapshot`] still publishes every one.
+    pub const SOLVER_SIZE_METRICS: [&'static str; 5] = [
         "solver_flows_solved",
         "solver_links_solved",
+        "solver_frontier_grows",
         "solver_max_comp_flows",
         "solver_max_comp_links",
     ];
@@ -371,25 +372,23 @@ impl<P: Protocol> Runner<P> {
         {
             slot.1 = slot.1.max(sim.max_pending);
         }
-        snap.counters.push(("events_scheduled", sim.scheduled));
-        snap.counters.push(("events_cancelled", sim.cancelled));
-        snap.counters.push(("events_rescheduled", sim.rescheduled));
         let solver = self.run.net.solver_stats();
-        snap.counters
-            .push(("solver_full_solves", solver.full_solves));
-        snap.counters.push(("solver_fast_admit", solver.fast_admit));
-        snap.counters
-            .push(("solver_fast_remove", solver.fast_remove));
-        snap.counters
-            .push(("solver_fast_growth", solver.fast_growth));
-        snap.counters
-            .push(("solver_flows_solved", solver.solved_flows));
-        snap.counters
-            .push(("solver_links_solved", solver.solved_links));
-        snap.gauges
-            .push(("solver_max_comp_flows", solver.max_comp_flows));
-        snap.gauges
-            .push(("solver_max_comp_links", solver.max_comp_links));
+        snap.counters.extend([
+            ("events_scheduled", sim.scheduled),
+            ("events_cancelled", sim.cancelled),
+            ("events_rescheduled", sim.rescheduled),
+            ("solver_full_solves", solver.full_solves),
+            ("solver_fast_admit", solver.fast_admit),
+            ("solver_fast_remove", solver.fast_remove),
+            ("solver_fast_growth", solver.fast_growth),
+            ("solver_flows_solved", solver.solved_flows),
+            ("solver_links_solved", solver.solved_links),
+            ("solver_frontier_grows", solver.frontier_grows),
+        ]);
+        snap.gauges.extend([
+            ("solver_max_comp_flows", solver.max_comp_flows),
+            ("solver_max_comp_links", solver.max_comp_links),
+        ]);
         snap
     }
 

@@ -677,7 +677,7 @@ pub fn shared_core_mesh(n: usize, core: BytesPerSec, loss: f64, rng: &RngFactory
 /// of even the fastest pair (≈ 84 ms RTT) is ≈ 120 KB/s, so a node needs
 /// 20+ concurrent transfers before its 2.5 MB/s access link could saturate
 /// — more than Bullet′'s peer-set sizes reach. The fluid solver therefore
-/// prunes every link from component discovery and reprices are O(1), which
+/// finds no saturated link to cross and reprices are O(1), which
 /// is exactly the regime a scaling run wants: the emulator's per-event cost,
 /// not the solver's component size, is what is being measured.
 pub fn uniform_swarm(n: usize, rng: &RngFactory) -> Topology {

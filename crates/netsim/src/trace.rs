@@ -112,9 +112,9 @@ pub enum TraceEvent {
         fast_remove: u64,
         /// O(1) non-binding ceiling growths.
         fast_growth: u64,
-        /// Flows solved across this event's full solves.
+        /// Flows in the final components of this event's full solves.
         comp_flows: u64,
-        /// Links solved across this event's full solves.
+        /// Links in the final components of this event's full solves.
         comp_links: u64,
     },
     /// A node joined the experiment.
