@@ -646,8 +646,8 @@ impl Network {
     fn debug_check_link_tables(&mut self) {
         let incremental = self.link_usage.clone();
         self.rebuild_link_tables();
-        let exact = std::mem::replace(&mut self.link_usage, incremental);
-        for (l, (&kept, &exact)) in self.link_usage.iter().zip(&exact).enumerate() {
+        let rebuilt = std::mem::replace(&mut self.link_usage, incremental);
+        for (l, (&kept, &exact)) in self.link_usage.iter().zip(&rebuilt).enumerate() {
             assert!(
                 (exact - kept).abs() <= 1e-6 * exact.abs().max(1.0),
                 "link {l} usage drift: incremental {kept} vs exact {exact}"
@@ -1167,7 +1167,8 @@ impl Network {
                 s.comp_links.push(l);
             }
         }
-        let (mut qi, mut grows) = (0, 0);
+        let mut qi = 0;
+        let mut grows = 0;
         loop {
             while qi < s.comp_links.len() {
                 let l = s.comp_links[qi];
@@ -1213,8 +1214,9 @@ impl Network {
 
             // ---- Solver inputs: local link states, adjacency, cached ceilings.
             s.links.clear();
-            let lists = s.link_members.len().max(s.comp_links.len());
-            s.link_members.resize_with(lists, Vec::new);
+            if s.link_members.len() < s.comp_links.len() {
+                s.link_members.resize_with(s.comp_links.len(), Vec::new);
+            }
             for (li, &l) in s.comp_links.iter().enumerate() {
                 s.links.push(LinkState {
                     capacity: self.usable(l),
@@ -1251,7 +1253,6 @@ impl Network {
 
             // ---- Verify: no boundary link may end up saturated. Only a link
             // whose usage rises can cross the threshold it was under.
-            s.boundary.iter_mut().for_each(|b| b.1 = 0.0);
             for (&fid, &solved) in s.flows.iter().zip(&s.rates) {
                 let f = fid as usize;
                 let old_rate = self.flow_rate[f];
@@ -1278,6 +1279,7 @@ impl Network {
                 break;
             }
             grows += 1;
+            s.boundary.iter_mut().for_each(|b| b.1 = 0.0);
         }
         self.scratch = s;
         grows
@@ -1310,13 +1312,13 @@ impl Network {
     fn check_solve_against_unpruned(&mut self) -> usize {
         let frontier = std::mem::take(&mut self.scratch);
         self.solve_component(&self.flow_bearing_links(), None);
-        let whole = std::mem::replace(&mut self.scratch, frontier);
+        let unpruned = std::mem::replace(&mut self.scratch, frontier);
         let mut solved = vec![f64::NAN; self.conns.len()];
         for (&fid, &rate) in self.scratch.flows.iter().zip(&self.scratch.rates) {
             solved[fid as usize] = rate;
         }
         let mut ties = 0;
-        for (&fid, &whole) in whole.flows.iter().zip(&whole.rates) {
+        for (&fid, &whole) in unpruned.flows.iter().zip(&unpruned.rates) {
             let (rate, held) = (solved[fid as usize], self.flow_rate[fid as usize]);
             if rate.is_nan() {
                 let moves = applied_rate(held, whole, false).is_some();
