@@ -32,6 +32,11 @@ cargo build --release --offline --manifest-path benchmark/Cargo.toml &&
 mv target/benchmark-Cargo.lock.keep benchmark/Cargo.lock
 [ "$harness" -eq 0 ] || exit "$harness"
 
+# The debug suite is where every frontier solve is cross-checked: with
+# debug_assertions on, Network::resolve re-solves the whole network after each
+# component solve and asserts equal bits (check_solve_against_unpruned), in
+# every run of every test. Release builds carry none of it, so this step must
+# keep running, and before the release golden steps that trust the solver.
 echo "==> cargo test -q (workspace unit + integration suites)"
 cargo test -q
 

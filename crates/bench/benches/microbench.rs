@@ -212,9 +212,17 @@ impl FluidLoad {
 
 /// The fluid solver under the `dyn_mesh` shape: every node of a 60-node lossy
 /// mesh streams to six peers, one block at a time, so each completion takes a
-/// flow idle and its successor block brings it back — about nine in ten of
-/// those transitions re-solve a component of ~200 flows and ~75 links.
-/// Predicts `netsim.network.est_share` on `dyn_mesh`.
+/// flow idle and its successor block brings it back — about four in ten of
+/// those transitions re-solve a component. Predicts
+/// `netsim.network.est_share` on `dyn_mesh`.
+///
+/// ISSUE 21 (discovery crosses only links that are saturated now, verifies
+/// the rest after the fill): the same 17,244 solves over 20,000 completions
+/// sweep 56 flows and 13 links each where the connected, saturable closure
+/// had 204 flows and 75 links (largest 217 / 79 → 103 / 24), and one solve
+/// in three takes a growth round. Per 500 completions, medians of four
+/// alternating runs on the reference host: 13.89, 13.87, 14.24, 13.92 ms →
+/// 4.90, 4.10, 4.32, 4.13 ms.
 fn bench_fluid_solver(c: &mut Criterion) {
     const NODES: u32 = 60;
     let rng = RngFactory::new(17);
