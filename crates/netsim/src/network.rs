@@ -666,6 +666,7 @@ impl Network {
         to: NodeId,
         bytes: usize,
     ) -> SimDuration {
+        debug_assert!(from != to, "control message from {from} to itself");
         let prop = self.topo.one_way_delay(from, to);
         let path = self.topo.path(from, to);
         let access = self

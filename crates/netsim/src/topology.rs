@@ -86,17 +86,14 @@ impl LinkId {
     }
 }
 
-/// A directed core link: the capacity every path mapped onto it shares.
-#[derive(Debug, Clone)]
+/// A directed core link: the capacity and loss every path mapped onto it
+/// shares. A pair's [`PathSpec`] reads both from here.
+#[derive(Debug, Clone, Copy)]
 struct CoreLink {
     /// Raw capacity in bytes/second.
     capacity: BytesPerSec,
     /// Packet loss probability, in `[0, 1)`; discounts the usable capacity.
     loss: f64,
-    /// Ordered pairs whose core path rides this link (kept in sync with
-    /// `Topology::link_of` so capacity changes can mirror into the per-pair
-    /// `PathSpec` view).
-    pairs: Vec<(u32, u32)>,
 }
 
 /// Sentinel for the unused diagonal of the pair → core-link table.
@@ -112,10 +109,11 @@ const NO_LINK: u32 = u32::MAX;
 /// derived from O(n) per-node jitter, so the whole topology is O(n).
 #[derive(Debug, Clone)]
 enum CoreModel {
-    /// Explicit per-pair path table and core-link graph.
+    /// Explicit per-pair delay table and core-link graph.
     Dense {
-        /// `core[a][b]` is the path from `a` to `b`. The diagonal is unused.
-        core: Vec<Vec<PathSpec>>,
+        /// `delay[a][b]` is the core propagation delay from `a` to `b`. The
+        /// diagonal is unused.
+        delay: Vec<Vec<SimDuration>>,
         /// The core links; by construction every off-diagonal pair starts
         /// with a dedicated one ([`Topology::share_core`] remaps pairs onto
         /// shared ones).
@@ -145,8 +143,8 @@ pub struct Topology {
 
 impl Topology {
     /// Builds a topology from explicit node and path tables. Every ordered
-    /// pair gets a dedicated core link whose capacity and loss mirror its
-    /// [`PathSpec`].
+    /// pair gets a dedicated core link with the capacity and loss of its
+    /// [`PathSpec`]; the diagonal of `core` is ignored.
     ///
     /// # Panics
     ///
@@ -169,14 +167,16 @@ impl Topology {
                 core_links.push(CoreLink {
                     capacity: core[a][b].bw,
                     loss: core[a][b].loss,
-                    pairs: vec![(a as u32, b as u32)],
                 });
             }
         }
+        let delay = (core.iter())
+            .map(|row| row.iter().map(|p| p.delay).collect())
+            .collect();
         Topology {
             nodes,
             core_model: CoreModel::Dense {
-                core,
+                delay,
                 core_links,
                 link_of,
             },
@@ -227,40 +227,48 @@ impl Topology {
         &self.nodes[node.index()]
     }
 
-    /// Core path spec from `a` to `b`. Returned by value: on uniform-core
-    /// topologies the spec is synthesised, not stored.
+    /// Core path spec from `a` to `b`, synthesised from the pair's delay and
+    /// the core link it rides. A node reaches itself over no link: no
+    /// capacity limit, no delay, no loss.
     pub fn path(&self, a: NodeId, b: NodeId) -> PathSpec {
+        if a == b {
+            return PathSpec {
+                bw: f64::INFINITY,
+                delay: SimDuration::ZERO,
+                loss: 0.0,
+            };
+        }
         match &self.core_model {
-            CoreModel::Dense { core, .. } => core[a.index()][b.index()],
+            CoreModel::Dense {
+                delay,
+                core_links,
+                link_of,
+            } => {
+                let link = core_links[link_of[a.index()][b.index()] as usize];
+                PathSpec {
+                    bw: link.capacity,
+                    delay: delay[a.index()][b.index()],
+                    loss: link.loss,
+                }
+            }
             CoreModel::Uniform { jitter, loss } => PathSpec {
                 bw: f64::INFINITY,
-                delay: if a == b {
-                    SimDuration::ZERO
-                } else {
-                    jitter[a.index()] + jitter[b.index()]
-                },
-                loss: if a == b { 0.0 } else { *loss },
+                delay: jitter[a.index()] + jitter[b.index()],
+                loss: *loss,
             },
         }
     }
 
     /// Sets the capacity of the core link carrying `a → b` to `bw`
     /// (bytes/second, floored at 1). On a shared link this affects **every**
-    /// pair mapped onto it; all affected `PathSpec.bw` mirrors are updated.
-    /// Returns the changed link so callers can re-price flows on it.
+    /// pair mapped onto it. Returns the changed link so callers can re-price
+    /// flows on it.
     pub fn set_core_bw(&mut self, a: NodeId, b: NodeId, bw: BytesPerSec) -> LinkId {
         let j = self.core_link_index(a, b);
-        let bw = bw.max(1.0);
-        let CoreModel::Dense {
-            core, core_links, ..
-        } = &mut self.core_model
-        else {
+        let CoreModel::Dense { core_links, .. } = &mut self.core_model else {
             unreachable!("core_link_index rejects uniform-core topologies");
         };
-        core_links[j].capacity = bw;
-        for &(x, y) in &core_links[j].pairs {
-            core[x as usize][y as usize].bw = bw;
-        }
+        core_links[j].capacity = bw.max(1.0);
         self.core_link_id(j)
     }
 
@@ -273,9 +281,8 @@ impl Topology {
     }
 
     /// Remaps the given ordered pairs onto one **shared** core link of the
-    /// given capacity and loss rate, creating it. The pairs' `PathSpec`
-    /// bandwidth/loss mirrors are rewritten to match (delays are kept).
-    /// Returns the new link's id.
+    /// given capacity and loss rate, creating it (the pairs keep their
+    /// delays). Returns the new link's id.
     ///
     /// Normally called while assembling a topology, but remapping through
     /// [`crate::Network::topology_mut`] mid-run is safe too: flows already in
@@ -312,33 +319,22 @@ impl Topology {
             "a shared core link needs at least one pair"
         );
         let CoreModel::Dense {
-            core,
             core_links,
             link_of,
+            ..
         } = &mut self.core_model
         else {
             panic!("a uniform-core topology has no per-pair core links to remap");
         };
         let j = core_links.len();
-        let mut link = CoreLink {
-            capacity: capacity.max(1.0),
-            loss,
-            pairs: Vec::with_capacity(pairs.len()),
-        };
         for &(a, b) in pairs {
             assert!(a != b, "a core link cannot join a node to itself");
-            let old = link_of[a.index()][b.index()];
-            if old != NO_LINK {
-                let key = (a.0, b.0);
-                core_links[old as usize].pairs.retain(|&p| p != key);
-            }
             link_of[a.index()][b.index()] = j as u32;
-            link.pairs.push((a.0, b.0));
-            let path = &mut core[a.index()][b.index()];
-            path.bw = link.capacity;
-            path.loss = loss;
         }
-        core_links.push(link);
+        core_links.push(CoreLink {
+            capacity: capacity.max(1.0),
+            loss,
+        });
         self.core_link_id(j)
     }
 
