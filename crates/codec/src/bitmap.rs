@@ -136,26 +136,6 @@ impl BlockBitmap {
         })
     }
 
-    /// Iterates over the ids of *missing* blocks in ascending order.
-    /// Word-level: each 64-bit word is complemented (masked to the capacity)
-    /// and its set bits walked, so a mostly-full bitmap costs O(words), not
-    /// O(capacity).
-    pub fn iter_missing(&self) -> impl Iterator<Item = BlockId> + '_ {
-        let cap = self.capacity;
-        self.words.iter().enumerate().flat_map(move |(wi, &word)| {
-            let base = wi as u32 * 64;
-            let valid = if cap >= base + 64 {
-                u64::MAX
-            } else {
-                tail_mask(cap - base)
-            };
-            BitIter {
-                word: !word & valid,
-                base,
-            }
-        })
-    }
-
     /// First id in `lo..hi` (clamped to the capacity) that is *not* present,
     /// scanning a word at a time.
     pub fn first_missing_in(&self, lo: u32, hi: u32) -> Option<BlockId> {
@@ -220,12 +200,6 @@ impl BlockBitmap {
             ones += w.count_ones();
         }
         self.ones = ones;
-    }
-
-    /// ORs `self` into `out` (the accumulator form used when folding many
-    /// per-peer bitmaps into one union without reallocating).
-    pub fn union_into(&self, out: &mut BlockBitmap) {
-        out.union_with(self);
     }
 
     /// Raw 64-bit words, low blocks first (read-only; bits above the
@@ -307,7 +281,7 @@ mod tests {
             assert_eq!(fast, slow, "capacity {cap}");
             assert_eq!(fast.count(), cap);
             assert!(cap == 0 || fast.is_full());
-            assert!(fast.iter_missing().next().is_none());
+            assert_eq!(fast.first_missing_in(0, cap), None);
             // No stray bits above the capacity: removing an out-of-range id
             // is a no-op and the word-level count stays exact.
             let popcount: u32 = fast.words().iter().map(|w| w.count_ones()).sum();
@@ -360,20 +334,6 @@ mod tests {
     }
 
     #[test]
-    fn union_into_accumulates() {
-        let mut acc = BlockBitmap::new(70);
-        let mut a = BlockBitmap::new(70);
-        let mut b = BlockBitmap::new(70);
-        a.insert(BlockId(3));
-        b.insert(BlockId(68));
-        b.insert(BlockId(3));
-        a.union_into(&mut acc);
-        b.union_into(&mut acc);
-        assert_eq!(acc.count(), 2);
-        assert!(acc.contains(BlockId(3)) && acc.contains(BlockId(68)));
-    }
-
-    #[test]
     fn iter_yields_sorted_present_blocks() {
         let mut bm = BlockBitmap::new(200);
         for id in [5u32, 1, 190, 64, 65] {
@@ -416,16 +376,5 @@ mod tests {
         let bm = BlockBitmap::new(10);
         assert!(!bm.contains(BlockId(10)));
         assert!(!bm.contains(BlockId(1000)));
-    }
-
-    #[test]
-    fn iter_missing_complements_iter() {
-        let mut bm = BlockBitmap::new(33);
-        bm.insert(BlockId(0));
-        bm.insert(BlockId(32));
-        let missing: Vec<u32> = bm.iter_missing().map(|b| b.0).collect();
-        assert_eq!(missing.len(), 31);
-        assert!(!missing.contains(&0));
-        assert!(!missing.contains(&32));
     }
 }

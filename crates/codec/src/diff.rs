@@ -60,11 +60,6 @@ impl DiffTracker {
         DiffTracker::default()
     }
 
-    /// Number of blocks advertised so far.
-    pub fn advertised_count(&self) -> usize {
-        self.advertised.count() as usize
-    }
-
     /// Returns true if `block` was already advertised to this receiver.
     pub fn already_advertised(&self, block: BlockId) -> bool {
         self.advertised.contains(block)
@@ -85,13 +80,6 @@ impl DiffTracker {
             self.advertised.insert(id);
         }
         Diff { blocks }
-    }
-
-    /// Number of blocks in `have` that the receiver has not yet been told
-    /// about (what the next diff would carry, ignoring the cap), counted a
-    /// word at a time.
-    pub fn pending_count(&self, have: &BlockBitmap) -> usize {
-        have.difference_count(&self.advertised) as usize
     }
 
     /// Records blocks advertised through some other channel (e.g. the initial
@@ -139,10 +127,10 @@ mod tests {
         let have = bitmap_with(&[0, 1, 2, 3, 4], 10);
         let d = tracker.next_diff(&have, 2);
         assert_eq!(d.blocks.len(), 2);
-        assert_eq!(tracker.pending_count(&have), 3);
+        assert_eq!(have.difference_count(&tracker.advertised), 3);
         let d2 = tracker.next_diff(&have, 10);
         assert_eq!(d2.blocks.len(), 3);
-        assert_eq!(tracker.pending_count(&have), 0);
+        assert_eq!(have.difference_count(&tracker.advertised), 0);
     }
 
     #[test]

@@ -18,12 +18,6 @@ pub struct FileData {
 }
 
 impl FileData {
-    /// Wraps existing content, deriving the block layout from `block_bytes`.
-    pub fn from_bytes(bytes: Vec<u8>, block_bytes: u32) -> Self {
-        let spec = FileSpec::new(bytes.len() as u64, block_bytes);
-        FileData { spec, bytes }
-    }
-
     /// Generates deterministic pseudo-random content for `spec` from `seed`.
     pub fn synthetic(spec: FileSpec, seed: u64) -> Self {
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);

@@ -123,11 +123,6 @@ impl Config {
         }
     }
 
-    /// Convenience: the paper's ModelNet workload (100 MB file, 16 KB blocks).
-    pub fn modelnet_default() -> Self {
-        Config::new(FileSpec::from_mb_kb(100, 16))
-    }
-
     /// Number of distinct blocks a receiver must hold to complete.
     pub fn completion_target(&self) -> u32 {
         match self.transfer_mode {
@@ -166,7 +161,8 @@ mod tests {
 
     #[test]
     fn defaults_match_paper_constants() {
-        let cfg = Config::modelnet_default();
+        // The paper's ModelNet workload: a 100 MB file in 16 KB blocks.
+        let cfg = Config::new(FileSpec::from_mb_kb(100, 16));
         assert_eq!((cfg.min_peers, INITIAL_PEERS, MAX_PEERS), (6, 10, 25));
         assert_eq!(RANSUB_PERIOD, SimDuration::from_secs(5));
         assert_eq!((INITIAL_OUTSTANDING, MAX_OUTSTANDING), (3, 50));

@@ -232,11 +232,6 @@ impl BulletPrimeNode {
         (self.senders.len(), self.receivers.len())
     }
 
-    /// The current adaptive peer-set targets.
-    pub fn peer_targets(&self) -> (usize, usize) {
-        (self.peer_mgr.max_senders(), self.peer_mgr.max_receivers())
-    }
-
     fn block_bytes(&self, block: BlockId) -> u64 {
         // In encoded mode every block is full-sized; in unencoded mode the
         // final block may be short.
@@ -932,7 +927,8 @@ mod tests {
     fn peer_targets_start_at_configured_initial() {
         let tree = ControlTree::random(4, 2, &RngFactory::new(3));
         let node = BulletPrimeNode::new(NodeId(1), &tree, small_config());
-        assert_eq!(node.peer_targets(), (10, 10));
+        let targets = (node.peer_mgr.max_senders(), node.peer_mgr.max_receivers());
+        assert_eq!(targets, (10, 10));
         assert_eq!(node.peer_counts(), (0, 0));
     }
 }

@@ -127,11 +127,6 @@ impl RequestManager {
             .or_insert_with(|| SenderAvailability::new(space));
     }
 
-    /// Returns true if `peer` is a registered sender.
-    pub fn has_sender(&self, peer: NodeId) -> bool {
-        self.available.contains_key(&peer)
-    }
-
     /// Removes a sender; its advertised blocks stop counting towards rarity
     /// and any requests outstanding to it are released. Returns the released
     /// blocks.
@@ -462,7 +457,7 @@ mod tests {
         // Blocks can now be requested from the other sender.
         let got = rm.select_requests(NodeId(2), 2, &have, SimTime::ZERO, &mut rng());
         assert_eq!(got.len(), 2);
-        assert!(!rm.has_sender(NodeId(1)));
+        assert!(!rm.available.contains_key(&NodeId(1)));
     }
 
     #[test]

@@ -405,7 +405,7 @@ mod runner_tests {
 
         fn on_init(&mut self, ctx: &mut Ctx<'_, Self>) {
             if self.is_source() {
-                for i in 1..ctx.num_nodes() as u32 {
+                for i in 1..self.next_to_send.len() as u32 {
                     // Queue the initial window towards each receiver.
                     let to = NodeId(i);
                     for _ in 0..self.window {

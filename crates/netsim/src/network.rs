@@ -252,15 +252,6 @@ impl Connection {
         self.queue.len() + usize::from(self.inflight.is_some())
     }
 
-    /// Bytes queued or in flight on this connection.
-    pub fn pending_bytes(&self) -> u64 {
-        let inflight = self
-            .inflight
-            .map(|f| f.bytes_left.ceil() as u64)
-            .unwrap_or(0);
-        inflight + self.queue.iter().map(|q| q.bytes).sum::<u64>()
-    }
-
     /// Total bytes delivered on this connection so far.
     pub fn bytes_acked(&self) -> u64 {
         self.bytes_acked

@@ -333,11 +333,6 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         self.rng
     }
 
-    /// Number of nodes in the experiment.
-    pub fn num_nodes(&self) -> usize {
-        self.net.len()
-    }
-
     /// Whether `peer` is currently participating. The emulator's stand-in
     /// for "a connection attempt to a gone host fails immediately": protocols
     /// use it to avoid pouring data at nodes that left, crashed, or have not
@@ -349,12 +344,6 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// Number of blocks currently queued or in flight from this node to `to`.
     pub fn pending_to(&self, to: NodeId) -> usize {
         self.net.pending_blocks(self.node, to)
-    }
-
-    /// Number of blocks currently queued or in flight from `from` to this
-    /// node (what the peer still owes us at the transport level).
-    pub fn pending_from(&self, from: NodeId) -> usize {
-        self.net.pending_blocks(from, self.node)
     }
 
     /// Round-trip time between this node and `peer` according to the

@@ -59,22 +59,6 @@ impl TcpPath {
         let rtt = self.rtt.as_secs_f64().max(1e-6);
         (INIT_CWND + bytes_acked as f64) / rtt
     }
-
-    /// The connection's current ceiling: the minimum of the bottleneck
-    /// capacity, the loss limit, and the slow-start limit.
-    pub fn cap(&self, bytes_acked: u64) -> BytesPerSec {
-        self.bottleneck
-            .min(self.mathis_cap())
-            .min(self.slow_start_cap(bytes_acked))
-            .max(1.0) // Never fully stall: TCP retransmits eventually.
-    }
-
-    /// Expected one-shot delivery latency multiplier for small control
-    /// messages: with loss `p` a message has probability `p` of needing at
-    /// least one retransmission timeout. Used by the control-plane model.
-    pub fn control_delay_penalty(&self) -> f64 {
-        1.0 + 2.0 * self.loss
-    }
 }
 
 /// Time for TCP to transfer `bytes` over a path starting from an idle
@@ -114,15 +98,15 @@ mod tests {
     fn lossless_path_is_link_limited() {
         let p = path(2.0, 100, 0.0);
         assert_eq!(p.mathis_cap(), f64::INFINITY);
-        // With a large window the cap equals the bottleneck.
-        assert_eq!(p.cap(10_000_000), mbps(2.0));
+        // With a large window the bottleneck is the smallest of the limits.
+        assert!(p.slow_start_cap(10_000_000) > p.bottleneck);
     }
 
     #[test]
     fn loss_reduces_throughput() {
         let clean = path(10.0, 100, 0.0);
         let lossy = path(10.0, 100, 0.01);
-        assert!(lossy.cap(u64::MAX / 2) < clean.cap(u64::MAX / 2));
+        assert!(lossy.mathis_cap() < clean.mathis_cap().min(clean.bottleneck));
         // 1% loss at 100ms RTT: ~1.22*1460/(0.1*0.1) = ~178 KB/s.
         let expected = 1.224_744_871_391_589 * 1460.0 / (0.1 * 0.1);
         assert!((lossy.mathis_cap() - expected).abs() < 1.0);
@@ -141,17 +125,11 @@ mod tests {
     #[test]
     fn slow_start_limits_young_connections() {
         let p = path(10.0, 100, 0.0);
-        let young = p.cap(0);
-        let mature = p.cap(2_000_000);
-        assert!(young < mature);
+        let young = p.slow_start_cap(0);
+        let mature = p.slow_start_cap(2_000_000);
+        assert!(young < p.bottleneck && p.bottleneck < mature);
         // Young connection: 3 segments per RTT.
         assert!((young - INIT_CWND / 0.1).abs() < 1.0);
-    }
-
-    #[test]
-    fn cap_never_zero() {
-        let p = path(0.000_001, 1000, 0.9);
-        assert!(p.cap(0) >= 1.0);
     }
 
     #[test]
@@ -164,13 +142,5 @@ mod tests {
         assert!(large.as_secs_f64() > 40.0);
         // A 16KB transfer finishes within a handful of RTTs.
         assert!(small.as_secs_f64() < 1.0);
-    }
-
-    #[test]
-    fn control_penalty_grows_with_loss() {
-        assert!(
-            path(1.0, 10, 0.03).control_delay_penalty()
-                > path(1.0, 10, 0.0).control_delay_penalty()
-        );
     }
 }

@@ -193,11 +193,6 @@ impl RanSubAgent {
         self.epoch
     }
 
-    /// True if this node is the RanSub root.
-    pub fn is_root(&self) -> bool {
-        self.parent.is_none()
-    }
-
     /// This node's current tree parent (`None` at the root).
     pub fn parent(&self) -> Option<NodeId> {
         self.parent
@@ -540,7 +535,7 @@ mod tests {
         let tree = ControlTree::from_parents(vec![None, Some(NodeId(0)), Some(NodeId(0))]);
         let mut rng = rand::rngs::StdRng::seed_from_u64(3);
         let mut root = RanSubAgent::new(NodeId(0), &tree, 5);
-        assert!(root.is_root());
+        assert!(root.parent().is_none());
         let out = root.begin_epoch(summary(0, 100), &mut rng);
         assert!(out.is_empty(), "root with unreported children must wait");
         assert_eq!(root.epoch(), 1);

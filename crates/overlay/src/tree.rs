@@ -180,11 +180,6 @@ impl ControlTree {
         &self.children[self.idx(node)]
     }
 
-    /// Returns true if `node` has no children.
-    pub fn is_leaf(&self, node: NodeId) -> bool {
-        self.children[self.idx(node)].is_empty()
-    }
-
     /// Number of nodes in the subtree rooted at `node` (including itself).
     pub fn subtree_size(&self, node: NodeId) -> usize {
         1 + self
@@ -203,14 +198,6 @@ impl ControlTree {
             cur = p;
         }
         d
-    }
-
-    /// Maximum depth over all nodes.
-    pub fn height(&self) -> usize {
-        (0..self.len() as u32)
-            .map(|i| self.depth(NodeId(self.base + i)))
-            .max()
-            .unwrap_or(0)
     }
 
     /// Iterator over the member node ids, root first.
@@ -260,9 +247,9 @@ mod tests {
         ]);
         assert_eq!(tree.depth(NodeId(0)), 0);
         assert_eq!(tree.depth(NodeId(4)), 3);
-        assert_eq!(tree.height(), 3);
-        assert!(tree.is_leaf(NodeId(4)));
-        assert!(!tree.is_leaf(NodeId(1)));
+        assert_eq!(tree.members().map(|n| tree.depth(n)).max(), Some(3));
+        assert!(tree.children(NodeId(4)).is_empty());
+        assert!(!tree.children(NodeId(1)).is_empty());
         assert_eq!(tree.subtree_size(NodeId(1)), 3);
     }
 
@@ -312,7 +299,7 @@ mod tests {
     #[test]
     fn degree_one_tree_is_a_chain() {
         let tree = ControlTree::random(10, 1, &RngFactory::new(9));
-        assert_eq!(tree.height(), 9);
+        assert_eq!(tree.members().map(|n| tree.depth(n)).max(), Some(9));
         for i in 0..10u32 {
             assert!(tree.children(NodeId(i)).len() <= 1);
         }

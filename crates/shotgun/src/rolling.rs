@@ -36,11 +36,6 @@ impl RollingChecksum {
         self.a | (self.b << 16)
     }
 
-    /// Window length this checksum covers.
-    pub fn window_len(&self) -> usize {
-        self.len
-    }
-
     /// Rolls the window one byte forward: removes `out` (the byte leaving the
     /// window) and appends `incoming`.
     pub fn roll(&mut self, out: u8, incoming: u8) {

@@ -182,11 +182,6 @@ impl<E> EventQueue<E> {
         true
     }
 
-    /// Delivery time of the entry behind `key`, if it is still pending.
-    pub fn time_of(&self, key: EventKey) -> Option<SimTime> {
-        self.live.get(&key.0).map(|e| e.at)
-    }
-
     /// Returns true if the entry behind `key` is still pending.
     pub fn is_pending(&self, key: EventKey) -> bool {
         self.live.contains_key(&key.0)
@@ -327,7 +322,7 @@ mod tests {
         let _b = q.push(SimTime::from_nanos(20), "b");
         // Push "a" later than "b"...
         assert!(q.reschedule(a, SimTime::from_nanos(30)));
-        assert_eq!(q.time_of(a).unwrap(), SimTime::from_nanos(30));
+        assert_eq!(q.live[&a.0].at, SimTime::from_nanos(30));
         assert_eq!(q.len(), 2, "reschedule does not change the live count");
         // ...then earlier again.
         assert!(q.reschedule(a, SimTime::from_nanos(15)));
