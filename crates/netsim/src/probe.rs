@@ -134,13 +134,18 @@ impl TimeSeries {
                 let v = if vals.is_empty() {
                     0.0
                 } else {
-                    let idx = ((vals.len() as f64 * q).ceil() as usize).clamp(1, vals.len()) - 1;
-                    vals[idx]
+                    vals[quantile_index(vals.len(), q)]
                 };
                 (s.time_secs, v)
             })
             .collect()
     }
+}
+
+/// Index of the `q`-quantile in a sorted slice of `len > 0` items: the
+/// smallest rank that covers a fraction `q` of them (ceiling convention).
+pub(crate) fn quantile_index(len: usize, q: f64) -> usize {
+    ((len as f64 * q).ceil() as usize).clamp(1, len) - 1
 }
 
 /// The time-series probe: goodput / duplicate ratio / peer-set sizes per

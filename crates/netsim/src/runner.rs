@@ -209,8 +209,8 @@ pub struct Runner<P: Protocol> {
 /// holds: [`Runner::checkpoint`] is this value's `clone()`. The event queue
 /// is copied with its live keyed table and tombstones, so future
 /// [`EventKey`]s sequence identically; the network with its flow table and
-/// per-link usage/ceiling sums; the probe with the samples it has
-/// accumulated. A field added here is checkpointed by construction.
+/// per-link usage sums; the probe with the samples it has accumulated. A
+/// field added here is checkpointed by construction.
 #[derive(Clone)]
 struct RunState<P: Protocol> {
     sim: Simulator<NetEvent<P::Msg>>,
@@ -407,9 +407,9 @@ impl<P: Protocol> Runner<P> {
         }
     }
 
-    /// Sets how often (in processed events) the network's per-link usage and
-    /// ceiling tables are rebuilt exactly from the registered flows,
-    /// resetting incremental float drift. `0` disables the periodic rebuild.
+    /// Sets how often (in processed events) the network's per-link usage
+    /// table is rebuilt exactly from the registered flows, resetting
+    /// incremental float drift. `0` disables the periodic rebuild.
     /// The default (`1 << 20`) is far beyond typical experiment lengths, so
     /// short runs never pay for it and never change behaviour.
     pub fn set_table_rebuild_interval(&mut self, interval: u64) {
@@ -507,12 +507,7 @@ impl<P: Protocol> Runner<P> {
         let now = self.run.sim.now();
         let idx = node.index();
         self.run.active[idx] = false;
-        if !self.run.exempt[idx] {
-            self.run.exempt[idx] = true;
-            if self.run.completion[idx].is_none() {
-                self.run.incomplete -= 1;
-            }
-        }
+        self.exempt_from_completion(node);
         self.run.epoch[idx] = self.run.epoch[idx].wrapping_add(1);
         for key in self.run.timer_keys[idx].keys.drain(..) {
             self.run.sim.cancel(key);
@@ -957,12 +952,7 @@ impl<P: Protocol> Runner<P> {
         let idx = node.index();
         self.run.active[idx] = false;
         self.run.departed[idx] = true;
-        if !self.run.exempt[idx] {
-            self.run.exempt[idx] = true;
-            if self.run.completion[idx].is_none() {
-                self.run.incomplete -= 1;
-            }
-        }
+        self.exempt_from_completion(node);
         let updates = self.run.net.close_all_for(now, node);
         self.apply_conn_updates(updates);
         // Deterministic notification order: ascending node index.
@@ -1086,14 +1076,7 @@ impl<P: Protocol> Runner<P> {
                 self.apply_conn_updates(updates);
             }
             NetEvent::Lifecycle { event } => match event {
-                NodeEvent::Join(node) => {
-                    if !self.run.active[node.index()] && !self.run.departed[node.index()] {
-                        self.run.metrics.inc(Counter::NodeJoins);
-                        self.trace_emit(|| TraceEvent::NodeJoin { node: node.0 });
-                        self.run.active[node.index()] = true;
-                        self.dispatch(node, |n, ctx| n.on_init(ctx));
-                    }
-                }
+                NodeEvent::Join(node) => self.activate_cohort(&[node]),
                 NodeEvent::Leave(node) => {
                     if self.run.active[node.index()] {
                         self.run.metrics.inc(Counter::NodeLeaves);

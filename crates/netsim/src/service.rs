@@ -43,7 +43,7 @@ use desim::{RngFactory, SimDuration, SimTime};
 use rand::Rng;
 
 use crate::dynamics::NodeEvent;
-use crate::probe::TimeSeries;
+use crate::probe::{quantile_index, TimeSeries};
 use crate::protocol::Protocol;
 use crate::runner::{Runner, StopReason};
 use crate::topology::{LinkId, NodeId};
@@ -271,12 +271,6 @@ impl ServiceReport {
         all.sort_by(f64::total_cmp);
         Some(all[quantile_index(all.len(), q)])
     }
-}
-
-/// Index of the `q`-quantile in a sorted slice of `len` items, using the
-/// same ceiling convention as [`TimeSeries::quantile_over_active`].
-fn quantile_index(len: usize, q: f64) -> usize {
-    ((len as f64 * q).ceil() as usize).clamp(1, len) - 1
 }
 
 struct ActiveSwarm {
