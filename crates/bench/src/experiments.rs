@@ -8,8 +8,9 @@
 //! configuration, or derive variants by struct update (another crash
 //! fraction, another swarm size), but topology, file, seed and limit are the
 //! scenario's. The open-system scenarios (fig21 / fig22) are the same over a
-//! list of labelled [`ServiceWorkload`] cells, and fig15 is an analytic model
-//! with nothing to emulate. `bullet_lab`'s registry pairs the functions up;
+//! list of labelled [`ServiceWorkload`] cells, except that their presentation
+//! runs nothing: it receives the cells' reports from whoever holds the
+//! scenario. fig15 is an analytic model with nothing to emulate. `bullet_lab`'s registry pairs the functions up;
 //! `figNN(&opts)` here is the pair applied to the default sweep point.
 //!
 //! Default workloads are reduced (≈1/10 of the paper's byte volume, 40
@@ -525,7 +526,12 @@ pub fn fig16_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
         fraction: 0.25,
         calm_median: None,
     };
-    Ok(mesh_workload(opts, 40, 10.0, dynamics))
+    let w = mesh_workload(opts, 40, 10.0, dynamics);
+    if w.nodes < 3 {
+        // The 50% wave would crash a two-node swarm's only receiver.
+        return Err("fig16 needs --nodes 3 or more: a crash wave must leave a survivor".into());
+    }
+    Ok(w)
 }
 
 /// Figure 16's presentation: the completion-time CDF of the *surviving*
@@ -962,7 +968,7 @@ pub fn fig21_cells(opts: &CommonOpts) -> ServiceCells {
 /// boundary) climbs with offered load and then flattens at the service
 /// capacity, while completion latency — measured from *arrival*, so
 /// segment-queueing delay counts — turns the knee upward.
-pub fn fig21_figure(cells: &[(String, ServiceWorkload)], _: &CommonOpts) -> Figure {
+pub fn fig21_figure(cells: &[(String, ServiceWorkload)], reports: &[ServiceReport]) -> Figure {
     let mut fig = Figure::new(
         "Figure 21",
         format!(
@@ -974,8 +980,7 @@ pub fn fig21_figure(cells: &[(String, ServiceWorkload)], _: &CommonOpts) -> Figu
     fig.x_label = "offered load (swarm arrivals per 1000 s)".into();
     fig.y_label = "goodput (Mbps) / latency (s)".into();
 
-    let reports: Vec<ServiceReport> = cells.iter().map(|(_, cell)| cell.run()).collect();
-    for ((label, _), report) in cells.iter().zip(&reports) {
+    for ((label, _), report) in cells.iter().zip(reports) {
         fig.note(format!(
             "{label}: {} arrivals, {} admitted, {} completed, {} in flight + {} queued \
              at the horizon, peak concurrency {}, sustained {:.2} Mbps",
@@ -989,7 +994,7 @@ pub fn fig21_figure(cells: &[(String, ServiceWorkload)], _: &CommonOpts) -> Figu
         ));
     }
     let mut curve = |label: &str, y: fn(&ServiceReport) -> f64| {
-        let points = FIG21_LOADS.iter().zip(&reports).map(|(&x, r)| (x, y(r)));
+        let points = FIG21_LOADS.iter().zip(reports).map(|(&x, r)| (x, y(r)));
         fig.push(Series::xy(label, points.collect()));
     };
     curve("sustained goodput (Mbps)", |r| {
@@ -1048,9 +1053,8 @@ pub fn fig22_cells(opts: &CommonOpts) -> ServiceCells {
 /// and core occupancy as the joiner wave lands mid-transfer of the warm
 /// swarm, and the per-cohort percentiles compare the warm swarm's completion
 /// latency against the flash crowd's (which includes the join stagger).
-pub fn fig22_figure(cells: &[(String, ServiceWorkload)], _: &CommonOpts) -> Figure {
-    let cell = &cells[0].1;
-    let report = cell.run();
+pub fn fig22_figure(cells: &[(String, ServiceWorkload)], reports: &[ServiceReport]) -> Figure {
+    let (cell, report) = (&cells[0].1, &reports[0]);
     let initial = cell.flash.as_ref().map_or(0, |f| f.initial);
     let mut fig = Figure::new(
         "Figure 22",
@@ -1269,6 +1273,15 @@ mod tests {
         // All five series share the sampling instants.
         for s in &fig.series[1..] {
             assert_eq!(s.points.len(), mean.points.len());
+        }
+    }
+
+    #[test]
+    fn fig16_refuses_a_swarm_its_crash_wave_would_empty() {
+        let mut opts = tiny();
+        for (nodes, accepted) in [(2, false), (3, true)] {
+            opts.nodes = Some(nodes);
+            assert_eq!(fig16_workload(&opts, "default").is_ok(), accepted);
         }
     }
 

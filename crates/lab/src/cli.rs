@@ -27,6 +27,7 @@ use bullet_bench::{emit, CommonOpts};
 
 use crate::executor::run_sweep;
 use crate::registry::Registry;
+use crate::scenario::Body;
 
 pub(crate) const USAGE: &str = "usage: lab <list|run|sweep|bench|serve|trace> [scenario] [options]
   lab list
@@ -66,7 +67,7 @@ fn dispatch<I: IntoIterator<Item = String>>(args: I) -> Result<i32, String> {
             let (name, rest) = take_scenario(args)?;
             let scenario = resolve(&registry, &name)?;
             let opts = CommonOpts::parse(rest)?;
-            emit(&scenario.run(&opts), &opts);
+            emit(&scenario.figure(&opts, "default", None)?, &opts);
             Ok(())
         }
         "sweep" => sweep(&registry, args),
@@ -165,11 +166,11 @@ pub(crate) fn parse_sweep_args(args: Vec<String>) -> Result<SweepArgs, String> {
             }
             "--seeds" => out.seeds = Some(parse_list(&value_for("--seeds")?)?),
             "--seed-count" => {
-                out.seed_count = Some(
-                    value_for("--seed-count")?
-                        .parse()
-                        .map_err(|_| format!("bad --seed-count\n{USAGE}"))?,
-                );
+                let count = value_for("--seed-count")?.parse::<usize>();
+                if !matches!(count, Ok(1..)) {
+                    return Err(format!("--seed-count must be a positive integer\n{USAGE}"));
+                }
+                out.seed_count = count.ok();
             }
             "--json" => out.json = Some(value_for("--json")?),
             other => out.rest.push(other.to_string()),
@@ -222,6 +223,13 @@ fn sweep(registry: &Registry, args: Vec<String>) -> Result<(), String> {
         _ => return Err(format!("sweep takes a single --threads value\n{USAGE}")),
     };
     let seeds = effective_seeds(scenario, &sweep_args, &opts, explicit_seed);
+    // A workload may refuse the options (fig16 below three nodes): that is a
+    // usage error here, not a panic in a worker.
+    if let Body::Closed { workload, .. } = scenario.body {
+        for point in &scenario.sweep.points {
+            workload(&point.apply(&opts), point.label)?;
+        }
+    }
 
     let started = Instant::now();
     let report = run_sweep(scenario, &opts, &seeds, threads);
@@ -314,15 +322,14 @@ mod tests {
 
     #[test]
     fn zero_thread_counts_are_usage_errors_not_panics() {
-        for cmd in ["sweep", "serve"] {
-            let err = dispatch(vec![
-                cmd.to_string(),
-                "fig13".to_string(),
-                "--threads".to_string(),
-                "0".to_string(),
-            ])
-            .unwrap_err();
-            assert!(err.contains("positive"), "{cmd}: {err}");
+        for (cmd, flag) in [
+            ("sweep", "--threads"),
+            ("serve", "--threads"),
+            ("sweep", "--seed-count"),
+        ] {
+            let args = [cmd, "fig13", flag, "0"].map(String::from);
+            let err = dispatch(args).unwrap_err();
+            assert!(err.contains("positive"), "{cmd} {flag}: {err}");
         }
     }
 

@@ -14,7 +14,7 @@
 
 use bullet_bench::experiments::WorkloadFn;
 use bullet_bench::{CommonOpts, Figure, ServiceWorkload, WarmPrefix, Workload};
-use netsim::RunReport;
+use netsim::{RunReport, ServiceReport};
 
 /// How a closed scenario turns its workload into a figure.
 #[derive(Clone, Copy)]
@@ -45,8 +45,9 @@ pub enum Body {
     Open {
         /// The labelled cells.
         cells: fn(&CommonOpts) -> Vec<(String, ServiceWorkload)>,
-        /// Runs and presents them.
-        figure: fn(&[(String, ServiceWorkload)], &CommonOpts) -> Figure,
+        /// Presents the cells' reports, one per cell in cell order. As with
+        /// [`Presentation::Run`], whoever holds the scenario supplies them.
+        figure: fn(&[(String, ServiceWorkload)], &[ServiceReport]) -> Figure,
     },
     /// An analytic model; nothing is emulated.
     Model(fn(&CommonOpts) -> Figure),
@@ -182,9 +183,14 @@ impl Scenario {
     }
 
     /// Runs the scenario once with the given options, at its default point.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the scenario's workload refuses `opts`
+    /// ([`Scenario::figure`] returns that as an error).
     pub fn run(&self, opts: &CommonOpts) -> Figure {
         self.figure(opts, "default", None)
-            .expect("every scenario defines its default point")
+            .unwrap_or_else(|e| panic!("{}: {e}", self.name))
     }
 
     /// The figure of the sweep point `label`. With `fork`, the Bullet′ run of
@@ -195,7 +201,8 @@ impl Scenario {
     ///
     /// # Errors
     ///
-    /// Returns an error if the scenario's workload does not know `label`.
+    /// Returns an error if the scenario's workload does not know `label` or
+    /// refuses `opts`.
     pub fn figure(
         &self,
         opts: &CommonOpts,
@@ -213,7 +220,12 @@ impl Scenario {
                     ),
                 }
             }
-            Body::Open { cells, figure } => figure(&cells(opts), opts),
+            Body::Open { cells, figure } => {
+                let cells = cells(opts);
+                let runs = crate::serve::run_cells(&cells, 1);
+                let reports: Vec<_> = runs.into_iter().map(|run| run.report).collect();
+                figure(&cells, &reports)
+            }
             Body::Model(figure) => figure(opts),
         })
     }

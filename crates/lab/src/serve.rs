@@ -18,7 +18,7 @@
 use std::time::Instant;
 
 use bullet_bench::experiments::service_summary;
-use bullet_bench::CommonOpts;
+use bullet_bench::{CommonOpts, ServiceWorkload};
 use netsim::ServiceReport;
 use serde::Serialize;
 
@@ -125,8 +125,17 @@ pub fn run_serve(name: &str, opts: &CommonOpts, threads: usize) -> Result<ServeR
              `lab serve` handles fig21 and fig22 (see `lab list` dynamics 'open-arrivals')"
         ));
     };
-    let cells = cells(opts);
-    let cells = run_indexed(cells.len(), threads, |i| {
+    Ok(ServeRun {
+        scenario: name.to_string(),
+        cells: run_cells(&cells(opts), threads),
+    })
+}
+
+/// Runs an open scenario's cells on `threads` workers, merged in cell order.
+/// Every service run of the lab goes through here, for the scenario's own
+/// figure ([`crate::Scenario::figure`]) and for `lab serve` alike.
+pub(crate) fn run_cells(cells: &[(String, ServiceWorkload)], threads: usize) -> Vec<ServeCell> {
+    run_indexed(cells.len(), threads, |i| {
         let (label, cell) = &cells[i];
         let started = Instant::now();
         let report = cell.run();
@@ -135,10 +144,6 @@ pub fn run_serve(name: &str, opts: &CommonOpts, threads: usize) -> Result<ServeR
             wall_clock_secs: started.elapsed().as_secs_f64(),
             report,
         }
-    });
-    Ok(ServeRun {
-        scenario: name.to_string(),
-        cells,
     })
 }
 
@@ -205,12 +210,39 @@ pub fn serve(registry: &Registry, args: Vec<String>) -> Result<(), String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::scenario::Scenario;
+    use bullet_bench::Figure;
 
     #[test]
     fn closed_system_scenarios_are_rejected() {
         let err = run_serve("fig13", &CommonOpts::default(), 1).unwrap_err();
         assert!(err.contains("not an open-system"), "{err}");
         assert!(err.contains("lab serve"), "{err}");
+    }
+
+    /// `lab run fig22` and `lab serve fig22` are the same service run.
+    #[test]
+    fn a_scenarios_figure_is_handed_the_runs_lab_serve_returns() {
+        let opts = CommonOpts {
+            nodes: Some(12),
+            file_mb: Some(0.25),
+            time_limit: 600.0,
+            ..CommonOpts::default()
+        };
+        let Body::Open { cells, .. } = Registry::standard().get("fig22").unwrap().body else {
+            panic!("fig22 is an open scenario");
+        };
+        let handed = Scenario::new(
+            "fig22",
+            "fig22's cells, presented as their reports' canonical form",
+            Body::Open {
+                cells,
+                figure: |_, reports| Figure::new("t", reports[0].canonical()),
+            },
+        )
+        .run(&opts);
+        let served = run_serve("fig22", &opts, 1).unwrap();
+        assert_eq!(handed.title, served.cells[0].report.canonical());
     }
 
     #[test]
