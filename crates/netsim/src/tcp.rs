@@ -133,6 +133,15 @@ mod tests {
     }
 
     #[test]
+    fn cap_never_zero() {
+        // Never fully stalled (TCP retransmits eventually): the ceiling is
+        // floored at one byte a second, so the transfer time stays finite.
+        let p = path(0.0, 1000, 0.9);
+        let t = idle_transfer_time(&p, 16 * 1024);
+        assert_eq!(t, SimDuration::from_secs(16 * 1024));
+    }
+
+    #[test]
     fn idle_transfer_time_scales_with_size() {
         let p = path(2.0, 50, 0.0);
         let small = idle_transfer_time(&p, 16 * 1024);
