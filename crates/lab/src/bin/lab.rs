@@ -3,12 +3,6 @@
 
 #![forbid(unsafe_code)]
 
-use bullet_bench::alloc_track::CountingAlloc;
-
-// `lab bench` records `run_allocs` and `peak_alloc_bytes` from its counters.
-#[global_allocator]
-static GLOBAL: CountingAlloc = CountingAlloc;
-
 fn main() {
     std::process::exit(bullet_lab::lab_main(std::env::args().skip(1)));
 }

@@ -5,9 +5,8 @@
 //! lab run <scenario> [fig opts]    # one run of the scenario's figure
 //! lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K]
 //!                      [--json PATH] [fig opts]
-//! lab bench                         # no options: the four fixed perf-record
-//!                                   # workloads, BENCH_*.json written, one line
-//!                                   # per self-check (see `bench`)
+//! lab bench                         # no options, nothing written: three fixed
+//!                                   # self-checks, one line each (see `bench`)
 //! lab serve <scenario> [--threads N,M,..] [--json PATH] [fig opts]
 //!                                   # open-system service run (fig21/fig22):
 //!                                   # generator-driven swarm arrivals, one
@@ -123,20 +122,6 @@ fn list(registry: &Registry) {
             sc.title,
         );
     }
-}
-
-/// Splits the thread counts `lab bench` times into those the host can run
-/// without oversubscription (`threads <= host_threads`) and those it cannot.
-/// Single-threaded runs always pass: they measure the serial baseline and
-/// cannot be oversubscribed.
-pub(crate) fn partition_thread_counts(
-    requested: &[usize],
-    host_threads: usize,
-) -> (Vec<usize>, Vec<usize>) {
-    requested
-        .iter()
-        .copied()
-        .partition(|&t| t <= host_threads.max(1))
 }
 
 /// Lab-specific flags peeled off before [`CommonOpts`] sees the rest.
@@ -348,22 +333,5 @@ mod tests {
             assert!(err.starts_with("usage: lab bench"), "{err}");
             assert_eq!(lab_main(args()), 2);
         }
-    }
-
-    #[test]
-    fn oversubscribed_thread_counts_are_skipped_not_timed() {
-        // A single-core host runs the serial baseline and skips the rest —
-        // timing a "4-thread" run there would commit false parallelism to
-        // the baseline record.
-        assert_eq!(partition_thread_counts(&[1, 4], 1), (vec![1], vec![4]));
-        // A host at or above the requested width runs everything.
-        assert_eq!(partition_thread_counts(&[1, 4], 4), (vec![1, 4], vec![]));
-        assert_eq!(
-            partition_thread_counts(&[1, 2, 8], 4),
-            (vec![1, 2], vec![8])
-        );
-        // Even a host reporting zero available parallelism (the API failed)
-        // still runs the serial baseline.
-        assert_eq!(partition_thread_counts(&[1, 2], 0), (vec![1], vec![2]));
     }
 }

@@ -22,11 +22,10 @@
 //!   canonical bytes, less wall clock;
 //! * [`cli`] — the `lab` binary (`list` / `run` / `sweep` / `bench` /
 //!   `serve` / `trace`);
-//! * `bench` — the `lab bench` subcommand: the one producer of the four
-//!   committed perf records (`BENCH_{events,scale,service,sweep}.json`, whose
-//!   serde types are in `views`) and the baseline-free checks on what it
-//!   measured — traced = dark, tracing ≤ 1.5×, every scale point
-//!   `AllComplete`, thread-count and fork identity, 4-thread scaling;
+//! * `bench` — the `lab bench` subcommand: three baseline-free self-checks
+//!   no test makes — traced = dark at ≤ 1.5× the wall clock, fig20
+//!   `AllComplete` up to N = 10,000, 4-worker identity and scaling — and
+//!   nothing written (performance is recorded by `benchmark/`);
 //! * [`serve`] — the `lab serve` subcommand: an open-system scenario's cells
 //!   (fig21/fig22) driven by `netsim::service`'s generator-admitted swarms,
 //!   reported as sustained goodput and per-cohort completion percentiles
@@ -49,7 +48,6 @@ pub mod registry;
 pub mod scenario;
 pub mod serve;
 pub mod trace_cmd;
-mod views;
 
 pub use cli::lab_main;
 pub use executor::{run_indexed, run_sweep, run_sweep_with, CellReport, SweepReport};

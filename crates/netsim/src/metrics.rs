@@ -12,8 +12,6 @@
 //! ([`VtHistogram`]): the "when was the run busy" view. (Where the *host's*
 //! time went is measured from outside, by `benchmark/run.sh --trace 1`.)
 
-use serde::{Serialize, Value};
-
 /// Monotonic counters maintained by the runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(usize)]
@@ -273,31 +271,6 @@ impl MetricsSnapshot {
     }
 }
 
-impl Serialize for MetricsSnapshot {
-    fn to_value(&self) -> Value {
-        let kv = |pairs: &[(&'static str, u64)]| {
-            Value::Object(
-                pairs
-                    .iter()
-                    .map(|&(k, v)| (k.to_string(), Value::UInt(v)))
-                    .collect(),
-            )
-        };
-        Value::Object(vec![
-            ("counters".to_string(), kv(&self.counters)),
-            ("gauges".to_string(), kv(&self.gauges)),
-            (
-                "vt_bucket_secs".to_string(),
-                Value::Float(self.vt_bucket_secs),
-            ),
-            (
-                "events_by_vt".to_string(),
-                Value::Array(self.events_by_vt.iter().map(|&v| Value::UInt(v)).collect()),
-            ),
-        ])
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -329,15 +302,5 @@ mod tests {
         h.observe(35.0);
         assert_eq!(h.buckets, vec![2, 1, 0, 1]);
         assert_eq!(h.total(), 4);
-    }
-
-    #[test]
-    fn snapshot_serializes_to_named_objects() {
-        let mut reg = MetricsRegistry::new(10.0);
-        reg.inc(Counter::ProbeTicks);
-        reg.events_by_vt.observe(12.0);
-        let json = serde_json::to_string(&reg.snapshot()).unwrap();
-        assert!(json.contains(r#""probe_ticks":1"#), "{json}");
-        assert!(json.contains(r#""events_by_vt":[0,1]"#), "{json}");
     }
 }
