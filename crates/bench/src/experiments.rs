@@ -803,10 +803,9 @@ pub fn fig20_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
 /// Figure 20's presentation: the workload at N ∈ {1,000, 5,000, 10,000};
 /// `--nodes` collapses the trajectory to that one point. Each point
 /// contributes its download-time CDF plus the deterministic events-processed
-/// count; the wall-clock throughput goes to stderr (`lab bench` records it
-/// in `BENCH_scale.json` from its own runs of this workload), **not** into
-/// the figure, so sweep output stays byte-identical across machines and
-/// thread counts.
+/// count; the wall-clock throughput goes to stderr, **not** into the figure,
+/// so sweep output stays byte-identical across machines and thread counts
+/// (`lab bench` runs the same three points and checks they complete).
 pub fn fig20_figure(w: &Workload, opts: &CommonOpts) -> Figure {
     let sizes: Vec<usize> = match opts.nodes {
         Some(n) => vec![n],
@@ -844,8 +843,8 @@ pub fn fig20_figure(w: &Workload, opts: &CommonOpts) -> Figure {
     }
     fig.push(Series::xy("events processed vs swarm size", events));
     fig.note(
-        "wall-clock throughput is machine-local and reported on stderr / in \
-         BENCH_scale.json; the figure itself is deterministic per seed"
+        "wall-clock throughput is machine-local and reported on stderr; \
+         the figure itself is deterministic per seed"
             .to_string(),
     );
     fig

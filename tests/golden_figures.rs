@@ -50,7 +50,7 @@ const FIGURES: [(&str, u64); 21] = [
     ("fig17", 0xe489_b6bc_7300_5b29),
     ("fig18", 0xede4_2ad8_40d1_f4ce),
     ("fig19", 0x89e4_2c3a_6a9f_5731),
-    ("fig20", 0x07e7_5037_99a9_3bdd),
+    ("fig20", 0x381d_3640_da9d_5fc8),
     ("fig21", 0x1e09_4750_8d93_c6de),
     ("fig22", 0x75f5_506a_852c_092d),
 ];
