@@ -1,10 +1,10 @@
 #!/usr/bin/env sh
 # CI gate for bullet-repro: the tier-1 verify from ROADMAP.md (build + test),
-# lint and docs, the golden digests on the release build, a CLI smoke, and one
-# perf step — `lab bench`, which writes the BENCH_*.json records and checks
-# what it measured itself. Nothing here parses a record or compares against a
-# committed one: cross-commit comparison is the paired benchmark run
-# (BENCHMARK.json, benchmark/). Run from the repository root: ./ci.sh
+# lint and docs, the golden digests on the release build, a CLI smoke, and
+# `lab bench` — three self-checks on what it measures itself, nothing written.
+# Nothing here records performance or compares against a committed number:
+# that is the paired benchmark run (BENCHMARK.json, benchmark/). Run from the
+# repository root: ./ci.sh
 set -eu
 
 # Formatting gate (cheap, so it runs first). The one-time whole-tree
@@ -107,16 +107,19 @@ expect_refusal fig21 "lab serve fig21"
 expect_refusal fig15 "Shotgun"
 echo "lab list: 21 rows; trace fig11 replays and lists 5 receivers; fig21 and fig15 refused with status 2"
 
-# Perf records: `lab bench` takes no options, runs the four fixed workloads
-# (fig05 dark, then instrumented with a counting trace sink and nothing else;
-# fig20 at N = 1k / 5k / 10k; the fig21 loads; the fig05 sweep per thread
-# count plus fig05w forked vs fresh), rewrites
-# BENCH_{events,scale,service,sweep}.json and exits non-zero if a check on
-# its own measurements fails: traced canonical = dark canonical, tracing
-# <= 1.5x, every scale point AllComplete, canonical identity across thread
-# counts and across fork/fresh, 4 threads >= 1.5x on a host that has them.
-echo "==> perf records + self-checks (lab bench)"
+# Self-checks: `lab bench` takes no options, runs three fixed workloads (fig05
+# dark, then instrumented with a counting trace sink and nothing else; fig20
+# at N = 1k / 5k / 10k; on a host with four threads the fig05 sweep on 1 and 4
+# workers) and exits non-zero if a check on its own measurements fails: traced
+# canonical = dark canonical, tracing <= 1.5x, every scale point AllComplete,
+# canonical identity across worker counts and 4 workers >= 1.5x. It writes
+# nothing: the perf records it used to leave at the root are gone for good.
+echo "==> self-checks (lab bench)"
 ./target/release/lab bench
+if git status --porcelain | grep -q 'BENCH_.*\.json'; then
+    echo "FAIL: a perf-record file appeared at the root; performance is recorded by benchmark/ only"
+    exit 1
+fi
 
 # LoC per crate, the series CHANGES.md continues from PR to PR: non-blank,
 # non-`//` lines before a file's first `#[cfg(test)]`. "all" counts every

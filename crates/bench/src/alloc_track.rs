@@ -1,6 +1,6 @@
-//! A counting global allocator shared by the binaries that record
-//! allocation figures: `lab` (for `lab bench`'s `run_allocs` and
-//! `peak_alloc_bytes`) and the `benchmark/` harness.
+//! A counting global allocator for a binary that records allocation
+//! figures: the `benchmark/` harness installs it in its own process (no
+//! binary of this workspace does — every allocation pays three atomics).
 //!
 //! Tracks three numbers on top of the system allocator: the cumulative
 //! allocation count (a deterministic proxy for per-event overhead), the
@@ -9,7 +9,7 @@
 //! `/proc/self/status` it exists on every platform, and unlike RSS it is
 //! deterministic for a deterministic workload (modulo allocator rounding).
 //!
-//! The binaries install it with
+//! A binary installs it with
 //!
 //! ```ignore
 //! #[global_allocator]
@@ -19,7 +19,7 @@
 //! and read the counters through the free functions below. The counters are
 //! process-global; [`reset_peak`] rebases the high-water mark onto the
 //! current live size so successive runs in one process report independent
-//! peaks (both callers reset and read on one thread with no run in flight,
+//! peaks (the harness resets and reads on one thread with no run in flight,
 //! so there is no race between the reset and the next run).
 
 use std::alloc::{GlobalAlloc, Layout, System};

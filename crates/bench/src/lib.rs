@@ -23,13 +23,12 @@
 //! * [`opts`] — the shared figure options (`--nodes`, `--mb`, `--seed`, …);
 //! * [`bounds`] — the analytic reference curves of Fig 4;
 //! * [`alloc_track`] — the counting global allocator behind the allocation
-//!   counts and peak-heap-bytes figures of `lab bench`'s records and of the
-//!   `benchmark/` harness.
+//!   counts and peak-heap-bytes figures of the `benchmark/` harness.
 //!
 //! Figures are run through the `bullet_lab` crate's scenario registry (`lab
-//! run <name>`), and the committed perf records are written by `lab bench`,
-//! which runs registry workloads from [`experiments`] at fixed options. This
-//! crate ships no binaries. Criterion micro-benchmarks for the core data
+//! run <name>`); `lab bench` runs three registry workloads from
+//! [`experiments`] at fixed options and checks them, and performance is
+//! recorded by `benchmark/`. This crate ships no binaries. Criterion micro-benchmarks for the core data
 //! structures live in `benches/`.
 
 pub mod alloc_track;

@@ -9,8 +9,9 @@
 //! simulates that prefix once per seed ([`Workload::prefix`]) and forks
 //! every variant from the checkpoint ([`Workload::fork`]) instead of
 //! re-simulating it per cell. The snapshot contract makes the forked and the
-//! uninterrupted run canonically byte-identical; `lab bench` re-checks it
-//! on every CI run.
+//! uninterrupted run canonically byte-identical
+//! (`forked_cell_matches_the_uninterrupted_run` below,
+//! `tests/golden_figures.rs` for the whole sweep).
 
 use netsim::RunReport;
 

@@ -7,10 +7,11 @@
 //! through a shared atomic cursor (idle workers steal the next unclaimed
 //! cell) and merges results **by cell index**. The canonical JSON rendering
 //! ([`SweepReport::to_canonical_json`]) is therefore byte-identical for any
-//! `--threads` value, which `tests/lab_smoke.rs` asserts and `lab bench`
-//! re-checks on every CI run; the full rendering ([`SweepReport::to_json`])
-//! additionally carries per-cell wall-clock telemetry, which is machine- and
-//! schedule-dependent by nature and excluded from the identity guarantee.
+//! `--threads` value, which `tests/lab_smoke.rs` asserts (and `lab bench`
+//! re-checks on a host with four threads); the full rendering
+//! ([`SweepReport::to_json`]) additionally carries per-cell wall-clock
+//! telemetry, which is machine- and schedule-dependent by nature and
+//! excluded from the identity guarantee.
 //!
 //! Cells are claimed in **longest-first order**: the cursor walks a
 //! precomputed permutation that sorts cells by estimated cost (simulated
@@ -217,7 +218,7 @@ pub fn run_indexed<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T +
 /// workers and merges the per-cell figures by cell index. Equivalent to
 /// [`run_sweep_with`] with prefix sharing on — the default: sharing is an
 /// executor optimisation whose canonical output is byte-identical to the
-/// uninterrupted runs (`lab bench` checks it in CI).
+/// uninterrupted runs (`tests/golden_figures.rs` pins both).
 ///
 /// `base` supplies the options every cell starts from; each cell applies its
 /// parameter point's overrides and its seed. With `threads == 1` the cells

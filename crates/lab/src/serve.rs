@@ -13,7 +13,7 @@
 //! sweeps, the merged output is **byte-identical for any `--threads` value**
 //! — each cell is one deterministic simulation and results merge by cell
 //! index. `lab serve` re-checks that identity when more than one thread
-//! count is given, mirroring `lab bench`.
+//! count is given.
 
 use std::time::Instant;
 
