@@ -914,6 +914,10 @@ pub fn fig15(opts: &CommonOpts) -> Figure {
 /// The independent service runs of an open scenario, by label.
 pub type ServiceCells = Vec<(String, ServiceWorkload)>;
 
+/// How an open scenario presents its cells' reports, one per cell in cell
+/// order.
+pub type ServiceFigureFn = fn(&[(String, ServiceWorkload)], &[ServiceReport]) -> Figure;
+
 /// The offered-load points of fig21, in swarm arrivals per 1000 virtual
 /// seconds. Ascending, so the knee (segment queueing, core saturation) sits
 /// at the tail of every series.

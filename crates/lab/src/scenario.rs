@@ -12,9 +12,9 @@
 //! functions themselves live in `bullet_bench::experiments`; the default
 //! parameter sweep and seed plan are data here.
 
-use bullet_bench::experiments::WorkloadFn;
+use bullet_bench::experiments::{ServiceFigureFn, WorkloadFn};
 use bullet_bench::{CommonOpts, Figure, ServiceWorkload, WarmPrefix, Workload};
-use netsim::{RunReport, ServiceReport};
+use netsim::RunReport;
 
 /// How a closed scenario turns its workload into a figure.
 #[derive(Clone, Copy)]
@@ -47,7 +47,7 @@ pub enum Body {
         cells: fn(&CommonOpts) -> Vec<(String, ServiceWorkload)>,
         /// Presents the cells' reports, one per cell in cell order. As with
         /// [`Presentation::Run`], whoever holds the scenario supplies them.
-        figure: fn(&[(String, ServiceWorkload)], &[ServiceReport]) -> Figure,
+        figure: ServiceFigureFn,
     },
     /// An analytic model; nothing is emulated.
     Model(fn(&CommonOpts) -> Figure),
