@@ -10,8 +10,9 @@
 //! scenario's. The open-system scenarios (fig21 / fig22) are the same over a
 //! list of labelled [`ServiceWorkload`] cells, except that their presentation
 //! runs nothing: it receives the cells' reports from whoever holds the
-//! scenario. fig15 is an analytic model with nothing to emulate. `bullet_lab`'s registry pairs the functions up;
-//! `figNN(&opts)` here is the pair applied to the default sweep point.
+//! scenario. fig15 is an analytic model with nothing to emulate.
+//! `bullet_lab`'s registry pairs the functions up; `figNN(&opts)` here is the
+//! pair applied to the default sweep point.
 //!
 //! Default workloads are reduced (≈1/10 of the paper's byte volume, 40
 //! instead of 100 nodes) so the whole suite runs in minutes; `--full`

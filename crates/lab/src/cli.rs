@@ -150,13 +150,10 @@ pub(crate) fn parse_sweep_args(args: Vec<String>) -> Result<SweepArgs, String> {
                 }
             }
             "--seeds" => out.seeds = Some(parse_list(&value_for("--seeds")?)?),
-            "--seed-count" => {
-                let count = value_for("--seed-count")?.parse::<usize>();
-                if !matches!(count, Ok(1..)) {
-                    return Err(format!("--seed-count must be a positive integer\n{USAGE}"));
-                }
-                out.seed_count = count.ok();
-            }
+            "--seed-count" => match value_for("--seed-count")?.parse() {
+                Ok(count @ 1..) => out.seed_count = Some(count),
+                _ => return Err(format!("--seed-count must be a positive integer\n{USAGE}")),
+            },
             "--json" => out.json = Some(value_for("--json")?),
             other => out.rest.push(other.to_string()),
         }
