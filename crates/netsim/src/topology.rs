@@ -88,7 +88,7 @@ impl LinkId {
 
 /// A directed core link: the capacity and loss every path mapped onto it
 /// shares. A pair's [`PathSpec`] reads both from here.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 struct CoreLink {
     /// Raw capacity in bytes/second.
     capacity: BytesPerSec,
@@ -231,20 +231,32 @@ impl Topology {
     /// the core link it rides. A node reaches itself over no link: no
     /// capacity limit, no delay, no loss.
     pub fn path(&self, a: NodeId, b: NodeId) -> PathSpec {
-        let (ai, bi) = (a.index(), b.index());
-        let (bw, delay, loss) = match &self.core_model {
-            _ if a == b => (f64::INFINITY, SimDuration::ZERO, 0.0),
+        if a == b {
+            return PathSpec {
+                bw: f64::INFINITY,
+                delay: SimDuration::ZERO,
+                loss: 0.0,
+            };
+        }
+        match &self.core_model {
             CoreModel::Dense {
                 delay,
                 core_links,
                 link_of,
             } => {
-                let link = &core_links[link_of[ai][bi] as usize];
-                (link.capacity, delay[ai][bi], link.loss)
+                let link = core_links[link_of[a.index()][b.index()] as usize];
+                PathSpec {
+                    bw: link.capacity,
+                    delay: delay[a.index()][b.index()],
+                    loss: link.loss,
+                }
             }
-            CoreModel::Uniform { jitter, loss } => (f64::INFINITY, jitter[ai] + jitter[bi], *loss),
-        };
-        PathSpec { bw, delay, loss }
+            CoreModel::Uniform { jitter, loss } => PathSpec {
+                bw: f64::INFINITY,
+                delay: jitter[a.index()] + jitter[b.index()],
+                loss: *loss,
+            },
+        }
     }
 
     /// Sets the capacity of the core link carrying `a → b` to `bw`
