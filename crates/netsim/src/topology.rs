@@ -88,7 +88,7 @@ impl LinkId {
 
 /// A directed core link: the capacity and loss every path mapped onto it
 /// shares. A pair's [`PathSpec`] reads both from here.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone)]
 struct CoreLink {
     /// Raw capacity in bytes/second.
     capacity: BytesPerSec,
@@ -231,32 +231,20 @@ impl Topology {
     /// the core link it rides. A node reaches itself over no link: no
     /// capacity limit, no delay, no loss.
     pub fn path(&self, a: NodeId, b: NodeId) -> PathSpec {
-        if a == b {
-            return PathSpec {
-                bw: f64::INFINITY,
-                delay: SimDuration::ZERO,
-                loss: 0.0,
-            };
-        }
-        match &self.core_model {
+        let (bw, loss) = match &self.core_model {
+            _ if a == b => (f64::INFINITY, 0.0),
             CoreModel::Dense {
-                delay,
                 core_links,
                 link_of,
+                ..
             } => {
-                let link = core_links[link_of[a.index()][b.index()] as usize];
-                PathSpec {
-                    bw: link.capacity,
-                    delay: delay[a.index()][b.index()],
-                    loss: link.loss,
-                }
+                let link = &core_links[link_of[a.index()][b.index()] as usize];
+                (link.capacity, link.loss)
             }
-            CoreModel::Uniform { jitter, loss } => PathSpec {
-                bw: f64::INFINITY,
-                delay: jitter[a.index()] + jitter[b.index()],
-                loss: *loss,
-            },
-        }
+            CoreModel::Uniform { loss, .. } => (f64::INFINITY, *loss),
+        };
+        let delay = self.core_delay(a, b);
+        PathSpec { bw, delay, loss }
     }
 
     /// Sets the capacity of the core link carrying `a → b` to `bw`
@@ -414,8 +402,17 @@ impl Topology {
     /// access).
     pub fn one_way_delay(&self, a: NodeId, b: NodeId) -> SimDuration {
         self.nodes[a.index()].access_delay
-            + self.path(a, b).delay
+            + self.core_delay(a, b)
             + self.nodes[b.index()].access_delay
+    }
+
+    /// Core propagation delay from `a` to `b` (zero to itself).
+    fn core_delay(&self, a: NodeId, b: NodeId) -> SimDuration {
+        match &self.core_model {
+            _ if a == b => SimDuration::ZERO,
+            CoreModel::Dense { delay, .. } => delay[a.index()][b.index()],
+            CoreModel::Uniform { jitter, .. } => jitter[a.index()] + jitter[b.index()],
+        }
     }
 
     /// Round-trip time between `a` and `b`.
