@@ -52,7 +52,7 @@ pub use dynamics::{
     BandwidthChange, ChangeSchedule, CrossSchedule, CrossTraffic, LinkChangeBatch, NodeEvent,
     NodeSchedule,
 };
-pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot, VtHistogram};
+pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
 pub use network::{BlockReceipt, ConnUpdate, Network, NodeTraffic, SolverStats};
 pub use probe::{NodeSample, ProbeStats, StatsProbe, TimeSample, TimeSeries};
 pub use protocol::{Command, Ctx, Protocol, TimerToken, WireSize};

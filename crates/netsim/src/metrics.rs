@@ -6,11 +6,8 @@
 //! benchmark hot path. Every quantity is a pure function of virtual-time
 //! activity (no wall-clock input), so two runs of the same configuration
 //! produce identical [`MetricsSnapshot`]s and the snapshot can ride on the
-//! deterministic [`crate::RunReport`].
-//!
-//! The registry also buckets processed events by virtual time
-//! ([`VtHistogram`]): the "when was the run busy" view. (Where the *host's*
-//! time went is measured from outside, by `benchmark/run.sh --trace 1`.)
+//! deterministic [`crate::RunReport`]. (Where the *host's* time went is
+//! measured from outside, by `benchmark/run.sh --trace 1`.)
 
 /// Monotonic counters maintained by the runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -117,78 +114,15 @@ impl Gauge {
     }
 }
 
-/// A histogram over virtual time: one bucket per `bucket_secs` of the run,
-/// grown on demand. Buckets hold plain occurrence counts.
-#[derive(Debug, Clone, PartialEq)]
-pub struct VtHistogram {
-    /// Width of each bucket, in virtual seconds.
-    pub bucket_secs: f64,
-    /// Occurrences per bucket; bucket `i` covers
-    /// `[i * bucket_secs, (i + 1) * bucket_secs)`.
-    pub buckets: Vec<u64>,
-}
-
-impl VtHistogram {
-    /// Creates an empty histogram with the given bucket width.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `bucket_secs` is not positive.
-    pub fn new(bucket_secs: f64) -> Self {
-        assert!(bucket_secs > 0.0, "bucket width must be positive");
-        VtHistogram {
-            bucket_secs,
-            buckets: Vec::new(),
-        }
-    }
-
-    /// Records one occurrence at virtual time `t_secs`.
-    #[inline]
-    pub fn observe(&mut self, t_secs: f64) {
-        let idx = (t_secs / self.bucket_secs) as usize;
-        if idx >= self.buckets.len() {
-            self.buckets.resize(idx + 1, 0);
-        }
-        self.buckets[idx] += 1;
-    }
-
-    /// Total occurrences across all buckets.
-    pub fn total(&self) -> u64 {
-        self.buckets.iter().sum()
-    }
-}
-
 /// The live registry the runner owns. Updating is an array index away; the
 /// deterministic summary is taken with [`MetricsRegistry::snapshot`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct MetricsRegistry {
     counters: [u64; Counter::COUNT],
     gauges: [u64; Gauge::COUNT],
-    /// Processed events bucketed by virtual time.
-    pub events_by_vt: VtHistogram,
-}
-
-/// Default virtual-time bucket width for the events histogram: wide enough
-/// that a paper-scale run (a few hundred virtual seconds) stays at a handful
-/// of buckets.
-pub const DEFAULT_VT_BUCKET_SECS: f64 = 10.0;
-
-impl Default for MetricsRegistry {
-    fn default() -> Self {
-        MetricsRegistry::new(DEFAULT_VT_BUCKET_SECS)
-    }
 }
 
 impl MetricsRegistry {
-    /// Creates an empty registry with the given histogram bucket width.
-    pub fn new(bucket_secs: f64) -> Self {
-        MetricsRegistry {
-            counters: [0; Counter::COUNT],
-            gauges: [0; Gauge::COUNT],
-            events_by_vt: VtHistogram::new(bucket_secs),
-        }
-    }
-
     /// Adds one to `counter`.
     #[inline]
     pub fn inc(&mut self, counter: Counter) {
@@ -232,8 +166,6 @@ impl MetricsRegistry {
                 .iter()
                 .map(|&g| (g.name(), self.gauge(g)))
                 .collect(),
-            vt_bucket_secs: self.events_by_vt.bucket_secs,
-            events_by_vt: self.events_by_vt.buckets.clone(),
         }
     }
 }
@@ -247,10 +179,6 @@ pub struct MetricsSnapshot {
     pub counters: Vec<(&'static str, u64)>,
     /// `(name, value)` per [`Gauge`], in declaration order.
     pub gauges: Vec<(&'static str, u64)>,
-    /// Bucket width of the events histogram, virtual seconds.
-    pub vt_bucket_secs: f64,
-    /// Processed events per virtual-time bucket.
-    pub events_by_vt: Vec<u64>,
 }
 
 impl MetricsSnapshot {
@@ -291,16 +219,5 @@ mod tests {
         // Every declared counter appears exactly once, in declaration order.
         assert_eq!(snap.counters.len(), Counter::ALL.len());
         assert_eq!(snap.counters[0].0, "control_messages");
-    }
-
-    #[test]
-    fn histogram_buckets_by_virtual_time() {
-        let mut h = VtHistogram::new(10.0);
-        h.observe(0.0);
-        h.observe(9.999);
-        h.observe(10.0);
-        h.observe(35.0);
-        assert_eq!(h.buckets, vec![2, 1, 0, 1]);
-        assert_eq!(h.total(), 4);
     }
 }

@@ -693,8 +693,7 @@ impl<P: Protocol> Runner<P> {
                 }
                 Some(_) => {}
             }
-            let (t, ev) = self.run.sim.step().expect("peeked event must exist");
-            self.run.metrics.events_by_vt.observe(t.as_secs_f64());
+            let (_, ev) = self.run.sim.step().expect("peeked event must exist");
             let solver_before = self.trace.is_some().then(|| self.run.net.solver_stats());
             self.handle(ev);
             // Solver activity is attributed per event by diffing the
