@@ -1,7 +1,7 @@
 //! Criterion micro-benchmarks for the core data structures and algorithms:
-//! the LT rateless codes, block bitmaps, RanSub sample merging, the rsync
-//! delta codec, the flow-control step, the discrete-event engine, the fluid
-//! solver and the request strategy.
+//! block bitmaps, RanSub sample merging, the rsync delta codec, the
+//! flow-control step, the discrete-event engine, the fluid solver and the
+//! request strategy.
 //!
 //! These are wall-clock benchmarks of the *implementation* (the figures
 //! measure emulated protocol behaviour, not host CPU time). Each says which
@@ -15,32 +15,10 @@ use rand::{Rng, SeedableRng};
 
 use bullet_prime::{OutstandingController, OutstandingPolicy, RequestManager, RequestStrategy};
 use desim::{EventKey, EventQueue, RngFactory, SimDuration, SimTime, Simulator};
-use dissem_codec::{BlockBitmap, BlockId, LtDecoder, LtEncoder};
+use dissem_codec::{BlockBitmap, BlockId};
 use netsim::{topology, ConnUpdate, Network, NodeId};
 use overlay::{merge_samples, NodeSummary, Sample};
 use shotgun::{apply_delta, generate_delta};
-
-// No harness driver covers the LT codes (nothing but this bench and their
-// own tests reaches them; ROADMAP item 1's fig13 claim decides their fate).
-fn bench_lt_codes(c: &mut Criterion) {
-    let mut group = c.benchmark_group("lt_codes");
-    for &k in &[256u32, 1024] {
-        let block = 1024usize;
-        let data: Vec<u8> = (0..k as usize * block).map(|i| i as u8).collect();
-        group.throughput(Throughput::Bytes(data.len() as u64));
-        group.bench_with_input(BenchmarkId::new("encode_decode", k), &k, |b, &k| {
-            b.iter(|| {
-                let mut enc = LtEncoder::new(&data, block, 7);
-                let mut dec = LtDecoder::new(k, block);
-                while !dec.is_complete() {
-                    dec.push(&enc.next_block());
-                }
-                dec.recovered_count()
-            })
-        });
-    }
-    group.finish();
-}
 
 // `difference_count` predicts `dissem_codec.bitmap.ns_per_diff`, which the
 // harness reads at its workloads' k <= 1280; this is the paper's k = 6400.
@@ -310,7 +288,6 @@ fn bench_request_select(c: &mut Criterion) {
 
 criterion_group!(
     benches,
-    bench_lt_codes,
     bench_bitmap,
     bench_ransub_merge,
     bench_rsync_delta,

@@ -7,7 +7,6 @@
 //! * [`block`] — the file/block layout ([`FileSpec`], [`BlockId`]);
 //! * [`bitmap`] — per-node block availability sets ([`BlockBitmap`]);
 //! * [`diff`] — incremental availability diffs (paper §3.3.4);
-//! * [`soliton`] / [`lt`] — rateless erasure codes (paper §2.2, §4.6);
 //! * [`mod@file`] — real in-memory content, slicing and reassembly, used by the
 //!   examples, Shotgun and the integrity tests.
 
@@ -17,15 +16,11 @@ pub mod bitmap;
 pub mod block;
 pub mod diff;
 pub mod file;
-pub mod lt;
-pub mod soliton;
 
 pub use bitmap::BlockBitmap;
 pub use block::{BlockId, FileSpec};
 pub use diff::{Diff, DiffTracker};
 pub use file::{FileAssembler, FileData};
-pub use lt::{EncodedBlock, LtDecoder, LtEncoder};
-pub use soliton::RobustSoliton;
 
 #[cfg(test)]
 mod proptests {
@@ -142,49 +137,6 @@ mod proptests {
                 prop_assert!(sender.contains(*b));
             }
             prop_assert_eq!(second.blocks.len() as u32, sender.count() - before.count());
-        }
-
-        /// LT decoding is robust to duplicated encoded blocks: feeding every
-        /// block twice still converges to the original content.
-        #[test]
-        fn lt_round_trip_survives_duplicates(
-            len in 1usize..1200,
-            block in 1usize..129,
-            seed in any::<u64>(),
-        ) {
-            let data: Vec<u8> = (0..len).map(|i| (i as u64 ^ seed) as u8).collect();
-            let mut enc = LtEncoder::new(&data, block, seed);
-            let k = enc.num_source_blocks();
-            let mut dec = LtDecoder::new(k, block);
-            let mut fed = 0u64;
-            while !dec.is_complete() {
-                let encoded = enc.next_block();
-                dec.push(&encoded);
-                dec.push(&encoded);
-                fed += 1;
-                prop_assert!(fed < 20 * u64::from(k) + 200, "decoder failed to converge");
-            }
-            prop_assert_eq!(dec.assemble(data.len()).unwrap(), data);
-        }
-
-        /// LT codes round-trip arbitrary content with arbitrary block sizes.
-        #[test]
-        fn lt_round_trip(
-            len in 1usize..2000,
-            block in 1usize..257,
-            seed in any::<u64>(),
-        ) {
-            let data: Vec<u8> = (0..len).map(|i| (i as u64 ^ seed) as u8).collect();
-            let mut enc = LtEncoder::new(&data, block, seed);
-            let k = enc.num_source_blocks();
-            let mut dec = LtDecoder::new(k, block.max(1));
-            let mut fed = 0u64;
-            while !dec.is_complete() {
-                dec.push(&enc.next_block());
-                fed += 1;
-                prop_assert!(fed < 20 * u64::from(k) + 200, "decoder failed to converge");
-            }
-            prop_assert_eq!(dec.assemble(data.len()).unwrap(), data);
         }
 
         /// The file assembler reconstructs content for any permutation of blocks.
