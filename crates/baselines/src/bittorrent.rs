@@ -11,7 +11,6 @@
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use bullet_prime::DownloadMetrics;
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
 use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, TimerToken, WireSize};
@@ -207,7 +206,9 @@ pub struct BitTorrentNode {
     /// Tracker state (only used on node 0): every node that has announced.
     swarm: Vec<NodeId>,
     optimistic: Option<NodeId>,
-    metrics: DownloadMetrics,
+    /// Block counters of [`Protocol::probe_stats`]; the peer counts are
+    /// filled in there.
+    stats: ProbeStats,
 }
 
 impl BitTorrentNode {
@@ -239,28 +240,13 @@ impl BitTorrentNode {
             in_flight: BTreeSet::new(),
             swarm: Vec::new(),
             optimistic: None,
-            metrics: DownloadMetrics::default(),
+            stats: ProbeStats::default(),
         }
     }
 
     /// True if this node is the initial seed.
     pub fn is_seed(&self) -> bool {
         self.id == NodeId(0)
-    }
-
-    /// Completion time in seconds, if the download finished.
-    pub fn completed_at(&self) -> Option<f64> {
-        self.metrics.completed_at
-    }
-
-    /// Arrival times of useful blocks (seconds), in arrival order.
-    pub fn arrival_times(&self) -> &[f64] {
-        &self.metrics.arrival_times
-    }
-
-    /// Number of duplicate block receipts.
-    pub fn duplicates(&self) -> u64 {
-        self.metrics.duplicate_blocks
     }
 
     /// Number of blocks currently held.
@@ -612,14 +598,14 @@ impl Protocol for BitTorrentNode {
     }
 
     fn on_block_received(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, receipt: BlockReceipt) {
-        let (block, now) = (receipt.block, ctx.now());
+        let block = receipt.block;
         let duplicate = self.have.contains(block);
         self.in_flight.remove(&block);
         if let Some(n) = self.neighbours.get_mut(&from) {
             n.outstanding.remove(&block);
             n.bytes_from += receipt.bytes;
         }
-        self.metrics.record_arrival(now, receipt.bytes, duplicate);
+        self.stats.record_arrival(receipt.bytes, duplicate);
         if !duplicate {
             self.have.insert(block);
             let piece = self.piece_of(block);
@@ -629,9 +615,6 @@ impl Protocol for BitTorrentNode {
                 // A completed piece may be announced and shared onward: the
                 // classic `Have` flood, one identical message per neighbour.
                 ctx.send_to_many(self.neighbours.keys().copied(), &BtMsg::Have { piece });
-            }
-            if self.download_done() {
-                self.metrics.record_completion(now, self.neighbours.len());
             }
         }
         self.issue_requests_to(ctx, from);
@@ -689,8 +672,11 @@ impl Protocol for BitTorrentNode {
     fn probe_stats(&self) -> ProbeStats {
         // The BitTorrent mesh is symmetric: every neighbour is both a
         // potential sender and a potential receiver.
-        self.metrics
-            .probe_stats(self.neighbours.len(), self.neighbours.len())
+        ProbeStats {
+            senders: self.neighbours.len(),
+            receivers: self.neighbours.len(),
+            ..self.stats
+        }
     }
 }
 

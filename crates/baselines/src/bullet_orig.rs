@@ -30,12 +30,12 @@ use bullet_prime::{
     BulletPrimeNode, Config, OutstandingPolicy, PeerSetPolicy, RequestStrategy, TransferMode,
 };
 
+use crate::ASSUMED_ENCODING_OVERHEAD;
+
 /// Fixed number of senders and receivers in original Bullet.
 pub const BULLET_PEERS: usize = 10;
 /// Fixed per-sender outstanding window in original Bullet.
 pub const BULLET_OUTSTANDING: u32 = 5;
-/// Encoding overhead the paper grants Bullet and SplitStream.
-pub const ASSUMED_ENCODING_OVERHEAD: f64 = 0.04;
 
 /// Configuration for an original-Bullet deployment.
 pub fn bullet_config(file: FileSpec) -> Config {

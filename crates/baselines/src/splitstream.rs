@@ -11,7 +11,6 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
-use bullet_prime::DownloadMetrics;
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
 use netsim::{
@@ -19,12 +18,12 @@ use netsim::{
 };
 use rand::seq::SliceRandom;
 
+use crate::ASSUMED_ENCODING_OVERHEAD;
+
 /// Number of stripes (and stripe trees).
 pub const DEFAULT_STRIPES: usize = 8;
 /// Interior fan-out of each stripe tree.
 pub const STRIPE_FANOUT: usize = 4;
-/// Encoding overhead allowance granted by the paper.
-pub const ASSUMED_ENCODING_OVERHEAD: f64 = 0.04;
 /// Blocks kept in flight towards each child per stripe.
 const PUSH_WINDOW: usize = 3;
 
@@ -179,7 +178,9 @@ pub struct SplitStreamNode {
     block_space: u32,
     /// Source bookkeeping: next block to inject.
     next_inject: u32,
-    metrics: DownloadMetrics,
+    /// Block counters of [`Protocol::probe_stats`]; the peer counts are
+    /// filled in there.
+    stats: ProbeStats,
 }
 
 impl SplitStreamNode {
@@ -204,23 +205,8 @@ impl SplitStreamNode {
             completion_target,
             block_space,
             next_inject: 0,
-            metrics: DownloadMetrics::default(),
+            stats: ProbeStats::default(),
         }
-    }
-
-    /// Completion time (seconds), if reached.
-    pub fn completed_at(&self) -> Option<f64> {
-        self.metrics.completed_at
-    }
-
-    /// Arrival times of useful blocks (seconds).
-    pub fn arrival_times(&self) -> &[f64] {
-        &self.metrics.arrival_times
-    }
-
-    /// Number of duplicate receipts (should be zero: trees never duplicate).
-    pub fn duplicates(&self) -> u64 {
-        self.metrics.duplicate_blocks
     }
 
     /// Number of distinct blocks held.
@@ -305,16 +291,13 @@ impl Protocol for SplitStreamNode {
     }
 
     fn on_block_received(&mut self, ctx: &mut Ctx<'_, Self>, _from: NodeId, receipt: BlockReceipt) {
-        let (block, now) = (receipt.block, ctx.now());
+        let block = receipt.block;
         let duplicate = self.have.contains(block);
-        self.metrics.record_arrival(now, receipt.bytes, duplicate);
+        self.stats.record_arrival(receipt.bytes, duplicate);
         if duplicate {
             return;
         }
         self.have.insert(block);
-        if self.download_done() {
-            self.metrics.record_completion(now, self.forest.stripes());
-        }
         // Forward down our stripe subtree regardless of our own completion.
         self.forward(ctx, block);
     }
@@ -357,8 +340,11 @@ impl Protocol for SplitStreamNode {
         } else {
             self.forest.stripes()
         };
-        self.metrics
-            .probe_stats(senders, self.forest.fanout(self.id))
+        ProbeStats {
+            senders,
+            receivers: self.forest.fanout(self.id),
+            ..self.stats
+        }
     }
 }
 
@@ -454,7 +440,7 @@ mod tests {
         assert_eq!(report.reason, StopReason::AllComplete, "{report:?}");
         // Trees never deliver the same block twice to a node.
         for node in runner.nodes().iter().skip(1) {
-            assert_eq!(node.duplicates(), 0);
+            assert_eq!(node.probe_stats().duplicate_blocks, 0);
         }
     }
 }

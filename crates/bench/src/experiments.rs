@@ -22,8 +22,12 @@
 use desim::SimTime;
 use dissem_codec::FileSpec;
 use netsim::units::{mbps, to_mbps};
-use netsim::{ArrivalGen, RunReport, ServiceReport, ServiceSample, TimeSeries};
+use netsim::{
+    ArrivalGen, RunReport, ServiceReport, ServiceSample, TimeSeries, TraceEvent, TraceRecord,
+    TraceSink,
+};
 
+use baselines::ASSUMED_ENCODING_OVERHEAD;
 use bullet_prime::{Config, FlashShape, OutstandingPolicy, PeerSetPolicy, RequestStrategy};
 use shotgun::{
     parallel_rsync_times, planetlab_client_bandwidths, simulate_shotgun, RsyncModelParams,
@@ -437,18 +441,77 @@ pub fn fig12_figure(w: &Workload, _: &CommonOpts) -> Figure {
     })
 }
 
-/// Figure 13's presentation (its workload is [`fig04_workload`]).
+/// Fig 13's trace sink: per node, the arrival instant of every useful block
+/// in arrival order. A `block_received` record whose cumulative
+/// `useful_bytes` did not rise delivered a duplicate and is skipped.
+struct ArrivalSink {
+    /// `(useful bytes at the last arrival, arrival times in seconds)` per
+    /// node id.
+    nodes: Vec<(u64, Vec<f64>)>,
+}
+
+impl TraceSink for ArrivalSink {
+    fn record(&mut self, rec: &TraceRecord) {
+        if let TraceEvent::BlockReceived {
+            node, useful_bytes, ..
+        } = rec.ev
+        {
+            let (seen, times) = &mut self.nodes[node as usize];
+            if useful_bytes > *seen {
+                *seen = useful_bytes;
+                times.push(rec.t);
+            }
+        }
+    }
+
+    fn recorded(&self) -> u64 {
+        self.nodes.iter().map(|(_, times)| times.len() as u64).sum()
+    }
+}
+
+/// Gaps between consecutive arrivals (Fig 13): the i-th entry is the wait
+/// before the (i+1)-th retrieved block.
+fn inter_arrival_times(arrivals: &[f64]) -> Vec<f64> {
+    arrivals.windows(2).map(|w| w[1] - w[0]).collect()
+}
+
+/// The §4.6 "overage": how much longer the last `tail` inter-arrival gaps
+/// took than the average gap. A pronounced last-block problem shows up as a
+/// large overage.
+fn last_blocks_overage(arrivals: &[f64], tail: usize) -> f64 {
+    let gaps = inter_arrival_times(arrivals);
+    if gaps.is_empty() || tail == 0 {
+        return 0.0;
+    }
+    let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
+    let tail = tail.min(gaps.len());
+    gaps[gaps.len() - tail..]
+        .iter()
+        .map(|g| (g - mean).max(0.0))
+        .sum()
+}
+
+/// Figure 13's presentation (its workload is [`fig04_workload`]). The run is
+/// traced: per-block history is the trace's, not the protocol's.
 pub fn fig13_figure(w: &Workload, _: &CommonOpts) -> Figure {
     let nodes = w.nodes;
-    let (_, receivers) = w.run_bullet_prime(&w.config());
+    let mut runner = w.bullet_prime_with(&w.config(), |runner| {
+        runner.set_trace_sink(Box::new(ArrivalSink {
+            nodes: vec![(0, Vec::new()); nodes],
+        }));
+    });
+    let report = w.run(&mut runner);
+    let sink = runner.take_trace_sink().expect("installed above");
+    let Ok(sink) = sink.downcast::<ArrivalSink>() else {
+        unreachable!("the sink installed above is an ArrivalSink");
+    };
 
     // Average the i-th inter-arrival gap across receivers.
     let mut sums: Vec<f64> = Vec::new();
     let mut counts: Vec<u32> = Vec::new();
     let mut overages = Vec::new();
-    let mut completions = Vec::new();
-    for node in receivers.iter().skip(1) {
-        let gaps = node.metrics().inter_arrival_times();
+    for (_, arrivals) in sink.nodes.iter().skip(1) {
+        let gaps = inter_arrival_times(arrivals);
         for (i, g) in gaps.iter().enumerate() {
             if i >= sums.len() {
                 sums.resize(i + 1, 0.0);
@@ -457,11 +520,13 @@ pub fn fig13_figure(w: &Workload, _: &CommonOpts) -> Figure {
             sums[i] += g;
             counts[i] += 1;
         }
-        overages.push(node.metrics().last_blocks_overage(20));
-        if let Some(c) = node.metrics().completed_at {
-            completions.push(c);
-        }
+        overages.push(last_blocks_overage(arrivals, 20));
     }
+    let completions: Vec<f64> = report.completion_secs[1..]
+        .iter()
+        .flatten()
+        .copied()
+        .collect();
     let series: Vec<(f64, f64)> = sums
         .iter()
         .zip(counts.iter())
@@ -480,7 +545,7 @@ pub fn fig13_figure(w: &Workload, _: &CommonOpts) -> Figure {
 
     let mean_overage = overages.iter().sum::<f64>() / overages.len().max(1) as f64;
     let mean_completion = completions.iter().sum::<f64>() / completions.len().max(1) as f64;
-    let encoding_cost = 0.04 * mean_completion;
+    let encoding_cost = ASSUMED_ENCODING_OVERHEAD * mean_completion;
     fig.note(format!(
         "last-20-block overage {:.2}s vs 4% source-encoding cost {:.2}s — encoding {} clearly beneficial (paper: 8.38s vs 7.60s, not clearly beneficial)",
         mean_overage,
@@ -1329,6 +1394,71 @@ mod tests {
         assert_eq!(fig.series.len(), 1);
         assert!(!fig.series[0].points.is_empty());
         assert!(fig.notes[0].contains("overage"));
+    }
+
+    /// Two receivers interleaved, with one duplicate delivery to node 1
+    /// (its `useful_bytes` stay at 10): the duplicate is no arrival, so it
+    /// splits no gap.
+    #[test]
+    fn arrival_sink_keeps_each_receivers_useful_arrivals() {
+        let received = |t: f64, node: u32, useful_bytes: u64| TraceRecord {
+            t,
+            seq: 0,
+            ev: TraceEvent::BlockReceived {
+                node,
+                from: 0,
+                block: 0,
+                bytes: 10,
+                useful_bytes,
+            },
+        };
+        let mut sink = ArrivalSink {
+            nodes: vec![(0, Vec::new()); 3],
+        };
+        let stream = [
+            received(1.0, 1, 10),
+            received(1.5, 2, 10),
+            received(2.0, 1, 10),
+            TraceRecord {
+                t: 2.5,
+                seq: 0,
+                ev: TraceEvent::ProbeTick,
+            },
+            received(3.0, 2, 20),
+            received(4.0, 1, 20),
+        ];
+        for rec in &stream {
+            sink.record(rec);
+        }
+        assert!(sink.nodes[0].1.is_empty());
+        assert_eq!(sink.nodes[1].1, [1.0, 4.0]);
+        assert_eq!(sink.nodes[2].1, [1.5, 3.0]);
+        assert_eq!(inter_arrival_times(&sink.nodes[1].1), [3.0]);
+        assert_eq!(sink.recorded(), 4);
+    }
+
+    #[test]
+    fn inter_arrival_times_are_gaps() {
+        assert_eq!(inter_arrival_times(&[1.0, 2.0, 4.0, 8.0]), [1.0, 2.0, 4.0]);
+        assert!(inter_arrival_times(&[]).is_empty());
+        assert!(inter_arrival_times(&[1.0]).is_empty());
+    }
+
+    #[test]
+    fn overage_detects_a_slow_tail() {
+        // 99 blocks arriving once per second, then a 31-second gap.
+        let mut slow_tail: Vec<f64> = (0..99).map(f64::from).collect();
+        slow_tail.push(98.0 + 31.0);
+        let overage = last_blocks_overage(&slow_tail, 20);
+        assert!(
+            overage > 29.0,
+            "a 31s gap against a ~1.3s mean must show up, got {overage}"
+        );
+
+        let uniform: Vec<f64> = (0..100).map(f64::from).collect();
+        assert!(last_blocks_overage(&uniform, 20) < 1e-9);
+        assert_eq!(last_blocks_overage(&[], 20), 0.0);
+        assert_eq!(last_blocks_overage(&slow_tail, 0), 0.0);
     }
 
     #[test]

@@ -29,7 +29,6 @@ pub mod builder;
 pub mod config;
 pub mod flow;
 pub mod messages;
-pub mod metrics;
 pub mod node;
 pub mod peering;
 pub mod request;
@@ -39,7 +38,6 @@ pub use builder::{build_group_runner, build_nodes, build_nodes_with_tree, build_
 pub use config::{Config, OutstandingPolicy, PeerSetPolicy, RequestStrategy, TransferMode};
 pub use flow::OutstandingController;
 pub use messages::Msg;
-pub use metrics::DownloadMetrics;
 pub use node::{BulletPrimeNode, Role, Timer};
 pub use peering::{EpochDecision, PeerManager, ReceiverObservation, SenderObservation};
 pub use request::RequestManager;
@@ -72,7 +70,7 @@ mod end_to_end {
     fn small_swarm_downloads_the_whole_file() {
         let (report, nodes) = run(12, 512, 42, |_| {});
         assert_eq!(report.reason, StopReason::AllComplete, "{report:?}");
-        for node in nodes.iter().skip(1) {
+        for (node, done) in nodes.iter().zip(&report.completion_secs).skip(1) {
             assert!(node.is_complete(), "node {} incomplete", node.id());
             // 512 KiB file / 16 KiB blocks = exactly 32 source blocks. In the
             // default unencoded mode (§3 of the paper) a receiver is complete
@@ -80,14 +78,14 @@ mod end_to_end {
             // the encoded mode, where completion needs (1+eps)*k distinct
             // encoded blocks (see `encoded_mode_completes_with_overhead_target`).
             assert_eq!(node.blocks_held(), 32);
-            assert!(node.metrics().completed_at.is_some());
+            assert!(done.is_some());
         }
         for node in nodes.iter().skip(1) {
             assert!(
-                node.metrics().duplicate_fraction() < 0.35,
+                node.probe_stats().duplicate_ratio() < 0.35,
                 "node {} wasted too much bandwidth on duplicates: {}",
                 node.id(),
-                node.metrics().duplicate_fraction()
+                node.probe_stats().duplicate_ratio()
             );
         }
     }
@@ -111,7 +109,7 @@ mod end_to_end {
             cfg.transfer_mode = TransferMode::Encoded { epsilon: 0.04 };
         });
         assert_eq!(report.reason, StopReason::AllComplete);
-        let target = nodes[1].metrics().useful_blocks();
+        let target = nodes[1].probe_stats().useful_blocks;
         assert!(
             target >= 17,
             "encoded completion needs (1+eps)*16 = 17 blocks, got {target}"

@@ -20,7 +20,6 @@ use rand::rngs::StdRng;
 use crate::config::{self, Config};
 use crate::flow::OutstandingController;
 use crate::messages::Msg;
-use crate::metrics::DownloadMetrics;
 use crate::peering::{PeerManager, ReceiverObservation, SenderObservation};
 use crate::request::RequestManager;
 
@@ -154,8 +153,9 @@ pub struct BulletPrimeNode {
 
     /// Epoch bookkeeping for bandwidth observations.
     epoch_started_at: SimTime,
-    /// Download statistics (exposed to the harness).
-    metrics: DownloadMetrics,
+    /// Block counters of [`Protocol::probe_stats`]; the peer counts are
+    /// filled in there.
+    stats: ProbeStats,
 }
 
 impl BulletPrimeNode {
@@ -203,7 +203,7 @@ impl BulletPrimeNode {
             source,
             epoch_started_at: SimTime::ZERO,
             cfg,
-            metrics: DownloadMetrics::default(),
+            stats: ProbeStats::default(),
         }
     }
 
@@ -217,19 +217,9 @@ impl BulletPrimeNode {
         self.id
     }
 
-    /// Download statistics.
-    pub fn metrics(&self) -> &DownloadMetrics {
-        &self.metrics
-    }
-
     /// Number of distinct blocks currently held.
     pub fn blocks_held(&self) -> u32 {
         self.have.count()
-    }
-
-    /// Current number of senders / receivers (diagnostics and tests).
-    pub fn peer_counts(&self) -> (usize, usize) {
-        (self.senders.len(), self.receivers.len())
     }
 
     fn block_bytes(&self, block: BlockId) -> u64 {
@@ -652,8 +642,7 @@ impl Protocol for BulletPrimeNode {
     fn on_block_received(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, receipt: BlockReceipt) {
         let block = receipt.block;
         let duplicate = self.have.contains(block);
-        self.metrics
-            .record_arrival(ctx.now(), receipt.bytes, duplicate);
+        self.stats.record_arrival(receipt.bytes, duplicate);
         self.requester.on_block_received(block);
 
         if !duplicate {
@@ -676,10 +665,6 @@ impl Protocol for BulletPrimeNode {
 
         if !duplicate {
             self.propagate_availability(ctx, block);
-            if self.is_download_complete() {
-                self.metrics
-                    .record_completion(ctx.now(), self.senders.len());
-            }
         }
 
         // A slot opened towards this sender (and possibly others, handled by
@@ -806,8 +791,11 @@ impl Protocol for BulletPrimeNode {
     }
 
     fn probe_stats(&self) -> ProbeStats {
-        self.metrics
-            .probe_stats(self.senders.len(), self.receivers.len())
+        ProbeStats {
+            senders: self.senders.len(),
+            receivers: self.receivers.len(),
+            ..self.stats
+        }
     }
 }
 
@@ -929,6 +917,7 @@ mod tests {
         let node = BulletPrimeNode::new(NodeId(1), &tree, small_config());
         let targets = (node.peer_mgr.max_senders(), node.peer_mgr.max_receivers());
         assert_eq!(targets, (10, 10));
-        assert_eq!(node.peer_counts(), (0, 0));
+        let stats = node.probe_stats();
+        assert_eq!((stats.senders, stats.receivers), (0, 0));
     }
 }

@@ -31,8 +31,8 @@
 use bullet_bench::{CommonOpts, Dynamics, Workload};
 use bullet_prime::{BulletPrimeNode, Role};
 use netsim::{
-    replay_goodput, summarize, RingSink, RunReport, Runner, TimeSeries, TraceEvent, TraceRecord,
-    TraceSink,
+    replay_goodput, summarize, ProbeStats, Protocol, RingSink, RunReport, Runner, TimeSeries,
+    TraceEvent, TraceRecord, TraceSink,
 };
 
 use crate::registry::Registry;
@@ -117,12 +117,9 @@ pub struct ReceiverRow {
     pub node: u32,
     /// When it completed, in virtual seconds ([`RunReport::completion_secs`]).
     pub done_secs: Option<f64>,
-    /// Senders / receivers it held when the run ended.
-    pub peers: (usize, usize),
-    /// Share of the blocks it received that were duplicates.
-    pub duplicate_fraction: f64,
-    /// Distinct blocks it received.
-    pub useful_blocks: usize,
+    /// Its block counters, and the senders / receivers it held when the run
+    /// ended.
+    pub stats: ProbeStats,
     /// Control bytes it sent / received.
     pub control_bytes: (u64, u64),
 }
@@ -136,9 +133,7 @@ fn receiver_rows(runner: &Runner<BulletPrimeNode>, report: &RunReport) -> Vec<Re
             ReceiverRow {
                 node: node.id().0,
                 done_secs: report.completion_secs[node.id().index()],
-                peers: node.peer_counts(),
-                duplicate_fraction: node.metrics().duplicate_fraction(),
-                useful_blocks: node.metrics().useful_blocks(),
+                stats: node.probe_stats(),
                 control_bytes: (traffic.control_bytes_out, traffic.control_bytes_in),
             }
         })
@@ -167,10 +162,10 @@ fn receiver_table(rows: &[ReceiverRow]) -> String {
             "{:>5} {:>10.1} {:>8} {:>8} {:>8.1} {:>9} {:>10} {:>10}",
             r.node,
             r.done_secs.unwrap_or(f64::NAN),
-            r.peers.0,
-            r.peers.1,
-            r.duplicate_fraction * 100.0,
-            r.useful_blocks,
+            r.stats.senders,
+            r.stats.receivers,
+            r.stats.duplicate_ratio() * 100.0,
+            r.stats.useful_blocks,
             r.control_bytes.0,
             r.control_bytes.1,
         );
@@ -535,7 +530,10 @@ mod tests {
         assert_eq!(ids, vec![1, 2, 3, 4, 5], "every receiver, once");
         for row in &run.receivers {
             assert_eq!(row.done_secs, run.report.completion_secs[row.node as usize]);
-            assert_eq!(row.useful_blocks as u32, run.workload.file.num_blocks());
+            assert_eq!(
+                row.stats.useful_blocks as u32,
+                run.workload.file.num_blocks()
+            );
         }
         let done: Vec<f64> = run.receivers.iter().filter_map(|r| r.done_secs).collect();
         assert_eq!(done.len(), 5, "the smoke run completes");

@@ -265,16 +265,10 @@ pub struct NodeTraffic {
     pub control_bytes_out: u64,
     /// Bytes of control messages received.
     pub control_bytes_in: u64,
-    /// Number of control messages sent.
-    pub control_msgs_out: u64,
     /// Data bytes handed to the receiving protocol.
     pub data_bytes_in: u64,
     /// Data bytes whose serialisation completed at this sender.
     pub data_bytes_out: u64,
-    /// Data blocks delivered to this node.
-    pub blocks_in: u64,
-    /// Data blocks sent by this node.
-    pub blocks_out: u64,
 }
 
 /// Packs an ordered node pair into one sortable key; ascending key order is
@@ -674,7 +668,6 @@ impl Network {
             penalty = self.topo.rtt(from, to) + SimDuration::from_millis(200);
         }
         self.traffic[from.index()].control_bytes_out += bytes as u64;
-        self.traffic[from.index()].control_msgs_out += 1;
         self.traffic[to.index()].control_bytes_in += bytes as u64;
         prop + serialisation + penalty
     }
@@ -786,7 +779,6 @@ impl Network {
             queued_at: fl.queued_at,
         };
         self.traffic[from.index()].data_bytes_out += fl.bytes;
-        self.traffic[from.index()].blocks_out += 1;
 
         let has_more = !self.conns[f].queue.is_empty();
         let updates = if has_more {
@@ -822,7 +814,6 @@ impl Network {
     /// Records the receiver-side arrival of a block (traffic accounting).
     pub fn on_block_delivered(&mut self, to: NodeId, bytes: u64) {
         self.traffic[to.index()].data_bytes_in += bytes;
-        self.traffic[to.index()].blocks_in += 1;
     }
 
     /// Closes the `from → to` connection, dropping queued and in-flight

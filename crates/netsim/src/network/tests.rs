@@ -464,7 +464,6 @@ fn traffic_counters_accumulate() {
     net.on_block_delivered(NodeId(1), 500);
     assert_eq!(net.traffic(NodeId(0)).data_bytes_out, 500);
     assert_eq!(net.traffic(NodeId(1)).data_bytes_in, 500);
-    assert_eq!(net.traffic(NodeId(1)).blocks_in, 1);
 }
 
 #[test]

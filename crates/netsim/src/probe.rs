@@ -48,6 +48,19 @@ pub struct ProbeStats {
 }
 
 impl ProbeStats {
+    /// Counts one delivered block of `bytes`: useful payload, or a duplicate.
+    // Called per received block from other crates: without `#[inline]` it is
+    // a call where the protocols would have two additions.
+    #[inline]
+    pub fn record_arrival(&mut self, bytes: u64, duplicate: bool) {
+        if duplicate {
+            self.duplicate_blocks += 1;
+        } else {
+            self.useful_blocks += 1;
+            self.useful_bytes += bytes;
+        }
+    }
+
     /// Fraction of received blocks that were duplicates, in `[0, 1]`.
     pub fn duplicate_ratio(&self) -> f64 {
         let total = self.useful_blocks + self.duplicate_blocks;
@@ -229,6 +242,18 @@ impl StatsProbe {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn arrivals_and_duplicates_are_tracked_separately() {
+        let mut s = ProbeStats::default();
+        s.record_arrival(100, false);
+        s.record_arrival(100, true);
+        s.record_arrival(100, false);
+        assert_eq!(s.useful_blocks, 2);
+        assert_eq!(s.duplicate_blocks, 1);
+        assert_eq!(s.useful_bytes, 200);
+        assert!((s.duplicate_ratio() - 1.0 / 3.0).abs() < 1e-12);
+    }
 
     #[test]
     fn duplicate_ratio_handles_zero_totals() {

@@ -6,7 +6,7 @@
 use bullet_repro::bullet_prime::{build_runner, Config};
 use bullet_repro::desim::{RngFactory, SimDuration};
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::{topology, NodeId};
+use bullet_repro::netsim::{topology, NodeId, Protocol};
 
 fn main() {
     // 1. Describe the object: a 10 MiB file split into 16 KiB blocks.
@@ -26,17 +26,16 @@ fn main() {
     println!("Bullet' quickstart: 10 MiB to 19 receivers (seed {seed})");
     println!(
         "{:>6} {:>12} {:>9} {:>11}",
-        "node", "done (s)", "senders", "dup bytes"
+        "node", "done (s)", "senders", "dup blocks"
     );
     for i in 1..20u32 {
-        let node = runner.node(NodeId(i));
-        let m = node.metrics();
+        let stats = runner.node(NodeId(i)).probe_stats();
         println!(
             "{:>6} {:>12.1} {:>9} {:>11}",
             i,
-            m.completed_at.unwrap_or(f64::NAN),
-            m.senders_at_completion,
-            m.duplicate_bytes
+            report.completion_secs[i as usize].unwrap_or(f64::NAN),
+            stats.senders,
+            stats.duplicate_blocks
         );
     }
     let times = report.finished_times();
