@@ -1,7 +1,8 @@
 #!/usr/bin/env sh
 # CI gate for bullet-repro: the tier-1 verify from ROADMAP.md (build + test),
-# lint and docs, the golden digests on the release build, a CLI smoke, and
-# `lab bench` — three self-checks on what it measures itself, nothing written.
+# lint and docs, the golden digests on the release build, the README
+# examples, a CLI smoke, and `lab bench` — three self-checks on what it
+# measures itself, nothing written.
 # Nothing here records performance or compares against a committed number:
 # that is the paired benchmark run (BENCHMARK.json, benchmark/). Run from the
 # repository root: ./ci.sh
@@ -70,6 +71,16 @@ cargo test -q --release --test golden_digests
 # bullet_bench / bullet_lab is correct iff the file passes unedited.
 echo "==> golden figures on the release build (tests/golden_figures.rs)"
 cargo test -q --release --test golden_figures
+
+# The four README examples are built by --all-targets above; run them, so
+# one that panics or exits non-zero fails here and not for a reader.
+echo "==> README examples (quickstart, dynamic_network, flash_crowd, software_update)"
+for example in quickstart dynamic_network flash_crowd software_update; do
+    ./target/release/examples/"$example" >/dev/null || {
+        echo "FAIL: example $example exited non-zero"
+        exit 1
+    }
+done
 
 # One scenario per body kind through the CLI: every command reads what a
 # scenario runs off the same registry entry. A closed scenario traces the
