@@ -142,20 +142,18 @@ pub struct Topology {
 }
 
 impl Topology {
-    /// Builds a topology from explicit node and path tables. Every ordered
-    /// pair gets a dedicated core link with the capacity and loss of its
-    /// [`PathSpec`]; the diagonal of `core` is ignored.
+    /// Builds a topology by asking `spec` for the core path of every ordered
+    /// pair `a != b`, in row-major order (so a generator that draws from RNG
+    /// streams draws in that order). Every pair gets a dedicated core link
+    /// with the capacity and loss of its [`PathSpec`].
     ///
     /// # Panics
     ///
-    /// Panics if `core` is not an `n x n` matrix for `n = nodes.len()`.
-    pub fn new(nodes: Vec<NodeSpec>, core: Vec<Vec<PathSpec>>) -> Self {
+    /// Panics with fewer than two nodes.
+    pub fn from_fn(nodes: Vec<NodeSpec>, mut spec: impl FnMut(usize, usize) -> PathSpec) -> Self {
         let n = nodes.len();
         assert!(n >= 2, "a topology needs at least two nodes");
-        assert_eq!(core.len(), n, "core matrix must be n x n");
-        for row in &core {
-            assert_eq!(row.len(), n, "core matrix must be n x n");
-        }
+        let mut delay = vec![vec![SimDuration::ZERO; n]; n];
         let mut core_links = Vec::with_capacity(n * n - n);
         let mut link_of = vec![vec![NO_LINK; n]; n];
         for a in 0..n {
@@ -163,16 +161,15 @@ impl Topology {
                 if a == b {
                     continue;
                 }
+                let path = spec(a, b);
+                delay[a][b] = path.delay;
                 link_of[a][b] = core_links.len() as u32;
                 core_links.push(CoreLink {
-                    capacity: core[a][b].bw,
-                    loss: core[a][b].loss,
+                    capacity: path.bw,
+                    loss: path.loss,
                 });
             }
         }
-        let delay = (core.iter())
-            .map(|row| row.iter().map(|p| p.delay).collect())
-            .collect();
         Topology {
             nodes,
             core_model: CoreModel::Dense {
@@ -181,6 +178,21 @@ impl Topology {
                 link_of,
             },
         }
+    }
+
+    /// [`Topology::from_fn`] over an explicit path table; the diagonal of
+    /// `core` is ignored.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `core` is not an `n x n` matrix for `n = nodes.len()`.
+    pub fn new(nodes: Vec<NodeSpec>, core: Vec<Vec<PathSpec>>) -> Self {
+        let n = nodes.len();
+        assert_eq!(core.len(), n, "core matrix must be n x n");
+        for row in &core {
+            assert_eq!(row.len(), n, "core matrix must be n x n");
+        }
+        Self::from_fn(nodes, |a, b| core[a][b])
     }
 
     /// Builds an O(n)-memory topology for large-swarm scaling runs: `n`
@@ -440,27 +452,11 @@ pub fn modelnet_mesh(n: usize, max_loss: f64, rng: &RngFactory) -> Topology {
         };
         n
     ];
-    let mut core = Vec::with_capacity(n);
-    for a in 0..n {
-        let mut row = Vec::with_capacity(n);
-        for b in 0..n {
-            if a == b {
-                row.push(PathSpec {
-                    bw: mbps(2.0),
-                    delay: SimDuration::ZERO,
-                    loss: 0.0,
-                });
-                continue;
-            }
-            row.push(PathSpec {
-                bw: mbps(2.0),
-                delay: uniform_delay_ms(&mut delay_rng, 5.0, 200.0),
-                loss: loss_rng.gen_range(0.0..=max_loss.max(0.0)),
-            });
-        }
-        core.push(row);
-    }
-    Topology::new(nodes, core)
+    Topology::from_fn(nodes, |_, _| PathSpec {
+        bw: mbps(2.0),
+        delay: uniform_delay_ms(&mut delay_rng, 5.0, 200.0),
+        loss: loss_rng.gen_range(0.0..=max_loss.max(0.0)),
+    })
 }
 
 /// The constrained-access topology of Fig 9: ample core bandwidth (10 Mbps,
@@ -474,13 +470,11 @@ pub fn constrained_access(n: usize) -> Topology {
         };
         n
     ];
-    let path = PathSpec {
+    Topology::from_fn(nodes, |_, _| PathSpec {
         bw: mbps(10.0),
         delay: SimDuration::from_millis(1),
         loss: 0.0,
-    };
-    let core = vec![vec![path; n]; n];
-    Topology::new(nodes, core)
+    })
 }
 
 /// The flow-control topology of Figs 10–11: `n` participants joined by
@@ -496,24 +490,15 @@ pub fn high_bdp_clique(n: usize, max_loss: f64, rng: &RngFactory) -> Topology {
         };
         n
     ];
-    let mut core = Vec::with_capacity(n);
-    for a in 0..n {
-        let mut row = Vec::with_capacity(n);
-        for b in 0..n {
-            let loss = if a == b || max_loss <= 0.0 {
-                0.0
-            } else {
-                loss_rng.gen_range(0.0..=max_loss)
-            };
-            row.push(PathSpec {
-                bw: mbps(10.0),
-                delay: SimDuration::from_millis(50),
-                loss,
-            });
-        }
-        core.push(row);
-    }
-    Topology::new(nodes, core)
+    Topology::from_fn(nodes, |_, _| PathSpec {
+        bw: mbps(10.0),
+        delay: SimDuration::from_millis(50),
+        loss: if max_loss <= 0.0 {
+            0.0
+        } else {
+            loss_rng.gen_range(0.0..=max_loss)
+        },
+    })
 }
 
 /// The cascading-slowdown topology of Fig 12: `fast_nodes + 1` participants
@@ -541,28 +526,21 @@ pub fn cascade_topology(fast_nodes: usize) -> Topology {
         down: mbps(30.0),
         access_delay: SimDuration::from_micros(100),
     };
-    let mut core = Vec::with_capacity(n);
-    for a in 0..n {
-        let mut row = Vec::with_capacity(n);
-        for b in 0..n {
-            let spec = if a == victim || b == victim {
-                PathSpec {
-                    bw: mbps(5.0),
-                    delay: SimDuration::from_millis(50),
-                    loss: 0.0,
-                }
-            } else {
-                PathSpec {
-                    bw: mbps(10.0),
-                    delay: SimDuration::from_micros(500),
-                    loss: 0.0,
-                }
-            };
-            row.push(spec);
+    Topology::from_fn(nodes, |a, b| {
+        if a == victim || b == victim {
+            PathSpec {
+                bw: mbps(5.0),
+                delay: SimDuration::from_millis(50),
+                loss: 0.0,
+            }
+        } else {
+            PathSpec {
+                bw: mbps(10.0),
+                delay: SimDuration::from_micros(500),
+                loss: 0.0,
+            }
         }
-        core.push(row);
-    }
-    Topology::new(nodes, core)
+    })
 }
 
 /// A PlanetLab-like wide-area topology (§4.7): heterogeneous access links
@@ -592,28 +570,12 @@ pub fn planetlab_like(n: usize, rng: &RngFactory) -> Topology {
             access_delay: SimDuration::from_millis(1),
         });
     }
-    let mut core = Vec::with_capacity(n);
-    for a in 0..n {
-        let mut row = Vec::with_capacity(n);
-        for b in 0..n {
-            if a == b {
-                row.push(PathSpec {
-                    bw: mbps(100.0),
-                    delay: SimDuration::ZERO,
-                    loss: 0.0,
-                });
-                continue;
-            }
-            row.push(PathSpec {
-                // Wide-area cores rarely bottleneck below the access links.
-                bw: mbps(20.0),
-                delay: uniform_delay_ms(&mut delay_rng, 10.0, 150.0),
-                loss: loss_rng.gen_range(0.0..=0.01),
-            });
-        }
-        core.push(row);
-    }
-    Topology::new(nodes, core)
+    Topology::from_fn(nodes, |_, _| PathSpec {
+        // Wide-area cores rarely bottleneck below the access links.
+        bw: mbps(20.0),
+        delay: uniform_delay_ms(&mut delay_rng, 10.0, 150.0),
+        loss: loss_rng.gen_range(0.0..=0.01),
+    })
 }
 
 /// A mesh whose entire core is **one shared bottleneck link**: `n` nodes
@@ -633,24 +595,11 @@ pub fn shared_core_mesh(n: usize, core: BytesPerSec, loss: f64, rng: &RngFactory
         };
         n
     ];
-    let mut core_paths = Vec::with_capacity(n);
-    for a in 0..n {
-        let mut row = Vec::with_capacity(n);
-        for b in 0..n {
-            let delay = if a == b {
-                SimDuration::ZERO
-            } else {
-                uniform_delay_ms(&mut delay_rng, 5.0, 200.0)
-            };
-            row.push(PathSpec {
-                bw: core,
-                delay,
-                loss,
-            });
-        }
-        core_paths.push(row);
-    }
-    let mut topo = Topology::new(nodes, core_paths);
+    let mut topo = Topology::from_fn(nodes, |_, _| PathSpec {
+        bw: core,
+        delay: uniform_delay_ms(&mut delay_rng, 5.0, 200.0),
+        loss,
+    });
     let pairs: Vec<(NodeId, NodeId)> = (0..n as u32)
         .flat_map(|a| (0..n as u32).filter_map(move |b| (a != b).then_some((NodeId(a), NodeId(b)))))
         .collect();
@@ -692,6 +641,21 @@ pub fn uniform_swarm(n: usize, rng: &RngFactory) -> Topology {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn from_fn_asks_for_each_ordered_pair_once_in_row_major_order() {
+        let mut asked = Vec::new();
+        let t = Topology::from_fn(constrained_access(3).nodes, |a, b| {
+            asked.push((a, b));
+            PathSpec {
+                bw: mbps((10 * a + b) as f64),
+                delay: SimDuration::from_millis(1),
+                loss: 0.0,
+            }
+        });
+        assert_eq!(asked, [(0, 1), (0, 2), (1, 0), (1, 2), (2, 0), (2, 1)]);
+        assert_eq!(t.path(NodeId(2), NodeId(1)).bw, mbps(21.0));
+    }
 
     #[test]
     fn modelnet_mesh_matches_paper_parameters() {
