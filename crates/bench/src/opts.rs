@@ -129,15 +129,18 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 
 /// Writes a figure to stdout and optionally to a JSON file, honouring the
 /// shared options.
-pub fn emit(figure: &crate::cdf::Figure, opts: &CommonOpts) {
+///
+/// # Errors
+///
+/// Returns a message if the JSON file cannot be written.
+pub fn emit(figure: &crate::cdf::Figure, opts: &CommonOpts) -> Result<(), String> {
     print!("{}", figure.render_text(opts.raw));
     if let Some(path) = &opts.json {
-        if let Err(e) = std::fs::write(path, figure.to_json()) {
-            eprintln!("failed to write {path}: {e}");
-        } else {
-            eprintln!("wrote {path}");
-        }
+        std::fs::write(path, figure.to_json())
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
+    Ok(())
 }
 
 #[cfg(test)]

@@ -66,8 +66,7 @@ fn dispatch<I: IntoIterator<Item = String>>(args: I) -> Result<i32, String> {
             let (name, rest) = take_scenario(args)?;
             let scenario = resolve(&registry, &name)?;
             let opts = CommonOpts::parse(rest)?;
-            emit(&scenario.figure(&opts, "default", None)?, &opts);
-            Ok(())
+            emit(&scenario.figure(&opts, "default", None)?, &opts)
         }
         "sweep" => sweep(&registry, args),
         "bench" => return crate::bench::bench(&registry, &args),
@@ -320,6 +319,21 @@ mod tests {
         let code_err = dispatch(vec!["run".to_string(), "nope".to_string()]).unwrap_err();
         assert!(code_err.contains("unknown scenario"));
         assert!(code_err.contains("fig04"));
+    }
+
+    #[test]
+    fn an_unwritable_json_path_is_an_io_error() {
+        let args = ["run", "fig15", "--json", "/nonexistent/dir/f.json"];
+        assert_eq!(lab_main(args.map(String::from)), 2);
+    }
+
+    #[test]
+    fn the_ring_is_a_cap_not_a_reservation() {
+        let ring = usize::MAX.to_string();
+        let args = [
+            "trace", "fig11", "--nodes", "6", "--mb", "0.125", "--ring", &ring,
+        ];
+        assert_eq!(lab_main(args.map(String::from)), 0);
     }
 
     #[test]

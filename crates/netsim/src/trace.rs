@@ -351,7 +351,9 @@ pub struct RingSink {
 }
 
 impl RingSink {
-    /// Creates a ring holding at most `capacity` records.
+    /// Creates a ring holding at most `capacity` records. The capacity is a
+    /// cap, not a reservation: the ring starts empty and grows with the
+    /// records it retains.
     ///
     /// # Panics
     ///
@@ -359,7 +361,7 @@ impl RingSink {
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "ring capacity must be positive");
         RingSink {
-            buf: VecDeque::with_capacity(capacity),
+            buf: VecDeque::new(),
             capacity,
             recorded: 0,
             dropped: 0,
@@ -618,6 +620,13 @@ mod tests {
         assert_eq!(ring.dropped(), 3);
         let kept: Vec<u64> = ring.records().map(|r| r.seq).collect();
         assert_eq!(kept, vec![3, 4]);
+
+        // The capacity is a cap, not a reservation.
+        let mut ring = RingSink::new(usize::MAX);
+        for seq in 0..5 {
+            ring.record(&rec(seq as f64, seq, TraceEvent::ProbeTick));
+        }
+        assert_eq!((ring.recorded(), ring.dropped(), ring.len()), (5, 0, 5));
     }
 
     #[test]
