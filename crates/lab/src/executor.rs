@@ -34,7 +34,7 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
 
 use bullet_bench::{CommonOpts, Figure, WarmPrefix, Workload};
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 use crate::scenario::{ParamPoint, Scenario};
 
@@ -72,39 +72,27 @@ pub struct SweepReport {
     pub cells: Vec<CellReport>,
 }
 
-/// Timing-free view of a cell for the canonical rendering.
-struct CanonicalCell<'a> {
-    point: &'a String,
-    seed: u64,
-    figure: &'a Figure,
-}
+/// The keys of [`SweepReport`] and [`CellReport`] that are machine- and
+/// schedule-dependent telemetry.
+const TELEMETRY: [&str; 4] = [
+    "wall_clock_secs",
+    "prefix_cells",
+    "forked_cells",
+    "warmup_secs_saved",
+];
 
-// The vendored serde_derive subset does not handle lifetime parameters, so
-// the view structs lower themselves to the data model by hand; field order
-// mirrors the derived [`CellReport`]/[`SweepReport`] layout minus the
-// telemetry.
-impl Serialize for CanonicalCell<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("point".to_string(), self.point.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("figure".to_string(), self.figure.to_value()),
-        ])
-    }
-}
-
-/// Timing-free view of a sweep for the canonical rendering.
-struct CanonicalSweep<'a> {
-    scenario: &'a String,
-    cells: Vec<CanonicalCell<'a>>,
-}
-
-impl Serialize for CanonicalSweep<'_> {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("scenario".to_string(), self.scenario.to_value()),
-            ("cells".to_string(), self.cells.to_value()),
-        ])
+/// Drops the [`TELEMETRY`] keys from a lowered sweep: from the sweep object
+/// and from each object under its `cells`. Figures are not descended into.
+fn strip_telemetry(value: &mut Value) {
+    match value {
+        Value::Object(fields) => {
+            fields.retain(|(key, _)| !TELEMETRY.contains(&key.as_str()));
+            if let Some((_, cells)) = fields.iter_mut().find(|(key, _)| key == "cells") {
+                strip_telemetry(cells);
+            }
+        }
+        Value::Array(cells) => cells.iter_mut().for_each(strip_telemetry),
+        _ => {}
     }
 }
 
@@ -118,19 +106,9 @@ impl SweepReport {
     /// guarantee: identical for any thread count because the wall-clock
     /// telemetry (the only nondeterministic field) is omitted.
     pub fn to_canonical_json(&self) -> String {
-        let view = CanonicalSweep {
-            scenario: &self.scenario,
-            cells: self
-                .cells
-                .iter()
-                .map(|c| CanonicalCell {
-                    point: &c.point,
-                    seed: c.seed,
-                    figure: &c.figure,
-                })
-                .collect(),
-        };
-        serde_json::to_string_pretty(&view).expect("sweep reports are always serialisable")
+        let mut sweep = self.to_value();
+        strip_telemetry(&mut sweep);
+        serde_json::to_string_pretty(&sweep).expect("sweep reports are always serialisable")
     }
 }
 
