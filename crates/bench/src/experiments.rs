@@ -475,11 +475,10 @@ fn inter_arrival_times(arrivals: &[f64]) -> Vec<f64> {
     arrivals.windows(2).map(|w| w[1] - w[0]).collect()
 }
 
-/// The §4.6 "overage": how much longer the last `tail` inter-arrival gaps
-/// took than the average gap. A pronounced last-block problem shows up as a
-/// large overage.
-fn last_blocks_overage(arrivals: &[f64], tail: usize) -> f64 {
-    let gaps = inter_arrival_times(arrivals);
+/// The §4.6 "overage": how much longer the last `tail` of the inter-arrival
+/// `gaps` took than the average gap. A pronounced last-block problem shows up
+/// as a large overage.
+fn last_blocks_overage(gaps: &[f64], tail: usize) -> f64 {
     if gaps.is_empty() || tail == 0 {
         return 0.0;
     }
@@ -520,7 +519,7 @@ pub fn fig13_figure(w: &Workload, _: &CommonOpts) -> Figure {
             sums[i] += g;
             counts[i] += 1;
         }
-        overages.push(last_blocks_overage(arrivals, 20));
+        overages.push(last_blocks_overage(&gaps, 20));
     }
     let completions: Vec<f64> = report.completion_secs[1..]
         .iter()
@@ -1449,6 +1448,7 @@ mod tests {
         // 99 blocks arriving once per second, then a 31-second gap.
         let mut slow_tail: Vec<f64> = (0..99).map(f64::from).collect();
         slow_tail.push(98.0 + 31.0);
+        let slow_tail = inter_arrival_times(&slow_tail);
         let overage = last_blocks_overage(&slow_tail, 20);
         assert!(
             overage > 29.0,
@@ -1456,7 +1456,7 @@ mod tests {
         );
 
         let uniform: Vec<f64> = (0..100).map(f64::from).collect();
-        assert!(last_blocks_overage(&uniform, 20) < 1e-9);
+        assert!(last_blocks_overage(&inter_arrival_times(&uniform), 20) < 1e-9);
         assert_eq!(last_blocks_overage(&[], 20), 0.0);
         assert_eq!(last_blocks_overage(&slow_tail, 0), 0.0);
     }
