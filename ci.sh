@@ -67,8 +67,9 @@ cargo test -q --release --test golden_digests
 
 # Golden figures (tests/golden_figures.rs) pin the harness above the
 # emulator: every registry scenario's figure, the fig05w sweep with warm-up
-# sharing on and off, and both `lab serve` runs, at tiny scale. A refactor of
-# bullet_bench / bullet_lab is correct iff the file passes unedited.
+# sharing on and off, and both open scenarios' service runs, at tiny scale. A
+# refactor of bullet_bench / bullet_lab is correct iff the file passes
+# unedited.
 echo "==> golden figures on the release build (tests/golden_figures.rs)"
 cargo test -q --release --test golden_figures
 
@@ -87,8 +88,12 @@ done
 # Bullet' run of its own workload (the trace must replay the probe series,
 # and the output ends with one row per receiver and no wall-clock section);
 # an open-system scenario and the analytic model are refused with exit status
-# 2 and a message saying where to go instead.
-echo "==> lab smoke (list, trace per body kind)"
+# 2 and a message saying where to go instead. `lab run` is where an open
+# scenario goes: its curves must print as statistics of y (two rows with
+# different y's cannot show the same numbers, which they did while every row
+# was quantiles of the shared x axis), and a reader that closes the pipe early
+# ends a command with status 0, not a panic.
+echo "==> lab smoke (list, trace per body kind, run of an open scenario, closed pipe)"
 rows=$(./target/release/lab list | tail -n +2 | wc -l)
 if [ "$rows" -ne 21 ]; then
     echo "FAIL: lab list printed $rows scenario rows, expected 21"
@@ -114,9 +119,31 @@ expect_refusal() {
         exit 1
     fi
 }
-expect_refusal fig21 "lab serve fig21"
+expect_refusal fig21 "lab run fig21"
 expect_refusal fig15 "Shotgun"
+fig21=$(./target/release/lab run fig21 --nodes 16 --mb 0.25 --time-limit 300 2>/dev/null)
+columns() {
+    # $1 = series label; prints the four numeric columns of its row
+    printf '%s\n' "$fig21" | grep "^$1" | awk '{ print $(NF-3), $(NF-2), $(NF-1), $NF }'
+}
+goodput=$(columns "sustained goodput (Mbps)")
+completed=$(columns "swarms completed in the window")
+if [ -z "$goodput" ] || [ -z "$completed" ] || [ "$goodput" = "$completed" ]; then
+    echo "FAIL: lab run fig21 prints '$goodput' for goodput and '$completed' for completions"
+    exit 1
+fi
+# The writer's exit status, past the pipe: fd 3 carries it around `head`.
+piped=$({ {
+    status=0
+    ./target/release/lab sweep fig13 --nodes 4 --mb 0.1 2>/dev/null || status=$?
+    echo "$status" >&3
+} | head -1 >/dev/null; } 3>&1)
+if [ "$piped" -ne 0 ]; then
+    echo "FAIL: lab sweep fig13 | head -1 exited $piped"
+    exit 1
+fi
 echo "lab list: 21 rows; trace fig11 replays and lists 5 receivers; fig21 and fig15 refused with status 2"
+echo "lab run fig21: goodput $goodput, completions $completed; sweep | head -1 exits 0"
 
 # Self-checks: `lab bench` takes no options, runs three fixed workloads (fig05
 # dark, then instrumented with a counting trace sink and nothing else; fig20

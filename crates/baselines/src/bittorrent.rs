@@ -48,43 +48,37 @@ impl TimerToken for BtTimer {
     }
 }
 
-/// Hard-coded BitTorrent constants (the point of the baseline).
+/// Maximum number of neighbours to hold connections with.
+pub const MAX_CONNECTIONS: usize = 20;
+/// Number of peers the tracker returns per announce.
+pub const TRACKER_PEERS: usize = 40;
+/// Number of regular (tit-for-tat) upload slots.
+pub const UPLOAD_SLOTS: usize = 4;
+/// Fixed number of outstanding requests per peer.
+pub const OUTSTANDING_PER_PEER: usize = 5;
+/// Number of 16 KB sub-piece blocks per BitTorrent piece (256 KB pieces).
+/// Data can only be shared onward at piece granularity, which is the
+/// standard BitTorrent behaviour and one of the costs the paper's
+/// comparison includes.
+pub const PIECE_BLOCKS: u32 = 16;
+/// Choke-recomputation interval.
+pub const CHOKE_INTERVAL: SimDuration = SimDuration::from_secs(10);
+/// Optimistic-unchoke rotation interval.
+pub const OPTIMISTIC_INTERVAL: SimDuration = SimDuration::from_secs(30);
+
+/// What a BitTorrent node is configured with: the file. Everything else is
+/// the classic constants above — hard-coded, which is the point of the
+/// baseline.
 #[derive(Debug, Clone)]
 pub struct BitTorrentConfig {
     /// The file being distributed.
     pub file: FileSpec,
-    /// Maximum number of neighbours to hold connections with.
-    pub max_connections: usize,
-    /// Number of peers the tracker returns per announce.
-    pub tracker_peers: usize,
-    /// Number of regular (tit-for-tat) upload slots.
-    pub upload_slots: usize,
-    /// Fixed number of outstanding requests per peer.
-    pub outstanding_per_peer: usize,
-    /// Number of 16 KB sub-piece blocks per BitTorrent piece (256 KB pieces).
-    /// Data can only be shared onward at piece granularity, which is the
-    /// standard BitTorrent behaviour and one of the costs the paper's
-    /// comparison includes.
-    pub piece_blocks: u32,
-    /// Choke-recomputation interval.
-    pub choke_interval: SimDuration,
-    /// Optimistic-unchoke rotation interval.
-    pub optimistic_interval: SimDuration,
 }
 
 impl BitTorrentConfig {
-    /// The classic defaults.
+    /// The configuration for `file`.
     pub fn new(file: FileSpec) -> Self {
-        BitTorrentConfig {
-            file,
-            max_connections: 20,
-            tracker_peers: 40,
-            upload_slots: 4,
-            outstanding_per_peer: 5,
-            piece_blocks: 16,
-            choke_interval: SimDuration::from_secs(10),
-            optimistic_interval: SimDuration::from_secs(30),
-        }
+        BitTorrentConfig { file }
     }
 }
 
@@ -215,15 +209,12 @@ impl BitTorrentNode {
     /// Creates a node; node 0 is the seed/tracker.
     pub fn new(id: NodeId, cfg: BitTorrentConfig) -> Self {
         let n = cfg.file.num_blocks();
-        let num_pieces = n.div_ceil(cfg.piece_blocks);
+        let num_pieces = n.div_ceil(PIECE_BLOCKS);
         let piece_missing = if id == NodeId(0) {
             vec![0; num_pieces as usize]
         } else {
             (0..num_pieces)
-                .map(|p| {
-                    let start = p * cfg.piece_blocks;
-                    (cfg.piece_blocks).min(n - start)
-                })
+                .map(|p| PIECE_BLOCKS.min(n - p * PIECE_BLOCKS))
                 .collect()
         };
         let have = if id == NodeId(0) {
@@ -255,7 +246,7 @@ impl BitTorrentNode {
     }
 
     fn piece_of(&self, block: BlockId) -> u32 {
-        block.0 / self.cfg.piece_blocks
+        block.0 / PIECE_BLOCKS
     }
 
     /// Pieces this node has fully downloaded (only these may be shared onward).
@@ -281,8 +272,8 @@ impl BitTorrentNode {
 
     /// Blocks of `piece` that we are missing and that are not in flight.
     fn wanted_blocks_of_piece(&self, piece: u32) -> Vec<BlockId> {
-        let start = piece * self.cfg.piece_blocks;
-        let end = (start + self.cfg.piece_blocks).min(self.cfg.file.num_blocks());
+        let start = piece * PIECE_BLOCKS;
+        let end = (start + PIECE_BLOCKS).min(self.cfg.file.num_blocks());
         (start..end)
             .map(BlockId)
             .filter(|b| !self.have.contains(*b) && !self.in_flight.contains(b))
@@ -308,10 +299,10 @@ impl BitTorrentNode {
         let Some(n) = self.neighbours.get(&peer) else {
             return;
         };
-        if n.peer_choking || n.outstanding.len() >= self.cfg.outstanding_per_peer {
+        if n.peer_choking || n.outstanding.len() >= OUTSTANDING_PER_PEER {
             return;
         }
-        let want = self.cfg.outstanding_per_peer - n.outstanding.len();
+        let want = OUTSTANDING_PER_PEER - n.outstanding.len();
         // Candidate pieces: the peer has completed them, we still need blocks
         // from them. Pieces are ranked strictly rarest-first with a random
         // tie-break; sub-piece blocks are then requested in order.
@@ -327,10 +318,7 @@ impl BitTorrentNode {
             let piece = entry.3;
             // Strict priority: finish partially downloaded pieces first so they
             // become shareable, then go rarest-first among untouched pieces.
-            let total = self
-                .cfg
-                .piece_blocks
-                .min(self.cfg.file.num_blocks() - piece * self.cfg.piece_blocks);
+            let total = PIECE_BLOCKS.min(self.cfg.file.num_blocks() - piece * PIECE_BLOCKS);
             let missing = self.piece_missing[piece as usize];
             entry.0 = missing == total; // false (=first) when partially done
             entry.1 = self.piece_rarity(piece);
@@ -382,7 +370,7 @@ impl BitTorrentNode {
         ranked.sort_unstable_by_key(|(score, tie, _)| (std::cmp::Reverse(*score), *tie));
         let unchoked: BTreeSet<NodeId> = ranked
             .iter()
-            .take(self.cfg.upload_slots)
+            .take(UPLOAD_SLOTS)
             .map(|(_, _, p)| *p)
             .chain(self.optimistic)
             .collect();
@@ -436,7 +424,7 @@ impl BitTorrentNode {
     /// Unchokes `peer` immediately if we still have a free regular slot.
     fn greedy_unchoke(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
         let unchoked = self.neighbours.values().filter(|n| !n.am_choking).count();
-        if unchoked >= self.cfg.upload_slots {
+        if unchoked >= UPLOAD_SLOTS {
             return;
         }
         if let Some(n) = self.neighbours.get_mut(&peer) {
@@ -450,7 +438,7 @@ impl BitTorrentNode {
     fn connect_to(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
         if peer == self.id
             || self.neighbours.contains_key(&peer)
-            || self.neighbours.len() >= self.cfg.max_connections
+            || self.neighbours.len() >= MAX_CONNECTIONS
         {
             return;
         }
@@ -517,7 +505,7 @@ impl Protocol for BitTorrentNode {
                     let rng: &mut StdRng = ctx.rng();
                     peers.shuffle(rng);
                 }
-                peers.truncate(self.cfg.tracker_peers);
+                peers.truncate(TRACKER_PEERS);
                 if !self.swarm.contains(&from) {
                     self.swarm.push(from);
                 }
@@ -532,7 +520,7 @@ impl Protocol for BitTorrentNode {
                 // Accept the connection (BitTorrent accepts beyond its own
                 // initiation cap as long as slots remain).
                 if !self.neighbours.contains_key(&from)
-                    && self.neighbours.len() < self.cfg.max_connections * 2
+                    && self.neighbours.len() < MAX_CONNECTIONS * 2
                 {
                     self.neighbours.insert(from, Neighbour::new());
                 }
@@ -647,17 +635,17 @@ impl Protocol for BitTorrentNode {
         match timer {
             BtTimer::Choke => {
                 self.recompute_chokes(ctx);
-                ctx.set_timer(self.cfg.choke_interval, BtTimer::Choke);
+                ctx.set_timer(CHOKE_INTERVAL, BtTimer::Choke);
             }
             BtTimer::Optimistic => {
                 self.rotate_optimistic(ctx);
-                ctx.set_timer(self.cfg.optimistic_interval, BtTimer::Optimistic);
+                ctx.set_timer(OPTIMISTIC_INTERVAL, BtTimer::Optimistic);
             }
             BtTimer::Keepalive => {
                 // Refresh requests (lost opportunities due to choke changes) and
                 // re-announce to the tracker if we are starved of neighbours.
                 self.issue_requests(ctx);
-                if !self.is_seed() && self.neighbours.len() < self.cfg.max_connections / 2 {
+                if !self.is_seed() && self.neighbours.len() < MAX_CONNECTIONS / 2 {
                     ctx.send(NodeId(0), BtMsg::TrackerRequest);
                 }
                 ctx.set_timer(SimDuration::from_secs(2), BtTimer::Keepalive);
@@ -722,10 +710,11 @@ mod tests {
 
     #[test]
     fn defaults_match_bittorrent_constants() {
-        let cfg = BitTorrentConfig::new(FileSpec::from_mb_kb(1, 16));
-        assert_eq!(cfg.upload_slots, 4);
-        assert_eq!(cfg.outstanding_per_peer, 5);
-        assert_eq!(cfg.choke_interval, SimDuration::from_secs(10));
-        assert_eq!(cfg.optimistic_interval, SimDuration::from_secs(30));
+        // Cohen 2003: 4 tit-for-tat slots re-chosen every 10 s, the
+        // optimistic one rotated every 30 s, 5 requests pipelined per peer.
+        assert_eq!(UPLOAD_SLOTS, 4);
+        assert_eq!(OUTSTANDING_PER_PEER, 5);
+        assert_eq!(CHOKE_INTERVAL, SimDuration::from_secs(10));
+        assert_eq!(OPTIMISTIC_INTERVAL, SimDuration::from_secs(30));
     }
 }

@@ -61,8 +61,9 @@ impl WireSize for SsMsg {
     }
 }
 
-/// The stripe forest: for every stripe, each node's parent and children.
-#[derive(Debug, Clone)]
+/// The stripe forest: for every stripe, each node's children. Built once per
+/// swarm; a node is handed its own child lists and keeps nothing else of it.
+#[derive(Debug)]
 pub struct StripeForest {
     /// `children[stripe][node]` — the node's children in that stripe's tree.
     children: Vec<Vec<Vec<NodeId>>>,
@@ -139,30 +140,11 @@ impl StripeForest {
     pub fn children(&self, stripe: usize, node: NodeId) -> &[NodeId] {
         &self.children[stripe][node.index()]
     }
+}
 
-    /// Which stripe a block belongs to.
-    pub fn stripe_of(&self, block: BlockId) -> usize {
-        block.index() % self.stripes
-    }
-
-    /// Total number of forwarding children over all stripes for `node`.
-    pub fn fanout(&self, node: NodeId) -> usize {
-        (0..self.stripes)
-            .map(|s| self.children(s, node).len())
-            .sum()
-    }
-
-    /// Removes `node` from every child list (used when it leaves or crashes).
-    /// Its own subtrees are *not* re-parented: SplitStream has no repair
-    /// mechanism in this model, which is exactly the structural weakness the
-    /// paper's comparison highlights.
-    pub fn remove_node(&mut self, node: NodeId) {
-        for tree in &mut self.children {
-            for kids in tree.iter_mut() {
-                kids.retain(|&c| c != node);
-            }
-        }
-    }
+/// Which of `stripes` stripes a block belongs to.
+fn stripe_of(block: BlockId, stripes: usize) -> usize {
+    block.index() % stripes
 }
 
 /// A SplitStream participant.
@@ -170,7 +152,8 @@ impl StripeForest {
 pub struct SplitStreamNode {
     id: NodeId,
     file: FileSpec,
-    forest: StripeForest,
+    /// `children[stripe]` — this node's children in that stripe's tree.
+    children: Vec<Vec<NodeId>>,
     have: BlockBitmap,
     /// Per-child queue of blocks awaiting a push slot.
     backlog: BTreeMap<NodeId, VecDeque<BlockId>>,
@@ -184,8 +167,9 @@ pub struct SplitStreamNode {
 }
 
 impl SplitStreamNode {
-    /// Creates the node; node 0 is the source.
-    pub fn new(id: NodeId, file: FileSpec, forest: StripeForest) -> Self {
+    /// Creates the node with its children in each stripe's tree; node 0 is
+    /// the source.
+    pub fn new(id: NodeId, file: FileSpec, children: Vec<Vec<NodeId>>) -> Self {
         let n = file.num_blocks();
         let completion_target = file.completion_target(ASSUMED_ENCODING_OVERHEAD);
         // The source injects a slightly longer encoded stream than strictly
@@ -199,7 +183,7 @@ impl SplitStreamNode {
         SplitStreamNode {
             id,
             file,
-            forest,
+            children,
             have,
             backlog: BTreeMap::new(),
             completion_target,
@@ -242,11 +226,14 @@ impl SplitStreamNode {
         }
     }
 
+    /// This node's children in the tree of `block`'s stripe.
+    fn children_for(&self, block: BlockId) -> &[NodeId] {
+        &self.children[stripe_of(block, self.children.len())]
+    }
+
     /// Enqueues `block` for every child in its stripe tree and pushes what fits.
     fn forward(&mut self, ctx: &mut Ctx<'_, Self>, block: BlockId) {
-        let stripe = self.forest.stripe_of(block);
-        let children: Vec<NodeId> = self.forest.children(stripe, self.id).to_vec();
-        for child in children {
+        for child in self.children_for(block).to_vec() {
             self.backlog.entry(child).or_default().push_back(block);
             self.drain_child(ctx, child);
         }
@@ -261,9 +248,8 @@ impl SplitStreamNode {
         // does not absorb the entire stream into its backlog at t = 0.
         while self.next_inject < self.block_space {
             let block = BlockId(self.next_inject);
-            let stripe = self.forest.stripe_of(block);
-            let children = self.forest.children(stripe, self.id);
-            let busiest = children
+            let busiest = self
+                .children_for(block)
                 .iter()
                 .map(|c| ctx.pending_to(*c) + self.backlog.get(c).map(VecDeque::len).unwrap_or(0))
                 .max()
@@ -311,7 +297,9 @@ impl Protocol for SplitStreamNode {
         // Stop forwarding to the dead child; if the peer was our parent in
         // some stripe we simply stop receiving that stripe (no repair).
         self.backlog.remove(&peer);
-        self.forest.remove_node(peer);
+        for kids in &mut self.children {
+            kids.retain(|&c| c != peer);
+        }
     }
 
     fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: SsTimer) {
@@ -338,11 +326,11 @@ impl Protocol for SplitStreamNode {
         let senders = if self.is_source() {
             0
         } else {
-            self.forest.stripes()
+            self.children.len()
         };
         ProbeStats {
             senders,
-            receivers: self.forest.fanout(self.id),
+            receivers: self.children.iter().map(Vec::len).sum(),
             ..self.stats
         }
     }
@@ -356,7 +344,12 @@ pub fn build_nodes(
 ) -> Vec<SplitStreamNode> {
     let forest = StripeForest::build(topo.len(), DEFAULT_STRIPES, rng);
     (0..topo.len() as u32)
-        .map(|i| SplitStreamNode::new(NodeId(i), file, forest.clone()))
+        .map(|i| {
+            let children = (0..forest.stripes())
+                .map(|stripe| forest.children(stripe, NodeId(i)).to_vec())
+                .collect();
+            SplitStreamNode::new(NodeId(i), file, children)
+        })
         .collect()
 }
 
@@ -419,12 +412,10 @@ mod tests {
 
     #[test]
     fn stripes_partition_blocks() {
-        let rng = RngFactory::new(7);
-        let forest = StripeForest::build(10, 8, &rng);
         let counts: Vec<usize> = (0..8)
             .map(|s| {
                 (0..800u32)
-                    .filter(|b| forest.stripe_of(BlockId(*b)) == s)
+                    .filter(|b| stripe_of(BlockId(*b), 8) == s)
                     .count()
             })
             .collect();

@@ -7,15 +7,28 @@
 //! (median/percentile improvements, slowest-node speed-ups), and printing
 //! figures as aligned text tables or JSON for external plotting.
 
-use serde::Serialize;
+use serde::{Serialize, Value};
 
 /// One labelled curve of a figure.
-#[derive(Debug, Clone, Serialize)]
+#[derive(Debug, Clone)]
 pub struct Series {
     /// Legend label (matches the paper's legend where applicable).
     pub label: String,
     /// `(x, y)` points. For CDFs, x = download time (s), y = fraction of nodes.
     pub points: Vec<(f64, f64)>,
+    /// Which constructor built the series: [`Series::cdf`] or [`Series::xy`].
+    cdf: bool,
+}
+
+/// `label` and `points` only: how a series is summarised in text is not part
+/// of the figure's JSON.
+impl Serialize for Series {
+    fn to_value(&self) -> Value {
+        Value::Object(vec![
+            ("label".to_string(), self.label.to_value()),
+            ("points".to_string(), self.points.to_value()),
+        ])
+    }
 }
 
 impl Series {
@@ -32,20 +45,44 @@ impl Series {
         Series {
             label: label.into(),
             points,
+            cdf: true,
         }
     }
 
-    /// Builds a plain x/y series.
+    /// Builds a curve: y over time, block number or load.
     pub fn xy(label: impl Into<String>, points: Vec<(f64, f64)>) -> Self {
         Series {
             label: label.into(),
             points,
+            cdf: false,
         }
+    }
+
+    /// True for a CDF, whose x values are what the text table and `lab
+    /// sweep`'s "slowest" summarise; false for a curve, summarised by y.
+    pub fn is_cdf(&self) -> bool {
+        self.cdf
     }
 
     /// Largest x value (the slowest node for CDFs).
     pub fn max_x(&self) -> f64 {
         self.points.iter().map(|(x, _)| *x).fold(f64::NAN, f64::max)
+    }
+
+    /// The four numbers of the series' row in a text table: p10 / median /
+    /// p90 / slowest of a CDF's x values, min / median / max / last of a
+    /// curve's y values.
+    fn summary(&self) -> [f64; 4] {
+        if self.cdf {
+            let q = |fraction| self.quantile(fraction);
+            return [q(0.10), q(0.50), q(0.90), self.max_x()];
+        }
+        // The y values as a distribution of their own.
+        let ys: Vec<f64> = self.points.iter().map(|p| p.1).collect();
+        let spread = Series::cdf("", &ys);
+        let last = ys.last().copied().unwrap_or(f64::NAN);
+        let q = |fraction| spread.quantile(fraction);
+        [q(0.0), q(0.5), spread.max_x(), last]
     }
 
     /// The x value at which the CDF reaches `fraction` (e.g. 0.5 = median).
@@ -100,25 +137,30 @@ impl Figure {
     }
 
     /// Renders the figure as text: a summary table plus (optionally) the raw
-    /// CDF points of each series.
+    /// points of each series. A CDF's row is quantiles of x; a curve's row is
+    /// statistics of y. Rows keep series order, under a header naming the
+    /// columns wherever the kind of series changes.
     pub fn render_text(&self, raw_points: bool) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "== {} — {} ==", self.id, self.title);
-        let _ = writeln!(
-            out,
-            "{:<44} {:>10} {:>10} {:>10} {:>10}",
-            "series", "p10", "median", "p90", "slowest"
-        );
+        let mut headed = None;
         for s in &self.series {
+            if headed != Some(s.cdf) {
+                headed = Some(s.cdf);
+                let [name, a, b, c, d] = if s.cdf {
+                    ["series", "p10", "median", "p90", "slowest"]
+                } else {
+                    ["curve (y values)", "min", "median", "max", "last"]
+                };
+                let _ = writeln!(out, "{name:<44} {a:>10} {b:>10} {c:>10} {d:>10}");
+            }
+            let [a, b, c, d] = s.summary();
+            let digits = if s.cdf { 1 } else { 3 };
             let _ = writeln!(
                 out,
-                "{:<44} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",
-                s.label,
-                s.quantile(0.10),
-                s.quantile(0.50),
-                s.quantile(0.90),
-                s.max_x()
+                "{:<44} {a:>10.digits$} {b:>10.digits$} {c:>10.digits$} {d:>10.digits$}",
+                s.label
             );
         }
         for n in &self.notes {
@@ -198,5 +240,60 @@ mod tests {
         assert!(text.contains("note: hello"));
         let json = f.to_json();
         assert!(json.contains("\"alpha\""));
+    }
+
+    #[test]
+    fn a_cdf_row_is_quantiles_of_x_and_a_curve_row_statistics_of_y() {
+        let mut f = Figure::new("Figure 0", "one of each");
+        f.push(Series::cdf("alpha", &[30.0, 10.0, 20.0, 40.0]));
+        // Every x is 1000x its y: an x in the row would show.
+        let curve = [(3000.0, 3.0), (1000.0, 1.0), (4000.0, 4.0), (2000.0, 2.0)];
+        f.push(Series::xy("beta", curve.to_vec()));
+        let text = f.render_text(false);
+        let lines: Vec<&str> = text.lines().collect();
+        let row = |name: &str, cols: [&str; 4]| {
+            let [a, b, c, d] = cols;
+            format!("{name:<44} {a:>10} {b:>10} {c:>10} {d:>10}")
+        };
+        assert_eq!(
+            lines[1..],
+            [
+                row("series", ["p10", "median", "p90", "slowest"]),
+                row("alpha", ["10.0", "20.0", "40.0", "40.0"]),
+                row("curve (y values)", ["min", "median", "max", "last"]),
+                row("beta", ["1.000", "2.000", "4.000", "2.000"]),
+            ]
+        );
+        // --raw still prints the points of both, x and y.
+        let raw = f.render_text(true);
+        assert!(raw.contains("-- beta --\n3000.000\t3.0000\n"), "{raw}");
+        assert!(raw.contains("-- alpha --\n10.000\t0.2500\n"), "{raw}");
+    }
+
+    #[test]
+    fn the_kind_of_a_series_stays_out_of_its_json() {
+        let mut f = Figure::new("Figure 0", "keys");
+        f.push(Series::cdf("alpha", &[1.0]));
+        f.push(Series::xy("beta", vec![(1.0, 2.0)]));
+        assert!(f.series[0].is_cdf() && !f.series[1].is_cdf());
+        let Value::Object(figure) = f.to_value() else {
+            panic!("a figure is an object");
+        };
+        let keys = |fields: &[(String, Value)]| -> Vec<String> {
+            fields.iter().map(|(key, _)| key.clone()).collect()
+        };
+        assert_eq!(
+            keys(&figure),
+            ["id", "title", "x_label", "y_label", "series", "notes"]
+        );
+        let Some((_, Value::Array(series))) = figure.iter().find(|(key, _)| key == "series") else {
+            panic!("series is an array");
+        };
+        for s in series {
+            let Value::Object(fields) = s else {
+                panic!("a series is an object");
+            };
+            assert_eq!(keys(fields), ["label", "points"]);
+        }
     }
 }

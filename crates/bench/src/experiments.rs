@@ -405,9 +405,13 @@ pub fn fig11_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
     Ok(high_bdp_workload(opts, 0.015))
 }
 
-/// Figure 12's workload: the source, 6 well-connected peers and the victim,
-/// one of whose links degrades per period.
+/// Figure 12's workload: the source, 6 well-connected peers (`--nodes` less
+/// two) and the victim, one of whose links degrades per period.
 pub fn fig12_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    let nodes = opts.nodes.unwrap_or(8);
+    if nodes < 3 {
+        return Err("fig12 needs --nodes 3 or more: the source, a fast peer and the victim".into());
+    }
     let file = file(opts, 10.0, 100.0, 8);
     // The paper degrades one link every 25 s over a ~100 MB download; keep the
     // number of degradations seen during a reduced download the same by
@@ -416,7 +420,7 @@ pub fn fig12_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
     Ok(Workload::new(
         opts,
         TopologyKind::Cascade,
-        8,
+        nodes,
         file,
         Dynamics::CascadingDegrade {
             period: period.max(1.0),
@@ -1175,7 +1179,8 @@ pub fn fig22_figure(cells: &[(String, ServiceWorkload)], reports: &[ServiceRepor
     fig
 }
 
-/// Multi-line human summary of a [`ServiceReport`], as `lab serve` prints it.
+/// Multi-line human summary of a [`ServiceReport`], as `lab run` prints it
+/// under an open scenario's figure.
 pub fn service_summary(report: &ServiceReport) -> String {
     use std::fmt::Write;
     let mut out = String::new();
@@ -1351,6 +1356,22 @@ mod tests {
             opts.nodes = Some(nodes);
             assert_eq!(fig16_workload(&opts, "default").is_ok(), accepted);
         }
+    }
+
+    #[test]
+    fn fig12_runs_the_swarm_it_is_asked_for_down_to_three_nodes() {
+        let mut opts = tiny();
+        for (nodes, accepted) in [(2, false), (3, true)] {
+            opts.nodes = Some(nodes);
+            assert_eq!(fig12_workload(&opts, "default").is_ok(), accepted);
+        }
+        opts.nodes = Some(5);
+        let f12 = study(fig12_workload, fig12_figure, &opts);
+        assert_eq!(
+            f12.series[0].points.len(),
+            4,
+            "3 fast receivers + the victim"
+        );
     }
 
     #[test]

@@ -43,6 +43,4 @@ pub mod workload;
 pub use cdf::{improvement_at, Figure, Series};
 pub use opts::{emit, CommonOpts};
 pub use systems::SystemKind;
-pub use workload::{
-    run_system, Dynamics, ServiceWorkload, SystemRun, TopologyKind, WarmPrefix, Workload,
-};
+pub use workload::{Dynamics, ServiceWorkload, SystemRun, TopologyKind, WarmPrefix, Workload};

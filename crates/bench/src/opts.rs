@@ -127,20 +127,24 @@ fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
         .map_err(|_| format!("could not parse '{s}'\n{USAGE}"))
 }
 
-/// Writes a figure to stdout and optionally to a JSON file, honouring the
-/// shared options.
+/// Writes a figure to a JSON file, if the shared options name one, and then
+/// to `out`: a reader that closes `out` early still gets the file.
 ///
 /// # Errors
 ///
-/// Returns a message if the JSON file cannot be written.
-pub fn emit(figure: &crate::cdf::Figure, opts: &CommonOpts) -> Result<(), String> {
-    print!("{}", figure.render_text(opts.raw));
+/// Returns `out`'s error, or one naming the JSON file if that cannot be
+/// written.
+pub fn emit(
+    figure: &crate::cdf::Figure,
+    opts: &CommonOpts,
+    out: &mut dyn std::io::Write,
+) -> std::io::Result<()> {
     if let Some(path) = &opts.json {
         std::fs::write(path, figure.to_json())
-            .map_err(|e| format!("failed to write {path}: {e}"))?;
+            .map_err(|e| std::io::Error::other(format!("failed to write {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
-    Ok(())
+    out.write_all(figure.render_text(opts.raw).as_bytes())
 }
 
 #[cfg(test)]

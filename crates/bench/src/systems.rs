@@ -67,23 +67,26 @@ pub fn cascade_schedule(fast_nodes: usize, period_secs: f64) -> ChangeSchedule {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::workload::run_system;
+    use crate::opts::CommonOpts;
+    use crate::workload::{Dynamics, TopologyKind, Workload};
     use dissem_codec::FileSpec;
-    use netsim::topology;
 
     #[test]
     fn all_four_systems_run_on_a_tiny_workload() {
+        let opts = CommonOpts {
+            seed: 3,
+            time_limit: 1800.0,
+            ..CommonOpts::default()
+        };
+        let w = Workload::new(
+            &opts,
+            TopologyKind::ModelNetMesh { max_loss: 0.005 },
+            6,
+            FileSpec::new(128 * 1024, 16 * 1024),
+            Dynamics::Static,
+        );
         for kind in SystemKind::all() {
-            let rng = RngFactory::new(3);
-            let topo = topology::modelnet_mesh(6, 0.005, &rng);
-            let run = run_system(
-                kind,
-                topo,
-                FileSpec::new(128 * 1024, 16 * 1024),
-                &rng,
-                &Vec::new(),
-                SimDuration::from_secs(1800),
-            );
+            let run = w.run_system(kind);
             assert_eq!(run.times.len(), 5, "{kind:?}");
             assert_eq!(run.unfinished, 0, "{kind:?} left receivers unfinished");
             assert!(run.times.iter().all(|&t| t > 0.0 && t <= run.end_time));

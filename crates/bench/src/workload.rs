@@ -173,7 +173,7 @@ pub struct Workload {
 }
 
 /// A workload's dynamics materialised as what a built runner is given: the
-/// probe, the quiet prefix, the three schedules and the end of the run.
+/// probe, the quiet prefix and the three schedules.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
     /// Stats-probe tick, if any.
@@ -187,8 +187,6 @@ pub struct Plan {
     pub nodes: NodeSchedule,
     /// Cross-traffic occupancy changes.
     pub cross: CrossSchedule,
-    /// The time limit.
-    pub end: SimTime,
 }
 
 impl Plan {
@@ -218,13 +216,6 @@ impl Plan {
         for (at, change) in self.cross {
             runner.schedule_cross_traffic(at, change);
         }
-    }
-
-    fn report<P: Protocol>(self, mut runner: Runner<P>) -> RunReport {
-        self.warm(&mut runner);
-        let end = self.end;
-        self.schedule(&mut runner);
-        runner.run_until(end)
     }
 }
 
@@ -304,7 +295,6 @@ impl Workload {
         let mut plan = Plan {
             tick: self.tick.map(SimDuration::from_secs_f64),
             quiet: SimTime::from_secs_f64(self.dynamics.quiet()),
-            end: SimTime::from_secs_f64(self.limit),
             ..Plan::default()
         };
         match self.dynamics {
@@ -413,8 +403,29 @@ impl Workload {
     }
 
     /// Runs one of the four compared systems with its default configuration.
+    /// The only place that maps a [`SystemKind`] to its builder.
     pub fn run_system(&self, kind: SystemKind) -> SystemRun {
-        let report = run_kind(kind, self.topology(), self.file, &self.rng(), self.plan());
+        let file = self.file;
+        let report = match kind {
+            SystemKind::BulletPrime => self.report(),
+            SystemKind::BulletOriginal => {
+                let build = |topo, rng: &RngFactory| bullet_orig::build_runner(topo, file, rng);
+                self.run(&mut self.runner(build))
+            }
+            SystemKind::BitTorrent => self.run(&mut self.runner(|topo, rng| {
+                let cfg = BitTorrentConfig::new(file);
+                let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
+                    .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
+                    .collect();
+                let mut runner = Runner::new(Network::new(topo), nodes, rng);
+                runner.exempt_from_completion(NodeId(0));
+                runner
+            })),
+            SystemKind::SplitStream => {
+                let build = |topo, rng: &RngFactory| splitstream::build_runner(topo, file, rng);
+                self.run(&mut self.runner(build))
+            }
+        };
         SystemRun::from_report(&report)
     }
 
@@ -455,51 +466,6 @@ impl Workload {
         self.plan().schedule(&mut runner);
         self.run(&mut runner)
     }
-}
-
-/// Runs `kind`'s default configuration on a built topology under `plan`.
-/// The only place that maps a [`SystemKind`] to its builder.
-fn run_kind(
-    kind: SystemKind,
-    topo: Topology,
-    file: FileSpec,
-    rng: &RngFactory,
-    plan: Plan,
-) -> RunReport {
-    match kind {
-        SystemKind::BulletPrime => {
-            plan.report(bullet_prime::build_runner(topo, &Config::new(file), rng))
-        }
-        SystemKind::BulletOriginal => plan.report(bullet_orig::build_runner(topo, file, rng)),
-        SystemKind::BitTorrent => {
-            let cfg = BitTorrentConfig::new(file);
-            let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
-                .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-                .collect();
-            let mut runner = Runner::new(Network::new(topo), nodes, rng);
-            runner.exempt_from_completion(NodeId(0));
-            plan.report(runner)
-        }
-        SystemKind::SplitStream => plan.report(splitstream::build_runner(topo, file, rng)),
-    }
-}
-
-/// [`Workload::run_system`] for a topology and bandwidth-change schedule
-/// that no [`Workload`] names (tests and examples compose their own).
-pub fn run_system(
-    kind: SystemKind,
-    topo: Topology,
-    file: FileSpec,
-    rng: &RngFactory,
-    schedule: &ChangeSchedule,
-    limit: SimDuration,
-) -> SystemRun {
-    let plan = Plan {
-        links: schedule.clone(),
-        end: SimTime::ZERO + limit,
-        ..Plan::default()
-    };
-    SystemRun::from_report(&run_kind(kind, topo, file, rng, plan))
 }
 
 /// Per-receiver completion times of one mesh of a run.
@@ -670,7 +636,6 @@ mod tests {
         ] {
             let plan = tiny(dynamics).plan();
             assert!(plan.links.is_empty() && plan.nodes.is_empty() && plan.cross.is_empty());
-            assert_eq!(plan.end, SimTime::from_secs_f64(1800.0));
             assert_eq!(plan.quiet, SimTime::from_secs_f64(dynamics.quiet()));
         }
     }

@@ -17,12 +17,14 @@
 //! of these runs are what `lab run fig20`, `lab sweep fig05 --json` and `lab
 //! trace fig05` print.
 
+use std::io::Write;
 use std::time::Instant;
 
 use bullet_bench::experiments::{fig05_workload, fig20_workload};
 use bullet_bench::{CommonOpts, Workload};
 use netsim::{CountingSink, StopReason};
 
+use crate::cli::Stop;
 use crate::executor::run_sweep;
 use crate::registry::Registry;
 use crate::scenario::SeedPlan;
@@ -157,9 +159,13 @@ fn threads_leg(
 
 /// The `lab bench` subcommand. `Ok` carries the exit status: 0, or 1 when a
 /// check failed.
-pub(crate) fn bench(registry: &Registry, args: &[String]) -> Result<i32, String> {
+pub(crate) fn bench(
+    registry: &Registry,
+    args: &[String],
+    out: &mut dyn Write,
+) -> Result<i32, Stop> {
     if !args.is_empty() {
-        return Err(USAGE.to_string());
+        return Err(USAGE.to_string().into());
     }
     let host_threads = std::thread::available_parallelism().map_or(1, |n| n.get());
     let opts = |nodes, file_mb, time_limit| CommonOpts {
@@ -176,8 +182,8 @@ pub(crate) fn bench(registry: &Registry, args: &[String]) -> Result<i32, String>
 
     for check in &checks {
         match check {
-            Ok(line) => println!("ok    {line}"),
-            Err(line) => println!("FAIL  {line}"),
+            Ok(line) => writeln!(out, "ok    {line}")?,
+            Err(line) => writeln!(out, "FAIL  {line}")?,
         }
     }
     Ok(i32::from(checks.iter().any(Result::is_err)))

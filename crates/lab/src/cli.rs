@@ -2,15 +2,13 @@
 //!
 //! ```text
 //! lab list                         # every registered scenario, one per line
-//! lab run <scenario> [fig opts]    # one run of the scenario's figure
+//! lab run <scenario> [fig opts]    # one run of the scenario's figure; an
+//!                                  # open-system scenario (fig21/fig22) adds
+//!                                  # each service cell's summary
 //! lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K]
 //!                      [--json PATH] [fig opts]
 //! lab bench                         # no options, nothing written: three fixed
 //!                                   # self-checks, one line each (see `bench`)
-//! lab serve <scenario> [--threads N,M,..] [--json PATH] [fig opts]
-//!                                   # open-system service run (fig21/fig22):
-//!                                   # generator-driven swarm arrivals, one
-//!                                   # ServiceReport per cell (see `serve`)
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N]
 //!                      [fig opts]   # one traced run: per-kind summary,
 //!                                   # JSONL export, probe replay cross-check,
@@ -19,99 +17,113 @@
 //!
 //! `[fig opts]` are the shared figure options (`--nodes`, `--mb`, `--seed`,
 //! …) parsed by [`CommonOpts`]; lab-specific flags are peeled off first.
+//! Every command prints to the one writer [`lab_main`] is given.
 
+use std::io::{self, Write};
 use std::time::Instant;
 
-use bullet_bench::{emit, CommonOpts};
+use bullet_bench::experiments::service_summary;
+use bullet_bench::{emit, CommonOpts, Series};
 
 use crate::executor::run_sweep;
 use crate::registry::Registry;
-use crate::scenario::Body;
+use crate::scenario::{run_cells, Body, Scenario};
 
-pub(crate) const USAGE: &str = "usage: lab <list|run|sweep|bench|serve|trace> [scenario] [options]
+const USAGE: &str = "usage: lab <list|run|sweep|bench|trace> [scenario] [options]
   lab list
   lab run <scenario> [figure options; see lab run <scenario> --help]
   lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K] [--json PATH] [figure options]
   lab bench
-  lab serve <scenario> [--threads N,M,..] [--json PATH] [figure options]
   lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] [figure options]";
 
+/// Why a command ended early.
+#[derive(Debug)]
+pub(crate) enum Stop {
+    /// A usage error, or a file that could not be written.
+    Message(String),
+    /// `out` failed, or [`emit`] could not write its JSON file.
+    Io(io::Error),
+}
+
+impl From<String> for Stop {
+    fn from(msg: String) -> Self {
+        Stop::Message(msg)
+    }
+}
+
+impl From<io::Error> for Stop {
+    fn from(e: io::Error) -> Self {
+        Stop::Io(e)
+    }
+}
+
 /// Entry point of the `lab` binary: parses `args` (without `argv[0]`) and
-/// runs the requested subcommand. Returns the process exit code: 2 with a
-/// message on stderr for a usage or I/O error, 1 when `lab bench` ran and a
-/// check failed.
-pub fn lab_main<I: IntoIterator<Item = String>>(args: I) -> i32 {
-    match dispatch(args) {
+/// runs the requested subcommand, which prints to `out`. Returns the process
+/// exit code: 2 with a message on stderr for a usage or I/O error, 1 when
+/// `lab bench` ran and a check failed. A reader that closes `out` early
+/// (`lab list | head -1`) ends the command with 0.
+pub fn lab_main<I: IntoIterator<Item = String>>(args: I, out: &mut dyn Write) -> i32 {
+    match dispatch(args, out) {
         Ok(code) => code,
-        Err(msg) => {
+        Err(Stop::Io(e)) if e.kind() == io::ErrorKind::BrokenPipe => 0,
+        Err(Stop::Io(e)) => {
+            eprintln!("{e}");
+            2
+        }
+        Err(Stop::Message(msg)) => {
             eprintln!("{msg}");
             2
         }
     }
 }
 
-fn dispatch<I: IntoIterator<Item = String>>(args: I) -> Result<i32, String> {
+fn dispatch<I: IntoIterator<Item = String>>(args: I, out: &mut dyn Write) -> Result<i32, Stop> {
     let mut args: Vec<String> = args.into_iter().collect();
     if args.is_empty() {
-        return Err(USAGE.to_string());
+        return Err(USAGE.to_string().into());
     }
     let command = args.remove(0);
     let registry = Registry::standard();
     match command.as_str() {
-        "list" => {
-            list(&registry);
-            Ok(())
-        }
-        "run" => {
-            let (name, rest) = take_scenario(args)?;
-            let scenario = resolve(&registry, &name)?;
-            let opts = CommonOpts::parse(rest)?;
-            emit(&scenario.figure(&opts, "default", None)?, &opts)
-        }
-        "sweep" => sweep(&registry, args),
-        "bench" => return crate::bench::bench(&registry, &args),
-        "serve" => crate::serve::serve(&registry, args),
-        "trace" => crate::trace_cmd::trace(&registry, args),
-        "--help" | "-h" | "help" => Err(USAGE.to_string()),
-        other => Err(format!("unknown command {other}\n{USAGE}")),
+        "list" => list(&registry, out)?,
+        "run" => run(&registry, args, out)?,
+        "sweep" => sweep(&registry, args, out)?,
+        "bench" => return crate::bench::bench(&registry, &args, out),
+        "trace" => crate::trace_cmd::trace(&registry, args, out)?,
+        "--help" | "-h" | "help" => return Err(USAGE.to_string().into()),
+        other => return Err(format!("unknown command {other}\n{USAGE}").into()),
     }
-    .map(|()| 0)
+    Ok(0)
 }
 
-pub(crate) fn take_scenario(mut args: Vec<String>) -> Result<(String, Vec<String>), String> {
+/// Splits a command's arguments into the scenario they name first and the
+/// rest.
+pub(crate) fn take_scenario(
+    registry: &Registry,
+    mut args: Vec<String>,
+) -> Result<(&Scenario, Vec<String>), String> {
     if args.is_empty() || args[0].starts_with('-') {
         return Err(format!("expected a scenario name\n{USAGE}"));
     }
     let name = args.remove(0);
-    Ok((name, args))
-}
-
-pub(crate) fn resolve<'r>(
-    registry: &'r Registry,
-    name: &str,
-) -> Result<&'r crate::scenario::Scenario, String> {
-    registry.get(name).ok_or_else(|| {
+    let scenario = registry.get(&name).ok_or_else(|| {
         format!(
             "unknown scenario '{name}'; available: {}",
             registry.names().join(", ")
         )
-    })
+    })?;
+    Ok((scenario, args))
 }
 
-fn list(registry: &Registry) {
-    use std::io::Write;
-    // `lab list | head` closes our stdout mid-write; ignore the error
-    // instead of panicking like `println!` would.
-    let stdout = std::io::stdout();
-    let mut out = stdout.lock();
-    let header = format!(
+fn list(registry: &Registry, out: &mut dyn Write) -> io::Result<()> {
+    writeln!(
+        out,
         "{:<8} {:<18} {:<18} {:<14} title",
         "name", "topology", "dynamics", "sweep"
-    );
-    let _ = writeln!(out, "{header}");
+    )?;
     for sc in registry.iter() {
         let (topology, dynamics) = sc.tags();
-        let _ = writeln!(
+        writeln!(
             out,
             "{:<8} {:<18} {:<18} {:<14} {}",
             sc.name,
@@ -119,21 +131,42 @@ fn list(registry: &Registry) {
             dynamics,
             format!("{}pt x {}seed", sc.sweep.points.len(), sc.sweep.seeds.count),
             sc.title,
-        );
+        )?;
     }
+    Ok(())
+}
+
+/// `lab run`: the scenario's figure at its default point, followed for an
+/// open scenario by each cell's [`service_summary`].
+fn run(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<(), Stop> {
+    let (scenario, rest) = take_scenario(registry, args)?;
+    let opts = CommonOpts::parse(rest)?;
+    let Body::Open { cells, figure } = scenario.body else {
+        return Ok(emit(&scenario.figure(&opts, "default", None)?, &opts, out)?);
+    };
+    let cells = cells(&opts);
+    let reports = run_cells(&cells);
+    emit(&figure(&cells, &reports), &opts, out)?;
+    for ((label, _), report) in cells.iter().zip(&reports) {
+        writeln!(out, "[{label}]")?;
+        for line in service_summary(report).lines() {
+            writeln!(out, "  {line}")?;
+        }
+    }
+    Ok(())
 }
 
 /// Lab-specific flags peeled off before [`CommonOpts`] sees the rest.
 #[derive(Debug, Default)]
-pub(crate) struct SweepArgs {
-    pub(crate) threads: Vec<usize>,
-    pub(crate) seeds: Option<Vec<u64>>,
-    pub(crate) seed_count: Option<usize>,
-    pub(crate) json: Option<String>,
-    pub(crate) rest: Vec<String>,
+struct SweepArgs {
+    threads: Option<usize>,
+    seeds: Option<Vec<u64>>,
+    seed_count: Option<usize>,
+    json: Option<String>,
+    rest: Vec<String>,
 }
 
-pub(crate) fn parse_sweep_args(args: Vec<String>) -> Result<SweepArgs, String> {
+fn parse_sweep_args(args: Vec<String>) -> Result<SweepArgs, String> {
     let mut out = SweepArgs::default();
     let mut it = args.into_iter();
     while let Some(arg) = it.next() {
@@ -142,12 +175,10 @@ pub(crate) fn parse_sweep_args(args: Vec<String>) -> Result<SweepArgs, String> {
                 .ok_or_else(|| format!("{name} requires a value\n{USAGE}"))
         };
         match arg.as_str() {
-            "--threads" => {
-                out.threads = parse_list(&value_for("--threads")?)?;
-                if out.threads.contains(&0) {
-                    return Err(format!("--threads values must be positive\n{USAGE}"));
-                }
-            }
+            "--threads" => match value_for("--threads")?.parse() {
+                Ok(count @ 1..) => out.threads = Some(count),
+                _ => return Err(format!("--threads must be a positive integer\n{USAGE}")),
+            },
             "--seeds" => out.seeds = Some(parse_list(&value_for("--seeds")?)?),
             "--seed-count" => match value_for("--seed-count")?.parse() {
                 Ok(count @ 1..) => out.seed_count = Some(count),
@@ -174,7 +205,7 @@ fn parse_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
 /// `--seed-count` over the scenario's base seed (or `--seed`), then the
 /// scenario's default plan re-based onto `--seed` if one was given.
 fn effective_seeds(
-    scenario: &crate::scenario::Scenario,
+    scenario: &Scenario,
     sweep_args: &SweepArgs,
     opts: &CommonOpts,
     explicit_seed: bool,
@@ -192,17 +223,12 @@ fn effective_seeds(
     plan.seeds()
 }
 
-fn sweep(registry: &Registry, args: Vec<String>) -> Result<(), String> {
-    let (name, rest) = take_scenario(args)?;
-    let scenario = resolve(registry, &name)?;
+fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<(), Stop> {
+    let (scenario, rest) = take_scenario(registry, args)?;
     let sweep_args = parse_sweep_args(rest)?;
     let explicit_seed = sweep_args.rest.iter().any(|a| a == "--seed");
     let opts = CommonOpts::parse(sweep_args.rest.clone())?;
-    let threads = match sweep_args.threads.as_slice() {
-        [] => 1,
-        [n] => *n,
-        _ => return Err(format!("sweep takes a single --threads value\n{USAGE}")),
-    };
+    let threads = sweep_args.threads.unwrap_or(1);
     let seeds = effective_seeds(scenario, &sweep_args, &opts, explicit_seed);
     // A workload may refuse the options (fig16 below three nodes): that is a
     // usage error here, not a panic in a worker.
@@ -216,37 +242,42 @@ fn sweep(registry: &Registry, args: Vec<String>) -> Result<(), String> {
     let report = run_sweep(scenario, &opts, &seeds, threads);
     let wall = started.elapsed().as_secs_f64();
 
-    // Human summary to stdout; the deterministic artefact goes to --json.
-    println!(
+    // The deterministic artefact goes to --json, and first: a reader that
+    // closes `out` early still gets the file.
+    eprintln!("wall_clock_secs: {wall:.3}");
+    if let Some(path) = &sweep_args.json {
+        std::fs::write(path, report.to_json())
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        eprintln!("wrote {path}");
+    }
+    writeln!(
+        out,
         "sweep {}: {} cells ({} points x {} seeds) on {} thread(s)",
         report.scenario,
         report.cells.len(),
         scenario.sweep.points.len(),
         seeds.len(),
         threads
-    );
+    )?;
     for cell in &report.cells {
         let fig = &cell.figure;
-        let slowest = fig
-            .series
-            .iter()
-            .map(|s| s.max_x())
-            .fold(f64::NAN, f64::max);
-        println!(
-            "  [{} seed {}] {} series, slowest {:.1}s, {:.3}s wall — {}",
+        // The slowest receiver of any CDF; a curve's x is not a time.
+        let cdfs = fig.series.iter().filter(|s| s.is_cdf());
+        let slowest = cdfs.map(Series::max_x).fold(f64::NAN, f64::max);
+        let slowest = if slowest.is_nan() {
+            String::new()
+        } else {
+            format!(" slowest {slowest:.1}s,")
+        };
+        writeln!(
+            out,
+            "  [{} seed {}] {} series,{slowest} {:.3}s wall — {}",
             cell.point,
             cell.seed,
             fig.series.len(),
-            slowest,
             cell.wall_clock_secs,
             fig.id
-        );
-    }
-    eprintln!("wall_clock_secs: {wall:.3}");
-    if let Some(path) = &sweep_args.json {
-        std::fs::write(path, report.to_json())
-            .map_err(|e| format!("failed to write {path}: {e}"))?;
-        eprintln!("wrote {path}");
+        )?;
     }
     Ok(())
 }
@@ -256,18 +287,115 @@ mod tests {
     use super::*;
     use crate::scenario::SeedPlan;
 
+    fn strings(args: &[&str]) -> Vec<String> {
+        args.iter().map(|a| a.to_string()).collect()
+    }
+
+    fn usage_error(args: &[&str]) -> String {
+        match dispatch(strings(args), &mut io::sink()) {
+            Err(Stop::Message(msg)) => msg,
+            other => panic!("{args:?}: expected a usage error, got {other:?}"),
+        }
+    }
+
+    /// What a command printed, having exited 0.
+    fn printed(args: &[&str]) -> String {
+        let mut out = Vec::new();
+        assert_eq!(lab_main(strings(args), &mut out), 0, "{args:?}");
+        String::from_utf8(out).expect("commands print UTF-8")
+    }
+
+    /// A pipe that takes `0` more bytes; every write after that fails with
+    /// `1`.
+    struct Closes(usize, io::ErrorKind);
+
+    impl Write for Closes {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            if self.0 == 0 {
+                return Err(self.1.into());
+            }
+            let taken = buf.len().min(self.0);
+            self.0 -= taken;
+            Ok(taken)
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    const SMOKE: [&str; 4] = ["--nodes", "4", "--mb", "0.1"];
+
+    #[test]
+    fn a_closed_pipe_ends_every_command_with_status_0() {
+        let commands: [&[&str]; 4] = [
+            &["list"],
+            &["run", "fig15"],
+            &[
+                "sweep", "fig13", "--seeds", "1", "--nodes", "4", "--mb", "0.1",
+            ],
+            &["trace", "fig13", "--nodes", "4", "--mb", "0.1"],
+        ];
+        for command in commands {
+            let args = strings(command);
+            let whole = {
+                let mut out = Vec::new();
+                assert_eq!(lab_main(args.clone(), &mut out), 0, "{command:?}");
+                out.len()
+            };
+            assert!(whole > 80, "{command:?} prints more than the pipe takes");
+            let mut pipe = Closes(80, io::ErrorKind::BrokenPipe);
+            assert_eq!(lab_main(args.clone(), &mut pipe), 0, "{command:?}");
+            assert_eq!(pipe.0, 0, "{command:?} wrote until the pipe closed");
+            // Any other failure of the writer is an error.
+            let mut disk = Closes(80, io::ErrorKind::PermissionDenied);
+            assert_eq!(lab_main(args, &mut disk), 2, "{command:?}");
+        }
+    }
+
+    #[test]
+    fn serve_is_not_a_command() {
+        let err = usage_error(&["serve", "fig21"]);
+        assert!(err.starts_with("unknown command serve"), "{err}");
+        assert_eq!(lab_main(strings(&["serve", "fig21"]), &mut io::sink()), 2);
+    }
+
+    #[test]
+    fn run_prints_an_open_scenarios_figure_and_one_summary_per_cell() {
+        let smoke = ["--nodes", "12", "--mb", "0.25", "--time-limit", "600"];
+        let text = printed(&[&["run", "fig22"][..], &smoke].concat());
+        assert!(text.starts_with("== Figure 22"), "{text}");
+        assert!(text.contains("curve (y values)"), "{text}");
+        let blocks: Vec<&str> = text.lines().filter(|l| l.starts_with('[')).collect();
+        assert_eq!(blocks, ["[flash-crowd]"], "{text}");
+        assert_eq!(text.matches("  sustained goodput").count(), 1, "{text}");
+        // The summary follows the figure.
+        assert!(text.find("note: ") < text.find("[flash-crowd]"), "{text}");
+
+        let closed = printed(&[&["run", "fig13"][..], &SMOKE].concat());
+        assert!(!closed.contains("sustained goodput"), "{closed}");
+    }
+
+    #[test]
+    fn sweep_reads_slowest_off_cdfs_only() {
+        let seed = ["--seeds", "1"];
+        // fig21 and fig13 carry curves only: an offered load or a block
+        // number is not a download time.
+        let smoke = ["--nodes", "16", "--mb", "0.25", "--time-limit", "300"];
+        let open = printed(&[&["sweep", "fig21"][..], &seed, &smoke].concat());
+        assert!(open.contains("[default seed 1] 5 series, "), "{open}");
+        assert!(!open.contains("slowest"), "{open}");
+        let curve = printed(&[&["sweep", "fig13"][..], &seed, &SMOKE].concat());
+        assert!(!curve.contains("slowest"), "{curve}");
+        let cdf = printed(&[&["sweep", "fig06"][..], &seed, &SMOKE].concat());
+        assert!(cdf.contains(" 4 series, slowest "), "{cdf}");
+    }
+
     #[test]
     fn sweep_args_split_lab_flags_from_figure_flags() {
-        let args = vec![
-            "--threads".to_string(),
-            "4".to_string(),
-            "--nodes".to_string(),
-            "8".to_string(),
-            "--seeds".to_string(),
-            "1,2,3".to_string(),
-        ];
+        let args = strings(&["--threads", "4", "--nodes", "8", "--seeds", "1,2,3"]);
         let parsed = parse_sweep_args(args).unwrap();
-        assert_eq!(parsed.threads, vec![4]);
+        assert_eq!(parsed.threads, Some(4));
         assert_eq!(parsed.seeds, Some(vec![1, 2, 3]));
         assert_eq!(parsed.rest, vec!["--nodes", "8"]);
         let opts = CommonOpts::parse(parsed.rest).unwrap();
@@ -303,28 +431,23 @@ mod tests {
 
     #[test]
     fn zero_thread_counts_are_usage_errors_not_panics() {
-        for (cmd, flag) in [
-            ("sweep", "--threads"),
-            ("serve", "--threads"),
-            ("sweep", "--seed-count"),
-        ] {
-            let args = [cmd, "fig13", flag, "0"].map(String::from);
-            let err = dispatch(args).unwrap_err();
-            assert!(err.contains("positive"), "{cmd} {flag}: {err}");
+        for flag in ["--threads", "--seed-count"] {
+            let err = usage_error(&["sweep", "fig13", flag, "0"]);
+            assert!(err.contains("positive"), "{flag}: {err}");
         }
     }
 
     #[test]
     fn unknown_scenario_is_a_helpful_error() {
-        let code_err = dispatch(vec!["run".to_string(), "nope".to_string()]).unwrap_err();
-        assert!(code_err.contains("unknown scenario"));
-        assert!(code_err.contains("fig04"));
+        let err = usage_error(&["run", "nope"]);
+        assert!(err.contains("unknown scenario"));
+        assert!(err.contains("fig04"));
     }
 
     #[test]
     fn an_unwritable_json_path_is_an_io_error() {
         let args = ["run", "fig15", "--json", "/nonexistent/dir/f.json"];
-        assert_eq!(lab_main(args.map(String::from)), 2);
+        assert_eq!(lab_main(strings(&args), &mut io::sink()), 2);
     }
 
     #[test]
@@ -333,16 +456,15 @@ mod tests {
         let args = [
             "trace", "fig11", "--nodes", "6", "--mb", "0.125", "--ring", &ring,
         ];
-        assert_eq!(lab_main(args.map(String::from)), 0);
+        assert_eq!(lab_main(strings(&args), &mut io::sink()), 0);
     }
 
     #[test]
     fn bench_takes_no_arguments() {
         for args in [&["bench", "fig05"][..], &["bench", "--out", "x.json"]] {
-            let args = || args.iter().map(|a| a.to_string());
-            let err = dispatch(args()).unwrap_err();
+            let err = usage_error(args);
             assert!(err.starts_with("usage: lab bench"), "{err}");
-            assert_eq!(lab_main(args()), 2);
+            assert_eq!(lab_main(strings(args), &mut io::sink()), 2);
         }
     }
 }

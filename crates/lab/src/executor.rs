@@ -129,8 +129,7 @@ fn enumerate_cells(scenario: &Scenario, seeds: &[u64]) -> Vec<(usize, u64)> {
 /// they rank cells for longest-first claiming.
 fn estimate_cost(base: &CommonOpts, point: &ParamPoint) -> f64 {
     let nodes = point.nodes.or(base.nodes).unwrap_or(30) as f64;
-    let mb = point.file_mb.or(base.file_mb).unwrap_or(4.0);
-    nodes * nodes * mb
+    nodes * nodes * base.file_mb.unwrap_or(4.0)
 }
 
 /// The claim order of the cells: descending estimated cost, original index
@@ -179,15 +178,8 @@ fn run_ordered<T: Send>(
     done.into_iter().map(|(_, result)| result).collect()
 }
 
-/// Runs `n` independent jobs (indices `0..n`, claimed in index order) on
-/// `threads` workers; the result vector is in index order for any thread
-/// count. The deterministic building block `lab serve` parallelises its
-/// service cells with.
-///
-/// # Panics
-///
-/// Panics if `threads` is zero or a worker thread panics.
-pub fn run_indexed<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
+/// [`run_ordered`] with the jobs claimed in index order.
+fn run_indexed<T: Send>(n: usize, threads: usize, job: impl Fn(usize) -> T + Sync) -> Vec<T> {
     let order: Vec<usize> = (0..n).collect();
     run_ordered(&order, threads, job)
 }

@@ -21,15 +21,14 @@
 //!   (`netsim::snapshot`), and forks every cell from the snapshot — same
 //!   canonical bytes, less wall clock;
 //! * [`cli`] — the `lab` binary (`list` / `run` / `sweep` / `bench` /
-//!   `serve` / `trace`);
+//!   `trace`), every command printing to one writer; `lab run` is the one
+//!   presentation of a scenario, open-system ones (fig21/fig22, driven by
+//!   `netsim::service`'s generator-admitted swarms; see
+//!   `docs/SERVICE_MODE.md`) included;
 //! * `bench` — the `lab bench` subcommand: three baseline-free self-checks
 //!   no test makes — traced = dark at ≤ 1.5× the wall clock, fig20
 //!   `AllComplete` up to N = 10,000, 4-worker identity and scaling — and
 //!   nothing written (performance is recorded by `benchmark/`);
-//! * [`serve`] — the `lab serve` subcommand: an open-system scenario's cells
-//!   (fig21/fig22) driven by `netsim::service`'s generator-admitted swarms,
-//!   reported as sustained goodput and per-cohort completion percentiles
-//!   (see `docs/SERVICE_MODE.md`);
 //! * [`trace_cmd`] — the `lab trace` subcommand: the Bullet′ run of a closed
 //!   scenario's own workload with the structured trace sink and stats probe
 //!   enabled: per-kind summary, JSONL export, the probe replay cross-check
@@ -46,12 +45,10 @@ pub mod cli;
 pub mod executor;
 pub mod registry;
 pub mod scenario;
-pub mod serve;
 pub mod trace_cmd;
 
 pub use cli::lab_main;
-pub use executor::{run_indexed, run_sweep, run_sweep_with, CellReport, SweepReport};
+pub use executor::{run_sweep, run_sweep_with, CellReport, SweepReport};
 pub use registry::Registry;
 pub use scenario::{Body, ParamPoint, Presentation, Scenario, SeedPlan, SweepSpec};
-pub use serve::{run_serve, ServeCell, ServeRun};
 pub use trace_cmd::{check_replay, traced_run, TracedRun};

@@ -21,7 +21,6 @@ fn swarm_sizes() -> impl Iterator<Item = ParamPoint> {
         .map(|(label, nodes)| ParamPoint {
             label,
             nodes: Some(nodes),
-            ..Default::default()
         })
 }
 

@@ -6,15 +6,16 @@
 //! [`Workload`] value plus a presentation of runs of that workload; an
 //! open-system scenario is a list of labelled [`ServiceWorkload`] cells plus
 //! their presentation; fig15 is an analytic model. Everything the lab does
-//! with a scenario — `lab list`'s tags, what `lab trace` traces, `lab
-//! serve`'s cells, which sweep cells can fork one warm-up — is read from the
-//! body, so no command can run a different workload than `lab run` does. The
+//! with a scenario — `lab list`'s tags, what `lab trace` traces, the service
+//! runs `lab run` summarises, which sweep cells can fork one warm-up — is read
+//! from the body, so no command can run a different workload than `lab run`
+//! does. The
 //! functions themselves live in `bullet_bench::experiments`; the default
 //! parameter sweep and seed plan are data here.
 
 use bullet_bench::experiments::{ServiceFigureFn, WorkloadFn};
 use bullet_bench::{CommonOpts, Figure, ServiceWorkload, WarmPrefix, Workload};
-use netsim::RunReport;
+use netsim::{RunReport, ServiceReport};
 
 /// How a closed scenario turns its workload into a figure.
 #[derive(Clone, Copy)]
@@ -41,7 +42,7 @@ pub enum Body {
         /// Its presentation.
         figure: Presentation,
     },
-    /// An open system: independent service runs (`lab serve`'s cells).
+    /// An open system: independent service runs.
     Open {
         /// The labelled cells.
         cells: fn(&CommonOpts) -> Vec<(String, ServiceWorkload)>,
@@ -53,52 +54,29 @@ pub enum Body {
     Model(fn(&CommonOpts) -> Figure),
 }
 
-/// One point of a parameter sweep: named overrides applied on top of the
-/// sweep's base options. `None` fields leave the base value untouched.
-#[derive(Debug, Clone, Default, PartialEq)]
+/// One point of a parameter sweep: a label, which the scenario's workload
+/// function reads, and the swarm size if the point overrides it.
+#[derive(Debug, Clone, PartialEq)]
 pub struct ParamPoint {
     /// Label identifying the point in reports ("default", "80-nodes", …).
     pub label: &'static str,
-    /// Override for the node count.
+    /// Override for the node count; `None` leaves the base value untouched.
     pub nodes: Option<usize>,
-    /// Override for the file size (MiB).
-    pub file_mb: Option<f64>,
-    /// Override for the block size (KiB).
-    pub block_kb: Option<u32>,
-    /// Override for the virtual-time limit (seconds).
-    pub time_limit: Option<f64>,
 }
 
 impl ParamPoint {
-    /// The identity point: base options as-is.
-    pub fn default_point() -> Self {
-        Self::named("default")
-    }
-
-    /// A point that only names a variant: base options as-is.
+    /// A point that only names a variant ("default": the identity point):
+    /// base options as-is.
     pub fn named(label: &'static str) -> Self {
-        ParamPoint {
-            label,
-            ..Default::default()
-        }
+        ParamPoint { label, nodes: None }
     }
 
-    /// Applies the overrides to a copy of `base`.
+    /// Applies the override to a copy of `base`.
     pub fn apply(&self, base: &CommonOpts) -> CommonOpts {
-        let mut opts = base.clone();
-        if let Some(n) = self.nodes {
-            opts.nodes = Some(n);
+        CommonOpts {
+            nodes: self.nodes.or(base.nodes),
+            ..base.clone()
         }
-        if let Some(mb) = self.file_mb {
-            opts.file_mb = Some(mb);
-        }
-        if let Some(kb) = self.block_kb {
-            opts.block_kb = Some(kb);
-        }
-        if let Some(t) = self.time_limit {
-            opts.time_limit = t;
-        }
-        opts
     }
 }
 
@@ -146,7 +124,7 @@ pub struct SweepSpec {
 impl Default for SweepSpec {
     fn default() -> Self {
         SweepSpec {
-            points: vec![ParamPoint::default_point()],
+            points: vec![ParamPoint::named("default")],
             seeds: SeedPlan::default(),
         }
     }
@@ -222,9 +200,7 @@ impl Scenario {
             }
             Body::Open { cells, figure } => {
                 let cells = cells(opts);
-                let runs = crate::serve::run_cells(&cells, 1);
-                let reports: Vec<_> = runs.into_iter().map(|run| run.report).collect();
-                figure(&cells, &reports)
+                figure(&cells, &run_cells(&cells))
             }
             Body::Model(figure) => figure(opts),
         })
@@ -268,6 +244,11 @@ impl Scenario {
     }
 }
 
+/// Runs an open scenario's cells to their horizons, in cell order.
+pub fn run_cells(cells: &[(String, ServiceWorkload)]) -> Vec<ServiceReport> {
+    cells.iter().map(|(_, cell)| cell.run()).collect()
+}
+
 impl std::fmt::Debug for Scenario {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Scenario")
@@ -279,6 +260,39 @@ impl std::fmt::Debug for Scenario {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
+
+    #[test]
+    fn a_closed_scenario_has_no_cells() {
+        let registry = Registry::standard();
+        let open = |sc: &&Scenario| matches!(sc.body, Body::Open { .. });
+        let names: Vec<_> = registry.iter().filter(open).map(|sc| sc.name).collect();
+        assert_eq!(names, ["fig21", "fig22"]);
+    }
+
+    /// What `lab run fig22` presents is the run of fig22's own cell.
+    #[test]
+    fn an_open_scenarios_figure_is_handed_its_cells_runs() {
+        let opts = CommonOpts {
+            nodes: Some(12),
+            file_mb: Some(0.25),
+            time_limit: 600.0,
+            ..CommonOpts::default()
+        };
+        let Body::Open { cells, .. } = Registry::standard().get("fig22").unwrap().body else {
+            panic!("fig22 is an open scenario");
+        };
+        let handed = Scenario::new(
+            "fig22",
+            "fig22's cells, presented as their reports' canonical form",
+            Body::Open {
+                cells,
+                figure: |_, reports| Figure::new("t", reports[0].canonical()),
+            },
+        )
+        .run(&opts);
+        assert_eq!(handed.title, cells(&opts)[0].1.run().canonical());
+    }
 
     #[test]
     fn param_point_overrides_only_what_it_names() {
@@ -290,14 +304,13 @@ mod tests {
         let point = ParamPoint {
             label: "big",
             nodes: Some(40),
-            ..Default::default()
         };
         let opts = point.apply(&base);
         assert_eq!(opts.nodes, Some(40));
         assert_eq!(opts.time_limit, 600.0);
         assert_eq!(opts.file_mb, None);
         // The identity point changes nothing.
-        let same = ParamPoint::default_point().apply(&base);
+        let same = ParamPoint::named("default").apply(&base);
         assert_eq!(same.nodes, base.nodes);
     }
 
@@ -315,7 +328,6 @@ mod tests {
         let point = ParamPoint {
             label: "p",
             nodes: Some(12),
-            ..Default::default()
         };
         let opts = sc.cell_opts(&base, &point, 99);
         assert_eq!(opts.nodes, Some(12));

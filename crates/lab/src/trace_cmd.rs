@@ -25,8 +25,10 @@
 //! own [`Workload`] — the value `lab run` presents — not the full
 //! multi-system or multi-configuration comparison, which would interleave
 //! unrelated streams. Scenarios without such a run are refused: the Shotgun
-//! model (`fig15`) has nothing to emulate, and the open-system scenarios
-//! belong to `lab serve`.
+//! model (`fig15`) has nothing to emulate, and what an open-system scenario's
+//! service runs did is `lab run`'s to print.
+
+use std::io::Write;
 
 use bullet_bench::{CommonOpts, Dynamics, Workload};
 use bullet_prime::{BulletPrimeNode, Role};
@@ -35,6 +37,7 @@ use netsim::{
     TraceEvent, TraceRecord, TraceSink,
 };
 
+use crate::cli::Stop;
 use crate::registry::Registry;
 use crate::scenario::{Body, Scenario};
 
@@ -208,8 +211,8 @@ pub fn traced_workload(scenario: &Scenario, opts: &CommonOpts) -> Result<Workloa
             })
         }
         Body::Open { .. } => Err(format!(
-            "scenario '{}' is an open-system service run; use `lab serve {}` \
-             (its ServiceReport carries the steady-state series a trace would)",
+            "scenario '{}' is an open-system service run; use `lab run {}` \
+             (its figure and cell summaries carry the steady-state series a trace would)",
             scenario.name, scenario.name
         )),
         Body::Model(_) => Err(format!(
@@ -290,9 +293,13 @@ pub fn check_replay(
 }
 
 /// The `lab trace` subcommand body.
-pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
-    let (name, rest) = crate::cli::take_scenario(args)?;
-    let scenario = crate::cli::resolve(registry, &name)?;
+pub(crate) fn trace(
+    registry: &Registry,
+    args: Vec<String>,
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
+    let (scenario, rest) = crate::cli::take_scenario(registry, args)?;
+    let name = scenario.name;
     let targs = parse_trace_args(rest)?;
     let opts = CommonOpts::parse(targs.rest.clone())?;
 
@@ -303,47 +310,47 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
     };
 
     if let Some(path) = &targs.json {
-        let mut out = String::new();
+        let mut jsonl = String::new();
         let mut lines = 0u64;
         for rec in run.records.iter().filter(keep) {
-            out.push_str(&serde_json::to_string(rec).expect("trace records always serialize"));
-            out.push('\n');
+            jsonl.push_str(&serde_json::to_string(rec).expect("trace records always serialize"));
+            jsonl.push('\n');
             lines += 1;
         }
-        std::fs::write(path, out).map_err(|e| format!("failed to write {path}: {e}"))?;
+        std::fs::write(path, jsonl).map_err(|e| format!("failed to write {path}: {e}"))?;
         eprintln!("wrote {path} ({lines} lines)");
     }
 
-    println!(
+    writeln!(
+        out,
         "trace {name}: {} nodes, {} events, virtual end {:.1}s ({:?})",
         run.workload.nodes,
         run.report.events,
         run.report.end_time.as_secs_f64(),
         run.report.reason,
-    );
-    println!(
+    )?;
+    writeln!(
+        out,
         "records: {} emitted, {} dropped (ring capacity {}), {} retained",
         run.recorded,
         run.dropped,
         targs.ring,
         run.records.len()
-    );
+    )?;
     let summary = summarize(&run.records);
     for (kind, count) in &summary.by_kind {
-        println!("  {kind:<16} {count:>10}");
+        writeln!(out, "  {kind:<16} {count:>10}")?;
     }
     if let (Some(first), Some(last)) = (summary.first_t, summary.last_t) {
-        println!("stream extent: {first:.3}s .. {last:.3}s");
+        writeln!(out, "stream extent: {first:.3}s .. {last:.3}s")?;
     }
 
     if targs.tail > 0 {
         let shown: Vec<&TraceRecord> = run.records.iter().filter(keep).collect();
         let skip = shown.len().saturating_sub(targs.tail);
         for rec in &shown[skip..] {
-            println!(
-                "{}",
-                serde_json::to_string(rec).expect("trace records always serialize")
-            );
+            let line = serde_json::to_string(rec).expect("trace records always serialize");
+            writeln!(out, "{line}")?;
         }
     }
 
@@ -361,21 +368,22 @@ pub fn trace(registry: &Registry, args: Vec<String>) -> Result<(), String> {
             Dynamics::CrashWave { .. } | Dynamics::FlashCrowd { .. }
         );
     match check_replay(&run.records, series, run.workload.nodes) {
-        Ok(msg) => println!("replay check: OK — {msg}"),
-        Err(msg) if strict => return Err(format!("replay check FAILED: {msg}")),
-        Err(msg) => println!(
+        Ok(msg) => writeln!(out, "replay check: OK — {msg}")?,
+        Err(msg) if strict => return Err(format!("replay check FAILED: {msg}").into()),
+        Err(msg) => writeln!(
+            out,
             "replay check: skipped ({msg}; {} records dropped, {} dynamics)",
             run.dropped,
             dynamics.tag()
-        ),
+        )?,
     }
 
-    println!("receivers ({}):", run.receivers.len());
-    print!("{}", receiver_table(&run.receivers));
-    println!("counters:");
+    writeln!(out, "receivers ({}):", run.receivers.len())?;
+    write!(out, "{}", receiver_table(&run.receivers))?;
+    writeln!(out, "counters:")?;
     for &(name, value) in &run.report.metrics.counters {
         if value > 0 {
-            println!("  {name:<24} {value}");
+            writeln!(out, "  {name:<24} {value}")?;
         }
     }
     Ok(())
@@ -427,12 +435,12 @@ mod tests {
     }
 
     #[test]
-    fn open_system_scenarios_point_at_lab_serve() {
+    fn open_system_scenarios_point_at_lab_run() {
         let registry = Registry::standard();
         for name in ["fig21", "fig22"] {
             let sc = registry.get(name).expect("registered");
             let err = traced_run(sc, &CommonOpts::default(), 16).unwrap_err();
-            assert!(err.contains("lab serve"), "{name}: {err}");
+            assert!(err.contains(&format!("lab run {name}")), "{name}: {err}");
         }
     }
 

@@ -5,15 +5,22 @@
 //!
 //! Run with `cargo run --release --example flash_crowd`.
 
-use bullet_repro::bullet_bench::{run_system, Series, SystemKind};
-use bullet_repro::desim::{RngFactory, SimDuration};
+use bullet_repro::bullet_bench::{
+    CommonOpts, Dynamics, Series, SystemKind, TopologyKind, Workload,
+};
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::topology;
 
 fn main() {
     let nodes = 30;
     let file = FileSpec::from_mb_kb(8, 16);
     let seed = 42;
+    let opts = CommonOpts {
+        seed,
+        time_limit: 3600.0,
+        ..CommonOpts::default()
+    };
+    let topology = TopologyKind::ModelNetMesh { max_loss: 0.03 };
+    let crowd = Workload::new(&opts, topology, nodes, file, Dynamics::Static);
 
     println!(
         "Flash crowd: {} receivers fetching an 8 MiB file (seed {seed})",
@@ -24,16 +31,7 @@ fn main() {
         "system", "p10 (s)", "median", "p90", "slowest"
     );
     for kind in SystemKind::all() {
-        let rng = RngFactory::new(seed);
-        let topo = topology::modelnet_mesh(nodes, 0.03, &rng);
-        let run = run_system(
-            kind,
-            topo,
-            file,
-            &rng,
-            &Vec::new(),
-            SimDuration::from_secs(3600),
-        );
+        let run = crowd.run_system(kind);
         let cdf = Series::cdf(kind.label(), &run.times);
         println!(
             "{:<14} {:>10.1} {:>10.1} {:>10.1} {:>10.1}",

@@ -10,7 +10,7 @@
 //! map, RNG stream shared across components, time-order tie broken by
 //! allocation order, ...) and would silently invalidate every figure.
 
-use bullet_repro::bullet_bench::{run_system, SystemKind};
+use bullet_repro::bullet_bench::{CommonOpts, Dynamics, SystemKind, TopologyKind, Workload};
 use bullet_repro::bullet_prime::{build_runner, build_service_runner, Config, ServiceSwarms};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
 use bullet_repro::dissem_codec::FileSpec;
@@ -111,16 +111,13 @@ fn open_system_service_runs_are_byte_identical() {
 fn all_four_systems_are_deterministic() {
     for kind in SystemKind::all() {
         let run = |seed: u64| {
-            let rng = RngFactory::new(seed);
-            let topo = topology::modelnet_mesh(NODES, 0.01, &rng);
-            run_system(
-                kind,
-                topo,
-                file(),
-                &rng,
-                &Vec::new(),
-                SimDuration::from_secs(3_600),
-            )
+            let opts = CommonOpts {
+                seed,
+                time_limit: 3_600.0,
+                ..CommonOpts::default()
+            };
+            let topology = TopologyKind::ModelNetMesh { max_loss: 0.01 };
+            Workload::new(&opts, topology, NODES, file(), Dynamics::Static).run_system(kind)
         };
         let a = format!("{:?}", run(SEED));
         let b = format!("{:?}", run(SEED));

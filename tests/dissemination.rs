@@ -2,16 +2,16 @@
 //! emulator, the overlay substrate, Bullet′ and the baselines.
 
 use bullet_repro::bullet_bench::{
-    run_system, CommonOpts, Dynamics, SystemKind, SystemRun, TopologyKind, Workload,
+    CommonOpts, Dynamics, SystemKind, SystemRun, TopologyKind, Workload,
 };
 use bullet_repro::bullet_prime::{OutstandingPolicy, PeerSetPolicy};
-use bullet_repro::desim::{RngFactory, SimDuration};
+use bullet_repro::desim::SimDuration;
 use bullet_repro::dissem_codec::FileSpec;
-use bullet_repro::netsim::{topology, NodeId};
+use bullet_repro::netsim::NodeId;
 
 const LIMIT: SimDuration = SimDuration::from_secs(3_600);
 
-/// Bullet' on the lossy ModelNet mesh, limited like the `run_system` runs.
+/// The lossy ModelNet mesh every test here runs on.
 fn mesh(nodes: usize, max_loss: f64, seed: u64, file: FileSpec, dynamics: Dynamics) -> Workload {
     let opts = CommonOpts {
         seed,
@@ -44,10 +44,9 @@ fn bullet_prime_beats_the_physical_floor_but_not_by_magic() {
 #[test]
 fn every_system_disseminates_the_same_workload() {
     let file = FileSpec::from_mb_kb(2, 16);
+    let w = mesh(12, 0.01, 3, file, Dynamics::Static);
     for kind in SystemKind::all() {
-        let rng = RngFactory::new(3);
-        let topo = topology::modelnet_mesh(12, 0.01, &rng);
-        let run = run_system(kind, topo, file, &rng, &Vec::new(), LIMIT);
+        let run = w.run_system(kind);
         assert_eq!(run.times.len(), 11, "{kind:?}");
         assert_eq!(run.unfinished, 0, "{kind:?} left receivers unfinished");
     }
@@ -57,38 +56,10 @@ fn every_system_disseminates_the_same_workload() {
 fn cross_system_runs_share_no_state() {
     // Running two systems back to back with the same seed gives the same
     // Bullet' results as running Bullet' alone — nothing leaks through globals.
-    let file = FileSpec::from_mb_kb(1, 16);
-    let solo = {
-        let rng = RngFactory::new(9);
-        let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        run_system(
-            SystemKind::BulletPrime,
-            topo,
-            file,
-            &rng,
-            &Vec::new(),
-            LIMIT,
-        )
-        .times
-    };
-    let _noise = {
-        let rng = RngFactory::new(9);
-        let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        run_system(SystemKind::BitTorrent, topo, file, &rng, &Vec::new(), LIMIT)
-    };
-    let again = {
-        let rng = RngFactory::new(9);
-        let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        run_system(
-            SystemKind::BulletPrime,
-            topo,
-            file,
-            &rng,
-            &Vec::new(),
-            LIMIT,
-        )
-        .times
-    };
+    let w = mesh(8, 0.01, 9, FileSpec::from_mb_kb(1, 16), Dynamics::Static);
+    let solo = w.run_system(SystemKind::BulletPrime).times;
+    let _noise = w.run_system(SystemKind::BitTorrent);
+    let again = w.run_system(SystemKind::BulletPrime).times;
     assert_eq!(solo, again);
 }
 

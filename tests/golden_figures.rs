@@ -6,12 +6,12 @@
 //! dynamics scheduling, warm-up forking, service cells and figure
 //! presentation. A refactor of `bullet_bench` / `bullet_lab` is correct iff
 //! this file passes unedited: every figure's JSON, the fig05w sweep with
-//! prefix sharing on and off, and both `lab serve` runs must stay the same
-//! bytes. A change that is *meant* to alter a figure re-records its constant
-//! in the same commit and says so.
+//! prefix sharing on and off, and both open scenarios' service runs must stay
+//! the same bytes. A change that is *meant* to alter a figure re-records its
+//! constant in the same commit and says so.
 
 use bullet_repro::bullet_bench::CommonOpts;
-use bullet_repro::bullet_lab::{run_serve, run_sweep_with, Registry};
+use bullet_repro::bullet_lab::{run_sweep_with, Body, Registry};
 use bullet_repro::dissem_codec::file::fnv1a;
 
 /// The options every scenario runs at: 8 nodes and a 0.25 MB file, except
@@ -120,14 +120,22 @@ fn service_runs_match_their_golden_digests() {
         ("fig21", 0xe1d3_3b0b_657e_0120),
         ("fig22", 0xedac_6925_61bb_db73),
     ];
+    let registry = Registry::standard();
     let mut moved = Vec::new();
     for (name, expected) in SERVE {
-        let run = run_serve(name, &tiny(name), 2).expect("an open-system scenario");
+        let Body::Open { cells, .. } = registry.get(name).expect("registered").body else {
+            panic!("{name} is an open-system scenario");
+        };
+        // Per cell: label, newline, canonical report, newline.
+        let rendered: String = cells(&tiny(name))
+            .iter()
+            .map(|(label, cell)| format!("{label}\n{}\n", cell.run().canonical()))
+            .collect();
         check(
-            &format!("lab serve {name}"),
+            &format!("service runs of {name}"),
             &mut moved,
             expected,
-            &run.canonical(),
+            &rendered,
         );
     }
     assert!(

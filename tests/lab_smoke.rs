@@ -6,8 +6,7 @@
 
 use bullet_repro::bullet_bench::{experiments, CommonOpts};
 use bullet_repro::bullet_lab::{
-    check_replay, run_serve, run_sweep, run_sweep_with, traced_run, Body, Presentation, Registry,
-    Scenario,
+    check_replay, run_sweep, run_sweep_with, traced_run, Body, Presentation, Registry, Scenario,
 };
 use bullet_repro::bullet_prime::{build_runner, Config};
 use bullet_repro::desim::{RngFactory, SimDuration};
@@ -282,26 +281,31 @@ fn overflowing_ring_sink_does_not_affect_the_simulation() {
 
 #[test]
 fn four_thread_lab_serve_fig21_is_byte_identical_to_one_thread() {
-    // The open-system acceptance scenario: `lab serve fig21` at smoke scale.
-    // Each offered-load cell is one deterministic service simulation, so the
-    // merged canonical output must not depend on the worker count — and the
-    // top-load cell must be a genuinely open system: many swarms admitted
-    // over the shared core, overlapping in time.
+    // The open-system acceptance scenario: fig21's service cells at smoke
+    // scale. Each offered-load cell is one deterministic service simulation
+    // that shares nothing with the others, so running the four on four
+    // threads gives the reports running them in turn does — and the top-load
+    // cell must be a genuinely open system: many swarms admitted over the
+    // shared core, overlapping in time.
     let opts = CommonOpts {
         nodes: Some(16),
         file_mb: Some(0.25),
         time_limit: 900.0,
         ..CommonOpts::default()
     };
-    let serial = run_serve("fig21", &opts, 1).expect("fig21 is a service scenario");
-    let parallel = run_serve("fig21", &opts, 4).expect("fig21 is a service scenario");
-    assert_eq!(serial.cells.len(), experiments::FIG21_LOADS.len());
-    let a = serial.canonical();
-    let b = parallel.canonical();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "thread count leaked into the serve output");
+    let cells = experiments::fig21_cells(&opts);
+    assert_eq!(cells.len(), experiments::FIG21_LOADS.len());
+    let serial: Vec<String> = cells.iter().map(|(_, c)| c.run().canonical()).collect();
+    let parallel: Vec<String> = std::thread::scope(|scope| {
+        let workers: Vec<_> = cells
+            .iter()
+            .map(|(_, cell)| scope.spawn(|| cell.run().canonical()))
+            .collect();
+        workers.into_iter().map(|w| w.join().unwrap()).collect()
+    });
+    assert_eq!(serial, parallel, "threads leaked into the service runs");
 
-    let top = &serial.cells.last().expect("cells are non-empty").report;
+    let top = cells.last().expect("cells are non-empty").1.run();
     assert!(
         top.admitted >= 8,
         "the top load must admit at least 8 swarms: {top:?}"
@@ -315,20 +319,14 @@ fn four_thread_lab_serve_fig21_is_byte_identical_to_one_thread() {
         "{top:?}"
     );
     // Cells genuinely differ across loads (the sweep is not vacuous).
-    assert_ne!(
-        serial.cells[0].report.canonical(),
-        serial.cells[1].report.canonical(),
-        "distinct offered loads must differ"
-    );
-    // Closed-system scenarios are rejected with a pointer at `lab serve`.
-    assert!(run_serve("fig13", &opts, 1).is_err());
+    assert_ne!(serial[0], serial[1], "distinct offered loads must differ");
 }
 
 #[test]
 fn lab_serve_fig22_overlaps_the_flash_crowd_with_the_warm_swarm() {
-    // `lab serve fig22` at smoke scale: the flash crowd must land while the
-    // warm swarm is still in flight (that is the scenario's point), and both
-    // cohorts must complete with the flash cohort's latency carrying the
+    // fig22's service cell at smoke scale: the flash crowd must land while
+    // the warm swarm is still in flight (that is the scenario's point), and
+    // both cohorts must complete with the flash cohort's latency carrying the
     // join stagger.
     // 8 MB file: at this 16-slot pool the shared core drains ~12 Mbps, so a
     // 4 MB warm transfer would finish in ~20 s — before the flash lands at
@@ -339,9 +337,9 @@ fn lab_serve_fig22_overlaps_the_flash_crowd_with_the_warm_swarm() {
         time_limit: 1800.0,
         ..CommonOpts::default()
     };
-    let run = run_serve("fig22", &opts, 1).expect("fig22 is a service scenario");
-    assert_eq!(run.cells.len(), 1);
-    let report = &run.cells[0].report;
+    let cells = experiments::fig22_cells(&opts);
+    assert_eq!(cells.len(), 1);
+    let report = &cells[0].1.run();
     assert_eq!(report.admitted, 2, "{report:?}");
     assert_eq!(report.completed, 2, "{report:?}");
     assert_eq!(
