@@ -23,8 +23,7 @@
 //! (fixed vs adaptive), exactly as the paper frames it.
 
 use dissem_codec::FileSpec;
-use netsim::{NodeId, Topology};
-use overlay::ControlTree;
+use netsim::Topology;
 
 use bullet_prime::{
     BulletPrimeNode, Config, OutstandingPolicy, PeerSetPolicy, RequestStrategy, TransferMode,
@@ -64,23 +63,17 @@ pub fn build_nodes(
     file: FileSpec,
     rng: &desim::RngFactory,
 ) -> Vec<BulletPrimeNode> {
-    let cfg = bullet_config(file);
-    let tree = ControlTree::random(topo.len(), bullet_prime::builder::CONTROL_TREE_DEGREE, rng);
-    (0..topo.len() as u32)
-        .map(|i| BulletPrimeNode::new(NodeId(i), &tree, cfg.clone()))
-        .collect()
+    bullet_prime::build_nodes(topo, &bullet_config(file), rng)
 }
 
-/// Builds a ready-to-run runner for an original-Bullet experiment.
+/// Builds a ready-to-run runner for an original-Bullet experiment: Bullet′'s
+/// runner under [`bullet_config`].
 pub fn build_runner(
     topo: Topology,
     file: FileSpec,
     rng: &desim::RngFactory,
 ) -> netsim::Runner<BulletPrimeNode> {
-    let nodes = build_nodes(&topo, file, rng);
-    let mut runner = netsim::Runner::new(netsim::Network::new(topo), nodes, rng);
-    runner.exempt_from_completion(NodeId(0));
-    runner
+    bullet_prime::build_runner(topo, &bullet_config(file), rng)
 }
 
 #[cfg(test)]

@@ -10,9 +10,7 @@
 //! scenario's. The open-system scenarios (fig21 / fig22) are the same over a
 //! list of labelled [`ServiceWorkload`] cells, except that their presentation
 //! runs nothing: it receives the cells' reports from whoever holds the
-//! scenario. fig15 is an analytic model with nothing to emulate.
-//! `bullet_lab`'s registry pairs the functions up; `figNN(&opts)` here is the
-//! pair applied to the default sweep point.
+//! scenario. `bullet_lab`'s registry pairs the functions up.
 //!
 //! Default workloads are reduced (≈1/10 of the paper's byte volume, 40
 //! instead of 100 nodes) so the whole suite runs in minutes; `--full`
@@ -29,9 +27,7 @@ use netsim::{
 
 use baselines::ASSUMED_ENCODING_OVERHEAD;
 use bullet_prime::{Config, FlashShape, OutstandingPolicy, PeerSetPolicy, RequestStrategy};
-use shotgun::{
-    parallel_rsync_times, planetlab_client_bandwidths, simulate_shotgun, RsyncModelParams,
-};
+use shotgun::{parallel_rsync_times, planetlab_client_bandwidths, RsyncModelParams};
 
 use crate::bounds;
 use crate::cdf::{improvement_at, Figure, Series};
@@ -588,6 +584,65 @@ pub fn fig14_figure(w: &Workload, _: &CommonOpts) -> Figure {
     fig
 }
 
+/// Figure 15's workload: Shotgun multicasting its update archive — a file of
+/// the archive's size in 100 KB blocks — with Bullet′ over PlanetLab-like
+/// sites.
+pub fn fig15_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
+    Ok(Workload::new(
+        opts,
+        TopologyKind::PlanetLabLike,
+        opts.nodes_or(41, 41),
+        file(opts, 8.0, 24.0, 100),
+        Dynamics::Static,
+    ))
+}
+
+/// Figure 15's presentation: Shotgun vs N parallel rsync processes. Shotgun's
+/// download times are the workload's Bullet′ run, and every receiver then
+/// replays the deltas at the client disk rate; the rsync sessions are the
+/// source-contention model over the same sites' bandwidths.
+pub fn fig15_figure(w: &Workload, report: &RunReport) -> Figure {
+    let params = RsyncModelParams::default();
+    let update_bytes = w.file.file_bytes;
+    let mut fig = Figure::new(
+        "Figure 15",
+        format!(
+            "pushing a {:.0} MB update to {} nodes: Shotgun vs parallel rsync",
+            update_bytes as f64 / (1024.0 * 1024.0),
+            w.nodes - 1
+        ),
+    );
+    fig.x_label = "completion time (s)".into();
+
+    let download = SystemRun::from_report(report);
+    let replay = update_bytes as f64 / params.client_replay;
+    let updated = SystemRun {
+        times: download.times.iter().map(|t| t + replay).collect(),
+        ..download.clone()
+    };
+    fig.push(cdf("Shotgun (Download Only)", &download));
+    fig.push(cdf("Shotgun (Download + Update)", &updated));
+
+    let clients = planetlab_client_bandwidths(&w.topology());
+    for parallelism in [2usize, 4, 8, 16] {
+        let times = parallel_rsync_times(&clients, parallelism, update_bytes, &params);
+        fig.push(Series::cdf(format!("{parallelism} parallel rsync"), &times));
+    }
+
+    let shotgun_total = fig.series[1].max_x();
+    let best_rsync = fig.series[2..]
+        .iter()
+        .map(Series::max_x)
+        .fold(f64::INFINITY, f64::min);
+    fig.note(format!(
+        "Shotgun download+update completes in {:.0}s vs {:.0}s for the best rsync configuration ({:.0}x faster; paper reports roughly two orders of magnitude)",
+        shotgun_total,
+        best_rsync,
+        best_rsync / shotgun_total.max(1e-9)
+    ));
+    fig
+}
+
 /// Figure 16's workload: a quarter of the receivers crash — connections
 /// reset, no goodbye — at instants spread over the middle of the transfer.
 pub fn fig16_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
@@ -919,59 +974,6 @@ pub fn fig20_figure(w: &Workload, opts: &CommonOpts) -> Figure {
     fig
 }
 
-/// Figure 15: Shotgun vs N parallel rsync processes.
-pub fn fig15(opts: &CommonOpts) -> Figure {
-    let nodes = opts.nodes_or(41, 41);
-    let update_bytes = opts.file_bytes_or(8.0, 24.0);
-    let rng_params = RsyncModelParams::default();
-    let replay_rate = rng_params.client_replay;
-
-    let mut fig = Figure::new(
-        "Figure 15",
-        format!(
-            "pushing a {:.0} MB update to {} nodes: Shotgun vs parallel rsync",
-            update_bytes as f64 / (1024.0 * 1024.0),
-            nodes - 1
-        ),
-    );
-    fig.x_label = "completion time (s)".into();
-
-    let shotgun = simulate_shotgun(
-        nodes,
-        update_bytes,
-        opts.block_bytes_or(100) / 1024,
-        replay_rate,
-        opts.seed,
-    );
-    fig.push(Series::cdf(
-        "Shotgun (Download Only)",
-        &shotgun.download_only,
-    ));
-    fig.push(Series::cdf(
-        "Shotgun (Download + Update)",
-        &shotgun.download_plus_update,
-    ));
-
-    let clients = planetlab_client_bandwidths(nodes, opts.seed);
-    for parallelism in [2usize, 4, 8, 16] {
-        let times = parallel_rsync_times(&clients, parallelism, update_bytes, &rng_params);
-        fig.push(Series::cdf(format!("{parallelism} parallel rsync"), &times));
-    }
-
-    let shotgun_total = fig.series[1].max_x();
-    let best_rsync = fig.series[2..]
-        .iter()
-        .map(Series::max_x)
-        .fold(f64::INFINITY, f64::min);
-    fig.note(format!(
-        "Shotgun download+update completes in {:.0}s vs {:.0}s for the best rsync configuration ({:.0}x faster; paper reports roughly two orders of magnitude)",
-        shotgun_total,
-        best_rsync,
-        best_rsync / shotgun_total.max(1e-9)
-    ));
-    fig
-}
-
 // ---------------------------------------------------------------------------
 // Open-system service scenarios (fig21 / fig22): generator-driven continuous
 // swarms over a shared contended core, measured by sustained goodput and
@@ -1148,9 +1150,9 @@ pub fn fig22_figure(cells: &[(String, ServiceWorkload)], reports: &[ServiceRepor
     curve("swarms in flight", |s| s.in_flight as f64);
     curve("core-link utilisation (%)", |s| s.core_utilisation * 100.0);
 
-    // Cohort tags start at 1 (0 marks a slot outside any service cohort) and
-    // follow admission order, so the warm swarm — admitted at t = 0, before
-    // the flash — always carries tag 1, wherever it lands in reap order.
+    // Cohort ids start at 1 and follow admission order, so the warm swarm —
+    // admitted at t = 0, before the flash — always carries id 1, wherever it
+    // lands in reap order.
     for c in &report.cohorts {
         let who = if c.cohort == 1 {
             "warm swarm"
@@ -1489,7 +1491,8 @@ mod tests {
         let mut opts = tiny();
         opts.nodes = Some(16);
         opts.file_mb = Some(4.0);
-        let fig = fig15(&opts);
+        let w = fig15_workload(&opts, "default").unwrap();
+        let fig = fig15_figure(&w, &w.report());
         assert_eq!(fig.series.len(), 6);
         let shotgun = fig.series[1].max_x();
         let rsync2 = fig.series[2].max_x();
@@ -1497,5 +1500,34 @@ mod tests {
             shotgun < rsync2,
             "Shotgun ({shotgun}) should beat 2-way rsync ({rsync2})"
         );
+    }
+
+    #[test]
+    fn fig15_adds_the_replay_cost_to_every_receiver() {
+        // Download+update exceeds download-only by exactly the modelled
+        // replay time (update bytes over the client replay rate).
+        let opts = CommonOpts {
+            nodes: Some(15),
+            file_mb: Some(4.0),
+            block_kb: Some(64),
+            seed: 9,
+            ..CommonOpts::default()
+        };
+        let w = fig15_workload(&opts, "default").unwrap();
+        let report = w.report();
+        let fig = fig15_figure(&w, &report);
+        let (download, updated) = (&fig.series[0], &fig.series[1]);
+        assert_eq!(download.points.len(), 14, "one point per receiver");
+        let expected_replay = w.file.file_bytes as f64 / RsyncModelParams::default().client_replay;
+        for (d, t) in download.points.iter().zip(&updated.points) {
+            assert!((t.0 - d.0 - expected_replay).abs() < 1e-9);
+        }
+        assert!(
+            expected_replay > 15.0,
+            "the modelled replay cost is substantial"
+        );
+        // The download side is the workload's Bullet′ run, receiver for
+        // receiver.
+        assert_eq!(download.max_x(), SystemRun::from_report(&report).end_time);
     }
 }

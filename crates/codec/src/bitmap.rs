@@ -70,14 +70,6 @@ impl BlockBitmap {
         self.ones == self.capacity
     }
 
-    /// Fraction of the file present, in `[0, 1]`.
-    pub fn fraction(&self) -> f64 {
-        if self.capacity == 0 {
-            return 0.0;
-        }
-        f64::from(self.ones) / f64::from(self.capacity)
-    }
-
     /// Tests whether block `id` is present.
     pub fn contains(&self, id: BlockId) -> bool {
         if id.0 >= self.capacity {
@@ -136,28 +128,6 @@ impl BlockBitmap {
         })
     }
 
-    /// First id in `lo..hi` (clamped to the capacity) that is *not* present,
-    /// scanning a word at a time.
-    pub fn first_missing_in(&self, lo: u32, hi: u32) -> Option<BlockId> {
-        let hi = hi.min(self.capacity);
-        if lo >= hi {
-            return None;
-        }
-        let mut wi = (lo / 64) as usize;
-        // Mask off bits below `lo` in the first word, then walk whole words.
-        let mut keep = !((1u64 << (lo % 64)) - 1);
-        while (wi as u32) * 64 < hi {
-            let missing = !self.words[wi] & keep;
-            if missing != 0 {
-                let id = wi as u32 * 64 + missing.trailing_zeros();
-                return (id < hi).then_some(BlockId(id));
-            }
-            keep = u64::MAX;
-            wi += 1;
-        }
-        None
-    }
-
     /// Iterates over the ids present in `self` but absent from `other`, a
     /// word at a time (`self & !other`). `other` may have any capacity —
     /// words it does not cover are treated as empty.
@@ -174,14 +144,9 @@ impl BlockBitmap {
         })
     }
 
-    /// Returns the blocks present in `self` but not in `other`
-    /// (i.e. what `self` could offer a peer whose bitmap is `other`).
-    pub fn difference(&self, other: &BlockBitmap) -> Vec<BlockId> {
-        self.and_not_iter(other).collect()
-    }
-
-    /// Number of blocks present in `self` but not in `other`, without
-    /// materialising the list.
+    /// Number of blocks present in `self` but not in `other` (what `self`
+    /// could offer a peer whose bitmap is `other`), without materialising
+    /// the list.
     pub fn difference_count(&self, other: &BlockBitmap) -> u32 {
         let mut n = 0u32;
         for (i, w) in self.words.iter().enumerate() {
@@ -189,17 +154,6 @@ impl BlockBitmap {
             n += (w & !o).count_ones();
         }
         n
-    }
-
-    /// In-place union with `other` (must have the same capacity).
-    pub fn union_with(&mut self, other: &BlockBitmap) {
-        assert_eq!(self.capacity, other.capacity, "bitmap capacity mismatch");
-        let mut ones = 0;
-        for (w, o) in self.words.iter_mut().zip(other.words.iter()) {
-            *w |= *o;
-            ones += w.count_ones();
-        }
-        self.ones = ones;
     }
 
     /// Raw 64-bit words, low blocks first (read-only; bits above the
@@ -261,10 +215,9 @@ mod tests {
         let bm = BlockBitmap::full(100);
         assert!(bm.is_full());
         assert_eq!(bm.count(), 100);
-        assert_eq!(bm.fraction(), 1.0);
         let empty = BlockBitmap::new(100);
         assert!(empty.is_empty());
-        assert_eq!(empty.fraction(), 0.0);
+        assert_eq!(empty.count(), 0);
     }
 
     #[test]
@@ -281,7 +234,6 @@ mod tests {
             assert_eq!(fast, slow, "capacity {cap}");
             assert_eq!(fast.count(), cap);
             assert!(cap == 0 || fast.is_full());
-            assert_eq!(fast.first_missing_in(0, cap), None);
             // No stray bits above the capacity: removing an out-of-range id
             // is a no-op and the word-level count stays exact.
             let popcount: u32 = fast.words().iter().map(|w| w.count_ones()).sum();
@@ -316,24 +268,6 @@ mod tests {
     }
 
     #[test]
-    fn first_missing_in_scans_words() {
-        let mut bm = BlockBitmap::new(200);
-        for i in 0..150 {
-            bm.insert(BlockId(i));
-        }
-        bm.remove(BlockId(70));
-        assert_eq!(bm.first_missing_in(0, 200), Some(BlockId(70)));
-        assert_eq!(bm.first_missing_in(71, 200), Some(BlockId(150)));
-        assert_eq!(bm.first_missing_in(71, 150), None);
-        assert_eq!(bm.first_missing_in(0, 70), None);
-        assert_eq!(bm.first_missing_in(70, 71), Some(BlockId(70)));
-        // The range clamps to the capacity and empty ranges yield nothing.
-        assert_eq!(bm.first_missing_in(199, 10_000), Some(BlockId(199)));
-        assert_eq!(bm.first_missing_in(60, 60), None);
-        assert_eq!(BlockBitmap::full(64).first_missing_in(0, 64), None);
-    }
-
-    #[test]
     fn iter_yields_sorted_present_blocks() {
         let mut bm = BlockBitmap::new(200);
         for id in [5u32, 1, 190, 64, 65] {
@@ -353,22 +287,9 @@ mod tests {
         for i in 25..80 {
             b.insert(BlockId(i));
         }
-        let diff = a.difference(&b);
-        assert_eq!(diff.len(), 25);
+        assert_eq!(a.and_not_iter(&b).count(), 25);
         assert_eq!(a.difference_count(&b), 25);
         assert_eq!(b.difference_count(&a), 30);
-    }
-
-    #[test]
-    fn union_matches_manual() {
-        let mut a = BlockBitmap::new(70);
-        let mut b = BlockBitmap::new(70);
-        a.insert(BlockId(3));
-        b.insert(BlockId(68));
-        b.insert(BlockId(3));
-        a.union_with(&b);
-        assert_eq!(a.count(), 2);
-        assert!(a.contains(BlockId(68)));
     }
 
     #[test]

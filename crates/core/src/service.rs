@@ -14,7 +14,7 @@ use netsim::{Network, NodeId, Runner, SwarmShape, SwarmSource, Topology};
 use overlay::ControlTree;
 use rand::Rng;
 
-use crate::builder::CONTROL_TREE_DEGREE;
+use crate::builder::{build_nodes, CONTROL_TREE_DEGREE};
 use crate::config::Config;
 use crate::node::BulletPrimeNode;
 
@@ -109,10 +109,7 @@ pub fn build_service_runner(
     template: &Config,
     rng: &RngFactory,
 ) -> Runner<BulletPrimeNode> {
-    let tree = ControlTree::random(topo.len(), CONTROL_TREE_DEGREE, rng);
-    let nodes: Vec<BulletPrimeNode> = (0..topo.len() as u32)
-        .map(|i| BulletPrimeNode::new(NodeId(i), &tree, template.clone()))
-        .collect();
+    let nodes = build_nodes(&topo, template, rng);
     Runner::new(Network::new(topo), nodes, rng)
 }
 

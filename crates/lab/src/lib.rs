@@ -4,10 +4,10 @@
 //! The paper's evaluation (§4) is a grid of *scenario × parameter × seed*
 //! cells. This crate turns that grid into data and machinery:
 //!
-//! * [`scenario`] — the [`Scenario`] model: name, title, default parameter sweep and seed plan, and a [`Body`] that *is* what
-//!   runs — a workload function plus a presentation (closed system), a list
-//!   of service cells plus a presentation (open system), or an analytic
-//!   model;
+//! * [`scenario`] — the [`Scenario`] model: name, title, default parameter
+//!   sweep and seed plan, and a [`Body`] that *is* what runs — a workload
+//!   function plus a presentation (closed system), or a list of service
+//!   cells plus a presentation (open system);
 //! * [`registry`] — the standard [`Registry`] of scenarios (Figures 4–15 of
 //!   the paper plus the beyond-the-paper crash-wave, flash-crowd,
 //!   shared-core, scaling, service and probe-driven time-series scenarios);

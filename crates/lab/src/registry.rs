@@ -116,7 +116,7 @@ impl Registry {
             Scenario::new(
                 "fig15",
                 "Shotgun software update vs N parallel rsync processes",
-                Body::Model(ex::fig15),
+                closed(ex::fig15_workload, Run(ex::fig15_figure)),
             ),
             Scenario::new(
                 "fig16",
@@ -275,7 +275,7 @@ mod tests {
         assert_eq!(tags("fig19"), ("shared-core", "cross-traffic"));
         assert_eq!(tags("fig20"), ("uniform-swarm", "static"));
         assert_eq!(tags("fig21"), ("shared-core", "open-arrivals"));
-        assert_eq!(tags("fig15"), ("-", "-"));
+        assert_eq!(tags("fig15"), ("planetlab-like", "static"));
     }
 
     #[test]

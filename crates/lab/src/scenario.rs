@@ -5,13 +5,12 @@
 //! function from the options (and the sweep point's label) to a
 //! [`Workload`] value plus a presentation of runs of that workload; an
 //! open-system scenario is a list of labelled [`ServiceWorkload`] cells plus
-//! their presentation; fig15 is an analytic model. Everything the lab does
-//! with a scenario — `lab list`'s tags, what `lab trace` traces, the service
-//! runs `lab run` summarises, which sweep cells can fork one warm-up — is read
-//! from the body, so no command can run a different workload than `lab run`
-//! does. The
-//! functions themselves live in `bullet_bench::experiments`; the default
-//! parameter sweep and seed plan are data here.
+//! their presentation. Everything the lab does with a scenario — `lab list`'s
+//! tags, what `lab trace` traces, the service runs `lab run` summarises, which
+//! sweep cells can fork one warm-up — is read from the body, so no command can
+//! run a different workload than `lab run` does. The functions themselves live
+//! in `bullet_bench::experiments`; the default parameter sweep and seed plan
+//! are data here.
 
 use bullet_bench::experiments::{ServiceFigureFn, WorkloadFn};
 use bullet_bench::{CommonOpts, Figure, ServiceWorkload, WarmPrefix, Workload};
@@ -50,8 +49,6 @@ pub enum Body {
         /// [`Presentation::Run`], whoever holds the scenario supplies them.
         figure: ServiceFigureFn,
     },
-    /// An analytic model; nothing is emulated.
-    Model(fn(&CommonOpts) -> Figure),
 }
 
 /// One point of a parameter sweep: a label, which the scenario's workload
@@ -202,7 +199,6 @@ impl Scenario {
                 let cells = cells(opts);
                 figure(&cells, &run_cells(&cells))
             }
-            Body::Model(figure) => figure(opts),
         })
     }
 
@@ -231,7 +227,6 @@ impl Scenario {
                 (w.topology.tag(), w.dynamics.tag())
             }
             Body::Open { .. } => ("shared-core", "open-arrivals"),
-            Body::Model(_) => ("-", "-"),
         }
     }
 
@@ -323,7 +318,14 @@ mod tests {
 
     #[test]
     fn cell_opts_applies_point_then_seed() {
-        let sc = Scenario::new("t", "test", Body::Model(|_| Figure::new("t", "test")));
+        let sc = Scenario::new(
+            "t",
+            "test",
+            Body::Closed {
+                workload: bullet_bench::experiments::fig04_workload,
+                figure: Presentation::Study(|_, _| Figure::new("t", "test")),
+            },
+        );
         let base = CommonOpts::default();
         let point = ParamPoint {
             label: "p",

@@ -24,9 +24,8 @@
 //! What is traced is the default-configuration Bullet′ run of the scenario's
 //! own [`Workload`] — the value `lab run` presents — not the full
 //! multi-system or multi-configuration comparison, which would interleave
-//! unrelated streams. Scenarios without such a run are refused: the Shotgun
-//! model (`fig15`) has nothing to emulate, and what an open-system scenario's
-//! service runs did is `lab run`'s to print.
+//! unrelated streams. The open-system scenarios have no such run and are
+//! refused: what their service runs did is `lab run`'s to print.
 
 use std::io::Write;
 
@@ -199,27 +198,20 @@ pub struct TracedRun {
 ///
 /// # Errors
 ///
-/// Returns an error for scenarios without a Bullet′ run: the analytic model
-/// and the open-system scenarios.
+/// Returns an error for the open-system scenarios, which have no Bullet′ run.
 pub fn traced_workload(scenario: &Scenario, opts: &CommonOpts) -> Result<Workload, String> {
-    match scenario.body {
-        Body::Closed { workload, .. } => {
-            let w = workload(opts, "default")?;
-            Ok(Workload {
-                tick: w.tick.or(Some(opts.tick.unwrap_or(2.0))),
-                ..w
-            })
-        }
-        Body::Open { .. } => Err(format!(
+    let Body::Closed { workload, .. } = scenario.body else {
+        return Err(format!(
             "scenario '{}' is an open-system service run; use `lab run {}` \
              (its figure and cell summaries carry the steady-state series a trace would)",
             scenario.name, scenario.name
-        )),
-        Body::Model(_) => Err(format!(
-            "scenario '{}' runs the Shotgun tool, which has no Bullet' runner to trace",
-            scenario.name
-        )),
-    }
+        ));
+    };
+    let w = workload(opts, "default")?;
+    Ok(Workload {
+        tick: w.tick.or(Some(opts.tick.unwrap_or(2.0))),
+        ..w
+    })
 }
 
 /// Runs the default Bullet′ run of [`traced_workload`] with trace sink and
@@ -427,11 +419,23 @@ mod tests {
     }
 
     #[test]
-    fn shotgun_scenarios_are_not_traceable() {
+    fn fig15_traces_its_shotgun_run() {
+        // Shotgun's side of fig15 is the Bullet′ run of its workload: it
+        // traces, and the trace replays the probe series.
         let registry = Registry::standard();
         let fig15 = registry.get("fig15").expect("registered");
-        let err = traced_run(fig15, &CommonOpts::default(), 16).unwrap_err();
-        assert!(err.contains("Shotgun"), "{err}");
+        let opts = CommonOpts {
+            nodes: Some(6),
+            file_mb: Some(0.125),
+            ..CommonOpts::default()
+        };
+        let run = traced_run(fig15, &opts, DEFAULT_RING).unwrap();
+        assert_eq!(
+            run.workload.topology,
+            bullet_bench::TopologyKind::PlanetLabLike
+        );
+        let series = run.report.timeseries.as_ref().expect("probe installed");
+        check_replay(&run.records, series, run.workload.nodes).expect("replay must match");
     }
 
     #[test]
@@ -472,7 +476,7 @@ mod tests {
             );
             traced += 1;
         }
-        assert_eq!(traced, 18, "21 scenarios, one model, two open systems");
+        assert_eq!(traced, 19, "21 scenarios, two of them open systems");
     }
 
     #[test]

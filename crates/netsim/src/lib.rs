@@ -285,15 +285,6 @@ mod lifecycle_tests {
     }
 
     #[test]
-    fn event_limit_stops_the_runner() {
-        let mut runner = probe_runner(2, |p| p.recurring_timer = true);
-        runner.set_event_limit(7);
-        let report = runner.run_until(SimTime::from_secs_f64(1_000.0));
-        assert_eq!(report.reason, StopReason::EventLimit);
-        assert_eq!(report.events, 7);
-    }
-
-    #[test]
     fn drained_reports_unfinished_non_exempt_nodes() {
         // Nobody schedules anything and nobody is complete: the queue drains
         // right after init with zero completions.

@@ -84,9 +84,6 @@ pub struct NodeSample {
     pub receivers: usize,
     /// Whether the node was participating at the instant.
     pub active: bool,
-    /// Cohort tag of the slot's occupant (0 outside service runs), so a
-    /// series spanning several cohorts on one slot can be split per swarm.
-    pub cohort: u32,
 }
 
 /// All nodes' measurements at one sampling instant.
@@ -168,45 +165,24 @@ pub(crate) fn quantile_index(len: usize, q: f64) -> usize {
 #[derive(Debug, Clone, Default)]
 pub struct StatsProbe {
     prev_bytes: Vec<u64>,
-    prev_cohort: Vec<u32>,
     prev_time: f64,
     samples: Vec<TimeSample>,
 }
 
 impl StatsProbe {
     /// Takes one sample at virtual time `now`. `nodes` is every protocol
-    /// instance (indexed by node id), `active` the participation flags,
-    /// `cohorts` the per-slot cohort tags (all zero outside service runs):
-    /// not every node need be participating, and a slot need not host the
-    /// same node for the whole run.
-    pub fn sample<P: Protocol>(
-        &mut self,
-        now: SimTime,
-        nodes: &[P],
-        active: &[bool],
-        cohorts: &[u32],
-    ) {
+    /// instance (indexed by node id), `active` the participation flags: not
+    /// every node need be participating.
+    pub fn sample<P: Protocol>(&mut self, now: SimTime, nodes: &[P], active: &[bool]) {
         let t = now.as_secs_f64();
         if self.prev_bytes.is_empty() {
             self.prev_bytes = vec![0; nodes.len()];
-            self.prev_cohort = vec![0; nodes.len()];
         }
         let dt = t - self.prev_time;
         let mut out = Vec::with_capacity(nodes.len());
         for (i, node) in nodes.iter().enumerate() {
             let stats = node.probe_stats();
-            // A cohort change means the slot was re-populated with a fresh
-            // node whose cumulative counter restarted from zero: everything
-            // it has banked belongs to this interval. Differencing against
-            // the previous occupant's count would go negative (and the
-            // previous occupant's tail bytes already landed in the interval
-            // it retired in).
-            let delta = if cohorts[i] != self.prev_cohort[i] {
-                self.prev_cohort[i] = cohorts[i];
-                stats.useful_bytes
-            } else {
-                stats.useful_bytes.saturating_sub(self.prev_bytes[i])
-            };
+            let delta = stats.useful_bytes.saturating_sub(self.prev_bytes[i]);
             let goodput_bps = if dt > 0.0 {
                 delta as f64 * 8.0 / dt
             } else {
@@ -219,7 +195,6 @@ impl StatsProbe {
                 senders: stats.senders,
                 receivers: stats.receivers,
                 active: active[i],
-                cohort: cohorts[i],
             });
         }
         self.prev_time = t;
@@ -227,6 +202,18 @@ impl StatsProbe {
             time_secs: t,
             nodes: out,
         });
+    }
+
+    /// Restarts slot `i`'s byte baseline from zero: the slot was
+    /// re-populated with a fresh node whose cumulative counter restarted, so
+    /// everything it banks by the next sample belongs to that interval.
+    /// Differencing against the previous occupant's count would swallow it
+    /// (and the previous occupant's tail bytes already landed in the interval
+    /// it retired in).
+    pub(crate) fn restart(&mut self, i: usize) {
+        if let Some(prev) = self.prev_bytes.get_mut(i) {
+            *prev = 0;
+        }
     }
 
     /// Surrenders the samples taken so far as a series sampled every
@@ -280,7 +267,6 @@ mod tests {
                         senders: 0,
                         receivers: 9,
                         active: true,
-                        cohort: 0,
                     },
                     NodeSample {
                         goodput_bps: 100.0,
@@ -288,7 +274,6 @@ mod tests {
                         senders: 1,
                         receivers: 1,
                         active: true,
-                        cohort: 0,
                     },
                     NodeSample {
                         goodput_bps: 300.0,
@@ -296,7 +281,6 @@ mod tests {
                         senders: 2,
                         receivers: 2,
                         active: true,
-                        cohort: 0,
                     },
                     // Crashed node: excluded.
                     NodeSample {
@@ -305,7 +289,6 @@ mod tests {
                         senders: 0,
                         receivers: 0,
                         active: false,
-                        cohort: 0,
                     },
                 ],
             }],

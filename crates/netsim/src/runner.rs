@@ -101,8 +101,6 @@ pub enum StopReason {
     TimeLimit,
     /// The event queue drained before every node completed.
     Drained,
-    /// The configured event limit was reached first.
-    EventLimit,
 }
 
 /// Summary of a finished run.
@@ -234,8 +232,6 @@ struct RunState<P: Protocol> {
     /// The single live completion event of each active connection, indexed
     /// by the connection's dense flow id (grown on demand).
     completion_events: Vec<Option<EventKey>>,
-    /// Stop once this many events have been processed.
-    max_events: u64,
     /// The time-series probe and the virtual-time interval it is sampled
     /// on, once [`Runner::record_timeseries`] asked for one.
     probe: Option<(SimDuration, StatsProbe)>,
@@ -266,9 +262,6 @@ struct RunState<P: Protocol> {
     /// against the queue so the lists stay proportional to the number of
     /// *pending* timers, not the number ever set.
     timer_keys: Vec<TimerTrack>,
-    /// Cohort tag of each node slot (0 = unassigned); service mode stamps
-    /// admitted swarms so probe samples can be grouped per cohort.
-    cohort: Vec<u32>,
     /// Open-system ("service") mode: ignore the all-complete stop condition
     /// and keep the clock moving to the requested limit even when the queue
     /// drains — an open system idles between arrivals instead of stopping.
@@ -312,7 +305,6 @@ impl<P: Protocol> Runner<P> {
             departed: vec![false; n],
             incomplete: n,
             completion_events: Vec::new(),
-            max_events: u64::MAX,
             probe: None,
             probe_tick_pending: false,
             inits_done: false,
@@ -321,7 +313,6 @@ impl<P: Protocol> Runner<P> {
             live_conn_events: 0,
             epoch: vec![0; n],
             timer_keys: vec![TimerTrack::default(); n],
-            cohort: vec![0; n],
             run_to_limit: false,
         })
     }
@@ -349,11 +340,6 @@ impl<P: Protocol> Runner<P> {
     /// [`RingSink`](crate::RingSink) and the records it retained.
     pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
         self.trace.take()
-    }
-
-    /// Read access to the live metrics registry.
-    pub fn metrics(&self) -> &MetricsRegistry {
-        &self.run.metrics
     }
 
     /// The full deterministic metrics snapshot: the registry's counters and
@@ -444,12 +430,6 @@ impl<P: Protocol> Runner<P> {
         }
     }
 
-    /// Caps the total number of events the run may process; the run stops
-    /// with [`StopReason::EventLimit`] when the cap is reached.
-    pub fn set_event_limit(&mut self, limit: u64) {
-        self.run.max_events = limit;
-    }
-
     /// Marks `node` as not yet part of the experiment: it is not initialised
     /// at start-up and receives no events until a [`NodeEvent::Join`] for it
     /// fires. The all-complete stop condition still counts it, so a run does
@@ -467,7 +447,6 @@ impl<P: Protocol> Runner<P> {
     /// on, `run_until` ignores the all-complete stop condition and advances
     /// the clock to the requested limit even when the event queue drains,
     /// because an open system idles between arrivals instead of stopping.
-    /// The event limit still applies.
     pub fn set_run_to_limit(&mut self, on: bool) {
         self.run.run_to_limit = on;
     }
@@ -487,13 +466,6 @@ impl<P: Protocol> Runner<P> {
     /// Total events processed so far.
     pub fn events_processed(&self) -> u64 {
         self.run.sim.events_processed()
-    }
-
-    /// Tags `node` with a cohort id (0 = unassigned). The tag is handed to
-    /// every probe sample, so per-cohort series can be separated after a
-    /// service run in which slots host several cohorts over time.
-    pub fn set_cohort(&mut self, node: NodeId, cohort: u32) {
-        self.run.cohort[node.index()] = cohort;
     }
 
     /// Retires `node` from the experiment after its swarm completed: the
@@ -521,8 +493,11 @@ impl<P: Protocol> Runner<P> {
 
     /// Installs a fresh protocol instance in an inactive slot, resetting its
     /// completion, exemption and departure state so the slot can host a new
-    /// cohort's node. The slot stays inactive; activate it with
-    /// [`Runner::activate_cohort`] (or a scheduled [`NodeEvent::Join`]).
+    /// cohort's node, and the probe's byte baseline for the slot: the fresh
+    /// node's counters start from zero, so everything it banks by the next
+    /// sample belongs to that sample's interval. The slot stays inactive;
+    /// activate it with [`Runner::activate_cohort`] (or a scheduled
+    /// [`NodeEvent::Join`]).
     ///
     /// # Panics
     ///
@@ -534,6 +509,9 @@ impl<P: Protocol> Runner<P> {
             "replace_node requires an inactive slot"
         );
         self.run.nodes[idx] = fresh;
+        if let Some((_, probe)) = self.run.probe.as_mut() {
+            probe.restart(idx);
+        }
         let was_counted = !self.run.exempt[idx] && self.run.completion[idx].is_none();
         self.run.completion[idx] = None;
         self.run.exempt[idx] = false;
@@ -665,9 +643,6 @@ impl<P: Protocol> Runner<P> {
             if !self.run.run_to_limit && self.all_complete() {
                 break StopReason::AllComplete;
             }
-            if self.run.sim.events_processed() >= self.run.max_events {
-                break StopReason::EventLimit;
-            }
             // A queue holding nothing but the next probe tick is drained:
             // observation alone must not keep the experiment alive. In
             // open-system mode the probes keep sampling through idle
@@ -752,7 +727,7 @@ impl<P: Protocol> Runner<P> {
         let Some((interval, probe)) = run.probe.as_mut() else {
             return;
         };
-        probe.sample(run.sim.now(), &run.nodes, &run.active, &run.cohort);
+        probe.sample(run.sim.now(), &run.nodes, &run.active);
         run.sim.schedule_in(*interval, NetEvent::ProbeTick);
         run.probe_tick_pending = true;
         run.metrics.inc(Counter::ProbeTicks);

@@ -45,7 +45,7 @@ use rand::Rng;
 use crate::dynamics::NodeEvent;
 use crate::probe::{quantile_index, TimeSeries};
 use crate::protocol::Protocol;
-use crate::runner::{Runner, StopReason};
+use crate::runner::Runner;
 use crate::topology::{LinkId, NodeId};
 
 /// Where swarms come from.
@@ -189,7 +189,7 @@ pub struct ServiceSample {
 /// swarm's *arrival* instant, so segment-queueing delay is included.
 #[derive(Debug, Clone, PartialEq)]
 pub struct CohortReport {
-    /// The cohort's unique tag (also on every probe sample of its slots).
+    /// The cohort's unique id, from 1 in admission order.
     pub cohort: u32,
     /// Slots the swarm occupied, source included.
     pub size: usize,
@@ -349,7 +349,6 @@ where
     let mut prev_total: u64 = 0;
     let mut prev_sample_t = 0.0f64;
     let mut next_tick = SimTime::ZERO;
-    let mut event_limited = false;
 
     loop {
         // Advance to the next instant the manager must act at.
@@ -365,7 +364,7 @@ where
                 boundary = t;
             }
         }
-        let reason = runner.advance_until(boundary);
+        runner.advance_until(boundary);
         let now = runner.now();
 
         // Reap swarms whose receivers have all finished: bank their useful
@@ -411,7 +410,7 @@ where
         // Enqueue arrivals that are due, then admit while segments are free.
         // Arrivals cease at the horizon; swarms already in flight keep
         // running only up to the horizon itself.
-        if now < cfg.horizon && !event_limited {
+        if now < cfg.horizon {
             while arrivals.get(next_arrival).is_some_and(|&t| t <= now) {
                 queue.push_back(QueuedSwarm {
                     index: next_arrival,
@@ -437,7 +436,6 @@ where
                 for (off, fresh) in nodes.into_iter().enumerate() {
                     let slot = NodeId(base + off as u32);
                     runner.replace_node(slot, fresh);
-                    runner.set_cohort(slot, cohort);
                 }
                 runner.exempt_from_completion(NodeId(base));
                 let initial_slots: Vec<NodeId> =
@@ -511,8 +509,8 @@ where
             next_tick += tick;
         }
 
-        if now >= cfg.horizon || event_limited {
-            let window = (now.min(cfg.horizon) - cfg.warmup).as_secs_f64().max(1e-9);
+        if now >= cfg.horizon {
+            let window = (cfg.horizon - cfg.warmup).as_secs_f64().max(1e-9);
             let steady = total_useful.saturating_sub(warmup_useful.unwrap_or(total_useful));
             runner.set_run_to_limit(false);
             return ServiceReport {
@@ -532,12 +530,6 @@ where
                 timeseries: runner.take_timeseries(),
             };
         }
-
-        // A runner that hit its event cap cannot advance further: take one
-        // more lap to emit the final sample and report, then stop.
-        if reason == StopReason::EventLimit {
-            event_limited = true;
-        }
     }
 }
 
@@ -547,6 +539,7 @@ mod tests {
     use crate::network::{BlockReceipt, Network};
     use crate::probe::ProbeStats;
     use crate::protocol::{Ctx, WireSize};
+    use crate::runner::StopReason;
     use crate::topology;
     use dissem_codec::{BlockBitmap, BlockId, FileSpec};
 
@@ -814,16 +807,19 @@ mod tests {
     #[test]
     fn checkpoints_carry_the_open_system_state() {
         // The closed-run round trips of `tests/snapshot_fork.rs` never touch
-        // slot incarnations, cohort tags, per-node timer keys, released flow
-        // ids or run-to-limit. Here one cohort is retired with blocks on the
-        // wire and a second takes over its slots; the run is checkpointed
-        // once while those stale blocks are still in flight and once in the
-        // middle of the second cohort's download.
+        // slot incarnations, per-node timer keys, released flow ids, the
+        // probe's per-slot baselines or run-to-limit. Here one cohort is
+        // retired with blocks on the wire and a second takes over its slots;
+        // the run is checkpointed once while those stale blocks are still in
+        // flight and once in the middle of the second cohort's download.
         use crate::metrics::Counter;
         let spec = FileSpec::new(256 * 1024, 16 * 1024);
         let limit = SimTime::from_secs_f64(60.0);
+        let tick = SimDuration::from_secs(2);
+        let counter =
+            |r: &Runner<MiniSwarm>, c: Counter| r.metrics_snapshot().counter(c.name()).unwrap_or(0);
         let on_the_wire = |r: &Runner<MiniSwarm>| {
-            r.metrics().get(Counter::BlocksSent) - r.metrics().get(Counter::BlocksDelivered)
+            counter(r, Counter::BlocksSent) - counter(r, Counter::BlocksDelivered)
         };
         let drive = |checkpointed: bool| {
             let fork = |runner: Runner<MiniSwarm>| {
@@ -836,15 +832,13 @@ mod tests {
             // First cohort: the pool's own nodes, active from t = 0.
             let mut runner = mini_runner(4);
             runner.set_run_to_limit(true);
-            runner.record_timeseries(SimDuration::from_secs(1));
+            runner.record_timeseries(tick);
             runner.exempt_from_completion(NodeId(0));
             let slots: Vec<NodeId> = (0..4).map(NodeId).collect();
-            for &slot in &slots {
-                runner.set_cohort(slot, 1);
-            }
-            // Stop at the first millisecond boundary with a block between
-            // its sender and its receiver (delivery takes 3 ms here).
-            while on_the_wire(&runner) == 0 {
+            // Stop at the first millisecond boundary after the probe's first
+            // tick with a block between its sender and its receiver (delivery
+            // takes 3 ms here).
+            while runner.now() < SimTime::ZERO + tick || on_the_wire(&runner) == 0 {
                 let next = runner.now() + SimDuration::from_millis(1);
                 assert!(next < limit, "premise: the first cohort sends blocks");
                 runner.advance_until(next);
@@ -855,16 +849,17 @@ mod tests {
             }
             for &slot in &slots {
                 runner.replace_node(slot, MiniSwarm::new(slot, 0, 4, spec));
-                runner.set_cohort(slot, 2);
             }
             runner.exempt_from_completion(NodeId(0));
             runner.activate_cohort(&slots);
             let mut runner = fork(runner);
             assert_eq!(on_the_wire(&runner), stale, "still in flight at the fork");
 
-            let reason = runner.advance_until(runner.now() + SimDuration::from_secs(3));
+            // The first probe tick after the replacement.
+            let reason = runner.advance_until(SimTime::ZERO + tick + tick);
             assert_eq!(reason, StopReason::TimeLimit);
-            assert!(runner.node(NodeId(1)).bytes > 0, "premise: mid-download");
+            let fresh = runner.node(NodeId(1)).bytes;
+            assert!(fresh > 0, "premise: mid-download");
             assert!(runner.completion_time(NodeId(1)).is_none());
             let mut runner = fork(runner);
 
@@ -883,16 +878,23 @@ mod tests {
                 runner.retire(slot);
             }
             assert_eq!(runner.pending_events(), 1, "only the probe tick is left");
-            report
+            (report, fresh)
         };
-        let straight = drive(false);
-        assert_eq!(drive(true).canonical(), straight.canonical());
+        let (straight, fresh) = drive(false);
+        assert_eq!(drive(true).0.canonical(), straight.canonical());
+        // `replace_node` restarted slot 1's byte baseline: the first sample
+        // after it is the fresh node's bytes over the tick, not their excess
+        // over what the previous occupant had banked by the sample before.
         let series = straight.timeseries.expect("probe installed");
-        let cohorts: Vec<u32> = series.samples.iter().map(|s| s.nodes[1].cohort).collect();
+        let node1 = |t: f64| {
+            let sample = series.samples.iter().find(|s| s.time_secs == t);
+            sample.expect("a sample every tick").nodes[1].goodput_bps
+        };
         assert!(
-            cohorts.contains(&1) && cohorts.ends_with(&[2]),
-            "{cohorts:?}"
+            node1(2.0) > 0.0,
+            "premise: the previous occupant banked bytes"
         );
+        assert_eq!(node1(4.0), fresh as f64 * 8.0 / 2.0);
     }
 
     #[test]

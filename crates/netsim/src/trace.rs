@@ -480,8 +480,9 @@ pub struct ReplaySample {
 /// ties-count-into-the-next-interval semantics, because a delivery landing
 /// exactly on a tick appears *after* the tick in the stream iff the probe
 /// counted it in the next interval. `node_join` records zero a slot's
-/// cumulative count, mirroring the live probe's cohort-change reset when a
-/// service run re-populates a retired slot with a fresh node.
+/// cumulative count, mirroring the live probe's baseline reset
+/// (`Runner::replace_node`) when a service run re-populates a retired slot
+/// with a fresh node.
 ///
 /// # Errors
 ///
@@ -518,7 +519,7 @@ pub fn replay_goodput<'a>(
                 // churn joiners this is a no-op (the slot never received
                 // anything); for a service-mode slot taken over by a new
                 // cohort it discards the previous occupant's final count,
-                // exactly like the live probe's cohort-change reset. A slot
+                // exactly like `Runner::replace_node`'s probe reset. A slot
                 // that retires and is never re-filled keeps its counter, so
                 // its tail bytes still land in the retirement interval.
                 if let Some(slot) = useful.get_mut(node as usize) {

@@ -1,4 +1,4 @@
-//! `shotgun` — rapid software-image synchronization over Bullet′ (paper §4.8).
+//! `shotgun` — rapid software-image synchronization over Bullet′ (paper §4.7).
 //!
 //! Shotgun wraps the rsync algorithm around Bullet′: instead of the source
 //! opening one rsync-over-ssh session per client (all competing for its CPU,
@@ -13,8 +13,10 @@
 //!   strong block hash;
 //! * [`delta`] — block-matching delta generation and application;
 //! * [`archive`] — batched multi-file update archives with version gating;
-//! * [`model`] — the Fig 15 experiment: Shotgun (real Bullet′ run + replay
-//!   cost) vs N parallel rsync sessions (source-contention model).
+//! * [`model`] — the rsync side of Fig 15: N parallel rsync sessions
+//!   (source-contention model) over the clients of a topology. The Shotgun
+//!   side is the fig15 scenario's own `Workload` in `bullet_bench`; this
+//!   crate runs no emulation.
 
 #![forbid(unsafe_code)]
 
@@ -26,10 +28,7 @@ pub mod strong;
 
 pub use archive::{ArchiveEntry, FileSet, UpdateArchive};
 pub use delta::{apply_delta, generate_delta, Delta, DeltaOp, Signature};
-pub use model::{
-    parallel_rsync_times, planetlab_client_bandwidths, simulate_shotgun, RsyncModelParams,
-    ShotgunResult,
-};
+pub use model::{parallel_rsync_times, planetlab_client_bandwidths, RsyncModelParams};
 pub use rolling::RollingChecksum;
 pub use strong::{strong_hash, StrongHash};
 

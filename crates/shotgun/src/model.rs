@@ -1,4 +1,4 @@
-//! The Fig 15 experiment: Shotgun vs N parallel rsync processes.
+//! The rsync side of the Fig 15 experiment: N parallel rsync processes.
 //!
 //! The paper pushes a 24 MB update to 40 PlanetLab nodes two ways:
 //!
@@ -11,16 +11,14 @@
 //!   CDFs, and observes that replaying dominates (“the constraining factor
 //!   for PlanetLab nodes is the disk, not the network”).
 //!
-//! The rsync side is an analytic contention model (the paper itself measures
-//! a real rsync; what matters for the comparison is the source bottleneck
-//! scaling), while the Shotgun side reuses the full Bullet′ protocol over the
-//! PlanetLab-like emulated topology.
+//! This module is the rsync side: an analytic contention model (the paper
+//! itself measures a real rsync; what matters for the comparison is the
+//! source bottleneck scaling) over the client bandwidths of the topology the
+//! Shotgun side runs on. The Shotgun side is an emulated Bullet′ run of the
+//! fig15 scenario's own workload (`bullet_bench::experiments::fig15_workload`)
+//! plus [`RsyncModelParams::client_replay`]'s replay cost.
 
-use desim::{RngFactory, SimDuration};
-use netsim::{mbps, topology, BytesPerSec, NodeId};
-
-use bullet_prime::{build_runner, Config};
-use dissem_codec::FileSpec;
+use netsim::{mbps, BytesPerSec, NodeId, Topology};
 
 /// Parameters of the parallel-rsync contention model.
 #[derive(Debug, Clone)]
@@ -93,60 +91,14 @@ pub fn parallel_rsync_times(
     completions
 }
 
-/// Result of a Shotgun dissemination experiment.
-#[derive(Debug, Clone)]
-pub struct ShotgunResult {
-    /// Per-receiver archive download completion times (seconds), unsorted.
-    pub download_only: Vec<f64>,
-    /// Per-receiver download + local delta replay times (seconds), unsorted.
-    pub download_plus_update: Vec<f64>,
-}
-
-/// Runs the Shotgun side of Fig 15: multicast an `update_bytes` archive to
-/// `nodes - 1` receivers over a PlanetLab-like topology with Bullet′, then
-/// add the local replay cost.
-pub fn simulate_shotgun(
-    nodes: usize,
-    update_bytes: u64,
-    block_kb: u32,
-    replay_rate: BytesPerSec,
-    seed: u64,
-) -> ShotgunResult {
-    let rng = RngFactory::new(seed);
-    let topo = topology::planetlab_like(nodes, &rng);
-    let cfg = Config::new(FileSpec::new(update_bytes, block_kb * 1024));
-    let mut runner = build_runner(topo, &cfg, &rng);
-    let report = runner.run(SimDuration::from_secs(24 * 3600));
-
-    let mut download_only = Vec::new();
-    let mut download_plus_update = Vec::new();
-    let replay = update_bytes as f64 / replay_rate.max(1.0);
-    for (i, completion) in report.completion_secs.iter().enumerate() {
-        if i == 0 {
-            continue; // The source neither downloads nor replays.
-        }
-        let t = completion.unwrap_or(report.end_time.as_secs_f64());
-        download_only.push(t);
-        download_plus_update.push(t + replay);
-    }
-    ShotgunResult {
-        download_only,
-        download_plus_update,
-    }
-}
-
-/// Per-client bottleneck download bandwidth for the rsync model, derived from
-/// the same PlanetLab-like topology Shotgun runs on (so both sides face the
-/// same clients).
-pub fn planetlab_client_bandwidths(nodes: usize, seed: u64) -> Vec<BytesPerSec> {
-    let rng = RngFactory::new(seed);
-    let topo = topology::planetlab_like(nodes, &rng);
-    (1..nodes)
+/// Per-client bottleneck download bandwidth for the rsync model: every
+/// receiver of `topo` (node 0 is the source), its access downlink capped by
+/// the core path from the source — the same clients Shotgun runs on.
+pub fn planetlab_client_bandwidths(topo: &Topology) -> Vec<BytesPerSec> {
+    (1..topo.len())
         .map(|i| {
             let id = NodeId(i as u32);
-            let down = topo.node(id).down;
-            let core = topo.path(NodeId(0), id).bw;
-            down.min(core)
+            topo.node(id).down.min(topo.path(NodeId(0), id).bw)
         })
         .collect()
 }
@@ -190,49 +142,11 @@ mod tests {
     }
 
     #[test]
-    fn shotgun_beats_parallel_rsync_by_a_wide_margin() {
-        let nodes = 21;
-        let update = 6 * 1024 * 1024;
-        let seed = 5;
-        let shotgun = simulate_shotgun(nodes, update, 64, mbps(1.6), seed);
-        assert_eq!(shotgun.download_only.len(), nodes - 1);
-        let clients = planetlab_client_bandwidths(nodes, seed);
-        let rsync = parallel_rsync_times(&clients, 4, update, &RsyncModelParams::default());
-        let slowest = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
-        assert!(
-            slowest(&shotgun.download_plus_update) < slowest(&rsync),
-            "Shotgun ({:.0}s) should finish well before 4-way rsync ({:.0}s)",
-            slowest(&shotgun.download_plus_update),
-            slowest(&rsync)
-        );
-    }
-
-    #[test]
-    fn replay_cost_is_added_to_every_node() {
-        // Download+update must exceed download-only by exactly the modelled
-        // replay time (update bytes over the client replay rate).
-        let update = 4 * 1024 * 1024u64;
-        let replay_rate = mbps(1.6);
-        let shotgun = simulate_shotgun(15, update, 64, replay_rate, 9);
-        let expected_replay = update as f64 / replay_rate;
-        for (d, t) in shotgun
-            .download_only
-            .iter()
-            .zip(&shotgun.download_plus_update)
-        {
-            assert!((t - d - expected_replay).abs() < 1e-9);
-        }
-        assert!(
-            expected_replay > 15.0,
-            "the modelled replay cost is substantial"
-        );
-    }
-
-    #[test]
     fn client_bandwidths_are_heterogeneous_and_deterministic() {
-        let a = planetlab_client_bandwidths(30, 3);
-        let b = planetlab_client_bandwidths(30, 3);
-        assert_eq!(a, b);
+        let topo = |seed| netsim::topology::planetlab_like(30, &desim::RngFactory::new(seed));
+        let a = planetlab_client_bandwidths(&topo(3));
+        assert_eq!(a.len(), 29, "one per receiver");
+        assert_eq!(a, planetlab_client_bandwidths(&topo(3)));
         let distinct: std::collections::BTreeSet<u64> = a.iter().map(|x| *x as u64).collect();
         assert!(distinct.len() > 1);
     }

@@ -5,9 +5,10 @@
 //!
 //! Run with `cargo run --release --example software_update`.
 
+use bullet_repro::bullet_bench::{CommonOpts, Dynamics, SystemKind, TopologyKind, Workload};
+use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::shotgun::{
-    parallel_rsync_times, planetlab_client_bandwidths, simulate_shotgun, FileSet, RsyncModelParams,
-    UpdateArchive,
+    parallel_rsync_times, planetlab_client_bandwidths, FileSet, RsyncModelParams, UpdateArchive,
 };
 use rand::{Rng, SeedableRng};
 
@@ -58,19 +59,33 @@ fn main() {
         image_bytes / 1024,
     );
 
-    // 3. Push the archive to 40 PlanetLab-like nodes: Shotgun vs parallel rsync.
-    let nodes = 41;
-    let seed = 5;
+    // 3. Push the archive to 40 PlanetLab-like nodes: Shotgun multicasts a
+    //    file of the archive's size with Bullet′ and every node then replays
+    //    the deltas; parallel rsync is the source-contention model over the
+    //    same sites.
+    let opts = CommonOpts {
+        seed: 5,
+        ..CommonOpts::default()
+    };
+    let file = FileSpec::new(encoded.len() as u64, 64 * 1024);
+    let testbed = Workload::new(
+        &opts,
+        TopologyKind::PlanetLabLike,
+        41,
+        file,
+        Dynamics::Static,
+    );
     let params = RsyncModelParams::default();
-    let shotgun = simulate_shotgun(nodes, encoded.len() as u64, 64, params.client_replay, seed);
     let slowest = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
+    let download = slowest(&testbed.run_system(SystemKind::BulletPrime).times);
+    let replay = file.file_bytes as f64 / params.client_replay;
     println!(
         "Shotgun: download only {:.0}s, download+update {:.0}s (slowest of {} nodes)",
-        slowest(&shotgun.download_only),
-        slowest(&shotgun.download_plus_update),
-        nodes - 1
+        download,
+        download + replay,
+        testbed.nodes - 1
     );
-    let clients = planetlab_client_bandwidths(nodes, seed);
+    let clients = planetlab_client_bandwidths(&testbed.topology());
     for k in [2usize, 4, 8, 16] {
         let times = parallel_rsync_times(&clients, k, encoded.len() as u64, &params);
         println!("{k:>2} parallel rsync: slowest {:.0}s", slowest(&times));

@@ -8,12 +8,14 @@
 //!
 //! * [`bullet_prime`] — the Bullet′ protocol (the paper's contribution);
 //! * [`baselines`] — BitTorrent, original Bullet and SplitStream;
-//! * [`shotgun`] — the rsync-over-Bullet′ software-update tool;
+//! * [`shotgun`] — the rsync side of the Shotgun software-update tool (its
+//!   Bullet′ multicast is fig15's workload in [`bullet_bench`]);
 //! * [`netsim`] — the ModelNet-equivalent network emulator;
 //! * [`overlay`] — the control tree and RanSub;
-//! * [`dissem_codec`] — blocks, bitmaps, diffs and LT rateless codes;
+//! * [`dissem_codec`] — blocks, bitmaps and availability diffs;
 //! * [`desim`] — the deterministic discrete-event engine;
-//! * [`bullet_bench`] — the experiment harness regenerating Figures 4–15;
+//! * [`bullet_bench`] — workloads and the presentations of every registry
+//!   scenario (the paper's Figures 4–15 and the beyond-the-paper fig16–fig22);
 //! * [`bullet_lab`] — the scenario lab: registry, parallel sweep executor
 //!   and the `lab` CLI.
 //!

@@ -1,14 +1,46 @@
 //! End-to-end Shotgun test: build a real update archive from two software
 //! images, disseminate a file of exactly that size with Bullet′ over a
-//! wide-area topology, and verify the upgraded clients and the Fig 15
-//! ordering against parallel rsync.
+//! wide-area topology (a `Workload`, as fig15 runs it), and verify the
+//! upgraded clients and the Fig 15 ordering against parallel rsync.
 
-use bullet_repro::netsim::mbps;
+use bullet_repro::bullet_bench::{CommonOpts, Dynamics, SystemKind, TopologyKind, Workload};
+use bullet_repro::dissem_codec::FileSpec;
+use bullet_repro::netsim::{mbps, BytesPerSec};
 use bullet_repro::shotgun::{
-    parallel_rsync_times, planetlab_client_bandwidths, simulate_shotgun, FileSet, RsyncModelParams,
-    UpdateArchive,
+    parallel_rsync_times, planetlab_client_bandwidths, FileSet, RsyncModelParams, UpdateArchive,
 };
 use rand::{Rng, SeedableRng};
+
+/// Shotgun's side of Fig 15: a file of the update's size multicast with
+/// Bullet′ over PlanetLab-like sites, then replayed on every receiver.
+struct Shotgun {
+    testbed: Workload,
+    download_only: Vec<f64>,
+    download_plus_update: Vec<f64>,
+}
+
+fn shotgun(nodes: usize, update_bytes: u64, replay_rate: BytesPerSec, seed: u64) -> Shotgun {
+    let opts = CommonOpts {
+        seed,
+        ..CommonOpts::default()
+    };
+    let file = FileSpec::new(update_bytes, 64 * 1024);
+    let testbed = Workload::new(
+        &opts,
+        TopologyKind::PlanetLabLike,
+        nodes,
+        file,
+        Dynamics::Static,
+    );
+    let download_only = testbed.run_system(SystemKind::BulletPrime).times;
+    let replay = update_bytes as f64 / replay_rate;
+    let download_plus_update = download_only.iter().map(|t| t + replay).collect();
+    Shotgun {
+        testbed,
+        download_only,
+        download_plus_update,
+    }
+}
 
 fn image(seed: u64, files: usize, kb: usize) -> FileSet {
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
@@ -59,12 +91,12 @@ fn shotgun_dissemination_beats_parallel_rsync_at_testbed_scale() {
     let seed = 11;
     let params = RsyncModelParams::default();
 
-    let shotgun = simulate_shotgun(nodes, update_bytes, 64, params.client_replay, seed);
+    let shotgun = shotgun(nodes, update_bytes, params.client_replay, seed);
     assert_eq!(shotgun.download_only.len(), nodes - 1);
     let slowest = |v: &[f64]| v.iter().cloned().fold(0.0f64, f64::max);
     let shotgun_total = slowest(&shotgun.download_plus_update);
 
-    let clients = planetlab_client_bandwidths(nodes, seed);
+    let clients = planetlab_client_bandwidths(&shotgun.testbed.topology());
     for parallelism in [2usize, 8] {
         let rsync = parallel_rsync_times(&clients, parallelism, update_bytes, &params);
         assert!(
@@ -79,8 +111,8 @@ fn shotgun_dissemination_beats_parallel_rsync_at_testbed_scale() {
 fn shotgun_replay_cost_uses_the_configured_disk_rate() {
     let nodes = 11;
     let update = 2 * 1024 * 1024u64;
-    let fast_disk = simulate_shotgun(nodes, update, 64, mbps(100.0), 3);
-    let slow_disk = simulate_shotgun(nodes, update, 64, mbps(0.8), 3);
+    let fast_disk = shotgun(nodes, update, mbps(100.0), 3);
+    let slow_disk = shotgun(nodes, update, mbps(0.8), 3);
     // Download times are identical (same seed); only the replay differs.
     assert_eq!(fast_disk.download_only, slow_disk.download_only);
     let gap_fast = fast_disk.download_plus_update[0] - fast_disk.download_only[0];
