@@ -73,6 +73,12 @@ cargo test -q --release --test golden_digests
 echo "==> golden figures on the release build (tests/golden_figures.rs)"
 cargo test -q --release --test golden_figures
 
+# desim's unit tests and its queue oracle (crates/sim/tests/queue_oracle.rs)
+# on the release build: the oracle then runs on the build the benchmark
+# measures, in under a second.
+echo "==> desim tests and the queue oracle on the release build"
+cargo test -q --release -p desim
+
 # The four README examples are built by --all-targets above; run them, so
 # one that panics or exits non-zero fails here and not for a reader.
 echo "==> README examples (quickstart, dynamic_network, flash_crowd, software_update)"

@@ -279,13 +279,12 @@ fn pair_key(from: NodeId, to: NodeId) -> u64 {
 }
 
 /// Hashes an ordered node pair as its [`pair_key`] times one constant instead
-/// of SipHash (the `desim::EventQueue` live table's precedent):
-/// `Ctx::pending_to` brings a protocol to the flow table once per *receiver*
-/// per block arrival, and the keys are node ids the emulator hands out itself,
-/// so nobody outside the program can aim collisions at the table. A product's
-/// low half depends on the key's low half alone — the receiver — so the high
-/// half is folded back in: both ids then reach the bucket index (low bits) as
-/// well as the control tag (top bits).
+/// of SipHash: `Ctx::pending_to` brings a protocol to the flow table once per
+/// *receiver* per block arrival, and the keys are node ids the emulator hands
+/// out itself, so nobody outside the program can aim collisions at the table.
+/// A product's low half depends on the key's low half alone — the receiver —
+/// so the high half is folded back in: both ids then reach the bucket index
+/// (low bits) as well as the control tag (top bits).
 #[derive(Debug, Clone, Copy, Default)]
 struct PairHasher(u64);
 

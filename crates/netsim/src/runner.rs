@@ -205,8 +205,8 @@ pub struct Runner<P: Protocol> {
 
 /// Everything a run's future depends on, and so exactly what a [`Snapshot`]
 /// holds: [`Runner::checkpoint`] is this value's `clone()`. The event queue
-/// is copied with its live keyed table and tombstones, so future
-/// [`EventKey`]s sequence identically; the network with its flow table and
+/// is copied with its heap, slab and free list, so future [`EventKey`]s
+/// sequence identically; the network with its flow table and
 /// per-link usage sums; the probe with the samples it has accumulated. A
 /// field added here is checkpointed by construction.
 #[derive(Clone)]
@@ -456,8 +456,8 @@ impl<P: Protocol> Runner<P> {
         self.run.completion[node.index()]
     }
 
-    /// Number of events currently pending in the queue (cancelled tombstones
-    /// excluded). Service-mode leak tests assert this returns to baseline
+    /// Number of events currently pending in the queue (cancelled events are
+    /// gone from it). Service-mode leak tests assert this returns to baseline
     /// after each swarm completes.
     pub fn pending_events(&self) -> usize {
         self.run.sim.pending()

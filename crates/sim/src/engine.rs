@@ -140,9 +140,8 @@ impl<E> Simulator<E> {
         self.queue.is_pending(key)
     }
 
-    /// Delivery time of the next pending event, if any. Takes `&mut self`
-    /// because stale heap tombstones of cancelled events are pruned here.
-    pub fn peek_time(&mut self) -> Option<SimTime> {
+    /// Delivery time of the next pending event, if any.
+    pub fn peek_time(&self) -> Option<SimTime> {
         self.queue.peek_time()
     }
 
@@ -198,7 +197,7 @@ mod tests {
         assert_eq!(
             sim.events_processed(),
             2,
-            "tombstones are not processed events"
+            "a cancelled event is not a processed event"
         );
     }
 

@@ -1,126 +1,105 @@
 //! The pending-event set.
 //!
-//! A binary heap of `(time, sequence, key)` triples over a side table of live
-//! entries, guaranteeing *stable* ordering — events scheduled for the same
-//! instant are delivered in the order they were scheduled (FIFO) — and
-//! supporting **cancellation** and **rescheduling** by key:
+//! An indexed binary min-heap over a slab, guaranteeing *stable* ordering —
+//! events scheduled for the same instant are delivered in the order they
+//! were scheduled (FIFO) — and supporting **cancellation** and
+//! **rescheduling** by key. The heap holds exactly the pending events: a
+//! cancelled or rescheduled event leaves nothing stale behind, so the heap
+//! never outgrows the pending count and its root is always the next event.
 //!
-//! * [`EventQueue::push`] returns an [`EventKey`] that identifies the entry
-//!   for the lifetime of the queue;
-//! * [`EventQueue::cancel`] removes the entry (returning its payload) without
-//!   touching the heap — the heap triple becomes a tombstone that is
-//!   discarded lazily when it reaches the top;
-//! * [`EventQueue::reschedule`] moves an entry to a new delivery time by
-//!   pushing a fresh heap triple with a new sequence number and bumping the
-//!   live entry's expected sequence, so the old triple turns stale in place.
+//! * A heap node is the event's delivery order, `(time, seq)` packed into
+//!   one `u128` (time in the high half, so comparing the packed integers
+//!   compares time first and the insertion sequence second), plus the index
+//!   of the event's slot.
+//! * A slot holds the payload, the id of the key that was issued for it and
+//!   the position of its node in the heap. Slots of delivered or cancelled
+//!   events go on a free list and are reused by later pushes.
+//! * [`EventQueue::push`] returns an [`EventKey`] carrying that id and the
+//!   slot index. Ids are never reused, so a key whose slot now holds a later
+//!   event finds a different id there and reports the entry dead.
+//! * [`EventQueue::cancel`] removes the node in place;
+//!   [`EventQueue::reschedule`] gives it a fresh `seq` and sifts it up or
+//!   down; [`EventQueue::pop`] and [`EventQueue::peek_time`] read the root.
 //!
 //! Stability matters for reproducibility — protocol handlers frequently
 //! schedule several zero-delay follow-ups and their relative order must not
 //! depend on heap internals. A rescheduled event takes the insertion order of
 //! its *reschedule*, exactly as if it had been cancelled and pushed anew.
-//!
-//! The live table is a `HashMap` keyed by the opaque `u64` inside
-//! [`EventKey`]; it is only ever accessed by key (never iterated), so it
-//! introduces no iteration-order nondeterminism. The keys are the queue's own
-//! sequential counter — nothing outside the program chooses them — so the
-//! table hashes them with one multiplication (`KeyHasher`) instead of the
-//! default SipHash, which every dispatched event would otherwise pay four
-//! times (peek, pop twice, push).
-
-use std::cmp::Ordering;
-use std::collections::{BinaryHeap, HashMap};
-use std::hash::{BuildHasherDefault, Hasher};
+//! Every pending event has a distinct `(time, seq)`, so the delivery order is
+//! total and independent of the heap's layout.
 
 use crate::time::SimTime;
+
+/// Children per heap node. A 4-ary heap of the same nodes is half as deep
+/// but ran slower in paired benchmark runs, and so did a binary sift that
+/// picks the smaller child with an `if` on the comparison instead of
+/// `min_by_key` over the child slice (see `sift_down`).
+const ARITY: usize = 2;
 
 /// An opaque handle to a scheduled event, unique for the lifetime of the
 /// queue that issued it. Cancelled/delivered keys are never reused.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
-pub struct EventKey(u64);
+pub struct EventKey {
+    id: u64,
+    slot: u32,
+}
 
 impl EventKey {
     /// The dense id behind the key. Keys are issued sequentially from 0 by
     /// each queue, so the raw id doubles as a stable, compact identifier in
     /// trace records and other observability output.
     pub fn raw(self) -> u64 {
-        self.0
+        self.id
     }
 }
 
-/// A heap triple: delivery time, insertion sequence, and the key of the entry
-/// it belongs to. The payload lives in the side table so reschedules do not
-/// need to clone it.
+/// A heap node: the event's `(time, seq)` delivery order packed into one
+/// integer (see [`order`]) and the index of its slot.
 #[derive(Debug, Clone, Copy)]
-struct HeapEntry {
-    at: SimTime,
-    seq: u64,
-    key: u64,
+struct Node {
+    order: u128,
+    slot: u32,
 }
 
-impl PartialEq for HeapEntry {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for HeapEntry {}
-
-impl Ord for HeapEntry {
-    fn cmp(&self, other: &Self) -> Ordering {
-        // BinaryHeap is a max-heap; invert so the earliest (time, seq) pops first.
-        other
-            .at
-            .cmp(&self.at)
-            .then_with(|| other.seq.cmp(&self.seq))
-    }
-}
-impl PartialOrd for HeapEntry {
-    fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
-        Some(self.cmp(other))
-    }
-}
-
-/// Fibonacci hashing for the live table's private sequential `u64` keys: one
-/// multiplication by 2⁶⁴/φ spreads consecutive keys over both the low bits
-/// (the table's bucket index) and the high bits (its control tag).
-#[derive(Debug, Clone, Copy, Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, _: &[u8]) {
-        unreachable!("the live table hashes u64 keys only");
-    }
-
-    fn write_u64(&mut self, key: u64) {
-        self.0 = key.wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
-/// A live entry: the sequence number of its current heap triple (older
-/// triples for the same key are tombstones) plus the payload.
+/// A slab slot: the payload of a pending event (`None` once delivered or
+/// cancelled), the id of the key issued for it and its node's heap position.
 #[derive(Debug, Clone)]
-struct LiveEntry<E> {
-    seq: u64,
-    at: SimTime,
-    payload: E,
+struct Slot<E> {
+    id: u64,
+    pos: u32,
+    payload: Option<E>,
+}
+
+/// Packs a delivery order: time first, then insertion sequence.
+fn order(at: SimTime, seq: u64) -> u128 {
+    (u128::from(at.as_nanos()) << 64) | u128::from(seq)
+}
+
+/// The delivery time of a packed order.
+fn time_of(order: u128) -> SimTime {
+    SimTime::from_nanos((order >> 64) as u64)
+}
+
+/// A slot index or heap position as stored in a key, node or slot.
+fn index(i: usize) -> u32 {
+    u32::try_from(i).expect("an event queue holds at most 2^32 pending events")
 }
 
 /// A time-ordered, insertion-stable queue of pending events with keyed
 /// cancellation and rescheduling.
 ///
-/// Cloning the queue (`E: Clone`) is an exact checkpoint: the heap's backing
-/// vector — tombstones included — and the live table are copied verbatim, so
-/// the clone pops the identical `(time, payload)` sequence and issues the
-/// same future keys as the original. The live table is only ever accessed by
-/// key (never iterated), so the clone's `HashMap` layout cannot influence
-/// behaviour.
+/// Cloning the queue (`E: Clone`) is an exact checkpoint: the slab, its free
+/// list and the heap are copied verbatim, so the clone pops the identical
+/// `(time, payload)` sequence, reuses the same slots and issues the same
+/// future keys as the original.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    heap: BinaryHeap<HeapEntry>,
-    live: HashMap<u64, LiveEntry<E>, BuildHasherDefault<KeyHasher>>,
+    /// Nodes of the pending events, in heap order.
+    heap: Vec<Node>,
+    /// Every slot ever allocated; pending ones hold a payload.
+    slots: Vec<Slot<E>>,
+    /// Slots without a payload, reused last-freed first.
+    free: Vec<u32>,
     next_seq: u64,
     next_key: u64,
 }
@@ -135,8 +114,9 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: BinaryHeap::new(),
-            live: HashMap::default(),
+            heap: Vec::new(),
+            slots: Vec::new(),
+            free: Vec::new(),
             next_seq: 0,
             next_key: 0,
         }
@@ -146,20 +126,37 @@ impl<E> EventQueue<E> {
     /// be used to [`cancel`](EventQueue::cancel) or
     /// [`reschedule`](EventQueue::reschedule) the entry.
     pub fn push(&mut self, at: SimTime, payload: E) -> EventKey {
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        let key = self.next_key;
+        let id = self.next_key;
         self.next_key += 1;
-        self.heap.push(HeapEntry { at, seq, key });
-        self.live.insert(key, LiveEntry { seq, at, payload });
-        EventKey(key)
+        let pos = self.heap.len();
+        let entry = Slot {
+            id,
+            pos: index(pos),
+            payload: Some(payload),
+        };
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.slots[slot as usize] = entry;
+                slot
+            }
+            None => {
+                self.slots.push(entry);
+                index(self.slots.len() - 1)
+            }
+        };
+        let order = self.next_order(at);
+        self.heap.push(Node { order, slot });
+        self.sift_up(pos);
+        EventKey { id, slot }
     }
 
     /// Cancels the entry behind `key`, returning its payload, or `None` if
-    /// the entry was already delivered, cancelled, or cleared. O(1): the heap
-    /// triple is left behind as a tombstone and skipped on pop.
+    /// the entry was already delivered or cancelled. Its node is removed from
+    /// the heap in place.
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        self.live.remove(&key.0).map(|e| e.payload)
+        let pos = self.position(key)?;
+        self.remove(pos);
+        Some(self.release(key.slot))
     }
 
     /// Moves the entry behind `key` to delivery time `at`, keeping its
@@ -167,73 +164,124 @@ impl<E> EventQueue<E> {
     /// is re-sequenced: among events at the new instant it is delivered as if
     /// it had just been scheduled.
     pub fn reschedule(&mut self, key: EventKey, at: SimTime) -> bool {
-        let Some(entry) = self.live.get_mut(&key.0) else {
+        let Some(pos) = self.position(key) else {
             return false;
         };
-        let seq = self.next_seq;
-        self.next_seq += 1;
-        entry.seq = seq;
-        entry.at = at;
-        self.heap.push(HeapEntry {
-            at,
-            seq,
-            key: key.0,
-        });
+        self.heap[pos].order = self.next_order(at);
+        self.fix(pos);
         true
     }
 
     /// Returns true if the entry behind `key` is still pending.
     pub fn is_pending(&self, key: EventKey) -> bool {
-        self.live.contains_key(&key.0)
+        self.position(key).is_some()
     }
 
-    /// Removes and returns the earliest pending event, if any, discarding any
-    /// tombstones (cancelled or superseded triples) encountered on the way.
+    /// Removes and returns the earliest pending event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        while let Some(top) = self.heap.pop() {
-            let is_current = self
-                .live
-                .get(&top.key)
-                .is_some_and(|entry| entry.seq == top.seq);
-            if is_current {
-                let entry = self.live.remove(&top.key).expect("checked above");
-                return Some((top.at, entry.payload));
-            }
-        }
-        None
+        let root = *self.heap.first()?;
+        self.remove(0);
+        Some((time_of(root.order), self.release(root.slot)))
     }
 
     /// Returns the delivery time of the earliest pending event, if any.
-    /// Prunes stale heap tombstones from the top as a side effect (which is
-    /// why this takes `&mut self`).
-    pub fn peek_time(&mut self) -> Option<SimTime> {
-        while let Some(top) = self.heap.peek() {
-            let is_current = self
-                .live
-                .get(&top.key)
-                .is_some_and(|entry| entry.seq == top.seq);
-            if is_current {
-                return Some(top.at);
-            }
-            self.heap.pop();
-        }
-        None
+    pub fn peek_time(&self) -> Option<SimTime> {
+        self.heap.first().map(|root| time_of(root.order))
     }
 
-    /// Number of pending (live) events. Tombstones do not count.
+    /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.live.len()
+        self.heap.len()
     }
 
     /// Returns true if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.live.is_empty()
+        self.heap.is_empty()
     }
 
-    /// Discards all pending events.
-    pub fn clear(&mut self) {
-        self.heap.clear();
-        self.live.clear();
+    /// The next delivery order for an event at `at`.
+    fn next_order(&mut self, at: SimTime) -> u128 {
+        let seq = self.next_seq;
+        self.next_seq += 1;
+        order(at, seq)
+    }
+
+    /// The heap position of the entry behind `key`, if it is pending. A key
+    /// whose slot was freed, or reused by a later push, finds no payload or
+    /// another id there.
+    fn position(&self, key: EventKey) -> Option<usize> {
+        let slot = self.slots.get(key.slot as usize)?;
+        (slot.id == key.id && slot.payload.is_some()).then_some(slot.pos as usize)
+    }
+
+    /// Takes the payload out of `slot` and puts the slot on the free list.
+    fn release(&mut self, slot: u32) -> E {
+        self.free.push(slot);
+        self.slots[slot as usize]
+            .payload
+            .take()
+            .expect("a pending entry's slot holds its payload")
+    }
+
+    /// Removes the node at heap position `pos`: the last node takes its
+    /// place and is sifted to where it belongs.
+    fn remove(&mut self, pos: usize) {
+        let last = self.heap.pop().expect("a pending entry has a node");
+        if pos < self.heap.len() {
+            self.place(pos, last);
+            self.fix(pos);
+        }
+    }
+
+    /// Restores heap order around position `i` after its node changed.
+    fn fix(&mut self, i: usize) {
+        if i > 0 && self.heap[i].order < self.heap[(i - 1) / ARITY].order {
+            self.sift_up(i);
+        } else {
+            self.sift_down(i);
+        }
+    }
+
+    fn sift_up(&mut self, mut i: usize) {
+        let node = self.heap[i];
+        while i > 0 {
+            let parent = (i - 1) / ARITY;
+            if node.order > self.heap[parent].order {
+                break;
+            }
+            self.place(i, self.heap[parent]);
+            i = parent;
+        }
+        self.place(i, node);
+    }
+
+    fn sift_down(&mut self, mut i: usize) {
+        let node = self.heap[i];
+        loop {
+            let first = ARITY * i + 1;
+            let Some(children) = self.heap.get(first..(first + ARITY).min(self.heap.len())) else {
+                break;
+            };
+            let Some((offset, child)) = children
+                .iter()
+                .enumerate()
+                .min_by_key(|(_, child)| child.order)
+            else {
+                break;
+            };
+            if child.order > node.order {
+                break;
+            }
+            self.place(i, *child);
+            i = first + offset;
+        }
+        self.place(i, node);
+    }
+
+    /// Puts `node` at heap position `i` and records the position in its slot.
+    fn place(&mut self, i: usize, node: Node) {
+        self.heap[i] = node;
+        self.slots[node.slot as usize].pos = index(i);
     }
 }
 
@@ -278,13 +326,15 @@ mod tests {
     }
 
     #[test]
-    fn len_and_clear() {
+    fn len_and_is_empty() {
         let mut q = EventQueue::new();
+        assert!(q.is_empty());
         q.push(SimTime::ZERO, 0u8);
         q.push(SimTime::ZERO, 1u8);
         assert_eq!(q.len(), 2);
         assert!(!q.is_empty());
-        q.clear();
+        q.pop();
+        q.pop();
         assert!(q.is_empty());
     }
 
@@ -300,7 +350,7 @@ mod tests {
         assert!(q.is_pending(b));
         // Double-cancel is a no-op.
         assert_eq!(q.cancel(a), None);
-        // The tombstone never surfaces.
+        // The cancelled entry never surfaces.
         assert_eq!(q.pop().unwrap().1, "b");
         assert!(q.pop().is_none());
     }
@@ -322,7 +372,7 @@ mod tests {
         let _b = q.push(SimTime::from_nanos(20), "b");
         // Push "a" later than "b"...
         assert!(q.reschedule(a, SimTime::from_nanos(30)));
-        assert_eq!(q.live[&a.0].at, SimTime::from_nanos(30));
+        assert_eq!(q.peek_time(), Some(SimTime::from_nanos(20)));
         assert_eq!(q.len(), 2, "reschedule does not change the live count");
         // ...then earlier again.
         assert!(q.reschedule(a, SimTime::from_nanos(15)));
@@ -363,9 +413,46 @@ mod tests {
             assert!(q.reschedule(key, SimTime::from_nanos(i)));
         }
         assert_eq!(q.len(), 1);
+        assert_eq!((q.heap.len(), q.slots.len()), (1, 1), "one node, one slot");
         let (t, _) = q.pop().unwrap();
         assert_eq!(t, SimTime::from_nanos(999));
         assert!(q.is_empty());
         assert!(q.pop().is_none());
+    }
+
+    #[test]
+    fn push_cancel_cycles_keep_the_slab_at_the_peak_pending_count() {
+        let mut q = EventQueue::new();
+        let mut keys = std::collections::VecDeque::new();
+        let mut peak = 0;
+        for i in 0..1000u64 {
+            // Up to 7 pending at once, cancelled oldest first.
+            keys.push_back(q.push(SimTime::from_nanos(i * 7 % 13), i));
+            peak = peak.max(q.len());
+            if keys.len() == 7 || i % 3 == 0 {
+                let key = keys.pop_front().unwrap();
+                assert!(q.cancel(key).is_some());
+            }
+            assert_eq!(q.heap.len(), q.len(), "the heap holds only pending events");
+        }
+        assert_eq!(peak, 7);
+        assert!(
+            q.slots.len() <= peak,
+            "{} slots for a peak of {peak}",
+            q.slots.len()
+        );
+    }
+
+    #[test]
+    fn a_reused_slot_does_not_answer_to_the_old_key() {
+        let mut q = EventQueue::new();
+        let old = q.push(SimTime::from_nanos(10), "old");
+        assert_eq!(q.pop().unwrap().1, "old");
+        let new = q.push(SimTime::from_nanos(20), "new");
+        assert_eq!(old.slot, new.slot, "the freed slot is reused");
+        assert!(!q.is_pending(old));
+        assert_eq!(q.cancel(old), None);
+        assert!(!q.reschedule(old, SimTime::from_nanos(5)));
+        assert_eq!(q.pop(), Some((SimTime::from_nanos(20), "new")));
     }
 }

@@ -1,19 +1,21 @@
 //! Model-based oracle test for [`desim::EventQueue`].
 //!
-//! The real queue is a tombstoned binary heap over a keyed live table —
-//! enough machinery that subtle ordering bugs (a reschedule keeping its old
-//! sequence number, a cancel resurrecting through a stale triple) would be
-//! easy to introduce. The oracle is deliberately naive: a `Vec` of
-//! `(time, seq, id)` entries re-sorted before every inspection, where
-//! `reschedule` is literally remove-then-reinsert with a fresh sequence
-//! number. Random interleavings of `push` / `cancel` / `reschedule` must
-//! leave both queues popping the *identical* payload sequence.
+//! The real queue is an indexed heap over a slab whose slots are recycled —
+//! enough machinery that subtle bugs (a reschedule keeping its old sequence
+//! number, a stale key reaching the event that reused its slot, a heap
+//! position not updated after a sift) would be easy to introduce. The oracle
+//! is deliberately naive: a `Vec` of `(time, seq, id)` entries scanned for
+//! its minimum, where `reschedule` is literally remove-then-reinsert with a
+//! fresh sequence number. Random interleavings of `push` / `cancel` /
+//! `reschedule` / `pop` / `peek_time` / `is_pending` / `len` must get the
+//! same answer from both queues at every step, and leave both popping the
+//! *identical* payload sequence.
 
-use desim::{EventQueue, SimTime};
+use desim::{EventKey, EventQueue, SimTime};
 use proptest::prelude::*;
 
-/// The trivially correct model: entries sorted by (time, insertion seq).
-#[derive(Default)]
+/// The trivially correct model: entries ordered by (time, insertion seq).
+#[derive(Debug, Clone, Default)]
 struct ModelQueue {
     /// `(delivery time, sequence, payload id)` of every live entry.
     entries: Vec<(u64, u64, usize)>,
@@ -26,165 +28,233 @@ impl ModelQueue {
         self.next_seq += 1;
     }
 
+    fn position(&self, id: usize) -> Option<usize> {
+        self.entries.iter().position(|&(_, _, i)| i == id)
+    }
+
     fn cancel(&mut self, id: usize) -> bool {
-        match self.entries.iter().position(|&(_, _, i)| i == id) {
-            Some(pos) => {
-                self.entries.remove(pos);
-                true
-            }
-            None => false,
-        }
+        self.position(id)
+            .map(|pos| self.entries.remove(pos))
+            .is_some()
     }
 
     /// Remove-then-reinsert: the rescheduled entry sequences as if it had
     /// just been pushed, which is exactly the contract of
     /// [`EventQueue::reschedule`].
     fn reschedule(&mut self, id: usize, at: u64) -> bool {
-        if self.cancel(id) {
+        let live = self.cancel(id);
+        if live {
             self.push(at, id);
-            true
-        } else {
-            false
         }
+        live
     }
 
-    fn pop_all(mut self) -> Vec<(u64, usize)> {
-        self.entries.sort_unstable();
-        self.entries.into_iter().map(|(t, _, id)| (t, id)).collect()
+    fn earliest(&self) -> Option<usize> {
+        (0..self.entries.len()).min_by_key(|&i| self.entries[i])
+    }
+
+    fn pop(&mut self) -> Option<(u64, usize)> {
+        let (t, _, id) = self.entries.remove(self.earliest()?);
+        Some((t, id))
+    }
+
+    fn peek_time(&self) -> Option<u64> {
+        self.earliest().map(|i| self.entries[i].0)
     }
 }
 
-/// One generated operation: `kind` 0 = push, 1 = cancel, 2 = reschedule.
-/// `time` is the delivery instant (push / reschedule); `target` picks the
-/// entry a cancel/reschedule aims at (modulo the number of pushes so far).
+/// One generated operation: `(kind, time, target)`. `time` is the delivery
+/// instant of a push or reschedule; `target` picks the entry an operation on
+/// a key aims at (modulo the number of candidates). See [`Harness::apply`]
+/// for the kinds.
 type Op = (u8, u64, usize);
 
-/// A popped `(delivery time, payload id)` sequence.
-type Popped = Vec<(u64, usize)>;
+/// The kinds an [`Op`] draws from (`0..KINDS`).
+const KINDS: u8 = 16;
 
-fn run_interleaving(ops: &[Op]) -> (Popped, Popped) {
-    let mut queue: EventQueue<usize> = EventQueue::new();
-    let mut model = ModelQueue::default();
-    // Key of every push ever made, so cancels/reschedules can also target
-    // already-dead entries (the queue must report those as no-ops).
-    let mut keys = Vec::new();
+/// Names for the kinds of [`Harness::apply`] that the drain and the
+/// hand-written interleaving use.
+const PUSH: u8 = 0;
+const CANCEL: u8 = 5;
+const RESCHEDULE: u8 = 6;
+const POP: u8 = 7;
 
-    for &(kind, time, target) in ops {
-        match kind {
-            0 => {
-                let id = keys.len();
-                keys.push(queue.push(SimTime::from_nanos(time), id));
-                model.push(time, id);
-            }
-            1 if !keys.is_empty() => {
-                let id = target % keys.len();
-                let real = queue.cancel(keys[id]).is_some();
-                let modelled = model.cancel(id);
-                assert_eq!(real, modelled, "cancel({id}) liveness diverged");
-            }
-            2 if !keys.is_empty() => {
-                let id = target % keys.len();
-                let real = queue.reschedule(keys[id], SimTime::from_nanos(time));
-                let modelled = model.reschedule(id, time);
-                assert_eq!(real, modelled, "reschedule({id}) liveness diverged");
-            }
-            _ => {} // cancel/reschedule before any push: nothing to target
-        }
-    }
-
-    let mut real = Vec::new();
-    while let Some((t, id)) = queue.pop() {
-        real.push((t.as_nanos(), id));
-    }
-    (real, model.pop_all())
+/// What one operation returned.
+#[derive(Debug, Clone, PartialEq)]
+enum Seen {
+    Pushed,
+    Cancelled(bool),
+    Moved(bool),
+    Popped(Option<(u64, usize)>),
+    Peeked(Option<u64>),
+    Pending(bool),
+    Len(usize),
+    /// An operation on a key with no key to aim at.
+    Skipped,
 }
 
-/// Replays `ops`, cloning the queue after `cut` operations (a snapshot) and
-/// running the remainder on the *clone*. Returns the clone's pops, the
-/// abandoned original's pops, and the op count actually applied before the
-/// cut — the harness for the checkpoint/fork contract: a cloned queue must
-/// pop exactly like one that was never snapshotted, and mutating the clone
-/// must leave the original frozen at the cut.
-fn run_with_snapshot(ops: &[Op], cut: usize) -> (Popped, Popped) {
-    let cut = cut % (ops.len() + 1);
-    let mut queue: EventQueue<usize> = EventQueue::new();
-    let mut keys = Vec::new();
+/// The real queue and the model side by side, with the key of every push
+/// ever made (the payload is the push's index) and the payloads delivered so
+/// far, whose keys are dead and whose slots later pushes reuse.
+#[derive(Debug, Clone, Default)]
+struct Harness {
+    queue: EventQueue<usize>,
+    model: ModelQueue,
+    keys: Vec<EventKey>,
+    delivered: Vec<usize>,
+}
 
-    let apply = |queue: &mut EventQueue<usize>, keys: &mut Vec<_>, ops: &[Op]| {
-        for &(kind, time, target) in ops {
-            match kind {
-                0 => {
-                    let id = keys.len();
-                    keys.push(queue.push(SimTime::from_nanos(time), id));
+impl Harness {
+    /// Applies `op` to both queues, asserts they answered alike, and returns
+    /// the answer. Kinds: 0–4 and 15 push; 5 cancels, 6 reschedules and 10
+    /// asks `is_pending` of any key ever issued; 7–8 pop; 9 peeks; 11 asks
+    /// `len`; 12 cancels, 13 reschedules and 14 asks `is_pending` of a key
+    /// whose entry was already delivered — its slot freed and, after any
+    /// later push, holding another entry that must not be touched.
+    fn apply(&mut self, (kind, time, target): Op) -> Seen {
+        let aimed = match kind {
+            5 | 6 | 10 if !self.keys.is_empty() => Some(target % self.keys.len()),
+            12..=14 if !self.delivered.is_empty() => {
+                Some(self.delivered[target % self.delivered.len()])
+            }
+            _ => None,
+        };
+        let (real, modelled) = match (kind, aimed) {
+            (0..=4 | 15, _) => {
+                let id = self.keys.len();
+                self.keys
+                    .push(self.queue.push(SimTime::from_nanos(time), id));
+                self.model.push(time, id);
+                (Seen::Pushed, Seen::Pushed)
+            }
+            (5 | 12, Some(id)) => (
+                Seen::Cancelled(self.queue.cancel(self.keys[id]).is_some()),
+                Seen::Cancelled(self.model.cancel(id)),
+            ),
+            (6 | 13, Some(id)) => (
+                Seen::Moved(
+                    self.queue
+                        .reschedule(self.keys[id], SimTime::from_nanos(time)),
+                ),
+                Seen::Moved(self.model.reschedule(id, time)),
+            ),
+            (10 | 14, Some(id)) => (
+                Seen::Pending(self.queue.is_pending(self.keys[id])),
+                Seen::Pending(self.model.position(id).is_some()),
+            ),
+            (7 | 8, _) => {
+                let popped = self.queue.pop().map(|(t, id)| (t.as_nanos(), id));
+                if let Some((_, id)) = popped {
+                    self.delivered.push(id);
                 }
-                1 if !keys.is_empty() => {
-                    queue.cancel(keys[target % keys.len()]);
-                }
-                2 if !keys.is_empty() => {
-                    queue.reschedule(keys[target % keys.len()], SimTime::from_nanos(time));
-                }
-                _ => {}
+                (Seen::Popped(popped), Seen::Popped(self.model.pop()))
+            }
+            (9, _) => (
+                Seen::Peeked(self.queue.peek_time().map(SimTime::as_nanos)),
+                Seen::Peeked(self.model.peek_time()),
+            ),
+            (11, _) => (
+                Seen::Len(self.queue.len()),
+                Seen::Len(self.model.entries.len()),
+            ),
+            _ => (Seen::Skipped, Seen::Skipped),
+        };
+        if matches!(kind, 12..=14) && aimed.is_some() {
+            assert!(
+                matches!(
+                    real,
+                    Seen::Cancelled(false) | Seen::Moved(false) | Seen::Pending(false)
+                ),
+                "a delivered entry's key answered {real:?}"
+            );
+        }
+        assert_eq!(real, modelled, "op {:?} diverged", (kind, time, target));
+        real
+    }
+
+    /// Applies every op in turn, returning the answers.
+    fn run(&mut self, ops: &[Op]) -> Vec<Seen> {
+        ops.iter().map(|&op| self.apply(op)).collect()
+    }
+
+    /// Pops until both queues are empty, returning what came out.
+    fn drain(&mut self) -> Vec<Seen> {
+        let mut out = Vec::new();
+        loop {
+            match self.apply((POP, 0, 0)) {
+                Seen::Popped(None) => return out,
+                popped => out.push(popped),
             }
         }
-    };
+    }
+}
 
-    apply(&mut queue, &mut keys, &ops[..cut]);
+/// A whole interleaving's answers, the final drain included.
+fn run_interleaving(ops: &[Op]) -> Vec<Seen> {
+    let mut harness = Harness::default();
+    let mut seen = harness.run(ops);
+    seen.extend(harness.drain());
+    seen
+}
+
+/// Replays `ops`, cloning the harness after `cut` operations (a snapshot)
+/// and running the remainder and the drain on the *clone*. Returns the
+/// answers of the prefix and the clone together, and what the abandoned
+/// original pops when drained — the harness for the checkpoint/fork
+/// contract: a cloned queue answers exactly like one that was never
+/// snapshotted, and mutating the clone leaves the original frozen at the cut.
+fn run_with_snapshot(ops: &[Op], cut: usize) -> (Vec<Seen>, Vec<Seen>) {
+    let (prefix, rest) = ops.split_at(cut % (ops.len() + 1));
+    let mut original = Harness::default();
+    let mut seen = original.run(prefix);
     // The snapshot: keys issued before the cut stay valid against the clone,
     // because a clone preserves the whole key space.
-    let mut snap = queue.clone();
-    apply(&mut snap, &mut keys, &ops[cut..]);
+    let mut snap = original.clone();
+    seen.extend(snap.run(rest));
+    seen.extend(snap.drain());
+    (seen, original.drain())
+}
 
-    let drain = |mut q: EventQueue<usize>| -> Popped {
-        let mut out = Vec::new();
-        while let Some((t, id)) = q.pop() {
-            out.push((t.as_nanos(), id));
-        }
-        out
-    };
-    (drain(snap), drain(queue))
+/// Ops whose kinds cover the whole alphabet, at instants below `times`.
+fn op_sequences(times: u64, len: std::ops::Range<usize>) -> impl Strategy<Value = Vec<Op>> {
+    collection::vec((0u8..KINDS, 0u64..times, any::<usize>()), len)
 }
 
 proptest! {
-    /// Any interleaving of push/cancel/reschedule leaves the tombstoned heap
-    /// and the naive sorted-vec model popping the identical (time, payload)
-    /// sequence — same entries, same order, including FIFO tie-breaks among
-    /// equal timestamps.
+    /// Any interleaving of the seven operations gets the same answer from the
+    /// indexed heap and the naive model at every step — same entries popped
+    /// in the same order, including FIFO tie-breaks among equal timestamps.
     #[test]
-    fn queue_pops_exactly_like_the_sorted_vec_model(
-        ops in collection::vec((0u8..3, 0u64..1_000, any::<usize>()), 1..300)
-    ) {
-        let (real, modelled) = run_interleaving(&ops);
-        prop_assert_eq!(real, modelled);
+    fn queue_pops_exactly_like_the_sorted_vec_model(ops in op_sequences(1_000, 1..300)) {
+        run_interleaving(&ops);
     }
 
     /// Dense timestamp collisions (every event lands on one of four
-    /// instants) stress the FIFO tie-break and tombstone reuse paths.
+    /// instants) stress the FIFO tie-break and the sifts between equal times.
     #[test]
-    fn collision_heavy_interleavings_match_the_model(
-        ops in collection::vec((0u8..3, 0u64..4, any::<usize>()), 1..300)
-    ) {
-        let (real, modelled) = run_interleaving(&ops);
-        prop_assert_eq!(real, modelled);
+    fn collision_heavy_interleavings_match_the_model(ops in op_sequences(4, 1..300)) {
+        run_interleaving(&ops);
     }
 
-    /// A snapshot (clone) taken at a random point of the interleaving, with
-    /// the remaining operations applied to the clone, pops exactly like a
-    /// queue that was never snapshotted — and the abandoned original stays
-    /// frozen at the cut (the clone shares no mutable state with it).
+    /// A snapshot (clone) taken at a random point of the interleaving — after
+    /// pops as well as pushes — with the remaining operations applied to the
+    /// clone, answers exactly like a queue that was never snapshotted, and the
+    /// abandoned original stays frozen at the cut (the clone shares no
+    /// mutable state with it).
     #[test]
     fn snapshot_restore_at_a_random_point_pops_identically(
-        ops in collection::vec((0u8..3, 0u64..50, any::<usize>()), 1..200),
+        ops in op_sequences(50, 1..200),
         cut in any::<usize>(),
     ) {
-        let (straight, modelled) = run_interleaving(&ops);
-        prop_assert_eq!(&straight, &modelled);
+        let straight = run_interleaving(&ops);
         let (resumed, frozen) = run_with_snapshot(&ops, cut);
         prop_assert_eq!(resumed, straight, "the restored queue diverged");
         // The original, never touched after the cut, must pop exactly what a
         // prefix-only run pops: post-cut mutations must not leak into it.
-        let cut = cut % (ops.len() + 1);
-        let (prefix_only, _) = run_interleaving(&ops[..cut]);
-        prop_assert_eq!(frozen, prefix_only, "the snapshot original was mutated");
+        let prefix = &ops[..cut % (ops.len() + 1)];
+        let mut prefix_only = Harness::default();
+        prefix_only.run(prefix);
+        prop_assert_eq!(frozen, prefix_only.drain(), "the snapshot original was mutated");
     }
 }
 
@@ -194,13 +264,15 @@ fn oracle_catches_ordering_differences() {
     // reschedule into a tie must pop the rescheduled entry last among its
     // instant, in both implementations.
     let ops: Vec<Op> = vec![
-        (0, 10, 0), // id 0 @ 10
-        (0, 10, 0), // id 1 @ 10
-        (0, 5, 0),  // id 2 @ 5
-        (2, 10, 2), // reschedule id 2 → 10 (now sequences after ids 0, 1)
-        (1, 0, 1),  // cancel id 1
+        (PUSH, 10, 0),       // id 0 @ 10
+        (PUSH, 10, 0),       // id 1 @ 10
+        (PUSH, 5, 0),        // id 2 @ 5
+        (RESCHEDULE, 10, 2), // reschedule id 2 → 10 (now sequences after ids 0, 1)
+        (CANCEL, 0, 1),      // cancel id 1
     ];
-    let (real, modelled) = run_interleaving(&ops);
-    assert_eq!(real, vec![(10, 0), (10, 2)]);
-    assert_eq!(real, modelled);
+    let seen = run_interleaving(&ops);
+    assert_eq!(
+        seen[ops.len()..],
+        [Seen::Popped(Some((10, 0))), Seen::Popped(Some((10, 2)))]
+    );
 }
