@@ -36,8 +36,12 @@ mv target/benchmark-Cargo.lock.keep benchmark/Cargo.lock
 # The debug suite is where every frontier solve is cross-checked: with
 # debug_assertions on, Network::resolve re-solves the whole network after each
 # component solve and asserts equal bits (check_solve_against_unpruned), in
-# every run of every test. Release builds carry none of it, so this step must
-# keep running, and before the release golden steps that trust the solver.
+# every run of every test. BitTorrent's request path does the same for its
+# per-piece rarity counter: each candidate piece's count is recounted from the
+# neighbours' bitmaps (check_rarity_against_neighbours), so every BitTorrent
+# run checks the increments and, where a peer crashes or leaves, the
+# decrements. Release builds carry none of it, so this step must keep running,
+# and before the release golden steps that trust the solver.
 echo "==> cargo test -q (workspace unit + integration suites)"
 cargo test -q
 
@@ -78,6 +82,13 @@ cargo test -q --release --test golden_figures
 # measures, in under a second.
 echo "==> desim tests and the queue oracle on the release build"
 cargo test -q --release -p desim
+
+# baselines' tests on the release build, so the reference proptest of
+# BitTorrent's counted request selection (the scan-based selection it
+# replaced, same requests and same RNG state) also runs on the build the
+# benchmark measures.
+echo "==> baselines tests and the request-selection reference on the release build"
+cargo test -q --release -p baselines
 
 # The four README examples are built by --all-targets above; run them, so
 # one that panics or exits non-zero fails here and not for a reader.

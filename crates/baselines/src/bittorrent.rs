@@ -157,10 +157,11 @@ impl WireSize for BtMsg {
 }
 
 /// Per-neighbour state.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 struct Neighbour {
-    /// Pieces the neighbour has completed (from bitfield + Have messages).
-    has_pieces: BTreeSet<u32>,
+    /// Pieces the neighbour has completed (from bitfield + Have messages), a
+    /// bitmap over piece ids.
+    has_pieces: BlockBitmap,
     /// We are choking them (they may not request from us).
     am_choking: bool,
     /// They are choking us.
@@ -171,16 +172,21 @@ struct Neighbour {
     bytes_from: u64,
     /// Bytes we finished sending to them in the current choke window.
     bytes_to: u64,
-    /// Blocks we have requested from them and not yet received.
-    outstanding: BTreeSet<BlockId>,
+    /// Blocks we have requested from them and not yet received (at most
+    /// [`OUTSTANDING_PER_PEER`], no block twice).
+    outstanding: Vec<BlockId>,
 }
 
 impl Neighbour {
-    fn new() -> Self {
+    fn new(num_pieces: u32) -> Self {
         Neighbour {
+            has_pieces: BlockBitmap::new(num_pieces),
             am_choking: true,
             peer_choking: true,
-            ..Default::default()
+            am_interested: false,
+            bytes_from: 0,
+            bytes_to: 0,
+            outstanding: Vec::new(),
         }
     }
 }
@@ -195,8 +201,12 @@ pub struct BitTorrentNode {
     /// Number of blocks still missing from each piece.
     piece_missing: Vec<u32>,
     neighbours: BTreeMap<NodeId, Neighbour>,
+    /// Per piece, the number of neighbours holding it: raised when a piece
+    /// is newly set in a neighbour's `has_pieces`, lowered for each of its
+    /// pieces when a neighbour is removed.
+    rarity: Vec<u32>,
     /// Blocks requested anywhere (avoid duplicate requests before endgame).
-    in_flight: BTreeSet<BlockId>,
+    in_flight: BlockBitmap,
     /// Tracker state (only used on node 0): every node that has announced.
     swarm: Vec<NodeId>,
     optimistic: Option<NodeId>,
@@ -228,7 +238,8 @@ impl BitTorrentNode {
             have,
             piece_missing,
             neighbours: BTreeMap::new(),
-            in_flight: BTreeSet::new(),
+            rarity: vec![0; num_pieces as usize],
+            in_flight: BlockBitmap::new(n),
             swarm: Vec::new(),
             optimistic: None,
             stats: ProbeStats::default(),
@@ -263,21 +274,22 @@ impl BitTorrentNode {
         self.have.is_full()
     }
 
-    fn piece_rarity(&self, piece: u32) -> usize {
-        self.neighbours
-            .values()
-            .filter(|n| n.has_pieces.contains(&piece))
-            .count()
+    fn num_pieces(&self) -> u32 {
+        self.piece_missing.len() as u32
     }
 
-    /// Blocks of `piece` that we are missing and that are not in flight.
-    fn wanted_blocks_of_piece(&self, piece: u32) -> Vec<BlockId> {
+    /// Number of blocks in `piece` (the last piece may be short).
+    fn piece_blocks(&self, piece: u32) -> u32 {
+        PIECE_BLOCKS.min(self.cfg.file.num_blocks() - piece * PIECE_BLOCKS)
+    }
+
+    /// Blocks of `piece` that we are missing and that are not in flight, in
+    /// ascending order.
+    fn wanted_blocks(&self, piece: u32) -> impl Iterator<Item = BlockId> + '_ {
         let start = piece * PIECE_BLOCKS;
-        let end = (start + PIECE_BLOCKS).min(self.cfg.file.num_blocks());
-        (start..end)
+        (start..start + self.piece_blocks(piece))
             .map(BlockId)
-            .filter(|b| !self.have.contains(*b) && !self.in_flight.contains(b))
-            .collect()
+            .filter(|&b| !self.have.contains(b) && !self.in_flight.contains(b))
     }
 
     /// Issues rarest-first requests to every neighbour that has unchoked us,
@@ -304,47 +316,55 @@ impl BitTorrentNode {
         }
         let want = OUTSTANDING_PER_PEER - n.outstanding.len();
         // Candidate pieces: the peer has completed them, we still need blocks
-        // from them. Pieces are ranked strictly rarest-first with a random
-        // tie-break; sub-piece blocks are then requested in order.
-        let mut pieces: Vec<(bool, usize, u64, u32)> = {
-            let candidate_pieces: Vec<u32> = n.has_pieces.iter().copied().collect();
-            let rng: &mut StdRng = ctx.rng();
-            candidate_pieces
-                .into_iter()
-                .map(|p| (false, 0usize, rng.gen::<u64>(), p))
-                .collect()
-        };
-        for entry in &mut pieces {
-            let piece = entry.3;
-            // Strict priority: finish partially downloaded pieces first so they
-            // become shareable, then go rarest-first among untouched pieces.
-            let total = PIECE_BLOCKS.min(self.cfg.file.num_blocks() - piece * PIECE_BLOCKS);
-            let missing = self.piece_missing[piece as usize];
-            entry.0 = missing == total; // false (=first) when partially done
-            entry.1 = self.piece_rarity(piece);
-        }
-        pieces.sort_unstable_by_key(|(untouched, r, t, _)| (*untouched, *r, *t));
-        let mut chosen: Vec<BlockId> = Vec::new();
-        for (_, _, _, piece) in pieces {
-            if chosen.len() >= want {
-                break;
-            }
-            for b in self.wanted_blocks_of_piece(piece) {
-                if chosen.len() >= want {
-                    break;
-                }
-                chosen.push(b);
-            }
-        }
+        // from them. Every piece the peer holds draws its random tie-break, in
+        // ascending order, before those with nothing wanted are dropped, so
+        // the draws do not depend on what we hold or have in flight. Strict
+        // priority: finish partially downloaded pieces first so they become
+        // shareable (`false` sorts first), then go rarest-first among
+        // untouched pieces; sub-piece blocks are then requested in order.
+        let rng: &mut StdRng = ctx.rng();
+        let mut pieces: Vec<(bool, u32, u64, u32)> = n
+            .has_pieces
+            .iter()
+            .map(|BlockId(p)| (p, rng.gen::<u64>()))
+            .filter(|&(p, _)| self.wanted_blocks(p).next().is_some())
+            .map(|(p, tie)| {
+                let untouched = self.piece_missing[p as usize] == self.piece_blocks(p);
+                (untouched, self.rarity[p as usize], tie, p)
+            })
+            .collect();
+        #[cfg(debug_assertions)]
+        self.check_rarity_against_neighbours(&pieces);
+        pieces.sort_unstable_by_key(|&(untouched, r, t, _)| (untouched, r, t));
+        let chosen: Vec<BlockId> = pieces
+            .iter()
+            .flat_map(|&(.., p)| self.wanted_blocks(p))
+            .take(want)
+            .collect();
         if chosen.is_empty() {
             return;
         }
         let n = self.neighbours.get_mut(&peer).expect("checked above");
         for &b in &chosen {
-            n.outstanding.insert(b);
+            n.outstanding.push(b);
             self.in_flight.insert(b);
         }
         ctx.send(peer, BtMsg::Request { blocks: chosen });
+    }
+
+    /// Debug builds recount each candidate piece's holders from the
+    /// neighbours' bitmaps and assert the counter agrees, so every run of
+    /// the debug suite checks the increments and the decrements.
+    #[cfg(debug_assertions)]
+    fn check_rarity_against_neighbours(&self, pieces: &[(bool, u32, u64, u32)]) {
+        for &(_, rarity, _, p) in pieces {
+            let holders = self
+                .neighbours
+                .values()
+                .filter(|n| n.has_pieces.contains(BlockId(p)))
+                .count();
+            assert_eq!(rarity as usize, holders, "rarity counter of piece {p}");
+        }
     }
 
     /// Recomputes the choke set: the top uploaders (for a downloader) or top
@@ -442,7 +462,8 @@ impl BitTorrentNode {
         {
             return;
         }
-        self.neighbours.insert(peer, Neighbour::new());
+        self.neighbours
+            .insert(peer, Neighbour::new(self.num_pieces()));
         ctx.send(
             peer,
             BtMsg::Handshake {
@@ -451,23 +472,23 @@ impl BitTorrentNode {
         );
     }
 
+    /// Records that `peer` holds `pieces` (its bitfield or one `Have`). A
+    /// peer distributes the same `FileSpec`, so every piece id is below
+    /// [`Self::num_pieces`] (the bitmap insert panics otherwise).
     fn note_peer_pieces(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, pieces: &[u32]) {
+        let Some(n) = self.neighbours.get_mut(&peer) else {
+            return;
+        };
         let mut becomes_interesting = false;
-        let missing: Vec<bool> = pieces
-            .iter()
-            .map(|&p| self.piece_missing.get(p as usize).copied().unwrap_or(0) > 0)
-            .collect();
-        if let Some(n) = self.neighbours.get_mut(&peer) {
-            for (&p, &still_missing) in pieces.iter().zip(missing.iter()) {
-                n.has_pieces.insert(p);
-                if still_missing {
-                    becomes_interesting = true;
-                }
+        for &p in pieces {
+            if n.has_pieces.insert(BlockId(p)) {
+                self.rarity[p as usize] += 1;
             }
-            if becomes_interesting && !n.am_interested {
-                n.am_interested = true;
-                ctx.send(peer, BtMsg::Interested);
-            }
+            becomes_interesting |= self.piece_missing[p as usize] > 0;
+        }
+        if becomes_interesting && !n.am_interested {
+            n.am_interested = true;
+            ctx.send(peer, BtMsg::Interested);
         }
         if becomes_interesting {
             self.issue_requests_to(ctx, peer);
@@ -522,7 +543,8 @@ impl Protocol for BitTorrentNode {
                 if !self.neighbours.contains_key(&from)
                     && self.neighbours.len() < MAX_CONNECTIONS * 2
                 {
-                    self.neighbours.insert(from, Neighbour::new());
+                    self.neighbours
+                        .insert(from, Neighbour::new(self.num_pieces()));
                 }
                 if self.neighbours.contains_key(&from) {
                     ctx.send(
@@ -550,8 +572,8 @@ impl Protocol for BitTorrentNode {
                 if let Some(n) = self.neighbours.get_mut(&from) {
                     n.peer_choking = true;
                     // Outstanding requests to a choking peer are abandoned.
-                    for b in std::mem::take(&mut n.outstanding) {
-                        self.in_flight.remove(&b);
+                    for b in n.outstanding.drain(..) {
+                        self.in_flight.remove(b);
                     }
                 }
             }
@@ -588,9 +610,9 @@ impl Protocol for BitTorrentNode {
     fn on_block_received(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, receipt: BlockReceipt) {
         let block = receipt.block;
         let duplicate = self.have.contains(block);
-        self.in_flight.remove(&block);
+        self.in_flight.remove(block);
         if let Some(n) = self.neighbours.get_mut(&from) {
-            n.outstanding.remove(&block);
+            n.outstanding.retain(|&b| b != block);
             n.bytes_from += receipt.bytes;
         }
         self.stats.record_arrival(receipt.bytes, duplicate);
@@ -620,7 +642,10 @@ impl Protocol for BitTorrentNode {
         // so the blocks become requestable from the survivors.
         if let Some(n) = self.neighbours.remove(&peer) {
             for b in n.outstanding {
-                self.in_flight.remove(&b);
+                self.in_flight.remove(b);
+            }
+            for BlockId(p) in n.has_pieces.iter() {
+                self.rarity[p as usize] -= 1;
             }
         }
         if self.optimistic == Some(peer) {
@@ -671,6 +696,10 @@ impl Protocol for BitTorrentNode {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use desim::SimTime;
+    use netsim::{topology, Command, Network};
+    use proptest::prelude::*;
+    use rand::SeedableRng;
 
     #[test]
     fn seed_starts_full_and_leechers_empty() {
@@ -705,7 +734,7 @@ mod tests {
         let leech = BitTorrentNode::new(NodeId(1), cfg);
         assert!(leech.bitfield().is_empty());
         assert_eq!(leech.piece_missing, vec![16, 16]);
-        assert_eq!(leech.wanted_blocks_of_piece(1).len(), 16);
+        assert_eq!(leech.wanted_blocks(1).count(), 16);
     }
 
     #[test]
@@ -716,5 +745,268 @@ mod tests {
         assert_eq!(OUTSTANDING_PER_PEER, 5);
         assert_eq!(CHOKE_INTERVAL, SimDuration::from_secs(10));
         assert_eq!(OPTIMISTIC_INTERVAL, SimDuration::from_secs(30));
+    }
+
+    /// Nodes behind the test network: the node under test is 1, its
+    /// neighbours are drawn from the others.
+    const NODES: usize = 8;
+    const ME: NodeId = NodeId(1);
+
+    fn leecher(blocks: u32) -> BitTorrentNode {
+        let file = FileSpec::new(u64::from(blocks) * 16 * 1024, 16 * 1024);
+        BitTorrentNode::new(ME, BitTorrentConfig::new(file))
+    }
+
+    /// Runs `hook` on `node` through a fresh `Ctx` over `net` and returns
+    /// the commands it recorded.
+    fn drive(
+        node: &mut BitTorrentNode,
+        net: &Network,
+        rng: &mut StdRng,
+        hook: impl FnOnce(&mut BitTorrentNode, &mut Ctx<'_, BitTorrentNode>),
+    ) -> Vec<Command<BtMsg>> {
+        let mut commands = Vec::new();
+        let active = [true; NODES];
+        let mut ctx = Ctx::new(ME, SimTime::ZERO, net, &active, rng, &mut commands);
+        hook(node, &mut ctx);
+        commands
+    }
+
+    /// The blocks of the `Request` sent to `peer`, if one was.
+    fn request_to(commands: &[Command<BtMsg>], peer: NodeId) -> Option<Vec<BlockId>> {
+        commands.iter().find_map(|command| match command {
+            Command::SendControl {
+                to,
+                msg: BtMsg::Request { blocks },
+            } if *to == peer => Some(blocks.clone()),
+            _ => None,
+        })
+    }
+
+    fn arrival(block: BlockId) -> BlockReceipt {
+        BlockReceipt {
+            block,
+            bytes: 16 * 1024,
+            in_front: 0,
+            wasted: 0.0,
+            queued_at: SimTime::ZERO,
+            delivered_at: SimTime::ZERO,
+        }
+    }
+
+    /// The request selection as it was before the rarity counter, kept as
+    /// the oracle of the counted one: a `BTreeSet` of pieces per neighbour
+    /// and of blocks in flight, `piece_rarity` scanning every neighbour's
+    /// set, then the same ranking and fill. Returns what
+    /// `issue_requests_to(peer)` must request, drawing from `rng` as it must.
+    fn reference_request(
+        node: &BitTorrentNode,
+        peer: NodeId,
+        rng: &mut StdRng,
+    ) -> Option<Vec<BlockId>> {
+        if node.download_done() {
+            return None;
+        }
+        let n = node.neighbours.get(&peer)?;
+        if n.peer_choking || n.outstanding.len() >= OUTSTANDING_PER_PEER {
+            return None;
+        }
+        let want = OUTSTANDING_PER_PEER - n.outstanding.len();
+        let has_pieces: BTreeMap<NodeId, BTreeSet<u32>> = node
+            .neighbours
+            .iter()
+            .map(|(&id, n)| (id, n.has_pieces.iter().map(|b| b.0).collect()))
+            .collect();
+        let in_flight: BTreeSet<BlockId> = node.in_flight.iter().collect();
+        let num_blocks = node.cfg.file.num_blocks();
+        let piece_rarity = |piece: u32| {
+            has_pieces
+                .values()
+                .filter(|pieces| pieces.contains(&piece))
+                .count()
+        };
+        let wanted_blocks_of_piece = |piece: u32| -> Vec<BlockId> {
+            let start = piece * PIECE_BLOCKS;
+            let end = (start + PIECE_BLOCKS).min(num_blocks);
+            (start..end)
+                .map(BlockId)
+                .filter(|b| !node.have.contains(*b) && !in_flight.contains(b))
+                .collect()
+        };
+        let mut pieces: Vec<(bool, usize, u64, u32)> = has_pieces[&peer]
+            .iter()
+            .map(|&p| (false, 0, rng.gen::<u64>(), p))
+            .collect();
+        for entry in &mut pieces {
+            let piece = entry.3;
+            let total = PIECE_BLOCKS.min(num_blocks - piece * PIECE_BLOCKS);
+            entry.0 = node.piece_missing[piece as usize] == total;
+            entry.1 = piece_rarity(piece);
+        }
+        pieces.sort_unstable_by_key(|(untouched, r, t, _)| (*untouched, *r, *t));
+        let mut chosen = Vec::new();
+        for (_, _, _, piece) in pieces {
+            for b in wanted_blocks_of_piece(piece) {
+                if chosen.len() >= want {
+                    break;
+                }
+                chosen.push(b);
+            }
+        }
+        (!chosen.is_empty()).then_some(chosen)
+    }
+
+    proptest! {
+        /// Random node states built through the handlers — bitfields,
+        /// duplicate `Have`s, unchokes and chokes, block arrivals (partial
+        /// pieces, blocks in flight) and failed neighbours that may come
+        /// back. After every step every piece's counter equals its holders,
+        /// and a request to one neighbour, unchoked with free slots, sends
+        /// what the scan-based reference computes and leaves the node's RNG
+        /// in the same state.
+        #[test]
+        fn counted_selection_matches_the_scanning_reference(
+            blocks in 1u32..70,
+            ops in proptest::collection::vec((0u8..7, 0u8..7, any::<u16>()), 0..60),
+        ) {
+            let net = Network::new(topology::constrained_access(NODES));
+            let mut rng = StdRng::seed_from_u64(u64::from(blocks));
+            let mut node = leecher(blocks);
+            let np = node.num_pieces();
+            let nb = node.cfg.file.num_blocks();
+            let peer_of = |k: u8| NodeId(if k == 0 { 0 } else { u32::from(k) + 1 });
+            for (kind, k, arg) in ops {
+                let peer = peer_of(k);
+                let arg = u32::from(arg);
+                drive(&mut node, &net, &mut rng, |node, ctx| match kind {
+                    0 => {
+                        let bitfield = (0..np).filter(|p| arg >> p & 1 == 1).collect();
+                        node.on_control(ctx, peer, BtMsg::Handshake { bitfield });
+                    }
+                    1 => node.on_control(ctx, peer, BtMsg::Have { piece: arg % np }),
+                    2 => node.on_control(ctx, peer, BtMsg::Unchoke),
+                    3 => node.on_control(ctx, peer, BtMsg::Choke),
+                    4 => {
+                        let outstanding = node
+                            .neighbours
+                            .get(&peer)
+                            .map(|n| n.outstanding.clone())
+                            .unwrap_or_default();
+                        let block = match outstanding.len() {
+                            0 => BlockId(arg % nb),
+                            len => outstanding[arg as usize % len],
+                        };
+                        node.on_block_received(ctx, peer, arrival(block));
+                    }
+                    5 => node.on_peer_failed(ctx, peer),
+                    _ => node.on_timer(ctx, BtTimer::Keepalive),
+                });
+                for p in 0..np {
+                    let holders = node
+                        .neighbours
+                        .values()
+                        .filter(|n| n.has_pieces.contains(BlockId(p)))
+                        .count();
+                    prop_assert_eq!(node.rarity[p as usize] as usize, holders);
+                }
+                // The probed neighbour has unchoked us and some of its request
+                // slots are free; the requests dropped from them stay in flight.
+                let neighbours: Vec<NodeId> = node.neighbours.keys().copied().collect();
+                let probe = match neighbours.len() {
+                    0 => peer_of(k),
+                    len => neighbours[(arg >> 8) as usize % len],
+                };
+                let mut counted = node.clone();
+                if let Some(n) = counted.neighbours.get_mut(&probe) {
+                    n.peer_choking = false;
+                    n.outstanding.truncate((arg >> 4) as usize % OUTSTANDING_PER_PEER);
+                }
+                let mut reference_rng = rng.clone();
+                let expected = reference_request(&counted, probe, &mut reference_rng);
+                let mut counted_rng = rng.clone();
+                let commands = drive(&mut counted, &net, &mut counted_rng, |node, ctx| {
+                    node.issue_requests_to(ctx, probe)
+                });
+                prop_assert_eq!(request_to(&commands, probe), expected);
+                prop_assert_eq!(counted_rng, reference_rng);
+            }
+        }
+    }
+
+    /// `node` with `peer` as a neighbour holding `pieces`, still choking us.
+    fn with_neighbour(
+        node: &mut BitTorrentNode,
+        net: &Network,
+        rng: &mut StdRng,
+        peer: NodeId,
+        pieces: &[u32],
+    ) {
+        let bitfield = pieces.to_vec();
+        drive(node, net, rng, |node, ctx| {
+            node.on_control(ctx, peer, BtMsg::Handshake { bitfield })
+        });
+    }
+
+    #[test]
+    fn a_partially_downloaded_piece_is_requested_before_an_untouched_one() {
+        let net = Network::new(topology::constrained_access(NODES));
+        let mut rng = StdRng::seed_from_u64(1);
+        let mut node = leecher(48);
+        with_neighbour(&mut node, &net, &mut rng, NodeId(2), &[0, 1, 2]);
+        // Piece 1 is the most common and one block of it has arrived.
+        for peer in 3..6 {
+            with_neighbour(&mut node, &net, &mut rng, NodeId(peer), &[1]);
+        }
+        drive(&mut node, &net, &mut rng, |node, ctx| {
+            node.on_block_received(ctx, NodeId(3), arrival(BlockId(16)))
+        });
+        let commands = drive(&mut node, &net, &mut rng, |node, ctx| {
+            node.on_control(ctx, NodeId(2), BtMsg::Unchoke)
+        });
+        let partial: Vec<BlockId> = (17..22).map(BlockId).collect();
+        assert_eq!(request_to(&commands, NodeId(2)), Some(partial));
+    }
+
+    #[test]
+    fn among_untouched_pieces_the_rarest_goes_first() {
+        // 34 blocks: pieces 0 and 1 of 16 blocks, piece 2 of two.
+        let net = Network::new(topology::constrained_access(NODES));
+        let mut rng = StdRng::seed_from_u64(2);
+        let mut node = leecher(34);
+        with_neighbour(&mut node, &net, &mut rng, NodeId(2), &[0, 1, 2]);
+        with_neighbour(&mut node, &net, &mut rng, NodeId(3), &[0, 1]);
+        with_neighbour(&mut node, &net, &mut rng, NodeId(4), &[0]);
+        assert_eq!(node.rarity, vec![3, 2, 1]);
+        let commands = drive(&mut node, &net, &mut rng, |node, ctx| {
+            node.on_control(ctx, NodeId(2), BtMsg::Unchoke)
+        });
+        let rarest_first = [32, 33, 16, 17, 18].map(BlockId).to_vec();
+        assert_eq!(request_to(&commands, NodeId(2)), Some(rarest_first));
+    }
+
+    #[test]
+    fn one_call_draws_one_value_per_piece_the_peer_holds() {
+        let net = Network::new(topology::constrained_access(NODES));
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut node = leecher(64);
+        with_neighbour(&mut node, &net, &mut rng, NodeId(2), &[0, 1, 3]);
+        // Piece 0 is complete: the peer still holds it, nothing in it is
+        // wanted, and it still draws.
+        for b in 0..16 {
+            drive(&mut node, &net, &mut rng, |node, ctx| {
+                node.on_block_received(ctx, NodeId(3), arrival(BlockId(b)))
+            });
+        }
+        let mut expected = rng.clone();
+        let holds = node.neighbours[&NodeId(2)].has_pieces.count();
+        for _ in 0..holds {
+            expected.gen::<u64>();
+        }
+        let commands = drive(&mut node, &net, &mut rng, |node, ctx| {
+            node.on_control(ctx, NodeId(2), BtMsg::Unchoke)
+        });
+        assert!(request_to(&commands, NodeId(2)).is_some());
+        assert_eq!(holds, 3);
+        assert_eq!(rng, expected);
     }
 }
