@@ -13,7 +13,9 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
-use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, TimerToken, WireSize};
+use netsim::{
+    BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, TimerToken, Topology, WireSize,
+};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -691,6 +693,27 @@ impl Protocol for BitTorrentNode {
             ..self.stats
         }
     }
+}
+
+/// Builds one BitTorrent node per host; node 0 is the seed and tracker.
+pub fn build_nodes(topo: &Topology, file: FileSpec) -> Vec<BitTorrentNode> {
+    let cfg = BitTorrentConfig::new(file);
+    (0..topo.len() as u32)
+        .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
+        .collect()
+}
+
+/// Builds a ready-to-run runner for a BitTorrent experiment, the seed
+/// exempted from the completion check.
+pub fn build_runner(
+    topo: Topology,
+    file: FileSpec,
+    rng: &desim::RngFactory,
+) -> Runner<BitTorrentNode> {
+    let nodes = build_nodes(&topo, file);
+    let mut runner = Runner::new(netsim::Network::new(topo), nodes, rng);
+    runner.exempt_from_completion(NodeId(0));
+    runner
 }
 
 #[cfg(test)]

@@ -31,19 +31,14 @@ mod end_to_end {
     use super::*;
     use desim::{RngFactory, SimDuration};
     use dissem_codec::FileSpec;
-    use netsim::{topology, Network, NodeId, Runner, StopReason};
+    use netsim::{topology, NodeId, StopReason};
 
     #[test]
     fn bittorrent_swarm_completes_and_benefits_from_swarming() {
         let rng = RngFactory::new(31);
         let topo = topology::modelnet_mesh(10, 0.005, &rng);
         let file = FileSpec::new(512 * 1024, 16 * 1024);
-        let cfg = BitTorrentConfig::new(file);
-        let nodes: Vec<BitTorrentNode> = (0..10)
-            .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-            .collect();
-        let mut runner = Runner::new(Network::new(topo), nodes, &rng);
-        runner.exempt_from_completion(NodeId(0));
+        let mut runner = bittorrent::build_runner(topo, file, &rng);
         let report = runner.run(SimDuration::from_secs(3_600));
         assert_eq!(report.reason, StopReason::AllComplete, "{report:?}");
         for (node, done) in runner.nodes().iter().zip(&report.completion_secs).skip(1) {
@@ -67,12 +62,8 @@ mod end_to_end {
         let run = |seed: u64| {
             let rng = RngFactory::new(seed);
             let topo = topology::modelnet_mesh(8, 0.01, &rng);
-            let cfg = BitTorrentConfig::new(FileSpec::new(256 * 1024, 16 * 1024));
-            let nodes: Vec<BitTorrentNode> = (0..8)
-                .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-                .collect();
-            let mut runner = Runner::new(Network::new(topo), nodes, &rng);
-            runner.exempt_from_completion(NodeId(0));
+            let file = FileSpec::new(256 * 1024, 16 * 1024);
+            let mut runner = bittorrent::build_runner(topo, file, &rng);
             runner.run(SimDuration::from_secs(3_600)).completion_secs
         };
         assert_eq!(run(5), run(5));
@@ -87,12 +78,7 @@ mod end_to_end {
         // BitTorrent.
         let rng = RngFactory::new(seed);
         let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        let cfg = BitTorrentConfig::new(file);
-        let nodes: Vec<BitTorrentNode> = (0..8)
-            .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-            .collect();
-        let mut bt = Runner::new(Network::new(topo), nodes, &rng);
-        bt.exempt_from_completion(NodeId(0));
+        let mut bt = bittorrent::build_runner(topo, file, &rng);
         assert_eq!(
             bt.run(SimDuration::from_secs(3_600)).reason,
             StopReason::AllComplete

@@ -72,7 +72,7 @@ pub fn mesh_workload(
 
 /// Completion times of Bullet′ under `cfg`.
 fn bullet_prime_run(w: &Workload, cfg: &Config) -> SystemRun {
-    SystemRun::from_report(&w.run_bullet_prime(cfg).0)
+    SystemRun::from_report(&w.run(&mut w.bullet_prime(cfg, None)))
 }
 
 /// Starts a goodput-over-time figure: the receivers' mean, 10th- and
@@ -494,16 +494,14 @@ fn last_blocks_overage(gaps: &[f64], tail: usize) -> f64 {
 /// traced: per-block history is the trace's, not the protocol's.
 pub fn fig13_figure(w: &Workload, _: &CommonOpts) -> Figure {
     let nodes = w.nodes;
-    let mut runner = w.bullet_prime_with(&w.config(), |runner| {
-        runner.set_trace_sink(Box::new(ArrivalSink {
-            nodes: vec![(0, Vec::new()); nodes],
-        }));
-    });
-    let report = w.run(&mut runner);
-    let sink = runner.take_trace_sink().expect("installed above");
-    let Ok(sink) = sink.downcast::<ArrivalSink>() else {
-        unreachable!("the sink installed above is an ArrivalSink");
+    let sink = ArrivalSink {
+        nodes: vec![(0, Vec::new()); nodes],
     };
+    let mut runner = w.bullet_prime(&w.config(), Some(Box::new(sink)));
+    let report = w.run(&mut runner);
+    let sink = runner
+        .take_trace_sink::<ArrivalSink>()
+        .expect("an ArrivalSink was installed");
 
     // Average the i-th inter-arrival gap across receivers.
     let mut sums: Vec<f64> = Vec::new();

@@ -4,8 +4,8 @@
 //! topology family with its loss and capacity parameters, the node count, the
 //! file, the dynamics, the probe tick, the time limit and the seed — and this
 //! module is the only place that turns one into a run: it builds the
-//! topology, calls the system's builder, schedules the dynamics and installs
-//! the probe. Figures, `lab trace`, `lab sweep`'s warm-prefix forking and
+//! topology, calls the system's builder, installs the trace sink and the
+//! probe and schedules the dynamics. Figures, `lab trace`, `lab sweep`'s warm-prefix forking and
 //! `lab bench`'s records all call it, so they cannot disagree about what a
 //! scenario runs. [`ServiceWorkload`] is the same for the open-system
 //! scenarios (fig21 / fig22): a slot pool over a shared core served by
@@ -13,7 +13,7 @@
 
 use std::ops::Range;
 
-use baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
+use baselines::{bittorrent, bullet_orig, splitstream};
 use bullet_prime::{BulletPrimeNode, Config, FlashShape, ServiceSwarms};
 use desim::{RngFactory, SimDuration, SimTime};
 use dissem_codec::FileSpec;
@@ -22,9 +22,9 @@ use netsim::dynamics::{
     flash_crowd_schedule,
 };
 use netsim::{
-    mbps, run_service, topology, ArrivalGen, BytesPerSec, ChangeSchedule, CrossSchedule, Network,
-    NodeEvent, NodeId, NodeSchedule, Protocol, RunReport, Runner, ServiceConfig, ServiceReport,
-    Snapshot, SwarmShape, SwarmSource, Topology,
+    mbps, run_service, topology, ArrivalGen, BytesPerSec, ChangeSchedule, CrossSchedule, NodeEvent,
+    NodeId, NodeSchedule, Protocol, RunReport, Runner, ServiceConfig, ServiceReport, Snapshot,
+    SwarmShape, SwarmSource, Topology, TraceSink,
 };
 
 use crate::cdf::Series;
@@ -346,14 +346,19 @@ impl Workload {
         plan
     }
 
-    /// Builds the topology, calls the system's `build`, installs the probe,
-    /// runs the quiet prefix and schedules the dynamics: a runner ready for
-    /// [`Workload::run`].
+    /// Builds the topology, calls the system's `build`, installs `sink` and
+    /// the probe, runs the quiet prefix and schedules the dynamics: a runner
+    /// ready for [`Workload::run`]. The only place a closed run is assembled,
+    /// so a sink sees the whole run, whatever the system.
     pub fn runner<P: Protocol>(
         &self,
         build: impl FnOnce(Topology, &RngFactory) -> Runner<P>,
+        sink: Option<Box<dyn TraceSink>>,
     ) -> Runner<P> {
         let mut runner = build(self.topology(), &self.rng());
+        if let Some(sink) = sink {
+            runner.set_trace_sink(sink);
+        }
         let plan = self.plan();
         plan.warm(&mut runner);
         plan.schedule(&mut runner);
@@ -361,28 +366,21 @@ impl Workload {
     }
 
     /// [`Workload::runner`] for Bullet′ under `cfg`, one runner hosting all
-    /// `groups` meshes. `instrument` sees the runner before anything runs
-    /// (a trace sink goes in here).
-    pub fn bullet_prime_with(
+    /// `groups` meshes.
+    pub fn bullet_prime(
         &self,
         cfg: &Config,
-        instrument: impl FnOnce(&mut Runner<BulletPrimeNode>),
+        sink: Option<Box<dyn TraceSink>>,
     ) -> Runner<BulletPrimeNode> {
-        self.runner(|topo, rng| {
-            let mut runner = if self.groups > 1 {
+        let build = |topo, rng: &RngFactory| {
+            if self.groups > 1 {
                 let sizes = vec![self.nodes / self.groups; self.groups];
                 bullet_prime::build_group_runner(topo, cfg, rng, &sizes)
             } else {
                 bullet_prime::build_runner(topo, cfg, rng)
-            };
-            instrument(&mut runner);
-            runner
-        })
-    }
-
-    /// [`Workload::bullet_prime_with`] without instrumentation.
-    pub fn bullet_prime(&self, cfg: &Config) -> Runner<BulletPrimeNode> {
-        self.bullet_prime_with(cfg, |_| {})
+            }
+        };
+        self.runner(build, sink)
     }
 
     /// Runs a runner built for this workload to the time limit.
@@ -390,43 +388,31 @@ impl Workload {
         runner.run_until(SimTime::from_secs_f64(self.limit))
     }
 
-    /// Runs Bullet′ under `cfg`: the report and the protocol nodes.
-    pub fn run_bullet_prime(&self, cfg: &Config) -> (RunReport, Vec<BulletPrimeNode>) {
-        let mut runner = self.bullet_prime(cfg);
-        let report = self.run(&mut runner);
-        (report, runner.into_nodes())
-    }
-
     /// The report of the default-configuration Bullet′ run.
     pub fn report(&self) -> RunReport {
-        self.run_bullet_prime(&self.config()).0
+        self.run(&mut self.bullet_prime(&self.config(), None))
     }
 
     /// Runs one of the four compared systems with its default configuration.
-    /// The only place that maps a [`SystemKind`] to its builder.
     pub fn run_system(&self, kind: SystemKind) -> SystemRun {
+        SystemRun::from_report(&self.system_report(kind, None))
+    }
+
+    /// The report of `kind`'s default run, `sink` installed: the only place
+    /// that maps a [`SystemKind`] to its builder.
+    fn system_report(&self, kind: SystemKind, sink: Option<Box<dyn TraceSink>>) -> RunReport {
         let file = self.file;
-        let report = match kind {
-            SystemKind::BulletPrime => self.report(),
-            SystemKind::BulletOriginal => {
-                let build = |topo, rng: &RngFactory| bullet_orig::build_runner(topo, file, rng);
-                self.run(&mut self.runner(build))
-            }
-            SystemKind::BitTorrent => self.run(&mut self.runner(|topo, rng| {
-                let cfg = BitTorrentConfig::new(file);
-                let nodes: Vec<BitTorrentNode> = (0..topo.len() as u32)
-                    .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-                    .collect();
-                let mut runner = Runner::new(Network::new(topo), nodes, rng);
-                runner.exempt_from_completion(NodeId(0));
-                runner
-            })),
-            SystemKind::SplitStream => {
-                let build = |topo, rng: &RngFactory| splitstream::build_runner(topo, file, rng);
-                self.run(&mut self.runner(build))
-            }
-        };
-        SystemRun::from_report(&report)
+        match kind {
+            SystemKind::BulletPrime => self.run(&mut self.bullet_prime(&self.config(), sink)),
+            SystemKind::BulletOriginal => self.run(
+                &mut self.runner(|topo, rng| bullet_orig::build_runner(topo, file, rng), sink),
+            ),
+            SystemKind::BitTorrent => self
+                .run(&mut self.runner(|topo, rng| bittorrent::build_runner(topo, file, rng), sink)),
+            SystemKind::SplitStream => self.run(
+                &mut self.runner(|topo, rng| splitstream::build_runner(topo, file, rng), sink),
+            ),
+        }
     }
 
     /// True if the two runs are one run up to the end of a common quiet
@@ -454,7 +440,7 @@ impl Workload {
             ..*self
         };
         WarmPrefix {
-            snap: control.bullet_prime(&self.config()).checkpoint(),
+            snap: control.bullet_prime(&self.config(), None).checkpoint(),
         }
     }
 
@@ -710,7 +696,7 @@ mod tests {
         let expected = crash_wave_schedule(8, 0.25, at(2.0), at(6.0), &crash.rng());
         assert_eq!(crash.plan().nodes, expected);
         assert_eq!(expected.len(), 2);
-        let runner = crash.bullet_prime(&crash.config());
+        let runner = crash.bullet_prime(&crash.config(), None);
         assert!((0..8).all(|i| runner.is_active(NodeId(i))), "victims start");
 
         let flash = tiny(Dynamics::FlashCrowd {
@@ -718,7 +704,7 @@ mod tests {
         });
         let expected = flash_crowd_schedule(8, 2, at(2.5), at(7.5));
         assert_eq!(flash.plan().nodes, expected);
-        let runner = flash.bullet_prime(&flash.config());
+        let runner = flash.bullet_prime(&flash.config(), None);
         for i in 0..8 {
             assert_eq!(runner.is_active(NodeId(i)), i < 2, "node {i}");
         }
@@ -762,6 +748,19 @@ mod tests {
     }
 
     #[test]
+    fn traced_canonical_equals_dark_for_every_system() {
+        let w = tiny(Dynamics::Static);
+        for kind in SystemKind::all() {
+            let dark = w.system_report(kind, None);
+            let sink = Box::new(netsim::CountingSink::new());
+            let traced = w.system_report(kind, Some(sink));
+            assert_eq!(traced.canonical(), dark.canonical(), "{kind:?}");
+            assert!(traced.trace_records > 0, "{kind:?}: the sink saw nothing");
+            assert_eq!(dark.trace_records, 0, "{kind:?}");
+        }
+    }
+
+    #[test]
     fn prefix_sharing_needs_equality_up_to_dynamics_and_a_quiet_prefix() {
         let variant = |period, seed, nodes| Workload {
             seed,
@@ -800,7 +799,7 @@ mod tests {
             loss: 0.0,
         };
         w.groups = 2;
-        let (report, _) = w.run_bullet_prime(&w.config());
+        let report = w.report();
         for mesh in [0..4, 4..8] {
             let run = SystemRun::from_range(&report, mesh);
             assert_eq!((run.times.len(), run.unfinished), (3, 0));
@@ -810,7 +809,7 @@ mod tests {
             fraction: 0.5,
             calm_median: None,
         });
-        let (report, _) = crash.run_bullet_prime(&crash.config());
+        let report = crash.report();
         let departed = report.departed.iter().filter(|&&d| d).count();
         assert_eq!(departed, crash.plan().nodes.len());
         assert_eq!(SystemRun::from_report(&report).times.len(), 7 - departed);

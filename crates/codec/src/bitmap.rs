@@ -5,12 +5,10 @@
 //! request strategies consult the union of the per-peer bitmaps to compute
 //! block *rarity*.
 
-use serde::{Deserialize, Serialize};
-
 use crate::block::BlockId;
 
 /// A fixed-capacity bitset over block indices.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockBitmap {
     words: Vec<u64>,
     capacity: u32,

@@ -7,11 +7,9 @@
 //! [`FileSpec`] captures the file size and block size and provides the
 //! derived quantities the protocols need.
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a block within a file: its index in `0..num_blocks` for the
 /// unencoded mode, or the encoding sequence number in the encoded mode.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct BlockId(pub u32);
 
 impl BlockId {
@@ -28,7 +26,7 @@ impl std::fmt::Display for BlockId {
 }
 
 /// Describes the object being disseminated.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileSpec {
     /// Total file size in bytes.
     pub file_bytes: u64,

@@ -8,13 +8,11 @@
 //! from us, or when the receiver explicitly asks because it is about to run
 //! out of request candidates.
 
-use serde::{Deserialize, Serialize};
-
 use crate::bitmap::BlockBitmap;
 use crate::block::BlockId;
 
 /// A diff message body: blocks newly available at the sender.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Diff {
     /// Newly advertised blocks, in ascending id order.
     pub blocks: Vec<BlockId>,

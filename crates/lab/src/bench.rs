@@ -22,7 +22,7 @@ use std::time::Instant;
 
 use bullet_bench::experiments::{fig05_workload, fig20_workload};
 use bullet_bench::{CommonOpts, Workload};
-use netsim::{CountingSink, StopReason};
+use netsim::{CountingSink, StopReason, TraceSink};
 
 use crate::cli::Stop;
 use crate::executor::run_sweep;
@@ -80,12 +80,8 @@ fn tracing_leg(opts: &CommonOpts) -> Vec<Check> {
     let w = fig05_workload(opts, "default").expect("fig05 has one point");
     let observed = |traced: bool| {
         timed(|| {
-            let mut runner = w.bullet_prime_with(&w.config(), |runner| {
-                if traced {
-                    runner.set_trace_sink(Box::new(CountingSink::new()));
-                }
-            });
-            w.run(&mut runner)
+            let sink = traced.then(|| Box::new(CountingSink::new()) as Box<dyn TraceSink>);
+            w.run(&mut w.bullet_prime(&w.config(), sink))
         })
     };
     let (dark, dark_wall) = observed(false);

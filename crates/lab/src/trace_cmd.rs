@@ -13,13 +13,14 @@
 //! record kind with `--kind`), and then **cross-checks the trace against the
 //! probe**: [`replay_goodput`] rebuilds the per-node goodput series from
 //! nothing but `block_received` and `probe_tick` records and must reproduce
-//! the live [`StatsProbe`](netsim::StatsProbe) series bit-for-bit. A complete
-//! trace that cannot replay the probe means the instrumentation lies, so the
-//! mismatch is a hard error (for rings that overflowed, or churn dynamics
-//! that reset cumulative counters, it degrades to a warning). It ends with
-//! the per-receiver table — completion time, peer counts, duplicate share,
-//! useful blocks, control bytes, slowest last — and the run's non-zero
-//! counters: which receiver was slow, and which mechanism was busy.
+//! the live [`StatsProbe`](netsim::StatsProbe) series bit-for-bit, churn
+//! runs included. A complete trace that cannot replay the probe means the
+//! instrumentation lies, so the mismatch is a hard error; only a ring that
+//! overflowed, and so lost the stream's head, degrades it to a warning. It
+//! ends with the per-receiver table — completion time, peer counts,
+//! duplicate share, useful blocks, control bytes, slowest last — and the
+//! run's non-zero counters: which receiver was slow, and which mechanism was
+//! busy.
 //!
 //! What is traced is the default-configuration Bullet′ run of the scenario's
 //! own [`Workload`] — the value `lab run` presents — not the full
@@ -29,7 +30,7 @@
 
 use std::io::Write;
 
-use bullet_bench::{CommonOpts, Dynamics, Workload};
+use bullet_bench::{CommonOpts, Workload};
 use bullet_prime::{BulletPrimeNode, Role};
 use netsim::{
     replay_goodput, summarize, ProbeStats, Protocol, RingSink, RunReport, Runner, TimeSeries,
@@ -226,14 +227,12 @@ pub fn traced_run(
     ring: usize,
 ) -> Result<TracedRun, String> {
     let workload = traced_workload(scenario, opts)?;
-    let mut runner = workload.bullet_prime_with(&workload.config(), |runner| {
-        runner.set_trace_sink(Box::new(RingSink::new(ring)));
-    });
+    let sink = Box::new(RingSink::new(ring));
+    let mut runner = workload.bullet_prime(&workload.config(), Some(sink));
     let report = workload.run(&mut runner);
-    let sink = runner.take_trace_sink().expect("installed above");
-    let Ok(ring) = sink.downcast::<RingSink>() else {
-        unreachable!("the sink installed above is a ring");
-    };
+    let ring = runner
+        .take_trace_sink::<RingSink>()
+        .expect("a ring was installed");
     Ok(TracedRun {
         receivers: receiver_rows(&runner, &report),
         report,
@@ -351,22 +350,15 @@ pub(crate) fn trace(
         .timeseries
         .as_ref()
         .expect("traced runs install the stats probe");
-    // A churn run legitimately diverges: crashes reset cumulative counters
-    // the replay cannot see. An overflowed ring lost the stream's head.
-    let dynamics = run.workload.dynamics;
-    let strict = run.dropped == 0
-        && !matches!(
-            dynamics,
-            Dynamics::CrashWave { .. } | Dynamics::FlashCrowd { .. }
-        );
+    // Only an overflowed ring, which lost the stream's head, may fail to
+    // replay.
     match check_replay(&run.records, series, run.workload.nodes) {
         Ok(msg) => writeln!(out, "replay check: OK — {msg}")?,
-        Err(msg) if strict => return Err(format!("replay check FAILED: {msg}").into()),
+        Err(msg) if run.dropped == 0 => return Err(format!("replay check FAILED: {msg}").into()),
         Err(msg) => writeln!(
             out,
-            "replay check: skipped ({msg}; {} records dropped, {} dynamics)",
-            run.dropped,
-            dynamics.tag()
+            "replay check: skipped ({msg}; {} records dropped)",
+            run.dropped
         )?,
     }
 
@@ -451,7 +443,8 @@ mod tests {
     #[test]
     fn tracing_runs_the_scenarios_own_workload_and_perturbs_nothing() {
         // For every scenario with a Bullet' run: what is traced is the
-        // workload the figure presents, and the traced report is the bytes of
+        // workload the figure presents, the trace replays its probe series
+        // (churn scenarios included), and the traced report is the bytes of
         // that workload run with no sink.
         let registry = Registry::standard();
         let opts = CommonOpts {
@@ -468,6 +461,11 @@ mod tests {
             let run = traced_run(sc, &opts, DEFAULT_RING).unwrap();
             assert_eq!(run.workload, workload, "{}", sc.name);
             assert!(run.recorded > 0, "{}", sc.name);
+            assert_eq!(run.dropped, 0, "{}", sc.name);
+            let series = run.report.timeseries.as_ref().expect("probe installed");
+            if let Err(msg) = check_replay(&run.records, series, workload.nodes) {
+                panic!("{}: {msg}", sc.name);
+            }
             assert_eq!(
                 run.report.canonical(),
                 workload.report().canonical(),

@@ -932,16 +932,18 @@ mod probe_tests {
     }
 
     #[test]
-    fn a_taken_sink_downcasts_to_the_type_that_was_installed() {
+    fn a_sink_is_taken_back_as_the_type_that_was_installed() {
         let limit = SimTime::from_secs_f64(100.0);
         let mut ringed = ticker_runner(2, 1000, 4);
         ringed.set_trace_sink(Box::new(RingSink::new(1 << 10)));
         let report = ringed.run_until(limit);
-        let sink = ringed.take_trace_sink().expect("installed above");
-        let Ok(ring) = sink.downcast::<RingSink>() else {
-            panic!("a ring went in, a ring comes out");
-        };
-        assert!(ringed.take_trace_sink().is_none(), "taking uninstalls");
+        let ring = ringed
+            .take_trace_sink::<RingSink>()
+            .expect("a ring went in");
+        assert!(
+            ringed.take_trace_sink::<RingSink>().is_none(),
+            "taking uninstalls"
+        );
         // Exactly what the run emitted: nothing dropped, one `timer` record
         // per timer the report counted.
         assert_eq!((ring.recorded(), ring.dropped()), (report.trace_records, 0));
@@ -949,17 +951,19 @@ mod probe_tests {
         let timers = ring.records().filter(|r| r.ev.kind() == "timer").count();
         assert_eq!(report.metrics.counter("timers_fired"), Some(timers as u64));
         assert_eq!(timers, 8);
+    }
 
-        // A sink of another type is handed back as it was.
+    #[test]
+    fn taking_a_sink_as_another_type_leaves_it_installed() {
         let mut counted = ticker_runner(2, 1000, 4);
         counted.set_trace_sink(Box::new(CountingSink::new()));
-        let report = counted.run_until(limit);
-        let sink = counted.take_trace_sink().expect("installed above");
-        let Err(sink) = sink.downcast::<RingSink>() else {
-            panic!("a counting sink is not a ring");
-        };
+        let report = counted.run_until(SimTime::from_secs_f64(100.0));
+        assert!(counted.take_trace_sink::<RingSink>().is_none());
+        let sink = counted
+            .take_trace_sink::<CountingSink>()
+            .expect("the wrong type left the sink in place");
         assert_eq!(sink.recorded(), report.trace_records);
-        assert!(sink.downcast::<CountingSink>().is_ok());
+        assert!(counted.take_trace_sink::<CountingSink>().is_none());
     }
 
     #[test]

@@ -107,9 +107,8 @@ const BOUNDARY_BASE: u32 = 1 << 31;
 /// link as saturated: a non-seed link is crossed only if its registered flows
 /// use more than `usable * (1 - FRONTIER_MARGIN)` — before the solve, and
 /// again with the solved rates. Six orders above the [`RATE_EPSILON`]
-/// hysteresis and the drift `link_usage` may carry (see
-/// [`Network::rebuild_link_tables`]); erring towards "saturated" only
-/// enlarges the component.
+/// hysteresis and the float drift the incrementally maintained `link_usage`
+/// may carry; erring towards "saturated" only enlarges the component.
 const FRONTIER_MARGIN: f64 = 1e-3;
 
 /// Relative component of the link-saturation tolerance in the solver.
@@ -384,11 +383,10 @@ pub struct Network {
     /// [`Network::reprice_paths`] / [`Network::reprice_all`] after topology
     /// mutations. The solver reads this cache instead of recomputing.
     flow_ceiling: Vec<f64>,
-    /// Flow id → the links the flow registered on when it became active
-    /// (meaningful while `flow_registered`). Deregistration and the solver
-    /// use *these*, never a fresh `links_on_path` lookup, so a topology remap
-    /// while the flow is in flight cannot desynchronise the per-link tables:
-    /// the flow keeps its registered path until it next goes idle.
+    /// Flow id → the solver's cached path: the links the flow registered on
+    /// when it became active (meaningful while `flow_registered`), read by
+    /// deregistration and the solver instead of a fresh `links_on_path`
+    /// lookup.
     flow_path: Vec<[LinkId; 3]>,
     /// Flow id → currently registered on its path links?
     flow_registered: Vec<bool>,
@@ -583,54 +581,26 @@ impl Network {
         via: (NodeId, NodeId),
         rate: BytesPerSec,
     ) -> Vec<ConnUpdate> {
-        self.sync_link_tables();
         let link = self.topo.core_link(via.0, via.1);
         self.cross[link.index()] = rate.max(0.0);
         self.resolve(now, &[link], None)
     }
 
-    /// Keeps the per-link tables sized to the topology, which can gain links
-    /// through [`Topology::share_core`] after the network was built. Flows
-    /// already in flight across a remap keep their *registered* links until
-    /// they next go idle (see [`Network::flow_path`]), so a late remap
-    /// changes routing for future activations without corrupting state.
-    fn sync_link_tables(&mut self) {
-        let links = self.topo.num_links();
-        if self.link_flows.len() < links {
-            self.link_flows.resize_with(links, Vec::new);
-            self.link_usage.resize(links, 0.0);
-            self.cross.resize(links, 0.0);
-            self.link_mark.resize(links, 0);
-            self.link_local.resize(links, 0);
-        }
-    }
-
-    /// Rebuilds `link_usage` exactly from the registered flows, resetting the
-    /// float drift the incremental `+= delta` updates accumulate over long
-    /// runs. Cheap (one pass over the flow table); the
-    /// runner invokes it periodically (see
-    /// [`crate::runner::Runner::set_table_rebuild_interval`]).
-    pub fn rebuild_link_tables(&mut self) {
-        self.link_usage.fill(0.0);
-        for f in 0..self.conns.len() {
-            for l in self.flow_path[f] {
-                if self.flow_registered[f] && !self.unconstrained(l) {
-                    self.link_usage[l.index()] += self.flow_rate[f];
-                }
-            }
-        }
-    }
-
     /// Debug-build consistency check: the incrementally maintained per-link
-    /// usage sums must agree with a from-scratch recomputation to within
-    /// float-drift tolerance. Exercised on every
+    /// usage sums must agree with a from-scratch recomputation over the
+    /// registered flows to within float-drift tolerance. Exercised on every
     /// [`Network::reprice_all`] (which the `fairness_oracle` property test
     /// calls after every random operation).
     #[cfg(debug_assertions)]
-    fn debug_check_link_tables(&mut self) {
-        let incremental = self.link_usage.clone();
-        self.rebuild_link_tables();
-        let rebuilt = std::mem::replace(&mut self.link_usage, incremental);
+    fn debug_check_link_tables(&self) {
+        let mut rebuilt = vec![0.0; self.link_usage.len()];
+        for f in 0..self.conns.len() {
+            for l in self.flow_path[f] {
+                if self.flow_registered[f] && !self.unconstrained(l) {
+                    rebuilt[l.index()] += self.flow_rate[f];
+                }
+            }
+        }
         for (l, (&kept, &exact)) in self.link_usage.iter().zip(&rebuilt).enumerate() {
             assert!(
                 (exact - kept).abs() <= 1e-6 * exact.abs().max(1.0),
@@ -900,7 +870,6 @@ impl Network {
     /// characteristics), refreshing the pairs' cached TCP ceilings first
     /// (delay/loss edits move them; bandwidth edits do not).
     pub fn reprice_paths(&mut self, now: SimTime, pairs: &[(NodeId, NodeId)]) -> Vec<ConnUpdate> {
-        self.sync_link_tables();
         for &(a, b) in pairs {
             if let Some(fid) = self.flow_id(a, b) {
                 self.refresh_ceiling(fid as usize);
@@ -932,7 +901,6 @@ impl Network {
     /// flow-bearing link is a seed, so there is no boundary: this is also
     /// the unpruned cross-check of frontier discovery.
     pub fn reprice_all(&mut self, now: SimTime) -> Vec<ConnUpdate> {
-        self.sync_link_tables();
         #[cfg(debug_assertions)]
         self.debug_check_link_tables();
         for f in 0..self.conns.len() {
@@ -974,7 +942,6 @@ impl Network {
     /// case in a dissemination mesh (fresh slow-start flows on underloaded
     /// links) and keeps steady-state activation O(1).
     fn mark_active(&mut self, now: SimTime, fid: u32) -> Vec<ConnUpdate> {
-        self.sync_link_tables();
         let f = fid as usize;
         let (from, to) = self.flow_pair[f];
         let links = self.topo.links_on_path(from, to);
@@ -1006,9 +973,8 @@ impl Network {
         self.resolve(now, &links, Some(fid))
     }
 
-    /// Deregisters flow `fid` (using the links it registered on, so a
-    /// topology remap mid-flight cannot desynchronise the tables) and
-    /// re-prices what its departure can affect.
+    /// Deregisters flow `fid` from the links it registered on and re-prices
+    /// what its departure can affect.
     ///
     /// **Removal fast path:** if the departing flow was pinned at its own
     /// ceiling and none of its links was saturated, no surviving flow's
@@ -1063,6 +1029,11 @@ impl Network {
     /// `Schedule` even if its rate is unchanged (a freshly started in-flight
     /// block has no live event yet).
     fn resolve(&mut self, now: SimTime, seeds: &[LinkId], force: Option<u32>) -> Vec<ConnUpdate> {
+        debug_assert_eq!(
+            self.link_flows.len(),
+            self.topo.num_links(),
+            "the topology gained links after Network::new"
+        );
         let grows = self.solve_component(seeds, force);
         if self.scratch.flows.is_empty() {
             return Vec::new();

@@ -224,46 +224,6 @@ fn cross_traffic_takes_core_capacity_and_returns_it() {
 }
 
 #[test]
-fn share_core_mid_run_with_active_flows_is_safe() {
-    // Regression: remapping pairs onto a shared link while a flow is in
-    // flight must not desynchronise the per-link registration (debug
-    // builds used to hit the mark_idle debug_assert; release builds left
-    // a stale entry distorting every later solve). The in-flight flow
-    // keeps its registered (old, dedicated) link until it goes idle;
-    // new activations ride the shared link.
-    let mut net = Network::new(constrained_access(4));
-    let t0 = SimTime::ZERO;
-    net.queue_block(t0, NodeId(0), NodeId(1), BlockId(0), 200_000);
-    // Remap both pairs onto one shared 2 Mbps link mid-flight.
-    net.topology_mut().share_core(
-        &[(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))],
-        mbps(2.0),
-        0.0,
-    );
-    // Completing the in-flight block (connection goes idle) must not
-    // panic or corrupt state.
-    let t1 = SimTime::from_secs_f64(10.0);
-    net.on_block_done(t1, NodeId(0), NodeId(1))
-        .expect("in flight");
-    // Fresh activations are registered consistently on the new link and
-    // a from-scratch solve agrees with the incremental state.
-    net.queue_block(t1, NodeId(0), NodeId(1), BlockId(1), 200_000);
-    net.queue_block(t1, NodeId(2), NodeId(3), BlockId(2), 200_000);
-    let before: Vec<f64> = [(0u32, 1u32), (2, 3)]
-        .iter()
-        .map(|&(a, b)| net.current_rate(NodeId(a), NodeId(b)).unwrap())
-        .collect();
-    net.reprice_all(t1);
-    let after: Vec<f64> = [(0u32, 1u32), (2, 3)]
-        .iter()
-        .map(|&(a, b)| net.current_rate(NodeId(a), NodeId(b)).unwrap())
-        .collect();
-    for (b, a) in before.iter().zip(after.iter()) {
-        assert!((a - b).abs() <= b * 1e-6, "incremental drift: {b} vs {a}");
-    }
-}
-
-#[test]
 fn repricing_is_scoped_to_the_connected_component() {
     // Flows 0→1 and 2→3 share no link (dedicated cores, distinct access
     // links): starting/stopping one must not emit updates for the other.

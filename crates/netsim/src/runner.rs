@@ -47,6 +47,8 @@
 //! next tick counts as drained, and the resulting [`TimeSeries`] is carried
 //! on [`RunReport::timeseries`].
 
+use std::any::Any;
+
 use desim::{EventKey, RngFactory, SimDuration, SimTime, Simulator};
 use rand::rngs::StdRng;
 
@@ -242,11 +244,6 @@ struct RunState<P: Protocol> {
     /// Whether start-of-run initialisation ran (a staged re-`run_until` must
     /// not deliver a second `on_init` — the trait promises exactly one).
     inits_done: bool,
-    /// Every this-many events, the network's incrementally maintained
-    /// per-link tables are rebuilt exactly (see
-    /// [`Network::rebuild_link_tables`]), bounding float drift on runs long
-    /// enough to accumulate it. `0` disables the hook.
-    table_rebuild_interval: u64,
     /// Always-on counters/gauges registry (see [`crate::metrics`]).
     metrics: MetricsRegistry,
     /// Number of live completion events (== in-flight connections), feeding
@@ -308,7 +305,6 @@ impl<P: Protocol> Runner<P> {
             probe: None,
             probe_tick_pending: false,
             inits_done: false,
-            table_rebuild_interval: 1 << 20,
             metrics: MetricsRegistry::default(),
             live_conn_events: 0,
             epoch: vec![0; n],
@@ -335,11 +331,16 @@ impl<P: Protocol> Runner<P> {
         self.trace = Some(sink);
     }
 
-    /// Removes and returns the installed trace sink, disabling tracing.
-    /// `downcast` on the box recovers the concrete sink, e.g. a
-    /// [`RingSink`](crate::RingSink) and the records it retained.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.trace.take()
+    /// Removes and returns the installed trace sink as what it is, e.g. a
+    /// [`RingSink`](crate::RingSink) with the records it retained, disabling
+    /// tracing. `None` if no sink is installed or it is not an `S`; a sink of
+    /// another type stays installed.
+    pub fn take_trace_sink<S: TraceSink>(&mut self) -> Option<Box<S>> {
+        if !(self.trace.as_deref()? as &dyn Any).is::<S>() {
+            return None;
+        }
+        let sink: Box<dyn Any> = self.trace.take()?;
+        sink.downcast().ok()
     }
 
     /// The full deterministic metrics snapshot: the registry's counters and
@@ -391,15 +392,6 @@ impl<P: Protocol> Runner<P> {
             };
             sink.record(&rec);
         }
-    }
-
-    /// Sets how often (in processed events) the network's per-link usage
-    /// table is rebuilt exactly from the registered flows, resetting
-    /// incremental float drift. `0` disables the periodic rebuild.
-    /// The default (`1 << 20`) is far beyond typical experiment lengths, so
-    /// short runs never pay for it and never change behaviour.
-    pub fn set_table_rebuild_interval(&mut self, interval: u64) {
-        self.run.table_rebuild_interval = interval;
     }
 
     /// Samples every node each `interval` of virtual time into a
@@ -687,15 +679,6 @@ impl<P: Protocol> Runner<P> {
                         comp_links: after.solved_links - before.solved_links,
                     });
                 }
-            }
-            if self.run.table_rebuild_interval != 0
-                && self
-                    .run
-                    .sim
-                    .events_processed()
-                    .is_multiple_of(self.run.table_rebuild_interval)
-            {
-                self.run.net.rebuild_link_tables();
             }
         }
     }

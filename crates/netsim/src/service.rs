@@ -986,10 +986,9 @@ mod tests {
         let report = run_service(&mut runner, &mini_cfg(120.0, 4), &gen, &mut source, &rng);
         assert_eq!(report.completed, 3, "premise: all three swarms finish");
 
-        let sink = runner.take_trace_sink().expect("installed above");
-        let Ok(ring) = sink.downcast::<RingSink>() else {
-            panic!("the sink installed above is a ring");
-        };
+        let ring = runner
+            .take_trace_sink::<RingSink>()
+            .expect("a ring was installed");
         assert_eq!(ring.dropped(), 0, "ring must hold the whole trace");
         let records: Vec<TraceRecord> = ring.into_records();
         let replay =

@@ -284,10 +284,9 @@ impl Topology {
     /// given capacity and loss rate, creating it (the pairs keep their
     /// delays). Returns the new link's id.
     ///
-    /// Normally called while assembling a topology, but remapping through
-    /// [`crate::Network::topology_mut`] mid-run is safe too: flows already in
-    /// flight keep the links they registered on until they next go idle, and
-    /// later activations ride the new link.
+    /// Construction-time only: a [`crate::Network`] sizes its per-link tables
+    /// once, in [`crate::Network::new`], so the topology must have all its
+    /// links by then (debug builds assert it at every solve).
     ///
     /// ```
     /// use netsim::units::mbps;

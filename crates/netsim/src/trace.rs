@@ -311,7 +311,7 @@ impl Serialize for TraceRecord {
 /// behind one pointer; implementations must treat `record` as append-only
 /// observation (dropping a record is fine, feeding anything back is not).
 /// `Any`, so whoever installed a sink can have it back as what it is (see
-/// `downcast` on the box).
+/// [`crate::Runner::take_trace_sink`]).
 pub trait TraceSink: Any {
     /// Offers one record to the sink. The sink may keep it or drop it.
     fn record(&mut self, rec: &TraceRecord);
@@ -322,19 +322,6 @@ pub trait TraceSink: Any {
     /// Number of records the sink dropped (offered but not kept).
     fn dropped(&self) -> u64 {
         0
-    }
-}
-
-impl dyn TraceSink {
-    /// The concrete sink behind the box [`crate::Runner::take_trace_sink`]
-    /// returns, or the box back untouched if it holds another type.
-    pub fn downcast<S: TraceSink>(self: Box<Self>) -> Result<Box<S>, Box<Self>> {
-        if (&*self as &dyn Any).is::<S>() {
-            let any: Box<dyn Any> = self;
-            Ok(any.downcast().expect("the type was checked above"))
-        } else {
-            Err(self)
-        }
     }
 }
 

@@ -21,13 +21,12 @@ use std::collections::BTreeMap;
 
 use netsim::NodeId;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::tree::ControlTree;
 
 /// Application state advertised through RanSub: enough for a receiver to
 /// judge whether a node is worth peering with.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct NodeSummary {
     /// The advertised node.
     pub node: u32,
@@ -50,7 +49,7 @@ impl NodeSummary {
 
 /// A weighted sample of node summaries flowing up (collect) or down
 /// (distribute) the control tree.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Sample {
     /// The sampled summaries.
     pub entries: Vec<NodeSummary>,

@@ -15,8 +15,6 @@
 
 use std::collections::HashMap;
 
-use serde::{Deserialize, Serialize};
-
 use crate::rolling::RollingChecksum;
 use crate::strong::{strong_hash, StrongHash};
 
@@ -77,7 +75,7 @@ impl Signature {
 }
 
 /// One instruction of a delta.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum DeltaOp {
     /// Copy block `index` (of the signature's block size) from the old file.
     CopyBlock {
@@ -92,7 +90,7 @@ pub enum DeltaOp {
 }
 
 /// A complete delta transforming an old file into a new one.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Delta {
     /// Block size the delta was generated against.
     pub block_size: u32,

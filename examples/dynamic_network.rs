@@ -47,7 +47,7 @@ fn main() {
             let workload = Workload::new(&opts, topology, nodes, file, dynamics);
             let mut cfg = workload.config();
             tweak(&mut cfg);
-            let (report, _) = workload.run_bullet_prime(&cfg);
+            let report = workload.run(&mut workload.bullet_prime(&cfg, None));
             medians.push(SystemRun::from_report(&report).median());
         }
         println!("{:<50} {:>11.1}s {:>11.1}s", label, medians[0], medians[1]);

@@ -25,7 +25,7 @@ fn workload(
 fn run_with(w: &Workload, tweak: impl FnOnce(&mut Config)) -> SystemRun {
     let mut cfg = w.config();
     tweak(&mut cfg);
-    let run = SystemRun::from_report(&w.run_bullet_prime(&cfg).0);
+    let run = SystemRun::from_report(&w.run(&mut w.bullet_prime(&cfg, None)));
     assert_eq!(run.unfinished, 0);
     run
 }

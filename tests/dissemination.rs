@@ -73,7 +73,7 @@ fn bandwidth_changes_slow_fixed_configurations_down() {
         let mut cfg = w.config();
         cfg.peer_policy = PeerSetPolicy::Fixed(6);
         cfg.outstanding_policy = OutstandingPolicy::Fixed(3);
-        SystemRun::from_report(&w.run_bullet_prime(&cfg).0).median()
+        SystemRun::from_report(&w.run(&mut w.bullet_prime(&cfg, None))).median()
     };
     let static_net = median(Dynamics::Static);
     let dynamic_net = median(Dynamics::BandwidthChanges {
@@ -94,11 +94,11 @@ fn encoded_and_unencoded_bullet_prime_both_complete() {
         if encoded {
             cfg.transfer_mode = bullet_repro::bullet_prime::TransferMode::Encoded { epsilon: 0.04 };
         }
-        let (report, nodes) = w.run_bullet_prime(&cfg);
-        let run = SystemRun::from_report(&report);
+        let mut runner = w.bullet_prime(&cfg, None);
+        let run = SystemRun::from_report(&w.run(&mut runner));
         assert_eq!(run.unfinished, 0, "encoded={encoded}");
         let needed = cfg.completion_target();
-        for node in nodes.iter().skip(1) {
+        for node in runner.nodes().iter().skip(1) {
             assert!(node.blocks_held() >= needed, "encoded={encoded}");
         }
     }

@@ -254,14 +254,11 @@ fn overflowing_ring_sink_does_not_affect_the_simulation() {
             runner.set_trace_sink(Box::new(RingSink::new(cap)));
         }
         let report = runner.run(SimDuration::from_secs(3_600));
-        let sink = runner.take_trace_sink();
-        (report, sink)
+        (report, runner.take_trace_sink::<RingSink>())
     };
     let (untraced, _) = workload(None);
-    let (traced, sink) = workload(Some(32));
-    let Ok(ring) = sink.expect("sink was installed").downcast::<RingSink>() else {
-        panic!("the sink installed above is a ring");
-    };
+    let (traced, ring) = workload(Some(32));
+    let ring = ring.expect("a ring was installed");
     assert!(
         traced.trace_records > 32,
         "the tiny ring must actually have overflowed for this test to bite"

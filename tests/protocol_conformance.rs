@@ -9,7 +9,7 @@
 //! farewell control messages sent from `on_shutdown` are still transmitted.
 //! This file instantiates it against all four systems.
 
-use bullet_repro::baselines::{bittorrent, bullet_orig, splitstream, BitTorrentNode};
+use bullet_repro::baselines::{bittorrent, bullet_orig, splitstream};
 use bullet_repro::bullet_prime::{self, Config};
 use bullet_repro::desim::{RngFactory, SimTime};
 use bullet_repro::dissem_codec::FileSpec;
@@ -85,10 +85,7 @@ fn bullet_original_conforms() {
 fn bittorrent_conforms() {
     let rng = RngFactory::new(SEED);
     let topo = topology::modelnet_mesh(NODES, 0.01, &rng);
-    let cfg = bittorrent::BitTorrentConfig::new(file());
-    let nodes: Vec<BitTorrentNode> = (0..NODES as u32)
-        .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-        .collect();
+    let nodes = bittorrent::build_nodes(&topo, file());
     let outcome = run_conformance("bittorrent", nodes, &rng, topo);
     // BitTorrent has no goodbye protocol: a leave looks like a crash to the
     // swarm, so no farewell may be *recorded* (transmission is then vacuous).

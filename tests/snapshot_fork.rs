@@ -8,12 +8,12 @@
 //! fork-divergence test proving that two runners forked from one snapshot
 //! share no mutable state.
 
-use bullet_repro::baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
+use bullet_repro::baselines::{bittorrent, bullet_orig, splitstream, BitTorrentNode};
 use bullet_repro::bullet_prime::{self, Config};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
 use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::netsim::{
-    dynamics, topology, ChangeSchedule, Network, NodeId, Protocol, RunReport, Runner, StopReason,
+    dynamics, topology, ChangeSchedule, Protocol, RunReport, Runner, StopReason,
 };
 
 const NODES: usize = 6;
@@ -113,13 +113,7 @@ fn build_bullet_orig(rng: &RngFactory) -> Runner<bullet_prime::BulletPrimeNode> 
 
 fn build_bittorrent(rng: &RngFactory) -> Runner<BitTorrentNode> {
     let topo = topology::modelnet_mesh(NODES, 0.03, rng);
-    let cfg = BitTorrentConfig::new(file());
-    let nodes: Vec<BitTorrentNode> = (0..NODES as u32)
-        .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
-        .collect();
-    let mut runner = Runner::new(Network::new(topo), nodes, rng);
-    runner.exempt_from_completion(NodeId(0));
-    runner
+    bittorrent::build_runner(topo, file(), rng)
 }
 
 fn build_splitstream(rng: &RngFactory) -> Runner<splitstream::SplitStreamNode> {
