@@ -1179,14 +1179,15 @@ pub fn fig22_figure(cells: &[(String, ServiceWorkload)], reports: &[ServiceRepor
     fig
 }
 
-/// Multi-line human summary of a [`ServiceReport`], as `lab run` prints it
-/// under an open scenario's figure.
-pub fn service_summary(report: &ServiceReport) -> String {
+/// Multi-line human summary of the [`ServiceReport`] of the cell `label`,
+/// as `lab run` prints it under an open scenario's figure and `lab trace`
+/// under the cell it traced.
+pub fn service_summary(label: &str, report: &ServiceReport) -> String {
     use std::fmt::Write;
-    let mut out = String::new();
+    let mut out = format!("[{label}]\n");
     let _ = writeln!(
         out,
-        "horizon {:.0}s (warmup {:.0}s): {} arrivals, {} admitted, {} completed, \
+        "  horizon {:.0}s (warmup {:.0}s): {} arrivals, {} admitted, {} completed, \
          {} in flight + {} queued at the horizon",
         report.horizon_secs,
         report.warmup_secs,
@@ -1198,7 +1199,7 @@ pub fn service_summary(report: &ServiceReport) -> String {
     );
     let _ = writeln!(
         out,
-        "sustained goodput {:.3} Mbps ({} useful bytes in the measurement window), \
+        "  sustained goodput {:.3} Mbps ({} useful bytes in the measurement window), \
          peak concurrency {}, {} events",
         report.sustained_goodput_bps / 1e6,
         report.steady_useful_bytes,
@@ -1212,20 +1213,20 @@ pub fn service_summary(report: &ServiceReport) -> String {
     ) {
         let _ = writeln!(
             out,
-            "completion latency since arrival: p50 {p50:.1}s / p90 {p90:.1}s / p99 {p99:.1}s"
+            "  completion latency since arrival: p50 {p50:.1}s / p90 {p90:.1}s / p99 {p99:.1}s"
         );
     }
     let shown = report.cohorts.len().min(12);
     for c in &report.cohorts[..shown] {
         let _ = writeln!(
             out,
-            "  cohort {:>3}: {:>3} slots, {:>8} B file, arrived {:>7.1}s, \
+            "    cohort {:>3}: {:>3} slots, {:>8} B file, arrived {:>7.1}s, \
              admitted {:>7.1}s, p50 {:>7.1}s, p90 {:>7.1}s",
             c.cohort, c.size, c.file_bytes, c.arrival_secs, c.admit_secs, c.p50_secs, c.p90_secs,
         );
     }
     if report.cohorts.len() > shown {
-        let _ = writeln!(out, "  ... {} more cohorts", report.cohorts.len() - shown);
+        let _ = writeln!(out, "    ... {} more cohorts", report.cohorts.len() - shown);
     }
     out
 }
@@ -1284,7 +1285,7 @@ mod tests {
         );
         assert!(report.completed > 0, "{report:?}");
         assert!(report.sustained_goodput_bps > 0.0, "{report:?}");
-        let summary = service_summary(&report);
+        let summary = service_summary("top", &report);
         assert!(summary.contains("sustained goodput"));
         assert!(summary.contains("cohort"));
     }

@@ -24,7 +24,7 @@ use netsim::dynamics::{
 use netsim::{
     mbps, run_service, topology, ArrivalGen, BytesPerSec, ChangeSchedule, CrossSchedule, NodeEvent,
     NodeId, NodeSchedule, Protocol, RunReport, Runner, ServiceConfig, ServiceReport, Snapshot,
-    SwarmShape, SwarmSource, Topology, TraceSink,
+    Topology, TraceSink,
 };
 
 use crate::cdf::Series;
@@ -525,8 +525,8 @@ pub struct ServiceWorkload {
     pub block: u32,
     /// Where swarms come from.
     pub arrivals: ArrivalGen,
-    /// How every swarm after the first populates its segment: `None` means
-    /// in full at admission. The first swarm always does.
+    /// How every swarm after the first populates its segment (see
+    /// [`ServiceSwarms::flash`]).
     pub flash: Option<FlashShape>,
     /// End of the service window, seconds.
     pub horizon: f64,
@@ -538,36 +538,33 @@ pub struct ServiceWorkload {
     pub seed: u64,
 }
 
-/// Draws every swarm from one [`ServiceSwarms`]; the flash shape applies
-/// from the second swarm on.
-struct WarmThenFlash {
-    swarms: ServiceSwarms,
-    flash: Option<FlashShape>,
-}
-
-impl SwarmSource<BulletPrimeNode> for WarmThenFlash {
-    fn shape(&mut self, index: usize) -> SwarmShape {
-        self.swarms.flash = self.flash.clone().filter(|_| index > 0);
-        self.swarms.shape(index)
-    }
-
-    fn build(&mut self, base: NodeId, shape: &SwarmShape) -> Vec<BulletPrimeNode> {
-        self.swarms.build(base, shape)
-    }
-}
-
 impl ServiceWorkload {
-    /// Runs the service to its horizon.
-    pub fn run(&self) -> ServiceReport {
+    /// Bullet′'s configuration for the largest file; every swarm gets a
+    /// clone with its drawn file installed.
+    fn template(&self) -> Config {
+        Config::new(FileSpec::new(self.files.1, self.block))
+    }
+
+    /// Builds the slot pool over the shared core and installs `sink`: a
+    /// runner ready for [`ServiceWorkload::serve`]. The only place an open
+    /// run is assembled, so a sink sees the whole service.
+    pub fn runner(&self, sink: Option<Box<dyn TraceSink>>) -> Runner<BulletPrimeNode> {
         let rng = RngFactory::new(self.seed);
         let topo = topology::shared_core_mesh(self.pool, mbps(SERVICE_CORE_MBPS), 0.0, &rng);
-        let core = topo.core_link(NodeId(0), NodeId(1));
-        let template = Config::new(FileSpec::new(self.files.1, self.block));
-        let mut runner = bullet_prime::build_service_runner(topo, &template, &rng);
-        let mut source = WarmThenFlash {
-            swarms: ServiceSwarms::new(template, &rng, self.sizes, self.files),
-            flash: self.flash.clone(),
-        };
+        let mut runner = bullet_prime::build_runner(topo, &self.template(), &rng);
+        if let Some(sink) = sink {
+            runner.set_trace_sink(sink);
+        }
+        runner
+    }
+
+    /// Serves arriving swarms on a runner built by
+    /// [`ServiceWorkload::runner`] until the horizon.
+    pub fn serve(&self, runner: &mut Runner<BulletPrimeNode>) -> ServiceReport {
+        let rng = RngFactory::new(self.seed);
+        let core = runner.network().topology().core_link(NodeId(0), NodeId(1));
+        let mut source = ServiceSwarms::new(self.template(), &rng, self.sizes, self.files);
+        source.flash = self.flash.clone();
         let cfg = ServiceConfig {
             horizon: SimTime::from_secs_f64(self.horizon),
             warmup: SimTime::from_secs_f64(self.warmup),
@@ -576,7 +573,12 @@ impl ServiceWorkload {
             max_arrivals: SERVICE_MAX_ARRIVALS,
             core: Some(core),
         };
-        run_service(&mut runner, &cfg, &self.arrivals, &mut source, &rng)
+        run_service(runner, &cfg, &self.arrivals, &mut source, &rng)
+    }
+
+    /// Runs the service to its horizon, unobserved.
+    pub fn run(&self) -> ServiceReport {
+        self.serve(&mut self.runner(None))
     }
 }
 
@@ -816,18 +818,21 @@ mod tests {
     }
 
     #[test]
-    fn first_swarm_of_a_flash_service_is_warm() {
-        let template = Config::new(FileSpec::new(256 * 1024, 16 * 1024));
-        let swarms = ServiceSwarms::new(template, &RngFactory::new(1), (6, 6), (1 << 18, 1 << 18));
-        let mut source = WarmThenFlash {
-            swarms,
-            flash: Some(FlashShape {
-                initial: 2,
-                window_secs: 30.0,
-            }),
+    fn traced_service_equals_dark_for_every_open_cell() {
+        use crate::experiments::{fig21_cells, fig22_cells};
+        let opts = CommonOpts {
+            nodes: Some(8),
+            file_mb: Some(0.25),
+            time_limit: 600.0,
+            ..CommonOpts::default()
         };
-        assert_eq!(source.shape(0).initial, 6);
-        assert_eq!(source.shape(1).initial, 2);
-        assert_eq!(source.shape(1).join_window_secs, 30.0);
+        for (label, cell) in fig21_cells(&opts).into_iter().chain(fig22_cells(&opts)) {
+            let mut runner = cell.runner(Some(Box::new(netsim::CountingSink::new())));
+            let traced = cell.serve(&mut runner);
+            assert_eq!(traced.canonical(), cell.run().canonical(), "{label}");
+            let sink = runner.take_trace_sink::<netsim::CountingSink>();
+            let recorded = sink.expect("the sink stays installed").recorded();
+            assert!(recorded > 0, "{label}: the sink saw nothing");
+        }
     }
 }

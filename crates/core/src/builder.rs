@@ -42,7 +42,10 @@ pub fn build_nodes_with_tree(
 /// Builds a ready-to-run [`Runner`] for a Bullet′ experiment on `topo`.
 ///
 /// The source (node 0) is exempted from the completion check, so
-/// [`Runner::run`] stops once every *receiver* finishes.
+/// [`Runner::run`] stops once every *receiver* finishes. It is also the slot
+/// pool of a service run, whose placeholder nodes are never initialised:
+/// [`run_service`](netsim::run_service) deactivates every slot and exempts
+/// each cohort's source itself.
 pub fn build_runner(topo: Topology, cfg: &Config, rng: &RngFactory) -> Runner<BulletPrimeNode> {
     let nodes = build_nodes(&topo, cfg, rng);
     let mut runner = Runner::new(Network::new(topo), nodes, rng);

@@ -41,7 +41,7 @@ pub use messages::Msg;
 pub use node::{BulletPrimeNode, Role, Timer};
 pub use peering::{EpochDecision, PeerManager, ReceiverObservation, SenderObservation};
 pub use request::RequestManager;
-pub use service::{build_service_runner, FlashShape, ServiceSwarms};
+pub use service::{FlashShape, ServiceSwarms};
 
 #[cfg(test)]
 mod end_to_end {

@@ -10,11 +10,11 @@
 
 use desim::RngFactory;
 use dissem_codec::FileSpec;
-use netsim::{Network, NodeId, Runner, SwarmShape, SwarmSource, Topology};
+use netsim::{NodeId, SwarmShape, SwarmSource};
 use overlay::ControlTree;
 use rand::Rng;
 
-use crate::builder::{build_nodes, CONTROL_TREE_DEGREE};
+use crate::builder::CONTROL_TREE_DEGREE;
 use crate::config::Config;
 use crate::node::BulletPrimeNode;
 
@@ -37,19 +37,21 @@ pub struct ServiceSwarms {
     template: Config,
     rng: RngFactory,
     /// Inclusive cohort-size range (source included), drawn uniformly.
-    pub size_range: (usize, usize),
+    size_range: (usize, usize),
     /// Inclusive file-size range in bytes, drawn uniformly.
-    pub file_bytes_range: (u64, u64),
+    file_bytes_range: (u64, u64),
     /// Block size for every swarm's file.
-    pub block_bytes: u32,
-    /// Flash-crowd arrival pattern; `None` means the whole cohort is
-    /// present at admission.
+    block_bytes: u32,
+    /// How every swarm after the first populates its segment: `None` means
+    /// in full at admission. The first swarm always does, so a flash crowd
+    /// lands beside a warm swarm.
     pub flash: Option<FlashShape>,
 }
 
 impl ServiceSwarms {
-    /// Creates a source drawing uniform cohort sizes and file sizes. The
-    /// `template` config is cloned per swarm with the drawn file installed.
+    /// Creates a source drawing uniform cohort sizes and file sizes, with no
+    /// flash crowd. The `template` config is cloned per swarm with the drawn
+    /// file installed.
     pub fn new(
         template: Config,
         rng: &RngFactory,
@@ -79,8 +81,8 @@ impl SwarmSource<BulletPrimeNode> for ServiceSwarms {
         let size = draw.gen_range(self.size_range.0..=self.size_range.1);
         let file_bytes = draw.gen_range(self.file_bytes_range.0..=self.file_bytes_range.1);
         let (initial, join_window_secs) = match &self.flash {
-            Some(f) => (f.initial.clamp(1, size), f.window_secs),
-            None => (size, 0.0),
+            Some(f) if index > 0 => (f.initial.clamp(1, size), f.window_secs),
+            _ => (size, 0.0),
         };
         SwarmShape {
             size,
@@ -100,22 +102,10 @@ impl SwarmSource<BulletPrimeNode> for ServiceSwarms {
     }
 }
 
-/// Builds the slot-pool [`Runner`] a Bullet′ service run drives: one
-/// placeholder node per host (never initialised — every slot starts
-/// inactive and is re-populated per admission by
-/// [`run_service`](netsim::run_service)).
-pub fn build_service_runner(
-    topo: Topology,
-    template: &Config,
-    rng: &RngFactory,
-) -> Runner<BulletPrimeNode> {
-    let nodes = build_nodes(&topo, template, rng);
-    Runner::new(Network::new(topo), nodes, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::builder::build_runner;
     use crate::node::Role;
     use desim::{SimDuration, SimTime};
     use netsim::{run_service, topology, ArrivalGen, ServiceConfig};
@@ -140,6 +130,19 @@ mod tests {
     }
 
     #[test]
+    fn first_swarm_of_a_flash_service_is_warm() {
+        let mut source = swarms();
+        source.flash = Some(FlashShape {
+            initial: 2,
+            window_secs: 30.0,
+        });
+        let warm = source.shape(0);
+        assert_eq!((warm.initial, warm.join_window_secs), (warm.size, 0.0));
+        assert_eq!(source.shape(1).initial, 2);
+        assert_eq!(source.shape(1).join_window_secs, 30.0);
+    }
+
+    #[test]
     fn built_swarms_are_rooted_at_their_segment_base() {
         let mut src = swarms();
         let shape = src.shape(0);
@@ -156,7 +159,7 @@ mod tests {
         let rng = RngFactory::new(20050410);
         let topo = topology::shared_core_mesh(8, netsim::mbps(20.0), 0.0, &rng);
         let template = Config::new(FileSpec::new(128 * 1024, 16 * 1024));
-        let mut runner = build_service_runner(topo, &template, &rng);
+        let mut runner = build_runner(topo, &template, &rng);
         let mut source = ServiceSwarms::new(template, &rng, (6, 6), (128 * 1024, 128 * 1024));
         let cfg = ServiceConfig {
             horizon: SimTime::from_secs_f64(600.0),

@@ -12,7 +12,8 @@
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N]
 //!                      [fig opts]   # one traced run: per-kind summary,
 //!                                   # JSONL export, probe replay cross-check,
-//!                                   # per-receiver table (see `trace_cmd`)
+//!                                   # per-receiver table or service summary
+//!                                   # (see `trace_cmd`)
 //! ```
 //!
 //! `[fig opts]` are the shared figure options (`--nodes`, `--mb`, `--seed`,
@@ -148,10 +149,7 @@ fn run(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<()
     let reports = run_cells(&cells);
     emit(&figure(&cells, &reports), &opts, out)?;
     for ((label, _), report) in cells.iter().zip(&reports) {
-        writeln!(out, "[{label}]")?;
-        for line in service_summary(report).lines() {
-            writeln!(out, "  {line}")?;
-        }
+        write!(out, "{}", service_summary(label, report))?;
     }
     Ok(())
 }

@@ -29,10 +29,11 @@
 //!   no test makes — traced = dark at ≤ 1.5× the wall clock, fig20
 //!   `AllComplete` up to N = 10,000, 4-worker identity and scaling — and
 //!   nothing written (performance is recorded by `benchmark/`);
-//! * [`trace_cmd`] — the `lab trace` subcommand: the Bullet′ run of a closed
-//!   scenario's own workload with the structured trace sink and stats probe
-//!   enabled: per-kind summary, JSONL export, the probe replay cross-check
-//!   and the per-receiver table (see `docs/OBSERVABILITY.md`).
+//! * [`trace_cmd`] — the `lab trace` subcommand: a Bullet′ run of any
+//!   scenario — a closed scenario's own workload, an open scenario's last
+//!   cell — with the structured trace sink and stats probe enabled: per-kind
+//!   summary, JSONL export, the probe replay cross-check and the
+//!   per-receiver table or service summary (see `docs/OBSERVABILITY.md`).
 //!
 //! The workload and presentation functions themselves live in
 //! `bullet_bench::experiments`; turning a workload into a run is
@@ -51,4 +52,4 @@ pub use cli::lab_main;
 pub use executor::{run_sweep, run_sweep_with, CellReport, SweepReport};
 pub use registry::Registry;
 pub use scenario::{Body, ParamPoint, Presentation, Scenario, SeedPlan, SweepSpec};
-pub use trace_cmd::{check_replay, traced_run, TracedRun};
+pub use trace_cmd::{check_replay, traced_run, Traced, TracedRun};

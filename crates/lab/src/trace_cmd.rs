@@ -1,7 +1,7 @@
-//! The `lab trace` subcommand: one scenario's Bullet′ workload run with the
-//! observability stack on — structured trace sink and stats probe — followed
-//! by the analyzer pass. Every answer is in virtual time; where the *host's*
-//! time went is `benchmark/run.sh --workload W --trace 1`.
+//! The `lab trace` subcommand: one Bullet′ run of a scenario, closed or open,
+//! with the observability stack on — structured trace sink and stats probe —
+//! followed by the analyzer pass. Every answer is in virtual time; where the
+//! *host's* time went is `benchmark/run.sh --workload W --trace 1`.
 //!
 //! ```text
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] [figure options]
@@ -17,24 +17,29 @@
 //! runs included. A complete trace that cannot replay the probe means the
 //! instrumentation lies, so the mismatch is a hard error; only a ring that
 //! overflowed, and so lost the stream's head, degrades it to a warning. It
-//! ends with the per-receiver table — completion time, peer counts,
-//! duplicate share, useful blocks, control bytes, slowest last — and the
-//! run's non-zero counters: which receiver was slow, and which mechanism was
-//! busy.
+//! ends with what the run reported and the run's non-zero counters. For a
+//! closed run the report is the per-receiver table — completion time, peer
+//! counts, duplicate share, useful blocks, control bytes, slowest last: which
+//! receiver was slow, and which mechanism was busy. For an open run it is
+//! the cell's service summary, the block `lab run` prints under the figure.
 //!
-//! What is traced is the default-configuration Bullet′ run of the scenario's
-//! own [`Workload`] — the value `lab run` presents — not the full
-//! multi-system or multi-configuration comparison, which would interleave
-//! unrelated streams. The open-system scenarios have no such run and are
-//! refused: what their service runs did is `lab run`'s to print.
+//! What is traced is one run the figure presents, not the full
+//! multi-system, multi-configuration or multi-cell comparison, which would
+//! interleave unrelated streams. For a closed scenario that is the
+//! default-configuration Bullet′ run of its own [`Workload`]; for an open
+//! one it is its last [`ServiceWorkload`] cell — fig21's top load, where the
+//! knee is, or fig22's only cell — probed at the cell's tick, so the replay
+//! check covers every slot of the pool.
 
 use std::io::Write;
 
-use bullet_bench::{CommonOpts, Workload};
+use bullet_bench::experiments::{service_summary, WorkloadFn};
+use bullet_bench::{CommonOpts, ServiceWorkload, Workload};
 use bullet_prime::{BulletPrimeNode, Role};
+use desim::SimDuration;
 use netsim::{
-    replay_goodput, summarize, ProbeStats, Protocol, RingSink, RunReport, Runner, TimeSeries,
-    TraceEvent, TraceRecord, TraceSink,
+    replay_goodput, summarize, MetricsSnapshot, ProbeStats, Protocol, RingSink, RunReport, Runner,
+    ServiceReport, TimeSeries, TraceEvent, TraceRecord, TraceSink,
 };
 
 use crate::cli::Stop;
@@ -49,25 +54,14 @@ const USAGE: &str = "usage: lab trace <scenario> [--json PATH] [--ring N] [--kin
 const DEFAULT_RING: usize = 1 << 22;
 
 /// Flags peeled off before [`CommonOpts`] sees the rest.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct TraceArgs {
     json: Option<String>,
-    ring: usize,
+    /// `--ring`, if given ([`DEFAULT_RING`] if not).
+    ring: Option<usize>,
     kind: Option<String>,
     tail: usize,
     rest: Vec<String>,
-}
-
-impl Default for TraceArgs {
-    fn default() -> Self {
-        TraceArgs {
-            json: None,
-            ring: DEFAULT_RING,
-            kind: None,
-            tail: 0,
-            rest: Vec::new(),
-        }
-    }
 }
 
 fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
@@ -80,14 +74,11 @@ fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
         };
         match arg.as_str() {
             "--json" => out.json = Some(value_for("--json")?),
-            "--ring" => {
-                out.ring = value_for("--ring")?
-                    .parse()
-                    .map_err(|_| format!("bad --ring\n{USAGE}"))?;
-                if out.ring == 0 {
-                    return Err(format!("--ring must be positive\n{USAGE}"));
-                }
-            }
+            "--ring" => match value_for("--ring")?.parse() {
+                Ok(ring @ 1..) => out.ring = Some(ring),
+                Ok(_) => return Err(format!("--ring must be positive\n{USAGE}")),
+                Err(_) => return Err(format!("bad --ring\n{USAGE}")),
+            },
             "--kind" => {
                 let kind = value_for("--kind")?;
                 if !TraceEvent::KINDS.contains(&kind.as_str()) {
@@ -176,38 +167,53 @@ fn receiver_table(rows: &[ReceiverRow]) -> String {
     out
 }
 
+/// What a traced run ran, and what it reported (probe series attached).
+#[derive(Debug)]
+pub enum Traced {
+    /// A closed scenario's default Bullet′ run: its workload, its report and
+    /// one row per receiver, fastest first.
+    Closed(Workload, RunReport, Vec<ReceiverRow>),
+    /// An open scenario's last cell — fig21's top load (the knee), fig22's
+    /// only cell: its label, the cell and the service's report.
+    Open(String, ServiceWorkload, ServiceReport),
+}
+
 /// The result of one traced scenario run, records included.
 #[derive(Debug)]
 pub struct TracedRun {
-    /// The run's report (probe time-series attached).
-    pub report: RunReport,
-    /// What ran.
-    pub workload: Workload,
+    /// What ran, and its report.
+    pub traced: Traced,
     /// The retained trace records, oldest first.
     pub records: Vec<TraceRecord>,
     /// Records the sink accepted in total.
     pub recorded: u64,
     /// Records the ring dropped on overflow (oldest first).
     pub dropped: u64,
-    /// One row per receiver, fastest first.
-    pub receivers: Vec<ReceiverRow>,
+    /// The runner's metrics when the run ended.
+    pub metrics: MetricsSnapshot,
 }
 
-/// The workload `lab trace` runs for `scenario`: its own, at its default
-/// point, observed on a probe tick (`--tick`, default 2 s) if the scenario
-/// does not observe it already — the replay check needs the probe series.
+impl TracedRun {
+    /// The slots the probe sampled — every node of a closed run, the whole
+    /// pool of an open one — and its series, which the trace must replay.
+    pub fn probed(&self) -> (usize, &TimeSeries) {
+        let (nodes, series) = match &self.traced {
+            Traced::Closed(workload, report, _) => (workload.nodes, &report.timeseries),
+            Traced::Open(_, cell, report) => (cell.pool, &report.timeseries),
+        };
+        (nodes, series.as_ref().expect("probe installed"))
+    }
+}
+
+/// The workload `lab trace` runs for a closed scenario: its own, at its
+/// default point, observed on a probe tick (`--tick`, default 2 s) if the
+/// scenario does not observe it already — the replay check needs the probe
+/// series.
 ///
 /// # Errors
 ///
-/// Returns an error for the open-system scenarios, which have no Bullet′ run.
-pub fn traced_workload(scenario: &Scenario, opts: &CommonOpts) -> Result<Workload, String> {
-    let Body::Closed { workload, .. } = scenario.body else {
-        return Err(format!(
-            "scenario '{}' is an open-system service run; use `lab run {}` \
-             (its figure and cell summaries carry the steady-state series a trace would)",
-            scenario.name, scenario.name
-        ));
-    };
+/// Returns the workload function's errors.
+pub fn traced_workload(workload: WorkloadFn, opts: &CommonOpts) -> Result<Workload, String> {
     let w = workload(opts, "default")?;
     Ok(Workload {
         tick: w.tick.or(Some(opts.tick.unwrap_or(2.0))),
@@ -215,8 +221,9 @@ pub fn traced_workload(scenario: &Scenario, opts: &CommonOpts) -> Result<Workloa
     })
 }
 
-/// Runs the default Bullet′ run of [`traced_workload`] with trace sink and
-/// probe enabled, retaining up to `ring` records.
+/// Runs `scenario` with trace sink and probe enabled, retaining up to `ring`
+/// records: a closed scenario's [`traced_workload`] as its default Bullet′
+/// run, an open scenario's last cell probed at the cell's tick.
 ///
 /// # Errors
 ///
@@ -226,20 +233,32 @@ pub fn traced_run(
     opts: &CommonOpts,
     ring: usize,
 ) -> Result<TracedRun, String> {
-    let workload = traced_workload(scenario, opts)?;
     let sink = Box::new(RingSink::new(ring));
-    let mut runner = workload.bullet_prime(&workload.config(), Some(sink));
-    let report = workload.run(&mut runner);
+    let (traced, mut runner) = match scenario.body {
+        Body::Closed { workload, .. } => {
+            let workload = traced_workload(workload, opts)?;
+            let mut runner = workload.bullet_prime(&workload.config(), Some(sink));
+            let report = workload.run(&mut runner);
+            let receivers = receiver_rows(&runner, &report);
+            (Traced::Closed(workload, report, receivers), runner)
+        }
+        Body::Open { cells, .. } => {
+            let (label, cell) = cells(opts).pop().expect("an open scenario has cells");
+            let mut runner = cell.runner(Some(sink));
+            runner.record_timeseries(SimDuration::from_secs_f64(cell.tick));
+            let report = cell.serve(&mut runner);
+            (Traced::Open(label, cell, report), runner)
+        }
+    };
     let ring = runner
         .take_trace_sink::<RingSink>()
         .expect("a ring was installed");
     Ok(TracedRun {
-        receivers: receiver_rows(&runner, &report),
-        report,
-        workload,
+        traced,
         recorded: ring.recorded(),
         dropped: ring.dropped(),
         records: ring.into_records(),
+        metrics: runner.metrics_snapshot(),
     })
 }
 
@@ -250,6 +269,12 @@ pub fn check_replay(
     series: &TimeSeries,
     nodes: usize,
 ) -> Result<String, String> {
+    if let Some(sample) = series.samples.first().filter(|s| s.nodes.len() != nodes) {
+        let sampled = sample.nodes.len();
+        return Err(format!(
+            "replay over {nodes} nodes, the probe sampled {sampled}"
+        ));
+    }
     let replayed = replay_goodput(records, nodes)?;
     if replayed.len() != series.samples.len() {
         return Err(format!(
@@ -294,7 +319,8 @@ pub(crate) fn trace(
     let targs = parse_trace_args(rest)?;
     let opts = CommonOpts::parse(targs.rest.clone())?;
 
-    let run = traced_run(scenario, &opts, targs.ring)?;
+    let ring = targs.ring.unwrap_or(DEFAULT_RING);
+    let run = traced_run(scenario, &opts, ring)?;
     let keep = |rec: &&TraceRecord| match &targs.kind {
         Some(kind) => rec.ev.kind() == kind,
         None => true,
@@ -312,20 +338,24 @@ pub(crate) fn trace(
         eprintln!("wrote {path} ({lines} lines)");
     }
 
+    let (nodes, series) = run.probed();
+    let (events, end, ended) = match &run.traced {
+        Traced::Closed(_, r, _) => (
+            r.events,
+            r.end_time.as_secs_f64(),
+            format!("{:?}", r.reason),
+        ),
+        Traced::Open(_, _, r) => (r.events, r.horizon_secs, "horizon".to_string()),
+    };
     writeln!(
         out,
-        "trace {name}: {} nodes, {} events, virtual end {:.1}s ({:?})",
-        run.workload.nodes,
-        run.report.events,
-        run.report.end_time.as_secs_f64(),
-        run.report.reason,
+        "trace {name}: {nodes} nodes, {events} events, virtual end {end:.1}s ({ended})"
     )?;
     writeln!(
         out,
-        "records: {} emitted, {} dropped (ring capacity {}), {} retained",
+        "records: {} emitted, {} dropped (ring capacity {ring}), {} retained",
         run.recorded,
         run.dropped,
-        targs.ring,
         run.records.len()
     )?;
     let summary = summarize(&run.records);
@@ -345,14 +375,9 @@ pub(crate) fn trace(
         }
     }
 
-    let series = run
-        .report
-        .timeseries
-        .as_ref()
-        .expect("traced runs install the stats probe");
     // Only an overflowed ring, which lost the stream's head, may fail to
     // replay.
-    match check_replay(&run.records, series, run.workload.nodes) {
+    match check_replay(&run.records, series, nodes) {
         Ok(msg) => writeln!(out, "replay check: OK — {msg}")?,
         Err(msg) if run.dropped == 0 => return Err(format!("replay check FAILED: {msg}").into()),
         Err(msg) => writeln!(
@@ -362,10 +387,15 @@ pub(crate) fn trace(
         )?,
     }
 
-    writeln!(out, "receivers ({}):", run.receivers.len())?;
-    write!(out, "{}", receiver_table(&run.receivers))?;
+    match &run.traced {
+        Traced::Closed(_, _, receivers) => {
+            writeln!(out, "receivers ({}):", receivers.len())?;
+            write!(out, "{}", receiver_table(receivers))?;
+        }
+        Traced::Open(label, _, report) => write!(out, "{}", service_summary(label, report))?,
+    }
     writeln!(out, "counters:")?;
-    for &(name, value) in &run.report.metrics.counters {
+    for &(name, value) in &run.metrics.counters {
         if value > 0 {
             writeln!(out, "  {name:<24} {value}")?;
         }
@@ -393,7 +423,7 @@ mod tests {
         ];
         let parsed = parse_trace_args(args).unwrap();
         assert_eq!(parsed.json.as_deref(), Some("out.jsonl"));
-        assert_eq!(parsed.ring, 128);
+        assert_eq!(parsed.ring, Some(128));
         assert_eq!(parsed.kind.as_deref(), Some("block_received"));
         assert_eq!(parsed.tail, 5);
         assert_eq!(parsed.rest, vec!["--nodes", "8"]);
@@ -422,30 +452,63 @@ mod tests {
             ..CommonOpts::default()
         };
         let run = traced_run(fig15, &opts, DEFAULT_RING).unwrap();
-        assert_eq!(
-            run.workload.topology,
-            bullet_bench::TopologyKind::PlanetLabLike
-        );
-        let series = run.report.timeseries.as_ref().expect("probe installed");
-        check_replay(&run.records, series, run.workload.nodes).expect("replay must match");
+        let Traced::Closed(workload, ..) = &run.traced else {
+            panic!("fig15 is a closed scenario");
+        };
+        assert_eq!(workload.topology, bullet_bench::TopologyKind::PlanetLabLike);
+        let (nodes, series) = run.probed();
+        check_replay(&run.records, series, nodes).expect("replay must match");
     }
 
     #[test]
-    fn open_system_scenarios_point_at_lab_run() {
+    fn open_scenarios_trace_their_last_cell_and_replay() {
         let registry = Registry::standard();
+        let opts = CommonOpts {
+            nodes: Some(12),
+            file_mb: Some(0.25),
+            time_limit: 300.0,
+            ..CommonOpts::default()
+        };
         for name in ["fig21", "fig22"] {
             let sc = registry.get(name).expect("registered");
-            let err = traced_run(sc, &CommonOpts::default(), 16).unwrap_err();
-            assert!(err.contains(&format!("lab run {name}")), "{name}: {err}");
+            let Body::Open { cells, .. } = sc.body else {
+                panic!("{name} is an open scenario");
+            };
+            let run = traced_run(sc, &opts, DEFAULT_RING).unwrap();
+            let Traced::Open(label, cell, report) = &run.traced else {
+                panic!("{name} traced as a closed run");
+            };
+            let last = cells(&opts).pop().unwrap();
+            assert_eq!((label, cell), (&last.0, &last.1), "{name}");
+            assert!(report.admitted > 0, "{name}: {report:?}");
+            assert_eq!(run.dropped, 0, "{name}");
+            let (nodes, series) = run.probed();
+            assert_eq!(
+                (nodes, series.samples[0].nodes.len()),
+                (cell.pool, cell.pool)
+            );
+            let msg = check_replay(&run.records, series, nodes)
+                .unwrap_or_else(|msg| panic!("{name}: {msg}"));
+            assert!(msg.contains(&format!("x {} nodes", cell.pool)), "{msg}");
+            // The trace command prints the cell's service summary where a
+            // closed trace prints its receiver table.
+            let mut out = Vec::new();
+            let args = ["--nodes", "12", "--mb", "0.25", "--time-limit", "300"];
+            let args = std::iter::once(name).chain(args).map(String::from);
+            trace(&registry, args.collect(), &mut out).unwrap();
+            let out = String::from_utf8(out).unwrap();
+            assert!(out.contains("replay check: OK"), "{out}");
+            assert!(out.contains(&format!("[{label}]\n  horizon 300s")), "{out}");
+            assert!(!out.contains("receivers ("), "{out}");
         }
     }
 
     #[test]
     fn tracing_runs_the_scenarios_own_workload_and_perturbs_nothing() {
-        // For every scenario with a Bullet' run: what is traced is the
-        // workload the figure presents, the trace replays its probe series
-        // (churn scenarios included), and the traced report is the bytes of
-        // that workload run with no sink.
+        // For every scenario: what is traced is the workload or cell the
+        // figure presents, the trace replays its probe series (churn and
+        // open scenarios included), and the traced report is the bytes of
+        // the same run with no sink.
         let registry = Registry::standard();
         let opts = CommonOpts {
             nodes: Some(8),
@@ -455,26 +518,52 @@ mod tests {
         };
         let mut traced = 0;
         for sc in registry.iter() {
-            let Ok(workload) = traced_workload(sc, &opts) else {
-                continue;
-            };
             let run = traced_run(sc, &opts, DEFAULT_RING).unwrap();
-            assert_eq!(run.workload, workload, "{}", sc.name);
             assert!(run.recorded > 0, "{}", sc.name);
             assert_eq!(run.dropped, 0, "{}", sc.name);
-            let series = run.report.timeseries.as_ref().expect("probe installed");
-            if let Err(msg) = check_replay(&run.records, series, workload.nodes) {
+            let (nodes, series) = run.probed();
+            if let Err(msg) = check_replay(&run.records, series, nodes) {
                 panic!("{}: {msg}", sc.name);
             }
+            let (traced_report, dark_report) = match (&run.traced, sc.body) {
+                (Traced::Closed(workload, report, _), Body::Closed { workload: own, .. }) => {
+                    let own = traced_workload(own, &opts).unwrap();
+                    assert_eq!(*workload, own, "{}", sc.name);
+                    (report.canonical(), workload.report().canonical())
+                }
+                (Traced::Open(_, cell, report), Body::Open { .. }) => {
+                    let mut dark = cell.runner(None);
+                    dark.record_timeseries(SimDuration::from_secs_f64(cell.tick));
+                    (report.canonical(), cell.serve(&mut dark).canonical())
+                }
+                _ => panic!("{}: traced as the other kind of run", sc.name),
+            };
             assert_eq!(
-                run.report.canonical(),
-                workload.report().canonical(),
+                traced_report, dark_report,
                 "{}: tracing perturbed the run",
                 sc.name
             );
             traced += 1;
         }
-        assert_eq!(traced, 19, "21 scenarios, two of them open systems");
+        assert_eq!(traced, 21, "every scenario, open systems included");
+    }
+
+    #[test]
+    fn replay_over_fewer_nodes_than_the_probe_sampled_fails() {
+        let registry = Registry::standard();
+        let opts = CommonOpts {
+            nodes: Some(6),
+            file_mb: Some(0.125),
+            ..CommonOpts::default()
+        };
+        let run = traced_run(registry.get("fig04").unwrap(), &opts, DEFAULT_RING).unwrap();
+        let (nodes, series) = run.probed();
+        check_replay(&run.records, series, nodes).expect("replay must match");
+        let err = check_replay(&run.records, series, nodes - 1).unwrap_err();
+        assert!(
+            err.contains("replay over 5 nodes, the probe sampled 6"),
+            "{err}"
+        );
     }
 
     #[test]
@@ -482,7 +571,10 @@ mod tests {
         use bullet_bench::TopologyKind;
         let registry = Registry::standard();
         let traced = |name: &str, opts: &CommonOpts| {
-            traced_workload(registry.get(name).expect("registered"), opts).unwrap()
+            let Body::Closed { workload, .. } = registry.get(name).expect("registered").body else {
+                panic!("{name} is a closed scenario");
+            };
+            traced_workload(workload, opts).unwrap()
         };
         let half_mb = CommonOpts {
             file_mb: Some(0.5),
@@ -529,28 +621,28 @@ mod tests {
         assert_eq!(run.dropped, 0, "smoke run must fit the default ring");
         assert_eq!(run.recorded as usize, run.records.len());
         assert!(run.records.len() > 100, "a real run emits many records");
-        let series = run.report.timeseries.as_ref().expect("probe installed");
-        let msg =
-            check_replay(&run.records, series, run.workload.nodes).expect("replay must match");
+        let (nodes, series) = run.probed();
+        let msg = check_replay(&run.records, series, nodes).expect("replay must match");
         assert!(msg.contains("6 nodes"), "{msg}");
+        let Traced::Closed(workload, report, receivers) = &run.traced else {
+            panic!("fig05 is a closed scenario");
+        };
+        assert_eq!(run.metrics, report.metrics, "the counters are the report's");
         // The receiver table: one row per receiver, the report's completion
         // times, fastest first.
-        let mut ids: Vec<u32> = run.receivers.iter().map(|r| r.node).collect();
+        let mut ids: Vec<u32> = receivers.iter().map(|r| r.node).collect();
         ids.sort_unstable();
         assert_eq!(ids, vec![1, 2, 3, 4, 5], "every receiver, once");
-        for row in &run.receivers {
-            assert_eq!(row.done_secs, run.report.completion_secs[row.node as usize]);
-            assert_eq!(
-                row.stats.useful_blocks as u32,
-                run.workload.file.num_blocks()
-            );
+        for row in receivers {
+            assert_eq!(row.done_secs, report.completion_secs[row.node as usize]);
+            assert_eq!(row.stats.useful_blocks as u32, workload.file.num_blocks());
         }
-        let done: Vec<f64> = run.receivers.iter().filter_map(|r| r.done_secs).collect();
+        let done: Vec<f64> = receivers.iter().filter_map(|r| r.done_secs).collect();
         assert_eq!(done.len(), 5, "the smoke run completes");
         assert!(
             done.windows(2).all(|w| w[0] <= w[1]),
             "slowest last: {done:?}"
         );
-        assert_eq!(receiver_table(&run.receivers).lines().count(), 6);
+        assert_eq!(receiver_table(receivers).lines().count(), 6);
     }
 }

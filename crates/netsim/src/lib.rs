@@ -947,8 +947,9 @@ mod probe_tests {
         // Exactly what the run emitted: nothing dropped, one `timer` record
         // per timer the report counted.
         assert_eq!((ring.recorded(), ring.dropped()), (report.trace_records, 0));
-        assert_eq!(ring.len() as u64, report.trace_records);
-        let timers = ring.records().filter(|r| r.ev.kind() == "timer").count();
+        let records = ring.into_records();
+        assert_eq!(records.len() as u64, report.trace_records);
+        let timers = records.iter().filter(|r| r.ev.kind() == "timer").count();
         assert_eq!(report.metrics.counter("timers_fired"), Some(timers as u64));
         assert_eq!(timers, 8);
     }

@@ -355,24 +355,9 @@ impl RingSink {
         }
     }
 
-    /// The retained records, oldest first.
-    pub fn records(&self) -> impl Iterator<Item = &TraceRecord> {
-        self.buf.iter()
-    }
-
     /// Consumes the ring, returning the retained records oldest-first.
     pub fn into_records(self) -> Vec<TraceRecord> {
         self.buf.into()
-    }
-
-    /// Number of records currently retained.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// True if nothing has been retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
     }
 }
 
@@ -424,19 +409,16 @@ impl TraceSink for CountingSink {
 pub struct TraceSummary {
     /// `(kind, count)` pairs, sorted by kind name.
     pub by_kind: Vec<(&'static str, u64)>,
-    /// Total records summarized.
-    pub total: u64,
     /// Virtual time of the first record, if any.
     pub first_t: Option<f64>,
     /// Virtual time of the last record, if any.
     pub last_t: Option<f64>,
 }
 
-/// Summarizes a record stream: counts per kind, total, and time extent.
+/// Summarizes a record stream: counts per kind and time extent.
 pub fn summarize<'a>(records: impl IntoIterator<Item = &'a TraceRecord>) -> TraceSummary {
     let mut summary = TraceSummary::default();
     for rec in records {
-        summary.total += 1;
         if summary.first_t.is_none() {
             summary.first_t = Some(rec.t);
         }
@@ -606,7 +588,7 @@ mod tests {
         }
         assert_eq!(ring.recorded(), 5);
         assert_eq!(ring.dropped(), 3);
-        let kept: Vec<u64> = ring.records().map(|r| r.seq).collect();
+        let kept: Vec<u64> = ring.into_records().iter().map(|r| r.seq).collect();
         assert_eq!(kept, vec![3, 4]);
 
         // The capacity is a cap, not a reservation.
@@ -614,7 +596,8 @@ mod tests {
         for seq in 0..5 {
             ring.record(&rec(seq as f64, seq, TraceEvent::ProbeTick));
         }
-        assert_eq!((ring.recorded(), ring.dropped(), ring.len()), (5, 0, 5));
+        assert_eq!((ring.recorded(), ring.dropped()), (5, 0));
+        assert_eq!(ring.into_records().len(), 5);
     }
 
     #[test]
@@ -643,7 +626,6 @@ mod tests {
             rec(2.0, 9, TraceEvent::ProbeTick),
         ];
         let s = summarize(&records);
-        assert_eq!(s.total, 3);
         assert_eq!(s.by_kind, vec![("probe_tick", 2), ("timer", 1)]);
         assert_eq!((s.first_t, s.last_t), (Some(0.0), Some(2.0)));
     }

@@ -11,7 +11,7 @@
 //! allocation order, ...) and would silently invalidate every figure.
 
 use bullet_repro::bullet_bench::{CommonOpts, Dynamics, SystemKind, TopologyKind, Workload};
-use bullet_repro::bullet_prime::{build_runner, build_service_runner, Config, ServiceSwarms};
+use bullet_repro::bullet_prime::{build_runner, Config, ServiceSwarms};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
 use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::netsim::{
@@ -49,7 +49,7 @@ fn service_report(seed: u64) -> ServiceReport {
     let rng = RngFactory::new(seed);
     let topo = topology::shared_core_mesh(16, mbps(20.0), 0.0, &rng);
     let template = Config::new(file());
-    let mut runner = build_service_runner(topo, &template, &rng);
+    let mut runner = build_runner(topo, &template, &rng);
     let mut source = ServiceSwarms::new(template, &rng, (4, 6), (128 * 1024, 256 * 1024));
     let cfg = ServiceConfig {
         horizon: SimTime::from_secs_f64(600.0),

@@ -17,7 +17,7 @@
 
 use bullet_repro::baselines::{bullet_orig, splitstream, BitTorrentConfig, BitTorrentNode};
 use bullet_repro::bullet_bench::systems::paper_dynamic_schedule;
-use bullet_repro::bullet_prime::{build_runner, build_service_runner, Config, ServiceSwarms};
+use bullet_repro::bullet_prime::{build_nodes, build_runner, Config, ServiceSwarms};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
 use bullet_repro::dissem_codec::file::fnv1a;
 use bullet_repro::dissem_codec::FileSpec;
@@ -105,7 +105,8 @@ fn two_swarm_service_run_matches_its_golden_digest() {
     let rng = RngFactory::new(SEED);
     let topo = topology::shared_core_mesh(16, mbps(20.0), 0.0, &rng);
     let template = Config::new(FileSpec::new(256 * 1024, 16 * 1024));
-    let mut runner = build_service_runner(topo, &template, &rng);
+    let nodes = build_nodes(&topo, &template, &rng);
+    let mut runner = Runner::new(Network::new(topo), nodes, &rng);
     let mut source = ServiceSwarms::new(template, &rng, (4, 6), (128 * 1024, 256 * 1024));
     let cfg = ServiceConfig {
         horizon: SimTime::from_secs_f64(600.0),

@@ -7,6 +7,7 @@
 use bullet_repro::bullet_bench::{experiments, CommonOpts};
 use bullet_repro::bullet_lab::{
     check_replay, run_sweep, run_sweep_with, traced_run, Body, Presentation, Registry, Scenario,
+    Traced,
 };
 use bullet_repro::bullet_prime::{build_runner, Config};
 use bullet_repro::desim::{RngFactory, SimDuration};
@@ -218,18 +219,21 @@ fn thousand_node_swarm_interleaves_probe_and_trace() {
         ..CommonOpts::default()
     };
     let run = traced_run(fig20, &opts, 1 << 22).expect("fig20 is traceable");
-    assert_eq!(run.workload.nodes, 1_000);
+    let Traced::Closed(_, report, _) = &run.traced else {
+        panic!("fig20 is a closed scenario");
+    };
+    let (nodes, series) = run.probed();
+    assert_eq!(nodes, 1_000);
     assert_eq!(run.dropped, 0, "the default-sized ring must not overflow");
-    assert_eq!(run.recorded, run.report.trace_records);
+    assert_eq!(run.recorded, report.trace_records);
     assert!(
         run.records
             .iter()
             .any(|r| matches!(r.ev, TraceEvent::ProbeTick)),
         "probe ticks must appear inside the trace stream"
     );
-    let series = run.report.timeseries.as_ref().expect("probe installed");
     assert_eq!(series.samples[0].nodes.len(), 1_000);
-    let msg = check_replay(&run.records, series, run.workload.nodes).expect("replay must match");
+    let msg = check_replay(&run.records, series, nodes).expect("replay must match");
     assert!(msg.contains("1000 nodes"), "{msg}");
     // The trace is ordered: seq is non-decreasing across the whole stream.
     assert!(
@@ -264,8 +268,8 @@ fn overflowing_ring_sink_does_not_affect_the_simulation() {
         "the tiny ring must actually have overflowed for this test to bite"
     );
     assert_eq!(ring.recorded(), traced.trace_records);
-    assert_eq!(ring.len(), 32, "the ring kept what fits");
     assert_eq!(ring.dropped(), traced.trace_records - 32);
+    assert_eq!(ring.into_records().len(), 32, "the ring kept what fits");
     assert_eq!(
         traced.canonical(),
         untraced.canonical(),
