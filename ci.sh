@@ -77,11 +77,18 @@ cargo test -q --release --test golden_digests
 echo "==> golden figures on the release build (tests/golden_figures.rs)"
 cargo test -q --release --test golden_figures
 
-# desim's unit tests and its queue oracle (crates/sim/tests/queue_oracle.rs)
-# on the release build: the oracle then runs on the build the benchmark
-# measures, in under a second.
-echo "==> desim tests and the queue oracle on the release build"
+# The oracles of desim::IndexedHeap, the one heap under both the event queue
+# and the fluid solver's saturation levels, on the release build the
+# benchmark measures: desim's unit tests hold the heap's own scan oracle
+# (indexed_heap_matches_a_minimum_scan); the queue oracle
+# (crates/sim/tests/queue_oracle.rs) guards the heap as EventQueue uses it;
+# fairness_oracle (max-min optimality, incremental = from scratch) and
+# lazy_heap_reference (the solver against the lazy-heap solver it replaced,
+# bit for bit) guard it as the solver's link heap. Under a second together.
+echo "==> heap oracles on the release build (desim, queue oracle, fairness oracle, lazy-heap reference)"
 cargo test -q --release -p desim
+cargo test -q --release -p netsim --test fairness_oracle
+cargo test -q --release -p netsim --lib lazy_heap_reference
 
 # baselines' tests on the release build, so the reference proptest of
 # BitTorrent's counted request selection (the scan-based selection it

@@ -216,11 +216,7 @@ impl SplitStreamNode {
             let Some(block) = queue.pop_front() else {
                 break;
             };
-            let bytes = if block.0 < self.file.num_blocks() {
-                u64::from(self.file.block_size(block))
-            } else {
-                u64::from(self.file.block_bytes)
-            };
+            let bytes = u64::from(self.file.encoded_block_size(block));
             ctx.queue_block(child, block, bytes);
             budget -= 1;
         }

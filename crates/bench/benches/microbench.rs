@@ -157,7 +157,7 @@ impl FluidLoad {
     fn apply(&mut self, updates: Vec<ConnUpdate>) {
         for update in updates {
             match update {
-                ConnUpdate::Schedule { fid, at, .. } => {
+                ConnUpdate::Schedule { fid, at } => {
                     let f = fid as usize;
                     if self.keys.len() <= f {
                         self.keys.resize(f + 1, None);

@@ -68,6 +68,17 @@ impl FileSpec {
         }
     }
 
+    /// Wire size of encoded block `id`: a block of the file is
+    /// [`FileSpec::block_size`] (the final one may be short), and an id past
+    /// the file — the encoded head-room of a rateless code — is a full block.
+    pub fn encoded_block_size(&self, id: BlockId) -> u32 {
+        if id.0 < self.num_blocks() {
+            self.block_size(id)
+        } else {
+            self.block_bytes
+        }
+    }
+
     /// Iterator over all block ids in index order.
     pub fn blocks(&self) -> impl Iterator<Item = BlockId> {
         (0..self.num_blocks()).map(BlockId)
@@ -123,6 +134,20 @@ mod tests {
         );
         // Negative overhead is clamped.
         assert_eq!(spec.completion_target(-1.0), spec.num_blocks());
+    }
+
+    #[test]
+    fn encoded_block_size_handles_short_final_block_and_ids_past_the_file() {
+        let spec = FileSpec::new(40 * 1024 + 100, 16 * 1024);
+        assert_eq!(spec.encoded_block_size(BlockId(0)), 16 * 1024);
+        // The real final block is short: 40 KB + 100 B minus two full blocks.
+        assert_eq!(
+            spec.encoded_block_size(BlockId(2)),
+            40 * 1024 + 100 - 32 * 1024
+        );
+        // Ids past the file (encoded head-room) are full-sized.
+        assert_eq!(spec.encoded_block_size(BlockId(3)), 16 * 1024);
+        assert_eq!(spec.encoded_block_size(BlockId(1000)), 16 * 1024);
     }
 
     #[test]

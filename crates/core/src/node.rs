@@ -222,16 +222,6 @@ impl BulletPrimeNode {
         self.have.count()
     }
 
-    fn block_bytes(&self, block: BlockId) -> u64 {
-        // In encoded mode every block is full-sized; in unencoded mode the
-        // final block may be short.
-        if block.0 < self.cfg.file.num_blocks() {
-            u64::from(self.cfg.file.block_size(block))
-        } else {
-            u64::from(self.cfg.file.block_bytes)
-        }
-    }
-
     fn total_incoming_rate(&self) -> f64 {
         self.senders.values().map(|s| s.ewma_rate).sum()
     }
@@ -268,11 +258,7 @@ impl BulletPrimeNode {
                 let pending = ctx.pending_to(child) + queued_now[position];
                 if pending < config::SOURCE_PIPE_BLOCKS {
                     let block = BlockId(src.next_block);
-                    let bytes = if block.0 < self.cfg.file.num_blocks() {
-                        u64::from(self.cfg.file.block_size(block))
-                    } else {
-                        u64::from(self.cfg.file.block_bytes)
-                    };
+                    let bytes = u64::from(self.cfg.file.encoded_block_size(block));
                     ctx.queue_block(child, block, bytes);
                     queued_now[position] += 1;
                     src.next_block += 1;
@@ -631,7 +617,7 @@ impl Protocol for BulletPrimeNode {
                 }
                 for block in blocks {
                     if self.have.contains(block) {
-                        let bytes = self.block_bytes(block);
+                        let bytes = u64::from(self.cfg.file.encoded_block_size(block));
                         ctx.queue_block(from, block, bytes);
                     }
                 }
@@ -673,7 +659,7 @@ impl Protocol for BulletPrimeNode {
     }
 
     fn on_block_sent(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, block: BlockId) {
-        let bytes = self.block_bytes(block);
+        let bytes = u64::from(self.cfg.file.encoded_block_size(block));
         if let Some(r) = self.receivers.get_mut(&to) {
             r.bytes_since_epoch += bytes;
         }
@@ -821,19 +807,6 @@ mod tests {
         assert!(!rcv.is_complete());
         assert_eq!(src.blocks_held(), 4);
         assert_eq!(rcv.blocks_held(), 0);
-    }
-
-    #[test]
-    fn block_bytes_handles_short_final_block_and_encoded_space() {
-        let tree = ControlTree::random(3, 2, &RngFactory::new(2));
-        let mut cfg = Config::new(FileSpec::new(40 * 1024 + 100, 16 * 1024));
-        cfg.transfer_mode = crate::config::TransferMode::Encoded { epsilon: 0.04 };
-        let node = BulletPrimeNode::new(NodeId(0), &tree, cfg.clone());
-        // Real final block is short: 40 KB + 100 B minus two full 16 KB blocks.
-        assert_eq!(node.block_bytes(BlockId(2)), 40 * 1024 + 100 - 32 * 1024);
-        // Blocks beyond the real file (encoded head-room) are full-sized.
-        let beyond = BlockId(cfg.file.num_blocks());
-        assert_eq!(node.block_bytes(beyond), 16 * 1024);
     }
 
     /// Block arrival, `DiffRequest` and the housekeeping tick all flush

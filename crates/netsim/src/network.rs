@@ -75,15 +75,12 @@
 use std::collections::{HashMap, VecDeque};
 use std::hash::{BuildHasherDefault, Hasher};
 
-use desim::{SimDuration, SimTime};
+use desim::{IndexedHeap, SimDuration, SimTime};
 use dissem_codec::BlockId;
 use rand::Rng;
 
 use crate::topology::{LinkId, NodeId, Topology};
 use crate::units::BytesPerSec;
-
-mod link_heap;
-use link_heap::LinkHeap;
 
 /// A connection never stalls completely: TCP retransmits eventually, so the
 /// fluid model floors every rate at one byte per second.
@@ -162,32 +159,23 @@ pub struct CompletedBlock {
 }
 
 /// Instruction for the driver to keep a connection's single completion event
-/// in sync with the fluid model. Carries the connection's dense flow id so
-/// the driver can index its event table directly; `from`/`to` ride along for
-/// logging and assertions, never for lookups.
+/// in sync with the fluid model. Names the connection by its dense flow id,
+/// so the driver indexes its event table directly.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum ConnUpdate {
-    /// The in-flight block on `from → to` now finishes at `at`: move the
+    /// The in-flight block on flow `fid` now finishes at `at`: move the
     /// connection's completion event there (or create it if none is live).
     Schedule {
         /// Dense flow id of the connection in the network's flow table.
         fid: u32,
-        /// Sending node.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
         /// Absolute time at which the in-flight block finishes serialising.
         at: SimTime,
     },
-    /// The `from → to` connection no longer has a block in flight: cancel its
-    /// completion event.
+    /// Flow `fid` no longer has a block in flight: cancel its completion
+    /// event.
     Cancel {
         /// Dense flow id of the connection.
         fid: u32,
-        /// Sending node.
-        from: NodeId,
-        /// Receiving node.
-        to: NodeId,
     },
 }
 
@@ -798,7 +786,7 @@ impl Network {
         conn.inflight = None;
         if was_active {
             conn.idle_since = now;
-            let mut updates = vec![ConnUpdate::Cancel { fid, from, to }];
+            let mut updates = vec![ConnUpdate::Cancel { fid }];
             updates.extend(self.mark_idle(now, fid));
             updates
         } else {
@@ -1081,9 +1069,8 @@ impl Network {
     fn schedule(&self, now: SimTime, fid: u32) -> ConnUpdate {
         let f = fid as usize;
         let fl = self.conns[f].inflight.as_ref().expect("active flow");
-        let (from, to) = self.flow_pair[f];
         let at = now + SimDuration::from_secs_f64(fl.bytes_left / self.flow_rate[f]);
-        ConnUpdate::Schedule { fid, from, to, at }
+        ConnUpdate::Schedule { fid, at }
     }
 
     /// Finds and solves the component a change on the `seeds` links can reach,
@@ -1320,13 +1307,36 @@ impl LinkState {
     }
 }
 
+/// A link's saturation level as a heap key: the level's bits remapped so
+/// that integer order is [`f64::total_cmp`]'s (the remapping is the one
+/// `total_cmp` applies, and its own inverse). With the link as the heap's
+/// tie-break, `(level, link)` is a total order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Level(i64);
+
+impl Level {
+    fn new(level: f64) -> Self {
+        Level(Self::remap(level.to_bits() as i64))
+    }
+
+    fn get(self) -> f64 {
+        f64::from_bits(Self::remap(self.0) as u64)
+    }
+
+    /// Flips every bit but the sign of a negative value's bits, so that more
+    /// negative floats become smaller integers.
+    fn remap(bits: i64) -> i64 {
+        bits ^ (((bits >> 63) as u64) >> 1) as i64
+    }
+}
+
 /// The ordered-filling working set, reused across solves.
 #[derive(Debug, Clone, Default)]
 struct FillOrder {
     /// `(ceiling, flow)` sorted ascending; the solver walks it with a cursor.
     ceilings: Vec<(f64, u32)>,
-    /// Links that still have unfrozen flows, by saturation level.
-    sat: LinkHeap,
+    /// Links that still have unfrozen flows, by `(saturation level, link)`.
+    sat: IndexedHeap<Level>,
     /// Ceiling freezes of the current round, sorted ascending by flow index
     /// before freezing so the per-link `frozen_usage` sums accumulate in the
     /// same order as the historical full-rescan solver (bit-identical rates).
@@ -1344,8 +1354,8 @@ struct FillOrder {
 /// structures give the next stopping point. Ceilings never change during a
 /// solve, so they are sorted once and walked by a cursor that steps over
 /// flows a link froze first. Saturation levels do change — but only for the
-/// links of the flow being frozen — so they live in an indexed min-heap
-/// ([`LinkHeap`]) whose key is fixed in place on every freeze and removed
+/// links of the flow being frozen — so they live in an [`IndexedHeap`] keyed
+/// by [`Level`], whose key is fixed in place on every freeze and removed
 /// when the link's last flow freezes. Within a round, ceiling freezes happen
 /// in ascending flow order, links saturate in ascending `(level, link)` order
 /// and saturation freezes all hand out the identical `level`, so the
@@ -1381,12 +1391,11 @@ fn max_min_rates(
     ceilings.extend(caps.iter().enumerate().map(|(i, &c)| (c, i as u32)));
     ceilings.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
     sat.rebuild(
-        links.len(),
         links
             .iter()
             .enumerate()
             .filter(|(_, l)| l.unfrozen > 0)
-            .map(|(li, l)| (li as u32, l.saturation_level())),
+            .map(|(li, l)| (li as u32, Level::new(l.saturation_level()))),
     );
     let mut cursor = 0;
     let mut remaining = n;
@@ -1413,7 +1422,7 @@ fn max_min_rates(
                     continue;
                 }
                 if l.unfrozen > 0 {
-                    sat.set_key(li, l.saturation_level());
+                    sat.set_key(li, Level::new(l.saturation_level()));
                 } else {
                     sat.remove(li);
                 }
@@ -1432,7 +1441,7 @@ fn max_min_rates(
             next = next.min(ceilings[cursor].0);
         }
         if let Some((sl, _)) = sat.peek() {
-            next = next.min(sl);
+            next = next.min(sl.get());
         }
         level = next.max(level);
         let mut any = false;
@@ -1463,10 +1472,10 @@ fn max_min_rates(
         // tolerance takes the cascade to fixpoint.
         let thr = level * (1.0 + SAT_EPS_REL) + SAT_EPS_ABS;
         while let Some((sl, li)) = sat.peek() {
-            if sl > thr {
+            if sl.get() > thr {
                 break;
             }
-            sat.remove(li);
+            sat.pop();
             for &fi in &link_members[li as usize] {
                 let i = fi as usize;
                 if !frozen[i] {

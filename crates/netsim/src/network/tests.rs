@@ -18,13 +18,12 @@ fn two_node_topo(core_mbps: f64, access_mbps: f64) -> Topology {
 }
 
 /// Extracts the completion time of the `Schedule` update for `from → to`.
-fn sched_at(updates: &[ConnUpdate], from: NodeId, to: NodeId) -> SimTime {
+fn sched_at(net: &Network, updates: &[ConnUpdate], from: NodeId, to: NodeId) -> SimTime {
+    let want = net.flow_id(from, to).expect("the pair has a flow");
     updates
         .iter()
-        .find_map(|u| match u {
-            ConnUpdate::Schedule {
-                from: f, to: t, at, ..
-            } if (*f, *t) == (from, to) => Some(*at),
+        .find_map(|u| match *u {
+            ConnUpdate::Schedule { fid, at } if fid == want => Some(at),
             _ => None,
         })
         .expect("a Schedule update for the pair")
@@ -38,7 +37,7 @@ fn single_block_completes_at_expected_rate() {
     assert_eq!(r.len(), 1);
     // Slow start dominates a fresh connection, so completion takes longer
     // than the raw 1-second serialisation at 2 Mbps (250 KB / 250 KB/s).
-    let at = sched_at(&r, NodeId(0), NodeId(1));
+    let at = sched_at(&net, &r, NodeId(0), NodeId(1));
     let finish = at.as_secs_f64();
     assert!(
         finish > 1.0,
@@ -71,9 +70,9 @@ fn completion_without_inflight_is_rejected() {
     assert!(r2.is_empty());
     // Draining both blocks empties the connection; a further completion
     // has nothing in flight and is rejected.
-    let at = sched_at(&r, NodeId(0), NodeId(1));
+    let at = sched_at(&net, &r, NodeId(0), NodeId(1));
     let (_, u1) = net.on_block_done(at, NodeId(0), NodeId(1)).unwrap();
-    let at1 = sched_at(&u1, NodeId(0), NodeId(1));
+    let at1 = sched_at(&net, &u1, NodeId(0), NodeId(1));
     let (_, _) = net.on_block_done(at1, NodeId(0), NodeId(1)).unwrap();
     assert!(net.on_block_done(at1, NodeId(0), NodeId(1)).is_none());
 }
@@ -88,11 +87,11 @@ fn queued_blocks_report_in_front_and_wait() {
     assert_eq!(net.pending_blocks(NodeId(0), NodeId(1)), 3);
 
     // Complete the first block.
-    let at0 = sched_at(&r, NodeId(0), NodeId(1));
+    let at0 = sched_at(&net, &r, NodeId(0), NodeId(1));
     let (b0, r1) = net.on_block_done(at0, NodeId(0), NodeId(1)).unwrap();
     assert_eq!(b0.in_front, 0);
     // The second block starts immediately and reports one block in front.
-    let at1 = sched_at(&r1, NodeId(0), NodeId(1));
+    let at1 = sched_at(&net, &r1, NodeId(0), NodeId(1));
     let (b1, r2) = net.on_block_done(at1, NodeId(0), NodeId(1)).unwrap();
     assert_eq!(b1.block, BlockId(1));
     assert_eq!(b1.in_front, 1);
@@ -100,7 +99,7 @@ fn queued_blocks_report_in_front_and_wait() {
         b1.wasted > 0.0,
         "queued block should report positive waiting time"
     );
-    let at2 = sched_at(&r2, NodeId(0), NodeId(1));
+    let at2 = sched_at(&net, &r2, NodeId(0), NodeId(1));
     let (b2, _) = net.on_block_done(at2, NodeId(0), NodeId(1)).unwrap();
     assert_eq!(b2.in_front, 2);
 }
@@ -118,7 +117,7 @@ fn concurrent_connections_share_access_link() {
         shared_rate < single_rate,
         "adding a second outgoing flow must reduce the first one's share"
     );
-    assert!(sched_at(&r1, NodeId(0), NodeId(1)) > t0);
+    assert!(sched_at(&net, &r1, NodeId(0), NodeId(1)) > t0);
 }
 
 #[test]
@@ -133,7 +132,7 @@ fn flows_contend_on_a_shared_core_link() {
     // Mature flow 0 → 1 past slow start by completing one large block.
     let r = net.queue_block(t0, NodeId(0), NodeId(1), BlockId(0), big);
     net.queue_block(t0, NodeId(0), NodeId(1), BlockId(1), big);
-    let at = sched_at(&r, NodeId(0), NodeId(1));
+    let at = sched_at(&net, &r, NodeId(0), NodeId(1));
     net.on_block_done(at, NodeId(0), NodeId(1)).unwrap();
     let alone = net.current_rate(NodeId(0), NodeId(1)).unwrap();
     assert!(
@@ -142,7 +141,7 @@ fn flows_contend_on_a_shared_core_link() {
     );
     let updates = net.queue_block(at, NodeId(2), NodeId(3), BlockId(2), big);
     // The established flow is re-priced by the newcomer's arrival.
-    let _ = sched_at(&updates, NodeId(2), NodeId(3));
+    let _ = sched_at(&net, &updates, NodeId(2), NodeId(3));
     let shared = net.current_rate(NodeId(0), NodeId(1)).unwrap();
     assert!(
         shared < alone,
@@ -171,7 +170,7 @@ fn capped_flows_release_share_to_their_competitors() {
     // Flow A: matured by completing a 100 KB block.
     let r = net.queue_block(t0, NodeId(0), NodeId(1), BlockId(0), 100_000);
     net.queue_block(t0, NodeId(0), NodeId(1), BlockId(1), 400_000);
-    let at = sched_at(&r, NodeId(0), NodeId(1));
+    let at = sched_at(&net, &r, NodeId(0), NodeId(1));
     net.on_block_done(at, NodeId(0), NodeId(1)).unwrap();
     // Flow B: brand new at the same sender, window-limited over the
     // ~208 ms RTT (slow-start cap ≈ 21 KB/s, well below the 50 KB/s
@@ -202,7 +201,7 @@ fn cross_traffic_takes_core_capacity_and_returns_it() {
     // Mature the flow past slow start by completing one large block.
     let r = net.queue_block(t0, NodeId(0), NodeId(1), BlockId(0), 5_000_000);
     net.queue_block(t0, NodeId(0), NodeId(1), BlockId(1), 50_000_000);
-    let t1 = sched_at(&r, NodeId(0), NodeId(1));
+    let t1 = sched_at(&net, &r, NodeId(0), NodeId(1));
     net.on_block_done(t1, NodeId(0), NodeId(1)).unwrap();
     let clean = net.current_rate(NodeId(0), NodeId(1)).unwrap();
 
@@ -236,12 +235,13 @@ fn repricing_is_scoped_to_the_connected_component() {
         1,
         "only the new flow's component is touched: {updates:?}"
     );
-    let _ = sched_at(&updates, NodeId(2), NodeId(3));
+    let _ = sched_at(&net, &updates, NodeId(2), NodeId(3));
+    let disconnected = net.flow_id(NodeId(0), NodeId(1));
     let updates = net.close_connection(SimTime::from_secs_f64(1.0), NodeId(2), NodeId(3));
     assert!(
         !updates
             .iter()
-            .any(|u| matches!(u, ConnUpdate::Schedule { from, .. } if *from == NodeId(0))),
+            .any(|u| matches!(u, ConnUpdate::Schedule { fid, .. } if Some(*fid) == disconnected)),
         "the disconnected flow must not be re-priced: {updates:?}"
     );
 }
@@ -281,7 +281,7 @@ fn unsaturable_links_do_not_couple_components() {
         1,
         "only the squeezed flow is re-priced: {updates:?}"
     );
-    let _ = sched_at(&updates, NodeId(0), NodeId(1));
+    let _ = sched_at(&net, &updates, NodeId(0), NodeId(1));
     assert!(
         net.current_rate(NodeId(0), NodeId(1)).unwrap() < 40_000.0,
         "the squeezed flow dropped to the residual core capacity"
@@ -308,20 +308,14 @@ fn closing_a_connection_cancels_and_restores_shares() {
     net.queue_block(t0, NodeId(0), NodeId(2), BlockId(1), 1_000_000);
     let shared = net.current_rate(NodeId(0), NodeId(1)).unwrap();
     let later = SimTime::from_secs_f64(1.0);
+    let closed = net.flow_id(NodeId(0), NodeId(2)).unwrap();
     let rs = net.close_connection(later, NodeId(0), NodeId(2));
     assert!(
-        rs.iter().any(|u| matches!(
-            u,
-            ConnUpdate::Cancel {
-                from: NodeId(0),
-                to: NodeId(2),
-                ..
-            }
-        )),
+        rs.contains(&ConnUpdate::Cancel { fid: closed }),
         "closing an active connection cancels its completion event: {rs:?}"
     );
     // ... and re-prices the survivor.
-    let _ = sched_at(&rs, NodeId(0), NodeId(1));
+    let _ = sched_at(&net, &rs, NodeId(0), NodeId(1));
     let alone = net.current_rate(NodeId(0), NodeId(1)).unwrap();
     assert!(alone > shared);
     assert_eq!(net.pending_blocks(NodeId(0), NodeId(2)), 0);
@@ -377,15 +371,19 @@ fn each_direction_of_a_pair_is_its_own_flow_row() {
         net.queue_block(t0, NodeId(from), NodeId(to), BlockId(3 + i as u32), 100_000);
     }
     assert_eq!(net.live_flows(), 7);
+    let touching: Vec<u32> = [(1, 0), (1, 3), (1, 4), (3, 1), (4, 1)]
+        .into_iter()
+        .map(|(from, to)| net.flow_id(NodeId(from), NodeId(to)).unwrap())
+        .collect();
     let updates = net.release_flows_for(SimTime::from_secs_f64(0.1), a);
-    let cancelled: Vec<(u32, u32)> = updates
+    let cancelled: Vec<u32> = updates
         .iter()
-        .filter_map(|u| match u {
-            ConnUpdate::Cancel { from, to, .. } => Some((from.0, to.0)),
+        .filter_map(|u| match *u {
+            ConnUpdate::Cancel { fid } => Some(fid),
             ConnUpdate::Schedule { .. } => None,
         })
         .collect();
-    assert_eq!(cancelled, [(1, 0), (1, 3), (1, 4), (3, 1), (4, 1)]);
+    assert_eq!(cancelled, touching);
     assert_eq!(net.live_flows(), 2);
     assert_eq!(net.pending_blocks(NodeId(0), NodeId(3)), 1);
     assert_eq!(net.pending_blocks(NodeId(2), NodeId(4)), 1);
@@ -396,7 +394,7 @@ fn reprice_paths_after_bandwidth_change() {
     let mut net = Network::new(two_node_topo(2.0, 6.0));
     let t0 = SimTime::ZERO;
     let r = net.queue_block(t0, NodeId(0), NodeId(1), BlockId(0), 2_000_000);
-    let original_finish = sched_at(&r, NodeId(0), NodeId(1));
+    let original_finish = sched_at(&net, &r, NodeId(0), NodeId(1));
     // Halve the core bandwidth at t = 1s.
     let t1 = SimTime::from_secs_f64(1.0);
     net.topology_mut()
@@ -404,7 +402,7 @@ fn reprice_paths_after_bandwidth_change() {
     let rs = net.reprice_paths(t1, &[(NodeId(0), NodeId(1))]);
     assert_eq!(rs.len(), 1);
     assert!(
-        sched_at(&rs, NodeId(0), NodeId(1)) > original_finish,
+        sched_at(&net, &rs, NodeId(0), NodeId(1)) > original_finish,
         "less bandwidth must push completion later"
     );
 }
@@ -419,7 +417,7 @@ fn traffic_counters_accumulate() {
     assert_eq!(net.traffic(NodeId(1)).control_bytes_in, 100);
 
     let r = net.queue_block(SimTime::ZERO, NodeId(0), NodeId(1), BlockId(0), 500);
-    let at = sched_at(&r, NodeId(0), NodeId(1));
+    let at = sched_at(&net, &r, NodeId(0), NodeId(1));
     net.on_block_done(at, NodeId(0), NodeId(1)).unwrap();
     net.on_block_delivered(NodeId(1), 500);
     assert_eq!(net.traffic(NodeId(0)).data_bytes_out, 500);
@@ -443,6 +441,45 @@ fn members_of(flow_links: &[[u32; 3]], num_links: usize) -> Vec<Vec<u32>> {
                 .collect()
         })
         .collect()
+}
+
+#[test]
+fn level_orders_exactly_as_total_cmp() {
+    let grid = [
+        -f64::NAN,
+        f64::NEG_INFINITY,
+        -1.5,
+        -5e-324,
+        -0.0,
+        0.0,
+        5e-324,
+        0.25,
+        f64::INFINITY,
+        f64::NAN,
+    ];
+    for a in grid {
+        assert_eq!(Level::new(a).get().to_bits(), a.to_bits(), "{a} round trip");
+        for b in grid {
+            assert_eq!(
+                Level::new(a).cmp(&Level::new(b)),
+                a.total_cmp(&b),
+                "{a} vs {b}"
+            );
+            assert_eq!(Level::new(a) == Level::new(b), a.to_bits() == b.to_bits());
+        }
+    }
+    assert!(Level::new(-0.0) < Level::new(0.0), "-0.0 sorts below +0.0");
+
+    // Equal levels tie on the link, whichever was entered first.
+    let mut sat = IndexedHeap::default();
+    sat.rebuild([
+        (3, Level::new(0.5)),
+        (1, Level::new(0.5)),
+        (2, Level::new(f64::INFINITY)),
+    ]);
+    sat.push(0, Level::new(0.0));
+    let order: Vec<u32> = std::iter::from_fn(|| sat.pop().map(|(_, link)| link)).collect();
+    assert_eq!(order, [0, 1, 3, 2]);
 }
 
 #[test]
@@ -596,8 +633,8 @@ fn a_departure_that_fills_a_quiet_downlink_reprices_the_flows_behind_it() {
     let (_, updates) = net
         .on_block_done(SimTime::from_secs_f64(1.0), NodeId(0), NodeId(3))
         .unwrap();
-    let _ = sched_at(&updates, NodeId(0), NodeId(2));
-    let _ = sched_at(&updates, NodeId(1), NodeId(2));
+    let _ = sched_at(&net, &updates, NodeId(0), NodeId(2));
+    let _ = sched_at(&net, &updates, NodeId(1), NodeId(2));
     assert_eq!(net.current_rate(NodeId(0), NodeId(2)), Some(6_000.0));
     assert_eq!(net.current_rate(NodeId(1), NodeId(2)), Some(6_000.0));
     let after = net.solver_stats();
@@ -622,7 +659,7 @@ fn a_boundary_link_that_stays_quiet_keeps_the_flows_behind_it_out() {
         .on_block_done(SimTime::from_secs_f64(1.0), NodeId(0), NodeId(3))
         .unwrap();
     assert_eq!(updates.len(), 1, "only A→C is re-priced: {updates:?}");
-    let _ = sched_at(&updates, NodeId(0), NodeId(2));
+    let _ = sched_at(&net, &updates, NodeId(0), NodeId(2));
     assert_eq!(net.current_rate(NodeId(0), NodeId(2)), Some(10_000.0));
     assert_eq!(
         net.current_rate(NodeId(1), NodeId(2)).map(f64::to_bits),

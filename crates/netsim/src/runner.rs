@@ -855,7 +855,7 @@ impl<P: Protocol> Runner<P> {
     fn apply_conn_updates(&mut self, updates: Vec<ConnUpdate>) {
         for update in updates {
             match update {
-                ConnUpdate::Schedule { fid, at, .. } => {
+                ConnUpdate::Schedule { fid, at } => {
                     let f = fid as usize;
                     if self.run.completion_events.len() <= f {
                         self.run.completion_events.resize(f + 1, None);
@@ -884,7 +884,7 @@ impl<P: Protocol> Runner<P> {
                         at: at.as_secs_f64(),
                     });
                 }
-                ConnUpdate::Cancel { fid, .. } => {
+                ConnUpdate::Cancel { fid } => {
                     if let Some(key) = self
                         .run
                         .completion_events

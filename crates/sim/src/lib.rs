@@ -4,7 +4,9 @@
 //! experiment is a discrete-event simulation driven by virtual time. The
 //! engine is deliberately minimal — it owns *time* and the *pending event
 //! set*, nothing else — so the network emulator (`netsim`) and the overlay
-//! protocols build their own state on top of it.
+//! protocols build their own state on top of it. The indexed heap under the
+//! pending event set, [`IndexedHeap`], is public: `netsim`'s fluid solver
+//! orders its links' saturation levels with the same structure.
 //!
 //! Design properties:
 //!
@@ -22,11 +24,13 @@
 #![forbid(unsafe_code)]
 
 pub mod engine;
+pub mod heap;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use engine::{SimStats, Simulator};
+pub use heap::IndexedHeap;
 pub use queue::{EventKey, EventQueue};
 pub use rng::RngFactory;
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};

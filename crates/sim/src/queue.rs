@@ -1,25 +1,25 @@
 //! The pending-event set.
 //!
-//! An indexed binary min-heap over a slab, guaranteeing *stable* ordering —
-//! events scheduled for the same instant are delivered in the order they
-//! were scheduled (FIFO) — and supporting **cancellation** and
-//! **rescheduling** by key. The heap holds exactly the pending events: a
-//! cancelled or rescheduled event leaves nothing stale behind, so the heap
-//! never outgrows the pending count and its root is always the next event.
+//! An [`IndexedHeap`] over a slab, guaranteeing *stable* ordering — events
+//! scheduled for the same instant are delivered in the order they were
+//! scheduled (FIFO) — and supporting **cancellation** and **rescheduling** by
+//! key. The heap holds exactly the pending events: a cancelled or rescheduled
+//! event leaves nothing stale behind, so the heap never outgrows the pending
+//! count and its root is always the next event.
 //!
-//! * A heap node is the event's delivery order, `(time, seq)` packed into
-//!   one `u128` (time in the high half, so comparing the packed integers
-//!   compares time first and the insertion sequence second), plus the index
-//!   of the event's slot.
-//! * A slot holds the payload, the id of the key that was issued for it and
-//!   the position of its node in the heap. Slots of delivered or cancelled
-//!   events go on a free list and are reused by later pushes.
+//! * A heap node's key is the event's delivery order, `(time, seq)` packed
+//!   into one `u128` (time in the high half, so comparing the packed integers
+//!   compares time first and the insertion sequence second); its handle is
+//!   the index of the event's slot.
+//! * A slot holds the payload and the id of the key that was issued for it.
+//!   Slots of delivered or cancelled events go on a free list and are reused
+//!   by later pushes.
 //! * [`EventQueue::push`] returns an [`EventKey`] carrying that id and the
 //!   slot index. Ids are never reused, so a key whose slot now holds a later
 //!   event finds a different id there and reports the entry dead.
-//! * [`EventQueue::cancel`] removes the node in place;
-//!   [`EventQueue::reschedule`] gives it a fresh `seq` and sifts it up or
-//!   down; [`EventQueue::pop`] and [`EventQueue::peek_time`] read the root.
+//! * [`EventQueue::cancel`] removes the slot's node in place;
+//!   [`EventQueue::reschedule`] gives it a fresh `seq`; [`EventQueue::pop`]
+//!   and [`EventQueue::peek_time`] read the root.
 //!
 //! Stability matters for reproducibility — protocol handlers frequently
 //! schedule several zero-delay follow-ups and their relative order must not
@@ -28,13 +28,8 @@
 //! Every pending event has a distinct `(time, seq)`, so the delivery order is
 //! total and independent of the heap's layout.
 
+use crate::heap::IndexedHeap;
 use crate::time::SimTime;
-
-/// Children per heap node. A 4-ary heap of the same nodes is half as deep
-/// but ran slower in paired benchmark runs, and so did a binary sift that
-/// picks the smaller child with an `if` on the comparison instead of
-/// `min_by_key` over the child slice (see `sift_down`).
-const ARITY: usize = 2;
 
 /// An opaque handle to a scheduled event, unique for the lifetime of the
 /// queue that issued it. Cancelled/delivered keys are never reused.
@@ -53,20 +48,11 @@ impl EventKey {
     }
 }
 
-/// A heap node: the event's `(time, seq)` delivery order packed into one
-/// integer (see [`order`]) and the index of its slot.
-#[derive(Debug, Clone, Copy)]
-struct Node {
-    order: u128,
-    slot: u32,
-}
-
 /// A slab slot: the payload of a pending event (`None` once delivered or
-/// cancelled), the id of the key issued for it and its node's heap position.
+/// cancelled) and the id of the key issued for it.
 #[derive(Debug, Clone)]
 struct Slot<E> {
     id: u64,
-    pos: u32,
     payload: Option<E>,
 }
 
@@ -80,11 +66,6 @@ fn time_of(order: u128) -> SimTime {
     SimTime::from_nanos((order >> 64) as u64)
 }
 
-/// A slot index or heap position as stored in a key, node or slot.
-fn index(i: usize) -> u32 {
-    u32::try_from(i).expect("an event queue holds at most 2^32 pending events")
-}
-
 /// A time-ordered, insertion-stable queue of pending events with keyed
 /// cancellation and rescheduling.
 ///
@@ -94,8 +75,8 @@ fn index(i: usize) -> u32 {
 /// future keys as the original.
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// Nodes of the pending events, in heap order.
-    heap: Vec<Node>,
+    /// The pending events' slots, keyed by delivery order.
+    heap: IndexedHeap<u128>,
     /// Every slot ever allocated; pending ones hold a payload.
     slots: Vec<Slot<E>>,
     /// Slots without a payload, reused last-freed first.
@@ -114,7 +95,7 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue.
     pub fn new() -> Self {
         EventQueue {
-            heap: Vec::new(),
+            heap: IndexedHeap::default(),
             slots: Vec::new(),
             free: Vec::new(),
             next_seq: 0,
@@ -128,10 +109,8 @@ impl<E> EventQueue<E> {
     pub fn push(&mut self, at: SimTime, payload: E) -> EventKey {
         let id = self.next_key;
         self.next_key += 1;
-        let pos = self.heap.len();
         let entry = Slot {
             id,
-            pos: index(pos),
             payload: Some(payload),
         };
         let slot = match self.free.pop() {
@@ -141,12 +120,12 @@ impl<E> EventQueue<E> {
             }
             None => {
                 self.slots.push(entry);
-                index(self.slots.len() - 1)
+                u32::try_from(self.slots.len() - 1)
+                    .expect("an event queue holds fewer than 2^32 pending events")
             }
         };
         let order = self.next_order(at);
-        self.heap.push(Node { order, slot });
-        self.sift_up(pos);
+        self.heap.push(slot, order);
         EventKey { id, slot }
     }
 
@@ -154,8 +133,10 @@ impl<E> EventQueue<E> {
     /// the entry was already delivered or cancelled. Its node is removed from
     /// the heap in place.
     pub fn cancel(&mut self, key: EventKey) -> Option<E> {
-        let pos = self.position(key)?;
-        self.remove(pos);
+        if !self.is_pending(key) {
+            return None;
+        }
+        self.heap.remove(key.slot);
         Some(self.release(key.slot))
     }
 
@@ -164,29 +145,32 @@ impl<E> EventQueue<E> {
     /// is re-sequenced: among events at the new instant it is delivered as if
     /// it had just been scheduled.
     pub fn reschedule(&mut self, key: EventKey, at: SimTime) -> bool {
-        let Some(pos) = self.position(key) else {
+        if !self.is_pending(key) {
             return false;
-        };
-        self.heap[pos].order = self.next_order(at);
-        self.fix(pos);
+        }
+        let order = self.next_order(at);
+        self.heap.set_key(key.slot, order);
         true
     }
 
-    /// Returns true if the entry behind `key` is still pending.
+    /// Returns true if the entry behind `key` is still pending. A key whose
+    /// slot was freed, or reused by a later push, finds no payload or another
+    /// id there.
     pub fn is_pending(&self, key: EventKey) -> bool {
-        self.position(key).is_some()
+        self.slots
+            .get(key.slot as usize)
+            .is_some_and(|slot| slot.id == key.id && slot.payload.is_some())
     }
 
     /// Removes and returns the earliest pending event, if any.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
-        let root = *self.heap.first()?;
-        self.remove(0);
-        Some((time_of(root.order), self.release(root.slot)))
+        let (order, slot) = self.heap.pop()?;
+        Some((time_of(order), self.release(slot)))
     }
 
     /// Returns the delivery time of the earliest pending event, if any.
     pub fn peek_time(&self) -> Option<SimTime> {
-        self.heap.first().map(|root| time_of(root.order))
+        self.heap.peek().map(|(order, _)| time_of(order))
     }
 
     /// Number of pending events.
@@ -206,14 +190,6 @@ impl<E> EventQueue<E> {
         order(at, seq)
     }
 
-    /// The heap position of the entry behind `key`, if it is pending. A key
-    /// whose slot was freed, or reused by a later push, finds no payload or
-    /// another id there.
-    fn position(&self, key: EventKey) -> Option<usize> {
-        let slot = self.slots.get(key.slot as usize)?;
-        (slot.id == key.id && slot.payload.is_some()).then_some(slot.pos as usize)
-    }
-
     /// Takes the payload out of `slot` and puts the slot on the free list.
     fn release(&mut self, slot: u32) -> E {
         self.free.push(slot);
@@ -221,67 +197,6 @@ impl<E> EventQueue<E> {
             .payload
             .take()
             .expect("a pending entry's slot holds its payload")
-    }
-
-    /// Removes the node at heap position `pos`: the last node takes its
-    /// place and is sifted to where it belongs.
-    fn remove(&mut self, pos: usize) {
-        let last = self.heap.pop().expect("a pending entry has a node");
-        if pos < self.heap.len() {
-            self.place(pos, last);
-            self.fix(pos);
-        }
-    }
-
-    /// Restores heap order around position `i` after its node changed.
-    fn fix(&mut self, i: usize) {
-        if i > 0 && self.heap[i].order < self.heap[(i - 1) / ARITY].order {
-            self.sift_up(i);
-        } else {
-            self.sift_down(i);
-        }
-    }
-
-    fn sift_up(&mut self, mut i: usize) {
-        let node = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / ARITY;
-            if node.order > self.heap[parent].order {
-                break;
-            }
-            self.place(i, self.heap[parent]);
-            i = parent;
-        }
-        self.place(i, node);
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let node = self.heap[i];
-        loop {
-            let first = ARITY * i + 1;
-            let Some(children) = self.heap.get(first..(first + ARITY).min(self.heap.len())) else {
-                break;
-            };
-            let Some((offset, child)) = children
-                .iter()
-                .enumerate()
-                .min_by_key(|(_, child)| child.order)
-            else {
-                break;
-            };
-            if child.order > node.order {
-                break;
-            }
-            self.place(i, *child);
-            i = first + offset;
-        }
-        self.place(i, node);
-    }
-
-    /// Puts `node` at heap position `i` and records the position in its slot.
-    fn place(&mut self, i: usize, node: Node) {
-        self.heap[i] = node;
-        self.slots[node.slot as usize].pos = index(i);
     }
 }
 
@@ -448,8 +363,10 @@ mod tests {
         let mut q = EventQueue::new();
         let old = q.push(SimTime::from_nanos(10), "old");
         assert_eq!(q.pop().unwrap().1, "old");
+        assert!(!q.heap.contains(old.slot), "a delivered slot has no node");
         let new = q.push(SimTime::from_nanos(20), "new");
         assert_eq!(old.slot, new.slot, "the freed slot is reused");
+        assert!(q.heap.contains(new.slot));
         assert!(!q.is_pending(old));
         assert_eq!(q.cancel(old), None);
         assert!(!q.reschedule(old, SimTime::from_nanos(5)));
