@@ -40,8 +40,9 @@ mv target/benchmark-Cargo.lock.keep benchmark/Cargo.lock
 # per-piece rarity counter: each candidate piece's count is recounted from the
 # neighbours' bitmaps (check_rarity_against_neighbours), so every BitTorrent
 # run checks the increments and, where a peer crashes or leaves, the
-# decrements. Release builds carry none of it, so this step must keep running,
-# and before the release golden steps that trust the solver.
+# decrements (protocol_conformance's bittorrent_conforms is such a run).
+# Release builds carry none of it, so this step must keep running, and before
+# the release golden steps that trust the solver.
 echo "==> cargo test -q (workspace unit + integration suites)"
 cargo test -q
 
@@ -96,6 +97,14 @@ cargo test -q --release -p netsim --lib lazy_heap_reference
 # benchmark measures.
 echo "==> baselines tests and the request-selection reference on the release build"
 cargo test -q --release -p baselines
+
+# The four systems' churn contract, read off their traces
+# (tests/protocol_conformance.rs): one crash and one graceful leave, then no
+# message or block may reach a departed node, survivors' timers keep firing
+# and the farewells of Bullet' and Bullet arrive. `cargo test -q` checked it on the debug
+# build; this is the build the benchmark measures.
+echo "==> departure invariant of the four systems on the release build (tests/protocol_conformance.rs)"
+cargo test -q --release --test protocol_conformance
 
 # The four README examples are built by --all-targets above; run them, so
 # one that panics or exits non-zero fails here and not for a reader.

@@ -1032,4 +1032,22 @@ mod tests {
         assert_eq!(holds, 3);
         assert_eq!(rng, expected);
     }
+
+    /// BitTorrent has no goodbye: a leaver with neighbours and requests in
+    /// flight records nothing on shutdown, so the swarm sees a leave as a
+    /// crash.
+    #[test]
+    fn shutdown_records_no_command() {
+        let net = Network::new(topology::constrained_access(NODES));
+        let mut rng = StdRng::seed_from_u64(4);
+        let mut node = leecher(48);
+        with_neighbour(&mut node, &net, &mut rng, NodeId(2), &[0, 1, 2]);
+        with_neighbour(&mut node, &net, &mut rng, NodeId(3), &[1]);
+        let requested = drive(&mut node, &net, &mut rng, |node, ctx| {
+            node.on_control(ctx, NodeId(2), BtMsg::Unchoke)
+        });
+        assert!(request_to(&requested, NodeId(2)).is_some());
+        let commands = drive(&mut node, &net, &mut rng, |node, ctx| node.on_shutdown(ctx));
+        assert!(commands.is_empty(), "on_shutdown recorded {commands:?}");
+    }
 }

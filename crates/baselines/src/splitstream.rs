@@ -430,4 +430,42 @@ mod tests {
             assert_eq!(node.probe_stats().duplicate_blocks, 0);
         }
     }
+
+    /// SplitStream has no goodbye: once started, no node of the forest
+    /// (source, interior or leaf) records anything on shutdown.
+    #[test]
+    fn shutdown_records_no_command() {
+        use desim::SimTime;
+        use netsim::Network;
+        use rand::{rngs::StdRng, SeedableRng};
+
+        let rng = RngFactory::new(9);
+        let topo = topology::modelnet_mesh(10, 0.0, &rng);
+        let mut nodes = build_nodes(&topo, FileSpec::new(512 * 1024, 16 * 1024), &rng);
+        let net = Network::new(topo);
+        let active = [true; 10];
+        let mut node_rng = StdRng::seed_from_u64(9);
+        for node in &mut nodes {
+            let id = node.id;
+            let mut started = Vec::new();
+            node.on_init(&mut Ctx::new(
+                id,
+                SimTime::ZERO,
+                &net,
+                &active,
+                &mut node_rng,
+                &mut started,
+            ));
+            let mut farewell = Vec::new();
+            node.on_shutdown(&mut Ctx::new(
+                id,
+                SimTime::ZERO,
+                &net,
+                &active,
+                &mut node_rng,
+                &mut farewell,
+            ));
+            assert!(farewell.is_empty(), "node {id:?} recorded {farewell:?}");
+        }
+    }
 }

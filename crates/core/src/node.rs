@@ -884,6 +884,48 @@ mod tests {
         assert_eq!(on_tick, arrival);
     }
 
+    /// A graceful leaver says goodbye once to each peer, whether that peer
+    /// sends to it, receives from it or both, and does nothing else.
+    #[test]
+    fn shutdown_sends_one_peer_close_to_each_peer_and_nothing_else() {
+        use netsim::{topology, Command, Network};
+        use rand::SeedableRng;
+
+        let tree = ControlTree::random(6, 2, &RngFactory::new(6));
+        let cfg = small_config();
+        let mut node = BulletPrimeNode::new(NodeId(1), &tree, cfg.clone());
+        for sender in [2, 3] {
+            node.senders.insert(NodeId(sender), SenderState::new(&cfg));
+        }
+        for receiver in [3, 5] {
+            node.receivers
+                .insert(NodeId(receiver), ReceiverState::new());
+        }
+        let net = Network::new(topology::constrained_access(6));
+        let mut rng = StdRng::seed_from_u64(6);
+        let mut commands = Vec::new();
+        let mut ctx = Ctx::new(
+            NodeId(1),
+            SimTime::ZERO,
+            &net,
+            &[true; 6],
+            &mut rng,
+            &mut commands,
+        );
+        node.on_shutdown(&mut ctx);
+        let closed: Vec<NodeId> = commands
+            .iter()
+            .map(|command| match command {
+                Command::SendControl {
+                    to,
+                    msg: Msg::PeerClose,
+                } => *to,
+                other => panic!("on_shutdown recorded {other:?}"),
+            })
+            .collect();
+        assert_eq!(closed, [2, 3, 5].map(NodeId));
+    }
+
     #[test]
     fn peer_targets_start_at_configured_initial() {
         let tree = ControlTree::random(4, 2, &RngFactory::new(3));

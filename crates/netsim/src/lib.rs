@@ -21,8 +21,6 @@
 //!   `Snapshot<P>`), and the command-buffer [`Ctx`];
 //! * [`runner`] — the experiment driver (allocation-free dispatch over a
 //!   reusable command buffer);
-//! * [`conformance`] — a reusable trait-level conformance harness any
-//!   protocol implementation can be run through;
 //! * [`dynamics`] — scripted bandwidth-change, cross-traffic and churn
 //!   scenarios;
 //! * [`probe`] — the per-node time series sampled on a virtual-time tick,
@@ -34,7 +32,6 @@
 
 #![forbid(unsafe_code)]
 
-pub mod conformance;
 pub mod dynamics;
 pub mod metrics;
 pub mod network;
@@ -178,6 +175,22 @@ mod lifecycle_tests {
         Runner::new(Network::new(topo), nodes, &rng)
     }
 
+    /// The runner's side of `victim`'s departure, for a run whose nodes all
+    /// start at t = 0: each was initialised once, each survivor heard of the
+    /// victim exactly once and of nobody else (itself included) and got no
+    /// `on_shutdown`, and the victim heard of no failure.
+    fn assert_departure_contract(nodes: &[Recorder], victim: NodeId) {
+        for (i, node) in nodes.iter().enumerate() {
+            assert_eq!(node.inits, 1, "node {i} must be initialised once");
+            if node.id == victim {
+                assert_eq!(node.failed_peers, Vec::<NodeId>::new());
+            } else {
+                assert_eq!(node.failed_peers, vec![victim], "survivor {i}");
+                assert_eq!(node.shutdowns, 0, "survivor {i} got on_shutdown");
+            }
+        }
+    }
+
     #[test]
     fn graceful_leave_runs_shutdown_then_notifies_survivors() {
         let mut runner = probe_runner(3, |p| {
@@ -194,9 +207,7 @@ mod lifecycle_tests {
             nodes[1].shutdowns, 1,
             "the leaver gets exactly one on_shutdown"
         );
-        assert_eq!(nodes[0].failed_peers, vec![NodeId(1)]);
-        assert_eq!(nodes[2].failed_peers, vec![NodeId(1)]);
-        assert_eq!(nodes[1].failed_peers, Vec::<NodeId>::new());
+        assert_departure_contract(&nodes, NodeId(1));
         // The farewell control message sent from on_shutdown was delivered.
         assert_eq!(nodes[2].ctrl_received, vec![NodeId(1)]);
     }
@@ -214,7 +225,7 @@ mod lifecycle_tests {
         // Timers at 1, 2, 3 s fired; the 4 s one was dropped.
         assert_eq!(nodes[2].timer_fires, 3);
         assert!(nodes[0].timer_fires >= 9, "survivors keep ticking");
-        assert_eq!(nodes[0].failed_peers, vec![NodeId(2)]);
+        assert_departure_contract(&nodes, NodeId(2));
     }
 
     #[test]

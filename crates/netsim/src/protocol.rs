@@ -287,22 +287,11 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         }
     }
 
-    /// Number of commands recorded so far (used by [`crate::conformance`] to
-    /// observe what a delegated handler emitted).
-    pub(crate) fn commands_recorded(&self) -> usize {
-        self.commands.len()
-    }
-
-    /// Whether the command at `index` sends a control message.
-    pub(crate) fn command_is_send(&self, index: usize) -> bool {
-        matches!(self.commands.get(index), Some(Command::SendControl { .. }))
-    }
-
     /// Reborrows this context for a protocol `Q` that shares `P`'s message
     /// and timer types. This is what makes *delegating wrappers* possible —
     /// e.g. an instrumentation layer `Wrapper<P>` whose hooks forward to an
-    /// inner `P` (see [`crate::conformance`]): the inner protocol's handlers
-    /// take `Ctx<'_, P>`, the wrapper's take `Ctx<'_, Wrapper<P>>`, and both
+    /// inner `P` and time them: the inner protocol's handlers take
+    /// `Ctx<'_, P>`, the wrapper's take `Ctx<'_, Wrapper<P>>`, and both
     /// record into the same buffer.
     pub fn retarget<Q>(&mut self) -> Ctx<'_, Q>
     where

@@ -930,8 +930,10 @@ impl<P: Protocol> Runner<P> {
                 epoch,
             } => {
                 // A message towards a slot retired since the send is void,
-                // even if the slot meanwhile hosts a new cohort's node.
-                if epoch != self.run.epoch[to.index()] {
+                // even if the slot meanwhile hosts a new cohort's node; one
+                // towards a node that is gone (or not yet here) is lost.
+                // Neither is delivered, so neither gets a `msg` record.
+                if epoch != self.run.epoch[to.index()] || !self.run.active[to.index()] {
                     return;
                 }
                 if self.trace.is_some() {
@@ -943,7 +945,6 @@ impl<P: Protocol> Runner<P> {
                         bytes,
                     });
                 }
-                // Messages to a node that is gone (or not yet here) are lost.
                 self.dispatch(to, |node, ctx| node.on_control(ctx, from, msg));
             }
             NetEvent::BlockDone { fid } => {

@@ -39,8 +39,9 @@ pub struct TraceRecord {
 }
 
 /// The trace vocabulary. Node and flow identities are dense `u32` ids; event
-/// keys are the raw [`desim::EventKey`] ids of the runner's simulator.
-#[derive(Debug, Clone, PartialEq)]
+/// keys are the raw [`desim::EventKey`] ids of the runner's simulator. A
+/// variant's fields, in declaration order, are its JSONL fields.
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub enum TraceEvent {
     /// A control message was delivered to a protocol hook.
     Msg {
@@ -209,100 +210,23 @@ impl TraceEvent {
             TraceEvent::SnapshotResume { .. } => "snapshot_resume",
         }
     }
-
-    /// The kind-specific fields, in schema order.
-    fn fields(&self) -> Vec<(String, Value)> {
-        fn f(name: &str, v: Value) -> (String, Value) {
-            (name.to_string(), v)
-        }
-        match *self {
-            TraceEvent::Msg {
-                from,
-                to,
-                msg,
-                bytes,
-            } => vec![
-                f("from", Value::UInt(from.into())),
-                f("to", Value::UInt(to.into())),
-                f("msg", Value::Str(msg.to_string())),
-                f("bytes", Value::UInt(bytes)),
-            ],
-            TraceEvent::Timer { node, token } => vec![
-                f("node", Value::UInt(node.into())),
-                f("token", Value::UInt(token)),
-            ],
-            TraceEvent::BlockSent {
-                from,
-                to,
-                block,
-                bytes,
-            } => vec![
-                f("from", Value::UInt(from.into())),
-                f("to", Value::UInt(to.into())),
-                f("block", Value::UInt(block)),
-                f("bytes", Value::UInt(bytes)),
-            ],
-            TraceEvent::BlockReceived {
-                node,
-                from,
-                block,
-                bytes,
-                useful_bytes,
-            } => vec![
-                f("node", Value::UInt(node.into())),
-                f("from", Value::UInt(from.into())),
-                f("block", Value::UInt(block)),
-                f("bytes", Value::UInt(bytes)),
-                f("useful_bytes", Value::UInt(useful_bytes)),
-            ],
-            TraceEvent::ConnSchedule { fid, key, at } => vec![
-                f("fid", Value::UInt(fid.into())),
-                f("key", Value::UInt(key)),
-                f("at", Value::Float(at)),
-            ],
-            TraceEvent::ConnCancel { fid, key } => vec![
-                f("fid", Value::UInt(fid.into())),
-                f("key", Value::UInt(key)),
-            ],
-            TraceEvent::Solver {
-                full_solves,
-                fast_admit,
-                fast_remove,
-                fast_growth,
-                comp_flows,
-                comp_links,
-            } => vec![
-                f("full_solves", Value::UInt(full_solves)),
-                f("fast_admit", Value::UInt(fast_admit)),
-                f("fast_remove", Value::UInt(fast_remove)),
-                f("fast_growth", Value::UInt(fast_growth)),
-                f("comp_flows", Value::UInt(comp_flows)),
-                f("comp_links", Value::UInt(comp_links)),
-            ],
-            TraceEvent::NodeJoin { node } => vec![f("node", Value::UInt(node.into()))],
-            TraceEvent::NodeLeave { node } => vec![f("node", Value::UInt(node.into()))],
-            TraceEvent::NodeCrash { node } => vec![f("node", Value::UInt(node.into()))],
-            TraceEvent::NodeRetire { node } => vec![f("node", Value::UInt(node.into()))],
-            TraceEvent::LinkChange { index } => vec![f("index", Value::UInt(index))],
-            TraceEvent::CrossChange { from, to, rate } => vec![
-                f("from", Value::UInt(from.into())),
-                f("to", Value::UInt(to.into())),
-                f("rate", Value::Float(rate)),
-            ],
-            TraceEvent::ProbeTick => Vec::new(),
-            TraceEvent::SnapshotResume { at } => vec![f("at", Value::Float(at))],
-        }
-    }
 }
 
 impl Serialize for TraceRecord {
+    /// The flat schema: `t`, `seq`, `kind`, then the fields of the derived
+    /// `{"Variant": {…}}` object. A unit variant derives to a bare string and
+    /// has no fields.
     fn to_value(&self) -> Value {
         let mut fields = vec![
             ("t".to_string(), Value::Float(self.t)),
             ("seq".to_string(), Value::UInt(self.seq)),
             ("kind".to_string(), Value::Str(self.ev.kind().to_string())),
         ];
-        fields.extend(self.ev.fields());
+        if let Value::Object(mut variant) = self.ev.to_value() {
+            if let Some((_, Value::Object(own))) = variant.pop() {
+                fields.extend(own);
+            }
+        }
         Value::Object(fields)
     }
 }
@@ -602,20 +526,47 @@ mod tests {
 
     #[test]
     fn jsonl_lines_follow_the_flat_schema() {
-        let msg = TraceEvent::Msg {
-            from: 0,
-            to: 3,
-            msg: "diff",
-            bytes: 64,
-        };
-        assert_eq!(
-            serde_json::to_string(&rec(1.5, 42, msg)).unwrap(),
-            r#"{"t":1.5,"seq":42,"kind":"msg","from":0,"to":3,"msg":"diff","bytes":64}"#
-        );
-        assert_eq!(
-            serde_json::to_string(&rec(2.0, 43, TraceEvent::ProbeTick)).unwrap(),
-            r#"{"t":2.0,"seq":43,"kind":"probe_tick"}"#
-        );
+        #[rustfmt::skip]
+        let lines = [
+            (TraceEvent::Msg { from: 0, to: 3, msg: "diff", bytes: 64 },
+             r#"{"t":1.5,"seq":42,"kind":"msg","from":0,"to":3,"msg":"diff","bytes":64}"#),
+            (TraceEvent::Timer { node: 2, token: 7 },
+             r#"{"t":1.5,"seq":42,"kind":"timer","node":2,"token":7}"#),
+            (TraceEvent::BlockSent { from: 1, to: 4, block: 9, bytes: 16384 },
+             r#"{"t":1.5,"seq":42,"kind":"block_sent","from":1,"to":4,"block":9,"bytes":16384}"#),
+            (TraceEvent::BlockReceived { node: 4, from: 1, block: 9, bytes: 16384, useful_bytes: 32768 },
+             r#"{"t":1.5,"seq":42,"kind":"block_received","node":4,"from":1,"block":9,"bytes":16384,"useful_bytes":32768}"#),
+            (TraceEvent::ConnSchedule { fid: 5, key: 11, at: 2.25 },
+             r#"{"t":1.5,"seq":42,"kind":"conn_schedule","fid":5,"key":11,"at":2.25}"#),
+            (TraceEvent::ConnCancel { fid: 5, key: 11 },
+             r#"{"t":1.5,"seq":42,"kind":"conn_cancel","fid":5,"key":11}"#),
+            (TraceEvent::Solver {
+                full_solves: 1, fast_admit: 2, fast_remove: 3, fast_growth: 4,
+                comp_flows: 5, comp_links: 6,
+            },
+             r#"{"t":1.5,"seq":42,"kind":"solver","full_solves":1,"fast_admit":2,"fast_remove":3,"fast_growth":4,"comp_flows":5,"comp_links":6}"#),
+            (TraceEvent::NodeJoin { node: 6 },
+             r#"{"t":1.5,"seq":42,"kind":"node_join","node":6}"#),
+            (TraceEvent::NodeLeave { node: 6 },
+             r#"{"t":1.5,"seq":42,"kind":"node_leave","node":6}"#),
+            (TraceEvent::NodeCrash { node: 6 },
+             r#"{"t":1.5,"seq":42,"kind":"node_crash","node":6}"#),
+            (TraceEvent::NodeRetire { node: 6 },
+             r#"{"t":1.5,"seq":42,"kind":"node_retire","node":6}"#),
+            (TraceEvent::LinkChange { index: 3 },
+             r#"{"t":1.5,"seq":42,"kind":"link_change","index":3}"#),
+            (TraceEvent::CrossChange { from: 0, to: 1, rate: 1e5 },
+             r#"{"t":1.5,"seq":42,"kind":"cross_change","from":0,"to":1,"rate":100000.0}"#),
+            (TraceEvent::ProbeTick,
+             r#"{"t":1.5,"seq":42,"kind":"probe_tick"}"#),
+            (TraceEvent::SnapshotResume { at: 12.5 },
+             r#"{"t":1.5,"seq":42,"kind":"snapshot_resume","at":12.5}"#),
+        ];
+        let kinds: Vec<&str> = lines.iter().map(|(ev, _)| ev.kind()).collect();
+        assert_eq!(kinds, TraceEvent::KINDS, "one line per kind");
+        for (ev, line) in lines {
+            assert_eq!(serde_json::to_string(&rec(1.5, 42, ev)).unwrap(), line);
+        }
     }
 
     #[test]
