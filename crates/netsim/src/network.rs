@@ -47,6 +47,20 @@
 //! ([`ConnUpdate::Schedule`]) or drop it ([`ConnUpdate::Cancel`]) through the
 //! cancellable [`desim::EventQueue`].
 //!
+//! ## One solve per instant
+//!
+//! Rates only matter once virtual time passes, so a driver that changes
+//! several flows at one instant may ask for one solve over all of them:
+//! between [`Network::open_instant`] and [`Network::settle`], a change that
+//! needs a solve only records its seed links (and, for a flow that starts a
+//! block, that the flow is *forced*: it must get a `Schedule` even at an
+//! unchanged rate); `settle` runs the one solve. The fast paths below still
+//! fire while nothing is recorded, and are skipped once something is: their
+//! certificates assume the allocation is the max-min optimum of the current
+//! flow set. Outside an open instant every mutator settles before it
+//! returns, so a caller that never opens one sees each change solved on its
+//! own.
+//!
 //! The connection also records the two sender-side measurements Bullet′'s
 //! flow controller consumes (§3.3.3): `in_front`, the number of blocks queued
 //! ahead when a block was enqueued, and `wasted`, the idle gap (negative) or
@@ -409,6 +423,17 @@ pub struct Network {
     scratch: SolverScratch,
     /// Fast-path vs full-solve accounting (see [`SolverStats`]).
     solver_stats: SolverStats,
+    /// The instant opened by [`Network::open_instant`] and not yet settled.
+    instant: Option<SimTime>,
+    /// Seed links recorded since the last solve; a link may repeat (the
+    /// solve takes each once). Empty whenever no instant is open.
+    pending_seeds: Vec<LinkId>,
+    /// Flows recorded as forced since the last solve. An entry counts only
+    /// while its `flow_forced` mark is set: a flow closed later in the
+    /// instant loses the mark and is dropped.
+    pending_forced: Vec<u32>,
+    /// Flow id → the next solve must give it a `Schedule`.
+    flow_forced: Vec<bool>,
 }
 
 /// The solver's working buffers, reused across solves.
@@ -464,7 +489,80 @@ impl Network {
             mark_stamp: 0,
             scratch: SolverScratch::default(),
             solver_stats: SolverStats::default(),
+            instant: None,
+            pending_seeds: Vec::new(),
+            pending_forced: Vec::new(),
+            flow_forced: Vec::new(),
         }
+    }
+
+    /// Opens the virtual instant `now`: until [`Network::settle`], changes
+    /// that need a solve are recorded instead of solved (see the module
+    /// doc). Returns false, and changes nothing, if an instant is already
+    /// open.
+    pub fn open_instant(&mut self, now: SimTime) -> bool {
+        if let Some(open) = self.instant {
+            debug_assert_eq!(open, now, "an instant is open at another time");
+            return false;
+        }
+        self.instant = Some(now);
+        true
+    }
+
+    /// Whether an instant is open (opened and not yet settled).
+    pub fn instant_open(&self) -> bool {
+        self.instant.is_some()
+    }
+
+    /// Closes the open instant with one solve over every seed and forced
+    /// flow it recorded, returning that solve's completion-event updates.
+    /// A no-op when nothing was recorded (or no instant is open).
+    pub fn settle(&mut self, now: SimTime) -> Vec<ConnUpdate> {
+        debug_assert!(
+            self.instant.is_none_or(|open| open == now),
+            "settled at another time than the instant opened"
+        );
+        self.instant = None;
+        self.solve_pending(now)
+    }
+
+    /// Whether a solve is owed: something was recorded since the last one.
+    fn pending(&self) -> bool {
+        !self.pending_seeds.is_empty() || !self.pending_forced.is_empty()
+    }
+
+    /// Records a change that needs a solve: its `seeds`, and `force` — a
+    /// flow whose fresh in-flight block needs a `Schedule`. Inside an open
+    /// instant that is all; otherwise the solve runs now.
+    fn reprice(&mut self, now: SimTime, seeds: &[LinkId], force: Option<u32>) -> Vec<ConnUpdate> {
+        self.pending_seeds.extend_from_slice(seeds);
+        if let Some(fid) = force {
+            if !std::mem::replace(&mut self.flow_forced[fid as usize], true) {
+                self.pending_forced.push(fid);
+            }
+        }
+        if self.instant.is_some() {
+            return Vec::new();
+        }
+        self.solve_pending(now)
+    }
+
+    /// Runs the solve owed to everything recorded, and forgets the record.
+    fn solve_pending(&mut self, now: SimTime) -> Vec<ConnUpdate> {
+        if !self.pending() {
+            return Vec::new();
+        }
+        let mut seeds = std::mem::take(&mut self.pending_seeds);
+        let mut forced = std::mem::take(&mut self.pending_forced);
+        let out = self.resolve(now, &seeds, &forced);
+        for &fid in &forced {
+            self.flow_forced[fid as usize] = false;
+        }
+        seeds.clear();
+        forced.clear();
+        self.pending_seeds = seeds;
+        self.pending_forced = forced;
+        out
     }
 
     /// Cumulative fluid-solver activity counters.
@@ -523,6 +621,7 @@ impl Network {
             self.flow_rate[i] = MIN_RATE;
             self.flow_ceiling[i] = f64::INFINITY;
             self.flow_path[i] = [LinkId(0); 3];
+            debug_assert!(!self.flow_forced[i], "recycled a forced flow");
             return f;
         }
         let f = self.conns.len() as u32;
@@ -534,6 +633,7 @@ impl Network {
         self.flow_path.push([LinkId(0); 3]);
         self.flow_registered.push(false);
         self.flow_mark.push(0);
+        self.flow_forced.push(false);
         f
     }
 
@@ -571,7 +671,7 @@ impl Network {
     ) -> Vec<ConnUpdate> {
         let link = self.topo.core_link(via.0, via.1);
         self.cross[link.index()] = rate.max(0.0);
-        self.resolve(now, &[link], None)
+        self.reprice(now, &[link], None)
     }
 
     /// Debug-build consistency check: the incrementally maintained per-link
@@ -750,14 +850,14 @@ impl Network {
             let rate = self.flow_rate[f];
             let cap_unchanged = new_cap == old_cap;
             let cap_not_binding = new_cap >= old_cap && rate < old_cap * (1.0 - RATE_EPSILON);
-            if cap_unchanged || cap_not_binding {
+            if !self.pending() && (cap_unchanged || cap_not_binding) {
                 self.solver_stats.fast_growth += 1;
                 vec![self.schedule(now, fid)]
             } else {
                 // The ceiling moved while binding — re-solve the component,
                 // which can ripple to every flow sharing a link with this one.
                 let links = self.topo.links_on_path(from, to);
-                self.resolve(now, &links, Some(fid))
+                self.reprice(now, &links, Some(fid))
             }
         } else {
             self.conns[f].idle_since = now;
@@ -869,7 +969,7 @@ impl Network {
             .collect();
         links.sort_unstable();
         links.dedup();
-        self.resolve(now, &links, None)
+        self.reprice(now, &links, None)
     }
 
     /// Recomputes the cached ceiling of flow `f` (read only while the flow is
@@ -897,7 +997,7 @@ impl Network {
             }
         }
         let links = self.flow_bearing_links();
-        self.resolve(now, &links, None)
+        self.reprice(now, &links, None)
     }
 
     /// Usable capacity of `link`: loss-discounted, minus cross traffic.
@@ -934,9 +1034,10 @@ impl Network {
         let (from, to) = self.flow_pair[f];
         let links = self.topo.links_on_path(from, to);
         let cap = self.flow_cap(from, to, self.conns[f].bytes_acked);
-        let fits = links
-            .iter()
-            .all(|&l| self.link_usage[l.index()] + cap <= self.usable(l) * (1.0 - RATE_EPSILON));
+        let fits = !self.pending()
+            && links.iter().all(|&l| {
+                self.link_usage[l.index()] + cap <= self.usable(l) * (1.0 - RATE_EPSILON)
+            });
         debug_assert!(!self.flow_registered[f], "double activation");
         self.flow_registered[f] = true;
         self.flow_path[f] = links;
@@ -958,11 +1059,12 @@ impl Network {
             self.solver_stats.fast_admit += 1;
             return vec![self.schedule(now, fid)];
         }
-        self.resolve(now, &links, Some(fid))
+        self.reprice(now, &links, Some(fid))
     }
 
     /// Deregisters flow `fid` from the links it registered on and re-prices
-    /// what its departure can affect.
+    /// what its departure can affect. A flow still forced from earlier in
+    /// the open instant loses the mark: it has no block left to schedule.
     ///
     /// **Removal fast path:** if the departing flow was pinned at its own
     /// ceiling and none of its links was saturated, no surviving flow's
@@ -973,6 +1075,7 @@ impl Network {
         let f = fid as usize;
         debug_assert!(self.flow_registered[f], "idle flow was registered");
         self.flow_registered[f] = false;
+        self.flow_forced[f] = false;
         let links = self.flow_path[f];
         let (from, to) = self.flow_pair[f];
         let key = pair_key(from, to);
@@ -990,11 +1093,11 @@ impl Network {
             // Usage *before* this removal, against the current capacity.
             self.link_usage[l.index()] + rate <= self.usable(l) * (1.0 - RATE_EPSILON)
         });
-        if ceiling_capped && all_unsaturated {
+        if !self.pending() && ceiling_capped && all_unsaturated {
             self.solver_stats.fast_remove += 1;
             return Vec::new();
         }
-        self.resolve(now, &links, None)
+        self.reprice(now, &links, None)
     }
 
     /// The per-flow TCP ceiling of `from → to`: the Mathis loss limit and the
@@ -1013,16 +1116,17 @@ impl Network {
     /// Re-solves the max-min allocation of the component of the flow–link
     /// graph that a change on the `seeds` links can reach (see
     /// [`Network::solve_component`]), and converts the rate changes into
-    /// completion-event updates. `force` names a flow that must receive a
-    /// `Schedule` even if its rate is unchanged (a freshly started in-flight
-    /// block has no live event yet).
-    fn resolve(&mut self, now: SimTime, seeds: &[LinkId], force: Option<u32>) -> Vec<ConnUpdate> {
+    /// completion-event updates. `forced` lists flows that must receive a
+    /// `Schedule` even if their rate is unchanged (a freshly started
+    /// in-flight block has no live event yet); an entry counts only while
+    /// its `flow_forced` mark is set.
+    fn resolve(&mut self, now: SimTime, seeds: &[LinkId], forced: &[u32]) -> Vec<ConnUpdate> {
         debug_assert_eq!(
             self.link_flows.len(),
             self.topo.num_links(),
             "the topology gained links after Network::new"
         );
-        let grows = self.solve_component(seeds, force);
+        let grows = self.solve_component(seeds, forced);
         if self.scratch.flows.is_empty() {
             return Vec::new();
         }
@@ -1042,7 +1146,7 @@ impl Network {
         for (&fid, &solved) in s.flows.iter().zip(&s.rates) {
             let f = fid as usize;
             let old_rate = self.flow_rate[f];
-            let Some(new_rate) = applied_rate(old_rate, solved, force == Some(fid)) else {
+            let Some(new_rate) = applied_rate(old_rate, solved, self.flow_forced[f]) else {
                 continue;
             };
             let conn = &mut self.conns[f];
@@ -1087,7 +1191,7 @@ impl Network {
     /// the component, the same BFS continues from it (marks, links and flows
     /// found so far persist) and the fill is redone. Each round adds a link,
     /// so the loop ends, with every boundary link below the threshold.
-    fn solve_component(&mut self, seeds: &[LinkId], force: Option<u32>) -> u64 {
+    fn solve_component(&mut self, seeds: &[LinkId], forced: &[u32]) -> u64 {
         self.mark_stamp += 1;
         let stamp = self.mark_stamp;
         let mut s = std::mem::take(&mut self.scratch);
@@ -1141,9 +1245,9 @@ impl Network {
             // its access links; this guard only matters if every link on its
             // path is unconstrained, where it trivially runs at its own
             // ceiling.
-            if let Some(fid) = force {
+            for &fid in forced {
                 let f = fid as usize;
-                if self.flow_mark[f] != stamp {
+                if self.flow_forced[f] && self.flow_mark[f] != stamp {
                     self.flow_mark[f] = stamp;
                     s.flows.push(fid);
                 }
@@ -1196,7 +1300,7 @@ impl Network {
             for (&fid, &solved) in s.flows.iter().zip(&s.rates) {
                 let f = fid as usize;
                 let old_rate = self.flow_rate[f];
-                let Some(new_rate) = applied_rate(old_rate, solved, force == Some(fid)) else {
+                let Some(new_rate) = applied_rate(old_rate, solved, self.flow_forced[f]) else {
                     continue;
                 };
                 for l in self.flow_path[f] {
@@ -1251,7 +1355,7 @@ impl Network {
     #[cfg(any(test, debug_assertions))]
     fn check_solve_against_unpruned(&mut self) -> usize {
         let frontier = std::mem::take(&mut self.scratch);
-        self.solve_component(&self.flow_bearing_links(), None);
+        self.solve_component(&self.flow_bearing_links(), &[]);
         let unpruned = std::mem::replace(&mut self.scratch, frontier);
         let mut solved = vec![f64::NAN; self.conns.len()];
         for (&fid, &rate) in self.scratch.flows.iter().zip(&self.scratch.rates) {

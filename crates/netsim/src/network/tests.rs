@@ -672,6 +672,162 @@ fn a_boundary_link_that_stays_quiet_keeps_the_flows_behind_it_out() {
     assert!(net.reprice_all(SimTime::from_secs_f64(1.0)).is_empty());
 }
 
+/// How many `Schedule`s each flow got in `updates`, by flow id.
+fn schedules_per_flow(updates: &[ConnUpdate]) -> std::collections::BTreeMap<u32, usize> {
+    let mut per_flow = std::collections::BTreeMap::new();
+    for u in updates {
+        if let ConnUpdate::Schedule { fid, .. } = *u {
+            *per_flow.entry(fid).or_insert(0) += 1;
+        }
+    }
+    per_flow
+}
+
+/// Node 0's 10 KB/s uplink carrying one flow, 0 → 1, at the whole uplink
+/// (the fresh-connection ceiling, ~180 KB/s at this RTT, binds nobody).
+fn saturated_uplink() -> Network {
+    let node = |up: f64| NodeSpec {
+        up,
+        down: 1e9,
+        access_delay: SimDuration::from_millis(1),
+    };
+    let mut nodes = vec![node(1e9); 6];
+    nodes[0] = node(10_000.0);
+    let wide = PathSpec {
+        bw: 1e9,
+        delay: SimDuration::from_millis(10),
+        loss: 0.0,
+    };
+    let mut net = Network::new(Topology::new(nodes, vec![vec![wide; 6]; 6]));
+    net.queue_block(SimTime::ZERO, NodeId(0), NodeId(1), BlockId(0), 1_000_000);
+    assert_eq!(net.current_rate(NodeId(0), NodeId(1)), Some(10_000.0));
+    net
+}
+
+#[test]
+fn flows_opened_on_a_saturated_uplink_in_one_instant_share_one_solve() {
+    let mut net = saturated_uplink();
+    let mut twin = net.clone();
+    let before = net.solver_stats();
+    let t1 = SimTime::from_secs_f64(1.0);
+    assert!(net.open_instant(t1));
+    assert!(!net.open_instant(t1), "an open instant stays open");
+    let mut updates = Vec::new();
+    for to in 2..6 {
+        updates.extend(net.queue_block(t1, NodeId(0), NodeId(to), BlockId(to), 100_000));
+        twin.queue_block(t1, NodeId(0), NodeId(to), BlockId(to), 100_000);
+    }
+    assert!(updates.is_empty(), "nothing is solved before the settle");
+    updates.extend(net.settle(t1));
+    assert!(!net.instant_open());
+
+    let after = net.solver_stats();
+    assert_eq!(after.full_solves, before.full_solves + 1, "one solve");
+    assert_eq!(after.fast_admit, before.fast_admit, "no admission skips it");
+    let per_flow = schedules_per_flow(&updates);
+    assert_eq!(
+        per_flow.len(),
+        5,
+        "the four new flows and 0 → 1: {updates:?}"
+    );
+    assert!(
+        per_flow.values().all(|&n| n == 1),
+        "one Schedule each: {updates:?}"
+    );
+    for to in 1..6 {
+        let rate = net.current_rate(NodeId(0), NodeId(to)).unwrap();
+        assert_eq!(rate, 2_000.0, "an equal fifth of the uplink");
+        let one_by_one = twin.current_rate(NodeId(0), NodeId(to)).unwrap();
+        assert_eq!(rate.to_bits(), one_by_one.to_bits());
+    }
+    assert!(twin.solver_stats().full_solves > after.full_solves);
+}
+
+#[test]
+fn a_flow_opened_and_closed_in_one_instant_is_never_scheduled() {
+    let mut net = saturated_uplink();
+    let t1 = SimTime::from_secs_f64(1.0);
+    net.open_instant(t1);
+    // The uplink is full, so the new flow waits for the settle's solve...
+    assert!(net
+        .queue_block(t1, NodeId(0), NodeId(2), BlockId(1), 100_000)
+        .is_empty());
+    let fid = net.flow_id(NodeId(0), NodeId(2)).unwrap();
+    // ... and is closed before it: it had no event, so the cancel finds none.
+    let closed = net.close_connection(t1, NodeId(0), NodeId(2));
+    assert_eq!(closed, vec![ConnUpdate::Cancel { fid }]);
+    let settled = net.settle(t1);
+    assert!(
+        !settled
+            .iter()
+            .any(|u| matches!(u, ConnUpdate::Schedule { fid: f, .. } if *f == fid)),
+        "a closed flow gets no Schedule: {settled:?}"
+    );
+    assert_eq!(net.pending_blocks(NodeId(0), NodeId(2)), 0);
+    assert_eq!(net.current_rate(NodeId(0), NodeId(1)), Some(10_000.0));
+}
+
+#[test]
+fn settle_with_nothing_pending_is_a_no_op() {
+    let mut net = saturated_uplink();
+    let before = net.solver_stats();
+    let t1 = SimTime::from_secs_f64(1.0);
+    assert!(net.settle(t1).is_empty(), "no instant open");
+    net.open_instant(t1);
+    assert!(
+        net.settle(t1).is_empty(),
+        "an instant that recorded nothing"
+    );
+    assert_eq!(net.solver_stats(), before);
+    assert_eq!(net.current_rate(NodeId(0), NodeId(1)), Some(10_000.0));
+}
+
+#[test]
+fn a_flow_that_would_fit_waits_for_the_solve_already_owed() {
+    // Receiver 3's 300 KB/s downlink carries 1 → 3 at its 100 KB/s core.
+    // Within one instant that core widens to 250 KB/s (a solve is owed) and
+    // 0 → 3 opens with a ceiling (~180 KB/s) that fits the downlink's stale
+    // slack. Admitting it there would schedule it at its ceiling, and the
+    // settle would move it again: 1 → 3 grows into the downlink, which
+    // then splits 150 / 150.
+    let node = |down: f64| NodeSpec {
+        up: 1e9,
+        down,
+        access_delay: SimDuration::from_millis(1),
+    };
+    let mut nodes = vec![node(1e9); 4];
+    nodes[3] = node(300_000.0);
+    let wide = PathSpec {
+        bw: 1e9,
+        delay: SimDuration::from_millis(10),
+        loss: 0.0,
+    };
+    let mut paths = vec![vec![wide; 4]; 4];
+    paths[1][3].bw = 100_000.0;
+    let mut net = Network::new(Topology::new(nodes, paths));
+    net.queue_block(SimTime::ZERO, NodeId(1), NodeId(3), BlockId(0), 10_000_000);
+    assert_eq!(net.current_rate(NodeId(1), NodeId(3)), Some(100_000.0));
+
+    let before = net.solver_stats();
+    let t1 = SimTime::from_secs_f64(1.0);
+    net.open_instant(t1);
+    net.topology_mut()
+        .set_core_bw(NodeId(1), NodeId(3), 250_000.0);
+    let mut updates = net.reprice_paths(t1, &[(NodeId(1), NodeId(3))]);
+    updates.extend(net.queue_block(t1, NodeId(0), NodeId(3), BlockId(1), 1_000_000));
+    updates.extend(net.settle(t1));
+
+    assert_eq!(net.solver_stats().fast_admit, before.fast_admit);
+    let per_flow = schedules_per_flow(&updates);
+    assert_eq!(per_flow.len(), 2, "{updates:?}");
+    assert!(
+        per_flow.values().all(|&n| n == 1),
+        "one Schedule each: {updates:?}"
+    );
+    assert_eq!(net.current_rate(NodeId(0), NodeId(3)), Some(150_000.0));
+    assert_eq!(net.current_rate(NodeId(1), NodeId(3)), Some(150_000.0));
+}
+
 /// `fairness_oracle`'s topology: heterogeneous access links, one core
 /// capacity, loss on a third of the pairs, and with `shared` one bottleneck
 /// link under every "even" ordered pair.

@@ -477,8 +477,10 @@ impl<P: Protocol> Runner<P> {
             self.run.sim.cancel(key);
         }
         self.run.timer_keys[idx].prune_at = 0;
-        let updates = self.run.net.release_flows_for(now, node);
-        self.apply_conn_updates(updates);
+        self.within_instant(|runner| {
+            let updates = runner.run.net.release_flows_for(now, node);
+            runner.apply_conn_updates(updates);
+        });
         self.run.metrics.inc(Counter::NodeRetires);
         self.trace_emit(|| TraceEvent::NodeRetire { node: node.0 });
     }
@@ -530,9 +532,11 @@ impl<P: Protocol> Runner<P> {
                 fresh.push(node);
             }
         }
-        for node in fresh {
-            self.dispatch(node, |n, ctx| n.on_init(ctx));
-        }
+        self.within_instant(|runner| {
+            for node in fresh {
+                runner.dispatch(node, |n, ctx| n.on_init(ctx));
+            }
+        });
     }
 
     /// Schedules a batch of link changes to take effect at `at`.
@@ -615,11 +619,13 @@ impl<P: Protocol> Runner<P> {
         // a staged continuation must not re-deliver it.
         if !self.run.inits_done {
             self.run.inits_done = true;
-            for i in 0..self.run.nodes.len() {
-                if self.run.active[i] {
-                    self.dispatch(NodeId(i as u32), |node, ctx| node.on_init(ctx));
+            self.within_instant(|runner| {
+                for i in 0..runner.run.nodes.len() {
+                    if runner.run.active[i] {
+                        runner.dispatch(NodeId(i as u32), |node, ctx| node.on_init(ctx));
+                    }
                 }
-            }
+            });
         }
         self.refresh_completion();
 
@@ -631,16 +637,11 @@ impl<P: Protocol> Runner<P> {
             self.probe_tick();
         }
 
-        loop {
+        let reason = loop {
             if !self.run.run_to_limit && self.all_complete() {
                 break StopReason::AllComplete;
             }
-            // A queue holding nothing but the next probe tick is drained:
-            // observation alone must not keep the experiment alive. In
-            // open-system mode the probes keep sampling through idle
-            // periods instead — the system is waiting, not finished.
-            if !self.run.run_to_limit && self.run.probe_tick_pending && self.run.sim.pending() == 1
-            {
+            if self.drained() {
                 break StopReason::Drained;
             }
             match self.run.sim.peek_time() {
@@ -660,13 +661,25 @@ impl<P: Protocol> Runner<P> {
                 }
                 Some(_) => {}
             }
-            let (_, ev) = self.run.sim.step().expect("peeked event must exist");
+            let (now, ev) = self.run.sim.step().expect("peeked event must exist");
             let solver_before = self.trace.is_some().then(|| self.run.net.solver_stats());
+            self.run.net.open_instant(now);
             self.handle(ev);
+            // The instant ends when the next event lies later or the loop
+            // stops before it: the one solve of the instant runs then, and
+            // may schedule a completion at `now`, which the loop pops next.
+            let next = self.run.sim.peek_time();
+            if next != Some(now)
+                || self.drained()
+                || (!self.run.run_to_limit && self.all_complete())
+            {
+                self.settle();
+            }
             // Solver activity is attributed per event by diffing the
-            // network's counters around the dispatch — one trace record per
-            // event that touched the solver, no sink plumbed through the
-            // fluid model.
+            // network's counters around the dispatch (and the settle, so a
+            // solve counts for the last event of its instant) — one trace
+            // record per event that touched the solver, no sink plumbed
+            // through the fluid model.
             if let Some(before) = solver_before {
                 let after = self.run.net.solver_stats();
                 if after != before {
@@ -680,7 +693,37 @@ impl<P: Protocol> Runner<P> {
                     });
                 }
             }
+        };
+        debug_assert!(
+            !self.run.net.instant_open(),
+            "advance_until returns with an instant open"
+        );
+        reason
+    }
+
+    /// A queue holding nothing but the next probe tick is drained:
+    /// observation alone must not keep the experiment alive. In open-system
+    /// mode the probes keep sampling through idle periods instead — the
+    /// system is waiting, not finished.
+    fn drained(&self) -> bool {
+        !self.run.run_to_limit && self.run.probe_tick_pending && self.run.sim.pending() == 1
+    }
+
+    /// Runs `f` inside an instant of the fluid model: opened here unless one
+    /// is open already, and then settled here once `f` is done.
+    fn within_instant(&mut self, f: impl FnOnce(&mut Self)) {
+        let opened = self.run.net.open_instant(self.run.sim.now());
+        f(self);
+        if opened {
+            self.settle();
         }
+    }
+
+    /// Closes the fluid model's open instant: its one solve, whose updates
+    /// go to the queue.
+    fn settle(&mut self) {
+        let updates = self.run.net.settle(self.run.sim.now());
+        self.apply_conn_updates(updates);
     }
 
     /// Builds the end-of-run report: drains the probe's accumulated series
@@ -1092,6 +1135,10 @@ where
     /// Call it at a quiescent point: between [`Runner::advance_until`]
     /// stages, never from inside a protocol hook.
     pub fn checkpoint(&self) -> Snapshot<P> {
+        debug_assert!(
+            !self.run.net.instant_open(),
+            "checkpoint taken with an instant open"
+        );
         Snapshot(self.run.clone())
     }
 
@@ -1105,6 +1152,10 @@ where
     /// [`Runner::set_trace_sink`]; the first record will be a
     /// `snapshot_resume` marker declaring the mid-run start).
     pub fn resume(snap: Snapshot<P>) -> Self {
+        debug_assert!(
+            !snap.0.net.instant_open(),
+            "resumed a snapshot with an instant open"
+        );
         let resumed_at = Some(snap.0.sim.now());
         Runner {
             resumed_at,

@@ -15,6 +15,12 @@
 //!    ([`Network::reprice_all`]) reproduces the incrementally maintained
 //!    rates, so component-scoped repricing never drifts from the global
 //!    optimum.
+//!
+//! The instant oracle runs the same operations inside random virtual
+//! instants ([`Network::open_instant`] … [`Network::settle`], one solve per
+//! instant) and checks, after every settle, invariants 1 and 2 and that the
+//! allocation equals the one a twin network solving after every operation
+//! holds.
 
 use desim::{RngFactory, SimTime};
 use dissem_codec::BlockId;
@@ -99,20 +105,24 @@ fn check_invariants(net: &Network, n: usize) {
     let topo = net.topology();
     let flows = active_flows(net, n);
 
-    // Per-link usage from the test's own bookkeeping.
+    // Per-link usage and flow count from the test's own bookkeeping.
     let mut usage = vec![0.0f64; topo.num_links()];
+    let mut crossing = vec![0.0f64; topo.num_links()];
     for &(a, b) in &flows {
         let rate = net.current_rate(a, b).unwrap();
         for l in topo.links_on_path(a, b) {
             usage[l.index()] += rate;
+            crossing[l.index()] += 1.0;
         }
     }
 
     let usable = |l: netsim::LinkId| (topo.link_capacity(l) - net.cross_traffic(l)).max(1.0);
 
-    // 1. Conservation.
+    // 1. Conservation. A connection never stalls completely (the model
+    //    floors every rate at 1 B/s), so a link whose usable capacity a cut
+    //    under its cross traffic floored at 1 B/s carries 1 B/s per flow.
     for l in (0..topo.num_links() as u32).map(netsim::LinkId) {
-        let cap = usable(l);
+        let cap = usable(l).max(crossing[l.index()]);
         prop_assert!(
             usage[l.index()] <= cap * (1.0 + TOL) + 1e-6,
             "link {l:?} over capacity: {} > {cap}",
@@ -157,63 +167,57 @@ fn check_invariants(net: &Network, n: usize) {
 /// `(kind, x, y, magnitude)`.
 type Op = (u8, u8, u8, u16);
 
-fn run_scenario(n: usize, access_step: u64, core_kb: u64, loss: f64, shared: bool, ops: &[Op]) {
-    let topo = build_topology(n, access_step, core_kb, loss, shared);
-    let mut net = Network::new(topo);
-    let mut now = SimTime::ZERO;
-    let mut next_block = 0u32;
-
-    for &(kind, x, y, mag) in ops.iter() {
-        now += desim::SimDuration::from_millis(100);
-        let a = NodeId(u32::from(x) % n as u32);
-        let b = NodeId(u32::from(y) % n as u32);
-        match kind {
-            // Start (or extend) a flow.
-            0 => {
-                if a != b {
-                    let bytes = 20_000 + u64::from(mag) * 400;
-                    net.queue_block(now, a, b, BlockId(next_block), bytes);
-                    next_block += 1;
-                }
+/// Applies one generated operation to `net` at `now`; `block` is the id a
+/// started block gets.
+fn apply_op(net: &mut Network, n: usize, now: SimTime, block: u32, &(kind, x, y, mag): &Op) {
+    let a = NodeId(u32::from(x) % n as u32);
+    let b = NodeId(u32::from(y) % n as u32);
+    match kind {
+        // Start (or extend) a flow.
+        0 => {
+            if a != b {
+                let bytes = 20_000 + u64::from(mag) * 400;
+                net.queue_block(now, a, b, BlockId(block), bytes);
             }
-            // Complete the in-flight block of some active flow.
-            1 => {
-                let flows = active_flows(&net, n);
-                if !flows.is_empty() {
-                    let (f, t) = flows[usize::from(mag) % flows.len()];
-                    net.on_block_done(now, f, t);
-                }
-            }
-            // Close a connection.
-            2 => {
-                if a != b {
-                    net.close_connection(now, a, b);
-                }
-            }
-            // Re-size the core link carrying a → b.
-            3 => {
-                if a != b {
-                    let bw = kbps(100.0 + f64::from(mag % 2000));
-                    net.topology_mut().set_core_bw(a, b, bw);
-                    net.reprice_paths(now, &[(a, b)]);
-                }
-            }
-            // Cross traffic occupying up to ~half of the core link.
-            4 => {
-                if a != b {
-                    let link = net.topology().core_link(a, b);
-                    let cap = net.topology().link_capacity(link);
-                    let rate = cap * f64::from(mag % 128) / 256.0;
-                    net.set_cross_traffic(now, (a, b), rate);
-                }
-            }
-            _ => unreachable!("kind is generated in 0..5"),
         }
-        check_invariants(&net, n);
+        // Complete the in-flight block of some active flow.
+        1 => {
+            let flows = active_flows(net, n);
+            if !flows.is_empty() {
+                let (f, t) = flows[usize::from(mag) % flows.len()];
+                net.on_block_done(now, f, t);
+            }
+        }
+        // Close a connection.
+        2 => {
+            if a != b {
+                net.close_connection(now, a, b);
+            }
+        }
+        // Re-size the core link carrying a → b.
+        3 => {
+            if a != b {
+                let bw = kbps(100.0 + f64::from(mag % 2000));
+                net.topology_mut().set_core_bw(a, b, bw);
+                net.reprice_paths(now, &[(a, b)]);
+            }
+        }
+        // Cross traffic occupying up to ~half of the core link.
+        4 => {
+            if a != b {
+                let link = net.topology().core_link(a, b);
+                let cap = net.topology().link_capacity(link);
+                let rate = cap * f64::from(mag % 128) / 256.0;
+                net.set_cross_traffic(now, (a, b), rate);
+            }
+        }
+        _ => unreachable!("kind is generated in 0..5"),
     }
+}
 
-    // 3. Incremental = from-scratch: a full re-solve must not move any rate.
-    let before: Vec<_> = active_flows(&net, n)
+/// 3. Incremental = from-scratch: a full re-solve must not move any rate.
+fn check_from_scratch(net: &mut Network, n: usize, now: SimTime) {
+    let before: Vec<_> = active_flows(net, n)
         .into_iter()
         .map(|(a, b)| ((a, b), net.current_rate(a, b).unwrap()))
         .collect();
@@ -225,6 +229,68 @@ fn run_scenario(n: usize, access_step: u64, core_kb: u64, loss: f64, shared: boo
             "incremental drift on {a}→{b}: {old} vs from-scratch {new}"
         );
     }
+}
+
+fn run_scenario(n: usize, access_step: u64, core_kb: u64, loss: f64, shared: bool, ops: &[Op]) {
+    let topo = build_topology(n, access_step, core_kb, loss, shared);
+    let mut net = Network::new(topo);
+    let mut now = SimTime::ZERO;
+
+    for (i, op) in ops.iter().enumerate() {
+        now += desim::SimDuration::from_millis(100);
+        apply_op(&mut net, n, now, i as u32, op);
+        check_invariants(&net, n);
+    }
+    check_from_scratch(&mut net, n, now);
+}
+
+/// How far a rate solved once per instant may sit from the same rate solved
+/// once per operation: the apply loop keeps a flow's rate through changes
+/// within its 1e-9 relative hysteresis, so two histories that reach the same
+/// optimum may hold values that far apart (the fill's own tie tolerance,
+/// 1e-12 relative, is far inside it).
+const TWIN_TOL: f64 = 2e-9;
+
+/// The operations of `instants` — each an operation and whether the instant
+/// ends after it — applied to one network inside open instants and to a
+/// twin one at a time. After every settle the instant network must satisfy
+/// the invariants and hold the twin's allocation.
+fn run_instants(
+    n: usize,
+    access_step: u64,
+    core_kb: u64,
+    loss: f64,
+    shared: bool,
+    instants: &[(Op, u8)],
+) {
+    let topo = build_topology(n, access_step, core_kb, loss, shared);
+    let mut net = Network::new(topo.clone());
+    let mut twin = Network::new(topo);
+    let mut now = SimTime::ZERO;
+
+    for (i, (op, cut)) in instants.iter().enumerate() {
+        if !net.instant_open() {
+            now += desim::SimDuration::from_millis(100);
+            net.open_instant(now);
+        }
+        apply_op(&mut net, n, now, i as u32, op);
+        apply_op(&mut twin, n, now, i as u32, op);
+        if *cut == 0 || i + 1 == instants.len() {
+            net.settle(now);
+            check_invariants(&net, n);
+            let flows = active_flows(&net, n);
+            prop_assert_eq!(&flows, &active_flows(&twin, n));
+            for (a, b) in flows {
+                let (got, want) = (net.current_rate(a, b), twin.current_rate(a, b));
+                let (got, want) = (got.unwrap(), want.unwrap());
+                prop_assert!(
+                    (got - want).abs() <= want * TWIN_TOL,
+                    "{a}→{b}: {got} solved per instant, {want} per operation"
+                );
+            }
+        }
+    }
+    check_from_scratch(&mut net, n, now);
 }
 
 proptest! {
@@ -251,6 +317,27 @@ proptest! {
             (0u8..5, any::<u8>(), any::<u8>(), any::<u16>()), 1..60),
     ) {
         run_scenario(n, access_step, core_kb, 0.02, true, &ops);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The instant oracle: the same operations, cut into random instants
+    /// (one in four operations ends one), each settled with one solve. Every
+    /// settle leaves a max-min fair allocation equal to the one the twin
+    /// reaches solving after every operation, on both kinds of topology.
+    #[test]
+    fn one_solve_per_instant_equals_one_solve_per_operation(
+        n in 3usize..7,
+        access_step in 1u64..997,
+        core_kb in 200u64..3_000,
+        shared in any::<bool>(),
+        instants in proptest::collection::vec(
+            ((0u8..5, any::<u8>(), any::<u8>(), any::<u16>()), 0u8..4), 1..80),
+    ) {
+        let loss = if shared { 0.02 } else { 0.0 };
+        run_instants(n, access_step, core_kb, loss, shared, &instants);
     }
 }
 
