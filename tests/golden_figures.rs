@@ -40,7 +40,7 @@ const FIGURES: [(&str, u64); 21] = [
     ("fig07", 0x7e5f_b681_9e39_090b),
     ("fig08", 0xa945_7c9d_e1a8_bf3c),
     ("fig09", 0xdb62_7d7c_d005_4efc),
-    ("fig10", 0x7fe9_b661_df8f_e63a),
+    ("fig10", 0xcbdf_571a_639a_d918),
     ("fig11", 0x2cf1_c34a_d419_fd37),
     ("fig12", 0x3066_0a01_f7b9_c7dc),
     ("fig13", 0xf30f_00a7_a605_a2e7),
