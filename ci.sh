@@ -36,7 +36,8 @@ mv target/benchmark-Cargo.lock.keep benchmark/Cargo.lock
 # The debug suite is where every frontier solve is cross-checked: with
 # debug_assertions on, Network::resolve re-solves the whole network after each
 # component solve and asserts equal bits (check_solve_against_unpruned), in
-# every run of every test. BitTorrent's request path does the same for its
+# every run of every test. A run solves once per virtual instant, when the
+# runner settles the instant, so every settle is cross-checked. BitTorrent's request path does the same for its
 # per-piece rarity counter: each candidate piece's count is recounted from the
 # neighbours' bitmaps (check_rarity_against_neighbours), so every BitTorrent
 # run checks the increments and, where a peer crashes or leaves, the
@@ -83,10 +84,12 @@ cargo test -q --release --test golden_figures
 # benchmark measures: desim's unit tests hold the heap's own scan oracle
 # (indexed_heap_matches_a_minimum_scan); the queue oracle
 # (crates/sim/tests/queue_oracle.rs) guards the heap as EventQueue uses it;
-# fairness_oracle (max-min optimality, incremental = from scratch) and
-# lazy_heap_reference (the solver against the lazy-heap solver it replaced,
-# bit for bit) guard it as the solver's link heap. Under a second together.
-echo "==> heap oracles on the release build (desim, queue oracle, fairness oracle, lazy-heap reference)"
+# fairness_oracle (max-min optimality, incremental = from scratch, and the
+# instant oracle: operations cut into random instants, each settled with one
+# solve, equal a twin solved after every operation) and lazy_heap_reference
+# (the solver against the lazy-heap solver it replaced, bit for bit) guard it
+# as the solver's link heap. Under a second together.
+echo "==> heap oracles on the release build (desim, queue oracle, fairness + instant oracle, lazy-heap reference)"
 cargo test -q --release -p desim
 cargo test -q --release -p netsim --test fairness_oracle
 cargo test -q --release -p netsim --lib lazy_heap_reference

@@ -47,6 +47,11 @@
 //! ([`ConnUpdate::Schedule`]) or drop it ([`ConnUpdate::Cancel`]) through the
 //! cancellable [`desim::EventQueue`].
 //!
+//! The connection also records the two sender-side measurements Bullet′'s
+//! flow controller consumes (§3.3.3): `in_front`, the number of blocks queued
+//! ahead when a block was enqueued, and `wasted`, the idle gap (negative) or
+//! queue-wait time (positive) associated with the block.
+//!
 //! ## One solve per instant
 //!
 //! Rates only matter once virtual time passes, so a driver that changes
@@ -54,17 +59,12 @@
 //! between [`Network::open_instant`] and [`Network::settle`], a change that
 //! needs a solve only records its seed links (and, for a flow that starts a
 //! block, that the flow is *forced*: it must get a `Schedule` even at an
-//! unchanged rate); `settle` runs the one solve. The fast paths below still
-//! fire while nothing is recorded, and are skipped once something is: their
-//! certificates assume the allocation is the max-min optimum of the current
-//! flow set. Outside an open instant every mutator settles before it
+//! unchanged rate); `settle` runs the one solve. The O(1) fast paths
+//! (admission, removal, ceiling growth) still fire while nothing is
+//! recorded, and are skipped once something is: their certificates assume
+//! the allocation is the max-min optimum of the current flow set. Outside an open instant every mutator settles before it
 //! returns, so a caller that never opens one sees each change solved on its
 //! own.
-//!
-//! The connection also records the two sender-side measurements Bullet′'s
-//! flow controller consumes (§3.3.3): `in_front`, the number of blocks queued
-//! ahead when a block was enqueued, and `wasted`, the idle gap (negative) or
-//! queue-wait time (positive) associated with the block.
 //!
 //! ## Example
 //!
@@ -516,19 +516,34 @@ impl Network {
 
     /// Closes the open instant with one solve over every seed and forced
     /// flow it recorded, returning that solve's completion-event updates.
-    /// A no-op when nothing was recorded (or no instant is open).
+    /// A no-op when the instant recorded nothing, and when none is open
+    /// (outside an instant every change was solved before it returned).
     pub fn settle(&mut self, now: SimTime) -> Vec<ConnUpdate> {
         debug_assert!(
             self.instant.is_none_or(|open| open == now),
             "settled at another time than the instant opened"
         );
         self.instant = None;
-        self.solve_pending(now)
+        if !self.pending() {
+            return Vec::new();
+        }
+        let mut seeds = std::mem::take(&mut self.pending_seeds);
+        let mut forced = std::mem::take(&mut self.pending_forced);
+        let out = self.resolve(now, &seeds, &forced);
+        for &fid in &forced {
+            self.flow_forced[fid as usize] = false;
+        }
+        seeds.clear();
+        forced.clear();
+        self.pending_seeds = seeds;
+        self.pending_forced = forced;
+        out
     }
 
-    /// Whether a solve is owed: something was recorded since the last one.
+    /// Whether a solve is owed: a change was recorded since the last one
+    /// (every recorded change brings its seed links).
     fn pending(&self) -> bool {
-        !self.pending_seeds.is_empty() || !self.pending_forced.is_empty()
+        !self.pending_seeds.is_empty()
     }
 
     /// Records a change that needs a solve: its `seeds`, and `force` — a
@@ -544,25 +559,7 @@ impl Network {
         if self.instant.is_some() {
             return Vec::new();
         }
-        self.solve_pending(now)
-    }
-
-    /// Runs the solve owed to everything recorded, and forgets the record.
-    fn solve_pending(&mut self, now: SimTime) -> Vec<ConnUpdate> {
-        if !self.pending() {
-            return Vec::new();
-        }
-        let mut seeds = std::mem::take(&mut self.pending_seeds);
-        let mut forced = std::mem::take(&mut self.pending_forced);
-        let out = self.resolve(now, &seeds, &forced);
-        for &fid in &forced {
-            self.flow_forced[fid as usize] = false;
-        }
-        seeds.clear();
-        forced.clear();
-        self.pending_seeds = seeds;
-        self.pending_forced = forced;
-        out
+        self.settle(now)
     }
 
     /// Cumulative fluid-solver activity counters.

@@ -26,6 +26,14 @@
 //! event with [`desim::Simulator::reschedule`] (or cancels it on teardown)
 //! instead of abandoning stale heap entries.
 //!
+//! The fluid model solves once per virtual instant: the runner opens the
+//! instant ([`Network::open_instant`]) before it handles an event, and
+//! settles it ([`Network::settle`]) when the next event lies later or the
+//! loop is about to stop. A flow re-priced by several of the instant's events
+//! therefore gets one `Schedule`, from the settle; only a fast path (which
+//! fires while no solve is owed) schedules its flow at once. A settle may
+//! schedule a completion at the current instant, which the loop pops next.
+//!
 //! ## Node lifecycle
 //!
 //! Nodes can join, leave gracefully, or crash mid-run via

@@ -118,9 +118,10 @@ fn check_invariants(net: &Network, n: usize) {
 
     let usable = |l: netsim::LinkId| (topo.link_capacity(l) - net.cross_traffic(l)).max(1.0);
 
-    // 1. Conservation. A connection never stalls completely (the model
-    //    floors every rate at 1 B/s), so a link whose usable capacity a cut
-    //    under its cross traffic floored at 1 B/s carries 1 B/s per flow.
+    // 1. Conservation. A link cut below its cross traffic keeps a usable
+    //    capacity of 1 B/s, and the model floors every flow's rate at 1 B/s
+    //    too (a connection never stalls completely), so such a link may
+    //    carry 1 B/s per flow.
     for l in (0..topo.num_links() as u32).map(netsim::LinkId) {
         let cap = usable(l).max(crossing[l.index()]);
         prop_assert!(
