@@ -61,8 +61,8 @@ cargo clippy --all-targets -- -D warnings
 # like every other lint): intra-doc links and rustdoc warnings stay clean.
 echo "==> cargo doc --no-deps -D warnings (first-party crates)"
 RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
-    -p desim -p netsim -p overlay -p dissem-codec -p shotgun \
-    -p bullet-prime -p baselines -p bullet-bench -p bullet-lab -p bullet-repro
+    -p desim -p netsim -p overlay -p dissem-codec -p bullet-prime \
+    -p baselines -p bullet-bench -p bullet-lab -p bullet-repro
 
 # Golden digests (tests/golden_digests.rs) pin the canonical report of one
 # fixed-seed run per system. `cargo test -q` above checked them on the debug
@@ -109,10 +109,10 @@ cargo test -q --release -p baselines
 echo "==> departure invariant of the four systems on the release build (tests/protocol_conformance.rs)"
 cargo test -q --release --test protocol_conformance
 
-# The four README examples are built by --all-targets above; run them, so
+# The three README examples are built by --all-targets above; run them, so
 # one that panics or exits non-zero fails here and not for a reader.
-echo "==> README examples (quickstart, dynamic_network, flash_crowd, software_update)"
-for example in quickstart dynamic_network flash_crowd software_update; do
+echo "==> README examples (quickstart, dynamic_network, flash_crowd)"
+for example in quickstart dynamic_network flash_crowd; do
     ./target/release/examples/"$example" >/dev/null || {
         echo "FAIL: example $example exited non-zero"
         exit 1

@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks for the core data structures and algorithms:
-//! block bitmaps, RanSub sample merging, the rsync delta codec, the
-//! flow-control step, the discrete-event engine, the fluid solver and the
-//! request strategy.
+//! block bitmaps, RanSub sample merging, the flow-control step, the
+//! discrete-event engine, the fluid solver and the request strategy.
 //!
 //! These are wall-clock benchmarks of the *implementation* (the figures
 //! measure emulated protocol behaviour, not host CPU time). Each says which
@@ -9,7 +8,7 @@
 //! driver covers it; one that would re-measure a harness workload or driver
 //! does not belong here.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
@@ -18,7 +17,6 @@ use desim::{EventKey, EventQueue, RngFactory, SimDuration, SimTime, Simulator};
 use dissem_codec::{BlockBitmap, BlockId};
 use netsim::{topology, ConnUpdate, Network, NodeId};
 use overlay::{merge_samples, NodeSummary, Sample};
-use shotgun::{apply_delta, generate_delta};
 
 // `difference_count` predicts `dissem_codec.bitmap.ns_per_diff`, which the
 // harness reads at its workloads' k <= 1280; this is the paper's k = 6400.
@@ -69,27 +67,6 @@ fn bench_ransub_merge(c: &mut Criterion) {
     c.bench_function("ransub_merge_8x10", |b| {
         b.iter(|| merge_samples(&mut rng, 10, &groups).entries.len())
     });
-}
-
-// No harness driver covers Shotgun: this is its only measurement
-// (`benchmark/README.md`).
-fn bench_rsync_delta(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rsync_delta");
-    let mut rng = rand::rngs::StdRng::seed_from_u64(5);
-    let old: Vec<u8> = (0..1_000_000).map(|_| rng.gen()).collect();
-    let mut new = old.clone();
-    for b in &mut new[400_000..404_096] {
-        *b = rng.gen();
-    }
-    group.throughput(Throughput::Bytes(new.len() as u64));
-    group.bench_function("generate_1mb_small_edit", |b| {
-        b.iter(|| generate_delta(&old, &new, 4096).ops.len())
-    });
-    let delta = generate_delta(&old, &new, 4096);
-    group.bench_function("apply_1mb", |b| {
-        b.iter(|| apply_delta(&old, &delta).unwrap().len())
-    });
-    group.finish();
 }
 
 // No harness driver covers the flow controller alone.
@@ -290,7 +267,6 @@ criterion_group!(
     benches,
     bench_bitmap,
     bench_ransub_merge,
-    bench_rsync_delta,
     bench_flow_controller,
     bench_event_engine,
     bench_fluid_solver,

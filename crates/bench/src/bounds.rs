@@ -1,13 +1,23 @@
-//! Analytic reference curves for Fig 4.
+//! Analytic reference curves for Figs 4 and 15.
 //!
-//! The paper plots two non-protocol lines: the download time that would be
+//! Fig 4 plots two non-protocol lines: the download time that would be
 //! *physically possible* given each receiver's access-link bandwidth alone,
 //! and the best a MACEDON/TCP implementation could hope for once TCP slow
 //! start, per-block framing and the overlay's start-up phase are charged.
+//!
+//! Fig 15 pushes one update to every receiver two ways (§4.7): Shotgun
+//! multicasts it with Bullet′ (the fig15 scenario's own workload) and every
+//! client replays the deltas at `CLIENT_REPLAY`; parallel rsync runs `k`
+//! simultaneous rsync-over-ssh sessions (2, 4, 8, 16), all competing for the
+//! source's CPU, disk and uplink, while the remaining clients wait for a free
+//! slot (the paper's "staggered" approach). The rsync side is the analytic
+//! contention model [`parallel_rsync_times`] over the clients of the
+//! topology Shotgun runs on: the paper measures a real rsync, and what
+//! matters for the comparison is how the source bottleneck scales.
 
 use dissem_codec::FileSpec;
 use netsim::tcp::{idle_transfer_time, TcpPath};
-use netsim::Topology;
+use netsim::{mbps, BytesPerSec, NodeId, Topology};
 
 /// Per-receiver lower bound: file size divided by the receiver's inbound
 /// access capacity (no protocol or transport overhead at all).
@@ -33,13 +43,79 @@ pub fn tcp_feasible(topo: &Topology, file: FileSpec, startup_secs: f64) -> Vec<f
             let down = topo.node(id).down;
             // The best case is a peer whose path bottleneck is our access link;
             // use the median core RTT towards this node for the ramp.
-            let rtt = topo.rtt(netsim::NodeId(0), id);
+            let rtt = topo.rtt(NodeId(0), id);
             let path = TcpPath {
                 bottleneck: down,
                 rtt,
                 loss: 0.0,
             };
             startup_secs + idle_transfer_time(&path, framed_bytes).as_secs_f64()
+        })
+        .collect()
+}
+
+/// Rsync source uplink shared by all concurrent sessions: a well-connected
+/// university source of the era.
+const SOURCE_UPLINK: BytesPerSec = mbps(10.0);
+/// Rsync source disk read throughput shared by all concurrent sessions
+/// (a contended PlanetLab-class disk).
+const SOURCE_DISK: BytesPerSec = mbps(60.0);
+/// Rsync source CPU throughput for checksumming and ssh encryption, shared.
+const SOURCE_CPU: BytesPerSec = mbps(24.0);
+/// Per-client replay (disk) throughput applied to the update bytes, on both
+/// sides of Fig 15.
+pub(crate) const CLIENT_REPLAY: BytesPerSec = mbps(1.6);
+/// Fixed per-session start-up cost of an rsync (ssh handshake, file-list
+/// walk), seconds.
+const SESSION_OVERHEAD: f64 = 4.0;
+
+/// Completion times (seconds, one per client, unsorted) for pushing
+/// `update_bytes` to every client with `parallelism` concurrent rsync
+/// sessions.
+///
+/// `client_download` gives each client's own bottleneck bandwidth in
+/// bytes/second (from the emulated topology), so slow sites take longer even
+/// when the source is idle.
+pub fn parallel_rsync_times(
+    client_download: &[BytesPerSec],
+    parallelism: usize,
+    update_bytes: u64,
+) -> Vec<f64> {
+    assert!(parallelism >= 1, "need at least one rsync slot");
+    let k = parallelism.min(client_download.len().max(1)) as f64;
+    // Each concurrent session's share of the source's resources.
+    let source_share = (SOURCE_UPLINK / k).min(SOURCE_DISK / k).min(SOURCE_CPU / k);
+
+    // Greedy slot scheduler: clients are assigned to the first free slot in
+    // index order (the staggered approach of the paper).
+    let mut slot_free_at = vec![0.0f64; parallelism];
+    let mut completions = Vec::with_capacity(client_download.len());
+    for &down in client_download {
+        // Earliest available slot.
+        let (slot, start) = slot_free_at
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by(|a, b| a.1.total_cmp(&b.1))
+            .expect("at least one slot");
+        let rate = source_share.min(down).max(1.0);
+        let transfer = update_bytes as f64 / rate;
+        let replay = update_bytes as f64 / CLIENT_REPLAY.max(1.0);
+        let finish = start + SESSION_OVERHEAD + transfer + replay;
+        slot_free_at[slot] = start + SESSION_OVERHEAD + transfer;
+        completions.push(finish);
+    }
+    completions
+}
+
+/// Per-client bottleneck download bandwidth for the rsync model: every
+/// receiver of `topo` (node 0 is the source), its access downlink capped by
+/// the core path from the source — the same clients Shotgun runs on.
+pub fn planetlab_client_bandwidths(topo: &Topology) -> Vec<BytesPerSec> {
+    (1..topo.len())
+        .map(|i| {
+            let id = NodeId(i as u32);
+            topo.node(id).down.min(topo.path(NodeId(0), id).bw)
         })
         .collect()
 }
@@ -77,5 +153,45 @@ mod tests {
                 "TCP-feasible ({t}) must exceed the physical limit ({p})"
             );
         }
+    }
+
+    fn uniform_clients(n: usize, bw_mbps: f64) -> Vec<BytesPerSec> {
+        vec![mbps(bw_mbps); n]
+    }
+
+    #[test]
+    fn more_parallelism_helps_until_the_source_saturates() {
+        let clients = uniform_clients(40, 10.0);
+        let update = 24 * 1024 * 1024;
+        let t2 = parallel_rsync_times(&clients, 2, update);
+        let t8 = parallel_rsync_times(&clients, 8, update);
+        let t16 = parallel_rsync_times(&clients, 16, update);
+        let last = |v: &Vec<f64>| v.iter().cloned().fold(0.0f64, f64::max);
+        assert!(last(&t8) < last(&t2), "8 slots should beat 2");
+        // Returns diminish: the aggregate work is source-bound, so 16 slots is
+        // not twice as good as 8.
+        assert!(last(&t16) > last(&t8) * 0.5);
+    }
+
+    #[test]
+    fn rsync_slots_serialise_clients() {
+        let clients = uniform_clients(4, 100.0);
+        let times = parallel_rsync_times(&clients, 1, 10 * 1024 * 1024);
+        // With one slot each client starts when the previous session ends, so
+        // completions are strictly increasing: every session costs at least
+        // the positive start-up overhead, SESSION_OVERHEAD.
+        for w in times.windows(2) {
+            assert!(w[1] > w[0]);
+        }
+    }
+
+    #[test]
+    fn client_bandwidths_are_heterogeneous_and_deterministic() {
+        let topo = |seed| topology::planetlab_like(30, &RngFactory::new(seed));
+        let a = planetlab_client_bandwidths(&topo(3));
+        assert_eq!(a.len(), 29, "one per receiver");
+        assert_eq!(a, planetlab_client_bandwidths(&topo(3)));
+        let distinct: std::collections::BTreeSet<u64> = a.iter().map(|x| *x as u64).collect();
+        assert!(distinct.len() > 1);
     }
 }

@@ -27,7 +27,6 @@ use netsim::{
 
 use baselines::ASSUMED_ENCODING_OVERHEAD;
 use bullet_prime::{Config, FlashShape, OutstandingPolicy, PeerSetPolicy, RequestStrategy};
-use shotgun::{parallel_rsync_times, planetlab_client_bandwidths, RsyncModelParams};
 
 use crate::bounds;
 use crate::cdf::{improvement_at, Figure, Series};
@@ -597,10 +596,9 @@ pub fn fig15_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
 
 /// Figure 15's presentation: Shotgun vs N parallel rsync processes. Shotgun's
 /// download times are the workload's Bullet′ run, and every receiver then
-/// replays the deltas at the client disk rate; the rsync sessions are the
-/// source-contention model over the same sites' bandwidths.
+/// replays the deltas at the client disk rate; the rsync sessions are
+/// [`bounds`]' source-contention model over the same sites' bandwidths.
 pub fn fig15_figure(w: &Workload, report: &RunReport) -> Figure {
-    let params = RsyncModelParams::default();
     let update_bytes = w.file.file_bytes;
     let mut fig = Figure::new(
         "Figure 15",
@@ -613,7 +611,7 @@ pub fn fig15_figure(w: &Workload, report: &RunReport) -> Figure {
     fig.x_label = "completion time (s)".into();
 
     let download = SystemRun::from_report(report);
-    let replay = update_bytes as f64 / params.client_replay;
+    let replay = update_bytes as f64 / bounds::CLIENT_REPLAY;
     let updated = SystemRun {
         times: download.times.iter().map(|t| t + replay).collect(),
         ..download.clone()
@@ -621,9 +619,9 @@ pub fn fig15_figure(w: &Workload, report: &RunReport) -> Figure {
     fig.push(cdf("Shotgun (Download Only)", &download));
     fig.push(cdf("Shotgun (Download + Update)", &updated));
 
-    let clients = planetlab_client_bandwidths(&w.topology());
+    let clients = bounds::planetlab_client_bandwidths(&w.topology());
     for parallelism in [2usize, 4, 8, 16] {
-        let times = parallel_rsync_times(&clients, parallelism, update_bytes, &params);
+        let times = bounds::parallel_rsync_times(&clients, parallelism, update_bytes);
         fig.push(Series::cdf(format!("{parallelism} parallel rsync"), &times));
     }
 
@@ -1485,20 +1483,34 @@ mod tests {
 
     #[test]
     fn fig15_orders_shotgun_before_rsync() {
-        // Shotgun's advantage needs a non-trivial update size and client count
-        // (on a tiny 1 MB push the per-session rsync overhead is negligible).
-        let mut opts = tiny();
-        opts.nodes = Some(16);
-        opts.file_mb = Some(4.0);
-        let w = fig15_workload(&opts, "default").unwrap();
-        let fig = fig15_figure(&w, &w.report());
-        assert_eq!(fig.series.len(), 6);
-        let shotgun = fig.series[1].max_x();
-        let rsync2 = fig.series[2].max_x();
-        assert!(
-            shotgun < rsync2,
-            "Shotgun ({shotgun}) should beat 2-way rsync ({rsync2})"
-        );
+        // The claim holds at the scenario's default scale, 40 receivers and an
+        // 8 MB update, where the clients queue for the rsync source's shared
+        // slots. It does not at 16 nodes / 4 MB: there Shotgun's slowest
+        // receiver (55 s) leads the best rsync (75 s) by well under 2x.
+        // The paper reports one to two orders of magnitude; this reproduction
+        // gives 2.4-3.2x at default and --full scale, so the predicate asserts
+        // the measured floor of 2x, not the paper's 10x (docs/EXPERIMENTS.md,
+        // "Disagreements", fig15).
+        for seed in [CommonOpts::default().seed, 1, 3] {
+            let opts = CommonOpts {
+                seed,
+                ..CommonOpts::default()
+            };
+            let w = fig15_workload(&opts, "default").unwrap();
+            assert_eq!((w.nodes, w.file.file_bytes), (41, 8 * 1024 * 1024));
+            let fig = fig15_figure(&w, &w.report());
+            assert_eq!(fig.series.len(), 6);
+            let shotgun = fig.series[1].max_x();
+            let best_rsync = fig.series[2..]
+                .iter()
+                .map(Series::max_x)
+                .fold(f64::INFINITY, f64::min);
+            assert!(
+                best_rsync >= 2.0 * shotgun,
+                "seed {seed}: Shotgun's download+update ({shotgun:.0}s) should be at least \
+                 2x ahead of the best parallel rsync ({best_rsync:.0}s)"
+            );
+        }
     }
 
     #[test]
@@ -1517,7 +1529,7 @@ mod tests {
         let fig = fig15_figure(&w, &report);
         let (download, updated) = (&fig.series[0], &fig.series[1]);
         assert_eq!(download.points.len(), 14, "one point per receiver");
-        let expected_replay = w.file.file_bytes as f64 / RsyncModelParams::default().client_replay;
+        let expected_replay = w.file.file_bytes as f64 / bounds::CLIENT_REPLAY;
         for (d, t) in download.points.iter().zip(&updated.points) {
             assert!((t.0 - d.0 - expected_replay).abs() < 1e-9);
         }

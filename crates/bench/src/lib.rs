@@ -21,7 +21,8 @@
 //!   bandwidth-change schedules;
 //! * [`cdf`] — series/figure data structures, CDFs, summary statistics;
 //! * [`opts`] — the shared figure options (`--nodes`, `--mb`, `--seed`, …);
-//! * [`bounds`] — the analytic reference curves of Fig 4;
+//! * [`bounds`] — the analytic models: Fig 4's reference curves and Fig 15's
+//!   parallel-rsync contention model;
 //! * [`alloc_track`] — the counting global allocator behind the allocation
 //!   counts and peak-heap-bytes figures of the `benchmark/` harness.
 //!

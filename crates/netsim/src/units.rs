@@ -8,7 +8,7 @@
 pub type BytesPerSec = f64;
 
 /// Converts megabits per second to bytes per second.
-pub fn mbps(v: f64) -> BytesPerSec {
+pub const fn mbps(v: f64) -> BytesPerSec {
     v * 1_000_000.0 / 8.0
 }
 

@@ -8,14 +8,13 @@
 //!
 //! * [`bullet_prime`] — the Bullet′ protocol (the paper's contribution);
 //! * [`baselines`] — BitTorrent, original Bullet and SplitStream;
-//! * [`shotgun`] — the rsync side of the Shotgun software-update tool (its
-//!   Bullet′ multicast is fig15's workload in [`bullet_bench`]);
 //! * [`netsim`] — the ModelNet-equivalent network emulator;
 //! * [`overlay`] — the control tree and RanSub;
 //! * [`dissem_codec`] — blocks, bitmaps and availability diffs;
 //! * [`desim`] — the deterministic discrete-event engine;
 //! * [`bullet_bench`] — workloads and the presentations of every registry
-//!   scenario (the paper's Figures 4–15 and the beyond-the-paper fig16–fig22);
+//!   scenario (the paper's Figures 4–15 and the beyond-the-paper fig16–fig22),
+//!   with Fig 15's parallel-rsync model among the analytic bounds;
 //! * [`bullet_lab`] — the scenario lab: registry, parallel sweep executor
 //!   and the `lab` CLI.
 //!
@@ -32,4 +31,3 @@ pub use desim;
 pub use dissem_codec;
 pub use netsim;
 pub use overlay;
-pub use shotgun;
