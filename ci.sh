@@ -198,6 +198,13 @@ if git status --porcelain | grep -q 'BENCH_.*\.json'; then
     echo "FAIL: a perf-record file appeared at the root; performance is recorded by benchmark/ only"
     exit 1
 fi
+# Nor is there a second timer: no member may carry a bench target.
+for member in . crates/* vendor/*; do
+    if [ -d "$member/benches" ] || grep -q '^\[\[bench\]\]' "$member/Cargo.toml"; then
+        echo "FAIL: $member has a benches/ directory or a [[bench]] table; layers are timed by benchmark/src/drivers.rs only"
+        exit 1
+    fi
+done
 
 # LoC per crate, the series CHANGES.md continues from PR to PR: non-blank,
 # non-`//` lines before a file's first `#[cfg(test)]`. "all" counts every
@@ -229,9 +236,9 @@ done
 printf '%-18s all %6d   prod %6d\n' "total" "$total_all" "$total_prod"
 
 # The harness's digests of its five workloads' canonical reports at the
-# default seed. benchmark/golden.json is stale on three of them by contract
-# (only a `benchmark` PR refreshes it), so nothing is compared here: a PR that
-# claims unchanged behaviour quotes this line before and after.
+# default seed. benchmark/golden.json goes stale whenever a digest moves, by
+# contract (only a `benchmark` PR refreshes it), so nothing is compared here:
+# a PR that claims unchanged behaviour quotes these lines before and after.
 echo "==> benchmark/run.sh golden (informational; CHANGES.md records them)"
 printf '%s\n' "$harness_digests"
 

@@ -29,8 +29,8 @@
 //! Figures are run through the `bullet_lab` crate's scenario registry (`lab
 //! run <name>`); `lab bench` runs three registry workloads from
 //! [`experiments`] at fixed options and checks them, and performance is
-//! recorded by `benchmark/`. This crate ships no binaries. Criterion micro-benchmarks for the core data
-//! structures live in `benches/`.
+//! recorded by `benchmark/`, which also times the layers. This crate ships
+//! no binaries.
 
 pub mod alloc_track;
 pub mod bounds;

@@ -6,6 +6,8 @@
 //! workload sizes. No external argument-parsing crate is used — the option
 //! surface is tiny and fixed.
 
+use desim::SimTime;
+
 /// Options accepted by every figure.
 #[derive(Debug, Clone)]
 pub struct CommonOpts {
@@ -74,22 +76,25 @@ impl CommonOpts {
             }
         }
         // Values a runner would panic on, or turn into an all-NaN figure.
+        // Below 2^22 MiB a file has fewer than 2^32 blocks even at 1 KiB, and
+        // a limit past `SimTime::MAX` would saturate warmup and horizon alike.
         let positive = |x: f64| x.is_finite() && x > 0.0;
         let one_byte = 1.0 / (1024.0 * 1024.0);
+        let max_mb = f64::from(u32::MAX) / 1024.0;
         let rule = if opts.nodes.is_some_and(|n| n < 2) {
             "--nodes must be at least 2"
         } else if opts
             .file_mb
-            .is_some_and(|mb| !mb.is_finite() || mb < one_byte)
+            .is_some_and(|mb| !(one_byte..=max_mb).contains(&mb))
         {
-            "--mb must be finite and at least one byte"
+            "--mb must be at least one byte and below 4194304"
         } else if opts
             .block_kb
             .is_some_and(|kb| kb == 0 || kb > u32::MAX / 1024)
         {
             "--block-kb must be in 1..=4194303"
-        } else if !positive(opts.time_limit) {
-            "--time-limit must be finite and positive"
+        } else if !(positive(opts.time_limit) && opts.time_limit <= SimTime::MAX.as_secs_f64()) {
+            "--time-limit must be positive and within SimTime's range (about 1.8e10 s)"
         } else if opts.tick.is_some_and(|t| !positive(t)) {
             "--tick must be finite and positive"
         } else {
@@ -206,9 +211,9 @@ mod tests {
         for (flag, bad) in [
             ("--tick", &["0", "-1", "NaN", "inf"][..]),
             ("--nodes", &["0", "1"]),
-            ("--mb", &["0", "-1", "NaN", "inf", "1e-9"]),
+            ("--mb", &["0", "-1", "NaN", "inf", "1e-9", "4194304"]),
             ("--block-kb", &["0", "4194304"]),
-            ("--time-limit", &["0", "-5", "NaN", "inf"]),
+            ("--time-limit", &["0", "-5", "NaN", "inf", "1e30"]),
         ] {
             for value in bad {
                 let err = parse(&[flag, value]).unwrap_err();

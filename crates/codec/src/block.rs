@@ -35,10 +35,15 @@ pub struct FileSpec {
 }
 
 impl FileSpec {
-    /// Creates a spec, panicking on a zero block size or zero file size.
+    /// Creates a spec, panicking on a zero block size or zero file size, or
+    /// on a block count that does not fit a `u32`.
     pub fn new(file_bytes: u64, block_bytes: u32) -> Self {
         assert!(file_bytes > 0, "file must be non-empty");
         assert!(block_bytes > 0, "block size must be non-zero");
+        assert!(
+            file_bytes.div_ceil(u64::from(block_bytes)) <= u64::from(u32::MAX),
+            "a {file_bytes}-byte file has more than u32::MAX {block_bytes}-byte blocks"
+        );
         FileSpec {
             file_bytes,
             block_bytes,

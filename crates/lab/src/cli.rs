@@ -186,6 +186,18 @@ fn parse_sweep_args(args: Vec<String>) -> Result<SweepArgs, String> {
             other => out.rest.push(other.to_string()),
         }
     }
+    // A seed list is the whole plan: a second way to name seeds would be
+    // dropped, and a repeated seed would count twice.
+    if let Some(seeds) = &out.seeds {
+        if out.seed_count.is_some() || out.rest.iter().any(|a| a == "--seed") {
+            return Err(format!(
+                "--seeds takes neither --seed nor --seed-count\n{USAGE}"
+            ));
+        }
+        if (1..seeds.len()).any(|i| seeds[..i].contains(&seeds[i])) {
+            return Err(format!("--seeds must not repeat a seed\n{USAGE}"));
+        }
+    }
     Ok(out)
 }
 
@@ -199,9 +211,9 @@ fn parse_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
         .collect()
 }
 
-/// The seed plan a sweep actually uses: explicit `--seeds` wins, then
-/// `--seed-count` over the scenario's base seed (or `--seed`), then the
-/// scenario's default plan re-based onto `--seed` if one was given.
+/// The seed plan a sweep actually uses: `--seeds` as given, or else the
+/// scenario's plan re-based onto `--seed` and resized by `--seed-count`,
+/// each if given.
 fn effective_seeds(
     scenario: &Scenario,
     sweep_args: &SweepArgs,
@@ -409,16 +421,11 @@ mod tests {
             ..CommonOpts::default()
         };
 
-        // Explicit list wins outright.
+        // The plan is re-based on --seed and resized by --seed-count.
         let mut args = SweepArgs {
-            seeds: Some(vec![9, 8]),
+            seed_count: Some(2),
             ..Default::default()
         };
-        assert_eq!(effective_seeds(sc, &args, &opts, true), vec![9, 8]);
-
-        // Otherwise the plan is re-based on --seed and resized by --seed-count.
-        args.seeds = None;
-        args.seed_count = Some(2);
         assert_eq!(effective_seeds(sc, &args, &opts, true), vec![42, 43]);
 
         // Without --seed the scenario's base applies.
@@ -432,6 +439,16 @@ mod tests {
         for flag in ["--threads", "--seed-count"] {
             let err = usage_error(&["sweep", "fig13", flag, "0"]);
             assert!(err.contains("positive"), "{flag}: {err}");
+        }
+        // A seed list that another seed option would shorten or that
+        // repeats a seed is refused, not silently reconciled.
+        for seeds in [
+            &["--seeds", "1,1"][..],
+            &["--seeds", "1", "--seed-count", "2"],
+            &["--seeds", "1", "--seed", "2"],
+        ] {
+            let err = usage_error(&[&["sweep", "fig13"][..], seeds].concat());
+            assert!(err.starts_with("--seeds"), "{seeds:?}: {err}");
         }
     }
 
