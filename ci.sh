@@ -89,10 +89,14 @@ cargo test -q --release --test golden_figures
 # solve, equal a twin solved after every operation) and lazy_heap_reference
 # (the solver against the lazy-heap solver it replaced, bit for bit) guard it
 # as the solver's link heap. Under a second together.
-echo "==> heap oracles on the release build (desim, queue oracle, fairness + instant oracle, lazy-heap reference)"
+echo "==> heap oracles on the release build (desim, queue oracle, fairness + instant oracle, lazy-heap reference) and the lazy schedule's reference"
 cargo test -q --release -p desim
 cargo test -q --release -p netsim --test fairness_oracle
 cargo test -q --release -p netsim --lib lazy_heap_reference
+# The dynamics tests guard the lazily drawn §4.1 schedule against its eager
+# reference (every batch's list element by element, a clone's draw, len())
+# on the build the benchmark measures.
+cargo test -q --release -p netsim --lib dynamics
 
 # baselines' tests on the release build, so the reference proptest of
 # BitTorrent's counted request selection (the scan-based selection it

@@ -101,6 +101,6 @@ mod tests {
         let cascade = cascade_schedule(7, 25.0);
         assert_eq!(cascade.len(), 6);
         assert_eq!(cascade[0].0.as_secs_f64(), 25.0);
-        assert!(cascade.iter().all(|(_, b)| b.changes[0].1 == NodeId(7)));
+        assert!(cascade.iter().all(|(_, b)| b.changes()[0].1 == NodeId(7)));
     }
 }

@@ -24,6 +24,7 @@
 use std::collections::HashSet;
 
 use desim::{RngFactory, SimDuration, SimTime};
+use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 
 use crate::topology::{NodeId, Topology};
@@ -39,13 +40,51 @@ pub enum BandwidthChange {
 }
 
 /// A batch of directional link changes that take effect at one instant.
+///
+/// A batch is either a list of `(from, to, change)` triples or a §4.1
+/// correlated decrease, which holds only its participant count and the
+/// random stream's state at the batch's start and draws its list when it is
+/// applied. A clone draws the same list independently of the original.
 #[derive(Debug, Clone, Default)]
 pub struct LinkChangeBatch {
-    /// `(from, to, change)` triples applied to the core path `from → to`.
-    pub changes: Vec<(NodeId, NodeId, BandwidthChange)>,
+    changes: Changes,
+}
+
+/// What a batch changes: a list, or the recipe of a correlated decrease.
+#[derive(Debug, Clone)]
+enum Changes {
+    /// Cascade and hand-built batches.
+    Listed(Vec<(NodeId, NodeId, BandwidthChange)>),
+    /// A §4.1 batch among `n` participants, drawn by [`draw_correlated`]
+    /// from a clone of `rng`, the stream's state at the batch's start.
+    Correlated { n: usize, rng: StdRng },
+}
+
+impl Default for Changes {
+    fn default() -> Self {
+        Changes::Listed(Vec::new())
+    }
 }
 
 impl LinkChangeBatch {
+    /// A batch applying `changes`, in order: `(from, to, change)` triples
+    /// acting on the core path `from → to`.
+    pub fn new(changes: Vec<(NodeId, NodeId, BandwidthChange)>) -> Self {
+        LinkChangeBatch {
+            changes: Changes::Listed(changes),
+        }
+    }
+
+    /// The batch's `(from, to, change)` triples in the order [`apply`]
+    /// applies them; a correlated decrease is drawn anew on every call.
+    ///
+    /// [`apply`]: LinkChangeBatch::apply
+    pub fn changes(&self) -> Vec<(NodeId, NodeId, BandwidthChange)> {
+        let mut list = Vec::with_capacity(self.len());
+        self.for_each(|change| list.push(change));
+        list
+    }
+
     /// Applies the batch to `topo` and returns the affected ordered pairs so
     /// the caller can re-price live connections. Changes act on the **core
     /// link** carrying each pair: on the paper's dedicated-link meshes that
@@ -55,9 +94,9 @@ impl LinkChangeBatch {
     /// halves ten pairs riding one shared link halves that link once, it does
     /// not cut it to 1/1024th.
     pub fn apply(&self, topo: &mut Topology) -> Vec<(NodeId, NodeId)> {
-        let mut pairs = Vec::with_capacity(self.changes.len());
-        let mut scaled: std::collections::HashSet<crate::topology::LinkId> = HashSet::new();
-        for &(from, to, change) in &self.changes {
+        let mut pairs = Vec::with_capacity(self.len());
+        let mut scaled: HashSet<crate::topology::LinkId> = HashSet::new();
+        self.for_each(|(from, to, change)| {
             match change {
                 BandwidthChange::Scale(f) => {
                     let link = topo.core_link(from, to);
@@ -70,18 +109,30 @@ impl LinkChangeBatch {
                 }
             };
             pairs.push((from, to));
-        }
+        });
         pairs
     }
 
-    /// Number of directional links affected.
+    /// Number of ordered pairs the batch changes. On a shared core many
+    /// pairs ride one link, so this can exceed the number of links changed.
     pub fn len(&self) -> usize {
-        self.changes.len()
+        match &self.changes {
+            Changes::Listed(list) => list.len(),
+            Changes::Correlated { n, .. } => n / 2 * (n.saturating_sub(1) / 2),
+        }
     }
 
     /// True when the batch changes nothing.
     pub fn is_empty(&self) -> bool {
-        self.changes.is_empty()
+        self.len() == 0
+    }
+
+    /// Hands each triple to `f`, in order.
+    fn for_each(&self, f: impl FnMut((NodeId, NodeId, BandwidthChange))) {
+        match &self.changes {
+            Changes::Listed(list) => list.iter().copied().for_each(f),
+            Changes::Correlated { n, rng } => draw_correlated(*n, &mut rng.clone(), f),
+        }
     }
 }
 
@@ -95,36 +146,57 @@ pub type ChangeSchedule = Vec<(SimTime, LinkChangeBatch)>;
 /// chosen 50% of the *other* participants towards it are cut to half of
 /// their current value (the reverse direction is unaffected). The schedule
 /// covers `[period, horizon]`.
+///
+/// Every batch's draws are made here, so each batch starts where the one
+/// before it ended, but a batch keeps only the stream's state at its start:
+/// its list is drawn again, by the same function, when it is applied.
 pub fn correlated_decrease_schedule(
     n: usize,
     period: SimDuration,
     horizon: SimDuration,
     rng: &RngFactory,
 ) -> ChangeSchedule {
+    assert!(
+        !period.is_zero(),
+        "the correlated decrease needs a positive period"
+    );
     let mut rng = rng.stream("dynamics.correlated");
     let mut schedule = Vec::new();
     let mut t = SimTime::ZERO + period;
     let end = SimTime::ZERO + horizon;
-    let all: Vec<u32> = (0..n as u32).collect();
     while t <= end {
-        let mut batch = LinkChangeBatch::default();
-        let mut victims = all.clone();
-        victims.shuffle(&mut rng);
-        let victims = &victims[..n / 2];
-        for &v in victims {
-            let mut others: Vec<u32> = all.iter().copied().filter(|&x| x != v).collect();
-            others.shuffle(&mut rng);
-            let senders = &others[..others.len() / 2];
-            for &s in senders {
-                batch
-                    .changes
-                    .push((NodeId(s), NodeId(v), BandwidthChange::Scale(0.5)));
-            }
-        }
+        let start = rng.clone();
+        draw_correlated(n, &mut rng, |_| {});
+        let batch = LinkChangeBatch {
+            changes: Changes::Correlated { n, rng: start },
+        };
         schedule.push((t, batch));
         t += period;
     }
     schedule
+}
+
+/// Draws one correlated-decrease batch among `n` participants from `rng`:
+/// half of them are victims, and each victim's core links from half of the
+/// others are halved. Hands each `(sender, victim, change)` to `emit` in draw
+/// order.
+fn draw_correlated(
+    n: usize,
+    rng: &mut StdRng,
+    mut emit: impl FnMut((NodeId, NodeId, BandwidthChange)),
+) {
+    let all: Vec<u32> = (0..n as u32).collect();
+    let mut victims = all.clone();
+    victims.shuffle(rng);
+    let mut others = Vec::with_capacity(n);
+    for &v in &victims[..n / 2] {
+        others.clear();
+        others.extend(all.iter().copied().filter(|&x| x != v));
+        others.shuffle(rng);
+        for &s in &others[..others.len() / 2] {
+            emit((NodeId(s), NodeId(v), BandwidthChange::Scale(0.5)));
+        }
+    }
 }
 
 /// A scheduled change of the background (cross-traffic) load on a core link:
@@ -266,9 +338,7 @@ pub fn cascading_degrade_schedule(
     let mut schedule = Vec::new();
     let mut t = SimTime::ZERO + period;
     for &s in senders {
-        let batch = LinkChangeBatch {
-            changes: vec![(s, victim, BandwidthChange::Set(kbps(100.0)))],
-        };
+        let batch = LinkChangeBatch::new(vec![(s, victim, BandwidthChange::Set(kbps(100.0)))]);
         schedule.push((t, batch));
         t += period;
     }
@@ -295,7 +365,9 @@ mod tests {
             assert_eq!(t.as_secs_f64(), 20.0 * (i + 1) as f64);
             // 10 victims x 9 or 10 senders each (others.len()/2 = 9).
             assert_eq!(batch.len(), 10 * 9);
-            for &(from, to, change) in &batch.changes {
+            let changes = batch.changes();
+            assert_eq!(changes.len(), 10 * 9, "the drawn list is as long as len()");
+            for &(from, to, change) in &changes {
                 assert_ne!(from, to);
                 assert_eq!(change, BandwidthChange::Scale(0.5));
             }
@@ -316,22 +388,99 @@ mod tests {
             SimDuration::from_secs(40),
             &RngFactory::new(9),
         );
+        assert_eq!(a.len(), 2);
         assert_eq!(a.len(), b.len());
         for ((_, ba), (_, bb)) in a.iter().zip(b.iter()) {
-            assert_eq!(ba.changes, bb.changes);
+            let drawn = ba.changes();
+            assert_eq!(drawn.len(), 5 * 4);
+            assert_eq!(drawn, bb.changes());
         }
+        assert_ne!(a[0].1.changes(), a[1].1.changes(), "batches draw afresh");
+    }
+
+    type Change = (NodeId, NodeId, BandwidthChange);
+
+    /// The schedule as it was built before batches were drawn when applied:
+    /// every batch's list materialised up front. The lazy schedule must draw
+    /// exactly these lists.
+    fn eager_reference(
+        n: usize,
+        period: SimDuration,
+        horizon: SimDuration,
+        rng: &RngFactory,
+    ) -> Vec<(SimTime, Vec<Change>)> {
+        let mut rng = rng.stream("dynamics.correlated");
+        let mut schedule = Vec::new();
+        let mut t = SimTime::ZERO + period;
+        let end = SimTime::ZERO + horizon;
+        let all: Vec<u32> = (0..n as u32).collect();
+        while t <= end {
+            let mut batch = Vec::new();
+            let mut victims = all.clone();
+            victims.shuffle(&mut rng);
+            let victims = &victims[..n / 2];
+            for &v in victims {
+                let mut others: Vec<u32> = all.iter().copied().filter(|&x| x != v).collect();
+                others.shuffle(&mut rng);
+                let senders = &others[..others.len() / 2];
+                for &s in senders {
+                    batch.push((NodeId(s), NodeId(v), BandwidthChange::Scale(0.5)));
+                }
+            }
+            schedule.push((t, batch));
+            t += period;
+        }
+        schedule
+    }
+
+    #[test]
+    fn lazy_draw_equals_the_eager_reference() {
+        for n in [2, 3, 7, 20, 60] {
+            for seed in [1, 9, 20050410] {
+                for (period, horizon) in [(20, 19), (20, 20), (20, 100), (8, 400)] {
+                    let (period, horizon) = (
+                        SimDuration::from_secs(period),
+                        SimDuration::from_secs(horizon),
+                    );
+                    let rng = RngFactory::new(seed);
+                    let lazy = correlated_decrease_schedule(n, period, horizon, &rng);
+                    let eager = eager_reference(n, period, horizon, &rng);
+                    assert_eq!(lazy.len(), eager.len(), "n {n} seed {seed}");
+                    let mut topo = constrained_access(n);
+                    for ((t, batch), (te, list)) in lazy.iter().zip(&eager) {
+                        assert_eq!(t, te);
+                        assert_eq!(batch.changes(), *list, "n {n} seed {seed} t {t:?}");
+                        assert_eq!(batch.len(), list.len());
+                        assert_eq!(batch.len(), n / 2 * ((n - 1) / 2));
+                        assert_eq!(batch.is_empty(), list.is_empty());
+                        assert_eq!(batch.clone().changes(), *list, "a clone draws the same");
+                        let pairs: Vec<_> = list.iter().map(|&(from, to, _)| (from, to)).collect();
+                        assert_eq!(batch.apply(&mut topo), pairs);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "positive period")]
+    fn correlated_schedule_rejects_a_zero_period() {
+        correlated_decrease_schedule(
+            10,
+            SimDuration::ZERO,
+            SimDuration::from_secs(40),
+            &RngFactory::new(1),
+        );
     }
 
     #[test]
     fn apply_scales_and_sets_bandwidth() {
         let mut topo = constrained_access(4);
         let before = topo.path(NodeId(0), NodeId(1)).bw;
-        let batch = LinkChangeBatch {
-            changes: vec![
-                (NodeId(0), NodeId(1), BandwidthChange::Scale(0.5)),
-                (NodeId(2), NodeId(3), BandwidthChange::Set(kbps(100.0))),
-            ],
-        };
+        let batch = LinkChangeBatch::new(vec![
+            (NodeId(0), NodeId(1), BandwidthChange::Scale(0.5)),
+            (NodeId(2), NodeId(3), BandwidthChange::Set(kbps(100.0))),
+        ]);
         let pairs = batch.apply(&mut topo);
         assert_eq!(pairs, vec![(NodeId(0), NodeId(1)), (NodeId(2), NodeId(3))]);
         assert_eq!(topo.path(NodeId(0), NodeId(1)).bw, before * 0.5);
@@ -345,8 +494,8 @@ mod tests {
         // Ten pairs of one batch riding one shared core link: the link is
         // halved once, not ten times (successive *batches* still compound).
         let mut topo = crate::topology::shared_core_mesh(6, mbps(2.0), 0.0, &RngFactory::new(1));
-        let batch = LinkChangeBatch {
-            changes: (1..6)
+        let batch = LinkChangeBatch::new(
+            (1..6)
                 .flat_map(|v| {
                     [
                         (NodeId(0), NodeId(v), BandwidthChange::Scale(0.5)),
@@ -354,7 +503,7 @@ mod tests {
                     ]
                 })
                 .collect(),
-        };
+        );
         batch.apply(&mut topo);
         assert_eq!(topo.path(NodeId(0), NodeId(1)).bw, mbps(1.0));
         batch.apply(&mut topo);
@@ -364,9 +513,7 @@ mod tests {
     #[test]
     fn cumulative_scaling_compounds() {
         let mut topo = constrained_access(3);
-        let batch = LinkChangeBatch {
-            changes: vec![(NodeId(0), NodeId(1), BandwidthChange::Scale(0.5))],
-        };
+        let batch = LinkChangeBatch::new(vec![(NodeId(0), NodeId(1), BandwidthChange::Scale(0.5))]);
         batch.apply(&mut topo);
         batch.apply(&mut topo);
         assert_eq!(topo.path(NodeId(0), NodeId(1)).bw, mbps(10.0) * 0.25);
@@ -536,8 +683,8 @@ mod tests {
         assert_eq!(sched[5].0.as_secs_f64(), 150.0);
         for (i, (_, batch)) in sched.iter().enumerate() {
             assert_eq!(batch.len(), 1);
-            assert_eq!(batch.changes[0].0, NodeId(i as u32));
-            assert_eq!(batch.changes[0].1, NodeId(7));
+            assert_eq!(batch.changes()[0].0, NodeId(i as u32));
+            assert_eq!(batch.changes()[0].1, NodeId(7));
         }
     }
 }

@@ -708,9 +708,11 @@ mod runner_tests {
             if degrade {
                 runner.schedule_link_change(
                     desim::SimTime::from_secs_f64(1.0),
-                    LinkChangeBatch {
-                        changes: vec![(NodeId(0), NodeId(1), BandwidthChange::Set(kbps(50.0)))],
-                    },
+                    LinkChangeBatch::new(vec![(
+                        NodeId(0),
+                        NodeId(1),
+                        BandwidthChange::Set(kbps(50.0)),
+                    )]),
                 );
             }
             let report = runner.run(SimDuration::from_secs(10_000));
