@@ -95,7 +95,10 @@ cargo test -q --release -p netsim --test fairness_oracle
 cargo test -q --release -p netsim --lib lazy_heap_reference
 # The dynamics tests guard the lazily drawn §4.1 schedule against its eager
 # reference (every batch's list element by element, a clone's draw, len())
-# on the build the benchmark measures.
+# on the build the benchmark measures, in every draw order (forward, reverse,
+# middle-first, each batch twice, a clone after its original is dropped) and
+# from two threads drawing clones of one schedule: a schedule's batches share
+# one table of start states, filled by whichever draws first.
 cargo test -q --release -p netsim --lib dynamics
 
 # baselines' tests on the release build, so the reference proptest of
@@ -112,6 +115,14 @@ cargo test -q --release -p baselines
 # build; this is the build the benchmark measures.
 echo "==> departure invariant of the four systems on the release build (tests/protocol_conformance.rs)"
 cargo test -q --release --test protocol_conformance
+
+# The snapshot/fork contract (tests/snapshot_fork.rs) on the release build:
+# forks of one snapshot share their §4.1 schedule's table of batch start
+# states, which the first fork to draw a batch fills, and the lab runs
+# release forks on executor threads; one test resumes two forks in turn and
+# two on threads, and each must equal the uninterrupted run.
+echo "==> snapshot/fork contract on the release build (tests/snapshot_fork.rs)"
+cargo test -q --release --test snapshot_fork
 
 # The three README examples are built by --all-targets above; run them, so
 # one that panics or exits non-zero fails here and not for a reader.

@@ -103,8 +103,9 @@ impl SenderState {
 #[derive(Debug, Clone)]
 struct ReceiverState {
     diff: DiffTracker,
-    /// Blocks that became available since the last diff to this receiver.
-    pending_adverts: Vec<BlockId>,
+    /// How much of the node's `arrivals` log this receiver has been offered:
+    /// `arrivals[flushed..]` is what its next diff is drawn from.
+    flushed: usize,
     /// Bytes whose transmission to this receiver completed since last epoch.
     bytes_since_epoch: u64,
     /// The receiver's self-reported total incoming bandwidth (bytes/second).
@@ -112,10 +113,10 @@ struct ReceiverState {
 }
 
 impl ReceiverState {
-    fn new() -> Self {
+    fn new(flushed: usize) -> Self {
         ReceiverState {
             diff: DiffTracker::new(),
-            pending_adverts: Vec::new(),
+            flushed,
             bytes_since_epoch: 0,
             their_incoming_bw: 0.0,
         }
@@ -141,6 +142,9 @@ pub struct BulletPrimeNode {
     children: Vec<NodeId>,
     ransub: RanSubAgent,
     have: BlockBitmap,
+    /// Every block that arrived and was not a duplicate, in arrival order:
+    /// the blocks a diff may announce (§3.3.4).
+    arrivals: Vec<BlockId>,
     completion_target: u32,
     block_space: u32,
 
@@ -187,6 +191,7 @@ impl BulletPrimeNode {
             children: tree.children(id).to_vec(),
             ransub: RanSubAgent::new(id, tree, cfg.ransub_subset_size),
             have,
+            arrivals: Vec::new(),
             completion_target: cfg.completion_target(),
             block_space,
             senders: BTreeMap::new(),
@@ -416,7 +421,7 @@ impl BulletPrimeNode {
     }
 
     fn accept_receiver(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        let mut state = ReceiverState::new();
+        let mut state = ReceiverState::new(self.arrivals.len());
         let available: Vec<BlockId> = self.have.iter().collect();
         state.diff.mark_advertised(available.iter().copied());
         self.receivers.insert(peer, state);
@@ -481,16 +486,25 @@ impl BulletPrimeNode {
     // Diffs (§3.3.4).
     // ------------------------------------------------------------------
 
-    /// Sends `peer` the blocks queued for it since its last diff, minus any
-    /// it has heard of since, and records them as advertised. The one diff
+    /// Sends `peer` the blocks that arrived since its last diff, minus any
+    /// it has heard of, and records them as advertised. The one diff
     /// emitter: block arrival, `DiffRequest` and housekeeping all end here.
-    fn flush_diff(ctx: &mut Ctx<'_, Self>, peer: NodeId, r: &mut ReceiverState) {
-        let mut blocks: Vec<BlockId> = Vec::new();
-        for b in r.pending_adverts.drain(..) {
-            if !r.diff.already_advertised(b) {
-                blocks.push(b);
-            }
-        }
+    ///
+    /// The advertised set only grows and `accept_receiver` marks every block
+    /// held, so filtering the log at flush time sends what filtering each
+    /// arrival when it came would have.
+    fn flush_diff(
+        ctx: &mut Ctx<'_, Self>,
+        peer: NodeId,
+        arrivals: &[BlockId],
+        r: &mut ReceiverState,
+    ) {
+        let blocks: Vec<BlockId> = arrivals[r.flushed..]
+            .iter()
+            .copied()
+            .filter(|&b| !r.diff.already_advertised(b))
+            .collect();
+        r.flushed = arrivals.len();
         if blocks.is_empty() {
             return;
         }
@@ -498,16 +512,17 @@ impl BulletPrimeNode {
         ctx.send(peer, Msg::Diff { blocks });
     }
 
-    /// Queue pending availability announcements and flush them to receivers
-    /// whose request pipeline from us is empty (self-clocking diffs).
+    /// Logs a new block for the receivers' next diffs and flushes them to
+    /// receivers whose request pipeline from us is empty (self-clocking
+    /// diffs).
     fn propagate_availability(&mut self, ctx: &mut Ctx<'_, Self>, block: BlockId) {
-        let self_clocked = !self.cfg.lazy_diffs;
+        self.arrivals.push(block);
+        if self.cfg.lazy_diffs {
+            return;
+        }
         for (&peer, r) in &mut self.receivers {
-            if !r.diff.already_advertised(block) {
-                r.pending_adverts.push(block);
-            }
-            if self_clocked && ctx.pending_to(peer) == 0 {
-                Self::flush_diff(ctx, peer, r);
+            if ctx.pending_to(peer) == 0 {
+                Self::flush_diff(ctx, peer, &self.arrivals, r);
             }
         }
     }
@@ -605,7 +620,7 @@ impl Protocol for BulletPrimeNode {
             }
             Msg::DiffRequest => {
                 if let Some(r) = self.receivers.get_mut(&from) {
-                    Self::flush_diff(ctx, from, r);
+                    Self::flush_diff(ctx, from, &self.arrivals, r);
                 }
             }
             Msg::BlockRequest {
@@ -757,8 +772,8 @@ impl Protocol for BulletPrimeNode {
                     self.issue_requests(ctx, peer);
                 }
                 for (&peer, r) in &mut self.receivers {
-                    if !r.pending_adverts.is_empty() && ctx.pending_to(peer) == 0 {
-                        Self::flush_diff(ctx, peer, r);
+                    if r.flushed < self.arrivals.len() && ctx.pending_to(peer) == 0 {
+                        Self::flush_diff(ctx, peer, &self.arrivals, r);
                     }
                 }
                 if self.role == Role::Source {
@@ -822,15 +837,16 @@ mod tests {
         let net = Network::new(topology::constrained_access(4));
         let (me, receiver, sender) = (NodeId(1), NodeId(2), NodeId(3));
         // Blocks 0 and 1 were advertised when the peering was set up; 3, 1
-        // and 5 became available since.
-        let mut state = ReceiverState::new();
+        // and 5 are the arrivals logged since.
+        let mut state = ReceiverState::new(0);
         state.diff.mark_advertised([BlockId(0), BlockId(1)]);
-        state.pending_adverts = vec![BlockId(3), BlockId(1), BlockId(5)];
+        let arrivals = vec![BlockId(3), BlockId(1), BlockId(5)];
 
         type Hook<'a> = &'a dyn Fn(&mut BulletPrimeNode, &mut Ctx<'_, BulletPrimeNode>);
         let now = SimTime::from_secs_f64(1.0);
         let flush = |hook: Hook<'_>| {
             let mut node = BulletPrimeNode::new(me, &tree, cfg.clone());
+            node.arrivals = arrivals.clone();
             node.receivers.insert(receiver, state.clone());
             let mut rng = StdRng::seed_from_u64(9);
             let mut commands = Vec::new();
@@ -850,13 +866,13 @@ mod tests {
             let advertised: Vec<bool> = (0..8)
                 .map(|b| after.diff.already_advertised(BlockId(b)))
                 .collect();
-            (diffs, after.pending_adverts.clone(), advertised)
+            let unflushed = node.arrivals[after.flushed..].to_vec();
+            (diffs, unflushed, advertised)
         };
 
         let arrival = flush(&|node, ctx| {
-            // Block 5 is the one arriving: the hook queues it itself.
-            let queued = node.receivers.get_mut(&receiver).expect("inserted");
-            assert_eq!(queued.pending_adverts.pop(), Some(BlockId(5)));
+            // Block 5 is the one arriving: the hook logs it itself.
+            assert_eq!(node.arrivals.pop(), Some(BlockId(5)));
             let receipt = BlockReceipt {
                 block: BlockId(5),
                 bytes: 16 * 1024,
@@ -884,6 +900,64 @@ mod tests {
         assert_eq!(on_tick, arrival);
     }
 
+    /// A receiver accepted after some arrivals learns of them in its
+    /// `PeerAccept`; its diffs carry only the blocks that arrive later.
+    #[test]
+    fn a_receiver_accepted_late_is_sent_only_later_arrivals() {
+        use netsim::{topology, Command, Network};
+        use rand::SeedableRng;
+
+        let tree = ControlTree::random(4, 2, &RngFactory::new(4));
+        let cfg = Config::new(FileSpec::new(128 * 1024, 16 * 1024));
+        let net = Network::new(topology::constrained_access(4));
+        let (me, receiver, sender) = (NodeId(1), NodeId(2), NodeId(3));
+        let mut node = BulletPrimeNode::new(me, &tree, cfg);
+        let mut rng = StdRng::seed_from_u64(9);
+        let mut commands = Vec::new();
+        let now = SimTime::from_secs_f64(1.0);
+        let mut ctx = Ctx::new(me, now, &net, &[true; 4], &mut rng, &mut commands);
+        let arrive = |node: &mut BulletPrimeNode, ctx: &mut Ctx<'_, BulletPrimeNode>, b| {
+            let receipt = BlockReceipt {
+                block: BlockId(b),
+                bytes: 16 * 1024,
+                in_front: 0,
+                wasted: 0.0,
+                queued_at: SimTime::ZERO,
+                delivered_at: now,
+            };
+            node.on_block_received(ctx, sender, receipt);
+        };
+        arrive(&mut node, &mut ctx, 4);
+        arrive(&mut node, &mut ctx, 0);
+        node.on_control(&mut ctx, receiver, Msg::PeerRequest { have_count: 0 });
+        arrive(&mut node, &mut ctx, 6);
+        node.on_control(&mut ctx, receiver, Msg::DiffRequest);
+        node.on_timer(&mut ctx, Timer::Housekeeping);
+        arrive(&mut node, &mut ctx, 2);
+        let to_receiver: Vec<(&str, &[BlockId])> = commands
+            .iter()
+            .filter_map(|command| match command {
+                Command::SendControl { to, msg } if *to == receiver => Some(msg),
+                _ => None,
+            })
+            .map(|msg| match msg {
+                Msg::PeerAccept { available } => ("accept", &available[..]),
+                Msg::Diff { blocks } => ("diff", &blocks[..]),
+                other => panic!("the receiver was sent {other:?}"),
+            })
+            .collect();
+        let blocks = |ids: &[u32]| ids.iter().copied().map(BlockId).collect::<Vec<_>>();
+        let (held, later, last) = (blocks(&[0, 4]), blocks(&[6]), blocks(&[2]));
+        assert_eq!(
+            to_receiver,
+            [
+                ("accept", &held[..]),
+                ("diff", &later[..]),
+                ("diff", &last[..])
+            ]
+        );
+    }
+
     /// A graceful leaver says goodbye once to each peer, whether that peer
     /// sends to it, receives from it or both, and does nothing else.
     #[test]
@@ -899,7 +973,7 @@ mod tests {
         }
         for receiver in [3, 5] {
             node.receivers
-                .insert(NodeId(receiver), ReceiverState::new());
+                .insert(NodeId(receiver), ReceiverState::new(0));
         }
         let net = Network::new(topology::constrained_access(6));
         let mut rng = StdRng::seed_from_u64(6);

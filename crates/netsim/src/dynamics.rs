@@ -22,6 +22,8 @@
 //!   the remaining receivers join in a wave over a window.
 
 use std::collections::HashSet;
+use std::fmt;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 use desim::{RngFactory, SimDuration, SimTime};
 use rand::rngs::StdRng;
@@ -42,9 +44,11 @@ pub enum BandwidthChange {
 /// A batch of directional link changes that take effect at one instant.
 ///
 /// A batch is either a list of `(from, to, change)` triples or a §4.1
-/// correlated decrease, which holds only its participant count and the
-/// random stream's state at the batch's start and draws its list when it is
-/// applied. A clone draws the same list independently of the original.
+/// correlated decrease, which holds only its index in its schedule and a
+/// handle to the schedule's table of batch start states, and draws its list
+/// when it is applied. Clones share the table; each entry of it is a pure
+/// function of the seed and the batch index, so a clone draws the same list
+/// as the original whichever of them draws first.
 #[derive(Debug, Clone, Default)]
 pub struct LinkChangeBatch {
     changes: Changes,
@@ -55,14 +59,68 @@ pub struct LinkChangeBatch {
 enum Changes {
     /// Cascade and hand-built batches.
     Listed(Vec<(NodeId, NodeId, BandwidthChange)>),
-    /// A §4.1 batch among `n` participants, drawn by [`draw_correlated`]
-    /// from a clone of `rng`, the stream's state at the batch's start.
-    Correlated { n: usize, rng: StdRng },
+    /// Batch `index` of a §4.1 schedule, drawn by [`draw_correlated`] from
+    /// the state `starts` holds for its start.
+    Correlated {
+        index: usize,
+        starts: Arc<StartStates>,
+    },
 }
 
 impl Default for Changes {
     fn default() -> Self {
         Changes::Listed(Vec::new())
+    }
+}
+
+/// The `dynamics.correlated` stream's state at the start of each batch of
+/// one §4.1 schedule, known as far as the schedule's batches have been drawn.
+///
+/// `known[k]` is batch k's start. Batch 0's is the seeded stream; drawing
+/// batch k records batch k + 1's, and an unknown start is reached by walking
+/// forward from the last known one through [`draw_correlated`], output
+/// discarded. Entries are only appended, and each is a pure function of the
+/// seed and the index, so it does not matter which clone or thread writes it.
+struct StartStates {
+    /// Participants of every batch.
+    n: usize,
+    known: Mutex<Vec<StdRng>>,
+}
+
+impl StartStates {
+    fn known(&self) -> MutexGuard<'_, Vec<StdRng>> {
+        // An entry is pushed whole, so a panic elsewhere leaves it consistent.
+        self.known.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Batch `index`'s start state, walking forward to it if it is unknown.
+    fn start(&self, index: usize) -> StdRng {
+        let mut known = self.known();
+        while known.len() <= index {
+            let mut rng = known.last().expect("batch 0's start is known").clone();
+            draw_correlated(self.n, &mut rng, |_| {});
+            known.push(rng);
+        }
+        known[index].clone()
+    }
+
+    /// Records `state` as batch `index`'s start unless it is known already.
+    fn record(&self, index: usize, state: StdRng) {
+        let mut known = self.known();
+        if known.len() == index {
+            known.push(state);
+        }
+    }
+}
+
+impl fmt::Debug for StartStates {
+    /// The participant count and batch 0's start: the table's identity, which
+    /// does not change as it fills.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("StartStates")
+            .field("n", &self.n)
+            .field("first", &self.known()[0])
+            .finish()
     }
 }
 
@@ -118,7 +176,10 @@ impl LinkChangeBatch {
     pub fn len(&self) -> usize {
         match &self.changes {
             Changes::Listed(list) => list.len(),
-            Changes::Correlated { n, .. } => n / 2 * (n.saturating_sub(1) / 2),
+            Changes::Correlated { starts, .. } => {
+                let n = starts.n;
+                n / 2 * (n.saturating_sub(1) / 2)
+            }
         }
     }
 
@@ -131,7 +192,11 @@ impl LinkChangeBatch {
     fn for_each(&self, f: impl FnMut((NodeId, NodeId, BandwidthChange))) {
         match &self.changes {
             Changes::Listed(list) => list.iter().copied().for_each(f),
-            Changes::Correlated { n, rng } => draw_correlated(*n, &mut rng.clone(), f),
+            Changes::Correlated { index, starts } => {
+                let mut rng = starts.start(*index);
+                draw_correlated(starts.n, &mut rng, f);
+                starts.record(index + 1, rng);
+            }
         }
     }
 }
@@ -147,9 +212,9 @@ pub type ChangeSchedule = Vec<(SimTime, LinkChangeBatch)>;
 /// their current value (the reverse direction is unaffected). The schedule
 /// covers `[period, horizon]`.
 ///
-/// Every batch's draws are made here, so each batch starts where the one
-/// before it ended, but a batch keeps only the stream's state at its start:
-/// its list is drawn again, by the same function, when it is applied.
+/// Nothing is drawn here. Each batch starts where the one before it ended,
+/// and its start is computed once, when a batch is first drawn: see
+/// [`LinkChangeBatch`].
 pub fn correlated_decrease_schedule(
     n: usize,
     period: SimDuration,
@@ -160,15 +225,19 @@ pub fn correlated_decrease_schedule(
         !period.is_zero(),
         "the correlated decrease needs a positive period"
     );
-    let mut rng = rng.stream("dynamics.correlated");
+    let starts = Arc::new(StartStates {
+        n,
+        known: Mutex::new(vec![rng.stream("dynamics.correlated")]),
+    });
     let mut schedule = Vec::new();
     let mut t = SimTime::ZERO + period;
     let end = SimTime::ZERO + horizon;
     while t <= end {
-        let start = rng.clone();
-        draw_correlated(n, &mut rng, |_| {});
         let batch = LinkChangeBatch {
-            changes: Changes::Correlated { n, rng: start },
+            changes: Changes::Correlated {
+                index: schedule.len(),
+                starts: Arc::clone(&starts),
+            },
         };
         schedule.push((t, batch));
         t += period;
@@ -350,6 +419,7 @@ mod tests {
     use super::*;
     use crate::topology::constrained_access;
     use crate::units::mbps;
+    use std::sync::Barrier;
 
     #[test]
     fn correlated_schedule_has_expected_shape() {
@@ -457,9 +527,120 @@ mod tests {
                         let pairs: Vec<_> = list.iter().map(|&(from, to, _)| (from, to)).collect();
                         assert_eq!(batch.apply(&mut topo), pairs);
                     }
+                    // A fresh schedule per order, so each order fills the
+                    // start table itself.
+                    for (order, indices) in draw_orders(eager.len()) {
+                        let lazy = correlated_decrease_schedule(n, period, horizon, &rng);
+                        for k in indices {
+                            assert_eq!(
+                                lazy[k].1.changes(),
+                                eager[k].1,
+                                "n {n} seed {seed} {order}: batch {k}"
+                            );
+                        }
+                    }
+                    let original = correlated_decrease_schedule(n, period, horizon, &rng);
+                    let clone = original.clone();
+                    drop(original);
+                    for ((_, batch), (_, list)) in clone.iter().zip(&eager) {
+                        assert_eq!(
+                            batch.changes(),
+                            *list,
+                            "n {n} seed {seed}: a clone drawn after its original is dropped"
+                        );
+                    }
                 }
             }
         }
+    }
+
+    /// The orders besides the schedule's own in which
+    /// `lazy_draw_equals_the_eager_reference` draws `len` batches.
+    fn draw_orders(len: usize) -> [(&'static str, Vec<usize>); 3] {
+        let mid = len / 2;
+        [
+            ("reverse", (0..len).rev().collect()),
+            ("middle-first", (mid..len).chain(0..mid).collect()),
+            ("each twice", (0..len).flat_map(|k| [k, k]).collect()),
+        ]
+    }
+
+    #[test]
+    fn two_threads_drawing_clones_of_one_schedule_get_the_eager_lists() {
+        let (period, horizon) = (SimDuration::from_secs(8), SimDuration::from_secs(400));
+        for seed in [1, 9, 20050410] {
+            let rng = RngFactory::new(seed);
+            let eager = eager_reference(20, period, horizon, &rng);
+            // A barrier ends each round. In turn, thread k % 2 alone draws
+            // batch k in round k, so every start it reads the other thread
+            // recorded; at once, both draw in every round, racing to record.
+            for at_once in [false, true] {
+                let schedule = correlated_decrease_schedule(20, period, horizon, &rng);
+                let barrier = Barrier::new(2);
+                let drawn: Vec<(usize, Vec<Change>)> = std::thread::scope(|scope| {
+                    let threads: Vec<_> = (0..2)
+                        .map(|parity| {
+                            let (schedule, barrier) = (schedule.clone(), &barrier);
+                            scope.spawn(move || {
+                                let mut drawn = Vec::new();
+                                for round in 0..schedule.len() {
+                                    let k = if at_once { 2 * round + parity } else { round };
+                                    if (at_once || round % 2 == parity) && k < schedule.len() {
+                                        drawn.push((k, schedule[k].1.changes()));
+                                    }
+                                    barrier.wait();
+                                }
+                                drawn
+                            })
+                        })
+                        .collect();
+                    threads
+                        .into_iter()
+                        .flat_map(|thread| thread.join().expect("the thread drew"))
+                        .collect()
+                });
+                assert_eq!(drawn.len(), eager.len());
+                for (k, list) in drawn {
+                    assert_eq!(list, eager[k].1, "seed {seed} at once {at_once}: batch {k}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn building_and_sizing_a_schedule_records_no_start_beyond_the_first() {
+        let schedule = correlated_decrease_schedule(
+            60,
+            SimDuration::from_secs(20),
+            SimDuration::from_secs(7200),
+            &RngFactory::new(3),
+        );
+        assert_eq!(schedule.len(), 360);
+        let before = format!("{schedule:?}");
+        let Changes::Correlated { starts, .. } = &schedule[0].1.changes else {
+            panic!("a §4.1 batch is a correlated decrease");
+        };
+        for (k, (_, batch)) in schedule.iter().enumerate() {
+            assert_eq!(batch.len(), 30 * 29);
+            assert!(!batch.is_empty());
+            let Changes::Correlated { index, starts: own } = &batch.changes else {
+                panic!("a §4.1 batch is a correlated decrease");
+            };
+            assert_eq!(*index, k);
+            assert!(Arc::ptr_eq(own, starts), "one table per schedule");
+        }
+        assert_eq!(starts.known().len(), 1, "only batch 0's start is known");
+        schedule[2].1.changes();
+        assert_eq!(
+            starts.known().len(),
+            4,
+            "drawing batch 2 records batch 3's start"
+        );
+        assert_eq!(
+            format!("{schedule:?}"),
+            before,
+            "Debug does not show the fill"
+        );
     }
 
     #[test]

@@ -6,7 +6,9 @@
 //! mid-join (t = 2 s, the mesh is still forming) and mid-dynamics (t = 12 s,
 //! after the first correlated bandwidth decrease has fired), plus a
 //! fork-divergence test proving that two runners forked from one snapshot
-//! share no mutable state.
+//! share no state one can observe of the other, and a test in which forks
+//! of one snapshot draw their §4.1 schedule, whose table of batch start
+//! states they share, in turn and on two threads.
 
 use bullet_repro::baselines::{bittorrent, bullet_orig, splitstream, BitTorrentNode};
 use bullet_repro::bullet_prime::{self, Config};
@@ -15,6 +17,7 @@ use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::netsim::{
     dynamics, topology, ChangeSchedule, Protocol, RunReport, Runner, StopReason,
 };
+use std::sync::Barrier;
 
 const NODES: usize = 6;
 const SEED: u64 = 20050410;
@@ -192,4 +195,55 @@ fn forks_from_one_snapshot_share_no_mutable_state() {
         quiet_before.canonical(),
         "the harsh dynamics had no effect — the divergence check is vacuous"
     );
+}
+
+#[test]
+fn forks_drawing_one_schedule_in_turn_or_on_two_threads_equal_the_straight_run() {
+    // A §4.1 schedule's batches share one table of start states, filled by
+    // whichever holder draws a batch first. A snapshot taken after the first
+    // batch has fired carries the table with it; its forks then draw the
+    // later batches, one after the other or at once, and each must run as
+    // if it had never been forked.
+    let straight = with_system(build_bullet_prime, |mut runner| {
+        runner.run_until(SimTime::from_secs_f64(LIMIT_SECS))
+    });
+    let checkpointed = || {
+        with_system(build_bullet_prime, |mut runner| {
+            let reason = runner.advance_until(SimTime::from_secs_f64(MID_DYNAMICS_SECS));
+            assert_eq!(reason, StopReason::TimeLimit, "the split is mid-run");
+            runner.checkpoint()
+        })
+    };
+    let finish = |snap| Runner::resume(snap).run_until(SimTime::from_secs_f64(LIMIT_SECS));
+
+    let snap = checkpointed();
+    let in_turn = [finish(snap.clone()), finish(snap)];
+    let snap = checkpointed();
+    let start = Barrier::new(2);
+    let threaded: Vec<RunReport> = std::thread::scope(|scope| {
+        let forks: Vec<_> = (0..2)
+            .map(|_| {
+                let (snap, start) = (snap.clone(), &start);
+                scope.spawn(move || {
+                    start.wait();
+                    finish(snap)
+                })
+            })
+            .collect();
+        forks
+            .into_iter()
+            .map(|fork| fork.join().expect("the fork ran"))
+            .collect()
+    });
+    for (how, report) in ["first in turn", "second in turn"]
+        .iter()
+        .zip(&in_turn)
+        .chain(["first thread", "second thread"].iter().zip(&threaded))
+    {
+        assert_eq!(
+            report.canonical(),
+            straight.canonical(),
+            "the {how} fork diverged from the uninterrupted run"
+        );
+    }
 }
