@@ -162,6 +162,17 @@ if [ "$receiver_rows" -ne 5 ] || printf '%s\n' "$traced" | grep -q profiler; the
     echo "FAIL: lab trace fig11 printed $receiver_rows receiver rows (expected 5) or a profiler section"
     exit 1
 fi
+# The `timer` record's schema as docs/OBSERVABILITY.md gives it: every line
+# of a `--kind timer` dump is a timer record naming the timer it carries.
+tmp=$(mktemp)
+./target/release/lab trace fig11 --nodes 6 --mb 0.125 --json "$tmp" --kind timer >/dev/null
+timer_lines=$(wc -l <"$tmp")
+odd_lines=$(grep -cv '"kind":"timer".*"timer":' "$tmp" || true)
+rm -f "$tmp"
+if [ "$timer_lines" -eq 0 ] || [ "$odd_lines" -ne 0 ]; then
+    echo "FAIL: lab trace fig11 --kind timer wrote $timer_lines lines, $odd_lines without \"kind\":\"timer\" and a \"timer\" field"
+    exit 1
+fi
 expect_replay() {
     # $@ = scenario and options
     replayed=$(./target/release/lab trace "$@") || {
@@ -197,7 +208,7 @@ if [ "$piped" -ne 0 ]; then
     echo "FAIL: lab sweep fig13 | head -1 exited $piped"
     exit 1
 fi
-echo "lab list: 21 rows; trace fig11 replays and lists 5 receivers; traces of fig15, fig22 and fig21 replay"
+echo "lab list: 21 rows; trace fig11 replays, lists 5 receivers and dumps $timer_lines timer records; traces of fig15, fig22 and fig21 replay"
 echo "lab run fig21: goodput $goodput, completions $completed; sweep | head -1 exits 0"
 
 # Self-checks: `lab bench` takes no options, runs three fixed workloads (fig05

@@ -13,14 +13,12 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
-use netsim::{
-    BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, TimerToken, Topology, WireSize,
-};
+use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, Topology, WireSize};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-/// BitTorrent's timer vocabulary (see [`netsim::TimerToken`]).
+/// BitTorrent's timer vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum BtTimer {
     /// Recompute the choke set.
@@ -29,25 +27,6 @@ pub enum BtTimer {
     Optimistic,
     /// Housekeeping: request refresh, tracker re-announce.
     Keepalive,
-}
-
-impl TimerToken for BtTimer {
-    fn encode(&self) -> u64 {
-        match self {
-            BtTimer::Choke => 0,
-            BtTimer::Optimistic => 1,
-            BtTimer::Keepalive => 2,
-        }
-    }
-
-    fn decode(bits: u64) -> Self {
-        match bits {
-            0 => BtTimer::Choke,
-            1 => BtTimer::Optimistic,
-            2 => BtTimer::Keepalive,
-            other => panic!("not a BitTorrent timer token: {other}"),
-        }
-    }
 }
 
 /// Maximum number of neighbours to hold connections with.
@@ -787,7 +766,7 @@ mod tests {
         net: &Network,
         rng: &mut StdRng,
         hook: impl FnOnce(&mut BitTorrentNode, &mut Ctx<'_, BitTorrentNode>),
-    ) -> Vec<Command<BtMsg>> {
+    ) -> Vec<Command<BtMsg, BtTimer>> {
         let mut commands = Vec::new();
         let active = [true; NODES];
         let mut ctx = Ctx::new(ME, SimTime::ZERO, net, &active, rng, &mut commands);
@@ -796,7 +775,7 @@ mod tests {
     }
 
     /// The blocks of the `Request` sent to `peer`, if one was.
-    fn request_to(commands: &[Command<BtMsg>], peer: NodeId) -> Option<Vec<BlockId>> {
+    fn request_to(commands: &[Command<BtMsg, BtTimer>], peer: NodeId) -> Option<Vec<BlockId>> {
         commands.iter().find_map(|command| match command {
             Command::SendControl {
                 to,

@@ -13,9 +13,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
-use netsim::{
-    BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, TimerToken, Topology, WireSize,
-};
+use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, Topology, WireSize};
 use rand::seq::SliceRandom;
 
 use crate::ASSUMED_ENCODING_OVERHEAD;
@@ -27,21 +25,11 @@ pub const STRIPE_FANOUT: usize = 4;
 /// Blocks kept in flight towards each child per stripe.
 const PUSH_WINDOW: usize = 3;
 
-/// SplitStream's timer vocabulary (see [`netsim::TimerToken`]).
+/// SplitStream's timer vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SsTimer {
     /// Housekeeping: drain stalled backlogs, keep the source injecting.
     Keepalive,
-}
-
-impl TimerToken for SsTimer {
-    fn encode(&self) -> u64 {
-        0
-    }
-
-    fn decode(_bits: u64) -> Self {
-        SsTimer::Keepalive
-    }
 }
 
 /// SplitStream needs no dynamic control traffic in this model; the forest is

@@ -745,14 +745,13 @@ pub fn fig17_figure(w: &Workload, _: &CommonOpts) -> Figure {
             }
         })
         .collect();
-    let mut series = Series::cdf(
-        format!("BulletPrime, flash crowd ({} join late)", joins.len()),
-        &durations,
-    );
-    if unfinished > 0 {
-        series.label = format!("{} ({unfinished} unfinished)", series.label);
-    }
-    fig.push(series);
+    let crowd_run = SystemRun {
+        times: durations,
+        unfinished,
+        end_time: end,
+    };
+    let label = format!("BulletPrime, flash crowd ({} join late)", joins.len());
+    fig.push(cdf(label, &crowd_run));
 
     fig.note(format!(
         "all-at-start median {:.1}s vs flash-crowd per-node median {:.1}s (late joiners measured from their join instant)",

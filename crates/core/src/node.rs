@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use desim::SimTime;
 use dissem_codec::{BlockBitmap, BlockId, DiffTracker};
-use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, TimerToken};
+use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol};
 use overlay::{ControlTree, NodeSummary, RanSubAgent, RanSubEmit, Sample};
 use rand::rngs::StdRng;
 
@@ -23,30 +23,13 @@ use crate::messages::Msg;
 use crate::peering::{PeerManager, ReceiverObservation, SenderObservation};
 use crate::request::RequestManager;
 
-/// Bullet′'s timer vocabulary (see [`netsim::TimerToken`]).
+/// Bullet′'s timer vocabulary.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Timer {
     /// Start a new RanSub epoch.
     RanSub,
     /// Housekeeping: stale-request release, request refresh, idle-diff flush.
     Housekeeping,
-}
-
-impl TimerToken for Timer {
-    fn encode(&self) -> u64 {
-        match self {
-            Timer::RanSub => 0,
-            Timer::Housekeeping => 1,
-        }
-    }
-
-    fn decode(bits: u64) -> Self {
-        match bits {
-            0 => Timer::RanSub,
-            1 => Timer::Housekeeping,
-            other => panic!("not a Bullet' timer token: {other}"),
-        }
-    }
 }
 
 /// Whether this node is the origin of the file or a downloader.

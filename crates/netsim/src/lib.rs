@@ -26,7 +26,7 @@
 //! * [`probe`] — the per-node time series sampled on a virtual-time tick,
 //!   feeding the bandwidth-over-time analyses;
 //! * [`trace`] / [`metrics`] — the observability layer (structured trace
-//!   records and the always-on counters/gauges registry; see
+//!   records and the snapshot of the runner's always-on counters; see
 //!   `docs/OBSERVABILITY.md` for the schema and the zero-overhead-when-off
 //!   contract).
 
@@ -49,10 +49,10 @@ pub use dynamics::{
     BandwidthChange, ChangeSchedule, CrossSchedule, CrossTraffic, LinkChangeBatch, NodeEvent,
     NodeSchedule,
 };
-pub use metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+pub use metrics::MetricsSnapshot;
 pub use network::{BlockReceipt, ConnUpdate, Network, NodeTraffic, SolverStats};
 pub use probe::{NodeSample, ProbeStats, StatsProbe, TimeSample, TimeSeries};
-pub use protocol::{Command, Ctx, Protocol, TimerToken, WireSize};
+pub use protocol::{Command, Ctx, Protocol, WireSize};
 pub use runner::{RunReport, Runner, StopReason};
 pub use service::{
     arrival_schedule, run_service, ArrivalGen, CohortReport, ServiceConfig, ServiceReport,
@@ -470,6 +470,33 @@ mod runner_tests {
             "slowest receiver finished impossibly fast: {slowest}"
         );
         assert!(slowest < 200.0, "flood took unreasonably long: {slowest}");
+    }
+
+    #[test]
+    fn canonical_leaves_out_exactly_the_solver_size_metrics() {
+        let report = run_flood(4, 256, 4);
+        let names: Vec<&str> = report
+            .metrics
+            .counters
+            .iter()
+            .chain(&report.metrics.gauges)
+            .map(|&(name, _)| name)
+            .collect();
+        for (i, name) in names.iter().enumerate() {
+            assert!(!names[..i].contains(name), "{name} is named twice");
+        }
+        for name in RunReport::SOLVER_SIZE_METRICS {
+            assert!(names.contains(&name), "the snapshot has no {name}");
+        }
+        let canonical = report.canonical();
+        for name in names {
+            let dropped = RunReport::SOLVER_SIZE_METRICS.contains(&name);
+            assert_eq!(
+                canonical.contains(&format!("{name:?}")),
+                !dropped,
+                "{name} in the canonical report"
+            );
+        }
     }
 
     #[test]
@@ -994,5 +1021,127 @@ mod probe_tests {
         assert_eq!(plain_report.completion_secs, probed_report.completion_secs);
         assert_eq!(plain_report.departed, probed_report.departed);
         assert!(probed_report.events > plain_report.events);
+    }
+}
+
+#[cfg(test)]
+mod timer_tests {
+    use super::*;
+    use desim::{RngFactory, SimDuration, SimTime};
+
+    /// Two timer variants, one with a payload, so a value the runner mangled
+    /// on its way through the queue would show.
+    #[derive(Debug, Clone, Copy, PartialEq)]
+    enum Alarm {
+        Short(u8),
+        Long,
+    }
+
+    #[derive(Debug, Clone)]
+    enum NoMsg {}
+
+    impl WireSize for NoMsg {
+        fn wire_size(&self) -> usize {
+            0
+        }
+    }
+
+    /// Arms `Short(0)` at 1 s and `Long` at 2.5 s; each `Short(k)` re-arms
+    /// `Short(k + 1)` a second later up to `Short(2)`, and the first `Long`
+    /// re-arms one more 2.5 s later. Records what fired, and when.
+    #[derive(Debug, Clone, Default)]
+    struct Alarms {
+        fired: Vec<(f64, Alarm)>,
+    }
+
+    impl Protocol for Alarms {
+        type Msg = NoMsg;
+        type Timer = Alarm;
+
+        fn on_init(&mut self, ctx: &mut Ctx<'_, Self>) {
+            ctx.set_timer(SimDuration::from_secs(1), Alarm::Short(0));
+            ctx.set_timer(SimDuration::from_secs_f64(2.5), Alarm::Long);
+        }
+        fn on_control(&mut self, _ctx: &mut Ctx<'_, Self>, _from: NodeId, _msg: NoMsg) {}
+        fn on_block_received(&mut self, _c: &mut Ctx<'_, Self>, _f: NodeId, _r: BlockReceipt) {}
+        fn on_timer(&mut self, ctx: &mut Ctx<'_, Self>, timer: Alarm) {
+            let longs = self.fired.iter().filter(|(_, a)| *a == Alarm::Long).count();
+            self.fired.push((ctx.now().as_secs_f64(), timer));
+            match timer {
+                Alarm::Short(k) if k < 2 => {
+                    ctx.set_timer(SimDuration::from_secs(1), Alarm::Short(k + 1))
+                }
+                Alarm::Long if longs == 0 => {
+                    ctx.set_timer(SimDuration::from_secs_f64(2.5), Alarm::Long)
+                }
+                _ => {}
+            }
+        }
+    }
+
+    const FIRED: [(f64, Alarm); 5] = [
+        (1.0, Alarm::Short(0)),
+        (2.0, Alarm::Short(1)),
+        (2.5, Alarm::Long),
+        (3.0, Alarm::Short(2)),
+        (5.0, Alarm::Long),
+    ];
+
+    fn alarms_runner() -> Runner<Alarms> {
+        let topo = topology::constrained_access(2);
+        Runner::new(
+            Network::new(topo),
+            vec![Alarms::default(); 2],
+            &RngFactory::new(3),
+        )
+    }
+
+    /// The `timer` records of `node`, as the names they carry.
+    fn timer_names(runner: &mut Runner<Alarms>, node: u32) -> Vec<String> {
+        let ring = runner
+            .take_trace_sink::<RingSink>()
+            .expect("a ring went in");
+        ring.into_records()
+            .into_iter()
+            .filter_map(|rec| match rec.ev {
+                TraceEvent::Timer { node: n, timer } if n == node => Some(timer),
+                _ => None,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn on_timer_receives_each_timer_as_armed() {
+        let mut runner = alarms_runner();
+        runner.set_trace_sink(Box::new(RingSink::new(1 << 10)));
+        let report = runner.run_until(SimTime::from_secs_f64(60.0));
+        assert_eq!(report.reason, StopReason::Drained);
+        for node in runner.nodes() {
+            assert_eq!(node.fired, FIRED);
+        }
+        assert_eq!(report.metrics.counter("timers_fired"), Some(10));
+        assert_eq!(
+            timer_names(&mut runner, 0),
+            ["Short(0)", "Short(1)", "Long", "Short(2)", "Long"]
+        );
+    }
+
+    #[test]
+    fn timers_pending_at_a_checkpoint_fire_as_armed_after_resume() {
+        let mut straight = alarms_runner();
+        let limit = SimTime::from_secs_f64(60.0);
+        straight.advance_until(SimTime::from_secs_f64(2.2));
+        let mut resumed = Runner::resume(straight.checkpoint());
+        resumed.set_trace_sink(Box::new(RingSink::new(1 << 10)));
+        let (a, b) = (straight.run_until(limit), resumed.run_until(limit));
+        assert_eq!(a.canonical(), b.canonical());
+        for runner in [&straight, &resumed] {
+            for node in runner.nodes() {
+                assert_eq!(node.fired, FIRED);
+            }
+        }
+        // The resumed trace holds the timers pending at 2.2 s and the one
+        // they re-armed.
+        assert_eq!(timer_names(&mut resumed, 1), ["Long", "Short(2)", "Long"]);
     }
 }

@@ -13,11 +13,10 @@
 //!
 //! A protocol declares its control-message type and its timer vocabulary as
 //! associated types, so downstream signatures mention only the protocol:
-//! `Runner<P>`, `Ctx<'_, P>`, `Snapshot<P>`. Timers are real enums — the runner
-//! stores them as compact `u64` tokens via [`TimerToken`] and hands the
-//! decoded value back to [`Protocol::on_timer`], so a handler `match`es on
-//! `Self::Timer` instead of decoding `(kind, data)` pairs against a constant
-//! table.
+//! `Runner<P>`, `Ctx<'_, P>`, `Snapshot<P>`. Timers are real enums: the runner
+//! carries the value a handler armed through the event queue as it is and
+//! hands it back to [`Protocol::on_timer`], so a handler `match`es on
+//! `Self::Timer`.
 //!
 //! ## Example implementor
 //!
@@ -26,7 +25,7 @@
 //!
 //! ```
 //! use desim::SimDuration;
-//! use netsim::{BlockReceipt, Ctx, NodeId, Protocol, TimerToken, WireSize};
+//! use netsim::{BlockReceipt, Ctx, NodeId, Protocol, WireSize};
 //!
 //! struct Ping;
 //!
@@ -36,18 +35,9 @@
 //!     }
 //! }
 //!
-//! #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+//! #[derive(Debug, Clone, Copy)]
 //! enum Timer {
 //!     Beat,
-//! }
-//!
-//! impl TimerToken for Timer {
-//!     fn encode(&self) -> u64 {
-//!         0
-//!     }
-//!     fn decode(_bits: u64) -> Self {
-//!         Timer::Beat
-//!     }
 //! }
 //!
 //! struct Pinger {
@@ -119,50 +109,20 @@ pub trait WireSize {
     }
 }
 
-/// A protocol timer vocabulary, stored by the runner as a compact `u64`.
-///
-/// Implementors are small enums (`enum Timer { Choke, Optimistic, ... }`);
-/// variants may carry payload as long as it packs into the 64 bits.
-/// `decode(encode(&t))` must reproduce `t`; `decode` may panic on bit
-/// patterns `encode` never produces (they indicate a bug, not input).
-pub trait TimerToken: Sized {
-    /// Packs the timer into the runner's event representation.
-    fn encode(&self) -> u64;
-    /// Unpacks a timer previously produced by [`TimerToken::encode`].
-    fn decode(bits: u64) -> Self;
-}
-
-/// For protocols without timers (`type Timer = ()`).
-impl TimerToken for () {
-    fn encode(&self) -> u64 {
-        0
-    }
-    fn decode(_bits: u64) -> Self {}
-}
-
-/// Raw payload timers, useful in tests and prototypes.
-impl TimerToken for u64 {
-    fn encode(&self) -> u64 {
-        *self
-    }
-    fn decode(bits: u64) -> Self {
-        bits
-    }
-}
-
 /// A protocol instance running on one emulated node.
 ///
 /// [`Protocol::Msg`] is the protocol's control-message type. Data blocks do
 /// not travel inside messages; they are queued through [`Ctx::queue_block`]
 /// and delivered via [`Protocol::on_block_received`]. [`Protocol::Timer`] is
-/// the protocol's timer vocabulary (see [`TimerToken`]).
+/// the protocol's timer vocabulary, typically a small enum; its `Debug` form
+/// names a fired timer in the trace (`timer` records).
 ///
 /// See the [module documentation](self) for a complete example implementor.
 pub trait Protocol: Sized {
     /// Control messages this protocol exchanges.
     type Msg: WireSize;
     /// Timers this protocol arms through [`Ctx::set_timer`].
-    type Timer: TimerToken;
+    type Timer: Copy + std::fmt::Debug;
 
     /// Called exactly once, when the node starts participating: at
     /// simulation start for nodes present from t = 0, or at the join instant
@@ -212,10 +172,10 @@ pub trait Protocol: Sized {
 }
 
 /// An action recorded by a protocol handler, applied by the runner once the
-/// handler returns. Parameterized by the message type only: timers are
-/// already encoded (see [`TimerToken`]), so one buffer serves every hook.
+/// handler returns. Parameterized by the protocol's message and timer types,
+/// so one buffer serves every hook.
 #[derive(Debug)]
-pub enum Command<M> {
+pub enum Command<M, T> {
     /// Send control message `msg` to `to`.
     SendControl {
         /// Destination node.
@@ -241,8 +201,8 @@ pub enum Command<M> {
     SetTimer {
         /// Delay until the timer fires.
         delay: SimDuration,
-        /// The protocol's timer, encoded via [`TimerToken::encode`].
-        token: u64,
+        /// The timer handed back to [`Protocol::on_timer`] when it fires.
+        timer: T,
     },
 }
 
@@ -262,7 +222,7 @@ pub struct Ctx<'a, P: Protocol> {
     /// This node's private RNG stream.
     rng: &'a mut StdRng,
     /// Commands recorded by the handler (the runner's scratch buffer).
-    commands: &'a mut Vec<Command<P::Msg>>,
+    commands: &'a mut Vec<Command<P::Msg, P::Timer>>,
 }
 
 impl<'a, P: Protocol> Ctx<'a, P> {
@@ -275,7 +235,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         net: &'a Network,
         active: &'a [bool],
         rng: &'a mut StdRng,
-        commands: &'a mut Vec<Command<P::Msg>>,
+        commands: &'a mut Vec<Command<P::Msg, P::Timer>>,
     ) -> Self {
         Ctx {
             node,
@@ -378,10 +338,7 @@ impl<'a, P: Protocol> Ctx<'a, P> {
     /// Arms a timer; it fires back through [`Protocol::on_timer`] after
     /// `delay`, carrying `timer`.
     pub fn set_timer(&mut self, delay: SimDuration, timer: P::Timer) {
-        self.commands.push(Command::SetTimer {
-            delay,
-            token: timer.encode(),
-        });
+        self.commands.push(Command::SetTimer { delay, timer });
     }
 }
 

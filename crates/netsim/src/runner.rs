@@ -12,9 +12,8 @@
 //! [`Ctx`] it constructs; handlers record into it and the runner drains it in
 //! place. Dispatching one of the run's ~10⁵–10⁶ events therefore performs no
 //! per-event allocation once the buffer has grown to the protocol's peak
-//! fan-out. Timers travel through the queue as `u64` tokens (see
-//! [`crate::protocol::TimerToken`]) and are decoded back into the protocol's
-//! timer enum at delivery.
+//! fan-out. A timer travels through the queue as the protocol's own value
+//! and reaches [`Protocol::on_timer`] as it was armed.
 //!
 //! ## Completion events
 //!
@@ -61,19 +60,18 @@ use desim::{EventKey, RngFactory, SimDuration, SimTime, Simulator};
 use rand::rngs::StdRng;
 
 use crate::dynamics::{CrossTraffic, LinkChangeBatch, NodeEvent};
-use crate::metrics::{Counter, Gauge, MetricsRegistry, MetricsSnapshot};
+use crate::metrics::MetricsSnapshot;
 use crate::network::{CompletedBlock, ConnUpdate, Network};
 use crate::probe::{StatsProbe, TimeSeries};
-use crate::protocol::{Command, Ctx, Protocol, TimerToken, WireSize};
+use crate::protocol::{Command, Ctx, Protocol, WireSize};
 use crate::topology::NodeId;
 use crate::trace::{TraceEvent, TraceRecord, TraceSink};
 
 /// Internal event vocabulary of the runner, parameterized by the protocol's
-/// message type. Timers are carried as encoded tokens so the event stays one
-/// word regardless of the protocol's timer enum. `Clone` (for `M: Clone`)
-/// exists solely so a [`Snapshot`] can copy the pending event queue.
+/// message and timer types. `Clone` (for `M: Clone`) exists solely so a
+/// [`Snapshot`] can copy the pending event queue.
 #[derive(Debug, Clone)]
-enum NetEvent<M> {
+enum NetEvent<M, T> {
     /// A control message arrives at `to`. `epoch` is the target slot's
     /// incarnation at send time: a message in flight towards a slot that has
     /// since been retired (and possibly re-populated with a new cohort's
@@ -90,8 +88,8 @@ enum NetEvent<M> {
     /// A fully serialised block arrives at the receiver (`epoch` as on
     /// [`NetEvent::Control`]).
     BlockArrive { done: CompletedBlock, epoch: u32 },
-    /// A protocol timer fires at `node` (token encoded via `TimerToken`).
-    Timer { node: NodeId, token: u64 },
+    /// A protocol timer fires at `node`.
+    Timer { node: NodeId, timer: T },
     /// A scheduled link-change batch takes effect.
     LinkChange { index: usize },
     /// A scheduled cross-traffic occupancy change takes effect.
@@ -203,7 +201,7 @@ pub struct Runner<P: Protocol> {
     run: RunState<P>,
     /// Reusable command buffer lent to each dispatch's [`Ctx`] (empty
     /// between dispatches).
-    scratch: Vec<Command<P::Msg>>,
+    scratch: Vec<Command<P::Msg, P::Timer>>,
     /// Installed structured-trace sink, if any (see [`crate::trace`]).
     trace: Option<Box<dyn TraceSink>>,
     /// Set by [`Runner::resume`] to the snapshot's instant; the next
@@ -221,7 +219,7 @@ pub struct Runner<P: Protocol> {
 /// field added here is checkpointed by construction.
 #[derive(Clone)]
 struct RunState<P: Protocol> {
-    sim: Simulator<NetEvent<P::Msg>>,
+    sim: Simulator<NetEvent<P::Msg, P::Timer>>,
     net: Network,
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
@@ -252,8 +250,8 @@ struct RunState<P: Protocol> {
     /// Whether start-of-run initialisation ran (a staged re-`run_until` must
     /// not deliver a second `on_init` — the trait promises exactly one).
     inits_done: bool,
-    /// Always-on counters/gauges registry (see [`crate::metrics`]).
-    metrics: MetricsRegistry,
+    /// Always-on counters, named by [`Runner::metrics_snapshot`].
+    counters: Counters,
     /// Number of live completion events (== in-flight connections), feeding
     /// the `max_active_conns` gauge.
     live_conn_events: u64,
@@ -271,6 +269,44 @@ struct RunState<P: Protocol> {
     /// and keep the clock moving to the requested limit even when the queue
     /// drains — an open system idles between arrivals instead of stopping.
     run_to_limit: bool,
+}
+
+/// The runner's own counters (see [`crate::metrics`]): monotonic counts
+/// plus one high-water mark.
+#[derive(Debug, Clone, Default)]
+struct Counters {
+    /// Control messages sent by protocol handlers.
+    control_messages: u64,
+    /// Wire bytes of those control messages.
+    control_bytes: u64,
+    /// Blocks that finished serialising at their sender.
+    blocks_sent: u64,
+    /// Blocks delivered to their receiver's protocol.
+    blocks_delivered: u64,
+    /// Timers armed by protocol handlers.
+    timers_set: u64,
+    /// Timers that fired.
+    timers_fired: u64,
+    /// Completion events scheduled or moved by the fluid model.
+    conn_schedules: u64,
+    /// Completion events cancelled by the fluid model.
+    conn_cancels: u64,
+    /// Nodes that joined mid-run.
+    node_joins: u64,
+    /// Nodes that left gracefully.
+    node_leaves: u64,
+    /// Nodes that crashed.
+    node_crashes: u64,
+    /// Link-change batches applied.
+    link_changes: u64,
+    /// Cross-traffic changes applied.
+    cross_changes: u64,
+    /// Probe sampling instants.
+    probe_ticks: u64,
+    /// Nodes retired by the service layer after their swarm completed.
+    node_retires: u64,
+    /// Peak number of simultaneously active (in-flight) connections.
+    max_active_conns: u64,
 }
 
 /// Bookkeeping for one node's live timer keys (see `RunState::timer_keys`).
@@ -313,7 +349,7 @@ impl<P: Protocol> Runner<P> {
             probe: None,
             probe_tick_pending: false,
             inits_done: false,
-            metrics: MetricsRegistry::default(),
+            counters: Counters::default(),
             live_conn_events: 0,
             epoch: vec![0; n],
             timer_keys: vec![TimerTrack::default(); n],
@@ -351,24 +387,31 @@ impl<P: Protocol> Runner<P> {
         sink.downcast().ok()
     }
 
-    /// The full deterministic metrics snapshot: the registry's counters and
-    /// gauges extended with the engine's scheduling stats and the fluid
-    /// solver's activity counters (prefixed `events_` / `solver_`). This is
-    /// what lands on [`RunReport::metrics`].
+    /// The full deterministic metrics snapshot: the runner's counters, then
+    /// the engine's scheduling stats and the fluid solver's activity counters
+    /// (prefixed `events_` / `solver_`); the gauges are the engine's pending
+    /// high-water, the runner's, and the solver's. This is the one place a
+    /// metric is named, and what lands on [`RunReport::metrics`].
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let mut snap = self.run.metrics.snapshot();
+        let c = &self.run.counters;
         let sim = self.run.sim.stats();
-        // The engine tracks the pending high-water itself; surface it through
-        // the registry's gauge slot.
-        if let Some(slot) = snap
-            .gauges
-            .iter_mut()
-            .find(|(n, _)| *n == Gauge::MaxPendingEvents.name())
-        {
-            slot.1 = slot.1.max(sim.max_pending);
-        }
         let solver = self.run.net.solver_stats();
-        snap.counters.extend([
+        let counters = vec![
+            ("control_messages", c.control_messages),
+            ("control_bytes", c.control_bytes),
+            ("blocks_sent", c.blocks_sent),
+            ("blocks_delivered", c.blocks_delivered),
+            ("timers_set", c.timers_set),
+            ("timers_fired", c.timers_fired),
+            ("conn_schedules", c.conn_schedules),
+            ("conn_cancels", c.conn_cancels),
+            ("node_joins", c.node_joins),
+            ("node_leaves", c.node_leaves),
+            ("node_crashes", c.node_crashes),
+            ("link_changes", c.link_changes),
+            ("cross_changes", c.cross_changes),
+            ("probe_ticks", c.probe_ticks),
+            ("node_retires", c.node_retires),
             ("events_scheduled", sim.scheduled),
             ("events_cancelled", sim.cancelled),
             ("events_rescheduled", sim.rescheduled),
@@ -379,12 +422,14 @@ impl<P: Protocol> Runner<P> {
             ("solver_flows_solved", solver.solved_flows),
             ("solver_links_solved", solver.solved_links),
             ("solver_frontier_grows", solver.frontier_grows),
-        ]);
-        snap.gauges.extend([
+        ];
+        let gauges = vec![
+            ("max_pending_events", sim.max_pending),
+            ("max_active_conns", c.max_active_conns),
             ("solver_max_comp_flows", solver.max_comp_flows),
             ("solver_max_comp_links", solver.max_comp_links),
-        ]);
-        snap
+        ];
+        MetricsSnapshot { counters, gauges }
     }
 
     /// Builds and records one trace record if a sink is installed. The
@@ -489,7 +534,7 @@ impl<P: Protocol> Runner<P> {
             let updates = runner.run.net.release_flows_for(now, node);
             runner.apply_conn_updates(updates);
         });
-        self.run.metrics.inc(Counter::NodeRetires);
+        self.run.counters.node_retires += 1;
         self.trace_emit(|| TraceEvent::NodeRetire { node: node.0 });
     }
 
@@ -534,7 +579,7 @@ impl<P: Protocol> Runner<P> {
         for &node in nodes {
             let idx = node.index();
             if !self.run.active[idx] && !self.run.departed[idx] {
-                self.run.metrics.inc(Counter::NodeJoins);
+                self.run.counters.node_joins += 1;
                 self.trace_emit(|| TraceEvent::NodeJoin { node: node.0 });
                 self.run.active[idx] = true;
                 fresh.push(node);
@@ -764,7 +809,7 @@ impl<P: Protocol> Runner<P> {
         probe.sample(run.sim.now(), &run.nodes, &run.active);
         run.sim.schedule_in(*interval, NetEvent::ProbeTick);
         run.probe_tick_pending = true;
-        run.metrics.inc(Counter::ProbeTicks);
+        run.counters.probe_ticks += 1;
         self.trace_emit(|| TraceEvent::ProbeTick);
     }
 
@@ -844,14 +889,14 @@ impl<P: Protocol> Runner<P> {
 
     /// Drains `commands`, translating each into network activity. The buffer
     /// is left empty but keeps its capacity for the next dispatch.
-    fn apply_commands(&mut self, from: NodeId, commands: &mut Vec<Command<P::Msg>>) {
+    fn apply_commands(&mut self, from: NodeId, commands: &mut Vec<Command<P::Msg, P::Timer>>) {
         let now = self.run.sim.now();
         for cmd in commands.drain(..) {
             match cmd {
                 Command::SendControl { to, msg } => {
                     let size = msg.wire_size();
-                    self.run.metrics.inc(Counter::ControlMessages);
-                    self.run.metrics.add(Counter::ControlBytes, size as u64);
+                    self.run.counters.control_messages += 1;
+                    self.run.counters.control_bytes += size as u64;
                     let delay = self.run.net.control_delay(
                         &mut self.run.rngs[from.index()],
                         from,
@@ -882,12 +927,12 @@ impl<P: Protocol> Runner<P> {
                     let updates = self.run.net.close_connection(now, from, to);
                     self.apply_conn_updates(updates);
                 }
-                Command::SetTimer { delay, token } => {
-                    self.run.metrics.inc(Counter::TimersSet);
+                Command::SetTimer { delay, timer } => {
+                    self.run.counters.timers_set += 1;
                     let key = self
                         .run
                         .sim
-                        .schedule_in(delay, NetEvent::Timer { node: from, token });
+                        .schedule_in(delay, NetEvent::Timer { node: from, timer });
                     let track = &mut self.run.timer_keys[from.index()];
                     track.keys.push(key);
                     if track.keys.len() >= track.prune_at.max(64) {
@@ -921,13 +966,12 @@ impl<P: Protocol> Runner<P> {
                             let key = self.run.sim.schedule_at(at, NetEvent::BlockDone { fid });
                             self.run.completion_events[f] = Some(key);
                             self.run.live_conn_events += 1;
-                            self.run
-                                .metrics
-                                .raise(Gauge::MaxActiveConns, self.run.live_conn_events);
+                            let c = &mut self.run.counters;
+                            c.max_active_conns = c.max_active_conns.max(self.run.live_conn_events);
                             key
                         }
                     };
-                    self.run.metrics.inc(Counter::ConnSchedules);
+                    self.run.counters.conn_schedules += 1;
                     let raw = key.raw();
                     self.trace_emit(|| TraceEvent::ConnSchedule {
                         fid,
@@ -944,7 +988,7 @@ impl<P: Protocol> Runner<P> {
                     {
                         self.run.sim.cancel(key);
                         self.run.live_conn_events -= 1;
-                        self.run.metrics.inc(Counter::ConnCancels);
+                        self.run.counters.conn_cancels += 1;
                         let raw = key.raw();
                         self.trace_emit(|| TraceEvent::ConnCancel { fid, key: raw });
                     }
@@ -971,7 +1015,7 @@ impl<P: Protocol> Runner<P> {
         }
     }
 
-    fn handle(&mut self, ev: NetEvent<P::Msg>) {
+    fn handle(&mut self, ev: NetEvent<P::Msg, P::Timer>) {
         let now = self.run.sim.now();
         match ev {
             NetEvent::Control {
@@ -1004,7 +1048,7 @@ impl<P: Protocol> Runner<P> {
                     self.run.live_conn_events -= 1;
                 }
                 if let Some((done, updates)) = self.run.net.on_block_done_by_id(now, fid) {
-                    self.run.metrics.inc(Counter::BlocksSent);
+                    self.run.counters.blocks_sent += 1;
                     let (from, to) = (done.from, done.to);
                     let (block, bytes) = (done.block, done.bytes);
                     self.trace_emit(|| TraceEvent::BlockSent {
@@ -1029,7 +1073,7 @@ impl<P: Protocol> Runner<P> {
                 if !self.run.active[done.to.index()] {
                     return; // Delivered into the void.
                 }
-                self.run.metrics.inc(Counter::BlocksDelivered);
+                self.run.counters.blocks_delivered += 1;
                 self.run.net.on_block_delivered(done.to, done.bytes);
                 let (to, from) = (done.to, done.from);
                 let (block, bytes) = (done.block, done.bytes);
@@ -1056,16 +1100,16 @@ impl<P: Protocol> Runner<P> {
                     });
                 }
             }
-            NetEvent::Timer { node, token } => {
-                self.run.metrics.inc(Counter::TimersFired);
+            NetEvent::Timer { node, timer } => {
+                self.run.counters.timers_fired += 1;
                 self.trace_emit(|| TraceEvent::Timer {
                     node: node.0,
-                    token,
+                    timer: format!("{timer:?}"),
                 });
-                self.dispatch(node, |n, ctx| n.on_timer(ctx, P::Timer::decode(token)));
+                self.dispatch(node, |n, ctx| n.on_timer(ctx, timer));
             }
             NetEvent::LinkChange { index } => {
-                self.run.metrics.inc(Counter::LinkChanges);
+                self.run.counters.link_changes += 1;
                 self.trace_emit(|| TraceEvent::LinkChange {
                     index: index as u64,
                 });
@@ -1075,7 +1119,7 @@ impl<P: Protocol> Runner<P> {
                 self.apply_conn_updates(updates);
             }
             NetEvent::CrossChange { change } => {
-                self.run.metrics.inc(Counter::CrossChanges);
+                self.run.counters.cross_changes += 1;
                 self.trace_emit(|| TraceEvent::CrossChange {
                     from: change.via.0 .0,
                     to: change.via.1 .0,
@@ -1088,7 +1132,7 @@ impl<P: Protocol> Runner<P> {
                 NodeEvent::Join(node) => self.activate_cohort(&[node]),
                 NodeEvent::Leave(node) => {
                     if self.run.active[node.index()] {
-                        self.run.metrics.inc(Counter::NodeLeaves);
+                        self.run.counters.node_leaves += 1;
                         self.trace_emit(|| TraceEvent::NodeLeave { node: node.0 });
                         self.dispatch(node, |n, ctx| n.on_shutdown(ctx));
                         self.depart(node);
@@ -1096,7 +1140,7 @@ impl<P: Protocol> Runner<P> {
                 }
                 NodeEvent::Crash(node) => {
                     if self.run.active[node.index()] {
-                        self.run.metrics.inc(Counter::NodeCrashes);
+                        self.run.counters.node_crashes += 1;
                         self.trace_emit(|| TraceEvent::NodeCrash { node: node.0 });
                         self.depart(node);
                     }

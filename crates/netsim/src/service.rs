@@ -812,15 +812,13 @@ mod tests {
         // retired with blocks on the wire and a second takes over its slots;
         // the run is checkpointed once while those stale blocks are still in
         // flight and once in the middle of the second cohort's download.
-        use crate::metrics::Counter;
         let spec = FileSpec::new(256 * 1024, 16 * 1024);
         let limit = SimTime::from_secs_f64(60.0);
         let tick = SimDuration::from_secs(2);
         let counter =
-            |r: &Runner<MiniSwarm>, c: Counter| r.metrics_snapshot().counter(c.name()).unwrap_or(0);
-        let on_the_wire = |r: &Runner<MiniSwarm>| {
-            counter(r, Counter::BlocksSent) - counter(r, Counter::BlocksDelivered)
-        };
+            |r: &Runner<MiniSwarm>, name: &str| r.metrics_snapshot().counter(name).unwrap_or(0);
+        let on_the_wire =
+            |r: &Runner<MiniSwarm>| counter(r, "blocks_sent") - counter(r, "blocks_delivered");
         let drive = |checkpointed: bool| {
             let fork = |runner: Runner<MiniSwarm>| {
                 if checkpointed {

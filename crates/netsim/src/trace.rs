@@ -58,8 +58,8 @@ pub enum TraceEvent {
     Timer {
         /// The node whose timer fired.
         node: u32,
-        /// The encoded timer token.
-        token: u64,
+        /// The timer's `Debug` form, e.g. `Choke`.
+        timer: String,
     },
     /// A block finished serialising onto the wire at the sender.
     BlockSent {
@@ -461,7 +461,7 @@ mod tests {
         #[rustfmt::skip]
         let one_of_each = [
             TraceEvent::Msg { from: 0, to: 1, msg: "m", bytes: 0 },
-            TraceEvent::Timer { node: 0, token: 0 },
+            TraceEvent::Timer { node: 0, timer: String::new() },
             TraceEvent::BlockSent { from: 0, to: 1, block: 0, bytes: 0 },
             TraceEvent::BlockReceived { node: 1, from: 0, block: 0, bytes: 0, useful_bytes: 0 },
             TraceEvent::ConnSchedule { fid: 0, key: 0, at: 0.0 },
@@ -530,8 +530,8 @@ mod tests {
         let lines = [
             (TraceEvent::Msg { from: 0, to: 3, msg: "diff", bytes: 64 },
              r#"{"t":1.5,"seq":42,"kind":"msg","from":0,"to":3,"msg":"diff","bytes":64}"#),
-            (TraceEvent::Timer { node: 2, token: 7 },
-             r#"{"t":1.5,"seq":42,"kind":"timer","node":2,"token":7}"#),
+            (TraceEvent::Timer { node: 2, timer: "Choke".to_string() },
+             r#"{"t":1.5,"seq":42,"kind":"timer","node":2,"timer":"Choke"}"#),
             (TraceEvent::BlockSent { from: 1, to: 4, block: 9, bytes: 16384 },
              r#"{"t":1.5,"seq":42,"kind":"block_sent","from":1,"to":4,"block":9,"bytes":16384}"#),
             (TraceEvent::BlockReceived { node: 4, from: 1, block: 9, bytes: 16384, useful_bytes: 32768 },
@@ -573,7 +573,14 @@ mod tests {
     fn summary_counts_by_kind_sorted() {
         let records = vec![
             rec(0.0, 0, TraceEvent::ProbeTick),
-            rec(1.0, 5, TraceEvent::Timer { node: 1, token: 0 }),
+            rec(
+                1.0,
+                5,
+                TraceEvent::Timer {
+                    node: 1,
+                    timer: "Beat".to_string(),
+                },
+            ),
             rec(2.0, 9, TraceEvent::ProbeTick),
         ];
         let s = summarize(&records);
