@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI gate for bullet-repro: the tier-1 verify from ROADMAP.md (build + test),
 # lint and docs, the golden digests on the release build, the README
-# examples, a CLI smoke, and `lab bench` — three self-checks on what it
-# measures itself, nothing written.
+# examples, a CLI smoke, fig20's claims at N = 1k / 5k / 10k (`lab sweep`)
+# and the wall-clock contracts (tests/wall_clock.rs) on the release build.
 # Nothing here records performance or compares against a committed number:
 # that is the paired benchmark run (BENCHMARK.json, benchmark/). Run from the
 # repository root: ./ci.sh
@@ -66,8 +66,8 @@ RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
 
 # Golden digests (tests/golden_digests.rs) pin the canonical report of one
 # fixed-seed run per system. `cargo test -q` above checked them on the debug
-# build; the optimised build is the one the benchmark and `lab bench` measure,
-# so it must produce the same bytes.
+# build; the optimised build is the one the benchmark and the wall-clock
+# tests measure, so it must produce the same bytes.
 echo "==> golden digests on the release build (tests/golden_digests.rs)"
 cargo test -q --release --test golden_digests
 
@@ -211,15 +211,29 @@ fi
 echo "lab list: 21 rows; trace fig11 replays, lists 5 receivers and dumps $timer_lines timer records; traces of fig15, fig22 and fig21 replay"
 echo "lab run fig21: goodput $goodput, completions $completed; sweep | head -1 exits 0"
 
-# Self-checks: `lab bench` takes no options, runs three fixed workloads (fig05
-# dark, then instrumented with a counting trace sink and nothing else; fig20
-# at N = 1k / 5k / 10k; on a host with four threads the fig05 sweep on 1 and 4
-# workers) and exits non-zero if a check on its own measurements fails: traced
-# canonical = dark canonical, tracing <= 1.5x, every scale point AllComplete,
-# canonical identity across worker counts and 4 workers >= 1.5x. It writes
-# nothing: the perf records it used to leave at the root are gone for good.
-echo "==> self-checks (lab bench)"
-./target/release/lab bench
+# fig20's claims: one sweep cell at the default seed runs the trajectory at
+# N = 1,000 / 5,000 / 10,000, and each swarm must end with every receiver
+# complete. `lab sweep` prints one `ok` / `FAIL` line per claim and exits 1 on
+# a FAIL; the count guards against a trajectory that lost a point.
+echo "==> fig20's claims (lab sweep fig20 --seed-count 1)"
+status=0
+claims=$(./target/release/lab sweep fig20 --seed-count 1) || status=$?
+printf '%s\n' "$claims" | grep -E '^(ok|FAIL) ' || true
+ok_claims=$(printf '%s\n' "$claims" | grep -c '^ok ' || true)
+if [ "$status" -ne 0 ] || [ "$ok_claims" -ne 3 ] || printf '%s\n' "$claims" | grep -q '^FAIL '; then
+    echo "FAIL: lab sweep fig20 exited $status and printed $ok_claims ok claim lines, expected 0, 3 and no FAIL"
+    exit 1
+fi
+
+# Wall-clock contracts (tests/wall_clock.rs), ignored on a debug build: fig05
+# under the §4.1 schedule traced into a counting sink gives the dark run's
+# canonical report at <= 1.5x its wall clock, and on a host with four threads
+# the fig05 sweep on 4 workers gives the 1-worker bytes >= 1.5x faster. One
+# test at a time, because each compares two wall clocks of its own.
+echo "==> wall-clock contracts on the release build (tests/wall_clock.rs)"
+cargo test -q --release --test wall_clock -- --test-threads=1
+
+# Nothing here writes a perf record: they are gone for good.
 if git status --porcelain | grep -q 'BENCH_.*\.json'; then
     echo "FAIL: a perf-record file appeared at the root; performance is recorded by benchmark/ only"
     exit 1

@@ -7,12 +7,13 @@
 //!   construction, the four systems' builders, dynamics scheduling, probes,
 //!   warm-prefix checkpoints and completion times all live there;
 //! * [`experiments`] — per scenario, a function from the options to its
-//!   workload and a presentation function from runs of that workload to a
-//!   [`Figure`] (4–15 from the paper, plus the beyond-the-paper scenarios:
-//!   16/17 crash-churn and flash-crowd, 5ts the probe-driven
-//!   bandwidth-over-time view of the dynamic scenario, 18 two meshes sharing
-//!   one core bottleneck, 19 cross traffic vs Bullet′ adaptivity, 20 the
-//!   scaling trajectory, 21/22 the open-system service mode — see
+//!   workload, a presentation function from runs of that workload to a
+//!   [`Figure`] and, for fig15 and fig20, the claims that figure must bear
+//!   out (4–15 from the paper, plus the beyond-the-paper scenarios: 16/17
+//!   crash-churn and flash-crowd, 5ts the probe-driven bandwidth-over-time
+//!   view of the dynamic scenario, 18 two meshes sharing one core
+//!   bottleneck, 19 cross traffic vs Bullet′ adaptivity, 20 the scaling
+//!   trajectory, 21/22 the open-system service mode — see
 //!   `docs/SERVICE_MODE.md`). `docs/EXPERIMENTS.md` is the book mapping
 //!   every scenario to its paper section, sweep and expected result;
 //! * [`warmup`] — the `fig05w` family, whose variants share a quiet prefix
@@ -27,10 +28,9 @@
 //!   counts and peak-heap-bytes figures of the `benchmark/` harness.
 //!
 //! Figures are run through the `bullet_lab` crate's scenario registry (`lab
-//! run <name>`); `lab bench` runs three registry workloads from
-//! [`experiments`] at fixed options and checks them, and performance is
-//! recorded by `benchmark/`, which also times the layers. This crate ships
-//! no binaries.
+//! run <name>`, and `lab sweep <name>`, which also checks each figure's
+//! claims); performance is recorded by `benchmark/`, which also times the
+//! layers. This crate ships no binaries.
 
 pub mod alloc_track;
 pub mod bounds;

@@ -7,8 +7,8 @@
 //!                                  # each service cell's summary
 //! lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K]
 //!                      [--json PATH] [fig opts]
-//! lab bench                         # no options, nothing written: three fixed
-//!                                   # self-checks, one line each (see `bench`)
+//!                                   # one line per cell, then `ok` / `FAIL`
+//!                                   # per claim per cell
 //! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N]
 //!                      [fig opts]   # one traced run: per-kind summary,
 //!                                   # JSONL export, probe replay cross-check,
@@ -30,11 +30,10 @@ use crate::executor::run_sweep;
 use crate::registry::Registry;
 use crate::scenario::{run_cells, Body, Scenario};
 
-const USAGE: &str = "usage: lab <list|run|sweep|bench|trace> [scenario] [options]
+const USAGE: &str = "usage: lab <list|run|sweep|trace> [scenario] [options]
   lab list
   lab run <scenario> [figure options; see lab run <scenario> --help]
   lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K] [--json PATH] [figure options]
-  lab bench
   lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] [figure options]";
 
 /// Why a command ended early.
@@ -61,8 +60,9 @@ impl From<io::Error> for Stop {
 /// Entry point of the `lab` binary: parses `args` (without `argv[0]`) and
 /// runs the requested subcommand, which prints to `out`. Returns the process
 /// exit code: 2 with a message on stderr for a usage or I/O error, 1 when
-/// `lab bench` ran and a check failed. A reader that closes `out` early
-/// (`lab list | head -1`) ends the command with 0.
+/// `lab sweep` ran and one of the scenario's claims failed on a cell's
+/// figure. A reader that closes `out` early (`lab list | head -1`) ends the
+/// command with 0.
 pub fn lab_main<I: IntoIterator<Item = String>>(args: I, out: &mut dyn Write) -> i32 {
     match dispatch(args, out) {
         Ok(code) => code,
@@ -88,8 +88,7 @@ fn dispatch<I: IntoIterator<Item = String>>(args: I, out: &mut dyn Write) -> Res
     match command.as_str() {
         "list" => list(&registry, out)?,
         "run" => run(&registry, args, out)?,
-        "sweep" => sweep(&registry, args, out)?,
-        "bench" => return crate::bench::bench(&registry, &args, out),
+        "sweep" => return sweep(&registry, args, out),
         "trace" => crate::trace_cmd::trace(&registry, args, out)?,
         "--help" | "-h" | "help" => return Err(USAGE.to_string().into()),
         other => return Err(format!("unknown command {other}\n{USAGE}").into()),
@@ -213,15 +212,16 @@ fn parse_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
 
 /// The seed plan a sweep actually uses: `--seeds` as given, or else the
 /// scenario's plan re-based onto `--seed` and resized by `--seed-count`,
-/// each if given.
+/// each if given. A plan that runs past the last seed or does not fit in
+/// memory is a usage error.
 fn effective_seeds(
     scenario: &Scenario,
     sweep_args: &SweepArgs,
     opts: &CommonOpts,
     explicit_seed: bool,
-) -> Vec<u64> {
+) -> Result<Vec<u64>, String> {
     if let Some(seeds) = &sweep_args.seeds {
-        return seeds.clone();
+        return Ok(seeds.clone());
     }
     let mut plan = scenario.sweep.seeds;
     if explicit_seed {
@@ -230,16 +230,18 @@ fn effective_seeds(
     if let Some(count) = sweep_args.seed_count {
         plan.count = count;
     }
-    plan.seeds()
+    plan.seeds().map_err(|e| format!("{e}\n{USAGE}"))
 }
 
-fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<(), Stop> {
+/// `lab sweep`: one line per cell, then one `ok` or `FAIL` line per claim of
+/// each cell's figure. `Ok` carries the exit status: 1 when a claim failed.
+fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<i32, Stop> {
     let (scenario, rest) = take_scenario(registry, args)?;
     let sweep_args = parse_sweep_args(rest)?;
     let explicit_seed = sweep_args.rest.iter().any(|a| a == "--seed");
     let opts = CommonOpts::parse(sweep_args.rest.clone())?;
     let threads = sweep_args.threads.unwrap_or(1);
-    let seeds = effective_seeds(scenario, &sweep_args, &opts, explicit_seed);
+    let seeds = effective_seeds(scenario, &sweep_args, &opts, explicit_seed)?;
     // A workload may refuse the options (fig16 below three nodes): that is a
     // usage error here, not a panic in a worker.
     if let Body::Closed { workload, .. } = scenario.body {
@@ -289,7 +291,19 @@ fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<
             fig.id
         )?;
     }
-    Ok(())
+    let mut failed = false;
+    for cell in &report.cells {
+        for claim in scenario.claims(&cell.figure) {
+            let status = if claim.passed() { "ok  " } else { "FAIL" };
+            failed |= !claim.passed();
+            writeln!(
+                out,
+                "{status}  [{} seed {}] {}",
+                cell.point, cell.seed, claim.line
+            )?;
+        }
+    }
+    Ok(i32::from(failed))
 }
 
 #[cfg(test)]
@@ -371,6 +385,21 @@ mod tests {
     }
 
     #[test]
+    fn bench_takes_no_arguments() {
+        // Nor any at all: `bench` is not a command. Its checks are fig20's
+        // claims and tests/wall_clock.rs.
+        for args in [
+            &["bench"][..],
+            &["bench", "fig05"],
+            &["bench", "--out", "x.json"],
+        ] {
+            let err = usage_error(args);
+            assert!(err.starts_with("unknown command bench"), "{err}");
+            assert_eq!(lab_main(strings(args), &mut io::sink()), 2);
+        }
+    }
+
+    #[test]
     fn run_prints_an_open_scenarios_figure_and_one_summary_per_cell() {
         let smoke = ["--nodes", "12", "--mb", "0.25", "--time-limit", "600"];
         let text = printed(&[&["run", "fig22"][..], &smoke].concat());
@@ -426,7 +455,7 @@ mod tests {
             seed_count: Some(2),
             ..Default::default()
         };
-        assert_eq!(effective_seeds(sc, &args, &opts, true), vec![42, 43]);
+        assert_eq!(effective_seeds(sc, &args, &opts, true), Ok(vec![42, 43]));
 
         // Without --seed the scenario's base applies.
         let plan = SeedPlan::default();
@@ -450,6 +479,74 @@ mod tests {
             let err = usage_error(&[&["sweep", "fig13"][..], seeds].concat());
             assert!(err.starts_with("--seeds"), "{seeds:?}: {err}");
         }
+        // A plan that would wrap past the last seed, or whose seed list
+        // cannot be allocated, is refused before anything runs.
+        let max = u64::MAX.to_string();
+        for (plan, why) in [
+            (&["--seed-count", &max][..], "run past"),
+            (&["--seed", &max, "--seed-count", "2"], "run past"),
+            (
+                &["--seed", "0", "--seed-count", &max],
+                "do not fit in memory",
+            ),
+        ] {
+            let err = usage_error(&[&["sweep", "fig13"][..], &SMOKE, plan].concat());
+            assert!(err.contains(why), "{plan:?}: {err}");
+        }
+    }
+
+    /// A claim that fails on a cell's figure makes `lab sweep` exit 1, after
+    /// it has printed every cell line and written its `--json` file: fig20's
+    /// swarm cannot complete in one virtual second.
+    #[test]
+    fn a_failing_claim_exits_1_after_the_cells_and_the_json() {
+        let json = std::env::temp_dir().join(format!("lab-claims-{}.json", std::process::id()));
+        let path = json.to_str().expect("a UTF-8 temporary path");
+        let args = [
+            "sweep",
+            "fig20",
+            "--seeds",
+            "1,2",
+            "--nodes",
+            "6",
+            "--mb",
+            "0.25",
+            "--time-limit",
+            "1",
+            "--json",
+            path,
+        ];
+        let mut out = Vec::new();
+        assert_eq!(lab_main(strings(&args), &mut out), 1);
+        let text = String::from_utf8(out).expect("commands print UTF-8");
+        let lines: Vec<&str> = text.lines().collect();
+        assert_eq!(lines.len(), 5, "{text}");
+        assert!(lines[1].starts_with("  [default seed 1]"), "{text}");
+        assert!(lines[2].starts_with("  [default seed 2]"), "{text}");
+        assert!(
+            lines[3].starts_with("FAIL  [default seed 1] fig20 N=6"),
+            "{text}"
+        );
+        assert!(
+            lines[4].starts_with("FAIL  [default seed 2] fig20 N=6"),
+            "{text}"
+        );
+        let written = std::fs::read_to_string(&json).expect("--json was written");
+        std::fs::remove_file(&json).expect("the test's own file");
+        assert!(written.contains("\"scenario\": \"fig20\""), "{written}");
+
+        // The same sweep with time to finish passes its claims.
+        let passing = printed(&[
+            "sweep", "fig20", "--seeds", "1", "--nodes", "6", "--mb", "0.25",
+        ]);
+        assert!(
+            passing.ends_with("receivers complete (CDF \"BulletPrime, N=6\" has 5 points)\n"),
+            "{passing}"
+        );
+        assert!(
+            passing.contains("\nok    [default seed 1] fig20 N=6: all 5"),
+            "{passing}"
+        );
     }
 
     #[test]
@@ -472,14 +569,5 @@ mod tests {
             "trace", "fig11", "--nodes", "6", "--mb", "0.125", "--ring", &ring,
         ];
         assert_eq!(lab_main(strings(&args), &mut io::sink()), 0);
-    }
-
-    #[test]
-    fn bench_takes_no_arguments() {
-        for args in [&["bench", "fig05"][..], &["bench", "--out", "x.json"]] {
-            let err = usage_error(args);
-            assert!(err.starts_with("usage: lab bench"), "{err}");
-            assert_eq!(lab_main(strings(args), &mut io::sink()), 2);
-        }
     }
 }

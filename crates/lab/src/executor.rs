@@ -7,8 +7,9 @@
 //! through a shared atomic cursor (idle workers steal the next unclaimed
 //! cell) and merges results **by cell index**. The canonical JSON rendering
 //! ([`SweepReport::to_canonical_json`]) is therefore byte-identical for any
-//! `--threads` value, which `tests/lab_smoke.rs` asserts (and `lab bench`
-//! re-checks on a host with four threads); the full rendering
+//! `--threads` value, which `tests/lab_smoke.rs` asserts (and
+//! `tests/wall_clock.rs` re-checks on four workers, on a host with four
+//! threads); the full rendering
 //! ([`SweepReport::to_json`]) additionally carries per-cell wall-clock
 //! telemetry, which is machine- and schedule-dependent by nature and
 //! excluded from the identity guarantee.

@@ -20,15 +20,12 @@
 //!   executor simulates it once, checkpoints the runner
 //!   (`netsim::snapshot`), and forks every cell from the snapshot — same
 //!   canonical bytes, less wall clock;
-//! * [`cli`] — the `lab` binary (`list` / `run` / `sweep` / `bench` /
-//!   `trace`), every command printing to one writer; `lab run` is the one
-//!   presentation of a scenario, open-system ones (fig21/fig22, driven by
-//!   `netsim::service`'s generator-admitted swarms; see
-//!   `docs/SERVICE_MODE.md`) included;
-//! * `bench` — the `lab bench` subcommand: three baseline-free self-checks
-//!   no test makes — traced = dark at ≤ 1.5× the wall clock, fig20
-//!   `AllComplete` up to N = 10,000, 4-worker identity and scaling — and
-//!   nothing written (performance is recorded by `benchmark/`);
+//! * [`cli`] — the `lab` binary (`list` / `run` / `sweep` / `trace`), every
+//!   command printing to one writer; `lab run` is the one presentation of a
+//!   scenario, open-system ones (fig21/fig22, driven by `netsim::service`'s
+//!   generator-admitted swarms; see `docs/SERVICE_MODE.md`) included, and
+//!   `lab sweep` checks each cell's figure against the scenario's claims
+//!   ([`Scenario::claims`]);
 //! * [`trace_cmd`] — the `lab trace` subcommand: a Bullet′ run of any
 //!   scenario — a closed scenario's own workload, an open scenario's last
 //!   cell — with the structured trace sink and stats probe enabled: per-kind
@@ -41,7 +38,6 @@
 
 #![forbid(unsafe_code)]
 
-mod bench;
 pub mod cli;
 pub mod executor;
 pub mod registry;

@@ -117,7 +117,8 @@ impl Registry {
                 "fig15",
                 "Shotgun software update vs N parallel rsync processes",
                 closed(ex::fig15_workload, Run(ex::fig15_figure)),
-            ),
+            )
+            .with_claims(ex::fig15_claims),
             Scenario::new(
                 "fig16",
                 "survivor download-time CDF under receiver crash waves",
@@ -142,7 +143,8 @@ impl Registry {
                 "fig20",
                 "emulator scaling trajectory: join-only swarms up to 10,000 nodes",
                 closed(ex::fig20_workload, Study(ex::fig20_figure)),
-            ),
+            )
+            .with_claims(ex::fig20_claims),
             Scenario::new(
                 "fig21",
                 "open-system offered-load sweep: Poisson swarm arrivals to the knee",

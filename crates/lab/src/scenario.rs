@@ -8,11 +8,13 @@
 //! their presentation. Everything the lab does with a scenario — `lab list`'s
 //! tags, what `lab trace` traces, the service runs `lab run` summarises, which
 //! sweep cells can fork one warm-up — is read from the body, so no command can
-//! run a different workload than `lab run` does. The functions themselves live
-//! in `bullet_bench::experiments`; the default parameter sweep and seed plan
-//! are data here.
+//! run a different workload than `lab run` does. A scenario's claims — what its
+//! figure must show — are checked on the figure alone, by the one function
+//! [`Scenario::claims`] calls. The functions themselves live in
+//! `bullet_bench::experiments`; the default parameter sweep and seed plan are
+//! data here.
 
-use bullet_bench::experiments::{ServiceFigureFn, WorkloadFn};
+use bullet_bench::experiments::{Claim, ClaimsFn, ServiceFigureFn, WorkloadFn};
 use bullet_bench::{CommonOpts, Figure, ServiceWorkload, WarmPrefix, Workload};
 use netsim::{RunReport, ServiceReport};
 
@@ -92,10 +94,27 @@ pub struct SeedPlan {
 
 impl SeedPlan {
     /// Materialises the seeds in order.
-    pub fn seeds(&self) -> Vec<u64> {
-        (0..self.count as u64)
-            .map(|i| self.base.wrapping_add(i))
-            .collect()
+    ///
+    /// # Errors
+    ///
+    /// Returns an error if the plan runs past `u64::MAX` or its seeds do not
+    /// fit in memory.
+    pub fn seeds(&self) -> Result<Vec<u64>, String> {
+        let span = self.count.saturating_sub(1) as u64;
+        if self.base.checked_add(span).is_none() {
+            return Err(format!(
+                "{} seeds from {} run past the last seed, {}",
+                self.count,
+                self.base,
+                u64::MAX
+            ));
+        }
+        let mut seeds = Vec::new();
+        seeds
+            .try_reserve_exact(self.count)
+            .map_err(|e| format!("{} seeds do not fit in memory: {e}", self.count))?;
+        seeds.extend((0..self.count as u64).map(|i| self.base + i));
+        Ok(seeds)
     }
 }
 
@@ -137,6 +156,8 @@ pub struct Scenario {
     pub sweep: SweepSpec,
     /// What runs.
     pub body: Body,
+    /// What its figure must show.
+    claims: ClaimsFn,
 }
 
 impl Scenario {
@@ -147,6 +168,7 @@ impl Scenario {
             title,
             sweep: SweepSpec::default(),
             body,
+            claims: |_| Vec::new(),
         }
     }
 
@@ -155,6 +177,20 @@ impl Scenario {
     pub fn with_points(mut self, points: impl Iterator<Item = ParamPoint>) -> Self {
         self.sweep.points = points.collect();
         self
+    }
+
+    /// Sets the claims its figure must show (builder style); a scenario has
+    /// none by default.
+    #[must_use]
+    pub fn with_claims(mut self, claims: ClaimsFn) -> Self {
+        self.claims = claims;
+        self
+    }
+
+    /// The verdict on each of the scenario's claims about `figure`, one of
+    /// its figures.
+    pub fn claims(&self, figure: &Figure) -> Vec<Claim> {
+        (self.claims)(figure)
     }
 
     /// Runs the scenario once with the given options, at its default point.
@@ -312,8 +348,15 @@ mod tests {
     #[test]
     fn seed_plan_yields_consecutive_seeds() {
         let plan = SeedPlan { base: 7, count: 3 };
-        assert_eq!(plan.seeds(), vec![7, 8, 9]);
-        assert_eq!(SeedPlan::default().seeds().len(), 4);
+        assert_eq!(plan.seeds(), Ok(vec![7, 8, 9]));
+        assert_eq!(SeedPlan::default().seeds().map(|s| s.len()), Ok(4));
+        let last = SeedPlan {
+            base: u64::MAX - 1,
+            count: 2,
+        };
+        assert_eq!(last.seeds(), Ok(vec![u64::MAX - 1, u64::MAX]));
+        let wraps = SeedPlan { count: 3, ..last };
+        assert!(wraps.seeds().unwrap_err().contains("run past"));
     }
 
     #[test]

@@ -4,7 +4,8 @@
 //! observability layer (trace + probe, `lab trace`) interleaves
 //! with all of it without perturbing the simulation.
 
-use bullet_repro::bullet_bench::{experiments, CommonOpts};
+use bullet_repro::bullet_bench::experiments::{self, Verdict};
+use bullet_repro::bullet_bench::CommonOpts;
 use bullet_repro::bullet_lab::{
     check_replay, run_sweep, run_sweep_with, traced_run, Body, Presentation, Registry, Scenario,
     Traced,
@@ -177,21 +178,25 @@ fn lab_run_fig18_and_fig19_are_reachable_through_the_registry() {
 fn lab_run_fig20_completes_a_thousand_node_join_only_swarm() {
     // One point of the fig20 scaling trajectory, end to end through the
     // registry: a 1,000-node join-only swarm on the O(n) uniform core must
-    // run to AllComplete — every receiver finishes, none are reported
-    // unfinished — and stay deterministic per seed.
+    // run to AllComplete — fig20's claim: every receiver finishes, none are
+    // reported unfinished — and stay deterministic per seed.
     let reg = Registry::standard();
+    let fig20 = reg.get("fig20").expect("registered");
     let opts = CommonOpts {
         nodes: Some(1_000),
         file_mb: Some(0.125),
         ..CommonOpts::default()
     };
-    let fig = reg.get("fig20").expect("registered").run(&opts);
+    let fig = fig20.run(&opts);
     // --nodes collapses the trajectory to one CDF plus the events series.
     assert_eq!(fig.series.len(), 2);
-    let cdf = &fig.series[0];
-    assert_eq!(cdf.label, "BulletPrime, N=1000", "no receiver unfinished");
-    assert_eq!(cdf.points.len(), 999, "one CDF point per receiver");
-    assert!(cdf.points.iter().all(|&(t, _)| t > 0.0));
+    let claims = fig20.claims(&fig);
+    assert_eq!(claims.len(), 1, "one claim per swarm size");
+    assert_eq!(claims[0].verdict, Verdict::Holds, "{}", claims[0].line);
+    assert!(claims[0]
+        .line
+        .starts_with("fig20 N=1000: all 999 receivers complete"));
+    assert!(fig.series[0].points.iter().all(|&(t, _)| t > 0.0));
     assert_eq!(fig.series[1].points[0].0, 1000.0);
     assert!(fig.series[1].points[0].1 > 0.0, "events were counted");
 
