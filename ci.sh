@@ -1,8 +1,8 @@
 #!/usr/bin/env sh
 # CI gate for bullet-repro: the tier-1 verify from ROADMAP.md (build + test),
 # lint and docs, the golden digests on the release build, the README
-# examples, a CLI smoke, fig20's claims at N = 1k / 5k / 10k (`lab sweep`)
-# and the wall-clock contracts (tests/wall_clock.rs) on the release build.
+# examples, a CLI smoke, the claims of fig20 (N = 1k / 5k / 10k), fig18 and
+# fig04 (`lab sweep`) and the wall-clock contracts (tests/wall_clock.rs) on the release build.
 # Nothing here records performance or compares against a committed number:
 # that is the paired benchmark run (BENCHMARK.json, benchmark/). Run from the
 # repository root: ./ci.sh
@@ -211,19 +211,30 @@ fi
 echo "lab list: 21 rows; trace fig11 replays, lists 5 receivers and dumps $timer_lines timer records; traces of fig15, fig22 and fig21 replay"
 echo "lab run fig21: goodput $goodput, completions $completed; sweep | head -1 exits 0"
 
-# fig20's claims: one sweep cell at the default seed runs the trajectory at
-# N = 1,000 / 5,000 / 10,000, and each swarm must end with every receiver
-# complete. `lab sweep` prints one `ok` / `FAIL` line per claim and exits 1 on
-# a FAIL; the count guards against a trajectory that lost a point.
-echo "==> fig20's claims (lab sweep fig20 --seed-count 1)"
-status=0
-claims=$(./target/release/lab sweep fig20 --seed-count 1) || status=$?
-printf '%s\n' "$claims" | grep -E '^(ok|FAIL) ' || true
-ok_claims=$(printf '%s\n' "$claims" | grep -c '^ok ' || true)
-if [ "$status" -ne 0 ] || [ "$ok_claims" -ne 3 ] || printf '%s\n' "$claims" | grep -q '^FAIL '; then
-    echo "FAIL: lab sweep fig20 exited $status and printed $ok_claims ok claim lines, expected 0, 3 and no FAIL"
-    exit 1
-fi
+# A scenario's claims at the default seed: `lab sweep <scenario> --seed-count
+# 1` prints one `ok` / `FAIL` line per claim per cell and exits 1 on a FAIL;
+# the count of `ok` lines guards against a sweep that lost a cell or a claim.
+expect_claims() {
+    echo "==> $1's claims (lab sweep $1 --seed-count 1)"
+    status=0
+    claims=$(./target/release/lab sweep "$1" --seed-count 1) || status=$?
+    printf '%s\n' "$claims" | grep -E '^(ok|FAIL) ' || true
+    ok_claims=$(printf '%s\n' "$claims" | grep -c '^ok ' || true)
+    if [ "$status" -ne 0 ] || [ "$ok_claims" -ne "$2" ] || printf '%s\n' "$claims" | grep -q '^FAIL '; then
+        echo "FAIL: lab sweep $1 exited $status and printed $ok_claims ok claim lines, expected 0, $2 and no FAIL"
+        exit 1
+    fi
+}
+
+# fig20: one cell runs the trajectory at N = 1,000 / 5,000 / 10,000, and each
+# swarm must end with every receiver complete (three claims).
+expect_claims fig20 3
+# fig18: each of the two meshes sharing the core has its median 2-5x the lone
+# mesh's, and the two medians lie within 25 % of each other (three claims).
+expect_claims fig18 3
+# fig04, at its default scale (three swarm sizes, ~4 s): no system finishes
+# left of the physical bound (four systems, so four claims per cell).
+expect_claims fig04 12
 
 # Wall-clock contracts (tests/wall_clock.rs), ignored on a debug build: fig05
 # under the §4.1 schedule traced into a counting sink gives the dark run's

@@ -9,7 +9,7 @@
 //! controller (§3.3.3), order their requests with the configured strategy
 //! (§3.3.2) and stay up to date through incremental diffs (§3.3.4).
 
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use desim::SimTime;
 use dissem_codec::{BlockBitmap, BlockId, DiffTracker};
@@ -86,8 +86,9 @@ impl SenderState {
 #[derive(Debug, Clone)]
 struct ReceiverState {
     diff: DiffTracker,
-    /// How much of the node's `arrivals` log this receiver has been offered:
-    /// `arrivals[flushed..]` is what its next diff is drawn from.
+    /// How many of the node's arrivals this receiver has been offered: the
+    /// arrivals from absolute index `flushed` on are what its next diff is
+    /// drawn from.
     flushed: usize,
     /// Bytes whose transmission to this receiver completed since last epoch.
     bytes_since_epoch: u64,
@@ -103,6 +104,41 @@ impl ReceiverState {
             bytes_since_epoch: 0,
             their_incoming_bw: 0.0,
         }
+    }
+}
+
+/// The blocks a diff may still announce (§3.3.4): every block that arrived
+/// and was not a duplicate, in arrival order, from the first one some
+/// receiver has not been offered. Indices are absolute — `start` is the
+/// arrival index of the front entry — so a receiver's `flushed` cursor stays
+/// valid when the front is dropped. The log holds O(unflushed) entries, not
+/// one per block of the file.
+#[derive(Debug, Clone, Default)]
+struct ArrivalLog {
+    window: VecDeque<BlockId>,
+    start: usize,
+}
+
+impl ArrivalLog {
+    /// One past the arrival index of the latest block.
+    fn end(&self) -> usize {
+        self.start + self.window.len()
+    }
+
+    fn push(&mut self, block: BlockId) {
+        self.window.push_back(block);
+    }
+
+    /// The arrivals from absolute index `from` (at least `start`) on.
+    fn since(&self, from: usize) -> impl Iterator<Item = BlockId> + '_ {
+        self.window.range(from - self.start..).copied()
+    }
+
+    /// Drops the arrivals before absolute index `offered` (between `start`
+    /// and `end()`).
+    fn drop_before(&mut self, offered: usize) {
+        self.window.drain(..offered - self.start);
+        self.start = offered;
     }
 }
 
@@ -125,9 +161,8 @@ pub struct BulletPrimeNode {
     children: Vec<NodeId>,
     ransub: RanSubAgent,
     have: BlockBitmap,
-    /// Every block that arrived and was not a duplicate, in arrival order:
-    /// the blocks a diff may announce (§3.3.4).
-    arrivals: Vec<BlockId>,
+    /// The arrivals some receiver has not been offered yet.
+    arrivals: ArrivalLog,
     completion_target: u32,
     block_space: u32,
 
@@ -174,7 +209,7 @@ impl BulletPrimeNode {
             children: tree.children(id).to_vec(),
             ransub: RanSubAgent::new(id, tree, cfg.ransub_subset_size),
             have,
-            arrivals: Vec::new(),
+            arrivals: ArrivalLog::default(),
             completion_target: cfg.completion_target(),
             block_space,
             senders: BTreeMap::new(),
@@ -396,6 +431,7 @@ impl BulletPrimeNode {
 
     fn drop_receiver(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, notify: bool) {
         if self.receivers.remove(&peer).is_some() {
+            self.trim_arrivals();
             ctx.close_connection(peer);
             if notify {
                 ctx.send(peer, Msg::PeerClose);
@@ -404,7 +440,7 @@ impl BulletPrimeNode {
     }
 
     fn accept_receiver(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        let mut state = ReceiverState::new(self.arrivals.len());
+        let mut state = ReceiverState::new(self.arrivals.end());
         let available: Vec<BlockId> = self.have.iter().collect();
         state.diff.mark_advertised(available.iter().copied());
         self.receivers.insert(peer, state);
@@ -479,15 +515,14 @@ impl BulletPrimeNode {
     fn flush_diff(
         ctx: &mut Ctx<'_, Self>,
         peer: NodeId,
-        arrivals: &[BlockId],
+        arrivals: &ArrivalLog,
         r: &mut ReceiverState,
     ) {
-        let blocks: Vec<BlockId> = arrivals[r.flushed..]
-            .iter()
-            .copied()
+        let blocks: Vec<BlockId> = arrivals
+            .since(r.flushed)
             .filter(|&b| !r.diff.already_advertised(b))
             .collect();
-        r.flushed = arrivals.len();
+        r.flushed = arrivals.end();
         if blocks.is_empty() {
             return;
         }
@@ -500,14 +535,22 @@ impl BulletPrimeNode {
     /// diffs).
     fn propagate_availability(&mut self, ctx: &mut Ctx<'_, Self>, block: BlockId) {
         self.arrivals.push(block);
-        if self.cfg.lazy_diffs {
-            return;
-        }
-        for (&peer, r) in &mut self.receivers {
-            if ctx.pending_to(peer) == 0 {
-                Self::flush_diff(ctx, peer, &self.arrivals, r);
+        if !self.cfg.lazy_diffs {
+            for (&peer, r) in &mut self.receivers {
+                if ctx.pending_to(peer) == 0 {
+                    Self::flush_diff(ctx, peer, &self.arrivals, r);
+                }
             }
         }
+        self.trim_arrivals();
+    }
+
+    /// Drops the arrivals every receiver has been offered: no diff reads
+    /// them again. Runs after every flush and every dropped receiver.
+    fn trim_arrivals(&mut self) {
+        let offered = self.receivers.values().map(|r| r.flushed).min();
+        self.arrivals
+            .drop_before(offered.unwrap_or(self.arrivals.end()));
     }
 }
 
@@ -604,6 +647,7 @@ impl Protocol for BulletPrimeNode {
             Msg::DiffRequest => {
                 if let Some(r) = self.receivers.get_mut(&from) {
                     Self::flush_diff(ctx, from, &self.arrivals, r);
+                    self.trim_arrivals();
                 }
             }
             Msg::BlockRequest {
@@ -755,10 +799,11 @@ impl Protocol for BulletPrimeNode {
                     self.issue_requests(ctx, peer);
                 }
                 for (&peer, r) in &mut self.receivers {
-                    if r.flushed < self.arrivals.len() && ctx.pending_to(peer) == 0 {
+                    if r.flushed < self.arrivals.end() && ctx.pending_to(peer) == 0 {
                         Self::flush_diff(ctx, peer, &self.arrivals, r);
                     }
                 }
+                self.trim_arrivals();
                 if self.role == Role::Source {
                     self.source_push(ctx);
                 }
@@ -823,13 +868,13 @@ mod tests {
         // and 5 are the arrivals logged since.
         let mut state = ReceiverState::new(0);
         state.diff.mark_advertised([BlockId(0), BlockId(1)]);
-        let arrivals = vec![BlockId(3), BlockId(1), BlockId(5)];
+        let arrivals = [BlockId(3), BlockId(1), BlockId(5)];
 
         type Hook<'a> = &'a dyn Fn(&mut BulletPrimeNode, &mut Ctx<'_, BulletPrimeNode>);
         let now = SimTime::from_secs_f64(1.0);
         let flush = |hook: Hook<'_>| {
             let mut node = BulletPrimeNode::new(me, &tree, cfg.clone());
-            node.arrivals = arrivals.clone();
+            arrivals.iter().for_each(|&b| node.arrivals.push(b));
             node.receivers.insert(receiver, state.clone());
             let mut rng = StdRng::seed_from_u64(9);
             let mut commands = Vec::new();
@@ -849,13 +894,13 @@ mod tests {
             let advertised: Vec<bool> = (0..8)
                 .map(|b| after.diff.already_advertised(BlockId(b)))
                 .collect();
-            let unflushed = node.arrivals[after.flushed..].to_vec();
+            let unflushed: Vec<BlockId> = node.arrivals.since(after.flushed).collect();
             (diffs, unflushed, advertised)
         };
 
         let arrival = flush(&|node, ctx| {
             // Block 5 is the one arriving: the hook logs it itself.
-            assert_eq!(node.arrivals.pop(), Some(BlockId(5)));
+            assert_eq!(node.arrivals.window.pop_back(), Some(BlockId(5)));
             let receipt = BlockReceipt {
                 block: BlockId(5),
                 bytes: 16 * 1024,
@@ -939,6 +984,155 @@ mod tests {
                 ("diff", &last[..])
             ]
         );
+    }
+
+    /// The arrival log as it was before it kept only the unflushed window:
+    /// every arrival since the start, each receiver a cursor into it and
+    /// the blocks it has heard of. `flush` is the full-log `flush_diff`.
+    #[derive(Default)]
+    struct FullLog {
+        log: Vec<BlockId>,
+        have: BTreeSet<BlockId>,
+        receivers: BTreeMap<NodeId, (usize, BTreeSet<BlockId>)>,
+        diffs: Vec<(NodeId, Vec<BlockId>)>,
+    }
+
+    impl FullLog {
+        fn flush(&mut self, peer: NodeId) {
+            let Some((flushed, advertised)) = self.receivers.get_mut(&peer) else {
+                return;
+            };
+            let blocks: Vec<BlockId> = self.log[*flushed..]
+                .iter()
+                .copied()
+                .filter(|b| !advertised.contains(b))
+                .collect();
+            *flushed = self.log.len();
+            if !blocks.is_empty() {
+                advertised.extend(&blocks);
+                self.diffs.push((peer, blocks));
+            }
+        }
+
+        /// Flushes every receiver `ready` admits, in id order, as block
+        /// arrival and the housekeeping tick do.
+        fn flush_all(&mut self, ready: impl Fn(NodeId, usize) -> bool) {
+            let peers: Vec<NodeId> = self.receivers.keys().copied().collect();
+            for peer in peers {
+                if ready(peer, self.receivers[&peer].0) {
+                    self.flush(peer);
+                }
+            }
+        }
+    }
+
+    /// Random runs of arrivals (duplicates included), the three flushes,
+    /// late accepts and dropped receivers send the same diffs from the
+    /// windowed log as from the full one. Some receivers have blocks queued
+    /// towards them, so only a `DiffRequest` flushes them and the window
+    /// stays open behind their cursors. After every step the window starts
+    /// at the slowest receiver's cursor: it holds no arrival every receiver
+    /// has been offered.
+    #[test]
+    fn the_windowed_log_sends_the_diffs_of_the_full_log() {
+        use netsim::{topology, Command, Network};
+        use rand::{Rng, SeedableRng};
+
+        let n = 10;
+        let tree = ControlTree::random(n, 3, &RngFactory::new(7));
+        let me = NodeId(1);
+        let peers: Vec<NodeId> = (2..n as u32).map(NodeId).collect();
+        let mut r = StdRng::seed_from_u64(0xd1ff);
+        let mut widest = 0;
+        for case in 0..60 {
+            let mut cfg = Config::new(FileSpec::new(48 * 1024, 1024));
+            cfg.lazy_diffs = case % 3 == 0;
+            let mut net = Network::new(topology::constrained_access(n));
+            let busy: BTreeSet<NodeId> =
+                peers.iter().copied().filter(|_| r.gen_bool(0.3)).collect();
+            for &peer in &busy {
+                net.queue_block(SimTime::ZERO, me, peer, BlockId(0), 1024);
+                assert!(net.pending_blocks(me, peer) > 0);
+            }
+            let mut node = BulletPrimeNode::new(me, &tree, cfg.clone());
+            assert_eq!(node.role(), Role::Receiver);
+            let mut full = FullLog::default();
+            let mut rng = StdRng::seed_from_u64(case);
+            let mut commands = Vec::new();
+            for step in 0..300 {
+                let now = SimTime::from_secs_f64(f64::from(step));
+                let mut ctx = Ctx::new(me, now, &net, &[true; 10], &mut rng, &mut commands);
+                let peer = peers[r.gen_range(0..peers.len())];
+                let idle = |peer: NodeId| !busy.contains(&peer);
+                match r.gen_range(0..10u32) {
+                    0..=3 => {
+                        let block = BlockId(r.gen_range(0..48));
+                        let receipt = BlockReceipt {
+                            block,
+                            bytes: 1024,
+                            in_front: 0,
+                            wasted: 0.0,
+                            queued_at: SimTime::ZERO,
+                            delivered_at: now,
+                        };
+                        node.on_block_received(&mut ctx, NodeId(0), receipt);
+                        if full.have.insert(block) {
+                            full.log.push(block);
+                            if !cfg.lazy_diffs {
+                                full.flush_all(|peer, _| idle(peer));
+                            }
+                        }
+                    }
+                    4 => {
+                        node.on_control(&mut ctx, peer, Msg::DiffRequest);
+                        full.flush(peer);
+                    }
+                    5 => {
+                        node.on_timer(&mut ctx, Timer::Housekeeping);
+                        let end = full.log.len();
+                        full.flush_all(|peer, flushed| flushed < end && idle(peer));
+                    }
+                    6 | 7 => {
+                        node.on_control(&mut ctx, peer, Msg::PeerRequest { have_count: 0 });
+                        let state = (full.log.len(), full.have.clone());
+                        full.receivers.entry(peer).or_insert(state);
+                    }
+                    _ => {
+                        node.on_control(&mut ctx, peer, Msg::PeerClose);
+                        full.receivers.remove(&peer);
+                    }
+                }
+                let cursors: Vec<(NodeId, usize)> = node
+                    .receivers
+                    .iter()
+                    .map(|(&p, r)| (p, r.flushed))
+                    .collect();
+                let want: Vec<(NodeId, usize)> =
+                    full.receivers.iter().map(|(&p, r)| (p, r.0)).collect();
+                assert_eq!(cursors, want, "case {case}, step {step}");
+                assert_eq!(node.arrivals.end(), full.log.len());
+                let slowest = cursors.iter().map(|c| c.1).min();
+                assert_eq!(
+                    node.arrivals.start,
+                    slowest.unwrap_or(full.log.len()),
+                    "case {case}, step {step}: the window starts at the slowest cursor"
+                );
+                widest = widest.max(node.arrivals.window.len());
+            }
+            let diffs: Vec<(NodeId, Vec<BlockId>)> = commands
+                .into_iter()
+                .filter_map(|command| match command {
+                    Command::SendControl {
+                        to,
+                        msg: Msg::Diff { blocks },
+                    } => Some((to, blocks)),
+                    _ => None,
+                })
+                .collect();
+            assert!(!diffs.is_empty(), "case {case}: premise, diffs were sent");
+            assert_eq!(diffs, full.diffs, "case {case}");
+        }
+        assert!(widest > 1, "premise: the window held unflushed arrivals");
     }
 
     /// A graceful leaver says goodbye once to each peer, whether that peer

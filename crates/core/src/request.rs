@@ -71,7 +71,7 @@ struct Pick(u128);
 impl Pick {
     const NONE: Pick = Pick(0);
 
-    fn new((rarity, draw): (u32, u64), block: BlockId) -> Self {
+    fn new((rarity, draw): (u8, u64), block: BlockId) -> Self {
         Pick(u128::from(rarity) << 96 | u128::from(draw) << 32 | u128::from(block.0))
     }
 
@@ -85,12 +85,18 @@ impl Pick {
 /// window reopening all at once) pays one allocation.
 const STACK_PICKS: usize = 8;
 
+/// At most this many senders are registered at once, so that a block's
+/// rarity — the number of registered senders advertising it — fits in a
+/// byte. Bullet′ keeps at most [`crate::config::MAX_PEERS`] (25).
+const MAX_SENDERS: usize = u8::MAX as usize;
+
 /// Receiver-side request state across all senders.
 #[derive(Debug, Clone)]
 pub struct RequestManager {
     strategy: RequestStrategy,
-    /// Number of senders currently advertising each block.
-    rarity: Vec<u32>,
+    /// Number of senders currently advertising each block: at most the
+    /// number registered, which is at most [`MAX_SENDERS`].
+    rarity: Vec<u8>,
     available: BTreeMap<NodeId, SenderAvailability>,
     in_flight: BTreeMap<BlockId, InFlight>,
     /// Bitmap mirror of `in_flight`'s keys, for O(1) membership tests and
@@ -122,9 +128,7 @@ impl RequestManager {
     /// Registers a new sender with no known availability yet.
     pub fn add_sender(&mut self, peer: NodeId) {
         let space = self.block_space();
-        self.available
-            .entry(peer)
-            .or_insert_with(|| SenderAvailability::new(space));
+        register(&mut self.available, peer, space);
     }
 
     /// Removes a sender; its advertised blocks stop counting towards rarity
@@ -133,8 +137,7 @@ impl RequestManager {
     pub fn remove_sender(&mut self, peer: NodeId) -> Vec<BlockId> {
         if let Some(av) = self.available.remove(&peer) {
             for b in av.bits.iter() {
-                let r = &mut self.rarity[b.index()];
-                *r = r.saturating_sub(1);
+                unadvertise(&mut self.rarity[b.index()]);
             }
         }
         let released: Vec<BlockId> = self
@@ -154,10 +157,7 @@ impl RequestManager {
     /// holds are ignored.
     pub fn on_advertised(&mut self, peer: NodeId, blocks: &[BlockId], have: &BlockBitmap) {
         let space = self.block_space();
-        let entry = self
-            .available
-            .entry(peer)
-            .or_insert_with(|| SenderAvailability::new(space));
+        let entry = register(&mut self.available, peer, space);
         for &b in blocks {
             if have.contains(b) || b.index() >= self.rarity.len() {
                 continue;
@@ -178,8 +178,7 @@ impl RequestManager {
         }
         for av in self.available.values_mut() {
             if av.bits.remove(block) {
-                let r = &mut self.rarity[block.index()];
-                *r = r.saturating_sub(1);
+                unadvertise(&mut self.rarity[block.index()]);
             }
         }
         // `order` vectors are compacted lazily during selection.
@@ -319,6 +318,35 @@ impl RequestManager {
         }
         released
     }
+}
+
+/// `peer`'s record in `available`, registering it if it is new: the one
+/// place a sender is registered.
+///
+/// # Panics
+///
+/// Panics if [`MAX_SENDERS`] senders are registered already.
+fn register(
+    available: &mut BTreeMap<NodeId, SenderAvailability>,
+    peer: NodeId,
+    block_space: u32,
+) -> &mut SenderAvailability {
+    let registered = available.len();
+    available.entry(peer).or_insert_with(|| {
+        assert!(
+            registered < MAX_SENDERS,
+            "at most {MAX_SENDERS} senders, so that a rarity fits in a byte"
+        );
+        SenderAvailability::new(block_space)
+    })
+}
+
+/// Takes one advertising sender off a block's rarity. Every decrement
+/// undoes an increment made when that sender's advertisement was recorded,
+/// so the count cannot already be zero.
+fn unadvertise(rarity: &mut u8) {
+    debug_assert!(*rarity > 0, "a rarity decrement without its increment");
+    *rarity -= 1;
 }
 
 /// Offers `item` to a bounded ascending buffer: `picks[..len]` holds the
@@ -495,6 +523,20 @@ mod tests {
         assert_eq!(got, ids(&[2]));
     }
 
+    #[test]
+    #[should_panic(expected = "at most 255 senders")]
+    fn a_rarity_fits_in_a_byte_because_senders_are_capped() {
+        let mut rm = RequestManager::new(RequestStrategy::RarestRandom, 4);
+        let have = BlockBitmap::new(4);
+        for p in 0..MAX_SENDERS as u32 {
+            rm.on_advertised(NodeId(p), &ids(&[3]), &have);
+        }
+        assert_eq!(rm.rarity[3], u8::MAX);
+        // Re-registering a known sender is not a new registration.
+        rm.add_sender(NodeId(0));
+        rm.add_sender(NodeId(MAX_SENDERS as u32));
+    }
+
     const STRATEGIES: [RequestStrategy; 4] = [
         RequestStrategy::FirstEncountered,
         RequestStrategy::Random,
@@ -515,7 +557,7 @@ mod tests {
         let candidates = av.order.iter().copied().filter(|b| {
             av.bits.contains(*b) && !have.contains(*b) && !rm.in_flight_bits.contains(*b)
         });
-        let mut keyed: Vec<((u32, u64), BlockId)> = candidates
+        let mut keyed: Vec<((u8, u64), BlockId)> = candidates
             .map(|b| {
                 let key = match rm.strategy {
                     RequestStrategy::FirstEncountered => (0, 0),

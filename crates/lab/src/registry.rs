@@ -44,7 +44,8 @@ impl Registry {
                 "download-time CDF of all four systems under random losses",
                 closed(ex::fig04_workload, Study(ex::overall_comparison)),
             )
-            .with_points(swarm_sizes()),
+            .with_points(swarm_sizes())
+            .with_claims(ex::fig04_claims),
             Scenario::new(
                 "fig05",
                 "download-time CDF of all four systems under synthetic bandwidth changes",
@@ -133,7 +134,8 @@ impl Registry {
                 "fig18",
                 "two concurrent meshes sharing one 2 Mbps core bottleneck",
                 closed(ex::fig18_workload, Study(ex::fig18_figure)),
-            ),
+            )
+            .with_claims(ex::fig18_claims),
             Scenario::new(
                 "fig19",
                 "cross-traffic square wave vs Bullet' adaptivity (goodput over time)",

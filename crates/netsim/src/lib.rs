@@ -1144,4 +1144,22 @@ mod timer_tests {
         // they re-armed.
         assert_eq!(timer_names(&mut resumed, 1), ["Long", "Short(2)", "Long"]);
     }
+
+    /// Retiring a slot between its timers cancels the ones it still had
+    /// pending, and no other: the other node's fire as armed, the retired
+    /// node's never fire, and the counts are those of cancelling by key.
+    #[test]
+    fn retire_cancels_exactly_the_slots_pending_timers() {
+        let mut runner = alarms_runner();
+        runner.advance_until(SimTime::from_secs_f64(2.2));
+        assert_eq!(runner.pending_events(), 4, "Long and Short(2), per node");
+        runner.retire(&[NodeId(0)]);
+        assert_eq!(runner.pending_events(), 2, "no timer of node 0 is pending");
+        let report = runner.run_until(SimTime::from_secs_f64(60.0));
+        assert_eq!(report.reason, StopReason::Drained);
+        assert_eq!(runner.nodes()[0].fired, FIRED[..2]);
+        assert_eq!(runner.nodes()[1].fired, FIRED);
+        assert_eq!(report.metrics.counter("timers_fired"), Some(7));
+        assert_eq!(report.metrics.counter("events_cancelled"), Some(2));
+    }
 }

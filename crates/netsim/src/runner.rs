@@ -259,12 +259,6 @@ struct RunState<P: Protocol> {
     /// flight towards an older incarnation are dropped at delivery, so a
     /// recycled slot never observes a previous cohort's traffic.
     epoch: Vec<u32>,
-    /// Live timer events set by each node, so [`Runner::retire`] can cancel
-    /// the remainder in bulk (cancelling an already-fired key is a safe
-    /// no-op; see [`desim::Simulator::cancel`]). Pruned opportunistically
-    /// against the queue so the lists stay proportional to the number of
-    /// *pending* timers, not the number ever set.
-    timer_keys: Vec<TimerTrack>,
     /// Open-system ("service") mode: ignore the all-complete stop condition
     /// and keep the clock moving to the requested limit even when the queue
     /// drains — an open system idles between arrivals instead of stopping.
@@ -309,15 +303,6 @@ struct Counters {
     max_active_conns: u64,
 }
 
-/// Bookkeeping for one node's live timer keys (see `RunState::timer_keys`).
-#[derive(Debug, Clone, Default)]
-struct TimerTrack {
-    keys: Vec<EventKey>,
-    /// Prune (drop already-fired keys) when `keys` reaches this length;
-    /// doubled after each prune so the amortised cost per timer is O(1).
-    prune_at: usize,
-}
-
 impl<P: Protocol> Runner<P> {
     /// Creates a runner over `net` with one protocol instance per node.
     ///
@@ -352,7 +337,6 @@ impl<P: Protocol> Runner<P> {
             counters: Counters::default(),
             live_conn_events: 0,
             epoch: vec![0; n],
-            timer_keys: vec![TimerTrack::default(); n],
             run_to_limit: false,
         })
     }
@@ -513,29 +497,33 @@ impl<P: Protocol> Runner<P> {
         self.run.sim.events_processed()
     }
 
-    /// Retires `node` from the experiment after its swarm completed: the
-    /// slot is deactivated and exempted, its remaining timers are cancelled,
-    /// its flow-table rows are released for reuse (see
+    /// Retires `nodes`, a cohort whose swarm completed, from the
+    /// experiment: each slot is deactivated and exempted, its remaining
+    /// timers are cancelled (one pass over the event queue for the whole
+    /// cohort), its flow-table rows are released for reuse (see
     /// [`Network::release_flows_for`]), and its slot incarnation is bumped so
     /// stale in-flight events towards it are dropped at delivery. Unlike a
     /// leave or crash, retirement is silent — no [`Protocol::on_peer_failed`]
     /// fan-out — because the whole cohort retires together.
-    pub fn retire(&mut self, node: NodeId) {
+    pub fn retire(&mut self, nodes: &[NodeId]) {
         let now = self.run.sim.now();
-        let idx = node.index();
-        self.run.active[idx] = false;
-        self.exempt_from_completion(node);
-        self.run.epoch[idx] = self.run.epoch[idx].wrapping_add(1);
-        for key in self.run.timer_keys[idx].keys.drain(..) {
-            self.run.sim.cancel(key);
+        for &node in nodes {
+            let idx = node.index();
+            self.run.active[idx] = false;
+            self.exempt_from_completion(node);
+            self.run.epoch[idx] = self.run.epoch[idx].wrapping_add(1);
         }
-        self.run.timer_keys[idx].prune_at = 0;
-        self.within_instant(|runner| {
-            let updates = runner.run.net.release_flows_for(now, node);
-            runner.apply_conn_updates(updates);
-        });
-        self.run.counters.node_retires += 1;
-        self.trace_emit(|| TraceEvent::NodeRetire { node: node.0 });
+        self.run
+            .sim
+            .cancel_where(|ev| matches!(ev, NetEvent::Timer { node, .. } if nodes.contains(node)));
+        for &node in nodes {
+            self.within_instant(|runner| {
+                let updates = runner.run.net.release_flows_for(now, node);
+                runner.apply_conn_updates(updates);
+            });
+            self.run.counters.node_retires += 1;
+            self.trace_emit(|| TraceEvent::NodeRetire { node: node.0 });
+        }
     }
 
     /// Installs a fresh protocol instance in an inactive slot, resetting its
@@ -929,17 +917,9 @@ impl<P: Protocol> Runner<P> {
                 }
                 Command::SetTimer { delay, timer } => {
                     self.run.counters.timers_set += 1;
-                    let key = self
-                        .run
+                    self.run
                         .sim
                         .schedule_in(delay, NetEvent::Timer { node: from, timer });
-                    let track = &mut self.run.timer_keys[from.index()];
-                    track.keys.push(key);
-                    if track.keys.len() >= track.prune_at.max(64) {
-                        let sim = &self.run.sim;
-                        track.keys.retain(|&k| sim.is_pending(k));
-                        track.prune_at = (track.keys.len() * 2).max(64);
-                    }
                 }
             }
         }

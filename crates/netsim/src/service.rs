@@ -380,17 +380,19 @@ where
             }
             let swarm = active.swap_remove(i);
             let mut latencies: Vec<f64> = Vec::with_capacity(swarm.size - 1);
-            for s in swarm.base..swarm.base + swarm.size as u32 {
-                let slot = NodeId(s);
+            let slots: Vec<NodeId> = (swarm.base..swarm.base + swarm.size as u32)
+                .map(NodeId)
+                .collect();
+            for &slot in &slots {
                 retired_useful += runner.node(slot).probe_stats().useful_bytes;
-                if s != swarm.base {
+                if slot.0 != swarm.base {
                     let t = runner
                         .completion_time(slot)
                         .expect("reaped swarm has complete receivers");
                     latencies.push((t - swarm.arrival).as_secs_f64());
                 }
-                runner.retire(slot);
             }
+            runner.retire(&slots);
             latencies.sort_by(f64::total_cmp);
             cohorts.push(CohortReport {
                 cohort: swarm.cohort,
@@ -842,9 +844,7 @@ mod tests {
                 runner.advance_until(next);
             }
             let stale = on_the_wire(&runner);
-            for &slot in &slots {
-                runner.retire(slot);
-            }
+            runner.retire(&slots);
             for &slot in &slots {
                 runner.replace_node(slot, MiniSwarm::new(slot, 0, 4, spec));
             }
@@ -872,9 +872,7 @@ mod tests {
             // missing is what the first cohort had on the wire: dropped at
             // delivery because the slot incarnation moved on.
             assert_eq!(on_the_wire(&runner), stale);
-            for &slot in &slots {
-                runner.retire(slot);
-            }
+            runner.retire(&slots);
             assert_eq!(runner.pending_events(), 1, "only the probe tick is left");
             (report, fresh)
         };

@@ -124,6 +124,14 @@ impl<E> Simulator<E> {
         payload
     }
 
+    /// Cancels every pending event whose payload satisfies `pred` (see
+    /// [`EventQueue::cancel_where`]), returning how many it cancelled.
+    pub fn cancel_where(&mut self, pred: impl FnMut(&E) -> bool) -> usize {
+        let cancelled = self.queue.cancel_where(pred);
+        self.stats.cancelled += cancelled as u64;
+        cancelled
+    }
+
     /// Moves a pending event to the new absolute time `at` (clamped to the
     /// current instant). Returns `false` if the event is no longer pending.
     pub fn reschedule(&mut self, key: EventKey, at: SimTime) -> bool {
@@ -132,12 +140,6 @@ impl<E> Simulator<E> {
             self.stats.rescheduled += 1;
         }
         moved
-    }
-
-    /// Returns true if the event behind `key` has not yet been delivered or
-    /// cancelled.
-    pub fn is_pending(&self, key: EventKey) -> bool {
-        self.queue.is_pending(key)
     }
 
     /// Delivery time of the next pending event, if any.
@@ -257,6 +259,21 @@ mod tests {
         // Stats survive a run and never reset.
         while sim.step().is_some() {}
         assert_eq!(sim.stats().scheduled, 3);
+    }
+
+    #[test]
+    fn cancel_where_counts_each_cancelled_event() {
+        let mut sim: Simulator<u32> = Simulator::new();
+        for ev in 0..6 {
+            sim.schedule_at(SimTime::from_secs_f64(1.0), ev);
+        }
+        assert_eq!(sim.cancel_where(|ev| ev % 3 == 0), 2);
+        assert_eq!(sim.cancel_where(|ev| ev % 3 == 0), 0);
+        assert_eq!((sim.stats().cancelled, sim.pending()), (2, 4));
+        let seen: Vec<u32> = std::iter::from_fn(|| sim.step())
+            .map(|(_, ev)| ev)
+            .collect();
+        assert_eq!(seen, vec![1, 2, 4, 5]);
     }
 
     #[test]

@@ -17,7 +17,9 @@
 //! * [`EventQueue::push`] returns an [`EventKey`] carrying that id and the
 //!   slot index. Ids are never reused, so a key whose slot now holds a later
 //!   event finds a different id there and reports the entry dead.
-//! * [`EventQueue::cancel`] removes the slot's node in place;
+//! * [`EventQueue::cancel`] removes the slot's node in place, and
+//!   [`EventQueue::cancel_where`] every pending event whose payload matches
+//!   a predicate, without a key;
 //!   [`EventQueue::reschedule`] gives it a fresh `seq`; [`EventQueue::pop`]
 //!   and [`EventQueue::peek_time`] read the root.
 //!
@@ -138,6 +140,26 @@ impl<E> EventQueue<E> {
         }
         self.heap.remove(key.slot);
         Some(self.release(key.slot))
+    }
+
+    /// Cancels every pending entry whose payload satisfies `pred`, scanning
+    /// the slab in slot order, and returns how many it cancelled. The caller
+    /// needs no keys: this is how a set of events nobody kept keys for (a
+    /// node's timers) goes at once, for one pass over the slab.
+    pub fn cancel_where(&mut self, mut pred: impl FnMut(&E) -> bool) -> usize {
+        let mut cancelled = 0;
+        for slot in 0..self.slots.len() as u32 {
+            if self.slots[slot as usize]
+                .payload
+                .as_ref()
+                .is_some_and(&mut pred)
+            {
+                self.heap.remove(slot);
+                self.release(slot);
+                cancelled += 1;
+            }
+        }
+        cancelled
     }
 
     /// Moves the entry behind `key` to delivery time `at`, keeping its

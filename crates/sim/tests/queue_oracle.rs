@@ -7,7 +7,8 @@
 //! is deliberately naive: a `Vec` of `(time, seq, id)` entries scanned for
 //! its minimum, where `reschedule` is literally remove-then-reinsert with a
 //! fresh sequence number. Random interleavings of `push` / `cancel` /
-//! `reschedule` / `pop` / `peek_time` / `is_pending` / `len` must get the
+//! `cancel_where` / `reschedule` / `pop` / `peek_time` / `is_pending` /
+//! `len` must get the
 //! same answer from both queues at every step, and leave both popping the
 //! *identical* payload sequence.
 
@@ -36,6 +37,13 @@ impl ModelQueue {
         self.position(id)
             .map(|pos| self.entries.remove(pos))
             .is_some()
+    }
+
+    /// Cancels every live entry whose payload id satisfies `pred`.
+    fn cancel_where(&mut self, pred: impl Fn(&usize) -> bool) -> usize {
+        let before = self.entries.len();
+        self.entries.retain(|(_, _, id)| !pred(id));
+        before - self.entries.len()
     }
 
     /// Remove-then-reinsert: the rescheduled entry sequences as if it had
@@ -70,7 +78,7 @@ impl ModelQueue {
 type Op = (u8, u64, usize);
 
 /// The kinds an [`Op`] draws from (`0..KINDS`).
-const KINDS: u8 = 16;
+const KINDS: u8 = 17;
 
 /// Names for the kinds of [`Harness::apply`] that the drain and the
 /// hand-written interleaving use.
@@ -78,12 +86,14 @@ const PUSH: u8 = 0;
 const CANCEL: u8 = 5;
 const RESCHEDULE: u8 = 6;
 const POP: u8 = 7;
+const CANCEL_WHERE: u8 = 16;
 
 /// What one operation returned.
 #[derive(Debug, Clone, PartialEq)]
 enum Seen {
     Pushed,
     Cancelled(bool),
+    CancelledWhere(usize),
     Moved(bool),
     Popped(Option<(u64, usize)>),
     Peeked(Option<u64>),
@@ -110,7 +120,9 @@ impl Harness {
     /// asks `is_pending` of any key ever issued; 7–8 pop; 9 peeks; 11 asks
     /// `len`; 12 cancels, 13 reschedules and 14 asks `is_pending` of a key
     /// whose entry was already delivered — its slot freed and, after any
-    /// later push, holding another entry that must not be touched.
+    /// later push, holding another entry that must not be touched; 16
+    /// cancels every pending entry whose payload is `target` modulo
+    /// `2 + time % 4`.
     fn apply(&mut self, (kind, time, target): Op) -> Seen {
         let aimed = match kind {
             5 | 6 | 10 if !self.keys.is_empty() => Some(target % self.keys.len()),
@@ -138,6 +150,14 @@ impl Harness {
                 ),
                 Seen::Moved(self.model.reschedule(id, time)),
             ),
+            (CANCEL_WHERE, _) => {
+                let modulus = 2 + time as usize % 4;
+                let pred = |id: &usize| id % modulus == target % modulus;
+                (
+                    Seen::CancelledWhere(self.queue.cancel_where(pred)),
+                    Seen::CancelledWhere(self.model.cancel_where(pred)),
+                )
+            }
             (10 | 14, Some(id)) => (
                 Seen::Pending(self.queue.is_pending(self.keys[id])),
                 Seen::Pending(self.model.position(id).is_some()),
@@ -221,7 +241,7 @@ fn op_sequences(times: u64, len: std::ops::Range<usize>) -> impl Strategy<Value 
 }
 
 proptest! {
-    /// Any interleaving of the seven operations gets the same answer from the
+    /// Any interleaving of the eight operations gets the same answer from the
     /// indexed heap and the naive model at every step — same entries popped
     /// in the same order, including FIFO tie-breaks among equal timestamps.
     #[test]
@@ -274,5 +294,34 @@ fn oracle_catches_ordering_differences() {
     assert_eq!(
         seen[ops.len()..],
         [Seen::Popped(Some((10, 0))), Seen::Popped(Some((10, 2)))]
+    );
+}
+
+#[test]
+fn cancel_where_takes_exactly_the_matching_pending_entries() {
+    // Ids 0..6 pushed, id 1 delivered; cancelling the odd ids takes 3 and 5
+    // and leaves the even ones popping in order. The freed slots are reused
+    // by the next pushes without touching the survivors.
+    let mut ops: Vec<Op> = (0..6).map(|t| (PUSH, 10 + t, 0)).collect();
+    ops.extend([
+        (RESCHEDULE, 5, 1),   // id 1 → 5, so it pops first
+        (POP, 0, 0),          // delivers id 1
+        (CANCEL_WHERE, 0, 1), // odd ids, modulus 2
+        (CANCEL_WHERE, 0, 1), // nothing left to match
+        (PUSH, 11, 0),        // id 6
+    ]);
+    let seen = run_interleaving(&ops);
+    assert_eq!(
+        seen[7..],
+        [
+            Seen::Popped(Some((5, 1))),
+            Seen::CancelledWhere(2),
+            Seen::CancelledWhere(0),
+            Seen::Pushed,
+            Seen::Popped(Some((10, 0))),
+            Seen::Popped(Some((11, 6))),
+            Seen::Popped(Some((12, 2))),
+            Seen::Popped(Some((14, 4))),
+        ]
     );
 }
