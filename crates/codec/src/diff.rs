@@ -7,6 +7,10 @@
 //! self-clocking — a diff is sent when the receiver has nothing outstanding
 //! from us, or when the receiver explicitly asks because it is about to run
 //! out of request candidates.
+//!
+//! No protocol calls [`DiffTracker`]: a Bullet′ node draws each diff from its
+//! log of arrivals, through a per-receiver cursor into it. The tracker is the
+//! bitmap form of the same rule, which the benchmark harness times.
 
 use crate::bitmap::BlockBitmap;
 use crate::block::BlockId;
@@ -58,11 +62,6 @@ impl DiffTracker {
         DiffTracker::default()
     }
 
-    /// Returns true if `block` was already advertised to this receiver.
-    pub fn already_advertised(&self, block: BlockId) -> bool {
-        self.advertised.contains(block)
-    }
-
     /// Produces the next incremental diff: every block in `have` that has not
     /// yet been advertised to this receiver, capped at `max_entries` ids.
     ///
@@ -78,15 +77,6 @@ impl DiffTracker {
             self.advertised.insert(id);
         }
         Diff { blocks }
-    }
-
-    /// Records blocks advertised through some other channel (e.g. the initial
-    /// file-info exchange when a peering is established).
-    pub fn mark_advertised(&mut self, blocks: impl IntoIterator<Item = BlockId>) {
-        for id in blocks {
-            self.advertised.grow_to(id.0 + 1);
-            self.advertised.insert(id);
-        }
     }
 }
 
@@ -129,16 +119,6 @@ mod tests {
         let d2 = tracker.next_diff(&have, 10);
         assert_eq!(d2.blocks.len(), 3);
         assert_eq!(have.difference_count(&tracker.advertised), 0);
-    }
-
-    #[test]
-    fn mark_advertised_suppresses_future_diffs() {
-        let mut tracker = DiffTracker::new();
-        tracker.mark_advertised([BlockId(5), BlockId(6)]);
-        let have = bitmap_with(&[5, 6, 7], 10);
-        let d = tracker.next_diff(&have, usize::MAX);
-        assert_eq!(d.blocks, vec![BlockId(7)]);
-        assert!(tracker.already_advertised(BlockId(5)));
     }
 
     #[test]

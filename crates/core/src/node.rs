@@ -12,7 +12,7 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 use desim::SimTime;
-use dissem_codec::{BlockBitmap, BlockId, DiffTracker};
+use dissem_codec::{BlockBitmap, BlockId};
 use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol};
 use overlay::{ControlTree, NodeSummary, RanSubAgent, RanSubEmit, Sample};
 use rand::rngs::StdRng;
@@ -85,7 +85,6 @@ impl SenderState {
 /// Sender-side state about one of our receivers.
 #[derive(Debug, Clone)]
 struct ReceiverState {
-    diff: DiffTracker,
     /// How many of the node's arrivals this receiver has been offered: the
     /// arrivals from absolute index `flushed` on are what its next diff is
     /// drawn from.
@@ -99,7 +98,6 @@ struct ReceiverState {
 impl ReceiverState {
     fn new(flushed: usize) -> Self {
         ReceiverState {
-            diff: DiffTracker::new(),
             flushed,
             bytes_since_epoch: 0,
             their_incoming_bw: 0.0,
@@ -154,11 +152,11 @@ struct SourceState {
 pub struct BulletPrimeNode {
     id: NodeId,
     cfg: Config,
-    role: Role,
     /// The control-tree root (= the source), the rendezvous every node knows;
     /// orphans reattach here when their tree parent fails.
     root: NodeId,
-    children: Vec<NodeId>,
+    /// The RanSub agent; its tree children are also the source's push
+    /// targets, in round-robin order.
     ransub: RanSubAgent,
     have: BlockBitmap,
     /// The arrivals some receiver has not been offered yet.
@@ -185,28 +183,20 @@ impl BulletPrimeNode {
     /// Node 0 (the tree root) is the source.
     pub fn new(id: NodeId, tree: &ControlTree, cfg: Config) -> Self {
         cfg.validate();
-        let role = if id == tree.root() {
-            Role::Source
-        } else {
-            Role::Receiver
-        };
         let block_space = cfg.block_space();
-        let have = match role {
-            Role::Source => BlockBitmap::full(block_space),
-            Role::Receiver => BlockBitmap::new(block_space),
+        let is_source = id == tree.root();
+        let have = if is_source {
+            BlockBitmap::full(block_space)
+        } else {
+            BlockBitmap::new(block_space)
         };
-        let source = match role {
-            Role::Source => Some(SourceState {
-                next_block: 0,
-                rr_cursor: 0,
-            }),
-            Role::Receiver => None,
-        };
+        let source = is_source.then_some(SourceState {
+            next_block: 0,
+            rr_cursor: 0,
+        });
         BulletPrimeNode {
             id,
-            role,
             root: tree.root(),
-            children: tree.children(id).to_vec(),
             ransub: RanSubAgent::new(id, tree, cfg.ransub_subset_size),
             have,
             arrivals: ArrivalLog::default(),
@@ -230,9 +220,13 @@ impl BulletPrimeNode {
         }
     }
 
-    /// This node's role.
+    /// This node's role: the tree root is the source.
     pub fn role(&self) -> Role {
-        self.role
+        if self.id == self.root {
+            Role::Source
+        } else {
+            Role::Receiver
+        }
     }
 
     /// This node's identity.
@@ -249,6 +243,7 @@ impl BulletPrimeNode {
         self.senders.values().map(|s| s.ewma_rate).sum()
     }
 
+    /// True for the source from the start: it holds every block.
     fn is_download_complete(&self) -> bool {
         self.have.count() >= self.completion_target
     }
@@ -261,18 +256,19 @@ impl BulletPrimeNode {
         let Some(src) = self.source.as_mut() else {
             return;
         };
-        if self.children.is_empty() || src.next_block >= self.block_space {
+        let children = self.ransub.children();
+        if children.is_empty() || src.next_block >= self.block_space {
             return;
         }
         // Blocks queued by this call, per position in `children`:
         // `Ctx::pending_to` does not see them until the handler returns.
-        let mut queued_now = vec![0usize; self.children.len()];
+        let mut queued_now = vec![0usize; children.len()];
         'outer: while src.next_block < self.block_space {
             // Find a child whose pipe has room, starting from the round-robin
             // cursor so every child gets an equal share of distinct blocks.
-            for probe in 0..self.children.len() {
-                let position = (src.rr_cursor + probe) % self.children.len();
-                let child = self.children[position];
+            for probe in 0..children.len() {
+                let position = (src.rr_cursor + probe) % children.len();
+                let child = children[position];
                 // A child that has not joined (or is gone) would swallow the
                 // whole stream through its forever-empty pipe.
                 if !ctx.peer_active(child) {
@@ -285,7 +281,7 @@ impl BulletPrimeNode {
                     ctx.queue_block(child, block, bytes);
                     queued_now[position] += 1;
                     src.next_block += 1;
-                    src.rr_cursor = (position + 1) % self.children.len();
+                    src.rr_cursor = (position + 1) % children.len();
                     continue 'outer;
                 }
             }
@@ -302,7 +298,7 @@ impl BulletPrimeNode {
         NodeSummary {
             node: self.id.0,
             have_count: self.have.count(),
-            has_everything: self.role == Role::Source || self.have.is_full(),
+            has_everything: self.have.is_full(),
         }
     }
 
@@ -374,7 +370,7 @@ impl BulletPrimeNode {
         }
 
         // Try to acquire new senders from the delivered subset.
-        if self.role == Role::Receiver && !self.is_download_complete() {
+        if !self.is_download_complete() {
             let mut candidates: Vec<&NodeSummary> = sample
                 .entries
                 .iter()
@@ -409,7 +405,7 @@ impl BulletPrimeNode {
     // Peering maintenance.
     // ------------------------------------------------------------------
 
-    /// Removes `child` from both push rotation and RanSub tree links,
+    /// Removes `child` from the tree links, and so from the push rotation,
     /// emitting whatever the unblocked collect wave produces.
     fn drop_tree_child(&mut self, ctx: &mut Ctx<'_, Self>, child: NodeId) {
         let emits = {
@@ -417,7 +413,6 @@ impl BulletPrimeNode {
             self.ransub.on_child_failed(child, rng)
         };
         self.emit_ransub(ctx, emits);
-        self.children.retain(|&c| c != child);
     }
 
     fn drop_sender(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, notify: bool) {
@@ -440,10 +435,9 @@ impl BulletPrimeNode {
     }
 
     fn accept_receiver(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        let mut state = ReceiverState::new(self.arrivals.end());
         let available: Vec<BlockId> = self.have.iter().collect();
-        state.diff.mark_advertised(available.iter().copied());
-        self.receivers.insert(peer, state);
+        self.receivers
+            .insert(peer, ReceiverState::new(self.arrivals.end()));
         ctx.send(peer, Msg::PeerAccept { available });
     }
 
@@ -505,29 +499,24 @@ impl BulletPrimeNode {
     // Diffs (§3.3.4).
     // ------------------------------------------------------------------
 
-    /// Sends `peer` the blocks that arrived since its last diff, minus any
-    /// it has heard of, and records them as advertised. The one diff
-    /// emitter: block arrival, `DiffRequest` and housekeeping all end here.
+    /// Sends `peer` the blocks that arrived since its last diff. The one
+    /// diff emitter: block arrival, `DiffRequest` and housekeeping all end
+    /// here.
     ///
-    /// The advertised set only grows and `accept_receiver` marks every block
-    /// held, so filtering the log at flush time sends what filtering each
-    /// arrival when it came would have.
+    /// Each block is logged once, when it first arrives, and a receiver's
+    /// cursor starts at the end of the log when its `PeerAccept` lists every
+    /// block held, so no block reaches a receiver twice (§3.3.4).
     fn flush_diff(
         ctx: &mut Ctx<'_, Self>,
         peer: NodeId,
         arrivals: &ArrivalLog,
         r: &mut ReceiverState,
     ) {
-        let blocks: Vec<BlockId> = arrivals
-            .since(r.flushed)
-            .filter(|&b| !r.diff.already_advertised(b))
-            .collect();
+        let blocks: Vec<BlockId> = arrivals.since(r.flushed).collect();
         r.flushed = arrivals.end();
-        if blocks.is_empty() {
-            return;
+        if !blocks.is_empty() {
+            ctx.send(peer, Msg::Diff { blocks });
         }
-        r.diff.mark_advertised(blocks.iter().copied());
-        ctx.send(peer, Msg::Diff { blocks });
     }
 
     /// Logs a new block for the receivers' next diffs and flushes them to
@@ -570,7 +559,6 @@ impl Protocol for BulletPrimeNode {
         // (re)appear through TreeAttach.
         if ctx.now() > SimTime::ZERO {
             self.ransub.clear_children();
-            self.children.clear();
         }
         // Register with the tree parent. For nodes present from t = 0 this
         // is an idempotent no-op at the parent; for late joiners it re-adds
@@ -587,9 +575,7 @@ impl Protocol for BulletPrimeNode {
             self.ransub.set_parent(Some(target));
             ctx.send(target, Msg::TreeAttach);
         }
-        if self.role == Role::Source {
-            self.source_push(ctx);
-        }
+        self.source_push(ctx);
     }
 
     fn on_control(&mut self, ctx: &mut Ctx<'_, Self>, from: NodeId, msg: Msg) {
@@ -632,9 +618,6 @@ impl Protocol for BulletPrimeNode {
                 // An orphaned node rejoins the tree here (only the root
                 // receives these). It becomes a push target and a RanSub
                 // child from the next epoch on.
-                if !self.children.contains(&from) {
-                    self.children.push(from);
-                }
                 self.ransub.add_child(from);
             }
             Msg::Diff { blocks } => {
@@ -705,9 +688,7 @@ impl Protocol for BulletPrimeNode {
         if let Some(r) = self.receivers.get_mut(&to) {
             r.bytes_since_epoch += bytes;
         }
-        if self.role == Role::Source {
-            self.source_push(ctx);
-        }
+        self.source_push(ctx);
     }
 
     fn on_peer_failed(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
@@ -724,7 +705,7 @@ impl Protocol for BulletPrimeNode {
         // under us would be cut off from every future distribute wave.
         // Reattach at the root (the source — the one address every
         // participant knows), mirroring the overlay tree's repair protocol.
-        if self.role != Role::Source && self.ransub.parent() == Some(peer) {
+        if self.ransub.parent() == Some(peer) {
             self.ransub.set_parent(Some(self.root));
             ctx.send(self.root, Msg::TreeAttach);
         }
@@ -739,9 +720,7 @@ impl Protocol for BulletPrimeNode {
                 self.issue_requests(ctx, s);
             }
         }
-        if self.role == Role::Source {
-            self.source_push(ctx);
-        }
+        self.source_push(ctx);
     }
 
     fn on_shutdown(&mut self, ctx: &mut Ctx<'_, Self>) {
@@ -804,19 +783,14 @@ impl Protocol for BulletPrimeNode {
                     }
                 }
                 self.trim_arrivals();
-                if self.role == Role::Source {
-                    self.source_push(ctx);
-                }
+                self.source_push(ctx);
                 ctx.set_timer(self.cfg.housekeeping_period, Timer::Housekeeping);
             }
         }
     }
 
     fn is_complete(&self) -> bool {
-        match self.role {
-            Role::Source => true,
-            Role::Receiver => self.is_download_complete(),
-        }
+        self.is_download_complete()
     }
 
     fn probe_stats(&self) -> ProbeStats {
@@ -853,8 +827,8 @@ mod tests {
     }
 
     /// Block arrival, `DiffRequest` and the housekeeping tick all flush
-    /// through `flush_diff`: from the same `ReceiverState` each sends the
-    /// same one `Msg::Diff` and leaves the same state behind.
+    /// through `flush_diff`: from the same state each sends the same one
+    /// `Msg::Diff` and leaves the same log behind.
     #[test]
     fn arrival_diff_request_and_housekeeping_flush_the_same_diff() {
         use netsim::{topology, Command, Network, WireSize};
@@ -862,23 +836,47 @@ mod tests {
 
         let tree = ControlTree::random(4, 2, &RngFactory::new(4));
         let cfg = Config::new(FileSpec::new(128 * 1024, 16 * 1024));
-        let net = Network::new(topology::constrained_access(4));
         let (me, receiver, sender) = (NodeId(1), NodeId(2), NodeId(3));
-        // Blocks 0 and 1 were advertised when the peering was set up; 3, 1
-        // and 5 are the arrivals logged since.
-        let mut state = ReceiverState::new(0);
-        state.diff.mark_advertised([BlockId(0), BlockId(1)]);
-        let arrivals = [BlockId(3), BlockId(1), BlockId(5)];
+        let idle = Network::new(topology::constrained_access(4));
+        // A block queued towards the receiver holds back the diffs that
+        // arrivals would send it.
+        let mut busy = Network::new(topology::constrained_access(4));
+        busy.queue_block(SimTime::ZERO, me, receiver, BlockId(0), 16 * 1024);
+        let now = SimTime::from_secs_f64(1.0);
+        let arrive = |node: &mut BulletPrimeNode, ctx: &mut Ctx<'_, BulletPrimeNode>, b| {
+            let receipt = BlockReceipt {
+                block: BlockId(b),
+                bytes: 16 * 1024,
+                in_front: 0,
+                wasted: 0.0,
+                queued_at: SimTime::ZERO,
+                delivered_at: now,
+            };
+            node.on_block_received(ctx, sender, receipt);
+        };
 
         type Hook<'a> = &'a dyn Fn(&mut BulletPrimeNode, &mut Ctx<'_, BulletPrimeNode>);
-        let now = SimTime::from_secs_f64(1.0);
-        let flush = |hook: Hook<'_>| {
+        // Blocks 0 and 1 arrive before the receiver is accepted, so its
+        // `PeerAccept` lists them; the `logged` blocks arrive while it is
+        // busy. Then `hook` runs with the receiver idle.
+        let flush = |logged: &[u32], hook: Hook<'_>| {
             let mut node = BulletPrimeNode::new(me, &tree, cfg.clone());
-            arrivals.iter().for_each(|&b| node.arrivals.push(b));
-            node.receivers.insert(receiver, state.clone());
             let mut rng = StdRng::seed_from_u64(9);
+            let mut set_up = Vec::new();
+            let mut ctx = Ctx::new(me, now, &busy, &[true; 4], &mut rng, &mut set_up);
+            arrive(&mut node, &mut ctx, 0);
+            arrive(&mut node, &mut ctx, 1);
+            node.on_control(&mut ctx, receiver, Msg::PeerRequest { have_count: 0 });
+            logged.iter().for_each(|&b| arrive(&mut node, &mut ctx, b));
+            assert!(set_up.iter().all(|command| !matches!(
+                command,
+                Command::SendControl {
+                    msg: Msg::Diff { .. },
+                    ..
+                }
+            )));
             let mut commands = Vec::new();
-            let mut ctx = Ctx::new(me, now, &net, &[true; 4], &mut rng, &mut commands);
+            let mut ctx = Ctx::new(me, now, &idle, &[true; 4], &mut rng, &mut commands);
             hook(&mut node, &mut ctx);
             let diffs: Vec<(NodeId, Vec<BlockId>, usize)> = commands
                 .iter()
@@ -890,41 +888,31 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            let after = &node.receivers[&receiver];
-            let advertised: Vec<bool> = (0..8)
-                .map(|b| after.diff.already_advertised(BlockId(b)))
-                .collect();
-            let unflushed: Vec<BlockId> = node.arrivals.since(after.flushed).collect();
-            (diffs, unflushed, advertised)
+            let flushed = node.receivers[&receiver].flushed;
+            (
+                diffs,
+                flushed,
+                node.arrivals.start,
+                node.arrivals.window.clone(),
+            )
         };
 
-        let arrival = flush(&|node, ctx| {
-            // Block 5 is the one arriving: the hook logs it itself.
-            assert_eq!(node.arrivals.window.pop_back(), Some(BlockId(5)));
-            let receipt = BlockReceipt {
-                block: BlockId(5),
-                bytes: 16 * 1024,
-                in_front: 0,
-                wasted: 0.0,
-                queued_at: SimTime::ZERO,
-                delivered_at: now,
-            };
-            node.on_block_received(ctx, sender, receipt);
-        });
+        let arrival = flush(&[3], &|node, ctx| arrive(node, ctx, 5));
         let blocks = vec![BlockId(3), BlockId(5)];
         let bytes = Msg::Diff {
             blocks: blocks.clone(),
         }
         .wire_size();
         assert_eq!(arrival.0, vec![(receiver, blocks, bytes)]);
-        assert!(arrival.1.is_empty());
-        assert_eq!(
-            arrival.2,
-            [true, true, false, true, false, true, false, false]
-        );
-        let on_request = flush(&|node, ctx| node.on_control(ctx, receiver, Msg::DiffRequest));
+        assert_eq!((arrival.1, arrival.2), (4, 4), "every arrival was offered");
+        assert!(arrival.3.is_empty());
+        let on_request = flush(&[3, 5], &|node, ctx| {
+            node.on_control(ctx, receiver, Msg::DiffRequest)
+        });
         assert_eq!(on_request, arrival);
-        let on_tick = flush(&|node, ctx| node.on_timer(ctx, Timer::Housekeeping));
+        let on_tick = flush(&[3, 5], &|node, ctx| {
+            node.on_timer(ctx, Timer::Housekeeping)
+        });
         assert_eq!(on_tick, arrival);
     }
 
@@ -988,7 +976,10 @@ mod tests {
 
     /// The arrival log as it was before it kept only the unflushed window:
     /// every arrival since the start, each receiver a cursor into it and
-    /// the blocks it has heard of. `flush` is the full-log `flush_diff`.
+    /// the blocks it has heard of. `flush` is the full-log `flush_diff`,
+    /// which also leaves out every block the receiver has heard of; the node
+    /// keeps no such set, so sending the same diffs shows that its cursor
+    /// alone never offers a block twice.
     #[derive(Default)]
     struct FullLog {
         log: Vec<BlockId>,

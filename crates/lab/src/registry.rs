@@ -51,7 +51,8 @@ impl Registry {
                 "download-time CDF of all four systems under synthetic bandwidth changes",
                 closed(ex::fig05_workload, Study(ex::overall_comparison)),
             )
-            .with_points(swarm_sizes()),
+            .with_points(swarm_sizes())
+            .with_claims(ex::fig05_claims),
             Scenario::new(
                 "fig05ts",
                 "probe-driven per-receiver goodput over time in the dynamic scenario",
