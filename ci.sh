@@ -173,6 +173,18 @@ if [ "$timer_lines" -eq 0 ] || [ "$odd_lines" -ne 0 ]; then
     echo "FAIL: lab trace fig11 --kind timer wrote $timer_lines lines, $odd_lines without \"kind\":\"timer\" and a \"timer\" field"
     exit 1
 fi
+# The §4.1 schedule as the trace shows it: fig05's link-change batches
+# fire every 20 s (at 20, 40 and 60 s for this run) and each record's `index`
+# is the batch's place in scheduling order, counting up from 0.
+./target/release/lab trace fig05 --nodes 8 --mb 32 --json "$tmp" --kind link_change >/dev/null
+link_changes=$(sed -n 's/^{"t":\([^,]*\),.*"kind":"link_change","index":\([0-9]*\)}$/\1 \2/p' "$tmp" |
+    awk '$2 != NR - 1 || $1 % 20 != 0 { bad = 1 } END { print (bad ? -1 : NR) }')
+all_lines=$(wc -l <"$tmp")
+rm -f "$tmp"
+if [ "$link_changes" -lt 3 ] || [ "$link_changes" -ne "$all_lines" ]; then
+    echo "FAIL: lab trace fig05 --kind link_change wrote $all_lines lines; expected at least 3 link_change records, indices 0, 1, 2, ... in order, each at a multiple of 20 s"
+    exit 1
+fi
 expect_replay() {
     # $@ = scenario and options
     replayed=$(./target/release/lab trace "$@") || {
@@ -208,7 +220,7 @@ if [ "$piped" -ne 0 ]; then
     echo "FAIL: lab sweep fig13 | head -1 exited $piped"
     exit 1
 fi
-echo "lab list: 21 rows; trace fig11 replays, lists 5 receivers and dumps $timer_lines timer records; traces of fig15, fig22 and fig21 replay"
+echo "lab list: 21 rows; trace fig11 replays, lists 5 receivers and dumps $timer_lines timer records; trace fig05 dumps $link_changes link changes in order; traces of fig15, fig22 and fig21 replay"
 echo "lab run fig21: goodput $goodput, completions $completed; sweep | head -1 exits 0"
 
 # A scenario's claims at the default seed: `lab sweep <scenario> --seed-count

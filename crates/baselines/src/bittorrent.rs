@@ -357,7 +357,7 @@ impl BitTorrentNode {
             self.neighbours
                 .iter()
                 .map(|(&peer, n)| {
-                    let score = if self.is_seed() || self.download_done() {
+                    let score = if self.download_done() {
                         n.bytes_to // Seeds reward fast downloaders.
                     } else {
                         n.bytes_from // Leechers reciprocate good uploaders.
@@ -660,7 +660,7 @@ impl Protocol for BitTorrentNode {
     }
 
     fn is_complete(&self) -> bool {
-        self.is_seed() || self.download_done()
+        self.download_done()
     }
 
     fn probe_stats(&self) -> ProbeStats {
@@ -682,17 +682,15 @@ pub fn build_nodes(topo: &Topology, file: FileSpec) -> Vec<BitTorrentNode> {
         .collect()
 }
 
-/// Builds a ready-to-run runner for a BitTorrent experiment, the seed
-/// exempted from the completion check.
+/// Builds a ready-to-run runner for a BitTorrent experiment. The seed holds
+/// every piece, so it is complete from t = 0.
 pub fn build_runner(
     topo: Topology,
     file: FileSpec,
     rng: &desim::RngFactory,
 ) -> Runner<BitTorrentNode> {
     let nodes = build_nodes(&topo, file);
-    let mut runner = Runner::new(netsim::Network::new(topo), nodes, rng);
-    runner.exempt_from_completion(NodeId(0));
-    runner
+    Runner::new(netsim::Network::new(topo), nodes, rng)
 }
 
 #[cfg(test)]
@@ -791,8 +789,6 @@ mod tests {
             bytes: 16 * 1024,
             in_front: 0,
             wasted: 0.0,
-            queued_at: SimTime::ZERO,
-            delivered_at: SimTime::ZERO,
         }
     }
 

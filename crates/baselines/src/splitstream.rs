@@ -301,7 +301,7 @@ impl Protocol for SplitStreamNode {
     }
 
     fn is_complete(&self) -> bool {
-        self.is_source() || self.download_done()
+        self.download_done()
     }
 
     fn probe_stats(&self) -> ProbeStats {
@@ -337,16 +337,15 @@ pub fn build_nodes(
         .collect()
 }
 
-/// Builds a ready-to-run runner for a SplitStream experiment.
+/// Builds a ready-to-run runner for a SplitStream experiment. The source
+/// holds the whole encoded stream, so it is complete from t = 0.
 pub fn build_runner(
     topo: Topology,
     file: FileSpec,
     rng: &desim::RngFactory,
 ) -> Runner<SplitStreamNode> {
     let nodes = build_nodes(&topo, file, rng);
-    let mut runner = Runner::new(netsim::Network::new(topo), nodes, rng);
-    runner.exempt_from_completion(NodeId(0));
-    runner
+    Runner::new(netsim::Network::new(topo), nodes, rng)
 }
 
 #[cfg(test)]

@@ -136,11 +136,11 @@ impl Figure {
         self.notes.push(note.into());
     }
 
-    /// Renders the figure as text: a summary table plus (optionally) the raw
-    /// points of each series. A CDF's row is quantiles of x; a curve's row is
-    /// statistics of y. Rows keep series order, under a header naming the
-    /// columns wherever the kind of series changes.
-    pub fn render_text(&self, raw_points: bool) -> String {
+    /// Renders the figure as text: a summary table, then the notes (every
+    /// point is in [`Figure::to_json`]). A CDF's row is quantiles of x; a
+    /// curve's row is statistics of y. Rows keep series order, under a header
+    /// naming the columns wherever the kind of series changes.
+    pub fn render_text(&self) -> String {
         use std::fmt::Write;
         let mut out = String::new();
         let _ = writeln!(out, "== {} — {} ==", self.id, self.title);
@@ -165,14 +165,6 @@ impl Figure {
         }
         for n in &self.notes {
             let _ = writeln!(out, "note: {n}");
-        }
-        if raw_points {
-            for s in &self.series {
-                let _ = writeln!(out, "-- {} --", s.label);
-                for (x, y) in &s.points {
-                    let _ = writeln!(out, "{x:.3}\t{y:.4}");
-                }
-            }
         }
         out
     }
@@ -234,7 +226,7 @@ mod tests {
         let mut f = Figure::new("Figure 0", "smoke test");
         f.push(Series::cdf("alpha", &[1.0, 2.0]));
         f.note("hello");
-        let text = f.render_text(false);
+        let text = f.render_text();
         assert!(text.contains("Figure 0"));
         assert!(text.contains("alpha"));
         assert!(text.contains("note: hello"));
@@ -249,7 +241,7 @@ mod tests {
         // Every x is 1000x its y: an x in the row would show.
         let curve = [(3000.0, 3.0), (1000.0, 1.0), (4000.0, 4.0), (2000.0, 2.0)];
         f.push(Series::xy("beta", curve.to_vec()));
-        let text = f.render_text(false);
+        let text = f.render_text();
         let lines: Vec<&str> = text.lines().collect();
         let row = |name: &str, cols: [&str; 4]| {
             let [a, b, c, d] = cols;
@@ -264,10 +256,6 @@ mod tests {
                 row("beta", ["1.000", "2.000", "4.000", "2.000"]),
             ]
         );
-        // --raw still prints the points of both, x and y.
-        let raw = f.render_text(true);
-        assert!(raw.contains("-- beta --\n3000.000\t3.0000\n"), "{raw}");
-        assert!(raw.contains("-- alpha --\n10.000\t0.2500\n"), "{raw}");
     }
 
     #[test]

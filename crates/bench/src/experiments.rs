@@ -1978,6 +1978,24 @@ mod tests {
     }
 
     #[test]
+    fn fig18s_two_sources_are_complete_at_the_start() {
+        // No builder exempts a source: each mesh's source holds the file, so
+        // the runner marks it complete at t = 0.
+        let opts = CommonOpts {
+            nodes: Some(8),
+            file_mb: Some(0.25),
+            ..CommonOpts::default()
+        };
+        let w = fig18_workload(&opts, "default").unwrap();
+        let report = w.report();
+        assert_eq!(report.reason, netsim::StopReason::AllComplete);
+        let mesh = w.nodes / w.groups;
+        for source in [0, mesh] {
+            assert_eq!(report.completion_secs[source], Some(0.0), "source {source}");
+        }
+    }
+
+    #[test]
     fn fig15_adds_the_replay_cost_to_every_receiver() {
         // Download+update exceeds download-only by exactly the modelled
         // replay time (update bytes over the client replay rate).

@@ -8,14 +8,15 @@
 //!   warm-prefix checkpoints and completion times all live there;
 //! * [`experiments`] — per scenario, a function from the options to its
 //!   workload, a presentation function from runs of that workload to a
-//!   [`Figure`] and, for fig15 and fig20, the claims that figure must bear
-//!   out (4–15 from the paper, plus the beyond-the-paper scenarios: 16/17
-//!   crash-churn and flash-crowd, 5ts the probe-driven bandwidth-over-time
-//!   view of the dynamic scenario, 18 two meshes sharing one core
-//!   bottleneck, 19 cross traffic vs Bullet′ adaptivity, 20 the scaling
-//!   trajectory, 21/22 the open-system service mode — see
-//!   `docs/SERVICE_MODE.md`). `docs/EXPERIMENTS.md` is the book mapping
-//!   every scenario to its paper section, sweep and expected result;
+//!   [`Figure`] and, for fig04, fig05, fig15, fig18 and fig20, the claims
+//!   that figure must bear out (4–15 from the paper, plus the
+//!   beyond-the-paper scenarios: 16/17 crash-churn and flash-crowd, 5ts the
+//!   probe-driven bandwidth-over-time view of the dynamic scenario, 18 two
+//!   meshes sharing one core bottleneck, 19 cross traffic vs Bullet′
+//!   adaptivity, 20 the scaling trajectory, 21/22 the open-system service
+//!   mode — see `docs/SERVICE_MODE.md`). `docs/EXPERIMENTS.md` is the
+//!   book mapping every scenario to its paper section, sweep and expected
+//!   result;
 //! * [`warmup`] — the `fig05w` family, whose variants share a quiet prefix
 //!   the sweep executor simulates once and forks;
 //! * [`systems`] — the four compared systems by name and the paper's two

@@ -21,8 +21,6 @@ pub struct CommonOpts {
     pub seed: u64,
     /// Use the paper's full workload sizes.
     pub full: bool,
-    /// Print every CDF point rather than just the summary table.
-    pub raw: bool,
     /// Also emit the figure as JSON to this path.
     pub json: Option<String>,
     /// Virtual-time limit in seconds.
@@ -39,7 +37,6 @@ impl Default for CommonOpts {
             block_kb: None,
             seed: 20050410,
             full: false,
-            raw: false,
             json: None,
             time_limit: 7200.0,
             tick: None,
@@ -70,7 +67,6 @@ impl CommonOpts {
                 "--tick" => opts.tick = Some(parse_num(&value_for("--tick")?)?),
                 "--json" => opts.json = Some(value_for("--json")?),
                 "--full" => opts.full = true,
-                "--raw" => opts.raw = true,
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown option {other}\n{USAGE}")),
             }
@@ -125,7 +121,7 @@ impl CommonOpts {
 }
 
 const USAGE: &str = "figure options: [--nodes N] [--mb M] [--block-kb K] [--seed S] \
-[--time-limit SECS] [--tick SECS] [--full] [--raw] [--json PATH]";
+[--time-limit SECS] [--tick SECS] [--full] [--json PATH]";
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse()
@@ -149,7 +145,7 @@ pub fn emit(
             .map_err(|e| std::io::Error::other(format!("failed to write {path}: {e}")))?;
         eprintln!("wrote {path}");
     }
-    out.write_all(figure.render_text(opts.raw).as_bytes())
+    out.write_all(figure.render_text().as_bytes())
 }
 
 #[cfg(test)]
@@ -199,6 +195,9 @@ mod tests {
     #[test]
     fn unknown_flags_are_rejected() {
         assert!(parse(&["--bogus"]).is_err());
+        assert!(parse(&["--raw"])
+            .unwrap_err()
+            .starts_with("unknown option --raw"));
         assert!(parse(&["--nodes"]).is_err());
         assert!(parse(&["--nodes", "abc"]).is_err());
     }

@@ -754,6 +754,11 @@ mod tests {
         let w = tiny(Dynamics::Static);
         for kind in SystemKind::all() {
             let dark = w.system_report(kind, None);
+            // No builder exempts the source: it holds the file, so the runner
+            // marks it complete at t = 0, and the run still ends when the
+            // receivers finish.
+            assert_eq!(dark.completion_secs[0], Some(0.0), "{kind:?}");
+            assert_eq!(dark.reason, netsim::StopReason::AllComplete, "{kind:?}");
             let sink = Box::new(netsim::CountingSink::new());
             let traced = w.system_report(kind, Some(sink));
             assert_eq!(traced.canonical(), dark.canonical(), "{kind:?}");

@@ -41,16 +41,14 @@ pub fn build_nodes_with_tree(
 
 /// Builds a ready-to-run [`Runner`] for a Bullet′ experiment on `topo`.
 ///
-/// The source (node 0) is exempted from the completion check, so
+/// The source (node 0) holds the file, so it is complete from t = 0 and
 /// [`Runner::run`] stops once every *receiver* finishes. It is also the slot
 /// pool of a service run, whose placeholder nodes are never initialised:
-/// [`run_service`](netsim::run_service) deactivates every slot and exempts
-/// each cohort's source itself.
+/// [`run_service`](netsim::run_service) deactivates every slot and installs
+/// each cohort's nodes itself.
 pub fn build_runner(topo: Topology, cfg: &Config, rng: &RngFactory) -> Runner<BulletPrimeNode> {
     let nodes = build_nodes(&topo, cfg, rng);
-    let mut runner = Runner::new(Network::new(topo), nodes, rng);
-    runner.exempt_from_completion(NodeId(0));
-    runner
+    Runner::new(Network::new(topo), nodes, rng)
 }
 
 /// Builds a [`Runner`] hosting **several concurrent, independent Bullet′
@@ -58,8 +56,8 @@ pub fn build_runner(topo: Topology, cfg: &Config, rng: &RngFactory) -> Runner<Bu
 /// contiguous groups, each with its own control tree, RanSub overlay and
 /// source (the group's first id). The meshes never exchange control or data
 /// traffic — they only contend for the emulated links, which is exactly what
-/// the shared-bottleneck scenarios (`fig18`) measure. Every group's source is
-/// exempted from the completion check.
+/// the shared-bottleneck scenarios (`fig18`) measure. Every group's source
+/// holds the file, so it is complete from t = 0.
 ///
 /// # Panics
 ///
@@ -77,22 +75,16 @@ pub fn build_group_runner(
         "group sizes must partition the topology"
     );
     let mut nodes = Vec::with_capacity(topo.len());
-    let mut sources = Vec::with_capacity(group_sizes.len());
     let mut base = 0u32;
     for &size in group_sizes {
         assert!(size >= 2, "every mesh needs a source and a receiver");
         let tree = ControlTree::random_rooted(NodeId(base), size, CONTROL_TREE_DEGREE, rng);
-        sources.push(tree.root());
         for i in 0..size as u32 {
             nodes.push(BulletPrimeNode::new(NodeId(base + i), &tree, cfg.clone()));
         }
         base += size as u32;
     }
-    let mut runner = Runner::new(Network::new(topo), nodes, rng);
-    for source in sources {
-        runner.exempt_from_completion(source);
-    }
-    runner
+    Runner::new(Network::new(topo), nodes, rng)
 }
 
 #[cfg(test)]

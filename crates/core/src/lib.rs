@@ -135,7 +135,6 @@ mod end_to_end {
         let cfg = Config::new(FileSpec::new(256 * 1024, 16 * 1024));
         let nodes = build_nodes_with_tree(&topo, &tree, &cfg);
         let mut runner = Runner::new(Network::new(topo), nodes, &rng);
-        runner.exempt_from_completion(NodeId(0));
         runner.set_inactive_at_start(NodeId(2));
         runner.schedule_node_event(
             desim::SimTime::from_secs_f64(1.0),
@@ -173,7 +172,6 @@ mod end_to_end {
         let cfg = Config::new(FileSpec::new(256 * 1024, 16 * 1024));
         let nodes = build_nodes_with_tree(&topo, &tree, &cfg);
         let mut runner = Runner::new(Network::new(topo), nodes, &rng);
-        runner.exempt_from_completion(NodeId(0));
         runner.set_inactive_at_start(NodeId(1));
         runner.schedule_node_event(
             desim::SimTime::from_secs_f64(6.0),

@@ -28,9 +28,9 @@ pub enum Msg {
     },
     /// "Please become one of my senders" — sent by a prospective receiver.
     PeerRequest {
-        /// How many blocks the requester already has (lets the sender skip
-        /// advertising blocks the receiver is known to hold — an
-        /// approximation of the paper's initial file-info exchange).
+        /// How many blocks the requester already has. The sender does not
+        /// read it (its `PeerAccept` lists every block it holds); it stays
+        /// because its 4 bytes are part of the message's wire size.
         have_count: u32,
     },
     /// Positive reply to [`Msg::PeerRequest`]: the initial file info.

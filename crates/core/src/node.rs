@@ -849,8 +849,6 @@ mod tests {
                 bytes: 16 * 1024,
                 in_front: 0,
                 wasted: 0.0,
-                queued_at: SimTime::ZERO,
-                delivered_at: now,
             };
             node.on_block_received(ctx, sender, receipt);
         };
@@ -938,8 +936,6 @@ mod tests {
                 bytes: 16 * 1024,
                 in_front: 0,
                 wasted: 0.0,
-                queued_at: SimTime::ZERO,
-                delivered_at: now,
             };
             node.on_block_received(ctx, sender, receipt);
         };
@@ -1063,8 +1059,6 @@ mod tests {
                             bytes: 1024,
                             in_front: 0,
                             wasted: 0.0,
-                            queued_at: SimTime::ZERO,
-                            delivered_at: now,
                         };
                         node.on_block_received(&mut ctx, NodeId(0), receipt);
                         if full.have.insert(block) {

@@ -9,7 +9,7 @@
 //!                      [--json PATH] [fig opts]
 //!                                   # one line per cell, then `ok` / `FAIL`
 //!                                   # per claim per cell
-//! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N]
+//! lab trace <scenario> [--json PATH] [--ring N] [--kind K]
 //!                      [fig opts]   # one traced run: per-kind summary,
 //!                                   # JSONL export, probe replay cross-check,
 //!                                   # per-receiver table or service summary
@@ -34,7 +34,7 @@ const USAGE: &str = "usage: lab <list|run|sweep|trace> [scenario] [options]
   lab list
   lab run <scenario> [figure options; see lab run <scenario> --help]
   lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K] [--json PATH] [figure options]
-  lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] [figure options]";
+  lab trace <scenario> [--json PATH] [--ring N] [--kind K] [figure options]";
 
 /// Why a command ended early.
 #[derive(Debug)]
@@ -382,6 +382,21 @@ mod tests {
         let err = usage_error(&["serve", "fig21"]);
         assert!(err.starts_with("unknown command serve"), "{err}");
         assert_eq!(lab_main(strings(&["serve", "fig21"]), &mut io::sink()), 2);
+    }
+
+    #[test]
+    fn raw_and_tail_are_unknown_options() {
+        // `--json` writes every point of a figure, and `lab trace --json PATH
+        // --kind K` every record of a kind.
+        for (args, flag) in [
+            (&["run", "fig04", "--raw"][..], "--raw"),
+            (&["sweep", "fig13", "--raw"], "--raw"),
+            (&["trace", "fig11", "--tail", "5"], "--tail"),
+        ] {
+            let err = usage_error(args);
+            assert!(err.starts_with(&format!("unknown option {flag}")), "{err}");
+            assert_eq!(lab_main(strings(args), &mut io::sink()), 2);
+        }
     }
 
     #[test]

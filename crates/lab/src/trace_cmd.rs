@@ -4,7 +4,7 @@
 //! *host's* time went is `benchmark/run.sh --workload W --trace 1`.
 //!
 //! ```text
-//! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] [figure options]
+//! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [figure options]
 //! ```
 //!
 //! The run collects every [`TraceRecord`] in a [`RingSink`] (`--ring`, a
@@ -46,7 +46,7 @@ use crate::cli::Stop;
 use crate::registry::Registry;
 use crate::scenario::{Body, Scenario};
 
-const USAGE: &str = "usage: lab trace <scenario> [--json PATH] [--ring N] [--kind K] [--tail N] \
+const USAGE: &str = "usage: lab trace <scenario> [--json PATH] [--ring N] [--kind K] \
 [figure options]";
 
 /// Default ring capacity: comfortably above any reduced-scale run's record
@@ -60,7 +60,6 @@ struct TraceArgs {
     /// `--ring`, if given ([`DEFAULT_RING`] if not).
     ring: Option<usize>,
     kind: Option<String>,
-    tail: usize,
     rest: Vec<String>,
 }
 
@@ -88,11 +87,6 @@ fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
                     ));
                 }
                 out.kind = Some(kind);
-            }
-            "--tail" => {
-                out.tail = value_for("--tail")?
-                    .parse()
-                    .map_err(|_| format!("bad --tail\n{USAGE}"))?;
             }
             other => out.rest.push(other.to_string()),
         }
@@ -366,15 +360,6 @@ pub(crate) fn trace(
         writeln!(out, "stream extent: {first:.3}s .. {last:.3}s")?;
     }
 
-    if targs.tail > 0 {
-        let shown: Vec<&TraceRecord> = run.records.iter().filter(keep).collect();
-        let skip = shown.len().saturating_sub(targs.tail);
-        for rec in &shown[skip..] {
-            let line = serde_json::to_string(rec).expect("trace records always serialize");
-            writeln!(out, "{line}")?;
-        }
-    }
-
     // Only an overflowed ring, which lost the stream's head, may fail to
     // replay.
     match check_replay(&run.records, series, nodes) {
@@ -416,8 +401,6 @@ mod tests {
             "128".to_string(),
             "--kind".to_string(),
             "block_received".to_string(),
-            "--tail".to_string(),
-            "5".to_string(),
             "--nodes".to_string(),
             "8".to_string(),
         ];
@@ -425,7 +408,6 @@ mod tests {
         assert_eq!(parsed.json.as_deref(), Some("out.jsonl"));
         assert_eq!(parsed.ring, Some(128));
         assert_eq!(parsed.kind.as_deref(), Some("block_received"));
-        assert_eq!(parsed.tail, 5);
         assert_eq!(parsed.rest, vec!["--nodes", "8"]);
         let opts = CommonOpts::parse(parsed.rest).unwrap();
         assert_eq!(opts.nodes, Some(8));

@@ -49,7 +49,7 @@ pub enum BandwidthChange {
 /// when it is applied. Clones share the table; each entry of it is a pure
 /// function of the seed and the batch index, so a clone draws the same list
 /// as the original whichever of them draws first.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct LinkChangeBatch {
     changes: Changes,
 }
@@ -65,12 +65,6 @@ enum Changes {
         index: usize,
         starts: Arc<StartStates>,
     },
-}
-
-impl Default for Changes {
-    fn default() -> Self {
-        Changes::Listed(Vec::new())
-    }
 }
 
 /// The `dynamics.correlated` stream's state at the start of each batch of

@@ -454,17 +454,18 @@ mod runner_tests {
 
     #[test]
     fn direct_flood_completes_all_receivers() {
+        // `run_flood` exempts no node: the source holds the file, so it is
+        // complete at t = 0, and the run ends when the last receiver finishes.
         let report = run_flood(4, 256, 4);
         assert_eq!(report.reason, StopReason::AllComplete);
+        assert_eq!(report.completion_secs[0], Some(0.0));
         for (i, c) in report.completion_secs.iter().enumerate() {
-            if i == 0 {
-                continue;
-            }
             assert!(c.is_some(), "node {i} did not complete");
         }
         // 256 KB to three receivers over a shared 800 Kbps uplink cannot finish
         // faster than the uplink allows: 3 * 256 KB / 100 KB/s ≈ 7.9 s.
         let slowest = report.finished_times().last().copied().unwrap();
+        assert_eq!(report.end_time.as_secs_f64(), slowest);
         assert!(
             slowest > 7.0,
             "slowest receiver finished impossibly fast: {slowest}"

@@ -50,7 +50,8 @@
 //! The connection also records the two sender-side measurements Bullet′'s
 //! flow controller consumes (§3.3.3): `in_front`, the number of blocks queued
 //! ahead when a block was enqueued, and `wasted`, the idle gap (negative) or
-//! queue-wait time (positive) associated with the block.
+//! queue-wait time (positive) associated with the block, fixed when the block
+//! starts serialising.
 //!
 //! ## One solve per instant
 //!
@@ -146,10 +147,6 @@ pub struct BlockReceipt {
     /// spent with an empty queue immediately before this block was enqueued,
     /// positive is the time this block waited in the queue before service.
     pub wasted: f64,
-    /// When the sending protocol enqueued the block.
-    pub queued_at: SimTime,
-    /// When the block arrived at the receiver.
-    pub delivered_at: SimTime,
 }
 
 /// A completion record produced by the sender side of a connection; the
@@ -168,8 +165,6 @@ pub struct CompletedBlock {
     pub in_front: u32,
     /// See [`BlockReceipt::wasted`].
     pub wasted: f64,
-    /// When the block was enqueued.
-    pub queued_at: SimTime,
 }
 
 /// Instruction for the driver to keep a connection's single completion event
@@ -203,16 +198,15 @@ struct QueuedBlock {
     idle_gap: f64,
 }
 
-/// The block currently being serialised onto the wire.
+/// The block currently being serialised onto the wire, with the
+/// [`BlockReceipt::wasted`] time fixed when it started.
 #[derive(Debug, Clone, Copy)]
 struct InFlight {
     block: BlockId,
     bytes: u64,
     bytes_left: f64,
-    queued_at: SimTime,
-    started_at: SimTime,
     in_front: u32,
-    idle_gap: f64,
+    wasted: f64,
 }
 
 /// Per-connection queue state. The solver-facing per-flow state (current
@@ -773,14 +767,17 @@ impl Network {
         let conn = &mut self.conns[fid as usize];
         debug_assert!(conn.inflight.is_none());
         if let Some(q) = conn.queue.pop_front() {
+            let wasted = if q.idle_gap > 0.0 {
+                -q.idle_gap
+            } else {
+                (now - q.queued_at).as_secs_f64()
+            };
             conn.inflight = Some(InFlight {
                 block: q.block,
                 bytes: q.bytes,
                 bytes_left: q.bytes as f64,
-                queued_at: q.queued_at,
-                started_at: now,
                 in_front: q.in_front,
-                idle_gap: q.idle_gap,
+                wasted,
             });
             conn.last_progress = now;
         }
@@ -818,19 +815,13 @@ impl Network {
         let fl = conn.inflight.take()?;
         conn.bytes_acked += fl.bytes;
         conn.last_progress = now;
-        let wasted = if fl.idle_gap > 0.0 {
-            -fl.idle_gap
-        } else {
-            (fl.started_at - fl.queued_at).as_secs_f64()
-        };
         let completed = CompletedBlock {
             from,
             to,
             block: fl.block,
             bytes: fl.bytes,
             in_front: fl.in_front,
-            wasted,
-            queued_at: fl.queued_at,
+            wasted: fl.wasted,
         };
         self.traffic[from.index()].data_bytes_out += fl.bytes;
 

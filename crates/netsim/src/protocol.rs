@@ -157,8 +157,11 @@ pub trait Protocol: Sized {
     /// Default: ignored.
     fn on_shutdown(&mut self, _ctx: &mut Ctx<'_, Self>) {}
 
-    /// Reports whether this node considers its download complete. The runner
-    /// may stop the experiment once every node reports completion.
+    /// Reports whether this node holds the whole file. The runner may stop
+    /// the experiment once every node reports completion. A source holds the
+    /// file, so it reports `true` once initialised: its completion time is
+    /// the instant it starts, and it needs no exemption from the stop
+    /// condition.
     fn is_complete(&self) -> bool {
         false
     }

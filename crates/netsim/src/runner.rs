@@ -13,7 +13,9 @@
 //! place. Dispatching one of the run's ~10⁵–10⁶ events therefore performs no
 //! per-event allocation once the buffer has grown to the protocol's peak
 //! fan-out. A timer travels through the queue as the protocol's own value
-//! and reaches [`Protocol::on_timer`] as it was armed.
+//! and reaches [`Protocol::on_timer`] as it was armed; a scheduled
+//! link-change batch, cross-traffic change or lifecycle event travels in its
+//! own event the same way, so the runner keeps no table of pending changes.
 //!
 //! ## Completion events
 //!
@@ -90,8 +92,9 @@ enum NetEvent<M, T> {
     BlockArrive { done: CompletedBlock, epoch: u32 },
     /// A protocol timer fires at `node`.
     Timer { node: NodeId, timer: T },
-    /// A scheduled link-change batch takes effect.
-    LinkChange { index: usize },
+    /// A scheduled link-change batch takes effect; `index` is its place in
+    /// [`Runner::schedule_link_change`] order.
+    LinkChange { index: u32, batch: LinkChangeBatch },
     /// A scheduled cross-traffic occupancy change takes effect.
     CrossChange { change: CrossTraffic },
     /// A scheduled node-lifecycle event takes effect.
@@ -223,10 +226,12 @@ struct RunState<P: Protocol> {
     net: Network,
     nodes: Vec<P>,
     rngs: Vec<StdRng>,
-    link_changes: Vec<LinkChangeBatch>,
+    /// Link-change batches scheduled so far (each rides its own event).
+    link_changes_scheduled: u32,
     completion: Vec<Option<SimTime>>,
-    /// Nodes exempt from the all-complete check (e.g. the source, which never
-    /// "downloads", or nodes that left/crashed).
+    /// Nodes exempt from the all-complete check: those that left, crashed or
+    /// retired, and any the caller exempted. A source needs no exemption: it
+    /// holds the file, so it is complete from the start.
     exempt: Vec<bool>,
     /// Whether each node is currently participating.
     active: Vec<bool>,
@@ -324,7 +329,7 @@ impl<P: Protocol> Runner<P> {
             net,
             nodes,
             rngs,
-            link_changes: Vec::new(),
+            link_changes_scheduled: 0,
             completion: vec![None; n],
             exempt: vec![false; n],
             active: vec![true; n],
@@ -448,7 +453,9 @@ impl<P: Protocol> Runner<P> {
         Some(probe.take_series(*interval))
     }
 
-    /// Marks `node` as exempt from the all-complete stop condition.
+    /// Marks `node` as exempt from the all-complete stop condition. The
+    /// runner exempts a node that departs or retires; a source needs no call,
+    /// because it reports [`Protocol::is_complete`] from the start.
     pub fn exempt_from_completion(&mut self, node: NodeId) {
         let idx = node.index();
         if !self.run.exempt[idx] {
@@ -582,9 +589,11 @@ impl<P: Protocol> Runner<P> {
 
     /// Schedules a batch of link changes to take effect at `at`.
     pub fn schedule_link_change(&mut self, at: SimTime, batch: LinkChangeBatch) {
-        let index = self.run.link_changes.len();
-        self.run.link_changes.push(batch);
-        self.run.sim.schedule_at(at, NetEvent::LinkChange { index });
+        let index = self.run.link_changes_scheduled;
+        self.run.link_changes_scheduled += 1;
+        self.run
+            .sim
+            .schedule_at(at, NetEvent::LinkChange { index, batch });
     }
 
     /// Schedules a cross-traffic occupancy change (see
@@ -1062,8 +1071,6 @@ impl<P: Protocol> Runner<P> {
                     bytes,
                     in_front: done.in_front,
                     wasted: done.wasted,
-                    queued_at: done.queued_at,
-                    delivered_at: now,
                 };
                 self.dispatch(to, |node, ctx| node.on_block_received(ctx, from, receipt));
                 // Recorded *after* the hook so the receiver's cumulative
@@ -1088,12 +1095,11 @@ impl<P: Protocol> Runner<P> {
                 });
                 self.dispatch(node, |n, ctx| n.on_timer(ctx, timer));
             }
-            NetEvent::LinkChange { index } => {
+            NetEvent::LinkChange { index, batch } => {
                 self.run.counters.link_changes += 1;
                 self.trace_emit(|| TraceEvent::LinkChange {
-                    index: index as u64,
+                    index: u64::from(index),
                 });
-                let batch = std::mem::take(&mut self.run.link_changes[index]);
                 let pairs = batch.apply(self.run.net.topology_mut());
                 let updates = self.run.net.reprice_paths(now, &pairs);
                 self.apply_conn_updates(updates);

@@ -132,14 +132,16 @@ pub struct SwarmShape {
 /// their own seeded streams (index is the 0-based arrival number, so draws
 /// are independent of admission timing) and construct protocol instances
 /// for the contiguous slot range `[base, base + shape.size)`; the first slot
-/// is the swarm's source and is exempted from the completion condition.
+/// is the swarm's source.
 pub trait SwarmSource<P: Protocol> {
     /// Draws the shape of the `index`-th arriving swarm.
     fn shape(&mut self, index: usize) -> SwarmShape;
 
     /// Builds the protocol instances for a swarm occupying the slot range
     /// starting at `base`. Must return exactly `shape.size` nodes, in slot
-    /// order (the node for `base` first).
+    /// order (the node for `base` first). The node for `base` is the source:
+    /// it holds the file, so it reports [`Protocol::is_complete`] from its
+    /// admission on, and nothing exempts it from the completion condition.
     fn build(&mut self, base: NodeId, shape: &SwarmShape) -> Vec<P>;
 }
 
@@ -439,7 +441,6 @@ where
                     let slot = NodeId(base + off as u32);
                     runner.replace_node(slot, fresh);
                 }
-                runner.exempt_from_completion(NodeId(base));
                 let initial_slots: Vec<NodeId> =
                     (0..initial as u32).map(|off| NodeId(base + off)).collect();
                 runner.activate_cohort(&initial_slots);
@@ -719,7 +720,7 @@ mod tests {
         }
 
         fn is_complete(&self) -> bool {
-            !self.is_source() && self.have.is_full()
+            self.have.is_full()
         }
 
         fn probe_stats(&self) -> ProbeStats {
@@ -833,7 +834,6 @@ mod tests {
             let mut runner = mini_runner(4);
             runner.set_run_to_limit(true);
             runner.record_timeseries(tick);
-            runner.exempt_from_completion(NodeId(0));
             let slots: Vec<NodeId> = (0..4).map(NodeId).collect();
             // Stop at the first millisecond boundary after the probe's first
             // tick with a block between its sender and its receiver (delivery
@@ -848,7 +848,6 @@ mod tests {
             for &slot in &slots {
                 runner.replace_node(slot, MiniSwarm::new(slot, 0, 4, spec));
             }
-            runner.exempt_from_completion(NodeId(0));
             runner.activate_cohort(&slots);
             let mut runner = fork(runner);
             assert_eq!(on_the_wire(&runner), stale, "still in flight at the fork");

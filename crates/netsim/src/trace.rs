@@ -142,7 +142,8 @@ pub enum TraceEvent {
     },
     /// A scheduled link-change batch took effect.
     LinkChange {
-        /// Index of the batch in the runner's schedule.
+        /// The batch's place in the order the runner was handed its batches
+        /// (`Runner::schedule_link_change`), from 0.
         index: u64,
     },
     /// A cross-traffic occupancy change took effect.

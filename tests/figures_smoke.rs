@@ -30,7 +30,7 @@ fn check(fig: &Figure, expected_series: usize) {
         );
         assert!(s.max_x().is_finite());
     }
-    let text = fig.render_text(false);
+    let text = fig.render_text();
     assert!(text.contains(&fig.id));
     let json = fig.to_json();
     assert!(json.contains("series"));
