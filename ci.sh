@@ -107,6 +107,12 @@ cargo test -q --release -p netsim --lib dynamics
 # benchmark measures.
 echo "==> baselines tests and the request-selection reference on the release build"
 cargo test -q --release -p baselines
+# Bullet′'s own tests on the release build too: the two selection oracles
+# (partial selection against a full sort, each discovery list's capacity at
+# most 4x its length) and the peer map against its BTreeMap reference run on
+# the build the benchmark measures.
+echo "==> bullet-prime tests (selection oracles, peer-map reference) on the release build"
+cargo test -q --release -p bullet-prime
 
 # The four systems' churn contract, read off their traces
 # (tests/protocol_conformance.rs): one crash and one graceful leave, then no

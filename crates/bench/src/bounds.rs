@@ -14,10 +14,15 @@
 //! contention model [`parallel_rsync_times`] over the clients of the
 //! topology Shotgun runs on: the paper measures a real rsync, and what
 //! matters for the comparison is how the source bottleneck scales.
+//!
+//! The open system (fig21, fig22) has one bound here too:
+//! [`service_capacity`], the arrival rate the shared core can carry.
 
 use dissem_codec::FileSpec;
 use netsim::tcp::{idle_transfer_time, TcpPath};
 use netsim::{mbps, BytesPerSec, NodeId, Topology};
+
+use crate::workload::{ServiceWorkload, SERVICE_CORE_MBPS};
 
 /// Per-receiver lower bound: file size divided by the receiver's inbound
 /// access capacity (no protocol or transport overhead at all).
@@ -108,6 +113,23 @@ pub fn parallel_rsync_times(
     completions
 }
 
+/// The swarms per second the shared core of `cell`'s pool can carry. Every
+/// useful byte crosses the one core link, and a swarm of `size` nodes sends
+/// its file to `size − 1` receivers, so no arrival rate above
+/// C / E[(size − 1) × file] can be served in the long run. C is the core
+/// [`ServiceWorkload::runner`] builds. Cohort and file sizes are drawn
+/// independently and uniformly from their inclusive ranges, so the
+/// expectation is the product of the two means.
+///
+/// This is the core term only. The segment term (segments over the mean
+/// sojourn of a lone swarm) needs a closed run of the mean shape.
+pub fn service_capacity(cell: &ServiceWorkload) -> f64 {
+    let mean = |lo: f64, hi: f64| (lo + hi) / 2.0;
+    let receivers = mean(cell.sizes.0 as f64, cell.sizes.1 as f64) - 1.0;
+    let file = mean(cell.files.0 as f64, cell.files.1 as f64);
+    mbps(SERVICE_CORE_MBPS) / (receivers * file)
+}
+
 /// Per-client bottleneck download bandwidth for the rsync model: every
 /// receiver of `topo` (node 0 is the source), its access downlink capped by
 /// the core path from the source — the same clients Shotgun runs on.
@@ -182,6 +204,40 @@ mod tests {
         // the positive start-up overhead, SESSION_OVERHEAD.
         for w in times.windows(2) {
             assert!(w[1] > w[0]);
+        }
+    }
+
+    /// fig21's default cells (cohorts of 10–12, files of 1–2 MiB, 16 Mbps)
+    /// carry about 0.127 swarms/s, so the top load, 128 per 1000 s, sits at
+    /// ρ ≈ 1.0. At `--full` (cohorts of 22–24, files of 4–8 MiB) it is about
+    /// 0.0145, below the lowest load: every load is above ρ = 1.
+    #[test]
+    fn fig21s_core_carries_0_127_swarms_per_second_and_0_0145_at_full_scale() {
+        use crate::experiments::{fig21_cells, FIG21_LOADS};
+        use crate::CommonOpts;
+
+        let rho = |load: f64, capacity: f64| load / 1000.0 / capacity;
+        let default = fig21_cells(&CommonOpts::default());
+        assert_eq!(default.len(), FIG21_LOADS.len());
+        for (label, cell) in &default {
+            let capacity = service_capacity(cell);
+            assert!((capacity - 0.127).abs() < 0.0005, "{label}: {capacity}");
+        }
+        let top = rho(FIG21_LOADS[3], service_capacity(&default[3].1));
+        assert!((top - 1.0).abs() < 0.01, "top load at rho {top}");
+
+        let full = fig21_cells(&CommonOpts {
+            full: true,
+            ..CommonOpts::default()
+        });
+        for ((label, cell), load) in full.iter().zip(FIG21_LOADS) {
+            let capacity = service_capacity(cell);
+            assert!((capacity - 0.0145).abs() < 0.0001, "{label}: {capacity}");
+            assert!(
+                rho(load, capacity) > 1.0,
+                "{label}: rho {}",
+                rho(load, capacity)
+            );
         }
     }
 

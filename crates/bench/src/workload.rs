@@ -504,7 +504,7 @@ impl SystemRun {
 }
 
 /// Capacity of the shared core every service pool runs over.
-const SERVICE_CORE_MBPS: f64 = 16.0;
+pub(crate) const SERVICE_CORE_MBPS: f64 = 16.0;
 
 /// Cap on the arrivals a service run materialises from its generator.
 const SERVICE_MAX_ARRIVALS: usize = 256;

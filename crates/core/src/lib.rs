@@ -30,6 +30,7 @@ pub mod config;
 pub mod flow;
 pub mod messages;
 pub mod node;
+mod peer_map;
 pub mod peering;
 pub mod request;
 pub mod service;

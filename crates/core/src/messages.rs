@@ -5,7 +5,7 @@
 //! handshakes, availability diffs, block requests and RanSub samples; their
 //! [`WireSize`] is what the emulator charges as control overhead.
 
-use dissem_codec::BlockId;
+use dissem_codec::{BlockBitmap, BlockId};
 use netsim::WireSize;
 use overlay::Sample;
 
@@ -35,8 +35,9 @@ pub enum Msg {
     },
     /// Positive reply to [`Msg::PeerRequest`]: the initial file info.
     PeerAccept {
-        /// Every block the sender currently has.
-        available: Vec<BlockId>,
+        /// Every block the sender currently has: a copy of its bitmap. On
+        /// the wire it is the list of those blocks, in ascending order.
+        available: BlockBitmap,
     },
     /// Negative reply to [`Msg::PeerRequest`] (receiver slots exhausted).
     PeerReject,
@@ -73,7 +74,7 @@ impl WireSize for Msg {
                 HDR + 8 + sample.wire_size()
             }
             Msg::PeerRequest { .. } => HDR + 4,
-            Msg::PeerAccept { available } => HDR + 4 + 4 * available.len(),
+            Msg::PeerAccept { available } => HDR + 4 + 4 * available.count() as usize,
             Msg::PeerReject | Msg::PeerClose | Msg::DiffRequest | Msg::TreeAttach => HDR,
             Msg::Diff { blocks } => HDR + 4 + 4 * blocks.len(),
             Msg::BlockRequest { blocks, .. } => HDR + 12 + 4 * blocks.len(),

@@ -9,7 +9,7 @@
 //! controller (§3.3.3), order their requests with the configured strategy
 //! (§3.3.2) and stay up to date through incremental diffs (§3.3.4).
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 use desim::SimTime;
 use dissem_codec::{BlockBitmap, BlockId};
@@ -20,6 +20,7 @@ use rand::rngs::StdRng;
 use crate::config::{self, Config};
 use crate::flow::OutstandingController;
 use crate::messages::Msg;
+use crate::peer_map::PeerMap;
 use crate::peering::{PeerManager, ReceiverObservation, SenderObservation};
 use crate::request::RequestManager;
 
@@ -164,8 +165,8 @@ pub struct BulletPrimeNode {
     completion_target: u32,
     block_space: u32,
 
-    senders: BTreeMap<NodeId, SenderState>,
-    receivers: BTreeMap<NodeId, ReceiverState>,
+    senders: PeerMap<SenderState>,
+    receivers: PeerMap<ReceiverState>,
     pending_peer_requests: BTreeSet<NodeId>,
     requester: RequestManager,
     peer_mgr: PeerManager,
@@ -202,8 +203,8 @@ impl BulletPrimeNode {
             arrivals: ArrivalLog::default(),
             completion_target: cfg.completion_target(),
             block_space,
-            senders: BTreeMap::new(),
-            receivers: BTreeMap::new(),
+            senders: PeerMap::new(),
+            receivers: PeerMap::new(),
             pending_peer_requests: BTreeSet::new(),
             requester: RequestManager::new(cfg.request_strategy, block_space),
             peer_mgr: PeerManager::new(
@@ -337,7 +338,7 @@ impl BulletPrimeNode {
         let sender_obs: Vec<SenderObservation> = self
             .senders
             .iter()
-            .map(|(&peer, s)| SenderObservation {
+            .map(|(peer, s)| SenderObservation {
                 peer,
                 bandwidth: s.bytes_since_epoch as f64 / elapsed,
             })
@@ -345,7 +346,7 @@ impl BulletPrimeNode {
         let receiver_obs: Vec<ReceiverObservation> = self
             .receivers
             .iter()
-            .map(|(&peer, r)| ReceiverObservation {
+            .map(|(peer, r)| ReceiverObservation {
                 peer,
                 bandwidth: r.bytes_since_epoch as f64 / elapsed,
                 their_total_incoming: r.their_incoming_bw,
@@ -377,7 +378,7 @@ impl BulletPrimeNode {
                 .filter(|e| {
                     e.node != self.id.0
                         && ctx.peer_active(e.node_id())
-                        && !self.senders.contains_key(&e.node_id())
+                        && !self.senders.contains_key(e.node_id())
                         && !self.pending_peer_requests.contains(&e.node_id())
                         && (e.has_everything || e.have_count > 0)
                 })
@@ -416,7 +417,7 @@ impl BulletPrimeNode {
     }
 
     fn drop_sender(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, notify: bool) {
-        if self.senders.remove(&peer).is_some() {
+        if self.senders.remove(peer).is_some() {
             self.requester.remove_sender(peer);
             if notify {
                 ctx.send(peer, Msg::PeerClose);
@@ -425,7 +426,7 @@ impl BulletPrimeNode {
     }
 
     fn drop_receiver(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, notify: bool) {
-        if self.receivers.remove(&peer).is_some() {
+        if self.receivers.remove(peer).is_some() {
             self.trim_arrivals();
             ctx.close_connection(peer);
             if notify {
@@ -435,20 +436,22 @@ impl BulletPrimeNode {
     }
 
     fn accept_receiver(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId) {
-        let available: Vec<BlockId> = self.have.iter().collect();
         self.receivers
-            .insert(peer, ReceiverState::new(self.arrivals.end()));
+            .get_or_insert_with(peer, || ReceiverState::new(self.arrivals.end()));
+        let available = self.have.clone();
         ctx.send(peer, Msg::PeerAccept { available });
     }
 
-    fn add_sender(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, available: Vec<BlockId>) {
+    fn add_sender(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, available: &BlockBitmap) {
         self.pending_peer_requests.remove(&peer);
-        if self.senders.contains_key(&peer) {
+        if self.senders.contains_key(peer) {
             return;
         }
-        self.senders.insert(peer, SenderState::new(&self.cfg));
+        self.senders
+            .get_or_insert_with(peer, || SenderState::new(&self.cfg));
         self.requester.add_sender(peer);
-        self.requester.on_advertised(peer, &available, &self.have);
+        self.requester
+            .on_advertised(peer, available.iter(), &self.have);
         self.issue_requests(ctx, peer);
     }
 
@@ -460,7 +463,7 @@ impl BulletPrimeNode {
         if self.is_download_complete() {
             return;
         }
-        let Some(sender) = self.senders.get_mut(&peer) else {
+        let Some(sender) = self.senders.get_mut(peer) else {
             return;
         };
         let window = sender.ctl.window() as usize;
@@ -525,7 +528,7 @@ impl BulletPrimeNode {
     fn propagate_availability(&mut self, ctx: &mut Ctx<'_, Self>, block: BlockId) {
         self.arrivals.push(block);
         if !self.cfg.lazy_diffs {
-            for (&peer, r) in &mut self.receivers {
+            for (peer, r) in self.receivers.iter_mut() {
                 if ctx.pending_to(peer) == 0 {
                     Self::flush_diff(ctx, peer, &self.arrivals, r);
                 }
@@ -596,7 +599,7 @@ impl Protocol for BulletPrimeNode {
             }
             Msg::PeerRequest { .. } => {
                 if self.receivers.len() < self.peer_mgr.max_receivers()
-                    && !self.receivers.contains_key(&from)
+                    && !self.receivers.contains_key(from)
                 {
                     self.accept_receiver(ctx, from);
                 } else {
@@ -604,7 +607,7 @@ impl Protocol for BulletPrimeNode {
                 }
             }
             Msg::PeerAccept { available } => {
-                self.add_sender(ctx, from, available);
+                self.add_sender(ctx, from, &available);
             }
             Msg::PeerReject => {
                 self.pending_peer_requests.remove(&from);
@@ -621,14 +624,14 @@ impl Protocol for BulletPrimeNode {
                 self.ransub.add_child(from);
             }
             Msg::Diff { blocks } => {
-                if let Some(s) = self.senders.get_mut(&from) {
+                if let Some(s) = self.senders.get_mut(from) {
                     s.diff_requested = false;
-                    self.requester.on_advertised(from, &blocks, &self.have);
+                    self.requester.on_advertised(from, blocks, &self.have);
                     self.issue_requests(ctx, from);
                 }
             }
             Msg::DiffRequest => {
-                if let Some(r) = self.receivers.get_mut(&from) {
+                if let Some(r) = self.receivers.get_mut(from) {
                     Self::flush_diff(ctx, from, &self.arrivals, r);
                     self.trim_arrivals();
                 }
@@ -637,7 +640,7 @@ impl Protocol for BulletPrimeNode {
                 blocks,
                 incoming_bw,
             } => {
-                if let Some(r) = self.receivers.get_mut(&from) {
+                if let Some(r) = self.receivers.get_mut(from) {
                     r.their_incoming_bw = incoming_bw as f64;
                 }
                 for block in blocks {
@@ -662,7 +665,7 @@ impl Protocol for BulletPrimeNode {
 
         // Per-sender accounting and flow control.
         let outstanding = self.requester.outstanding_to(from) as u32;
-        if let Some(s) = self.senders.get_mut(&from) {
+        if let Some(s) = self.senders.get_mut(from) {
             s.observe_arrival(ctx.now(), receipt.bytes);
             s.ctl.on_block_received(
                 block,
@@ -685,7 +688,7 @@ impl Protocol for BulletPrimeNode {
 
     fn on_block_sent(&mut self, ctx: &mut Ctx<'_, Self>, to: NodeId, block: BlockId) {
         let bytes = u64::from(self.cfg.file.encoded_block_size(block));
-        if let Some(r) = self.receivers.get_mut(&to) {
+        if let Some(r) = self.receivers.get_mut(to) {
             r.bytes_since_epoch += bytes;
         }
         self.source_push(ctx);
@@ -709,13 +712,13 @@ impl Protocol for BulletPrimeNode {
             self.ransub.set_parent(Some(self.root));
             ctx.send(self.root, Msg::TreeAttach);
         }
-        let was_sender = self.senders.contains_key(&peer);
+        let was_sender = self.senders.contains_key(peer);
         self.drop_sender(ctx, peer, false);
         self.drop_receiver(ctx, peer, false);
         if was_sender {
             // Requests outstanding to the failed sender were just released;
             // re-pipeline them towards the survivors right away.
-            let senders: Vec<NodeId> = self.senders.keys().copied().collect();
+            let senders: Vec<NodeId> = self.senders.keys().collect();
             for s in senders {
                 self.issue_requests(ctx, s);
             }
@@ -726,12 +729,7 @@ impl Protocol for BulletPrimeNode {
     fn on_shutdown(&mut self, ctx: &mut Ctx<'_, Self>) {
         // Graceful goodbye: tell both sides of every peering so they re-peer
         // without waiting for a timeout.
-        let peers: BTreeSet<NodeId> = self
-            .senders
-            .keys()
-            .chain(self.receivers.keys())
-            .copied()
-            .collect();
+        let peers: BTreeSet<NodeId> = self.senders.keys().chain(self.receivers.keys()).collect();
         ctx.send_to_many(peers, &Msg::PeerClose);
     }
 
@@ -767,17 +765,17 @@ impl Protocol for BulletPrimeNode {
                     .release_stale(ctx.now(), config::REQUEST_TIMEOUT);
                 let stalled: BTreeSet<NodeId> = released.iter().map(|(p, _)| *p).collect();
                 for peer in stalled {
-                    if let Some(s) = self.senders.get_mut(&peer) {
+                    if let Some(s) = self.senders.get_mut(peer) {
                         s.ctl.clear_mark();
                     }
                 }
                 // Refresh the request pipeline towards every sender and flush
                 // any diffs whose receivers have gone idle.
-                let senders: Vec<NodeId> = self.senders.keys().copied().collect();
+                let senders: Vec<NodeId> = self.senders.keys().collect();
                 for peer in senders {
                     self.issue_requests(ctx, peer);
                 }
-                for (&peer, r) in &mut self.receivers {
+                for (peer, r) in self.receivers.iter_mut() {
                     if r.flushed < self.arrivals.end() && ctx.pending_to(peer) == 0 {
                         Self::flush_diff(ctx, peer, &self.arrivals, r);
                     }
@@ -807,6 +805,7 @@ mod tests {
     use super::*;
     use desim::RngFactory;
     use dissem_codec::FileSpec;
+    use std::collections::BTreeMap;
 
     fn small_config() -> Config {
         Config::new(FileSpec::new(64 * 1024, 16 * 1024))
@@ -886,7 +885,7 @@ mod tests {
                     _ => None,
                 })
                 .collect();
-            let flushed = node.receivers[&receiver].flushed;
+            let flushed = node.receivers.get(receiver).expect("accepted").flushed;
             (
                 diffs,
                 flushed,
@@ -946,15 +945,15 @@ mod tests {
         node.on_control(&mut ctx, receiver, Msg::DiffRequest);
         node.on_timer(&mut ctx, Timer::Housekeeping);
         arrive(&mut node, &mut ctx, 2);
-        let to_receiver: Vec<(&str, &[BlockId])> = commands
+        let to_receiver: Vec<(&str, Vec<BlockId>)> = commands
             .iter()
             .filter_map(|command| match command {
                 Command::SendControl { to, msg } if *to == receiver => Some(msg),
                 _ => None,
             })
             .map(|msg| match msg {
-                Msg::PeerAccept { available } => ("accept", &available[..]),
-                Msg::Diff { blocks } => ("diff", &blocks[..]),
+                Msg::PeerAccept { available } => ("accept", available.iter().collect()),
+                Msg::Diff { blocks } => ("diff", blocks.clone()),
                 other => panic!("the receiver was sent {other:?}"),
             })
             .collect();
@@ -962,12 +961,80 @@ mod tests {
         let (held, later, last) = (blocks(&[0, 4]), blocks(&[6]), blocks(&[2]));
         assert_eq!(
             to_receiver,
-            [
-                ("accept", &held[..]),
-                ("diff", &later[..]),
-                ("diff", &last[..])
-            ]
+            [("accept", held), ("diff", later), ("diff", last)]
         );
+    }
+
+    /// A `PeerAccept` carries the sender's bitmap where it carried the list
+    /// `have.iter().collect()`. Its wire size is the list's (`HDR + 4 + 4 ·
+    /// count`, a `Diff` of that list's), and the receiver's request state
+    /// after the accept is the one the list gave: the same blocks advertised
+    /// in the same order, so the same first `BlockRequest`.
+    #[test]
+    fn a_bitmap_peer_accept_advertises_what_the_list_did() {
+        use netsim::{topology, Command, Network, WireSize};
+        use rand::{Rng, SeedableRng};
+
+        let tree = ControlTree::random(4, 2, &RngFactory::new(5));
+        let net = Network::new(topology::constrained_access(4));
+        let (me, sender) = (NodeId(1), NodeId(2));
+        let now = SimTime::from_secs_f64(1.0);
+        let mut r = StdRng::seed_from_u64(0xacce);
+        for case in 0..40 {
+            let mut cfg = Config::new(FileSpec::new(200 * 1024, 1024));
+            if case % 2 == 0 {
+                cfg.request_strategy = config::RequestStrategy::FirstEncountered;
+            }
+            let space = cfg.block_space();
+            let mut theirs = BlockBitmap::new(space);
+            let mut node = BulletPrimeNode::new(me, &tree, cfg);
+            for b in (0..space).map(BlockId) {
+                if r.gen_bool(0.4) {
+                    theirs.insert(b);
+                }
+                if r.gen_bool(0.2) {
+                    node.have.insert(b);
+                }
+            }
+            let list: Vec<BlockId> = theirs.iter().collect();
+            let accept = Msg::PeerAccept { available: theirs };
+            let as_list = Msg::Diff {
+                blocks: list.clone(),
+            };
+            assert_eq!(accept.wire_size(), as_list.wire_size(), "case {case}");
+            assert_eq!(accept.wire_size(), 9 + 4 + 4 * list.len(), "case {case}");
+
+            let mut reference = node.requester.clone();
+            let seed = r.gen::<u64>();
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut commands = Vec::new();
+            let mut ctx = Ctx::new(me, now, &net, &[true; 4], &mut rng, &mut commands);
+            node.on_control(&mut ctx, sender, accept);
+
+            let window = node.senders.get(sender).expect("added").ctl.window() as usize;
+            reference.add_sender(sender);
+            reference.on_advertised(sender, list, &node.have);
+            let want = reference.select_requests(
+                sender,
+                window,
+                &node.have,
+                now,
+                &mut StdRng::seed_from_u64(seed),
+            );
+            assert_eq!(node.requester, reference, "case {case}: request state");
+            let requested: Vec<&Vec<BlockId>> = commands
+                .iter()
+                .filter_map(|command| match command {
+                    Command::SendControl {
+                        to,
+                        msg: Msg::BlockRequest { blocks, .. },
+                    } if *to == sender => Some(blocks),
+                    _ => None,
+                })
+                .collect();
+            assert!(!want.is_empty(), "case {case}: premise, blocks to request");
+            assert_eq!(requested, [&want], "case {case}");
+        }
     }
 
     /// The arrival log as it was before it kept only the unflushed window:
@@ -1087,11 +1154,8 @@ mod tests {
                         full.receivers.remove(&peer);
                     }
                 }
-                let cursors: Vec<(NodeId, usize)> = node
-                    .receivers
-                    .iter()
-                    .map(|(&p, r)| (p, r.flushed))
-                    .collect();
+                let cursors: Vec<(NodeId, usize)> =
+                    node.receivers.iter().map(|(p, r)| (p, r.flushed)).collect();
                 let want: Vec<(NodeId, usize)> =
                     full.receivers.iter().map(|(&p, r)| (p, r.0)).collect();
                 assert_eq!(cursors, want, "case {case}, step {step}");
@@ -1131,11 +1195,12 @@ mod tests {
         let cfg = small_config();
         let mut node = BulletPrimeNode::new(NodeId(1), &tree, cfg.clone());
         for sender in [2, 3] {
-            node.senders.insert(NodeId(sender), SenderState::new(&cfg));
+            node.senders
+                .get_or_insert_with(NodeId(sender), || SenderState::new(&cfg));
         }
         for receiver in [3, 5] {
             node.receivers
-                .insert(NodeId(receiver), ReceiverState::new(0));
+                .get_or_insert_with(NodeId(receiver), || ReceiverState::new(0));
         }
         let net = Network::new(topology::constrained_access(6));
         let mut rng = StdRng::seed_from_u64(6);

@@ -28,12 +28,15 @@ use rand::rngs::StdRng;
 use rand::Rng;
 
 use crate::config::RequestStrategy;
+use crate::peer_map::PeerMap;
 
 /// Per-sender availability bookkeeping.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 struct SenderAvailability {
     /// Blocks in the order their availability was discovered (what preserves
     /// the first-encountered semantics and the RNG-keyed candidate order).
+    /// Its capacity is at most 4× its length after every selection.
     order: Vec<BlockId>,
     /// Membership bitmap for O(1) lookups and word-level counting.
     bits: BlockBitmap,
@@ -56,6 +59,7 @@ impl SenderAvailability {
 
 /// A request currently outstanding to some sender.
 #[derive(Debug, Clone, Copy)]
+#[cfg_attr(test, derive(PartialEq))]
 struct InFlight {
     to: NodeId,
     since: SimTime,
@@ -92,12 +96,13 @@ const MAX_SENDERS: usize = u8::MAX as usize;
 
 /// Receiver-side request state across all senders.
 #[derive(Debug, Clone)]
+#[cfg_attr(test, derive(PartialEq))]
 pub struct RequestManager {
     strategy: RequestStrategy,
     /// Number of senders currently advertising each block: at most the
     /// number registered, which is at most [`MAX_SENDERS`].
     rarity: Vec<u8>,
-    available: BTreeMap<NodeId, SenderAvailability>,
+    available: PeerMap<SenderAvailability>,
     in_flight: BTreeMap<BlockId, InFlight>,
     /// Bitmap mirror of `in_flight`'s keys, for O(1) membership tests and
     /// word-level candidate counting.
@@ -110,7 +115,7 @@ impl RequestManager {
         RequestManager {
             strategy,
             rarity: vec![0; block_space as usize],
-            available: BTreeMap::new(),
+            available: PeerMap::new(),
             in_flight: BTreeMap::new(),
             in_flight_bits: BlockBitmap::new(block_space),
         }
@@ -135,7 +140,7 @@ impl RequestManager {
     /// and any requests outstanding to it are released. Returns the released
     /// blocks.
     pub fn remove_sender(&mut self, peer: NodeId) -> Vec<BlockId> {
-        if let Some(av) = self.available.remove(&peer) {
+        if let Some(av) = self.available.remove(peer) {
             for b in av.bits.iter() {
                 unadvertise(&mut self.rarity[b.index()]);
             }
@@ -153,12 +158,18 @@ impl RequestManager {
         released
     }
 
-    /// Records that `peer` advertised `blocks`. Blocks the receiver already
-    /// holds are ignored.
-    pub fn on_advertised(&mut self, peer: NodeId, blocks: &[BlockId], have: &BlockBitmap) {
+    /// Records that `peer` advertised `blocks`, in the order given: a
+    /// `Diff`'s list, or a `PeerAccept`'s bitmap in ascending order. Blocks
+    /// the receiver already holds are ignored.
+    pub fn on_advertised(
+        &mut self,
+        peer: NodeId,
+        blocks: impl IntoIterator<Item = BlockId>,
+        have: &BlockBitmap,
+    ) {
         let space = self.block_space();
         let entry = register(&mut self.available, peer, space);
-        for &b in blocks {
+        for b in blocks {
             if have.contains(b) || b.index() >= self.rarity.len() {
                 continue;
             }
@@ -191,7 +202,7 @@ impl RequestManager {
         // Word-level: |advertised & !have & !in_flight|, a few cache lines
         // instead of a per-block set walk.
         self.available
-            .get(&peer)
+            .get(peer)
             .map(|av| {
                 av.bits
                     .words()
@@ -209,14 +220,14 @@ impl RequestManager {
 
     /// Number of requests currently outstanding to `peer`.
     pub fn outstanding_to(&self, peer: NodeId) -> usize {
-        self.available.get(&peer).map_or(0, |av| av.outstanding)
+        self.available.get(peer).map_or(0, |av| av.outstanding)
     }
 
     /// Accounts for an `in_flight` entry addressed to `peer` going away.
     fn request_closed(&mut self, peer: NodeId) {
         let av = self
             .available
-            .get_mut(&peer)
+            .get_mut(peer)
             .expect("an outstanding request names a registered sender");
         av.outstanding -= 1;
     }
@@ -236,7 +247,8 @@ impl RequestManager {
     /// order, for the two random strategies, exactly as a full sort of the
     /// candidates would draw them — and offered to a `count`-long ascending
     /// buffer. First-encountered keys a candidate by its position, so the
-    /// same buffer keeps the first `count`.
+    /// same buffer keeps the first `count`. A list that compaction leaves
+    /// with more than 4× its length in capacity shrinks to 2× its length.
     pub fn select_requests(
         &mut self,
         peer: NodeId,
@@ -245,7 +257,7 @@ impl RequestManager {
         now: SimTime,
         rng: &mut StdRng,
     ) -> Vec<BlockId> {
-        let Some(av) = self.available.get_mut(&peer) else {
+        let Some(av) = self.available.get_mut(peer) else {
             return Vec::new();
         };
         // No more picks than there are blocks to pick from.
@@ -284,6 +296,10 @@ impl RequestManager {
             }
             true
         });
+        let kept = av.order.len();
+        if av.order.capacity() > 4 * kept {
+            av.order.shrink_to(2 * kept);
+        }
 
         let chosen: Vec<BlockId> = picks[..picked].iter().map(|p| p.block()).collect();
         for &b in &chosen {
@@ -327,12 +343,12 @@ impl RequestManager {
 ///
 /// Panics if [`MAX_SENDERS`] senders are registered already.
 fn register(
-    available: &mut BTreeMap<NodeId, SenderAvailability>,
+    available: &mut PeerMap<SenderAvailability>,
     peer: NodeId,
     block_space: u32,
 ) -> &mut SenderAvailability {
     let registered = available.len();
-    available.entry(peer).or_insert_with(|| {
+    available.get_or_insert_with(peer, || {
         assert!(
             registered < MAX_SENDERS,
             "at most {MAX_SENDERS} senders, so that a rarity fits in a byte"
@@ -383,8 +399,8 @@ mod tests {
         let mut rm = RequestManager::new(RequestStrategy::FirstEncountered, 100);
         let have = BlockBitmap::new(100);
         rm.add_sender(NodeId(1));
-        rm.on_advertised(NodeId(1), &ids(&[5, 3, 9]), &have);
-        rm.on_advertised(NodeId(1), &ids(&[1]), &have);
+        rm.on_advertised(NodeId(1), ids(&[5, 3, 9]), &have);
+        rm.on_advertised(NodeId(1), ids(&[1]), &have);
         let got = rm.select_requests(NodeId(1), 3, &have, SimTime::ZERO, &mut rng());
         assert_eq!(got, ids(&[5, 3, 9]));
     }
@@ -397,9 +413,9 @@ mod tests {
             rm.add_sender(NodeId(p));
         }
         // Block 7 is advertised by all three peers; block 8 by two; block 9 by one.
-        rm.on_advertised(NodeId(1), &ids(&[7, 8, 9]), &have);
-        rm.on_advertised(NodeId(2), &ids(&[7, 8]), &have);
-        rm.on_advertised(NodeId(3), &ids(&[7]), &have);
+        rm.on_advertised(NodeId(1), ids(&[7, 8, 9]), &have);
+        rm.on_advertised(NodeId(2), ids(&[7, 8]), &have);
+        rm.on_advertised(NodeId(3), ids(&[7]), &have);
         let got = rm.select_requests(NodeId(1), 3, &have, SimTime::ZERO, &mut rng());
         assert_eq!(got, ids(&[9, 8, 7]));
     }
@@ -412,9 +428,9 @@ mod tests {
         rm.add_sender(NodeId(2));
         // 50 blocks with rarity 2, one block (999) with rarity 1.
         let common: Vec<u32> = (0..50).collect();
-        rm.on_advertised(NodeId(1), &ids(&common), &have);
-        rm.on_advertised(NodeId(2), &ids(&common), &have);
-        rm.on_advertised(NodeId(1), &ids(&[999]), &have);
+        rm.on_advertised(NodeId(1), ids(&common), &have);
+        rm.on_advertised(NodeId(2), ids(&common), &have);
+        rm.on_advertised(NodeId(1), ids(&[999]), &have);
         let got = rm.select_requests(NodeId(1), 1, &have, SimTime::ZERO, &mut rng());
         assert_eq!(got, ids(&[999]), "the uniquely rare block goes first");
 
@@ -424,7 +440,7 @@ mod tests {
             let mut rm = RequestManager::new(RequestStrategy::RarestRandom, 1000);
             let have = BlockBitmap::new(1000);
             rm.add_sender(NodeId(1));
-            rm.on_advertised(NodeId(1), &ids(&common), &have);
+            rm.on_advertised(NodeId(1), ids(&common), &have);
             let mut r = StdRng::seed_from_u64(seed);
             rm.select_requests(NodeId(1), 1, &have, SimTime::ZERO, &mut r)[0]
         };
@@ -441,8 +457,8 @@ mod tests {
         let have = BlockBitmap::new(10);
         rm.add_sender(NodeId(1));
         rm.add_sender(NodeId(2));
-        rm.on_advertised(NodeId(1), &ids(&[0, 1, 2]), &have);
-        rm.on_advertised(NodeId(2), &ids(&[0, 1, 2]), &have);
+        rm.on_advertised(NodeId(1), ids(&[0, 1, 2]), &have);
+        rm.on_advertised(NodeId(2), ids(&[0, 1, 2]), &have);
         let a = rm.select_requests(NodeId(1), 2, &have, SimTime::ZERO, &mut rng());
         let b = rm.select_requests(NodeId(2), 3, &have, SimTime::ZERO, &mut rng());
         assert_eq!(a, ids(&[0, 1]));
@@ -462,7 +478,7 @@ mod tests {
         let mut have = BlockBitmap::new(10);
         have.insert(BlockId(0));
         rm.add_sender(NodeId(1));
-        rm.on_advertised(NodeId(1), &ids(&[0, 1, 2]), &have);
+        rm.on_advertised(NodeId(1), ids(&[0, 1, 2]), &have);
         rm.on_block_received(BlockId(1));
         let mut have2 = have.clone();
         have2.insert(BlockId(1));
@@ -476,8 +492,8 @@ mod tests {
         let have = BlockBitmap::new(10);
         rm.add_sender(NodeId(1));
         rm.add_sender(NodeId(2));
-        rm.on_advertised(NodeId(1), &ids(&[0, 1]), &have);
-        rm.on_advertised(NodeId(2), &ids(&[0, 1]), &have);
+        rm.on_advertised(NodeId(1), ids(&[0, 1]), &have);
+        rm.on_advertised(NodeId(2), ids(&[0, 1]), &have);
         let _ = rm.select_requests(NodeId(1), 2, &have, SimTime::ZERO, &mut rng());
         let released = rm.remove_sender(NodeId(1));
         assert_eq!(released.len(), 2);
@@ -485,7 +501,7 @@ mod tests {
         // Blocks can now be requested from the other sender.
         let got = rm.select_requests(NodeId(2), 2, &have, SimTime::ZERO, &mut rng());
         assert_eq!(got.len(), 2);
-        assert!(!rm.available.contains_key(&NodeId(1)));
+        assert!(!rm.available.contains_key(NodeId(1)));
     }
 
     #[test]
@@ -493,7 +509,7 @@ mod tests {
         let mut rm = RequestManager::new(RequestStrategy::FirstEncountered, 10);
         let have = BlockBitmap::new(10);
         rm.add_sender(NodeId(1));
-        rm.on_advertised(NodeId(1), &ids(&[0]), &have);
+        rm.on_advertised(NodeId(1), ids(&[0]), &have);
         let _ = rm.select_requests(NodeId(1), 1, &have, SimTime::ZERO, &mut rng());
         let none = rm.release_stale(SimTime::from_secs_f64(5.0), SimDuration::from_secs(30));
         assert!(none.is_empty());
@@ -507,7 +523,7 @@ mod tests {
         let mut rm = RequestManager::new(RequestStrategy::FirstEncountered, 10);
         let have = BlockBitmap::new(10);
         rm.add_sender(NodeId(1));
-        rm.on_advertised(NodeId(1), &ids(&[0, 1, 2, 3]), &have);
+        rm.on_advertised(NodeId(1), ids(&[0, 1, 2, 3]), &have);
         assert_eq!(rm.useful_candidates(NodeId(1), &have), 4);
         let _ = rm.select_requests(NodeId(1), 2, &have, SimTime::ZERO, &mut rng());
         assert_eq!(rm.useful_candidates(NodeId(1), &have), 2);
@@ -518,7 +534,7 @@ mod tests {
         let mut rm = RequestManager::new(RequestStrategy::FirstEncountered, 4);
         let have = BlockBitmap::new(4);
         rm.add_sender(NodeId(1));
-        rm.on_advertised(NodeId(1), &ids(&[2, 9]), &have);
+        rm.on_advertised(NodeId(1), ids(&[2, 9]), &have);
         let got = rm.select_requests(NodeId(1), 5, &have, SimTime::ZERO, &mut rng());
         assert_eq!(got, ids(&[2]));
     }
@@ -529,7 +545,7 @@ mod tests {
         let mut rm = RequestManager::new(RequestStrategy::RarestRandom, 4);
         let have = BlockBitmap::new(4);
         for p in 0..MAX_SENDERS as u32 {
-            rm.on_advertised(NodeId(p), &ids(&[3]), &have);
+            rm.on_advertised(NodeId(p), ids(&[3]), &have);
         }
         assert_eq!(rm.rarity[3], u8::MAX);
         // Re-registering a known sender is not a new registration.
@@ -553,7 +569,7 @@ mod tests {
         have: &BlockBitmap,
         rng: &mut StdRng,
     ) -> Vec<BlockId> {
-        let av = &rm.available[&peer];
+        let av = rm.available.get(peer).expect("a registered sender");
         let candidates = av.order.iter().copied().filter(|b| {
             av.bits.contains(*b) && !have.contains(*b) && !rm.in_flight_bits.contains(*b)
         });
@@ -598,8 +614,8 @@ mod tests {
             // Two batches, the second shuffled in, so discovery order is not
             // block order.
             let (first, second) = advertised.split_at(advertised.len() / 2);
-            rm.on_advertised(NodeId(p), second, &have);
-            rm.on_advertised(NodeId(p), first, &have);
+            rm.on_advertised(NodeId(p), second.iter().copied(), &have);
+            rm.on_advertised(NodeId(p), first.iter().copied(), &have);
         }
         for b in 0..space {
             if !have.contains(BlockId(b)) && r.gen_bool(0.1) {
@@ -613,6 +629,13 @@ mod tests {
             rm.select_requests(peer, n, &have, SimTime::ZERO, r);
         }
         (rm, have)
+    }
+
+    /// Every discovery list holds at most 4× its length in capacity.
+    fn lists_are_tight(rm: &RequestManager) -> bool {
+        rm.available
+            .values()
+            .all(|av| av.order.capacity() <= 4 * av.order.len())
     }
 
     #[test]
@@ -638,6 +661,7 @@ mod tests {
                 ref_rng.gen::<u64>(),
                 "{strategy:?}, case {case}: a different number of RNG draws"
             );
+            assert!(lists_are_tight(&rm), "{strategy:?}, case {case}: capacity");
         }
     }
 
@@ -645,7 +669,8 @@ mod tests {
     /// `count` that meets or exceeds the candidates, and one up to the default
     /// `max_outstanding` (past `STACK_PICKS`). Also the compaction
     /// post-condition: the discovery list afterwards is the old one filtered
-    /// by `advertised ∧ ¬have`, order kept, in-flight blocks included.
+    /// by `advertised ∧ ¬have`, order kept, in-flight blocks included, and
+    /// holds at most 4× its length in capacity, as every other list does.
     #[test]
     fn selection_equals_a_full_sort_when_count_covers_the_candidates_or_the_window() {
         let mut r = StdRng::seed_from_u64(0xc0_ffee);
@@ -663,7 +688,7 @@ mod tests {
                 _ => r.gen_range(STACK_PICKS..=50),
             };
 
-            let av = &rm.available[&peer];
+            let av = rm.available.get(peer).expect("a registered sender");
             let compacted: Vec<BlockId> = av
                 .order
                 .iter()
@@ -688,10 +713,35 @@ mod tests {
                 "{strategy:?}, case {case}: a different number of RNG draws"
             );
             assert_eq!(
-                rm.available[&peer].order, compacted,
+                rm.available.get(peer).expect("registered").order,
+                compacted,
                 "{strategy:?}, case {case}: compaction"
             );
+            assert!(lists_are_tight(&rm), "{strategy:?}, case {case}: capacity");
         }
+    }
+
+    /// A list that compaction leaves with more than 4× its length in
+    /// capacity shrinks to 2× its length; one left fuller keeps its capacity.
+    #[test]
+    fn a_compacted_discovery_list_gives_back_its_space() {
+        let mut rm = RequestManager::new(RequestStrategy::FirstEncountered, 128);
+        let mut have = BlockBitmap::new(128);
+        rm.on_advertised(NodeId(1), (0..128).map(BlockId), &have);
+        let mut receive_and_select = |blocks: std::ops::Range<u32>| {
+            for b in blocks.map(BlockId) {
+                have.insert(b);
+                rm.on_block_received(b);
+            }
+            rm.select_requests(NodeId(1), 1, &have, SimTime::ZERO, &mut rng());
+            let order = &rm.available.get(NodeId(1)).expect("registered").order;
+            (order.len(), order.capacity())
+        };
+        assert_eq!(receive_and_select(0..0), (128, 128));
+        assert_eq!(receive_and_select(0..100), (28, 56), "shrunk");
+        // Block 100 is in flight and stays listed.
+        assert_eq!(receive_and_select(101..111), (18, 56), "kept");
+        assert_eq!(receive_and_select(100..128), (0, 0), "emptied");
     }
 
     #[test]
@@ -713,7 +763,7 @@ mod tests {
                             .filter(|_| r.gen_bool(0.3))
                             .map(BlockId)
                             .collect();
-                        rm.on_advertised(peer, &blocks, &have);
+                        rm.on_advertised(peer, blocks, &have);
                     }
                     1 | 2 => {
                         let n = r.gen_range(0..5usize);

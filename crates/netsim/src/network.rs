@@ -215,6 +215,9 @@ struct InFlight {
 /// loops walk flat arrays instead of chasing a `HashMap` per event.
 #[derive(Debug, Clone)]
 pub struct Connection {
+    /// Blocks waiting behind the in-flight one. An idle connection holds no
+    /// buffer: it is dropped when the last block completes with nothing
+    /// queued and when the connection closes.
     queue: VecDeque<QueuedBlock>,
     inflight: Option<InFlight>,
     /// Last instant at which the in-flight block's `bytes_left` was brought
@@ -848,7 +851,9 @@ impl Network {
                 self.reprice(now, &links, Some(fid))
             }
         } else {
-            self.conns[f].idle_since = now;
+            let conn = &mut self.conns[f];
+            conn.idle_since = now;
+            conn.queue = VecDeque::new();
             // The fired event was the connection's only live one, so there is
             // nothing to cancel; the freed capacity re-prices the neighbours.
             self.mark_idle(now, fid)
@@ -870,7 +875,7 @@ impl Network {
         };
         let conn = &mut self.conns[fid as usize];
         let was_active = conn.is_active();
-        conn.queue.clear();
+        conn.queue = VecDeque::new();
         conn.inflight = None;
         if was_active {
             conn.idle_since = now;

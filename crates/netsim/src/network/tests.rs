@@ -323,6 +323,45 @@ fn closing_a_connection_cancels_and_restores_shares() {
     assert!(net.close_connection(later, NodeId(0), NodeId(2)).is_empty());
 }
 
+/// An idle connection holds no queue buffer: not once its last block has
+/// completed with nothing queued, and not once it is closed with blocks
+/// queued. Either way the next `queue_block` starts its block at once and
+/// schedules the completion.
+#[test]
+fn idle_connections_hold_no_queue_buffer() {
+    let mut net = Network::new(constrained_access(3));
+    let (a, b, c) = (NodeId(0), NodeId(1), NodeId(2));
+    let buffer = |net: &Network, to| {
+        net.connection(a, to)
+            .expect("a connection")
+            .queue
+            .capacity()
+    };
+    let mut now = SimTime::ZERO;
+    let mut updates = net.queue_block(now, a, b, BlockId(0), 16_384);
+    net.queue_block(now, a, b, BlockId(1), 16_384);
+    net.queue_block(now, a, b, BlockId(2), 16_384);
+    assert!(buffer(&net, b) > 0, "premise: blocks queued");
+    for _ in 0..3 {
+        now = sched_at(&net, &updates, a, b);
+        updates = net.on_block_done(now, a, b).expect("a block in flight").1;
+    }
+    assert_eq!(net.pending_blocks(a, b), 0);
+    assert_eq!(buffer(&net, b), 0, "drained");
+
+    net.queue_block(now, a, c, BlockId(3), 16_384);
+    net.queue_block(now, a, c, BlockId(4), 16_384);
+    assert!(buffer(&net, c) > 0, "premise: a block queued");
+    net.close_connection(now, a, c);
+    assert_eq!(buffer(&net, c), 0, "closed");
+
+    for to in [b, c] {
+        let updates = net.queue_block(now, a, to, BlockId(5), 16_384);
+        assert!(sched_at(&net, &updates, a, to) > now, "{to:?}");
+        assert_eq!(net.pending_blocks(a, to), 1, "{to:?}");
+    }
+}
+
 #[test]
 fn close_all_for_tears_down_both_directions() {
     let mut net = Network::new(constrained_access(4));

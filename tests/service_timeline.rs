@@ -5,8 +5,9 @@
 //! cohort (arrival, admit and reap instants). `samples_follow_the_cohort_timeline`
 //! is a plain function of a `ServiceReport` and the `ServiceWorkload` that
 //! produced it, returning the first disagreement rather than panicking, so a
-//! figure's claims can call it too. The tests run it on every cell of fig21
-//! and fig22 at the reduced scale the CI smoke uses.
+//! figure's claims can call it too. `littles_law_holds` reads the same two
+//! views as time averages over the measurement window. The tests run both
+//! on every cell of fig21 and fig22 at the reduced scale the CI smoke uses.
 
 use bullet_repro::bullet_bench::experiments::{fig21_cells, fig22_cells};
 use bullet_repro::bullet_bench::{CommonOpts, ServiceWorkload};
@@ -106,6 +107,74 @@ pub fn samples_follow_the_cohort_timeline(
     Ok(report.samples.len())
 }
 
+/// Checks Little's law (Little 1961, L = λW) over `cell`'s measurement
+/// window [warmup, horizon) of length T, and returns L read both ways:
+/// sampled, then from the timeline.
+///
+/// - **Sampled:** the mean of `in_flight + queued` over the samples taken in
+///   the window, one per tick.
+/// - **From the timeline:** the time average of the number of swarms in the
+///   system, ∫ N dt / T. A swarm is in the system from its arrival until it
+///   is reaped; an arrival not reaped stays up to the horizon. ∫ N dt is the
+///   sum of each swarm's stay inside the window, which is λW.
+///
+/// The tolerance comes from the tick h. A sample at t counts a swarm that
+/// arrived at or before t and is reaped after t, so a stay of length s in the
+/// window holds ⌊s/h⌋ or ⌈s/h⌉ ticks: its sampled share is within h of s.
+/// With M swarms staying in the window and K samples (K·h within h of T),
+/// the two readings differ by at most (L_sampled + M)·h / T. Most reaps
+/// fall on a tick, where a stay ends uncounted, so the sampled reading
+/// tends to sit below the other by about M·h / 2T.
+pub fn littles_law_holds(
+    cell: &ServiceWorkload,
+    report: &ServiceReport,
+) -> Result<(f64, f64), String> {
+    let (warmup, horizon) = (cell.warmup, cell.horizon);
+    let window = horizon - warmup;
+    let rng = RngFactory::new(cell.seed);
+    let arrivals = arrival_schedule(
+        &cell.arrivals,
+        SimTime::from_secs_f64(horizon),
+        report.arrivals,
+        &rng,
+    );
+    // Cohort k is the k-th arrival; a swarm not reaped leaves at the horizon.
+    let stays: Vec<f64> = arrivals
+        .iter()
+        .enumerate()
+        .map(|(k, arrival)| {
+            let reaped = report
+                .cohorts
+                .iter()
+                .find(|c| c.cohort as usize == k + 1)
+                .map_or(horizon, |c| c.reaped_secs.min(horizon));
+            reaped - arrival.as_secs_f64().max(warmup)
+        })
+        .filter(|&stay| stay > 0.0)
+        .collect();
+    let integrated = stays.iter().sum::<f64>() / window;
+    let in_window: Vec<usize> = report
+        .samples
+        .iter()
+        .filter(|s| warmup <= s.time_secs && s.time_secs < horizon)
+        .map(|s| s.in_flight + s.queued)
+        .collect();
+    if in_window.is_empty() {
+        return Err(format!("no sample in the window [{warmup}s, {horizon}s)"));
+    }
+    let sampled = in_window.iter().sum::<usize>() as f64 / in_window.len() as f64;
+    let tolerance = (sampled + stays.len() as f64) * cell.tick / window + 1e-9;
+    if (sampled - integrated).abs() > tolerance {
+        return Err(format!(
+            "L is {sampled} sampled over {} ticks but {integrated} from {} stays \
+             (tolerance {tolerance})",
+            in_window.len(),
+            stays.len()
+        ));
+    }
+    Ok((sampled, integrated))
+}
+
 /// The CI smoke's scale: 16 slots, 0.25 MiB files, a 300 s horizon.
 fn smoke() -> CommonOpts {
     CommonOpts {
@@ -126,6 +195,7 @@ fn fig21s_samples_follow_its_cohort_timeline() {
         let checked = samples_follow_the_cohort_timeline(cell, &report)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(checked > 0, "{label}: no samples");
+        littles_law_holds(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
         queued += report.samples.iter().filter(|s| s.queued > 0).count();
     }
     assert!(queued > 0, "premise: some sample has a swarm queueing");
@@ -139,6 +209,7 @@ fn fig22s_samples_follow_its_cohort_timeline() {
     let report = cell.run();
     assert_eq!(report.completed, 2, "premise: {label} reaps both swarms");
     samples_follow_the_cohort_timeline(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
+    littles_law_holds(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
 }
 
 #[test]
@@ -153,4 +224,15 @@ fn a_sample_that_disagrees_is_named() {
     let mut wrong = report.clone();
     wrong.cohorts[0].arrival_secs += 1.0;
     assert!(samples_follow_the_cohort_timeline(cell, &wrong).is_err());
+    // One swarm too many in every sample breaks Little's law. At the lowest
+    // load few swarms stay in the window, so the tolerance is well below 1.
+    let (_, cell) = &fig21_cells(&smoke())[0];
+    let report = cell.run();
+    littles_law_holds(cell, &report).expect("the run itself agrees");
+    let mut wrong = report.clone();
+    for s in &mut wrong.samples {
+        s.queued += 1;
+    }
+    let err = littles_law_holds(cell, &wrong).unwrap_err();
+    assert!(err.contains("sampled over"), "{err}");
 }
