@@ -2,7 +2,9 @@
 # CI gate for bullet-repro: the tier-1 verify from ROADMAP.md (build + test),
 # lint and docs, the golden digests on the release build, the README
 # examples, a CLI smoke, the claims of fig20 (N = 1k / 5k / 10k), fig18,
-# fig04 and fig05 (`lab sweep`) and the wall-clock contracts (tests/wall_clock.rs) on the release build.
+# fig04 and fig05 (`lab sweep`), the open system below capacity
+# (tests/service_timeline.rs) and the wall-clock contracts (tests/wall_clock.rs)
+# on the release build, and a gate that keeps the documents in the present.
 # Nothing here records performance or compares against a committed number:
 # that is the paired benchmark run (BENCHMARK.json, benchmark/). Run from the
 # repository root: ./ci.sh
@@ -13,6 +15,24 @@ set -eu
 echo "==> cargo fmt --check"
 cargo fmt --check
 
+# The documents state the present; history stays in git. docs/PERFORMANCE.md
+# is one current ledger, under 600 lines, and none of its headings names an
+# ISSUE or PR. No line of docs/, DESIGN.md, README.md or crates/ cites an
+# ISSUE or PR number, except a commit pointer (`git show <commit>:<path>`).
+echo "==> docs state the present (PERFORMANCE.md size and headings, no ISSUE or PR citations)"
+perf_lines=$(wc -l <docs/PERFORMANCE.md)
+if [ "$perf_lines" -ge 600 ] || grep -qE '^#.*(ISSUE|PR) [0-9]' docs/PERFORMANCE.md; then
+    echo "FAIL: docs/PERFORMANCE.md has $perf_lines lines (limit 599) or a heading naming an ISSUE or PR"
+    exit 1
+fi
+citations=$(grep -rnE 'ISSUE [0-9]+|PR [0-9]+' docs DESIGN.md README.md crates |
+    grep -vE 'git show [0-9a-f]{7,}:' || true)
+if [ -n "$citations" ]; then
+    printf '%s\n' "$citations"
+    echo "FAIL: the lines above cite an ISSUE or PR number; point at the present document or at a commit"
+    exit 1
+fi
+
 echo "==> cargo build --release (all targets)"
 cargo build --release --all-targets
 
@@ -21,9 +41,9 @@ cargo build --release --all-targets
 # here, not in the driver: build it, run its self-tests, and take the digests
 # of its five workloads at full scale (printed with the LoC table below).
 # Its build writes the git-ignored benchmark/target/; cargo also re-resolves
-# benchmark/Cargo.lock (it still lists dependencies bullet-lab dropped in
-# PR 13, and only a `benchmark` PR may refresh it), so the lock file is put
-# back as it was.
+# benchmark/Cargo.lock (it still lists dependencies bullet-lab has dropped,
+# and only a `benchmark` PR may refresh it), so the lock file is put back as
+# it was.
 echo "==> cargo build + test --release (benchmark harness), run.sh golden"
 cp benchmark/Cargo.lock target/benchmark-Cargo.lock.keep
 harness=0
@@ -129,6 +149,13 @@ cargo test -q --release --test protocol_conformance
 # two on threads, and each must equal the uninterrupted run.
 echo "==> snapshot/fork contract on the release build (tests/snapshot_fork.rs)"
 cargo test -q --release --test snapshot_fork
+
+# The open system below capacity (tests/service_timeline.rs): `cargo test -q`
+# checked fig21's and fig22's smoke cells on the debug build; the release
+# build adds fig21's default-scale cells below rho = 0.75, whose backlog and
+# goodput must keep up with their arrivals (ignored on a debug build).
+echo "==> open system below capacity on the release build (tests/service_timeline.rs)"
+cargo test -q --release --test service_timeline
 
 # The three README examples are built by --all-targets above; run them, so
 # one that panics or exits non-zero fails here and not for a reader.
@@ -281,8 +308,8 @@ done
 
 # LoC per crate, the series CHANGES.md continues from PR to PR: non-blank,
 # non-`//` lines before a file's first `#[cfg(test)]`. "all" counts every
-# *.rs under crates/<c>/src (ISSUE 14's rule, which takes a test-only file
-# such as netsim's network/tests.rs for production code); "prod" skips the
+# *.rs under crates/<c>/src, a test-only file such as netsim's
+# network/tests.rs included; "prod" skips the
 # files that are only reachable through a `#[cfg(test)] mod name;`.
 echo "==> code lines per crate (informational; CHANGES.md records them)"
 code_lines() {
@@ -307,6 +334,10 @@ for src in crates/*/src; do
     total_prod=$((total_prod + prod))
 done
 printf '%-18s all %6d   prod %6d\n' "total" "$total_all" "$total_prod"
+# The panic audit's count (ROADMAP item 3 (c)), in-file test modules included,
+# so each PR measures it instead of a hand count at each re-anchor.
+panic_sites=$(grep -rn 'panic!\|expect(\|unreachable!\|unwrap()' crates/*/src | wc -l)
+echo "panic sites (panic!, expect(, unreachable!, unwrap() under crates/*/src; informational): $panic_sites"
 
 # The harness's digests of its five workloads' canonical reports at the
 # default seed. benchmark/golden.json goes stale whenever a digest moves, by

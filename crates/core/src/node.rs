@@ -387,7 +387,7 @@ impl BulletPrimeNode {
             // there is no random tie-break: equal counts keep the subset's
             // order, so nodes that drew overlapping subsets ask the same
             // best-stocked peers and most of them are turned away
-            // (docs/PERFORMANCE.md, "The PeerRequest stampede").
+            // (ROADMAP.md, item 2: the PeerRequest stampede).
             candidates.sort_by_key(|e| std::cmp::Reverse(e.have_count));
             for e in candidates.into_iter().take(decision.sender_slots) {
                 let peer = e.node_id();

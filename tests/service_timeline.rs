@@ -6,13 +6,17 @@
 //! is a plain function of a `ServiceReport` and the `ServiceWorkload` that
 //! produced it, returning the first disagreement rather than panicking, so a
 //! figure's claims can call it too. `littles_law_holds` reads the same two
-//! views as time averages over the measurement window. The tests run both
-//! on every cell of fig21 and fig22 at the reduced scale the CI smoke uses.
+//! views as time averages over the measurement window, and
+//! `below_capacity_the_pool_keeps_up` compares the backlog and the goodput
+//! of a cell offered less than its capacity with what it was offered. The
+//! tests run them on every cell of fig21 and fig22 at the reduced scale the
+//! CI smoke uses (the third on the cells below ρ = 0.75), and the third
+//! again on fig21's default-scale cells below ρ = 0.75 on a release build.
 
 use bullet_repro::bullet_bench::experiments::{fig21_cells, fig22_cells};
-use bullet_repro::bullet_bench::{CommonOpts, ServiceWorkload};
+use bullet_repro::bullet_bench::{bounds, CommonOpts, ServiceWorkload};
 use bullet_repro::desim::{RngFactory, SimTime};
-use bullet_repro::netsim::{arrival_schedule, ServiceReport};
+use bullet_repro::netsim::{arrival_schedule, ArrivalGen, ServiceReport};
 
 /// Checks every per-tick sample of `report` against the cohort timeline of
 /// `cell`'s run, and returns how many samples it checked.
@@ -175,6 +179,73 @@ pub fn littles_law_holds(
     Ok((sampled, integrated))
 }
 
+/// The offered load ρ of `cell`: its arrival rate over the swarms per
+/// second its shared core can carry (`bounds::service_capacity`). A trace
+/// offers its arrivals within the horizon spread over the horizon.
+fn offered_load(cell: &ServiceWorkload) -> f64 {
+    let rate = match &cell.arrivals {
+        ArrivalGen::Poisson { rate_per_sec } => *rate_per_sec,
+        ArrivalGen::Trace(instants) => {
+            let horizon = SimTime::from_secs_f64(cell.horizon);
+            instants.iter().filter(|&&t| t < horizon).count() as f64 / cell.horizon
+        }
+    };
+    rate / bounds::service_capacity(cell)
+}
+
+/// Checks that a pool offered less than its capacity keeps up with its
+/// arrivals, and returns the goodput it expected, bits per second.
+///
+/// - **Backlog:** at the horizon at most one swarm per segment is queueing
+///   (`queued_at_end` ≤ `pool / segment_slots`).
+/// - **Goodput:** with n arrivals over a horizon H, the pool carries what
+///   arrived: ĝ = (n / H) × E[(size − 1) × file] × 8, the useful bits a
+///   swarm delivers on average times the realised arrival rate. Cohort and
+///   file sizes are drawn independently and uniformly, so the expectation is
+///   the product of the means. `sustained_goodput_bps` must lie within
+///   ĝ × 2.5 / √n of ĝ, and be 0 when nothing arrived.
+///
+/// The band is relative and shrinks as 1/√n because both sources of error
+/// are sampling: each swarm's useful bytes are drawn, and the arrivals
+/// inside the measurement window are a share of the n. It was measured
+/// before it was written: over seeds 1–20 and 20050410, on the 147 cells of
+/// fig21 below ρ = 0.75 at the smoke scale (84, ρ ≤ 0.025, 0–53 arrivals)
+/// and at the default scale (63: loads 16, 32 and 64, ρ ≤ 0.50, 22–123
+/// arrivals), |goodput / ĝ − 1| × √n was at most 1.84 (smoke, seed 2, load
+/// 64: 0.334 Mbps against 0.241 from 23 arrivals) and otherwise at most
+/// 1.22. At the default seed, load 64 reads 6.92 Mbps against 7.20 (0.39).
+pub fn below_capacity_the_pool_keeps_up(
+    cell: &ServiceWorkload,
+    report: &ServiceReport,
+) -> Result<f64, String> {
+    let segments = cell.pool / cell.segment_slots;
+    if report.queued_at_end > segments {
+        return Err(format!(
+            "{} swarms queue at the horizon, more than the {segments} segments",
+            report.queued_at_end
+        ));
+    }
+    let mean = |lo: f64, hi: f64| (lo + hi) / 2.0;
+    let useful_bytes = (mean(cell.sizes.0 as f64, cell.sizes.1 as f64) - 1.0)
+        * mean(cell.files.0 as f64, cell.files.1 as f64);
+    let arrivals = report.arrivals as f64;
+    let expected = arrivals / cell.horizon * useful_bytes * 8.0;
+    let band = if report.arrivals == 0 {
+        0.0
+    } else {
+        expected * 2.5 / arrivals.sqrt()
+    };
+    let goodput = report.sustained_goodput_bps;
+    if (goodput - expected).abs() > band {
+        return Err(format!(
+            "sustained goodput {goodput} bit/s, but {} arrivals over {} s carry \
+             {expected} bit/s (band ±{band})",
+            report.arrivals, cell.horizon
+        ));
+    }
+    Ok(expected)
+}
+
 /// The CI smoke's scale: 16 slots, 0.25 MiB files, a 300 s horizon.
 fn smoke() -> CommonOpts {
     CommonOpts {
@@ -189,16 +260,22 @@ fn smoke() -> CommonOpts {
 fn fig21s_samples_follow_its_cohort_timeline() {
     let cells = fig21_cells(&smoke());
     assert_eq!(cells.len(), 4);
-    let mut queued = 0;
+    let (mut queued, mut below_capacity) = (0, 0);
     for (label, cell) in &cells {
         let report = cell.run();
         let checked = samples_follow_the_cohort_timeline(cell, &report)
             .unwrap_or_else(|e| panic!("{label}: {e}"));
         assert!(checked > 0, "{label}: no samples");
         littles_law_holds(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
+        if offered_load(cell) < 0.75 {
+            below_capacity_the_pool_keeps_up(cell, &report)
+                .unwrap_or_else(|e| panic!("{label}: {e}"));
+            below_capacity += 1;
+        }
         queued += report.samples.iter().filter(|s| s.queued > 0).count();
     }
     assert!(queued > 0, "premise: some sample has a swarm queueing");
+    assert!(below_capacity > 0, "premise: some cell is below ρ = 0.75");
 }
 
 #[test]
@@ -210,6 +287,34 @@ fn fig22s_samples_follow_its_cohort_timeline() {
     assert_eq!(report.completed, 2, "premise: {label} reaps both swarms");
     samples_follow_the_cohort_timeline(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
     littles_law_holds(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
+    if offered_load(cell) < 0.75 {
+        below_capacity_the_pool_keeps_up(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
+}
+
+/// fig21 at its default scale (48 slots, 1–2 MiB files, 1,800 s): the
+/// cells below ρ = 0.75, loads 16, 32 and 64 at ρ ≈ 0.13, 0.25 and 0.50,
+/// keep up with their arrivals. A few seconds on a release build.
+#[test]
+#[cfg_attr(
+    debug_assertions,
+    ignore = "default-scale service runs: run with --release"
+)]
+fn fig21s_default_cells_below_capacity_keep_up() {
+    let cells = fig21_cells(&CommonOpts::default());
+    let below: Vec<_> = cells
+        .iter()
+        .filter(|(_, c)| offered_load(c) < 0.75)
+        .collect();
+    assert_eq!(
+        below.len(),
+        3,
+        "premise: three of fig21's loads are below ρ = 0.75"
+    );
+    for (label, cell) in below {
+        let report = cell.run();
+        below_capacity_the_pool_keeps_up(cell, &report).unwrap_or_else(|e| panic!("{label}: {e}"));
+    }
 }
 
 #[test]
@@ -235,4 +340,17 @@ fn a_sample_that_disagrees_is_named() {
     }
     let err = littles_law_holds(cell, &wrong).unwrap_err();
     assert!(err.contains("sampled over"), "{err}");
+    // A backlog beyond one swarm per segment, and a pool that carried a
+    // third of what arrived, are both named.
+    below_capacity_the_pool_keeps_up(cell, &report).expect("the run itself keeps up");
+    let mut wrong = report.clone();
+    wrong.queued_at_end = cell.pool / cell.segment_slots + 1;
+    let err = below_capacity_the_pool_keeps_up(cell, &wrong).unwrap_err();
+    assert!(err.contains("queue at the horizon"), "{err}");
+    let (_, cell) = &fig21_cells(&smoke())[3];
+    let report = cell.run();
+    let mut wrong = report.clone();
+    wrong.sustained_goodput_bps /= 3.0;
+    let err = below_capacity_the_pool_keeps_up(cell, &wrong).unwrap_err();
+    assert!(err.contains("arrivals over"), "{err}");
 }
