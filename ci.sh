@@ -129,15 +129,20 @@ echo "==> baselines tests and the request-selection reference on the release bui
 cargo test -q --release -p baselines
 # Bullet′'s own tests on the release build too: the two selection oracles
 # (partial selection against a full sort, each discovery list's capacity at
-# most 4x its length) and the peer map against its BTreeMap reference run on
-# the build the benchmark measures.
-echo "==> bullet-prime tests (selection oracles, peer-map reference) on the release build"
+# most 4x its length), the rarity recount (after every random step, each
+# block's rarity equals the number of sender records offering it, beside
+# each sender's outstanding count against a scan of the requests in flight)
+# and the peer map against its BTreeMap reference run on the build the
+# benchmark measures.
+echo "==> bullet-prime tests (selection oracles, rarity recount, peer-map reference) on the release build"
 cargo test -q --release -p bullet-prime
 
 # The four systems' churn contract, read off their traces
 # (tests/protocol_conformance.rs): one crash and one graceful leave, then no
 # message or block may reach a departed node, survivors' timers keep firing
-# and the farewells of Bullet' and Bullet arrive. `cargo test -q` checked it on the debug
+# and the farewells of Bullet' and Bullet arrive. Departure frees the
+# departed node's flow rows, so at the end no connection joins it to a
+# survivor in either direction. `cargo test -q` checked it on the debug
 # build; this is the build the benchmark measures.
 echo "==> departure invariant of the four systems on the release build (tests/protocol_conformance.rs)"
 cargo test -q --release --test protocol_conformance

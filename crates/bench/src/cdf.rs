@@ -7,6 +7,7 @@
 //! (median/percentile improvements, slowest-node speed-ups), and printing
 //! figures as aligned text tables or JSON for external plotting.
 
+use netsim::probe::quantile_index;
 use serde::{Serialize, Value};
 
 /// One labelled curve of a figure.
@@ -90,9 +91,7 @@ impl Series {
         if self.points.is_empty() {
             return f64::NAN;
         }
-        let idx =
-            ((self.points.len() as f64 * fraction).ceil() as usize).clamp(1, self.points.len()) - 1;
-        self.points[idx].0
+        self.points[quantile_index(self.points.len(), fraction)].0
     }
 }
 

@@ -33,7 +33,7 @@ pub const ALPHA: f64 = 0.4;
 pub const BETA: f64 = 0.226;
 
 /// Per-sender controller for the number of outstanding block requests.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OutstandingController {
     policy: OutstandingPolicy,
     /// Current (real-valued) desired number of outstanding blocks.

@@ -11,8 +11,10 @@
 //! * the **peering strategy** ([`peering`]) uses those subsets to maintain an
 //!   adaptively sized set of senders and receivers, trimming peers whose
 //!   bandwidth falls 1.5σ below the mean (§3.3.1, Fig 2);
-//! * the **request strategy** ([`request`]) orders block requests
-//!   rarest-random to maximise block diversity (§3.3.2);
+//! * the **request manager** ([`request`]) keeps one record per sender —
+//!   its offer, the requests outstanding to it, its window and rate — and
+//!   orders block requests rarest-random to maximise block diversity
+//!   (§3.3.2);
 //! * the **flow controller** ([`flow`]) adapts the per-sender number of
 //!   outstanding requests with an XCP-style control loop targeting one block
 //!   queued ahead of the socket buffer (§3.3.3, Fig 3);

@@ -15,13 +15,11 @@ use desim::SimTime;
 use dissem_codec::{BlockBitmap, BlockId};
 use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol};
 use overlay::{ControlTree, NodeSummary, RanSubAgent, RanSubEmit, Sample};
-use rand::rngs::StdRng;
 
 use crate::config::{self, Config};
-use crate::flow::OutstandingController;
 use crate::messages::Msg;
 use crate::peer_map::PeerMap;
-use crate::peering::{PeerManager, ReceiverObservation, SenderObservation};
+use crate::peering::{PeerManager, ReceiverObservation};
 use crate::request::RequestManager;
 
 /// Bullet′'s timer vocabulary.
@@ -40,47 +38,6 @@ pub enum Role {
     Source,
     /// A downloading participant.
     Receiver,
-}
-
-/// Receiver-side state about one of our senders.
-#[derive(Debug, Clone)]
-struct SenderState {
-    ctl: OutstandingController,
-    /// Bytes received from this sender since the last RanSub epoch.
-    bytes_since_epoch: u64,
-    /// Exponentially weighted delivery-rate estimate (bytes/second).
-    ewma_rate: f64,
-    last_arrival: Option<SimTime>,
-    /// True if we already asked for a diff and have not received one since.
-    diff_requested: bool,
-}
-
-impl SenderState {
-    fn new(cfg: &Config) -> Self {
-        SenderState {
-            ctl: OutstandingController::new(
-                cfg.outstanding_policy,
-                config::INITIAL_OUTSTANDING,
-                config::MAX_OUTSTANDING,
-            ),
-            bytes_since_epoch: 0,
-            ewma_rate: 1_000.0,
-            last_arrival: None,
-            diff_requested: false,
-        }
-    }
-
-    fn observe_arrival(&mut self, now: SimTime, bytes: u64) {
-        if let Some(last) = self.last_arrival {
-            let dt = (now - last).as_secs_f64();
-            if dt > 1e-6 {
-                let inst = bytes as f64 / dt;
-                self.ewma_rate = 0.7 * self.ewma_rate + 0.3 * inst;
-            }
-        }
-        self.last_arrival = Some(now);
-        self.bytes_since_epoch += bytes;
-    }
 }
 
 /// Sender-side state about one of our receivers.
@@ -165,9 +122,10 @@ pub struct BulletPrimeNode {
     completion_target: u32,
     block_space: u32,
 
-    senders: PeerMap<SenderState>,
     receivers: PeerMap<ReceiverState>,
     pending_peer_requests: BTreeSet<NodeId>,
+    /// The senders, one record each: what they offer, what is outstanding
+    /// to them and their windows and rates.
     requester: RequestManager,
     peer_mgr: PeerManager,
     source: Option<SourceState>,
@@ -203,10 +161,13 @@ impl BulletPrimeNode {
             arrivals: ArrivalLog::default(),
             completion_target: cfg.completion_target(),
             block_space,
-            senders: PeerMap::new(),
             receivers: PeerMap::new(),
             pending_peer_requests: BTreeSet::new(),
-            requester: RequestManager::new(cfg.request_strategy, block_space),
+            requester: RequestManager::new(
+                cfg.request_strategy,
+                cfg.outstanding_policy,
+                block_space,
+            ),
             peer_mgr: PeerManager::new(
                 cfg.peer_policy,
                 config::INITIAL_PEERS,
@@ -238,10 +199,6 @@ impl BulletPrimeNode {
     /// Number of distinct blocks currently held.
     pub fn blocks_held(&self) -> u32 {
         self.have.count()
-    }
-
-    fn total_incoming_rate(&self) -> f64 {
-        self.senders.values().map(|s| s.ewma_rate).sum()
     }
 
     /// True for the source from the start: it holds every block.
@@ -335,20 +292,14 @@ impl BulletPrimeNode {
         let elapsed = (now - self.epoch_started_at).as_secs_f64().max(1e-3);
         self.epoch_started_at = now;
 
-        let sender_obs: Vec<SenderObservation> = self
-            .senders
-            .iter()
-            .map(|(peer, s)| SenderObservation {
-                peer,
-                bandwidth: s.bytes_since_epoch as f64 / elapsed,
-            })
-            .collect();
+        // The epoch's observations; its counters start again from zero.
+        let sender_obs = self.requester.end_epoch(elapsed);
         let receiver_obs: Vec<ReceiverObservation> = self
             .receivers
-            .iter()
+            .iter_mut()
             .map(|(peer, r)| ReceiverObservation {
                 peer,
-                bandwidth: r.bytes_since_epoch as f64 / elapsed,
+                bandwidth: std::mem::take(&mut r.bytes_since_epoch) as f64 / elapsed,
                 their_total_incoming: r.their_incoming_bw,
             })
             .collect();
@@ -362,14 +313,6 @@ impl BulletPrimeNode {
             self.drop_receiver(ctx, peer, true);
         }
 
-        // Reset epoch counters.
-        for s in self.senders.values_mut() {
-            s.bytes_since_epoch = 0;
-        }
-        for r in self.receivers.values_mut() {
-            r.bytes_since_epoch = 0;
-        }
-
         // Try to acquire new senders from the delivered subset.
         if !self.is_download_complete() {
             let mut candidates: Vec<&NodeSummary> = sample
@@ -378,7 +321,7 @@ impl BulletPrimeNode {
                 .filter(|e| {
                     e.node != self.id.0
                         && ctx.peer_active(e.node_id())
-                        && !self.senders.contains_key(e.node_id())
+                        && !self.requester.is_sender(e.node_id())
                         && !self.pending_peer_requests.contains(&e.node_id())
                         && (e.has_everything || e.have_count > 0)
                 })
@@ -417,11 +360,8 @@ impl BulletPrimeNode {
     }
 
     fn drop_sender(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, notify: bool) {
-        if self.senders.remove(peer).is_some() {
-            self.requester.remove_sender(peer);
-            if notify {
-                ctx.send(peer, Msg::PeerClose);
-            }
+        if self.requester.remove_sender(peer) && notify {
+            ctx.send(peer, Msg::PeerClose);
         }
     }
 
@@ -444,15 +384,12 @@ impl BulletPrimeNode {
 
     fn add_sender(&mut self, ctx: &mut Ctx<'_, Self>, peer: NodeId, available: &BlockBitmap) {
         self.pending_peer_requests.remove(&peer);
-        if self.senders.contains_key(peer) {
-            return;
+        if self
+            .requester
+            .add_sender(peer, available.iter(), &self.have)
+        {
+            self.issue_requests(ctx, peer);
         }
-        self.senders
-            .get_or_insert_with(peer, || SenderState::new(&self.cfg));
-        self.requester.add_sender(peer);
-        self.requester
-            .on_advertised(peer, available.iter(), &self.have);
-        self.issue_requests(ctx, peer);
     }
 
     // ------------------------------------------------------------------
@@ -463,39 +400,13 @@ impl BulletPrimeNode {
         if self.is_download_complete() {
             return;
         }
-        let Some(sender) = self.senders.get_mut(peer) else {
-            return;
-        };
-        let window = sender.ctl.window() as usize;
-        let outstanding = self.requester.outstanding_to(peer);
-        if outstanding >= window {
-            return;
-        }
-        let want = window - outstanding;
         let now = ctx.now();
-        let blocks = {
-            let rng: &mut StdRng = ctx.rng();
-            self.requester
-                .select_requests(peer, want, &self.have, now, rng)
-        };
-        if blocks.is_empty() {
-            // Nothing left to ask this sender for: request a diff once.
-            if self.requester.useful_candidates(peer, &self.have) == 0 && !sender.diff_requested {
-                sender.diff_requested = true;
-                ctx.send(peer, Msg::DiffRequest);
-            }
-            return;
+        if let Some(msg) = self
+            .requester
+            .next_request(peer, &self.have, now, ctx.rng())
+        {
+            ctx.send(peer, msg);
         }
-        if sender.ctl.wants_mark() {
-            sender.ctl.note_requested(blocks[0]);
-        }
-        ctx.send(
-            peer,
-            Msg::BlockRequest {
-                blocks,
-                incoming_bw: self.total_incoming_rate() as u64,
-            },
-        );
     }
 
     // ------------------------------------------------------------------
@@ -624,9 +535,7 @@ impl Protocol for BulletPrimeNode {
                 self.ransub.add_child(from);
             }
             Msg::Diff { blocks } => {
-                if let Some(s) = self.senders.get_mut(from) {
-                    s.diff_requested = false;
-                    self.requester.on_advertised(from, blocks, &self.have);
+                if self.requester.on_advertised(from, blocks, &self.have) {
                     self.issue_requests(ctx, from);
                 }
             }
@@ -657,27 +566,13 @@ impl Protocol for BulletPrimeNode {
         let block = receipt.block;
         let duplicate = self.have.contains(block);
         self.stats.record_arrival(receipt.bytes, duplicate);
-        self.requester.on_block_received(block);
+        // Request bookkeeping, and the sender's accounting and flow control.
+        let block_size = f64::from(self.cfg.file.block_bytes);
+        self.requester
+            .on_block_received(from, &receipt, ctx.now(), block_size);
 
         if !duplicate {
             self.have.insert(block);
-        }
-
-        // Per-sender accounting and flow control.
-        let outstanding = self.requester.outstanding_to(from) as u32;
-        if let Some(s) = self.senders.get_mut(from) {
-            s.observe_arrival(ctx.now(), receipt.bytes);
-            s.ctl.on_block_received(
-                block,
-                receipt.in_front,
-                receipt.wasted,
-                s.ewma_rate,
-                f64::from(self.cfg.file.block_bytes),
-                outstanding,
-            );
-        }
-
-        if !duplicate {
             self.propagate_availability(ctx, block);
         }
 
@@ -712,13 +607,12 @@ impl Protocol for BulletPrimeNode {
             self.ransub.set_parent(Some(self.root));
             ctx.send(self.root, Msg::TreeAttach);
         }
-        let was_sender = self.senders.contains_key(peer);
-        self.drop_sender(ctx, peer, false);
+        let was_sender = self.requester.remove_sender(peer);
         self.drop_receiver(ctx, peer, false);
         if was_sender {
             // Requests outstanding to the failed sender were just released;
             // re-pipeline them towards the survivors right away.
-            let senders: Vec<NodeId> = self.senders.keys().collect();
+            let senders: Vec<NodeId> = self.requester.senders().collect();
             for s in senders {
                 self.issue_requests(ctx, s);
             }
@@ -729,7 +623,11 @@ impl Protocol for BulletPrimeNode {
     fn on_shutdown(&mut self, ctx: &mut Ctx<'_, Self>) {
         // Graceful goodbye: tell both sides of every peering so they re-peer
         // without waiting for a timeout.
-        let peers: BTreeSet<NodeId> = self.senders.keys().chain(self.receivers.keys()).collect();
+        let peers: BTreeSet<NodeId> = self
+            .requester
+            .senders()
+            .chain(self.receivers.keys())
+            .collect();
         ctx.send_to_many(peers, &Msg::PeerClose);
     }
 
@@ -760,18 +658,11 @@ impl Protocol for BulletPrimeNode {
             Timer::Housekeeping => {
                 // Release requests stuck behind a stalled sender so the blocks
                 // become requestable elsewhere.
-                let released = self
-                    .requester
+                self.requester
                     .release_stale(ctx.now(), config::REQUEST_TIMEOUT);
-                let stalled: BTreeSet<NodeId> = released.iter().map(|(p, _)| *p).collect();
-                for peer in stalled {
-                    if let Some(s) = self.senders.get_mut(peer) {
-                        s.ctl.clear_mark();
-                    }
-                }
                 // Refresh the request pipeline towards every sender and flush
                 // any diffs whose receivers have gone idle.
-                let senders: Vec<NodeId> = self.senders.keys().collect();
+                let senders: Vec<NodeId> = self.requester.senders().collect();
                 for peer in senders {
                     self.issue_requests(ctx, peer);
                 }
@@ -793,7 +684,7 @@ impl Protocol for BulletPrimeNode {
 
     fn probe_stats(&self) -> ProbeStats {
         ProbeStats {
-            senders: self.senders.len(),
+            senders: self.requester.sender_count(),
             receivers: self.receivers.len(),
             ..self.stats
         }
@@ -805,6 +696,7 @@ mod tests {
     use super::*;
     use desim::RngFactory;
     use dissem_codec::FileSpec;
+    use rand::rngs::StdRng;
     use std::collections::BTreeMap;
 
     fn small_config() -> Config {
@@ -1011,16 +903,12 @@ mod tests {
             let mut ctx = Ctx::new(me, now, &net, &[true; 4], &mut rng, &mut commands);
             node.on_control(&mut ctx, sender, accept);
 
-            let window = node.senders.get(sender).expect("added").ctl.window() as usize;
-            reference.add_sender(sender);
-            reference.on_advertised(sender, list, &node.have);
-            let want = reference.select_requests(
-                sender,
-                window,
-                &node.have,
-                now,
-                &mut StdRng::seed_from_u64(seed),
-            );
+            assert!(reference.add_sender(sender, list, &node.have));
+            let mut rng = StdRng::seed_from_u64(seed);
+            let want = match reference.next_request(sender, &node.have, now, &mut rng) {
+                Some(Msg::BlockRequest { blocks, .. }) => blocks,
+                _ => Vec::new(),
+            };
             assert_eq!(node.requester, reference, "case {case}: request state");
             let requested: Vec<&Vec<BlockId>> = commands
                 .iter()
@@ -1192,11 +1080,10 @@ mod tests {
         use rand::SeedableRng;
 
         let tree = ControlTree::random(6, 2, &RngFactory::new(6));
-        let cfg = small_config();
-        let mut node = BulletPrimeNode::new(NodeId(1), &tree, cfg.clone());
+        let mut node = BulletPrimeNode::new(NodeId(1), &tree, small_config());
         for sender in [2, 3] {
-            node.senders
-                .get_or_insert_with(NodeId(sender), || SenderState::new(&cfg));
+            let none = std::iter::empty();
+            node.requester.add_sender(NodeId(sender), none, &node.have);
         }
         for receiver in [3, 5] {
             node.receivers

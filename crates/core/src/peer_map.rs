@@ -34,7 +34,7 @@ impl<V> PeerMap<V> {
     }
 
     pub(crate) fn contains_key(&self, peer: NodeId) -> bool {
-        self.find(peer).is_ok()
+        self.get(peer).is_some()
     }
 
     pub(crate) fn get(&self, peer: NodeId) -> Option<&V> {
@@ -75,15 +75,11 @@ impl<V> PeerMap<V> {
     }
 
     pub(crate) fn keys(&self) -> impl Iterator<Item = NodeId> + '_ {
-        self.entries.iter().map(|&(p, _)| p)
+        self.iter().map(|(p, _)| p)
     }
 
     pub(crate) fn values(&self) -> impl Iterator<Item = &V> {
-        self.entries.iter().map(|(_, v)| v)
-    }
-
-    pub(crate) fn values_mut(&mut self) -> impl Iterator<Item = &mut V> {
-        self.entries.iter_mut().map(|(_, v)| v)
+        self.iter().map(|(_, v)| v)
     }
 }
 
@@ -119,7 +115,7 @@ mod tests {
                         }
                     }
                     _ => {
-                        map.values_mut().for_each(|v| *v = v.wrapping_add(1));
+                        map.iter_mut().for_each(|(_, v)| *v = v.wrapping_add(1));
                         reference.values_mut().for_each(|v| *v = v.wrapping_add(1));
                     }
                 }

@@ -887,17 +887,6 @@ impl Network {
         }
     }
 
-    /// Tears down every connection that touches `node` in either direction
-    /// (used when a node leaves or crashes). Returns the aggregated
-    /// completion-event updates.
-    pub fn close_all_for(&mut self, now: SimTime, node: NodeId) -> Vec<ConnUpdate> {
-        let mut updates = Vec::new();
-        for (a, b) in self.pairs_touching(node) {
-            updates.extend(self.close_connection(now, a, b));
-        }
-        updates
-    }
-
     /// The live ordered pairs with `node` at either end, in `(from, to)`
     /// order: the flow map's own order must not reach the caller.
     fn pairs_touching(&self, node: NodeId) -> Vec<(NodeId, NodeId)> {
@@ -911,13 +900,12 @@ impl Network {
         keys
     }
 
-    /// Tears down every connection touching `node` **and releases the flow
-    /// rows** back to the free list, so a retired swarm leaves no residue in
-    /// the dense flow table. This is the service-mode teardown path: unlike
-    /// [`Network::close_all_for`] (a churn event, after which the pair may
-    /// resume), a released pair's next exchange gets a brand-new connection
-    /// with fresh slow-start state. Returns the aggregated completion-event
-    /// updates.
+    /// Tears down every connection touching `node` in either direction
+    /// **and releases the flow rows** back to the free list, so a node that
+    /// departs (leaves, crashes or retires with its swarm) leaves no residue
+    /// in the dense flow table. A released pair's next exchange gets a
+    /// brand-new connection with fresh slow-start state. Returns the
+    /// aggregated completion-event updates.
     pub fn release_flows_for(&mut self, now: SimTime, node: NodeId) -> Vec<ConnUpdate> {
         let mut updates = Vec::new();
         for (a, b) in self.pairs_touching(node) {

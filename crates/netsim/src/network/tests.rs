@@ -363,14 +363,14 @@ fn idle_connections_hold_no_queue_buffer() {
 }
 
 #[test]
-fn close_all_for_tears_down_both_directions() {
+fn release_flows_for_tears_down_both_directions() {
     let mut net = Network::new(constrained_access(4));
     let t0 = SimTime::ZERO;
     net.queue_block(t0, NodeId(1), NodeId(0), BlockId(0), 500_000);
     net.queue_block(t0, NodeId(1), NodeId(2), BlockId(1), 500_000);
     net.queue_block(t0, NodeId(3), NodeId(1), BlockId(2), 500_000);
     net.queue_block(t0, NodeId(0), NodeId(2), BlockId(3), 500_000);
-    let updates = net.close_all_for(SimTime::from_secs_f64(0.5), NodeId(1));
+    let updates = net.release_flows_for(SimTime::from_secs_f64(0.5), NodeId(1));
     let cancels: Vec<_> = updates
         .iter()
         .filter(|u| matches!(u, ConnUpdate::Cancel { .. }))
@@ -383,7 +383,10 @@ fn close_all_for_tears_down_both_directions() {
     assert_eq!(net.pending_blocks(NodeId(1), NodeId(0)), 0);
     assert_eq!(net.pending_blocks(NodeId(1), NodeId(2)), 0);
     assert_eq!(net.pending_blocks(NodeId(3), NodeId(1)), 0);
-    // Unrelated connections keep flowing.
+    // Their rows are released; unrelated connections keep flowing.
+    assert!(net.connection(NodeId(1), NodeId(0)).is_none());
+    assert!(net.connection(NodeId(3), NodeId(1)).is_none());
+    assert_eq!(net.live_flows(), 1);
     assert_eq!(net.pending_blocks(NodeId(0), NodeId(2)), 1);
 }
 

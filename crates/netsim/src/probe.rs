@@ -154,7 +154,8 @@ impl TimeSeries {
 
 /// Index of the `q`-quantile in a sorted slice of `len > 0` items: the
 /// smallest rank that covers a fraction `q` of them (ceiling convention).
-pub(crate) fn quantile_index(len: usize, q: f64) -> usize {
+/// Every quantile the workspace reports uses this rule.
+pub fn quantile_index(len: usize, q: f64) -> usize {
     ((len as f64 * q).ceil() as usize).clamp(1, len) - 1
 }
 

@@ -986,15 +986,16 @@ impl<P: Protocol> Runner<P> {
         }
     }
 
-    /// Removes `node` from the experiment: tears down its connections,
-    /// exempts it from the stop condition and notifies the survivors.
+    /// Removes `node` from the experiment: tears down its connections and
+    /// releases their flow rows, exempts it from the stop condition and
+    /// notifies the survivors.
     fn depart(&mut self, node: NodeId) {
         let now = self.run.sim.now();
         let idx = node.index();
         self.run.active[idx] = false;
         self.run.departed[idx] = true;
         self.exempt_from_completion(node);
-        let updates = self.run.net.close_all_for(now, node);
+        let updates = self.run.net.release_flows_for(now, node);
         self.apply_conn_updates(updates);
         // Deterministic notification order: ascending node index.
         for i in 0..self.run.nodes.len() {

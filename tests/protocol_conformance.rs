@@ -3,7 +3,8 @@
 //! Each system runs on one 10-node ModelNet mesh, built and observed the way
 //! every closed run is (`Workload::runner` with a `RingSink` installed), while
 //! node 2 crashes at 6 s and node 4 leaves gracefully at 12 s. The checks read
-//! nothing but the ring's records and the run report:
+//! nothing but the ring's records, the run report and, for (e), the
+//! runner's network:
 //!
 //! - (a) every survivor's re-armed timers keep firing: at least two `timer`
 //!   records each;
@@ -14,7 +15,9 @@
 //!   with fixed parameters: a `peer_close` from the leaver reaches a survivor
 //!   at or after the leave;
 //! - (d) the run outlives the leave, and Bullet′, Bullet and BitTorrent still
-//!   complete every survivor.
+//!   complete every survivor;
+//! - (e) at the end no connection joins a departed node and a survivor, in
+//!   either direction: departure released their flow rows.
 //!
 //! The runner's own side of the contract (`on_init` once, `on_peer_failed` to
 //! every survivor, `on_shutdown` on the leaver only) is pinned by `netsim`'s
@@ -58,8 +61,8 @@ fn survivors() -> impl Iterator<Item = u32> {
     (0..NODES).filter(|&n| n != CRASH && n != LEAVE)
 }
 
-/// Crashes node 2 and retires node 4 on a runner `workload()` built with
-/// `ring()`, runs it, and returns the report and every record.
+/// Crashes node 2 and makes node 4 leave on a runner `workload()` built with
+/// `ring()`, runs it, checks (e), and returns the report and every record.
 fn churn<P: Protocol>(label: &str, mut runner: Runner<P>) -> (RunReport, Vec<TraceRecord>) {
     let (crash_at, leave_at) = (
         SimTime::from_secs_f64(CRASH_AT),
@@ -73,6 +76,17 @@ fn churn<P: Protocol>(label: &str, mut runner: Runner<P>) -> (RunReport, Vec<Tra
         "{label}: the run ended at {:?}, before the scripted leave",
         report.end_time
     );
+    for departed in [CRASH, LEAVE].map(NodeId) {
+        for survivor in survivors().map(NodeId) {
+            let net = runner.network();
+            assert!(
+                net.connection(survivor, departed).is_none()
+                    && net.connection(departed, survivor).is_none(),
+                "{label}: a connection between survivor {survivor:?} and departed \
+                 {departed:?} outlived the departure"
+            );
+        }
+    }
     let ring = runner
         .take_trace_sink::<RingSink>()
         .expect("a ring went in");
