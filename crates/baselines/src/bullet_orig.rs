@@ -36,7 +36,9 @@ pub const BULLET_PEERS: usize = 10;
 /// Fixed per-sender outstanding window in original Bullet.
 pub const BULLET_OUTSTANDING: u32 = 5;
 
-/// Configuration for an original-Bullet deployment.
+/// Configuration for an original-Bullet deployment: Bullet′'s [`Config`]
+/// with a fixed peer set and window, random request order, an encoded
+/// stream and lazy diffs (which also put housekeeping on the RanSub period).
 pub fn bullet_config(file: FileSpec) -> Config {
     let mut cfg = Config::new(file);
     cfg.peer_policy = PeerSetPolicy::Fixed(BULLET_PEERS);
@@ -46,10 +48,10 @@ pub fn bullet_config(file: FileSpec) -> Config {
         epsilon: ASSUMED_ENCODING_OVERHEAD,
     };
     // Original Bullet exchanged availability summaries periodically (every
-    // RanSub epoch) rather than with Bullet's self-clocking incremental
-    // diffs, so receivers often act on stale information.
+    // RanSub epoch, the housekeeping period lazy diffs run at) rather than
+    // with Bullet's self-clocking incremental diffs, so receivers often act
+    // on stale information.
     cfg.lazy_diffs = true;
-    cfg.housekeeping_period = desim::SimDuration::from_secs(5);
     cfg
 }
 
@@ -89,6 +91,11 @@ mod tests {
         assert_eq!(cfg.outstanding_policy, OutstandingPolicy::Fixed(5));
         assert_eq!(cfg.request_strategy, RequestStrategy::Random);
         assert!(matches!(cfg.transfer_mode, TransferMode::Encoded { .. }));
+        assert!(cfg.lazy_diffs);
+        assert_eq!(
+            cfg.housekeeping_period(),
+            bullet_prime::config::RANSUB_PERIOD
+        );
     }
 
     #[test]

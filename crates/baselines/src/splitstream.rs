@@ -1,6 +1,6 @@
 //! A SplitStream-like baseline (paper §5, compared in Figs 4, 5, 14).
 //!
-//! SplitStream splits the content into `k` stripes and pushes each stripe
+//! SplitStream splits the content into [`STRIPES`] stripes and pushes each stripe
 //! down its own tree; the forest is built so that every node is an interior
 //! node in (at most) one tree, spreading the forwarding load. The property
 //! the paper leans on is structural: a slow or lossy link high up in one
@@ -19,7 +19,7 @@ use rand::seq::SliceRandom;
 use crate::ASSUMED_ENCODING_OVERHEAD;
 
 /// Number of stripes (and stripe trees).
-pub const DEFAULT_STRIPES: usize = 8;
+pub const STRIPES: usize = 8;
 /// Interior fan-out of each stripe tree.
 pub const STRIPE_FANOUT: usize = 4;
 /// Blocks kept in flight towards each child per stripe.
@@ -49,35 +49,34 @@ impl WireSize for SsMsg {
     }
 }
 
-/// The stripe forest: for every stripe, each node's children. Built once per
-/// swarm; a node is handed its own child lists and keeps nothing else of it.
+/// The stripe forest: for each of the [`STRIPES`] stripes, each node's
+/// children. Built once per swarm; a node is handed its own child lists and
+/// keeps nothing else of it.
 #[derive(Debug)]
 pub struct StripeForest {
     /// `children[stripe][node]` — the node's children in that stripe's tree.
     children: Vec<Vec<Vec<NodeId>>>,
-    stripes: usize,
 }
 
 impl StripeForest {
-    /// Builds a forest of `stripes` trees over `n` nodes rooted at node 0.
+    /// Builds a forest of [`STRIPES`] trees over `n` nodes rooted at node 0.
     ///
     /// Interior nodes of stripe `s` are (preferentially) the nodes whose index
     /// is congruent to `s` modulo the stripe count, which yields the
     /// interior-node-disjointness SplitStream aims for; remaining nodes attach
     /// as leaves.
-    pub fn build(n: usize, stripes: usize, rng: &desim::RngFactory) -> Self {
+    pub fn build(n: usize, rng: &desim::RngFactory) -> Self {
         assert!(n >= 2, "need at least a source and one receiver");
-        assert!(stripes >= 1);
         let mut rng = rng.stream("splitstream.forest");
-        let mut children = vec![vec![Vec::new(); n]; stripes];
+        let mut children = vec![vec![Vec::new(); n]; STRIPES];
         for (s, tree) in children.iter_mut().enumerate() {
             // Interior candidates for this stripe, excluding the root.
             let mut interior: Vec<u32> = (1..n as u32)
-                .filter(|i| (*i as usize) % stripes == s)
+                .filter(|i| (*i as usize) % STRIPES == s)
                 .collect();
             interior.shuffle(&mut rng);
             let mut leaves: Vec<u32> = (1..n as u32)
-                .filter(|i| (*i as usize) % stripes != s)
+                .filter(|i| (*i as usize) % STRIPES != s)
                 .collect();
             leaves.shuffle(&mut rng);
 
@@ -116,12 +115,7 @@ impl StripeForest {
                 place(node, &mut attach, &mut slots, tree, false);
             }
         }
-        StripeForest { children, stripes }
-    }
-
-    /// Number of stripes.
-    pub fn stripes(&self) -> usize {
-        self.stripes
+        StripeForest { children }
     }
 
     /// Children of `node` in `stripe`'s tree.
@@ -326,10 +320,10 @@ pub fn build_nodes(
     file: FileSpec,
     rng: &desim::RngFactory,
 ) -> Vec<SplitStreamNode> {
-    let forest = StripeForest::build(topo.len(), DEFAULT_STRIPES, rng);
+    let forest = StripeForest::build(topo.len(), rng);
     (0..topo.len() as u32)
         .map(|i| {
-            let children = (0..forest.stripes())
+            let children = (0..STRIPES)
                 .map(|stripe| forest.children(stripe, NodeId(i)).to_vec())
                 .collect();
             SplitStreamNode::new(NodeId(i), file, children)
@@ -357,8 +351,8 @@ mod tests {
     #[test]
     fn forest_reaches_every_node_in_every_stripe() {
         let rng = RngFactory::new(5);
-        let forest = StripeForest::build(40, 8, &rng);
-        for stripe in 0..8 {
+        let forest = StripeForest::build(40, &rng);
+        for stripe in 0..STRIPES {
             let mut seen = [false; 40];
             let mut stack = vec![NodeId(0)];
             seen[0] = true;
@@ -380,10 +374,10 @@ mod tests {
     fn interior_load_is_spread_across_stripes() {
         let rng = RngFactory::new(6);
         let n = 64;
-        let forest = StripeForest::build(n, 8, &rng);
+        let forest = StripeForest::build(n, &rng);
         // No non-root node should be interior (have children) in many stripes.
         for node in 1..n as u32 {
-            let interior_in = (0..8)
+            let interior_in = (0..STRIPES)
                 .filter(|&s| !forest.children(s, NodeId(node)).is_empty())
                 .count();
             assert!(
@@ -395,10 +389,10 @@ mod tests {
 
     #[test]
     fn stripes_partition_blocks() {
-        let counts: Vec<usize> = (0..8)
+        let counts: Vec<usize> = (0..STRIPES)
             .map(|s| {
                 (0..800u32)
-                    .filter(|b| stripe_of(BlockId(*b), 8) == s)
+                    .filter(|b| stripe_of(BlockId(*b), STRIPES) == s)
                     .count()
             })
             .collect();

@@ -512,7 +512,6 @@ fn window_study(w: &Workload, id: &str, losses: &str, windows: &[u32]) -> Figure
     // The paper runs this study with up to 5 senders per node so the
     // per-connection window, not the peer count, is the variable under test.
     let base = Config {
-        min_peers: 5,
         peer_policy: PeerSetPolicy::Fixed(5),
         ..w.config()
     };

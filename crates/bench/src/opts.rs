@@ -8,6 +8,10 @@
 
 use desim::SimTime;
 
+/// The experiment seed a figure runs at and a sweep's seeds start from,
+/// unless `--seed` says otherwise.
+pub const EXPERIMENT_SEED: u64 = 20050410;
+
 /// Options accepted by every figure.
 #[derive(Debug, Clone)]
 pub struct CommonOpts {
@@ -35,7 +39,7 @@ impl Default for CommonOpts {
             nodes: None,
             file_mb: None,
             block_kb: None,
-            seed: 20050410,
+            seed: EXPERIMENT_SEED,
             full: false,
             json: None,
             time_limit: 7200.0,

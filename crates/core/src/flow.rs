@@ -25,7 +25,7 @@
 
 use dissem_codec::BlockId;
 
-use crate::config::OutstandingPolicy;
+use crate::config::{OutstandingPolicy, INITIAL_OUTSTANDING, MAX_OUTSTANDING};
 
 /// XCP-derived proportional gain applied to the wasted-time term.
 pub const ALPHA: f64 = 0.4;
@@ -38,8 +38,6 @@ pub struct OutstandingController {
     policy: OutstandingPolicy,
     /// Current (real-valued) desired number of outstanding blocks.
     desired: f64,
-    /// Upper bound on the window.
-    max: u32,
     /// Block whose arrival we are waiting for before adjusting again.
     marked: Option<BlockId>,
     /// Set after an adjustment: the next request issued should be marked.
@@ -47,16 +45,16 @@ pub struct OutstandingController {
 }
 
 impl OutstandingController {
-    /// Creates a controller with the configured initial window.
-    pub fn new(policy: OutstandingPolicy, initial: u32, max: u32) -> Self {
+    /// Creates a controller with the given policy: a dynamic one starts at
+    /// [`INITIAL_OUTSTANDING`], a fixed one at its window.
+    pub fn new(policy: OutstandingPolicy) -> Self {
         let desired = match policy {
-            OutstandingPolicy::Dynamic => f64::from(initial),
+            OutstandingPolicy::Dynamic => f64::from(INITIAL_OUTSTANDING),
             OutstandingPolicy::Fixed(k) => f64::from(k),
         };
         OutstandingController {
             policy,
             desired,
-            max,
             marked: None,
             wants_mark: false,
         }
@@ -66,9 +64,9 @@ impl OutstandingController {
     ///
     /// The paper takes the ceiling whenever the value is increased so that the
     /// request rate can actually saturate the TCP connection; we apply the
-    /// ceiling uniformly, clamped to `[1, max]`.
+    /// ceiling uniformly, clamped to `[1, MAX_OUTSTANDING]`.
     pub fn window(&self) -> u32 {
-        (self.desired.ceil().max(1.0) as u32).min(self.max)
+        (self.desired.ceil().max(1.0) as u32).min(MAX_OUTSTANDING)
     }
 
     /// True when the controller wants the next issued request to be marked.
@@ -142,7 +140,7 @@ impl OutstandingController {
         // delivery. Decreases are applied in full — reacting slowly to a
         // slowdown is exactly the failure mode of Fig 12.
         let desired = desired.min(self.desired + 2.0);
-        let clamped = desired.clamp(1.0, f64::from(self.max));
+        let clamped = desired.clamp(1.0, f64::from(MAX_OUTSTANDING));
         if (clamped - self.desired).abs() > f64::EPSILON {
             self.desired = clamped;
             // Observe the effect before adjusting again.
@@ -156,13 +154,13 @@ mod tests {
     use super::*;
 
     fn dynamic() -> OutstandingController {
-        OutstandingController::new(OutstandingPolicy::Dynamic, 3, 50)
+        OutstandingController::new(OutstandingPolicy::Dynamic)
     }
 
     #[test]
     fn initial_window_matches_paper_default() {
         assert_eq!(dynamic().window(), 3);
-        let fixed = OutstandingController::new(OutstandingPolicy::Fixed(15), 3, 50);
+        let fixed = OutstandingController::new(OutstandingPolicy::Fixed(15));
         assert_eq!(fixed.window(), 15);
     }
 
@@ -269,7 +267,7 @@ mod tests {
 
     #[test]
     fn fixed_policy_never_moves() {
-        let mut c = OutstandingController::new(OutstandingPolicy::Fixed(5), 3, 50);
+        let mut c = OutstandingController::new(OutstandingPolicy::Fixed(5));
         c.on_block_received(BlockId(0), 0, -5.0, 1_000_000.0, 16_384.0, 5);
         c.on_block_received(BlockId(1), 20, 5.0, 1_000_000.0, 16_384.0, 5);
         assert_eq!(c.window(), 5);

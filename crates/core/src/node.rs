@@ -168,13 +168,7 @@ impl BulletPrimeNode {
                 cfg.outstanding_policy,
                 block_space,
             ),
-            peer_mgr: PeerManager::new(
-                cfg.peer_policy,
-                config::INITIAL_PEERS,
-                cfg.min_peers,
-                config::MAX_PEERS,
-                config::TRIM_SIGMA,
-            ),
+            peer_mgr: PeerManager::new(cfg.peer_policy),
             source,
             epoch_started_at: SimTime::ZERO,
             cfg,
@@ -464,7 +458,7 @@ impl Protocol for BulletPrimeNode {
     fn on_init(&mut self, ctx: &mut Ctx<'_, Self>) {
         self.epoch_started_at = ctx.now();
         ctx.set_timer(config::RANSUB_PERIOD, Timer::RanSub);
-        ctx.set_timer(self.cfg.housekeeping_period, Timer::Housekeeping);
+        ctx.set_timer(self.cfg.housekeeping_period(), Timer::Housekeeping);
         // A node initialised after t = 0 is a late joiner: its
         // construction-time tree children have long since registered with
         // whoever was present while it was absent (ultimately the root), so
@@ -673,7 +667,7 @@ impl Protocol for BulletPrimeNode {
                 }
                 self.trim_arrivals();
                 self.source_push(ctx);
-                ctx.set_timer(self.cfg.housekeeping_period, Timer::Housekeeping);
+                ctx.set_timer(self.cfg.housekeeping_period(), Timer::Housekeeping);
             }
         }
     }

@@ -1,16 +1,17 @@
 //! The adaptive peering strategy (paper §3.3.1, Fig 2).
 //!
 //! Each node maintains two target sizes, `MAX_SENDERS` and `MAX_RECEIVERS`
-//! (both start at 10, bounded by hard limits of 6 and 25). Every time a
-//! RanSub distribute message arrives the node:
+//! (both start at [`INITIAL_PEERS`], bounded by the hard limits [`MIN_PEERS`]
+//! and [`MAX_PEERS`]). Every time a RanSub distribute message arrives the
+//! node:
 //!
 //! 1. runs the ManageSenders feedback loop: if the peer-set size moved since
 //!    the previous epoch, keep the change if bandwidth improved and revert it
 //!    otherwise (and symmetrically for receivers using outgoing bandwidth);
-//! 2. trims peers whose bandwidth sits more than 1.5 standard deviations
-//!    below the mean — receivers are ranked by the *fraction* of their total
-//!    incoming bandwidth they get from us, so we never cut off a peer that
-//!    depends on us;
+//! 2. trims peers whose bandwidth sits more than [`TRIM_SIGMA`] standard
+//!    deviations below the mean — receivers are ranked by the *fraction* of
+//!    their total incoming bandwidth they get from us, so we never cut off a
+//!    peer that depends on us;
 //! 3. tops the peer sets back up to the (possibly new) targets with
 //!    candidates taken from the RanSub sample.
 //!
@@ -19,7 +20,7 @@
 
 use netsim::NodeId;
 
-use crate::config::PeerSetPolicy;
+use crate::config::{PeerSetPolicy, INITIAL_PEERS, MAX_PEERS, MIN_PEERS, TRIM_SIGMA};
 
 /// Per-sender observation for one epoch: how fast this sender delivered to us.
 #[derive(Debug, Clone, Copy)]
@@ -55,13 +56,12 @@ pub struct EpochDecision {
     pub receiver_slots: usize,
 }
 
-/// The adaptive peer-set manager.
+/// The adaptive peer-set manager. Only its policy is chosen; the bounds
+/// ([`MIN_PEERS`], [`MAX_PEERS`]) and the trim threshold ([`TRIM_SIGMA`])
+/// are protocol constants.
 #[derive(Debug, Clone)]
 pub struct PeerManager {
     policy: PeerSetPolicy,
-    min: usize,
-    max: usize,
-    trim_sigma: f64,
     max_senders: usize,
     max_receivers: usize,
     prev_num_senders: Option<usize>,
@@ -71,23 +71,15 @@ pub struct PeerManager {
 }
 
 impl PeerManager {
-    /// Creates a manager with the given policy and bounds.
-    pub fn new(
-        policy: PeerSetPolicy,
-        initial: usize,
-        min: usize,
-        max: usize,
-        trim_sigma: f64,
-    ) -> Self {
+    /// Creates a manager with the given policy: a dynamic one starts at
+    /// [`INITIAL_PEERS`], a fixed one at its size.
+    pub fn new(policy: PeerSetPolicy) -> Self {
         let start = match policy {
-            PeerSetPolicy::Dynamic => initial,
+            PeerSetPolicy::Dynamic => INITIAL_PEERS,
             PeerSetPolicy::Fixed(k) => k,
         };
         PeerManager {
             policy,
-            min,
-            max,
-            trim_sigma,
             max_senders: start,
             max_receivers: start,
             prev_num_senders: None,
@@ -124,8 +116,6 @@ impl PeerManager {
                 self.prev_num_senders,
                 incoming_bw,
                 self.prev_incoming_bw,
-                self.min,
-                self.max,
             );
             self.max_receivers = manage_target(
                 self.max_receivers,
@@ -133,18 +123,16 @@ impl PeerManager {
                 self.prev_num_receivers,
                 outgoing_bw,
                 self.prev_outgoing_bw,
-                self.min,
-                self.max,
             );
         }
 
         let drop_senders = if matches!(self.policy, PeerSetPolicy::Dynamic) {
-            trim_slow_senders(senders, self.trim_sigma, self.min)
+            trim_slow_senders(senders)
         } else {
             Vec::new()
         };
         let drop_receivers = if matches!(self.policy, PeerSetPolicy::Dynamic) {
-            trim_slow_receivers(receivers, self.trim_sigma, self.min)
+            trim_slow_receivers(receivers)
         } else {
             Vec::new()
         };
@@ -173,8 +161,6 @@ fn manage_target(
     prev_size: Option<usize>,
     bw: f64,
     prev_bw: f64,
-    min: usize,
-    max: usize,
 ) -> usize {
     // "if (size(senders) != MAX_SENDERS) return;" — only adjust the target
     // when we actually reached it, otherwise we cannot attribute the
@@ -203,13 +189,13 @@ fn manage_target(
         }
         Some(_) => {}
     }
-    target.clamp(min, max)
+    target.clamp(MIN_PEERS, MAX_PEERS)
 }
 
-/// Disconnect senders whose bandwidth is more than `sigma` standard
-/// deviations below the mean, never dropping below `min` peers.
-fn trim_slow_senders(senders: &[SenderObservation], sigma: f64, min: usize) -> Vec<NodeId> {
-    if senders.len() <= min {
+/// Disconnect senders whose bandwidth is more than [`TRIM_SIGMA`] standard
+/// deviations below the mean, never dropping below [`MIN_PEERS`] peers.
+fn trim_slow_senders(senders: &[SenderObservation]) -> Vec<NodeId> {
+    if senders.len() <= MIN_PEERS {
         return Vec::new();
     }
     let bw: Vec<f64> = senders.iter().map(|s| s.bandwidth).collect();
@@ -217,7 +203,7 @@ fn trim_slow_senders(senders: &[SenderObservation], sigma: f64, min: usize) -> V
     if std <= f64::EPSILON {
         return Vec::new();
     }
-    let threshold = mean - sigma * std;
+    let threshold = mean - TRIM_SIGMA * std;
     // Sort slowest-first so the budget of allowed drops goes to the worst.
     let mut sorted: Vec<&SenderObservation> = senders.iter().collect();
     sorted.sort_by(|a, b| {
@@ -225,7 +211,7 @@ fn trim_slow_senders(senders: &[SenderObservation], sigma: f64, min: usize) -> V
             .partial_cmp(&b.bandwidth)
             .expect("finite bandwidths")
     });
-    let mut allowed = senders.len() - min;
+    let mut allowed = senders.len() - MIN_PEERS;
     let mut drops = Vec::new();
     for s in sorted {
         if allowed == 0 {
@@ -242,8 +228,8 @@ fn trim_slow_senders(senders: &[SenderObservation], sigma: f64, min: usize) -> V
 /// Disconnect receivers that limit our outgoing bandwidth, ranked by the
 /// fraction of their own incoming bandwidth they get from us so we do not cut
 /// off nodes that depend on us.
-fn trim_slow_receivers(receivers: &[ReceiverObservation], sigma: f64, min: usize) -> Vec<NodeId> {
-    if receivers.len() <= min {
+fn trim_slow_receivers(receivers: &[ReceiverObservation]) -> Vec<NodeId> {
+    if receivers.len() <= MIN_PEERS {
         return Vec::new();
     }
     let bw: Vec<f64> = receivers.iter().map(|r| r.bandwidth).collect();
@@ -251,7 +237,7 @@ fn trim_slow_receivers(receivers: &[ReceiverObservation], sigma: f64, min: usize
     if std <= f64::EPSILON {
         return Vec::new();
     }
-    let threshold = mean - sigma * std;
+    let threshold = mean - TRIM_SIGMA * std;
     let ratio = |r: &ReceiverObservation| {
         if r.their_total_incoming <= 0.0 {
             0.0
@@ -262,7 +248,7 @@ fn trim_slow_receivers(receivers: &[ReceiverObservation], sigma: f64, min: usize
     let mut sorted: Vec<&ReceiverObservation> = receivers.iter().collect();
     // Lowest dependence on us first.
     sorted.sort_by(|a, b| ratio(a).partial_cmp(&ratio(b)).expect("finite ratios"));
-    let mut allowed = receivers.len() - min;
+    let mut allowed = receivers.len() - MIN_PEERS;
     let mut drops = Vec::new();
     for r in sorted {
         if allowed == 0 {
@@ -306,7 +292,7 @@ mod tests {
     }
 
     fn dynamic_manager() -> PeerManager {
-        PeerManager::new(PeerSetPolicy::Dynamic, 10, 6, 25, 1.5)
+        PeerManager::new(PeerSetPolicy::Dynamic)
     }
 
     #[test]
@@ -314,7 +300,7 @@ mod tests {
         let m = dynamic_manager();
         assert_eq!(m.max_senders(), 10);
         assert_eq!(m.max_receivers(), 10);
-        let f = PeerManager::new(PeerSetPolicy::Fixed(14), 10, 6, 25, 1.5);
+        let f = PeerManager::new(PeerSetPolicy::Fixed(14));
         assert_eq!(f.max_senders(), 14);
     }
 
@@ -435,7 +421,7 @@ mod tests {
 
     #[test]
     fn fixed_policy_neither_adapts_nor_trims() {
-        let mut m = PeerManager::new(PeerSetPolicy::Fixed(14), 10, 6, 25, 1.5);
+        let mut m = PeerManager::new(PeerSetPolicy::Fixed(14));
         let mut senders: Vec<_> = (0..13).map(|i| sender(i, 200_000.0)).collect();
         senders.push(sender(99, 1.0));
         let d = m.on_epoch(&senders, &[]);
@@ -446,7 +432,7 @@ mod tests {
 
     #[test]
     fn slots_top_up_to_target() {
-        let mut m = PeerManager::new(PeerSetPolicy::Fixed(10), 10, 6, 25, 1.5);
+        let mut m = PeerManager::new(PeerSetPolicy::Fixed(10));
         let senders: Vec<_> = (0..4).map(|i| sender(i, 100_000.0)).collect();
         let d = m.on_epoch(&senders, &[]);
         assert_eq!(d.sender_slots, 6);

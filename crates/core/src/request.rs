@@ -29,7 +29,7 @@ use netsim::{BlockReceipt, NodeId};
 use rand::rngs::StdRng;
 use rand::Rng;
 
-use crate::config::{self, OutstandingPolicy, RequestStrategy};
+use crate::config::{OutstandingPolicy, RequestStrategy};
 use crate::flow::OutstandingController;
 use crate::messages::Msg;
 use crate::peer_map::PeerMap;
@@ -67,11 +67,7 @@ impl Sender {
             order: Vec::new(),
             bits: BlockBitmap::new(block_space),
             outstanding: 0,
-            ctl: OutstandingController::new(
-                policy,
-                config::INITIAL_OUTSTANDING,
-                config::MAX_OUTSTANDING,
-            ),
+            ctl: OutstandingController::new(policy),
             bytes_since_epoch: 0,
             ewma_rate: 1_000.0,
             last_arrival: None,

@@ -28,7 +28,7 @@ use bullet_bench::{emit, CommonOpts, Series};
 
 use crate::executor::run_sweep;
 use crate::registry::Registry;
-use crate::scenario::{run_cells, Body, Scenario};
+use crate::scenario::{run_cells, Body, Scenario, SeedPlan};
 
 const USAGE: &str = "usage: lab <list|run|sweep|trace> [scenario] [options]
   lab list
@@ -129,7 +129,7 @@ fn list(registry: &Registry, out: &mut dyn Write) -> io::Result<()> {
             sc.name,
             topology,
             dynamics,
-            format!("{}pt x {}seed", sc.sweep.points.len(), sc.sweep.seeds.count),
+            format!("{}pt x {}seed", sc.points.len(), SeedPlan::default().count),
             sc.title,
         )?;
     }
@@ -211,11 +211,10 @@ fn parse_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
 }
 
 /// The seed plan a sweep actually uses: `--seeds` as given, or else the
-/// scenario's plan re-based onto `--seed` and resized by `--seed-count`,
-/// each if given. A plan that runs past the last seed or does not fit in
-/// memory is a usage error.
+/// default plan re-based onto `--seed` and resized by `--seed-count`, each if
+/// given. A plan that runs past the last seed or does not fit in memory is a
+/// usage error.
 fn effective_seeds(
-    scenario: &Scenario,
     sweep_args: &SweepArgs,
     opts: &CommonOpts,
     explicit_seed: bool,
@@ -223,7 +222,7 @@ fn effective_seeds(
     if let Some(seeds) = &sweep_args.seeds {
         return Ok(seeds.clone());
     }
-    let mut plan = scenario.sweep.seeds;
+    let mut plan = SeedPlan::default();
     if explicit_seed {
         plan.base = opts.seed;
     }
@@ -241,11 +240,11 @@ fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<
     let explicit_seed = sweep_args.rest.iter().any(|a| a == "--seed");
     let opts = CommonOpts::parse(sweep_args.rest.clone())?;
     let threads = sweep_args.threads.unwrap_or(1);
-    let seeds = effective_seeds(scenario, &sweep_args, &opts, explicit_seed)?;
+    let seeds = effective_seeds(&sweep_args, &opts, explicit_seed)?;
     // A workload may refuse the options (fig16 below three nodes): that is a
     // usage error here, not a panic in a worker.
     if let Body::Closed { workload, .. } = scenario.body {
-        for point in &scenario.sweep.points {
+        for point in &scenario.points {
             workload(&point.apply(&opts), point.label)?;
         }
     }
@@ -267,7 +266,7 @@ fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<
         "sweep {}: {} cells ({} points x {} seeds) on {} thread(s)",
         report.scenario,
         report.cells.len(),
-        scenario.sweep.points.len(),
+        scenario.points.len(),
         seeds.len(),
         threads
     )?;
@@ -309,7 +308,6 @@ fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::scenario::SeedPlan;
 
     fn strings(args: &[&str]) -> Vec<String> {
         args.iter().map(|a| a.to_string()).collect()
@@ -374,6 +372,20 @@ mod tests {
             // Any other failure of the writer is an error.
             let mut disk = Closes(80, io::ErrorKind::PermissionDenied);
             assert_eq!(lab_main(args, &mut disk), 2, "{command:?}");
+        }
+    }
+
+    /// `lab list`'s sweep column: the scenario's points times the one seed
+    /// plan's seeds.
+    #[test]
+    fn list_counts_each_scenarios_points_and_the_default_seeds() {
+        let text = printed(&["list"]);
+        for (name, sweep) in [("fig04", "3pt x 4seed"), ("fig13", "1pt x 4seed")] {
+            let row = text.lines().find(|l| l.split(' ').next() == Some(name));
+            assert!(
+                row.is_some_and(|l| l.contains(&format!(" {sweep} "))),
+                "{text}"
+            );
         }
     }
 
@@ -458,8 +470,6 @@ mod tests {
 
     #[test]
     fn effective_seeds_priority_order() {
-        let registry = Registry::standard();
-        let sc = registry.get("fig13").unwrap();
         let opts = CommonOpts {
             seed: 42,
             ..CommonOpts::default()
@@ -470,12 +480,12 @@ mod tests {
             seed_count: Some(2),
             ..Default::default()
         };
-        assert_eq!(effective_seeds(sc, &args, &opts, true), Ok(vec![42, 43]));
+        assert_eq!(effective_seeds(&args, &opts, true), Ok(vec![42, 43]));
 
-        // Without --seed the scenario's base applies.
+        // Without --seed the default plan's base applies.
         let plan = SeedPlan::default();
         args.seed_count = None;
-        assert_eq!(effective_seeds(sc, &args, &opts, false), plan.seeds());
+        assert_eq!(effective_seeds(&args, &opts, false), plan.seeds());
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! The parallel sweep executor.
 //!
-//! A sweep is the cartesian product of a scenario's parameter points and its
-//! seed plan. Every cell is an independent deterministic simulation (each
+//! A sweep is the cartesian product of a scenario's parameter points and a
+//! list of seeds. Every cell is an independent deterministic simulation (each
 //! builds its own `RngFactory` from the cell seed), so cells can execute on
 //! any thread in any order — the executor hands cells to a worker pool
 //! through a shared atomic cursor (idle workers steal the next unclaimed
@@ -116,7 +116,6 @@ impl SweepReport {
 /// Deterministic cell enumeration of a sweep: point-major, seed-minor.
 fn enumerate_cells(scenario: &Scenario, seeds: &[u64]) -> Vec<(usize, u64)> {
     scenario
-        .sweep
         .points
         .iter()
         .enumerate()
@@ -259,7 +258,7 @@ pub fn run_sweep_with(
     threads: usize,
     share: bool,
 ) -> SweepReport {
-    let points = &scenario.sweep.points;
+    let points = &scenario.points;
     let cells = enumerate_cells(scenario, seeds);
     let cell_opts: Vec<CommonOpts> = cells
         .iter()
@@ -394,10 +393,10 @@ mod tests {
         let base = CommonOpts::default();
         let costs: Vec<f64> = cells
             .iter()
-            .map(|&(pi, _)| estimate_cost(&base, &sc.sweep.points[pi]))
+            .map(|&(pi, _)| estimate_cost(&base, &sc.points[pi]))
             .collect();
         let order = schedule_order(&costs);
-        let biggest = sc.sweep.points.len() - 1; // points scale upward
+        let biggest = sc.points.len() - 1; // points scale upward
         for &i in &order[..seeds.len()] {
             assert_eq!(
                 cells[i].0, biggest,

@@ -242,15 +242,11 @@ mod tests {
     fn fig05w_carries_warm_prefix_hooks_and_variant_points() {
         let reg = Registry::standard();
         let sc = reg.get("fig05w").unwrap();
-        let labels: Vec<_> = sc.sweep.points.iter().map(|p| p.label).collect();
+        let labels: Vec<_> = sc.points.iter().map(|p| p.label).collect();
         assert_eq!(labels, vec!["calm", "paper", "storm"]);
         // Identical numerics per point: all variants of one seed must land
         // in the same prefix group.
-        assert!(sc
-            .sweep
-            .points
-            .iter()
-            .all(|p| *p == ParamPoint::named(p.label)));
+        assert!(sc.points.iter().all(|p| *p == ParamPoint::named(p.label)));
         let opts = CommonOpts::default();
         let calm = sc
             .forkable(&opts, "calm")
@@ -286,10 +282,10 @@ mod tests {
     #[test]
     fn overall_comparisons_sweep_swarm_size() {
         let reg = Registry::standard();
-        let sweep = &reg.get("fig05").unwrap().sweep;
-        assert_eq!(sweep.points.len(), 3);
-        assert!(sweep.points.iter().all(|p| p.nodes.is_some()));
+        let points = &reg.get("fig05").unwrap().points;
+        assert_eq!(points.len(), 3);
+        assert!(points.iter().all(|p| p.nodes.is_some()));
         // Everything else defaults to the identity point.
-        assert_eq!(reg.get("fig13").unwrap().sweep.points.len(), 1);
+        assert_eq!(reg.get("fig13").unwrap().points.len(), 1);
     }
 }

@@ -11,10 +11,11 @@
 //! run a different workload than `lab run` does. A scenario's claims — what its
 //! figure must show — are checked on the figure alone, by the one function
 //! [`Scenario::claims`] calls. The functions themselves live in
-//! `bullet_bench::experiments`; the default parameter sweep and seed plan are
-//! data here.
+//! `bullet_bench::experiments`; a scenario's parameter points are data here,
+//! and every scenario sweeps them over the one [`SeedPlan::default`].
 
 use bullet_bench::experiments::{Claim, ClaimsFn, ServiceFigureFn, WorkloadFn};
+use bullet_bench::opts::EXPERIMENT_SEED;
 use bullet_bench::{CommonOpts, Figure, ServiceWorkload, WarmPrefix, Workload};
 use netsim::{RunReport, ServiceReport};
 
@@ -119,29 +120,12 @@ impl SeedPlan {
 }
 
 impl Default for SeedPlan {
+    /// The plan every scenario's sweep runs unless `--seed`, `--seed-count`
+    /// or `--seeds` say otherwise: the experiment seed, 4 repetitions.
     fn default() -> Self {
-        // The workspace's fixed experiment seed, 4 repetitions.
         SeedPlan {
-            base: 20050410,
+            base: EXPERIMENT_SEED,
             count: 4,
-        }
-    }
-}
-
-/// A scenario's default sweep: parameter points × seed plan.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SweepSpec {
-    /// The parameter points (at least one).
-    pub points: Vec<ParamPoint>,
-    /// The seed plan.
-    pub seeds: SeedPlan,
-}
-
-impl Default for SweepSpec {
-    fn default() -> Self {
-        SweepSpec {
-            points: vec![ParamPoint::named("default")],
-            seeds: SeedPlan::default(),
         }
     }
 }
@@ -152,8 +136,8 @@ pub struct Scenario {
     pub name: &'static str,
     /// One-line description shown by `lab list`.
     pub title: &'static str,
-    /// Default parameter sweep and seed plan for `lab sweep`.
-    pub sweep: SweepSpec,
+    /// The parameter points `lab sweep` runs (at least one).
+    pub points: Vec<ParamPoint>,
     /// What runs.
     pub body: Body,
     /// What its figure must show.
@@ -161,21 +145,21 @@ pub struct Scenario {
 }
 
 impl Scenario {
-    /// Creates a scenario with the default sweep.
+    /// Creates a scenario with the single identity point `default`.
     pub fn new(name: &'static str, title: &'static str, body: Body) -> Self {
         Scenario {
             name,
             title,
-            sweep: SweepSpec::default(),
+            points: vec![ParamPoint::named("default")],
             body,
             claims: |_| Vec::new(),
         }
     }
 
-    /// Replaces the default sweep's single identity point (builder style).
+    /// Replaces the single identity point (builder style).
     #[must_use]
     pub fn with_points(mut self, points: impl Iterator<Item = ParamPoint>) -> Self {
-        self.sweep.points = points.collect();
+        self.points = points.collect();
         self
     }
 

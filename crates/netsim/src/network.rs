@@ -301,26 +301,23 @@ impl Hasher for PairHasher {
     }
 }
 
-/// Inserts `(key, fid)` into a sorted membership list; returns false (and
-/// leaves the list unchanged) if the key is already present.
-fn link_insert(list: &mut Vec<(u64, u32)>, key: u64, fid: u32) -> bool {
-    match list.binary_search_by_key(&key, |&(k, _)| k) {
-        Ok(_) => false,
-        Err(pos) => {
-            list.insert(pos, (key, fid));
-            true
-        }
+/// Inserts `(key, fid)` into a sorted membership list; a flow registers on
+/// a link once per activation, so the key is absent.
+fn link_insert(list: &mut Vec<(u64, u32)>, key: u64, fid: u32) {
+    let found = list.binary_search_by_key(&key, |&(k, _)| k);
+    debug_assert!(found.is_err(), "double activation");
+    if let Err(pos) = found {
+        list.insert(pos, (key, fid));
     }
 }
 
-/// Removes `key` from a sorted membership list; returns whether it was there.
-fn link_remove(list: &mut Vec<(u64, u32)>, key: u64) -> bool {
-    match list.binary_search_by_key(&key, |&(k, _)| k) {
-        Ok(pos) => {
-            list.remove(pos);
-            true
-        }
-        Err(_) => false,
+/// Removes `key` from a sorted membership list; an idle flow deregisters
+/// from the links it registered on, so the key is present.
+fn link_remove(list: &mut Vec<(u64, u32)>, key: u64) {
+    let found = list.binary_search_by_key(&key, |&(k, _)| k);
+    debug_assert!(found.is_ok(), "idle flow was not registered on its links");
+    if let Ok(pos) = found {
+        list.remove(pos);
     }
 }
 
@@ -383,12 +380,11 @@ pub struct Network {
     /// mutations. The solver reads this cache instead of recomputing.
     flow_ceiling: Vec<f64>,
     /// Flow id → the solver's cached path: the links the flow registered on
-    /// when it became active (meaningful while `flow_registered`), read by
+    /// when it became active (meaningful while registered), read by
     /// deregistration and the solver instead of a fresh `links_on_path`
-    /// lookup.
+    /// lookup. A flow is registered on its path links exactly while its
+    /// connection has a block in flight.
     flow_path: Vec<[LinkId; 3]>,
-    /// Flow id → currently registered on its path links?
-    flow_registered: Vec<bool>,
     /// Flow id → visit stamp for component discovery (versioned by
     /// `mark_stamp`, never cleared).
     flow_mark: Vec<u64>,
@@ -474,7 +470,6 @@ impl Network {
             flow_rate: Vec::new(),
             flow_ceiling: Vec::new(),
             flow_path: Vec::new(),
-            flow_registered: Vec::new(),
             flow_mark: Vec::new(),
             free_fids: Vec::new(),
             link_flows: vec![Vec::new(); links],
@@ -608,7 +603,7 @@ impl Network {
         }
         if let Some(f) = self.free_fids.pop() {
             let i = f as usize;
-            debug_assert!(!self.flow_registered[i], "recycled a registered flow");
+            debug_assert!(!self.conns[i].is_active(), "recycled an active flow");
             self.flow_ids.insert((from, to), f);
             self.flow_pair[i] = (from, to);
             self.conns[i] = Connection::new(now);
@@ -625,7 +620,6 @@ impl Network {
         self.flow_rate.push(MIN_RATE);
         self.flow_ceiling.push(f64::INFINITY);
         self.flow_path.push([LinkId(0); 3]);
-        self.flow_registered.push(false);
         self.flow_mark.push(0);
         self.flow_forced.push(false);
         f
@@ -678,7 +672,7 @@ impl Network {
         let mut rebuilt = vec![0.0; self.link_usage.len()];
         for f in 0..self.conns.len() {
             for l in self.flow_path[f] {
-                if self.flow_registered[f] && !self.unconstrained(l) {
+                if self.conns[f].is_active() && !self.unconstrained(l) {
                     rebuilt[l.index()] += self.flow_rate[f];
                 }
             }
@@ -973,7 +967,7 @@ impl Network {
         #[cfg(debug_assertions)]
         self.debug_check_link_tables();
         for f in 0..self.conns.len() {
-            if self.flow_registered[f] {
+            if self.conns[f].is_active() {
                 self.refresh_ceiling(f);
             }
         }
@@ -999,7 +993,9 @@ impl Network {
     }
 
     /// Registers flow `fid` as active and re-prices what its arrival can
-    /// affect.
+    /// affect. Runs right after [`Network::start_next`] fills the flow's
+    /// in-flight slot, so a flow is registered exactly while it has a block
+    /// in flight.
     ///
     /// **Admission fast path:** if the flow's own ceiling fits inside the
     /// residual slack of every link on its path, it is admitted at the
@@ -1019,8 +1015,6 @@ impl Network {
             && links.iter().all(|&l| {
                 self.link_usage[l.index()] + cap <= self.usable(l) * (1.0 - RATE_EPSILON)
             });
-        debug_assert!(!self.flow_registered[f], "double activation");
-        self.flow_registered[f] = true;
         self.flow_path[f] = links;
         self.flow_ceiling[f] = cap;
         if fits {
@@ -1044,8 +1038,9 @@ impl Network {
     }
 
     /// Deregisters flow `fid` from the links it registered on and re-prices
-    /// what its departure can affect. A flow still forced from earlier in
-    /// the open instant loses the mark: it has no block left to schedule.
+    /// what its departure can affect. Runs right after the flow's in-flight
+    /// slot is emptied. A flow still forced from earlier in the open instant
+    /// loses the mark: it has no block left to schedule.
     ///
     /// **Removal fast path:** if the departing flow was pinned at its own
     /// ceiling and none of its links was saturated, no surviving flow's
@@ -1054,8 +1049,10 @@ impl Network {
     /// still the max-min optimum and no solve is needed.
     fn mark_idle(&mut self, now: SimTime, fid: u32) -> Vec<ConnUpdate> {
         let f = fid as usize;
-        debug_assert!(self.flow_registered[f], "idle flow was registered");
-        self.flow_registered[f] = false;
+        debug_assert!(
+            !self.conns[f].is_active(),
+            "idle flow has a block in flight"
+        );
         self.flow_forced[f] = false;
         let links = self.flow_path[f];
         let (from, to) = self.flow_pair[f];
@@ -1066,8 +1063,7 @@ impl Network {
             if self.unconstrained(l) {
                 continue;
             }
-            let removed = link_remove(&mut self.link_flows[l.index()], key);
-            debug_assert!(removed, "idle flow was not registered on its links");
+            link_remove(&mut self.link_flows[l.index()], key);
             self.link_usage[l.index()] = (self.link_usage[l.index()] - rate).max(0.0);
         }
         let all_unsaturated = links.iter().all(|&l| {

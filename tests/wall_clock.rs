@@ -79,7 +79,7 @@ fn four_workers_sweep_fig05_at_least_one_and_a_half_times_faster_than_one() {
     };
     let plan = SeedPlan {
         count: 2,
-        ..scenario.sweep.seeds
+        ..SeedPlan::default()
     };
     let seeds = plan.seeds().expect("two seeds from the default base");
     let sweep = |threads| timed(|| run_sweep(scenario, &opts, &seeds, threads));
