@@ -74,7 +74,19 @@ cargo test -q
 echo "==> cargo test --doc --workspace"
 cargo test --doc --workspace -q
 
-echo "==> cargo clippy --all-targets -- -D warnings"
+# clippy.toml's disallowed-methods list holds every f64 / f32 method of
+# unspecified precision (powf, ln, log2, exp, sin, ...): a simulated number
+# computed with one depends on the host's libm, not on the seed alone
+# (DESIGN.md, "Determinism rules", rule 4; desim::ln is the one logarithm).
+# Shipped code may not switch the lint off: only a test may name it, as
+# crates/sim/tests/ln_reference.rs does to call std's ln as its reference.
+echo "==> no unspecified-precision float method in shipped code (clippy.toml), cargo clippy --all-targets -- -D warnings"
+allowed=$(grep -rln --include='*.rs' disallowed_methods crates/*/src src examples || true)
+if [ -n "$allowed" ]; then
+    printf '%s\n' "$allowed"
+    echo "FAIL: the files above name clippy::disallowed_methods; use desim::ln or exact arithmetic instead"
+    exit 1
+fi
 cargo clippy --all-targets -- -D warnings
 
 # Documentation gate for the first-party crates (vendor/ shims are exempt,

@@ -268,7 +268,7 @@ fn mean_std(values: &[f64]) -> (f64, f64) {
         return (0.0, 0.0);
     }
     let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let var = values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / values.len() as f64;
+    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
     (mean, var.sqrt())
 }
 

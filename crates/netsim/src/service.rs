@@ -66,7 +66,8 @@ pub enum ArrivalGen {
 /// Materialises the arrival instants within `horizon`, capped at
 /// `max_arrivals`. Pure function of the generator and the factory seed, so
 /// tests can assert the closed-form statistics of the Poisson stream and the
-/// exact replay of a trace without running any swarm.
+/// exact replay of a trace without running any swarm. A Poisson gap is
+/// `-desim::ln(1 − u) / rate`, so the instants are the same on every host.
 ///
 /// # Panics
 ///
@@ -87,7 +88,7 @@ pub fn arrival_schedule(
                 // gen::<f64>() is uniform on [0, 1); flip it so the argument
                 // of ln is never zero.
                 let u: f64 = stream.gen();
-                t += -(1.0 - u).ln() / rate_per_sec;
+                t += -desim::ln(1.0 - u) / rate_per_sec;
                 if t > horizon.as_secs_f64() {
                     break;
                 }
@@ -564,7 +565,7 @@ mod tests {
             .collect();
         let gaps: Vec<f64> = instants.windows(2).map(|w| w[1] - w[0]).collect();
         let mean = gaps.iter().sum::<f64>() / gaps.len() as f64;
-        let var = gaps.iter().map(|g| (g - mean).powi(2)).sum::<f64>() / gaps.len() as f64;
+        let var = gaps.iter().map(|g| (g - mean) * (g - mean)).sum::<f64>() / gaps.len() as f64;
         assert!(
             (mean - 1.0 / rate).abs() < 0.05 / rate,
             "sample mean {mean} too far from {}",

@@ -15,6 +15,8 @@
 //!    congestion window as `init_cwnd + bytes_acked` (doubling per RTT)
 //!    capped by the path's steady-state rate.
 
+use std::f64::consts::LN_2;
+
 use desim::SimDuration;
 
 use crate::units::BytesPerSec;
@@ -63,7 +65,8 @@ impl TcpPath {
 
 /// Time for TCP to transfer `bytes` over a path starting from an idle
 /// connection, ignoring competing traffic. Used for analytic lower bounds
-/// (the "MACEDON TCP feasible" curve of Fig 4).
+/// (the "MACEDON TCP feasible" curve of Fig 4). Slow start's log₂ is
+/// `desim::ln(x) / LN_2`, so the time is the same on every host.
 pub fn idle_transfer_time(path: &TcpPath, bytes: u64) -> SimDuration {
     let cap = path.bottleneck.min(path.mathis_cap()).max(1.0);
     let rtt = path.rtt.as_secs_f64().max(1e-6);
@@ -74,9 +77,9 @@ pub fn idle_transfer_time(path: &TcpPath, bytes: u64) -> SimDuration {
     if bytes_f <= ss_bytes {
         // Window grows exponentially: bytes(t) ~ INIT_CWND * (2^(t/rtt) - 1).
         let ratio = bytes_f / INIT_CWND + 1.0;
-        return SimDuration::from_secs_f64(rtt * ratio.log2());
+        return SimDuration::from_secs_f64(rtt * (desim::ln(ratio) / LN_2));
     }
-    let ss_time = rtt * ((ss_bytes / INIT_CWND + 1.0).log2());
+    let ss_time = rtt * (desim::ln(ss_bytes / INIT_CWND + 1.0) / LN_2);
     let remaining = bytes_f - ss_bytes;
     SimDuration::from_secs_f64(ss_time + remaining / cap)
 }

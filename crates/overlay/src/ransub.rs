@@ -59,14 +59,6 @@ pub struct Sample {
 }
 
 impl Sample {
-    /// An empty sample representing zero nodes.
-    pub fn empty() -> Self {
-        Sample {
-            entries: Vec::new(),
-            weight: 0,
-        }
-    }
-
     /// Wire size of the sample in bytes.
     pub fn wire_size(&self) -> usize {
         8 + self.entries.len() * NodeSummary::WIRE_SIZE
@@ -77,7 +69,10 @@ impl Sample {
 ///
 /// Each input sample is an (approximately) uniform sample of a disjoint
 /// population of `weight` nodes; the merge draws entries so that every node
-/// in the union remains equally likely to appear, then deduplicates.
+/// in the union remains equally likely to appear, then deduplicates. An
+/// entry's Efraimidis–Spirakis key is `desim::ln(u) / w` rather than
+/// `u^(1/w)`: the same order with no libm call, so the picks are the same
+/// on every host.
 ///
 /// Generic over [`Borrow`] so callers can pass groups by value
 /// (`&[Sample]`) or — on the per-epoch hot path, where copying every
@@ -91,9 +86,10 @@ pub fn merge_samples<R: Rng + ?Sized, S: Borrow<Sample>>(
     groups: &[S],
 ) -> Sample {
     let total_weight: u32 = groups.iter().map(|g| g.borrow().weight).sum();
-    // Weighted sampling without replacement via exponential jumps
-    // (Efraimidis–Spirakis keys): one key per entry, weighted by the
-    // population the entry stands in for.
+    // Weighted sampling without replacement (Efraimidis–Spirakis): one key
+    // per entry, weighted by the population the entry stands in for. Keys
+    // are finite and below zero (u in [1e-12, 1), w >= 1e-9), so
+    // `total_cmp` orders them as numbers.
     let total_entries = groups.iter().map(|g| g.borrow().entries.len()).sum();
     let mut keyed: Vec<(f64, NodeSummary)> = Vec::with_capacity(total_entries);
     for g in groups {
@@ -104,10 +100,10 @@ pub fn merge_samples<R: Rng + ?Sized, S: Borrow<Sample>>(
         let per_entry = f64::from(g.weight) / g.entries.len() as f64;
         for e in &g.entries {
             let u: f64 = rng.gen_range(1e-12..1.0);
-            keyed.push((u.powf(1.0 / per_entry.max(1e-9)), *e));
+            keyed.push((desim::ln(u) / per_entry.max(1e-9), *e));
         }
     }
-    keyed.sort_by(|a, b| b.0.partial_cmp(&a.0).expect("keys are finite"));
+    keyed.sort_by(|a, b| b.0.total_cmp(&a.0));
 
     // At most `target` (the subset size, 10) entries are kept, so a scan of
     // them finds a repeated node faster than a hash set is built.

@@ -25,12 +25,14 @@
 
 pub mod engine;
 pub mod heap;
+pub mod math;
 pub mod queue;
 pub mod rng;
 pub mod time;
 
 pub use engine::{SimStats, Simulator};
 pub use heap::IndexedHeap;
+pub use math::ln;
 pub use queue::{EventKey, EventQueue};
 pub use rng::RngFactory;
 pub use time::{SimDuration, SimTime, NANOS_PER_SEC};
