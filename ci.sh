@@ -351,10 +351,16 @@ for src in crates/*/src; do
     total_prod=$((total_prod + prod))
 done
 printf '%-18s all %6d   prod %6d\n' "total" "$total_all" "$total_prod"
-# The panic audit's count (ROADMAP item 3 (c)), in-file test modules included,
-# so each PR measures it instead of a hand count at each re-anchor.
-panic_sites=$(grep -rn 'panic!\|expect(\|unreachable!\|unwrap()' crates/*/src | wc -l)
-echo "panic sites (panic!, expect(, unreachable!, unwrap() under crates/*/src; informational): $panic_sites"
+# The panic audit's counts (ROADMAP item 3 (c)), so each PR measures them
+# instead of a hand count at each re-anchor: every site, in-file test modules
+# included, and the sites that ship, counted by the LoC table's "prod" rule
+# (lines before a file's first `#[cfg(test)]`, test-only files skipped).
+panic_re='panic!\|expect(\|unreachable!\|unwrap()'
+panic_sites=$(grep -rn "$panic_re" crates/*/src | wc -l)
+shipped_sites=$(find crates/*/src -name '*.rs' | sort | grep -vxF "${test_only:-none}" |
+    xargs awk 'FNR == 1 { t = 0 } /^#\[cfg\(test\)\]/ { t = 1 } !t { print }' |
+    grep -c "$panic_re" || true)
+echo "panic sites (panic!, expect(, unreachable!, unwrap() under crates/*/src; informational): $panic_sites, of which shipped: $shipped_sites"
 
 # The harness's digests of its five workloads' canonical reports at the
 # default seed. benchmark/golden.json goes stale whenever a digest moves, by

@@ -90,8 +90,6 @@ pub enum BtMsg {
     },
     /// We would like to download from the recipient.
     Interested,
-    /// We no longer need anything the recipient has.
-    NotInterested,
     /// The recipient may no longer request blocks from us.
     Choke,
     /// The recipient may request blocks from us.
@@ -107,11 +105,7 @@ impl WireSize for BtMsg {
     fn wire_size(&self) -> usize {
         const HDR: usize = 9;
         match self {
-            BtMsg::TrackerRequest
-            | BtMsg::Interested
-            | BtMsg::NotInterested
-            | BtMsg::Choke
-            | BtMsg::Unchoke => HDR,
+            BtMsg::TrackerRequest | BtMsg::Interested | BtMsg::Choke | BtMsg::Unchoke => HDR,
             BtMsg::TrackerResponse { peers } => HDR + 6 * peers.len(),
             BtMsg::Handshake { bitfield } | BtMsg::HandshakeAck { bitfield } => {
                 HDR + 4 + bitfield.len().div_ceil(2)
@@ -129,7 +123,6 @@ impl WireSize for BtMsg {
             BtMsg::HandshakeAck { .. } => "handshake_ack",
             BtMsg::Have { .. } => "have",
             BtMsg::Interested => "interested",
-            BtMsg::NotInterested => "not_interested",
             BtMsg::Choke => "choke",
             BtMsg::Unchoke => "unchoke",
             BtMsg::Request { .. } => "request",
@@ -545,7 +538,7 @@ impl Protocol for BitTorrentNode {
             BtMsg::Have { piece } => {
                 self.note_peer_pieces(ctx, from, &[piece]);
             }
-            BtMsg::Interested | BtMsg::NotInterested => {
+            BtMsg::Interested => {
                 // Interest only matters for slot allocation refinements we do
                 // not model; recorded implicitly through requests.
             }

@@ -4,9 +4,9 @@
 //! RanSub control tree, but with the fixed-parameter behaviours the paper
 //! identifies as its weaknesses (§4.2, §5):
 //!
-//! * the source pushes disjoint subsets of fresh blocks to its tree
-//!   children, so no receiver gets everything from the tree and the mesh
-//!   must recover the rest;
+//! * the source pushes distinct blocks round-robin over its tree children,
+//!   so no receiver gets everything from the tree and the mesh must recover
+//!   the rest; interior nodes push nothing;
 //! * receivers locate additional senders through RanSub and pull missing
 //!   blocks from them, but the peer set is **fixed at 10 senders/receivers**
 //!   and never re-evaluated;
@@ -14,13 +14,14 @@
 //! * requests are ordered **randomly** (Bullet reconciles sets against a
 //!   summary rather than tracking global rarity);
 //! * the stream is assumed to be source-encoded, so a download completes
-//!   after receiving `(1 + 0.04) · n` distinct blocks — the same allowance
-//!   the paper grants Bullet in its experiments.
+//!   after receiving [`FileSpec::encoded_target`] distinct blocks,
+//!   `(1 + 0.04) · n` — the same allowance the paper grants Bullet in its
+//!   experiments.
 //!
-//! The implementation reuses Bullet′'s node with the corresponding knobs
-//! pinned, plus the tree-push behaviour layered on the source and interior
-//! nodes. Reusing the machinery keeps the comparison about the *policies*
-//! (fixed vs adaptive), exactly as the paper frames it.
+//! Original Bullet is Bullet′'s node under [`bullet_config`], with the
+//! corresponding knobs pinned and no push or tree behaviour of its own.
+//! Reusing the machinery keeps the comparison about the *policies* (fixed
+//! vs adaptive), exactly as the paper frames it.
 
 use dissem_codec::FileSpec;
 use netsim::Topology;
@@ -28,8 +29,6 @@ use netsim::Topology;
 use bullet_prime::{
     BulletPrimeNode, Config, OutstandingPolicy, PeerSetPolicy, RequestStrategy, TransferMode,
 };
-
-use crate::ASSUMED_ENCODING_OVERHEAD;
 
 /// Fixed number of senders and receivers in original Bullet.
 pub const BULLET_PEERS: usize = 10;
@@ -44,9 +43,7 @@ pub fn bullet_config(file: FileSpec) -> Config {
     cfg.peer_policy = PeerSetPolicy::Fixed(BULLET_PEERS);
     cfg.outstanding_policy = OutstandingPolicy::Fixed(BULLET_OUTSTANDING);
     cfg.request_strategy = RequestStrategy::Random;
-    cfg.transfer_mode = TransferMode::Encoded {
-        epsilon: ASSUMED_ENCODING_OVERHEAD,
-    };
+    cfg.transfer_mode = TransferMode::Encoded;
     // Original Bullet exchanged availability summaries periodically (every
     // RanSub epoch, the housekeeping period lazy diffs run at) rather than
     // with Bullet's self-clocking incremental diffs, so receivers often act
@@ -90,7 +87,7 @@ mod tests {
         assert_eq!(cfg.peer_policy, PeerSetPolicy::Fixed(10));
         assert_eq!(cfg.outstanding_policy, OutstandingPolicy::Fixed(5));
         assert_eq!(cfg.request_strategy, RequestStrategy::Random);
-        assert!(matches!(cfg.transfer_mode, TransferMode::Encoded { .. }));
+        assert_eq!(cfg.transfer_mode, TransferMode::Encoded);
         assert!(cfg.lazy_diffs);
         assert_eq!(
             cfg.housekeeping_period(),

@@ -21,11 +21,6 @@ pub use bittorrent::{BitTorrentConfig, BitTorrentNode, BtMsg, BtTimer};
 pub use bullet_orig::bullet_config;
 pub use splitstream::{SplitStreamNode, SsMsg, SsTimer, StripeForest};
 
-/// The reception overhead of source encoding the paper assumes (§4.6):
-/// Bullet and SplitStream complete after `(1 + 0.04) · n` distinct blocks,
-/// and Fig 13 weighs the last-block overage against 4 % of the download.
-pub const ASSUMED_ENCODING_OVERHEAD: f64 = 0.04;
-
 #[cfg(test)]
 mod end_to_end {
     use super::*;

@@ -7,16 +7,14 @@
 //! stripe tree throttles that entire stripe for the whole subtree beneath it,
 //! and no mechanism re-routes around it. Like the paper's methodology, the
 //! content is treated as source-encoded: a node completes once it has
-//! received `(1 + 0.04) · n` distinct blocks.
+//! received [`FileSpec::encoded_target`] distinct blocks, `(1 + 0.04) · n`.
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use desim::SimDuration;
-use dissem_codec::{BlockBitmap, BlockId, FileSpec};
+use dissem_codec::{BlockBitmap, BlockId, FileSpec, ENCODING_OVERHEAD};
 use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, Topology, WireSize};
 use rand::seq::SliceRandom;
-
-use crate::ASSUMED_ENCODING_OVERHEAD;
 
 /// Number of stripes (and stripe trees).
 pub const STRIPES: usize = 8;
@@ -153,10 +151,10 @@ impl SplitStreamNode {
     /// the source.
     pub fn new(id: NodeId, file: FileSpec, children: Vec<Vec<NodeId>>) -> Self {
         let n = file.num_blocks();
-        let completion_target = file.completion_target(ASSUMED_ENCODING_OVERHEAD);
+        let completion_target = file.encoded_target();
         // The source injects a slightly longer encoded stream than strictly
         // needed so stragglers are not starved of distinct blocks.
-        let block_space = (f64::from(n) * (1.0 + 2.0 * ASSUMED_ENCODING_OVERHEAD)).ceil() as u32;
+        let block_space = (f64::from(n) * (1.0 + 2.0 * ENCODING_OVERHEAD)).ceil() as u32;
         let have = if id == NodeId(0) {
             BlockBitmap::full(block_space)
         } else {

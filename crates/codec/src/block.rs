@@ -7,6 +7,11 @@
 //! [`FileSpec`] captures the file size and block size and provides the
 //! derived quantities the protocols need.
 
+/// The reception overhead of a rateless code (§2.2): an encoded download
+/// completes after `(1 + ENCODING_OVERHEAD) · n` distinct blocks, the 4 %
+/// the paper measured and grants Bullet and SplitStream (§4.6).
+pub const ENCODING_OVERHEAD: f64 = 0.04;
+
 /// Identifier of a block within a file: its index in `0..num_blocks` for the
 /// unencoded mode, or the encoding sequence number in the encoded mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -89,14 +94,11 @@ impl FileSpec {
         (0..self.num_blocks()).map(BlockId)
     }
 
-    /// Number of distinct blocks a receiver must collect to declare the
-    /// download complete when the source encodes the stream with a rateless
-    /// code of reception overhead `epsilon` (the paper uses a fixed 4%).
-    ///
-    /// In unencoded mode pass `epsilon = 0.0`.
-    pub fn completion_target(&self, epsilon: f64) -> u32 {
-        let n = f64::from(self.num_blocks());
-        (n * (1.0 + epsilon.max(0.0))).ceil() as u32
+    /// Number of distinct blocks a receiver must collect to complete a
+    /// download the source encodes with a rateless code:
+    /// `(1 + ENCODING_OVERHEAD) · n`, rounded up.
+    pub fn encoded_target(&self) -> u32 {
+        (f64::from(self.num_blocks()) * (1.0 + ENCODING_OVERHEAD)).ceil() as u32
     }
 }
 
@@ -131,14 +133,11 @@ mod tests {
 
     #[test]
     fn completion_target_applies_overhead() {
+        // 640 blocks need ceil(640 · 1.04) = 666 distinct encoded ones.
         let spec = FileSpec::from_mb_kb(10, 16);
-        assert_eq!(spec.completion_target(0.0), spec.num_blocks());
-        assert_eq!(
-            spec.completion_target(0.04),
-            (f64::from(spec.num_blocks()) * 1.04).ceil() as u32
-        );
-        // Negative overhead is clamped.
-        assert_eq!(spec.completion_target(-1.0), spec.num_blocks());
+        assert_eq!(spec.num_blocks(), 640);
+        assert_eq!(spec.encoded_target(), 666);
+        assert_eq!(FileSpec::new(100, 30).encoded_target(), 5);
     }
 
     #[test]

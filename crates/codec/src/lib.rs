@@ -4,9 +4,12 @@
 //! deliberately independent of the network emulator and of any particular
 //! protocol:
 //!
-//! * [`block`] — the file/block layout ([`FileSpec`], [`BlockId`]);
+//! * [`block`] — the file/block layout ([`FileSpec`], [`BlockId`]) and the
+//!   reception overhead of an encoded download ([`ENCODING_OVERHEAD`]);
 //! * [`bitmap`] — per-node block availability sets ([`BlockBitmap`]);
-//! * [`diff`] — incremental availability diffs (paper §3.3.4);
+//! * [`diff`] — a tracker of availability diffs (paper §3.3.4); no protocol
+//!   calls it (Bullet′'s node draws its diffs from its own arrival log), and
+//!   only the benchmark harness times it;
 //! * [`mod@file`] — the FNV-1a digest the golden tests pin outputs with.
 
 #![forbid(unsafe_code)]
@@ -17,7 +20,7 @@ pub mod diff;
 pub mod file;
 
 pub use bitmap::BlockBitmap;
-pub use block::{BlockId, FileSpec};
+pub use block::{BlockId, FileSpec, ENCODING_OVERHEAD};
 pub use diff::{Diff, DiffTracker};
 
 #[cfg(test)]

@@ -7,7 +7,7 @@
 //! windows in Figs 10–12, alternative request strategies in Fig 6).
 
 use desim::SimDuration;
-use dissem_codec::FileSpec;
+use dissem_codec::{FileSpec, ENCODING_OVERHEAD};
 
 /// How a receiver orders candidate blocks when issuing requests (paper §3.3.2).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -45,16 +45,14 @@ pub enum OutstandingPolicy {
 
 /// Whether the source transmits the original blocks or a rateless-encoded
 /// stream (§2.2).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TransferMode {
     /// Transmit the original file blocks; a receiver needs every block.
     Unencoded,
-    /// Transmit a source-encoded stream; a receiver needs `(1 + epsilon) * n`
-    /// distinct blocks out of a stream of `(1 + headroom) * n`.
-    Encoded {
-        /// Reception overhead (the paper measured ≈ 0.04).
-        epsilon: f64,
-    },
+    /// Transmit a source-encoded stream; a receiver needs
+    /// [`FileSpec::encoded_target`] distinct blocks out of a stream of
+    /// `(1 + 3 · ENCODING_OVERHEAD) · n`.
+    Encoded,
 }
 
 /// Initial number of senders and receivers (the released Bullet default).
@@ -140,7 +138,7 @@ impl Config {
     pub fn completion_target(&self) -> u32 {
         match self.transfer_mode {
             TransferMode::Unencoded => self.file.num_blocks(),
-            TransferMode::Encoded { epsilon } => self.file.completion_target(epsilon),
+            TransferMode::Encoded => self.file.encoded_target(),
         }
     }
 
@@ -149,17 +147,10 @@ impl Config {
     pub fn block_space(&self) -> u32 {
         match self.transfer_mode {
             TransferMode::Unencoded => self.file.num_blocks(),
-            TransferMode::Encoded { epsilon } => {
+            TransferMode::Encoded => {
                 // Three times the reception overhead of headroom.
-                (f64::from(self.file.num_blocks()) * (1.0 + 3.0 * epsilon.max(0.0))).ceil() as u32
+                (f64::from(self.file.num_blocks()) * (1.0 + 3.0 * ENCODING_OVERHEAD)).ceil() as u32
             }
-        }
-    }
-
-    /// Validates invariants; called by the node constructor.
-    pub fn validate(&self) {
-        if let TransferMode::Encoded { epsilon } = self.transfer_mode {
-            assert!((0.0..1.0).contains(&epsilon), "epsilon must be in [0, 1)");
         }
     }
 }
@@ -179,7 +170,6 @@ mod tests {
         assert_eq!(cfg.request_strategy, RequestStrategy::RarestRandom);
         assert_eq!(TRIM_SIGMA, 1.5);
         assert_eq!(cfg.file.num_blocks(), 6400);
-        cfg.validate();
     }
 
     #[test]
@@ -187,9 +177,8 @@ mod tests {
         let mut cfg = Config::new(FileSpec::from_mb_kb(10, 16));
         assert_eq!(cfg.completion_target(), 640);
         assert_eq!(cfg.block_space(), 640);
-        cfg.transfer_mode = TransferMode::Encoded { epsilon: 0.04 };
+        cfg.transfer_mode = TransferMode::Encoded;
         assert_eq!(cfg.completion_target(), (640.0f64 * 1.04).ceil() as u32);
         assert!(cfg.block_space() > cfg.completion_target());
-        cfg.validate();
     }
 }

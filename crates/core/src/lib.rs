@@ -18,8 +18,9 @@
 //! * the **flow controller** ([`flow`]) adapts the per-sender number of
 //!   outstanding requests with an XCP-style control loop targeting one block
 //!   queued ahead of the socket buffer (§3.3.3, Fig 3);
-//! * **incremental diffs** (`dissem_codec::diff`) keep receivers informed
-//!   of new availability with self-clocking updates (§3.3.4).
+//! * **incremental diffs**, drawn from each node's own log of arrivals
+//!   ([`node`]), keep receivers informed of new availability with
+//!   self-clocking updates (§3.3.4).
 //!
 //! The crate exposes each mechanism as an independently testable component
 //! plus the composed [`BulletPrimeNode`] protocol and deployment helpers in
@@ -42,7 +43,7 @@ pub use config::{Config, OutstandingPolicy, PeerSetPolicy, RequestStrategy, Tran
 pub use flow::OutstandingController;
 pub use messages::Msg;
 pub use node::{BulletPrimeNode, Role, Timer};
-pub use peering::{EpochDecision, PeerManager, ReceiverObservation, SenderObservation};
+pub use peering::{EpochDecision, PeerManager, PeerObservation};
 pub use request::RequestManager;
 pub use service::{FlashShape, ServiceSwarms};
 
@@ -109,7 +110,7 @@ mod end_to_end {
     #[test]
     fn encoded_mode_completes_with_overhead_target() {
         let (report, nodes) = run(8, 256, 3, |cfg| {
-            cfg.transfer_mode = TransferMode::Encoded { epsilon: 0.04 };
+            cfg.transfer_mode = TransferMode::Encoded;
         });
         assert_eq!(report.reason, StopReason::AllComplete);
         let target = nodes[1].probe_stats().useful_blocks;

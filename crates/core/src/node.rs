@@ -19,7 +19,7 @@ use overlay::{ControlTree, NodeSummary, RanSubAgent, RanSubEmit, Sample};
 use crate::config::{self, Config};
 use crate::messages::Msg;
 use crate::peer_map::PeerMap;
-use crate::peering::{PeerManager, ReceiverObservation};
+use crate::peering::{PeerManager, PeerObservation};
 use crate::request::RequestManager;
 
 /// Bullet′'s timer vocabulary.
@@ -141,7 +141,6 @@ impl BulletPrimeNode {
     /// Creates the node running on `id`, given the shared control tree.
     /// Node 0 (the tree root) is the source.
     pub fn new(id: NodeId, tree: &ControlTree, cfg: Config) -> Self {
-        cfg.validate();
         let block_space = cfg.block_space();
         let is_source = id == tree.root();
         let have = if is_source {
@@ -288,13 +287,13 @@ impl BulletPrimeNode {
 
         // The epoch's observations; its counters start again from zero.
         let sender_obs = self.requester.end_epoch(elapsed);
-        let receiver_obs: Vec<ReceiverObservation> = self
+        let receiver_obs: Vec<PeerObservation> = self
             .receivers
             .iter_mut()
-            .map(|(peer, r)| ReceiverObservation {
+            .map(|(peer, r)| PeerObservation {
                 peer,
                 bandwidth: std::mem::take(&mut r.bytes_since_epoch) as f64 / elapsed,
-                their_total_incoming: r.their_incoming_bw,
+                their_total_incoming: Some(r.their_incoming_bw),
             })
             .collect();
 

@@ -1,19 +1,22 @@
 //! The adaptive peering strategy (paper §3.3.1, Fig 2).
 //!
-//! Each node maintains two target sizes, `MAX_SENDERS` and `MAX_RECEIVERS`
-//! (both start at [`INITIAL_PEERS`], bounded by the hard limits [`MIN_PEERS`]
-//! and [`MAX_PEERS`]). Every time a RanSub distribute message arrives the
-//! node:
+//! A node's peer set has two directions, its senders and its receivers, and
+//! one rule serves both. Each direction keeps a target size (starting at
+//! [`INITIAL_PEERS`], bounded by the hard limits [`MIN_PEERS`] and
+//! [`MAX_PEERS`]). Every time a RanSub distribute message arrives the node,
+//! for each direction:
 //!
-//! 1. runs the ManageSenders feedback loop: if the peer-set size moved since
-//!    the previous epoch, keep the change if bandwidth improved and revert it
-//!    otherwise (and symmetrically for receivers using outgoing bandwidth);
+//! 1. runs Fig 2's feedback loop: if the direction's size moved since the
+//!    previous epoch, keep the change if its total bandwidth (incoming for
+//!    senders, outgoing for receivers) improved and revert it otherwise;
 //! 2. trims peers whose bandwidth sits more than [`TRIM_SIGMA`] standard
-//!    deviations below the mean — receivers are ranked by the *fraction* of
-//!    their total incoming bandwidth they get from us, so we never cut off a
-//!    peer that depends on us;
-//! 3. tops the peer sets back up to the (possibly new) targets with
-//!    candidates taken from the RanSub sample.
+//!    deviations below the mean, never below [`MIN_PEERS`]. The budget of
+//!    drops goes lowest rank first: a sender's rank is its bandwidth, a
+//!    receiver's the *share* of its total incoming bandwidth it gets from
+//!    us, and a receiver that gets half or more from us is never dropped;
+//! 3. tops the senders back up to the (possibly new) target with candidates
+//!    taken from the RanSub sample; receivers are admitted against their
+//!    target as their requests arrive.
 //!
 //! The same component also implements the paper's static configurations
 //! (`PeerSetPolicy::Fixed`), which Figs 7–9 compare against.
@@ -22,25 +25,29 @@ use netsim::NodeId;
 
 use crate::config::{PeerSetPolicy, INITIAL_PEERS, MAX_PEERS, MIN_PEERS, TRIM_SIGMA};
 
-/// Per-sender observation for one epoch: how fast this sender delivered to us.
+/// One peer's observation for one epoch, in either direction.
 #[derive(Debug, Clone, Copy)]
-pub struct SenderObservation {
-    /// The sender.
+pub struct PeerObservation {
+    /// The peer.
     pub peer: NodeId,
-    /// Bytes/second received from this sender over the last epoch.
+    /// Bytes/second over the last epoch: received from a sender, sent to a
+    /// receiver.
     pub bandwidth: f64,
+    /// A receiver's self-reported total incoming bandwidth (bytes/second),
+    /// which protects a receiver that depends on us; `None` for a sender.
+    pub their_total_incoming: Option<f64>,
 }
 
-/// Per-receiver observation for one epoch.
-#[derive(Debug, Clone, Copy)]
-pub struct ReceiverObservation {
-    /// The receiver.
-    pub peer: NodeId,
-    /// Bytes/second we sent to this receiver over the last epoch.
-    pub bandwidth: f64,
-    /// The receiver's self-reported total incoming bandwidth (bytes/second);
-    /// used to protect receivers that depend on us.
-    pub their_total_incoming: f64,
+impl PeerObservation {
+    /// The trim spends its budget lowest rank first: a sender's bandwidth,
+    /// or the share of a receiver's incoming bandwidth it gets from us.
+    fn rank(&self) -> f64 {
+        match self.their_total_incoming {
+            None => self.bandwidth,
+            Some(total) if total <= 0.0 => 0.0,
+            Some(total) => (self.bandwidth / total).min(1.0),
+        }
+    }
 }
 
 /// What the peering strategy decided at an epoch boundary.
@@ -52,8 +59,51 @@ pub struct EpochDecision {
     pub drop_receivers: Vec<NodeId>,
     /// How many new senders to try to acquire after the drops.
     pub sender_slots: usize,
-    /// How many new receivers we are willing to accept after the drops.
-    pub receiver_slots: usize,
+}
+
+/// One direction of the peer set: its target size and what the previous
+/// epoch saw of it.
+#[derive(Debug, Clone)]
+struct Direction {
+    target: usize,
+    /// The previous epoch's size and total bandwidth (dynamic policy only).
+    prev: Option<(usize, f64)>,
+}
+
+impl Direction {
+    /// Runs Fig 2's loop and then the trim on this epoch's observations of
+    /// the direction; returns the peers to drop.
+    fn on_epoch(&mut self, obs: &[PeerObservation]) -> Vec<NodeId> {
+        let size = obs.len();
+        let bw: f64 = obs.iter().map(|o| o.bandwidth).sum();
+        let prev = self.prev.replace((size, bw));
+        // "if (size(senders) != MAX_SENDERS) return;" — only adjust the
+        // target when we actually reached it, otherwise we cannot attribute
+        // the bandwidth change to the size change.
+        if size == self.target {
+            self.target = match prev {
+                // Try to add a new peer by default.
+                None | Some((0, _)) => self.target + 1,
+                Some((prev_size, prev_bw)) if size > prev_size => {
+                    if bw > prev_bw {
+                        self.target + 1 // Adding a peer helped; try another.
+                    } else {
+                        self.target.saturating_sub(1) // Adding was bad.
+                    }
+                }
+                Some((prev_size, prev_bw)) if size < prev_size => {
+                    if bw > prev_bw {
+                        self.target.saturating_sub(1) // Losing one made us faster.
+                    } else {
+                        self.target + 1 // Losing one was bad.
+                    }
+                }
+                Some(_) => self.target,
+            }
+            .clamp(MIN_PEERS, MAX_PEERS);
+        }
+        trim_slow(obs)
+    }
 }
 
 /// The adaptive peer-set manager. Only its policy is chosen; the bounds
@@ -62,232 +112,114 @@ pub struct EpochDecision {
 #[derive(Debug, Clone)]
 pub struct PeerManager {
     policy: PeerSetPolicy,
-    max_senders: usize,
-    max_receivers: usize,
-    prev_num_senders: Option<usize>,
-    prev_incoming_bw: f64,
-    prev_num_receivers: Option<usize>,
-    prev_outgoing_bw: f64,
+    senders: Direction,
+    receivers: Direction,
 }
 
 impl PeerManager {
     /// Creates a manager with the given policy: a dynamic one starts at
     /// [`INITIAL_PEERS`], a fixed one at its size.
     pub fn new(policy: PeerSetPolicy) -> Self {
-        let start = match policy {
+        let target = match policy {
             PeerSetPolicy::Dynamic => INITIAL_PEERS,
             PeerSetPolicy::Fixed(k) => k,
         };
+        let direction = Direction { target, prev: None };
         PeerManager {
             policy,
-            max_senders: start,
-            max_receivers: start,
-            prev_num_senders: None,
-            prev_incoming_bw: 0.0,
-            prev_num_receivers: None,
-            prev_outgoing_bw: 0.0,
+            senders: direction.clone(),
+            receivers: direction,
         }
     }
 
     /// Current target number of senders.
     pub fn max_senders(&self) -> usize {
-        self.max_senders
+        self.senders.target
     }
 
     /// Current target number of receivers.
     pub fn max_receivers(&self) -> usize {
-        self.max_receivers
+        self.receivers.target
     }
 
     /// Runs the epoch logic given this epoch's observations and returns the
     /// decisions to enact.
     pub fn on_epoch(
         &mut self,
-        senders: &[SenderObservation],
-        receivers: &[ReceiverObservation],
+        senders: &[PeerObservation],
+        receivers: &[PeerObservation],
     ) -> EpochDecision {
-        let incoming_bw: f64 = senders.iter().map(|s| s.bandwidth).sum();
-        let outgoing_bw: f64 = receivers.iter().map(|r| r.bandwidth).sum();
-
-        if matches!(self.policy, PeerSetPolicy::Dynamic) {
-            self.max_senders = manage_target(
-                self.max_senders,
-                senders.len(),
-                self.prev_num_senders,
-                incoming_bw,
-                self.prev_incoming_bw,
-            );
-            self.max_receivers = manage_target(
-                self.max_receivers,
-                receivers.len(),
-                self.prev_num_receivers,
-                outgoing_bw,
-                self.prev_outgoing_bw,
-            );
-        }
-
-        let drop_senders = if matches!(self.policy, PeerSetPolicy::Dynamic) {
-            trim_slow_senders(senders)
-        } else {
-            Vec::new()
+        let (drop_senders, drop_receivers) = match self.policy {
+            PeerSetPolicy::Dynamic => (
+                self.senders.on_epoch(senders),
+                self.receivers.on_epoch(receivers),
+            ),
+            PeerSetPolicy::Fixed(_) => (Vec::new(), Vec::new()),
         };
-        let drop_receivers = if matches!(self.policy, PeerSetPolicy::Dynamic) {
-            trim_slow_receivers(receivers)
-        } else {
-            Vec::new()
-        };
-
-        self.prev_num_senders = Some(senders.len());
-        self.prev_incoming_bw = incoming_bw;
-        self.prev_num_receivers = Some(receivers.len());
-        self.prev_outgoing_bw = outgoing_bw;
-
-        let senders_after = senders.len().saturating_sub(drop_senders.len());
-        let receivers_after = receivers.len().saturating_sub(drop_receivers.len());
+        let senders_after = senders.len() - drop_senders.len();
         EpochDecision {
             drop_senders,
             drop_receivers,
-            sender_slots: self.max_senders.saturating_sub(senders_after),
-            receiver_slots: self.max_receivers.saturating_sub(receivers_after),
+            sender_slots: self.senders.target.saturating_sub(senders_after),
         }
     }
 }
 
-/// The ManageSenders / ManageReceivers feedback loop (Fig 2), generalised over
-/// which direction's bandwidth is observed.
-fn manage_target(
-    mut target: usize,
-    current_size: usize,
-    prev_size: Option<usize>,
-    bw: f64,
-    prev_bw: f64,
-) -> usize {
-    // "if (size(senders) != MAX_SENDERS) return;" — only adjust the target
-    // when we actually reached it, otherwise we cannot attribute the
-    // bandwidth change to the size change.
-    if current_size != target {
-        return target;
-    }
-    match prev_size {
-        None | Some(0) => {
-            // Try to add a new peer by default.
-            target += 1;
-        }
-        Some(prev) if current_size > prev => {
-            if bw > prev_bw {
-                target += 1; // Adding a sender helped; try another.
-            } else {
-                target = target.saturating_sub(1); // Adding was bad.
-            }
-        }
-        Some(prev) if current_size < prev => {
-            if bw > prev_bw {
-                target = target.saturating_sub(1); // Losing one made us faster.
-            } else {
-                target += 1; // Losing one was bad.
-            }
-        }
-        Some(_) => {}
-    }
-    target.clamp(MIN_PEERS, MAX_PEERS)
-}
-
-/// Disconnect senders whose bandwidth is more than [`TRIM_SIGMA`] standard
-/// deviations below the mean, never dropping below [`MIN_PEERS`] peers.
-fn trim_slow_senders(senders: &[SenderObservation]) -> Vec<NodeId> {
-    if senders.len() <= MIN_PEERS {
+/// Disconnect peers whose bandwidth is more than [`TRIM_SIGMA`] standard
+/// deviations below the mean, lowest rank first and never dropping below
+/// [`MIN_PEERS`] peers; a receiver that gets half or more of its incoming
+/// bandwidth from us is never dropped.
+fn trim_slow(obs: &[PeerObservation]) -> Vec<NodeId> {
+    if obs.len() <= MIN_PEERS {
         return Vec::new();
     }
-    let bw: Vec<f64> = senders.iter().map(|s| s.bandwidth).collect();
-    let (mean, std) = mean_std(&bw);
+    let n = obs.len() as f64;
+    let mean = obs.iter().map(|o| o.bandwidth).sum::<f64>() / n;
+    let var = obs
+        .iter()
+        .map(|o| (o.bandwidth - mean) * (o.bandwidth - mean))
+        .sum::<f64>()
+        / n;
+    let std = var.sqrt();
     if std <= f64::EPSILON {
         return Vec::new();
     }
     let threshold = mean - TRIM_SIGMA * std;
-    // Sort slowest-first so the budget of allowed drops goes to the worst.
-    let mut sorted: Vec<&SenderObservation> = senders.iter().collect();
-    sorted.sort_by(|a, b| {
-        a.bandwidth
-            .partial_cmp(&b.bandwidth)
-            .expect("finite bandwidths")
-    });
-    let mut allowed = senders.len() - MIN_PEERS;
+    // The sort is stable, so equal ranks keep the observations' order.
+    let mut sorted: Vec<&PeerObservation> = obs.iter().collect();
+    sorted.sort_by(|a, b| a.rank().partial_cmp(&b.rank()).expect("finite ranks"));
+    let mut allowed = obs.len() - MIN_PEERS;
     let mut drops = Vec::new();
-    for s in sorted {
+    for o in sorted {
         if allowed == 0 {
             break;
         }
-        if s.bandwidth < threshold {
-            drops.push(s.peer);
+        // A receiver whose share is 0.5 or more depends on us and stays.
+        if o.bandwidth < threshold && (o.their_total_incoming.is_none() || o.rank() < 0.5) {
+            drops.push(o.peer);
             allowed -= 1;
         }
     }
     drops
-}
-
-/// Disconnect receivers that limit our outgoing bandwidth, ranked by the
-/// fraction of their own incoming bandwidth they get from us so we do not cut
-/// off nodes that depend on us.
-fn trim_slow_receivers(receivers: &[ReceiverObservation]) -> Vec<NodeId> {
-    if receivers.len() <= MIN_PEERS {
-        return Vec::new();
-    }
-    let bw: Vec<f64> = receivers.iter().map(|r| r.bandwidth).collect();
-    let (mean, std) = mean_std(&bw);
-    if std <= f64::EPSILON {
-        return Vec::new();
-    }
-    let threshold = mean - TRIM_SIGMA * std;
-    let ratio = |r: &ReceiverObservation| {
-        if r.their_total_incoming <= 0.0 {
-            0.0
-        } else {
-            (r.bandwidth / r.their_total_incoming).min(1.0)
-        }
-    };
-    let mut sorted: Vec<&ReceiverObservation> = receivers.iter().collect();
-    // Lowest dependence on us first.
-    sorted.sort_by(|a, b| ratio(a).partial_cmp(&ratio(b)).expect("finite ratios"));
-    let mut allowed = receivers.len() - MIN_PEERS;
-    let mut drops = Vec::new();
-    for r in sorted {
-        if allowed == 0 {
-            break;
-        }
-        // Protect receivers that get most of their bandwidth from us.
-        if r.bandwidth < threshold && ratio(r) < 0.5 {
-            drops.push(r.peer);
-            allowed -= 1;
-        }
-    }
-    drops
-}
-
-fn mean_std(values: &[f64]) -> (f64, f64) {
-    if values.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean = values.iter().sum::<f64>() / values.len() as f64;
-    let var = values.iter().map(|v| (v - mean) * (v - mean)).sum::<f64>() / values.len() as f64;
-    (mean, var.sqrt())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn sender(i: u32, bw: f64) -> SenderObservation {
-        SenderObservation {
+    fn sender(i: u32, bw: f64) -> PeerObservation {
+        PeerObservation {
             peer: NodeId(i),
             bandwidth: bw,
+            their_total_incoming: None,
         }
     }
 
-    fn receiver(i: u32, bw: f64, total: f64) -> ReceiverObservation {
-        ReceiverObservation {
+    fn receiver(i: u32, bw: f64, total: f64) -> PeerObservation {
+        PeerObservation {
             peer: NodeId(i),
             bandwidth: bw,
-            their_total_incoming: total,
+            their_total_incoming: Some(total),
         }
     }
 
@@ -316,16 +248,15 @@ mod tests {
         assert_eq!(m.max_senders(), 11);
         assert_eq!(m.max_receivers(), 11);
         assert_eq!(d.sender_slots, 1);
-        assert_eq!(d.receiver_slots, 1);
     }
 
     #[test]
     fn bandwidth_gain_keeps_growing_and_loss_reverts() {
         let mut m = dynamic_manager();
-        let mk = |n: usize, each: f64| -> Vec<SenderObservation> {
+        let mk = |n: usize, each: f64| -> Vec<PeerObservation> {
             (0..n as u32).map(|i| sender(i, each)).collect()
         };
-        let none: Vec<ReceiverObservation> = Vec::new();
+        let none: Vec<PeerObservation> = Vec::new();
         // Epoch 1: at target 10, no history -> probe to 11.
         m.on_epoch(&mk(10, 100_000.0), &none);
         assert_eq!(m.max_senders(), 11);
@@ -404,6 +335,31 @@ mod tests {
         senders.extend((1..7).map(|i| sender(i, 10.0 * f64::from(i))));
         let d = m.on_epoch(&senders, &[]);
         assert!(d.drop_senders.len() <= 1);
+    }
+
+    #[test]
+    fn the_budget_drops_the_slowest_sender_first() {
+        let mut m = dynamic_manager();
+        // Both slow senders sit below the threshold (≈ 8,800 B/s), but seven
+        // senders leave a budget of one drop above MIN_PEERS.
+        let mut senders: Vec<_> = (0..5).map(|i| sender(i, 200_000.0)).collect();
+        senders.push(sender(5, 2_000.0));
+        senders.push(sender(6, 1_000.0));
+        let d = m.on_epoch(&senders, &[]);
+        assert_eq!(d.drop_senders, vec![NodeId(6)]);
+    }
+
+    #[test]
+    fn the_budget_drops_the_least_dependent_receiver_first() {
+        let mut m = dynamic_manager();
+        // Both slow receivers sit below the threshold (≈ 18,200 B/s) and the
+        // budget is one drop. Node 6 is faster than node 5 but gets a smaller
+        // share of its incoming bandwidth from us, so it goes.
+        let mut receivers: Vec<_> = (0..5).map(|i| receiver(i, 300_000.0, 600_000.0)).collect();
+        receivers.push(receiver(5, 5_000.0, 16_000.0)); // share 0.31
+        receivers.push(receiver(6, 10_000.0, 500_000.0)); // share 0.02
+        let d = m.on_epoch(&[], &receivers);
+        assert_eq!(d.drop_receivers, vec![NodeId(6)]);
     }
 
     #[test]

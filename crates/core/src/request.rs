@@ -33,7 +33,7 @@ use crate::config::{OutstandingPolicy, RequestStrategy};
 use crate::flow::OutstandingController;
 use crate::messages::Msg;
 use crate::peer_map::PeerMap;
-use crate::peering::SenderObservation;
+use crate::peering::PeerObservation;
 
 /// Everything a receiver knows about one of its senders.
 #[derive(Debug, Clone)]
@@ -346,12 +346,13 @@ impl RequestManager {
     /// Each sender's delivery rate over the epoch that just ended, `elapsed`
     /// seconds long, in ascending peer order; the epoch's byte counts start
     /// again from zero.
-    pub fn end_epoch(&mut self, elapsed: f64) -> Vec<SenderObservation> {
+    pub fn end_epoch(&mut self, elapsed: f64) -> Vec<PeerObservation> {
         self.senders
             .iter_mut()
-            .map(|(peer, s)| SenderObservation {
+            .map(|(peer, s)| PeerObservation {
                 peer,
                 bandwidth: std::mem::take(&mut s.bytes_since_epoch) as f64 / elapsed,
+                their_total_incoming: None,
             })
             .collect()
     }

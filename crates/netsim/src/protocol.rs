@@ -298,13 +298,6 @@ impl<'a, P: Protocol> Ctx<'a, P> {
         self.net.pending_blocks(self.node, to)
     }
 
-    /// Round-trip time between this node and `peer` according to the
-    /// topology. Real implementations estimate this from traffic; the
-    /// emulator exposes the configured value for simplicity.
-    pub fn rtt(&self, peer: NodeId) -> SimDuration {
-        self.net.topology().rtt(self.node, peer)
-    }
-
     /// Sends a control message.
     pub fn send(&mut self, to: NodeId, msg: P::Msg) {
         debug_assert!(to != self.node, "no self-messaging");

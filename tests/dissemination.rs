@@ -92,7 +92,7 @@ fn encoded_and_unencoded_bullet_prime_both_complete() {
         let w = mesh(10, 0.01, 23, FileSpec::from_mb_kb(2, 16), Dynamics::Static);
         let mut cfg = w.config();
         if encoded {
-            cfg.transfer_mode = bullet_repro::bullet_prime::TransferMode::Encoded { epsilon: 0.04 };
+            cfg.transfer_mode = bullet_repro::bullet_prime::TransferMode::Encoded;
         }
         let mut runner = w.bullet_prime(&cfg, None);
         let run = SystemRun::from_report(&w.run(&mut runner));
