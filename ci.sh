@@ -141,12 +141,12 @@ echo "==> baselines tests and the request-selection reference on the release bui
 cargo test -q --release -p baselines
 # Bullet′'s own tests on the release build too: the two selection oracles
 # (partial selection against a full sort, each discovery list's capacity at
-# most 4x its length), the rarity recount (after every random step, each
-# block's rarity equals the number of sender records offering it, beside
-# each sender's outstanding count against a scan of the requests in flight)
-# and the peer map against its BTreeMap reference run on the build the
-# benchmark measures.
-echo "==> bullet-prime tests (selection oracles, rarity recount, peer-map reference) on the release build"
+# most 4x its length), the request-state recount (after every random step,
+# the in-flight index equals the union of the senders' request lists, no
+# block is listed twice, and each block's rarity equals the number of sender
+# records offering it) and the peer map against its BTreeMap reference run on
+# the build the benchmark measures.
+echo "==> bullet-prime tests (selection oracles, in-flight index and rarity recount, peer-map reference) on the release build"
 cargo test -q --release -p bullet-prime
 
 # The four systems' churn contract, read off their traces

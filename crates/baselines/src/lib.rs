@@ -26,7 +26,7 @@ mod end_to_end {
     use super::*;
     use desim::{RngFactory, SimDuration};
     use dissem_codec::FileSpec;
-    use netsim::{topology, NodeId, StopReason};
+    use netsim::{topology, RingSink, StopReason, TraceEvent, TraceSink};
 
     #[test]
     fn bittorrent_swarm_completes_and_benefits_from_swarming() {
@@ -34,22 +34,24 @@ mod end_to_end {
         let topo = topology::modelnet_mesh(10, 0.005, &rng);
         let file = FileSpec::new(512 * 1024, 16 * 1024);
         let mut runner = bittorrent::build_runner(topo, file, &rng);
+        runner.set_trace_sink(Box::new(RingSink::new(1 << 20)));
         let report = runner.run(SimDuration::from_secs(3_600));
         assert_eq!(report.reason, StopReason::AllComplete, "{report:?}");
         for (node, done) in runner.nodes().iter().zip(&report.completion_secs).skip(1) {
             assert_eq!(node.blocks_held(), 32);
             assert!(done.is_some());
         }
-        // Leechers must have uploaded to each other: the swarm's total
-        // received bytes exceed what the seed alone pushed out.
-        let seed_out = runner.network().traffic(NodeId(0)).data_bytes_out;
-        let total_in: u64 = (1..10)
-            .map(|i| runner.network().traffic(NodeId(i)).data_bytes_in)
-            .sum();
-        assert!(
-            total_in > seed_out,
-            "peers should exchange data among themselves (seed {seed_out}, total {total_in})"
-        );
+        // Leechers must have uploaded to each other: some block was sent by
+        // a node other than the seed.
+        let ring = runner
+            .take_trace_sink::<RingSink>()
+            .expect("the ring installed above");
+        assert_eq!(ring.dropped(), 0);
+        let leecher_sent = ring
+            .into_records()
+            .iter()
+            .any(|rec| matches!(rec.ev, TraceEvent::BlockSent { from, .. } if from != 0));
+        assert!(leecher_sent, "peers should exchange data among themselves");
     }
 
     #[test]

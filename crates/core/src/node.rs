@@ -522,8 +522,10 @@ impl Protocol for BulletPrimeNode {
                 self.drop_receiver(ctx, from, false);
             }
             Msg::TreeAttach => {
-                // An orphaned node rejoins the tree here (only the root
-                // receives these). It becomes a push target and a RanSub
+                // A node registers with its tree parent: every node does so
+                // in `on_init` (a no-op here for a child present at t = 0),
+                // a late joiner to re-register, and an orphan attaches at
+                // the root. The sender becomes a push target and a RanSub
                 // child from the next epoch on.
                 self.ransub.add_child(from);
             }

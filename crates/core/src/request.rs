@@ -3,10 +3,10 @@
 //! A receiver keeps one record per sender: the blocks that sender has
 //! advertised and the receiver still needs, the requests outstanding to it,
 //! and the window and delivery rate that decide how many more it is asked
-//! for. Across senders it keeps each block's rarity and a map of requests
-//! currently outstanding anywhere. When a request slot opens towards a
-//! sender, the strategy orders that sender's candidates and picks the head of
-//! the list:
+//! for. Across senders it keeps two indexes: each block's rarity over the
+//! offers, and the set of blocks requested from any sender over the request
+//! lists. When a request slot opens towards a sender, the strategy orders
+//! that sender's candidates and picks the head of the list:
 //!
 //! * **first-encountered** — discovery order (the strawman; leads to low
 //!   block diversity);
@@ -20,8 +20,6 @@
 //! provide the block (the paper notes that cancelling in-flight blocks is
 //! impractical, so the timeout is insurance against pathological stalls, not
 //! an optimisation).
-
-use std::collections::BTreeMap;
 
 use desim::{SimDuration, SimTime};
 use dissem_codec::{BlockBitmap, BlockId};
@@ -45,11 +43,12 @@ struct Sender {
     order: Vec<BlockId>,
     /// Membership bitmap for O(1) lookups and word-level counting.
     bits: BlockBitmap,
-    /// Number of `in_flight` entries addressed to this sender. Every such
-    /// entry names a registered sender — requests are only issued to one, and
-    /// removing a sender releases its requests — so the count lives and dies
-    /// with this record.
-    outstanding: usize,
+    /// The requests outstanding to this sender, each with the instant it was
+    /// made, in no particular order: the one record of a request in flight.
+    /// A block is listed by at most one sender. Its length is what the window
+    /// is checked against; its capacity stays at the largest window run, at
+    /// most [`crate::config::MAX_OUTSTANDING`] entries.
+    requested: Vec<(BlockId, SimTime)>,
     /// How many requests to keep outstanding to this sender (§3.3.3).
     ctl: OutstandingController,
     /// Bytes received from this sender since the last RanSub epoch.
@@ -66,7 +65,7 @@ impl Sender {
         Sender {
             order: Vec::new(),
             bits: BlockBitmap::new(block_space),
-            outstanding: 0,
+            requested: Vec::new(),
             ctl: OutstandingController::new(policy),
             bytes_since_epoch: 0,
             ewma_rate: 1_000.0,
@@ -112,17 +111,9 @@ impl Sender {
             receipt.wasted,
             self.ewma_rate,
             block_size,
-            self.outstanding as u32,
+            self.requested.len() as u32,
         );
     }
-}
-
-/// A request currently outstanding to some sender.
-#[derive(Debug, Clone, Copy)]
-#[cfg_attr(test, derive(PartialEq))]
-struct InFlight {
-    to: NodeId,
-    since: SimTime,
 }
 
 /// A candidate under selection, packed so that integer order is the order
@@ -165,8 +156,8 @@ pub struct RequestManager {
     pool: Pool,
 }
 
-/// What every sender's selection reads: the strategy, each block's rarity
-/// and the requests in flight anywhere.
+/// What every sender's selection reads: the strategy and two indexes over the
+/// sender records, each block's rarity and the blocks in flight anywhere.
 #[derive(Debug, Clone)]
 #[cfg_attr(test, derive(PartialEq))]
 struct Pool {
@@ -174,9 +165,9 @@ struct Pool {
     /// Number of senders currently advertising each block: at most the
     /// number registered, which is at most [`MAX_SENDERS`].
     rarity: Vec<u8>,
-    in_flight: BTreeMap<BlockId, InFlight>,
-    /// Bitmap mirror of `in_flight`'s keys, for O(1) membership tests and
-    /// word-level candidate counting.
+    /// The blocks requested from any sender: the union of the senders'
+    /// `requested` lists, for O(1) membership tests and word-level candidate
+    /// counting.
     in_flight_bits: BlockBitmap,
 }
 
@@ -190,7 +181,6 @@ impl RequestManager {
             pool: Pool {
                 strategy,
                 rarity: vec![0; block_space as usize],
-                in_flight: BTreeMap::new(),
                 in_flight_bits: BlockBitmap::new(block_space),
             },
         }
@@ -249,13 +239,9 @@ impl RequestManager {
         for b in s.bits.iter() {
             unadvertise(&mut self.pool.rarity[b.index()]);
         }
-        let in_flight_bits = &mut self.pool.in_flight_bits;
-        self.pool.in_flight.retain(|&b, f| {
-            if f.to == peer {
-                in_flight_bits.remove(b);
-            }
-            f.to != peer
-        });
+        for &(b, _) in &s.requested {
+            self.pool.in_flight_bits.remove(b);
+        }
         true
     }
 
@@ -278,7 +264,7 @@ impl RequestManager {
     }
 
     /// Records the arrival of `receipt`'s block from `from`: clears its
-    /// outstanding entry, drops it from every sender's candidates and, if
+    /// outstanding request, drops it from every sender's candidates and, if
     /// `from` is a sender, accounts for the arrival in its record (rate,
     /// epoch bytes and window; `block_size` is the nominal block size).
     pub fn on_block_received(
@@ -289,13 +275,16 @@ impl RequestManager {
         block_size: f64,
     ) {
         let block = receipt.block;
-        let requested_from = self.pool.in_flight.remove(&block).map(|f| f.to);
-        self.pool.in_flight_bits.remove(block);
+        // A block in flight is listed by exactly one sender.
+        let mut listed = self.pool.in_flight_bits.remove(block);
         // One walk over the records does all three; `order` vectors are
         // compacted lazily during selection.
         for (peer, s) in self.senders.iter_mut() {
-            if requested_from == Some(peer) {
-                s.outstanding -= 1;
+            if listed {
+                if let Some(i) = s.requested.iter().position(|&(b, _)| b == block) {
+                    s.requested.swap_remove(i);
+                    listed = false;
+                }
             }
             if s.bits.remove(block) {
                 unadvertise(&mut self.pool.rarity[block.index()]);
@@ -319,12 +308,12 @@ impl RequestManager {
     ) -> Option<Msg> {
         let s = self.senders.get_mut(peer)?;
         let window = s.ctl.window() as usize;
-        if s.outstanding >= window {
+        if s.requested.len() >= window {
             return None;
         }
         let blocks = self
             .pool
-            .select(peer, s, window - s.outstanding, have, now, rng);
+            .select(s, window - s.requested.len(), have, now, rng);
         if blocks.is_empty() {
             if s.diff_requested || self.pool.useful_candidates(s, have) > 0 {
                 return None;
@@ -361,27 +350,28 @@ impl RequestManager {
     /// the blocks become eligible for re-requesting from other senders. A
     /// sender whose request is released stops waiting for its marked block.
     pub fn release_stale(&mut self, now: SimTime, timeout: SimDuration) {
-        let (senders, in_flight_bits) = (&mut self.senders, &mut self.pool.in_flight_bits);
-        self.pool.in_flight.retain(|&block, f| {
-            if now.saturating_since(f.since) < timeout {
-                return true;
+        let in_flight_bits = &mut self.pool.in_flight_bits;
+        for (_, s) in self.senders.iter_mut() {
+            let before = s.requested.len();
+            s.requested.retain(|&(b, since)| {
+                let fresh = now.saturating_since(since) < timeout;
+                if !fresh {
+                    in_flight_bits.remove(b);
+                }
+                fresh
+            });
+            if s.requested.len() < before {
+                s.ctl.clear_mark();
             }
-            in_flight_bits.remove(block);
-            let s = senders
-                .get_mut(f.to)
-                .expect("an outstanding request names a registered sender");
-            s.outstanding -= 1;
-            s.ctl.clear_mark();
-            false
-        });
+        }
     }
 }
 
 impl Pool {
-    /// Chooses up to `count` blocks to request from `peer`, whose record is
-    /// `s`, marks them outstanding and returns them in request order: the
-    /// `count` smallest `(key, block)` among the sender's candidates,
-    /// ascending.
+    /// Chooses up to `count` blocks to request from the sender whose record
+    /// is `s`, lists them as its requests made at `now` and returns them in
+    /// request order: the `count` smallest `(key, block)` among the sender's
+    /// candidates, ascending.
     ///
     /// One pass over the sender's discovery list does all of it: blocks that
     /// arrived or left the set are compacted away, and every remaining block
@@ -393,7 +383,6 @@ impl Pool {
     /// with more than 4× its length in capacity shrinks to 2× its length.
     fn select(
         &mut self,
-        peer: NodeId,
         s: &mut Sender,
         count: usize,
         have: &BlockBitmap,
@@ -443,13 +432,7 @@ impl Pool {
 
         let chosen: Vec<BlockId> = picks[..picked].iter().map(|p| p.block()).collect();
         for &b in &chosen {
-            let request = InFlight {
-                to: peer,
-                since: now,
-            };
-            if self.in_flight.insert(b, request).is_none() {
-                s.outstanding += 1;
-            }
+            s.requested.push((b, now));
             self.in_flight_bits.insert(b);
         }
         chosen
@@ -537,13 +520,13 @@ mod tests {
         rng: &mut StdRng,
     ) -> Vec<BlockId> {
         match rm.senders.get_mut(peer) {
-            Some(s) => rm.pool.select(peer, s, count, have, now, rng),
+            Some(s) => rm.pool.select(s, count, have, now, rng),
             None => Vec::new(),
         }
     }
 
     fn outstanding_to(rm: &RequestManager, peer: NodeId) -> usize {
-        rm.senders.get(peer).map_or(0, |s| s.outstanding)
+        rm.senders.get(peer).map_or(0, |s| s.requested.len())
     }
 
     fn useful_candidates(rm: &RequestManager, peer: NodeId, have: &BlockBitmap) -> usize {
@@ -618,7 +601,7 @@ mod tests {
         );
         assert_eq!(outstanding_to(&rm, NodeId(1)), 2);
         assert_eq!(outstanding_to(&rm, NodeId(2)), 1);
-        assert_eq!(rm.pool.in_flight.len(), 3);
+        assert_eq!(rm.pool.in_flight_bits.count(), 3);
     }
 
     #[test]
@@ -641,10 +624,10 @@ mod tests {
         rm.add_sender(NodeId(1), ids(&[0, 1]), &have);
         rm.add_sender(NodeId(2), ids(&[0, 1]), &have);
         let _ = select(&mut rm, NodeId(1), 2, &have, SimTime::ZERO, &mut rng());
-        assert_eq!(rm.pool.in_flight.len(), 2);
+        assert_eq!(outstanding_to(&rm, NodeId(1)), 2);
+        assert_eq!(rm.pool.in_flight_bits.count(), 2);
         assert!(rm.remove_sender(NodeId(1)));
         assert!(!rm.remove_sender(NodeId(1)), "removed already");
-        assert_eq!(rm.pool.in_flight.len(), 0);
         assert_eq!(rm.pool.in_flight_bits.count(), 0);
         // Blocks can now be requested from the other sender.
         let got = select(&mut rm, NodeId(2), 2, &have, SimTime::ZERO, &mut rng());
@@ -658,16 +641,59 @@ mod tests {
         let have = BlockBitmap::new(10);
         rm.add_sender(NodeId(1), ids(&[0]), &have);
         let _ = select(&mut rm, NodeId(1), 1, &have, SimTime::ZERO, &mut rng());
-        let requested = rm.pool.in_flight.clone();
+        let requested = rm.senders.get(NodeId(1)).map(|s| s.requested.clone());
+        assert_eq!(requested, Some(vec![(BlockId(0), SimTime::ZERO)]));
         rm.release_stale(SimTime::from_secs_f64(5.0), SimDuration::from_secs(30));
-        assert_eq!(rm.pool.in_flight, requested, "nothing is stale yet");
-        assert_eq!(requested.keys().collect::<Vec<_>>(), [&BlockId(0)]);
+        assert_eq!(
+            rm.senders.get(NodeId(1)).map(|s| s.requested.clone()),
+            requested,
+            "nothing is stale yet"
+        );
+        assert!(rm.pool.in_flight_bits.contains(BlockId(0)));
         rm.release_stale(SimTime::from_secs_f64(31.0), SimDuration::from_secs(30));
-        assert!(rm.pool.in_flight.is_empty());
+        assert_eq!(rm.pool.in_flight_bits.count(), 0);
         assert_eq!(outstanding_to(&rm, NodeId(1)), 0);
         // The released block can be requested again.
         let again = select(&mut rm, NodeId(1), 1, &have, SimTime::ZERO, &mut rng());
         assert_eq!(again, ids(&[0]));
+    }
+
+    /// A release that frees only part of one sender's requests: the stale
+    /// ones become requestable again, the fresh one stays in flight and
+    /// counts against its sender's window.
+    #[test]
+    fn a_stale_release_keeps_the_fresh_requests_of_a_sender() {
+        let mut rm = manager(RequestStrategy::FirstEncountered, 10);
+        let have = BlockBitmap::new(10);
+        rm.add_sender(NodeId(1), ids(&[0, 1, 2, 3, 4]), &have);
+        rm.add_sender(NodeId(2), ids(&[0, 1, 2, 3, 4]), &have);
+        let t20 = SimTime::from_secs_f64(20.0);
+        assert_eq!(
+            select(&mut rm, NodeId(1), 1, &have, SimTime::ZERO, &mut rng()),
+            ids(&[0])
+        );
+        assert_eq!(
+            select(&mut rm, NodeId(2), 1, &have, SimTime::ZERO, &mut rng()),
+            ids(&[1])
+        );
+        assert_eq!(
+            select(&mut rm, NodeId(1), 1, &have, t20, &mut rng()),
+            ids(&[2])
+        );
+
+        rm.release_stale(SimTime::from_secs_f64(31.0), SimDuration::from_secs(30));
+        assert_eq!(outstanding_to(&rm, NodeId(1)), 1);
+        assert_eq!(outstanding_to(&rm, NodeId(2)), 0);
+        assert!(rm.pool.in_flight_bits.contains(BlockId(2)));
+        assert_eq!(rm.pool.in_flight_bits.count(), 1);
+        // Sender 1's window is the initial 3, one of it taken by block 2: the
+        // refill asks for the two released blocks and no more.
+        let refill = rm.next_request(NodeId(1), &have, t20, &mut rng());
+        assert!(
+            matches!(&refill, Some(Msg::BlockRequest { blocks, .. }) if *blocks == ids(&[0, 1])),
+            "{refill:?}"
+        );
+        assert_eq!(outstanding_to(&rm, NodeId(1)), 3);
     }
 
     #[test]
@@ -897,12 +923,12 @@ mod tests {
     }
 
     /// Random registrations, diffs, selections (the strategy's and the
-    /// window's), arrivals, releases and removals. After every step each
-    /// sender's outstanding count equals a scan of the requests in flight,
-    /// and each block's rarity equals the number of registered senders
-    /// whose offer holds it.
+    /// window's), arrivals, releases and removals. After every step the
+    /// in-flight index is the union of the senders' request lists, no block
+    /// is listed twice, and each block's rarity equals the number of
+    /// registered senders whose offer holds it.
     #[test]
-    fn per_sender_outstanding_count_matches_a_scan_of_in_flight() {
+    fn the_in_flight_index_is_the_union_of_the_senders_requests() {
         let mut r = StdRng::seed_from_u64(0x0075_7a4d);
         for case in 0..60 {
             let space = 64;
@@ -946,18 +972,13 @@ mod tests {
                     }
                 }
                 let at = format!("case {case}, step {step}");
-                let mut total = 0;
-                for p in 0..=senders + 1 {
-                    let scanned = rm
-                        .pool
-                        .in_flight
-                        .values()
-                        .filter(|f| f.to == NodeId(p))
-                        .count();
-                    assert_eq!(outstanding_to(&rm, NodeId(p)), scanned, "{at}, peer {p}");
-                    total += scanned;
+                let mut listed = BlockBitmap::new(space);
+                for s in rm.senders.values() {
+                    for &(b, _) in &s.requested {
+                        assert!(listed.insert(b), "{at}, block {}: listed twice", b.0);
+                    }
                 }
-                assert_eq!(rm.pool.in_flight.len(), total, "{at}");
+                assert_eq!(listed, rm.pool.in_flight_bits, "{at}: the in-flight index");
                 for b in (0..space).map(BlockId) {
                     let offering = rm.senders.values().filter(|s| s.bits.contains(b)).count();
                     let rarity = usize::from(rm.pool.rarity[b.index()]);

@@ -563,6 +563,7 @@ mod runner_tests {
             .collect();
         let mut runner = Runner::new(Network::new(topo), nodes, &rng);
         runner.set_inactive_at_start(NodeId(2));
+        runner.set_trace_sink(Box::new(RingSink::new(1 << 16)));
         let report = runner.run(SimDuration::from_secs(3_000));
         // Node 2 never joins, so the run drains instead of completing.
         assert_eq!(report.reason, StopReason::Drained);
@@ -570,9 +571,15 @@ mod runner_tests {
             report.completion_secs[1].is_some(),
             "active receiver finishes"
         );
-        assert_eq!(
-            runner.network().traffic(NodeId(2)).data_bytes_in,
-            0,
+        let ring = runner
+            .take_trace_sink::<RingSink>()
+            .expect("the ring installed above");
+        assert_eq!(ring.dropped(), 0);
+        assert!(
+            !ring
+                .into_records()
+                .iter()
+                .any(|rec| matches!(rec.ev, TraceEvent::BlockReceived { node: 2, .. })),
             "no data may reach the inactive node"
         );
         assert_eq!(
@@ -770,14 +777,9 @@ mod runner_tests {
         let mut runner = Runner::new(Network::new(topo), nodes, &rng);
         let report = runner.run(SimDuration::from_secs(1_000));
         assert_eq!(report.reason, StopReason::AllComplete);
-        assert_eq!(
-            runner.network().traffic(NodeId(1)).data_bytes_in,
-            128 * 1024
-        );
-        assert_eq!(
-            runner.network().traffic(NodeId(0)).data_bytes_out,
-            128 * 1024
-        );
+        // 128 KiB in 16 KiB blocks, from the source to its one receiver.
+        assert_eq!(report.metrics.counter("blocks_sent"), Some(8));
+        assert_eq!(report.metrics.counter("blocks_delivered"), Some(8));
     }
 }
 

@@ -256,17 +256,14 @@ impl Connection {
     }
 }
 
-/// Per-node traffic accounting maintained by the emulator.
+/// Per-node control-message accounting maintained by the emulator. Blocks
+/// are counted by the runner (`blocks_sent`, `blocks_delivered`) and traced.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct NodeTraffic {
     /// Bytes of control messages sent.
     pub control_bytes_out: u64,
     /// Bytes of control messages received.
     pub control_bytes_in: u64,
-    /// Data bytes handed to the receiving protocol.
-    pub data_bytes_in: u64,
-    /// Data bytes whose serialisation completed at this sender.
-    pub data_bytes_out: u64,
 }
 
 /// Packs an ordered node pair into one sortable key; ascending key order is
@@ -820,8 +817,6 @@ impl Network {
             in_front: fl.in_front,
             wasted: fl.wasted,
         };
-        self.traffic[from.index()].data_bytes_out += fl.bytes;
-
         let has_more = !self.conns[f].queue.is_empty();
         let updates = if has_more {
             // The connection stays active; the only solver input that moved
@@ -853,11 +848,6 @@ impl Network {
             self.mark_idle(now, fid)
         };
         Some((completed, updates))
-    }
-
-    /// Records the receiver-side arrival of a block (traffic accounting).
-    pub fn on_block_delivered(&mut self, to: NodeId, bytes: u64) {
-        self.traffic[to.index()].data_bytes_in += bytes;
     }
 
     /// Closes the `from → to` connection, dropping queued and in-flight

@@ -457,13 +457,6 @@ fn traffic_counters_accumulate() {
     assert!(d > SimDuration::ZERO);
     assert_eq!(net.traffic(NodeId(0)).control_bytes_out, 100);
     assert_eq!(net.traffic(NodeId(1)).control_bytes_in, 100);
-
-    let r = net.queue_block(SimTime::ZERO, NodeId(0), NodeId(1), BlockId(0), 500);
-    let at = sched_at(&net, &r, NodeId(0), NodeId(1));
-    net.on_block_done(at, NodeId(0), NodeId(1)).unwrap();
-    net.on_block_delivered(NodeId(1), 500);
-    assert_eq!(net.traffic(NodeId(0)).data_bytes_out, 500);
-    assert_eq!(net.traffic(NodeId(1)).data_bytes_in, 500);
 }
 
 #[test]

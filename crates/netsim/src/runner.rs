@@ -1064,7 +1064,6 @@ impl<P: Protocol> Runner<P> {
                     return; // Delivered into the void.
                 }
                 self.run.counters.blocks_delivered += 1;
-                self.run.net.on_block_delivered(done.to, done.bytes);
                 let (to, from) = (done.to, done.from);
                 let (block, bytes) = (done.block, done.bytes);
                 let receipt = crate::network::BlockReceipt {
