@@ -90,9 +90,11 @@ fi
 cargo clippy --all-targets -- -D warnings
 
 # Documentation gate for the first-party crates (vendor/ shims are exempt,
-# like every other lint): intra-doc links and rustdoc warnings stay clean.
-echo "==> cargo doc --no-deps -D warnings (first-party crates)"
-RUSTDOCFLAGS="-D warnings" cargo doc --no-deps -q \
+# like every other lint): intra-doc links and rustdoc warnings stay clean,
+# on private items too, since most of the docs are on private items (a
+# runner's state, the solver's tables, a topology's delay model).
+echo "==> cargo doc --no-deps --document-private-items -D warnings (first-party crates)"
+RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --document-private-items -q \
     -p desim -p netsim -p overlay -p dissem-codec -p bullet-prime \
     -p baselines -p bullet-bench -p bullet-lab -p bullet-repro
 
@@ -195,7 +197,7 @@ done
 # different y's cannot show the same numbers, which they did while every row
 # was quantiles of the shared x axis), and a reader that closes the pipe early
 # ends a command with status 0, not a panic.
-echo "==> lab smoke (list, trace per body kind, run of an open scenario, closed pipe)"
+echo "==> lab smoke (list, trace per body kind, run of an open scenario, fig22's full pool, closed pipe)"
 rows=$(./target/release/lab list | tail -n +2 | wc -l)
 if [ "$rows" -ne 21 ]; then
     echo "FAIL: lab list printed $rows scenario rows, expected 21"
@@ -260,6 +262,17 @@ if [ -z "$goodput" ] || [ -z "$completed" ] || [ "$goodput" = "$completed" ]; th
     echo "FAIL: lab run fig21 prints '$goodput' for goodput and '$completed' for completions"
     exit 1
 fi
+# fig22 at paper scale: the 2,016-slot pool over one shared core link is
+# built and served within a 20 s horizon (a topology quadratic in links
+# would show here first).
+full_pool=$(./target/release/lab run fig22 --full --time-limit 20 2>/dev/null) || {
+    echo "FAIL: lab run fig22 --full --time-limit 20 exited non-zero"
+    exit 1
+}
+printf '%s\n' "$full_pool" | head -1 | grep -q '2016-slot pool' || {
+    echo "FAIL: lab run fig22 --full --time-limit 20 does not name the 2016-slot pool in its header"
+    exit 1
+}
 # The writer's exit status, past the pipe: fd 3 carries it around `head`.
 piped=$({ {
     status=0
@@ -270,7 +283,7 @@ if [ "$piped" -ne 0 ]; then
     echo "FAIL: lab sweep fig13 | head -1 exited $piped"
     exit 1
 fi
-echo "lab list: 21 rows; trace fig11 replays, lists 5 receivers and dumps $timer_lines timer records; trace fig05 dumps $link_changes link changes in order; traces of fig15, fig22 and fig21 replay"
+echo "lab list: 21 rows; trace fig11 replays, lists 5 receivers and dumps $timer_lines timer records; trace fig05 dumps $link_changes link changes in order; traces of fig15, fig22 and fig21 replay; run fig22 --full serves the 2016-slot pool"
 echo "lab run fig21: goodput $goodput, completions $completed; sweep | head -1 exits 0"
 
 # A scenario's claims at the default seed: `lab sweep <scenario> --seed-count

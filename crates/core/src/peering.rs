@@ -187,7 +187,7 @@ fn trim_slow(obs: &[PeerObservation]) -> Vec<NodeId> {
     let threshold = mean - TRIM_SIGMA * std;
     // The sort is stable, so equal ranks keep the observations' order.
     let mut sorted: Vec<&PeerObservation> = obs.iter().collect();
-    sorted.sort_by(|a, b| a.rank().partial_cmp(&b.rank()).expect("finite ranks"));
+    sorted.sort_by(|a, b| a.rank().total_cmp(&b.rank()));
     let mut allowed = obs.len() - MIN_PEERS;
     let mut drops = Vec::new();
     for o in sorted {

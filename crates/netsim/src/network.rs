@@ -971,7 +971,7 @@ impl Network {
     }
 
     /// True for links that can never constrain anyone: infinite raw capacity
-    /// (the shared "core" of a [`crate::topology::Topology::uniform_swarm`],
+    /// (the shared "core" of a [`crate::topology::uniform_swarm`],
     /// which models an uncongested backbone). Such links skip the per-link
     /// bookkeeping entirely — registering 10⁴ concurrent flows in one sorted
     /// membership list would turn activation into O(flows) — and component

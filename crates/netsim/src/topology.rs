@@ -15,10 +15,13 @@
 //!
 //! * one **access uplink** and one **access downlink** per node, with the
 //!   capacities of its [`NodeSpec`];
-//! * a set of **core links**. By default every ordered pair owns a dedicated
-//!   core link (the paper's ModelNet meshes), but pairs can be remapped onto
-//!   a **shared** core link with [`Topology::share_core`] — the substrate of
-//!   the shared-bottleneck and cross-traffic scenarios (`fig18`/`fig19`).
+//! * a table of **core links**, the ones pairs actually ride. In the
+//!   paper's ModelNet meshes ([`Topology::from_fn`]) every ordered pair owns
+//!   a dedicated core link. In a [`shared_core_mesh`] (the substrate of the
+//!   shared-bottleneck, cross-traffic and open-system scenarios) and a
+//!   [`uniform_swarm`] every pair rides the one core link. Tests remap
+//!   chosen pairs of a dedicated mesh onto a shared link with
+//!   [`Topology::share_core`].
 //!
 //! The path from `a` to `b` traverses exactly three links: `a`'s uplink, the
 //! core link `link_of(a → b)`, and `b`'s downlink
@@ -90,47 +93,21 @@ impl LinkId {
 /// shares. A pair's [`PathSpec`] reads both from here.
 #[derive(Debug, Clone)]
 struct CoreLink {
-    /// Raw capacity in bytes/second.
+    /// Raw capacity in bytes/second; infinite for an unconstrained link.
     capacity: BytesPerSec,
     /// Packet loss probability, in `[0, 1)`; discounts the usable capacity.
     loss: f64,
 }
 
-/// Sentinel for the unused diagonal of the pair → core-link table.
-const NO_LINK: u32 = u32::MAX;
-
-/// How the core of the mesh is represented.
-///
-/// The paper's controlled experiments need per-pair state (dedicated core
-/// links with individual bandwidth/delay/loss, remappable onto shared
-/// bottlenecks), which costs O(n²) memory — fine at ModelNet scale (tens of
-/// nodes), prohibitive at 10⁴. Large-swarm scaling runs (`fig20`) instead use
-/// a **uniform** core: one unconstrained shared link and per-pair delays
-/// derived from O(n) per-node jitter, so the whole topology is O(n).
+/// The core propagation delay of every ordered pair.
 #[derive(Debug, Clone)]
-enum CoreModel {
-    /// Explicit per-pair delay table and core-link graph.
-    Dense {
-        /// `delay[a][b]` is the core propagation delay from `a` to `b`. The
-        /// diagonal is unused.
-        delay: Vec<Vec<SimDuration>>,
-        /// The core links; by construction every off-diagonal pair starts
-        /// with a dedicated one ([`Topology::share_core`] remaps pairs onto
-        /// shared ones).
-        core_links: Vec<CoreLink>,
-        /// `link_of[a][b]` is the index (into `core_links`) of the core link
-        /// the `a → b` path rides. The diagonal holds [`NO_LINK`].
-        link_of: Vec<Vec<u32>>,
-    },
-    /// One shared, unconstrained core link (id `2n`) carrying every pair;
-    /// `path(a, b)` is synthesised as `bw = +inf`, a uniform `loss`, and
-    /// `delay = jitter[a] + jitter[b]`.
-    Uniform {
-        /// Per-node half-delays; the `a → b` core delay is their sum.
-        jitter: Vec<SimDuration>,
-        /// Uniform core loss rate (bounds every flow's Mathis ceiling).
-        loss: f64,
-    },
+enum Delays {
+    /// Entry `[a][b]` is the `a → b` delay; the diagonal is unused. O(n²):
+    /// the paper's meshes, where each pair draws its own delay.
+    Pairs(Vec<Vec<SimDuration>>),
+    /// The `a → b` delay is `jitter[a] + jitter[b]`. O(n): large swarms,
+    /// where a table of n² delays would not fit.
+    Jitter(Vec<SimDuration>),
 }
 
 /// A complete emulated topology: per-node access links plus a directional
@@ -138,7 +115,13 @@ enum CoreModel {
 #[derive(Debug, Clone)]
 pub struct Topology {
     nodes: Vec<NodeSpec>,
-    core_model: CoreModel,
+    delays: Delays,
+    /// The core links that pairs ride; link `j` has id `2n + j`.
+    core_links: Vec<CoreLink>,
+    /// `link_of[a][b]` is the index (into `core_links`) of the core link the
+    /// `a → b` path rides; the diagonal is unused. Empty when every pair
+    /// rides core link 0 (the shared-core mesh and the uniform swarm).
+    link_of: Vec<Vec<u32>>,
 }
 
 impl Topology {
@@ -155,7 +138,7 @@ impl Topology {
         assert!(n >= 2, "a topology needs at least two nodes");
         let mut delay = vec![vec![SimDuration::ZERO; n]; n];
         let mut core_links = Vec::with_capacity(n * n - n);
-        let mut link_of = vec![vec![NO_LINK; n]; n];
+        let mut link_of = vec![vec![0; n]; n];
         for a in 0..n {
             for b in 0..n {
                 if a == b {
@@ -172,11 +155,9 @@ impl Topology {
         }
         Topology {
             nodes,
-            core_model: CoreModel::Dense {
-                delay,
-                core_links,
-                link_of,
-            },
+            delays: Delays::Pairs(delay),
+            core_links,
+            link_of,
         }
     }
 
@@ -195,26 +176,18 @@ impl Topology {
         Self::from_fn(nodes, |a, b| core[a][b])
     }
 
-    /// Builds an O(n)-memory topology for large-swarm scaling runs: `n`
-    /// identical access links and a single **unconstrained** shared core
-    /// link carrying every ordered pair (no per-pair state). The `a → b`
-    /// core delay is `jitter[a] + jitter[b]`.
-    ///
-    /// The resulting topology rejects per-pair core surgery:
-    /// [`Topology::set_core_bw`], [`Topology::scale_core_bw`] and
-    /// [`Topology::share_core`] panic on it.
+    /// A topology whose every ordered pair rides the one core link `core`.
     ///
     /// # Panics
     ///
-    /// Panics if `jitter.len() != nodes.len()` or fewer than two nodes.
-    pub fn new_uniform(nodes: Vec<NodeSpec>, jitter: Vec<SimDuration>, loss: f64) -> Self {
-        let n = nodes.len();
-        assert!(n >= 2, "a topology needs at least two nodes");
-        assert_eq!(jitter.len(), n, "one jitter entry per node");
-        assert!((0.0..1.0).contains(&loss), "loss must be in [0, 1)");
+    /// Panics with fewer than two nodes.
+    fn one_core(nodes: Vec<NodeSpec>, delays: Delays, core: CoreLink) -> Self {
+        assert!(nodes.len() >= 2, "a topology needs at least two nodes");
         Topology {
             nodes,
-            core_model: CoreModel::Uniform { jitter, loss },
+            delays,
+            core_links: vec![core],
+            link_of: Vec::new(),
         }
     }
 
@@ -243,32 +216,39 @@ impl Topology {
     /// the core link it rides. A node reaches itself over no link: no
     /// capacity limit, no delay, no loss.
     pub fn path(&self, a: NodeId, b: NodeId) -> PathSpec {
-        let (bw, loss) = match &self.core_model {
-            _ if a == b => (f64::INFINITY, 0.0),
-            CoreModel::Dense {
-                core_links,
-                link_of,
-                ..
-            } => {
-                let link = &core_links[link_of[a.index()][b.index()] as usize];
-                (link.capacity, link.loss)
-            }
-            CoreModel::Uniform { loss, .. } => (f64::INFINITY, *loss),
-        };
-        let delay = self.core_delay(a, b);
-        PathSpec { bw, delay, loss }
+        if a == b {
+            return PathSpec {
+                bw: f64::INFINITY,
+                delay: SimDuration::ZERO,
+                loss: 0.0,
+            };
+        }
+        let link = &self.core_links[self.core_index(a, b)];
+        PathSpec {
+            bw: link.capacity,
+            delay: self.core_delay(a, b),
+            loss: link.loss,
+        }
     }
 
     /// Sets the capacity of the core link carrying `a → b` to `bw`
     /// (bytes/second, floored at 1). On a shared link this affects **every**
     /// pair mapped onto it. Returns the changed link so callers can re-price
     /// flows on it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the link is unconstrained (infinite capacity, the uniform
+    /// swarm's core): [`crate::Network`] keeps no per-link state for such a
+    /// link, so it must never become finite.
     pub fn set_core_bw(&mut self, a: NodeId, b: NodeId, bw: BytesPerSec) -> LinkId {
-        let j = self.core_link_index(a, b);
-        let CoreModel::Dense { core_links, .. } = &mut self.core_model else {
-            unreachable!("core_link_index rejects uniform-core topologies");
-        };
-        core_links[j].capacity = bw.max(1.0);
+        let j = self.core_index(a, b);
+        let link = &mut self.core_links[j];
+        assert!(
+            link.capacity.is_finite(),
+            "an unconstrained core link stays unconstrained"
+        );
+        link.capacity = bw.max(1.0);
         self.core_link_id(j)
     }
 
@@ -282,7 +262,8 @@ impl Topology {
 
     /// Remaps the given ordered pairs onto one **shared** core link of the
     /// given capacity and loss rate, creating it (the pairs keep their
-    /// delays). Returns the new link's id.
+    /// delays). Returns the new link's id. The links the pairs rode before
+    /// stay in the link graph, unused.
     ///
     /// Construction-time only: a [`crate::Network`] sizes its per-link tables
     /// once, in [`crate::Network::new`], so the topology must have all its
@@ -306,7 +287,8 @@ impl Topology {
     ///
     /// # Panics
     ///
-    /// Panics if `pairs` is empty or names a diagonal pair.
+    /// Panics if `pairs` is empty or names a diagonal pair, or if every pair
+    /// already rides one core link ([`shared_core_mesh`], [`uniform_swarm`]).
     pub fn share_core(
         &mut self,
         pairs: &[(NodeId, NodeId)],
@@ -317,34 +299,25 @@ impl Topology {
             !pairs.is_empty(),
             "a shared core link needs at least one pair"
         );
-        let CoreModel::Dense {
-            core_links,
-            link_of,
-            ..
-        } = &mut self.core_model
-        else {
-            panic!("a uniform-core topology has no per-pair core links to remap");
-        };
-        let j = core_links.len();
+        assert!(
+            !self.link_of.is_empty(),
+            "every pair already rides one core link"
+        );
+        let j = self.core_links.len();
         for &(a, b) in pairs {
             assert!(a != b, "a core link cannot join a node to itself");
-            link_of[a.index()][b.index()] = j as u32;
+            self.link_of[a.index()][b.index()] = j as u32;
         }
-        core_links.push(CoreLink {
+        self.core_links.push(CoreLink {
             capacity: capacity.max(1.0),
             loss,
         });
         self.core_link_id(j)
     }
 
-    /// Total number of directed links: `2n` access links plus the core links
-    /// (a single shared one on uniform-core topologies).
+    /// Total number of directed links: `2n` access links plus the core links.
     pub fn num_links(&self) -> usize {
-        let core = match &self.core_model {
-            CoreModel::Dense { core_links, .. } => core_links.len(),
-            CoreModel::Uniform { .. } => 1,
-        };
-        2 * self.nodes.len() + core
+        2 * self.nodes.len() + self.core_links.len()
     }
 
     /// The access uplink of `node`.
@@ -359,13 +332,7 @@ impl Topology {
 
     /// The core link the `a → b` path rides.
     pub fn core_link(&self, a: NodeId, b: NodeId) -> LinkId {
-        match &self.core_model {
-            CoreModel::Dense { .. } => self.core_link_id(self.core_link_index(a, b)),
-            CoreModel::Uniform { .. } => {
-                assert!(a != b, "no core link joins a node to itself");
-                self.core_link_id(0)
-            }
-        }
+        self.core_link_id(self.core_index(a, b))
     }
 
     /// The three links the `a → b` path traverses, in path order: `a`'s
@@ -386,23 +353,19 @@ impl Topology {
         } else if i < 2 * n {
             self.nodes[i - n].down
         } else {
-            match &self.core_model {
-                CoreModel::Dense { core_links, .. } => {
-                    let l = &core_links[i - 2 * n];
-                    (l.capacity * (1.0 - l.loss)).max(1.0)
-                }
-                CoreModel::Uniform { .. } => f64::INFINITY,
-            }
+            let l = &self.core_links[i - 2 * n];
+            (l.capacity * (1.0 - l.loss)).max(1.0)
         }
     }
 
-    fn core_link_index(&self, a: NodeId, b: NodeId) -> usize {
-        let CoreModel::Dense { link_of, .. } = &self.core_model else {
-            panic!("a uniform-core topology has no per-pair core links to remap");
-        };
-        let j = link_of[a.index()][b.index()];
-        assert!(j != NO_LINK, "no core link joins a node to itself");
-        j as usize
+    /// Index into `core_links` of the link the `a → b` path rides.
+    fn core_index(&self, a: NodeId, b: NodeId) -> usize {
+        assert!(a != b, "no core link joins a node to itself");
+        if self.link_of.is_empty() {
+            0
+        } else {
+            self.link_of[a.index()][b.index()] as usize
+        }
     }
 
     fn core_link_id(&self, core_index: usize) -> LinkId {
@@ -419,10 +382,10 @@ impl Topology {
 
     /// Core propagation delay from `a` to `b` (zero to itself).
     fn core_delay(&self, a: NodeId, b: NodeId) -> SimDuration {
-        match &self.core_model {
+        match &self.delays {
             _ if a == b => SimDuration::ZERO,
-            CoreModel::Dense { delay, .. } => delay[a.index()][b.index()],
-            CoreModel::Uniform { jitter, .. } => jitter[a.index()] + jitter[b.index()],
+            Delays::Pairs(delay) => delay[a.index()][b.index()],
+            Delays::Jitter(jitter) => jitter[a.index()] + jitter[b.index()],
         }
     }
 
@@ -594,16 +557,19 @@ pub fn shared_core_mesh(n: usize, core: BytesPerSec, loss: f64, rng: &RngFactory
         };
         n
     ];
-    let mut topo = Topology::from_fn(nodes, |_, _| PathSpec {
-        bw: core,
-        delay: uniform_delay_ms(&mut delay_rng, 5.0, 200.0),
+    let mut delay = vec![vec![SimDuration::ZERO; n]; n];
+    for (a, row) in delay.iter_mut().enumerate() {
+        for (b, d) in row.iter_mut().enumerate() {
+            if a != b {
+                *d = uniform_delay_ms(&mut delay_rng, 5.0, 200.0);
+            }
+        }
+    }
+    let core = CoreLink {
+        capacity: core.max(1.0),
         loss,
-    });
-    let pairs: Vec<(NodeId, NodeId)> = (0..n as u32)
-        .flat_map(|a| (0..n as u32).filter_map(move |b| (a != b).then_some((NodeId(a), NodeId(b)))))
-        .collect();
-    topo.share_core(&pairs, core, loss);
-    topo
+    };
+    Topology::one_core(nodes, Delays::Pairs(delay), core)
 }
 
 /// The large-swarm scaling topology (`fig20`): `n` well-provisioned nodes
@@ -634,7 +600,11 @@ pub fn uniform_swarm(n: usize, rng: &RngFactory) -> Topology {
     let jitter = (0..n)
         .map(|_| uniform_delay_ms(&mut delay_rng, 20.0, 100.0))
         .collect();
-    Topology::new_uniform(nodes, jitter, 0.03)
+    let core = CoreLink {
+        capacity: f64::INFINITY,
+        loss: 0.03,
+    };
+    Topology::one_core(nodes, Delays::Jitter(jitter), core)
 }
 
 #[cfg(test)]
@@ -789,7 +759,10 @@ mod tests {
     fn shared_core_mesh_has_one_core_bottleneck() {
         let rng = RngFactory::new(4);
         let t = shared_core_mesh(6, mbps(2.0), 0.0, &rng);
+        // One core link after the 2n access links, and no other.
+        assert_eq!(t.num_links(), 2 * 6 + 1);
         let shared = t.core_link(NodeId(0), NodeId(1));
+        assert_eq!(shared, LinkId(12));
         for a in t.node_ids() {
             for b in t.node_ids() {
                 if a == b {
@@ -805,6 +778,23 @@ mod tests {
             t.path(NodeId(0), NodeId(1)).delay,
             t.path(NodeId(0), NodeId(2)).delay
         );
+    }
+
+    #[test]
+    fn shared_core_mesh_draws_the_delays_of_its_dense_twin() {
+        let rng = RngFactory::new(9);
+        let t = shared_core_mesh(7, mbps(2.0), 0.0, &rng);
+        let mut delay_rng = RngFactory::new(9).stream("topology.shared.delay");
+        let twin = Topology::from_fn(t.nodes.clone(), |_, _| PathSpec {
+            bw: mbps(2.0),
+            delay: uniform_delay_ms(&mut delay_rng, 5.0, 200.0),
+            loss: 0.0,
+        });
+        for a in t.node_ids() {
+            for b in t.node_ids() {
+                assert_eq!(t.path(a, b).delay, twin.path(a, b).delay, "{a} -> {b}");
+            }
+        }
     }
 
     #[test]
@@ -851,14 +841,14 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "uniform-core topology")]
+    #[should_panic(expected = "an unconstrained core link stays unconstrained")]
     fn uniform_swarm_rejects_core_surgery() {
         let mut t = uniform_swarm(4, &RngFactory::new(1));
         t.set_core_bw(NodeId(0), NodeId(1), mbps(1.0));
     }
 
     #[test]
-    #[should_panic(expected = "uniform-core topology")]
+    #[should_panic(expected = "every pair already rides one core link")]
     fn uniform_swarm_rejects_share_core() {
         let mut t = uniform_swarm(4, &RngFactory::new(1));
         t.share_core(&[(NodeId(0), NodeId(1))], mbps(1.0), 0.0);

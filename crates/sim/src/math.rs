@@ -15,7 +15,7 @@
 const LN2_HI: f64 = 6.931_471_803_691_238e-1;
 const LN2_LO: f64 = 1.908_214_929_270_587_7e-10;
 /// Minimax coefficients of the odd series ln((1 + s)/(1 − s)) = 2s +
-/// s·(LG[0]·s² + LG[1]·s⁴ + … + LG[6]·s¹⁴) on |s| ≤ 3 − 2√2.
+/// s·(LG\[0\]·s² + LG\[1\]·s⁴ + … + LG\[6\]·s¹⁴) on |s| ≤ 3 − 2√2.
 const LG: [f64; 7] = [
     6.666_666_666_666_735e-1,
     3.999_999_999_940_942e-1,
