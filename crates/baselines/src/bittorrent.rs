@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec};
-use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, Topology, WireSize};
+use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Topology, WireSize};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::Rng;
@@ -667,23 +667,13 @@ impl Protocol for BitTorrentNode {
     }
 }
 
-/// Builds one BitTorrent node per host; node 0 is the seed and tracker.
+/// Builds one BitTorrent node per host; node 0 is the seed and tracker. The
+/// seed holds every piece, so it is complete from t = 0.
 pub fn build_nodes(topo: &Topology, file: FileSpec) -> Vec<BitTorrentNode> {
     let cfg = BitTorrentConfig::new(file);
     (0..topo.len() as u32)
         .map(|i| BitTorrentNode::new(NodeId(i), cfg.clone()))
         .collect()
-}
-
-/// Builds a ready-to-run runner for a BitTorrent experiment. The seed holds
-/// every piece, so it is complete from t = 0.
-pub fn build_runner(
-    topo: Topology,
-    file: FileSpec,
-    rng: &desim::RngFactory,
-) -> Runner<BitTorrentNode> {
-    let nodes = build_nodes(&topo, file);
-    Runner::new(netsim::Network::new(topo), nodes, rng)
 }
 
 #[cfg(test)]

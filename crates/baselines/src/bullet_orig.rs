@@ -65,21 +65,11 @@ pub fn build_nodes(
     bullet_prime::build_nodes(topo, &bullet_config(file), rng)
 }
 
-/// Builds a ready-to-run runner for an original-Bullet experiment: Bullet′'s
-/// runner under [`bullet_config`].
-pub fn build_runner(
-    topo: Topology,
-    file: FileSpec,
-    rng: &desim::RngFactory,
-) -> netsim::Runner<BulletPrimeNode> {
-    bullet_prime::build_runner(topo, &bullet_config(file), rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use desim::{RngFactory, SimDuration};
-    use netsim::{topology, StopReason};
+    use netsim::{topology, Network, Runner, StopReason};
 
     #[test]
     fn config_pins_the_fixed_parameters() {
@@ -99,7 +89,8 @@ mod tests {
     fn original_bullet_completes_a_small_download() {
         let rng = RngFactory::new(21);
         let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        let mut runner = build_runner(topo, FileSpec::new(256 * 1024, 16 * 1024), &rng);
+        let nodes = build_nodes(&topo, FileSpec::new(256 * 1024, 16 * 1024), &rng);
+        let mut runner = Runner::new(Network::new(topo), nodes, &rng);
         let report = runner.run(SimDuration::from_secs(3_600));
         assert_eq!(report.reason, StopReason::AllComplete, "{report:?}");
     }

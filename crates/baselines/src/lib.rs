@@ -26,14 +26,26 @@ mod end_to_end {
     use super::*;
     use desim::{RngFactory, SimDuration};
     use dissem_codec::FileSpec;
-    use netsim::{topology, RingSink, StopReason, TraceEvent, TraceSink};
+    use netsim::{
+        topology, Network, Protocol, RingSink, Runner, StopReason, Topology, TraceEvent, TraceSink,
+    };
+
+    /// A runner over `topo` with the nodes `build` makes for it.
+    fn runner<P: Protocol>(
+        topo: Topology,
+        rng: &RngFactory,
+        build: impl FnOnce(&Topology) -> Vec<P>,
+    ) -> Runner<P> {
+        let nodes = build(&topo);
+        Runner::new(Network::new(topo), nodes, rng)
+    }
 
     #[test]
     fn bittorrent_swarm_completes_and_benefits_from_swarming() {
         let rng = RngFactory::new(31);
         let topo = topology::modelnet_mesh(10, 0.005, &rng);
         let file = FileSpec::new(512 * 1024, 16 * 1024);
-        let mut runner = bittorrent::build_runner(topo, file, &rng);
+        let mut runner = runner(topo, &rng, |t| bittorrent::build_nodes(t, file));
         runner.set_trace_sink(Box::new(RingSink::new(1 << 20)));
         let report = runner.run(SimDuration::from_secs(3_600));
         assert_eq!(report.reason, StopReason::AllComplete, "{report:?}");
@@ -60,7 +72,7 @@ mod end_to_end {
             let rng = RngFactory::new(seed);
             let topo = topology::modelnet_mesh(8, 0.01, &rng);
             let file = FileSpec::new(256 * 1024, 16 * 1024);
-            let mut runner = bittorrent::build_runner(topo, file, &rng);
+            let mut runner = runner(topo, &rng, |t| bittorrent::build_nodes(t, file));
             runner.run(SimDuration::from_secs(3_600)).completion_secs
         };
         assert_eq!(run(5), run(5));
@@ -75,7 +87,7 @@ mod end_to_end {
         // BitTorrent.
         let rng = RngFactory::new(seed);
         let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        let mut bt = bittorrent::build_runner(topo, file, &rng);
+        let mut bt = runner(topo, &rng, |t| bittorrent::build_nodes(t, file));
         assert_eq!(
             bt.run(SimDuration::from_secs(3_600)).reason,
             StopReason::AllComplete
@@ -84,7 +96,7 @@ mod end_to_end {
         // Original Bullet.
         let rng = RngFactory::new(seed);
         let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        let mut bl = bullet_orig::build_runner(topo, file, &rng);
+        let mut bl = runner(topo, &rng, |t| bullet_orig::build_nodes(t, file, &rng));
         assert_eq!(
             bl.run(SimDuration::from_secs(3_600)).reason,
             StopReason::AllComplete
@@ -93,7 +105,7 @@ mod end_to_end {
         // SplitStream.
         let rng = RngFactory::new(seed);
         let topo = topology::modelnet_mesh(8, 0.01, &rng);
-        let mut ss = splitstream::build_runner(topo, file, &rng);
+        let mut ss = runner(topo, &rng, |t| splitstream::build_nodes(t, file, &rng));
         assert_eq!(
             ss.run(SimDuration::from_secs(3_600)).reason,
             StopReason::AllComplete

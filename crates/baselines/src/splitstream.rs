@@ -13,7 +13,7 @@ use std::collections::{BTreeMap, HashMap, VecDeque};
 
 use desim::SimDuration;
 use dissem_codec::{BlockBitmap, BlockId, FileSpec, ENCODING_OVERHEAD};
-use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Runner, Topology, WireSize};
+use netsim::{BlockReceipt, Ctx, NodeId, ProbeStats, Protocol, Topology, WireSize};
 use rand::seq::SliceRandom;
 
 /// Number of stripes (and stripe trees).
@@ -31,8 +31,8 @@ pub enum SsTimer {
 }
 
 /// SplitStream needs no dynamic control traffic in this model; the forest is
-/// computed at start-up. The only message is a completion-irrelevant
-/// placeholder kept for protocol-trait compatibility.
+/// computed at start-up. The enum is uninhabited: it names the protocol's
+/// message type, and no message is ever sent.
 #[derive(Debug, Clone)]
 pub enum SsMsg {}
 
@@ -312,7 +312,8 @@ impl Protocol for SplitStreamNode {
     }
 }
 
-/// Builds the SplitStream node set for a topology.
+/// Builds the SplitStream node set for a topology. The source (node 0) holds
+/// the whole encoded stream, so it is complete from t = 0.
 pub fn build_nodes(
     topo: &Topology,
     file: FileSpec,
@@ -329,22 +330,11 @@ pub fn build_nodes(
         .collect()
 }
 
-/// Builds a ready-to-run runner for a SplitStream experiment. The source
-/// holds the whole encoded stream, so it is complete from t = 0.
-pub fn build_runner(
-    topo: Topology,
-    file: FileSpec,
-    rng: &desim::RngFactory,
-) -> Runner<SplitStreamNode> {
-    let nodes = build_nodes(&topo, file, rng);
-    Runner::new(netsim::Network::new(topo), nodes, rng)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use desim::RngFactory;
-    use netsim::{topology, StopReason};
+    use netsim::{topology, Network, Runner, StopReason};
 
     #[test]
     fn forest_reaches_every_node_in_every_stripe() {
@@ -401,7 +391,8 @@ mod tests {
     fn splitstream_completes_a_small_download() {
         let rng = RngFactory::new(9);
         let topo = topology::modelnet_mesh(10, 0.005, &rng);
-        let mut runner = build_runner(topo, FileSpec::new(512 * 1024, 16 * 1024), &rng);
+        let nodes = build_nodes(&topo, FileSpec::new(512 * 1024, 16 * 1024), &rng);
+        let mut runner = Runner::new(Network::new(topo), nodes, &rng);
         let report = runner.run(SimDuration::from_secs(3_600));
         assert_eq!(report.reason, StopReason::AllComplete, "{report:?}");
         // Trees never deliver the same block twice to a node.
@@ -415,7 +406,6 @@ mod tests {
     #[test]
     fn shutdown_records_no_command() {
         use desim::SimTime;
-        use netsim::Network;
         use rand::{rngs::StdRng, SeedableRng};
 
         let rng = RngFactory::new(9);

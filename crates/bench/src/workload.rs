@@ -22,7 +22,7 @@ use netsim::dynamics::{
     flash_crowd_schedule,
 };
 use netsim::{
-    mbps, run_service, topology, ArrivalGen, BytesPerSec, ChangeSchedule, CrossSchedule, NodeEvent,
+    mbps, run_service, topology, ArrivalGen, BytesPerSec, ChangeSchedule, CrossSchedule, Network,
     NodeId, NodeSchedule, Protocol, RunReport, Runner, ServiceConfig, ServiceReport, Snapshot,
     Topology, TraceSink,
 };
@@ -208,9 +208,6 @@ impl Plan {
             runner.schedule_link_change(at, batch);
         }
         for (at, event) in self.nodes {
-            if let NodeEvent::Join(node) = event {
-                runner.set_inactive_at_start(node);
-            }
             runner.schedule_node_event(at, event);
         }
         for (at, change) in self.cross {
@@ -346,16 +343,19 @@ impl Workload {
         plan
     }
 
-    /// Builds the topology, calls the system's `build`, installs `sink` and
-    /// the probe, runs the quiet prefix and schedules the dynamics: a runner
-    /// ready for [`Workload::run`]. The only place a closed run is assembled,
-    /// so a sink sees the whole run, whatever the system.
+    /// Builds the topology, calls the system's node builder `build`, makes
+    /// the runner, installs `sink` and the probe, runs the quiet prefix and
+    /// schedules the dynamics: a runner ready for [`Workload::run`]. The only
+    /// place a closed run is assembled, so a sink sees the whole run,
+    /// whatever the system.
     pub fn runner<P: Protocol>(
         &self,
-        build: impl FnOnce(Topology, &RngFactory) -> Runner<P>,
+        build: impl FnOnce(&Topology, &RngFactory) -> Vec<P>,
         sink: Option<Box<dyn TraceSink>>,
     ) -> Runner<P> {
-        let mut runner = build(self.topology(), &self.rng());
+        let (topo, rng) = (self.topology(), self.rng());
+        let nodes = build(&topo, &rng);
+        let mut runner = Runner::new(Network::new(topo), nodes, &rng);
         if let Some(sink) = sink {
             runner.set_trace_sink(sink);
         }
@@ -372,12 +372,12 @@ impl Workload {
         cfg: &Config,
         sink: Option<Box<dyn TraceSink>>,
     ) -> Runner<BulletPrimeNode> {
-        let build = |topo, rng: &RngFactory| {
+        let build = |topo: &Topology, rng: &RngFactory| {
             if self.groups > 1 {
                 let sizes = vec![self.nodes / self.groups; self.groups];
-                bullet_prime::build_group_runner(topo, cfg, rng, &sizes)
+                bullet_prime::build_group_nodes(topo, cfg, rng, &sizes)
             } else {
-                bullet_prime::build_runner(topo, cfg, rng)
+                bullet_prime::build_nodes(topo, cfg, rng)
             }
         };
         self.runner(build, sink)
@@ -404,14 +404,13 @@ impl Workload {
         let file = self.file;
         match kind {
             SystemKind::BulletPrime => self.run(&mut self.bullet_prime(&self.config(), sink)),
-            SystemKind::BulletOriginal => self.run(
-                &mut self.runner(|topo, rng| bullet_orig::build_runner(topo, file, rng), sink),
-            ),
-            SystemKind::BitTorrent => self
-                .run(&mut self.runner(|topo, rng| bittorrent::build_runner(topo, file, rng), sink)),
-            SystemKind::SplitStream => self.run(
-                &mut self.runner(|topo, rng| splitstream::build_runner(topo, file, rng), sink),
-            ),
+            SystemKind::BulletOriginal => self
+                .run(&mut self.runner(|topo, rng| bullet_orig::build_nodes(topo, file, rng), sink)),
+            SystemKind::BitTorrent => {
+                self.run(&mut self.runner(|topo, _| bittorrent::build_nodes(topo, file), sink))
+            }
+            SystemKind::SplitStream => self
+                .run(&mut self.runner(|topo, rng| splitstream::build_nodes(topo, file, rng), sink)),
         }
     }
 

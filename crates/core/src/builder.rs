@@ -1,9 +1,9 @@
-//! Convenience constructors for whole Bullet′ deployments.
+//! Node builders for whole Bullet′ deployments.
 //!
 //! The experiment harness, the examples and the baselines all need the same
-//! three steps: build a control tree over the topology, instantiate one
-//! protocol node per host, and hand everything to the runner. This module
-//! packages those steps.
+//! two steps: build a control tree over the topology and instantiate one
+//! protocol node per member. This module packages those steps; the harness's
+//! `Workload::runner` hands the nodes to the runner.
 
 use desim::RngFactory;
 use netsim::{Network, NodeId, Runner, Topology};
@@ -34,12 +34,23 @@ pub fn build_nodes_with_tree(
         topo.len(),
         "control tree and topology sizes differ"
     );
-    (0..topo.len() as u32)
-        .map(|i| BulletPrimeNode::new(NodeId(i), tree, cfg.clone()))
+    tree_nodes(tree, cfg)
+}
+
+/// One [`BulletPrimeNode`] per member of `tree`, root first, all under
+/// `cfg`.
+pub(crate) fn tree_nodes(tree: &ControlTree, cfg: &Config) -> Vec<BulletPrimeNode> {
+    tree.members()
+        .map(|id| BulletPrimeNode::new(id, tree, cfg.clone()))
         .collect()
 }
 
-/// Builds a ready-to-run [`Runner`] for a Bullet′ experiment on `topo`.
+/// Builds a ready-to-run [`Runner`] for a Bullet′ experiment on `topo`:
+/// [`build_nodes`] handed to [`Runner::new`]. The harness assembles a closed
+/// run from [`build_nodes`] in `Workload::runner`; this runner is for the
+/// callers that hold no workload: the quickstart example, the service slot
+/// pool, and the benchmark harness (`benchmark/src/workloads.rs`), whose
+/// self-test checks its spelled-out set-up against this one.
 ///
 /// The source (node 0) holds the file, so it is complete from t = 0 and
 /// [`Runner::run`] stops once every *receiver* finishes. It is also the slot
@@ -51,24 +62,24 @@ pub fn build_runner(topo: Topology, cfg: &Config, rng: &RngFactory) -> Runner<Bu
     Runner::new(Network::new(topo), nodes, rng)
 }
 
-/// Builds a [`Runner`] hosting **several concurrent, independent Bullet′
-/// meshes** on one topology: `group_sizes` partitions the node ids into
-/// contiguous groups, each with its own control tree, RanSub overlay and
-/// source (the group's first id). The meshes never exchange control or data
-/// traffic — they only contend for the emulated links, which is exactly what
-/// the shared-bottleneck scenarios (`fig18`) measure. Every group's source
-/// holds the file, so it is complete from t = 0.
+/// Builds the nodes of **several concurrent, independent Bullet′ meshes**
+/// on one topology: `group_sizes` partitions the node ids into contiguous
+/// groups, each with its own control tree, RanSub overlay and source (the
+/// group's first id). The meshes never exchange control or data traffic —
+/// they only contend for the emulated links, which is exactly what the
+/// shared-bottleneck scenarios (`fig18`) measure. Every group's source holds
+/// the file, so it is complete from t = 0.
 ///
 /// # Panics
 ///
 /// Panics if the group sizes do not sum to the topology size or any group
 /// has fewer than two nodes.
-pub fn build_group_runner(
-    topo: Topology,
+pub fn build_group_nodes(
+    topo: &Topology,
     cfg: &Config,
     rng: &RngFactory,
     group_sizes: &[usize],
-) -> Runner<BulletPrimeNode> {
+) -> Vec<BulletPrimeNode> {
     assert_eq!(
         group_sizes.iter().sum::<usize>(),
         topo.len(),
@@ -79,12 +90,10 @@ pub fn build_group_runner(
     for &size in group_sizes {
         assert!(size >= 2, "every mesh needs a source and a receiver");
         let tree = ControlTree::random_rooted(NodeId(base), size, CONTROL_TREE_DEGREE, rng);
-        for i in 0..size as u32 {
-            nodes.push(BulletPrimeNode::new(NodeId(base + i), &tree, cfg.clone()));
-        }
+        nodes.extend(tree_nodes(&tree, cfg));
         base += size as u32;
     }
-    Runner::new(Network::new(topo), nodes, rng)
+    nodes
 }
 
 #[cfg(test)]
@@ -111,8 +120,7 @@ mod tests {
         let rng = RngFactory::new(5);
         let topo = topology::constrained_access(10);
         let cfg = Config::new(FileSpec::new(128 * 1024, 16 * 1024));
-        let runner = build_group_runner(topo, &cfg, &rng, &[6, 4]);
-        let nodes = runner.nodes();
+        let nodes = build_group_nodes(&topo, &cfg, &rng, &[6, 4]);
         assert_eq!(nodes.len(), 10);
         // Exactly the first node of each group is a source.
         for (i, node) in nodes.iter().enumerate() {
@@ -131,7 +139,7 @@ mod tests {
         let rng = RngFactory::new(5);
         let topo = topology::constrained_access(10);
         let cfg = Config::new(FileSpec::new(64 * 1024, 16 * 1024));
-        let _ = build_group_runner(topo, &cfg, &rng, &[6, 5]);
+        let _ = build_group_nodes(&topo, &cfg, &rng, &[6, 5]);
     }
 
     #[test]

@@ -38,7 +38,7 @@ pub mod peering;
 pub mod request;
 pub mod service;
 
-pub use builder::{build_group_runner, build_nodes, build_nodes_with_tree, build_runner};
+pub use builder::{build_group_nodes, build_nodes, build_nodes_with_tree, build_runner};
 pub use config::{Config, OutstandingPolicy, PeerSetPolicy, RequestStrategy, TransferMode};
 pub use flow::OutstandingController;
 pub use messages::Msg;
@@ -139,7 +139,6 @@ mod end_to_end {
         let cfg = Config::new(FileSpec::new(256 * 1024, 16 * 1024));
         let nodes = build_nodes_with_tree(&topo, &tree, &cfg);
         let mut runner = Runner::new(Network::new(topo), nodes, &rng);
-        runner.set_inactive_at_start(NodeId(2));
         runner.schedule_node_event(
             desim::SimTime::from_secs_f64(1.0),
             NodeEvent::Crash(NodeId(1)),
@@ -176,7 +175,6 @@ mod end_to_end {
         let cfg = Config::new(FileSpec::new(256 * 1024, 16 * 1024));
         let nodes = build_nodes_with_tree(&topo, &tree, &cfg);
         let mut runner = Runner::new(Network::new(topo), nodes, &rng);
-        runner.set_inactive_at_start(NodeId(1));
         runner.schedule_node_event(
             desim::SimTime::from_secs_f64(6.0),
             NodeEvent::Join(NodeId(1)),

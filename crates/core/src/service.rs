@@ -4,7 +4,7 @@
 //! retirement, but delegates what a swarm *is* to a
 //! [`netsim::SwarmSource`]. This module supplies the Bullet′
 //! implementation: every arriving swarm gets its own control tree (rooted at the
-//! segment base, like [`build_group_runner`](crate::build_group_runner)'s
+//! segment base, like [`build_group_nodes`](crate::build_group_nodes)'s
 //! groups), its own [`Config`] with a per-swarm file drawn from seeded
 //! ranges, and one [`BulletPrimeNode`] per slot.
 
@@ -14,7 +14,7 @@ use netsim::{NodeId, SwarmShape, SwarmSource};
 use overlay::ControlTree;
 use rand::Rng;
 
-use crate::builder::CONTROL_TREE_DEGREE;
+use crate::builder::{tree_nodes, CONTROL_TREE_DEGREE};
 use crate::config::Config;
 use crate::node::BulletPrimeNode;
 
@@ -96,9 +96,7 @@ impl SwarmSource<BulletPrimeNode> for ServiceSwarms {
         let tree = ControlTree::random_rooted(base, shape.size, CONTROL_TREE_DEGREE, &self.rng);
         let mut cfg = self.template.clone();
         cfg.file = FileSpec::new(shape.file_bytes, self.block_bytes);
-        (0..shape.size as u32)
-            .map(|i| BulletPrimeNode::new(NodeId(base.0 + i), &tree, cfg.clone()))
-            .collect()
+        tree_nodes(&tree, &cfg)
     }
 }
 

@@ -314,8 +314,8 @@ pub fn cross_traffic_square_wave(
 /// A node-lifecycle transition scheduled against the runner.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NodeEvent {
-    /// The node becomes a participant (it must have been marked inactive at
-    /// start via `Runner::set_inactive_at_start`).
+    /// The node becomes a participant. Scheduled before the run starts, it
+    /// also keeps the node absent until then.
     Join(NodeId),
     /// The node leaves gracefully: it gets an `on_shutdown` callback, then
     /// its connections are torn down.
@@ -369,8 +369,9 @@ pub fn crash_wave_schedule(
 }
 
 /// Builds a flash-crowd join wave: nodes `initial..n` are absent at t = 0 and
-/// join at instants spread evenly over `[start, end]`, in index order. The
-/// caller must mark those nodes inactive at start on the runner.
+/// join at instants spread evenly over `[start, end]`, in index order.
+/// Scheduling the joins on a runner that has not started keeps those nodes
+/// absent until they join.
 pub fn flash_crowd_schedule(
     n: usize,
     initial: usize,

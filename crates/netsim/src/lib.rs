@@ -239,8 +239,11 @@ mod lifecycle_tests {
                 p.recurring_timer = true; // keeps the run alive
             }
         });
-        runner.set_inactive_at_start(NodeId(2));
         runner.schedule_node_event(SimTime::from_secs_f64(5.0), NodeEvent::Join(NodeId(2)));
+        assert!(
+            !runner.is_active(NodeId(2)),
+            "a scheduled joiner starts absent"
+        );
         let report = runner.run_until(SimTime::from_secs_f64(8.0));
         assert_eq!(report.reason, StopReason::TimeLimit);
         let nodes = runner.into_nodes();
@@ -263,10 +266,14 @@ mod lifecycle_tests {
         // same runner (a staged continuation). A joiner is initialised at its
         // join instant — once — regardless of which stage it joins in.
         let mut runner = probe_runner(3, |p| p.recurring_timer = true);
-        runner.set_inactive_at_start(NodeId(2));
         runner.schedule_node_event(SimTime::from_secs_f64(4.0), NodeEvent::Join(NodeId(2)));
+        assert!(
+            !runner.is_active(NodeId(2)),
+            "a scheduled joiner starts absent"
+        );
         let first = runner.run_until(SimTime::from_secs_f64(2.0));
         assert_eq!(first.reason, StopReason::TimeLimit);
+        assert!(!runner.is_active(NodeId(2)), "absent until its join fires");
         let second = runner.run_until(SimTime::from_secs_f64(6.0));
         assert_eq!(second.reason, StopReason::TimeLimit);
         let nodes = runner.into_nodes();
@@ -284,8 +291,11 @@ mod lifecycle_tests {
         let mut runner = probe_runner(2, |p| {
             p.complete = true;
         });
-        runner.set_inactive_at_start(NodeId(1));
         runner.schedule_node_event(SimTime::from_secs_f64(4.0), NodeEvent::Join(NodeId(1)));
+        assert!(
+            !runner.is_active(NodeId(1)),
+            "a scheduled joiner starts absent"
+        );
         let report = runner.run_until(SimTime::from_secs_f64(10.0));
         assert_eq!(report.reason, StopReason::AllComplete);
         assert_eq!(
@@ -293,6 +303,38 @@ mod lifecycle_tests {
             SimTime::from_secs_f64(4.0),
             "the run must wait for the joiner instead of stopping at t=0"
         );
+    }
+
+    #[test]
+    fn join_scheduled_after_start_for_an_active_node_changes_nothing() {
+        // A join scheduled once the run has started marks nobody absent, and
+        // when it fires for a participant it neither re-initialises it nor
+        // counts a join: the run equals its twin without the join.
+        let run = |join: bool| {
+            let mut runner = probe_runner(3, |p| {
+                p.recurring_timer = true;
+                p.greet = vec![NodeId((p.id.0 + 1) % 3)];
+            });
+            runner.run_until(SimTime::from_secs_f64(2.0));
+            if join {
+                runner.schedule_node_event(SimTime::from_secs_f64(4.0), NodeEvent::Join(NodeId(1)));
+                assert!(runner.is_active(NodeId(1)), "a participant stays active");
+            }
+            let report = runner.run_until(SimTime::from_secs_f64(6.0));
+            assert_eq!(report.reason, StopReason::TimeLimit);
+            assert_eq!(report.metrics.counter("node_joins"), Some(0));
+            runner.into_nodes()
+        };
+        let (joined, twin) = (run(true), run(false));
+        for (i, (a, b)) in joined.iter().zip(&twin).enumerate() {
+            assert_eq!(a.inits, 1, "node {i} is initialised once");
+            assert_eq!(a.init_at, Some(0.0), "node {i} starts at t = 0");
+            assert_eq!(
+                (a.timer_fires, &a.ctrl_received),
+                (b.timer_fires, &b.ctrl_received),
+                "node {i} sees what its twin sees"
+            );
+        }
     }
 
     #[test]

@@ -469,8 +469,9 @@ impl<P: Protocol> Runner<P> {
     /// Marks `node` as not yet part of the experiment: it is not initialised
     /// at start-up and receives no events until a [`NodeEvent::Join`] for it
     /// fires. The all-complete stop condition still counts it, so a run does
-    /// not end before scheduled joiners have joined *and* completed.
-    pub fn set_inactive_at_start(&mut self, node: NodeId) {
+    /// not end before scheduled joiners have joined *and* completed. A join
+    /// scheduled before the run starts makes this call itself.
+    pub(crate) fn set_inactive_at_start(&mut self, node: NodeId) {
         self.run.active[node.index()] = false;
     }
 
@@ -483,7 +484,7 @@ impl<P: Protocol> Runner<P> {
     /// on, `run_until` ignores the all-complete stop condition and advances
     /// the clock to the requested limit even when the event queue drains,
     /// because an open system idles between arrivals instead of stopping.
-    pub fn set_run_to_limit(&mut self, on: bool) {
+    pub(crate) fn set_run_to_limit(&mut self, on: bool) {
         self.run.run_to_limit = on;
     }
 
@@ -512,7 +513,7 @@ impl<P: Protocol> Runner<P> {
     /// stale in-flight events towards it are dropped at delivery. Unlike a
     /// leave or crash, retirement is silent — no [`Protocol::on_peer_failed`]
     /// fan-out — because the whole cohort retires together.
-    pub fn retire(&mut self, nodes: &[NodeId]) {
+    pub(crate) fn retire(&mut self, nodes: &[NodeId]) {
         let now = self.run.sim.now();
         for &node in nodes {
             let idx = node.index();
@@ -544,7 +545,7 @@ impl<P: Protocol> Runner<P> {
     /// # Panics
     ///
     /// Panics if the slot is still active.
-    pub fn replace_node(&mut self, node: NodeId, fresh: P) {
+    pub(crate) fn replace_node(&mut self, node: NodeId, fresh: P) {
         let idx = node.index();
         assert!(
             !self.run.active[idx],
@@ -569,7 +570,7 @@ impl<P: Protocol> Runner<P> {
     /// first pushes would otherwise be dropped towards peers later in the
     /// slot order). Already-active or departed slots are skipped. Hooks run
     /// in the order given.
-    pub fn activate_cohort(&mut self, nodes: &[NodeId]) {
+    pub(crate) fn activate_cohort(&mut self, nodes: &[NodeId]) {
         let mut fresh = Vec::with_capacity(nodes.len());
         for &node in nodes {
             let idx = node.index();
@@ -605,10 +606,16 @@ impl<P: Protocol> Runner<P> {
     }
 
     /// Schedules a node-lifecycle event (join, graceful leave, crash) to take
-    /// effect at `at`. For a [`NodeEvent::Join`], call
-    /// [`Runner::set_inactive_at_start`] for the node as well, so it does not
-    /// start as a participant.
+    /// effect at `at`. A [`NodeEvent::Join`] scheduled before the run starts
+    /// also marks its node absent until then, so it does not start as a
+    /// participant; one scheduled later, for a node already active, changes
+    /// nothing.
     pub fn schedule_node_event(&mut self, at: SimTime, event: NodeEvent) {
+        if let NodeEvent::Join(node) = event {
+            if !self.run.inits_done {
+                self.set_inactive_at_start(node);
+            }
+        }
         self.run.sim.schedule_at(at, NetEvent::Lifecycle { event });
     }
 

@@ -17,7 +17,8 @@
 //!   full pool — the queue is what bends the knee in the offered-load
 //!   sweep), runs to completion over the shared contended topology, and is
 //!   then retired, releasing its timers, in-flight events and flow-table
-//!   rows for the next cohort (see [`Runner::retire`]);
+//!   rows for the next cohort (the runner's `retire`, internal to this
+//!   crate like every lifecycle step of a service run);
 //! * [`ServiceReport`] — steady-state results: sustained goodput over the
 //!   post-warmup measurement window, per-cohort completion percentiles, and
 //!   an admitted/completed/in-flight/utilisation time-series.

@@ -76,7 +76,8 @@ fn bullet_prime_matches_its_golden_digest() {
 #[test]
 fn bullet_matches_its_golden_digest() {
     check_closed("Bullet", 0xe246_35bf_2bc0_62f6, |topo, rng| {
-        bullet_orig::build_runner(topo, file(), rng)
+        let nodes = bullet_orig::build_nodes(&topo, file(), rng);
+        Runner::new(Network::new(topo), nodes, rng)
     });
 }
 
@@ -96,7 +97,8 @@ fn bittorrent_matches_its_golden_digest() {
 #[test]
 fn splitstream_matches_its_golden_digest() {
     check_closed("SplitStream", 0xd5a5_d4e9_e572_5113, |topo, rng| {
-        splitstream::build_runner(topo, file(), rng)
+        let nodes = splitstream::build_nodes(&topo, file(), rng);
+        Runner::new(Network::new(topo), nodes, rng)
     });
 }
 

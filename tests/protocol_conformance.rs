@@ -168,7 +168,7 @@ fn bullet_prime_conforms() {
 fn bullet_original_conforms() {
     let w = workload();
     let runner = w.runner(
-        |topo, rng| bullet_orig::build_runner(topo, w.file, rng),
+        |topo, rng| bullet_orig::build_nodes(topo, w.file, rng),
         ring(),
     );
     let (report, records) = churn("bullet-original", runner);
@@ -180,10 +180,7 @@ fn bullet_original_conforms() {
 #[test]
 fn bittorrent_conforms() {
     let w = workload();
-    let runner = w.runner(
-        |topo, rng| bittorrent::build_runner(topo, w.file, rng),
-        ring(),
-    );
+    let runner = w.runner(|topo, _| bittorrent::build_nodes(topo, w.file), ring());
     let (report, records) = churn("bittorrent", runner);
     // BitTorrent has no goodbye: a leave looks like a crash to the swarm.
     check_churn_contract("bittorrent", &records);
@@ -194,7 +191,7 @@ fn bittorrent_conforms() {
 fn splitstream_conforms() {
     let w = workload();
     let runner = w.runner(
-        |topo, rng| splitstream::build_runner(topo, w.file, rng),
+        |topo, rng| splitstream::build_nodes(topo, w.file, rng),
         ring(),
     );
     let (_, records) = churn("splitstream", runner);

@@ -15,7 +15,7 @@ use bullet_repro::bullet_prime::{self, Config};
 use bullet_repro::desim::{RngFactory, SimDuration, SimTime};
 use bullet_repro::dissem_codec::FileSpec;
 use bullet_repro::netsim::{
-    dynamics, topology, ChangeSchedule, Protocol, RunReport, Runner, StopReason,
+    dynamics, topology, ChangeSchedule, Network, Protocol, RunReport, Runner, StopReason, Topology,
 };
 use std::sync::Barrier;
 
@@ -102,26 +102,31 @@ where
     );
 }
 
-fn build_bullet_prime(rng: &RngFactory) -> Runner<bullet_prime::BulletPrimeNode> {
+/// A runner over the test's lossy mesh with the nodes `build` makes for it.
+fn on_mesh<P: Protocol>(rng: &RngFactory, build: impl FnOnce(&Topology) -> Vec<P>) -> Runner<P> {
     let topo = topology::modelnet_mesh(NODES, 0.03, rng);
-    bullet_prime::build_runner(topo, &Config::new(file()), rng)
+    let nodes = build(&topo);
+    Runner::new(Network::new(topo), nodes, rng)
+}
+
+fn build_bullet_prime(rng: &RngFactory) -> Runner<bullet_prime::BulletPrimeNode> {
+    on_mesh(rng, |topo| {
+        bullet_prime::build_nodes(topo, &Config::new(file()), rng)
+    })
 }
 
 // Original Bullet is Bullet′ pinned to the SOSP '03 parameters
 // (`bullet_config`), so its runner carries the same node type.
 fn build_bullet_orig(rng: &RngFactory) -> Runner<bullet_prime::BulletPrimeNode> {
-    let topo = topology::modelnet_mesh(NODES, 0.03, rng);
-    bullet_orig::build_runner(topo, file(), rng)
+    on_mesh(rng, |topo| bullet_orig::build_nodes(topo, file(), rng))
 }
 
 fn build_bittorrent(rng: &RngFactory) -> Runner<BitTorrentNode> {
-    let topo = topology::modelnet_mesh(NODES, 0.03, rng);
-    bittorrent::build_runner(topo, file(), rng)
+    on_mesh(rng, |topo| bittorrent::build_nodes(topo, file()))
 }
 
 fn build_splitstream(rng: &RngFactory) -> Runner<splitstream::SplitStreamNode> {
-    let topo = topology::modelnet_mesh(NODES, 0.03, rng);
-    splitstream::build_runner(topo, file(), rng)
+    on_mesh(rng, |topo| splitstream::build_nodes(topo, file(), rng))
 }
 
 #[test]
