@@ -63,16 +63,11 @@ mv target/benchmark-Cargo.lock.keep benchmark/Cargo.lock
 # run checks the increments and, where a peer crashes or leaves, the
 # decrements (protocol_conformance's bittorrent_conforms is such a run).
 # Release builds carry none of it, so this step must keep running, and before
-# the release golden steps that trust the solver.
-echo "==> cargo test -q (workspace unit + integration suites)"
+# the release golden steps that trust the solver. Cargo.toml's
+# default-members are every workspace member, so this step also runs every
+# member's doc tests (vendor shims included): documented snippets compile.
+echo "==> cargo test -q (workspace unit, integration and doc tests)"
 cargo test -q
-
-# Documented snippets must compile forever: every rustdoc example in every
-# workspace member (vendor shims included) runs as a test. `cargo test -q`
-# above already covers the default members; the explicit --doc --workspace
-# pass gives the gate a name and catches members outside default-members.
-echo "==> cargo test --doc --workspace"
-cargo test --doc --workspace -q
 
 # clippy.toml's disallowed-methods list holds every f64 / f32 method of
 # unspecified precision (powf, ln, log2, exp, sin, ...): a simulated number

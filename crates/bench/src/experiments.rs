@@ -336,7 +336,7 @@ pub fn fig05_claims(fig: &Figure) -> Vec<Claim> {
 /// default 2 s).
 pub fn fig05ts_workload(opts: &CommonOpts, label: &str) -> Result<Workload, String> {
     Ok(Workload {
-        tick: Some(opts.tick.unwrap_or(2.0)),
+        tick: Some(opts.tick_secs()),
         ..fig05_workload(opts, label)?
     })
 }
@@ -1124,7 +1124,7 @@ pub fn fig19_workload(opts: &CommonOpts, _: &str) -> Result<Workload, String> {
         period: (20.0 * file.file_bytes as f64 / (4.0 * 1024.0 * 1024.0)).max(4.0),
     };
     Ok(Workload {
-        tick: Some(opts.tick.unwrap_or(2.0)),
+        tick: Some(opts.tick_secs()),
         ..Workload::new(opts, topology, opts.nodes_or(16, 32), file, dynamics)
     })
 }

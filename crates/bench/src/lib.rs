@@ -43,6 +43,6 @@ pub mod warmup;
 pub mod workload;
 
 pub use cdf::{improvement_at, Figure, Series};
-pub use opts::{emit, CommonOpts};
+pub use opts::CommonOpts;
 pub use systems::SystemKind;
 pub use workload::{Dynamics, ServiceWorkload, SystemRun, TopologyKind, WarmPrefix, Workload};

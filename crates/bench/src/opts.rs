@@ -25,11 +25,10 @@ pub struct CommonOpts {
     pub seed: u64,
     /// Use the paper's full workload sizes.
     pub full: bool,
-    /// Also emit the figure as JSON to this path.
-    pub json: Option<String>,
     /// Virtual-time limit in seconds.
     pub time_limit: f64,
-    /// Probe sampling tick in virtual seconds (time-series scenarios only).
+    /// Probe sampling tick in virtual seconds (the probed scenarios only);
+    /// [`CommonOpts::tick_secs`] reads it.
     pub tick: Option<f64>,
 }
 
@@ -41,7 +40,6 @@ impl Default for CommonOpts {
             block_kb: None,
             seed: EXPERIMENT_SEED,
             full: false,
-            json: None,
             time_limit: 7200.0,
             tick: None,
         }
@@ -69,7 +67,6 @@ impl CommonOpts {
                 "--seed" => opts.seed = parse_num(&value_for("--seed")?)?,
                 "--time-limit" => opts.time_limit = parse_num(&value_for("--time-limit")?)?,
                 "--tick" => opts.tick = Some(parse_num(&value_for("--tick")?)?),
-                "--json" => opts.json = Some(value_for("--json")?),
                 "--full" => opts.full = true,
                 "--help" | "-h" => return Err(USAGE.to_string()),
                 other => return Err(format!("unknown option {other}\n{USAGE}")),
@@ -122,34 +119,19 @@ impl CommonOpts {
     pub fn block_bytes_or(&self, paper_kb: u32) -> u32 {
         self.block_kb.unwrap_or(paper_kb) * 1024
     }
+
+    /// The probe tick of a closed run, in virtual seconds: `--tick`, or 2 s.
+    pub fn tick_secs(&self) -> f64 {
+        self.tick.unwrap_or(2.0)
+    }
 }
 
 const USAGE: &str = "figure options: [--nodes N] [--mb M] [--block-kb K] [--seed S] \
-[--time-limit SECS] [--tick SECS] [--full] [--json PATH]";
+[--time-limit SECS] [--tick SECS] [--full]";
 
 fn parse_num<T: std::str::FromStr>(s: &str) -> Result<T, String> {
     s.parse()
         .map_err(|_| format!("could not parse '{s}'\n{USAGE}"))
-}
-
-/// Writes a figure to a JSON file, if the shared options name one, and then
-/// to `out`: a reader that closes `out` early still gets the file.
-///
-/// # Errors
-///
-/// Returns `out`'s error, or one naming the JSON file if that cannot be
-/// written.
-pub fn emit(
-    figure: &crate::cdf::Figure,
-    opts: &CommonOpts,
-    out: &mut dyn std::io::Write,
-) -> std::io::Result<()> {
-    if let Some(path) = &opts.json {
-        std::fs::write(path, figure.to_json())
-            .map_err(|e| std::io::Error::other(format!("failed to write {path}: {e}")))?;
-        eprintln!("wrote {path}");
-    }
-    out.write_all(figure.render_text().as_bytes())
 }
 
 #[cfg(test)]

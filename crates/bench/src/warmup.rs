@@ -47,7 +47,7 @@ pub fn fig05w_workload(opts: &CommonOpts, label: &str) -> Result<Workload, Strin
         quiet: FIG05W_WARMUP_SECS,
     };
     Ok(Workload {
-        tick: Some(opts.tick.unwrap_or(2.0)),
+        tick: Some(opts.tick_secs()),
         ..mesh_workload(opts, 20, 4.0, dynamics)
     })
 }

@@ -2,29 +2,35 @@
 //!
 //! ```text
 //! lab list                         # every registered scenario, one per line
-//! lab run <scenario> [fig opts]    # one run of the scenario's figure; an
+//! lab run <scenario> [--json PATH] [fig opts]
+//!                                  # one run of the scenario's figure; an
 //!                                  # open-system scenario (fig21/fig22) adds
 //!                                  # each service cell's summary
-//! lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K]
-//!                      [--json PATH] [fig opts]
-//!                                   # one line per cell, then `ok` / `FAIL`
+//! lab sweep <scenario> [--threads N] [--seed-count K] [--json PATH]
+//!                      [fig opts]   # one line per cell, then `ok` / `FAIL`
 //!                                   # per claim per cell
-//! lab trace <scenario> [--json PATH] [--ring N] [--kind K]
+//! lab trace <scenario> [--json PATH [--kind K]] [--ring N]
 //!                      [fig opts]   # one traced run: per-kind summary,
 //!                                   # JSONL export, probe replay cross-check,
 //!                                   # per-receiver table or service summary
 //!                                   # (see `trace_cmd`)
 //! ```
 //!
-//! `[fig opts]` are the shared figure options (`--nodes`, `--mb`, `--seed`,
-//! …) parsed by [`CommonOpts`]; lab-specific flags are peeled off first.
-//! Every command prints to the one writer [`lab_main`] is given.
+//! After the scenario name, `parse_args` takes the lab flags of
+//! `LAB_FLAGS` into `LabFlags` and hands the rest, the shared figure
+//! options (`--nodes`, `--mb`, `--seed`, …), to [`CommonOpts::parse`]. A lab
+//! flag belongs to the commands that take it: `--json` is each command's own
+//! output (`run`'s figure, `sweep`'s merged report, `trace`'s JSONL records),
+//! written before anything goes to stdout. A sweep runs `--seed-count`
+//! consecutive seeds from `--seed`. Every command prints to the one writer
+//! [`lab_main`] is given.
 
 use std::io::{self, Write};
 use std::time::Instant;
 
 use bullet_bench::experiments::service_summary;
-use bullet_bench::{emit, CommonOpts, Series};
+use bullet_bench::{CommonOpts, Series};
+use netsim::TraceEvent;
 
 use crate::executor::run_sweep;
 use crate::registry::Registry;
@@ -32,16 +38,41 @@ use crate::scenario::{run_cells, Body, Scenario, SeedPlan};
 
 const USAGE: &str = "usage: lab <list|run|sweep|trace> [scenario] [options]
   lab list
-  lab run <scenario> [figure options; see lab run <scenario> --help]
-  lab sweep <scenario> [--threads N] [--seeds A,B,..] [--seed-count K] [--json PATH] [figure options]
-  lab trace <scenario> [--json PATH] [--ring N] [--kind K] [figure options]";
+  lab run <scenario> [--json PATH] [figure options; see lab run <scenario> --help]
+  lab sweep <scenario> [--threads N] [--seed-count K] [--json PATH] [figure options]
+  lab trace <scenario> [--json PATH [--kind K]] [--ring N] [figure options]";
+
+/// Each lab flag, and the commands that take it.
+const LAB_FLAGS: [(&str, &[&str]); 5] = [
+    ("--json", &["run", "sweep", "trace"]),
+    ("--threads", &["sweep"]),
+    ("--seed-count", &["sweep"]),
+    ("--ring", &["trace"]),
+    ("--kind", &["trace"]),
+];
+
+/// The lab flags of one command line, as [`parse_args`] took them.
+#[derive(Debug, Default)]
+pub(crate) struct LabFlags {
+    /// `--json PATH`: where the command writes its machine-readable output.
+    pub(crate) json: Option<String>,
+    /// `--threads N`: a sweep's worker threads (1 if not given).
+    pub(crate) threads: Option<usize>,
+    /// `--seed-count K`: a sweep's seeds, counted from `--seed` (the default
+    /// seed plan's count if not given).
+    pub(crate) seed_count: Option<usize>,
+    /// `--ring N`: the capacity of a trace's ring.
+    pub(crate) ring: Option<usize>,
+    /// `--kind K`: the one record kind a trace's `--json` dump keeps.
+    pub(crate) kind: Option<String>,
+}
 
 /// Why a command ended early.
 #[derive(Debug)]
 pub(crate) enum Stop {
     /// A usage error, or a file that could not be written.
     Message(String),
-    /// `out` failed, or [`emit`] could not write its JSON file.
+    /// `out` failed.
     Io(io::Error),
 }
 
@@ -86,10 +117,17 @@ fn dispatch<I: IntoIterator<Item = String>>(args: I, out: &mut dyn Write) -> Res
     let command = args.remove(0);
     let registry = Registry::standard();
     match command.as_str() {
-        "list" => list(&registry, out)?,
-        "run" => run(&registry, args, out)?,
-        "sweep" => return sweep(&registry, args, out),
-        "trace" => crate::trace_cmd::trace(&registry, args, out)?,
+        "list" if args.is_empty() => list(&registry, out)?,
+        "list" => return Err(format!("lab list takes no arguments\n{USAGE}").into()),
+        "run" | "sweep" | "trace" => {
+            let (scenario, rest) = take_scenario(&registry, args)?;
+            let (flags, opts) = parse_args(&command, rest)?;
+            return match command.as_str() {
+                "run" => run(scenario, &flags, &opts, out).map(|()| 0),
+                "sweep" => sweep(scenario, &flags, &opts, out),
+                _ => crate::trace_cmd::trace(scenario, &flags, &opts, out).map(|()| 0),
+            };
+        }
         "--help" | "-h" | "help" => return Err(USAGE.to_string().into()),
         other => return Err(format!("unknown command {other}\n{USAGE}").into()),
     }
@@ -98,7 +136,7 @@ fn dispatch<I: IntoIterator<Item = String>>(args: I, out: &mut dyn Write) -> Res
 
 /// Splits a command's arguments into the scenario they name first and the
 /// rest.
-pub(crate) fn take_scenario(
+fn take_scenario(
     registry: &Registry,
     mut args: Vec<String>,
 ) -> Result<(&Scenario, Vec<String>), String> {
@@ -113,6 +151,57 @@ pub(crate) fn take_scenario(
         )
     })?;
     Ok((scenario, args))
+}
+
+/// Parses `command`'s arguments after the scenario name: the lab flags it
+/// takes into [`LabFlags`], the rest into [`CommonOpts`]. A lab flag that
+/// `command` does not take is a usage error naming the commands that do.
+pub(crate) fn parse_args(
+    command: &str,
+    args: Vec<String>,
+) -> Result<(LabFlags, CommonOpts), String> {
+    let mut flags = LabFlags::default();
+    let mut rest = Vec::new();
+    let mut it = args.into_iter();
+    while let Some(arg) = it.next() {
+        let Some(&(name, commands)) = LAB_FLAGS.iter().find(|(name, _)| *name == arg) else {
+            rest.push(arg);
+            continue;
+        };
+        if !commands.contains(&command) {
+            return Err(format!(
+                "{name} is an option of lab {}, not of lab {command}\n{USAGE}",
+                commands.join(" and lab ")
+            ));
+        }
+        let value = it
+            .next()
+            .ok_or_else(|| format!("{name} requires a value\n{USAGE}"))?;
+        let positive = || match value.parse() {
+            Ok(count @ 1..) => Ok(Some(count)),
+            _ => Err(format!("{name} must be a positive integer\n{USAGE}")),
+        };
+        match name {
+            "--threads" => flags.threads = positive()?,
+            "--seed-count" => flags.seed_count = positive()?,
+            "--ring" => flags.ring = positive()?,
+            "--kind" if !TraceEvent::KINDS.contains(&value.as_str()) => {
+                return Err(format!(
+                    "unknown record kind '{value}'; one of: {}\n{USAGE}",
+                    TraceEvent::KINDS.join(", ")
+                ));
+            }
+            "--kind" => flags.kind = Some(value),
+            _ => flags.json = Some(value),
+        }
+    }
+    // `--kind` filters the `--json` dump and nothing else.
+    if flags.kind.is_some() && flags.json.is_none() {
+        return Err(format!(
+            "--kind filters the records --json writes: give --json PATH too\n{USAGE}"
+        ));
+    }
+    Ok((flags, CommonOpts::parse(rest)?))
 }
 
 fn list(registry: &Registry, out: &mut dyn Write) -> io::Result<()> {
@@ -136,127 +225,73 @@ fn list(registry: &Registry, out: &mut dyn Write) -> io::Result<()> {
     Ok(())
 }
 
-/// `lab run`: the scenario's figure at its default point, followed for an
-/// open scenario by each cell's [`service_summary`].
-fn run(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<(), Stop> {
-    let (scenario, rest) = take_scenario(registry, args)?;
-    let opts = CommonOpts::parse(rest)?;
-    let Body::Open { cells, figure } = scenario.body else {
-        return Ok(emit(&scenario.figure(&opts, "default", None)?, &opts, out)?);
+/// `lab run`: the scenario's figure at its default point, to `--json` and
+/// then to `out`, followed for an open scenario by each cell's
+/// [`service_summary`].
+fn run(
+    scenario: &Scenario,
+    flags: &LabFlags,
+    opts: &CommonOpts,
+    out: &mut dyn Write,
+) -> Result<(), Stop> {
+    let (figure, summaries) = match scenario.body {
+        Body::Closed { .. } => (scenario.figure(opts, "default", None)?, String::new()),
+        Body::Open { cells, figure } => {
+            let cells = cells(opts);
+            let reports = run_cells(&cells);
+            let summaries = cells.iter().zip(&reports);
+            let summaries = summaries.map(|((label, _), report)| service_summary(label, report));
+            (figure(&cells, &reports), summaries.collect())
+        }
     };
-    let cells = cells(&opts);
-    let reports = run_cells(&cells);
-    emit(&figure(&cells, &reports), &opts, out)?;
-    for ((label, _), report) in cells.iter().zip(&reports) {
-        write!(out, "{}", service_summary(label, report))?;
+    // A reader that closes `out` early still gets the file.
+    if let Some(path) = &flags.json {
+        std::fs::write(path, figure.to_json())
+            .map_err(|e| format!("failed to write {path}: {e}"))?;
+        eprintln!("wrote {path}");
     }
+    write!(out, "{}{summaries}", figure.render_text())?;
     Ok(())
 }
 
-/// Lab-specific flags peeled off before [`CommonOpts`] sees the rest.
-#[derive(Debug, Default)]
-struct SweepArgs {
-    threads: Option<usize>,
-    seeds: Option<Vec<u64>>,
-    seed_count: Option<usize>,
-    json: Option<String>,
-    rest: Vec<String>,
-}
-
-fn parse_sweep_args(args: Vec<String>) -> Result<SweepArgs, String> {
-    let mut out = SweepArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value_for = |name: &str| -> Result<String, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--threads" => match value_for("--threads")?.parse() {
-                Ok(count @ 1..) => out.threads = Some(count),
-                _ => return Err(format!("--threads must be a positive integer\n{USAGE}")),
-            },
-            "--seeds" => out.seeds = Some(parse_list(&value_for("--seeds")?)?),
-            "--seed-count" => match value_for("--seed-count")?.parse() {
-                Ok(count @ 1..) => out.seed_count = Some(count),
-                _ => return Err(format!("--seed-count must be a positive integer\n{USAGE}")),
-            },
-            "--json" => out.json = Some(value_for("--json")?),
-            other => out.rest.push(other.to_string()),
-        }
-    }
-    // A seed list is the whole plan: a second way to name seeds would be
-    // dropped, and a repeated seed would count twice.
-    if let Some(seeds) = &out.seeds {
-        if out.seed_count.is_some() || out.rest.iter().any(|a| a == "--seed") {
-            return Err(format!(
-                "--seeds takes neither --seed nor --seed-count\n{USAGE}"
-            ));
-        }
-        if (1..seeds.len()).any(|i| seeds[..i].contains(&seeds[i])) {
-            return Err(format!("--seeds must not repeat a seed\n{USAGE}"));
-        }
-    }
-    Ok(out)
-}
-
-fn parse_list<T: std::str::FromStr>(s: &str) -> Result<Vec<T>, String> {
-    s.split(',')
-        .map(|p| {
-            p.trim()
-                .parse()
-                .map_err(|_| format!("could not parse '{p}'\n{USAGE}"))
-        })
-        .collect()
-}
-
-/// The seed plan a sweep actually uses: `--seeds` as given, or else the
-/// default plan re-based onto `--seed` and resized by `--seed-count`, each if
-/// given. A plan that runs past the last seed or does not fit in memory is a
-/// usage error.
-fn effective_seeds(
-    sweep_args: &SweepArgs,
-    opts: &CommonOpts,
-    explicit_seed: bool,
-) -> Result<Vec<u64>, String> {
-    if let Some(seeds) = &sweep_args.seeds {
-        return Ok(seeds.clone());
-    }
-    let mut plan = SeedPlan::default();
-    if explicit_seed {
-        plan.base = opts.seed;
-    }
-    if let Some(count) = sweep_args.seed_count {
-        plan.count = count;
-    }
+/// The seeds a sweep runs: `--seed-count` consecutive seeds (the default
+/// plan's count if not given) from `opts.seed`, which is the default plan's
+/// base unless `--seed` says otherwise. A plan that runs past the last seed
+/// or does not fit in memory is a usage error.
+fn effective_seeds(seed_count: Option<usize>, opts: &CommonOpts) -> Result<Vec<u64>, String> {
+    let plan = SeedPlan {
+        base: opts.seed,
+        count: seed_count.unwrap_or(SeedPlan::default().count),
+    };
     plan.seeds().map_err(|e| format!("{e}\n{USAGE}"))
 }
 
 /// `lab sweep`: one line per cell, then one `ok` or `FAIL` line per claim of
 /// each cell's figure. `Ok` carries the exit status: 1 when a claim failed.
-fn sweep(registry: &Registry, args: Vec<String>, out: &mut dyn Write) -> Result<i32, Stop> {
-    let (scenario, rest) = take_scenario(registry, args)?;
-    let sweep_args = parse_sweep_args(rest)?;
-    let explicit_seed = sweep_args.rest.iter().any(|a| a == "--seed");
-    let opts = CommonOpts::parse(sweep_args.rest.clone())?;
-    let threads = sweep_args.threads.unwrap_or(1);
-    let seeds = effective_seeds(&sweep_args, &opts, explicit_seed)?;
+fn sweep(
+    scenario: &Scenario,
+    flags: &LabFlags,
+    opts: &CommonOpts,
+    out: &mut dyn Write,
+) -> Result<i32, Stop> {
+    let threads = flags.threads.unwrap_or(1);
+    let seeds = effective_seeds(flags.seed_count, opts)?;
     // A workload may refuse the options (fig16 below three nodes): that is a
     // usage error here, not a panic in a worker.
     if let Body::Closed { workload, .. } = scenario.body {
         for point in &scenario.points {
-            workload(&point.apply(&opts), point.label)?;
+            workload(&point.apply(opts), point.label)?;
         }
     }
 
     let started = Instant::now();
-    let report = run_sweep(scenario, &opts, &seeds, threads);
+    let report = run_sweep(scenario, opts, &seeds, threads);
     let wall = started.elapsed().as_secs_f64();
 
     // The deterministic artefact goes to --json, and first: a reader that
     // closes `out` early still gets the file.
     eprintln!("wall_clock_secs: {wall:.3}");
-    if let Some(path) = &sweep_args.json {
+    if let Some(path) = &flags.json {
         std::fs::write(path, report.to_json())
             .map_err(|e| format!("failed to write {path}: {e}"))?;
         eprintln!("wrote {path}");
@@ -354,7 +389,14 @@ mod tests {
             &["list"],
             &["run", "fig15"],
             &[
-                "sweep", "fig13", "--seeds", "1", "--nodes", "4", "--mb", "0.1",
+                "sweep",
+                "fig13",
+                "--seed-count",
+                "1",
+                "--nodes",
+                "4",
+                "--mb",
+                "0.1",
             ],
             &["trace", "fig13", "--nodes", "4", "--mb", "0.1"],
         ];
@@ -444,7 +486,7 @@ mod tests {
 
     #[test]
     fn sweep_reads_slowest_off_cdfs_only() {
-        let seed = ["--seeds", "1"];
+        let seed = ["--seed", "1", "--seed-count", "1"];
         // fig21 and fig13 carry curves only: an offered load or a block
         // number is not a download time.
         let smoke = ["--nodes", "16", "--mb", "0.25", "--time-limit", "300"];
@@ -459,33 +501,63 @@ mod tests {
 
     #[test]
     fn sweep_args_split_lab_flags_from_figure_flags() {
-        let args = strings(&["--threads", "4", "--nodes", "8", "--seeds", "1,2,3"]);
-        let parsed = parse_sweep_args(args).unwrap();
-        assert_eq!(parsed.threads, Some(4));
-        assert_eq!(parsed.seeds, Some(vec![1, 2, 3]));
-        assert_eq!(parsed.rest, vec!["--nodes", "8"]);
-        let opts = CommonOpts::parse(parsed.rest).unwrap();
+        let args = ["--threads", "4", "--nodes", "8", "--seed-count", "3"];
+        let (flags, opts) = parse_args("sweep", strings(&args)).unwrap();
+        assert_eq!((flags.threads, flags.seed_count), (Some(4), Some(3)));
         assert_eq!(opts.nodes, Some(8));
     }
 
     #[test]
     fn effective_seeds_priority_order() {
+        // The plan is re-based on --seed and resized by --seed-count.
         let opts = CommonOpts {
             seed: 42,
             ..CommonOpts::default()
         };
+        assert_eq!(effective_seeds(Some(2), &opts), Ok(vec![42, 43]));
 
-        // The plan is re-based on --seed and resized by --seed-count.
-        let mut args = SweepArgs {
-            seed_count: Some(2),
-            ..Default::default()
-        };
-        assert_eq!(effective_seeds(&args, &opts, true), Ok(vec![42, 43]));
-
-        // Without --seed the default plan's base applies.
+        // Without either, the default plan runs: the default seed is its
+        // base.
         let plan = SeedPlan::default();
-        args.seed_count = None;
-        assert_eq!(effective_seeds(&args, &opts, false), plan.seeds());
+        assert_eq!(effective_seeds(None, &CommonOpts::default()), plan.seeds());
+    }
+
+    /// Each command takes its own lab flags; another command's is a usage
+    /// error that names the command taking it, `--seeds` is no flag, and
+    /// `lab list` takes none.
+    #[test]
+    fn a_lab_flag_of_another_command_is_a_usage_error() {
+        for (args, taker) in [
+            (&["run", "fig13", "--threads", "2"][..], "lab sweep"),
+            (&["run", "fig13", "--kind", "timer"], "lab trace"),
+            (&["sweep", "fig13", "--ring", "8"], "lab trace"),
+            (&["trace", "fig13", "--seed-count", "2"], "lab sweep"),
+        ] {
+            let err = usage_error(args);
+            let flag = args[2];
+            let wanted = format!("{flag} is an option of {taker}, not of lab {}", args[0]);
+            assert!(err.starts_with(&wanted), "{args:?}: {err}");
+            assert_eq!(lab_main(strings(args), &mut io::sink()), 2);
+        }
+        let err = usage_error(&["sweep", "fig13", "--seeds", "1,2"]);
+        assert!(err.starts_with("unknown option --seeds"), "{err}");
+        let err = usage_error(&["list", "--json", "list.json"]);
+        assert!(err.starts_with("lab list takes no arguments"), "{err}");
+    }
+
+    /// `--kind` filters the `--json` dump, so without one it would be
+    /// checked and then ignored.
+    #[test]
+    fn kind_without_json_is_a_usage_error() {
+        let args = [
+            "trace", "fig11", "--nodes", "6", "--mb", "0.125", "--kind", "timer",
+        ];
+        let err = usage_error(&args);
+        assert!(
+            err.starts_with("--kind") && err.contains("--json PATH"),
+            "{err}"
+        );
+        assert_eq!(lab_main(strings(&args), &mut io::sink()), 2);
     }
 
     #[test]
@@ -493,16 +565,6 @@ mod tests {
         for flag in ["--threads", "--seed-count"] {
             let err = usage_error(&["sweep", "fig13", flag, "0"]);
             assert!(err.contains("positive"), "{flag}: {err}");
-        }
-        // A seed list that another seed option would shorten or that
-        // repeats a seed is refused, not silently reconciled.
-        for seeds in [
-            &["--seeds", "1,1"][..],
-            &["--seeds", "1", "--seed-count", "2"],
-            &["--seeds", "1", "--seed", "2"],
-        ] {
-            let err = usage_error(&[&["sweep", "fig13"][..], seeds].concat());
-            assert!(err.starts_with("--seeds"), "{seeds:?}: {err}");
         }
         // A plan that would wrap past the last seed, or whose seed list
         // cannot be allocated, is refused before anything runs.
@@ -530,8 +592,10 @@ mod tests {
         let args = [
             "sweep",
             "fig20",
-            "--seeds",
-            "1,2",
+            "--seed",
+            "1",
+            "--seed-count",
+            "2",
             "--nodes",
             "6",
             "--mb",
@@ -562,7 +626,16 @@ mod tests {
 
         // The same sweep with time to finish passes its claims.
         let passing = printed(&[
-            "sweep", "fig20", "--seeds", "1", "--nodes", "6", "--mb", "0.25",
+            "sweep",
+            "fig20",
+            "--seed",
+            "1",
+            "--seed-count",
+            "1",
+            "--nodes",
+            "6",
+            "--mb",
+            "0.25",
         ]);
         assert!(
             passing.ends_with("receivers complete (CDF \"BulletPrime, N=6\" has 5 points)\n"),
@@ -579,6 +652,26 @@ mod tests {
         let err = usage_error(&["run", "nope"]);
         assert!(err.contains("unknown scenario"));
         assert!(err.contains("fig04"));
+    }
+
+    /// `lab run --json` writes the figure it prints.
+    #[test]
+    fn run_writes_its_figure_to_json() {
+        let json = std::env::temp_dir().join(format!("lab-run-{}.json", std::process::id()));
+        let path = json.to_str().expect("a UTF-8 temporary path");
+        let text = printed(&[&["run", "fig13", "--json", path][..], &SMOKE].concat());
+        let written = std::fs::read_to_string(&json).expect("--json was written");
+        std::fs::remove_file(&json).expect("the test's own file");
+        let opts = CommonOpts {
+            nodes: Some(4),
+            file_mb: Some(0.1),
+            ..CommonOpts::default()
+        };
+        let fig13 = Registry::standard()
+            .get("fig13")
+            .map(|sc| sc.figure(&opts, "default", None));
+        let fig13 = fig13.and_then(Result::ok).expect("fig13 runs at SMOKE");
+        assert_eq!((written, text), (fig13.to_json(), fig13.render_text()));
     }
 
     #[test]

@@ -80,7 +80,9 @@ impl ParamPoint {
     }
 }
 
-/// The seed plan of a sweep: `count` consecutive seeds from `base`.
+/// The seed plan of a sweep: `count` consecutive seeds from `base`, which
+/// `lab sweep` takes from `--seed-count` and `--seed`; there is no other way
+/// to name a sweep's seeds.
 ///
 /// Consecutive seeds are fine because every run derives its actual RNG
 /// streams by hashing the seed with per-purpose labels (see
@@ -120,8 +122,8 @@ impl SeedPlan {
 }
 
 impl Default for SeedPlan {
-    /// The plan every scenario's sweep runs unless `--seed`, `--seed-count`
-    /// or `--seeds` say otherwise: the experiment seed, 4 repetitions.
+    /// The plan every scenario's sweep runs unless `--seed` or
+    /// `--seed-count` say otherwise: the experiment seed, 4 repetitions.
     fn default() -> Self {
         SeedPlan {
             base: EXPERIMENT_SEED,

@@ -4,7 +4,7 @@
 //! *host's* time went is `benchmark/run.sh --workload W --trace 1`.
 //!
 //! ```text
-//! lab trace <scenario> [--json PATH] [--ring N] [--kind K] [figure options]
+//! lab trace <scenario> [--json PATH [--kind K]] [--ring N] [figure options]
 //! ```
 //!
 //! The run collects every [`TraceRecord`] in a [`RingSink`] (`--ring`, a
@@ -39,60 +39,15 @@ use bullet_prime::{BulletPrimeNode, Role};
 use desim::SimDuration;
 use netsim::{
     replay_goodput, summarize, MetricsSnapshot, ProbeStats, Protocol, RingSink, RunReport, Runner,
-    ServiceReport, TimeSeries, TraceEvent, TraceRecord, TraceSink,
+    ServiceReport, TimeSeries, TraceRecord, TraceSink,
 };
 
-use crate::cli::Stop;
-use crate::registry::Registry;
+use crate::cli::{LabFlags, Stop};
 use crate::scenario::{Body, Scenario};
-
-const USAGE: &str = "usage: lab trace <scenario> [--json PATH] [--ring N] [--kind K] \
-[figure options]";
 
 /// Default ring capacity: comfortably above any reduced-scale run's record
 /// count, bounded so a `--full` trace cannot exhaust memory.
 const DEFAULT_RING: usize = 1 << 22;
-
-/// Flags peeled off before [`CommonOpts`] sees the rest.
-#[derive(Debug, Default)]
-struct TraceArgs {
-    json: Option<String>,
-    /// `--ring`, if given ([`DEFAULT_RING`] if not).
-    ring: Option<usize>,
-    kind: Option<String>,
-    rest: Vec<String>,
-}
-
-fn parse_trace_args(args: Vec<String>) -> Result<TraceArgs, String> {
-    let mut out = TraceArgs::default();
-    let mut it = args.into_iter();
-    while let Some(arg) = it.next() {
-        let mut value_for = |name: &str| -> Result<String, String> {
-            it.next()
-                .ok_or_else(|| format!("{name} requires a value\n{USAGE}"))
-        };
-        match arg.as_str() {
-            "--json" => out.json = Some(value_for("--json")?),
-            "--ring" => match value_for("--ring")?.parse() {
-                Ok(ring @ 1..) => out.ring = Some(ring),
-                Ok(_) => return Err(format!("--ring must be positive\n{USAGE}")),
-                Err(_) => return Err(format!("bad --ring\n{USAGE}")),
-            },
-            "--kind" => {
-                let kind = value_for("--kind")?;
-                if !TraceEvent::KINDS.contains(&kind.as_str()) {
-                    return Err(format!(
-                        "unknown record kind '{kind}'; one of: {}\n{USAGE}",
-                        TraceEvent::KINDS.join(", ")
-                    ));
-                }
-                out.kind = Some(kind);
-            }
-            other => out.rest.push(other.to_string()),
-        }
-    }
-    Ok(out)
-}
 
 /// Rows of the receiver table `lab trace` prints before the rest are
 /// elided (the cap `service_summary` puts on cohorts).
@@ -210,7 +165,7 @@ impl TracedRun {
 pub fn traced_workload(workload: WorkloadFn, opts: &CommonOpts) -> Result<Workload, String> {
     let w = workload(opts, "default")?;
     Ok(Workload {
-        tick: w.tick.or(Some(opts.tick.unwrap_or(2.0))),
+        tick: w.tick.or(Some(opts.tick_secs())),
         ..w
     })
 }
@@ -304,23 +259,20 @@ pub fn check_replay(
 
 /// The `lab trace` subcommand body.
 pub(crate) fn trace(
-    registry: &Registry,
-    args: Vec<String>,
+    scenario: &Scenario,
+    flags: &LabFlags,
+    opts: &CommonOpts,
     out: &mut dyn Write,
 ) -> Result<(), Stop> {
-    let (scenario, rest) = crate::cli::take_scenario(registry, args)?;
     let name = scenario.name;
-    let targs = parse_trace_args(rest)?;
-    let opts = CommonOpts::parse(targs.rest.clone())?;
-
-    let ring = targs.ring.unwrap_or(DEFAULT_RING);
-    let run = traced_run(scenario, &opts, ring)?;
-    let keep = |rec: &&TraceRecord| match &targs.kind {
+    let ring = flags.ring.unwrap_or(DEFAULT_RING);
+    let run = traced_run(scenario, opts, ring)?;
+    let keep = |rec: &&TraceRecord| match &flags.kind {
         Some(kind) => rec.ev.kind() == kind,
         None => true,
     };
 
-    if let Some(path) = &targs.json {
+    if let Some(path) = &flags.json {
         let mut jsonl = String::new();
         let mut lines = 0u64;
         for rec in run.records.iter().filter(keep) {
@@ -391,34 +343,37 @@ pub(crate) fn trace(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::registry::Registry;
+
+    fn parse(args: &[&str]) -> Result<(LabFlags, CommonOpts), String> {
+        crate::cli::parse_args("trace", args.iter().map(|a| a.to_string()).collect())
+    }
 
     #[test]
     fn trace_args_split_trace_flags_from_figure_flags() {
-        let args = vec![
-            "--json".to_string(),
-            "out.jsonl".to_string(),
-            "--ring".to_string(),
-            "128".to_string(),
-            "--kind".to_string(),
-            "block_received".to_string(),
-            "--nodes".to_string(),
-            "8".to_string(),
-        ];
-        let parsed = parse_trace_args(args).unwrap();
-        assert_eq!(parsed.json.as_deref(), Some("out.jsonl"));
-        assert_eq!(parsed.ring, Some(128));
-        assert_eq!(parsed.kind.as_deref(), Some("block_received"));
-        assert_eq!(parsed.rest, vec!["--nodes", "8"]);
-        let opts = CommonOpts::parse(parsed.rest).unwrap();
+        let (flags, opts) = parse(&[
+            "--json",
+            "out.jsonl",
+            "--ring",
+            "128",
+            "--kind",
+            "block_received",
+            "--nodes",
+            "8",
+        ])
+        .unwrap();
+        assert_eq!(flags.json.as_deref(), Some("out.jsonl"));
+        assert_eq!(flags.ring, Some(128));
+        assert_eq!(flags.kind.as_deref(), Some("block_received"));
         assert_eq!(opts.nodes, Some(8));
     }
 
     #[test]
     fn bogus_kind_and_zero_ring_are_usage_errors() {
-        let err = parse_trace_args(vec!["--kind".to_string(), "bogus".to_string()]).unwrap_err();
+        let err = parse(&["--json", "out.jsonl", "--kind", "bogus"]).unwrap_err();
         assert!(err.contains("unknown record kind"));
         assert!(err.contains("block_received"), "lists the vocabulary");
-        let err = parse_trace_args(vec!["--ring".to_string(), "0".to_string()]).unwrap_err();
+        let err = parse(&["--ring", "0"]).unwrap_err();
         assert!(err.contains("positive"));
     }
 
@@ -475,9 +430,7 @@ mod tests {
             // The trace command prints the cell's service summary where a
             // closed trace prints its receiver table.
             let mut out = Vec::new();
-            let args = ["--nodes", "12", "--mb", "0.25", "--time-limit", "300"];
-            let args = std::iter::once(name).chain(args).map(String::from);
-            trace(&registry, args.collect(), &mut out).unwrap();
+            trace(sc, &LabFlags::default(), &opts, &mut out).unwrap();
             let out = String::from_utf8(out).unwrap();
             assert!(out.contains("replay check: OK"), "{out}");
             assert!(out.contains(&format!("[{label}]\n  horizon 300s")), "{out}");

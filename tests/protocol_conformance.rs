@@ -23,6 +23,17 @@
 //! every survivor, `on_shutdown` on the leaver only) is pinned by `netsim`'s
 //! lifecycle tests, and what each system sends from `on_shutdown` by its own
 //! unit tests.
+//!
+//! A system's own rules are read off the records the same way, each check a
+//! plain function that returns the first disagreement. SplitStream's (SOSP
+//! 2003), on a static 30-node ModelNet mesh with an 8 MiB file at three
+//! seeds:
+//!
+//! - (f) without churn, each block arrives at a node once;
+//! - (g) every receiver forwards in at most one stripe tree: its
+//!   `block_sent` records name blocks of one stripe.
+
+use std::collections::{BTreeMap, BTreeSet};
 
 use bullet_repro::baselines::{bittorrent, bullet_orig, splitstream};
 use bullet_repro::bullet_bench::{Dynamics, TopologyKind, Workload};
@@ -200,4 +211,117 @@ fn splitstream_conforms() {
     // expected to reach AllComplete. That structural weakness is the paper's
     // point, not a conformance failure.
     check_churn_contract("splitstream", &records);
+}
+
+/// A static run of SplitStream on 30 nodes with an 8 MiB file: every record.
+fn splitstream_static(seed: u64) -> Vec<TraceRecord> {
+    let w = Workload {
+        nodes: 30,
+        file: FileSpec::new(8 * 1024 * 1024, 16 * 1024),
+        seed,
+        ..workload()
+    };
+    let mut runner = w.runner(
+        |topo, rng| splitstream::build_nodes(topo, w.file, rng),
+        ring(),
+    );
+    w.run(&mut runner);
+    let ring = runner
+        .take_trace_sink::<RingSink>()
+        .expect("a ring went in");
+    assert_eq!(ring.dropped(), 0, "seed {seed}: the ring must hold the run");
+    ring.into_records()
+}
+
+/// (f) No `(node, block)` pair has two `block_received` records.
+fn check_each_block_arrives_once(records: &[TraceRecord]) -> Result<(), String> {
+    let mut received = BTreeSet::new();
+    for rec in records {
+        if let TraceEvent::BlockReceived { node, block, .. } = rec.ev {
+            if !received.insert((node, block)) {
+                return Err(format!("{rec:?}: node {node} already had block {block}"));
+            }
+        }
+    }
+    Ok(())
+}
+
+/// (g) Each receiver's `block_sent` records name blocks of at most one
+/// stripe, a block's stripe being `block % STRIPES`; the source, node 0,
+/// sends every stripe.
+fn check_receivers_forward_one_stripe(records: &[TraceRecord]) -> Result<(), String> {
+    let mut stripe_of = BTreeMap::new();
+    for rec in records {
+        if let TraceEvent::BlockSent { from, block, .. } = rec.ev {
+            let stripe = block % splitstream::STRIPES as u64;
+            let first = *stripe_of.entry(from).or_insert(stripe);
+            if from != 0 && first != stripe {
+                return Err(format!(
+                    "{rec:?}: receiver {from} forwards stripes {first} and {stripe}"
+                ));
+            }
+        }
+    }
+    Ok(())
+}
+
+#[test]
+fn splitstream_meets_its_spec() {
+    for seed in [20050410, 1, 2] {
+        let records = splitstream_static(seed);
+        check_each_block_arrives_once(&records).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        check_receivers_forward_one_stripe(&records).unwrap_or_else(|e| panic!("seed {seed}: {e}"));
+        // Neither check passes for want of records: each of the 29
+        // receivers forwards.
+        let forwarders: BTreeSet<u32> = records
+            .iter()
+            .filter_map(|r| match r.ev {
+                TraceEvent::BlockSent { from, .. } if from != 0 => Some(from),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(forwarders.len(), 29, "seed {seed}");
+
+        // Each check fails on the violation it exists to catch.
+        let mut twice = records.clone();
+        let arrival = twice
+            .iter()
+            .find(|r| matches!(r.ev, TraceEvent::BlockReceived { .. }))
+            .cloned()
+            .expect("blocks arrive");
+        twice.push(arrival);
+        assert!(
+            check_each_block_arrives_once(&twice).is_err(),
+            "seed {seed}"
+        );
+        let mut two_stripes = records;
+        let sent = two_stripes
+            .iter()
+            .find(|r| matches!(r.ev, TraceEvent::BlockSent { from, .. } if from != 0))
+            .cloned()
+            .expect("a receiver forwards");
+        let TraceEvent::BlockSent {
+            from,
+            to,
+            block,
+            bytes,
+        } = sent.ev
+        else {
+            unreachable!("found as a block_sent record")
+        };
+        let block = block + 1;
+        two_stripes.push(TraceRecord {
+            ev: TraceEvent::BlockSent {
+                from,
+                to,
+                block,
+                bytes,
+            },
+            ..sent
+        });
+        assert!(
+            check_receivers_forward_one_stripe(&two_stripes).is_err(),
+            "seed {seed}"
+        );
+    }
 }
